@@ -16,7 +16,12 @@ to their low 64 bits.  This pass flags:
 - ``.astype(np.uint64)`` applied to an object-dtype value (silent
   truncation of big-int residues);
 - ``np.stack`` / ``np.concatenate`` over arguments that mix object and
-  machine-integer taints.
+  machine-integer taints;
+- any float dtype (``np.longdouble``, ``np.float64``, ``float`` ...) in
+  the residue kernels — ``nt/modmath.py``, ``nt/ntt.py``, ``backends/``
+  — whose uint64 paths are integer-only by contract.  (``rns/convert.py``
+  is outside that set on purpose: its float64 ``alpha`` estimate counts
+  CRT overflows, it never holds a residue.)
 """
 
 from __future__ import annotations
@@ -46,10 +51,23 @@ _MIX_MSG = (
     "stacking object-dtype and uint64 residue rows in one call; the whole "
     "result upcasts to object (or truncates) — keep backend groups separate"
 )
+_FLOAT_MSG = (
+    "float dtype in a residue kernel; the uint64 paths are integer-only "
+    "(mulhi64 / mod_mul_shoup) so results cannot depend on the platform's "
+    "floating-point widths"
+)
+_FLOAT_DTYPES = frozenset(
+    {"longdouble", "clongdouble", "float128", "float64", "float32", "double"}
+)
 
 
 def _is_modmath(module: SourceModule) -> bool:
     return module.path.replace("\\", "/").endswith("nt/modmath.py")
+
+
+def _is_residue_kernel(module: SourceModule) -> bool:
+    path = module.path.replace("\\", "/")
+    return path.endswith(("nt/modmath.py", "nt/ntt.py")) or "/backends/" in path
 
 
 class DtypeRoutingPass(LintPass):
@@ -58,6 +76,11 @@ class DtypeRoutingPass(LintPass):
 
     def check(self, module: SourceModule) -> Iterator[tuple[ast.AST, str]]:
         in_modmath = _is_modmath(module)
+        if _is_residue_kernel(module):
+            for node in ast.walk(module.tree):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if name == "float" or name in _FLOAT_DTYPES:
+                    yield node, _FLOAT_MSG
         scopes: list[ast.AST] = [module.tree]
         scopes.extend(
             node

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -440,24 +441,40 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
     repro.backends`` import edge stays acyclic.
     """
     from repro.nt.ntt import ntt_rows_context
-    from repro.nt.primes import ntt_friendly_primes_below
+    from repro.nt.primes import (
+        ntt_friendly_primes_above,
+        ntt_friendly_primes_below,
+    )
 
     reference = _reference()
     failures: list[str] = []
     n = 64
     rng = np.random.default_rng(0xB17)
-    cases = {}
-    for kind, bound in (("narrow", 1 << 28), ("wide", 1 << 55)):
-        gen = ntt_friendly_primes_below(bound, n)
-        cases[kind] = tuple(next(gen) for _ in range(3))
 
-    def check(kernel: str, kind: str, got, want) -> None:
+    def below(bound: int) -> tuple[int, ...]:
+        return tuple(islice(ntt_friendly_primes_below(bound, n), 3))
+
+    narrow = below(1 << 28)
+    wide_top = below(1 << 61)
+    wide_bottom = tuple(islice(ntt_friendly_primes_above(1 << 31, n), 3))
+    # ``wide`` is probed where limb carries actually happen — both ends
+    # of [2^31, 2^61) — and with a narrow row riding the wide kernel (a
+    # single wide row forces it for the whole stack).
+    cases = (
+        ("narrow", "narrow", narrow),
+        ("wide", "wide", below(1 << 55)),
+        ("wide<2^61", "wide", wide_top),
+        ("wide>2^31", "wide", wide_bottom),
+        ("narrow+wide", "wide", (narrow[0], wide_top[0], wide_bottom[0])),
+    )
+
+    def check(kernel: str, label: str, got, want) -> None:
         if got.shape != want.shape or not bool(np.array_equal(got, want)):
             failures.append(
-                f"{kernel}[{kind}]: output differs from {REFERENCE_BACKEND}"
+                f"{kernel}[{label}]: output differs from {REFERENCE_BACKEND}"
             )
 
-    for kind, moduli in cases.items():
+    for label, kind, moduli in cases:
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         mat = np.stack(
             [rng.integers(0, q, n, dtype=np.uint64) for q in moduli]
@@ -468,30 +485,32 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
         ctx = ntt_rows_context(moduli, n)
         if backend.supports("ntt_forward", kind):
             check(
-                "ntt_forward", kind,
+                "ntt_forward", label,
                 backend.ntt_forward(ctx, mat), reference.ntt_forward(ctx, mat),
             )
         if backend.supports("ntt_inverse", kind):
             check(
-                "ntt_inverse", kind,
+                "ntt_inverse", label,
                 backend.ntt_inverse(ctx, mat), reference.ntt_inverse(ctx, mat),
             )
         if backend.supports("pointwise_mul", kind):
             check(
-                "pointwise_mul", kind,
+                "pointwise_mul", label,
                 backend.pointwise_mul(mat, other, q_col, kind),
                 reference.pointwise_mul(mat, other, q_col, kind),
             )
         if backend.supports("pointwise_mul_acc", kind):
             check(
-                "pointwise_mul_acc", kind,
+                "pointwise_mul_acc", label,
                 backend.pointwise_mul_acc(other, mat, other, q_col, kind),
                 reference.pointwise_mul_acc(other, mat, other, q_col, kind),
             )
         if backend.supports("bconv_fold", kind):
-            # Digits from a foreign (narrow) source basis folded into
-            # this kind's destinations — the shape base_convert emits.
-            src = cases["narrow"]
+            # Digits from a foreign source basis folded into this kind's
+            # destinations — the shape base_convert emits.  Wide probes
+            # take 61-bit digits, so they exceed every smaller
+            # destination unreduced.
+            src = narrow if kind == "narrow" else wide_top
             stack = np.stack(
                 [rng.integers(0, q, n, dtype=np.uint64) for q in src]
             )
@@ -504,7 +523,7 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
             dst = np.array(moduli, dtype=np.uint64)
             bound = max(src)
             check(
-                "bconv_fold", kind,
+                "bconv_fold", label,
                 backend.bconv_fold(stack, weights, dst, bound, kind),
                 reference.bconv_fold(stack, weights, dst, bound, kind),
             )

@@ -19,9 +19,13 @@ Per-width arithmetic, all exact in uint64:
   constant ``w < q`` with precomputed companion
   ``w' = floor(w * 2^64 / q)``, ``x*w mod q`` is
   ``x*w - floor(x*w'/2^64)*q`` corrected by at most one subtraction —
-  two multiplies and a mulhi, no division.  Twiddles, fold weights, and
-  the ``2^64 mod q`` constant of the general multiply all get their
-  companions precomputed (:func:`_shoup_table`, itself jitted).
+  two multiplies and a mulhi, no division.  The scalar helpers are the
+  compiled twins of :func:`repro.nt.modmath.mulhi64` /
+  ``mod_mul_shoup``, and the companions come from the same place the
+  numpy engine reads them: the twiddle companions off the
+  :class:`~repro.nt.ntt.NttRowsContext`, fold weights and the
+  ``2^64 mod q`` constant through ``modmath.shoup_companion`` /
+  ``modmath.two64_mod``.
 
 Every scalar helper is written in wrap-explicit uint64 arithmetic that
 is *also* valid pure Python + numpy-scalar code: when numba is absent
@@ -32,8 +36,9 @@ the algorithms' exactness even on numba-less installs.  Only the
 
 The deliberate asymmetries vs. the reference backend:
 
-- tables are cached per :class:`~repro.nt.ntt.NttRowsContext` (Shoup
-  companions cost one pass at first use, like the twiddle ROMs);
+- Shoup multiplication runs at *every* width, so a narrow context's
+  companion tables get built on first use here (the numpy engine only
+  ever touches a wide context's);
 - the verification contract does the rest: registration cross-checks
   and ``REPRO_SANITIZE=1`` shadowing guarantee bit-identical outputs,
   so callers cannot observe which engine ran.
@@ -68,8 +73,6 @@ except ImportError:
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-_U64_1 = np.uint64(1)
-_U64_0 = np.uint64(0)
 _NARROW = np.uint64(1) << np.uint64(31)
 
 
@@ -121,33 +124,6 @@ def _mulmod64(a, b, q, r64, r64_shoup):
     if s >= q:
         s -= q
     return s
-
-
-@njit(cache=True)
-def _shoup_companion(w, q):
-    """``floor(w * 2^64 / q)`` by binary long division (``w < q < 2^61``)."""
-    rem = w
-    quot = _U64_0
-    for _ in range(64):
-        rem = rem << _U64_1
-        quot = quot << _U64_1
-        if rem >= q:
-            rem -= q
-            quot |= _U64_1
-    return quot
-
-
-@njit(parallel=True, cache=True)
-def _shoup_table(w_mat, q_vec):
-    """Shoup companions for a ``(k, n)`` constant matrix, row ``i`` mod
-    ``q_vec[i]``."""
-    k, n = w_mat.shape
-    out = np.empty((k, n), dtype=np.uint64)
-    for row in prange(k):
-        q = q_vec[row]
-        for j in range(n):
-            out[row, j] = _shoup_companion(w_mat[row, j], q)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -295,30 +271,7 @@ def _modulus_constants(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(q_vec, r64, r64_shoup)`` for a moduli tuple, cached."""
     q_vec = np.array(moduli, dtype=np.uint64)
-    r64 = np.array([(1 << 64) % q for q in moduli], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        r64_shoup = _shoup_table(r64.reshape(-1, 1), q_vec)[:, 0].copy()
-    return q_vec, r64, r64_shoup
-
-
-def _ntt_tables(ctx) -> tuple:
-    """Shoup-companion twiddle tables for one NttRowsContext, cached on it."""
-    tables = getattr(ctx, "_numba_tables", None)
-    if tables is None:
-        q_vec = np.array(ctx.moduli, dtype=np.uint64)
-        n_inv = np.ascontiguousarray(ctx._n_inv_col[:, 0])
-        with np.errstate(over="ignore"):
-            tables = (
-                q_vec,
-                ctx._psi_rev,
-                _shoup_table(ctx._psi_rev, q_vec),
-                ctx._psi_inv_rev,
-                _shoup_table(ctx._psi_inv_rev, q_vec),
-                n_inv,
-                _shoup_table(n_inv.reshape(-1, 1), q_vec)[:, 0].copy(),
-            )
-        ctx._numba_tables = tables
-    return tables
+    return (q_vec, *modmath.two64_mod(q_vec))
 
 
 class NumbaBackend(KernelBackend):
@@ -331,17 +284,22 @@ class NumbaBackend(KernelBackend):
     )
 
     def ntt_forward(self, ctx, mat: np.ndarray) -> np.ndarray:
-        q_vec, psi, psi_sh, _, _, _, _ = _ntt_tables(ctx)
         a = np.ascontiguousarray(mat).copy()
         with np.errstate(over="ignore"):
-            _ntt_forward(a, psi, psi_sh, q_vec)
+            _ntt_forward(a, ctx._psi_rev, ctx._shoup[0], ctx._q_col[:, 0])
         return a
 
     def ntt_inverse(self, ctx, mat: np.ndarray) -> np.ndarray:
-        q_vec, _, _, psi_inv, psi_inv_sh, n_inv, n_inv_sh = _ntt_tables(ctx)
         a = np.ascontiguousarray(mat).copy()
         with np.errstate(over="ignore"):
-            _ntt_inverse(a, psi_inv, psi_inv_sh, q_vec, n_inv, n_inv_sh)
+            _ntt_inverse(
+                a,
+                ctx._psi_inv_rev,
+                ctx._shoup[1],
+                ctx._q_col[:, 0],
+                ctx._n_inv_col[:, 0],
+                ctx._shoup[2][:, 0],
+            )
         return a
 
     def bconv_fold(
@@ -352,10 +310,10 @@ class NumbaBackend(KernelBackend):
         v_bound: int,
         kind: str,
     ) -> np.ndarray:
+        weights_shoup = modmath.shoup_companion(
+            weights, dst_moduli.reshape(-1, 1)
+        )
         with np.errstate(over="ignore"):
-            weights_shoup = _shoup_table(
-                np.ascontiguousarray(weights), dst_moduli
-            )
             return _bconv_fold(
                 np.ascontiguousarray(stack),
                 np.ascontiguousarray(weights),

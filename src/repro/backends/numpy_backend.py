@@ -11,8 +11,9 @@ matrix-at-a-time kernels the vectorization PR shipped, moved behind the
   constant number of numpy calls over the ``(k, blocks, t)`` view);
 - ``bconv_fold`` is the lazy-reduction digit fold of
   :func:`repro.rns.convert.base_convert` — unreduced uint64 products
-  chunk-summed for narrow destinations, the exact float-assisted
-  multiply for wide ones;
+  chunk-summed for narrow destinations; for wide ones a Shoup multiply
+  by the CRT weights, all destinations of the group at once (Shoup
+  takes unreduced digits, so there is no pre-reduction pass);
 - the pointwise kernels are single broadcast :mod:`repro.nt.modmath`
   calls against the ``(k, 1)`` modulus column.
 
@@ -61,19 +62,21 @@ def _narrow_fold(
 
 
 def _wide_fold(
-    stack: np.ndarray, weights: np.ndarray, p: int, v_bound: int
+    stack: np.ndarray, weights: np.ndarray, dst_col: np.ndarray
 ) -> np.ndarray:
-    """Exact float-assisted fold for one wide destination prime.
+    """Shoup fold for a group of wide destination primes at once.
 
-    Operands must sit below ``p`` for the float-assisted multiply
-    (scalar multipliers hit numpy's fast scalar-divisor loops), then an
-    exact ``mod_add`` fold.
+    One ``(m, n)`` multiply-accumulate per source digit against the
+    weight column ``weights[:, i]`` and its companion; the digits may
+    exceed the destinations (any ``x < 2^64`` is a valid Shoup operand).
     """
-    w = stack if v_bound <= p else stack % np.uint64(p)
+    shoup = modmath.shoup_companion(weights, dst_col)
     acc = None
-    for i in range(w.shape[0]):
-        term = modmath.mod_mul(w[i], weights[i], p)
-        acc = term if acc is None else modmath.mod_add(acc, term, p)
+    for i in range(stack.shape[0]):
+        term = modmath.mod_mul_shoup(
+            stack[i], weights[:, i : i + 1], shoup[:, i : i + 1], dst_col
+        )
+        acc = term if acc is None else modmath.mod_add(acc, term, dst_col)
     return acc
 
 
@@ -100,10 +103,11 @@ class NumpyBackend(KernelBackend):
         v_bound: int,
         kind: str,
     ) -> np.ndarray:
-        fold = _narrow_fold if kind == "narrow" else _wide_fold
+        if kind == "wide":
+            return _wide_fold(stack, weights, dst_moduli.reshape(-1, 1))
         out = np.empty((dst_moduli.shape[0], stack.shape[1]), dtype=np.uint64)
         for j in range(dst_moduli.shape[0]):
-            out[j] = fold(stack, weights[j], int(dst_moduli[j]), v_bound)
+            out[j] = _narrow_fold(stack, weights[j], int(dst_moduli[j]), v_bound)
         return out
 
     def pointwise_mul(

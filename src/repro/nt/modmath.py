@@ -7,11 +7,16 @@ single prime ``q``.  Three backends sit behind one API:
   in 62 bits, so plain ``uint64`` vector ops are exact.  This covers the
   28-31-bit datapaths that BitPacker makes the sweet spot.
 - **uint64 wide path** (``2^31 <= q < 2^61``): products overflow 64 bits,
-  so multiplication uses an 80-bit ``longdouble`` quotient estimate plus
-  exact wrapping-uint64 correction (a vectorized Barrett-style trick).
-  The estimate is within +-1 of the true quotient (both operands are
-  exact in the 64-bit mantissa and only two roundings occur), and the
-  correction loop absorbs that slack, so the result is exact.
+  so multiplication is multi-word.  :func:`mulhi64` assembles the high
+  word of a 64x64 product from 32-bit limbs; a *constant* operand ``w``
+  carries a precomputed companion ``w' = floor(w * 2^64 / q)``
+  (:func:`shoup_companion`) and multiplies in two products, one mulhi
+  and one ``min`` (:func:`mod_mul_shoup`, valid for any ``x < 2^64``);
+  variable x variable products fold ``hi * 2^64 + lo`` through the
+  constant ``2^64 mod q`` (:func:`two64_mod`).  Every step is a
+  wrapping ``uint64`` ufunc — no float ever touches a residue, so the
+  path is exact wherever numpy is, whatever width the platform's
+  extended floats have.
 - **big-int path** (``q >= 2^61``): numpy ``object`` arrays of Python
   ints, exact for any modulus width up to the 64-bit words the paper
   sweeps.
@@ -22,6 +27,12 @@ against the operands — typically a ``(k, 1)`` column so a whole stacked
 ``(k, n)`` residue matrix is reduced against per-row moduli in a single
 numpy call.  Array moduli must all live on the same backend (the caller
 groups rows by :func:`backend_kind`); dispatch uses the largest modulus.
+
+Add, subtract and negate are branch-free on the uint64 paths: the
+candidate that wrapped past ``2^64`` is the large one, so one
+``np.minimum`` picks the reduced value (``min(s, s - q)`` after an add,
+``min(d, d + q)`` after a subtract) where a compare-and-select would
+spend three passes.  Operands must already be reduced below ``q``.
 
 All functions are pure: they never mutate their inputs.
 """
@@ -66,7 +77,9 @@ _tune_allocator()
 BIG_MODULUS_THRESHOLD = 1 << 61
 #: Below this bound products of two residues fit in uint64 directly.
 _NARROW_THRESHOLD = 1 << 31
-_SIGN_BIT = np.uint64(1) << np.uint64(63)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_U64_MAX = (1 << 64) - 1
 
 
 def dtype_for_modulus(q: int):
@@ -83,8 +96,8 @@ def dtype_for_modulus(q: int):
 def backend_kind(q: int) -> str:
     """Which of the three backends serves modulus ``q``.
 
-    ``"narrow"`` (products fit uint64), ``"wide"`` (Barrett-style float
-    correction), or ``"big"`` (Python-int object arrays).  Rows whose
+    ``"narrow"`` (products fit uint64), ``"wide"`` (32-bit-limb mulhi +
+    Shoup reduction), or ``"big"`` (Python-int object arrays).  Rows whose
     moduli share a kind can be stacked into one matrix and processed by a
     single vectorized call.
     """
@@ -154,61 +167,119 @@ def _is_big(a: np.ndarray) -> bool:
 
 
 def mod_add(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
-    """``(a + b) mod q`` elementwise."""
+    """``(a + b) mod q`` elementwise (operands reduced)."""
     if _is_big(a):
         return (a + b) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
     qa = _q_arr(q)
     s = a + b  # < 2^62, no wrap
-    return np.where(s >= qa, s - qa, s)
+    return np.minimum(s, s - qa)  # s - q wraps high exactly when s < q
 
 
 def mod_sub(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
-    """``(a - b) mod q`` elementwise."""
+    """``(a - b) mod q`` elementwise (operands reduced)."""
     if _is_big(a):
         return (a - b) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
-    qa = _q_arr(q)
-    s = a + (qa - b)
-    return np.where(s >= qa, s - qa, s)
+    d = a - b  # wraps high exactly when a < b
+    return np.minimum(d, d + _q_arr(q))
 
 
 def mod_neg(a: np.ndarray, q) -> np.ndarray:
-    """``(-a) mod q`` elementwise."""
+    """``(-a) mod q`` elementwise (operand reduced; ``-0`` stays 0)."""
     if _is_big(a):
         return (-a) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
-    qa = _q_arr(q)
-    return np.where(a == 0, np.uint64(0), qa - a)
+    d = np.negative(a)  # 2^64 - a, or 0
+    return np.minimum(d, d + _q_arr(q))
 
 
-def _mulmod_wide(a: np.ndarray, b, q, bf=None, qf=None) -> np.ndarray:
-    """Exact ``a*b mod q`` for uint64 arrays with ``q < 2^61``.
+def mulhi64(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``a * b`` (any ``a, b < 2^64``).
 
-    ``b`` may be an array or a scalar ``uint64``; ``q`` a scalar or a
-    broadcastable uint64 array.  ``bf``/``qf`` are optional precomputed
-    longdouble images of ``b``/``q`` (twiddle tables pass them so the
-    conversion is not redone every butterfly stage).  The longdouble
-    quotient estimate is off by at most one; wrapping uint64 arithmetic
-    recovers the exact remainder, then two conditional corrections land
-    it in ``[0, q)``.
+    Four 32x32 limb products.  Neither middle sum can wrap
+    (``(2^32 - 1)^2 + 2^32 - 1 < 2^64``), so the carries into the high
+    word fall out of plain shifts.  Accumulates in place: this is the
+    innermost kernel of the wide path and temporaries are its cost.
+    """
+    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
+    mid = a_lo * b_lo
+    mid >>= _SHIFT32
+    mid += a_hi * b_lo
+    mid2 = mid & _MASK32
+    mid2 += a_lo * b_hi
+    mid >>= _SHIFT32
+    mid2 >>= _SHIFT32
+    mid += mid2
+    mid += a_hi * b_hi
+    return mid
+
+
+def _per_modulus(q, fn):
+    """``fn`` (Python int -> int) mapped over the moduli, in ``q``'s shape."""
+    if isinstance(q, np.ndarray):
+        vals = [fn(int(v)) for v in q.flat]
+        return np.array(vals, dtype=np.uint64).reshape(q.shape)
+    return np.uint64(fn(int(q)))
+
+
+def shoup_companion(w: np.ndarray, q) -> np.ndarray:
+    """``floor(w * 2^64 / q)`` for a uint64 array ``w < q < 2^61``, exactly.
+
+    The precomputed half of Shoup multiplication (see
+    :func:`mod_mul_shoup`), vectorized over the table: with ``b`` the
+    bit length of ``q`` and ``m = floor(2^(63+b) / q)`` (one Python-int
+    division per *modulus*), ``floor(w * m / 2^(b-1))`` undershoots the
+    quotient by at most 2; the wrapped remainder ``-est * q`` then says
+    by how much.
     """
     qa = _q_arr(q)
-    af = a.astype(np.longdouble)
-    if bf is None:
-        bf = (
-            np.longdouble(int(b))
-            if np.isscalar(b) or b.ndim == 0
-            else b.astype(np.longdouble)
-        )
-    if qf is None:
-        qf = (
-            qa.astype(np.longdouble)
-            if isinstance(qa, np.ndarray)
-            else np.longdouble(int(q))
-        )
-    quot = np.floor(af * bf / qf).astype(np.uint64)
-    r = a * b - quot * qa  # wrapping arithmetic; true value in (-q, 2q)
-    r = np.where(r & _SIGN_BIT != 0, r + qa, r)  # quotient overestimate
-    r = np.where(r >= qa, r - qa, r)  # quotient underestimate
-    return r
+    b = _per_modulus(q, int.bit_length)
+    m = _per_modulus(q, lambda v: min((1 << (63 + v.bit_length())) // v, _U64_MAX))
+    # The 128-bit product w * m, shifted right by b - 1 (fits 64 bits).
+    est = (mulhi64(w, m) << (np.uint64(65) - b)) | (w * m >> (b - np.uint64(1)))
+    r = np.negative(est * qa)  # w * 2^64 - est * q, in [0, 3q)
+    return est + r // qa
+
+
+def two64_mod(q):
+    """``(2^64 mod q, its Shoup companion)`` per modulus, in ``q``'s shape.
+
+    The constant that folds the high word of a 128-bit product back
+    under ``q``; both engines' general multiply is built on it.
+    """
+    return (
+        _per_modulus(q, lambda v: (1 << 64) % v),
+        _per_modulus(q, lambda v: ((1 << 64) % v << 64) // v),
+    )
+
+
+def mod_mul_shoup(x: np.ndarray, w, w_shoup, q) -> np.ndarray:
+    """``x * w mod q`` for a constant ``w < q`` with its Shoup companion.
+
+    ``x`` is a uint64 array and need *not* be reduced: for any
+    ``x < 2^64`` and ``q < 2^61`` the quotient estimate
+    ``mulhi64(x, w_shoup)`` is at most one short, so the wrapped
+    remainder lands in ``[0, 2q)`` and one ``min`` finishes.  ``w``,
+    ``w_shoup`` and ``q`` broadcast against ``x`` (scalars, twiddle
+    columns, per-row ``(k, 1)`` columns).
+    """
+    qa = _q_arr(q)
+    r = mulhi64(x, w_shoup)
+    r *= qa
+    np.subtract(x * w, r, out=r)
+    return np.minimum(r, r - qa)
+
+
+def _mulmod_wide(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
+    """Exact ``a * b mod q`` for two uint64 arrays, ``q < 2^61``.
+
+    ``a * b = hi * 2^64 + lo``: the high word folds through
+    ``2^64 mod q`` (one Shoup multiply), the low word takes one
+    machine remainder.
+    """
+    qa = _q_arr(q)
+    r64, r64_shoup = two64_mod(q)
+    folded = mod_mul_shoup(mulhi64(a, b), r64, r64_shoup, qa)
+    return mod_add(folded, a * b % qa, qa)  # fhelint: ok[overflow-hazard] low word
 
 
 def mod_mul(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
@@ -220,16 +291,6 @@ def mod_mul(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     return _mulmod_wide(a, b, q)
 
 
-def mod_mul_pre(a: np.ndarray, b: np.ndarray, q, bf, qf) -> np.ndarray:
-    """Wide-path ``(a * b) mod q`` with precomputed longdouble ``bf``/``qf``.
-
-    Hot-loop variant of :func:`mod_mul` for the stage-vectorized NTT: the
-    twiddle tables and modulus columns are converted to longdouble once at
-    context-build time instead of once per butterfly stage.
-    """
-    return _mulmod_wide(a, b, q, bf=bf, qf=qf)
-
-
 def mod_scalar_mul(a: np.ndarray, k: int, q: int) -> np.ndarray:
     """``(a * k) mod q`` for a scalar ``k`` (any size; reduced first)."""
     k %= q
@@ -238,7 +299,7 @@ def mod_scalar_mul(a: np.ndarray, k: int, q: int) -> np.ndarray:
     if q < _NARROW_THRESHOLD:
         # Narrow backend: both a and k sit below 2^31.
         return a * np.uint64(k) % np.uint64(q)  # fhelint: ok[overflow-hazard]
-    return _mulmod_wide(a, np.uint64(k), q)
+    return mod_mul_shoup(a, np.uint64(k), np.uint64((k << 64) // q), q)
 
 
 def mod_inv(x: int, q: int) -> int:

@@ -19,13 +19,15 @@ with a ``(k, n)`` twiddle table stacked across the primes.
 
 Contexts (twiddle tables) are cached per ``(q, n)`` and per moduli tuple;
 they are the software analogue of the accelerator's precomputed twiddle
-ROMs.  Float64/longdouble images of the tables are built once at context
-creation for the wide path's Barrett-style multiplies.
+ROMs.  Twiddles are constants, so the wide path multiplies by them with
+Shoup's method: each table has a companion ``floor(w * 2^64 / q)``
+table (:func:`repro.nt.modmath.shoup_companion`), built once per cached
+context on first use and read by every kernel backend.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -110,14 +112,14 @@ class NttContext:
         self._psi_rev = _as_table(psi_rev, q)
         self._psi_inv_rev = _as_table(psi_inv_rev, q)
         self._n_inv = n_inv
-        if self.kind == "wide":
-            # Longdouble images of the twiddles and modulus, built once so
-            # the wide-path multiply never re-converts inside a stage.
-            self._psi_rev_f = self._psi_rev.astype(np.longdouble)
-            self._psi_inv_rev_f = self._psi_inv_rev.astype(np.longdouble)
-            self._q_f = np.longdouble(q)
-        else:
-            self._psi_rev_f = self._psi_inv_rev_f = self._q_f = None
+
+    @cached_property
+    def _shoup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shoup companions of ``(psi_rev, psi_inv_rev)`` (uint64 kinds)."""
+        return (
+            modmath.shoup_companion(self._psi_rev, self.q),
+            modmath.shoup_companion(self._psi_inv_rev, self.q),
+        )
 
     # ------------------------------------------------------------------
     def _twiddle_mul(self, x: np.ndarray, lo: int, hi: int, inverse: bool):
@@ -131,9 +133,8 @@ class NttContext:
         if self.kind == "narrow":
             return x * s % np.uint64(self.q)
         if self.kind == "wide":
-            table_f = self._psi_inv_rev_f if inverse else self._psi_rev_f
-            sf = table_f[lo:hi].reshape(-1, 1)
-            return modmath.mod_mul_pre(x, s, self.q, sf, self._q_f)
+            s_shoup = self._shoup[1 if inverse else 0][lo:hi].reshape(-1, 1)
+            return modmath.mod_mul_shoup(x, s, s_shoup, self.q)
         return (x * s) % self.q
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -236,12 +237,18 @@ class NttRowsContext:
         self._n_inv_col = np.array(
             [c._n_inv for c in ctxs], dtype=np.uint64
         ).reshape(k, 1)
-        if self.kind == "wide":
-            self._psi_rev_f = self._psi_rev.astype(np.longdouble)
-            self._psi_inv_rev_f = self._psi_inv_rev.astype(np.longdouble)
-            self._q_f3 = self._q_col3.astype(np.longdouble)
-            self._n_inv_f = self._n_inv_col.astype(np.longdouble)
-            self._q_f = self._q_col.astype(np.longdouble)
+
+    @cached_property
+    def _shoup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shoup companions of ``(psi_rev, psi_inv_rev, n_inv_col)``.
+
+        Built on first use — by the wide stage kernels here, or by a
+        backend that Shoup-multiplies at every width.
+        """
+        return tuple(
+            modmath.shoup_companion(table, self._q_col)
+            for table in (self._psi_rev, self._psi_inv_rev, self._n_inv_col)
+        )
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -258,10 +265,8 @@ class NttRowsContext:
         s = table[:, lo:hi, None]  # (k, blocks, 1)
         if self.kind == "narrow":
             return x * s % self._q_col3
-        table_f = self._psi_inv_rev_f if inverse else self._psi_rev_f
-        return modmath.mod_mul_pre(
-            x, s, self._q_col3, table_f[:, lo:hi, None], self._q_f3
-        )
+        s_shoup = self._shoup[1 if inverse else 0][:, lo:hi, None]
+        return modmath.mod_mul_shoup(x, s, s_shoup, self._q_col3)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
         """Batched coefficient -> NTT transform of a ``(k, n)`` matrix.
@@ -322,8 +327,8 @@ class NttRowsContext:
             m = h
         if self.kind == "narrow":
             return a * self._n_inv_col % self._q_col
-        return modmath.mod_mul_pre(
-            a, self._n_inv_col, self._q_col, self._n_inv_f, self._q_f
+        return modmath.mod_mul_shoup(
+            a, self._n_inv_col, self._shoup[2], self._q_col
         )
 
 

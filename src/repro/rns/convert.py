@@ -52,8 +52,15 @@ def base_convert(
     ``Σ v_i · (q̂_i mod p)`` wraps only after ``⌊2^64 / max_prod⌋`` terms,
     so the sum needs one modulo per chunk instead of three passes per
     term.  The ``-α·Q`` correction rides the same accumulation as an
-    extra row.  Wide destinations keep the exact float-assisted multiply;
+    extra row.  Wide destinations fold by Shoup multiplication against
+    the weights' companions, which takes the digits unreduced;
     big-int destinations keep the per-row fold.
+
+    ``α`` is the one float in the RNS layer and is exempt from the
+    integer-only rule the residue kernels obey (fhelint ``dtype-routing``):
+    it is a *count* of CRT overflows in ``[0, k]``, never a residue, and
+    float64's 2^-53 relative error only matters for coefficients the
+    noise bound already excludes.
     """
     if poly.domain != COEFF:
         raise ParameterError("base_convert requires coefficient domain")

@@ -279,7 +279,8 @@ class RnsPolynomial:
         """Multiply row ``i`` by its own integer constant ``scalars[i]``.
 
         The per-row constants reduce to a ``(k, 1)`` column so each uint64
-        backend group is one broadcast multiply; base conversion and
+        backend group is one broadcast multiply (a Shoup multiply by the
+        column and its companion on the wide path); base conversion and
         rescale use this for their per-modulus CRT weights.
         """
         if len(scalars) != self.basis.size:
@@ -299,7 +300,13 @@ class RnsPolynomial:
                     [scalars[i] % self.basis.moduli[i] for i in idx],
                     dtype=np.uint64,
                 ).reshape(-1, 1)
-                out[kind] = modmath.mod_mul(mats[kind], k_col, q_col)
+                if kind == "narrow":
+                    out[kind] = modmath.mod_mul(mats[kind], k_col, q_col)
+                else:
+                    k_shoup = modmath.shoup_companion(k_col, q_col)
+                    out[kind] = modmath.mod_mul_shoup(
+                        mats[kind], k_col, k_shoup, q_col
+                    )
         return RnsPolynomial._from_group_mats(self.basis, out, self.domain)
 
     # ------------------------------------------------------------------

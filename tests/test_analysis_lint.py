@@ -159,6 +159,43 @@ class TestDtypeRoutingPass:
         assert len(findings) == 1
         assert "truncat" in findings[0].message
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/nt/modmath.py",
+            "src/repro/nt/ntt.py",
+            "src/repro/backends/numpy_backend.py",
+        ],
+    )
+    def test_float_dtype_flagged_in_residue_kernels(self, path):
+        findings = lint_str(
+            """
+            import numpy as np
+
+            def mulmod(a, b, q):
+                quot = np.floor(a.astype(np.longdouble) * b / float(q))
+                return a * b - quot.astype(np.uint64) * q
+            """,
+            ["dtype-routing"],
+            path=path,
+        )
+        assert [f.line for f in findings] == [5, 5]
+        assert all("integer-only" in f.message for f in findings)
+
+    def test_float_dtype_allowed_outside_residue_kernels(self):
+        # base_convert's alpha estimate: a float64 *count*, not a residue.
+        findings = lint_str(
+            """
+            import numpy as np
+
+            def alpha(v, q_inv):
+                return np.rint(q_inv @ v.astype(np.float64))
+            """,
+            ["dtype-routing"],
+            path="src/repro/rns/convert.py",
+        )
+        assert findings == []
+
     def test_mixed_stack_flagged(self):
         findings = lint_str(
             """

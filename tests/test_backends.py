@@ -114,6 +114,20 @@ class _Broken(_Delegating):
         self.corrupt = True
 
 
+class _CarryBlind(_Delegating):
+    """Exact below 2^55 — all the old probe set looked at — and wrong
+    where the 32-bit limbs actually carry."""
+
+    name = "carryblind"
+
+    def pointwise_mul(self, a, b, q_col, kind):
+        self.corrupt = int(q_col.max()) >= 1 << 60
+        try:
+            return super().pointwise_mul(a, b, q_col, kind)
+        finally:
+            self.corrupt = False
+
+
 class TestRegistry:
     def test_numpy_is_registered_and_reference_first(self, registry):
         names = registry.available_backends()
@@ -214,6 +228,16 @@ class TestFallback:
         assert rows["broken"]["verified"] is False
         assert rows["broken"]["verify_errors"]
 
+    def test_crosscheck_probes_both_ends_of_wide_and_mixed_rows(
+        self, registry
+    ):
+        registry.register_backend(_CarryBlind())
+        errors = registry.verify_backend("carryblind")
+        assert errors == [
+            "pointwise_mul[wide<2^61]: output differs from numpy",
+            "pointwise_mul[narrow+wide]: output differs from numpy",
+        ]
+
     def test_auto_skips_broken_backend(self, registry):
         registry.register_backend(_Broken())
         assert registry.active_name() == "numpy"
@@ -256,6 +280,7 @@ WIDTH_BOUNDS = {
     "narrow": 1 << 28,
     "wide33": 1 << 33,  # just past the 32-bit boundary
     "wide": 1 << 55,
+    "wide61": 1 << 61,  # top of the wide range: every limb carries
 }
 
 

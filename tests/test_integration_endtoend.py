@@ -1,5 +1,7 @@
 """End-to-end integration: full programs through the whole stack."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,45 @@ class TestSchemeAgreementDeep:
             ct = ctx.evaluator.square_rescale(ctx.encrypt(vals))
             outs.append(ctx.decrypt_real(ct))
         assert np.max(np.abs(outs[0] - outs[1])) < 2.0**-8
+
+
+class TestWideChainBitExact:
+    """The wide (2^31..2^61) path end to end, pinned to the word.
+
+    Residues are numbers, not approximations: a kernel rewrite must
+    reproduce every ciphertext bit.  The digests were recorded from the
+    80-bit-float kernels this path replaced (PR 12's parent commit).
+    """
+
+    CT_DIGEST = "cf6e855c414740cafb4d86405a4a8a7ca161295f4f3ca1026899ae04070f21de"
+    DECRYPT_DIGEST = (
+        "ff260176f97f2ee63dfc546e220ad82f5b820619e2f35d1c13c8b8764346c4c1"
+    )
+
+    def test_encrypt_multiply_rotate_rescale_decrypt_digest(self):
+        chain = plan_rns_ckks_chain(
+            n=256, word_bits=60, level_scale_bits=55.0, levels=3,
+            base_bits=58.0, ks_digits=2,
+        )
+        widths = [q.bit_length() for q in chain.moduli_at(chain.max_level)]
+        assert widths == [58, 56, 55, 56]  # every row on the wide path
+        ctx = CkksContext(chain, seed=12)
+        vals = np.random.default_rng(12).uniform(-1, 1, ctx.slots)
+        ev = ctx.evaluator
+        x = ctx.encrypt(vals)
+        out = ev.rescale(ev.rotate(ev.multiply(x, x), 3))
+        digest = hashlib.sha256()
+        for part in (out.c0, out.c1):
+            for row in part.to_coeff().rows:
+                digest.update(np.ascontiguousarray(row).tobytes())
+        assert digest.hexdigest() == self.CT_DIGEST
+        decrypted = ctx.decrypt_real(out)
+        ref = np.roll(vals * vals, -3).astype(np.longdouble)
+        assert ctx.precision_bits(out, ref) > 40
+        if np.finfo(np.longdouble).nmant == 63:
+            # The decoder's FFT runs in longdouble; its low bits are only
+            # comparable where that means x87 extended precision.
+            assert (
+                hashlib.sha256(decrypted.astype(np.float64).tobytes()).hexdigest()
+                == self.DECRYPT_DIGEST
+            )

@@ -9,7 +9,7 @@ from repro.errors import ParameterError
 from repro.nt import modmath
 
 # One representative modulus per backend: narrow uint64, wide
-# longdouble-assisted uint64, and big-int object arrays.
+# limb/Shoup uint64, and big-int object arrays.
 NARROW_Q = 268435399  # < 2^31
 WIDE_Q = (1 << 55) - 55  # in [2^31, 2^61): wide path (prime not required)
 BIG_Q = (1 << 61) + 20 * 131072 + 1  # >= 2^61: object path
@@ -143,9 +143,9 @@ class TestModInv:
 
 
 class TestWideMulmodBoundaries:
-    """The longdouble-assisted path must be exact at its extremes."""
+    """The limb/Shoup wide path must be exact at its extremes."""
 
-    @pytest.mark.parametrize("bits", [31, 32, 40, 48, 55, 59, 60])
+    @pytest.mark.parametrize("bits", [31, 32, 33, 40, 48, 55, 59, 60, 61])
     def test_near_threshold_moduli(self, bits):
         q = (1 << bits) - 1
         while not _coprime_ok(q):
@@ -207,3 +207,143 @@ def test_scalar_mul_property(bits, k, data):
     a = modmath.as_mod_array(xs, q)
     got = modmath.mod_scalar_mul(a, k, q)
     assert [int(v) for v in got] == [x * k % q for x in xs]
+
+
+# ----------------------------------------------------------------------
+# The integer-only wide-path primitives, each against Python ints (never
+# against another kernel).
+# ----------------------------------------------------------------------
+U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+#: Moduli hugging both ends of the wide range, where limbs carry.
+EDGE_MODULI = [
+    (1 << 31) + 11,
+    (1 << 31) + 65,
+    (1 << 61) - 1,
+    (1 << 61) - 31,
+]
+
+
+def _u64(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(U64, U64), min_size=1, max_size=8))
+def test_mulhi64_property(pairs):
+    xs, ys = zip(*pairs)
+    got = modmath.mulhi64(_u64(xs), _u64(ys))
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [x * y >> 64 for x, y in pairs]
+
+
+def test_mulhi64_extremes_and_broadcast():
+    top = (1 << 64) - 1
+    xs = [0, 1, top, top, 1 << 32, (1 << 32) - 1]
+    ys = [top, top, top, 1, 1 << 32, (1 << 32) + 1]
+    got = modmath.mulhi64(_u64(xs), _u64(ys))
+    assert [int(v) for v in got] == [x * y >> 64 for x, y in zip(xs, ys)]
+    # A (k, 1) constant column against a (k, n) matrix, scalar too.
+    col = _u64([top, 3]).reshape(2, 1)
+    mat = _u64([[top, 5], [1 << 63, top]])
+    assert modmath.mulhi64(mat, col).tolist() == [
+        [top * top >> 64, 5 * top >> 64],
+        [(3 << 63) >> 64, 3 * top >> 64],
+    ]
+    assert modmath.mulhi64(mat, np.uint64(top)).tolist() == [
+        [v * top >> 64 for v in row] for row in mat.tolist()
+    ]
+
+
+@pytest.mark.parametrize("q", EDGE_MODULI)
+def test_shoup_companion_edges(q):
+    ws = [0, 1, 2, q // 2, q - 2, q - 1]
+    got = modmath.shoup_companion(_u64(ws), q)
+    assert [int(v) for v in got] == [(w << 64) // q for w in ws]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.integers(min_value=2, max_value=61), data=st.data())
+def test_shoup_companion_property(bits, data):
+    q = data.draw(st.integers(max(2, 1 << (bits - 1)), (1 << bits) - 1))
+    ws = data.draw(
+        st.lists(st.integers(min_value=0, max_value=q - 1), min_size=1, max_size=8)
+    )
+    got = modmath.shoup_companion(_u64(ws), q)
+    assert [int(v) for v in got] == [(w << 64) // q for w in ws]
+
+
+def test_shoup_companion_per_row_modulus_column():
+    moduli = [EDGE_MODULI[0], EDGE_MODULI[2], NARROW_Q, WIDE_Q]
+    q_col = _u64(moduli).reshape(-1, 1)
+    table = _u64([[0, 1, q - 1, q // 3] for q in moduli])
+    got = modmath.shoup_companion(table, q_col)
+    assert got.tolist() == [
+        [(w << 64) // q for w in row] for row, q in zip(table.tolist(), moduli)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from(EDGE_MODULI + [WIDE_Q, NARROW_Q]),
+    xs=st.lists(U64, min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_mod_mul_shoup_takes_unreduced_operands(q, xs, data):
+    """Any ``x < 2^64`` — not just ``x < q`` — one ``min`` to finish."""
+    w = data.draw(st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1))
+    got = modmath.mod_mul_shoup(
+        _u64(xs + [(1 << 64) - 1]), np.uint64(w), np.uint64((w << 64) // q), q
+    )
+    assert [int(v) for v in got] == [x * w % q for x in xs + [(1 << 64) - 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_wide_mul_with_mixed_width_modulus_column(data):
+    """The (k, n) x (k, 1) broadcast the RNS layers use: rows of very
+    different widths share one call (a wide row forces the wide kernel
+    on its narrow neighbours)."""
+    moduli = [EDGE_MODULI[0], EDGE_MODULI[3], NARROW_Q, WIDE_Q, (1 << 36) - 5]
+    rows = [
+        data.draw(
+            st.lists(
+                st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1),
+                min_size=4,
+                max_size=4,
+            )
+        )
+        for q in moduli
+        for _ in range(2)
+    ]
+    a, b = _u64(rows[0::2]), _u64(rows[1::2])
+    q_col = _u64(moduli).reshape(-1, 1)
+    want = [
+        [x * y % q for x, y in zip(ra, rb)]
+        for ra, rb, q in zip(a.tolist(), b.tolist(), moduli)
+    ]
+    assert modmath.mod_mul(a, b, q_col).tolist() == want
+    r64, r64_shoup = modmath.two64_mod(q_col)
+    assert r64.ravel().tolist() == [(1 << 64) % q for q in moduli]
+    assert r64_shoup.ravel().tolist() == [
+        ((1 << 64) % q << 64) // q for q in moduli
+    ]
+
+
+@pytest.mark.parametrize("q", [(1 << 31) - 1, (1 << 61) - 1])
+def test_add_sub_neg_at_the_corners(q):
+    """Branch-free add/sub/neg at ``a, b in {0, q-1}``, just under the
+    narrow and wide limits (the only places the ``min`` could pick the
+    wrong candidate)."""
+    corners = [0, q - 1]
+    a = _u64([x for x in corners for _ in corners])
+    b = _u64([y for _ in corners for y in corners])
+    for modulus in (q, _u64([q] * 4)):
+        assert [int(v) for v in modmath.mod_add(a, b, modulus)] == [
+            (int(x) + int(y)) % q for x, y in zip(a, b)
+        ]
+        assert [int(v) for v in modmath.mod_sub(a, b, modulus)] == [
+            (int(x) - int(y)) % q for x, y in zip(a, b)
+        ]
+        assert [int(v) for v in modmath.mod_neg(a, modulus)] == [
+            -int(x) % q for x in a
+        ]

@@ -4,7 +4,8 @@ Covers the three contracts DESIGN.md Sec. 10 states:
 
 - **zero-cost-when-off** — hook sites record nothing and the ``span``
   factory returns a shared no-op singleton while ``ACTIVE`` is false,
-  with a guard-marked timing bound on a hot NTT path;
+  and the hot NTT path reaches its kernel through a pinned frame list
+  (the wall-clock overhead ratio is the benchmark ladder's to measure);
 - **determinism** — serial and parallel runs of the same grid produce
   byte-identical *normalized* span trees (task spans are synthesized
   parent-side in grid-position order);
@@ -16,7 +17,6 @@ Covers the three contracts DESIGN.md Sec. 10 states:
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -413,29 +413,55 @@ class TestProfileCli:
 # ----------------------------------------------------------------------
 @pytest.mark.guard
 class TestDisabledOverhead:
-    def test_hot_path_overhead_under_two_percent(self):
-        """With the recorder off, the hook guards on ``forward_rows``
-        (obs + sanitizer + dispatch) must cost < 2% of the transform."""
-        from repro.nt.ntt import forward_rows, ntt_rows_context
+    def test_hot_path_frames_bounded_when_hooks_off(self, monkeypatch):
+        """With all three hook flags off, ``forward_rows`` reaches the
+        stage kernel through a fixed list of Python frames: the hooks
+        cost a flag test each, never a call.  (The wall-clock ratio this
+        replaces lives in the benchmark ladder's
+        ``obs.trace_overhead_ratio``; tier-1 only pins structure.)"""
+        import sys
+
+        import repro.backends as backends
+        from repro.analysis import sanitize
+        from repro.eval import faults
+        from repro.nt.ntt import forward_rows
         from repro.nt.primes import largest_ntt_friendly_primes
 
-        n, k = 2048, 8
+        for hooks in (core, sanitize, faults):
+            monkeypatch.setattr(hooks, "ACTIVE", False)
+        n, k = 64, 3
         moduli = largest_ntt_friendly_primes(28, n, k)
-        ctx = ntt_rows_context(tuple(moduli), n)  # pre-warm the cache
-        rng = np.random.default_rng(11)
-        mat = rng.integers(0, min(moduli), size=(k, n), dtype=np.uint64)
+        mat = np.random.default_rng(11).integers(
+            0, min(moduli), size=(k, n), dtype=np.uint64
+        )
+        calls = []
 
-        def best(func, repeats=30):
-            t = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                func()
-                t = min(t, time.perf_counter() - t0)
-            return t
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(
+                    (frame.f_globals.get("__name__"), frame.f_code.co_name)
+                )
 
-        hooked = best(lambda: forward_rows(mat, moduli))
-        bare = best(lambda: ctx.forward(mat))
-        assert hooked <= bare * 1.02
+        with backends.use("numpy"):
+            forward_rows(mat, moduli)  # resolve the backend, build tables
+            sys.setprofile(profiler)
+            try:
+                forward_rows(mat, moduli)
+            finally:
+                sys.setprofile(None)
+        kernel = ("repro.nt.ntt", "_forward_stages")
+        # The moduli-tuple generator resumes once per modulus; one frame.
+        path = [c for c in calls[: calls.index(kernel) + 1] if c[1] != "<genexpr>"]
+        assert path == [
+            ("repro.nt.ntt", "forward_rows"),
+            ("repro.nt.ntt", "forward"),
+            ("repro.nt.ntt", "_check"),
+            ("repro.backends", "ntt_forward"),
+            ("repro.backends", "_select"),
+            ("repro.backends", "supports"),
+            ("repro.backends.numpy_backend", "ntt_forward"),
+            kernel,
+        ]
 
     def test_disabled_hooks_allocate_nothing(self):
         # The structural half of the zero-cost claim: no span objects,
