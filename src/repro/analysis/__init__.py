@@ -5,8 +5,8 @@ Two layers share this package:
 - **Static** (:mod:`~repro.analysis.core` and the pass modules): an
   AST-based lint engine whose passes know this codebase's hazards —
   uint64 overflow outside :mod:`repro.nt.modmath`, hand-rolled dtype
-  routing, exception-hygiene violations — plus a schedule linter
-  (:mod:`~repro.analysis.schedule`) for FHE-program bugs in traces.
+  routing, exception-hygiene violations — plus a schedule verifier
+  (:mod:`~repro.analysis.absint`) for FHE-program bugs in traces.
   Run it via ``bitpacker-repro lint`` or :func:`run_lint`.
 - **Dynamic** (:mod:`~repro.analysis.sanitize`): cheap invariant checks
   wired into polynomial/NTT/ciphertext construction, enabled by
@@ -32,15 +32,12 @@ from repro.analysis.core import (
     render_report,
     run_lint,
 )
-from repro.analysis.schedule import check_trace, check_traces, workload_traces
 
 __all__ = [
     "Finding",
     "LintPass",
     "VerifyResult",
     "all_passes",
-    "check_trace",
-    "check_traces",
     "register",
     "render_report",
     "run_lint",
@@ -48,5 +45,4 @@ __all__ = [
     "verify_or_raise",
     "verify_trace",
     "verify_traces",
-    "workload_traces",
 ]

@@ -42,12 +42,14 @@ pragmas.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.analysis.core import Finding
 from repro.errors import ScheduleViolationError
-from repro.trace.program import HeTrace, OpKind
+from repro.trace.program import HeTrace, OpKind, content_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitize import OpObservation
@@ -582,6 +584,98 @@ def verify_or_raise(trace: HeTrace, **kwargs) -> VerifyResult:
             f"schedule '{trace.name}' failed static verification: {shown}"
         )
     return result
+
+
+class VerifyGate:
+    """Memo of schedules that passed the gate, shared by eval and serve.
+
+    Keyed by :func:`~repro.trace.program.content_digest`, so a rebuilt
+    trace object with the same content is a hit and a compiler rewrite
+    is a miss.  Only passes are remembered; a failing schedule
+    re-verifies (and re-raises) every time.
+
+    Single-flight: the first thread to miss a digest verifies while the
+    rest wait on its completion event, then re-check the memo.  If the
+    owner's attempt failed (invalid schedule, or the owner died) the
+    waiters fall through and verify themselves — the verdict is a pure
+    function of the trace, so a duplicate run cannot store a divergent
+    one.  Bounded LRU: above ``limit`` the coldest digest is evicted,
+    which costs one re-verification, never correctness.
+    """
+
+    def __init__(self, limit: int = 4096):
+        self.limit = limit
+        self._lock = threading.Lock()
+        self._passed: OrderedDict[str, None] = OrderedDict()
+        self._inflight: dict[str, threading.Event] = {}
+
+    def admit(
+        self, trace: HeTrace, verify: Callable[[HeTrace], object]
+    ) -> None:
+        """Return once ``trace`` has verified, running ``verify`` on a miss.
+
+        ``verify`` is the caller's own binding of :func:`verify_or_raise`
+        (eval and serve each resolve it in their namespace per call, so
+        instrumentation wrapped around it there sees every real run).
+        """
+        digest = content_digest(trace)
+        while True:
+            with self._lock:
+                if self._hit(digest):
+                    return
+                pending = self._inflight.get(digest)
+                if pending is None:
+                    self._inflight[digest] = threading.Event()
+                    break  # this thread owns the verification
+            pending.wait()
+            with self._lock:
+                if self._hit(digest):
+                    return
+            # Owner failed; loop to claim ownership and verify ourselves.
+        try:
+            verify(trace)
+            with self._lock:
+                while len(self._passed) >= self.limit:
+                    self._passed.popitem(last=False)
+                self._passed[digest] = None
+        finally:
+            with self._lock:
+                done = self._inflight.pop(digest, None)
+            if done is not None:
+                done.set()
+
+    def _hit(self, digest: str) -> bool:
+        if digest not in self._passed:
+            return False
+        self._passed.move_to_end(digest)
+        return True
+
+    def invalidate(self, digest: str) -> bool:
+        """Forget one digest's verdict; returns whether it was present."""
+        with self._lock:
+            present = digest in self._passed
+            if present:
+                del self._passed[digest]
+            return present
+
+    def digests(self) -> tuple[str, ...]:
+        """Memoized digests, coldest first."""
+        with self._lock:
+            return tuple(self._passed)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._passed.clear()
+            self._inflight.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._passed)
+
+
+#: The one process-wide gate memo (``eval.common`` pricing and
+#: ``serve`` admission both go through it).
+GATE = VerifyGate()
 
 
 def check_observations(

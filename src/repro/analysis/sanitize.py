@@ -2,7 +2,7 @@
 
 The static passes catch hazards visible in source; this module catches
 the ones only visible in live data — a residue at or above its modulus,
-a row stored in the wrong dtype for its backend, NTT-domain tags mixed
+a matrix stored in the wrong dtype for its basis, NTT-domain tags mixed
 across a ciphertext pair.  Hook points sit inside
 :class:`~repro.rns.poly.RnsPolynomial` construction, the batched NTT
 entry points, :func:`~repro.rns.convert.base_convert`, and
@@ -80,53 +80,37 @@ def _fail(message: str) -> None:
 # Checks.  Callers guard with ``if sanitize.ACTIVE`` so these bodies
 # only ever run in sanitize mode.
 # ----------------------------------------------------------------------
-def check_residue_row(row: np.ndarray, q: int, where: str) -> None:
-    """One residue row: correct dtype for ``q`` and every value in [0, q)."""
+def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
+    """A ``(k, n)`` residue matrix: right dtype, every row in ``[0, q_i)``.
+
+    The dtype follows the widest modulus — uint64 below 2^61, object
+    (plain Python ints, never numpy scalars) once any modulus is wider.
+    """
     # Imported lazily: nt.ntt hooks into this module, so a module-level
     # modmath import would close an import cycle through repro.nt.
     from repro.nt.modmath import dtype_for_modulus
 
     STATS["checks"] += 1
-    expected = dtype_for_modulus(q)
-    if expected is object:
-        if row.dtype != object:
-            _fail(
-                f"{where}: modulus {q.bit_length()}b needs object-dtype "
-                f"rows, got {row.dtype}"
-            )
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < q:
-                _fail(f"{where}: residue {v!r} outside [0, {q}) or not an int")
+    moduli = [int(q) for q in moduli]
+    expected = np.dtype(dtype_for_modulus(max(moduli)))
+    if mat.dtype != expected:
+        _fail(
+            f"{where}: moduli up to {max(moduli).bit_length()}b need a "
+            f"{expected.name} residue matrix, got {mat.dtype}"
+        )
+    if mat.shape[0] != len(moduli):
+        _fail(f"{where}: matrix has {mat.shape[0]} rows for {len(moduli)} moduli")
+    if expected == object:
+        for row, q in zip(mat, moduli):
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < q:
+                    _fail(f"{where}: residue {v!r} outside [0, {q}) or not an int")
         return
-    if row.dtype != np.uint64:
-        _fail(
-            f"{where}: modulus {q.bit_length()}b needs uint64 rows, "
-            f"got {row.dtype}"
-        )
-    if not bool((row < np.uint64(q)).all()):
-        bad = int(row.max())
-        _fail(f"{where}: residue {bad} >= modulus {q}")
-
-
-def check_poly(poly, where: str = "RnsPolynomial") -> None:
-    """Every row of an RNS polynomial reduced and correctly typed."""
-    for row, q in zip(poly.rows, poly.basis.moduli):
-        check_residue_row(row, q, where)
-
-
-def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
-    """A stacked ``(k, n)`` uint64 residue matrix against its moduli."""
-    STATS["checks"] += 1
-    if mat.dtype != np.uint64:
-        _fail(f"{where}: residue matrix must be uint64, got {mat.dtype}")
-    q_col = np.array([int(q) for q in moduli], dtype=np.uint64).reshape(-1, 1)
-    if mat.shape[0] != q_col.shape[0]:
-        _fail(
-            f"{where}: matrix has {mat.shape[0]} rows for "
-            f"{q_col.shape[0]} moduli"
-        )
-    if not bool((mat < q_col).all()):
-        _fail(f"{where}: unreduced residue in batched NTT input")
+    q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    unreduced = (mat >= q_col).any(axis=1)
+    if bool(unreduced.any()):
+        i = int(unreduced.argmax())
+        _fail(f"{where}: unreduced residue {int(mat[i].max())} >= modulus {moduli[i]}")
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ Numba-JIT fast path today, CUDA or an RTL oracle tomorrow) plug into the
 same four dispatch points:
 
 - ``ntt_forward`` / ``ntt_inverse`` — the batched ``(k, n)`` negacyclic
-  NTT stage loops of :class:`repro.nt.ntt.NttRowsContext`;
+  NTT stage loops of :class:`repro.nt.ntt.NttRowsContext` (every
+  transform, single-prime ones included);
 - ``bconv_fold`` — the base-conversion digit fold
   ``out[j] = Σ_i v_i · h_{j,i} mod p_j`` behind
   :func:`repro.rns.convert.base_convert` (and through it ``scale_down``
@@ -15,10 +16,11 @@ same four dispatch points:
 - ``pointwise_mul`` / ``pointwise_mul_acc`` — the NTT-domain Hadamard
   product and the fused multiply-accumulate of the keyswitch inner loop.
 
-Every backend implements the same signatures over stacked uint64 residue
-matrices and declares, per kernel, which modulus-width kinds it supports
-(``narrow`` < 2^31, ``wide`` < 2^61).  Big-int object rows never enter
-the registry — they stay on the exact per-row paths.
+Every backend implements the same signatures over one residue matrix
+and declares, per kernel, which modulus-width kinds it supports
+(``narrow`` < 2^31, ``wide`` < 2^61).  A ``big`` (object-dtype) matrix
+dispatches like any other; no backend declares that kind, so it always
+lands on the reference engine, whose kernels are exact at any width.
 
 **Exactness contract.**  FHE results must be *bit-exact* across
 backends: a residue is a number, not an approximation, and the eval
@@ -64,7 +66,8 @@ KERNELS = (
     "pointwise_mul_acc",
 )
 
-#: Modulus-width kinds the registry dispatches on (``big`` stays outside).
+#: Modulus-width kinds a backend may declare (``big`` is nobody's, so it
+#: falls through to the reference engine).
 KINDS = ("narrow", "wide")
 
 #: The backend every other backend is checked against.

@@ -12,10 +12,14 @@ matrix-at-a-time kernels the vectorization PR shipped, moved behind the
 - ``bconv_fold`` is the lazy-reduction digit fold of
   :func:`repro.rns.convert.base_convert` — unreduced uint64 products
   chunk-summed for narrow destinations; for wide ones a Shoup multiply
-  by the CRT weights, all destinations of the group at once (Shoup
-  takes unreduced digits, so there is no pre-reduction pass);
+  by the CRT weights, all destinations at once (Shoup takes unreduced
+  digits, so there is no pre-reduction pass); for big ones a Python-int
+  matrix product;
 - the pointwise kernels are single broadcast :mod:`repro.nt.modmath`
   calls against the ``(k, 1)`` modulus column.
+
+It is also the only engine for ``big`` (object-dtype) matrices: no
+backend declares that kind, so dispatch falls through to here.
 
 Nothing here imports numba; nothing outside :mod:`repro.backends` may
 import this module directly (the ``backend-bypass`` fhelint pass
@@ -105,6 +109,10 @@ class NumpyBackend(KernelBackend):
     ) -> np.ndarray:
         if kind == "wide":
             return _wide_fold(stack, weights, dst_moduli.reshape(-1, 1))
+        if kind == "big":
+            # Object stack and weights: a Python-int matrix product,
+            # exact at any width.
+            return (weights @ stack) % dst_moduli.astype(object).reshape(-1, 1)
         out = np.empty((dst_moduli.shape[0], stack.shape[1]), dtype=np.uint64)
         for j in range(dst_moduli.shape[0]):
             out[j] = _narrow_fold(stack, weights[j], int(dst_moduli[j]), v_bound)

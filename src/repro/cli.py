@@ -677,12 +677,7 @@ def _emit_report(args, findings, rule_docs) -> None:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import (
-        all_passes,
-        check_traces,
-        run_lint,
-        workload_traces,
-    )
+    from repro.analysis import all_passes, run_lint, verify_traces
 
     if args.list_rules:
         for lint_pass in all_passes():
@@ -698,8 +693,9 @@ def _cmd_lint(args) -> int:
     rule_docs = {p.rule: p.description for p in all_passes()}
     if args.traces:
         from repro.analysis.absint import VIOLATION_RULES
+        from repro.workloads import workload_traces
 
-        findings = findings + check_traces(workload_traces())
+        findings = findings + verify_traces(workload_traces())[1]
         rule_docs.update(VIOLATION_RULES)
     _emit_report(args, findings, rule_docs)
     return 1 if findings else 0
@@ -734,7 +730,7 @@ def _cmd_verify_trace(args) -> int:
             for raw in args.paths:
                 traces.extend(_load_trace_file(Path(raw)))
         else:
-            from repro.analysis import workload_traces
+            from repro.workloads import workload_traces
 
             traces = workload_traces(
                 schemes=tuple(args.schemes), word_bits=args.word
@@ -791,7 +787,7 @@ def _cmd_compile_trace(args) -> int:
                             )
                         )
         else:
-            from repro.analysis import workload_traces
+            from repro.workloads import workload_traces
 
             for scheme in args.schemes:
                 for trace in workload_traces(

@@ -20,14 +20,13 @@ outside the runner's store (DESIGN.md Sec. 9).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.accel.config import craterlake
 from repro.accel.sim import AcceleratorSim, SimResult
-from repro.analysis.absint import verify_or_raise
+from repro.analysis.absint import GATE, verify_or_raise
 from repro.cpu.model import DEFAULT_CPU_MODEL, CpuResult
 from repro.errors import ParameterError
 from repro.eval import runner
@@ -254,7 +253,9 @@ def _simulate(
     chain = chain_for(
         app, bs, scheme, word_bits, ks_digits, n, max_log_q, compiled
     )
-    _verify_schedule(trace)
+    # The pre-flight gate: no trace is priced before it verifies (a
+    # ScheduleViolationError is deterministic, so map_grid never retries).
+    GATE.admit(trace, verify_or_raise)
     return sim.run(trace, chain)
 
 
@@ -291,67 +292,11 @@ def _simulate_cpu(
     trace = trace_for(
         app, bs, scheme, word_bits, ks_digits=ks_digits, compiled=compiled
     )
-    _verify_schedule(trace)
+    GATE.admit(trace, verify_or_raise)
     return DEFAULT_CPU_MODEL.run(
         trace, chain_for(app, bs, scheme, word_bits, ks_digits,
                          compiled=compiled)
     )
-
-
-#: Traces that already passed the gate, keyed by object identity (the
-#: value pins the object so its id cannot be recycled).  ``trace_for``'s
-#: lru_cache hands back the same object per parameterization, so one
-#: sweep verifies each schedule once however many machine variants
-#: price it.  All memo state is guarded by ``_VERIFY_LOCK``: concurrent
-#: sessions (serve workers, threaded runners) race on the same trace
-#: object, and an unsynchronized miss pair could both verify and
-#: interleave with the size-bound ``clear()``, dropping entries mid-scan.
-_VERIFIED_SCHEDULES: dict[int, HeTrace] = {}
-_VERIFY_LOCK = threading.Lock()
-#: Single-flight table: trace id -> event set once the owning thread's
-#: verification attempt finished (successfully or not).
-_VERIFY_INFLIGHT: dict[int, threading.Event] = {}
-
-
-def _verify_schedule(trace: HeTrace) -> None:
-    """The pre-flight gate: no trace is priced before it verifies.
-
-    Raises :class:`~repro.errors.ScheduleViolationError` (deterministic,
-    never retried by map_grid) if the abstract interpreter finds a
-    schedule bug.  The verdict is a pure function of the trace.
-
-    Concurrency: duplicate simultaneous misses are *single-flighted* —
-    the first caller verifies while the rest wait on its completion
-    event, then re-check the memo.  If the owner's attempt failed (the
-    schedule is invalid, or the owner died), waiters fall through and
-    verify themselves; ``verify_or_raise`` is deterministic, so the
-    duplicate run reaches the identical verdict (tolerate-duplicate on
-    the failure path, never a divergent store).
-    """
-    while True:
-        with _VERIFY_LOCK:
-            if _VERIFIED_SCHEDULES.get(id(trace)) is trace:
-                return
-            pending = _VERIFY_INFLIGHT.get(id(trace))
-            if pending is None:
-                _VERIFY_INFLIGHT[id(trace)] = threading.Event()
-                break  # this thread owns the verification
-        pending.wait()
-        with _VERIFY_LOCK:
-            if _VERIFIED_SCHEDULES.get(id(trace)) is trace:
-                return
-        # Owner failed; loop to claim ownership and verify ourselves.
-    try:
-        verify_or_raise(trace)
-        with _VERIFY_LOCK:
-            if len(_VERIFIED_SCHEDULES) >= TRACE_CACHE_SIZE:
-                _VERIFIED_SCHEDULES.clear()
-            _VERIFIED_SCHEDULES[id(trace)] = trace
-    finally:
-        with _VERIFY_LOCK:
-            done = _VERIFY_INFLIGHT.pop(id(trace), None)
-        if done is not None:
-            done.set()
 
 
 #: The in-process cache layer, by artifact kind (the profile exporter's

@@ -306,19 +306,31 @@ class RunPolicy:
     pool_failure_limit: int = 3
 
     def delay_for(self, index: int, failure: int) -> float:
-        if self.backoff <= 0.0:
-            return 0.0
-        base = min(self.backoff_cap, self.backoff * 2.0 ** (failure - 1))
-        return base * (0.5 + _jitter(index, failure))
+        return backoff_delay(
+            self.backoff, self.backoff_cap, "backoff", index, failure
+        )
 
 
 _POLICY = RunPolicy()
 
 
-def _jitter(index: int, failure: int) -> float:
-    """Deterministic backoff jitter in [0, 1): same task, same delays."""
-    blob = f"backoff:{index}:{failure}".encode()
-    return int(hashlib.sha256(blob).hexdigest()[:8], 16) / 2.0**32
+def backoff_delay(
+    backoff: float, cap: float, salt: str, index: int, failure: int
+) -> float:
+    """Seconds to wait before retry ``failure`` (1-based) of item ``index``.
+
+    The one backoff curve (map_grid tasks and serve dispatches both use
+    it): ``backoff * 2**(failure-1)`` capped at ``cap``, jittered to
+    [0.5x, 1.5x) by a hash of ``(salt, index, failure)`` — so the same
+    item replays the same delays, and the two layers' jitter streams
+    stay independent through their salts.
+    """
+    if backoff <= 0.0:
+        return 0.0
+    base = min(cap, backoff * 2.0 ** (failure - 1))
+    blob = f"{salt}:{index}:{failure}".encode()
+    jitter = int(hashlib.sha256(blob).hexdigest()[:8], 16) / 2.0**32
+    return base * (0.5 + jitter)
 
 
 def configure_policy(

@@ -33,7 +33,7 @@ from repro.nt.modmath import (
     mod_sub,
     uniform_mod,
 )
-from repro.nt.ntt import NttContext, ntt_context
+from repro.nt.ntt import NttRowsContext, ntt_context
 from repro.nt.primes import (
     all_ntt_friendly_primes,
     is_ntt_friendly,
@@ -59,7 +59,7 @@ __all__ = [
     "mod_inv",
     "mod_pow",
     "uniform_mod",
-    "NttContext",
+    "NttRowsContext",
     "ntt_context",
     "crt_reconstruct",
     "crt_reconstruct_vector",

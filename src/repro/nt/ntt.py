@@ -8,20 +8,25 @@ the forward transform and Gentleman–Sande decimation-in-frequency for the
 inverse, with powers of the primitive ``2N``-th root ``ψ`` folded into the
 twiddle tables so no separate pre/post twist pass is needed.
 
-The butterflies are *stage-vectorized*: each of the ``log2 n`` stages is a
-constant number of numpy calls.  The working vector is viewed as a
-``(blocks, 2, t)`` tensor, the stage's twiddles broadcast as a
-``(blocks, 1)`` column, and all blocks update at once — there is no
-Python-level loop over butterfly blocks.  :func:`forward_rows` /
-:func:`inverse_rows` lift the same idea one axis higher and transform a
-whole ``(k, n)`` residue matrix (one row per RNS prime) in a single pass,
-with a ``(k, n)`` twiddle table stacked across the primes.
+The butterflies are *stage-vectorized* and *batched across primes*: one
+context (:class:`NttRowsContext`) transforms a whole ``(k, n)`` residue
+matrix — one row per RNS prime — and each of the ``log2 n`` stages is a
+constant number of numpy calls.  The working matrix is viewed as a
+``(k, blocks, 2, t)`` tensor, the stage's twiddles broadcast as a
+``(k, blocks, 1)`` slice of the stacked ``(k, n)`` twiddle table, and all
+blocks of all rows update at once — there is no Python-level loop over
+butterfly blocks or over primes.  Each direction's stage loop is written
+exactly once; a single prime is the ``k = 1`` context
+(:func:`ntt_context`), and the width of the arithmetic (narrow uint64
+products, wide Shoup multiplies, big Python ints) is the stack's widest
+modulus's, known only to ``_twiddle_mul``.
 
-Contexts (twiddle tables) are cached per ``(q, n)`` and per moduli tuple;
-they are the software analogue of the accelerator's precomputed twiddle
-ROMs.  Twiddles are constants, so the wide path multiplies by them with
-Shoup's method: each table has a companion ``floor(w * 2^64 / q)``
-table (:func:`repro.nt.modmath.shoup_companion`), built once per cached
+Contexts are cached per moduli tuple and assembled from per-prime tables
+cached per ``(q, n)``; they are the software analogue of the
+accelerator's precomputed twiddle ROMs.  Twiddles are constants, so the
+wide path multiplies by them with Shoup's method: each table has a
+companion ``floor(w * 2^64 / q)`` table
+(:func:`repro.nt.modmath.shoup_companion`), built once per cached
 context on first use and read by every kernel backend.
 """
 
@@ -91,151 +96,65 @@ def _as_table(values: list[int], q: int) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-class NttContext:
-    """Precomputed tables for the negacyclic NTT mod one prime.
-
-    Parameters
-    ----------
-    q:
-        An NTT-friendly prime (``q ≡ 1 mod 2n``).
-    n:
-        Polynomial degree, a power of two.
-    """
-
-    def __init__(self, q: int, n: int):
-        if not is_ntt_friendly(q, n):
-            raise ParameterError(f"{q} is not an NTT-friendly prime for degree {n}")
-        self.q = q
-        self.n = n
-        self.kind = modmath.backend_kind(q)
-        psi_rev, psi_inv_rev, n_inv = _psi_tables(q, n)
-        self._psi_rev = _as_table(psi_rev, q)
-        self._psi_inv_rev = _as_table(psi_inv_rev, q)
-        self._n_inv = n_inv
-
-    @cached_property
-    def _shoup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shoup companions of ``(psi_rev, psi_inv_rev)`` (uint64 kinds)."""
-        return (
-            modmath.shoup_companion(self._psi_rev, self.q),
-            modmath.shoup_companion(self._psi_inv_rev, self.q),
-        )
-
-    # ------------------------------------------------------------------
-    def _twiddle_mul(self, x: np.ndarray, lo: int, hi: int, inverse: bool):
-        """``x * ψ_table[lo:hi]`` mod ``q`` with the table as a column.
-
-        ``x`` has shape ``(hi - lo, t)``; the twiddle slice broadcasts as
-        ``(hi - lo, 1)`` so every block multiplies by its own root.
-        """
-        table = self._psi_inv_rev if inverse else self._psi_rev
-        s = table[lo:hi].reshape(-1, 1)
-        if self.kind == "narrow":
-            return x * s % np.uint64(self.q)
-        if self.kind == "wide":
-            s_shoup = self._shoup[1 if inverse else 0][lo:hi].reshape(-1, 1)
-            return modmath.mod_mul_shoup(x, s, s_shoup, self.q)
-        return (x * s) % self.q
-
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Transform coefficient form -> evaluation (NTT) form.
-
-        Cooley–Tukey DIT; stage with ``m`` blocks of half-length ``t``
-        views the vector as ``(m, 2, t)`` and updates all blocks in a
-        handful of numpy calls.
-        """
-        if _obs.ACTIVE:
-            _obs.count("kernel.ntt.forward")
-            _obs.count("kernel.ntt.forward.elems", coeffs.size)
-        q = self.q
-        a = coeffs.copy()  # .copy() yields a fresh C-contiguous buffer
-        t = self.n
-        m = 1
-        while m < self.n:
-            t //= 2
-            STAGE_KERNEL_CALLS["forward"] += 1
-            blk = a.reshape(m, 2, t)
-            u = blk[:, 0, :]
-            v = self._twiddle_mul(blk[:, 1, :], m, 2 * m, inverse=False)
-            lo = modmath.mod_add(u, v, q)
-            hi = modmath.mod_sub(u, v, q)
-            blk[:, 0, :] = lo
-            blk[:, 1, :] = hi
-            m *= 2
-        return a
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Transform evaluation (NTT) form -> coefficient form.
-
-        Gentleman–Sande DIF with the mirrored ``(h, 2, t)`` view.
-        """
-        if _obs.ACTIVE:
-            _obs.count("kernel.ntt.inverse")
-            _obs.count("kernel.ntt.inverse.elems", values.size)
-        q = self.q
-        a = values.copy()
-        t = 1
-        m = self.n
-        while m > 1:
-            h = m // 2
-            STAGE_KERNEL_CALLS["inverse"] += 1
-            blk = a.reshape(h, 2, t)
-            u = blk[:, 0, :]
-            v = blk[:, 1, :]
-            lo = modmath.mod_add(u, v, q)
-            hi = self._twiddle_mul(modmath.mod_sub(u, v, q), h, 2 * h, inverse=True)
-            blk[:, 0, :] = lo
-            blk[:, 1, :] = hi
-            t *= 2
-            m = h
-        return modmath.mod_scalar_mul(a, self._n_inv, q)
-
-    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two coefficient-form polynomials mod ``X^n + 1``."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        return self.inverse(modmath.mod_mul(fa, fb, self.q))
-
-
 @lru_cache(maxsize=4096)
-def ntt_context(q: int, n: int) -> NttContext:
-    """Cached :class:`NttContext` for ``(q, n)``."""
-    return NttContext(q, n)
+def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cached ``(ψ table, ψ^-1 table, n^-1)`` for one prime.
+
+    The unit the stacked contexts are assembled from: a prime that
+    appears in many bases (every level of a chain shares its prefix)
+    pays for its root search and power tables once.
+    """
+    if not is_ntt_friendly(q, n):
+        raise ParameterError(f"{q} is not an NTT-friendly prime for degree {n}")
+    psi_rev, psi_inv_rev, n_inv = _psi_tables(q, n)
+    return _as_table(psi_rev, q), _as_table(psi_inv_rev, q), n_inv
+
+
+#: Which constant table a :meth:`NttRowsContext._twiddle_mul` call reads;
+#: also the index of its companion in ``_shoup``.
+_PSI, _PSI_INV, _N_INV = 0, 1, 2
 
 
 class NttRowsContext:
-    """Batched negacyclic NTT over a stack of uint64 primes.
+    """Negacyclic NTT over a stack of primes, one residue row per prime.
 
     Transforms a ``(k, n)`` residue matrix — row ``i`` reduced mod
     ``moduli[i]`` — in one pass per stage, with the per-prime twiddle
     tables stacked into a ``(k, n)`` matrix and the moduli broadcast as a
-    ``(k, 1, 1)`` column over the ``(k, blocks, t)`` working view.  All
-    moduli must be below ``2^61`` (the uint64 backends); big-int rows stay
-    on the per-row :class:`NttContext` path.
+    ``(k, 1, 1)`` column over the ``(k, blocks, t)`` working view.  The
+    widest modulus picks the arithmetic for the whole stack
+    (:func:`repro.nt.modmath.backend_kind`): the wide kernel is exact for
+    narrow rows too, and one modulus ≥ 2^61 makes tables and matrix
+    object-dtype.  A single prime is the ``k = 1`` case
+    (:func:`ntt_context`), which also takes and returns 1-D rows.
+
+    Parameters
+    ----------
+    moduli:
+        NTT-friendly primes (``q ≡ 1 mod 2n``).
+    n:
+        Polynomial degree, a power of two.
     """
 
     def __init__(self, moduli: Sequence[int], n: int):
         moduli = tuple(int(q) for q in moduli)
         if not moduli:
             raise ParameterError("batched NTT needs at least one modulus")
-        kinds = {modmath.backend_kind(q) for q in moduli}
-        if "big" in kinds:
-            raise ParameterError(
-                "batched NTT supports uint64 moduli only (< 2^61); "
-                "route big-int rows through NttContext"
-            )
+        tables = [_prime_tables(q, n) for q in moduli]
         self.moduli = moduli
         self.n = n
-        # A single wide row forces the wide (exact for narrow too) kernel.
-        self.kind = "wide" if "wide" in kinds else "narrow"
-        ctxs = [ntt_context(q, n) for q in moduli]
+        widest = max(moduli)
+        self.kind = modmath.backend_kind(widest)
+        self._dtype = modmath.dtype_for_modulus(widest)
         k = len(moduli)
-        self._psi_rev = np.stack([c._psi_rev for c in ctxs])
-        self._psi_inv_rev = np.stack([c._psi_inv_rev for c in ctxs])
-        self._q_col = np.array(moduli, dtype=np.uint64).reshape(k, 1)
+        # np.stack already lands on the widest row's dtype: one object
+        # table makes the stack object (exact Python ints throughout).
+        self._psi_rev = np.stack([t[0] for t in tables])
+        self._psi_inv_rev = np.stack([t[1] for t in tables])
+        self._q_col = np.array(moduli, dtype=self._dtype).reshape(k, 1)
         self._q_col3 = self._q_col.reshape(k, 1, 1)
         self._n_inv_col = np.array(
-            [c._n_inv for c in ctxs], dtype=np.uint64
+            [t[2] for t in tables], dtype=self._dtype
         ).reshape(k, 1)
 
     @cached_property
@@ -257,29 +176,46 @@ class NttRowsContext:
                 f"expected a ({len(self.moduli)}, {self.n}) residue matrix, "
                 f"got shape {mat.shape}"
             )
-        if mat.dtype != np.uint64:
-            raise ParameterError("batched NTT requires a uint64 matrix")
+        if mat.dtype != self._dtype:
+            raise ParameterError(
+                f"NTT over {self.kind} moduli requires a "
+                f"{np.dtype(self._dtype).name} matrix, got {mat.dtype}"
+            )
 
-    def _twiddle_mul(self, x: np.ndarray, lo: int, hi: int, inverse: bool):
-        table = self._psi_inv_rev if inverse else self._psi_rev
-        s = table[:, lo:hi, None]  # (k, blocks, 1)
-        if self.kind == "narrow":
-            return x * s % self._q_col3
-        s_shoup = self._shoup[1 if inverse else 0][:, lo:hi, None]
-        return modmath.mod_mul_shoup(x, s, s_shoup, self._q_col3)
+    def _twiddle_mul(self, x: np.ndarray, table: int, lo: int, hi: int):
+        """``x * table[:, lo:hi]`` mod ``q`` — the one width-aware multiply.
+
+        ``x`` has shape ``(k, hi - lo, t)``; the table slice broadcasts
+        as ``(k, hi - lo, 1)`` so every block multiplies by its own
+        constant.  Wide stacks Shoup-multiply against the companion
+        table; narrow products fit uint64 and big ones are Python ints.
+        """
+        s = (self._psi_rev, self._psi_inv_rev, self._n_inv_col)[table]
+        s = s[:, lo:hi, None]
+        if self.kind == "wide":
+            s_shoup = self._shoup[table][:, lo:hi, None]
+            return modmath.mod_mul_shoup(x, s, s_shoup, self._q_col3)
+        return x * s % self._q_col3
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
-        """Batched coefficient -> NTT transform of a ``(k, n)`` matrix.
+        """Coefficient -> NTT transform of a ``(k, n)`` matrix.
 
         Dispatches through the kernel-backend registry; the numpy
         reference backend lands back on :meth:`_forward_stages`.
         """
+        if mat.ndim == 1:
+            return self.forward(mat[None])[0]
         self._check(mat)
         return _backends.ntt_forward(self, mat)
 
     def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
-        """The stage-vectorized numpy forward kernel (reference engine)."""
-        a = mat.copy()
+        """The stage-vectorized numpy forward kernel (reference engine).
+
+        Cooley–Tukey DIT; the stage with ``m`` blocks of half-length
+        ``t`` views the matrix as ``(k, m, 2, t)`` and updates all blocks
+        of all rows in a handful of numpy calls.
+        """
+        a = mat.copy()  # .copy() yields a fresh C-contiguous buffer
         k = len(self.moduli)
         t = self.n
         m = 1
@@ -288,7 +224,7 @@ class NttRowsContext:
             STAGE_KERNEL_CALLS["forward"] += 1
             blk = a.reshape(k, m, 2, t)
             u = blk[:, :, 0, :]
-            v = self._twiddle_mul(blk[:, :, 1, :], m, 2 * m, inverse=False)
+            v = self._twiddle_mul(blk[:, :, 1, :], _PSI, m, 2 * m)
             lo = modmath.mod_add(u, v, self._q_col3)
             hi = modmath.mod_sub(u, v, self._q_col3)
             blk[:, :, 0, :] = lo
@@ -297,16 +233,22 @@ class NttRowsContext:
         return a
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
-        """Batched NTT -> coefficient transform of a ``(k, n)`` matrix.
+        """NTT -> coefficient transform of a ``(k, n)`` matrix.
 
         Dispatches through the kernel-backend registry; the numpy
         reference backend lands back on :meth:`_inverse_stages`.
         """
+        if mat.ndim == 1:
+            return self.inverse(mat[None])[0]
         self._check(mat)
         return _backends.ntt_inverse(self, mat)
 
     def _inverse_stages(self, mat: np.ndarray) -> np.ndarray:
-        """The stage-vectorized numpy inverse kernel (reference engine)."""
+        """The stage-vectorized numpy inverse kernel (reference engine).
+
+        Gentleman–Sande DIF with the mirrored ``(k, h, 2, t)`` view, then
+        the ``n^-1`` scale as one more constant multiply.
+        """
         a = mat.copy()
         k = len(self.moduli)
         t = 1
@@ -319,23 +261,33 @@ class NttRowsContext:
             v = blk[:, :, 1, :]
             lo = modmath.mod_add(u, v, self._q_col3)
             hi = self._twiddle_mul(
-                modmath.mod_sub(u, v, self._q_col3), h, 2 * h, inverse=True
+                modmath.mod_sub(u, v, self._q_col3), _PSI_INV, h, 2 * h
             )
             blk[:, :, 0, :] = lo
             blk[:, :, 1, :] = hi
             t *= 2
             m = h
-        if self.kind == "narrow":
-            return a * self._n_inv_col % self._q_col
-        return modmath.mod_mul_shoup(
-            a, self._n_inv_col, self._shoup[2], self._q_col
+        return self._twiddle_mul(a.reshape(k, 1, -1), _N_INV, 0, 1).reshape(k, -1)
+
+    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two coefficient-form polynomials mod ``X^n + 1``."""
+        product = modmath.mod_mul(
+            self.forward(np.atleast_2d(a)),
+            self.forward(np.atleast_2d(b)),
+            self._q_col,
         )
+        return self.inverse(product).reshape(a.shape)
 
 
 @lru_cache(maxsize=1024)
 def ntt_rows_context(moduli: tuple[int, ...], n: int) -> NttRowsContext:
     """Cached :class:`NttRowsContext` for ``(moduli, n)``."""
     return NttRowsContext(moduli, n)
+
+
+def ntt_context(q: int, n: int) -> NttRowsContext:
+    """The cached single-prime (``k = 1``) context for ``(q, n)``."""
+    return ntt_rows_context((q,), n)
 
 
 def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:

@@ -1,4 +1,12 @@
-"""RNS basis: an ordered tuple of pairwise-coprime NTT-friendly primes."""
+"""RNS basis: an ordered tuple of pairwise-coprime NTT-friendly primes.
+
+A basis has exactly one width kind, set by its widest modulus
+(:func:`repro.nt.modmath.backend_kind`): ``narrow`` if every modulus is
+below 2^31, else ``wide`` if every one is below 2^61, else ``big``.  The
+kind fixes the dtype of every residue matrix over the basis and the
+arithmetic every row of it runs on — a narrow prime beside 36-bit words
+rides the wide kernels, which are exact for it too.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.nt.modmath import backend_kind, mod_inv
-from repro.nt.ntt import ntt_context
+from repro.nt.modmath import backend_kind, dtype_for_modulus, mod_inv
 
 
 class RnsBasis:
@@ -22,7 +29,7 @@ class RnsBasis:
     can be cached per basis pair.
     """
 
-    __slots__ = ("n", "moduli", "_product", "_groups")
+    __slots__ = ("n", "moduli", "kind", "dtype", "_product", "_q_col")
 
     def __init__(self, n: int, moduli: Sequence[int]):
         moduli = tuple(int(q) for q in moduli)
@@ -32,8 +39,13 @@ class RnsBasis:
             raise ParameterError(f"RNS moduli must be distinct, got {moduli}")
         self.n = n
         self.moduli = moduli
+        widest = max(moduli)
+        #: ``"narrow"``/``"wide"``/``"big"`` — the widest modulus decides.
+        self.kind = backend_kind(widest)
+        #: Residue-matrix dtype: uint64, or object for a ``big`` basis.
+        self.dtype = dtype_for_modulus(widest)
         self._product: int | None = None
-        self._groups: tuple | None = None
+        self._q_col: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -52,39 +64,27 @@ class RnsBasis:
         """``log2 Q``, the coefficient width the basis represents."""
         return float(self.product.bit_length() - 1) + _fractional_bits(self.product)
 
-    def ntt(self, index: int):
-        """The cached NTT context for residue row ``index``."""
-        return ntt_context(self.moduli[index], self.n)
+    @property
+    def q_col(self) -> np.ndarray:
+        """The ``(R, 1)`` modulus column every matrix op broadcasts against."""
+        if self._q_col is None:
+            self._q_col = self.column(self.moduli)
+        return self._q_col
+
+    def column(self, values: Sequence[int]) -> np.ndarray:
+        """Per-row constants as an ``(R, 1)`` column in the basis dtype."""
+        return np.array(values, dtype=self.dtype).reshape(-1, 1)
 
     def backend_groups(
         self,
-    ) -> tuple[tuple[str, tuple[int, ...], np.ndarray | None], ...]:
-        """Residue rows grouped by modmath backend, for matrix-at-a-time ops.
+    ) -> tuple[tuple[str, tuple[int, ...], np.ndarray], ...]:
+        """``((kind, row indices, q_col),)`` — the basis as one group.
 
-        Returns ``(kind, indices, q_col)`` triples where ``kind`` is one of
-        ``"narrow"``/``"wide"``/``"big"``, ``indices`` are the row positions
-        of that kind (in basis order), and ``q_col`` is the ``(len, 1)``
-        uint64 modulus column (``None`` for the big-int kind, which stays on
-        the per-row path).  Rows within a group stack into one ``(k, n)``
-        matrix that a single vectorized modmath / batched-NTT call handles.
+        Every row shares the basis kind, so there is exactly one entry;
+        kept in this shape for callers that size a kernel dispatch from
+        it (``benchmarks/ladder/rungs.py``).
         """
-        if self._groups is None:
-            buckets: dict[str, list[int]] = {}
-            for i, q in enumerate(self.moduli):
-                buckets.setdefault(backend_kind(q), []).append(i)
-            groups = []
-            for kind in ("narrow", "wide", "big"):
-                idx = buckets.get(kind)
-                if not idx:
-                    continue
-                q_col = None
-                if kind != "big":
-                    q_col = np.array(
-                        [self.moduli[i] for i in idx], dtype=np.uint64
-                    ).reshape(-1, 1)
-                groups.append((kind, tuple(idx), q_col))
-            self._groups = tuple(groups)
-        return self._groups
+        return ((self.kind, tuple(range(self.size)), self.q_col),)
 
     def index_of(self, q: int) -> int:
         """Row index of modulus ``q`` (raises if absent)."""

@@ -47,14 +47,13 @@ def base_convert(
 
     The kernel is matrix-at-a-time with *lazy reduction*: the CRT digits
     ``v_i`` come from one rowwise-scalar multiply, ``α`` from one BLAS
-    ``(1/q) @ V`` accumulation, and each narrow destination prime reduces
-    the whole ``(k, n)`` digit stack with unreduced uint64 products —
-    ``Σ v_i · (q̂_i mod p)`` wraps only after ``⌊2^64 / max_prod⌋`` terms,
-    so the sum needs one modulo per chunk instead of three passes per
-    term.  The ``-α·Q`` correction rides the same accumulation as an
-    extra row.  Wide destinations fold by Shoup multiplication against
-    the weights' companions, which takes the digits unreduced;
-    big-int destinations keep the per-row fold.
+    ``(1/q) @ V`` accumulation, and the fold
+    ``out_j = Σ v_i · (q̂_i mod p_j) - α · (Q mod p_j)`` is one
+    :func:`repro.backends.bconv_fold` dispatch on the destination kind,
+    with the ``-α·Q`` correction riding it as an extra digit row.  The
+    digit stack is stored in the destination dtype; a digit is below its
+    source modulus, hence below 2^64, so it fits a uint64 stack whatever
+    the source kind, and every fold takes digits unreduced.
 
     ``α`` is the one float in the RNS layer and is exempt from the
     integer-only rule the residue kernels obey (fhelint ``dtype-routing``):
@@ -64,129 +63,40 @@ def base_convert(
     """
     if poly.domain != COEFF:
         raise ParameterError("base_convert requires coefficient domain")
+    src = poly.basis
+    n = src.n
+    k = src.size
+    dst = RnsBasis(n, dst_moduli)
     if _sanitize.ACTIVE:
-        _sanitize.check_poly(poly, where="base_convert input")
+        _sanitize.check_residue_matrix(poly.mat, src.moduli, "base_convert input")
     if _obs.ACTIVE:
         _obs.count("kernel.base_convert")
         # Volume: source digits read plus destination residues produced,
         # the CRB FU's (src + dst) x n element traffic.
-        _obs.count(
-            "kernel.base_convert.elems",
-            (poly.basis.size + len(dst_moduli)) * poly.basis.n,
-        )
-    src = poly.basis
-    n = src.n
-    k = src.size
+        _obs.count("kernel.base_convert.elems", (k + dst.size) * n)
     q_hat_inv, q_hat = crt_weights(src)
     # v_i = x_i * (Q/q_i)^{-1} mod q_i : the CRT decomposition digits.
-    v_poly = poly.rowwise_scalar_mul(q_hat_inv)
-    v_rows = v_poly.rows
-    v_mats = v_poly.group_matrices()
-    # The digit rows are already stacked per backend group; concatenate
-    # the uint64 groups so every destination sees one (k_u64, n) matrix.
-    u64_idx: list[int] = []
-    obj_idx: list[int] = []
-    u64_mats = []
-    for kind, idx, _ in src.backend_groups():
-        if kind == "big":
-            obj_idx.extend(idx)
-        else:
-            u64_idx.extend(idx)
-            u64_mats.append(v_mats[kind])
-    v_u64 = None
-    if u64_mats:
-        v_u64 = u64_mats[0] if len(u64_mats) == 1 else np.concatenate(u64_mats)
-    alpha = alpha_u = None
+    digits = poly.rowwise_scalar_mul(q_hat_inv).mat
+    # Row j of the fold weights holds the per-source CRT weights
+    # q̂_i mod p_j, plus -Q mod p_j when the α correction rides along.
+    weights = [[h % p for h in q_hat] for p in dst.moduli]
+    stack = np.empty((k + 1 if exact else k, n), dtype=dst.dtype)
+    stack[:k] = digits
     if exact:
-        acc = np.zeros(n, dtype=np.float64)
-        for kind, idx, _ in src.backend_groups():
-            if kind == "big":
-                for row, i in zip(v_mats[kind], idx):
-                    row_f = np.array([float(int(x)) for x in row], dtype=np.float64)
-                    acc += row_f / float(src.moduli[i])
-            else:
-                # One BLAS pass: α += (1/q) @ V over the stacked digits.
-                q_inv = np.array(
-                    [1.0 / float(src.moduli[i]) for i in idx], dtype=np.float64
-                )
-                acc += q_inv @ v_mats[kind].astype(np.float64)
-        # α = round(Σ v_i / q_i) ∈ [0, k]: small and non-negative.
-        alpha = np.rint(acc).astype(np.int64)
-        alpha_u = alpha.astype(np.uint64)
-    big_q = src.product
-    src_order = u64_idx + obj_idx
-    src_u64_max = max((src.moduli[i] for i in u64_idx), default=0)
-    dst_basis = RnsBasis(n, dst_moduli)
-    out_mats: dict = {}
-    for kind, idx, _ in dst_basis.backend_groups():
-        if kind == "big":
-            rows = []
-            for i in idx:
-                p = dst_basis.moduli[i]
-                acc_row = modmath.zeros(n, p)
-                for v, h in zip(v_rows, q_hat):
-                    term = modmath.mod_scalar_mul(
-                        modmath.as_mod_array(v, p), h % p, p
-                    )
-                    acc_row = modmath.mod_add(acc_row, term, p)
-                if alpha is not None:
-                    corr = modmath.mod_scalar_mul(
-                        modmath.as_mod_array(alpha, p), big_q % p, p
-                    )
-                    acc_row = modmath.mod_sub(acc_row, corr, p)
-                rows.append(acc_row)
-            out_mats[kind] = rows
-            continue
-        # One fold weight matrix per destination group: row j holds the
-        # per-source CRT weights q̂_t mod p_j, plus -Q mod p_j when the
-        # α correction rides the fold as an extra digit row.
-        m = len(idx)
-        n_weights = len(src_order) + (1 if alpha_u is not None else 0)
-        weights = np.empty((m, n_weights), dtype=np.uint64)
-        for j, i in enumerate(idx):
-            p = dst_basis.moduli[i]
-            row = [q_hat[t] % p for t in src_order]
-            if alpha_u is not None:
-                row.append((-big_q) % p)
-            weights[j] = row
-        p_group = [dst_basis.moduli[i] for i in idx]
-        if not obj_idx:
-            # Destination-independent digit stack — the uint64 source
-            # digits plus the (tiny, ≤ k) α row — so the whole group
-            # reduces in one backend dispatch.
-            if alpha_u is not None:
-                kk = len(u64_idx) + 1
-                stack = np.empty((kk, n), dtype=np.uint64)
-                stack[: len(u64_idx)] = v_u64
-                stack[kk - 1] = alpha_u
-            else:
-                stack = v_u64
-            out_mats[kind] = _backends.bconv_fold(
-                stack, weights, p_group, src_u64_max, kind
-            )
-        else:
-            # Big-int source rows reduce differently per destination, so
-            # each destination folds its own stack (m == 1 dispatches).
-            res = np.empty((m, n), dtype=np.uint64)
-            for j, i in enumerate(idx):
-                p = dst_basis.moduli[i]
-                kk = k + (1 if alpha_u is not None else 0)
-                stack = np.empty((kk, n), dtype=np.uint64)
-                if u64_idx:
-                    stack[: len(u64_idx)] = v_u64
-                for jj, t in enumerate(obj_idx):
-                    stack[len(u64_idx) + jj] = modmath.as_mod_array(
-                        v_rows[t], p
-                    )
-                if alpha_u is not None:
-                    stack[kk - 1] = alpha_u
-                res[j] = _backends.bconv_fold(
-                    stack, weights[j : j + 1], [p], src_u64_max, kind
-                )[0]
-            out_mats[kind] = res
-    # Hand the result over in stacked form so downstream matrix ops
-    # (NTT, sub, rowwise multiplies) skip the re-stacking copy.
-    return RnsPolynomial._from_group_mats(dst_basis, out_mats, COEFF)
+        # One BLAS pass: α = round(Σ v_i / q_i) ∈ [0, k], small and
+        # non-negative.
+        q_inv = np.array([1.0 / float(q) for q in src.moduli], dtype=np.float64)
+        stack[k] = np.rint(q_inv @ digits.astype(np.float64)).astype(np.int64)
+        for row, p in zip(weights, dst.moduli):
+            row.append((-src.product) % p)
+    out = _backends.bconv_fold(
+        stack,
+        np.array(weights, dtype=dst.dtype),
+        dst.moduli,
+        max(src.moduli),
+        dst.kind,
+    )
+    return RnsPolynomial(dst, out, COEFF)
 
 
 def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
@@ -201,10 +111,10 @@ def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
     for q in new_moduli:
         if poly.basis.contains(q):
             raise ParameterError(f"scale_up modulus {q} already in basis")
-    k = prod(new_moduli)
-    scaled = poly.scalar_mul(k)
-    rows = scaled.rows + [modmath.zeros(poly.basis.n, q) for q in new_moduli]
-    return RnsPolynomial(poly.basis.extended(new_moduli), rows, poly.domain)
+    grown = poly.basis.extended(new_moduli)
+    mat = np.zeros((grown.size, grown.n), dtype=grown.dtype)
+    mat[: poly.basis.size] = poly.scalar_mul(prod(new_moduli)).mat
+    return RnsPolynomial(grown, mat, poly.domain)
 
 
 def scale_down(

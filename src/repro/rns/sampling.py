@@ -32,8 +32,10 @@ def sample_uniform(
     uniform over ``Z_Q`` by CRT; because the NTT is a bijection, sampling
     directly in NTT form is equally valid and saves the transforms.
     """
-    rows = [modmath.uniform_mod(q, basis.n, rng) for q in basis.moduli]
-    return RnsPolynomial(basis, rows, domain)
+    mat = np.empty((basis.size, basis.n), dtype=basis.dtype)
+    for i, q in enumerate(basis.moduli):
+        mat[i] = modmath.uniform_mod(q, basis.n, rng)
+    return RnsPolynomial(basis, mat, domain)
 
 
 def sample_ternary_coeffs(

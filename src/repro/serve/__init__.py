@@ -30,7 +30,6 @@ from repro.serve.service import (
     BitPackerServe,
     ServeResponse,
     TenantSession,
-    verify_admitted_trace,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "execute_serial",
     "run_load",
     "run_scenario",
-    "verify_admitted_trace",
 ]

@@ -31,12 +31,12 @@ place that touches the event loop.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ParameterError
+from repro.eval.runner import backoff_delay
 
 #: Breaker states (string-valued so ``health()`` serializes directly).
 CLOSED = "closed"
@@ -89,21 +89,14 @@ class RetryPolicy:
     def delay_for(self, seq: int, failure: int) -> float:
         """Backoff before retry ``failure`` (1-based) of request ``seq``.
 
-        Deterministic-jitter exponential backoff, the same curve as
-        :meth:`repro.eval.runner.RunPolicy.delay_for`: the jitter is a
-        seeded hash of ``(seq, failure)``, so a replayed load schedule
-        replays its exact retry timing.
+        The runner's curve (:func:`repro.eval.runner.backoff_delay`)
+        under serve's own jitter salt: the jitter is a seeded hash of
+        ``(seq, failure)``, so a replayed load schedule replays its
+        exact retry timing.
         """
-        if self.backoff <= 0.0:
-            return 0.0
-        base = min(self.backoff_cap, self.backoff * 2.0 ** (failure - 1))
-        return base * (0.5 + _jitter(seq, failure))
-
-
-def _jitter(seq: int, failure: int) -> float:
-    """Deterministic jitter in [0, 1): same request, same delays."""
-    blob = f"serve-backoff:{seq}:{failure}".encode()
-    return int(hashlib.sha256(blob).hexdigest()[:8], 16) / 2.0**32
+        return backoff_delay(
+            self.backoff, self.backoff_cap, "serve-backoff", seq, failure
+        )
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,12 @@ not the loop.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.absint import verify_or_raise
+from repro.analysis.absint import GATE, verify_or_raise
 from repro.errors import InvariantViolation, ParameterError
 from repro.eval import faults as _faults
 from repro.obs import core as _obs
@@ -75,25 +73,6 @@ from repro.trace.program import HeTrace, content_digest
 DEFAULT_N = 64
 DEFAULT_WORD_BITS = 28
 
-#: Bound on the admitted-schedule memo: above this the least recently
-#: used digests are evicted (re-verification is cheap and correct, so
-#: eviction only costs latency on a cold schedule, never correctness).
-_GATE_MEMO_LIMIT = 4096
-
-_GATE_LOCK = threading.Lock()
-#: LRU of admitted-schedule digests (OrderedDict as an LRU: hits move
-#: to the end, eviction pops from the front).
-_GATE_MEMO: OrderedDict[str, None] = OrderedDict()
-_GATE_INFLIGHT: dict[str, threading.Event] = {}
-
-
-def _trace_digest(trace: HeTrace) -> str:
-    # Shared canonical content digest (sorted keys, schema marker
-    # stripped): stable under op-metadata dict ordering and serializer
-    # version churn, different the moment a compiler pass rewrites the
-    # trace — so a compiled schedule never inherits its source's verdict.
-    return content_digest(trace)
-
 
 def invalidate_admitted(digest: str) -> bool:
     """Drop one digest's memoized admission verdict (if present).
@@ -102,56 +81,12 @@ def invalidate_admitted(digest: str) -> bool:
     in for the rewritten schedule, which re-verifies under its own
     digest.  Returns whether an entry was evicted.
     """
-    with _GATE_LOCK:
-        present = digest in _GATE_MEMO
-        if present:
-            del _GATE_MEMO[digest]
-        return present
+    return GATE.invalidate(digest)
 
 
 def gate_memo_size() -> int:
-    """Entries in the admitted-schedule memo (exported via ``stats()``)."""
-    with _GATE_LOCK:
-        return len(_GATE_MEMO)
-
-
-def verify_admitted_trace(trace: HeTrace) -> None:
-    """Front-door schedule gate, memoized by trace *content*.
-
-    Unlike the eval gate (which memoizes by object identity because its
-    lru_cache interns trace objects), serve sessions build fresh trace
-    objects per registration, so the memo keys on a digest of the
-    serialized trace.  Single-flight with tolerate-duplicate fallback,
-    same discipline as :func:`repro.eval.common._verify_schedule`.  The
-    memo is a bounded LRU: a pathological churn of unique schedules
-    evicts the coldest digests instead of growing without bound.
-    """
-    digest = _trace_digest(trace)
-    while True:
-        with _GATE_LOCK:
-            if digest in _GATE_MEMO:
-                _GATE_MEMO.move_to_end(digest)
-                return
-            pending = _GATE_INFLIGHT.get(digest)
-            if pending is None:
-                _GATE_INFLIGHT[digest] = threading.Event()
-                break
-        pending.wait()
-        with _GATE_LOCK:
-            if digest in _GATE_MEMO:
-                _GATE_MEMO.move_to_end(digest)
-                return
-    try:
-        verify_or_raise(trace)
-        with _GATE_LOCK:
-            while len(_GATE_MEMO) >= _GATE_MEMO_LIMIT:
-                _GATE_MEMO.popitem(last=False)
-            _GATE_MEMO[digest] = None
-    finally:
-        with _GATE_LOCK:
-            done = _GATE_INFLIGHT.pop(digest, None)
-        if done is not None:
-            done.set()
+    """Entries in the verified-schedule memo (exported via ``stats()``)."""
+    return len(GATE)
 
 
 @dataclass
@@ -414,7 +349,7 @@ class BitPackerServe:
             levels_saved = result.levels_saved
             if _obs.ACTIVE:
                 _obs.count("serve.sessions.compiled")
-        verify_admitted_trace(trace)
+        GATE.admit(trace, verify_or_raise)
         key = self.registry.get(
             KeyParams(n=n, word_bits=word_bits, levels=trace.max_level)
         )
@@ -856,10 +791,3 @@ class BitPackerServe:
                 f"serve books broken: expired={self.expired} + "
                 f"cancelled={self.cancelled} exceeds failed={self.failed}"
             )
-
-
-def _reset_gate_for_tests() -> None:
-    """Drop the admitted-schedule memo (test isolation)."""
-    with _GATE_LOCK:
-        _GATE_MEMO.clear()
-        _GATE_INFLIGHT.clear()

@@ -486,7 +486,7 @@ def compile_workloads(
     plan: bool = False,
 ) -> list[CompiledTrace]:
     """Compile every bundled workload trace (the CI / CLI sweep)."""
-    from repro.analysis.schedule import workload_traces
+    from repro.workloads import workload_traces
 
     out = []
     for scheme in schemes:

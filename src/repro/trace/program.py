@@ -45,8 +45,8 @@ class TraceOp:
     """``count`` occurrences of one op at one level.
 
     ``scale_bits`` optionally records the log2 scale the program expects
-    its operands to carry at this op; when present, the schedule linter
-    (:mod:`repro.analysis.schedule`) cross-checks it against the level's
+    its operands to carry at this op; when present, the schedule verifier
+    (:mod:`repro.analysis.absint`) cross-checks it against the level's
     canonical scale to catch add/mul scale mismatches statically.
     """
 

@@ -8,6 +8,7 @@ from repro.workloads.apps import (
     resnet20_aespa,
     rnn,
     squeezenet,
+    workload_traces,
 )
 from repro.workloads.bootstrap_model import (
     BS19_SCHEDULE,
@@ -25,6 +26,7 @@ __all__ = [
     "rnn",
     "squeezenet",
     "logreg",
+    "workload_traces",
     "BS19_SCHEDULE",
     "BS26_SCHEDULE",
     "SCHEDULES",

@@ -24,10 +24,14 @@ therefore gets fewer application levels under the same security budget
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.trace.program import HeTrace
-from repro.workloads.bootstrap_model import BootstrapSchedule
+from repro.workloads.bootstrap_model import (
+    BS19_SCHEDULE,
+    BS26_SCHEDULE,
+    BootstrapSchedule,
+)
 from repro.workloads.walker import (
     DEFAULT_BASE_BITS,
     DEFAULT_MAX_LOG_Q,
@@ -245,6 +249,23 @@ BENCHMARKS: dict[str, Callable[..., HeTrace]] = {
     "SqueezeNet": squeezenet,
     "LogReg": logreg,
 }
+
+
+def workload_traces(
+    schemes: Sequence[str] = ("bitpacker", "rns-ckks"), word_bits: int = 28
+) -> list[HeTrace]:
+    """The bundled benchmark traces (every app x bootstrap x scheme).
+
+    This is what ``bitpacker-repro lint --traces`` checks: the repo's own
+    homomorphic programs, under both level-management schemes.
+    """
+    return [
+        build(schedule=schedule, scheme=scheme, word_bits=word_bits)
+        for build in BENCHMARKS.values()
+        for schedule in (BS19_SCHEDULE, BS26_SCHEDULE)
+        for scheme in schemes
+    ]
+
 
 #: Application scale per benchmark (Sec. 5).
 APP_SCALES = {

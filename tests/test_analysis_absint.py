@@ -14,9 +14,9 @@ from repro.analysis.absint import (
 )
 from repro.analysis.mutations import MUTATIONS
 from repro.analysis.sanitize import OpObservation
-from repro.analysis.schedule import workload_traces
 from repro.errors import ScheduleViolationError
 from repro.trace.program import HeTrace, OpKind, TraceOp
+from repro.workloads import workload_traces
 
 
 def make_trace(ops, scales=(30.0, 30.0, 30.0, 30.0), base=60.0, n=1024):

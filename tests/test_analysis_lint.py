@@ -8,16 +8,17 @@ import textwrap
 import pytest
 
 from repro.analysis import taint
+from repro.analysis.absint import verify_trace, verify_traces
 from repro.analysis.core import (
     SourceModule,
     lint_source,
     passes_for,
     run_lint,
 )
-from repro.analysis.schedule import check_trace, check_traces, workload_traces
 from repro.cli import main
 from repro.errors import ParameterError
 from repro.trace.program import HeTrace, OpKind, TraceBuilder, TraceOp
+from repro.workloads import workload_traces
 
 
 def lint_str(source, rules, path="fixture.py"):
@@ -442,24 +443,24 @@ class TestScheduleChecker:
 
     def test_below_level_zero_flagged(self):
         trace = self._trace([TraceOp(OpKind.HMUL, -1)])
-        findings = check_trace(trace)
+        findings = verify_trace(trace).findings
         assert [f.rule for f in findings] == ["trace-level-range"]
         assert "bootstrap" in findings[0].message
 
     def test_terminal_rescale_flagged(self):
         trace = self._trace([TraceOp(OpKind.RESCALE, 0)])
-        findings = check_trace(trace)
+        findings = verify_trace(trace).findings
         assert [f.rule for f in findings] == ["trace-terminal-rescale"]
 
     def test_adjust_up_flagged(self):
         trace = self._trace([TraceOp(OpKind.ADJUST, 1, dst_level=2)])
-        findings = check_trace(trace)
+        findings = verify_trace(trace).findings
         assert [f.rule for f in findings] == ["trace-adjust-up"]
 
     def test_scale_mismatch_flagged(self):
         # An hadd whose operands still carry the doubled post-mul scale.
         trace = self._trace([TraceOp(OpKind.HADD, 2, scale_bits=60.0)])
-        findings = check_trace(trace)
+        findings = verify_trace(trace).findings
         assert [f.rule for f in findings] == ["trace-scale-mismatch"]
         assert "rescale" in findings[0].message
 
@@ -471,7 +472,7 @@ class TestScheduleChecker:
                 TraceOp(OpKind.HADD, 1, scale_bits=30.0),
             ]
         )
-        assert check_trace(trace) == []
+        assert verify_trace(trace).findings == []
 
     def test_builder_records_scale_bits(self):
         b = TraceBuilder("t", n=1024, base_bits=60.0,
@@ -482,7 +483,7 @@ class TestScheduleChecker:
     def test_bundled_workload_traces_clean(self):
         traces = workload_traces()
         assert traces  # every app x bootstrap x scheme
-        assert check_traces(traces) == []
+        assert verify_traces(traces)[1] == []
 
 
 class TestLintCli:

@@ -56,14 +56,14 @@ class TestResidueChecks:
         sanitizer.enable()
         row = np.arange(N, dtype=np.int64)
         with pytest.raises(InvariantViolation, match="uint64"):
-            sanitizer.check_residue_row(row, 97, "fixture")
+            sanitizer.check_residue_matrix(row[None], (97,), "fixture")
 
     def test_big_modulus_wants_object_rows(self, sanitizer):
         sanitizer.enable()
         q = (1 << 62) + 135
         row = np.arange(N, dtype=np.uint64)
         with pytest.raises(InvariantViolation, match="object"):
-            sanitizer.check_residue_row(row, q, "fixture")
+            sanitizer.check_residue_matrix(row[None], (q,), "fixture")
 
     def test_object_row_rejects_numpy_scalars(self, sanitizer):
         sanitizer.enable()
@@ -72,7 +72,7 @@ class TestResidueChecks:
         row[0] = 5
         row[1] = np.uint64(7)  # exact-int contract: Python ints only
         with pytest.raises(InvariantViolation, match="not an int"):
-            sanitizer.check_residue_row(row, q, "fixture")
+            sanitizer.check_residue_matrix(row[None], (q,), "fixture")
 
     def test_object_row_clean(self, sanitizer):
         sanitizer.enable()
@@ -80,7 +80,7 @@ class TestResidueChecks:
         row = np.empty(2, dtype=object)
         row[0] = 5
         row[1] = q - 1
-        sanitizer.check_residue_row(row, q, "fixture")
+        sanitizer.check_residue_matrix(row[None], (q,), "fixture")
         assert sanitizer.STATS["violations"] == 0
 
     def test_valid_constructions_count_checks(self, basis, sanitizer):

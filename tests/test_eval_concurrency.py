@@ -8,9 +8,11 @@ contexts:
   unsynchronized ``list(...)`` + ``clear()`` against live producers, so
   an event appended between the two was silently dropped and two
   simultaneous drains could double-deliver;
-- the identity-memoized schedule-verify gate had a check-then-act race:
-  two sessions missing the memo at once both ran the (expensive) full
+- the memoized schedule-verify gate had a check-then-act race: two
+  sessions missing the memo at once both ran the (expensive) full
   verification, and the unsynchronized dict/clear could lose entries.
+  (The memo is now :data:`repro.analysis.absint.GATE`, shared with
+  serve; these tests drive it the way ``eval.common`` does.)
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import threading
 
 import pytest
 
+from repro.analysis.absint import GATE
 from repro.eval import common as eval_common
 from repro.eval import runner
 from repro.trace.program import HeTrace, OpKind, TraceOp
@@ -29,6 +32,18 @@ def _drained_log():
     runner.take_events()
     yield
     runner.take_events()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_gate():
+    GATE.clear()
+    yield
+    GATE.clear()
+
+
+def verify_schedule(trace):
+    """The eval pre-flight gate call, as ``_simulate`` makes it."""
+    GATE.admit(trace, eval_common.verify_or_raise)
 
 
 def clean_trace():
@@ -120,7 +135,7 @@ class TestVerifyGateSingleFlight:
         trace = clean_trace()
         threads = [
             threading.Thread(
-                target=eval_common._verify_schedule, args=(trace,)
+                target=verify_schedule, args=(trace,)
             )
             for _ in range(4)
         ]
@@ -135,7 +150,7 @@ class TestVerifyGateSingleFlight:
             f"verify_or_raise ran {len(calls)} times for one trace"
         )
         # And the memo now short-circuits entirely.
-        eval_common._verify_schedule(trace)
+        verify_schedule(trace)
         assert len(calls) == 1
 
     def test_owner_failure_releases_waiters(self, monkeypatch):
@@ -152,13 +167,23 @@ class TestVerifyGateSingleFlight:
         monkeypatch.setattr(eval_common, "verify_or_raise", flaky_verify)
         trace = clean_trace()
         with pytest.raises(RuntimeError):
-            eval_common._verify_schedule(trace)
+            verify_schedule(trace)
         # The in-flight table must be clean; the next caller retries.
-        eval_common._verify_schedule(trace)
+        verify_schedule(trace)
         assert len(calls) == 2
 
-    def test_memoization_still_by_identity(self):
-        t1 = clean_trace()
-        eval_common._verify_schedule(t1)
-        with eval_common._VERIFY_LOCK:
-            assert eval_common._VERIFIED_SCHEDULES.get(id(t1)) is t1
+    def test_memoization_by_content(self, monkeypatch):
+        """A rebuilt trace with the same content hits; a rewrite misses."""
+        calls = []
+        real = eval_common.verify_or_raise
+        monkeypatch.setattr(
+            eval_common, "verify_or_raise",
+            lambda trace: calls.append(1) or real(trace),
+        )
+        verify_schedule(clean_trace())
+        verify_schedule(clean_trace())  # fresh object, same content
+        assert len(calls) == 1
+        rewritten = clean_trace()
+        rewritten.ops.append(TraceOp(OpKind.HADD, 1))
+        verify_schedule(rewritten)
+        assert len(calls) == 2

@@ -111,12 +111,41 @@ class TestSchemeAgreementDeep:
         assert np.max(np.abs(outs[0] - outs[1])) < 2.0**-8
 
 
+def _chain_digests(chain, seed=12, rotation=3):
+    """encrypt → multiply → rotate → rescale → decrypt, hashed.
+
+    Returns ``(ciphertext digest, float64 decrypt digest, precision
+    bits)``: residues are numbers, not approximations, so a kernel or
+    storage rewrite must reproduce every ciphertext bit.
+    """
+    ctx = CkksContext(chain, seed=seed)
+    vals = np.random.default_rng(seed).uniform(-1, 1, ctx.slots)
+    ev = ctx.evaluator
+    x = ctx.encrypt(vals)
+    out = ev.rescale(ev.rotate(ev.multiply(x, x), rotation))
+    digest = hashlib.sha256()
+    for part in (out.c0, out.c1):
+        for row in part.to_coeff().rows:
+            digest.update(np.ascontiguousarray(row).tobytes())
+    decrypted = ctx.decrypt_real(out)
+    ref = np.roll(vals * vals, -rotation).astype(np.longdouble)
+    return (
+        digest.hexdigest(),
+        hashlib.sha256(decrypted.astype(np.float64).tobytes()).hexdigest(),
+        ctx.precision_bits(out, ref),
+    )
+
+
+#: The decoder's FFT runs in longdouble; its low bits are only
+#: comparable where that means x87 extended precision.
+X87_LONGDOUBLE = np.finfo(np.longdouble).nmant == 63
+
+
 class TestWideChainBitExact:
     """The wide (2^31..2^61) path end to end, pinned to the word.
 
-    Residues are numbers, not approximations: a kernel rewrite must
-    reproduce every ciphertext bit.  The digests were recorded from the
-    80-bit-float kernels this path replaced (PR 12's parent commit).
+    The digests were recorded from the 80-bit-float kernels this path
+    replaced (PR 12's parent commit).
     """
 
     CT_DIGEST = "cf6e855c414740cafb4d86405a4a8a7ca161295f4f3ca1026899ae04070f21de"
@@ -131,23 +160,49 @@ class TestWideChainBitExact:
         )
         widths = [q.bit_length() for q in chain.moduli_at(chain.max_level)]
         assert widths == [58, 56, 55, 56]  # every row on the wide path
-        ctx = CkksContext(chain, seed=12)
-        vals = np.random.default_rng(12).uniform(-1, 1, ctx.slots)
-        ev = ctx.evaluator
-        x = ctx.encrypt(vals)
-        out = ev.rescale(ev.rotate(ev.multiply(x, x), 3))
-        digest = hashlib.sha256()
-        for part in (out.c0, out.c1):
-            for row in part.to_coeff().rows:
-                digest.update(np.ascontiguousarray(row).tobytes())
-        assert digest.hexdigest() == self.CT_DIGEST
-        decrypted = ctx.decrypt_real(out)
-        ref = np.roll(vals * vals, -3).astype(np.longdouble)
-        assert ctx.precision_bits(out, ref) > 40
-        if np.finfo(np.longdouble).nmant == 63:
-            # The decoder's FFT runs in longdouble; its low bits are only
-            # comparable where that means x87 extended precision.
-            assert (
-                hashlib.sha256(decrypted.astype(np.float64).tobytes()).hexdigest()
-                == self.DECRYPT_DIGEST
-            )
+        ct_digest, decrypt_digest, precision = _chain_digests(chain)
+        assert ct_digest == self.CT_DIGEST
+        assert precision > 40
+        if X87_LONGDOUBLE:
+            assert decrypt_digest == self.DECRYPT_DIGEST
+
+
+class TestNarrowAndMixedChainsBitExact:
+    """The same program on a BitPacker-28 chain (every row narrow) and
+    on a word-36 chain whose narrow terminal prime shares a basis with
+    36-bit words — the one layout where "a basis has one kind" changes
+    which kernel a row runs on.  Digests recorded at PR 13's parent
+    commit, where narrow and wide rows of one basis still ran apart.
+    """
+
+    @pytest.mark.parametrize(
+        "word_bits,widths,ct_digest,decrypt_digest",
+        [
+            pytest.param(
+                28, [28, 28, 28, 28, 19],
+                "8abf82a314dc07b5d0b56d231421a2b36c73d486478d9398cb672a8dfe4e86c7",
+                "1efb82be9dee14f9f876569cfcfa33ce92d4add201875b149c024f2f112abe9c",
+                id="narrow-bp28",
+            ),
+            pytest.param(
+                36, [36, 36, 36, 23],
+                "0eb7815a1a12e4ed38cf87283741faae355d3d872419428637f60fcb3869844d",
+                "cc126f5f15f471ee9099a38344a1b902cfbc7c09054f5097b44cbf470ff2cb0b",
+                id="mixed-bp36",
+            ),
+        ],
+    )
+    def test_encrypt_multiply_rotate_rescale_decrypt_digest(
+        self, word_bits, widths, ct_digest, decrypt_digest
+    ):
+        chain = plan_bitpacker_chain(
+            n=256, word_bits=word_bits, level_scale_bits=30.0, levels=3,
+            base_bits=40.0, ks_digits=2,
+        )
+        top = chain.moduli_at(chain.max_level)
+        assert [q.bit_length() for q in top] == widths
+        got_ct, got_decrypt, precision = _chain_digests(chain)
+        assert got_ct == ct_digest
+        assert precision > 15
+        if X87_LONGDOUBLE:
+            assert got_decrypt == decrypt_digest

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.nt import modmath
-from repro.nt.ntt import NttContext, ntt_context
+from repro.nt.ntt import ntt_context
 from repro.nt.primes import ntt_friendly_primes_below
 
 
@@ -106,7 +106,7 @@ class TestLinearity:
 class TestValidation:
     def test_non_ntt_friendly_prime_rejected(self):
         with pytest.raises(ParameterError):
-            NttContext(97, 64)  # 97 ≢ 1 mod 128
+            ntt_context(97, 64)  # 97 ≢ 1 mod 128
 
     def test_context_cache_returns_same_object(self):
         assert ntt_context(SMALL_Q, 64) is ntt_context(SMALL_Q, 64)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.nt.crt import centered
 from repro.nt.primes import ntt_friendly_primes_below
 from repro.rns.basis import RnsBasis
 from repro.rns.convert import base_convert, drop_moduli, scale_down, scale_up
 from repro.rns.poly import RnsPolynomial
+from tests.test_rns_poly import mix_moduli, width_mixes
 
 N = 32
 SRC_MODULI = tuple(islice(ntt_friendly_primes_below(1 << 26, N), 3))
@@ -152,10 +154,11 @@ class TestDropModuli:
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_scale_up_down_round_trip_property(data):
-    """Property: scale_down(scale_up(x, qs), qs) == x exactly."""
+    """Property: scale_down(scale_up(x, qs), qs) == x exactly, whatever
+    widths the kept and the added moduli mix."""
     n = 8
-    src = tuple(islice(ntt_friendly_primes_below(1 << 24, n), 2))
-    extra = tuple(islice(ntt_friendly_primes_below(1 << 20, n), 2))
+    src = mix_moduli(data.draw(width_mixes), n)
+    extra = mix_moduli(data.draw(width_mixes), n, skip=2)
     coeffs = data.draw(
         st.lists(st.integers(-(10**5), 10**5), min_size=n, max_size=n)
     )
@@ -163,3 +166,52 @@ def test_scale_up_down_round_trip_property(data):
     up = scale_up(poly, extra)
     down = scale_down(up.to_coeff(), extra)
     assert down.to_int_coeffs() == coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_width_mix_conversions_match_oracle_and_single_modulus_rows(data):
+    """base_convert(exact) / scale_up / scale_down across width mixes:
+    every output row equals the Python-int oracle *and* the same
+    conversion with that row as the only destination (or kept) modulus,
+    bit for bit — source and destination kinds chosen independently."""
+    n = 8
+    src = mix_moduli(data.draw(width_mixes), n)
+    dst = mix_moduli(data.draw(width_mixes), n, skip=2)
+    big_p = prod(dst)
+
+    def draw_poly(moduli):
+        # Away from +-Q/2, where the float alpha estimate is documented
+        # to be unreliable.
+        bound = prod(moduli) // 4
+        coeffs = data.draw(
+            st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        )
+        return coeffs, RnsPolynomial.from_int_coeffs(RnsBasis(n, moduli), coeffs)
+
+    coeffs, poly = draw_poly(src)
+
+    conv = base_convert(poly, dst, exact=True)
+    assert conv.mat.dtype == conv.basis.dtype
+    for j, p in enumerate(dst):
+        want = [c % p for c in coeffs]
+        assert conv.mat[j].tolist() == want
+        assert base_convert(poly, (p,)).mat[0].tolist() == want
+
+    up = scale_up(poly, dst)
+    assert up.basis.moduli == src + dst and up.mat.dtype == up.basis.dtype
+    for i, q in enumerate(src):
+        want = [c * big_p % q for c in coeffs]
+        assert up.mat[i].tolist() == want
+        assert scale_up(poly.restricted((q,)), dst).mat[0].tolist() == want
+    assert not up.mat[len(src):].any()
+
+    wide_coeffs, full = draw_poly(src + dst)
+    down = scale_down(full, dst)
+    assert down.basis.moduli == src and down.mat.dtype == down.basis.dtype
+    rounded = [(c - centered(c, big_p)) // big_p for c in wide_coeffs]
+    for i, q in enumerate(src):
+        want = [y % q for y in rounded]
+        assert down.mat[i].tolist() == want
+        alone = scale_down(full.restricted((q,) + dst), dst)
+        assert alone.mat[0].tolist() == want

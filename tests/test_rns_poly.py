@@ -1,7 +1,9 @@
 """Unit tests for RNS bases and polynomials against big-int oracles."""
 
+from collections import Counter
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.nt.primes import ntt_friendly_primes_below
 from repro.rns.basis import RnsBasis, crt_weights
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import COEFF, NTT, RnsPolynomial
 
 N = 32
 MODULI = tuple(islice(ntt_friendly_primes_below(1 << 26, N), 3)) + tuple(
@@ -20,6 +22,34 @@ MODULI = tuple(islice(ntt_friendly_primes_below(1 << 26, N), 3)) + tuple(
 @pytest.fixture()
 def basis():
     return RnsBasis(N, MODULI)
+
+
+#: Prime widths per kind, and the basis mixes the storage rule covers:
+#: a basis runs every row on its widest member's arithmetic.
+WIDTH_BITS = {"narrow": 28, "wide": 55, "big": 62}
+WIDTH_MIXES = [
+    ("narrow", "narrow"),
+    ("wide", "wide"),
+    ("narrow", "wide"),
+    ("narrow", "big"),
+    ("wide", "big"),
+]
+width_mixes = st.sampled_from(WIDTH_MIXES)
+
+
+def mix_moduli(mix, n, skip=0):
+    """One NTT-friendly prime per entry of ``mix``, all distinct.
+
+    ``skip`` starts further down each width's prime list, so a second
+    basis drawn for the same test shares no modulus with the first.
+    """
+    taken = Counter()
+    moduli = []
+    for width in mix:
+        primes = ntt_friendly_primes_below(1 << WIDTH_BITS[width], n)
+        moduli.append(next(islice(primes, skip + taken[width], None)))
+        taken[width] += 1
+    return tuple(moduli)
 
 
 def _rand_coeffs(rng, magnitude=10**6):
@@ -92,6 +122,53 @@ class TestPolynomialRoundTrips:
     def test_wrong_length_rejected(self, basis):
         with pytest.raises(ParameterError):
             RnsPolynomial.from_int_coeffs(basis, [1, 2, 3])
+
+
+class TestConstructorValidation:
+    """One matrix, checked once: misfits raise ParameterError, by name."""
+
+    def _rows(self, basis):
+        return [np.zeros(basis.n, dtype=np.uint64) for _ in basis.moduli]
+
+    def test_ragged_rows_rejected(self):
+        """ISSUE 13's example — ragged *and* mistyped: formerly a bare
+        ValueError out of ``np.stack``, at first use, not construction."""
+        basis = RnsBasis(N, MODULI[:2])
+        rows = [np.zeros(N + 3, dtype=np.uint64), np.zeros(N, dtype=np.int32)]
+        with pytest.raises(ParameterError, match="row 0 has shape"):
+            RnsPolynomial(basis, rows, COEFF)
+
+    def test_wrong_dtype_rejected(self):
+        basis = RnsBasis(N, MODULI[:2])
+        rows = self._rows(basis)
+        rows[1] = np.zeros(N, dtype=np.int32)
+        with pytest.raises(ParameterError, match="row 1 is int32"):
+            RnsPolynomial(basis, rows, COEFF)
+        with pytest.raises(ParameterError, match="uint64 residues, got int64"):
+            RnsPolynomial(basis, np.zeros((2, N), dtype=np.int64), COEFF)
+
+    def test_wrong_row_count_rejected(self):
+        basis = RnsBasis(N, MODULI[:2])
+        with pytest.raises(ParameterError, match="expected 2 residue rows, got 3"):
+            RnsPolynomial(basis, self._rows(RnsBasis(N, MODULI[:3])), COEFF)
+        with pytest.raises(ParameterError, match=r"expected a \(2, 32\)"):
+            RnsPolynomial(basis, np.zeros((3, N), dtype=np.uint64), COEFF)
+
+    def test_dtype_follows_the_basis_kind(self, basis):
+        """MODULI holds a >= 2^61 prime: uint64 rows no longer fit it,
+        narrow rows included."""
+        assert basis.kind == "big" and basis.dtype is object
+        with pytest.raises(ParameterError, match="big basis stores object"):
+            RnsPolynomial(basis, self._rows(basis), COEFF)
+        assert RnsPolynomial.zeros(basis).mat.dtype == object
+
+    def test_rows_are_views_of_the_matrix(self):
+        basis = RnsBasis(N, MODULI[:2])
+        poly = RnsPolynomial.zeros(basis)
+        poly.rows[1][5] = np.uint64(7)
+        assert int(poly.mat[1, 5]) == 7
+        with pytest.raises(AttributeError):
+            poly.rows = []
 
 
 class TestArithmetic:
@@ -202,11 +279,10 @@ class TestRestriction:
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_add_mul_distributivity_property(data):
-    """Property: a*(b + c) == a*b + a*c in the RNS ring."""
+    """Property: a*(b + c) == a*b + a*c in the RNS ring, at every width."""
     rng_vals = st.integers(min_value=-500, max_value=500)
     n = 8
-    moduli = tuple(islice(ntt_friendly_primes_below(1 << 24, n), 2))
-    basis = RnsBasis(n, moduli)
+    basis = RnsBasis(n, mix_moduli(data.draw(width_mixes), n))
     a = RnsPolynomial.from_int_coeffs(
         basis, data.draw(st.lists(rng_vals, min_size=n, max_size=n))
     )
@@ -219,3 +295,88 @@ def test_add_mul_distributivity_property(data):
     lhs = a.poly_mul(b.add(c))
     rhs = a.poly_mul(b).add(a.poly_mul(c))
     assert lhs.to_int_coeffs() == rhs.to_int_coeffs()
+
+
+def _galois_oracle(row, g, q):
+    n = len(row)
+    out = [0] * n
+    for j, c in enumerate(row):
+        t = j * g % (2 * n)
+        out[t % n] = c if t < n else -c % q
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_width_mix_ops_match_oracle_and_single_modulus_rows(data):
+    """Each matrix op, on a basis mixing widths, equals the Python-int
+    oracle row by row *and* the same op on that row's own one-modulus
+    basis, bit for bit — whichever kernel the widest member selects."""
+    n = 8
+    moduli = mix_moduli(data.draw(width_mixes), n)
+    basis = RnsBasis(n, moduli)
+
+    def draw_rows():
+        return [
+            data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+            for q in moduli
+        ]
+
+    a, b, c = draw_rows(), draw_rows(), draw_rows()
+    scalars = [data.draw(st.integers(0, 1 << 70)) for _ in moduli]
+    g = data.draw(st.sampled_from([3, 5, 2 * n - 1]))
+
+    def poly(rows, domain):
+        return RnsPolynomial(basis, np.array(rows, dtype=basis.dtype), domain)
+
+    # name -> (domain, op over polynomials + per-row scalars,
+    #          oracle over one row's Python ints and its scalar)
+    cases = {
+        "add": (
+            COEFF, lambda x, y, z, s: x.add(y),
+            lambda x, y, z, s, q: [(u + v) % q for u, v in zip(x, y)],
+        ),
+        "sub": (
+            COEFF, lambda x, y, z, s: x.sub(y),
+            lambda x, y, z, s, q: [(u - v) % q for u, v in zip(x, y)],
+        ),
+        "neg": (
+            COEFF, lambda x, y, z, s: x.neg(),
+            lambda x, y, z, s, q: [-u % q for u in x],
+        ),
+        "pointwise_mul": (
+            NTT, lambda x, y, z, s: x.pointwise_mul(y),
+            lambda x, y, z, s, q: [u * v % q for u, v in zip(x, y)],
+        ),
+        "pointwise_mul_acc": (
+            NTT, lambda x, y, z, s: x.pointwise_mul_acc(y, z),
+            lambda x, y, z, s, q: [(u + v * w) % q for u, v, w in zip(x, y, z)],
+        ),
+        "rowwise_scalar_mul": (
+            COEFF, lambda x, y, z, s: x.rowwise_scalar_mul(s),
+            lambda x, y, z, s, q: [u * s % q for u in x],
+        ),
+        "galois": (
+            COEFF, lambda x, y, z, s: x.galois(g),
+            lambda x, y, z, s, q: _galois_oracle(x, g, q),
+        ),
+        "ntt_round_trip": (
+            COEFF, lambda x, y, z, s: x.to_ntt().to_coeff(),
+            lambda x, y, z, s, q: list(x),
+        ),
+    }
+    for name, (domain, op, oracle) in cases.items():
+        polys = [poly(rows, domain) for rows in (a, b, c)]
+        got = op(*polys, scalars)
+        assert got.mat.dtype == basis.dtype, name
+        for i, q in enumerate(moduli):
+            want = oracle(a[i], b[i], c[i], scalars[i], q)
+            assert got.mat[i].tolist() == want, (name, q)
+            alone = op(*(p.restricted((q,)) for p in polys), [scalars[i]])
+            assert alone.mat[0].tolist() == want, (name, q, "one-modulus basis")
+    # The forward transform has no cheap int oracle; it must still agree
+    # with the one-modulus transform of each row.
+    fwd = poly(a, COEFF).to_ntt()
+    for i, q in enumerate(moduli):
+        alone = poly(a, COEFF).restricted((q,)).to_ntt()
+        assert fwd.mat[i].tolist() == alone.mat[0].tolist()

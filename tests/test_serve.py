@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.backends as backends
+from repro.analysis.absint import GATE
 from repro.backends.numba_backend import AVAILABLE as NUMBA_AVAILABLE
 from repro.errors import ParameterError, ScheduleViolationError
 from repro.serve import batch as sbatch
@@ -35,9 +36,14 @@ BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 @pytest.fixture(autouse=True)
 def _fresh_gate():
-    sservice._reset_gate_for_tests()
+    GATE.clear()
     yield
-    sservice._reset_gate_for_tests()
+    GATE.clear()
+
+
+def admit(trace):
+    """The serve front-door gate call, as ``register`` makes it."""
+    GATE.admit(trace, sservice.verify_or_raise)
 
 
 def serve_trace(n=64, levels=2):
@@ -300,16 +306,16 @@ class TestVerifyGate:
             sservice, "verify_or_raise",
             lambda trace: calls.append(1) or real(trace),
         )
-        sservice.verify_admitted_trace(serve_trace())
-        sservice.verify_admitted_trace(serve_trace())  # fresh object, same content
+        admit(serve_trace())
+        admit(serve_trace())  # fresh object, same content
         assert len(calls) == 1
 
     def test_gate_failure_not_memoized(self):
         bad = violating_trace()
         with pytest.raises(ScheduleViolationError):
-            sservice.verify_admitted_trace(bad)
+            admit(bad)
         with pytest.raises(ScheduleViolationError):
-            sservice.verify_admitted_trace(bad)
+            admit(bad)
 
     def test_gate_single_flight_under_contention(self, monkeypatch):
         import threading
@@ -327,7 +333,7 @@ class TestVerifyGate:
         trace = serve_trace()
         threads = [
             threading.Thread(
-                target=sservice.verify_admitted_trace, args=(trace,)
+                target=admit, args=(trace,)
             )
             for _ in range(4)
         ]
@@ -397,7 +403,7 @@ class TestEndToEnd:
     def test_scenario_deterministic_accounting(self):
         spec = LoadSpec(seed=9, tenants=3, requests=60, burst=4)
         r1 = asyncio.run(run_scenario(spec, shards=1, queue_depth=128))
-        sservice._reset_gate_for_tests()
+        GATE.clear()
         r2 = asyncio.run(run_scenario(spec, shards=1, queue_depth=128))
         # Same seed, unbounded queue: identical admission outcomes.
         assert r1.submitted == r2.submitted == 60

@@ -19,6 +19,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.analysis.absint import GATE
 from repro.errors import ParameterError
 from repro.eval import faults
 from repro.serve import batch as sbatch
@@ -34,14 +35,15 @@ from repro.serve.resilience import (
     remaining,
 )
 from repro.serve.service import BitPackerServe
-from tests.test_serve import seeded_operands, serve_trace
+from repro.trace.program import content_digest
+from tests.test_serve import admit, seeded_operands, serve_trace
 
 
 @pytest.fixture(autouse=True)
 def _fresh_gate():
-    sservice._reset_gate_for_tests()
+    GATE.clear()
     yield
-    sservice._reset_gate_for_tests()
+    GATE.clear()
 
 
 async def run_service(coro_fn, **kwargs):
@@ -398,18 +400,18 @@ class TestStop:
 
 class TestGateMemoLRU:
     def test_memo_is_bounded_and_lru(self, monkeypatch):
-        monkeypatch.setattr(sservice, "_GATE_MEMO_LIMIT", 3)
+        monkeypatch.setattr(GATE, "limit", 3)
         traces = [serve_trace(levels=k) for k in range(1, 6)]
         for trace in traces[:3]:
-            sservice.verify_admitted_trace(trace)
+            admit(trace)
         assert sservice.gate_memo_size() == 3
         # Touch the oldest so it survives the next eviction.
-        sservice.verify_admitted_trace(traces[0])
-        sservice.verify_admitted_trace(traces[3])
+        admit(traces[0])
+        admit(traces[3])
         assert sservice.gate_memo_size() == 3
-        digests = set(sservice._GATE_MEMO)
-        assert sservice._trace_digest(traces[0]) in digests
-        assert sservice._trace_digest(traces[1]) not in digests, (
+        digests = GATE.digests()
+        assert content_digest(traces[0]) in digests
+        assert content_digest(traces[1]) not in digests, (
             "LRU evicted the recently-touched digest instead of the "
             "coldest one"
         )
@@ -460,7 +462,7 @@ class TestChaosEndToEnd:
         chaos = "serve.kernel:raise%0.1;serve.request:poison@5;seed=33"
         outcomes = []
         for _ in range(2):
-            sservice._reset_gate_for_tests()
+            GATE.clear()
             with faults.injected(chaos):
                 report = asyncio.run(run_scenario(
                     spec, shards=1, queue_depth=256,

@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.absint import check_observations, verify_or_raise, verify_trace
 from repro.analysis.mutations import MUTATIONS
-from repro.analysis.schedule import workload_traces
 from repro.ckks import CkksContext
 from repro.cli import main
 from repro.errors import ParameterError, ScheduleViolationError
@@ -34,6 +33,7 @@ from repro.trace.program import (
     TraceOp,
     content_digest,
 )
+from repro.workloads import workload_traces
 
 
 def exec_fixture_trace() -> HeTrace:
@@ -307,11 +307,11 @@ class TestTraceSchemaVersion:
 class TestServeCompiledRegistration:
     @pytest.fixture(autouse=True)
     def _fresh_gate(self):
-        from repro.serve import service as sservice
+        from repro.analysis.absint import GATE
 
-        sservice._reset_gate_for_tests()
+        GATE.clear()
         yield
-        sservice._reset_gate_for_tests()
+        GATE.clear()
 
     def test_register_compiled_shrinks_session_and_records_provenance(self):
         from repro.serve.service import BitPackerServe
@@ -326,13 +326,13 @@ class TestServeCompiledRegistration:
         assert plain.compiled_from is None
 
     def test_recompilation_invalidates_source_gate_verdict(self):
-        from repro.serve import service as sservice
+        from repro.analysis.absint import GATE
         from repro.serve.service import BitPackerServe, invalidate_admitted
 
         service = BitPackerServe()
         plain = service.register("p", app="LogReg", bs="BS19")
         source = content_digest(plain.trace)
-        assert source in sservice._GATE_MEMO
+        assert source in GATE.digests()
         service.register("c", app="LogReg", bs="BS19", compiled=True)
         # register(compiled=True) dropped the stale source verdict
         # before admitting the rewritten trace.
