@@ -1,4 +1,4 @@
-"""Overflow-hazard pass: raw ``*``/``%`` on numpy integer arrays.
+"""Overflow-hazard pass: raw ``*``/``@``/``%`` on numpy integer arrays.
 
 The modmath split (narrow uint64 / wide Barrett-corrected / big-int
 object arrays, keyed off ``BIG_MODULUS_THRESHOLD``) means a product of
@@ -9,7 +9,8 @@ flags the expressions where that can happen:
 
 - ``a * b`` where both operands look like machine-integer ndarrays (or
   one is a ``np.uint64`` scalar), outside a ``modmath`` helper call —
-  the product may exceed 64 bits.
+  the product may exceed 64 bits; ``a @ b`` likewise, where every
+  output word is a whole sum of such products.
 - ``(a + b) % q``, ``(a - b) % q``, ``(-a) % q`` on such arrays — the
   unreduced uint64 sum/difference/negation wraps *before* the reduction.
 
@@ -27,7 +28,7 @@ from repro.analysis import taint
 from repro.analysis.core import LintPass, SourceModule, register
 
 _MULT_MSG = (
-    "raw `*` on integer ndarrays can exceed 64 bits once a modulus is "
+    "raw `*`/`@` on integer ndarrays can exceed 64 bits once a modulus is "
     ">= 2^31 (the wide/big backends of repro.nt.modmath); use mod_mul / "
     "mod_scalar_mul, or add a `# fhelint: ok[overflow-hazard]` pragma "
     "stating the operand bound"
@@ -60,7 +61,7 @@ class OverflowHazardPass(LintPass):
             for node in taint.walk_scope(scope):
                 if not isinstance(node, ast.BinOp):
                     continue
-                if isinstance(node.op, ast.Mult):
+                if isinstance(node.op, (ast.Mult, ast.MatMult)):
                     if self._hazardous_mult(node, env):
                         yield node, _MULT_MSG
                 elif isinstance(node.op, ast.Mod):

@@ -530,6 +530,21 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
                 backend.bconv_fold(stack, weights, dst, bound, kind),
                 reference.bconv_fold(stack, weights, dst, bound, kind),
             )
+    if backend.supports("bconv_fold", "narrow"):
+        # The bootstrap's shape — 47 digit rows onto 46 28-bit
+        # destinations — where the reference fold is one uint64 matrix
+        # product, so an engine is verified against that path too.
+        primes = tuple(islice(ntt_friendly_primes_below(1 << 28, n), 47))
+        bound, dst = primes[0], np.array(primes[1:], dtype=np.uint64)
+        stack = rng.integers(0, bound, (47, n), dtype=np.uint64)
+        weights = np.stack(
+            [rng.integers(0, p, 47, dtype=np.uint64) for p in primes[1:]]
+        )
+        check(
+            "bconv_fold", "narrow 47->46",
+            backend.bconv_fold(stack, weights, dst, bound, "narrow"),
+            reference.bconv_fold(stack, weights, dst, bound, "narrow"),
+        )
     return failures
 
 

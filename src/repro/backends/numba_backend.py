@@ -286,7 +286,9 @@ class NumbaBackend(KernelBackend):
     def ntt_forward(self, ctx, mat: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(mat).copy()
         with np.errstate(over="ignore"):
-            _ntt_forward(a, ctx._psi_rev, ctx._shoup[0], ctx._q_col[:, 0])
+            _ntt_forward(
+                a, ctx._psi_rev, ctx._companion("_psi_rev"), ctx._q_col[:, 0]
+            )
         return a
 
     def ntt_inverse(self, ctx, mat: np.ndarray) -> np.ndarray:
@@ -295,10 +297,10 @@ class NumbaBackend(KernelBackend):
             _ntt_inverse(
                 a,
                 ctx._psi_inv_rev,
-                ctx._shoup[1],
+                ctx._companion("_psi_inv_rev"),
                 ctx._q_col[:, 0],
                 ctx._n_inv_col[:, 0],
-                ctx._shoup[2][:, 0],
+                ctx._companion("_n_inv_col")[:, 0],
             )
         return a
 

@@ -10,11 +10,13 @@ matrix-at-a-time kernels the vectorization PR shipped, moved behind the
   :class:`repro.nt.ntt.NttRowsContext` (each of ``log2 n`` stages is a
   constant number of numpy calls over the ``(k, blocks, t)`` view);
 - ``bconv_fold`` is the lazy-reduction digit fold of
-  :func:`repro.rns.convert.base_convert` — unreduced uint64 products
-  chunk-summed for narrow destinations; for wide ones a Shoup multiply
-  by the CRT weights, all destinations at once (Shoup takes unreduced
-  digits, so there is no pre-reduction pass); for big ones a Python-int
-  matrix product;
+  :func:`repro.rns.convert.base_convert` — for narrow destinations one
+  ``(m, kk) @ (kk, n)`` uint64 matrix product and one ``%`` whenever
+  ``kk · max(v, p) · p < 2^64`` (always, at 28-bit words), else
+  unreduced products chunk-summed per destination; for wide ones a
+  Shoup multiply by the CRT weights, all destinations at once (Shoup
+  takes unreduced digits, so there is no pre-reduction pass); for big
+  ones a Python-int matrix product;
 - the pointwise kernels are single broadcast :mod:`repro.nt.modmath`
   calls against the ``(k, 1)`` modulus column.
 
@@ -107,12 +109,19 @@ class NumpyBackend(KernelBackend):
         v_bound: int,
         kind: str,
     ) -> np.ndarray:
+        dst_col = dst_moduli.astype(stack.dtype, copy=False).reshape(-1, 1)
         if kind == "wide":
-            return _wide_fold(stack, weights, dst_moduli.reshape(-1, 1))
-        if kind == "big":
-            # Object stack and weights: a Python-int matrix product,
-            # exact at any width.
-            return (weights @ stack) % dst_moduli.astype(object).reshape(-1, 1)
+            return _wide_fold(stack, weights, dst_col)
+        kk = stack.shape[0]
+        p_max = int(dst_moduli.max())
+        if kind == "big" or kk * max(v_bound, p_max) * p_max < 1 << 64:
+            # The CRB unit's shape: one matrix product over every
+            # destination at once, then one reduction.  Object rows are
+            # Python ints, exact at any width; a uint64 word sums kk
+            # products, each below max(v_bound, p_max) * p_max, so the
+            # guard above keeps it under 2^64.
+            total = weights @ stack  # fhelint: ok[overflow-hazard]
+            return total % dst_col
         out = np.empty((dst_moduli.shape[0], stack.shape[1]), dtype=np.uint64)
         for j in range(dst_moduli.shape[0]):
             out[j] = _narrow_fold(stack, weights[j], int(dst_moduli[j]), v_bound)

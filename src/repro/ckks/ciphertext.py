@@ -72,6 +72,14 @@ class Ciphertext:
     def with_polys(self, c0: RnsPolynomial, c1: RnsPolynomial) -> "Ciphertext":
         return replace(self, c0=c0, c1=c1)
 
+    def to_ntt(self) -> "Ciphertext":
+        """The same ciphertext with both polynomials in NTT form."""
+        return self.with_polys(self.c0.to_ntt(), self.c1.to_ntt())
+
+    def to_coeff(self) -> "Ciphertext":
+        """The same ciphertext with both polynomials in coefficient form."""
+        return self.with_polys(self.c0.to_coeff(), self.c1.to_coeff())
+
     def __repr__(self) -> str:
         return (
             f"Ciphertext(level={self.level}, R={self.residue_count}, "

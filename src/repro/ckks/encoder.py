@@ -139,6 +139,17 @@ class CkksEncoder:
         rounded = np.rint(coeffs)
         return [int(v) for v in rounded]
 
+    def encode_scalar(self, value: float, scale: Fraction | int | float) -> int:
+        """Coefficient 0 of ``encode(value, scale)`` for a real scalar.
+
+        A real constant in every slot is the constant polynomial, and the
+        FFT of a constant spectrum only scales it by powers of two, so
+        :meth:`encode` returns exactly ``[rint(value · scale), 0, 0, …]``
+        — this integer, without the FFT.
+        """
+        s = fraction_to_longdouble(scale)
+        return int(np.rint(np.longdouble(float(value)) * s))
+
     def decode(
         self, coeffs: Sequence[int], scale: Fraction | int | float
     ) -> np.ndarray:

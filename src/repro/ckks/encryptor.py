@@ -114,7 +114,13 @@ class Decryptor:
 
     def decrypt_to_plaintext(self, ct: Ciphertext) -> Plaintext:
         s = self.chest.secret.lift(ct.basis)
-        m = ct.c1.to_ntt().pointwise_mul(s).to_coeff().add(ct.c0.to_coeff())
+        m = ct.c1.to_ntt().pointwise_mul(s)
+        # c0 joins the product on whichever side of the one inverse
+        # transform it already is.
+        if ct.c0.domain == NTT:
+            m = m.add(ct.c0).to_coeff()
+        else:
+            m = m.to_coeff().add(ct.c0)
         return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:

@@ -4,6 +4,16 @@ The evaluator is deliberately *scheme-agnostic*: rescale and adjust are
 delegated to the modulus chain (RNS-CKKS or BitPacker), which is exactly
 the paper's claim that BitPacker changes only level management while "all
 other operations are exactly the same as in RNS-CKKS" (Sec. 3.1).
+
+**Domain rule.**  A ciphertext's two polynomials share one domain, and
+every op returns them in the domain it computed them in — nothing is
+transformed back "to be safe".  Products (``mul_plain``) stop at the
+Hadamard product, in NTT form; whatever ends in a ``scale_down``
+(``multiply``, ``rotate``, ``rescale``, ``adjust``) comes out in
+coefficient form; linear ops keep their operand's domain, and a binary
+op on mixed domains brings the NTT operand to coefficient form.  Each
+residue row is then transformed when an op needs the other domain and
+not before, which is the (I)NTT count :mod:`repro.accel.kernels` charges.
 """
 
 from __future__ import annotations
@@ -11,13 +21,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.analysis import sanitize as _san
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest, KeySwitchKey
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.obs import core as _obs
-from repro.rns.convert import base_convert, scale_down
+from repro.rns.convert import base_convert, scale_down, scale_up
 from repro.rns.poly import NTT, RnsPolynomial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,8 +70,16 @@ class Evaluator:
                     f"{float(b.scale):.6g}"
                 )
 
+    @staticmethod
+    def _settled(a: Ciphertext, b: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
+        """Both operands in one domain: coefficient form if they differ."""
+        if a.c0.domain == b.c0.domain:
+            return a, b
+        return a.to_coeff(), b.to_coeff()
+
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_addable(a, b)
+        a, b = self._settled(a, b)
         out = Ciphertext(
             c0=a.c0.add(b.c0), c1=a.c1.add(b.c1), level=a.level, scale=a.scale
         )
@@ -69,6 +89,7 @@ class Evaluator:
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_addable(a, b)
+        a, b = self._settled(a, b)
         out = Ciphertext(
             c0=a.c0.sub(b.c0), c1=a.c1.sub(b.c1), level=a.level, scale=a.scale
         )
@@ -79,23 +100,33 @@ class Evaluator:
     def negate(self, ct: Ciphertext) -> Ciphertext:
         return ct.with_polys(ct.c0.neg(), ct.c1.neg())
 
-    def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
-        """Add an unencrypted vector (encoded at the ciphertext's scale)."""
-        coeffs = self.encoder.encode(values, ct.scale)
+    def _plain_poly(self, ct: Ciphertext, values, scale: Fraction) -> RnsPolynomial:
+        """``values`` encoded at ``scale`` over ``ct``'s basis, in its domain."""
+        coeffs = self.encoder.encode(values, scale)
         pt_poly = RnsPolynomial.from_int_coeffs(ct.basis, coeffs)
-        if ct.c0.domain == NTT:
-            pt_poly = pt_poly.to_ntt()
-        out = ct.with_polys(ct.c0.add(pt_poly), ct.c1)
+        return pt_poly.to_ntt() if ct.c0.domain == NTT else pt_poly
+
+    def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
+        """Add an unencrypted vector (encoded at the ciphertext's scale).
+
+        A real scalar encodes to a constant polynomial, so it skips the
+        encoder and touches coefficient 0 only (every slot, in NTT form).
+        """
+        if _is_real_scalar(values):
+            c0 = ct.c0.add_constant(self.encoder.encode_scalar(values, ct.scale))
+        else:
+            c0 = ct.c0.add(self._plain_poly(ct, values, ct.scale))
+        out = ct.with_polys(c0, ct.c1)
         if _san.ACTIVE:
             _san.observe_op("padd", out)
         return out
 
     def sub_plain(self, ct: Ciphertext, values) -> Ciphertext:
-        coeffs = self.encoder.encode(values, ct.scale)
-        pt_poly = RnsPolynomial.from_int_coeffs(ct.basis, coeffs)
-        if ct.c0.domain == NTT:
-            pt_poly = pt_poly.to_ntt()
-        out = ct.with_polys(ct.c0.sub(pt_poly), ct.c1)
+        if _is_real_scalar(values):
+            c0 = ct.c0.add_constant(-self.encoder.encode_scalar(values, ct.scale))
+        else:
+            c0 = ct.c0.sub(self._plain_poly(ct, values, ct.scale))
+        out = ct.with_polys(c0, ct.c1)
         if _san.ACTIVE:
             _san.observe_op("padd", out)
         return out
@@ -131,14 +162,22 @@ class Evaluator:
 
         The result's scale is the product of the two scales; callers
         rescale when appropriate, exactly as with ciphertext products.
+        It stays in NTT form — the Hadamard product is the whole op —
+        except for a real scalar, which is a constant polynomial: an
+        integer multiply in whatever domain ``ct`` is in, with no
+        encoder FFT and no transform at all.
         """
         if scale is None:
             scale = self.chain.scale_at(ct.level)
         scale = Fraction(scale)
-        coeffs = self.encoder.encode(values, scale)
-        pt_poly = RnsPolynomial.from_int_coeffs(ct.basis, coeffs).to_ntt()
-        c0 = ct.c0.to_ntt().pointwise_mul(pt_poly).to_coeff()
-        c1 = ct.c1.to_ntt().pointwise_mul(pt_poly).to_coeff()
+        if _is_real_scalar(values):
+            k = self.encoder.encode_scalar(values, scale)
+            c0, c1 = ct.c0.scalar_mul(k), ct.c1.scalar_mul(k)
+        else:
+            coeffs = self.encoder.encode(values, scale)
+            pt_poly = RnsPolynomial.from_int_coeffs(ct.basis, coeffs).to_ntt()
+            c0 = ct.c0.to_ntt().pointwise_mul(pt_poly)
+            c1 = ct.c1.to_ntt().pointwise_mul(pt_poly)
         out = Ciphertext(c0=c0, c1=c1, level=ct.level, scale=ct.scale * scale)
         if _san.ACTIVE:
             _san.observe_op("pmul", out)
@@ -148,7 +187,9 @@ class Evaluator:
         """Homomorphic multiply with relinearization (no rescale).
 
         The resulting scale is ``a.scale * b.scale``; follow with
-        :meth:`rescale` to bring it back down (paper Sec. 2.2).
+        :meth:`rescale` to bring it back down (paper Sec. 2.2).  The
+        tensor terms ``d0``, ``d1`` never leave NTT form: they ride the
+        keyswitch's mod-down, whose output is in coefficient form.
         """
         if a.level != b.level:
             raise ScaleMismatchError(
@@ -162,9 +203,7 @@ class Evaluator:
         d0 = a0.pointwise_mul(b0)
         d1 = a0.pointwise_mul(b1).add(a1.pointwise_mul(b0))
         d2 = a1.pointwise_mul(b1)
-        k0, k1 = self._keyswitch(d2.to_coeff(), self.chest.relin_key(a.level))
-        c0 = d0.to_coeff().add(k0)
-        c1 = d1.to_coeff().add(k1)
+        c0, c1 = self._keyswitch(d2, self.chest.relin_key(a.level), fold=(d0, d1))
         out = Ciphertext(c0=c0, c1=c1, level=a.level, scale=a.scale * b.scale)
         if _san.ACTIVE:
             _san.observe_op("hmul", out)
@@ -180,13 +219,8 @@ class Evaluator:
         cross = c0n.pointwise_mul(c1n)
         d1 = cross.add(cross)
         d2 = c1n.pointwise_mul(c1n)
-        k0, k1 = self._keyswitch(d2.to_coeff(), self.chest.relin_key(ct.level))
-        out = Ciphertext(
-            c0=d0.to_coeff().add(k0),
-            c1=d1.to_coeff().add(k1),
-            level=ct.level,
-            scale=ct.scale * ct.scale,
-        )
+        c0, c1 = self._keyswitch(d2, self.chest.relin_key(ct.level), fold=(d0, d1))
+        out = Ciphertext(c0=c0, c1=c1, level=ct.level, scale=ct.scale * ct.scale)
         if _san.ACTIVE:
             _san.observe_op("hmul", out)
         return out
@@ -254,23 +288,47 @@ class Evaluator:
     # Keyswitching (hybrid, digit-decomposed)
     # ------------------------------------------------------------------
     def _keyswitch(
-        self, d: RnsPolynomial, ksk: KeySwitchKey
+        self,
+        d: RnsPolynomial,
+        ksk: KeySwitchKey,
+        fold: tuple[RnsPolynomial, RnsPolynomial] | None = None,
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Return ``(k0, k1)`` with ``k0 + k1·s ≈ d·target``.
+        """Return ``(k0, k1)`` with ``k0 + k1·s ≈ d·target``, in coefficient form.
 
-        ``d`` must be in coefficient form over the level's basis.  Each
-        digit is base-extended to ``M ∪ P`` (the CRB operation), folded
-        with the key rows in NTT space, and the sum is scaled down by
-        ``P`` (paper Sec. 4.3 maps these to the CRB FU).
+        ``d`` is over the level's basis ``M``, in either domain.  Each
+        digit is base-extended from its own moduli to the rest of
+        ``M ∪ P`` (the CRB operation — a digit's own rows *are* its
+        residues there), folded with the key rows in NTT space, and the
+        sum is scaled down by ``P`` (paper Sec. 4.3 maps these to the
+        CRB FU).  When ``d`` arrives in NTT form its rows are spliced in
+        as they are, so only the rows base conversion produced get a
+        forward transform.
+
+        ``fold = (f0, f1)``, NTT-form polynomials over ``M``, are added
+        to the outputs: they enter the accumulators lifted by ``P``
+        (``scale_up``: times ``P`` on ``M``, zero on ``P``), and
+        ``round((acc + P·f) / P) = round(acc / P) + f`` exactly, so the
+        caller's ``f + k`` costs no inverse transform of ``f``.
         """
         if _obs.ACTIVE:
             _obs.count("op.keyswitch")
             _obs.count("op.keyswitch.elems", d.basis.size * d.basis.n)
-        full_moduli = d.basis.moduli + ksk.special_moduli
-        acc0 = acc1 = None
+        specials = ksk.special_moduli
+        full = ksk.rows[0][0].basis
+        d_coeff = d.to_coeff()
+        acc0, acc1 = (scale_up(f, specials) for f in fold) if fold else (None, None)
         for group, (b_row, a_row) in zip(ksk.digit_groups, ksk.rows):
-            digit = d.restricted(group)
-            ext = base_convert(digit, full_moduli, exact=True).to_ntt()
+            own = [full.index_of(q) for q in group]
+            rest = [i for i in range(full.size) if i not in own]
+            converted = base_convert(
+                d_coeff.restricted(group), [full.moduli[i] for i in rest]
+            )
+            if d.domain == NTT:
+                converted = converted.to_ntt()
+            mat = np.empty((full.size, full.n), dtype=full.dtype)
+            mat[own] = d.mat[own]  # M is a prefix of M ∪ P: same row indices
+            mat[rest] = converted.mat
+            ext = RnsPolynomial(full, mat, d.domain).to_ntt()
             if acc0 is None:
                 acc0 = ext.pointwise_mul(b_row)
                 acc1 = ext.pointwise_mul(a_row)
@@ -279,6 +337,12 @@ class Evaluator:
                 # digit instead of a product plus an add pass.
                 acc0 = acc0.pointwise_mul_acc(ext, b_row)
                 acc1 = acc1.pointwise_mul_acc(ext, a_row)
-        k0 = scale_down(acc0.to_coeff(), ksk.special_moduli)
-        k1 = scale_down(acc1.to_coeff(), ksk.special_moduli)
+        k0 = scale_down(acc0.to_coeff(), specials)
+        k1 = scale_down(acc1.to_coeff(), specials)
         return k0, k1
+
+
+def _is_real_scalar(values) -> bool:
+    """Whether ``values`` is one real number (not an array, not complex)."""
+    return np.isscalar(values) and not isinstance(values, (complex, np.complexfloating))
+

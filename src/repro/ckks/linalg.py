@@ -105,15 +105,18 @@ class PlainMatrix:
         """Diagonal method with baby-step/giant-step batching.
 
         Uses ``~2*sqrt(dimension)`` rotations — the count the workload
-        models charge for their matvecs.
+        models charge for their matvecs.  Each baby step goes to NTT
+        form once, where every diagonal product and every inner sum
+        stays; a giant step's rotation is the one inverse transform its
+        inner sum sees.
         """
         d = self.dimension
         g = giant_step or max(1, round(math.sqrt(d)))
         baby_count = min(g, d)
-        # Baby steps: rot(x, b) for b < g, computed once.
-        babies = [ct]
+        # Baby steps: rot(x, b) for b < g, computed and transformed once.
+        babies = [ct.to_ntt()]
         for b in range(1, baby_count):
-            babies.append(evaluator.rotate(ct, b))
+            babies.append(evaluator.rotate(ct, b).to_ntt())
         acc = None
         for i in range(0, d, g):
             inner = None

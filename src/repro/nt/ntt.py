@@ -22,8 +22,10 @@ products, wide Shoup multiplies, big Python ints) is the stack's widest
 modulus's, known only to ``_twiddle_mul``.
 
 Contexts are cached per moduli tuple and assembled from per-prime tables
-cached per ``(q, n)``; they are the software analogue of the
-accelerator's precomputed twiddle ROMs.  Twiddles are constants, so the
+cached per ``(q, n)`` — each direction's stacked table on that
+direction's first transform, so a context that only runs forward holds
+half the tables; they are the software analogue of the accelerator's
+precomputed twiddle ROMs.  Twiddles are constants, so the
 wide path multiplies by them with Shoup's method: each table has a
 companion ``floor(w * 2^64 / q)`` table
 (:func:`repro.nt.modmath.shoup_companion`), built once per cached
@@ -110,9 +112,9 @@ def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     return _as_table(psi_rev, q), _as_table(psi_inv_rev, q), n_inv
 
 
-#: Which constant table a :meth:`NttRowsContext._twiddle_mul` call reads;
-#: also the index of its companion in ``_shoup``.
-_PSI, _PSI_INV, _N_INV = 0, 1, 2
+#: Which constant table a :meth:`NttRowsContext._twiddle_mul` call reads:
+#: the attribute holding it (and the argument of ``_companion``).
+_PSI, _PSI_INV, _N_INV = "_psi_rev", "_psi_inv_rev", "_n_inv_col"
 
 
 class NttRowsContext:
@@ -147,27 +149,35 @@ class NttRowsContext:
         self.kind = modmath.backend_kind(widest)
         self._dtype = modmath.dtype_for_modulus(widest)
         k = len(moduli)
-        # np.stack already lands on the widest row's dtype: one object
-        # table makes the stack object (exact Python ints throughout).
-        self._psi_rev = np.stack([t[0] for t in tables])
-        self._psi_inv_rev = np.stack([t[1] for t in tables])
         self._q_col = np.array(moduli, dtype=self._dtype).reshape(k, 1)
         self._q_col3 = self._q_col.reshape(k, 1, 1)
         self._n_inv_col = np.array(
             [t[2] for t in tables], dtype=self._dtype
         ).reshape(k, 1)
+        self._companions: dict[str, np.ndarray] = {}
+
+    # Each direction's stacked table is built on that direction's first
+    # transform: a context that only ever runs forward (the rows a
+    # keyswitch digit is extended to) never holds the inverse's.
+    # np.stack lands on the widest row's dtype: one object table makes
+    # the stack object (exact Python ints throughout).
+    @cached_property
+    def _psi_rev(self) -> np.ndarray:
+        return np.stack([_prime_tables(q, self.n)[0] for q in self.moduli])
 
     @cached_property
-    def _shoup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shoup companions of ``(psi_rev, psi_inv_rev, n_inv_col)``.
+    def _psi_inv_rev(self) -> np.ndarray:
+        return np.stack([_prime_tables(q, self.n)[1] for q in self.moduli])
 
-        Built on first use — by the wide stage kernels here, or by a
-        backend that Shoup-multiplies at every width.
-        """
-        return tuple(
-            modmath.shoup_companion(table, self._q_col)
-            for table in (self._psi_rev, self._psi_inv_rev, self._n_inv_col)
-        )
+    def _companion(self, table: str) -> np.ndarray:
+        """Shoup companion of one constant table, built on first use —
+        by the wide stage kernels here, or by a backend that
+        Shoup-multiplies at every width."""
+        companion = self._companions.get(table)
+        if companion is None:
+            companion = modmath.shoup_companion(getattr(self, table), self._q_col)
+            self._companions[table] = companion
+        return companion
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -182,7 +192,7 @@ class NttRowsContext:
                 f"{np.dtype(self._dtype).name} matrix, got {mat.dtype}"
             )
 
-    def _twiddle_mul(self, x: np.ndarray, table: int, lo: int, hi: int):
+    def _twiddle_mul(self, x: np.ndarray, table: str, lo: int, hi: int):
         """``x * table[:, lo:hi]`` mod ``q`` — the one width-aware multiply.
 
         ``x`` has shape ``(k, hi - lo, t)``; the table slice broadcasts
@@ -190,10 +200,9 @@ class NttRowsContext:
         constant.  Wide stacks Shoup-multiply against the companion
         table; narrow products fit uint64 and big ones are Python ints.
         """
-        s = (self._psi_rev, self._psi_inv_rev, self._n_inv_col)[table]
-        s = s[:, lo:hi, None]
+        s = getattr(self, table)[:, lo:hi, None]
         if self.kind == "wide":
-            s_shoup = self._shoup[table][:, lo:hi, None]
+            s_shoup = self._companion(table)[:, lo:hi, None]
             return modmath.mod_mul_shoup(x, s, s_shoup, self._q_col3)
         return x * s % self._q_col3
 

@@ -10,14 +10,31 @@ rides the wide kernels, which are exact for it too.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.nt.modmath import backend_kind, dtype_for_modulus, mod_inv
+from repro.nt.modmath import (
+    backend_kind,
+    dtype_for_modulus,
+    mod_inv,
+    shoup_companion,
+)
+
+
+class ScalarColumn(NamedTuple):
+    """Per-row constants ready to multiply a residue matrix by.
+
+    ``col`` is the reduced ``(R, 1)`` column in the basis dtype; ``shoup``
+    its Shoup companion on a ``wide`` basis (``None`` elsewhere), so a
+    constant that is reused pays for the companion once.
+    """
+
+    col: np.ndarray
+    shoup: np.ndarray | None
 
 
 class RnsBasis:
@@ -74,6 +91,15 @@ class RnsBasis:
     def column(self, values: Sequence[int]) -> np.ndarray:
         """Per-row constants as an ``(R, 1)`` column in the basis dtype."""
         return np.array(values, dtype=self.dtype).reshape(-1, 1)
+
+    def scalar_column(self, scalars: Sequence[int]) -> ScalarColumn:
+        """Integer constants (any size or sign), one per row, reduced
+        into a :class:`ScalarColumn` for ``rowwise_scalar_mul``."""
+        if len(scalars) != self.size:
+            raise ParameterError(f"expected {self.size} scalars, got {len(scalars)}")
+        col = self.column([s % q for s, q in zip(scalars, self.moduli)])
+        shoup = shoup_companion(col, self.q_col) if self.kind == "wide" else None
+        return ScalarColumn(col, shoup)
 
     def backend_groups(
         self,
@@ -147,3 +173,46 @@ def crt_weights(basis: RnsBasis) -> tuple[tuple[int, ...], tuple[int, ...]]:
     q_hat = tuple(big_q // q for q in basis.moduli)
     q_hat_inv = tuple(mod_inv(h, q) for h, q in zip(q_hat, basis.moduli))
     return q_hat_inv, q_hat
+
+
+class ConversionTable:
+    """Every constant of one ``src`` → ``dst`` fast base conversion.
+
+    ``digit`` multiplies the source rows into CRT digits
+    ``v_i = x_i · (Q/q_i)^{-1} mod q_i``; ``q_inv`` is the float64
+    ``1/q_i`` vector behind the overflow count ``α``; ``weights`` is the
+    ``(m, k + 1)`` fold matrix in the destination dtype, row ``j``
+    holding ``(Q/q_i) mod p_j`` and, last, ``-Q mod p_j`` for the ``α``
+    row (an approximate conversion folds with the first ``k`` columns).
+    """
+
+    def __init__(self, src: RnsBasis, dst_moduli: tuple[int, ...]):
+        q_hat_inv, q_hat = crt_weights(src)
+        self.src = src
+        self.dst = RnsBasis(src.n, dst_moduli)
+        self.digit = src.scalar_column(q_hat_inv)
+        self.q_inv = np.array([1.0 / float(q) for q in src.moduli])
+        self.weights = np.array(
+            [[h % p for h in q_hat] + [(-src.product) % p] for p in self.dst.moduli],
+            dtype=self.dst.dtype,
+        )
+
+    @cached_property
+    def inv_product(self) -> ScalarColumn:
+        """``Q^{-1} mod p_j`` per destination row — the exact division
+        that finishes ``scale_down`` (``dst`` must be coprime to ``Q``)."""
+        big_q = self.src.product
+        return self.dst.scalar_column(
+            [mod_inv(big_q % p, p) for p in self.dst.moduli]
+        )
+
+
+@lru_cache(maxsize=1024)
+def conversion_table(src: RnsBasis, dst_moduli: tuple[int, ...]) -> ConversionTable:
+    """The cached :class:`ConversionTable` for ``src`` → ``dst_moduli``.
+
+    Bounded: a table is ``(m, k + 1)`` words, and a chain has a few
+    basis pairs per level (one per keyswitch digit, one per mod-down,
+    one per rescale).
+    """
+    return ConversionTable(src, dst_moduli)

@@ -13,6 +13,13 @@ These are the level-management primitives of the paper:
   shed moduli in one pass, with round-to-nearest correction.
 - :func:`drop_moduli` — the original RNS-CKKS approximate mod-down, which
   simply discards residues (used when adjusting across multiple levels).
+
+``base_convert`` and ``scale_down`` demand coefficient form and raise
+otherwise (a coefficient's residues are read across rows); ``scale_up``
+and ``drop_moduli`` are row-local and work in either domain.  The
+constants of a conversion — CRT digit multipliers, ``1/q``, the fold
+weights, the ``P^{-1}`` that finishes a scale-down — live in one cached
+:class:`repro.rns.basis.ConversionTable` per basis pair.
 """
 
 from __future__ import annotations
@@ -25,9 +32,8 @@ import numpy as np
 import repro.backends as _backends
 from repro.analysis import sanitize as _sanitize
 from repro.errors import ParameterError
-from repro.nt import modmath
 from repro.obs import core as _obs
-from repro.rns.basis import RnsBasis, crt_weights
+from repro.rns.basis import ConversionTable, conversion_table
 from repro.rns.poly import COEFF, RnsPolynomial
 
 
@@ -45,6 +51,10 @@ def base_convert(
     noise-bounded values CKKS stores.  With ``exact=False`` this is the
     classic approximate conversion, off by a small multiple of ``Q``.
 
+    Demands coefficient form: the conversion reads a coefficient's
+    residues across rows, and NTT slots of different primes are values
+    at unrelated roots.
+
     The kernel is matrix-at-a-time with *lazy reduction*: the CRT digits
     ``v_i`` come from one rowwise-scalar multiply, ``α`` from one BLAS
     ``(1/q) @ V`` accumulation, and the fold
@@ -53,7 +63,10 @@ def base_convert(
     with the ``-α·Q`` correction riding it as an extra digit row.  The
     digit stack is stored in the destination dtype; a digit is below its
     source modulus, hence below 2^64, so it fits a uint64 stack whatever
-    the source kind, and every fold takes digits unreduced.
+    the source kind, and every fold takes digits unreduced.  Every
+    constant — digit multipliers, ``1/q``, the fold weights — comes from
+    the basis pair's cached :func:`repro.rns.basis.conversion_table`;
+    a call builds nothing from Python ints.
 
     ``α`` is the one float in the RNS layer and is exempt from the
     integer-only rule the residue kernels obey (fhelint ``dtype-routing``):
@@ -61,12 +74,19 @@ def base_convert(
     float64's 2^-53 relative error only matters for coefficients the
     noise bound already excludes.
     """
+    return _convert(poly, conversion_table(poly.basis, tuple(dst_moduli)), exact)
+
+
+def _convert(
+    poly: RnsPolynomial, table: ConversionTable, exact: bool = True
+) -> RnsPolynomial:
+    """:func:`base_convert` against a ready table (``table.src`` is
+    ``poly``'s basis)."""
     if poly.domain != COEFF:
         raise ParameterError("base_convert requires coefficient domain")
-    src = poly.basis
+    src, dst = table.src, table.dst
     n = src.n
     k = src.size
-    dst = RnsBasis(n, dst_moduli)
     if _sanitize.ACTIVE:
         _sanitize.check_residue_matrix(poly.mat, src.moduli, "base_convert input")
     if _obs.ACTIVE:
@@ -74,27 +94,20 @@ def base_convert(
         # Volume: source digits read plus destination residues produced,
         # the CRB FU's (src + dst) x n element traffic.
         _obs.count("kernel.base_convert.elems", (k + dst.size) * n)
-    q_hat_inv, q_hat = crt_weights(src)
     # v_i = x_i * (Q/q_i)^{-1} mod q_i : the CRT decomposition digits.
-    digits = poly.rowwise_scalar_mul(q_hat_inv).mat
-    # Row j of the fold weights holds the per-source CRT weights
-    # q̂_i mod p_j, plus -Q mod p_j when the α correction rides along.
-    weights = [[h % p for h in q_hat] for p in dst.moduli]
+    digits = poly.rowwise_scalar_mul(table.digit).mat
+    weights = table.weights
     stack = np.empty((k + 1 if exact else k, n), dtype=dst.dtype)
     stack[:k] = digits
     if exact:
         # One BLAS pass: α = round(Σ v_i / q_i) ∈ [0, k], small and
-        # non-negative.
-        q_inv = np.array([1.0 / float(q) for q in src.moduli], dtype=np.float64)
-        stack[k] = np.rint(q_inv @ digits.astype(np.float64)).astype(np.int64)
-        for row, p in zip(weights, dst.moduli):
-            row.append((-src.product) % p)
+        # non-negative; it folds against the weights' last column.
+        alpha = table.q_inv @ digits.astype(np.float64)
+        stack[k] = np.rint(alpha).astype(np.int64)
+    else:
+        weights = weights[:, :k]
     out = _backends.bconv_fold(
-        stack,
-        np.array(weights, dtype=dst.dtype),
-        dst.moduli,
-        max(src.moduli),
-        dst.kind,
+        stack, weights, dst.moduli, max(src.moduli), dst.kind
     )
     return RnsPolynomial(dst, out, COEFF)
 
@@ -127,7 +140,8 @@ def scale_down(
     unit so that shedding ``k`` residues costs about the same as shedding
     one (Sec. 4.3).  Rounding to nearest falls out of the centered base
     conversion: the symmetric remainder ``[x]_P`` is subtracted before the
-    exact division by ``P``.
+    exact division by ``P``.  Demands coefficient form, like the base
+    conversion inside it.
     """
     if poly.domain != COEFF:
         raise ParameterError("scale_down requires coefficient domain")
@@ -137,15 +151,15 @@ def scale_down(
     if _obs.ACTIVE:
         _obs.count("kernel.rescale")
         _obs.count("kernel.rescale.elems", poly.basis.size * poly.basis.n)
-    p_prod = prod(shed)
-    keep = [q for q in poly.basis.moduli if q not in set(shed)]
+    keep = tuple(q for q in poly.basis.moduli if q not in shed)
     if not keep:
         raise ParameterError("scale_down cannot shed the entire basis")
-    # [x]_P (centered remainder), lifted to the kept moduli.
+    # [x]_P (centered remainder), lifted to the kept moduli; the table
+    # of that conversion also carries P^{-1} mod each kept modulus.
     x_mod_p = poly.restricted(shed)
-    lifted = base_convert(x_mod_p, keep, exact=True)
-    inv_p = [modmath.mod_inv(p_prod % q, q) for q in keep]
-    return poly.restricted(keep).sub(lifted).rowwise_scalar_mul(inv_p)
+    table = conversion_table(x_mod_p.basis, keep)
+    lifted = _convert(x_mod_p, table)
+    return poly.restricted(keep).sub(lifted).rowwise_scalar_mul(table.inv_product)
 
 
 def drop_moduli(poly: RnsPolynomial, shed_moduli: Sequence[int]) -> RnsPolynomial:

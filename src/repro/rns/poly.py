@@ -31,7 +31,7 @@ from repro.errors import ParameterError, ScaleMismatchError
 from repro.nt import modmath
 from repro.nt import ntt as ntt_kernels
 from repro.nt.crt import centered_vector, crt_reconstruct_vector
-from repro.rns.basis import RnsBasis
+from repro.rns.basis import RnsBasis, ScalarColumn
 
 COEFF = "coeff"
 NTT = "ntt"
@@ -89,12 +89,22 @@ class RnsPolynomial:
     def from_int_coeffs(
         cls, basis: RnsBasis, coeffs: Sequence[int]
     ) -> "RnsPolynomial":
-        """Reduce big-integer (possibly negative) coefficients into RNS."""
+        """Reduce big-integer (possibly negative) coefficients into RNS.
+
+        Coefficients that all fit int64 reduce in one broadcast against
+        the modulus column (every modulus of a non-``big`` basis fits
+        int64 too, and numpy's ``%`` is non-negative for a positive
+        divisor); wider ones, and ``big`` bases, reduce as Python ints.
+        """
         if len(coeffs) != basis.n:
             raise ParameterError(f"expected {basis.n} coefficients, got {len(coeffs)}")
-        mat = np.array(
-            [[c % q for c in coeffs] for q in basis.moduli], dtype=basis.dtype
-        )
+        row = None if basis.kind == "big" else _int64_row(coeffs)
+        if row is not None:
+            mat = (row % basis.q_col.astype(np.int64)).astype(np.uint64)
+        else:
+            mat = np.array(
+                [[c % q for c in coeffs] for q in basis.moduli], dtype=basis.dtype
+            )
         return cls(basis, mat, COEFF)
 
     def _like(self, mat: np.ndarray, domain: str | None = None) -> "RnsPolynomial":
@@ -184,27 +194,42 @@ class RnsPolynomial:
         """Multiply by an integer constant (the ``mulConst`` of the paper)."""
         return self.rowwise_scalar_mul([k] * self.basis.size)
 
-    def rowwise_scalar_mul(self, scalars: Sequence[int]) -> "RnsPolynomial":
+    def rowwise_scalar_mul(
+        self, scalars: Sequence[int] | ScalarColumn
+    ) -> "RnsPolynomial":
         """Multiply row ``i`` by its own integer constant ``scalars[i]``.
 
         The per-row constants reduce to an ``(R, 1)`` column, so this is
         one broadcast multiply (a Shoup multiply by the column and its
-        companion on a wide basis); base conversion and rescale use it
-        for their per-modulus CRT weights.
+        companion on a wide basis).  Base conversion and rescale pass
+        their per-modulus CRT weights as a ready
+        :class:`~repro.rns.basis.ScalarColumn` from the cached
+        conversion table, skipping the per-call reduction.
         """
         basis = self.basis
-        if len(scalars) != basis.size:
-            raise ParameterError(
-                f"expected {basis.size} scalars, got {len(scalars)}"
-            )
-        q_col = basis.q_col
-        k_col = basis.column([s % q for s, q in zip(scalars, basis.moduli)])
-        if basis.kind == "wide":
-            k_shoup = modmath.shoup_companion(k_col, q_col)
+        if not isinstance(scalars, ScalarColumn):
+            scalars = basis.scalar_column(scalars)
+        k_col, k_shoup = scalars
+        if k_shoup is not None:
             return self._like(
-                modmath.mod_mul_shoup(self.mat, k_col, k_shoup, q_col)
+                modmath.mod_mul_shoup(self.mat, k_col, k_shoup, basis.q_col)
             )
-        return self._like(modmath.mod_mul(self.mat, k_col, q_col))
+        return self._like(modmath.mod_mul(self.mat, k_col, basis.q_col))
+
+    def add_constant(self, k: int) -> "RnsPolynomial":
+        """Add the integer constant ``k`` (the polynomial ``k · X^0``).
+
+        In coefficient form only coefficient 0 changes; a constant
+        polynomial evaluates to ``k`` everywhere, so in NTT form ``k``
+        is added to every slot.
+        """
+        basis = self.basis
+        k_col = basis.column([k % q for q in basis.moduli])
+        if self.domain == NTT:
+            return self._like(modmath.mod_add(self.mat, k_col, basis.q_col))
+        mat = self.mat.copy()
+        mat[:, :1] = modmath.mod_add(mat[:, :1], k_col, basis.q_col)
+        return self._like(mat)
 
     # ------------------------------------------------------------------
     # Automorphisms (homomorphic rotations)
@@ -269,6 +294,16 @@ class RnsPolynomial:
             f"RnsPolynomial(n={self.basis.n}, R={self.basis.size}, "
             f"domain={self.domain!r})"
         )
+
+
+def _int64_row(coeffs: Sequence[int]) -> np.ndarray | None:
+    """``coeffs`` as an int64 vector, or ``None`` when one does not fit."""
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "u":
+        return None  # a uint64 array would wrap silently, not raise
+    try:
+        return np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
 def _stack_rows(basis: RnsBasis, rows: Sequence[np.ndarray]) -> np.ndarray:

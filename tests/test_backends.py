@@ -31,7 +31,7 @@ from repro.analysis import sanitize
 from repro.backends import KERNELS, KINDS, KernelBackend
 from repro.backends.numba_backend import AVAILABLE as NUMBA_AVAILABLE
 from repro.backends.numba_backend import NumbaBackend
-from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.numpy_backend import NumpyBackend, _narrow_fold
 from repro.errors import InvariantViolation, ParameterError
 from repro.nt.ntt import forward_rows, inverse_rows, ntt_rows_context
 from repro.nt.primes import ntt_friendly_primes_below
@@ -356,6 +356,81 @@ class TestNumbaBitExact:
             numba_backend.bconv_fold(stack, weights, dst, bound, kind),
             numpy_backend.bconv_fold(stack, weights, dst, bound, kind),
         )
+
+
+class TestNarrowFoldPaths:
+    """The reference ``bconv_fold`` for narrow destinations is one uint64
+    matrix product while ``kk · max(v, p) · p < 2^64`` and the chunked
+    per-destination fold past it; both must equal the Python-int sum."""
+
+    N = 16
+
+    @staticmethod
+    def _one_product(kk, v_bound, dst):
+        return kk * max(v_bound, max(dst)) * max(dst) < 1 << 64
+
+    def _case(self, kk, v_bound, dst_bound, worst):
+        rng = np.random.default_rng(kk)
+        dst = primes(dst_bound, self.N, 5)
+        if worst:  # every digit and weight at its maximum
+            stack = np.full((kk, self.N), v_bound - 1, dtype=np.uint64)
+            weights = np.array([[p - 1] * kk for p in dst], dtype=np.uint64)
+        else:
+            stack = rng.integers(0, v_bound, (kk, self.N), dtype=np.uint64)
+            weights = np.stack(
+                [rng.integers(0, p, kk, dtype=np.uint64) for p in dst])
+        return stack, weights, dst
+
+    @pytest.mark.parametrize("worst", [False, True], ids=["random", "worst-case"])
+    @pytest.mark.parametrize(
+        "kk,v_bits,dst_bits,one_product",
+        [
+            (47, 28, 28, True),    # the bootstrap's shape, far inside
+            (15, 30, 30, True),    # 15 * 2^60: just under the bound
+            (17, 30, 30, False),   # 17 * 2^60: just over it
+            (3, 31, 31, True),     # widest narrow words, few digits
+            (5, 31, 31, False),
+            (4, 33, 28, True),     # digits wider than the destinations
+            (2, 60, 28, False),    # wide source: needs the pre-reduction
+            (1, 61, 31, False),
+        ],
+    )
+    def test_paths_agree_with_the_python_int_sum(
+        self, numpy_backend, kk, v_bits, dst_bits, one_product, worst
+    ):
+        v_bound = 1 << v_bits
+        stack, weights, dst = self._case(kk, v_bound, 1 << dst_bits, worst)
+        assert self._one_product(kk, v_bound, dst) == one_product
+        oracle = [
+            [sum(int(v) * int(w) for v, w in zip(col, row)) % p for col in stack.T]
+            for row, p in zip(weights, dst)
+        ]
+        got = numpy_backend.bconv_fold(
+            stack, weights, np.array(dst, dtype=np.uint64), v_bound, "narrow")
+        assert got.dtype == np.uint64 and got.tolist() == oracle
+        chunked = [_narrow_fold(stack, row, p, v_bound).tolist()
+                   for row, p in zip(weights, dst)]
+        assert chunked == oracle
+
+    def test_dispatch_reaches_the_same_fold(self, registry):
+        stack, weights, dst = self._case(47, 1 << 28, 1 << 28, worst=False)
+        got = registry.bconv_fold(stack, weights, dst, 1 << 28, "narrow")
+        want = NumpyBackend().bconv_fold(
+            stack, weights, np.array(dst, dtype=np.uint64), 1 << 28, "narrow")
+        assert np.array_equal(got, want)
+
+    def test_crosscheck_probes_the_bootstrap_shape(self, registry):
+        class FoldBlind(_Delegating):
+            name = "foldblind"
+
+            def bconv_fold(self, stack, weights, dst_moduli, v_bound, kind):
+                out = super().bconv_fold(stack, weights, dst_moduli, v_bound, kind)
+                return out + np.uint64(stack.shape[0] == 47)
+
+        registry.register_backend(FoldBlind())
+        assert registry.verify_backend("foldblind") == [
+            "bconv_fold[narrow 47->46]: output differs from numpy"
+        ]
 
 
 class TestEndToEndEquivalence:

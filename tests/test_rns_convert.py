@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.nt.crt import centered
 from repro.nt.primes import ntt_friendly_primes_below
-from repro.rns.basis import RnsBasis
+from repro.rns.basis import RnsBasis, conversion_table, crt_weights
 from repro.rns.convert import base_convert, drop_moduli, scale_down, scale_up
 from repro.rns.poly import RnsPolynomial
 from tests.test_rns_poly import mix_moduli, width_mixes
@@ -71,6 +71,51 @@ class TestBaseConvert:
         coeffs = [int(v) for v in rng.integers(0, 100, N)]
         with pytest.raises(ParameterError):
             base_convert(_poly(coeffs).to_ntt(), DST_MODULI)
+
+
+class TestConversionTable:
+    def test_one_table_per_basis_pair(self, rng):
+        poly = _poly([int(v) for v in rng.integers(-99, 99, N)])
+        conversion_table.cache_clear()
+        for _ in range(3):
+            base_convert(poly, DST_MODULI)
+            base_convert(poly, list(DST_MODULI))  # any sequence, one key
+        info = conversion_table.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        assert info.maxsize is not None  # bounded
+        table = conversion_table(poly.basis, DST_MODULI)
+        assert table is conversion_table(RnsBasis(N, SRC_MODULI), DST_MODULI)
+        assert table.dst.moduli == DST_MODULI
+
+    def test_constants_match_the_crt_definitions(self):
+        src = RnsBasis(N, SRC_MODULI)
+        table = conversion_table(src, DST_MODULI + WIDE_MODULI)
+        q_hat_inv, q_hat = crt_weights(src)
+        assert table.digit.col.ravel().tolist() == list(q_hat_inv)
+        assert table.q_inv.tolist() == [1.0 / q for q in SRC_MODULI]
+        assert table.weights.shape == (4, len(SRC_MODULI) + 1)
+        for row, p in zip(table.weights.tolist(), table.dst.moduli):
+            assert row == [h % p for h in q_hat] + [-src.product % p]
+        assert table.inv_product.col.ravel().tolist() == [
+            pow(src.product, -1, p) for p in table.dst.moduli
+        ]
+
+    def test_scale_down_needs_destinations_coprime_to_the_source(self):
+        table = conversion_table(RnsBasis(N, SRC_MODULI), SRC_MODULI[:1] + DST_MODULI)
+        assert table.weights.shape == (3, 4)  # conversion itself is fine
+        with pytest.raises(ParameterError, match="not invertible"):
+            table.inv_product
+
+    def test_scale_down_runs_no_extended_gcd_once_warm(self, rng, monkeypatch):
+        from repro.nt import modmath
+
+        coeffs = [int(v) for v in rng.integers(-(10**12), 10**12, N)]
+        poly = _poly(coeffs, SRC_MODULI + DST_MODULI)
+        want = scale_down(poly, DST_MODULI).mat.tolist()
+        monkeypatch.setattr(
+            modmath, "_xgcd", lambda *a: pytest.fail("mod_inv on a warm table")
+        )
+        assert scale_down(poly, DST_MODULI).mat.tolist() == want
 
 
 class TestScaleUp:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.nt.primes import ntt_friendly_primes_below
-from repro.rns.basis import RnsBasis, crt_weights
+from repro.rns.basis import RnsBasis, ScalarColumn, crt_weights
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
 
 N = 32
@@ -124,6 +124,52 @@ class TestPolynomialRoundTrips:
             RnsPolynomial.from_int_coeffs(basis, [1, 2, 3])
 
 
+class TestFromIntCoeffs:
+    """The one-broadcast int64 reduction against the Python-int path
+    it replaces for coefficients (and bases) that fit."""
+
+    NARROW_WIDE = tuple(islice(ntt_friendly_primes_below(1 << 28, N), 2)) + tuple(
+        islice(ntt_friendly_primes_below(1 << 61, N), 2)
+    )
+    EDGES = [0, -1, 1, -(2**62), 2**62, 2**62 - 1, -(2**63), 2**63 - 1]
+
+    @staticmethod
+    def _oracle(moduli, coeffs):
+        return [[int(c) % q for c in coeffs] for q in moduli]
+
+    def _coeffs(self, rng, special):
+        fill = [int(v) for v in rng.integers(-(2**62), 2**62, N - len(special))]
+        return special + fill
+
+    def test_int64_edges_negative_and_zero(self, rng):
+        coeffs = self._coeffs(rng, self.EDGES)
+        poly = RnsPolynomial.from_int_coeffs(RnsBasis(N, self.NARROW_WIDE), coeffs)
+        assert poly.mat.dtype == np.uint64
+        assert poly.mat.tolist() == self._oracle(self.NARROW_WIDE, coeffs)
+
+    @pytest.mark.parametrize("oversized", [2**63, -(2**63) - 1, 3**80])
+    def test_oversized_coefficient_takes_the_python_int_path(self, rng, oversized):
+        coeffs = self._coeffs(rng, [oversized, -oversized])
+        poly = RnsPolynomial.from_int_coeffs(RnsBasis(N, self.NARROW_WIDE), coeffs)
+        assert poly.mat.tolist() == self._oracle(self.NARROW_WIDE, coeffs)
+
+    def test_big_basis_stays_exact_python_ints(self, basis, rng):
+        coeffs = self._coeffs(rng, self.EDGES)
+        poly = RnsPolynomial.from_int_coeffs(basis, coeffs)
+        assert poly.mat.dtype == object
+        assert all(type(v) is int for v in poly.mat.flat)
+        assert poly.mat.tolist() == self._oracle(MODULI, coeffs)
+
+    def test_array_inputs(self, rng):
+        moduli = self.NARROW_WIDE
+        signed = rng.integers(-(2**62), 2**62, N)
+        unsigned = rng.integers(2**63, 2**64, N, dtype=np.uint64)  # wraps as int64
+        boxed = np.array(self._coeffs(rng, [3**50]), dtype=object)
+        for coeffs in (signed, unsigned, boxed):
+            poly = RnsPolynomial.from_int_coeffs(RnsBasis(N, moduli), coeffs)
+            assert poly.mat.tolist() == self._oracle(moduli, coeffs)
+
+
 class TestConstructorValidation:
     """One matrix, checked once: misfits raise ParameterError, by name."""
 
@@ -188,6 +234,37 @@ class TestArithmetic:
         coeffs = _rand_coeffs(rng, magnitude=1000)
         a = RnsPolynomial.from_int_coeffs(basis, coeffs)
         assert a.scalar_mul(37).to_int_coeffs() == [37 * c for c in coeffs]
+
+    @pytest.mark.parametrize("mix", WIDTH_MIXES, ids="+".join)
+    def test_rowwise_scalar_mul_takes_a_ready_column(self, mix, rng):
+        """A ``ScalarColumn`` built once multiplies like the integers it
+        was built from, on every kind (the wide one carries a Shoup
+        companion, the others none)."""
+        basis = RnsBasis(N, mix_moduli(mix, N))
+        poly = RnsPolynomial.from_int_coeffs(basis, _rand_coeffs(rng))
+        scalars = [int(v) for v in rng.integers(-(2**40), 2**40, basis.size)]
+        column = basis.scalar_column(scalars)
+        assert isinstance(column, ScalarColumn)
+        assert (column.shoup is not None) == (basis.kind == "wide")
+        got = poly.rowwise_scalar_mul(column)
+        want = poly.rowwise_scalar_mul(scalars)
+        assert got.mat.tolist() == want.mat.tolist()
+        for row, k, q, src in zip(got.mat, scalars, basis.moduli, poly.mat):
+            assert row.tolist() == [int(v) * k % q for v in src]
+        with pytest.raises(ParameterError):
+            basis.scalar_column(scalars[:-1])
+
+    @pytest.mark.parametrize("mix", WIDTH_MIXES, ids="+".join)
+    @pytest.mark.parametrize("k", [0, 5, -7, 3**60])
+    def test_add_constant_is_adding_the_constant_polynomial(self, mix, k, rng):
+        basis = RnsBasis(N, mix_moduli(mix, N))
+        poly = RnsPolynomial.from_int_coeffs(basis, _rand_coeffs(rng))
+        constant = RnsPolynomial.from_int_coeffs(basis, [k] + [0] * (N - 1))
+        want = poly.add(constant)
+        assert poly.add_constant(k).mat.tolist() == want.mat.tolist()
+        in_ntt = poly.to_ntt().add_constant(k)
+        assert in_ntt.domain == NTT
+        assert in_ntt.to_coeff().mat.tolist() == want.mat.tolist()
 
     def test_poly_mul_matches_bigint_negacyclic(self, basis, rng):
         a_coeffs = _rand_coeffs(rng, magnitude=1000)
