@@ -457,14 +457,25 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
     def below(bound: int) -> tuple[int, ...]:
         return tuple(islice(ntt_friendly_primes_below(bound, n), 3))
 
+    def above(bound: int) -> tuple[int, ...]:
+        return tuple(islice(ntt_friendly_primes_above(bound, n), 3))
+
     narrow = below(1 << 28)
     wide_top = below(1 << 61)
-    wide_bottom = tuple(islice(ntt_friendly_primes_above(1 << 31, n), 3))
+    wide_bottom = above(1 << 31)
     # ``wide`` is probed where limb carries actually happen — both ends
     # of [2^31, 2^61) — and with a narrow row riding the wide kernel (a
-    # single wide row forces it for the whole stack).
+    # single wide row forces it for the whole stack).  ``narrow`` is
+    # probed where the reference NTT changes word: up to 4q <= 2^32 it
+    # runs in uint32 at beta = 2^32, past it (and for any stack holding
+    # such a row) in uint64 at beta = 2^64; the smallest primes are
+    # where a quotient estimate has the fewest bits to be right in.
     cases = (
         ("narrow", "narrow", narrow),
+        ("narrow<2^30", "narrow", below(1 << 30)),
+        ("narrow>2^30", "narrow", above(1 << 30)),
+        ("narrow smallest", "narrow", above(2)),
+        ("narrow 28+30.5", "narrow", (narrow[0], below(1518500250)[0])),
         ("wide", "wide", below(1 << 55)),
         ("wide<2^61", "wide", wide_top),
         ("wide>2^31", "wide", wide_bottom),
@@ -486,16 +497,26 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
             [rng.integers(0, q, n, dtype=np.uint64) for q in moduli]
         )
         ctx = ntt_rows_context(moduli, n)
-        if backend.supports("ntt_forward", kind):
-            check(
-                "ntt_forward", label,
-                backend.ntt_forward(ctx, mat), reference.ntt_forward(ctx, mat),
-            )
-        if backend.supports("ntt_inverse", kind):
-            check(
-                "ntt_inverse", label,
-                backend.ntt_inverse(ctx, mat), reference.ntt_inverse(ctx, mat),
-            )
+        # All-(q-1) and all-zero rows sit at the two ends of every lazy
+        # range a butterfly may ride between stages.
+        probes = (
+            (label, mat),
+            (f"{label}, q-1", np.repeat(q_col - np.uint64(1), n, axis=1)),
+            (f"{label}, zeros", np.zeros_like(mat)),
+        )
+        for probe_label, probe in probes:
+            if backend.supports("ntt_forward", kind):
+                check(
+                    "ntt_forward", probe_label,
+                    backend.ntt_forward(ctx, probe),
+                    reference.ntt_forward(ctx, probe),
+                )
+            if backend.supports("ntt_inverse", kind):
+                check(
+                    "ntt_inverse", probe_label,
+                    backend.ntt_inverse(ctx, probe),
+                    reference.ntt_inverse(ctx, probe),
+                )
         if backend.supports("pointwise_mul", kind):
             check(
                 "pointwise_mul", label,

@@ -21,11 +21,12 @@ Per-width arithmetic, all exact in uint64:
   ``x*w - floor(x*w'/2^64)*q`` corrected by at most one subtraction —
   two multiplies and a mulhi, no division.  The scalar helpers are the
   compiled twins of :func:`repro.nt.modmath.mulhi64` /
-  ``mod_mul_shoup``, and the companions come from the same place the
-  numpy engine reads them: the twiddle companions off the
-  :class:`~repro.nt.ntt.NttRowsContext`, fold weights and the
-  ``2^64 mod q`` constant through ``modmath.shoup_companion`` /
-  ``modmath.two64_mod``.
+  ``mod_mul_shoup``, and the constants come from one owner each: the
+  twiddles and their companions through
+  :meth:`~repro.nt.ntt.NttRowsContext.natural_tables` (the context
+  keeps its own tables in stage order at its own β; these loops read
+  natural order at β = 2^64), fold weights and the ``2^64 mod q``
+  constant through ``modmath.shoup_companion`` / ``modmath.two64_mod``.
 
 Every scalar helper is written in wrap-explicit uint64 arithmetic that
 is *also* valid pure Python + numpy-scalar code: when numba is absent
@@ -36,9 +37,9 @@ the algorithms' exactness even on numba-less installs.  Only the
 
 The deliberate asymmetries vs. the reference backend:
 
-- Shoup multiplication runs at *every* width, so a narrow context's
-  companion tables get built on first use here (the numpy engine only
-  ever touches a wide context's);
+- Shoup multiplication runs at β = 2^64 and fully reduced at *every*
+  width, where the numpy engine halves the word for ``4q ≤ 2^32`` and
+  rides lazy ranges between stages;
 - the verification contract does the rest: registration cross-checks
   and ``REPRO_SANITIZE=1`` shadowing guarantee bit-identical outputs,
   so callers cannot observe which engine ran.
@@ -265,6 +266,14 @@ def _pointwise_mul_acc(acc, a, b, q_vec, r64, r64_shoup):
 # ----------------------------------------------------------------------
 # Python-side wrappers: table caches and dispatch glue
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=256)
+def _ntt_tables(ctx, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``ctx.natural_tables(inverse)``, retained here: the context does
+    not keep the layout these loops read, and the companions are too
+    dear to rebuild per transform."""
+    return ctx.natural_tables(inverse)
+
+
 @lru_cache(maxsize=1024)
 def _modulus_constants(
     moduli: tuple[int, ...],
@@ -285,22 +294,19 @@ class NumbaBackend(KernelBackend):
 
     def ntt_forward(self, ctx, mat: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(mat).copy()
+        q_vec = _modulus_constants(ctx.moduli)[0]
         with np.errstate(over="ignore"):
-            _ntt_forward(
-                a, ctx._psi_rev, ctx._companion("_psi_rev"), ctx._q_col[:, 0]
-            )
+            _ntt_forward(a, *_ntt_tables(ctx, False), q_vec)
         return a
 
     def ntt_inverse(self, ctx, mat: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(mat).copy()
+        psi_inv, psi_inv_shoup = _ntt_tables(ctx, True)
+        q_vec = _modulus_constants(ctx.moduli)[0]
         with np.errstate(over="ignore"):
+            # Slot 0 of the inverse tables is n^-1 (no stage reads it).
             _ntt_inverse(
-                a,
-                ctx._psi_inv_rev,
-                ctx._companion("_psi_inv_rev"),
-                ctx._q_col[:, 0],
-                ctx._n_inv_col[:, 0],
-                ctx._companion("_n_inv_col")[:, 0],
+                a, psi_inv, psi_inv_shoup, q_vec, psi_inv[:, 0], psi_inv_shoup[:, 0]
             )
         return a
 

@@ -8,7 +8,8 @@ matrix-at-a-time kernels the vectorization PR shipped, moved behind the
 
 - the NTT transforms delegate to the stage loops living on
   :class:`repro.nt.ntt.NttRowsContext` (each of ``log2 n`` stages is a
-  constant number of numpy calls over the ``(k, blocks, t)`` view);
+  constant number of numpy calls: a lazy Harvey butterfly over a Shoup
+  multiply at the stack's machine word);
 - ``bconv_fold`` is the lazy-reduction digit fold of
   :func:`repro.rns.convert.base_convert` — for narrow destinations one
   ``(m, kk) @ (kk, n)`` uint64 matrix product and one ``%`` whenever

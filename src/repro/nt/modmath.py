@@ -34,10 +34,25 @@ candidate that wrapped past ``2^64`` is the large one, so one
 ``min(d, d + q)`` after a subtract) where a compare-and-select would
 spend three passes.  Operands must already be reduced below ``q``.
 
-All functions are pure: they never mutate their inputs.
+**Lazy primitives** (what the NTT stage loops are built from).  The
+Shoup multiply is written against an abstract machine word β:
+:func:`mod_mul_shoup_lazy` returns ``x·w − ⌊x·w′/β⌋·q ∈ [0, 2q)`` for
+any ``x < β`` and leaves the last conditional subtraction to the caller;
+:func:`lazy_fold` is that subtraction (``[0, 2m) → [0, m)``, one
+``min``), so a butterfly can carry ``[0, 2q)`` / ``[0, 4q)`` values
+across stages and reduce fully once.  β is the operand's dtype:
+uint64 arrays use :func:`mulhi64`; uint32 arrays (``4q ≤ 2^32``) use
+:func:`mulhi32`, where the whole product fits one uint64 and every
+other step is a wrapping uint32 ufunc on half the bytes.
+:func:`mod_mul_shoup` is the two composed at β = 2^64.
+
+All functions are pure unless handed an ``out``: they never mutate
+their inputs.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -57,7 +72,6 @@ def _tune_allocator() -> None:
     """
     import ctypes
     import os
-    import sys
 
     if os.environ.get("REPRO_NO_MALLOPT") or not sys.platform.startswith("linux"):
         return
@@ -80,6 +94,8 @@ _NARROW_THRESHOLD = 1 << 31
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _U64_MAX = (1 << 64) - 1
+#: Which uint32 half of a uint64 word holds its high bits.
+_HI32 = 1 if sys.byteorder == "little" else 0
 
 
 def dtype_for_modulus(q: int):
@@ -221,17 +237,22 @@ def _per_modulus(q, fn):
     return np.uint64(fn(int(q)))
 
 
-def shoup_companion(w: np.ndarray, q) -> np.ndarray:
-    """``floor(w * 2^64 / q)`` for a uint64 array ``w < q < 2^61``, exactly.
+def shoup_companion(w: np.ndarray, q, beta_bits: int = 64) -> np.ndarray:
+    """``floor(w * β / q)`` for a uint64 array ``w < q``, exactly.
 
     The precomputed half of Shoup multiplication (see
-    :func:`mod_mul_shoup`), vectorized over the table: with ``b`` the
-    bit length of ``q`` and ``m = floor(2^(63+b) / q)`` (one Python-int
-    division per *modulus*), ``floor(w * m / 2^(b-1))`` undershoots the
-    quotient by at most 2; the wrapped remainder ``-est * q`` then says
-    by how much.
+    :func:`mod_mul_shoup_lazy`) at word ``β = 2^beta_bits``.  At
+    ``β = 2^32`` (``q ≤ 2^30``) the numerator fits a machine word and
+    one division per *table entry, once per table* does it.  At
+    ``β = 2^64`` (``q < 2^61``) it is vectorized without one: with ``b``
+    the bit length of ``q`` and ``m = floor(2^(63+b) / q)`` (one
+    Python-int division per *modulus*), ``floor(w * m / 2^(b-1))``
+    undershoots the quotient by at most 2; the wrapped remainder
+    ``-est * q`` then says by how much.
     """
     qa = _q_arr(q)
+    if beta_bits == 32:
+        return (w << _SHIFT32) // qa
     b = _per_modulus(q, int.bit_length)
     m = _per_modulus(q, lambda v: min((1 << (63 + v.bit_length())) // v, _U64_MAX))
     # The 128-bit product w * m, shifted right by b - 1 (fits 64 bits).
@@ -252,21 +273,61 @@ def two64_mod(q):
     )
 
 
-def mod_mul_shoup(x: np.ndarray, w, w_shoup, q) -> np.ndarray:
-    """``x * w mod q`` for a constant ``w < q`` with its Shoup companion.
+def mulhi32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 32 bits of the 64-bit product ``a * b`` of two uint32 arrays.
 
-    ``x`` is a uint64 array and need *not* be reduced: for any
-    ``x < 2^64`` and ``q < 2^61`` the quotient estimate
-    ``mulhi64(x, w_shoup)`` is at most one short, so the wrapped
-    remainder lands in ``[0, 2q)`` and one ``min`` finishes.  ``w``,
-    ``w_shoup`` and ``q`` broadcast against ``x`` (scalars, twiddle
-    columns, per-row ``(k, 1)`` columns).
+    The word-halved :func:`mulhi64`: the whole product fits one uint64,
+    so it is one widening multiply, and the high words are read where
+    they lie (a strided uint32 view, no shift pass).
+    """
+    wide = np.multiply(a, b.astype(np.uint64), order="C")
+    return wide.view(np.uint32)[..., _HI32::2]
+
+
+def mod_mul_shoup_lazy(x: np.ndarray, w, w_shoup, q, out=None) -> np.ndarray:
+    """``x·w − ⌊x·w′/β⌋·q``: congruent to ``x * w`` mod ``q`` and in
+    ``[0, 2q)``, for a constant ``w < q`` and *any* ``x < β``.
+
+    β is ``x``'s word: ``2^64`` for a uint64 array (``q < 2^61``),
+    ``2^32`` for a uint32 one (``q ≤ 2^30``, every operand uint32), and
+    ``w′ = floor(w·β/q)`` is ``w``'s :func:`shoup_companion` at that β.
+    The quotient estimate is short of ``⌊x·w/q⌋`` by less than
+    ``1 + x/β ≤ 2``, so the wrapped low-word difference is the true
+    remainder plus at most one ``q``.  The caller owns the last
+    conditional subtraction (:func:`lazy_fold`), or carries the lazy
+    value on.  ``w``, ``w_shoup`` and ``q`` broadcast against ``x``;
+    ``out`` receives the result (it may be a strided view).
+    """
+    mulhi = mulhi32 if x.dtype == np.uint32 else mulhi64
+    r = mulhi(x, w_shoup) * q
+    return np.subtract(x * w, r, out=r if out is None else out)
+
+
+def lazy_fold(x: np.ndarray, m, out=None) -> np.ndarray:
+    """``x`` or ``x - m``, whichever lies in ``[0, m)``, for ``x`` in
+    ``[0, 2m)`` — the one conditional subtraction of a lazy butterfly.
+
+    Branch-free on uint64: ``x - m`` wraps high exactly when ``x < m``,
+    so ``min`` picks the folded value.  Object rows are Python ints,
+    which do not wrap; they take the remainder.
+    """
+    if _is_big(x):
+        return np.remainder(x, m, out=out)
+    d = x - m
+    return np.minimum(x, d, out=d if out is None else out)
+
+
+def mod_mul_shoup(x: np.ndarray, w, w_shoup, q) -> np.ndarray:
+    """``x * w mod q`` for a constant ``w < q`` with its β = 2^64 Shoup
+    companion: :func:`mod_mul_shoup_lazy` and the fold that finishes it.
+
+    ``x`` is a uint64 array and need *not* be reduced (any ``x < 2^64``,
+    ``q < 2^61``).  ``w``, ``w_shoup`` and ``q`` broadcast against ``x``
+    (scalars, twiddle columns, per-row ``(k, 1)`` columns).
     """
     qa = _q_arr(q)
-    r = mulhi64(x, w_shoup)
-    r *= qa
-    np.subtract(x * w, r, out=r)
-    return np.minimum(r, r - qa)
+    r = mod_mul_shoup_lazy(x, w, w_shoup, qa)
+    return lazy_fold(r, qa, out=r)
 
 
 def _mulmod_wide(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:

@@ -11,25 +11,43 @@ twiddle tables so no separate pre/post twist pass is needed.
 The butterflies are *stage-vectorized* and *batched across primes*: one
 context (:class:`NttRowsContext`) transforms a whole ``(k, n)`` residue
 matrix — one row per RNS prime — and each of the ``log2 n`` stages is a
-constant number of numpy calls.  The working matrix is viewed as a
-``(k, blocks, 2, t)`` tensor, the stage's twiddles broadcast as a
-``(k, blocks, 1)`` slice of the stacked ``(k, n)`` twiddle table, and all
-blocks of all rows update at once — there is no Python-level loop over
-butterfly blocks or over primes.  Each direction's stage loop is written
-exactly once; a single prime is the ``k = 1`` context
-(:func:`ntt_context`), and the width of the arithmetic (narrow uint64
-products, wide Shoup multiplies, big Python ints) is the stack's widest
-modulus's, known only to ``_twiddle_mul``.
+constant number of numpy calls on a ``(k, blocks, 2, rows, cols)`` view
+of the working matrix, the stage's constants broadcast against a half
+block; all blocks of all rows update at once — there is no Python-level
+loop over butterfly blocks or over primes.  Each direction's stage loop
+is written exactly once; a single prime is the ``k = 1`` context
+(:func:`ntt_context`).
+
+**Lazy and division-free.**  The butterflies are Harvey's: every twiddle
+product is a Shoup multiply ``x·w − ⌊x·w′/β⌋·q ∈ [0, 2q)`` (valid for any
+``x < β``; :func:`repro.nt.modmath.mod_mul_shoup_lazy`), and values ride
+unreduced between stages — ``[0, 4q)`` forward, ``[0, 2q)`` inverse —
+with one conditional subtraction per butterfly
+(:func:`repro.nt.modmath.lazy_fold`) and one full reduction per
+transform.  No stage divides.  The machine word β is the stack's widest
+modulus's: ``4q ≤ 2^32`` runs *everything* — working matrix, constants,
+companions — in uint32, where the high word of ``x·w′`` is one widening
+multiply (the 28-bit words BitPacker makes the sweet spot land here);
+wider stacks below 2^61 run in uint64 with the limb ``mulhi64`` (a prime
+in ``[2^30, 2^31)`` too: its ``4q`` no longer fits the half word); a
+modulus ≥ 2^61 makes the stack Python ints, which reduce fully at every
+multiply.  The word is known only to ``_twiddle_mul`` and ``lazy_fold``.
+
+**Short strides run transposed.**  A stage with half-length ``t`` walks
+numpy inner loops ``t`` long, so the last forward (first inverse) stages
+would crawl.  Once a block fits ``_TAIL = 16`` coefficients the matrix
+is copied to a ``(_TAIL, n / _TAIL)`` layout — the six-step shape the
+accelerator's NTT FU uses — where those stages' inner loops are
+``n / _TAIL`` long and the twiddle varies along the contiguous axis.
 
 Contexts are cached per moduli tuple and assembled from per-prime tables
-cached per ``(q, n)`` — each direction's stacked table on that
+cached per ``(q, n)`` — each direction's per-stage constants on that
 direction's first transform, so a context that only runs forward holds
-half the tables; they are the software analogue of the accelerator's
-precomputed twiddle ROMs.  Twiddles are constants, so the
-wide path multiplies by them with Shoup's method: each table has a
-companion ``floor(w * 2^64 / q)`` table
-(:func:`repro.nt.modmath.shoup_companion`), built once per cached
-context on first use and read by every kernel backend.
+half of them; they are the software analogue of the accelerator's
+precomputed twiddle ROMs.  Each constant and its companion
+(:func:`repro.nt.modmath.shoup_companion`) is stored once, in the
+stack's word and in the order its stage reads it; an engine that runs
+its own loop asks :meth:`NttRowsContext.natural_tables`.
 """
 
 from __future__ import annotations
@@ -99,36 +117,41 @@ def _as_table(values: list[int], q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cached ``(ψ table, ψ^-1 table, n^-1)`` for one prime.
+def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached natural-order ``(forward, inverse)`` constants for one prime.
 
-    The unit the stacked contexts are assembled from: a prime that
-    appears in many bases (every level of a chain shares its prefix)
-    pays for its root search and power tables once.
+    Row ``i`` of each is the bit-reversed ``ψ`` (``ψ^-1``) power a
+    butterfly block ``i`` multiplies by.  Slot 0 is ``ψ^0 = 1``, which
+    no stage reads; the inverse table keeps ``n^-1`` there, so a table
+    is *every* constant its direction multiplies by.  This is the unit
+    the stacked contexts are assembled from: a prime that appears in
+    many bases (every level of a chain shares its prefix) pays for its
+    root search and power tables once.
     """
     if not is_ntt_friendly(q, n):
         raise ParameterError(f"{q} is not an NTT-friendly prime for degree {n}")
     psi_rev, psi_inv_rev, n_inv = _psi_tables(q, n)
-    return _as_table(psi_rev, q), _as_table(psi_inv_rev, q), n_inv
+    psi_inv_rev[0] = n_inv
+    return _as_table(psi_rev, q), _as_table(psi_inv_rev, q)
 
 
-#: Which constant table a :meth:`NttRowsContext._twiddle_mul` call reads:
-#: the attribute holding it (and the argument of ``_companion``).
-_PSI, _PSI_INV, _N_INV = "_psi_rev", "_psi_inv_rev", "_n_inv_col"
+#: Block size from which the stages run transposed (see ``_tail_view``).
+_TAIL = 16
 
 
 class NttRowsContext:
     """Negacyclic NTT over a stack of primes, one residue row per prime.
 
     Transforms a ``(k, n)`` residue matrix — row ``i`` reduced mod
-    ``moduli[i]`` — in one pass per stage, with the per-prime twiddle
-    tables stacked into a ``(k, n)`` matrix and the moduli broadcast as a
-    ``(k, 1, 1)`` column over the ``(k, blocks, t)`` working view.  The
-    widest modulus picks the arithmetic for the whole stack
-    (:func:`repro.nt.modmath.backend_kind`): the wide kernel is exact for
-    narrow rows too, and one modulus ≥ 2^61 makes tables and matrix
-    object-dtype.  A single prime is the ``k = 1`` case
-    (:func:`ntt_context`), which also takes and returns 1-D rows.
+    ``moduli[i]`` — in one pass per stage, with the per-prime constants
+    stacked per stage and the moduli broadcast as a ``(k, 1, 1, 1)``
+    column over the stage views.  The widest modulus picks the machine
+    word β for the whole stack: ``4q ≤ 2^32`` works in uint32 (matrix,
+    constants and Shoup multiply at β = 2^32), anything else below 2^61
+    in uint64 at β = 2^64 — exact for narrower rows too — and one
+    modulus ≥ 2^61 makes everything object-dtype.  A single prime is
+    the ``k = 1`` case (:func:`ntt_context`), which also takes and
+    returns 1-D rows.
 
     Parameters
     ----------
@@ -142,7 +165,8 @@ class NttRowsContext:
         moduli = tuple(int(q) for q in moduli)
         if not moduli:
             raise ParameterError("batched NTT needs at least one modulus")
-        tables = [_prime_tables(q, n) for q in moduli]
+        for q in moduli:
+            _prime_tables(q, n)  # rejects an unfriendly prime up front
         self.moduli = moduli
         self.n = n
         widest = max(moduli)
@@ -150,34 +174,88 @@ class NttRowsContext:
         self._dtype = modmath.dtype_for_modulus(widest)
         k = len(moduli)
         self._q_col = np.array(moduli, dtype=self._dtype).reshape(k, 1)
-        self._q_col3 = self._q_col.reshape(k, 1, 1)
-        self._n_inv_col = np.array(
-            [t[2] for t in tables], dtype=self._dtype
-        ).reshape(k, 1)
-        self._companions: dict[str, np.ndarray] = {}
+        # The word the stage loops work in.  Values ride up to 4q
+        # between stages and must stay below β; a uint32 word also
+        # holds every constant (w < q) and companion (w' < 2^32).
+        self._word = np.uint32 if 4 * widest <= 1 << 32 else self._dtype
+        self._tail = min(n, _TAIL)
+        self._q = self._q_col.astype(self._word).reshape(k, 1, 1, 1)
+        self._two_q = self._q * 2
 
-    # Each direction's stacked table is built on that direction's first
+    def _natural_table(self, inverse: bool) -> np.ndarray:
+        # np.stack lands on the widest row's dtype: one object table
+        # makes the stack object (exact Python ints throughout).
+        return np.stack([_prime_tables(q, self.n)[inverse] for q in self.moduli])
+
+    def natural_tables(self, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(constants, β = 2^64 Shoup companions)`` of one direction as
+        natural-order ``(k, n)`` uint64 matrices, ``n^-1`` in slot 0 of
+        the inverse's — what an engine that runs its own stage loop
+        reads.  Built per call and not retained: the context keeps only
+        the per-stage constants its own loops read.
+        """
+        table = self._natural_table(inverse)
+        return table, modmath.shoup_companion(table, self._q_col)
+
+    def _plan(self, inverse: bool) -> list[tuple]:
+        """One direction's stages, fewest blocks first: ``(shape, w, w')``.
+
+        ``shape`` is the ``(k, blocks, 2, rows, cols)`` view a stage's
+        butterflies take of the working matrix — ``[:, :, 0]`` the upper
+        halves, ``[:, :, 1]`` the lower; ``w`` its constants and ``w'``
+        their Shoup companions at this stack's β (``None`` on object
+        rows), stored once, in the stack's word and in the order the
+        view walks them, shaped to broadcast against a half.  A stage
+        with half-length ``t > _TAIL / 2`` sees natural order as
+        ``(blocks, 2, 1, t)`` with one constant per block; a shorter
+        one sees the transposed layout (:meth:`_tail_view`) as
+        ``(blocks / cols, 2, t, cols)``, where block ``c * b + j`` sits
+        at group ``j`` of column ``c``, so its constants are stored
+        ``(b, 1, cols)``.  The inverse's list ends with the ``n^-1``
+        scale over the whole ``(k, 1, 1, n)`` matrix.
+        """
+        k, n = len(self.moduli), self.n
+        table = self._natural_table(inverse)
+        shoup = None
+        if self._word is not object:
+            beta_bits = 8 * np.dtype(self._word).itemsize
+            shoup = modmath.shoup_companion(table, self._q_col, beta_bits)
+        cols = n // self._tail
+
+        def constants(lo: int, hi: int, width: int) -> list:
+            return [
+                tb
+                if tb is None
+                else tb[:, lo:hi]
+                .reshape(k, width, 1, -1)
+                .swapaxes(1, 3)
+                .astype(self._word, order="C")
+                for tb in (table, shoup)
+            ]
+
+        plan = []
+        m = 1
+        while m < n:
+            t = n // (2 * m)
+            if 2 * t > _TAIL:
+                plan.append(((k, m, 2, 1, t), *constants(m, 2 * m, 1)))
+            else:
+                plan.append(((k, m // cols, 2, t, cols), *constants(m, 2 * m, cols)))
+            m *= 2
+        if inverse:
+            plan.append(((k, 1, 1, n), *constants(0, 1, 1)))
+        return plan
+
+    # Each direction's constants are built on that direction's first
     # transform: a context that only ever runs forward (the rows a
     # keyswitch digit is extended to) never holds the inverse's.
-    # np.stack lands on the widest row's dtype: one object table makes
-    # the stack object (exact Python ints throughout).
     @cached_property
-    def _psi_rev(self) -> np.ndarray:
-        return np.stack([_prime_tables(q, self.n)[0] for q in self.moduli])
+    def _forward_plan(self):
+        return self._plan(False)
 
     @cached_property
-    def _psi_inv_rev(self) -> np.ndarray:
-        return np.stack([_prime_tables(q, self.n)[1] for q in self.moduli])
-
-    def _companion(self, table: str) -> np.ndarray:
-        """Shoup companion of one constant table, built on first use —
-        by the wide stage kernels here, or by a backend that
-        Shoup-multiplies at every width."""
-        companion = self._companions.get(table)
-        if companion is None:
-            companion = modmath.shoup_companion(getattr(self, table), self._q_col)
-            self._companions[table] = companion
-        return companion
+    def _inverse_plan(self):
+        return self._plan(True)
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -192,19 +270,26 @@ class NttRowsContext:
                 f"{np.dtype(self._dtype).name} matrix, got {mat.dtype}"
             )
 
-    def _twiddle_mul(self, x: np.ndarray, table: str, lo: int, hi: int):
-        """``x * table[:, lo:hi]`` mod ``q`` — the one width-aware multiply.
+    def _tail_view(self, a: np.ndarray) -> np.ndarray:
+        """A natural-order ``(k, n)`` matrix seen as ``(k, 1, _TAIL, n / _TAIL)``:
+        entry ``[r, 0, j, c]`` is coefficient ``c * _TAIL + j``.
 
-        ``x`` has shape ``(k, hi - lo, t)``; the table slice broadcasts
-        as ``(k, hi - lo, 1)`` so every block multiplies by its own
-        constant.  Wide stacks Shoup-multiply against the companion
-        table; narrow products fit uint64 and big ones are Python ints.
+        The stages whose blocks fit ``_TAIL`` run on a contiguous copy
+        of this view, so their numpy inner loops are ``n / _TAIL`` long
+        instead of ``t ≤ 8`` and the twiddle varies along the contiguous
+        axis — the six-step shape the accelerator's NTT FU uses.
         """
-        s = getattr(self, table)[:, lo:hi, None]
-        if self.kind == "wide":
-            s_shoup = self._companion(table)[:, lo:hi, None]
-            return modmath.mod_mul_shoup(x, s, s_shoup, self._q_col3)
-        return x * s % self._q_col3
+        return a.reshape(len(self.moduli), 1, -1, self._tail).swapaxes(2, 3)
+
+    def _twiddle_mul(self, x: np.ndarray, w, w_shoup, out=None) -> np.ndarray:
+        """``x`` times a stage's constants, lazily: congruent mod ``q``
+        and in ``[0, 2q)`` for any ``x < β`` — the one width-aware
+        multiply.  Machine words Shoup-multiply at their β; big ones
+        are Python ints and reduce fully.
+        """
+        if w_shoup is None:
+            return np.remainder(x * w, self._q, out=out)
+        return modmath.mod_mul_shoup_lazy(x, w, w_shoup, self._q, out)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
         """Coefficient -> NTT transform of a ``(k, n)`` matrix.
@@ -220,26 +305,32 @@ class NttRowsContext:
     def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
         """The stage-vectorized numpy forward kernel (reference engine).
 
-        Cooley–Tukey DIT; the stage with ``m`` blocks of half-length
-        ``t`` views the matrix as ``(k, m, 2, t)`` and updates all blocks
-        of all rows in a handful of numpy calls.
+        Cooley–Tukey DIT with Harvey's lazy butterfly: values enter a
+        stage in ``[0, 4q)``, the upper half folds to ``[0, 2q)``, the
+        lower half's twiddle product lands in ``[0, 2q)``, and their sum
+        and ``2q``-shifted difference are ``[0, 4q)`` again.  The one
+        full reduction runs on the transposed layout, just before the
+        copy back to natural order.
         """
-        a = mat.copy()  # .copy() yields a fresh C-contiguous buffer
-        k = len(self.moduli)
+        # 4-D from the start, so that n = 1 (no stage, never transposed)
+        # leaves through the same reduction and copy as everything else.
+        a = mat.astype(self._word)[:, None, None]
         t = self.n
-        m = 1
-        while m < self.n:
+        for shape, w, w_shoup in self._forward_plan:
             t //= 2
             STAGE_KERNEL_CALLS["forward"] += 1
-            blk = a.reshape(k, m, 2, t)
-            u = blk[:, :, 0, :]
-            v = self._twiddle_mul(blk[:, :, 1, :], _PSI, m, 2 * m)
-            lo = modmath.mod_add(u, v, self._q_col3)
-            hi = modmath.mod_sub(u, v, self._q_col3)
-            blk[:, :, 0, :] = lo
-            blk[:, :, 1, :] = hi
-            m *= 2
-        return a
+            if 2 * t == self._tail:
+                a = self._tail_view(a).copy()
+            blk = a.reshape(shape)
+            u, v = blk[:, :, 0], blk[:, :, 1]
+            x = modmath.lazy_fold(u, self._two_q)
+            y = self._twiddle_mul(v, w, w_shoup)
+            np.add(x, y, out=u)
+            np.subtract(x, y, out=y)
+            np.add(y, self._two_q, out=v)
+        modmath.lazy_fold(a, self._two_q, out=a)
+        modmath.lazy_fold(a, self._q, out=a)
+        return a.swapaxes(2, 3).astype(self._dtype, order="C").reshape(mat.shape)
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         """NTT -> coefficient transform of a ``(k, n)`` matrix.
@@ -255,28 +346,29 @@ class NttRowsContext:
     def _inverse_stages(self, mat: np.ndarray) -> np.ndarray:
         """The stage-vectorized numpy inverse kernel (reference engine).
 
-        Gentleman–Sande DIF with the mirrored ``(k, h, 2, t)`` view, then
-        the ``n^-1`` scale as one more constant multiply.
+        Gentleman–Sande DIF with the lazy butterfly mirrored: values
+        stay in ``[0, 2q)``; the sum folds back from ``[0, 4q)``, the
+        ``2q``-shifted difference (``< 4q``) goes through the twiddle
+        product.  The ``n^-1`` scale is one more constant multiply and
+        the one full reduction follows it.
         """
-        a = mat.copy()
-        k = len(self.moduli)
+        *stages, (whole, n_inv, n_inv_shoup) = self._inverse_plan
+        a = self._tail_view(mat).astype(self._word, order="C")
         t = 1
-        m = self.n
-        while m > 1:
-            h = m // 2
+        for shape, w, w_shoup in reversed(stages):
             STAGE_KERNEL_CALLS["inverse"] += 1
-            blk = a.reshape(k, h, 2, t)
-            u = blk[:, :, 0, :]
-            v = blk[:, :, 1, :]
-            lo = modmath.mod_add(u, v, self._q_col3)
-            hi = self._twiddle_mul(
-                modmath.mod_sub(u, v, self._q_col3), _PSI_INV, h, 2 * h
-            )
-            blk[:, :, 0, :] = lo
-            blk[:, :, 1, :] = hi
+            blk = a.reshape(shape)
+            u, v = blk[:, :, 0], blk[:, :, 1]
+            d = u - v
+            d += self._two_q
+            modmath.lazy_fold(u + v, self._two_q, out=u)
+            self._twiddle_mul(d, w, w_shoup, out=v)
+            if 2 * t == self._tail:
+                a = a.swapaxes(2, 3).copy()
             t *= 2
-            m = h
-        return self._twiddle_mul(a.reshape(k, 1, -1), _N_INV, 0, 1).reshape(k, -1)
+        a = self._twiddle_mul(a.reshape(whole), n_inv, n_inv_shoup)
+        modmath.lazy_fold(a, self._q, out=a)
+        return a.astype(self._dtype, copy=False).reshape(mat.shape)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two coefficient-form polynomials mod ``X^n + 1``."""
@@ -306,7 +398,14 @@ def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     if _obs.ACTIVE:
         _obs.count("kernel.ntt.forward")
         _obs.count("kernel.ntt.forward.elems", mat.size)
-    return ntt_rows_context(tuple(int(q) for q in moduli), mat.shape[-1]).forward(mat)
+    if not isinstance(moduli, tuple):
+        moduli = tuple(int(q) for q in moduli)
+    out = ntt_rows_context(moduli, mat.shape[-1]).forward(mat)
+    if _sanitize.ACTIVE:
+        # A lazy value that escaped the stage loop's one full reduction
+        # is caught here, at the kernel boundary.
+        _sanitize.check_residue_matrix(out, moduli, "forward_rows output")
+    return out
 
 
 def inverse_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
@@ -316,4 +415,9 @@ def inverse_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     if _obs.ACTIVE:
         _obs.count("kernel.ntt.inverse")
         _obs.count("kernel.ntt.inverse.elems", mat.size)
-    return ntt_rows_context(tuple(int(q) for q in moduli), mat.shape[-1]).inverse(mat)
+    if not isinstance(moduli, tuple):
+        moduli = tuple(int(q) for q in moduli)
+    out = ntt_rows_context(moduli, mat.shape[-1]).inverse(mat)
+    if _sanitize.ACTIVE:
+        _sanitize.check_residue_matrix(out, moduli, "inverse_rows output")
+    return out

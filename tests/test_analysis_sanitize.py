@@ -9,7 +9,8 @@ import pytest
 from repro.analysis import sanitize
 from repro.ckks.ciphertext import Ciphertext
 from repro.errors import InvariantViolation
-from repro.nt.ntt import forward_rows
+from repro.nt import ntt as ntt_mod
+from repro.nt.ntt import forward_rows, inverse_rows
 from repro.rns.basis import RnsBasis
 from repro.rns.convert import base_convert
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
@@ -103,6 +104,28 @@ class TestHookSites:
         mat = np.full((1, N), MODULI[0], dtype=np.uint64)
         with pytest.raises(InvariantViolation, match="unreduced"):
             forward_rows(mat, (MODULI[0],))
+
+    @pytest.mark.parametrize(
+        "transform,label",
+        [(forward_rows, "forward_rows output"), (inverse_rows, "inverse_rows output")],
+    )
+    def test_lazy_value_escaping_the_stage_loop_is_caught_at_the_kernel(
+        self, sanitizer, monkeypatch, transform, label
+    ):
+        """The stage loops ride lazy ranges and reduce fully once; with
+        that last fold to ``[0, q)`` patched away, the unreduced output
+        is reported at the transform that produced it."""
+        ctx = ntt_mod.ntt_rows_context(MODULI, N)
+        real_fold = ntt_mod.modmath.lazy_fold
+
+        def no_final_fold(x, m, out=None):
+            return x if m is ctx._q else real_fold(x, m, out=out)
+
+        monkeypatch.setattr(ntt_mod.modmath, "lazy_fold", no_final_fold)
+        mat = np.stack([np.full(N, q - 1, dtype=np.uint64) for q in MODULI])
+        sanitizer.enable()
+        with pytest.raises(InvariantViolation, match=label):
+            transform(mat, MODULI)
 
     def test_matrix_row_count_mismatch(self, sanitizer):
         sanitizer.enable()

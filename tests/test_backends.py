@@ -128,6 +128,21 @@ class _CarryBlind(_Delegating):
             self.corrupt = False
 
 
+class _WordBlind(_Delegating):
+    """Exact wherever ``4q <= 2^32`` and wherever the stack is wide —
+    all the old probe set looked at — and wrong on the narrow primes in
+    between, where a 32-bit Shoup word no longer holds the lazy range."""
+
+    name = "wordblind"
+
+    def ntt_forward(self, ctx, mat):
+        self.corrupt = 1 << 30 < max(ctx.moduli) < 1 << 31
+        try:
+            return super().ntt_forward(ctx, mat)
+        finally:
+            self.corrupt = False
+
+
 class TestRegistry:
     def test_numpy_is_registered_and_reference_first(self, registry):
         names = registry.available_backends()
@@ -236,6 +251,15 @@ class TestFallback:
         assert errors == [
             "pointwise_mul[wide<2^61]: output differs from numpy",
             "pointwise_mul[narrow+wide]: output differs from numpy",
+        ]
+
+    def test_crosscheck_probes_where_the_ntt_changes_word(self, registry):
+        registry.register_backend(_WordBlind())
+        errors = registry.verify_backend("wordblind")
+        assert errors == [
+            f"ntt_forward[{probe}{fill}]: output differs from numpy"
+            for probe in ("narrow>2^30", "narrow 28+30.5")
+            for fill in ("", ", q-1", ", zeros")
         ]
 
     def test_auto_skips_broken_backend(self, registry):

@@ -297,6 +297,58 @@ def test_mod_mul_shoup_takes_unreduced_operands(q, xs, data):
     assert [int(v) for v in got] == [x * w % q for x in xs + [(1 << 64) - 1]]
 
 
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(min_value=2, max_value=30), data=st.data())
+def test_half_word_shoup_is_lazy_and_exact(bits, data):
+    """β = 2^32: uint32 operands throughout, any ``x < 2^32`` (so every
+    value of a ``[0, 4q)`` lazy range), result congruent and in
+    ``[0, 2q)``; one fold finishes it.  ``q = 2^30`` is the edge of
+    ``4q <= 2^32``."""
+    q = data.draw(st.integers(max(2, 1 << (bits - 1)), 1 << bits))
+    top = (1 << 32) - 1
+    ws = data.draw(
+        st.lists(
+            st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    xs = [
+        data.draw(st.sampled_from([0, 1, q - 1, min(4 * q - 1, top), top]) | st.integers(0, top))
+        for _ in ws
+    ]
+    w = np.array(ws, dtype=np.uint32)
+    companion = modmath.shoup_companion(w.astype(np.uint64), q, beta_bits=32)
+    assert [int(v) for v in companion] == [(v << 32) // q for v in ws]
+    x = np.array(xs, dtype=np.uint32)
+    hi = modmath.mulhi32(x, companion.astype(np.uint32))
+    assert hi.dtype == np.uint32
+    assert [int(v) for v in hi] == [a * int(c) >> 32 for a, c in zip(xs, companion)]
+    lazy = modmath.mod_mul_shoup_lazy(
+        x, w, companion.astype(np.uint32), np.uint32(q)
+    )
+    assert lazy.dtype == np.uint32
+    for got, a, b in zip(lazy.tolist(), xs, ws):
+        assert got < 2 * q and got % q == a * b % q
+    folded = modmath.lazy_fold(lazy, np.uint32(q))
+    assert folded.tolist() == [a * b % q for a, b in zip(xs, ws)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64, object])
+def test_lazy_fold_picks_the_value_below_m(dtype):
+    m = {np.uint32: 1 << 31, np.uint64: 1 << 63, object: (1 << 64) - 59}[dtype]
+    values = [0, 1, m - 1, m, m + 1, 2 * m - 1]
+    x = np.array(values, dtype=dtype)
+    bound = m if dtype is object else dtype(m)
+    want = [v % m for v in values]
+    assert modmath.lazy_fold(x, bound).tolist() == want
+    assert x.tolist() == values  # pure unless told where to write
+    out = np.empty_like(x)
+    assert modmath.lazy_fold(x, bound, out=out) is out
+    assert out.tolist() == want
+    assert modmath.lazy_fold(x, bound, out=x).tolist() == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_wide_mul_with_mixed_width_modulus_column(data):

@@ -10,15 +10,25 @@ Three layers of ground truth, per the PR acceptance criteria:
 3. ``forward_rows`` / ``inverse_rows`` batched over mixed-prime bases
    agree with the per-row transforms and round-trip exactly.
 
-Plus the ``guard`` regression tests: the narrow/wide paths must stay
-stage-vectorized — O(log n) kernel invocations per transform, never a
-Python-level loop over butterfly blocks.
+Plus a hypothesis sweep of the lazy butterfly over every width class
+and every ``n`` (the ones smaller than the transposed tail block
+included), known-answer digests recorded before the rewrite
+(``tests/data/ntt_kat.json``), and the ``guard`` regression tests: the
+machine-word paths must stay stage-vectorized — O(log n) kernel
+invocations per transform, never a Python-level loop over butterfly
+blocks.
 """
 
+import hashlib
+import json
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.backends as backends
 from repro.nt import modmath
@@ -30,7 +40,7 @@ from repro.nt.ntt import (
     ntt_rows_context,
 )
 from repro.nt.ntt_reference import reference_ntt_context, schoolbook_negacyclic
-from repro.nt.primes import ntt_friendly_primes_below
+from repro.nt.primes import ntt_friendly_primes_above, ntt_friendly_primes_below
 
 MAX_N = 256  # largest degree exercised below; primes must support it
 
@@ -147,9 +157,157 @@ class TestBatchedRows:
             assert inv[i].tolist() == [int(v) for v in ref.inverse(row)]
         assert np.array_equal(inverse_rows(fwd, moduli), mat)
 
+    def test_degree_one_ring_is_the_identity(self):
+        """``n = 1`` has no butterfly stage (and no tail layout to enter):
+        both directions hand back a copy of the residues."""
+        moduli = (17, (1 << 32) + 15, (1 << 61) + 21)
+        mat = np.empty((3, 1), dtype=object)
+        mat[:, 0] = [5, 1 << 32, 1 << 61]
+        for transform in (forward_rows, inverse_rows):
+            out = transform(mat, moduli)
+            assert out is not mat and out.tolist() == mat.tolist()
+        narrow = np.array([[5]], dtype=np.uint64)
+        assert forward_rows(narrow, (17,)).tolist() == [[5]]
+        assert inverse_rows(narrow, (17,)).tolist() == [[5]]
+
     def test_context_cache_keyed_by_basis(self):
         moduli = self._mixed_basis(64, 2, 1)
         assert ntt_rows_context(moduli, 64) is ntt_rows_context(moduli, 64)
+
+
+# ----------------------------------------------------------------------
+# Width classes: one prime generator per regime of the stage loop — the
+# uint32 word up to its 4q <= 2^32 edge, narrow primes past it (uint64
+# word, beta = 2^64), both ends of the wide range, and object rows.
+# ----------------------------------------------------------------------
+WIDTH_CLASSES = {
+    "smallest": lambda n: ntt_friendly_primes_above(2, n),
+    "20": lambda n: ntt_friendly_primes_below(1 << 20, n),
+    "28": lambda n: ntt_friendly_primes_below(1 << 28, n),
+    "below30": lambda n: ntt_friendly_primes_below(1 << 30, n),
+    "30to31": lambda n: ntt_friendly_primes_above(1 << 30, n),
+    "above31": lambda n: ntt_friendly_primes_above(1 << 31, n),
+    "55": lambda n: ntt_friendly_primes_below(1 << 55, n),
+    "below61": lambda n: ntt_friendly_primes_below(1 << 61, n),
+    "big": lambda n: ntt_friendly_primes_below(1 << 62, n),
+}
+
+
+def _class_primes(width: str, n: int, count: int) -> tuple[int, ...]:
+    return tuple(islice(WIDTH_CLASSES[width](n), count))
+
+
+def _residue_matrix(rows, moduli):
+    """Rows of Python ints as the matrix dtype the basis runs on."""
+    mat = np.empty(
+        (len(moduli), len(rows[0])), dtype=modmath.dtype_for_modulus(max(moduli))
+    )
+    for i, row in enumerate(rows):
+        mat[i] = row
+    return mat
+
+
+class TestLazyButterflyProperty:
+    """Every row of the batched transforms equals the pre-vectorization
+    per-prime reference, at every ``n`` and every mix of widths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_reference_and_round_trip(self, data):
+        n = 1 << data.draw(st.integers(1, 13), label="log2 n")
+        k = data.draw(st.integers(1, 6), label="k")
+        widths = data.draw(
+            st.lists(st.sampled_from(sorted(WIDTH_CLASSES)), min_size=k, max_size=k),
+            label="widths",
+        )
+        # The i-th row of a class takes that class's i-th prime, so the
+        # moduli of one stack are distinct.
+        moduli = tuple(
+            _class_primes(w, n, widths[: i + 1].count(w))[-1]
+            for i, w in enumerate(widths)
+        )
+        fill = data.draw(st.sampled_from(["random", "q-1", "zero"]), label="fill")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        rows = [
+            {
+                "random": lambda q: [int(v) for v in modmath.uniform_mod(q, n, rng)],
+                "q-1": lambda q: [q - 1] * n,
+                "zero": lambda q: [0] * n,
+            }[fill](q)
+            for q in moduli
+        ]
+        mat = _residue_matrix(rows, moduli)
+        keep = mat.copy()
+        fwd = forward_rows(mat, moduli)
+        inv = inverse_rows(mat, moduli)
+        assert np.array_equal(mat, keep)  # kernels are pure
+        assert fwd.dtype == inv.dtype == mat.dtype
+        for i, q in enumerate(moduli):
+            ref = reference_ntt_context(q, n)
+            row = modmath.as_mod_array(rows[i], q)
+            assert fwd[i].tolist() == [int(v) for v in ref.forward(row)]
+            assert inv[i].tolist() == [int(v) for v in ref.inverse(row)]
+        assert np.array_equal(inverse_rows(fwd, moduli), mat)
+
+
+# ----------------------------------------------------------------------
+# Known-answer vectors (ROADMAP item 4): sha256 of a fixed input and of
+# its forward / inverse transform per width class, recorded at the
+# commit *before* the lazy butterfly landed.  Inputs come from a 64-bit
+# LCG over Python ints, so nothing here depends on a numpy generator.
+# Re-record (only when the transform's definition changes, never to
+# make a kernel change pass) with
+#   PYTHONPATH=src python -c \
+#     "import tests.test_nt_ntt_vectorized as t; t.record_kat()"
+# ----------------------------------------------------------------------
+KAT_PATH = Path(__file__).parent / "data" / "ntt_kat.json"
+KAT_SIZES = (128, 4096)
+
+
+def _kat_input(q: int, n: int) -> list[int]:
+    state = (q * 0x9E3779B97F4A7C15 + n) % (1 << 64)
+    out = []
+    for _ in range(n):
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        out.append(state % q)
+    return out
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(
+        b"".join(int(v).to_bytes(8, "little") for v in values)
+    ).hexdigest()
+
+
+def _kat_entry(width: str, n: int) -> dict:
+    (q,) = _class_primes(width, n, 1)
+    coeffs = _kat_input(q, n)
+    row = modmath.as_mod_array(coeffs, q)
+    ctx = ntt_context(q, n)
+    return {
+        "width": width,
+        "n": n,
+        "q": q,
+        "input": _digest(coeffs),
+        "forward": _digest(ctx.forward(row)),
+        "inverse": _digest(ctx.inverse(row)),
+    }
+
+
+def record_kat() -> None:
+    entries = [_kat_entry(w, n) for n in KAT_SIZES for w in WIDTH_CLASSES]
+    KAT_PATH.parent.mkdir(exist_ok=True)
+    KAT_PATH.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    json.loads(KAT_PATH.read_text()),
+    ids=lambda e: f"{e['width']}-{e['n']}",
+)
+def test_known_answer_vectors(entry):
+    assert _kat_entry(entry["width"], entry["n"]) == entry
 
 
 @pytest.mark.guard
@@ -161,7 +319,7 @@ class TestStageVectorizationGuard:
     stage loops legitimately never run).
 
     A reintroduced Python loop over butterfly blocks would turn each
-    stage into O(n / t) modmath calls; these tests pin the counts to the
+    stage into O(n / t) calls; these tests pin the counts to the
     stage-vectorized shape so such a regression fails loudly.
     """
 
@@ -188,32 +346,54 @@ class TestStageVectorizationGuard:
             after = ntt_mod.STAGE_KERNEL_CALLS
         assert after["inverse"] - before["inverse"] == self.LOG_N
 
-    @pytest.mark.parametrize(
-        "q", [GUARD_NARROW_Q, GUARD_WIDE_Q], ids=["narrow", "wide"]
-    )
-    def test_modmath_call_count_is_log_n(self, q, monkeypatch):
-        """Count actual modmath invocations: O(log n), not O(n)."""
-        counts = {"add": 0, "sub": 0}
-        real_add, real_sub = modmath.mod_add, modmath.mod_sub
+    @staticmethod
+    def _profile_events(fn) -> int:
+        """Function calls made by ``repro`` code while ``fn`` runs: its
+        own functions entered, and the C methods/builtins it calls.
+        (Frames of any other file are whatever a garbage collection that
+        lands inside the window happens to run, e.g. hypothesis's
+        ``gc.callbacks`` hook.  A ufunc call raises no profile event;
+        every butterfly reaches its ufuncs through ``modmath`` functions
+        and array methods, which do.)"""
+        package = str(Path(ntt_mod.__file__).parents[1])
+        events = []
 
-        def counting_add(*args, **kwargs):
-            counts["add"] += 1
-            return real_add(*args, **kwargs)
+        def profiler(frame, event, arg):
+            if event in ("call", "c_call") and frame.f_code.co_filename.startswith(
+                package
+            ):
+                events.append(event)
 
-        def counting_sub(*args, **kwargs):
-            counts["sub"] += 1
-            return real_sub(*args, **kwargs)
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return len(events)
 
-        monkeypatch.setattr(ntt_mod.modmath, "mod_add", counting_add)
-        monkeypatch.setattr(ntt_mod.modmath, "mod_sub", counting_sub)
-        ctx = ntt_context(q, self.N)
-        a = _random_residues(q, self.N, seed=5)
-        with backends.use("numpy"):
-            ctx.forward(a)
-        # one add and one sub per stage — a per-block loop would make
-        # this n/2 + n/4 + ... = n - 1 calls instead of log2(n)
-        assert counts["add"] == self.LOG_N
-        assert counts["sub"] == self.LOG_N
+    @pytest.mark.parametrize("bits", [28, 55], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_call_count_is_c_log_n(self, bits, direction):
+        """Function calls per transform are ``c0 + c * log2 n`` with
+        ``c0`` and ``c`` independent of ``n`` and of ``k``: each stage
+        is a fixed handful of numpy calls whatever the matrix holds, and
+        a per-block loop (O(n) calls) cannot hide in any of them."""
+        counts = {}
+        for k in (1, 4):
+            for log_n in (8, 10, 12):
+                n = 1 << log_n
+                moduli = tuple(islice(ntt_friendly_primes_below(1 << bits, n), k))
+                mat = np.zeros((k, n), dtype=np.uint64)
+                transform = getattr(ntt_rows_context(moduli, n), direction)
+                with backends.use("numpy"):
+                    transform(mat)  # build the tables
+                    counts[k, log_n] = self._profile_events(lambda: transform(mat))
+        per_stage = (counts[1, 12] - counts[1, 8]) // 4
+        assert 0 < per_stage <= 40
+        for k in (1, 4):
+            assert counts[k, 10] - counts[k, 8] == 2 * per_stage
+            assert counts[k, 12] - counts[k, 10] == 2 * per_stage
+            assert counts[k, 8] == counts[1, 8]
 
     def test_batched_rows_share_stage_kernels(self):
         moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, self.N), 4))
