@@ -81,7 +81,8 @@ def _fail(message: str) -> None:
 # only ever run in sanitize mode.
 # ----------------------------------------------------------------------
 def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
-    """A ``(k, n)`` residue matrix: right dtype, every row in ``[0, q_i)``.
+    """A ``(k, n)`` residue matrix, or an ``(m, k, n)`` stack of them:
+    right dtype, every row in ``[0, q_i)``.
 
     The dtype follows the widest modulus — uint64 below 2^61, object
     (plain Python ints, never numpy scalars) once any modulus is wider.
@@ -98,19 +99,21 @@ def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
             f"{where}: moduli up to {max(moduli).bit_length()}b need a "
             f"{expected.name} residue matrix, got {mat.dtype}"
         )
-    if mat.shape[0] != len(moduli):
-        _fail(f"{where}: matrix has {mat.shape[0]} rows for {len(moduli)} moduli")
+    if mat.ndim < 2 or mat.shape[-2] != len(moduli):
+        _fail(f"{where}: shape {mat.shape} has no {len(moduli)} rows, one per modulus")
     if expected == object:
-        for row, q in zip(mat, moduli):
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < q:
-                    _fail(f"{where}: residue {v!r} outside [0, {q}) or not an int")
+        for stack in mat.reshape(-1, *mat.shape[-2:]):
+            for row, q in zip(stack, moduli):
+                for v in row:
+                    if not isinstance(v, int) or not 0 <= v < q:
+                        _fail(f"{where}: residue {v!r} outside [0, {q}) or not an int")
         return
     q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-    unreduced = (mat >= q_col).any(axis=1)
+    unreduced = (mat >= q_col).any(axis=-1)
     if bool(unreduced.any()):
-        i = int(unreduced.argmax())
-        _fail(f"{where}: unreduced residue {int(mat[i].max())} >= modulus {moduli[i]}")
+        i = int(np.argwhere(unreduced)[0][-1])
+        worst = int(mat[..., i, :].max())
+        _fail(f"{where}: unreduced residue {worst} >= modulus {moduli[i]}")
 
 
 # ----------------------------------------------------------------------

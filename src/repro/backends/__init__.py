@@ -8,7 +8,8 @@ same four dispatch points:
 
 - ``ntt_forward`` / ``ntt_inverse`` — the batched ``(k, n)`` negacyclic
   NTT stage loops of :class:`repro.nt.ntt.NttRowsContext` (every
-  transform, single-prime ones included);
+  transform, single-prime ones and ``(m, k, n)`` stacks of sibling
+  polynomials included);
 - ``bconv_fold`` — the base-conversion digit fold
   ``out[j] = Σ_i v_i · h_{j,i} mod p_j`` behind
   :func:`repro.rns.convert.base_convert` (and through it ``scale_down``
@@ -95,15 +96,18 @@ class KernelBackend:
 
     # -- kernel signatures ---------------------------------------------
     def ntt_forward(self, ctx, mat: np.ndarray) -> np.ndarray:
-        """Batched coefficient -> NTT transform of a ``(k, n)`` matrix.
+        """Batched coefficient -> NTT transform of a ``(k, n)`` matrix,
+        or of each matrix of an ``(m, k, n)`` stack.
 
         ``ctx`` is the :class:`repro.nt.ntt.NttRowsContext` holding the
-        twiddle tables; ``mat[i]`` is reduced mod ``ctx.moduli[i]``.
+        twiddle tables; row ``i`` of every matrix is reduced mod
+        ``ctx.moduli[i]``.
         """
         raise NotImplementedError
 
     def ntt_inverse(self, ctx, mat: np.ndarray) -> np.ndarray:
-        """Batched NTT -> coefficient transform (includes the n^-1 scale)."""
+        """Batched NTT -> coefficient transform (includes the n^-1 scale);
+        takes the same ``(k, n)`` or ``(m, k, n)`` shapes."""
         raise NotImplementedError
 
     def bconv_fold(
@@ -498,9 +502,11 @@ def _crosscheck(backend: KernelBackend) -> list[str]:
         )
         ctx = ntt_rows_context(moduli, n)
         # All-(q-1) and all-zero rows sit at the two ends of every lazy
-        # range a butterfly may ride between stages.
+        # range a butterfly may ride between stages; the stack is the
+        # (m, k, n) shape sibling polynomials arrive in.
         probes = (
             (label, mat),
+            (f"{label}, stacked", np.stack([mat, other])),
             (f"{label}, q-1", np.repeat(q_col - np.uint64(1), n, axis=1)),
             (f"{label}, zeros", np.zeros_like(mat)),
         )

@@ -294,9 +294,12 @@ class NumbaBackend(KernelBackend):
 
     def ntt_forward(self, ctx, mat: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(mat).copy()
+        psi, psi_shoup = _ntt_tables(ctx, False)
         q_vec = _modulus_constants(ctx.moduli)[0]
         with np.errstate(over="ignore"):
-            _ntt_forward(a, *_ntt_tables(ctx, False), q_vec)
+            # The jitted loop is per matrix; a stack is walked here.
+            for sub in a.reshape(-1, *a.shape[-2:]):
+                _ntt_forward(sub, psi, psi_shoup, q_vec)
         return a
 
     def ntt_inverse(self, ctx, mat: np.ndarray) -> np.ndarray:
@@ -304,10 +307,12 @@ class NumbaBackend(KernelBackend):
         psi_inv, psi_inv_shoup = _ntt_tables(ctx, True)
         q_vec = _modulus_constants(ctx.moduli)[0]
         with np.errstate(over="ignore"):
-            # Slot 0 of the inverse tables is n^-1 (no stage reads it).
-            _ntt_inverse(
-                a, psi_inv, psi_inv_shoup, q_vec, psi_inv[:, 0], psi_inv_shoup[:, 0]
-            )
+            for sub in a.reshape(-1, *a.shape[-2:]):
+                # Slot 0 of the inverse tables is n^-1 (no stage reads it).
+                _ntt_inverse(
+                    sub, psi_inv, psi_inv_shoup, q_vec,
+                    psi_inv[:, 0], psi_inv_shoup[:, 0],
+                )
         return a
 
     def bconv_fold(

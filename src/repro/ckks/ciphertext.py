@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from repro.analysis import sanitize as _sanitize
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,11 @@ class Ciphertext:
 
     def to_ntt(self) -> "Ciphertext":
         """The same ciphertext with both polynomials in NTT form."""
-        return self.with_polys(self.c0.to_ntt(), self.c1.to_ntt())
+        return self.with_polys(*to_domain((self.c0, self.c1), NTT))
 
     def to_coeff(self) -> "Ciphertext":
         """The same ciphertext with both polynomials in coefficient form."""
-        return self.with_polys(self.c0.to_coeff(), self.c1.to_coeff())
+        return self.with_polys(*to_domain((self.c0, self.c1), COEFF))
 
     def __repr__(self) -> str:
         return (

@@ -19,18 +19,19 @@ not before, which is the (I)NTT count :mod:`repro.accel.kernels` charges.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.analysis import sanitize as _san
-from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest, KeySwitchKey
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.obs import core as _obs
-from repro.rns.convert import base_convert, scale_down, scale_up
-from repro.rns.poly import NTT, RnsPolynomial
+from repro.nt.ntt import forward_rows, galois_permutation
+from repro.rns.convert import convert_by_table, scale_down, scale_up
+from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schemes.chain import ModulusChain
@@ -170,15 +171,28 @@ class Evaluator:
         if scale is None:
             scale = self.chain.scale_at(ct.level)
         scale = Fraction(scale)
-        if _is_real_scalar(values):
-            k = self.encoder.encode_scalar(values, scale)
-            c0, c1 = ct.c0.scalar_mul(k), ct.c1.scalar_mul(k)
-        else:
+        if not _is_real_scalar(values):
             coeffs = self.encoder.encode(values, scale)
-            pt_poly = RnsPolynomial.from_int_coeffs(ct.basis, coeffs).to_ntt()
-            c0 = ct.c0.to_ntt().pointwise_mul(pt_poly)
-            c1 = ct.c1.to_ntt().pointwise_mul(pt_poly)
-        out = Ciphertext(c0=c0, c1=c1, level=ct.level, scale=ct.scale * scale)
+            poly = RnsPolynomial.from_int_coeffs(ct.basis, coeffs)
+            return self.mul_encoded(ct, Plaintext(poly, scale, ct.level))
+        k = self.encoder.encode_scalar(values, scale)
+        out = Ciphertext(
+            ct.c0.scalar_mul(k), ct.c1.scalar_mul(k), ct.level, ct.scale * scale
+        )
+        if _san.ACTIVE:
+            _san.observe_op("pmul", out)
+        return out
+
+    def mul_encoded(self, ct: Ciphertext, plain: Plaintext) -> Ciphertext:
+        """:meth:`mul_plain` by a plaintext already encoded over ``ct``'s
+        basis.  Whichever of the three polynomials is not in NTT form
+        goes there in one stacked transform; a caller that keeps
+        ``plain`` in NTT form (:class:`repro.ckks.linalg.PlainMatrix`)
+        pays no encoder FFT and no transform per product."""
+        pt, c0, c1 = to_domain((plain.poly, ct.c0, ct.c1), NTT)
+        out = Ciphertext(
+            c0.pointwise_mul(pt), c1.pointwise_mul(pt), ct.level, ct.scale * plain.scale
+        )
         if _san.ACTIVE:
             _san.observe_op("pmul", out)
         return out
@@ -198,8 +212,7 @@ class Evaluator:
         if _obs.ACTIVE:
             _obs.count("op.multiply")
             _obs.count("op.multiply.elems", a.basis.size * a.basis.n)
-        a0, a1 = a.c0.to_ntt(), a.c1.to_ntt()
-        b0, b1 = b.c0.to_ntt(), b.c1.to_ntt()
+        a0, a1, b0, b1 = to_domain((a.c0, a.c1, b.c0, b.c1), NTT)
         d0 = a0.pointwise_mul(b0)
         d1 = a0.pointwise_mul(b1).add(a1.pointwise_mul(b0))
         d2 = a1.pointwise_mul(b1)
@@ -214,7 +227,7 @@ class Evaluator:
         if _obs.ACTIVE:
             _obs.count("op.square")
             _obs.count("op.square.elems", ct.basis.size * ct.basis.n)
-        c0n, c1n = ct.c0.to_ntt(), ct.c1.to_ntt()
+        c0n, c1n = to_domain((ct.c0, ct.c1), NTT)
         d0 = c0n.pointwise_mul(c0n)
         cross = c0n.pointwise_mul(c1n)
         d1 = cross.add(cross)
@@ -230,29 +243,46 @@ class Evaluator:
     # ------------------------------------------------------------------
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate the encrypted vector left by ``steps`` slots."""
-        slots = self.encoder.slots
-        steps %= slots
-        if steps == 0:
-            return ct
-        g = pow(5, steps, 2 * self.chain.n)
-        return self._apply_galois(ct, g)
+        return self.rotate_hoisted(ct, [steps])[0]
+
+    def rotate_hoisted(self, ct: Ciphertext, steps: Sequence[int]) -> list[Ciphertext]:
+        """``[rotate(ct, s) for s in steps]`` from one digit decomposition:
+        ``c1``'s digits are extended and transformed once, and each
+        rotation permutes them in NTT form.  Bit-identical to separate
+        rotations — the exact centered base conversion commutes with
+        the signed coefficient permutation ``X -> X^g``."""
+        slots, two_n = self.encoder.slots, 2 * self.chain.n
+        return self._apply_galois(ct, [pow(5, s % slots, two_n) for s in steps])
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex-conjugate the encrypted slots."""
-        return self._apply_galois(ct, 2 * self.chain.n - 1)
+        return self._apply_galois(ct, [2 * self.chain.n - 1])[0]
 
-    def _apply_galois(self, ct: Ciphertext, g: int) -> Ciphertext:
-        if _obs.ACTIVE:
-            _obs.count("op.rotate")
-            _obs.count("op.rotate.elems", ct.basis.size * ct.basis.n)
-        c0 = ct.c0.to_coeff().galois(g)
-        c1 = ct.c1.to_coeff().galois(g)
-        k0, k1 = self._keyswitch(c1, self.chest.galois_key(ct.level, g))
-        out = Ciphertext(
-            c0=c0.add(k0), c1=k1, level=ct.level, scale=ct.scale
-        )
-        if _san.ACTIVE:
-            _san.observe_op("hrot", out)
+    def _apply_galois(self, ct: Ciphertext, elements: Sequence[int]) -> list[Ciphertext]:
+        """``ct`` under ``X -> X^g`` for each ``g`` (1 is ``ct`` itself)."""
+        out: list[Ciphertext] = []
+        c0 = c1 = ext = None
+        for g in elements:
+            if g == 1:
+                out.append(ct)
+                continue
+            if _obs.ACTIVE:
+                _obs.count("op.rotate")
+                _obs.count("op.rotate.elems", ct.basis.size * ct.basis.n)
+            ksk = self.chest.galois_key(ct.level, g)
+            if ext is None:
+                # The digit layout is the level's, the same for every g.
+                c0, c1 = to_domain((ct.c0, ct.c1), COEFF)
+                ext = self._extended_digits(c1, ksk)
+            # take, not ext[:, :, perm]: that would come back strided.
+            turned = np.take(ext, galois_permutation(ct.basis.n, g), axis=2)
+            k0, k1 = self._inner_product(turned, ksk)
+            rotated = Ciphertext(
+                c0=c0.galois(g).add(k0), c1=k1, level=ct.level, scale=ct.scale
+            )
+            if _san.ACTIVE:
+                _san.observe_op("hrot", rotated)
+            out.append(rotated)
         return out
 
     # ------------------------------------------------------------------
@@ -295,51 +325,71 @@ class Evaluator:
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Return ``(k0, k1)`` with ``k0 + k1·s ≈ d·target``, in coefficient form.
 
-        ``d`` is over the level's basis ``M``, in either domain.  Each
-        digit is base-extended from its own moduli to the rest of
-        ``M ∪ P`` (the CRB operation — a digit's own rows *are* its
-        residues there), folded with the key rows in NTT space, and the
-        sum is scaled down by ``P`` (paper Sec. 4.3 maps these to the
-        CRB FU).  When ``d`` arrives in NTT form its rows are spliced in
-        as they are, so only the rows base conversion produced get a
-        forward transform.
+        ``d`` is over the level's basis ``M``, in either domain: its
+        digits are base-extended to ``M ∪ P`` and transformed, then
+        folded with the key rows and scaled down by ``P`` (paper
+        Sec. 4.3 maps both halves to the CRB FU).
+        """
+        return self._inner_product(self._extended_digits(d, ksk), ksk, fold)
+
+    @staticmethod
+    def _extended_digits(d: RnsPolynomial, ksk: KeySwitchKey) -> np.ndarray:
+        """The ``(D, |M ∪ P|, n)`` NTT-form stack of ``d``'s digits.
+
+        Digit ``j``'s own rows *are* ``d``'s residues; the rest come
+        from base conversion (the CRB operation).  One forward call
+        either way: the whole stack for a coefficient-form ``d``; for an
+        NTT-form one, whose own rows are spliced in as they are, only
+        the converted rows, over their moduli concatenated.
+        """
+        full = ksk.full
+        d_coeff = d.to_coeff()
+        ext = np.empty((ksk.digits, full.size, full.n), dtype=full.dtype)
+        converted = []
+        for j, (own, table) in enumerate(zip(ksk.own, ksk.tables)):
+            ext[j, own] = d.mat[own]  # M is a prefix of M ∪ P: same row indices
+            digit = d_coeff.mat[own].astype(table.src.dtype, copy=False)
+            converted.append(
+                convert_by_table(RnsPolynomial(table.src, digit, COEFF), table).mat
+            )
+        converted = np.concatenate(converted)
+        if d.domain == NTT:
+            converted = forward_rows(converted, ksk.converted_moduli)
+        ext.reshape(-1, full.n)[ksk.converted_rows] = converted
+        return ext if d.domain == NTT else forward_rows(ext, full.moduli)
+
+    @staticmethod
+    def _inner_product(
+        ext: np.ndarray,
+        ksk: KeySwitchKey,
+        fold: tuple[RnsPolynomial, RnsPolynomial] | None = None,
+    ) -> tuple[RnsPolynomial, RnsPolynomial]:
+        """``Σ_j ext[j] ⊙ rows[j]`` scaled down by ``P``: one keyswitch.
 
         ``fold = (f0, f1)``, NTT-form polynomials over ``M``, are added
         to the outputs: they enter the accumulators lifted by ``P``
         (``scale_up``: times ``P`` on ``M``, zero on ``P``), and
         ``round((acc + P·f) / P) = round(acc / P) + f`` exactly, so the
-        caller's ``f + k`` costs no inverse transform of ``f``.
+        caller's ``f + k`` costs no inverse transform of ``f``.  The two
+        accumulators share their one inverse transform.
         """
+        specials, full = ksk.special_moduli, ksk.full
         if _obs.ACTIVE:
             _obs.count("op.keyswitch")
-            _obs.count("op.keyswitch.elems", d.basis.size * d.basis.n)
-        specials = ksk.special_moduli
-        full = ksk.rows[0][0].basis
-        d_coeff = d.to_coeff()
+            _obs.count("op.keyswitch.elems", (full.size - len(specials)) * full.n)
         acc0, acc1 = (scale_up(f, specials) for f in fold) if fold else (None, None)
-        for group, (b_row, a_row) in zip(ksk.digit_groups, ksk.rows):
-            own = [full.index_of(q) for q in group]
-            rest = [i for i in range(full.size) if i not in own]
-            converted = base_convert(
-                d_coeff.restricted(group), [full.moduli[i] for i in rest]
-            )
-            if d.domain == NTT:
-                converted = converted.to_ntt()
-            mat = np.empty((full.size, full.n), dtype=full.dtype)
-            mat[own] = d.mat[own]  # M is a prefix of M ∪ P: same row indices
-            mat[rest] = converted.mat
-            ext = RnsPolynomial(full, mat, d.domain).to_ntt()
+        for digit, (b_row, a_row) in zip(ext, ksk.rows):
+            digit = RnsPolynomial(full, digit, NTT)
             if acc0 is None:
-                acc0 = ext.pointwise_mul(b_row)
-                acc1 = ext.pointwise_mul(a_row)
+                acc0 = digit.pointwise_mul(b_row)
+                acc1 = digit.pointwise_mul(a_row)
             else:
                 # Fused multiply-accumulate: one backend dispatch per
                 # digit instead of a product plus an add pass.
-                acc0 = acc0.pointwise_mul_acc(ext, b_row)
-                acc1 = acc1.pointwise_mul_acc(ext, a_row)
-        k0 = scale_down(acc0.to_coeff(), specials)
-        k1 = scale_down(acc1.to_coeff(), specials)
-        return k0, k1
+                acc0 = acc0.pointwise_mul_acc(digit, b_row)
+                acc1 = acc1.pointwise_mul_acc(digit, a_row)
+        acc0, acc1 = to_domain((acc0, acc1), COEFF)
+        return scale_down(acc0, specials), scale_down(acc1, specials)
 
 
 def _is_real_scalar(values) -> bool:

@@ -19,9 +19,14 @@ conditioned) yields complex matrices ``P1, Q1, P2, Q2`` with
 
     m1/S = P1·z + Q1·conj(z),     m2/S = P2·z + Q2·conj(z)
 
-CoeffToSlot is therefore two complex matvecs plus a conjugation, and
-SlotToCoeff is the forward product ``z = V1·(m1/S) + V2·(m2/S)``.  This
-module computes those matrices exactly from the encoder's evaluation
+CoeffToSlot is therefore a 2 x 2 block product on ``[z; conj(z)]`` plus a
+conjugation, and SlotToCoeff is the 1 x 2 block product
+``z = V1·(m1/S) + V2·(m2/S)`` — each one call of
+:func:`repro.ckks.linalg.bsgs_sums`, which rotates every input's baby
+steps once (hoisted) and every output's giant steps once (at n = 128,
+28 and 21 rotations instead of 56 and 28), against diagonals the
+matrices keep encoded from one bootstrap to the next.  This module
+computes those matrices exactly from the encoder's evaluation
 points and applies them with real homomorphic operations — together with
 :mod:`repro.ckks.evalmod` it makes every computational stage of
 bootstrapping genuinely homomorphic in this library (DESIGN.md documents
@@ -37,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
-from repro.ckks.linalg import PlainMatrix
+from repro.ckks.linalg import PlainMatrix, bsgs_sums
 from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,15 +71,17 @@ def decode_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HomDftMatrices:
-    """Precomputed CtS/StC matrices for one ring degree."""
+    """CtS/StC matrices for one ring degree, ready to apply: each is a
+    :class:`~repro.ckks.linalg.PlainMatrix` (``.matrix`` is the array)
+    that keeps its encoded diagonals from one bootstrap to the next."""
 
     n: int
-    p1: np.ndarray
-    q1: np.ndarray
-    p2: np.ndarray
-    q2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+    p1: PlainMatrix
+    q1: PlainMatrix
+    p2: PlainMatrix
+    q2: PlainMatrix
+    v1: PlainMatrix
+    v2: PlainMatrix
 
 
 @lru_cache(maxsize=16)
@@ -86,28 +93,16 @@ def homdft_matrices(n: int) -> HomDftMatrices:
     block = np.block([[v1, v2], [np.conj(v1), np.conj(v2)]])
     inv = np.linalg.inv(block)
     return HomDftMatrices(
-        n=n,
-        p1=inv[:slots, :slots],
-        q1=inv[:slots, slots:],
-        p2=inv[slots:, :slots],
-        q2=inv[slots:, slots:],
-        v1=v1,
-        v2=v2,
+        n,
+        *(
+            PlainMatrix(m, slots)
+            for m in (
+                inv[:slots, :slots], inv[:slots, slots:],
+                inv[slots:, :slots], inv[slots:, slots:],
+                v1, v2,
+            )
+        ),
     )
-
-
-def _complex_matvec_pair(
-    ev: "Evaluator",
-    a: np.ndarray,
-    b: np.ndarray,
-    ct: Ciphertext,
-    ct_conj: Ciphertext,
-) -> Ciphertext:
-    """Homomorphically compute ``A·z + B·conj(z)`` (one rescale total)."""
-    slots = ev.encoder.slots
-    first = PlainMatrix(a, slots).apply_bsgs(ev, ct)
-    second = PlainMatrix(b, slots).apply_bsgs(ev, ct_conj)
-    return ev.add(first, second)
 
 
 def coeff_to_slot(
@@ -119,12 +114,13 @@ def coeff_to_slot(
     for bootstrapping's mod-raised input), returns two ciphertexts whose
     slots hold the first and second halves of the coefficient vector,
     each divided by the input scale.  Costs one multiplicative level and
-    one conjugation.
+    one conjugation; the 2 x 2 block product shares the baby steps of
+    ``z`` and of ``conj(z)`` between both outputs.
     """
     mats = homdft_matrices(ev.chain.n)
-    ct_conj = ev.conjugate(ct)
-    first = _complex_matvec_pair(ev, mats.p1, mats.q1, ct, ct_conj)
-    second = _complex_matvec_pair(ev, mats.p2, mats.q2, ct, ct_conj)
+    first, second = bsgs_sums(
+        ev, [[mats.p1, mats.q1], [mats.p2, mats.q2]], [ct, ev.conjugate(ct)]
+    )
     return first, second
 
 
@@ -142,7 +138,4 @@ def slot_to_coeff(
             f"slot_to_coeff operands at levels {first.level} != {second.level}"
         )
     mats = homdft_matrices(ev.chain.n)
-    slots = ev.encoder.slots
-    lhs = PlainMatrix(mats.v1, slots).apply_bsgs(ev, first)
-    rhs = PlainMatrix(mats.v2, slots).apply_bsgs(ev, second)
-    return ev.add(lhs, rhs)
+    return bsgs_sums(ev, [[mats.v1, mats.v2]], [first, second])[0]

@@ -12,13 +12,14 @@ precisely so that hint storage does not explode (Sec. 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.rns.basis import RnsBasis
+from repro.rns.basis import ConversionTable, RnsBasis, conversion_table
 from repro.rns.poly import NTT, RnsPolynomial
 from repro.rns.sampling import (
     DEFAULT_SIGMA,
@@ -84,23 +85,43 @@ class PublicKey:
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeySwitchKey:
     """Hybrid keyswitch key for one level.
 
     ``rows[j] = (b_j, a_j)`` over the extended basis ``M ∪ P`` where
     ``b_j = -a_j·s + e_j + P·T_j·target`` and ``T_j`` is the CRT indicator
     of digit ``j``'s moduli within ``Q = Π M``.
+
+    The key also carries what extending digit ``j`` to ``M ∪ P`` reads,
+    fixed at keygen so a keyswitch builds none of it: ``own[j]``, the
+    rows of ``M ∪ P`` that are the digit's moduli (contiguous, ``M`` is
+    a prefix); ``tables[j]``, its conversion to all the other rows; and
+    ``converted_rows``, where those land in the ``(D · |M ∪ P|, n)``
+    stack of all extended digits, digit by digit.
     """
 
     level: int
     digit_groups: tuple[tuple[int, ...], ...]
     special_moduli: tuple[int, ...]
     rows: tuple[tuple[RnsPolynomial, RnsPolynomial], ...]
+    own: tuple[slice, ...]
+    tables: tuple[ConversionTable, ...]
+    converted_rows: np.ndarray
 
     @property
     def digits(self) -> int:
         return len(self.digit_groups)
+
+    @property
+    def full(self) -> RnsBasis:
+        """The extended basis ``M ∪ P`` the key rows live over."""
+        return self.rows[0][0].basis
+
+    @cached_property
+    def converted_moduli(self) -> tuple[int, ...]:
+        """The moduli of ``converted_rows``, in that order."""
+        return tuple(q for table in self.tables for q in table.dst.moduli)
 
 
 def split_into_digits(
@@ -188,8 +209,17 @@ class KeyChest:
         groups = split_into_digits(moduli, chain.ks_digits)
         big_q = prod(moduli)
         p_prod = prod(specials)
-        rows = []
-        for group in groups:
+        rows, own, tables, converted_rows = [], [], [], []
+        for j, group in enumerate(groups):
+            start = own[-1].stop if own else 0
+            own.append(slice(start, start + len(group)))
+            rest = np.delete(np.arange(full.size), own[-1])
+            tables.append(
+                conversion_table(
+                    RnsBasis(chain.n, group), tuple(full.moduli[i] for i in rest)
+                )
+            )
+            converted_rows.append(j * full.size + rest)
             q_j = prod(group)
             q_hat = big_q // q_j
             # CRT indicator of this digit: ≡ 1 mod group, ≡ 0 elsewhere in Q.
@@ -206,4 +236,7 @@ class KeyChest:
             digit_groups=groups,
             special_moduli=specials,
             rows=tuple(rows),
+            own=tuple(own),
+            tables=tuple(tables),
+            converted_rows=np.concatenate(converted_rows),
         )

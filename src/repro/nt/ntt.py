@@ -40,6 +40,11 @@ is copied to a ``(_TAIL, n / _TAIL)`` layout — the six-step shape the
 accelerator's NTT FU uses — where those stages' inner loops are
 ``n / _TAIL`` long and the twiddle varies along the contiguous axis.
 
+**Siblings transform together.**  Either direction also takes an
+``(m, k, n)`` stack — ``m`` polynomials over the same ``k`` primes — and
+runs it as one pass: the stage constants broadcast over the leading
+axis, so the per-stage Python cost is paid once for all ``m``.
+
 Contexts are cached per moduli tuple and assembled from per-prime tables
 cached per ``(q, n)`` — each direction's per-stage constants on that
 direction's first transform, so a context that only runs forward holds
@@ -70,9 +75,10 @@ from repro.obs import core as _obs
 STAGE_KERNEL_CALLS = {"forward": 0, "inverse": 0}
 
 
-def _bit_reverse_permutation(n: int) -> list[int]:
+@lru_cache(maxsize=64)
+def _bit_reverse_permutation(n: int) -> tuple[int, ...]:
     bits = n.bit_length() - 1
-    return [int(format(i, f"0{bits}b")[::-1], 2) for i in range(n)]
+    return tuple(int(format(i, f"0{bits}b")[::-1], 2) for i in range(n))
 
 
 def _find_primitive_2n_root(q: int, n: int) -> int:
@@ -138,6 +144,11 @@ def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 #: Block size from which the stages run transposed (see ``_tail_view``).
 _TAIL = 16
 
+#: Working-matrix bytes up to which siblings run as one stack: while a
+#: stage's matrix and temporaries fit the core's private cache a wider
+#: stack saves per-stage Python cost; past it, parts run faster.
+_STACK_BYTES = 3 << 17
+
 
 class NttRowsContext:
     """Negacyclic NTT over a stack of primes, one residue row per prime.
@@ -151,7 +162,7 @@ class NttRowsContext:
     in uint64 at β = 2^64 — exact for narrower rows too — and one
     modulus ≥ 2^61 makes everything object-dtype.  A single prime is
     the ``k = 1`` case (:func:`ntt_context`), which also takes and
-    returns 1-D rows.
+    returns 1-D rows; an ``(m, k, n)`` stack is ``m`` such matrices.
 
     Parameters
     ----------
@@ -201,10 +212,10 @@ class NttRowsContext:
         """One direction's stages, fewest blocks first: ``(shape, w, w')``.
 
         ``shape`` is the ``(k, blocks, 2, rows, cols)`` view a stage's
-        butterflies take of the working matrix — ``[:, :, 0]`` the upper
-        halves, ``[:, :, 1]`` the lower; ``w`` its constants and ``w'``
-        their Shoup companions at this stack's β (``None`` on object
-        rows), stored once, in the stack's word and in the order the
+        butterflies take of each working matrix — ``[..., 0, :, :]`` the
+        upper halves, ``[..., 1, :, :]`` the lower; ``w`` its constants,
+        ``w'`` their Shoup companions at this stack's β (``None`` on
+        object rows), stored once, in the stack's word and in the order the
         view walks them, shaped to broadcast against a half.  A stage
         with half-length ``t > _TAIL / 2`` sees natural order as
         ``(blocks, 2, 1, t)`` with one constant per block; a shorter
@@ -259,9 +270,10 @@ class NttRowsContext:
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
-        if mat.ndim != 2 or mat.shape != (len(self.moduli), self.n):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (len(self.moduli), self.n):
             raise ParameterError(
-                f"expected a ({len(self.moduli)}, {self.n}) residue matrix, "
+                f"expected a ({len(self.moduli)}, {self.n}) residue matrix "
+                f"or an (m, {len(self.moduli)}, {self.n}) stack of them, "
                 f"got shape {mat.shape}"
             )
         if mat.dtype != self._dtype:
@@ -271,15 +283,33 @@ class NttRowsContext:
             )
 
     def _tail_view(self, a: np.ndarray) -> np.ndarray:
-        """A natural-order ``(k, n)`` matrix seen as ``(k, 1, _TAIL, n / _TAIL)``:
-        entry ``[r, 0, j, c]`` is coefficient ``c * _TAIL + j``.
+        """A natural-order ``(m, k, ..., n)`` stack seen as
+        ``(m, k, 1, _TAIL, n / _TAIL)``: entry ``[s, r, 0, j, c]`` is
+        coefficient ``c * _TAIL + j`` of row ``r`` of polynomial ``s``.
 
         The stages whose blocks fit ``_TAIL`` run on a contiguous copy
         of this view, so their numpy inner loops are ``n / _TAIL`` long
         instead of ``t ≤ 8`` and the twiddle varies along the contiguous
         axis — the six-step shape the accelerator's NTT FU uses.
         """
-        return a.reshape(len(self.moduli), 1, -1, self._tail).swapaxes(2, 3)
+        k, cols = len(self.moduli), self.n // self._tail
+        return a.reshape(-1, k, 1, cols, self._tail).swapaxes(3, 4)
+
+    def parts(self, m: int) -> int:
+        """How many passes a stack of ``m`` matrices runs in: one, unless
+        it is too big for the cache (``_STACK_BYTES``)."""
+        one = len(self.moduli) * self.n * np.dtype(self._word).itemsize
+        return -(-m // max(1, _STACK_BYTES // one))
+
+    def _by_parts(self, kernel, mat: np.ndarray) -> np.ndarray:
+        """``kernel(self, mat)`` for an ``(m, k, n)`` stack, split evenly
+        when it has to run in more than one part."""
+        parts = self.parts(len(mat))
+        if parts == 1:
+            return kernel(self, mat)
+        return np.concatenate(
+            [kernel(self, part) for part in np.array_split(mat, parts)]
+        )
 
     def _twiddle_mul(self, x: np.ndarray, w, w_shoup, out=None) -> np.ndarray:
         """``x`` times a stage's constants, lazily: congruent mod ``q``
@@ -292,7 +322,7 @@ class NttRowsContext:
         return modmath.mod_mul_shoup_lazy(x, w, w_shoup, self._q, out)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
-        """Coefficient -> NTT transform of a ``(k, n)`` matrix.
+        """Coefficient -> NTT transform of a ``(k, n)`` matrix or stack.
 
         Dispatches through the kernel-backend registry; the numpy
         reference backend lands back on :meth:`_forward_stages`.
@@ -300,6 +330,8 @@ class NttRowsContext:
         if mat.ndim == 1:
             return self.forward(mat[None])[0]
         self._check(mat)
+        if mat.ndim == 3:
+            return self._by_parts(_backends.ntt_forward, mat)
         return _backends.ntt_forward(self, mat)
 
     def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
@@ -312,17 +344,18 @@ class NttRowsContext:
         full reduction runs on the transposed layout, just before the
         copy back to natural order.
         """
-        # 4-D from the start, so that n = 1 (no stage, never transposed)
-        # leaves through the same reduction and copy as everything else.
-        a = mat.astype(self._word)[:, None, None]
+        # 5-D from the start (a lone matrix is a stack of one), so that
+        # n = 1 (no stage, never transposed) leaves through the same
+        # reduction and copy as everything else.
+        a = mat.astype(self._word).reshape(-1, len(self.moduli), 1, 1, self.n)
         t = self.n
         for shape, w, w_shoup in self._forward_plan:
             t //= 2
             STAGE_KERNEL_CALLS["forward"] += 1
             if 2 * t == self._tail:
                 a = self._tail_view(a).copy()
-            blk = a.reshape(shape)
-            u, v = blk[:, :, 0], blk[:, :, 1]
+            blk = a.reshape(-1, *shape)
+            u, v = blk[:, :, :, 0], blk[:, :, :, 1]
             x = modmath.lazy_fold(u, self._two_q)
             y = self._twiddle_mul(v, w, w_shoup)
             np.add(x, y, out=u)
@@ -330,10 +363,10 @@ class NttRowsContext:
             np.add(y, self._two_q, out=v)
         modmath.lazy_fold(a, self._two_q, out=a)
         modmath.lazy_fold(a, self._q, out=a)
-        return a.swapaxes(2, 3).astype(self._dtype, order="C").reshape(mat.shape)
+        return a.swapaxes(3, 4).astype(self._dtype, order="C").reshape(mat.shape)
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
-        """NTT -> coefficient transform of a ``(k, n)`` matrix.
+        """NTT -> coefficient transform of a ``(k, n)`` matrix or stack.
 
         Dispatches through the kernel-backend registry; the numpy
         reference backend lands back on :meth:`_inverse_stages`.
@@ -341,6 +374,8 @@ class NttRowsContext:
         if mat.ndim == 1:
             return self.inverse(mat[None])[0]
         self._check(mat)
+        if mat.ndim == 3:
+            return self._by_parts(_backends.ntt_inverse, mat)
         return _backends.ntt_inverse(self, mat)
 
     def _inverse_stages(self, mat: np.ndarray) -> np.ndarray:
@@ -357,16 +392,16 @@ class NttRowsContext:
         t = 1
         for shape, w, w_shoup in reversed(stages):
             STAGE_KERNEL_CALLS["inverse"] += 1
-            blk = a.reshape(shape)
-            u, v = blk[:, :, 0], blk[:, :, 1]
+            blk = a.reshape(-1, *shape)
+            u, v = blk[:, :, :, 0], blk[:, :, :, 1]
             d = u - v
             d += self._two_q
             modmath.lazy_fold(u + v, self._two_q, out=u)
             self._twiddle_mul(d, w, w_shoup, out=v)
             if 2 * t == self._tail:
-                a = a.swapaxes(2, 3).copy()
+                a = a.swapaxes(3, 4).copy()
             t *= 2
-        a = self._twiddle_mul(a.reshape(whole), n_inv, n_inv_shoup)
+        a = self._twiddle_mul(a.reshape(-1, *whole), n_inv, n_inv_shoup)
         modmath.lazy_fold(a, self._q, out=a)
         return a.astype(self._dtype, copy=False).reshape(mat.shape)
 
@@ -381,6 +416,21 @@ class NttRowsContext:
 
 
 @lru_cache(maxsize=1024)
+def galois_permutation(n: int, g: int) -> np.ndarray:
+    """``X -> X^g`` (``g`` odd) as a gather on forward-transform output:
+    ``ntt(a(X^g)) == ntt(a)[..., galois_permutation(n, g)]``.
+
+    Slot ``i`` holds the value at ``ψ^(2·rev(i) + 1)`` whatever the
+    prime, where ``a(X^g)`` takes the value ``a`` takes at
+    ``ψ^(g·(2·rev(i) + 1))`` — another slot of the same row, no sign.
+    """
+    rev = np.array(_bit_reverse_permutation(n), dtype=np.int64)
+    # Exponents and g are below 2n, so the int64 product is below 4n^2.
+    turned = (2 * rev + 1) * (g % (2 * n)) % (2 * n)  # fhelint: ok[overflow-hazard]
+    return rev[(turned - 1) // 2]
+
+
+@lru_cache(maxsize=1024)
 def ntt_rows_context(moduli: tuple[int, ...], n: int) -> NttRowsContext:
     """Cached :class:`NttRowsContext` for ``(moduli, n)``."""
     return NttRowsContext(moduli, n)
@@ -392,7 +442,8 @@ def ntt_context(q: int, n: int) -> NttRowsContext:
 
 
 def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """Forward NTT of every row of a ``(k, n)`` residue matrix at once."""
+    """Forward NTT of every row of a ``(k, n)`` residue matrix — or of an
+    ``(m, k, n)`` stack of matrices over the same moduli — at once."""
     if _sanitize.ACTIVE:
         _sanitize.check_residue_matrix(mat, moduli, "forward_rows")
     if _obs.ACTIVE:
@@ -409,7 +460,8 @@ def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
 
 
 def inverse_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
-    """Inverse NTT of every row of a ``(k, n)`` residue matrix at once."""
+    """Inverse NTT of every row of a ``(k, n)`` residue matrix — or of an
+    ``(m, k, n)`` stack of matrices over the same moduli — at once."""
     if _sanitize.ACTIVE:
         _sanitize.check_residue_matrix(mat, moduli, "inverse_rows")
     if _obs.ACTIVE:

@@ -74,14 +74,17 @@ def base_convert(
     float64's 2^-53 relative error only matters for coefficients the
     noise bound already excludes.
     """
-    return _convert(poly, conversion_table(poly.basis, tuple(dst_moduli)), exact)
+    return convert_by_table(
+        poly, conversion_table(poly.basis, tuple(dst_moduli)), exact
+    )
 
 
-def _convert(
+def convert_by_table(
     poly: RnsPolynomial, table: ConversionTable, exact: bool = True
 ) -> RnsPolynomial:
     """:func:`base_convert` against a ready table (``table.src`` is
-    ``poly``'s basis)."""
+    ``poly``'s basis) — for a caller that holds the table of a
+    conversion it repeats, as a keyswitch key does per digit."""
     if poly.domain != COEFF:
         raise ParameterError("base_convert requires coefficient domain")
     src, dst = table.src, table.dst
@@ -158,7 +161,7 @@ def scale_down(
     # of that conversion also carries P^{-1} mod each kept modulus.
     x_mod_p = poly.restricted(shed)
     table = conversion_table(x_mod_p.basis, keep)
-    lifted = _convert(x_mod_p, table)
+    lifted = convert_by_table(x_mod_p, table)
     return poly.restricted(keep).sub(lifted).rowwise_scalar_mul(table.inv_product)
 
 

@@ -237,24 +237,23 @@ class RnsPolynomial:
     def galois(self, g: int) -> "RnsPolynomial":
         """Apply the automorphism ``X -> X^g`` (``g`` odd, mod ``2n``).
 
-        Must be applied in coefficient form; the NTT-domain equivalent is
-        the accelerator's automorphism FU (a lane permutation), which the
-        performance model accounts separately.
+        In coefficient form a signed permutation of the coefficients; in
+        NTT form a plain permutation of the slots
+        (:func:`repro.nt.ntt.galois_permutation`) — the accelerator's
+        automorphism FU, which the performance model accounts separately.
         """
-        if self.domain != COEFF:
-            raise ParameterError("galois requires coefficient domain")
         n = self.basis.n
-        two_n = 2 * n
-        g %= two_n
+        g %= 2 * n
         if g % 2 == 0:
             raise ParameterError(f"Galois element must be odd, got {g}")
-        # target index and sign for each source coefficient
-        t = np.arange(n, dtype=np.int64) * g % two_n
-        idx = t % n
-        flip = t >= n
         mat = self.mat
+        if self.domain == NTT:
+            # take, not mat[:, perm]: that would come back column-major.
+            return self._like(np.take(mat, ntt_kernels.galois_permutation(n, g), axis=1))
+        # target index and sign for each source coefficient
+        t = np.arange(n, dtype=np.int64) * g % (2 * n)
         out = np.empty_like(mat)
-        out[:, idx] = np.where(flip, modmath.mod_neg(mat, self.basis.q_col), mat)
+        out[:, t % n] = np.where(t >= n, modmath.mod_neg(mat, self.basis.q_col), mat)
         return self._like(out)
 
     # ------------------------------------------------------------------
@@ -294,6 +293,32 @@ class RnsPolynomial:
             f"RnsPolynomial(n={self.basis.n}, R={self.basis.size}, "
             f"domain={self.domain!r})"
         )
+
+
+def to_domain(polys: Sequence[RnsPolynomial], domain: str) -> list[RnsPolynomial]:
+    """``polys`` in ``domain``, siblings transformed together.
+
+    Those already there pass through; the rest go through the transform
+    as ``(m, k, n)`` stacks per basis, as many to a stack as it runs in
+    one pass (:meth:`~repro.nt.ntt.NttRowsContext.parts`) — one stage
+    loop for all of them, which on a small ring is most of what a
+    transform costs.
+    """
+    kernel = ntt_kernels.forward_rows if domain == NTT else ntt_kernels.inverse_rows
+    out = list(polys)
+    movers: dict[RnsBasis, list[int]] = {}
+    for i, poly in enumerate(out):
+        if poly.domain != domain:
+            movers.setdefault(poly.basis, []).append(i)
+    for basis, where in movers.items():
+        parts = ntt_kernels.ntt_rows_context(basis.moduli, basis.n).parts(len(where))
+        width = -(-len(where) // parts)
+        for part in (where[lo : lo + width] for lo in range(0, len(where), width)):
+            mats = [out[i].mat for i in part]
+            stack = np.stack(mats) if len(mats) > 1 else mats[0][None]
+            for i, mat in zip(part, kernel(stack, basis.moduli)):
+                out[i] = RnsPolynomial(basis, mat, domain)
+    return out
 
 
 def _int64_row(coeffs: Sequence[int]) -> np.ndarray | None:

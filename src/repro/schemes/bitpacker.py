@@ -20,6 +20,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.errors import LevelExhaustedError, ParameterError, PlanningError
 from repro.nt.primes import terminal_prime_candidates
 from repro.rns.convert import drop_moduli, scale_down, scale_up
+from repro.rns.poly import COEFF, to_domain
 from repro.schemes.chain import (
     LevelSpec,
     ModulusChain,
@@ -77,7 +78,7 @@ class BitPackerChain(ModulusChain):
         dst = self.moduli_at(ct.level - 1)
         added = tuple(q for q in dst if q not in cur)
         shed = tuple(q for q in cur if q not in dst)
-        c0, c1 = ct.c0.to_coeff(), ct.c1.to_coeff()
+        c0, c1 = to_domain((ct.c0, ct.c1), COEFF)
         if added:
             c0 = scale_up(c0, added)
             c1 = scale_up(c1, added)
@@ -127,8 +128,7 @@ class BitPackerChain(ModulusChain):
                 f"adjust constant rounded to zero moving level {ct.level} -> "
                 f"{dst_level}; scale {float(ct.scale):.3g} incompatible"
             )
-        c0 = c0.to_coeff().scalar_mul(k)
-        c1 = c1.to_coeff().scalar_mul(k)
+        c0, c1 = (c.scalar_mul(k) for c in to_domain((c0, c1), COEFF))
         if added:
             c0 = scale_up(c0, added)
             c1 = scale_up(c1, added)

@@ -24,6 +24,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.errors import LevelExhaustedError, ParameterError, PlanningError
 from repro.nt.primes import terminal_prime_candidates
 from repro.rns.convert import drop_moduli, scale_down
+from repro.rns.poly import COEFF, to_domain
 from repro.schemes.chain import (
     LevelSpec,
     ModulusChain,
@@ -69,8 +70,7 @@ class RnsCkksChain(ModulusChain):
         if ct.level == 0:
             raise LevelExhaustedError("cannot rescale below level 0")
         shed = self.groups[ct.level]
-        c0 = scale_down(ct.c0.to_coeff(), shed)
-        c1 = scale_down(ct.c1.to_coeff(), shed)
+        c0, c1 = (scale_down(c, shed) for c in to_domain((ct.c0, ct.c1), COEFF))
         scale = canonicalize_scale(
             ct.scale / prod(shed), self.scale_at(ct.level - 1)
         )
@@ -105,8 +105,9 @@ class RnsCkksChain(ModulusChain):
                 "adjust constant rounded to zero; ciphertext scale "
                 f"{float(ct.scale):.3g} too large for level {dst_level}"
             )
-        c0 = scale_down(c0.to_coeff().scalar_mul(k), shed)
-        c1 = scale_down(c1.to_coeff().scalar_mul(k), shed)
+        c0, c1 = (
+            scale_down(c.scalar_mul(k), shed) for c in to_domain((c0, c1), COEFF)
+        )
         scale = canonicalize_scale(
             ct.scale * k / prod(shed), self.scale_at(dst_level)
         )

@@ -232,11 +232,17 @@ def greedy_prime_product(
                 return None
         return None
 
-    for count in range(1, max_count + 1):
-        result = recurse(target_bits, count, (), [0])
-        if result is not None:
-            return tuple(sorted(result, reverse=True))
-    return None
+    try:
+        for count in range(1, max_count + 1):
+            result = recurse(target_bits, count, (), [0])
+            if result is not None:
+                return tuple(sorted(result, reverse=True))
+        return None
+    finally:
+        # ``recurse`` reaches itself through its closure: a cycle that
+        # would keep ``pool`` and ``bits`` (megabytes per call on a small
+        # ring) alive until whenever the collector next runs.
+        del recurse
 
 
 def choose_special_moduli(

@@ -105,6 +105,20 @@ class TestHookSites:
         with pytest.raises(InvariantViolation, match="unreduced"):
             forward_rows(mat, (MODULI[0],))
 
+    def test_stacked_matrices_are_checked_member_by_member(self, sanitizer):
+        """An ``(m, k, n)`` stack of siblings is held to the same rule as
+        one matrix: the unreduced residue is found wherever it sits."""
+        sanitizer.enable()
+        stack = np.zeros((3, len(MODULI), N), dtype=np.uint64)
+        forward_rows(stack, MODULI)
+        assert sanitizer.STATS["checks"] >= 2  # input and output
+        assert sanitizer.STATS["violations"] == 0
+        stack[2, 1, 5] = MODULI[1]
+        with pytest.raises(InvariantViolation, match=f"modulus {MODULI[1]}"):
+            forward_rows(stack, MODULI)
+        with pytest.raises(InvariantViolation, match="one per modulus"):
+            sanitizer.check_residue_matrix(stack[:, :1], MODULI, "fixture")
+
     @pytest.mark.parametrize(
         "transform,label",
         [(forward_rows, "forward_rows output"), (inverse_rows, "inverse_rows output")],

@@ -259,7 +259,7 @@ class TestFallback:
         assert errors == [
             f"ntt_forward[{probe}{fill}]: output differs from numpy"
             for probe in ("narrow>2^30", "narrow 28+30.5")
-            for fill in ("", ", q-1", ", zeros")
+            for fill in ("", ", stacked", ", q-1", ", zeros")
         ]
 
     def test_auto_skips_broken_backend(self, registry):
@@ -341,6 +341,20 @@ class TestNumbaBitExact:
         assert np.array_equal(got_f, want_f)
         got_i = numba_backend.ntt_inverse(ctx, got_f)
         assert np.array_equal(got_i, mat)
+
+    def test_ntt_stack_equals_separate_matrices(
+        self, width, n, numba_backend, numpy_backend
+    ):
+        """The ``(m, k, n)`` half of the contract: a stack of siblings
+        comes back as the separate transforms of its matrices."""
+        moduli = self._basis(width, n)
+        ctx = ntt_rows_context(moduli, n)
+        stack = np.stack([self._mats(moduli, n, seed=n + i) for i in range(3)])
+        for kernel in ("ntt_forward", "ntt_inverse"):
+            got = getattr(numba_backend, kernel)(ctx, stack)
+            assert got.shape == stack.shape
+            for sub, mat in zip(got, stack):
+                assert np.array_equal(sub, getattr(numpy_backend, kernel)(ctx, mat))
 
     def test_pointwise_kernels(
         self, width, n, numba_backend, numpy_backend

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import sanitize
 from repro.ckks import CkksContext
-from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.linalg import PlainMatrix
 from repro.obs import core as obs
 from repro.rns.poly import COEFF, NTT
@@ -47,11 +47,13 @@ class EagerEvaluator:
     through the encoder as a full slot vector; ``multiply``/``square``
     keyswitch a coefficient-form ``d2`` (so every digit row takes the
     forward transform) and add ``d0``/``d1`` after their own inverse
-    transforms instead of folding them into the mod-down.
+    transforms instead of folding them into the mod-down; rotations
+    permute first and decompose second, one at a time (nothing hoisted).
     """
 
     def __init__(self, ctx: CkksContext):
         self.ev = ctx.evaluator
+        self.chain, self.encoder = self.ev.chain, self.ev.encoder
         self.slots = ctx.slots
 
     def _vector(self, values):
@@ -92,11 +94,26 @@ class EagerEvaluator:
     def square(self, ct):
         return self.multiply(ct, ct)
 
+    def mul_encoded(self, ct, plain):
+        plain = Plaintext(plain.poly.to_coeff(), plain.scale, plain.level)
+        return self.ev.mul_encoded(ct.to_coeff(), plain).to_coeff()
+
+    def _galois(self, ct, g):
+        """The textbook rotation: permute both polynomials in coefficient
+        form, *then* decompose and switch the permuted ``c1``."""
+        c0, c1 = ct.c0.to_coeff().galois(g), ct.c1.to_coeff().galois(g)
+        k0, k1 = self.ev._keyswitch(c1, self.ev.chest.galois_key(ct.level, g))
+        return ct.with_polys(c0.add(k0), k1)
+
     def rotate(self, ct, steps):
-        return self.ev.rotate(ct.to_coeff(), steps).to_coeff()
+        steps %= self.slots
+        return self._galois(ct, pow(5, steps, 2 * self.chain.n)) if steps else ct
+
+    def rotate_hoisted(self, ct, steps):
+        return [self.rotate(ct, s) for s in steps]
 
     def conjugate(self, ct):
-        return self.ev.conjugate(ct.to_coeff()).to_coeff()
+        return self._galois(ct, 2 * self.chain.n - 1)
 
     def rescale(self, ct):
         return self.ev.rescale(ct.to_coeff()).to_coeff()
@@ -307,6 +324,19 @@ class TestTransformCounts:
         assert after["forward.elems"] - before["forward.elems"] == r * n
         assert after["inverse"] == before["inverse"]
 
+    def test_mul_plain_on_coefficient_resident_ciphertext(self, ctx, rng, ntt_counts):
+        n, top = ctx.chain.n, ctx.chain.max_level
+        r = ctx.chain.residues_at(top)
+        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
+        before = ntt_counts()
+        out = ctx.evaluator.mul_plain(ct, rng.uniform(-1, 1, ctx.slots))
+        after = ntt_counts()
+        assert out.c0.domain == out.c1.domain == NTT
+        # Still one call: the plaintext, c0 and c1 ride it as one stack.
+        assert after["forward"] - before["forward"] == 1
+        assert after["forward.elems"] - before["forward.elems"] == 3 * r * n
+        assert after["inverse"] == before["inverse"]
+
     def test_scalar_mul_plain_transforms_nothing(self, ctx, rng, ntt_counts):
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
         for operand in (ct, ct.to_ntt()):
@@ -328,15 +358,16 @@ class TestTransformCounts:
         after = ntt_counts()
         assert out.c0.domain == out.c1.domain == COEFF
         operands = 4 if resident == COEFF else 0
-        # Forward: the operands (if they arrive in coefficient form),
-        # then per digit only the rows base conversion produced.
-        assert after["forward"] - before["forward"] == operands + len(digits)
+        # Forward: the operands as one stack (if they arrive in
+        # coefficient form), then the rows base conversion produced —
+        # every digit's in one call, and only those rows.
+        assert after["forward"] - before["forward"] == (operands > 0) + 1
         assert after["forward.elems"] - before["forward.elems"] == n * (
             operands * r + sum(full - src for src in digits)
         )
-        # Inverse: d2 for the digit decomposition and the two
-        # accumulators — never d0 or d1.
-        assert after["inverse"] - before["inverse"] == 3
+        # Inverse: d2 for the digit decomposition, and the two
+        # accumulators together — never d0 or d1.
+        assert after["inverse"] - before["inverse"] == 2
         assert after["inverse.elems"] - before["inverse.elems"] == n * (r + 2 * full)
 
     def test_apply_bsgs_64_by_8(self, ctx, rng, ntt_counts):
@@ -351,23 +382,21 @@ class TestTransformCounts:
         out = pm.apply_bsgs(ctx.evaluator, ct, giant_step=giant)
         after = ntt_counts()
         assert out.level == top - 1
-        rotations = (giant - 1) + (dim // giant - 1)
-        # Forward: 8 baby steps x 2 polynomials, one plaintext per
-        # diagonal, and each rotation's digits (coefficient-form input,
-        # so whole extended digits).
-        assert after["forward"] - before["forward"] == (
-            2 * giant + dim + rotations * len(digits)
-        )
+        giants_rotated = dim // giant - 1
+        rotations = (giant - 1) + giants_rotated
+        # Forward: the input's digits, extended and transformed once for
+        # all seven baby rotations; the 8 baby steps x 2 polynomials as
+        # one stack; each giant rotation's digits.  No plaintext: the
+        # diagonals were encoded by the first apply.
+        assert after["forward"] - before["forward"] == 2 + giants_rotated
         assert after["forward.elems"] - before["forward.elems"] == n * (
-            2 * giant * r + dim * r + rotations * len(digits) * full
+            2 * giant * r + (1 + giants_rotated) * len(digits) * full
         )
         # Inverse: each rotated giant step's inner sum (2 polynomials,
-        # once — not once per diagonal), each rotation's two
-        # accumulators, and the unrotated first inner sum when the
-        # second joins it.
-        giants_rotated = dim // giant - 1
+        # one call), each rotation's two accumulators (one call), and
+        # the unrotated first inner sum when the second joins it.
         assert after["inverse"] - before["inverse"] == (
-            2 * giants_rotated + 2 * rotations + 2
+            giants_rotated + rotations + 1
         )
         assert after["inverse.elems"] - before["inverse.elems"] == n * (
             2 * giants_rotated * r + 2 * rotations * full + 2 * r

@@ -45,10 +45,11 @@ class TestMatrices:
         mats = homdft_matrices(64)
         slots = 32
         v = decode_matrix(64)
-        block = np.block(
-            [[mats.v1, mats.v2], [np.conj(mats.v1), np.conj(mats.v2)]]
+        v1, v2 = mats.v1.matrix, mats.v2.matrix
+        block = np.block([[v1, v2], [np.conj(v1), np.conj(v2)]])
+        inv = np.block(
+            [[mats.p1.matrix, mats.q1.matrix], [mats.p2.matrix, mats.q2.matrix]]
         )
-        inv = np.block([[mats.p1, mats.q1], [mats.p2, mats.q2]])
         np.testing.assert_allclose(inv @ block, np.eye(64), atol=1e-10)
         assert v.shape == (slots, 64)
 

@@ -197,6 +197,15 @@ def _class_primes(width: str, n: int, count: int) -> tuple[int, ...]:
     return tuple(islice(WIDTH_CLASSES[width](n), count))
 
 
+def _mixed_moduli(widths, n: int) -> tuple[int, ...]:
+    """One prime per entry of ``widths``; the i-th row of a class takes
+    that class's i-th prime, so the moduli of one stack are distinct."""
+    return tuple(
+        _class_primes(w, n, widths[: i + 1].count(w))[-1]
+        for i, w in enumerate(widths)
+    )
+
+
 def _residue_matrix(rows, moduli):
     """Rows of Python ints as the matrix dtype the basis runs on."""
     mat = np.empty(
@@ -220,12 +229,7 @@ class TestLazyButterflyProperty:
             st.lists(st.sampled_from(sorted(WIDTH_CLASSES)), min_size=k, max_size=k),
             label="widths",
         )
-        # The i-th row of a class takes that class's i-th prime, so the
-        # moduli of one stack are distinct.
-        moduli = tuple(
-            _class_primes(w, n, widths[: i + 1].count(w))[-1]
-            for i, w in enumerate(widths)
-        )
+        moduli = _mixed_moduli(widths, n)
         fill = data.draw(st.sampled_from(["random", "q-1", "zero"]), label="fill")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
@@ -308,6 +312,80 @@ def record_kat() -> None:
 )
 def test_known_answer_vectors(entry):
     assert _kat_entry(entry["width"], entry["n"]) == entry
+
+
+# ----------------------------------------------------------------------
+# Stacks of sibling matrices: ``(m, k, n)`` in, ``(m, k, n)`` out, each
+# matrix transformed exactly as it would be alone.
+# ----------------------------------------------------------------------
+STACK_MIXES = {
+    "uint32-word": ("28", "20", "below30"),
+    "uint64-word-narrow": ("28", "30to31"),
+    "wide": ("55", "above31", "below61"),
+    "narrow+wide": ("28", "55"),
+    "big": ("28", "55", "big"),
+}
+
+
+@pytest.mark.parametrize("backend", backends.available_backends())
+class TestStackedMatrices:
+    @pytest.mark.parametrize("mix", list(STACK_MIXES))
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_stack_equals_separate_calls(self, backend, mix, n):
+        moduli = _mixed_moduli(STACK_MIXES[mix], n)
+        rng = np.random.default_rng(n)
+        stack = np.stack(
+            [
+                _residue_matrix(
+                    [[int(v) for v in modmath.uniform_mod(q, n, rng)] for q in moduli],
+                    moduli,
+                )
+                for _ in range(5)
+            ]
+        )
+        keep = stack.copy()
+        with backends.use(backend):
+            for transform in (forward_rows, inverse_rows):
+                got = transform(stack, moduli)
+                assert got.shape == stack.shape and got.dtype == stack.dtype
+                for sub, mat in zip(got, stack):
+                    assert np.array_equal(sub, transform(mat, moduli))
+            assert np.array_equal(
+                inverse_rows(forward_rows(stack, moduli), moduli), stack
+            )
+        assert np.array_equal(stack, keep)  # kernels are pure
+
+    @pytest.mark.parametrize(
+        "entry",
+        json.loads(KAT_PATH.read_text()),
+        ids=lambda e: f"{e['width']}-{e['n']}",
+    )
+    def test_stack_reproduces_known_answer_vectors(self, backend, entry):
+        """The recorded digests, read off the middle of a stack whose
+        other members are different polynomials."""
+        q, n = entry["q"], entry["n"]
+        row = modmath.as_mod_array(_kat_input(q, n), q)
+        stack = np.stack([row[::-1], row, np.zeros_like(row)])[:, None]
+        with backends.use(backend):
+            assert _digest(forward_rows(stack, (q,))[1, 0]) == entry["forward"]
+            assert _digest(inverse_rows(stack, (q,))[1, 0]) == entry["inverse"]
+
+    def test_oversized_stack_runs_in_parts(self, backend, monkeypatch):
+        """A stack past the cache budget is split, not refused: same
+        residues, more than one pass of stage kernels."""
+        n, moduli = 128, _class_primes("28", 128, 4)
+        rng = np.random.default_rng(9)
+        stack = rng.integers(0, min(moduli), (6, 4, n), dtype=np.uint64)
+        with backends.use(backend):
+            want = forward_rows(stack, moduli)
+            one = 4 * n * 4  # a (4, 128) matrix in the uint32 word
+            monkeypatch.setattr(ntt_mod, "_STACK_BYTES", 2 * one)
+            before = ntt_mod.STAGE_KERNEL_CALLS["forward"]
+            got = forward_rows(stack, moduli)
+            passes = (ntt_mod.STAGE_KERNEL_CALLS["forward"] - before) // 7
+        assert np.array_equal(got, want)
+        if backend == backends.REFERENCE_BACKEND:
+            assert passes == 3  # 6 matrices, 2 to a part
 
 
 @pytest.mark.guard
@@ -407,3 +485,19 @@ class TestStageVectorizationGuard:
             after = ntt_mod.STAGE_KERNEL_CALLS
         # all k rows ride the same log2(n) stage kernels
         assert after["forward"] - before["forward"] == self.LOG_N
+
+    def test_stacked_siblings_share_stage_kernels(self):
+        """A stack that fits the cache budget is one pass: ``log2 n``
+        stage kernels for all ``m`` matrices, not ``m`` times that."""
+        n, log_n = 128, 7
+        moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, n), 46))
+        stack = np.random.default_rng(7).integers(
+            0, min(moduli), (4, 46, n), dtype=np.uint64
+        )
+        with backends.use("numpy"):
+            for direction, transform in (
+                ("forward", forward_rows), ("inverse", inverse_rows)
+            ):
+                before = ntt_mod.STAGE_KERNEL_CALLS[direction]
+                transform(stack, moduli)
+                assert ntt_mod.STAGE_KERNEL_CALLS[direction] - before == log_n

@@ -329,10 +329,35 @@ class TestGalois:
         with pytest.raises(ParameterError):
             poly.galois(4)
 
-    def test_galois_requires_coeff_domain(self, basis, rng):
-        poly = RnsPolynomial.from_int_coeffs(basis, _rand_coeffs(rng))
-        with pytest.raises(ParameterError):
-            poly.to_ntt().galois(5)
+    def test_ntt_galois_equals_coefficient_galois_for_every_odd_g(self, rng):
+        """In NTT form the automorphism is a slot permutation: it must
+        equal transform-back, permute-with-signs, transform-again."""
+        n = 16
+        for mix in WIDTH_MIXES:
+            basis = RnsBasis(n, mix_moduli(mix, n))
+            coeffs = [int(v) for v in rng.integers(-(10**6), 10**6, n)]
+            ntt = RnsPolynomial.from_int_coeffs(basis, coeffs).to_ntt()
+            for g in range(1, 2 * n, 2):
+                got = ntt.galois(g)
+                want = ntt.to_coeff().galois(g).to_ntt()
+                assert got.domain == NTT
+                assert np.array_equal(got.mat, want.mat), (mix, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n=st.integers(1, 8), mix=width_mixes,
+        g=st.integers(0, 2**12), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ntt_galois_sweep(self, log_n, mix, g, seed):
+        n = 1 << log_n
+        g = 2 * g + 1  # any odd element, reduced mod 2n inside
+        basis = RnsBasis(n, mix_moduli(mix, n))
+        coeffs = [
+            int(v) for v in np.random.default_rng(seed).integers(-(10**9), 10**9, n)
+        ]
+        ntt = RnsPolynomial.from_int_coeffs(basis, coeffs).to_ntt()
+        want = ntt.to_coeff().galois(g).to_ntt()
+        assert np.array_equal(ntt.galois(g).mat, want.mat)
 
 
 class TestRestriction:
