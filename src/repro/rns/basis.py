@@ -207,6 +207,21 @@ class ConversionTable:
         )
 
 
+@lru_cache(maxsize=4096)
+def restriction(
+    basis: RnsBasis, moduli: tuple[int, ...]
+) -> tuple[RnsBasis, np.ndarray]:
+    """The sub-basis over ``moduli`` (in that order) and the rows of
+    ``basis`` it keeps, as a read-only index array.
+
+    Level management restricts the same few ``(basis, moduli)`` pairs
+    on every rescale, adjust and mod-down, so they are built once.
+    """
+    rows = np.array([basis.index_of(q) for q in moduli], dtype=np.intp)
+    rows.setflags(write=False)
+    return RnsBasis(basis.n, moduli), rows
+
+
 @lru_cache(maxsize=1024)
 def conversion_table(src: RnsBasis, dst_moduli: tuple[int, ...]) -> ConversionTable:
     """The cached :class:`ConversionTable` for ``src`` → ``dst_moduli``.

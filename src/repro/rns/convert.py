@@ -24,6 +24,7 @@ weights, the ``P^{-1}`` that finishes a scale-down — live in one cached
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
@@ -33,7 +34,7 @@ import repro.backends as _backends
 from repro.analysis import sanitize as _sanitize
 from repro.errors import ParameterError
 from repro.obs import core as _obs
-from repro.rns.basis import ConversionTable, conversion_table
+from repro.rns.basis import ConversionTable, RnsBasis, conversion_table
 from repro.rns.poly import COEFF, RnsPolynomial
 
 
@@ -154,7 +155,7 @@ def scale_down(
     if _obs.ACTIVE:
         _obs.count("kernel.rescale")
         _obs.count("kernel.rescale.elems", poly.basis.size * poly.basis.n)
-    keep = tuple(q for q in poly.basis.moduli if q not in shed)
+    keep = _kept(poly.basis, shed)
     if not keep:
         raise ParameterError("scale_down cannot shed the entire basis")
     # [x]_P (centered remainder), lifted to the kept moduli; the table
@@ -172,9 +173,14 @@ def drop_moduli(poly: RnsPolynomial, shed_moduli: Sequence[int]) -> RnsPolynomia
     value fits in the smaller modulus, which level management guarantees.
     Does not change scale or value.  Works in either domain.
     """
-    shed = set(int(q) for q in shed_moduli)
-    keep = [q for q in poly.basis.moduli if q not in shed]
-    missing = shed - set(poly.basis.moduli)
+    return poly.restricted(_kept(poly.basis, tuple(int(q) for q in shed_moduli)))
+
+
+@lru_cache(maxsize=4096)
+def _kept(basis: RnsBasis, shed: tuple[int, ...]) -> tuple[int, ...]:
+    """``basis``'s moduli without ``shed``, in basis order — cached per
+    pair like the restriction and the conversion table it feeds."""
+    missing = set(shed) - set(basis.moduli)
     if missing:
         raise ParameterError(f"cannot drop moduli not in basis: {sorted(missing)}")
-    return poly.restricted(keep)
+    return tuple(q for q in basis.moduli if q not in shed)

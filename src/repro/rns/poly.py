@@ -31,7 +31,7 @@ from repro.errors import ParameterError, ScaleMismatchError
 from repro.nt import modmath
 from repro.nt import ntt as ntt_kernels
 from repro.nt.crt import centered_vector, crt_reconstruct_vector
-from repro.rns.basis import RnsBasis, ScalarColumn
+from repro.rns.basis import RnsBasis, ScalarColumn, restriction
 
 COEFF = "coeff"
 NTT = "ntt"
@@ -261,8 +261,8 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     def restricted(self, moduli: Iterable[int]) -> "RnsPolynomial":
         """Keep only the rows for ``moduli`` (in the given order)."""
-        basis = RnsBasis(self.basis.n, moduli)
-        mat = self.mat[[self.basis.index_of(q) for q in basis.moduli]]
+        basis, rows = restriction(self.basis, tuple(moduli))
+        mat = self.mat[rows]
         # Shedding the widest rows can narrow the kind, and the dtype
         # with it; for the same dtype this is the matrix itself.
         return RnsPolynomial(basis, mat.astype(basis.dtype, copy=False), self.domain)

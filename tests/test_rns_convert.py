@@ -117,6 +117,21 @@ class TestConversionTable:
         )
         assert scale_down(poly, DST_MODULI).mat.tolist() == want
 
+    def test_level_moves_build_no_basis_once_warm(self, rng, monkeypatch):
+        """scale_down and drop_moduli read their sub-bases, row indices
+        and kept moduli from caches keyed on the basis pair."""
+        coeffs = [int(v) for v in rng.integers(-(10**12), 10**12, N)]
+        poly = _poly(coeffs, SRC_MODULI + DST_MODULI)
+        want = [
+            scale_down(poly, DST_MODULI).mat.tolist(),
+            drop_moduli(poly, DST_MODULI).mat.tolist(),
+        ]
+        monkeypatch.setattr(
+            RnsBasis, "__init__", lambda *a: pytest.fail("RnsBasis built when warm")
+        )
+        assert scale_down(poly, list(DST_MODULI)).mat.tolist() == want[0]
+        assert drop_moduli(poly, list(DST_MODULI)).mat.tolist() == want[1]
+
 
 class TestScaleUp:
     def test_multiplies_by_product(self, rng):

@@ -377,6 +377,30 @@ class TestRestriction:
         sub = poly.restricted(basis.moduli[:2])
         assert sub.to_int_coeffs() == coeffs  # small values survive
 
+    def test_restriction_is_cached_and_unchanged(self, basis, rng, monkeypatch):
+        """The sub-basis and row indices come from one cache per
+        ``(basis, moduli)``: the rows are what indexing by hand gives
+        (narrowed to the sub-basis dtype), and a repeat builds no basis."""
+        poly = RnsPolynomial.from_int_coeffs(basis, _rand_coeffs(rng))
+        keep = (basis.moduli[2], basis.moduli[0])  # sheds the big row
+        first = poly.restricted(keep)
+        want = np.stack([poly.row(q) for q in keep]).astype(np.uint64)
+        assert first.basis == RnsBasis(N, keep)
+        assert first.mat.dtype == np.uint64
+        assert np.array_equal(first.mat, want)
+
+        built = []
+        init = RnsBasis.__init__
+        monkeypatch.setattr(
+            RnsBasis, "__init__",
+            lambda self, *args: (built.append(args), init(self, *args))[1],
+        )
+        again = poly.restricted(list(keep))
+        assert built == []
+        assert again.basis is first.basis
+        assert np.array_equal(again.mat, want)
+        assert again.mat is not first.mat  # still a fresh matrix per call
+
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
