@@ -9,19 +9,23 @@ SlotToCoeff — into the textbook CKKS bootstrapping pipeline:
    small integer polynomial (``‖I‖ <= (h+1)/2`` for a sparse ternary
    secret of Hamming weight ``h`` — the reason bootstrapping parameter
    sets use sparse secrets).
-2. **Normalize + CtS**: scale values by ``S/q0`` and move coefficients
-   into slots; each slot now holds ``m_k/q0 + I_k``.
+2. **CtS**: move coefficients into slots; each slot now holds
+   ``(m_k + q0·I_k)/S``.  One level, plus one for the adjust that puts
+   the mod-raised scale back on the chain's canonical one.
 3. **EvalMod**: the Chebyshev sine approximation maps ``I_k + ε`` to
-   ``ε = m_k/q0``.
-4. **Renormalize + StC**: scale by ``q0/S`` worth of bookkeeping and
-   repack slots into coefficients, yielding a *high-level* ciphertext
-   encrypting ``m`` again.
+   ``ε = m_k/q0``.  Both unit changes ride it for free — ``× S/q0`` on
+   its ``1/K`` normalization multiply, ``× q0/S`` on its Chebyshev
+   coefficients — so it costs ``⌈log2 degree⌉ + 2`` levels: normalize
+   (1), product tree (5 at degree 27), weighted sum (1).
+4. **StC**: repack slots into coefficients (one level), yielding a
+   *high-level* ciphertext encrypting ``m`` again.
 
-Precision is limited by the sine approximation error amplified by
-``q0/S`` (Sec. 2.2's reason bootstrap stages use large scales); with the
-demo parameters below it refreshes ~8-10 error-free bits, enough to show
-every stage working end to end.  The production-accuracy BS19/BS26
-configurations remain modeled by
+Ten levels in all at the default degree 27.  Precision is limited by the
+sine approximation error amplified by ``q0/S`` (Sec. 2.2's reason
+bootstrap stages use large scales); with the demo parameters below it
+refreshes 12-14 error-free bits, enough to show every stage working end
+to end and to keep computing afterwards.  The production-accuracy
+BS19/BS26 configurations remain modeled by
 :class:`repro.ckks.bootstrap.FunctionalBootstrapper` and
 :mod:`repro.workloads.bootstrap_model` (see DESIGN.md).
 """
@@ -48,8 +52,8 @@ class PipelineConfig:
     @property
     def depth(self) -> int:
         """Levels consumed: CtS (1) + scale re-canonicalization (1) +
-        normalize (1) + EvalMod + renormalize (1) + StC (1)."""
-        return depth_required(self.evalmod) + 5
+        EvalMod (which carries both normalizations) + StC (1)."""
+        return depth_required(self.evalmod) + 3
 
     def required_hamming_weight(self) -> int:
         """Largest sparse-secret weight the k_range bound supports.
@@ -96,18 +100,20 @@ def bootstrap_homomorphic(
     # 2. CtS: coefficients (m + q0*I) / S land in the slots of two cts.
     first, second = coeff_to_slot(ev, raised)
 
-    # 3. Normalize so slots read I_k + m_k/q0, then EvalMod both halves.
-    # The CtS output inherits the *bottom* level's scale through the
-    # mod-raise, so it sits off the chain's canonical scale by S_0/S_top;
-    # a one-level adjust folds that factor away before the polynomial
-    # evaluation would amplify it (T_k would drift by (S_0/S_top)^k).
-    refreshed = []
-    for half in (first, second):
-        half = ev.adjust(half, half.level - 1)
-        normalized = ev.rescale(ev.mul_plain(half, scale / q0))
-        reduced = eval_mod(ev, normalized, config.evalmod)
-        # Back to value units: multiply by q0/S.
-        refreshed.append(ev.rescale(ev.mul_plain(reduced, q0 / scale)))
+    # 3. EvalMod both halves.  Its input factor S/q0 makes the slots
+    # read I_k + m_k/q0; its output factor q0/S brings the result back
+    # to value units.  The CtS output inherits the *bottom* level's
+    # scale through the mod-raise, so it sits off the chain's canonical
+    # scale by S_0/S_top; a one-level adjust folds that factor away
+    # before the polynomial evaluation would amplify it (T_k would
+    # drift by (S_0/S_top)^k).
+    refreshed = [
+        eval_mod(
+            ev, ev.adjust(half, half.level - 1), config.evalmod,
+            scale / q0, q0 / scale,
+        )
+        for half in (first, second)
+    ]
 
     # 4. StC: repack the two coefficient halves into one ciphertext.
     lo = min(refreshed[0].level, refreshed[1].level)

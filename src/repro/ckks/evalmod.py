@@ -66,25 +66,34 @@ def sine_coefficients(config: EvalModConfig) -> tuple[float, ...]:
         return math.sin(2.0 * math.pi * k * t) / (2.0 * math.pi)
 
     coeffs = chebyshev_fit(np.vectorize(target), config.degree)
+    # The target is odd: its even terms are interpolation dust (~1e-17),
+    # and an exact zero is what lets the evaluator skip them.
+    coeffs[0::2] = 0.0
     return tuple(float(c) for c in coeffs)
 
 
 def eval_mod(
-    ev: "Evaluator", ct: Ciphertext, config: EvalModConfig = EvalModConfig()
+    ev: "Evaluator",
+    ct: Ciphertext,
+    config: EvalModConfig = EvalModConfig(),
+    input_factor: float = 1.0,
+    output_factor: float = 1.0,
 ) -> Ciphertext:
     """Homomorphically reduce ``k + ε`` to ``ε`` (``|ε|`` small).
 
-    The input ciphertext's slots must lie within ``±(k_range + 0.5)``;
-    the output approximates the fractional part around the nearest
+    Computes ``output_factor · sin(2π·input_factor·x)/(2π)``: the slots
+    of ``input_factor · ct`` must lie within ``±(k_range + 0.5)``, and
+    the output approximates their fractional part around the nearest
     integer, with error ``O(ε³)`` from the sine linearization plus the
-    Chebyshev fit error.
+    Chebyshev fit error.  Both factors cost nothing: the first rides the
+    ``1/K`` normalization multiply, the second the Chebyshev
+    coefficients, ahead of the weighted sum's single rescale.
     """
     if config.degree < 3:
         raise ParameterError("sine approximation needs degree >= 3")
     # Normalize to [-1, 1] for the Chebyshev basis.
-    scale_factor = 1.0 / config.half_width
-    normalized = ev.rescale(ev.mul_plain(ct, scale_factor))
-    coeffs = list(sine_coefficients(config))
+    normalized = ev.rescale(ev.mul_plain(ct, input_factor / config.half_width))
+    coeffs = [output_factor * c for c in sine_coefficients(config)]
     return eval_chebyshev(ev, normalized, coeffs)
 
 
@@ -96,7 +105,7 @@ def reference_eval_mod(values: np.ndarray) -> np.ndarray:
 def depth_required(config: EvalModConfig = EvalModConfig()) -> int:
     """Levels ``eval_mod`` consumes.
 
-    One for the normalization multiply, ``degree - 1`` for the Chebyshev
-    basis recurrence, and one for the coefficient-weighted sum.
+    One for the normalization multiply, ``⌈log2 degree⌉`` for the
+    Chebyshev product tree, and one for the coefficient-weighted sum.
     """
-    return config.degree + 1
+    return (config.degree - 1).bit_length() + 2

@@ -7,9 +7,10 @@ modular-reduction step are all polynomial evaluations on ciphertexts
 - :func:`eval_power_basis` — Horner's rule in the monomial basis; depth
   equals the degree, one ciphertext multiply per coefficient.  Right for
   the degree-2/3 activations (AESPA, HELR sigmoid).
-- :func:`eval_chebyshev` — the Chebyshev-basis recurrence
-  ``T_{k+1} = 2x·T_k - T_{k-1}``; numerically far better conditioned on
-  [-1, 1] for the higher degrees EvalMod-style approximations need.
+- :func:`eval_chebyshev` — the Chebyshev basis built as a product tree
+  (``T_{a+b} = 2·T_a·T_b - T_{a-b}``), so depth is ``⌈log2 degree⌉ + 1``;
+  numerically far better conditioned on [-1, 1] for the higher degrees
+  EvalMod-style approximations need.
 
 Both handle level alignment internally (operands are ``adjust``-ed onto a
 common level before each multiply), so they exercise exactly the level-
@@ -54,43 +55,58 @@ def eval_power_basis(
     return ev.add_plain(acc, coeffs[0])
 
 
+def _chebyshev_term(
+    ev: "Evaluator", basis: dict[int, Ciphertext], k: int
+) -> Ciphertext:
+    """``T_k`` from the memo ``basis``, building whatever it still lacks."""
+    if k not in basis:
+        if k % 2 == 0:
+            half = _chebyshev_term(ev, basis, k // 2)
+            doubled = ev.mul_integer(ev.square_rescale(half), 2)
+            basis[k] = ev.sub_plain(doubled, 1.0)
+        else:
+            a = 1 << (k.bit_length() - 1)
+            t_a, t_b = _align(
+                ev, _chebyshev_term(ev, basis, a), _chebyshev_term(ev, basis, k - a)
+            )
+            doubled = ev.mul_integer(ev.multiply_rescale(t_a, t_b), 2)
+            # T_{a-b} is up to log2(a) levels above the product: the
+            # multi-level adjust lands it on the product's level and scale.
+            below = _chebyshev_term(ev, basis, 2 * a - k)
+            basis[k] = ev.sub(doubled, ev.adjust(below, doubled.level))
+    return basis[k]
+
+
 def eval_chebyshev(
     ev: "Evaluator", ct: Ciphertext, cheb_coeffs: Sequence[float]
 ) -> Ciphertext:
     """Evaluate ``Σ c_k T_k(x)`` for ``x`` in [-1, 1].
 
-    Uses the three-term recurrence with on-the-fly level alignment; the
-    result is the weighted sum of the Chebyshev basis ciphertexts.
+    The basis is a memoised product tree: ``T_{2k} = 2·T_k² - 1`` and,
+    for odd ``k`` split as ``a + b`` with ``a`` the largest power of two
+    below it, ``T_k = 2·T_a·T_b - T_{a-b}``.  Only the ``T_k`` with a
+    non-zero coefficient and what they depend on are built, and ``T_k``
+    sits ``⌈log2 k⌉`` levels below ``ct``.  The weighted sum runs at the
+    deepest of them and rescales once, so a dense degree-``d`` expansion
+    consumes ``⌈log2 d⌉ + 1`` levels.
     """
     coeffs = [float(c) for c in cheb_coeffs]
-    degree = len(coeffs) - 1
-    if degree < 1:
+    if len(coeffs) < 2:
         raise ParameterError("need at least a degree-1 expansion")
-    # Basis ciphertexts T_1 .. T_degree (T_0 == 1 handled as a constant).
-    basis: list[Ciphertext] = [ct]  # T_1 = x
-    if degree >= 2:
-        # T_2 = 2x^2 - 1.
-        sq = ev.rescale(ev.square(ct))
-        basis.append(ev.sub_plain(ev.mul_integer(sq, 2), 1.0))
-    for k in range(3, degree + 1):
-        # T_k = 2x * T_{k-1} - T_{k-2}.
-        x_k, t_prev = _align(ev, ct, basis[-1])
-        prod = ev.multiply_rescale(x_k, t_prev)
-        doubled = ev.mul_integer(prod, 2)
-        t_prev2 = ev.adjust(basis[-2], doubled.level)
-        basis.append(ev.sub(doubled, t_prev2))
-    # Weighted sum at the deepest level.
-    bottom = min(b.level for b in basis)
-    acc = None
-    for c, t_k in zip(coeffs[1:], basis):
-        if c == 0.0:
-            continue
-        term = ev.adjust(t_k, bottom)
-        term = ev.rescale(ev.mul_plain(term, c))
-        acc = term if acc is None else ev.add(acc, term)
-    if acc is None:
+    basis: dict[int, Ciphertext] = {1: ct}
+    terms = [
+        (c, _chebyshev_term(ev, basis, k))
+        for k, c in enumerate(coeffs)
+        if k and c != 0.0
+    ]
+    if not terms:
         raise ParameterError("all non-constant coefficients are zero")
-    return ev.add_plain(acc, coeffs[0])
+    bottom = min(t_k.level for _, t_k in terms)
+    acc = None
+    for c, t_k in terms:
+        term = ev.mul_plain(ev.adjust(t_k, bottom), c)
+        acc = term if acc is None else ev.add(acc, term)
+    return ev.add_plain(ev.rescale(acc), coeffs[0])
 
 
 def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0)) -> np.ndarray:

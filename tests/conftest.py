@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext
+from repro.obs import core as obs
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 
 TEST_N = 256
@@ -77,6 +78,23 @@ def ctx(request, bp_ctx, rns_ctx):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def counters():
+    """``obs`` counter deltas around a block of evaluator calls."""
+    was_active = obs.ACTIVE
+    obs.reset()
+    obs.enable()
+
+    def read(*names):
+        now = obs.counters()
+        return {name: int(now.get(name, 0)) for name in names}
+
+    yield read
+    obs.reset()
+    if not was_active:
+        obs.disable()
 
 
 def make_values(ctx, rng, magnitude=1.0):

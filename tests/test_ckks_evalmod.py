@@ -41,6 +41,13 @@ class TestSineApproximation:
         want = np.sin(2 * np.pi * 1.5 * xs) / (2 * np.pi)
         assert np.max(np.abs(got - want)) < 5e-5
 
+    @pytest.mark.parametrize("degree", [9, 15, 16, 27])
+    def test_even_terms_exactly_zero(self, degree):
+        """The target is odd; an exact 0.0 is what the evaluator skips."""
+        coeffs = sine_coefficients(EvalModConfig(k_range=2, degree=degree))
+        assert all(c == 0.0 for c in coeffs[0::2])
+        assert all(c != 0.0 for c in coeffs[1::2])
+
     def test_coefficients_cached(self):
         cfg = EvalModConfig(k_range=2, degree=9)
         assert sine_coefficients(cfg) is sine_coefficients(cfg)
@@ -71,7 +78,25 @@ class TestHomomorphicEvalMod:
         enc = emctx.encrypt(values)
         out = eval_mod(emctx.evaluator, enc, CONFIG)
         used = enc.level - out.level
-        assert used <= depth_required(CONFIG)
+        assert used == depth_required(CONFIG)
+
+    def test_depth_is_logarithmic(self):
+        assert depth_required(EvalModConfig(degree=27)) == 7
+        assert depth_required(EvalModConfig(degree=15)) == 6
+        assert depth_required(EvalModConfig(degree=63)) == 8
+
+    def test_factors_fold_where_they_are_applied(self, emctx, rng):
+        """``eval_mod(x, f_in, f_out) == f_out · sine(f_in · x)``, at no
+        extra level: the bootstrap's S/q0 and q0/S ride these."""
+        f_in, f_out = 1.0 / 32.0, 24.0
+        eps = rng.uniform(-0.04, 0.04, emctx.slots)
+        ks = rng.integers(-CONFIG.k_range, CONFIG.k_range + 1, emctx.slots)
+        values = (ks + eps) / f_in
+        enc = emctx.encrypt(values)
+        out = eval_mod(emctx.evaluator, enc, CONFIG, f_in, f_out)
+        want = f_out * reference_eval_mod(f_in * values)
+        assert np.max(np.abs(emctx.decrypt_real(out) - want)) < f_out * 5e-3
+        assert enc.level - out.level == depth_required(CONFIG)
 
     def test_rejects_tiny_degree(self, emctx, rng):
         enc = emctx.encrypt(np.zeros(emctx.slots))

@@ -121,11 +121,14 @@ class TestFullPipeline:
         # with extra levels above the pipeline's depth; this demo chain
         # is sized exactly, so one level remains.)
         assert refreshed.level >= 1
-        prec = ctx.precision_bits(refreshed, vals)
-        assert prec > 6.0  # sine-approx-limited; see module docstring
+        # The ladder's own floor for this pipeline (bootstrap_bp28).
+        assert ctx.precision_bits(refreshed, vals) >= 10.0
         # And it really is a working ciphertext: keep computing on it.
         squared = ctx.evaluator.square_rescale(refreshed)
-        assert ctx.precision_bits(squared, vals**2) > 5.0
+        assert ctx.precision_bits(squared, vals**2) >= 9.0
+
+    def test_default_depth(self):
+        assert PipelineConfig().depth == 10
 
     def test_depth_guard(self, rng):
         chain = plan_bitpacker_chain(

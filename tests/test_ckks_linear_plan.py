@@ -30,7 +30,6 @@ from repro.ckks import CkksContext
 from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
 from repro.ckks.linalg import PlainMatrix, bsgs_sums
 from repro.nt.ntt import ntt_rows_context
-from repro.obs import core as obs
 from repro.rns.poly import COEFF, NTT
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.test_ckks_domains import EagerEvaluator
@@ -75,23 +74,6 @@ def width_ctx(request):
 @pytest.fixture(scope="module")
 def plan_ctx():
     return CkksContext(CHAINS["narrow"][0](), seed=23)
-
-
-@pytest.fixture
-def counters():
-    """``obs`` counter deltas around a block of evaluator calls."""
-    was_active = obs.ACTIVE
-    obs.reset()
-    obs.enable()
-
-    def read(*names):
-        now = obs.counters()
-        return {name: int(now.get(name, 0)) for name in names}
-
-    yield read
-    obs.reset()
-    if not was_active:
-        obs.disable()
 
 
 # ----------------------------------------------------------------------
