@@ -4,35 +4,25 @@
 Times the kernels every CKKS operation decomposes into — forward /
 inverse NTT, full RNS polynomial multiply, hybrid keyswitch, rescale
 (``scale_down``), and fast base conversion — across ring degrees
-``n ∈ {2^12 .. 2^15}``, the three modulus *widths* (narrow ``< 2^31``,
-wide ``2^31..2^61``, big ``≥ 2^61``), and every registered execution
-*backend* (``numpy``, plus ``numba`` where the extra is installed).
-The two dimensions are separate columns: ``width`` is a property of the
-moduli, ``backend`` is the engine the registry dispatched to (earlier
-revisions conflated both under one "backend" key).
+``n ∈ {2^12 .. 2^15}`` and the three modulus *widths* (narrow
+``< 2^31``, wide ``2^31..2^61``, big ``≥ 2^61``).
 
-Each ``(kernel, n, width)`` point is measured once per engine via
-``repro.backends.use(<engine>)``, plus once against the
-pre-vectorization per-block / per-row baseline preserved in
-:mod:`repro.nt.ntt_reference` (and the legacy row-loop helpers below):
+Each ``(kernel, n, width)`` point is measured once, plus once against
+the pre-vectorization per-block / per-row baseline preserved in
+:mod:`repro.nt.ntt_reference` (and the legacy row-loop helpers below);
+``speedup_vs_baseline`` is what the vectorization bought.
 
-- ``speedup_vs_baseline`` — what the vectorization PR bought;
-- ``speedup_vs_numpy`` — what the engine buys over the numpy reference
-  backend (1.0 for numpy itself).
-
-Big-width rows never enter the registry (object arrays stay on the
-exact per-row path), so only the numpy engine is timed there.
-
-Results are written to ``BENCH_kernels.json`` at the repo root as a list
-of records ``{kernel, n, width, backend, median_s, baseline_median_s,
-speedup_vs_baseline, speedup_vs_numpy}`` and printed as a table.
+Results are written to ``BENCH_kernels.json`` at the repo root as
+``{"env": ..., "results": [...]}`` — the benchmark ladder's environment
+header (machine, python, numpy, engine, git commit) over records
+``{kernel, n, width, median_s, baseline_median_s, speedup_vs_baseline}``
+— and printed as a table.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_kernels.py --full     # no big-path caps
-    PYTHONPATH=src python benchmarks/bench_kernels.py --backends numpy numba
 """
 
 from __future__ import annotations
@@ -40,12 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-import repro.backends as kernel_backends
 from repro.nt import modmath
 from repro.nt.ntt import ntt_context
 from repro.nt.ntt_reference import reference_ntt_context
@@ -56,6 +46,9 @@ from repro.rns.poly import COEFF, NTT
 from repro.rns.sampling import sample_uniform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))  # run as a script: find `benchmarks`
+
+from benchmarks.ladder import env  # noqa: E402
 
 WIDTH_BOUNDS = {"narrow": 1 << 28, "wide": 1 << 55, "big": 1 << 62}
 #: The big width runs Python-int object arrays; without --full its
@@ -262,7 +255,7 @@ KERNELS = {
 }
 
 
-def run(sizes, widths, engines, reps, baseline_reps, full: bool):
+def run(sizes, widths, reps, baseline_reps, full: bool):
     results = []
     skipped = []
     for width in widths:
@@ -270,45 +263,30 @@ def run(sizes, widths, engines, reps, baseline_reps, full: bool):
             if width == "big" and n > BIG_WIDTH_MAX_N and not full:
                 skipped.append((width, n))
                 continue
-            # Big-width rows never enter the registry; only the numpy
-            # engine is meaningful there.
-            point_engines = (
-                [kernel_backends.REFERENCE_BACKEND] if width == "big" else engines
-            )
             for kernel, make in KERNELS.items():
                 rng = np.random.default_rng(hash((kernel, n, width)) % 2**32)
                 vec, base = make(n, width, rng)
                 vec_reps = reps if n <= 1 << 13 else max(1, reps // 2)
                 base_reps = baseline_reps if n <= 1 << 13 else 1
                 baseline_s = median_time(base, base_reps)
-                numpy_s = None
-                for engine in point_engines:
-                    with kernel_backends.use(engine):
-                        median_s = median_time(vec, vec_reps)
-                    if engine == kernel_backends.REFERENCE_BACKEND:
-                        numpy_s = median_s
-                    results.append(
-                        {
-                            "kernel": kernel,
-                            "n": n,
-                            "width": width,
-                            "backend": engine,
-                            "median_s": median_s,
-                            "baseline_median_s": baseline_s,
-                            "speedup_vs_baseline": baseline_s / median_s,
-                            "speedup_vs_numpy": (
-                                numpy_s / median_s if numpy_s else None
-                            ),
-                        }
-                    )
-                    print(
-                        f"  {kernel:<13} n=2^{n.bit_length() - 1:<3} "
-                        f"{width:<7} {engine:<6} "
-                        f"{median_s * 1e3:9.3f} ms   "
-                        f"base {baseline_s * 1e3:9.3f} ms   "
-                        f"speedup {baseline_s / median_s:7.1f}x",
-                        flush=True,
-                    )
+                median_s = median_time(vec, vec_reps)
+                results.append(
+                    {
+                        "kernel": kernel,
+                        "n": n,
+                        "width": width,
+                        "median_s": median_s,
+                        "baseline_median_s": baseline_s,
+                        "speedup_vs_baseline": baseline_s / median_s,
+                    }
+                )
+                print(
+                    f"  {kernel:<13} n=2^{n.bit_length() - 1:<3} {width:<7} "
+                    f"{median_s * 1e3:9.3f} ms   "
+                    f"base {baseline_s * 1e3:9.3f} ms   "
+                    f"speedup {baseline_s / median_s:7.1f}x",
+                    flush=True,
+                )
     for width, n in skipped:
         print(f"  [skipped {width} n=2^{n.bit_length() - 1}: pass --full to include]")
     return results
@@ -316,20 +294,12 @@ def run(sizes, widths, engines, reps, baseline_reps, full: bool):
 
 def print_table(results):
     print()
-    print(
-        f"{'kernel':<13} {'n':>6} {'width':<7} {'backend':<8} "
-        f"{'median_s':>12} {'vs base':>9} {'vs numpy':>9}"
-    )
-    print("-" * 70)
+    print(f"{'kernel':<13} {'n':>6} {'width':<7} {'median_s':>12} {'vs base':>9}")
+    print("-" * 51)
     for r in results:
-        vs_numpy = (
-            f"{r['speedup_vs_numpy']:>8.1f}x"
-            if r["speedup_vs_numpy"] is not None
-            else f"{'-':>9}"
-        )
         print(
-            f"{r['kernel']:<13} {r['n']:>6} {r['width']:<7} {r['backend']:<8} "
-            f"{r['median_s']:>12.6f} {r['speedup_vs_baseline']:>8.1f}x {vs_numpy}"
+            f"{r['kernel']:<13} {r['n']:>6} {r['width']:<7} "
+            f"{r['median_s']:>12.6f} {r['speedup_vs_baseline']:>8.1f}x"
         )
 
 
@@ -346,26 +316,12 @@ def main():
         help="lift the big-width size cap (slow: object-array baselines)",
     )
     parser.add_argument(
-        "--backends",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="execution engines to time (default: every registered backend)",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=None,
         help="output JSON path (default: BENCH_kernels.json at the repo root)",
     )
     args = parser.parse_args()
-
-    engines = args.backends or list(kernel_backends.available_backends())
-    for engine in engines:
-        kernel_backends.get_backend(engine)  # fail fast on typos
-        broken = kernel_backends.verify_backend(engine)
-        if broken:
-            parser.error(f"backend {engine!r} failed verification: {broken[0]}")
 
     if args.quick:
         sizes, widths, reps, baseline_reps = [1 << 12], ["narrow"], 1, 1
@@ -376,11 +332,13 @@ def main():
         reps, baseline_reps = 5, 2
         out = args.out or REPO_ROOT / "BENCH_kernels.json"
 
-    print(f"engines: {', '.join(engines)}")
+    # Input seeds are per point (and per process); none to stamp.
+    header = env.header(seed=None)
+    print(env.render(header))
     t0 = time.perf_counter()
-    results = run(sizes, widths, engines, reps, baseline_reps, args.full)
+    results = run(sizes, widths, reps, baseline_reps, args.full)
     print_table(results)
-    out.write_text(json.dumps(results, indent=2) + "\n")
+    out.write_text(json.dumps({"env": header, "results": results}, indent=2) + "\n")
     print(f"\nwrote {out} ({len(results)} records) in {time.perf_counter() - t0:.1f}s")
 
 

@@ -168,7 +168,6 @@ def _ensure_builtin_passes() -> None:
     # importing repro.analysis.sanitize alone stays featherweight.
     from repro.analysis import (  # noqa: F401
         async_tasks,
-        backend_bypass,
         compiler_bypass,
         dtypes,
         exception_hygiene,

@@ -1,15 +1,8 @@
-"""The numpy reference backend: PR-1's stage-vectorized kernels.
+"""The numpy kernels behind :mod:`repro.backends`: fold and pointwise.
 
-This is the exactness oracle every other backend is verified against
-(registration cross-check + ``REPRO_SANITIZE=1`` shadowing), and the
-engine a numba-less install runs on.  The implementations are the
-matrix-at-a-time kernels the vectorization PR shipped, moved behind the
-:class:`~repro.backends.KernelBackend` interface:
+(The two NTT kernels are the stage loops on
+:class:`repro.nt.ntt.NttRowsContext`.)
 
-- the NTT transforms delegate to the stage loops living on
-  :class:`repro.nt.ntt.NttRowsContext` (each of ``log2 n`` stages is a
-  constant number of numpy calls: a lazy Harvey butterfly over a Shoup
-  multiply at the stack's machine word);
 - ``bconv_fold`` is the lazy-reduction digit fold of
   :func:`repro.rns.convert.base_convert` — for narrow destinations one
   ``(m, kk) @ (kk, n)`` uint64 matrix product and one ``%`` whenever
@@ -21,12 +14,8 @@ matrix-at-a-time kernels the vectorization PR shipped, moved behind the
 - the pointwise kernels are single broadcast :mod:`repro.nt.modmath`
   calls against the ``(k, 1)`` modulus column.
 
-It is also the only engine for ``big`` (object-dtype) matrices: no
-backend declares that kind, so dispatch falls through to here.
-
-Nothing here imports numba; nothing outside :mod:`repro.backends` may
-import this module directly (the ``backend-bypass`` fhelint pass
-enforces that call sites go through the registry dispatch).
+Call sites go through the dispatch functions of :mod:`repro.backends`,
+which count each call.
 """
 
 from __future__ import annotations
@@ -34,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 import repro.nt.modmath as modmath
-from repro.backends import KERNELS, KINDS, KernelBackend
 
 
 def _narrow_fold(
@@ -87,58 +75,37 @@ def _wide_fold(
     return acc
 
 
-class NumpyBackend(KernelBackend):
-    """The stage-vectorized numpy kernels as a registry backend."""
+def bconv_fold(
+    stack: np.ndarray,
+    weights: np.ndarray,
+    dst_moduli: np.ndarray,
+    v_bound: int,
+    kind: str,
+) -> np.ndarray:
+    dst_col = dst_moduli.astype(stack.dtype, copy=False).reshape(-1, 1)
+    if kind == "wide":
+        return _wide_fold(stack, weights, dst_col)
+    kk = stack.shape[0]
+    p_max = int(dst_moduli.max())
+    if kind == "big" or kk * max(v_bound, p_max) * p_max < 1 << 64:
+        # The CRB unit's shape: one matrix product over every
+        # destination at once, then one reduction.  Object rows are
+        # Python ints, exact at any width; a uint64 word sums kk
+        # products, each below max(v_bound, p_max) * p_max, so the
+        # guard above keeps it under 2^64.
+        total = weights @ stack  # fhelint: ok[overflow-hazard]
+        return total % dst_col
+    out = np.empty((dst_moduli.shape[0], stack.shape[1]), dtype=np.uint64)
+    for j in range(dst_moduli.shape[0]):
+        out[j] = _narrow_fold(stack, weights[j], int(dst_moduli[j]), v_bound)
+    return out
 
-    name = "numpy"
-    priority = 0
-    supported = frozenset(
-        (kernel, kind) for kernel in KERNELS for kind in KINDS
-    )
 
-    def ntt_forward(self, ctx, mat: np.ndarray) -> np.ndarray:
-        return ctx._forward_stages(mat)
+def pointwise_mul(a: np.ndarray, b: np.ndarray, q_col: np.ndarray) -> np.ndarray:
+    return modmath.mod_mul(a, b, q_col)
 
-    def ntt_inverse(self, ctx, mat: np.ndarray) -> np.ndarray:
-        return ctx._inverse_stages(mat)
 
-    def bconv_fold(
-        self,
-        stack: np.ndarray,
-        weights: np.ndarray,
-        dst_moduli: np.ndarray,
-        v_bound: int,
-        kind: str,
-    ) -> np.ndarray:
-        dst_col = dst_moduli.astype(stack.dtype, copy=False).reshape(-1, 1)
-        if kind == "wide":
-            return _wide_fold(stack, weights, dst_col)
-        kk = stack.shape[0]
-        p_max = int(dst_moduli.max())
-        if kind == "big" or kk * max(v_bound, p_max) * p_max < 1 << 64:
-            # The CRB unit's shape: one matrix product over every
-            # destination at once, then one reduction.  Object rows are
-            # Python ints, exact at any width; a uint64 word sums kk
-            # products, each below max(v_bound, p_max) * p_max, so the
-            # guard above keeps it under 2^64.
-            total = weights @ stack  # fhelint: ok[overflow-hazard]
-            return total % dst_col
-        out = np.empty((dst_moduli.shape[0], stack.shape[1]), dtype=np.uint64)
-        for j in range(dst_moduli.shape[0]):
-            out[j] = _narrow_fold(stack, weights[j], int(dst_moduli[j]), v_bound)
-        return out
-
-    def pointwise_mul(
-        self, a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
-    ) -> np.ndarray:
-        return modmath.mod_mul(a, b, q_col)
-
-    def pointwise_mul_acc(
-        self,
-        acc: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        q_col: np.ndarray,
-        kind: str,
-    ) -> np.ndarray:
-        return modmath.mod_add(acc, modmath.mod_mul(a, b, q_col), q_col)
+def pointwise_mul_acc(
+    acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray
+) -> np.ndarray:
+    return modmath.mod_add(acc, modmath.mod_mul(a, b, q_col), q_col)

@@ -384,7 +384,7 @@ class Evaluator:
                 acc0 = digit.pointwise_mul(b_row)
                 acc1 = digit.pointwise_mul(a_row)
             else:
-                # Fused multiply-accumulate: one backend dispatch per
+                # Fused multiply-accumulate: one kernel call per
                 # digit instead of a product plus an add pass.
                 acc0 = acc0.pointwise_mul_acc(digit, b_row)
                 acc1 = acc1.pointwise_mul_acc(digit, a_row)

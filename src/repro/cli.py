@@ -13,8 +13,6 @@ Usage (``python -m repro ...``)::
     python -m repro obs-report results/fig14_word_size_sweep.profile.json
     python -m repro obs-report old.profile.json new.profile.json
     python -m repro obs-report --chrome-out trace.json fig14.profile.json
-    python -m repro figure fig14 --backend numba
-    python -m repro backends
     python -m repro list-figures
     python -m repro lint --traces
     python -m repro lint --format sarif --output fhelint.sarif
@@ -111,12 +109,6 @@ def _add_figure_options(parser: argparse.ArgumentParser) -> None:
              "(exit non-zero at the end)",
     )
     parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="kernel backend for the hot paths (numpy, numba, or auto; "
-             "default: $BITPACKER_BACKEND or auto; see "
-             "`repro backends`)",
-    )
-    parser.add_argument(
         "--compiled", action="store_true",
         help="run the harness on trace-compiler output (optimized "
              "schedules) instead of the recorded schedules",
@@ -177,12 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("list-figures", help="list available experiments")
-
-    sub.add_parser(
-        "backends",
-        help="list kernel backends, their support matrix, and the "
-             "active one",
-    )
 
     lint = sub.add_parser(
         "lint", help="run the fhelint static passes (and trace checks)"
@@ -421,29 +407,6 @@ def _write_figure_profile(
 
 
 def _cmd_figure(args) -> int:
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return _run_figure_command(args)
-    import repro.backends as kernel_backends
-    from repro.errors import ParameterError
-
-    # An explicit flag fails fast on a typo or a missing engine; the
-    # $BITPACKER_BACKEND path keeps its warn-and-fall-back semantics.
-    backend = backend.strip().lower()
-    if backend != "auto":
-        try:
-            kernel_backends.get_backend(backend)
-        except ParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    # Pin the kernel backend for the whole run, restoring the previous
-    # selection afterwards (tests invoke main() repeatedly in-process).
-    with kernel_backends.use(backend):
-        return _run_figure_command(args)
-
-
-def _run_figure_command(args) -> int:
     import importlib
     import inspect
     import time
@@ -627,35 +590,6 @@ def _cmd_obs_report(args) -> int:
 def _cmd_list_figures(_args) -> int:
     for name, (module_path, _stem, note) in sorted(FIGURES.items()):
         print(f"{name:8s} {module_path:28s} ({note})")
-    return 0
-
-
-def _cmd_backends(_args) -> int:
-    """Registered kernel backends, verification state, support matrix."""
-    import repro.backends as kernel_backends
-    from repro.backends import KERNELS, KINDS
-
-    print(f"requested: {kernel_backends.requested_backend()}")
-    print(f"active:    {kernel_backends.active_name()}")
-    print()
-    header = f"{'backend':10s} {'prio':>4s} {'active':6s} {'verified':8s}"
-    for kernel in KERNELS:
-        header += f"  {kernel}"
-    print(header)
-    for row in kernel_backends.backend_status():
-        line = (
-            f"{row['name']:10s} {row['priority']:4d} "
-            f"{'  *   ' if row['active'] else '      '} "
-            f"{'yes' if row['verified'] else 'BROKEN':8s}"
-        )
-        supported = set(map(tuple, row["supported"]))
-        for kernel in KERNELS:
-            kinds = [k for k in KINDS if (kernel, k) in supported]
-            cell = ",".join(kinds) if kinds else "-"
-            line += f"  {cell:{len(kernel)}s}"
-        print(line)
-        for message in row["verify_errors"]:
-            print(f"    ! {message}")
     return 0
 
 
@@ -868,7 +802,6 @@ _COMMANDS: dict[str, Callable] = {
     "profile": _cmd_profile,
     "obs-report": _cmd_obs_report,
     "list-figures": _cmd_list_figures,
-    "backends": _cmd_backends,
     "lint": _cmd_lint,
     "verify-trace": _cmd_verify_trace,
     "compile-trace": _cmd_compile_trace,

@@ -289,13 +289,16 @@ def _simulate_cpu(
     app: str, bs: str, scheme: str, word_bits: int, ks_digits: int,
     compiled: bool = False,
 ) -> CpuResult:
+    # Positional, like _simulate and _plan_chain: lru_cache keys a keyword
+    # call apart from a positional one, and the trace would be built twice.
+    n, max_log_q = EVAL_N, EVAL_MAX_LOG_Q
     trace = trace_for(
-        app, bs, scheme, word_bits, ks_digits=ks_digits, compiled=compiled
+        app, bs, scheme, word_bits, n, max_log_q, ks_digits, compiled
     )
     GATE.admit(trace, verify_or_raise)
     return DEFAULT_CPU_MODEL.run(
-        trace, chain_for(app, bs, scheme, word_bits, ks_digits,
-                         compiled=compiled)
+        trace,
+        chain_for(app, bs, scheme, word_bits, ks_digits, n, max_log_q, compiled),
     )
 
 

@@ -51,8 +51,7 @@ direction's first transform, so a context that only runs forward holds
 half of them; they are the software analogue of the accelerator's
 precomputed twiddle ROMs.  Each constant and its companion
 (:func:`repro.nt.modmath.shoup_companion`) is stored once, in the
-stack's word and in the order its stage reads it; an engine that runs
-its own loop asks :meth:`NttRowsContext.natural_tables`.
+stack's word and in the order its stage reads it.
 """
 
 from __future__ import annotations
@@ -193,21 +192,6 @@ class NttRowsContext:
         self._q = self._q_col.astype(self._word).reshape(k, 1, 1, 1)
         self._two_q = self._q * 2
 
-    def _natural_table(self, inverse: bool) -> np.ndarray:
-        # np.stack lands on the widest row's dtype: one object table
-        # makes the stack object (exact Python ints throughout).
-        return np.stack([_prime_tables(q, self.n)[inverse] for q in self.moduli])
-
-    def natural_tables(self, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``(constants, β = 2^64 Shoup companions)`` of one direction as
-        natural-order ``(k, n)`` uint64 matrices, ``n^-1`` in slot 0 of
-        the inverse's — what an engine that runs its own stage loop
-        reads.  Built per call and not retained: the context keeps only
-        the per-stage constants its own loops read.
-        """
-        table = self._natural_table(inverse)
-        return table, modmath.shoup_companion(table, self._q_col)
-
     def _plan(self, inverse: bool) -> list[tuple]:
         """One direction's stages, fewest blocks first: ``(shape, w, w')``.
 
@@ -226,7 +210,9 @@ class NttRowsContext:
         scale over the whole ``(k, 1, 1, n)`` matrix.
         """
         k, n = len(self.moduli), self.n
-        table = self._natural_table(inverse)
+        # np.stack lands on the widest row's dtype: one object table
+        # makes the stack object (exact Python ints throughout).
+        table = np.stack([_prime_tables(q, n)[inverse] for q in self.moduli])
         shoup = None
         if self._word is not object:
             beta_bits = 8 * np.dtype(self._word).itemsize
@@ -324,8 +310,8 @@ class NttRowsContext:
     def forward(self, mat: np.ndarray) -> np.ndarray:
         """Coefficient -> NTT transform of a ``(k, n)`` matrix or stack.
 
-        Dispatches through the kernel-backend registry; the numpy
-        reference backend lands back on :meth:`_forward_stages`.
+        Crosses the kernel boundary (:mod:`repro.backends`), which
+        counts the call and lands back on :meth:`_forward_stages`.
         """
         if mat.ndim == 1:
             return self.forward(mat[None])[0]
@@ -335,7 +321,7 @@ class NttRowsContext:
         return _backends.ntt_forward(self, mat)
 
     def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
-        """The stage-vectorized numpy forward kernel (reference engine).
+        """The stage-vectorized numpy forward kernel.
 
         Cooley–Tukey DIT with Harvey's lazy butterfly: values enter a
         stage in ``[0, 4q)``, the upper half folds to ``[0, 2q)``, the
@@ -368,8 +354,8 @@ class NttRowsContext:
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         """NTT -> coefficient transform of a ``(k, n)`` matrix or stack.
 
-        Dispatches through the kernel-backend registry; the numpy
-        reference backend lands back on :meth:`_inverse_stages`.
+        Crosses the kernel boundary (:mod:`repro.backends`), which
+        counts the call and lands back on :meth:`_inverse_stages`.
         """
         if mat.ndim == 1:
             return self.inverse(mat[None])[0]
@@ -379,7 +365,7 @@ class NttRowsContext:
         return _backends.ntt_inverse(self, mat)
 
     def _inverse_stages(self, mat: np.ndarray) -> np.ndarray:
-        """The stage-vectorized numpy inverse kernel (reference engine).
+        """The stage-vectorized numpy inverse kernel.
 
         Gentleman–Sande DIF with the lazy butterfly mirrored: values
         stay in ``[0, 2q)``; the sum folds back from ``[0, 4q)``, the

@@ -12,7 +12,7 @@ The matrix is the only storage.  Its dtype follows the *basis* kind
 (:attr:`RnsBasis.kind`): uint64 when every modulus is below 2^61, object
 (exact Python ints) otherwise.  Every operation is one vectorized call
 over the whole matrix against the basis's ``(R, 1)`` modulus column —
-:mod:`repro.nt.modmath` for add/sub/neg, the kernel-backend registry for
+:mod:`repro.nt.modmath` for add/sub/neg, :mod:`repro.backends` for
 the Hadamard products, the batched NTT for domain changes — so a basis
 that mixes widths runs every row on its widest member's arithmetic.
 
@@ -156,7 +156,7 @@ class RnsPolynomial:
     def pointwise_mul(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Hadamard product; in NTT domain this is polynomial multiplication.
 
-        Dispatches through the kernel-backend registry on the basis kind.
+        One :func:`repro.backends.pointwise_mul` call on the basis kind.
         """
         self._check_compatible(other)
         if self.domain != NTT:
@@ -171,7 +171,7 @@ class RnsPolynomial:
     ) -> "RnsPolynomial":
         """``self + a · b`` fused — the keyswitch inner-loop accumulate.
 
-        One backend dispatch instead of a multiply followed by an add
+        One kernel call instead of a multiply followed by an add
         (two full passes over the residue matrix).
         """
         self._check_compatible(a)

@@ -5,7 +5,7 @@ Sec. 13): per-tenant sessions over a shared key registry
 (:mod:`repro.serve.keys`), admission through the static schedule
 verifier, bounded per-shard queues with 429-style backpressure, a
 batcher that coalesces compatible ciphertext ops into matrix-at-a-time
-backend-registry calls (:mod:`repro.serve.batch`), and per-tenant
+kernel calls (:mod:`repro.serve.batch`), and per-tenant
 metrics via :mod:`repro.obs`.  :mod:`repro.serve.loadgen` ships the
 seeded Zipf/bursty traffic model; ``bitpacker-serve``
 (:mod:`repro.serve.cli`) boots the whole stack from the command line.

@@ -6,8 +6,8 @@ PAPERS.md).  The serve batcher exploits the same structure the PR-1
 vectorization did: a pointwise ciphertext op over an RNS residue stack
 is ``k`` independent rows against a ``(k, 1)`` modulus column, so *B*
 requests that share a modulus chain and level are exactly one
-``(B*k, n)`` matrix against the tiled column — a single dispatch
-through the backend registry instead of *B*.
+``(B*k, n)`` matrix against the tiled column — a single kernel call
+through :mod:`repro.backends` instead of *B*.
 
 Compatibility is strict: requests coalesce iff they agree on the key
 fingerprint (same chain primes), the level (same row count and moduli
@@ -15,17 +15,16 @@ prefix) and the op.  Mixed-level traffic **must not** coalesce — the
 rows would reduce against the wrong moduli — and
 :func:`coalesce` keys on exactly that triple.  Because every batched
 kernel is elementwise over rows, a coalesced result is byte-identical
-to the serial one; ``tests/test_serve.py`` pins that across backends.
+to the serial one; ``tests/test_serve.py`` pins that.
 
 Executable ops map trace kinds onto the kernels a long-running service
 can run statelessly per request:
 
 - ``mul`` (``HMUL``/``PMUL``): the NTT-domain Hadamard product, through
-  :func:`repro.backends.pointwise_mul` (registry-dispatched, so the
-  numba fast path serves batches when available);
+  :func:`repro.backends.pointwise_mul`;
 - ``add`` (``HADD``/``PADD``): elementwise modular addition via
-  :func:`repro.nt.modmath.mod_add` (no registry entry — a single
-  fused numpy expression is already matrix-at-a-time).
+  :func:`repro.nt.modmath.mod_add` (not one of the five kernels — a
+  single fused numpy expression is already matrix-at-a-time).
 
 ``RESCALE``/``ADJUST``/``HROT`` remain schedule-only kinds: they are
 verified by the admission gate but carry no per-request payload here,

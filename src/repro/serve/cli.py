@@ -80,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     svc.add_argument("--max-batch", type=int, default=16,
                      help="max requests coalesced per kernel call "
                           "(default: %(default)s)")
-    svc.add_argument("--backend", default=None, metavar="NAME",
-                     help="kernel backend (numpy, numba, auto; default: "
-                          "$BITPACKER_BACKEND or auto)")
     res = parser.add_argument_group("resilience")
     res.add_argument("--request-timeout", type=float, default=None,
                      metavar="S",
@@ -301,20 +298,7 @@ def audit_report(report) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.backend is None:
-            return _run(args)
-        import repro.backends as kernel_backends
-        from repro.errors import ParameterError
-
-        backend = args.backend.strip().lower()
-        if backend != "auto":
-            try:
-                kernel_backends.get_backend(backend)
-            except ParameterError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        with kernel_backends.use(backend):
-            return _run(args)
+        return _run(args)
     except KeyboardInterrupt:
         # The service context manager drained on the way out; 130 is
         # the conventional SIGINT exit status.

@@ -4,7 +4,7 @@ A serve tenant's "key material" is everything an executor needs that is
 derived from the tenant's parameterization rather than from any single
 request: the NTT-friendly modulus chain primes, the per-level modulus
 columns the batched kernels broadcast against, and the width ``kind``
-the backend registry dispatches on.  Deriving it is pure and
+the pointwise kernels are told.  Deriving it is pure and
 deterministic, so two tenants registered with the same ``(n, word_bits,
 levels)`` share one :class:`KeyMaterial` object — the ARK-style reuse
 idiom (PAPERS.md): key-derived tables are built once per *key*, not
@@ -36,7 +36,7 @@ from repro.errors import ParameterError
 from repro.nt.primes import ntt_friendly_primes_below
 from repro.obs import core as _obs
 
-#: Width routing for the backend registry's pointwise kernels: moduli
+#: Width routing for the pointwise kernels: moduli
 #: below 2^31 take the ``narrow`` fast paths, anything up to 2^61 the
 #: ``wide`` ones (mirrors :mod:`repro.backends`).
 NARROW_MAX_BITS = 30

@@ -5,8 +5,8 @@ Composes the repo's batch pieces into a long-running system (ROADMAP's
 
 admission -> verify gate -> per-shard queue -> batcher -> kernel call
    |              |                |               |          |
- 404/400/422   ScheduleViolation  429 past     coalesce     backend
- on bad input  at the front door  high water   compatible   registry
+ 404/400/422   ScheduleViolation  429 past     coalesce     repro
+ on bad input  at the front door  high water   compatible   .backends
                503 breaker shed   / fair cap   ops          + retries
 
 - **Sessions** bind a tenant to a *verified* schedule and to shared
@@ -26,7 +26,7 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
 - **Batching**: each worker drains whatever is queued (up to
   ``max_batch``), coalesces compatible ops
   (:mod:`repro.serve.batch`), and dispatches matrix-at-a-time through
-  the backend registry.  Results are byte-identical to serial
+  :mod:`repro.backends`.  Results are byte-identical to serial
   execution — batching is a latency/throughput decision, never a
   numerical one.
 - **Resilience** (DESIGN.md Sec. 14): requests carry deadlines from
@@ -44,8 +44,7 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
 
 The service is single-event-loop: workers are asyncio tasks and the
 kernel calls run inline (they are short at service ring degrees and
-release little; a GPU/JIT backend slots in behind the same registry
-dispatch).  Injected faults (:mod:`repro.eval.faults` ``serve.*``
+release little).  Injected faults (:mod:`repro.eval.faults` ``serve.*``
 sites) are *decided* by the injector but *applied* here with
 ``await asyncio.sleep``, so a simulated straggler stalls one dispatch,
 not the loop.

@@ -75,21 +75,11 @@ class TestFigureCommand:
         assert "fig14" in capsys.readouterr().err
 
     def test_unknown_backend_rejected(self, capsys, figure_args):
-        """An explicit --backend typo fails fast (no silent fallback)."""
-        rc = main(["figure", "fig10", "--backend", "nope", *figure_args])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown kernel backend 'nope'" in err
-        assert "Traceback" not in err
-
-    def test_backend_flag_pins_and_restores(self, capsys, figure_args):
-        import repro.backends as backends
-
-        before = backends.requested_backend()
-        rc = main(["figure", "fig10", "--backend", "numpy", *figure_args])
-        assert rc == 0
-        assert "Fig. 10" in capsys.readouterr().out
-        assert backends.requested_backend() == before
+        """There is one kernel engine and no flag that names another."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "fig10", "--backend", "numpy", *figure_args])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_failed_figure_stops_run_by_default(
         self, capsys, tmp_path, figure_args, monkeypatch

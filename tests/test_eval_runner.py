@@ -190,6 +190,17 @@ class TestCachedHarnesses:
         assert parallel == serial
 
 
+class TestMemoryCacheKeys:
+    def test_cpu_point_generates_its_trace_once(self, fresh_cache):
+        """``lru_cache`` keys a keyword call apart from a positional one:
+        the CPU model and the chain planner must ask for the trace the
+        same way, or every Fig. 13 point builds it twice."""
+        common.clear_memory_caches()
+        common.simulate_cpu("LogReg", "BS19", "bitpacker", 64)
+        assert common.trace_for.cache_info().misses == 1
+        assert common.chain_for.cache_info().misses == 1
+
+
 class TestMapGrid:
     def test_preserves_grid_order(self, fresh_cache):
         calls = [dict(x=i) for i in range(8)]

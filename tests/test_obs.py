@@ -421,7 +421,6 @@ class TestDisabledOverhead:
         ``obs.trace_overhead_ratio``; tier-1 only pins structure.)"""
         import sys
 
-        import repro.backends as backends
         from repro.analysis import sanitize
         from repro.eval import faults
         from repro.nt.ntt import forward_rows
@@ -442,13 +441,12 @@ class TestDisabledOverhead:
                     (frame.f_globals.get("__name__"), frame.f_code.co_name)
                 )
 
-        with backends.use("numpy"):
-            forward_rows(mat, moduli)  # resolve the backend, build tables
-            sys.setprofile(profiler)
-            try:
-                forward_rows(mat, moduli)
-            finally:
-                sys.setprofile(None)
+        forward_rows(mat, moduli)  # build the tables
+        sys.setprofile(profiler)
+        try:
+            forward_rows(mat, moduli)
+        finally:
+            sys.setprofile(None)
         kernel = ("repro.nt.ntt", "_forward_stages")
         # The moduli-tuple generator resumes once per modulus; one frame.
         path = [c for c in calls[: calls.index(kernel) + 1] if c[1] != "<genexpr>"]
@@ -457,9 +455,6 @@ class TestDisabledOverhead:
             ("repro.nt.ntt", "forward"),
             ("repro.nt.ntt", "_check"),
             ("repro.backends", "ntt_forward"),
-            ("repro.backends", "_select"),
-            ("repro.backends", "supports"),
-            ("repro.backends.numpy_backend", "ntt_forward"),
             kernel,
         ]
 
