@@ -5,9 +5,7 @@ from repro.eval import fig18
 
 
 def test_fig18_rescale_precision(benchmark):
-    rows = benchmark.pedantic(
-        fig18.run, kwargs=dict(samples=12, n=1024), rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(fig18.run, rounds=1, iterations=1)
     text = fig18.render(rows)
     save_result("fig18_rescale_precision", text)
     by_key = {(r.scale_bits, r.scheme): r for r in rows}

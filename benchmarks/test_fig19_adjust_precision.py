@@ -5,9 +5,7 @@ from repro.eval import fig19
 
 
 def test_fig19_adjust_precision(benchmark):
-    rows = benchmark.pedantic(
-        fig19.run, kwargs=dict(samples=12, n=1024), rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(fig19.run, rounds=1, iterations=1)
     text = fig19.render(rows)
     save_result("fig19_adjust_precision", text)
     by_key = {(r.scale_bits, r.scheme): r for r in rows}

@@ -5,9 +5,7 @@ from repro.eval import table1
 
 
 def test_table1_mantissa_bits(benchmark):
-    rows = benchmark.pedantic(
-        table1.run, kwargs=dict(samples=2, n=512), rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(table1.run, rounds=1, iterations=1)
     text = table1.render(rows)
     save_result("table1_mantissa_bits", text)
     for r in rows:

@@ -570,9 +570,7 @@ def verify_traces(
 def verify_or_raise(trace: HeTrace, **kwargs) -> VerifyResult:
     """The pre-flight gate: raise on any violation, return the result.
 
-    Raises :class:`~repro.errors.ScheduleViolationError` — a
-    deterministic :class:`~repro.errors.ReproError`, so
-    :func:`repro.eval.runner.map_grid` will not retry it.
+    Raises :class:`~repro.errors.ScheduleViolationError`.
     """
     result = verify_trace(trace, **kwargs)
     if result.findings:

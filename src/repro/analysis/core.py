@@ -171,7 +171,6 @@ def _ensure_builtin_passes() -> None:
         compiler_bypass,
         dtypes,
         exception_hygiene,
-        fork_safety,
         overflow,
         timing,
     )

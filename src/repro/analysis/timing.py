@@ -2,8 +2,8 @@
 
 ``time.time()`` follows the system clock, which NTP slews and the
 administrator can step; an interval measured with it can come out
-negative or wildly wrong, and a sweep's retry/backoff/deadline logic
-(DESIGN.md Sec. 9) silently misbehaves.  The repo's conventions:
+negative or wildly wrong, and serve's retry/backoff/deadline logic
+(DESIGN.md Sec. 13) silently misbehaves.  The repo's conventions:
 
 - **intervals / deadlines** — ``time.monotonic()``;
 - **profiling** — :mod:`repro.obs` spans (``perf_counter`` based);

@@ -3,7 +3,7 @@
 Every CKKS operation decomposes into these kernels, and every call to
 one crosses this module — it is the seam where kernel calls are counted
 (``kernel.backend.numpy.<kernel>``) and where an engine other than numpy
-would have to enter (DESIGN.md Sec. 11 has the admission contract):
+would have to enter (DESIGN.md Sec. 10 has the admission contract):
 
 - ``ntt_forward`` / ``ntt_inverse`` — the batched negacyclic NTT of a
   ``(k, n)`` residue matrix, or of each matrix of an ``(m, k, n)`` stack

@@ -5,9 +5,9 @@ Usage (``python -m repro ...``)::
     python -m repro plan --scheme bitpacker --n 1024 --word 28 \\
         --scale 40 --levels 6
     python -m repro compare --word 28
-    python -m repro figure fig11 fig15 --jobs 4
+    python -m repro figure fig11 fig15
     python -m repro figure fig14 --cache-dir /tmp/bp-cache --force
-    python -m repro figure fig14 fig18 --jobs 4 --timeout 90 --keep-going
+    python -m repro figure fig14 fig18 --keep-going
     python -m repro figure fig14 --profile
     python -m repro profile fig14
     python -m repro obs-report results/fig14_word_size_sweep.profile.json
@@ -22,15 +22,14 @@ Usage (``python -m repro ...``)::
     python -m repro figure fig11 --compiled
     python -m repro serve --tenants 8 --requests 400 --json serve.json
 
-``figure`` treats sweeps as restartable batch jobs: worker crashes and
-hung tasks are retried (``--retries``/``--timeout``), recoveries are
-summarized per figure, Ctrl-C exits 130 with completed figures flushed
-to ``results/``, and a re-run resumes from the disk cache (DESIGN.md
-Sec. 9).  With ``--profile`` (or the ``profile`` alias) each figure also
-writes ``results/<stem>.profile.json`` — span tree, counters, and the
+``figure`` treats sweeps as restartable batch jobs: Ctrl-C exits 130
+with completed figures flushed to ``results/``, and running the same
+command again resumes from the disk cache (DESIGN.md Sec. 8).  With
+``--profile`` (or the ``profile`` alias) each figure also writes
+``results/<stem>.profile.json`` — span tree, counters, and the
 per-kernel cycle/energy attribution — and prints a rendered summary;
 ``obs-report`` renders, diffs, or converts those documents (DESIGN.md
-Sec. 10).
+Sec. 9).
 """
 
 from __future__ import annotations
@@ -45,24 +44,29 @@ from typing import Callable, Sequence
 from repro.schemes import plan_chain
 
 #: Figure/table name -> (module path, results/ file stem, runtime note).
+#: Notes are measured cold runs with the cache off on a 2-core machine
+#: (all 14 together: about a minute; warm from the disk cache: under a
+#: second).
 FIGURES: dict[str, tuple[str, str, str]] = {
     "fig10": ("repro.eval.fig10", "fig10_energy_breakdown", "instant"),
-    "fig11": ("repro.eval.fig11", "fig11_exec_time_28bit", "seconds"),
-    "fig12": ("repro.eval.fig12", "fig12_energy_28bit", "seconds"),
-    "fig13": ("repro.eval.fig13", "fig13_cpu", "seconds"),
-    "fig14": ("repro.eval.fig14", "fig14_word_size_sweep", "a few minutes"),
-    "fig15": ("repro.eval.fig15", "fig15_slowdown", "a few minutes"),
-    "fig16": ("repro.eval.fig16", "fig16_perf_per_area", "a few minutes"),
-    "fig17": ("repro.eval.fig17", "fig17_scratchpad_sweep", "a minute"),
+    "fig11": ("repro.eval.fig11", "fig11_exec_time_28bit", "~2 s"),
+    "fig12": ("repro.eval.fig12", "fig12_energy_28bit", "~2 s"),
+    "fig13": ("repro.eval.fig13", "fig13_cpu", "~1 s"),
+    "fig14": ("repro.eval.fig14", "fig14_word_size_sweep", "~19 s"),
+    "fig15": ("repro.eval.fig15", "fig15_slowdown",
+              "~19 s; instant after fig14"),
+    "fig16": ("repro.eval.fig16", "fig16_perf_per_area",
+              "~19 s; instant after fig14"),
+    "fig17": ("repro.eval.fig17", "fig17_scratchpad_sweep", "~8 s"),
     "fig18": ("repro.eval.fig18", "fig18_rescale_precision",
-              "minutes (real encrypted arithmetic)"),
+              "~15 s, real encrypted arithmetic"),
     "fig19": ("repro.eval.fig19", "fig19_adjust_precision",
-              "minutes (real encrypted arithmetic)"),
+              "~7 s, real encrypted arithmetic"),
     "table1": ("repro.eval.table1", "table1_mantissa_bits",
-               "minutes (real encrypted arithmetic)"),
-    "sec61": ("repro.eval.security", "sec61_security_params", "seconds"),
-    "sec62": ("repro.eval.sharp", "sec62_sharp_comparison", "seconds"),
-    "sec63": ("repro.eval.area_reduction", "sec63_area_reduction", "seconds"),
+               "~6 s, real encrypted arithmetic"),
+    "sec61": ("repro.eval.security", "sec61_security_params", "~1 s"),
+    "sec62": ("repro.eval.sharp", "sec62_sharp_comparison", "~1 s"),
+    "sec63": ("repro.eval.area_reduction", "sec63_area_reduction", "~2 s"),
 }
 
 
@@ -71,10 +75,6 @@ def _add_figure_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "names", nargs="+", metavar="NAME",
         help="figures/tables to regenerate (see `repro list-figures`)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per harness grid (default: 1, serial)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -92,16 +92,6 @@ def _add_figure_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--results-dir", default="results", metavar="DIR",
         help="where to write <figure>.txt outputs (default: results/)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task deadline in parallel runs; a task past it is "
-             "abandoned and retried (default: none)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="extra attempts per crashed/hung grid task (default: 2; "
-             "deterministic model errors are never retried)",
     )
     parser.add_argument(
         "--keep-going", action="store_true",
@@ -321,18 +311,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _print_recovery_events(name: str, runner) -> None:
-    """Summarize the recoveries map_grid performed for one figure."""
-    from collections import Counter
-
-    events = runner.take_events()
-    if not events:
-        return
-    counts = Counter(event.kind for event in events)
-    summary = ", ".join(f"{n}x {kind}" for kind, n in sorted(counts.items()))
-    print(f"[{name}] recovery events: {summary}", file=sys.stderr)
-
-
 def _write_text_atomic(path: Path, text: str) -> None:
     """Publish a ``results/`` file atomically (temp + ``os.replace``).
 
@@ -422,9 +400,6 @@ def _cmd_figure(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
     profiling = getattr(args, "profile", False)
     if profiling:
         from repro import obs
@@ -439,8 +414,6 @@ def _cmd_figure(args) -> int:
         # One process must not keep serving pre-force artifacts it still
         # holds in memory: --force invalidates both cache layers.
         common.clear_memory_caches()
-    runner.configure_policy(timeout=args.timeout, retries=args.retries)
-    runner.take_events()  # drop anything stale from earlier in-process runs
     results_dir = Path(args.results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     failed = []
@@ -460,11 +433,8 @@ def _cmd_figure(args) -> int:
         try:
             module = importlib.import_module(module_path)
             kwargs = {}
-            run_params = inspect.signature(module.run).parameters
-            if "jobs" in run_params:
-                kwargs["jobs"] = args.jobs
             if getattr(args, "compiled", False):
-                if "compiled" in run_params:
+                if "compiled" in inspect.signature(module.run).parameters:
                     kwargs["compiled"] = True
                 else:
                     print(
@@ -486,26 +456,19 @@ def _cmd_figure(args) -> int:
                 else None
             )
         except KeyboardInterrupt:
-            # map_grid has already cancelled pending futures and killed
-            # its workers; everything computed so far is in the disk
-            # cache and every finished figure is in results/.
-            _print_recovery_events(name, runner)
+            # Everything computed so far is in the disk cache and every
+            # finished figure is in results/.
             print(f"[{name}] interrupted", file=sys.stderr)
             interrupted = True
             break
         except Exception as exc:
-            # Covers harness errors and worker-level crashes alike: a
-            # sweep that exhausts its retries surfaces as RunnerError
-            # here instead of tearing down the whole invocation.
             traceback.print_exc(file=sys.stderr)
-            _print_recovery_events(name, runner)
             print(f"[{name}] FAILED: {exc}", file=sys.stderr)
             failed.append(name)
             if args.keep_going:
                 continue
             break
         elapsed = time.monotonic() - started
-        _print_recovery_events(name, runner)
         print(f"[{name}] done in {elapsed:.1f}s -> {out_path}", file=sys.stderr)
         print(text)
         print()

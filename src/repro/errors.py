@@ -44,17 +44,6 @@ class SimulationError(ReproError):
     """The accelerator model was driven with an inconsistent trace."""
 
 
-class RunnerError(ReproError):
-    """The experiment runner could not complete a grid task.
-
-    Raised when a :func:`repro.eval.runner.map_grid` task keeps failing
-    after its retry budget (crashed workers, timeouts, repeated task
-    errors).  Deterministic library errors (:class:`ReproError`
-    subclasses) are *not* wrapped — they re-raise as themselves, since
-    retrying a deterministic failure cannot succeed.
-    """
-
-
 class ScheduleViolationError(ReproError):
     """A trace failed static schedule verification.
 

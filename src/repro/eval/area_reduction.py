@@ -43,9 +43,7 @@ class AreaReductionResult:
     no_loss_point: ReducedDesign
 
 
-def _evaluate(
-    label: str, rf_mb: float, base_area: float, jobs: int = 1
-) -> ReducedDesign:
+def _evaluate(label: str, rf_mb: float, base_area: float) -> ReducedDesign:
     cfg = craterlake().with_register_file(rf_mb).with_crb_shrink(CRB_SHRINK)
     area = DEFAULT_AREA_MODEL.total_area(cfg)
     variants = (
@@ -58,7 +56,7 @@ def _evaluate(
         for app, bs in WORKLOAD_GRID
         for variant in variants
     ]
-    results = runner.map_grid(simulate, calls, jobs=jobs)
+    results = runner.map_grid(simulate, calls)
     perf_ratios = []
     edaps = []
     for index in range(len(WORKLOAD_GRID)):
@@ -74,15 +72,13 @@ def _evaluate(
     )
 
 
-def run(jobs: int = 1) -> AreaReductionResult:
+def run() -> AreaReductionResult:
     base_area = DEFAULT_AREA_MODEL.total_area(craterlake())
     return AreaReductionResult(
         baseline_area_mm2=base_area,
-        paper_point=_evaluate(
-            "paper (RF 200 MB)", PAPER_RF_MB, base_area, jobs=jobs
-        ),
+        paper_point=_evaluate("paper (RF 200 MB)", PAPER_RF_MB, base_area),
         no_loss_point=_evaluate(
-            "model no-loss (RF 225 MB)", NO_LOSS_RF_MB, base_area, jobs=jobs
+            "model no-loss (RF 225 MB)", NO_LOSS_RF_MB, base_area
         ),
     )
 

@@ -9,12 +9,13 @@ cached record is keyed by its parameters plus a fingerprint of the
 model's calibration constants, so editing a constant recomputes instead
 of serving stale rows.
 
-Failure model: these artifact functions are the tasks
-:func:`repro.eval.runner.map_grid` fans out, so they must stay safe to
-*replay* — each is a pure function of its parameters, and a record that
-went missing (crashed worker, quarantined corruption) is simply
-recomputed on the next call.  Nothing here may cache partial state
-outside the runner's store (DESIGN.md Sec. 9).
+Failure model: these artifact functions are the grid points
+:func:`repro.eval.runner.map_grid` evaluates, and a killed run resumes
+by running again, so they must stay safe to *replay* — each is a pure
+function of its parameters, and a record that went missing (interrupted
+run, quarantined corruption) is simply recomputed on the next call.
+Nothing here may cache partial state outside the runner's store
+(DESIGN.md Sec. 8).
 """
 
 from __future__ import annotations
@@ -253,8 +254,7 @@ def _simulate(
     chain = chain_for(
         app, bs, scheme, word_bits, ks_digits, n, max_log_q, compiled
     )
-    # The pre-flight gate: no trace is priced before it verifies (a
-    # ScheduleViolationError is deterministic, so map_grid never retries).
+    # The pre-flight gate: no trace is priced before it verifies.
     GATE.admit(trace, verify_or_raise)
     return sim.run(trace, chain)
 

@@ -1,73 +1,53 @@
-"""Deterministic fault injection for the experiment runner.
+"""Deterministic fault injection for the result cache, the CLI's
+``results/`` writer and the serve layer.
 
-Long sweeps die in ways unit tests never exercise: a worker segfaults
-(``BrokenProcessPool``), one simulation point hangs, a record write is
-interrupted mid-file.  This module makes those failures *injectable on
-a fixed, seedable schedule*, so the recovery machinery in
-:mod:`repro.eval.runner` is tested against the exact fault it claims to
-survive — and the test is reproducible, because nothing here consults a
-wall clock or an unseeded RNG.
+Atomic writers and retry paths fail in ways unit tests never exercise: a
+record write is cut off mid-file, Ctrl-C lands between a temp-file write
+and its rename, a kernel dispatch crashes or stalls.  This module makes
+those failures *injectable on a fixed, seedable schedule*, so the code
+that claims to survive a fault is tested against exactly that fault —
+reproducibly, because nothing here consults a wall clock or an unseeded
+RNG.
 
 Activation is either the ``BITPACKER_FAULTS`` environment variable
-(read at import, inherited by worker processes through the pool
-initializer) or the :func:`injected` context manager in tests.  When no
-plan is installed, ``ACTIVE`` is ``False`` and every hook is a single
+(read at import) or the :func:`injected` context manager in tests.  When
+no plan is installed, ``ACTIVE`` is ``False`` and every hook is a single
 attribute check — the same zero-cost-when-off standard as the runtime
 sanitizer (DESIGN.md Sec. 7).
 
-Spec grammar (full description in DESIGN.md Sec. 9 and, for the serve
-sites, Sec. 14)::
+Spec grammar (DESIGN.md Sec. 8; the serve sites, Sec. 13)::
 
     spec    := clause (';' clause)*
     clause  := site ':' mode target?
              | 'seed=' int | 'hang=' float | 'slow=' float
              | 'stall=' float
-    site    := 'task' | 'store' | 'result'
+    site    := 'store' | 'result'
              | 'serve.kernel' | 'serve.queue' | 'serve.request'
-    mode    := 'raise' | 'hang' | 'kill' | 'interrupt'   (task site)
-             | 'corrupt' | 'truncate'                    (store site)
+    mode    := 'corrupt' | 'truncate'                    (store site)
              | 'raise' | 'interrupt'                     (result site)
              | 'raise' | 'hang' | 'slow'                 (serve.kernel)
              | 'stall'                                   (serve.queue)
              | 'poison'                                  (serve.request)
-    target  := '@' index[*] (',' index[*])*   fixed schedule
-             | '%' float                      seeded per-index probability
+    target  := '@' index (',' index)*     fixed schedule
+             | '%' float                  seeded per-index probability
 
-``task`` indices are grid positions in :func:`repro.eval.runner.map_grid`
-(0-based); ``store`` indices count :meth:`RunnerCache.store` calls since
-the plan was installed (0-based, per process); ``result`` indices count
+Every index is a 0-based per-process count since the plan was installed:
+``store`` counts :meth:`RunnerCache.store` calls, ``result`` counts
 ``results/`` file publishes in :mod:`repro.cli` (the fault fires between
-the temp-file write and the atomic rename, the window a Ctrl-C or crash
-must not leave a torn output in).  A scheduled fault fires
-on the task's *first* attempt only — retries run clean, which is what
-makes every injected fault recoverable — unless the index carries a
-``*`` suffix (``task:raise@1*`` fails attempt after attempt, for
-testing retry exhaustion).  Probabilistic clauses hash
-``(seed, site, mode, index)`` into [0, 1), so two processes — or two
-runs — agree on exactly which points fail without sharing state.
+the temp-file write and the atomic rename), ``serve.kernel`` counts
+kernel *dispatches* (each retry or split re-dispatch is a fresh index,
+so a scheduled fault is recoverable by construction), ``serve.queue``
+counts worker batch drains and ``serve.request`` counts admitted
+requests (``poison`` marks the request so *every* dispatch containing it
+fails and split-and-retry must quarantine it).  Probabilistic clauses
+hash ``(seed, site, mode, index)`` into [0, 1), so two runs agree on
+exactly which points fail without sharing state.  The serve hooks only
+*decide*; the asyncio service applies delays with ``await
+asyncio.sleep`` so an injected hang never blocks the event loop.
 
-The three ``serve.*`` sites target :mod:`repro.serve` (DESIGN.md
-Sec. 14).  ``serve.kernel`` indices count kernel *dispatches* (each
-retry or split re-dispatch is a fresh index, so a scheduled fault is
-recoverable by construction); ``raise`` models a kernel crash,
-``hang`` a straggler that sleeps ``hang=`` seconds, ``slow`` a
-degraded dispatch that sleeps ``slow=`` seconds.  ``serve.queue``
-indices count worker batch drains; ``stall`` sleeps ``stall=``
-seconds before the drain executes.  ``serve.request`` indices count
-admitted requests; ``poison`` marks the request so *every* dispatch
-containing it fails — the split-and-retry path must quarantine it
-rather than 500 its batch peers.  The serve hooks only *decide*; the
-asyncio service applies delays with ``await asyncio.sleep`` so an
-injected hang never blocks the event loop.
+Examples::
 
-Example: kill the worker running task 2, hang task 5 for 0.4 s, and
-truncate the third cache record written::
-
-    BITPACKER_FAULTS='task:kill@2;task:hang@5;store:truncate@2;hang=0.4'
-
-Serve chaos: crash the first kernel dispatch, slow 10% of the rest,
-stall every fourth drain, and poison admitted request 3::
-
+    BITPACKER_FAULTS='store:truncate@2;result:interrupt@0'
     BITPACKER_FAULTS='serve.kernel:raise@0;serve.kernel:slow%0.1;serve.queue:stall%0.25;serve.request:poison@3;slow=0.01'
 """
 
@@ -75,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -84,18 +63,13 @@ from repro.errors import ParameterError
 
 ENV_FAULTS = "BITPACKER_FAULTS"
 
-TASK_SITE = "task"
 STORE_SITE = "store"
 RESULT_SITE = "result"
 SERVE_KERNEL_SITE = "serve.kernel"
 SERVE_QUEUE_SITE = "serve.queue"
 SERVE_REQUEST_SITE = "serve.request"
 
-#: Worker-exit status for an injected kill (distinctive in core dumps).
-KILL_EXIT_CODE = 86
-
 _MODES_BY_SITE = {
-    TASK_SITE: frozenset({"raise", "hang", "kill", "interrupt"}),
     STORE_SITE: frozenset({"corrupt", "truncate"}),
     RESULT_SITE: frozenset({"raise", "interrupt"}),
     SERVE_KERNEL_SITE: frozenset({"raise", "hang", "slow"}),
@@ -107,16 +81,15 @@ _MODES_BY_SITE = {
 ACTIVE = False
 
 _PLAN: "FaultPlan | None" = None
-_IN_WORKER = False
 
 
 class FaultInjected(Exception):
-    """An injected task crash.
+    """An injected crash.
 
     Deliberately *not* a :class:`repro.errors.ReproError`: it stands in
     for an arbitrary runtime crash (segfault, OOM kill, cosmic ray), so
-    the runner must treat it as retryable, unlike deterministic domain
-    errors from the library.
+    the serve layer must treat it as retryable, unlike deterministic
+    domain errors from the library.
     """
 
 
@@ -139,24 +112,18 @@ class FaultClause:
     #: Fixed schedule: the indices this clause fires at (``None`` for
     #: probabilistic clauses).
     indices: frozenset[int] | None = None
-    #: Subset of ``indices`` that fire on *every* attempt (``*`` suffix).
-    every_attempt: frozenset[int] = frozenset()
     #: Per-index firing probability (``None`` for scheduled clauses).
     probability: float | None = None
 
-    def fires(self, index: int, attempt: int, seed: int) -> bool:
+    def fires(self, index: int, seed: int) -> bool:
         if self.indices is not None:
-            if index not in self.indices:
-                return False
-            return attempt == 1 or index in self.every_attempt
-        if attempt != 1:
-            return False
+            return index in self.indices
         return _fraction(seed, self.site, self.mode, index) < self.probability
 
 
 @dataclass
 class FaultPlan:
-    """A parsed fault spec plus the per-process store-site counter."""
+    """A parsed fault spec plus the per-process site counters."""
 
     clauses: tuple[FaultClause, ...]
     seed: int = 0
@@ -166,7 +133,6 @@ class FaultPlan:
     slow_seconds: float = 0.01
     #: Delay for ``serve.queue:stall`` drains.
     stall_seconds: float = 0.02
-    spec: str = ""
 
     def __post_init__(self) -> None:
         self._store_index = 0
@@ -175,10 +141,10 @@ class FaultPlan:
         self._serve_queue_index = 0
         self._serve_request_index = 0
 
-    def decide(self, site: str, index: int, attempt: int) -> str | None:
+    def decide(self, site: str, index: int) -> str | None:
         """The fault mode to inject at this point, or ``None``."""
         for clause in self.clauses:
-            if clause.site == site and clause.fires(index, attempt, self.seed):
+            if clause.site == site and clause.fires(index, self.seed):
                 return clause.mode
         return None
 
@@ -241,7 +207,6 @@ def parse(spec: str) -> FaultPlan:
     return FaultPlan(
         clauses=tuple(clauses), seed=seed, hang_seconds=hang_seconds,
         slow_seconds=slow_seconds, stall_seconds=stall_seconds,
-        spec=spec,
     )
 
 
@@ -254,19 +219,10 @@ def _parse_clause(part: str) -> FaultClause:
         )
     if "@" in rest:
         mode, _, schedule = rest.partition("@")
-        indices: set[int] = set()
-        every: set[int] = set()
-        for token in schedule.split(","):
-            token = token.strip()
-            starred = token.endswith("*")
-            index = _parse_int(token.rstrip("*"), part)
-            indices.add(index)
-            if starred:
-                every.add(index)
-        clause = FaultClause(
-            site=site, mode=mode, indices=frozenset(indices),
-            every_attempt=frozenset(every),
+        indices = frozenset(
+            _parse_int(token.strip(), part) for token in schedule.split(",")
         )
+        clause = FaultClause(site=site, mode=mode, indices=indices)
     elif "%" in rest:
         mode, _, prob = rest.partition("%")
         probability = _parse_float(prob, part)
@@ -276,7 +232,7 @@ def _parse_clause(part: str) -> FaultClause:
             )
         clause = FaultClause(site=site, mode=mode, probability=probability)
     else:
-        # A bare `site:mode` fires at every index (first attempts only).
+        # A bare `site:mode` fires at every index.
         clause = FaultClause(site=site, mode=rest, probability=1.0)
     if clause.mode not in _MODES_BY_SITE[site]:
         raise ParameterError(
@@ -319,17 +275,6 @@ def active_plan() -> FaultPlan | None:
     return _PLAN
 
 
-def active_spec() -> str | None:
-    """The installed spec string (handed to pool workers at init)."""
-    return _PLAN.spec if _PLAN is not None else None
-
-
-def mark_worker() -> None:
-    """Tell the injector it runs inside a pool worker (enables ``kill``)."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
 @contextmanager
 def injected(spec: str) -> Iterator[FaultPlan]:
     """Context manager for tests: install ``spec``, restore on exit."""
@@ -344,38 +289,8 @@ def injected(spec: str) -> Iterator[FaultPlan]:
 
 
 # ----------------------------------------------------------------------
-# Injection hooks (called by repro.eval.runner when ACTIVE)
+# Injection hooks (callers guard each with the ``ACTIVE`` switch)
 # ----------------------------------------------------------------------
-def fire_task(index: int, attempt: int) -> None:
-    """Inject the scheduled task-site fault, if any, at this point.
-
-    ``raise`` raises :class:`FaultInjected`; ``hang`` sleeps the plan's
-    ``hang_seconds`` (long enough to trip any sane deadline) and then
-    proceeds; ``interrupt`` raises ``KeyboardInterrupt`` as if the user
-    hit Ctrl-C mid-task; ``kill`` hard-exits the worker process —
-    downgraded to ``raise`` outside a pool worker, where ``os._exit``
-    would take the whole sweep (and the test suite) with it.
-    """
-    plan = _PLAN
-    if plan is None:
-        return
-    mode = plan.decide(TASK_SITE, index, attempt)
-    if mode is None:
-        return
-    if mode == "hang":
-        time.sleep(plan.hang_seconds)
-        return
-    if mode == "interrupt":
-        raise KeyboardInterrupt(
-            f"injected interrupt at task {index} attempt {attempt}"
-        )
-    if mode == "kill" and _IN_WORKER:
-        os._exit(KILL_EXIT_CODE)
-    raise FaultInjected(
-        f"injected {mode} at task {index} attempt {attempt}"
-    )
-
-
 def fire_result() -> None:
     """Inject the scheduled result-site fault, if any.
 
@@ -389,7 +304,7 @@ def fire_result() -> None:
     if plan is None:
         return
     index = plan.next_result_index()
-    mode = plan.decide(RESULT_SITE, index, 1)
+    mode = plan.decide(RESULT_SITE, index)
     if mode is None:
         return
     if mode == "interrupt":
@@ -408,7 +323,7 @@ def mangle_record(text: str) -> str:
     plan = _PLAN
     if plan is None:
         return text
-    mode = plan.decide(STORE_SITE, plan.next_store_index(), 1)
+    mode = plan.decide(STORE_SITE, plan.next_store_index())
     if mode == "truncate":
         return text[: max(1, len(text) // 2)]
     if mode == "corrupt":
@@ -428,14 +343,13 @@ def serve_kernel_fault() -> tuple[str, float] | None:
 
     Each call consumes one dispatch index, so a retry or split
     re-dispatch is a fresh index and scheduled faults are recoverable
-    by construction (the same discipline as first-attempt-only task
-    faults).
+    by construction.
     """
     plan = _PLAN
     if plan is None:
         return None
     index = plan.next_serve_kernel_index()
-    mode = plan.decide(SERVE_KERNEL_SITE, index, 1)
+    mode = plan.decide(SERVE_KERNEL_SITE, index)
     if mode is None:
         return None
     if mode == "hang":
@@ -455,7 +369,7 @@ def serve_queue_stall() -> float:
     if plan is None:
         return 0.0
     index = plan.next_serve_queue_index()
-    if plan.decide(SERVE_QUEUE_SITE, index, 1) == "stall":
+    if plan.decide(SERVE_QUEUE_SITE, index) == "stall":
         return plan.stall_seconds
     return 0.0
 
@@ -473,7 +387,7 @@ def serve_request_poisoned() -> bool:
     if plan is None:
         return False
     index = plan.next_serve_request_index()
-    return plan.decide(SERVE_REQUEST_SITE, index, 1) == "poison"
+    return plan.decide(SERVE_REQUEST_SITE, index) == "poison"
 
 
 configure(os.environ.get(ENV_FAULTS) or None)

@@ -19,14 +19,14 @@ from repro.eval.common import (
 
 
 def run(word_bits: int = 28, ks_digits: int = 3, max_log_q: float = 1596.0,
-        jobs: int = 1, compiled: bool = False) -> list[ComparisonRow]:
+        compiled: bool = False) -> list[ComparisonRow]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
              ks_digits=ks_digits, max_log_q=max_log_q, compiled=compiled)
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]
-    results = runner.map_grid(simulate, calls, jobs=jobs)
+    results = runner.map_grid(simulate, calls)
     rows = []
     for index, (app, bs) in enumerate(WORKLOAD_GRID):
         bp, rns = results[2 * index], results[2 * index + 1]

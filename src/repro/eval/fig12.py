@@ -46,14 +46,14 @@ class Fig12Row:
 
 
 def run(word_bits: int = 28, ks_digits: int = 3, max_log_q: float = 1596.0,
-        jobs: int = 1, compiled: bool = False) -> list[Fig12Row]:
+        compiled: bool = False) -> list[Fig12Row]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
              ks_digits=ks_digits, max_log_q=max_log_q, compiled=compiled)
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]
-    results = runner.map_grid(simulate, calls, jobs=jobs)
+    results = runner.map_grid(simulate, calls)
     rows = []
     for index, (app, bs) in enumerate(WORKLOAD_GRID):
         bp, rns = results[2 * index], results[2 * index + 1]

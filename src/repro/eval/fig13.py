@@ -19,7 +19,7 @@ from repro.eval.common import (
 )
 
 
-def run(word_bits: int = 64, ks_digits: int = 3, jobs: int = 1,
+def run(word_bits: int = 64, ks_digits: int = 3,
         compiled: bool = False) -> list[ComparisonRow]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
@@ -27,7 +27,7 @@ def run(word_bits: int = 64, ks_digits: int = 3, jobs: int = 1,
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]
-    results = runner.map_grid(simulate_cpu, calls, jobs=jobs)
+    results = runner.map_grid(simulate_cpu, calls)
     rows = []
     for index, (app, bs) in enumerate(WORKLOAD_GRID):
         bp, rns = results[2 * index], results[2 * index + 1]

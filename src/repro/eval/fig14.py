@@ -42,7 +42,7 @@ class Fig14Series:
 
 def run(
     word_sizes=DEFAULT_WORD_SIZES, ks_digits: int = 3,
-    max_log_q: float = 1596.0, jobs: int = 1,
+    max_log_q: float = 1596.0,
 ) -> list[Fig14Series]:
     word_sizes = tuple(word_sizes)
     calls = [
@@ -52,7 +52,7 @@ def run(
         for w in word_sizes
         for scheme in SCHEMES
     ]
-    results = iter(runner.map_grid(simulate, calls, jobs=jobs))
+    results = iter(runner.map_grid(simulate, calls))
     series = []
     for app, bs in WORKLOAD_GRID:
         bp = []

@@ -21,10 +21,10 @@ class Fig15Row:
     min_slowdown: float
 
 
-def run(word_sizes=fig14.DEFAULT_WORD_SIZES, jobs: int = 1) -> list[Fig15Row]:
+def run(word_sizes=fig14.DEFAULT_WORD_SIZES) -> list[Fig15Row]:
     # Derived view: consumes fig14's (runner-cached) sweep, so after a
     # fig14 run this figure performs no simulations of its own.
-    series = fig14.run(word_sizes, jobs=jobs)
+    series = fig14.run(word_sizes)
     word_sizes = tuple(word_sizes)
     rows = []
     for idx, w in enumerate(word_sizes):

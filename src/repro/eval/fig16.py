@@ -25,10 +25,10 @@ class Fig16Row:
     rns_ckks_norm: float
 
 
-def run(word_sizes=fig14.DEFAULT_WORD_SIZES, jobs: int = 1) -> list[Fig16Row]:
+def run(word_sizes=fig14.DEFAULT_WORD_SIZES) -> list[Fig16Row]:
     # Derived view: consumes fig14's (runner-cached) sweep plus the area
     # model, so after a fig14 run this figure performs no simulations.
-    series = fig14.run(word_sizes, jobs=jobs)
+    series = fig14.run(word_sizes)
     word_sizes = tuple(word_sizes)
     areas = [
         DEFAULT_AREA_MODEL.total_area(craterlake().with_word_size(w))

@@ -31,8 +31,7 @@ class Fig17Row:
     rns_ckks_norm: float
 
 
-def run(sizes_mb=DEFAULT_SIZES_MB, word_bits: int = 28,
-        jobs: int = 1) -> list[Fig17Row]:
+def run(sizes_mb=DEFAULT_SIZES_MB, word_bits: int = 28) -> list[Fig17Row]:
     sizes_mb = tuple(sizes_mb)
     # The baseline (BitPacker at 256 MB) joins the fan-out whether or not
     # the requested sweep contains it.
@@ -48,7 +47,7 @@ def run(sizes_mb=DEFAULT_SIZES_MB, word_bits: int = 28,
              register_file_mb=mb)
         for mb, scheme, app, bs in points
     ]
-    results = runner.map_grid(simulate, calls, jobs=jobs)
+    results = runner.map_grid(simulate, calls)
     times: dict[tuple[float, str], list[float]] = {}
     for (mb, scheme, _app, _bs), result in zip(points, results):
         times.setdefault((mb, scheme), []).append(result.time_s)

@@ -27,14 +27,13 @@ class PrecisionRow:
 
 def run(
     scales=DEFAULT_SCALES, samples: int = 30, n: int = 2048, seed: int = 7,
-    jobs: int = 1,
 ) -> list[PrecisionRow]:
     points = [(scale, scheme) for scale in scales for scheme in SCHEMES]
     calls = [
         dict(scheme=scheme, scale_bits=scale, samples=samples, n=n, seed=seed)
         for scale, scheme in points
     ]
-    data = runner.map_grid(rescale_error_samples, calls, jobs=jobs)
+    data = runner.map_grid(rescale_error_samples, calls)
     return [
         PrecisionRow(
             scale_bits=scale, scheme=scheme, stats=box_stats(samples_list),

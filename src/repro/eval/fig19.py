@@ -15,14 +15,13 @@ from repro.eval.precision import adjust_error_samples, box_stats
 
 def run(
     scales=DEFAULT_SCALES, samples: int = 30, n: int = 2048, seed: int = 11,
-    jobs: int = 1,
 ) -> list[PrecisionRow]:
     points = [(scale, scheme) for scale in scales for scheme in SCHEMES]
     calls = [
         dict(scheme=scheme, scale_bits=scale, samples=samples, n=n, seed=seed)
         for scale, scheme in points
     ]
-    data = runner.map_grid(adjust_error_samples, calls, jobs=jobs)
+    data = runner.map_grid(adjust_error_samples, calls)
     return [
         PrecisionRow(
             scale_bits=scale, scheme=scheme, stats=box_stats(samples_list),

@@ -30,6 +30,20 @@ DEFAULT_N = 2048
 
 
 @lru_cache(maxsize=None)
+def _precision_chain(
+    scheme: str, scale_bits: float, levels: int, n: int, ks_digits: int
+):
+    planner = plan_bitpacker_chain if scheme == "bitpacker" else plan_rns_ckks_chain
+    return planner(
+        n=n,
+        word_bits=PRECISION_WORDS[scheme],
+        level_scale_bits=float(scale_bits),
+        levels=levels,
+        base_bits=60.0,
+        ks_digits=ks_digits,
+    )
+
+
 def precision_context(
     scheme: str,
     scale_bits: float,
@@ -38,16 +52,13 @@ def precision_context(
     ks_digits: int = 2,
     seed: int = 1234,
 ) -> CkksContext:
-    """A keyed CKKS context for one (scheme, scale) experiment point."""
-    planner = plan_bitpacker_chain if scheme == "bitpacker" else plan_rns_ckks_chain
-    chain = planner(
-        n=n,
-        word_bits=PRECISION_WORDS[scheme],
-        level_scale_bits=float(scale_bits),
-        levels=levels,
-        base_bits=60.0,
-        ks_digits=ks_digits,
-    )
+    """A freshly keyed CKKS context for one (scheme, scale) point.
+
+    Only the planned chain is memoized.  The context's ``rng`` is
+    consumed by every encryption and lazy keygen, so a shared context
+    would make a point's samples depend on which points ran before it.
+    """
+    chain = _precision_chain(scheme, scale_bits, levels, n, ks_digits)
     return CkksContext(chain, seed=seed)
 
 

@@ -31,16 +31,14 @@ class SecurityRow:
     gmean_energy_ratio: float
 
 
-def _grid_gmeans(
-    max_log_q: float, ks_digits: int, jobs: int = 1
-) -> tuple[float, float]:
+def _grid_gmeans(max_log_q: float, ks_digits: int) -> tuple[float, float]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=28,
              ks_digits=ks_digits, max_log_q=max_log_q)
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]
-    results = runner.map_grid(simulate, calls, jobs=jobs)
+    results = runner.map_grid(simulate, calls)
     speedups = []
     energies = []
     for index in range(len(WORKLOAD_GRID)):
@@ -50,14 +48,14 @@ def _grid_gmeans(
     return gmean(speedups), gmean(energies)
 
 
-def run(jobs: int = 1) -> list[SecurityRow]:
+def run() -> list[SecurityRow]:
     rows = []
     for security, digits in ((128, 3), (80, 2)):
         budget = float(min(max_log_qp(EVAL_N, security), 2900))
         # The 128-bit point uses the paper's published 1596-bit budget.
         if security == 128:
             budget = 1596.0
-        speedup, energy = _grid_gmeans(budget, digits, jobs=jobs)
+        speedup, energy = _grid_gmeans(budget, digits)
         rows.append(
             SecurityRow(
                 security_bits=security,

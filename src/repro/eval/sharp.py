@@ -28,13 +28,13 @@ class SharpRow:
         return f"{self.app} ({self.bs})"
 
 
-def run(jobs: int = 1) -> list[SharpRow]:
+def run() -> list[SharpRow]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits)
         for app, bs in WORKLOAD_GRID
         for scheme, word_bits in (("bitpacker", 28), ("rns-ckks", 36))
     ]
-    results = runner.map_grid(simulate, calls, jobs=jobs)
+    results = runner.map_grid(simulate, calls)
     rows = []
     for index, (app, bs) in enumerate(WORKLOAD_GRID):
         bp, sharp = results[2 * index], results[2 * index + 1]

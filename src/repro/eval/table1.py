@@ -83,11 +83,7 @@ def _unstable_round(ctx, ct, ref):
 def analogue_point(
     benchmark: str, scheme: str, samples: int, n: int, seed: int
 ) -> tuple[float, float]:
-    """One disk-cached (analogue, scheme) cell of Table 1.
-
-    Module-level (and addressed by benchmark name, not spec object) so
-    :func:`repro.eval.runner.map_grid` can ship it to worker processes.
-    """
+    """One disk-cached (analogue, scheme) cell of Table 1."""
     spec = next((s for s in ANALOGUES if s.name == benchmark), None)
     if spec is None:
         raise ParameterError(f"unknown Table 1 analogue {benchmark!r}")
@@ -142,15 +138,14 @@ class Table1Row:
     rns_worst: float
 
 
-def run(samples: int = 3, n: int = 1024, seed: int = 5,
-        jobs: int = 1) -> list[Table1Row]:
+def run(samples: int = 3, n: int = 1024, seed: int = 5) -> list[Table1Row]:
     calls = [
         dict(benchmark=spec.name, scheme=scheme, samples=samples, n=n,
              seed=seed)
         for spec in ANALOGUES
         for scheme in SCHEMES
     ]
-    results = runner.map_grid(analogue_point, calls, jobs=jobs)
+    results = runner.map_grid(analogue_point, calls)
     rows = []
     for index, spec in enumerate(ANALOGUES):
         (bp_mean, bp_worst), (rns_mean, rns_worst) = (

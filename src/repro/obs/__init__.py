@@ -1,4 +1,4 @@
-"""``repro.obs`` — zero-cost-when-off observability (DESIGN.md Sec. 10).
+"""``repro.obs`` — zero-cost-when-off observability (DESIGN.md Sec. 9).
 
 Three layers, mirroring the accounting GPU FHE stacks lean on to find
 their hot paths:
@@ -33,7 +33,6 @@ modules import :mod:`repro.obs.core` through it.
 from repro.obs import core
 from repro.obs.core import (
     Span,
-    attach_span,
     count,
     counters,
     current_span,
@@ -64,7 +63,6 @@ from repro.obs.export import (
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "Span",
-    "attach_span",
     "build_profile",
     "chrome_trace",
     "core",

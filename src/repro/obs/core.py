@@ -2,14 +2,12 @@
 
 This module is the third zero-cost-when-off subsystem of the repo, next
 to the runtime sanitizer (DESIGN.md Sec. 7) and the fault injector
-(Sec. 9), and follows the same activation pattern: hook sites in hot
+(Sec. 8), and follows the same activation pattern: hook sites in hot
 code guard with ``if core.ACTIVE:`` — one module-attribute read and a
 branch when profiling is off, no allocation, no function call.  The
-recorder is process-local (parallel ``map_grid`` workers do not record
-here; the runner synthesizes their task spans parent-side from measured
-latencies, DESIGN.md Sec. 10) but it is **concurrency-safe within the
-process**: the open-span chain lives in a ``contextvars.ContextVar``,
-so interleaved asyncio tasks (the serve layer, DESIGN.md Sec. 13) and
+recorder is process-local and **concurrency-safe within the process**:
+the open-span chain lives in a ``contextvars.ContextVar``, so
+interleaved asyncio tasks (the serve layer, DESIGN.md Sec. 12) and
 threads each build their own correctly-nested tree, and the shared
 sinks (finished roots, counters, histograms) are lock-protected so no
 increment or span is lost when recorders race.
@@ -177,37 +175,6 @@ def span(name: str, **tags):
     if not ACTIVE:
         return NULL_SPAN
     return Span(name, tags)
-
-
-def attach_span(
-    name: str,
-    tags: dict | None = None,
-    t0: float | None = None,
-    wall_s: float = 0.0,
-    cpu_s: float = 0.0,
-) -> Span | None:
-    """Attach an externally measured, already-finished span.
-
-    This is how :func:`repro.eval.runner.map_grid` records its grid
-    tasks: the parent measures each task's latency (worker processes do
-    not share this recorder) and attaches one child span per grid
-    position, in position order, so serial and parallel runs produce
-    the same tree (DESIGN.md Sec. 10).
-    """
-    if not ACTIVE:
-        return None
-    child = Span(name, dict(tags or {}))
-    child.t0 = now() if t0 is None else t0
-    child.wall_s = wall_s
-    child.cpu_s = cpu_s
-    parent = _CURRENT.get()
-    if parent is not None:
-        with _TREE_LOCK:
-            parent.children.append(child)
-    else:
-        with _TREE_LOCK:
-            _ROOTS.append(child)
-    return child
 
 
 def current_span() -> Span | None:

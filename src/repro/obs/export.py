@@ -1,7 +1,7 @@
 """Profile documents: JSON schema, Chrome traces, summaries, diffs.
 
 The profile JSON schema (``PROFILE_SCHEMA_VERSION``, full field list in
-DESIGN.md Sec. 10)::
+DESIGN.md Sec. 9)::
 
     {
       "schema": 1,
@@ -72,9 +72,9 @@ def coverage(tree: Mapping[str, Any]) -> float:
     """Fraction of a span's wall time covered by its direct children.
 
     Children of a serial run tile the parent, so the sum is the covered
-    time; concurrent children (parallel ``map_grid`` tasks) can oversum,
-    hence the cap at 1.  A leaf (no children) is fully covered by
-    definition — there is nothing finer to attribute.
+    time; concurrent children (serve's asyncio tasks) can oversum, hence
+    the cap at 1.  A leaf (no children) is fully covered by definition —
+    there is nothing finer to attribute.
     """
     if not tree["children"]:
         return 1.0
@@ -87,9 +87,8 @@ def coverage(tree: Mapping[str, Any]) -> float:
 def normalized(tree: Mapping[str, Any]) -> dict:
     """The span tree with every measured quantity zeroed.
 
-    What remains — names, tags, nesting, child order — must be
-    byte-identical between serial and parallel runs of the same grid
-    (the determinism contract ``tests/test_obs.py`` pins).
+    What remains — names, tags, nesting, child order — is the part of
+    a profile that two runs of the same deterministic job share.
     """
     return {
         "name": tree["name"],
@@ -103,8 +102,8 @@ def chrome_trace(tree: Mapping[str, Any], pid: int = 1) -> list[dict]:
 
     Complete events (``ph: "X"``) with microsecond timestamps; load the
     resulting JSON array in ``chrome://tracing`` or Perfetto.  Sibling
-    spans that overlap in time (parallel grid tasks) are fanned out to
-    distinct ``tid`` lanes so the viewer does not nest them.
+    spans that overlap in time (concurrent serve requests) are fanned
+    out to distinct ``tid`` lanes so the viewer does not nest them.
     """
     events: list[dict] = []
 

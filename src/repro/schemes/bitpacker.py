@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.errors import LevelExhaustedError, ParameterError, PlanningError
-from repro.nt.primes import terminal_prime_candidates
 from repro.rns.convert import drop_moduli, scale_down, scale_up
 from repro.rns.poly import COEFF, to_domain
 from repro.schemes.chain import (
@@ -30,12 +29,14 @@ from repro.schemes.chain import (
 from repro.schemes.rns_ckks import _log2_fraction, _normalize_targets, _pow2_scale
 from repro.schemes.selection import (
     ACCEPTANCE_WINDOWS,
+    PrimePool,
     choose_special_moduli,
     greedy_prime_product,
     largest_primes_below_word,
     limit_fraction,
     log2_int,
     min_prime_bits,
+    terminal_pool,
 )
 
 #: Accept a level modulus within this many bits of its target — the
@@ -45,10 +46,11 @@ DEFAULT_TOLERANCE_BITS = 0.5
 
 def greedy_terminal_primes(
     target_bits: float,
-    candidates: Sequence[int],
+    candidates: PrimePool | Iterable[int],
     tolerance_bits: float = DEFAULT_TOLERANCE_BITS,
     max_terminals: int = 5,
     over_tolerance_bits: float | None = None,
+    excluded: Collection[int] = frozenset(),
 ) -> tuple[int, ...] | None:
     """Paper Listing 7: terminal primes whose product matches a target.
 
@@ -57,7 +59,7 @@ def greedy_terminal_primes(
     """
     return greedy_prime_product(
         target_bits, candidates, tolerance_bits, max_terminals,
-        over_tolerance_bits,
+        over_tolerance_bits, excluded,
     )
 
 
@@ -174,11 +176,7 @@ def plan_bitpacker_chain(
     # bpRescale/bpAdjust move between bases via set differences (paper
     # Listings 4 and 6), so a prime shared by source and destination is
     # simply kept, never duplicated within a basis.
-    candidates = [
-        p
-        for p in terminal_prime_candidates(word_bits, n)
-        if p not in set(pool)
-    ]
+    candidates = terminal_pool(word_bits, n)
 
     specs_rev: list[LevelSpec] = []
     scales: dict[int, Fraction] = {max_level: _pow2_scale(targets[max_level])}
@@ -240,7 +238,7 @@ def _pick_level_moduli(
     target_q_bits: float,
     pool: Sequence[int],
     prefix_bits: Sequence[float],
-    candidates: Sequence[int],
+    candidates: PrimePool,
     min_term_bits: float,
     tolerance_bits: float,
 ) -> tuple[tuple[int, ...], float]:
@@ -249,7 +247,7 @@ def _pick_level_moduli(
     Returns the chosen moduli and the acceptance window (bits) they were
     found under, which bounds this level's scale drift.
     """
-    available = list(candidates)
+    non_terminals = frozenset(pool)
     max_nt = 0
     while (
         max_nt < len(pool)
@@ -270,7 +268,8 @@ def _pick_level_moduli(
             if remainder < min_term_bits - over:
                 continue  # no terminal prime is small enough; free a word
             terminals = greedy_terminal_primes(
-                remainder, available, under, over_tolerance_bits=over
+                remainder, candidates, under, over_tolerance_bits=over,
+                excluded=non_terminals,
             )
             if terminals is not None:
                 return tuple(pool[:nt_count]) + terminals, max(under, over)

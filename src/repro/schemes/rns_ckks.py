@@ -22,7 +22,6 @@ from typing import Sequence
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.errors import LevelExhaustedError, ParameterError, PlanningError
-from repro.nt.primes import terminal_prime_candidates
 from repro.rns.convert import drop_moduli, scale_down
 from repro.rns.poly import COEFF, to_domain
 from repro.schemes.chain import (
@@ -40,6 +39,7 @@ from repro.schemes.selection import (
     min_prime_bits,
     primes_near_target,
     smallest_primes,
+    terminal_pool,
 )
 
 
@@ -284,12 +284,12 @@ def _choose_scale_group(
     what NTT-friendly primes allow (paper Sec. 5).
     """
     group_bits = max(group_bits, min_bits)
-    candidates = [
-        p for p in terminal_prime_candidates(word_bits, n) if p not in taken
-    ]
+    candidates = terminal_pool(word_bits, n)
     max_count = min(6, max(1, math.ceil(group_bits / min_bits)))
     for under, over in ACCEPTANCE_WINDOWS:
-        group = greedy_prime_product(group_bits, candidates, under, max_count, over)
+        group = greedy_prime_product(
+            group_bits, candidates, under, max_count, over, excluded=taken
+        )
         if group is not None:
             return group
     # Last resort: the smallest primes that fit the word count; the scale

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Iterable, Sequence
+from array import array
+from functools import lru_cache
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from repro.errors import PlanningError
 from repro.nt.primes import (
     ntt_friendly_primes_above,
     ntt_friendly_primes_below,
+    terminal_prime_candidates,
 )
 
 
@@ -153,12 +157,36 @@ ACCEPTANCE_WINDOWS = (
 )
 
 
+class PrimePool(NamedTuple):
+    """Candidate primes for :func:`greedy_prime_product`."""
+
+    #: Ascending, distinct.
+    primes: Sequence[int]
+    #: ``log2`` of each prime (what the search bisects), packed: a
+    #: cached pool lives as long as the process and can hold ~100k
+    #: primes (28-bit words on a 128-coefficient ring).
+    bits: Sequence[float]
+
+    @classmethod
+    def of(cls, primes: Sequence[int]) -> "PrimePool":
+        return cls(primes, array("d", map(math.log2, primes)))
+
+
+@lru_cache(maxsize=None)
+def terminal_pool(word_bits: int, n: int) -> PrimePool:
+    """Every terminal candidate below the word, tabulated once per
+    ``(word_bits, n)``: the pool reaches ~44k primes (36-bit words at
+    N = 2^16) and a word sweep runs thousands of searches over it."""
+    return PrimePool.of(terminal_prime_candidates(word_bits, n))
+
+
 def greedy_prime_product(
     target_bits: float,
-    candidates: Sequence[int],
+    candidates: PrimePool | Iterable[int],
     tolerance_bits: float = 0.5,
     max_count: int = 5,
     over_tolerance_bits: float | None = None,
+    excluded: Collection[int] = frozenset(),
 ) -> tuple[int, ...] | None:
     """Paper Listing 7: find distinct primes whose product matches a target.
 
@@ -168,16 +196,24 @@ def greedy_prime_product(
     slot aims for an even split of the remaining bits and the last slot
     targets the exact remainder, where NTT-friendly prime density nearly
     always offers a match; a small branching factor bounds the search.
-    Returns ``None`` when no combination exists.
+    Candidates in ``excluded`` are skipped, exactly as if they had been
+    filtered out of the pool.  Returns ``None`` when no combination
+    exists.
     """
-    import bisect
-
     over = tolerance_bits if over_tolerance_bits is None else over_tolerance_bits
-    pool = sorted(set(candidates))
-    if not pool:
+    if not isinstance(candidates, PrimePool):
+        candidates = PrimePool.of(sorted(set(candidates)))
+    pool, bits = candidates
+    # Reachability is judged on the smallest and largest prime the
+    # search may actually use.
+    first, last = 0, len(pool) - 1
+    while first <= last and pool[first] in excluded:
+        first += 1
+    while last >= first and pool[last] in excluded:
+        last -= 1
+    if first > last:
         return None
-    bits = [math.log2(p) for p in pool]
-    min_bits_avail, max_bits_avail = bits[0], bits[-1]
+    min_bits_avail, max_bits_avail = bits[first], bits[last]
     branch = 20
     node_budget = 30_000
 
@@ -220,10 +256,15 @@ def greedy_prime_product(
         ideal = remaining if slots == 1 else remaining / slots
         tried = 0
         for idx in nearest_indices(ideal):
-            if pool[idx] in chosen or bits[idx] > remaining + over:
+            prime = pool[idx]
+            if (
+                prime in excluded
+                or prime in chosen
+                or bits[idx] > remaining + over
+            ):
                 continue
             result = recurse(
-                remaining - bits[idx], slots - 1, chosen + (pool[idx],), nodes
+                remaining - bits[idx], slots - 1, chosen + (prime,), nodes
             )
             if result is not None:
                 return result
@@ -240,8 +281,8 @@ def greedy_prime_product(
         return None
     finally:
         # ``recurse`` reaches itself through its closure: a cycle that
-        # would keep ``pool`` and ``bits`` (megabytes per call on a small
-        # ring) alive until whenever the collector next runs.
+        # would keep the closure (and an ad hoc pool's tables, megabytes
+        # on a small ring) alive until whenever the collector next runs.
         del recurse
 
 

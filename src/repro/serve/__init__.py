@@ -1,7 +1,7 @@
 """``repro.serve`` — the async multi-tenant encrypted-compute service.
 
 The long-running composition of the repo's batch pieces (DESIGN.md
-Sec. 13): per-tenant sessions over a shared key registry
+Sec. 12): per-tenant sessions over a shared key registry
 (:mod:`repro.serve.keys`), admission through the static schedule
 verifier, bounded per-shard queues with 429-style backpressure, a
 batcher that coalesces compatible ciphertext ops into matrix-at-a-time

@@ -12,7 +12,7 @@ once per request or per tenant.
 
 Sharing is what makes batching possible at all: the batcher may only
 stack requests whose residue rows reduce against the *same* modulus
-column (DESIGN.md Sec. 13), and the registry gives it a cheap identity
+column (DESIGN.md Sec. 12), and the registry gives it a cheap identity
 to group by (:attr:`KeyMaterial.fingerprint`).  The same fingerprint
 also drives worker-pool sharding, so one key's traffic lands on one
 worker and its tables stay hot there.

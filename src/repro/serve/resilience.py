@@ -1,15 +1,14 @@
 """Serve-layer resilience primitives: retries, breakers, deadlines.
 
-The batch runner earned its fault discipline in PR 4 (bounded retries
-with deterministic-jitter backoff, per-task deadlines, quarantine for
-inputs that fail deterministically).  This module gives the asyncio
-serve layer the same vocabulary, tuned for a request path measured in
-milliseconds rather than a sweep measured in minutes:
+The asyncio serve layer's fault vocabulary — bounded retries with
+deterministic-jitter backoff, per-request deadlines, quarantine for
+inputs that fail deterministically — tuned for a request path measured
+in milliseconds:
 
 - :class:`RetryPolicy` — how a failed kernel dispatch is retried.  The
-  backoff curve is the runner's (``base * 2**(n-1)``, capped, jittered
-  to [0.5x, 1.5x) by a seeded hash so two runs of the same load replay
-  the same delays), with serve-scale defaults.
+  backoff curve (:func:`backoff_delay`) is ``base * 2**(n-1)``, capped,
+  jittered to [0.5x, 1.5x) by a seeded hash so two runs of the same
+  load replay the same delays.
 - :class:`CircuitBreaker` — the per-shard closed → open → half-open
   state machine.  Consecutive dispatch failures past a threshold open
   the breaker; while open, admission sheds load with 503-class
@@ -31,12 +30,12 @@ place that touches the event loop.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ParameterError
-from repro.eval.runner import backoff_delay
 
 #: Breaker states (string-valued so ``health()`` serializes directly).
 CLOSED = "closed"
@@ -61,6 +60,23 @@ def remaining(deadline: float | None, now: float | None = None) -> float:
     if now is None:
         now = time.monotonic()
     return deadline - now
+
+
+def backoff_delay(
+    backoff: float, cap: float, salt: str, index: int, failure: int
+) -> float:
+    """Seconds to wait before retry ``failure`` (1-based) of item ``index``.
+
+    ``backoff * 2**(failure-1)`` capped at ``cap``, jittered to
+    [0.5x, 1.5x) by a hash of ``(salt, index, failure)`` — so the same
+    item replays the same delays.
+    """
+    if backoff <= 0.0:
+        return 0.0
+    base = min(cap, backoff * 2.0 ** (failure - 1))
+    blob = f"{salt}:{index}:{failure}".encode()
+    jitter = int(hashlib.sha256(blob).hexdigest()[:8], 16) / 2.0**32
+    return base * (0.5 + jitter)
 
 
 @dataclass(frozen=True)
@@ -89,10 +105,8 @@ class RetryPolicy:
     def delay_for(self, seq: int, failure: int) -> float:
         """Backoff before retry ``failure`` (1-based) of request ``seq``.
 
-        The runner's curve (:func:`repro.eval.runner.backoff_delay`)
-        under serve's own jitter salt: the jitter is a seeded hash of
-        ``(seq, failure)``, so a replayed load schedule replays its
-        exact retry timing.
+        The jitter is a seeded hash of ``(seq, failure)``, so a replayed
+        load schedule replays its exact retry timing.
         """
         return backoff_delay(
             self.backoff, self.backoff_cap, "serve-backoff", seq, failure

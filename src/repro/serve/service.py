@@ -29,7 +29,7 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
   :mod:`repro.backends`.  Results are byte-identical to serial
   execution — batching is a latency/throughput decision, never a
   numerical one.
-- **Resilience** (DESIGN.md Sec. 14): requests carry deadlines from
+- **Resilience** (DESIGN.md Sec. 13): requests carry deadlines from
   ``submit()`` into every dispatch and retry decision; a failed group
   is *split-and-retried* (bisection isolates a poison request in
   O(log B) dispatches and quarantines it instead of 500ing its batch

@@ -518,175 +518,6 @@ class TestLintCli:
             assert rule in out
 
 
-class TestForkSafetyPass:
-    def test_lambda_task_flagged(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            def run(xs):
-                return map_grid(lambda x: x + 1, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert [f.rule for f in findings] == ["fork-safety"]
-        assert "pickled" in findings[0].message
-
-    def test_nested_def_task_flagged(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            def run(xs):
-                def task(x):
-                    return x + 1
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert len(findings) == 1
-        assert "closure" in findings[0].message
-
-    def test_global_rebind_inside_task_flagged(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            COUNT = 0
-
-            def task(x):
-                global COUNT
-                COUNT += 1
-                return x
-
-            def run(xs):
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert len(findings) == 1
-        assert "COUNT" in findings[0].message
-        assert "worker" in findings[0].message
-
-    def test_container_mutation_inside_task_flagged(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            RESULTS = []
-
-            def task(x):
-                RESULTS.append(x)
-                return x
-
-            def run(xs):
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert len(findings) == 1
-
-    def test_subscript_write_to_global_flagged(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            CACHE = {}
-
-            def task(x):
-                CACHE[x] = x * 2
-                return x
-
-            def run(xs):
-                return map_grid(func=task, grid=xs)
-            """,
-            ["fork-safety"],
-        )
-        assert len(findings) == 1
-
-    def test_unpicklable_global_reference_flagged(self):
-        findings = lint_str(
-            """
-            import threading
-
-            from repro.eval.runner import map_grid
-
-            LOCK = threading.Lock()
-
-            def task(x):
-                with LOCK:
-                    return x
-
-            def run(xs):
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert len(findings) == 1
-        assert "LOCK" in findings[0].message
-
-    def test_local_shadowing_is_clean(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            RESULTS = []
-
-            def task(x):
-                RESULTS = []
-                RESULTS.append(x)
-                return RESULTS
-
-            def run(xs):
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert findings == []
-
-    def test_clean_module_level_task_is_quiet(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            def task(x):
-                acc = []
-                acc.append(x * 2)
-                return sum(acc)
-
-            def run(xs):
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert findings == []
-
-    def test_imported_task_is_out_of_jurisdiction(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-            from somewhere import task
-
-            def run(xs):
-                return map_grid(task, xs)
-            """,
-            ["fork-safety"],
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self):
-        findings = lint_str(
-            """
-            from repro.eval.runner import map_grid
-
-            def run(xs):
-                return map_grid(lambda x: x, xs)  # fhelint: ok[fork-safety]
-            """,
-            ["fork-safety"],
-        )
-        assert findings == []
-
-
 class TestAsyncTaskLeakPass:
     """``async-task-leak``: discarded create_task/ensure_future handles
     can be garbage-collected mid-flight (the loop holds only a weak

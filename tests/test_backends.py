@@ -4,7 +4,7 @@
    of ``bconv_fold`` / ``pointwise_mul`` / ``pointwise_mul_acc`` on the
    case list the registry's activation cross-check used to carry as
    code; with ``ntt_kat.json`` these are the files a future engine is
-   admitted against (DESIGN.md Sec. 11).  The blind-engine tests swap a
+   admitted against (DESIGN.md Sec. 10).  The blind-engine tests swap a
    subtly wrong kernel in at the boundary and name the entries that
    catch it.
 2. The numpy kernels against Python-int oracles over a width grid, and

@@ -127,13 +127,6 @@ class TestFigureCommand:
         # ...and nothing after the interrupt ran.
         assert not (tmp_path / "results" / "sec63_area_reduction.txt").exists()
 
-    def test_rejects_bad_jobs(self, capsys, figure_args):
-        rc = main(["figure", "fig10", "--jobs", "0", *figure_args])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error: --jobs must be >= 1" in err
-        assert "Traceback" not in err
-
     def test_keep_going_all_failures_exits_nonzero(
         self, capsys, figure_args, monkeypatch
     ):

@@ -1,18 +1,10 @@
-"""Concurrency safety of the eval layer's module globals (PR-8 bugfix).
+"""Concurrency safety of the schedule-verify gate (PR-8 bugfix).
 
-Two latent races fixed alongside the serve layer, which is the first
-client to actually drive the runner and the verify gate from concurrent
-contexts:
-
-- the runner's module-level :class:`RunEvent` log was drained with an
-  unsynchronized ``list(...)`` + ``clear()`` against live producers, so
-  an event appended between the two was silently dropped and two
-  simultaneous drains could double-deliver;
-- the memoized schedule-verify gate had a check-then-act race: two
-  sessions missing the memo at once both ran the (expensive) full
-  verification, and the unsynchronized dict/clear could lose entries.
-  (The memo is now :data:`repro.analysis.absint.GATE`, shared with
-  serve; these tests drive it the way ``eval.common`` does.)
+The memoized gate had a check-then-act race: two sessions missing the
+memo at once both ran the (expensive) full verification, and the
+unsynchronized dict/clear could lose entries.  (The memo is now
+:data:`repro.analysis.absint.GATE`, shared with serve; these tests
+drive it the way ``eval.common`` does.)
 """
 
 from __future__ import annotations
@@ -23,15 +15,7 @@ import pytest
 
 from repro.analysis.absint import GATE
 from repro.eval import common as eval_common
-from repro.eval import runner
 from repro.trace.program import HeTrace, OpKind, TraceOp
-
-
-@pytest.fixture(autouse=True)
-def _drained_log():
-    runner.take_events()
-    yield
-    runner.take_events()
 
 
 @pytest.fixture(autouse=True)
@@ -56,60 +40,6 @@ def clean_trace():
             TraceOp(OpKind.HADD, 1),
         ],
     )
-
-
-class TestEventLog:
-    def test_concurrent_drain_never_loses_or_duplicates(self):
-        """Satellite 2's regression: producers race a draining consumer.
-
-        Eight producer threads append uniquely-numbered events while a
-        consumer drains in a loop.  Every produced event must be seen by
-        exactly one drain: drained + remaining == produced, no
-        duplicates.  The pre-fix unsynchronized ``list``/``clear`` pair
-        drops events under this load.
-        """
-        workers, per_worker = 8, 2_000
-        barrier = threading.Barrier(workers + 1)
-        drained: list[runner.RunEvent] = []
-        stop = threading.Event()
-
-        def producer(worker: int):
-            barrier.wait()
-            for i in range(per_worker):
-                runner.record_event(runner.RunEvent(
-                    kind="task-retry", task=worker * per_worker + i,
-                ))
-
-        def consumer():
-            barrier.wait()
-            while not stop.is_set():
-                drained.extend(runner.take_events())
-
-        threads = [
-            threading.Thread(target=producer, args=(w,))
-            for w in range(workers)
-        ]
-        drain_thread = threading.Thread(target=consumer)
-        for t in threads:
-            t.start()
-        drain_thread.start()
-        for t in threads:
-            t.join()
-        stop.set()
-        drain_thread.join()
-        drained.extend(runner.take_events())
-
-        tasks = [event.task for event in drained]
-        assert len(tasks) == workers * per_worker, (
-            f"lost {workers * per_worker - len(tasks)} event(s)"
-        )
-        assert len(set(tasks)) == len(tasks), "an event was double-drained"
-
-    def test_record_event_is_the_producer_path(self):
-        runner.record_event(runner.RunEvent(kind="task-error", task=1))
-        [event] = runner.take_events()
-        assert (event.kind, event.task) == ("task-error", 1)
-        assert runner.take_events() == []
 
 
 class TestVerifyGateSingleFlight:

@@ -1,12 +1,10 @@
-"""Fault-injection suite: the runner survives the faults it claims to.
+"""Fault-injection suite: the spec grammar, the hooks, and the cache's
+quarantine path under injected write faults.
 
-Every scenario from DESIGN.md Sec. 9 is driven through
-:mod:`repro.eval.faults` on a fixed schedule, so the failures are
-deterministic and the assertions are exact: a killed worker costs a pool
-respawn (never the sweep), a hung task times out and retries with
-backoff, an exhausted retry budget lands a positioned ``None`` (or a
-:class:`~repro.errors.RunnerError`), and a mid-sweep interrupt leaves
-every completed point on disk.
+Every fault is driven through :mod:`repro.eval.faults` on a fixed
+schedule, so the failures are deterministic and the assertions exact.
+The ``result`` site is exercised through the CLI in ``test_cli.py``; the
+``serve.*`` sites end to end in ``test_serve_resilience.py``.
 """
 
 from __future__ import annotations
@@ -15,12 +13,8 @@ import json
 
 import pytest
 
-from repro.errors import ParameterError, RunnerError
+from repro.errors import ParameterError
 from repro.eval import common, faults, runner
-
-
-def _square(x):
-    return x * x
 
 
 def _cached_square(x):
@@ -28,12 +22,7 @@ def _cached_square(x):
     return runner.cached("faults-square", {"x": x}, compute=lambda: x * x)
 
 
-def _raise_parameter_error(x):
-    raise ParameterError(f"deterministic failure for {x}")
-
-
 CALLS = [dict(x=i) for i in range(8)]
-EXPECTED = [i * i for i in range(8)]
 
 
 @pytest.fixture()
@@ -47,71 +36,61 @@ def fresh_cache(tmp_path):
     common.clear_memory_caches()
 
 
-@pytest.fixture(autouse=True)
-def _drain_events():
-    """Keep the module event log from leaking between tests."""
-    runner.take_events()
-    yield
-    runner.take_events()
-
-
 class TestSpecParsing:
     def test_schedule_clause(self):
-        plan = faults.parse("task:kill@2,5;seed=7")
+        plan = faults.parse("store:truncate@2,5;seed=7")
         assert plan.seed == 7
-        assert plan.decide("task", 2, 1) == "kill"
-        assert plan.decide("task", 5, 1) == "kill"
-        assert plan.decide("task", 3, 1) is None
-        # Scheduled faults fire on the first attempt only: retries run
-        # clean, which is what makes every injected fault recoverable.
-        assert plan.decide("task", 2, 2) is None
-
-    def test_starred_index_fires_every_attempt(self):
-        plan = faults.parse("task:raise@3*")
-        assert plan.decide("task", 3, 1) == "raise"
-        assert plan.decide("task", 3, 9) == "raise"
+        assert plan.decide("store", 2) == "truncate"
+        assert plan.decide("store", 5) == "truncate"
+        assert plan.decide("store", 3) is None
 
     def test_probability_clause_is_deterministic(self):
-        plan = faults.parse("task:raise%0.5;seed=11")
-        fired = [i for i in range(64) if plan.decide("task", i, 1)]
-        again = [i for i in range(64) if plan.decide("task", i, 1)]
+        plan = faults.parse("store:corrupt%0.5;seed=11")
+        fired = [i for i in range(64) if plan.decide("store", i)]
+        again = [i for i in range(64) if plan.decide("store", i)]
         assert fired == again
         assert 8 < len(fired) < 56  # roughly half, exactly reproducible
         # A different seed fires a different (still deterministic) set.
-        other = faults.parse("task:raise%0.5;seed=12")
-        assert fired != [i for i in range(64) if other.decide("task", i, 1)]
+        other = faults.parse("store:corrupt%0.5;seed=12")
+        assert fired != [i for i in range(64) if other.decide("store", i)]
 
     def test_store_modes(self):
         plan = faults.parse("store:truncate@0;store:corrupt@1")
-        assert plan.decide("store", 0, 1) == "truncate"
-        assert plan.decide("store", 1, 1) == "corrupt"
-        assert plan.decide("store", 2, 1) is None
+        assert plan.decide("store", 0) == "truncate"
+        assert plan.decide("store", 1) == "corrupt"
+        assert plan.decide("store", 2) is None
 
     @pytest.mark.parametrize("spec", [
-        "task",                # no mode
+        "store",               # no mode
         "oven:raise@1",        # unknown site
-        "task:corrupt@1",      # store-only mode on task site
-        "store:kill@1",        # task-only mode on store site
-        "task:raise@x",        # non-integer index
-        "task:raise%1.5",      # probability out of range
+        "result:corrupt@1",    # store-only mode on result site
+        "store:kill@1",        # no site has this mode
+        "result:raise@x",      # non-integer index
+        "result:raise@0*",     # the every-attempt suffix left with retries
+        "result:raise%1.5",    # probability out of range
         "seed=abc",
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ParameterError):
             faults.parse(spec)
 
+    def test_task_site_is_gone(self):
+        """The grid map has no retry loop to exercise; the site that fed
+        it is rejected by name, listing the sites that remain."""
+        with pytest.raises(ParameterError, match=r"site in \["):
+            faults.parse("task:raise@0")
+
     def test_inactive_hooks_are_noops(self):
         assert not faults.ACTIVE
-        faults.fire_task(0, 1)  # must not raise
+        faults.fire_result()  # must not raise
         assert faults.mangle_record("{}") == "{}"
 
     def test_context_manager_restores(self):
-        with faults.injected("task:raise@1") as plan:
+        with faults.injected("store:corrupt@1") as plan:
             assert faults.ACTIVE
             assert faults.active_plan() is plan
-            assert faults.active_spec() == "task:raise@1"
         assert not faults.ACTIVE
-        assert faults.active_spec() is None
+        assert faults.active_plan() is None
 
 
 class TestServeSites:
@@ -124,10 +103,10 @@ class TestServeSites:
         )
         assert plan.slow_seconds == 0.007
         assert plan.stall_seconds == 0.03
-        assert plan.decide("serve.kernel", 0, 1) == "raise"
-        assert plan.decide("serve.kernel", 1, 1) == "slow"
-        assert plan.decide("serve.queue", 0, 1) == "stall"
-        assert plan.decide("serve.request", 2, 1) == "poison"
+        assert plan.decide("serve.kernel", 0) == "raise"
+        assert plan.decide("serve.kernel", 1) == "slow"
+        assert plan.decide("serve.queue", 0) == "stall"
+        assert plan.decide("serve.request", 2) == "poison"
 
     @pytest.mark.parametrize("spec", [
         "serve.kernel:stall@0",    # queue-only mode on kernel site
@@ -173,134 +152,6 @@ class TestServeSites:
         assert issubclass(faults.PoisonedRequest, faults.FaultInjected)
 
 
-class TestWorkerKill:
-    def test_killed_worker_respawns_and_matches_serial(self, fresh_cache):
-        """Acceptance (a): a worker kill costs one pool respawn; results
-        stay byte-identical to a fault-free serial run."""
-        baseline = runner.map_grid(_cached_square, CALLS, jobs=1)
-        # A separate cold cache, so the faulted run really recomputes.
-        runner.configure(cache_dir=fresh_cache.cache_dir / "faulted")
-        events: list[runner.RunEvent] = []
-        with faults.injected("task:kill@2"):
-            got = runner.map_grid(
-                _cached_square, CALLS, jobs=2, backoff=0.01, events=events,
-            )
-        kinds = [e.kind for e in events]
-        assert "pool-broken" in kinds
-        assert "pool-respawn" in kinds
-        assert json.dumps(got) == json.dumps(baseline)
-
-    def test_kill_downgrades_to_raise_in_serial(self):
-        """In-process grids cannot lose a worker; the injector models
-        the crash as an exception instead of killing the suite."""
-        events: list[runner.RunEvent] = []
-        with faults.injected("task:kill@2"):
-            got = runner.map_grid(
-                _square, CALLS, jobs=1, backoff=0.0, events=events,
-            )
-        assert got == EXPECTED
-        assert [e.kind for e in events] == ["task-error", "task-retry"]
-
-    def test_repeated_pool_failures_degrade_to_serial(self):
-        runner.configure_policy(pool_failure_limit=0, backoff=0.0)
-        try:
-            events: list[runner.RunEvent] = []
-            with faults.injected("task:kill@1"):
-                got = runner.map_grid(_square, CALLS, jobs=2, events=events)
-        finally:
-            runner.configure_policy()
-        assert got == EXPECTED
-        kinds = [e.kind for e in events]
-        assert "pool-broken" in kinds
-        assert "serial-fallback" in kinds
-
-
-class TestHangAndTimeout:
-    def test_hung_task_times_out_and_is_retried(self):
-        """Acceptance (b): a hang trips the deadline, the pool is
-        recycled, and the task is retried with backoff — the sweep does
-        not wait out the hang."""
-        events: list[runner.RunEvent] = []
-        with faults.injected("task:hang@1;hang=30"):
-            got = runner.map_grid(
-                _square, CALLS, jobs=2, timeout=0.3, backoff=0.01,
-                events=events,
-            )
-        assert got == EXPECTED
-        timeouts = [e for e in events if e.kind == "task-timeout"]
-        retries = [e for e in events if e.kind == "task-retry"]
-        assert timeouts and timeouts[0].task == 1
-        assert timeouts[0].latency >= 0.3
-        assert retries and retries[0].task == 1
-        assert any(e.kind == "pool-recycle" for e in events)
-
-    def test_backoff_delay_is_bounded_and_deterministic(self):
-        policy = runner.RunPolicy(backoff=0.1, backoff_cap=5.0)
-        for failure in (1, 2, 3):
-            base = min(5.0, 0.1 * 2.0 ** (failure - 1))
-            delay = policy.delay_for(7, failure)
-            assert delay == policy.delay_for(7, failure)  # jitter is seeded
-            assert 0.5 * base <= delay < 1.5 * base
-        assert runner.RunPolicy(backoff=0.0).delay_for(7, 1) == 0.0
-
-
-class TestRetryExhaustion:
-    def test_exhaustion_yields_positioned_none(self):
-        """Acceptance (c): a task that fails attempt after attempt lands
-        a ``None`` at its grid position; the rest of the sweep finishes."""
-        events: list[runner.RunEvent] = []
-        with faults.injected("task:raise@3*"):
-            got = runner.map_grid(
-                _square, CALLS, jobs=2, retries=1, backoff=0.0,
-                on_exhausted="none", events=events,
-            )
-        assert got == [0, 1, 4, None, 16, 25, 36, 49]
-        exhausted = [e for e in events if e.kind == "task-exhausted"]
-        assert len(exhausted) == 1
-        assert exhausted[0].task == 3
-        assert exhausted[0].error == "FaultInjected"
-
-    def test_exhaustion_raises_runner_error_by_default(self):
-        with faults.injected("task:raise@3*"):
-            with pytest.raises(RunnerError, match="grid task 3"):
-                runner.map_grid(_square, CALLS, jobs=2, retries=1, backoff=0.0)
-
-    def test_deterministic_library_errors_never_retried(self):
-        """A ReproError re-raises as itself, immediately: replaying a
-        deterministic failure cannot succeed."""
-        events: list[runner.RunEvent] = []
-        with pytest.raises(ParameterError):
-            runner.map_grid(
-                _raise_parameter_error, CALLS, jobs=1, events=events,
-            )
-        assert events == []
-
-    def test_bad_on_exhausted_rejected(self):
-        with pytest.raises(ParameterError):
-            runner.map_grid(_square, CALLS, jobs=1, on_exhausted="explode")
-
-
-class TestInterrupt:
-    def test_interrupt_propagates_with_completed_results_on_disk(
-        self, fresh_cache
-    ):
-        """Acceptance (d): Ctrl-C mid-grid cancels cleanly; every point
-        finished before the interrupt is on disk for the next run."""
-        events: list[runner.RunEvent] = []
-        with faults.injected("task:interrupt@6"):
-            with pytest.raises(KeyboardInterrupt):
-                runner.map_grid(
-                    _cached_square, CALLS, jobs=2, backoff=0.0, events=events,
-                )
-        assert any(e.kind == "interrupted" for e in events)
-        completed = list(
-            (fresh_cache.cache_dir / "faults-square").glob("*.json")
-        )
-        # Bounded submission: task 6 only starts once earlier points
-        # finished, so their records must already be published.
-        assert len(completed) >= 2
-
-
 class TestRecordCorruption:
     def test_corrupted_store_is_quarantined_not_fatal(self, fresh_cache):
         """An injected write fault costs one recompute on the next load;
@@ -319,14 +170,18 @@ class TestRecordCorruption:
         fresh_cache.store("simulate", {"a": 1}, 111)
         assert fresh_cache.load("simulate", {"a": 1}) == (True, 111)
 
-    def test_faulted_parallel_sweep_matches_clean_serial(self, fresh_cache):
-        """Kill + hang + record corruption together, one seeded schedule:
-        the paper's acceptance bar for `repro figure fig14 --jobs 2`."""
-        baseline = runner.map_grid(_cached_square, CALLS, jobs=1)
-        runner.configure(cache_dir=fresh_cache.cache_dir / "chaos")
-        spec = "task:kill@2;task:hang@5;store:truncate@1;hang=30;seed=3"
-        with faults.injected(spec):
-            got = runner.map_grid(
-                _cached_square, CALLS, jobs=2, timeout=0.4, backoff=0.01,
-            )
+    def test_faulted_sweep_matches_clean_run(self, fresh_cache):
+        """A sweep whose record writes are truncated and corrupted
+        renders byte-identically to a clean one — on the faulted run and
+        on the re-run that has to read the mangled records back."""
+        baseline = runner.map_grid(_cached_square, CALLS)
+        faulted_cache = runner.configure(
+            cache_dir=fresh_cache.cache_dir / "faulted"
+        )
+        with faults.injected("store:truncate@1;store:corrupt@4"):
+            got = runner.map_grid(_cached_square, CALLS)
         assert json.dumps(got) == json.dumps(baseline)
+        rerun = runner.map_grid(_cached_square, CALLS)
+        assert json.dumps(rerun) == json.dumps(baseline)
+        assert faulted_cache.corrupt_count == 2
+        assert faulted_cache.hit_count("faults-square") == len(CALLS) - 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import fig18, fig19, table1
+from repro.eval import fig18, fig19, runner, table1
 from repro.eval.precision import (
     adjust_error_samples,
     box_stats,
@@ -16,10 +16,25 @@ TINY = dict(samples=3, n=256)
 
 
 class TestPrecisionMachinery:
-    def test_contexts_cached(self):
+    def test_chain_cached_context_fresh(self):
         a = precision_context("bitpacker", 30.0, levels=3, n=256)
         b = precision_context("bitpacker", 30.0, levels=3, n=256)
-        assert a is b
+        assert a.chain is b.chain
+        assert a is not b  # a context's rng is consumed by every use
+
+    def test_samples_do_not_depend_on_what_ran_before(self):
+        """Regression: Figs. 18 and 19 shared one lru_cached context, so
+        ``figure fig19`` and ``figure fig18 fig19`` wrote different
+        files (and the disk cache froze whichever order ran first)."""
+        previous = runner.active_cache()
+        runner.configure(enabled=False)
+        try:
+            alone = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
+            rescale_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
+            after = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
+        finally:
+            runner._ACTIVE = previous
+        assert after == alone
 
     def test_rescale_samples_track_scale(self):
         lo = rescale_error_samples("bitpacker", 25.0, 2, n=256, levels=3)

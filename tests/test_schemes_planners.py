@@ -21,6 +21,7 @@ from repro.schemes.selection import (
     limit_fraction,
     log2_fraction,
     min_prime_bits,
+    terminal_pool,
 )
 
 N = 256
@@ -215,6 +216,25 @@ class TestGreedy:
         if got is not None:
             total = sum(math.log2(p) for p in got)
             assert -2.0 <= 26.0 - total <= 0.01
+
+
+    @pytest.mark.parametrize("target", [24.0, 47.3, 70.0, 101.5])
+    def test_excluded_primes_search_like_a_filtered_pool(self, target):
+        """The planners pass one shared pool plus the primes to skip;
+        the search must see exactly what a pre-filtered list shows it
+        (reachability bounds and visiting order included)."""
+        pool = terminal_pool(28, N)
+        cands = pool.primes
+        # The largest (BitPacker's non-terminals), the smallest, and a
+        # stride through the middle.
+        excluded = set(cands[-6:]) | set(cands[:3]) | set(cands[5::7])
+        filtered = [p for p in cands if p not in excluded]
+        assert greedy_prime_product(
+            target, pool, 0.5, max_count=4, excluded=excluded
+        ) == greedy_prime_product(target, filtered, 0.5, max_count=4)
+        assert greedy_prime_product(
+            target, pool, excluded=set(cands)
+        ) is None
 
 
 class TestLimitFraction:

@@ -1,6 +1,6 @@
 """Serve-layer resilience: deadlines, retries, breakers, drain, chaos.
 
-The contract under test (DESIGN.md Sec. 14): an injected fault may cost
+The contract under test (DESIGN.md Sec. 13): an injected fault may cost
 latency — retries, backoff, a 504, a 503 — but never correctness.  Every
 ``ok`` response stays byte-identical to serial execution, a poison
 request is quarantined instead of failing its batch peers, a stopped
@@ -32,6 +32,7 @@ from repro.serve.resilience import (
     BreakerPolicy,
     CircuitBreaker,
     RetryPolicy,
+    backoff_delay,
     remaining,
 )
 from repro.serve.service import BitPackerServe
@@ -60,6 +61,20 @@ class TestRetryPolicy:
             assert delay == policy.delay_for(7, failure)  # jitter is seeded
             assert 0.5 * base <= delay < 1.5 * base
         assert RetryPolicy(backoff=0.0).delay_for(7, 1) == 0.0
+
+    def test_backoff_delay_is_bounded_and_deterministic(self):
+        """The curve itself, with the values it produced in its old home
+        (``repro.eval.runner``): the move changed no delay."""
+        for failure in (1, 2, 3, 9):
+            base = min(5.0, 0.1 * 2.0 ** (failure - 1))
+            delay = backoff_delay(0.1, 5.0, "backoff", 7, failure)
+            assert delay == backoff_delay(0.1, 5.0, "backoff", 7, failure)
+            assert 0.5 * base <= delay < 1.5 * base
+        assert backoff_delay(0.0, 5.0, "backoff", 7, 1) == 0.0
+        assert backoff_delay(0.1, 5.0, "backoff", 7, 1) == 0.13282976429909468
+        assert backoff_delay(0.01, 0.25, "serve-backoff", 3, 2) == (
+            0.026608516024425627
+        )
 
     def test_validation(self):
         with pytest.raises(ParameterError):
