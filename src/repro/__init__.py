@@ -6,8 +6,9 @@ A from-scratch Python implementation of the paper's full stack:
   substrates (NTT, base conversion, scale-up/scale-down).
 - :mod:`repro.ckks` — a functional CKKS library (encoding, encryption,
   homomorphic evaluation with hybrid keyswitching).
-- :mod:`repro.schemes` — the two level-management schemes under
-  comparison: baseline RNS-CKKS and BitPacker.
+- :mod:`repro.schemes` — the two chain planners under comparison
+  (baseline RNS-CKKS and BitPacker) and the one level-management
+  routine their chains share.
 - :mod:`repro.accel` — a CraterLake-class accelerator performance,
   energy, and area model with word-size sweeps.
 - :mod:`repro.cpu` — a CPU cost model (paper Fig. 13).
@@ -19,9 +20,7 @@ A from-scratch Python implementation of the paper's full stack:
 from repro.ckks import CkksContext
 from repro.ckks.bootstrap import BS19, BS26, FunctionalBootstrapper
 from repro.schemes import (
-    BitPackerChain,
     ModulusChain,
-    RnsCkksChain,
     plan_bitpacker_chain,
     plan_chain,
     plan_rns_ckks_chain,
@@ -35,8 +34,6 @@ __all__ = [
     "BS26",
     "FunctionalBootstrapper",
     "ModulusChain",
-    "RnsCkksChain",
-    "BitPackerChain",
     "plan_rns_ckks_chain",
     "plan_bitpacker_chain",
     "plan_chain",

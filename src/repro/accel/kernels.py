@@ -23,6 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SimulationError
+from repro.schemes.chain import ModulusChain
+from repro.trace.program import OpKind, TraceOp
+
 
 @dataclass
 class OpCost:
@@ -144,32 +148,54 @@ def padd_cost(r: int) -> OpCost:
     return OpCost(add_passes=r, hbm_rows=3 * r, resident_rows=3 * r)
 
 
-def rescale_cost_rns(r: int, shed: int) -> OpCost:
-    """RNS-CKKS rescale shedding ``shed`` residues (Listing 1 /
-    double-prime generalization): a pure scale-down."""
-    return _scale_down_cost(r, shed)
-
-
-def rescale_cost_bitpacker(r: int, added: int, shed: int) -> OpCost:
-    """BitPacker ``bpRescale`` (Listing 4): scale-up then scale-down.
+def rescale_cost(r: int, added: int, shed: int) -> OpCost:
+    """Rescale (Listing 4): scale-up by ``added`` moduli, scale-down by
+    ``shed``; with none to add, Listing 1's pure scale-down.
 
     The scale-up is one constant multiply per residue row; the new rows
     are zeros and cost nothing (Listing 3, Sec. 4.3).
     """
-    cost = OpCost(mul_passes=2 * r)  # mulConst on both polynomials
-    return cost.merged(_scale_down_cost(r + added, shed))
+    cost = _scale_down_cost(r + added, shed)
+    if added:
+        cost.mul_passes += 2 * r  # mulConst on both polynomials
+    return cost
 
 
-def adjust_cost_rns(r: int, shed: int) -> OpCost:
-    """RNS-CKKS adjust (Listing 2): constant multiply + rescale."""
+def adjust_cost(r: int, added: int, shed: int) -> OpCost:
+    """Adjust (Listing 6; Listing 2 with none to add): constant multiply
+    + rescale."""
     cost = OpCost(mul_passes=2 * r)
-    return cost.merged(rescale_cost_rns(r, shed))
+    return cost.merged(rescale_cost(r, added, shed))
 
 
-def adjust_cost_bitpacker(r: int, added: int, shed: int) -> OpCost:
-    """BitPacker ``bpAdjust`` (Listing 6): constant multiply + bpRescale."""
-    cost = OpCost(mul_passes=2 * r)
-    return cost.merged(rescale_cost_bitpacker(r, added, shed))
+def op_cost(op: TraceOp, chain: ModulusChain, kshgen: bool) -> OpCost:
+    """Kernel decomposition of one trace op through the chain — the one
+    op-kind dispatch, shared by the accelerator and CPU models."""
+    r = chain.residues_at(op.level)
+    k = len(chain.special_moduli)
+    digits = chain.ks_digits
+    if op.kind is OpKind.HMUL:
+        return hmul_cost(r, k, digits, kshgen)
+    if op.kind is OpKind.HROT:
+        return hrot_cost(r, k, digits, kshgen)
+    if op.kind is OpKind.HADD:
+        return hadd_cost(r)
+    if op.kind is OpKind.PMUL:
+        return pmul_cost(r)
+    if op.kind is OpKind.PADD:
+        return padd_cost(r)
+    if op.kind is OpKind.RESCALE:
+        move = chain.move(op.level, op.level - 1)
+        return rescale_cost(r, len(move.added), len(move.shed))
+    if op.kind is OpKind.ADJUST:
+        # Residue drops down to dst+1 are free; the priced step is the
+        # final constant-multiply + rescale into dst's basis.
+        step_level = min(op.dst_level + 1, op.level)
+        move = chain.move(step_level, op.dst_level)
+        return adjust_cost(
+            chain.residues_at(step_level), len(move.added), len(move.shed)
+        )
+    raise SimulationError(f"unknown op kind {op.kind}")
 
 
 def _scale_down_cost(r: int, shed: int) -> OpCost:

@@ -31,7 +31,7 @@ from repro.accel.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.accel.kernels import OpCost
 from repro.errors import SimulationError
 from repro.schemes.chain import ModulusChain
-from repro.trace.program import LEVEL_MANAGEMENT_KINDS, HeTrace, OpKind, TraceOp
+from repro.trace.program import LEVEL_MANAGEMENT_KINDS, HeTrace, TraceOp
 
 #: Baseline fraction of each op's operand bytes that misses the register
 #: file over a long program (compulsory input/output traffic).
@@ -168,35 +168,7 @@ class AcceleratorSim:
     # ------------------------------------------------------------------
     def op_cost(self, op: TraceOp, chain: ModulusChain) -> OpCost:
         """Kernel decomposition of one trace op through the chain."""
-        r = chain.residues_at(op.level)
-        k = len(chain.special_moduli)
-        digits = chain.ks_digits
-        kshgen = self.config.kshgen
-        if op.kind is OpKind.HMUL:
-            return kernels.hmul_cost(r, k, digits, kshgen)
-        if op.kind is OpKind.HROT:
-            return kernels.hrot_cost(r, k, digits, kshgen)
-        if op.kind is OpKind.HADD:
-            return kernels.hadd_cost(r)
-        if op.kind is OpKind.PMUL:
-            return kernels.pmul_cost(r)
-        if op.kind is OpKind.PADD:
-            return kernels.padd_cost(r)
-        if op.kind is OpKind.RESCALE:
-            added, shed = _level_move(chain, op.level, op.level - 1)
-            if added:
-                return kernels.rescale_cost_bitpacker(r, added, shed)
-            return kernels.rescale_cost_rns(r, shed)
-        if op.kind is OpKind.ADJUST:
-            # Residue drops down to dst+1 are free; the priced step is the
-            # final constant-multiply + rescale into dst's basis.
-            step_level = min(op.dst_level + 1, op.level)
-            r_step = chain.residues_at(step_level)
-            added, shed = _level_move(chain, step_level, op.dst_level)
-            if added:
-                return kernels.adjust_cost_bitpacker(r_step, added, shed)
-            return kernels.adjust_cost_rns(r_step, shed)
-        raise SimulationError(f"unknown op kind {op.kind}")
+        return kernels.op_cost(op, chain, self.config.kshgen)
 
     # ------------------------------------------------------------------
     def op_cycle_components(self, cost: OpCost, n: int) -> dict[str, float]:
@@ -301,10 +273,3 @@ class AcceleratorSim:
         result.energy_j += static
         result.energy_by_component["static"] = static
         return result
-
-
-def _level_move(chain: ModulusChain, src: int, dst: int) -> tuple[int, int]:
-    """``(added, shed)`` residue counts moving from level src to dst."""
-    cur = set(chain.moduli_at(src))
-    target = set(chain.moduli_at(dst))
-    return len(target - cur), len(cur - target)

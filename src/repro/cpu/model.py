@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from repro.accel import kernels
 from repro.errors import SimulationError
 from repro.schemes.chain import ModulusChain
-from repro.trace.program import LEVEL_MANAGEMENT_KINDS, HeTrace, OpKind, TraceOp
+from repro.trace.program import LEVEL_MANAGEMENT_KINDS, HeTrace, TraceOp
 
 
 @dataclass
@@ -71,7 +71,8 @@ class CpuModel:
     crb_mac_cycles: float = 5.5  # multiply-accumulate + lazy reduction
 
     def op_cycles(self, op: TraceOp, chain: ModulusChain, n: int) -> float:
-        cost = self._op_cost(op, chain)
+        # On a CPU keys are precomputed in memory: no KSHGen work.
+        cost = kernels.op_cost(op, chain, kshgen=False)
         butterflies = cost.ntt_passes * (n / 2) * math.log2(n)
         return (
             butterflies * self.butterfly_cycles
@@ -80,35 +81,6 @@ class CpuModel:
             + cost.auto_passes * n * self.auto_cycles
             + cost.crb_mac_rows * n * self.crb_mac_cycles
         )
-
-    def _op_cost(self, op: TraceOp, chain: ModulusChain) -> kernels.OpCost:
-        r = chain.residues_at(op.level)
-        k = len(chain.special_moduli)
-        digits = chain.ks_digits
-        # On a CPU keys are precomputed in memory: no KSHGen work.
-        if op.kind is OpKind.HMUL:
-            return kernels.hmul_cost(r, k, digits, kshgen=False)
-        if op.kind is OpKind.HROT:
-            return kernels.hrot_cost(r, k, digits, kshgen=False)
-        if op.kind is OpKind.HADD:
-            return kernels.hadd_cost(r)
-        if op.kind is OpKind.PMUL:
-            return kernels.pmul_cost(r)
-        if op.kind is OpKind.PADD:
-            return kernels.padd_cost(r)
-        if op.kind is OpKind.RESCALE:
-            added, shed = _level_move(chain, op.level, op.level - 1)
-            if added:
-                return kernels.rescale_cost_bitpacker(r, added, shed)
-            return kernels.rescale_cost_rns(r, shed)
-        if op.kind is OpKind.ADJUST:
-            step_level = min(op.dst_level + 1, op.level)
-            r_step = chain.residues_at(step_level)
-            added, shed = _level_move(chain, step_level, op.dst_level)
-            if added:
-                return kernels.adjust_cost_bitpacker(r_step, added, shed)
-            return kernels.adjust_cost_rns(r_step, shed)
-        raise SimulationError(f"unknown op kind {op.kind}")
 
     def run(self, trace: HeTrace, chain: ModulusChain) -> CpuResult:
         if trace.max_level != chain.max_level:
@@ -128,12 +100,6 @@ class CpuModel:
             if op.kind in LEVEL_MANAGEMENT_KINDS:
                 result.level_mgmt_cycles += cycles
         return result
-
-
-def _level_move(chain: ModulusChain, src: int, dst: int) -> tuple[int, int]:
-    cur = set(chain.moduli_at(src))
-    target = set(chain.moduli_at(dst))
-    return len(target - cur), len(cur - target)
 
 
 #: Shared instance for the experiments.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.accel.config import craterlake
-from repro.accel.kernels import OpCost, rescale_cost_bitpacker, rescale_cost_rns
+from repro.accel.kernels import OpCost, rescale_cost
 from repro.accel.sim import AcceleratorSim
 from repro.eval.common import WORKLOAD_GRID, format_table, gmean, simulate
 from repro.schemes import plan_bitpacker_chain
@@ -46,7 +46,7 @@ def iterated_rescale_cost(r: int, added: int, shed: int) -> OpCost:
     cost = OpCost(mul_passes=2 * r)  # the scale-up constant multiply
     current = r + added
     for _ in range(shed):
-        cost = cost.merged(rescale_cost_rns(current, 1))
+        cost = cost.merged(rescale_cost(current, 0, 1))
         current -= 1
     return cost
 
@@ -57,7 +57,7 @@ def run_scale_down_ablation(
     sim = AcceleratorSim(craterlake())
     rows = []
     for r in r_values:
-        single = rescale_cost_bitpacker(r, added=1, shed=shed)
+        single = rescale_cost(r, added=1, shed=shed)
         multi = iterated_rescale_cost(r, added=1, shed=shed)
         rows.append(
             ScaleDownRow(

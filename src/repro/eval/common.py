@@ -38,12 +38,11 @@ from repro.schemes import (
     plan_bitpacker_chain,
     plan_rns_ckks_chain,
 )
-from repro.schemes.chain import ModulusChain
+from repro.schemes.chain import SCHEMES, ModulusChain  # SCHEMES: for the harnesses
 from repro.trace.program import HeTrace
 from repro.workloads.apps import BENCHMARKS
 from repro.workloads.bootstrap_model import SCHEDULES
 
-SCHEMES = ("bitpacker", "rns-ckks")
 #: Benchmark x bootstrap pairs of Figs. 11-16 (10 workloads).
 WORKLOAD_GRID = tuple(
     (app, bs) for bs in ("BS19", "BS26") for app in BENCHMARKS

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.ckks.context import CkksContext
 from repro.eval import runner
-from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
+from repro.schemes import plan_chain
 
 #: Word sizes per scheme for the precision comparison (see module doc).
 PRECISION_WORDS = {"bitpacker": 28, "rns-ckks": 60}
@@ -33,8 +33,8 @@ DEFAULT_N = 2048
 def _precision_chain(
     scheme: str, scale_bits: float, levels: int, n: int, ks_digits: int
 ):
-    planner = plan_bitpacker_chain if scheme == "bitpacker" else plan_rns_ckks_chain
-    return planner(
+    return plan_chain(
+        scheme,
         n=n,
         word_bits=PRECISION_WORDS[scheme],
         level_scale_bits=float(scale_bits),

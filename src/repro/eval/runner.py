@@ -49,7 +49,8 @@ from repro.obs import core as _obs
 #: empty table and break profile accounting.
 #: v4: ``precision``/``table1`` samples come from a context keyed inside
 #: each computation; older records froze whichever figure ran first.
-CACHE_SCHEMA_VERSION = 4
+#: v5: ``chain`` records carry no ``groups`` (derived from the levels).
+CACHE_SCHEMA_VERSION = 5
 
 ENV_CACHE_DIR = "BITPACKER_CACHE_DIR"
 ENV_CACHE_ENABLED = "BITPACKER_CACHE"

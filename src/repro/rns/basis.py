@@ -222,6 +222,16 @@ def restriction(
     return RnsBasis(basis.n, moduli), rows
 
 
+@lru_cache(maxsize=4096)
+def extension(
+    basis: RnsBasis, moduli: tuple[int, ...]
+) -> tuple[RnsBasis, ScalarColumn]:
+    """``basis`` grown by ``moduli`` and the column multiplying each of
+    its rows by their product — :func:`restriction`'s twin for
+    ``scale_up``, built once per ``(basis, moduli)`` like it."""
+    return basis.extended(moduli), basis.scalar_column([prod(moduli)] * basis.size)
+
+
 @lru_cache(maxsize=1024)
 def conversion_table(src: RnsBasis, dst_moduli: tuple[int, ...]) -> ConversionTable:
     """The cached :class:`ConversionTable` for ``src`` → ``dst_moduli``.

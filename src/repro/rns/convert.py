@@ -25,7 +25,6 @@ weights, the ``P^{-1}`` that finishes a scale-down — live in one cached
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ import repro.backends as _backends
 from repro.analysis import sanitize as _sanitize
 from repro.errors import ParameterError
 from repro.obs import core as _obs
-from repro.rns.basis import ConversionTable, RnsBasis, conversion_table
+from repro.rns.basis import ConversionTable, RnsBasis, conversion_table, extension
 from repro.rns.poly import COEFF, RnsPolynomial
 
 
@@ -124,13 +123,9 @@ def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
     value, scale, and noise all grow by exactly ``K``; the caller accounts
     for the scale.  Works in either domain.
     """
-    new_moduli = tuple(int(q) for q in new_moduli)
-    for q in new_moduli:
-        if poly.basis.contains(q):
-            raise ParameterError(f"scale_up modulus {q} already in basis")
-    grown = poly.basis.extended(new_moduli)
+    grown, k_col = extension(poly.basis, tuple(int(q) for q in new_moduli))
     mat = np.zeros((grown.size, grown.n), dtype=grown.dtype)
-    mat[: poly.basis.size] = poly.scalar_mul(prod(new_moduli)).mat
+    mat[: poly.basis.size] = poly.rowwise_scalar_mul(k_col).mat
     return RnsPolynomial(grown, mat, poly.domain)
 
 

@@ -3,10 +3,11 @@
 A BitPacker level consists of *non-terminal* residues — the largest
 NTT-friendly primes below the hardware word — plus one or two *terminal*
 residues chosen by a greedy DFS (paper Listing 7) so the level's total
-modulus lands within 0.5 bits of its target.  Rescale (Listing 4) and
-adjust (Listing 6) move between levels by a ``scaleUp`` to introduce the
-destination's terminal moduli followed by a multi-modulus ``scaleDown``
-that sheds the source's, temporarily growing the ciphertext as in Fig. 6.
+modulus lands within 0.5 bits of its target.  That choice is all of
+BitPacker: rescale (Listing 4) and adjust (Listing 6) are
+:class:`~repro.schemes.chain.ModulusChain`'s, whose ``scaleUp`` brings in
+the destination's terminal moduli before the multi-modulus ``scaleDown``
+sheds the source's, temporarily growing the ciphertext as in Fig. 6.
 """
 
 from __future__ import annotations
@@ -16,17 +17,8 @@ from fractions import Fraction
 from math import prod
 from typing import Collection, Iterable, Sequence
 
-from repro.ckks.ciphertext import Ciphertext
-from repro.errors import LevelExhaustedError, ParameterError, PlanningError
-from repro.rns.convert import drop_moduli, scale_down, scale_up
-from repro.rns.poly import COEFF, to_domain
-from repro.schemes.chain import (
-    LevelSpec,
-    ModulusChain,
-    canonicalize_scale,
-    replace_ciphertext,
-)
-from repro.schemes.rns_ckks import _log2_fraction, _normalize_targets, _pow2_scale
+from repro.errors import PlanningError
+from repro.schemes.chain import LevelSpec, ModulusChain
 from repro.schemes.selection import (
     ACCEPTANCE_WINDOWS,
     PrimePool,
@@ -34,8 +26,11 @@ from repro.schemes.selection import (
     greedy_prime_product,
     largest_primes_below_word,
     limit_fraction,
+    log2_fraction,
     log2_int,
     min_prime_bits,
+    normalize_targets,
+    pow2_scale,
     terminal_pool,
 )
 
@@ -63,85 +58,6 @@ def greedy_terminal_primes(
     )
 
 
-class BitPackerChain(ModulusChain):
-    """A planned BitPacker chain (word-packed residues per level)."""
-
-    @property
-    def scheme(self) -> str:
-        return "bitpacker"
-
-    # ------------------------------------------------------------------
-    def rescale(self, ct: Ciphertext) -> Ciphertext:
-        """Paper Listing 4 (``bpRescale``): scale up, then scale down."""
-        self._check_on_chain(ct)
-        if ct.level == 0:
-            raise LevelExhaustedError("cannot rescale below level 0")
-        cur = self.moduli_at(ct.level)
-        dst = self.moduli_at(ct.level - 1)
-        added = tuple(q for q in dst if q not in cur)
-        shed = tuple(q for q in cur if q not in dst)
-        c0, c1 = to_domain((ct.c0, ct.c1), COEFF)
-        if added:
-            c0 = scale_up(c0, added)
-            c1 = scale_up(c1, added)
-        c0 = scale_down(c0, shed).restricted(dst)
-        c1 = scale_down(c1, shed).restricted(dst)
-        scale = canonicalize_scale(
-            ct.scale * prod(added) / prod(shed),
-            self.scale_at(ct.level - 1),
-        )
-        return replace_ciphertext(ct, c0, c1, ct.level - 1, scale)
-
-    def adjust(self, ct: Ciphertext, dst_level: int) -> Ciphertext:
-        """Paper Listing 6 (``bpAdjust``), generalized across levels.
-
-        First drops residues while the modulus stays above level
-        ``dst+1``'s (value- and scale-preserving), then applies the
-        scale-correcting constant and a Listing-4-style move into the
-        destination basis.
-        """
-        self._check_on_chain(ct)
-        if dst_level > ct.level:
-            raise ParameterError(
-                f"adjust target {dst_level} above current level {ct.level}"
-            )
-        if dst_level == ct.level:
-            return ct
-        dst_moduli = self.moduli_at(dst_level)
-        cur = list(ct.moduli)
-        c0, c1 = ct.c0, ct.c1
-        # Step 1: cheap residue drops down to ~ level dst+1's modulus.
-        q_floor = self.q_product_at(dst_level + 1)
-        cur_prod = prod(cur)
-        drops: list[int] = []
-        while cur and cur[-1] not in dst_moduli and cur_prod // cur[-1] >= q_floor:
-            drops.append(cur.pop())
-            cur_prod //= drops[-1]
-        if drops:
-            c0 = drop_moduli(c0, drops)
-            c1 = drop_moduli(c1, drops)
-        # Step 2: scale-correct, scale up into dst's moduli, shed the rest.
-        added = tuple(q for q in dst_moduli if q not in cur)
-        shed = tuple(q for q in cur if q not in dst_moduli)
-        target_scale = self.scale_at(dst_level)
-        k = round(target_scale * prod(shed) / (ct.scale * prod(added)))
-        if k < 1:
-            raise PlanningError(
-                f"adjust constant rounded to zero moving level {ct.level} -> "
-                f"{dst_level}; scale {float(ct.scale):.3g} incompatible"
-            )
-        c0, c1 = (c.scalar_mul(k) for c in to_domain((c0, c1), COEFF))
-        if added:
-            c0 = scale_up(c0, added)
-            c1 = scale_up(c1, added)
-        c0 = scale_down(c0, shed).restricted(dst_moduli)
-        c1 = scale_down(c1, shed).restricted(dst_moduli)
-        scale = canonicalize_scale(
-            ct.scale * k * prod(added) / prod(shed), self.scale_at(dst_level)
-        )
-        return replace_ciphertext(ct, c0, c1, dst_level, scale)
-
-
 def plan_bitpacker_chain(
     n: int,
     word_bits: int,
@@ -151,13 +67,13 @@ def plan_bitpacker_chain(
     ks_digits: int = 3,
     max_log_q: float | None = None,
     tolerance_bits: float = DEFAULT_TOLERANCE_BITS,
-) -> BitPackerChain:
+) -> ModulusChain:
     """Plan a BitPacker chain (paper Sec. 3.3 / Fig. 8).
 
     Arguments mirror :func:`~repro.schemes.rns_ckks.plan_rns_ckks_chain`
     so the two schemes can be driven by identical program constraints.
     """
-    targets = _normalize_targets(level_scale_bits, levels)
+    targets = normalize_targets(level_scale_bits, levels)
     max_level = len(targets) - 1
     min_term_bits = min_prime_bits(n)
 
@@ -179,7 +95,7 @@ def plan_bitpacker_chain(
     candidates = terminal_pool(word_bits, n)
 
     specs_rev: list[LevelSpec] = []
-    scales: dict[int, Fraction] = {max_level: _pow2_scale(targets[max_level])}
+    scales: dict[int, Fraction] = {max_level: pow2_scale(targets[max_level])}
     target_q_bits = base_bits + sum(targets[1:])
     prev_q: int | None = None
     for level in range(max_level, -1, -1):
@@ -196,7 +112,7 @@ def plan_bitpacker_chain(
             scales[level] = limit_fraction(
                 scales[level + 1] ** 2 * Fraction(q_actual, prev_q)
             )
-            drift = abs(_log2_fraction(scales[level]) - targets[level])
+            drift = abs(log2_fraction(scales[level]) - targets[level])
             if drift > window + 1e-6:
                 raise PlanningError(
                     f"level {level} scale off target by {drift:.2f} bits "
@@ -210,7 +126,7 @@ def plan_bitpacker_chain(
             target_q_bits = (
                 log2_int(q_actual)
                 + targets[level - 1]
-                - 2 * _log2_fraction(scales[level])
+                - 2 * log2_fraction(scales[level])
             )
 
     specs = list(reversed(specs_rev))
@@ -225,7 +141,8 @@ def plan_bitpacker_chain(
     specials = choose_special_moduli(
         n, word_bits, specs[-1].moduli, ks_digits, taken
     )
-    return BitPackerChain(
+    return ModulusChain(
+        scheme="bitpacker",
         n=n,
         word_bits=word_bits,
         levels=specs,

@@ -5,10 +5,11 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
+from fractions import Fraction
 from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from repro.errors import PlanningError
+from repro.errors import ParameterError, PlanningError
 from repro.nt.primes import (
     ntt_friendly_primes_above,
     ntt_friendly_primes_below,
@@ -26,8 +27,6 @@ def limit_fraction(value, bits: int = 192):
     experiments can observe — keeping all bookkeeping effectively exact
     at constant cost.
     """
-    from fractions import Fraction
-
     num, den = value.numerator, value.denominator
     if den == 1 or num == 0:
         return value
@@ -49,6 +48,30 @@ def log2_int(value: int) -> float:
 def log2_fraction(value) -> float:
     """``log2`` of a Fraction without float overflow."""
     return log2_int(value.numerator) - log2_int(value.denominator)
+
+
+def pow2_scale(bits: float) -> Fraction:
+    """The integer scale nearest ``2^bits`` (a chain's free top scale)."""
+    return Fraction(round(2.0 ** bits))
+
+
+def normalize_targets(
+    level_scale_bits: Sequence[float] | float, levels: int | None
+) -> list[float]:
+    """Per-level target scales (bits) for levels ``0..Lmax``, from either
+    form both planners accept: one number plus ``levels``, or a list."""
+    if isinstance(level_scale_bits, (int, float)):
+        if levels is None:
+            raise ParameterError("levels is required with a scalar scale target")
+        return [float(level_scale_bits)] * (levels + 1)
+    targets = [float(t) for t in level_scale_bits]
+    if levels is not None and levels + 1 != len(targets):
+        raise ParameterError(
+            f"levels={levels} inconsistent with {len(targets)} scale targets"
+        )
+    if len(targets) < 1:
+        raise ParameterError("need at least one level scale target")
+    return targets
 
 
 def min_prime_bits(n: int) -> float:
@@ -74,56 +97,6 @@ def smallest_primes(n: int, count: int, taken: Iterable[int]) -> list[int]:
     raise PlanningError(f"could not find {count} small NTT-friendly primes")
 
 
-def primes_near_target(
-    target_bits: float,
-    n: int,
-    count: int,
-    taken: Iterable[int],
-    limit_bits: float,
-) -> list[int]:
-    """``count`` distinct NTT-friendly primes near ``2^target_bits``.
-
-    Primes are drawn from both sides of the target by log distance, but
-    never at or above ``2^limit_bits`` (the hardware word size).  This is
-    the selection RNS-CKKS uses to tie each residue modulus to a scale.
-    """
-    taken_set = set(taken)
-    target = max(2.0 ** min(target_bits, limit_bits), 2.0 * n + 2)
-    limit = int(2.0 ** limit_bits)
-    below = ntt_friendly_primes_below(int(target) + 1, n)
-    above = ntt_friendly_primes_above(int(target) + 1, n)
-    lo = next(below, None)
-    hi = next(above, None)
-    out: list[int] = []
-    while len(out) < count:
-        if lo is not None and lo in taken_set:
-            lo = next(below, None)
-            continue
-        if hi is not None and (hi in taken_set or hi >= limit):
-            hi = next(above, None) if hi < limit else None
-            continue
-        if lo is None and hi is None:
-            raise PlanningError(
-                f"ran out of NTT-friendly primes near 2^{target_bits:.1f} "
-                f"below 2^{limit_bits:.1f} for n={n}"
-            )
-        if hi is None:
-            pick = lo
-            lo = next(below, None)
-        elif lo is None:
-            pick = hi
-            hi = next(above, None)
-        elif target / lo <= hi / target:
-            pick = lo
-            lo = next(below, None)
-        else:
-            pick = hi
-            hi = next(above, None)
-        out.append(pick)
-        taken_set.add(pick)
-    return out
-
-
 def largest_primes_below_word(
     n: int, word_bits: int, count: int, taken: Iterable[int] = ()
 ) -> list[int]:
@@ -140,6 +113,11 @@ def largest_primes_below_word(
         f"only found {len(out)} of {count} word-sized primes below "
         f"2^{word_bits} for n={n}"
     )
+
+
+def usable_word_bits(n: int, word_bits: int) -> float:
+    """log2 of the largest NTT-friendly prime below ``2^word_bits``."""
+    return math.log2(largest_primes_below_word(n, word_bits, 1)[0])
 
 
 #: Escalating (undershoot, overshoot) acceptance windows, in bits.  The

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.nt.primes import ntt_friendly_primes_below
-from repro.obs import core as _obs
 
 #: Width routing for the pointwise kernels: moduli
 #: below 2^31 take the ``narrow`` fast paths, anything up to 2^61 the
@@ -137,8 +136,6 @@ class KeyRegistry:
             material = self._materials.get(params)
             if material is not None:
                 self.reused += 1
-                if _obs.ACTIVE:
-                    _obs.count("serve.keys.reused")
                 return material
         # Derivation happens outside the lock (prime search can take a
         # moment for wide words); a racing duplicate build is tolerated —
@@ -148,12 +145,8 @@ class KeyRegistry:
             winner = self._materials.setdefault(params, material)
             if winner is material:
                 self.built += 1
-                if _obs.ACTIVE:
-                    _obs.count("serve.keys.built")
             else:
                 self.reused += 1
-                if _obs.ACTIVE:
-                    _obs.count("serve.keys.reused")
         return winner
 
     def __len__(self) -> int:

@@ -36,11 +36,11 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
   peers); singleton dispatches retry with deterministic-jitter
   backoff; ``stop(drain=True)`` finishes queued work under a drain
   deadline and resolves — never hangs — anything it cannot finish.
-- **Observability**: per-tenant counters and latency/batch-size
-  histograms ride :mod:`repro.obs` when profiling is enabled; the
-  service also keeps always-on local books (:meth:`BitPackerServe.stats`)
-  the smoke job asserts against, and a :meth:`BitPackerServe.health`
-  readiness view exposing breaker states and quarantine counts.
+- **Observability**: one set of always-on books, global and per
+  tenant (:meth:`BitPackerServe.stats`), that the smoke job asserts
+  against; a :meth:`BitPackerServe.health` readiness view exposing
+  breaker states and quarantine counts; and, when profiling is on, a
+  ``serve/batch`` :mod:`repro.obs` span around every dispatch.
 
 The service is single-event-loop: workers are asyncio tasks and the
 kernel calls run inline (they are short at service ring degrees and
@@ -204,7 +204,7 @@ class BitPackerServe:
         ]
         self._seq = 0
         self._running = False
-        # Always-on books (obs counters only record while profiling).
+        # The service's one set of books: always on, read by stats().
         self.submitted = 0
         self.admitted = 0
         self.rejected = 0
@@ -346,8 +346,6 @@ class BitPackerServe:
             invalidate_admitted(compiled_from)
             trace = result.trace
             levels_saved = result.levels_saved
-            if _obs.ACTIVE:
-                _obs.count("serve.sessions.compiled")
         GATE.admit(trace, verify_or_raise)
         key = self.registry.get(
             KeyParams(n=n, word_bits=word_bits, levels=trace.max_level)
@@ -366,8 +364,6 @@ class BitPackerServe:
             levels_saved=levels_saved,
         )
         self.sessions[tenant] = session
-        if _obs.ACTIVE:
-            _obs.count("serve.sessions")
         return session
 
     # ------------------------------------------------------------------
@@ -380,10 +376,6 @@ class BitPackerServe:
         self.rejected += 1
         if session is not None:
             session.rejected += 1
-        if _obs.ACTIVE:
-            _obs.count("serve.rejected")
-            _obs.count(f"serve.rejected.{code}")
-            _obs.count(f"serve.tenant.{tenant}.rejected")
         return ServeResponse(
             status="rejected", code=code, tenant=tenant,
             op_index=op_index, reason=reason,
@@ -395,9 +387,6 @@ class BitPackerServe:
     ) -> ServeResponse:
         self.shed += 1
         session.shed += 1
-        if _obs.ACTIVE:
-            _obs.count("serve.shed")
-            _obs.count(f"serve.tenant.{session.tenant}.shed")
         return ServeResponse(
             status="shed", code=code, tenant=session.tenant,
             op_index=op_index, reason=reason,
@@ -419,8 +408,6 @@ class BitPackerServe:
         if not self._running:
             raise ParameterError("service is not running (use `async with`)")
         self.submitted += 1
-        if _obs.ACTIVE:
-            _obs.count("serve.submitted")
         session = self.sessions.get(tenant)
         if session is None:
             return self._reject(None, tenant, 404, "unknown tenant")
@@ -480,9 +467,6 @@ class BitPackerServe:
         self.admitted += 1
         session.admitted += 1
         session.inflight += 1
-        if _obs.ACTIVE:
-            _obs.count("serve.admitted")
-            _obs.count(f"serve.tenant.{tenant}.admitted")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         request.context = (future, op_index, time.perf_counter())
@@ -526,9 +510,6 @@ class BitPackerServe:
         self.batches += 1
         self.batched_requests += len(group)
         self.max_batch_seen = max(self.max_batch_seen, len(group))
-        if _obs.ACTIVE:
-            _obs.count("serve.batches")
-            _obs.observe("serve.batch_size", len(group))
         if _faults.ACTIVE:
             fault = _faults.serve_kernel_fault()
             if fault is not None:
@@ -545,13 +526,11 @@ class BitPackerServe:
                     f"injected poison request(s) seq={poisoned} "
                     f"(shard {shard})"
                 )
-        if _obs.ACTIVE:
-            with _obs.span(
-                "serve/batch", shard=shard, op=group[0].op,
-                level=group[0].level, size=len(group),
-            ):
-                return _batch.execute_group(group)
-        return _batch.execute_group(group)
+        with _obs.span(
+            "serve/batch", shard=shard, op=group[0].op,
+            level=group[0].level, size=len(group),
+        ):
+            return _batch.execute_group(group)
 
     async def _run_group(
         self, shard: int, group: list[_batch.OpRequest], attempt: int = 1
@@ -580,16 +559,11 @@ class BitPackerServe:
             raise
         except Exception as exc:
             breaker.record_failure()
-            if _obs.ACTIVE:
-                _obs.count("serve.dispatch_failures")
             if len(live) > 1:
                 # Split-and-retry: bisect to isolate the failing member
                 # so its peers are not failed by association.
                 self.splits += 1
                 self.retried += 2
-                if _obs.ACTIVE:
-                    _obs.count("serve.splits")
-                    _obs.count("serve.retried", 2)
                 mid = len(live) // 2
                 await self._run_group(shard, live[:mid])
                 await self._run_group(shard, live[mid:])
@@ -601,8 +575,6 @@ class BitPackerServe:
                     if delay > 0:
                         await asyncio.sleep(delay)
                     self.retried += 1
-                    if _obs.ACTIVE:
-                        _obs.count("serve.retried")
                     await self._run_group(shard, [request], attempt + 1)
                     return
                 # The retry would land past the deadline: expire now
@@ -640,15 +612,6 @@ class BitPackerServe:
         else:
             self.failed += 1
             session.failed += 1
-        if _obs.ACTIVE:
-            label = {"ok": "completed", "error": "failed"}.get(status, status)
-            _obs.count(f"serve.{label}")
-            _obs.count(f"serve.tenant.{request.tenant}.{label}")
-            if status == "ok":
-                _obs.observe("serve.latency_seconds", latency)
-                _obs.observe(
-                    f"serve.tenant.{request.tenant}.latency_seconds", latency
-                )
         future.set_result(ServeResponse(
             status=status, code=code, tenant=request.tenant,
             op_index=op_index, result=result, batch_size=batch_size,
@@ -671,8 +634,6 @@ class BitPackerServe:
             reason="deadline exceeded before execution completed",
         ):
             self.expired += 1
-            if _obs.ACTIVE:
-                _obs.count("serve.expired")
 
     def _settle_cancelled(self, request: _batch.OpRequest) -> None:
         if self._settle(
@@ -680,8 +641,6 @@ class BitPackerServe:
             reason="service stopped before execution",
         ):
             self.cancelled += 1
-            if _obs.ACTIVE:
-                _obs.count("serve.cancelled")
 
     def _settle_quarantined(
         self, request: _batch.OpRequest, exc: Exception, attempts: int

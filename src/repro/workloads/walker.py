@@ -30,11 +30,11 @@ def effective_scale_bits(
     """
     if scheme == "bitpacker":
         return target_bits
-    from repro.schemes.rns_ckks import _usable_word_bits, achievable_scale_bits
-    from repro.schemes.selection import min_prime_bits
+    from repro.schemes.rns_ckks import achievable_scale_bits
+    from repro.schemes.selection import min_prime_bits, usable_word_bits
 
     return achievable_scale_bits(
-        target_bits, _usable_word_bits(n, word_bits), min_prime_bits(n)
+        target_bits, usable_word_bits(n, word_bits), min_prime_bits(n)
     )
 
 

@@ -64,7 +64,7 @@ class TestKernels:
     def test_hmul_dominates_rescale(self):
         """Level management is minor vs a homomorphic multiply (Sec. 4.3)."""
         hmul = kernels.hmul_cost(40, 14, 3)
-        resc = kernels.rescale_cost_bitpacker(40, 1, 2)
+        resc = kernels.rescale_cost(40, 1, 2)
         assert resc.ntt_passes < hmul.ntt_passes
         assert resc.crb_mac_rows < hmul.crb_mac_rows
 
@@ -95,8 +95,8 @@ class TestKernels:
 
     def test_scale_down_multi_vs_single(self):
         """Shedding k moduli at once ~ shedding one (CRB, Sec. 4.3)."""
-        one = kernels.rescale_cost_rns(40, 1)
-        three = kernels.rescale_cost_rns(40, 3)
+        one = kernels.rescale_cost(40, 0, 1)
+        three = kernels.rescale_cost(40, 0, 3)
         assert three.ntt_passes < 1.3 * one.ntt_passes
 
     def test_merged_and_scaled(self):

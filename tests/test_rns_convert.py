@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.ciphertext import Ciphertext
 from repro.errors import ParameterError
 from repro.nt.crt import centered
 from repro.nt.primes import ntt_friendly_primes_below
 from repro.rns.basis import RnsBasis, conversion_table, crt_weights
 from repro.rns.convert import base_convert, drop_moduli, scale_down, scale_up
 from repro.rns.poly import RnsPolynomial
+from repro.schemes import plan_bitpacker_chain
 from tests.test_rns_poly import mix_moduli, width_mixes
 
 N = 32
@@ -118,19 +120,36 @@ class TestConversionTable:
         assert scale_down(poly, DST_MODULI).mat.tolist() == want
 
     def test_level_moves_build_no_basis_once_warm(self, rng, monkeypatch):
-        """scale_down and drop_moduli read their sub-bases, row indices
-        and kept moduli from caches keyed on the basis pair."""
+        """scale_down, scale_up and drop_moduli read their sub-bases,
+        grown bases, row indices and kept moduli from caches keyed on
+        the basis pair — so a warm BitPacker rescale (Listing 4) or
+        multi-level adjust (Listing 6) constructs no basis at all."""
         coeffs = [int(v) for v in rng.integers(-(10**12), 10**12, N)]
         poly = _poly(coeffs, SRC_MODULI + DST_MODULI)
+        chain = plan_bitpacker_chain(
+            n=N, word_bits=28, level_scale_bits=31.0, levels=5,
+            base_bits=60.0, ks_digits=2,
+        )
+        top = chain.max_level
+        assert chain.move(top, top - 1).added  # the rescale scales up
+        assert all(chain.move(top, 0)[:3])  # the adjust drops, adds and sheds
+        c = _poly(coeffs, chain.moduli_at(top))
+        ct = Ciphertext(c, c, top, chain.fresh_scale)
         want = [
             scale_down(poly, DST_MODULI).mat.tolist(),
             drop_moduli(poly, DST_MODULI).mat.tolist(),
+            scale_up(poly, WIDE_MODULI).mat.tolist(),
+            chain.rescale(ct).c0.mat.tolist(),
+            chain.adjust(ct, 0).c0.mat.tolist(),
         ]
         monkeypatch.setattr(
             RnsBasis, "__init__", lambda *a: pytest.fail("RnsBasis built when warm")
         )
         assert scale_down(poly, list(DST_MODULI)).mat.tolist() == want[0]
         assert drop_moduli(poly, list(DST_MODULI)).mat.tolist() == want[1]
+        assert scale_up(poly, list(WIDE_MODULI)).mat.tolist() == want[2]
+        assert chain.rescale(ct).c0.mat.tolist() == want[3]
+        assert chain.adjust(ct, 0).c0.mat.tolist() == want[4]
 
 
 class TestScaleUp:

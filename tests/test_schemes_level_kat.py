@@ -20,16 +20,22 @@ definition changes, never to make a change pass) with
 import json
 from fractions import Fraction
 from functools import cache
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from repro.accel import kernels
 from repro.ckks.ciphertext import Ciphertext
+from repro.errors import PlanningError
 from repro.rns.basis import RnsBasis
 from repro.rns.convert import drop_moduli, scale_down, scale_up
 from repro.rns.poly import COEFF, RnsPolynomial
 from repro.schemes import plan_chain
+from repro.trace.program import OpKind, TraceOp
 from tests.test_nt_ntt_vectorized import _digest, _kat_input
 
 KAT_PATH = Path(__file__).parent / "data" / "level_kat.json"
@@ -161,14 +167,9 @@ def test_cases_cover_the_width_classes_and_chain_shapes():
     assert kinds["bp50"] == {"narrow", "wide"} and kinds["rns50"] == {"wide"}
     assert kinds["bp64"] == {"wide", "big"} and kinds["rns62"] == {"big"}
 
-    def fresh(label: str, level: int) -> set[int]:
-        """Level ``level``'s moduli absent one level down."""
-        chain = _chain(label)
-        return set(chain.moduli_at(level)) - set(chain.moduli_at(level - 1))
-
     # Multi-prime groups on one RNS-CKKS chain, one prime a level on the rest.
-    assert {len(fresh("rns28", level)) for level in range(1, 5)} == {2}
-    assert {len(fresh(c, level)) for c in ("rns50", "rns62") for level in range(1, 5)} == {1}
+    assert {len(group) for group in _chain("rns28").groups[1:]} == {2}
+    assert {len(g) for c in ("rns50", "rns62") for g in _chain(c).groups[1:]} == {1}
     # A terminal (sub-word prime) shared by consecutive BitPacker levels.
     bp64 = _chain("bp64")
     shared = set(bp64.moduli_at(4)) & set(bp64.moduli_at(3))
@@ -195,3 +196,50 @@ def test_a_routine_that_skips_the_closing_reorder_is_caught(monkeypatch):
         if _kat_entry(e["case"], e["op"], e["src"], e["dst"]) != e
     ]
     assert misses == ["bp28-adjust-4->0", "bp50-adjust-3->1"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scheme=st.sampled_from(["bitpacker", "rns-ckks"]),
+    word_bits=st.integers(24, 64),
+    scale_bits=st.integers(25, 55),
+    levels=st.integers(1, 7),
+    n=st.sampled_from([64, 128, 256]),
+)
+def test_level_move_table_property(scheme, word_bits, scale_bits, levels, n):
+    """On any planned chain, every move's three sets carry level ``src``
+    exactly onto level ``dst``, and what is dropped is free."""
+    try:
+        chain = plan_chain(
+            scheme, n=n, word_bits=word_bits, level_scale_bits=float(scale_bits),
+            levels=levels, base_bits=40.0, ks_digits=2,
+        )
+    except PlanningError:
+        reject()
+    for src in range(chain.max_level + 1):
+        assert chain.move(src, src) == ((), (), (), src, 1)
+    for src in range(1, chain.max_level + 1):
+        assert chain.move(src, src - 1).drops == ()
+        for dst in range(src):
+            move = chain.move(src, dst)
+            here, there = set(chain.moduli_at(src)), set(chain.moduli_at(dst))
+            kept = here - set(move.drops)
+            assert (kept - set(move.shed)) | set(move.added) == there
+            assert not set(move.added) & here
+            assert set(move.shed) <= kept and set(move.drops) <= here
+            assert prod(kept) >= chain.q_product_at(dst + 1)
+            assert move.factor == Fraction(prod(move.added), prod(move.shed))
+            assert move.dst == dst
+            if scheme == "rns-ckks":
+                assert move.added == ()
+
+
+def test_a_recorded_no_op_adjust_prices_as_the_empty_move():
+    """The evaluator records ``adjust(ct, ct.level)`` (it returns ``ct``)
+    and the cost models must price that trace: nothing added or shed."""
+    chain = _chain("bp28")
+    top = chain.max_level
+    op = TraceOp(OpKind.ADJUST, top, dst_level=top)
+    assert kernels.op_cost(op, chain, kshgen=True) == kernels.adjust_cost(
+        chain.residues_at(top), 0, 0
+    )
