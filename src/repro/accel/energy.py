@@ -14,6 +14,7 @@ for every experiment in this repository.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.accel.config import BASE_WORD_BITS
@@ -99,8 +100,6 @@ class EnergyModel:
         (mul+add+auto+kshgen), plus HBM (which Fig. 10 excludes and the
         end-to-end figures include).
         """
-        import math
-
         log_n = math.log2(n)
         butterflies_per_pass = n / 2 * log_n
         elementwise = (
@@ -110,14 +109,15 @@ class EnergyModel:
             + cost.kshgen_passes * n * self.kshgen_pj(word_bits)
         )
         ntt = cost.ntt_passes * butterflies_per_pass * self.ntt_butterfly_pj(word_bits)
-        crb = cost.crb_mac_rows * n * self.crb_mac_pj(word_bits)
+        crb_mac_rows = cost.crb_mac_rows  # a sum over the CRB jobs
+        crb = crb_mac_rows * n * self.crb_mac_pj(word_bits)
         # RF traffic: operands in + result out for every pass; the NTT
         # makes ~2 full read+write sweeps (4-step), the CRB reads one
         # source word per MAC and writes each destination row once.
         rf_words = (
             3.0 * n * (cost.mul_passes + cost.add_passes + cost.auto_passes)
             + 4.0 * n * cost.ntt_passes
-            + n * (cost.crb_mac_rows + sum(d for _, d in cost.crb_jobs))
+            + n * (crb_mac_rows + sum(d for _, d in cost.crb_jobs))
             + 2.0 * n * cost.kshgen_passes
         )
         rf = rf_words * self.rf_word_pj(word_bits)

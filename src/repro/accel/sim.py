@@ -235,26 +235,52 @@ class AcceleratorSim:
             clock_ghz=self.config.clock_ghz,
         )
         n = trace.n
+        row_bytes = self.config.row_bytes(n)
+        # A trace is a cost table's rows times multiplicities, so each
+        # distinct (kind, level, dst_level) is decomposed once per call.
+        # The loop still multiplies by ``count`` and accumulates op by op
+        # in trace order: float addition is not associative, and
+        # results/*.txt are compared bytewise.
+        shapes: dict[tuple, tuple] = {}
+        # ``count`` enters the extra-HBM term through a clamp, not as a
+        # factor, so the energy breakdown is keyed by it as well.
+        energies: dict[tuple, tuple[dict[str, float], float]] = {}
         for op in trace.ops:
-            cost = self.op_cost(op, chain)
-            components = self.op_cycle_components(cost, n)
-            memory = components["hbm"]
-            compute = max(v for k, v in components.items() if k != "hbm")
-            cycles = max(compute, memory) * op.count
-            bottleneck = max(KERNELS, key=components.__getitem__)
+            shape = (op.kind, op.level, op.dst_level)
+            unit = shapes.get(shape)
+            if unit is None:
+                cost = self.op_cost(op, chain)
+                components = self.op_cycle_components(cost, n)
+                unit = shapes[shape] = (
+                    cost,
+                    max(v for k, v in components.items() if k != "hbm"),
+                    components["hbm"],
+                    max(KERNELS, key=components.__getitem__),
+                    self._op_hbm_bytes(cost, n),
+                    cost.hbm_rows * row_bytes,
+                )
+            cost, compute, memory, bottleneck, unit_hbm, operand_bytes = unit
+            count = op.count
+            cycles = max(compute, memory) * count
+            hbm_bytes = unit_hbm * count
+            priced = energies.get((shape, count))
+            if priced is None:
+                extra_hbm = hbm_bytes - operand_bytes * count
+                breakdown = self.energy_model.op_energy_breakdown(
+                    cost, n, self.config.word_bits,
+                    extra_hbm_bytes=max(0.0, extra_hbm) / max(count, 1.0),
+                )
+                priced = energies[shape, count] = (
+                    breakdown, sum(breakdown.values())
+                )
+            breakdown, unit_energy = priced
+            energy = unit_energy * count
             result.kernel_cycles[bottleneck] = (
                 result.kernel_cycles.get(bottleneck, 0.0) + cycles
             )
-            hbm_bytes = self._op_hbm_bytes(cost, n) * op.count
-            extra_hbm = hbm_bytes - cost.hbm_rows * self.config.row_bytes(n) * op.count
-            breakdown = self.energy_model.op_energy_breakdown(
-                cost, n, self.config.word_bits,
-                extra_hbm_bytes=max(0.0, extra_hbm) / max(op.count, 1.0),
-            )
-            energy = sum(breakdown.values()) * op.count
             result.cycles += cycles
-            result.compute_cycles += compute * op.count
-            result.memory_cycles += memory * op.count
+            result.compute_cycles += compute * count
+            result.memory_cycles += memory * count
             result.energy_j += energy
             result.hbm_bytes += hbm_bytes
             kind_name = op.kind.value
@@ -264,7 +290,7 @@ class AcceleratorSim:
             for component, joules in breakdown.items():
                 result.energy_by_component[component] = (
                     result.energy_by_component.get(component, 0.0)
-                    + joules * op.count
+                    + joules * count
                 )
             if op.kind in LEVEL_MANAGEMENT_KINDS:
                 result.level_mgmt_cycles += cycles

@@ -90,8 +90,13 @@ class CpuModel:
         result = CpuResult(
             name=trace.name, scheme=chain.scheme, clock_ghz=self.clock_ghz
         )
+        unit_cycles: dict[tuple, float] = {}  # per op shape, this call only
         for op in trace.ops:
-            cycles = self.op_cycles(op, chain, trace.n) * op.count
+            shape = (op.kind, op.level, op.dst_level)
+            unit = unit_cycles.get(shape)
+            if unit is None:
+                unit = unit_cycles[shape] = self.op_cycles(op, chain, trace.n)
+            cycles = unit * op.count
             result.cycles += cycles
             kind_name = op.kind.value
             result.cycles_by_kind[kind_name] = (

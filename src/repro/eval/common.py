@@ -159,22 +159,35 @@ def _plan_chain(
     trace = trace_for(
         app, bs, scheme, word_bits, n, max_log_q, ks_digits, compiled
     )
+    return _planned_chain(
+        scheme, trace.n, word_bits, trace.level_scale_bits, trace.base_bits,
+        ks_digits,
+    )
+
+
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _planned_chain(
+    scheme: str, n: int, word_bits: int,
+    level_scale_bits: tuple[float, ...], base_bits: float, ks_digits: int,
+) -> ModulusChain:
+    """One plan per distinct constraint set: the key is exactly what the
+    planners read, and workloads sharing a bootstrap share constraints."""
     if scheme == "bitpacker":
         return plan_bitpacker_chain(
-            n=trace.n,
+            n=n,
             word_bits=word_bits,
-            level_scale_bits=trace.level_scale_bits,
-            base_bits=trace.base_bits,
+            level_scale_bits=level_scale_bits,
+            base_bits=base_bits,
             ks_digits=ks_digits,
         )
     # snap_scales models the scale-correction constants real programs
     # fold into plaintext multiplies when a target scale is unreachable;
     # these chains feed the performance models only (see the planner doc).
     return plan_rns_ckks_chain(
-        n=trace.n,
+        n=n,
         word_bits=word_bits,
-        level_scale_bits=trace.level_scale_bits,
-        base_bits=trace.base_bits,
+        level_scale_bits=level_scale_bits,
+        base_bits=base_bits,
         ks_digits=ks_digits,
         snap_scales=True,
     )
@@ -306,6 +319,7 @@ def _simulate_cpu(
 _MEMORY_CACHES = {
     "trace": trace_for,
     "chain": chain_for,
+    "plan": _planned_chain,
     "simulate": simulate,
     "simulate-cpu": simulate_cpu,
 }

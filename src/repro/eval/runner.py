@@ -303,7 +303,8 @@ def cached(
     if found:
         return decode(payload) if decode else payload
     value = compute()
-    cache.store(kind, params, encode(value) if encode else value)
+    if cache.enabled:  # encoding a trace is not free; skip it when unwritten
+        cache.store(kind, params, encode(value) if encode else value)
     return value
 
 

@@ -151,15 +151,15 @@ class CompiledTrace:
 # re-verifies their output and reverts on any violation.
 
 
-def _shift_ops(ops: Sequence[TraceOp], offset: int) -> list[TraceOp]:
-    return [
+def _shift_ops(ops: Sequence[TraceOp], offset: int) -> tuple[TraceOp, ...]:
+    return tuple(
         replace(
             op,
             level=op.level + offset,
             dst_level=None if op.dst_level is None else op.dst_level + offset,
         )
         for op in ops
-    ]
+    )
 
 
 def _pass_elide_rescale(

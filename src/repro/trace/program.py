@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.errors import ParameterError
@@ -82,15 +82,26 @@ class TraceOp:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeTrace:
-    """A complete program trace plus its chain-planning constraints."""
+    """A complete program trace plus its chain-planning constraints.
+
+    Immutable: every rewrite (:meth:`extended`, ``dataclasses.replace``,
+    the compiler's passes) constructs a new trace, which is what lets
+    :func:`content_digest` be computed once per object.
+    """
 
     name: str
     n: int
     base_bits: float
     level_scale_bits: tuple[float, ...]
-    ops: list[TraceOp] = field(default_factory=list)
+    ops: tuple[TraceOp, ...] = ()
+    _digest: str | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "ops", tuple(self.ops))
 
     @property
     def max_level(self) -> int:
@@ -117,13 +128,7 @@ class HeTrace:
                 raise ParameterError(f"{self.name}: rescale at level 0")
 
     def extended(self, ops: Iterable[TraceOp]) -> "HeTrace":
-        return HeTrace(
-            name=self.name,
-            n=self.n,
-            base_bits=self.base_bits,
-            level_scale_bits=self.level_scale_bits,
-            ops=self.ops + list(ops),
-        )
+        return replace(self, ops=self.ops + tuple(ops))
 
     def to_dict(self) -> dict:
         """JSON-ready form for the experiment runner's disk cache."""
@@ -171,12 +176,17 @@ def content_digest(trace: HeTrace) -> str:
     digest is stable under op-metadata dict ordering and serialization
     version churn, yet changes whenever any op, scale target, or chain
     constraint changes — exactly the identity the serve admission memo
-    and eval cache keys need.
+    and eval cache keys need.  Kept on the (immutable) trace, so gate
+    admissions after the first cost a field read.
     """
-    payload = trace.to_dict()
-    payload.pop("schema", None)
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode()).hexdigest()
+    if trace._digest is None:
+        payload = trace.to_dict()
+        payload.pop("schema", None)
+        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        object.__setattr__(
+            trace, "_digest", hashlib.sha256(encoded.encode()).hexdigest()
+        )
+    return trace._digest
 
 
 class TraceBuilder:
@@ -230,13 +240,18 @@ class TraceBuilder:
     def adjust(self, level: int, dst_level: int, count: float = 1.0) -> None:
         self.record(OpKind.ADJUST, level, count, dst_level)
 
+    def extend(self, ops: Iterable[TraceOp]) -> None:
+        """Append already-built ops (``TraceOp`` is frozen, so a recurring
+        block can be recorded once and shared)."""
+        self._ops.extend(ops)
+
     def build(self) -> HeTrace:
         trace = HeTrace(
             name=self.name,
             n=self.n,
             base_bits=self.base_bits,
             level_scale_bits=self.level_scale_bits,
-            ops=list(self._ops),
+            ops=self._ops,
         )
         trace.validate()
         return trace

@@ -10,7 +10,7 @@ paper describes in Sec. 2.2.
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.trace.program import HeTrace, TraceBuilder
+from repro.trace.program import HeTrace, TraceBuilder, TraceOp
 from repro.workloads.bootstrap_model import BootstrapSchedule
 
 #: The parameters of the paper's evaluation (Sec. 5).
@@ -113,6 +113,7 @@ class ProgramWalker:
         )
         self.level = self.app_top
         self.bootstraps = 0
+        self._boot_block: tuple[tuple[TraceOp, ...], int] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -131,8 +132,15 @@ class ProgramWalker:
 
     def bootstrap(self) -> None:
         """Emit one full bootstrap and reset the cursor (Fig. 3)."""
-        exit_level = self.schedule.emit(self.builder, self.max_level)
-        self.level = exit_level
+        if self._boot_block is None:
+            # Every bootstrap starts at max_level, so the schedule emits
+            # the same ops each time: record the block once, share it.
+            b = self.builder
+            block = TraceBuilder(b.name, b.n, b.base_bits, b.level_scale_bits)
+            exit_level = self.schedule.emit(block, self.max_level)
+            self._boot_block = (block.build().ops, exit_level)
+        ops, self.level = self._boot_block
+        self.builder.extend(ops)
         self.bootstraps += 1
 
     # ------------------------------------------------------------------

@@ -113,7 +113,6 @@ class TestVerifyGateSingleFlight:
         verify_schedule(clean_trace())
         verify_schedule(clean_trace())  # fresh object, same content
         assert len(calls) == 1
-        rewritten = clean_trace()
-        rewritten.ops.append(TraceOp(OpKind.HADD, 1))
+        rewritten = clean_trace().extended([TraceOp(OpKind.HADD, 1)])
         verify_schedule(rewritten)
         assert len(calls) == 2

@@ -188,6 +188,66 @@ class TestMemoryCacheKeys:
         assert common.trace_for.cache_info().misses == 1
         assert common.chain_for.cache_info().misses == 1
 
+    def test_equal_constraints_plan_one_chain(self, fresh_cache, monkeypatch):
+        """The planners read ``(scheme, n, word_bits, level_scale_bits,
+        base_bits, ks_digits)`` and nothing else of a workload; two apps
+        whose traces agree on those share one plan.  The memo is one of
+        the memory caches: clearing them plans again."""
+        calls = []
+        real = common.plan_bitpacker_chain
+        monkeypatch.setattr(
+            common, "plan_bitpacker_chain",
+            lambda **kw: calls.append(kw) or real(**kw),
+        )
+        apps = ("ResNet-20", "ResNet-20+AESPA")
+        traces = [common.trace_for(a, "BS19", "bitpacker", 28) for a in apps]
+        assert traces[0].ops != traces[1].ops
+        assert traces[0].level_scale_bits == traces[1].level_scale_bits
+        first, second = (
+            common.chain_for(a, "BS19", "bitpacker", 28) for a in apps
+        )
+        assert len(calls) == 1
+        assert second is first
+        # Each app still owns its disk record (the key is unchanged).
+        assert fresh_cache.miss_count("chain") == 2
+        for app in apps:
+            assert fresh_cache.record_path("chain", {
+                "app": app, "bs": "BS19", "scheme": "bitpacker",
+                "word_bits": 28, "n": common.EVAL_N,
+                "max_log_q": common.EVAL_MAX_LOG_Q, "ks_digits": 3,
+            }).exists()
+        # A different constraint set is a different plan.
+        common.chain_for("LogReg", "BS19", "bitpacker", 28)
+        assert len(calls) == 2
+
+        common.clear_memory_caches()
+        assert common.memory_cache_stats()["plan"]["currsize"] == 0
+        fresh_cache.enabled = False  # else the rerun is a disk hit
+        again = common.chain_for(apps[0], "BS19", "bitpacker", 28)
+        assert len(calls) == 3
+        assert again is not first
+        assert common.chain_to_dict(again) == common.chain_to_dict(first)
+
+    def test_disabled_cache_counts_the_miss_and_skips_encoding(
+        self, fresh_cache
+    ):
+        fresh_cache.enabled = False
+        encoded = []
+        value = runner.cached(
+            "trace", {"p": 1}, compute=lambda: "artifact",
+            encode=lambda v: encoded.append(v) or v,
+        )
+        assert value == "artifact"
+        assert fresh_cache.miss_count("trace") == 1
+        assert encoded == []
+        fresh_cache.enabled = True
+        runner.cached(
+            "trace", {"p": 1}, compute=lambda: "artifact",
+            encode=lambda v: encoded.append(v) or v,
+        )
+        assert encoded == ["artifact"]
+        assert fresh_cache.record_path("trace", {"p": 1}).exists()
+
 
 class TestMapGrid:
     def test_preserves_grid_order(self, fresh_cache):

@@ -238,7 +238,7 @@ class TestMemoryCacheStats:
         from repro.eval import common
 
         stats = common.memory_cache_stats()
-        assert set(stats) == {"trace", "chain", "simulate", "simulate-cpu"}
+        assert set(stats) == {"trace", "chain", "plan", "simulate", "simulate-cpu"}
         for entry in stats.values():
             assert entry["maxsize"] is not None  # satellite: no unbounded lru
         common.clear_memory_caches()

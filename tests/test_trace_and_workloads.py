@@ -74,6 +74,36 @@ class TestWalker:
             w.descend()
         assert w.bootstraps == 1
 
+    def test_shared_bootstrap_block_equals_emitting_each_time(self):
+        """The walker records the schedule's block once and appends the
+        same frozen ops afterwards; the trace must equal, op for op, one
+        built by calling ``schedule.emit`` at every bootstrap."""
+
+        def program(w, bootstrap):
+            for step in range(4 * (w.app_top + 1)):
+                if w.level < 1:
+                    bootstrap(w)
+                w.ops(hmul=1, rot=step % 3, padd=0.5)
+                w.adjust_from(2)
+                w.descend()
+            return w.build()
+
+        def emit_each_time(w):
+            w.level = w.schedule.emit(w.builder, w.max_level)
+            w.bootstraps += 1
+
+        for schedule in (BS19_SCHEDULE, BS26_SCHEDULE):
+            shared = self._walker(schedule=schedule)
+            trace = program(shared, ProgramWalker.bootstrap)
+            plain = self._walker(schedule=schedule)
+            assert trace.ops == program(plain, emit_each_time).ops
+            assert shared.bootstraps == plain.bootstraps >= 3
+            assert shared.level == plain.level
+            top = [i for i, op in enumerate(trace.ops)
+                   if op.level == trace.max_level and op.kind is OpKind.HROT]
+            assert len(top) == shared.bootstraps
+            assert trace.ops[top[0]] is trace.ops[top[1]]  # shared, not rebuilt
+
     def test_descend_below_zero_rejected(self):
         w = self._walker()
         w.level = 0

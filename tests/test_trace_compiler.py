@@ -9,7 +9,9 @@ digests, trace schema versioning, serve-side compiled registration, and
 the ``compile-trace`` CLI.
 """
 
+import hashlib
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -266,6 +268,53 @@ class TestContentDigest:
     def test_method_matches_function(self):
         trace = exec_fixture_trace()
         assert trace.content_digest() == content_digest(trace)
+
+    def test_cached_digest_never_follows_a_rewrite(self):
+        """The digest is memoised on the (frozen) trace.  Every way of
+        deriving a trace must construct a new one whose digest is that
+        of its own content, computed from scratch."""
+
+        def from_scratch(trace):
+            payload = trace.to_dict()
+            payload.pop("schema")
+            encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(encoded.encode()).hexdigest()
+
+        trace = exec_fixture_trace()
+        source = content_digest(trace)  # primes the memo on ``trace``
+        assert source == from_scratch(trace)
+        assert "_digest" not in trace.to_dict()
+        extra = TraceOp(OpKind.HADD, 0)
+        derived = [
+            trace.extended([extra]),
+            replace(trace, ops=trace.ops + (extra,)),
+            replace(trace, base_bits=trace.base_bits + 1.0),
+            compile_trace(trace, plan=False).trace,
+        ]
+        for new in derived:
+            assert content_digest(new) == from_scratch(new) != source
+        round_trip = HeTrace.from_dict(trace.to_dict())
+        assert round_trip == trace and round_trip is not trace
+        assert content_digest(round_trip) == from_scratch(round_trip) == source
+        # No in-place route to a stale digest is left open.
+        assert isinstance(trace.ops, tuple)
+        with pytest.raises(FrozenInstanceError):
+            trace.ops = trace.ops + (extra,)
+        assert content_digest(trace) == source
+
+    def test_rewritten_schedule_misses_the_gate(self):
+        from repro.analysis.absint import VerifyGate
+
+        gate, seen = VerifyGate(), []
+        trace = exec_fixture_trace()
+        gate.admit(trace, seen.append)
+        gate.admit(trace, seen.append)
+        gate.admit(HeTrace.from_dict(trace.to_dict()), seen.append)
+        assert len(seen) == 1
+        rewritten = compile_trace(trace, plan=False).trace
+        gate.admit(rewritten, seen.append)
+        gate.admit(trace.extended([TraceOp(OpKind.HADD, 0)]), seen.append)
+        assert len(seen) == 3 and seen[1] is rewritten
 
 
 class TestTraceSchemaVersion:
