@@ -1,11 +1,83 @@
-"""Unit tests for primality and NTT-friendly prime enumeration."""
+"""Unit tests for primality and NTT-friendly prime enumeration.
 
+``tests/data/primes_kat.json`` pins four whole prime tables (count, first,
+last, sha256 over the elements) and the ``chain_to_dict`` digests of five
+planned chains.  It was recorded from the per-candidate Miller-Rabin
+enumeration of the commit before the table became a sieve, so it is the
+oracle the sieve (and every planner reading its tables) is held to.
+Re-record (only when a table's or a planner's definition changes, never
+to make a change pass) with
+  PYTHONPATH=src python -c "import tests.test_nt_primes as t; t.record_kat()"
+"""
+
+import hashlib
+import json
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+from repro import plan_bitpacker_chain, plan_rns_ckks_chain
+from repro.ckks import bootstrap_pipeline
 from repro.errors import ParameterError
+from repro.eval import common, runner
 from repro.nt import primes
+from repro.schemes.chain import chain_to_dict
+from tests.test_nt_ntt_vectorized import _digest
+
+KAT_PATH = Path(__file__).parent / "data" / "primes_kat.json"
+#: ``(max_bits, n)``: the paper's own example (244 primes, Sec. 3.3), the
+#: two tables the ladder's 28-bit workloads plan from, and the largest
+#: table the paper-figure path builds.
+KAT_TABLES = ((28, 65536), (28, 4096), (28, 128), (36, 65536))
+_BOOTSTRAP_LEVELS = bootstrap_pipeline.PipelineConfig().depth + 2
+#: The three ladder chains (arguments copied from
+#: ``benchmarks/ladder/fhe.py::SPECS``; that directory is frozen) and the
+#: 36-bit / N = 2^16 pool both planners read on the paper-figure path.
+KAT_CHAINS = {
+    "logreg_bp28": lambda: plan_bitpacker_chain(
+        n=4096, word_bits=28, level_scale_bits=35.0, levels=6,
+        base_bits=60.0, ks_digits=2,
+    ),
+    "logreg_rns60": lambda: plan_rns_ckks_chain(
+        n=4096, word_bits=60, level_scale_bits=35.0, levels=6,
+        base_bits=60.0, ks_digits=2,
+    ),
+    "bootstrap_bp28": lambda: plan_bitpacker_chain(
+        n=128, word_bits=28, level_scale_bits=35.0, levels=_BOOTSTRAP_LEVELS,
+        base_bits=40.0, ks_digits=3,
+    ),
+    "LogReg-BS19-bitpacker-36": lambda: common.chain_for(
+        "LogReg", "BS19", "bitpacker", 36
+    ),
+    "LogReg-BS19-rns-ckks-36": lambda: common.chain_for(
+        "LogReg", "BS19", "rns-ckks", 36
+    ),
+}
+
+
+def _table_entry(max_bits: int, n: int) -> dict:
+    table = primes.all_ntt_friendly_primes(max_bits, n)
+    return {
+        "max_bits": max_bits, "n": n, "count": len(table),
+        "first": table[0], "last": table[-1], "sha256": _digest(table),
+    }
+
+
+def _chain_digest(label: str) -> str:
+    encoded = json.dumps(chain_to_dict(KAT_CHAINS[label]()), sort_keys=True)
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def record_kat() -> None:
+    runner.configure(enabled=False)  # plan here, read no stale disk record
+    KAT_PATH.write_text(json.dumps({
+        "tables": [_table_entry(*args) for args in KAT_TABLES],
+        "chains": {label: _chain_digest(label) for label in KAT_CHAINS},
+    }, indent=1) + "\n")
+
+
+KAT = json.loads(KAT_PATH.read_text())
 
 
 class TestIsPrime:
@@ -137,3 +209,23 @@ class TestLargestAndNearest:
         first = primes.distinct_primes_near(target, 256, 2, ())
         second = primes.distinct_primes_near(target, 256, 2, first)
         assert not set(first) & set(second)
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize(
+        "entry", KAT["tables"], ids=lambda e: f"{e['max_bits']}-{e['n']}"
+    )
+    def test_table(self, entry):
+        assert _table_entry(entry["max_bits"], entry["n"]) == entry
+
+    def test_paper_count(self):
+        """Paper Sec. 3.3: N = 2^16 and 28-bit words leave 244 primes."""
+        counts = {(e["max_bits"], e["n"]): e["count"] for e in KAT["tables"]}
+        assert counts == {
+            (28, 65536): 244, (28, 4096): 3_522,
+            (28, 128): 114_397, (36, 65536): 43_833,
+        }
+
+    @pytest.mark.parametrize("label", KAT_CHAINS)
+    def test_planned_chain(self, label):
+        assert _chain_digest(label) == KAT["chains"][label]
