@@ -45,27 +45,27 @@ from repro.schemes import plan_chain
 
 #: Figure/table name -> (module path, results/ file stem, runtime note).
 #: Notes are measured cold runs with the cache off on a 2-core machine
-#: (all 14 together: about 33 s; warm from the disk cache: under a
+#: (all 14 together: about 28 s; warm from the disk cache: under a
 #: second).
 FIGURES: dict[str, tuple[str, str, str]] = {
     "fig10": ("repro.eval.fig10", "fig10_energy_breakdown", "instant"),
     "fig11": ("repro.eval.fig11", "fig11_exec_time_28bit", "~1 s"),
     "fig12": ("repro.eval.fig12", "fig12_energy_28bit", "~1 s"),
     "fig13": ("repro.eval.fig13", "fig13_cpu", "~1 s"),
-    "fig14": ("repro.eval.fig14", "fig14_word_size_sweep", "~9 s"),
+    "fig14": ("repro.eval.fig14", "fig14_word_size_sweep", "~5 s"),
     "fig15": ("repro.eval.fig15", "fig15_slowdown",
-              "~9 s; instant after fig14"),
+              "~5 s; instant after fig14"),
     "fig16": ("repro.eval.fig16", "fig16_perf_per_area",
-              "~9 s; instant after fig14"),
+              "~5 s; instant after fig14"),
     "fig17": ("repro.eval.fig17", "fig17_scratchpad_sweep", "~2 s"),
     "fig18": ("repro.eval.fig18", "fig18_rescale_precision",
-              "~15 s, real encrypted arithmetic"),
+              "~11 s, real encrypted arithmetic"),
     "fig19": ("repro.eval.fig19", "fig19_adjust_precision",
-              "~7 s, real encrypted arithmetic"),
+              "~6 s, real encrypted arithmetic"),
     "table1": ("repro.eval.table1", "table1_mantissa_bits",
-               "~6 s, real encrypted arithmetic"),
+               "~5 s, real encrypted arithmetic"),
     "sec61": ("repro.eval.security", "sec61_security_params", "~1 s"),
-    "sec62": ("repro.eval.sharp", "sec62_sharp_comparison", "~4 s"),
+    "sec62": ("repro.eval.sharp", "sec62_sharp_comparison", "~1 s"),
     "sec63": ("repro.eval.area_reduction", "sec63_area_reduction", "~1 s"),
 }
 

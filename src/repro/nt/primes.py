@@ -5,19 +5,23 @@ negacyclic NTT over ``Z_p[X]/(X^N + 1)`` exists (paper Sec. 3.3, citing
 Lyubashevsky et al.).  The paper's modulus-selection algorithm needs three
 queries, all provided here:
 
-- exhaustive enumeration of all NTT-friendly primes below ``2^w`` for
-  narrow words (``w <= 36`` in the paper),
+- the table of all NTT-friendly primes below ``2^w`` for narrow words
+  (``w <= 36`` in the paper): a sieve of the progression, milliseconds
+  for every table the planners ask for,
 - the primes closest below ``2^w`` (non-terminal candidates) for any word
-  size, and
-- ~500 log-spaced terminal-prime candidates for wide words, where
-  exhaustive enumeration is infeasible.
+  size: a lazy walk that Miller-Rabin-tests tens of candidates, and
+- ~500 log-spaced terminal-prime candidates for wide words, whose
+  progression is too long to hold.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
+
+import numpy as np
 
 from repro.errors import ParameterError
 
@@ -101,25 +105,66 @@ def ntt_friendly_primes_above(start: int, n: int) -> Iterator[int]:
         candidate += step
 
 
+def _odd_primes_upto(limit: int) -> np.ndarray:
+    """The odd primes ``<= limit`` (plain Eratosthenes), as uint64."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[::2] = False
+    sieve[1] = False
+    for i in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[i]:
+            sieve[i * i :: 2 * i] = False
+    return np.flatnonzero(sieve).astype(np.uint64)
+
+
 @lru_cache(maxsize=None)
 def all_ntt_friendly_primes(max_bits: int, n: int) -> tuple[int, ...]:
     """All NTT-friendly primes below ``2**max_bits``, ascending.
 
     The paper (Sec. 3.3) enumerates these exhaustively for word sizes up
-    to 36 bits; e.g. with ``n = 2^16`` and 28-bit words there are only a
-    few hundred.  Exhaustive enumeration beyond ~40 bits is impractical;
-    use :func:`terminal_prime_candidates` there instead.
+    to 36 bits; e.g. with ``n = 2^16`` and 28-bit words there are 244.
+    The table is a sieve over the indices ``k`` of the candidates
+    ``2n*k + 1``: one bool per candidate, struck by the odd primes up to
+    ``sqrt(2^max_bits)``.  That is 6 ms for ``(28, 128)`` and 15 ms for
+    ``(36, 2^16)``, the largest tables the repo builds, 0.1 s for
+    ``(44, 2^23)``, the largest the planners can ask for, and under a
+    second at the limit.  Two limits: ``max_bits <= 44`` and at most 2^26
+    candidates (64 MB of flags); past either, use
+    :func:`terminal_prime_candidates`.
     """
     _check_degree(n)
-    if max_bits > 44:
+    step = 2 * n
+    count = ((1 << max_bits) - 2) // step  # candidates are k = 1 .. count
+    if max_bits > 44 or count > 1 << 26:
         raise ParameterError(
-            f"exhaustive enumeration above 44 bits is impractical (got {max_bits}); "
+            f"an exhaustive table above 44 bits or 2^26 candidates is "
+            f"impractical (got {max_bits} bits, {max(count, 0)} candidates); "
             "use terminal_prime_candidates instead"
         )
-    step = 2 * n
-    return tuple(
-        p for p in range(step + 1, 1 << max_bits, step) if is_prime(p)
-    )
+    if count < 1:
+        return ()
+    base = _odd_primes_upto(math.isqrt(1 << max_bits))
+    # p divides 2n*k + 1 exactly when k = k0 (mod p), k0 = -(2n)^-1 mod p:
+    # start from -1 and halve once per factor of two in 2n.
+    k0 = base - np.uint64(1)
+    for _ in range(step.bit_length() - 1):
+        k0 = np.where(k0 & 1, k0 + base, k0) >> 1
+    # The candidate at k0 is the smallest multiple of p in the progression;
+    # where that is p itself (an NTT-friendly base prime) it must survive.
+    k0 = np.where(k0 == (base - np.uint64(1)) // np.uint64(step), k0 + base, k0)
+    alive = np.ones(count + 1, dtype=bool)
+    alive[0] = False
+    repeats = base <= count  # the rest hit at most one candidate
+    for p, k in zip(base[repeats].tolist(), k0[repeats].tolist()):
+        alive[k::p] = False
+    once = k0[~repeats]
+    alive[once[once <= count]] = False
+    # In place, one table-sized transient at a time: what is freed here
+    # is heap the caller's workload then runs on.
+    table = np.flatnonzero(alive)
+    del alive
+    table *= step
+    table += 1
+    return tuple(table.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -128,12 +173,14 @@ def terminal_prime_candidates(
 ) -> tuple[int, ...]:
     """Candidate terminal primes below ``2**word_bits``, ascending.
 
-    Mirrors the paper's strategy: exhaustive enumeration where feasible
-    (the paper does so for words up to 36 bits at N = 2^16, where the
-    ``1 mod 2N`` progression has only ~half a million candidates), and
-    ``count`` log-spaced samples otherwise.  The cutoff is therefore on
-    the candidate-progression length, not the word size alone — small
-    ring degrees would otherwise make narrow words intractable.
+    Mirrors the paper's strategy: the whole table for narrow words (the
+    paper does so up to 36 bits at N = 2^16, where the ``1 mod 2N``
+    progression has ~half a million candidates), and ``count`` log-spaced
+    samples otherwise.  The cutoff is on the candidate-progression
+    length, not the word size alone.  Up to it the table costs
+    milliseconds, and a longer one would too — but the cutoff decides
+    which pool a chain is planned from, so moving it moves every planned
+    chain and every table in ``results/``; it stays where it was.
     """
     _check_degree(n)
     progression_length = (1 << word_bits) // (2 * n)
@@ -159,76 +206,3 @@ def terminal_prime_candidates(
                 found.append(p)
             break
     return tuple(sorted(found))
-
-
-def largest_ntt_friendly_primes(word_bits: int, n: int, count: int) -> tuple[int, ...]:
-    """The ``count`` largest NTT-friendly primes below ``2**word_bits``.
-
-    These are BitPacker's *non-terminal* moduli: primes packed as close to
-    the hardware word size as possible (paper Sec. 3.3).  Returned in
-    descending order, so earlier levels (used by more of the chain) get
-    larger moduli, exactly as the paper prescribes.
-    """
-    out: list[int] = []
-    for p in ntt_friendly_primes_below(1 << word_bits, n):
-        out.append(p)
-        if len(out) == count:
-            return tuple(out)
-    raise ParameterError(
-        f"only {len(out)} NTT-friendly primes below 2^{word_bits} for degree {n}; "
-        f"needed {count}"
-    )
-
-
-def primes_near(target: int, n: int, count: int = 1) -> tuple[int, ...]:
-    """``count`` NTT-friendly primes nearest to ``target`` (any side).
-
-    RNS-CKKS uses this to pick one residue modulus per scale: the modulus
-    should sit as close to the scale as possible so rescaling keeps the
-    scale stable (paper Fig. 4).
-    """
-    below = ntt_friendly_primes_below(target + 1, n)
-    above = ntt_friendly_primes_above(target + 1, n)
-    lo = next(below, None)
-    hi = next(above, None)
-    out: list[int] = []
-    while len(out) < count:
-        if lo is None and hi is None:
-            raise ParameterError(f"no NTT-friendly primes near {target} for degree {n}")
-        if hi is None or (lo is not None and target - lo <= hi - target):
-            out.append(lo)
-            lo = next(below, None)
-        else:
-            out.append(hi)
-            hi = next(above, None)
-    return tuple(out)
-
-
-def distinct_primes_near(
-    target: int, n: int, count: int, taken: Sequence[int]
-) -> tuple[int, ...]:
-    """Like :func:`primes_near` but skipping primes already in ``taken``."""
-    taken_set = set(taken)
-    below = ntt_friendly_primes_below(target + 1, n)
-    above = ntt_friendly_primes_above(target + 1, n)
-    lo = next(below, None)
-    hi = next(above, None)
-    out: list[int] = []
-    while len(out) < count:
-        if lo is not None and lo in taken_set:
-            lo = next(below, None)
-            continue
-        if hi is not None and hi in taken_set:
-            hi = next(above, None)
-            continue
-        if lo is None and hi is None:
-            raise ParameterError(f"ran out of NTT-friendly primes near {target}")
-        if hi is None or (lo is not None and target - lo <= hi - target):
-            out.append(lo)
-            taken_set.add(lo)
-            lo = next(below, None)
-        else:
-            out.append(hi)
-            taken_set.add(hi)
-            hi = next(above, None)
-    return tuple(out)

@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Collection, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from repro.errors import ParameterError, PlanningError
 from repro.nt.primes import (
     ntt_friendly_primes_above,
@@ -279,8 +281,6 @@ def choose_special_moduli(
     into ``ks_digits`` contiguous groups; we cover the largest group plus
     ``margin_bits`` using word-sized primes.
     """
-    import numpy as np
-
     groups = np.array_split(np.arange(len(level_moduli)), max(1, ks_digits))
     max_bits = 0.0
     for part in groups:

@@ -12,10 +12,13 @@ to make a change pass) with
 
 import hashlib
 import json
+import sys
 from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.ckks import bootstrap_pipeline
@@ -23,6 +26,7 @@ from repro.errors import ParameterError
 from repro.eval import common, runner
 from repro.nt import primes
 from repro.schemes.chain import chain_to_dict
+from repro.schemes.selection import largest_primes_below_word
 from tests.test_nt_ntt_vectorized import _digest
 
 KAT_PATH = Path(__file__).parent / "data" / "primes_kat.json"
@@ -143,7 +147,44 @@ class TestNttFriendly:
             next(primes.ntt_friendly_primes_below(1 << 20, 100))
 
 
+def _miller_rabin_table(max_bits: int, n: int) -> tuple[int, ...]:
+    """The table as it was built before the sieve: the oracle."""
+    return tuple(
+        p for p in range(2 * n + 1, 1 << max_bits, 2 * n) if primes.is_prime(p)
+    )
+
+
 class TestExhaustiveEnumeration:
+    @pytest.mark.parametrize(
+        "max_bits, n",
+        [
+            (12, 2),       # NTT-friendly primes below sqrt(2^12): 5, 13, ..., 61
+            (4, 2),        # the last candidate, 2^4 - 2n + 1 = 13, is prime
+            (20, 8),
+            (20, 64),
+            (24, 1024),
+            (28, 4096),
+            (28, 65536),
+            (8, 128),      # 2^bits <= 2n + 1: no candidate
+            (9, 128),      # one candidate, 257, prime
+            (5, 8),        # one candidate, 17, below a bound of 32
+            (0, 2),        # the one power of two that is 1 mod 2n
+        ],
+    )
+    def test_sieve_equals_miller_rabin(self, max_bits, n):
+        got = primes.all_ntt_friendly_primes(max_bits, n)
+        assert got == _miller_rabin_table(max_bits, n)
+        assert all(type(p) is int for p in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 22), st.integers(1, 10))
+    def test_sieve_equals_miller_rabin_property(self, max_bits, log_n):
+        assume(max_bits - log_n <= 17)  # the oracle tests <= 2^16 candidates
+        n = 1 << log_n
+        assert primes.all_ntt_friendly_primes(max_bits, n) == (
+            _miller_rabin_table(max_bits, n)
+        )
+
     def test_matches_generator(self):
         n = 128
         exhaustive = primes.all_ntt_friendly_primes(20, n)
@@ -153,10 +194,15 @@ class TestExhaustiveEnumeration:
         assert list(exhaustive) == walked
 
     def test_paper_count_order_of_magnitude(self):
-        """Paper Sec. 3.3: with N = 2^16 and w = 28 there are only a few
-        hundred NTT-friendly primes (the paper counts 244)."""
-        count = len(primes.all_ntt_friendly_primes(28, 65536))
-        assert 100 < count < 400
+        """Paper Sec. 3.3: with N = 2^16 and w = 28 the paper counts 244
+        NTT-friendly primes.  So does the table, and the three largest
+        ones the repo builds hold what Miller-Rabin found in them."""
+        counts = {(e["max_bits"], e["n"]): e["count"] for e in KAT["tables"]}
+        assert counts == {
+            (28, 65536): 244, (28, 4096): 3_522,
+            (28, 128): 114_397, (36, 65536): 43_833,
+        }
+        assert len(primes.all_ntt_friendly_primes(28, 65536)) == 244
 
     def test_min_prime_lower_bound(self):
         """All NTT-friendly primes exceed 2N (paper Sec. 3.3)."""
@@ -167,6 +213,62 @@ class TestExhaustiveEnumeration:
     def test_refuses_wide_exhaustive(self):
         with pytest.raises(ParameterError):
             primes.all_ntt_friendly_primes(60, 1024)
+
+    @pytest.mark.parametrize("max_bits, n", [(45, 1 << 23), (44, 2), (30, 2)])
+    def test_refuses_tables_too_long_to_hold(self, max_bits, n):
+        """Past 44 bits whatever the length, and past 2^26 candidates
+        whatever the word (``(44, 2)`` has 2^42): refused before anything
+        is allocated."""
+        with pytest.raises(ParameterError):
+            primes.all_ntt_friendly_primes(max_bits, n)
+
+    def test_cache_clear_empties_the_table(self):
+        """The ladder's ``enumerate_primes_s`` and ``clear_repro_caches``
+        rely on this to time a cold enumeration."""
+        primes.all_ntt_friendly_primes(20, 64)
+        assert primes.all_ntt_friendly_primes.cache_info().currsize > 0
+        primes.all_ntt_friendly_primes.cache_clear()
+        assert primes.all_ntt_friendly_primes.cache_info().currsize == 0
+
+
+def _clear_repro_caches() -> None:
+    """Empty every ``functools`` cache on a loaded ``repro`` module, as
+    the ladder does before each timed set-up."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "repro" or name.startswith("repro.")):
+            continue
+        for attr in list(vars(module).values()):
+            clear = getattr(attr, "cache_clear", None)
+            if callable(clear) and getattr(attr, "__module__", None) == name:
+                clear()
+
+
+class TestPrimalityTestsPerPlan:
+    """A count, not a stopwatch: the table tests no candidate, so a cold
+    plan pays only for the lazy walkers."""
+
+    @pytest.fixture()
+    def is_prime_calls(self, monkeypatch):
+        calls = []
+        is_prime = primes.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(primes, "is_prime", counted)
+        _clear_repro_caches()
+        return calls
+
+    def test_table_calls_is_prime_never(self, is_prime_calls):
+        assert len(primes.all_ntt_friendly_primes(28, 128)) == 114_397
+        assert is_prime_calls == []
+
+    def test_cold_bootstrap_plan_is_walker_bound(self, is_prime_calls):
+        """Over a million calls when the table tested each of its 1,048,575
+        candidates."""
+        KAT_CHAINS["bootstrap_bp28"]()
+        assert 0 < len(is_prime_calls) < 5_000
 
 
 class TestTerminalCandidates:
@@ -188,27 +290,14 @@ class TestTerminalCandidates:
         assert all(p >= 1 << 20 for p in cands)
 
 
-class TestLargestAndNearest:
+class TestLargestBelowWord:
     def test_largest_below_word(self):
-        got = primes.largest_ntt_friendly_primes(28, 256, 5)
+        got = largest_primes_below_word(256, 28, 5)
         assert len(got) == 5
-        assert got == tuple(sorted(got, reverse=True))
+        assert got == sorted(got, reverse=True)
         assert all(p < 1 << 28 for p in got)
         # Packed: the largest should be within ~1.5 bits of the word.
         assert got[0] > 1 << 26
-
-    def test_primes_near(self):
-        target = 1 << 22
-        got = primes.primes_near(target, 256, count=3)
-        assert len(set(got)) == 3
-        for p in got:
-            assert primes.is_ntt_friendly(p, 256)
-
-    def test_distinct_primes_near_skips_taken(self):
-        target = 1 << 22
-        first = primes.distinct_primes_near(target, 256, 2, ())
-        second = primes.distinct_primes_near(target, 256, 2, first)
-        assert not set(first) & set(second)
 
 
 class TestKnownAnswers:
@@ -217,14 +306,6 @@ class TestKnownAnswers:
     )
     def test_table(self, entry):
         assert _table_entry(entry["max_bits"], entry["n"]) == entry
-
-    def test_paper_count(self):
-        """Paper Sec. 3.3: N = 2^16 and 28-bit words leave 244 primes."""
-        counts = {(e["max_bits"], e["n"]): e["count"] for e in KAT["tables"]}
-        assert counts == {
-            (28, 65536): 244, (28, 4096): 3_522,
-            (28, 128): 114_397, (36, 65536): 43_833,
-        }
 
     @pytest.mark.parametrize("label", KAT_CHAINS)
     def test_planned_chain(self, label):

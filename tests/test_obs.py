@@ -171,9 +171,9 @@ class TestExport:
 class TestKernelCounters:
     def test_ntt_hooks_count_invocations_and_elements(self):
         from repro.nt.ntt import forward_rows, inverse_rows
-        from repro.nt.primes import largest_ntt_friendly_primes
+        from repro.schemes.selection import largest_primes_below_word
 
-        moduli = largest_ntt_friendly_primes(28, 64, 2)
+        moduli = tuple(largest_primes_below_word(64, 28, 2))
         rng = np.random.default_rng(3)
         mat = rng.integers(0, min(moduli), size=(2, 64), dtype=np.uint64)
         inverse_rows(forward_rows(mat, moduli), moduli)
@@ -394,12 +394,12 @@ class TestDisabledOverhead:
         from repro.analysis import sanitize
         from repro.eval import faults
         from repro.nt.ntt import forward_rows
-        from repro.nt.primes import largest_ntt_friendly_primes
+        from repro.schemes.selection import largest_primes_below_word
 
         for hooks in (core, sanitize, faults):
             monkeypatch.setattr(hooks, "ACTIVE", False)
         n, k = 64, 3
-        moduli = largest_ntt_friendly_primes(28, n, k)
+        moduli = tuple(largest_primes_below_word(n, 28, k))
         mat = np.random.default_rng(11).integers(
             0, min(moduli), size=(k, n), dtype=np.uint64
         )
