@@ -17,6 +17,8 @@ A from-scratch Python implementation of the paper's full stack:
 - :mod:`repro.eval` — one harness per paper figure/table.
 """
 
+import os as _os
+
 from repro.ckks import CkksContext
 from repro.ckks.bootstrap import BS19, BS26, FunctionalBootstrapper
 from repro.schemes import (
@@ -27,6 +29,11 @@ from repro.schemes import (
 )
 
 __version__ = "1.0.0"
+
+if _os.environ.get("REPRO_SANITIZE"):
+    # The sanitizer reads REPRO_SANITIZE and attaches itself to the
+    # instrumentation seam when imported; no hot module imports it.
+    from repro.analysis import sanitize as _sanitize  # noqa: F401
 
 __all__ = [
     "CkksContext",

@@ -3,21 +3,18 @@
 The static passes catch hazards visible in source; this module catches
 the ones only visible in live data — a residue at or above its modulus,
 a matrix stored in the wrong dtype for its basis, NTT-domain tags mixed
-across a ciphertext pair.  Hook points sit inside
-:class:`~repro.rns.poly.RnsPolynomial` construction, the batched NTT
-entry points, :func:`~repro.rns.convert.base_convert`, and
-:class:`~repro.ckks.ciphertext.Ciphertext` construction; because every
-homomorphic operation constructs new values, checking construction
-checks every op.
+across a ciphertext pair.  It is the *checker* on the one
+instrumentation seam (:mod:`repro.obs.core`, DESIGN.md Sec. 9): the
+batched NTTs and :func:`~repro.rns.convert.base_convert` hand it their
+matrices, :class:`~repro.rns.poly.RnsPolynomial` and
+:class:`~repro.ckks.ciphertext.Ciphertext` construction what they
+built (every homomorphic op constructs new values, so this checks every
+op), and every evaluator op its result for the op log.  No hot module
+imports this one; detached, a site costs one switch test.
 
-Cost model: each hook site is guarded by ``if sanitize.ACTIVE:`` — one
-module-attribute read and a branch when disabled, no numpy work and no
-function call, so the PR-1 benchmark numbers are untouched.  When
-enabled the checks are vectorized comparisons (``(row < q).all()``),
-cheap next to the arithmetic they guard.
-
-Enable with ``REPRO_SANITIZE=1`` in the environment (read at import
-time) or :func:`enable` / :func:`disable` at runtime.  Violations raise
+Attach with ``REPRO_SANITIZE=1`` (read when this module is imported,
+which ``import repro`` does whenever the variable is set) or
+:func:`enable`/:func:`disable`.  Violations raise
 :class:`repro.errors.InvariantViolation`.
 """
 
@@ -26,12 +23,14 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import InvariantViolation
+from repro.obs import core as _obs
 
 
 def _env_active(value: str | None) -> bool:
@@ -41,34 +40,29 @@ def _env_active(value: str | None) -> bool:
     return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
-#: The master switch.  Hook sites read this attribute directly
-#: (``if sanitize.ACTIVE: ...``) so the disabled path is a single branch.
-ACTIVE = _env_active(os.environ.get("REPRO_SANITIZE"))
-
 #: Counters proving what ran: ``checks`` increments once per executed
-#: check call (never when disabled), ``violations`` once per raise.
+#: check call (never when detached), ``violations`` once per raise.
 STATS = {"checks": 0, "violations": 0}
+
+_SELF = sys.modules[__name__]
 
 
 def enable() -> None:
-    """Turn the sanitizer on for this process."""
-    global ACTIVE
-    ACTIVE = True
+    """Attach the sanitizer to the hot boundaries for this process."""
+    _obs.attach_checker(_SELF)
 
 
 def disable() -> None:
-    """Turn the sanitizer off (hook sites go back to a dead branch)."""
-    global ACTIVE
-    ACTIVE = False
+    """Detach the sanitizer."""
+    _obs.attach_checker(None)
 
 
 def enabled() -> bool:
-    return ACTIVE
+    return _obs.checker() is _SELF
 
 
 def reset_stats() -> None:
-    STATS["checks"] = 0
-    STATS["violations"] = 0
+    STATS.update(checks=0, violations=0)
 
 
 def _fail(message: str) -> None:
@@ -77,8 +71,7 @@ def _fail(message: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Checks.  Callers guard with ``if sanitize.ACTIVE`` so these bodies
-# only ever run in sanitize mode.
+# Checks.  The seam calls these only while the sanitizer is attached.
 # ----------------------------------------------------------------------
 def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
     """A ``(k, n)`` residue matrix, or an ``(m, k, n)`` stack of them:
@@ -87,8 +80,8 @@ def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
     The dtype follows the widest modulus — uint64 below 2^61, object
     (plain Python ints, never numpy scalars) once any modulus is wider.
     """
-    # Imported lazily: nt.ntt hooks into this module, so a module-level
-    # modmath import would close an import cycle through repro.nt.
+    # Imported lazily: attaching the sanitizer must not import the
+    # number-theory stack.
     from repro.nt.modmath import dtype_for_modulus
 
     STATS["checks"] += 1
@@ -151,7 +144,7 @@ def _log2_fraction(scale) -> float:
 
 
 def observe_op(kind: str, ct) -> None:
-    """Hook site: record an evaluator op's result (no-op unless recording)."""
+    """Seam call: record an evaluator op's result (no-op unless recording)."""
     if not RECORDING:
         return
     _OP_LOG.append(
@@ -165,18 +158,20 @@ def observe_op(kind: str, ct) -> None:
 def record_ops() -> Iterator[list[OpObservation]]:
     """Sanitize-and-record scope: yields the live observation list.
 
-    Turns the sanitizer on (the observations ride on its hook sites) and
-    starts per-op recording; both are restored on exit.  The yielded
-    list is the module log itself, appended to as ops execute.
+    Attaches the sanitizer (the observations ride on the seam's op
+    calls) and starts per-op recording; both are restored on exit.  The
+    yielded list is the module log itself, appended to as ops execute.
     """
-    global ACTIVE, RECORDING
-    prior_active, prior_recording = ACTIVE, RECORDING
-    ACTIVE, RECORDING = True, True
+    global RECORDING
+    prior_checker, prior_recording = _obs.checker(), RECORDING
+    enable()
+    RECORDING = True
     _OP_LOG.clear()
     try:
         yield _OP_LOG
     finally:
-        ACTIVE, RECORDING = prior_active, prior_recording
+        _obs.attach_checker(prior_checker)
+        RECORDING = prior_recording
 
 
 def check_ciphertext(ct) -> None:
@@ -195,3 +190,7 @@ def check_ciphertext(ct) -> None:
         _fail(f"Ciphertext: negative level {ct.level}")
     if ct.scale <= 0:
         _fail(f"Ciphertext: non-positive scale {ct.scale}")
+
+
+if _env_active(os.environ.get("REPRO_SANITIZE")):
+    enable()

@@ -1,8 +1,9 @@
 """The kernel boundary of the RNS/CKKS hot paths: five functions.
 
 Every CKKS operation decomposes into these kernels, and every call to
-one crosses this module — it is the seam where kernel calls are counted
-(``kernel.backend.numpy.<kernel>``) and where an engine other than numpy
+one crosses this module — it is where kernel calls reach the
+instrumentation seam (``kernel.backend.numpy.<kernel>``,
+:func:`repro.obs.core.kernel`) and where an engine other than numpy
 would have to enter (DESIGN.md Sec. 10 has the admission contract):
 
 - ``ntt_forward`` / ``ntt_inverse`` — the batched negacyclic NTT of a
@@ -45,16 +46,18 @@ def available_backends() -> tuple[str, ...]:
 
 
 def ntt_forward(ctx, mat: np.ndarray) -> np.ndarray:
+    out = ctx._forward_stages(mat)
     if _obs.ACTIVE:
-        _obs.count("kernel.backend.numpy.ntt_forward")
-    return ctx._forward_stages(mat)
+        _obs.kernel("backend.numpy.ntt_forward")
+    return out
 
 
 def ntt_inverse(ctx, mat: np.ndarray) -> np.ndarray:
     """Includes the ``n^-1`` scale."""
+    out = ctx._inverse_stages(mat)
     if _obs.ACTIVE:
-        _obs.count("kernel.backend.numpy.ntt_inverse")
-    return ctx._inverse_stages(mat)
+        _obs.kernel("backend.numpy.ntt_inverse")
+    return out
 
 
 def bconv_fold(
@@ -68,26 +71,29 @@ def bconv_fold(
     ``v_bound``; ``weights`` is ``(m, kk)`` with row ``j`` already
     reduced mod ``dst_moduli[j]``; all destinations share one ``kind``.
     Returns the ``(m, n)`` matrix of fully reduced residues."""
-    if _obs.ACTIVE:
-        _obs.count("kernel.backend.numpy.bconv_fold")
     dst = np.asarray(dst_moduli, dtype=np.uint64)
-    return _numpy.bconv_fold(stack, weights, dst, v_bound, kind)
+    out = _numpy.bconv_fold(stack, weights, dst, v_bound, kind)
+    if _obs.ACTIVE:
+        _obs.kernel("backend.numpy.bconv_fold")
+    return out
 
 
 def pointwise_mul(
     a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
+    out = _numpy.pointwise_mul(a, b, q_col)
     if _obs.ACTIVE:
-        _obs.count("kernel.backend.numpy.pointwise_mul")
-    return _numpy.pointwise_mul(a, b, q_col)
+        _obs.kernel("backend.numpy.pointwise_mul")
+    return out
 
 
 def pointwise_mul_acc(
     acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
+    out = _numpy.pointwise_mul_acc(acc, a, b, q_col)
     if _obs.ACTIVE:
-        _obs.count("kernel.backend.numpy.pointwise_mul_acc")
-    return _numpy.pointwise_mul_acc(acc, a, b, q_col)
+        _obs.kernel("backend.numpy.pointwise_mul_acc")
+    return out
 
 
 __all__ = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from repro.analysis import sanitize as _sanitize
+from repro.obs import core as _obs
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
@@ -45,8 +45,8 @@ class Ciphertext:
     scale: Fraction
 
     def __post_init__(self):
-        if _sanitize.ACTIVE:
-            _sanitize.check_ciphertext(self)
+        if _obs.ACTIVE:
+            _obs.check_ciphertext(self)
 
     @property
     def basis(self) -> RnsBasis:

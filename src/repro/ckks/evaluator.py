@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.analysis import sanitize as _san
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest, KeySwitchKey
@@ -84,9 +83,7 @@ class Evaluator:
         out = Ciphertext(
             c0=a.c0.add(b.c0), c1=a.c1.add(b.c1), level=a.level, scale=a.scale
         )
-        if _san.ACTIVE:
-            _san.observe_op("hadd", out)
-        return out
+        return _done(out, "hadd")
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_addable(a, b)
@@ -94,9 +91,7 @@ class Evaluator:
         out = Ciphertext(
             c0=a.c0.sub(b.c0), c1=a.c1.sub(b.c1), level=a.level, scale=a.scale
         )
-        if _san.ACTIVE:
-            _san.observe_op("hadd", out)
-        return out
+        return _done(out, "hadd")
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         return ct.with_polys(ct.c0.neg(), ct.c1.neg())
@@ -117,20 +112,14 @@ class Evaluator:
             c0 = ct.c0.add_constant(self.encoder.encode_scalar(values, ct.scale))
         else:
             c0 = ct.c0.add(self._plain_poly(ct, values, ct.scale))
-        out = ct.with_polys(c0, ct.c1)
-        if _san.ACTIVE:
-            _san.observe_op("padd", out)
-        return out
+        return _done(ct.with_polys(c0, ct.c1), "padd")
 
     def sub_plain(self, ct: Ciphertext, values) -> Ciphertext:
         if _is_real_scalar(values):
             c0 = ct.c0.add_constant(-self.encoder.encode_scalar(values, ct.scale))
         else:
             c0 = ct.c0.sub(self._plain_poly(ct, values, ct.scale))
-        out = ct.with_polys(c0, ct.c1)
-        if _san.ACTIVE:
-            _san.observe_op("padd", out)
-        return out
+        return _done(ct.with_polys(c0, ct.c1), "padd")
 
     # ------------------------------------------------------------------
     # Scalar (integer-constant) operations
@@ -179,9 +168,7 @@ class Evaluator:
         out = Ciphertext(
             ct.c0.scalar_mul(k), ct.c1.scalar_mul(k), ct.level, ct.scale * scale
         )
-        if _san.ACTIVE:
-            _san.observe_op("pmul", out)
-        return out
+        return _done(out, "pmul")
 
     def mul_encoded(self, ct: Ciphertext, plain: Plaintext) -> Ciphertext:
         """:meth:`mul_plain` by a plaintext already encoded over ``ct``'s
@@ -193,9 +180,7 @@ class Evaluator:
         out = Ciphertext(
             c0.pointwise_mul(pt), c1.pointwise_mul(pt), ct.level, ct.scale * plain.scale
         )
-        if _san.ACTIVE:
-            _san.observe_op("pmul", out)
-        return out
+        return _done(out, "pmul")
 
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic multiply with relinearization (no rescale).
@@ -209,24 +194,16 @@ class Evaluator:
             raise ScaleMismatchError(
                 f"cannot multiply ciphertexts at levels {a.level} and {b.level}"
             )
-        if _obs.ACTIVE:
-            _obs.count("op.multiply")
-            _obs.count("op.multiply.elems", a.basis.size * a.basis.n)
         a0, a1, b0, b1 = to_domain((a.c0, a.c1, b.c0, b.c1), NTT)
         d0 = a0.pointwise_mul(b0)
         d1 = a0.pointwise_mul(b1).add(a1.pointwise_mul(b0))
         d2 = a1.pointwise_mul(b1)
         c0, c1 = self._keyswitch(d2, self.chest.relin_key(a.level), fold=(d0, d1))
         out = Ciphertext(c0=c0, c1=c1, level=a.level, scale=a.scale * b.scale)
-        if _san.ACTIVE:
-            _san.observe_op("hmul", out)
-        return out
+        return _done(out, "hmul", "multiply")
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic squaring (slightly cheaper than a general multiply)."""
-        if _obs.ACTIVE:
-            _obs.count("op.square")
-            _obs.count("op.square.elems", ct.basis.size * ct.basis.n)
         c0n, c1n = to_domain((ct.c0, ct.c1), NTT)
         d0 = c0n.pointwise_mul(c0n)
         cross = c0n.pointwise_mul(c1n)
@@ -234,9 +211,7 @@ class Evaluator:
         d2 = c1n.pointwise_mul(c1n)
         c0, c1 = self._keyswitch(d2, self.chest.relin_key(ct.level), fold=(d0, d1))
         out = Ciphertext(c0=c0, c1=c1, level=ct.level, scale=ct.scale * ct.scale)
-        if _san.ACTIVE:
-            _san.observe_op("hmul", out)
-        return out
+        return _done(out, "hmul", "square")
 
     # ------------------------------------------------------------------
     # Rotations
@@ -266,9 +241,6 @@ class Evaluator:
             if g == 1:
                 out.append(ct)
                 continue
-            if _obs.ACTIVE:
-                _obs.count("op.rotate")
-                _obs.count("op.rotate.elems", ct.basis.size * ct.basis.n)
             ksk = self.chest.galois_key(ct.level, g)
             if ext is None:
                 # The digit layout is the level's, the same for every g.
@@ -280,9 +252,7 @@ class Evaluator:
             rotated = Ciphertext(
                 c0=c0.galois(g).add(k0), c1=k1, level=ct.level, scale=ct.scale
             )
-            if _san.ACTIVE:
-                _san.observe_op("hrot", rotated)
-            out.append(rotated)
+            out.append(_done(rotated, "hrot", "rotate"))
         return out
 
     # ------------------------------------------------------------------
@@ -290,23 +260,11 @@ class Evaluator:
     # ------------------------------------------------------------------
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Move down one level, dividing the scale (paper Sec. 2.2)."""
-        if _obs.ACTIVE:
-            _obs.count("op.rescale")
-            _obs.count("op.rescale.elems", ct.basis.size * ct.basis.n)
-        out = self.chain.rescale(ct)
-        if _san.ACTIVE:
-            _san.observe_op("rescale", out)
-        return out
+        return _done(self.chain.rescale(ct), "rescale", "rescale")
 
     def adjust(self, ct: Ciphertext, dst_level: int) -> Ciphertext:
         """Bring ``ct`` to ``dst_level`` with that level's canonical scale."""
-        if _obs.ACTIVE:
-            _obs.count("op.adjust")
-            _obs.count("op.adjust.elems", ct.basis.size * ct.basis.n)
-        out = self.chain.adjust(ct, dst_level)
-        if _san.ACTIVE:
-            _san.observe_op("adjust", out)
-        return out
+        return _done(self.chain.adjust(ct, dst_level), "adjust", "adjust")
 
     def multiply_rescale(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.rescale(self.multiply(a, b))
@@ -374,9 +332,6 @@ class Evaluator:
         accumulators share their one inverse transform.
         """
         specials, full = ksk.special_moduli, ksk.full
-        if _obs.ACTIVE:
-            _obs.count("op.keyswitch")
-            _obs.count("op.keyswitch.elems", (full.size - len(specials)) * full.n)
         acc0, acc1 = (scale_up(f, specials) for f in fold) if fold else (None, None)
         for digit, (b_row, a_row) in zip(ext, ksk.rows):
             digit = RnsPolynomial(full, digit, NTT)
@@ -389,7 +344,19 @@ class Evaluator:
                 acc0 = acc0.pointwise_mul_acc(digit, b_row)
                 acc1 = acc1.pointwise_mul_acc(digit, a_row)
         acc0, acc1 = to_domain((acc0, acc1), COEFF)
-        return scale_down(acc0, specials), scale_down(acc1, specials)
+        return _done(
+            (scale_down(acc0, specials), scale_down(acc1, specials)),
+            None, "keyswitch",
+        )
+
+
+def _done(out, kind: str | None, name: str | None = None):
+    """Every op's return path, and the evaluator's one test of the
+    instrumentation switch: ``out``, after the one seam call when a
+    listener is attached (``op.<name>`` counted, ``kind`` logged)."""
+    if _obs.ACTIVE:
+        _obs.op(out, kind, name)
+    return out
 
 
 def _is_real_scalar(values) -> bool:

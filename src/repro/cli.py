@@ -328,8 +328,7 @@ def _write_text_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        if faults.ACTIVE:
-            faults.fire_result()
+        faults.fire_result()
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -376,7 +375,6 @@ def _write_figure_profile(
         roots[-1],
         obs.epoch(),
         obs.counters(),
-        obs.histograms(),
         cache=_cache_delta(cache_before, runner.active_cache()),
         memory_caches=common.memory_cache_stats(),
     )

@@ -227,8 +227,7 @@ def simulate(
     # kernel-accounting table too; the lru_cache above means one record
     # per unique point (the profiling CLI clears memory caches per
     # figure so repeat figures account their own points).
-    if _obs.ACTIVE:
-        _record_sim(result)
+    _record_sim(result)
     return result
 
 

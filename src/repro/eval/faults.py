@@ -10,10 +10,10 @@ reproducibly, because nothing here consults a wall clock or an unseeded
 RNG.
 
 Activation is either the ``BITPACKER_FAULTS`` environment variable
-(read at import) or the :func:`injected` context manager in tests.  When
-no plan is installed, ``ACTIVE`` is ``False`` and every hook is a single
-attribute check — the same zero-cost-when-off standard as the runtime
-sanitizer (DESIGN.md Sec. 7).
+(read at import) or the :func:`injected` context manager in tests.  There
+is no switch: every hook returns at once when no plan is installed, and
+every site is cold — a cache store, a ``results/`` publish, and a serve
+admission, drain and dispatch.
 
 Spec grammar (DESIGN.md Sec. 8; the serve sites, Sec. 13)::
 
@@ -77,9 +77,6 @@ _MODES_BY_SITE = {
     SERVE_REQUEST_SITE: frozenset({"poison"}),
 }
 
-#: ``True`` iff a fault plan is installed; hot paths check only this.
-ACTIVE = False
-
 _PLAN: "FaultPlan | None" = None
 
 
@@ -135,11 +132,7 @@ class FaultPlan:
     stall_seconds: float = 0.02
 
     def __post_init__(self) -> None:
-        self._store_index = 0
-        self._result_index = 0
-        self._serve_kernel_index = 0
-        self._serve_queue_index = 0
-        self._serve_request_index = 0
+        self._next_index = dict.fromkeys(_MODES_BY_SITE, 0)
 
     def decide(self, site: str, index: int) -> str | None:
         """The fault mode to inject at this point, or ``None``."""
@@ -148,30 +141,11 @@ class FaultPlan:
                 return clause.mode
         return None
 
-    def next_store_index(self) -> int:
-        index = self._store_index
-        self._store_index = index + 1
-        return index
-
-    def next_result_index(self) -> int:
-        index = self._result_index
-        self._result_index = index + 1
-        return index
-
-    def next_serve_kernel_index(self) -> int:
-        index = self._serve_kernel_index
-        self._serve_kernel_index = index + 1
-        return index
-
-    def next_serve_queue_index(self) -> int:
-        index = self._serve_queue_index
-        self._serve_queue_index = index + 1
-        return index
-
-    def next_serve_request_index(self) -> int:
-        index = self._serve_request_index
-        self._serve_request_index = index + 1
-        return index
+    def next_decision(self, site: str) -> tuple[int, str | None]:
+        """Consume ``site``'s next index: ``(index, mode or None)``."""
+        index = self._next_index[site]
+        self._next_index[site] = index + 1
+        return index, self.decide(site, index)
 
 
 def _fraction(seed: int, site: str, mode: str, index: int) -> float:
@@ -183,31 +157,28 @@ def _fraction(seed: int, site: str, mode: str, index: int) -> float:
 # ----------------------------------------------------------------------
 # Spec parsing
 # ----------------------------------------------------------------------
+#: ``name=value`` spec parts: the :class:`FaultPlan` field each sets.
+_KNOBS = {
+    "seed": ("seed", int),
+    "hang": ("hang_seconds", float),
+    "slow": ("slow_seconds", float),
+    "stall": ("stall_seconds", float),
+}
+
+
 def parse(spec: str) -> FaultPlan:
     """Parse a ``BITPACKER_FAULTS`` spec string into a :class:`FaultPlan`."""
     clauses: list[FaultClause] = []
-    seed = 0
-    hang_seconds = 30.0
-    slow_seconds = 0.01
-    stall_seconds = 0.02
+    knobs = {}
     for raw in spec.split(";"):
         part = raw.strip()
-        if not part:
-            continue
-        if part.startswith("seed="):
-            seed = _parse_int(part[len("seed="):], part)
-        elif part.startswith("hang="):
-            hang_seconds = _parse_float(part[len("hang="):], part)
-        elif part.startswith("slow="):
-            slow_seconds = _parse_float(part[len("slow="):], part)
-        elif part.startswith("stall="):
-            stall_seconds = _parse_float(part[len("stall="):], part)
-        else:
+        name, eq, value = part.partition("=")
+        if eq and name in _KNOBS:
+            field, kind = _KNOBS[name]
+            knobs[field] = _parse_number(value, kind, part)
+        elif part:
             clauses.append(_parse_clause(part))
-    return FaultPlan(
-        clauses=tuple(clauses), seed=seed, hang_seconds=hang_seconds,
-        slow_seconds=slow_seconds, stall_seconds=stall_seconds,
-    )
+    return FaultPlan(clauses=tuple(clauses), **knobs)
 
 
 def _parse_clause(part: str) -> FaultClause:
@@ -220,12 +191,12 @@ def _parse_clause(part: str) -> FaultClause:
     if "@" in rest:
         mode, _, schedule = rest.partition("@")
         indices = frozenset(
-            _parse_int(token.strip(), part) for token in schedule.split(",")
+            _parse_number(token.strip(), int, part) for token in schedule.split(",")
         )
         clause = FaultClause(site=site, mode=mode, indices=indices)
     elif "%" in rest:
         mode, _, prob = rest.partition("%")
-        probability = _parse_float(prob, part)
+        probability = _parse_number(prob, float, part)
         if not 0.0 <= probability <= 1.0:
             raise ParameterError(
                 f"bad fault clause {part!r}: probability must be in [0, 1]"
@@ -242,21 +213,13 @@ def _parse_clause(part: str) -> FaultClause:
     return clause
 
 
-def _parse_int(text: str, context: str) -> int:
+def _parse_number(text: str, kind: type, context: str):
     try:
-        return int(text)
+        return kind(text)
     except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
         raise ParameterError(
-            f"bad fault spec part {context!r}: {text!r} is not an integer"
-        ) from exc
-
-
-def _parse_float(text: str, context: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParameterError(
-            f"bad fault spec part {context!r}: {text!r} is not a number"
+            f"bad fault spec part {context!r}: {text!r} is not {noun}"
         ) from exc
 
 
@@ -265,9 +228,8 @@ def _parse_float(text: str, context: str) -> float:
 # ----------------------------------------------------------------------
 def configure(spec: str | None) -> FaultPlan | None:
     """Install (or with ``None``, remove) the process's fault plan."""
-    global _PLAN, ACTIVE
+    global _PLAN
     _PLAN = parse(spec) if spec else None
-    ACTIVE = _PLAN is not None
     return _PLAN
 
 
@@ -278,19 +240,24 @@ def active_plan() -> FaultPlan | None:
 @contextmanager
 def injected(spec: str) -> Iterator[FaultPlan]:
     """Context manager for tests: install ``spec``, restore on exit."""
-    global _PLAN, ACTIVE
+    global _PLAN
     previous = _PLAN
     plan = configure(spec)
     try:
         yield plan
     finally:
         _PLAN = previous
-        ACTIVE = previous is not None
 
 
 # ----------------------------------------------------------------------
-# Injection hooks (callers guard each with the ``ACTIVE`` switch)
+# Injection hooks (each returns at once when no plan is installed)
 # ----------------------------------------------------------------------
+def _next_decision(site: str) -> tuple[int, str | None]:
+    """The installed plan's next decision at ``site``; ``(-1, None)``
+    when no plan is installed."""
+    return (-1, None) if _PLAN is None else _PLAN.next_decision(site)
+
+
 def fire_result() -> None:
     """Inject the scheduled result-site fault, if any.
 
@@ -300,16 +267,11 @@ def fire_result() -> None:
     Ctrl-C (the CLI must exit 130 with no output file and no temp
     litter); ``raise`` models an arbitrary I/O-adjacent crash.
     """
-    plan = _PLAN
-    if plan is None:
-        return
-    index = plan.next_result_index()
-    mode = plan.decide(RESULT_SITE, index)
-    if mode is None:
-        return
+    index, mode = _next_decision(RESULT_SITE)
     if mode == "interrupt":
         raise KeyboardInterrupt(f"injected interrupt at result {index}")
-    raise FaultInjected(f"injected {mode} at result {index}")
+    if mode is not None:
+        raise FaultInjected(f"injected {mode} at result {index}")
 
 
 def mangle_record(text: str) -> str:
@@ -320,10 +282,7 @@ def mangle_record(text: str) -> str:
     schema check.  Both must be absorbed by the cache's quarantine path,
     never by the caller.
     """
-    plan = _PLAN
-    if plan is None:
-        return text
-    mode = plan.decide(STORE_SITE, plan.next_store_index())
+    _, mode = _next_decision(STORE_SITE)
     if mode == "truncate":
         return text[: max(1, len(text) // 2)]
     if mode == "corrupt":
@@ -345,18 +304,12 @@ def serve_kernel_fault() -> tuple[str, float] | None:
     re-dispatch is a fresh index and scheduled faults are recoverable
     by construction.
     """
-    plan = _PLAN
-    if plan is None:
-        return None
-    index = plan.next_serve_kernel_index()
-    mode = plan.decide(SERVE_KERNEL_SITE, index)
-    if mode is None:
-        return None
+    _, mode = _next_decision(SERVE_KERNEL_SITE)
     if mode == "hang":
-        return ("hang", plan.hang_seconds)
+        return ("hang", _PLAN.hang_seconds)
     if mode == "slow":
-        return ("slow", plan.slow_seconds)
-    return ("raise", 0.0)
+        return ("slow", _PLAN.slow_seconds)
+    return None if mode is None else ("raise", 0.0)
 
 
 def serve_queue_stall() -> float:
@@ -365,13 +318,8 @@ def serve_queue_stall() -> float:
     The caller applies the delay with ``await asyncio.sleep`` before
     draining, modeling a scheduler hiccup / queue-head blocking.
     """
-    plan = _PLAN
-    if plan is None:
-        return 0.0
-    index = plan.next_serve_queue_index()
-    if plan.decide(SERVE_QUEUE_SITE, index) == "stall":
-        return plan.stall_seconds
-    return 0.0
+    _, mode = _next_decision(SERVE_QUEUE_SITE)
+    return _PLAN.stall_seconds if mode == "stall" else 0.0
 
 
 def serve_request_poisoned() -> bool:
@@ -383,11 +331,7 @@ def serve_request_poisoned() -> bool:
     quarantine it instead of failing its batch peers.  Each call
     consumes one admission index.
     """
-    plan = _PLAN
-    if plan is None:
-        return False
-    index = plan.next_serve_request_index()
-    return plan.decide(SERVE_REQUEST_SITE, index) == "poison"
+    return _next_decision(SERVE_REQUEST_SITE)[1] == "poison"
 
 
 configure(os.environ.get(ENV_FAULTS) or None)

@@ -159,9 +159,8 @@ class RunnerCache:
     # ------------------------------------------------------------------
     def _count(self, table: dict[str, int], kind: str) -> None:
         table[kind] = table.get(kind, 0) + 1
-        if _obs.ACTIVE:
-            label = "hit" if table is self.hits else "miss"
-            _obs.count(f"cache.{label}.{kind}")
+        label = "hit" if table is self.hits else "miss"
+        _obs.count(f"cache.{label}.{kind}")
 
     def hit_count(self, kind: str | None = None) -> int:
         if kind is not None:
@@ -219,9 +218,7 @@ class RunnerCache:
             "fingerprint": model_fingerprint(),
             "payload": payload,
         }
-        text = json.dumps(record, sort_keys=True)
-        if faults.ACTIVE:
-            text = faults.mangle_record(text)
+        text = faults.mangle_record(json.dumps(record, sort_keys=True))
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -243,8 +240,7 @@ class RunnerCache:
     def _quarantine(self, kind: str, path: Path) -> None:
         """Move a bad record to ``corrupt/`` (fall back to unlinking)."""
         self.corrupt_count += 1
-        if _obs.ACTIVE:
-            _obs.count("cache.corrupt")
+        _obs.count("cache.corrupt")
         try:
             target = self.quarantine_dir()
             target.mkdir(parents=True, exist_ok=True)
@@ -319,17 +315,16 @@ def map_grid(
     The grid runs in process, so every point shares the caller's memory
     caches and the ``obs`` recorder: while profiling, the call is one
     ``map_grid`` span holding one ``task`` span per point, and whatever
-    a point records nests under its own task.  An exception propagates
+    a point records nests under its own task (the task-latency
+    quantiles are read off those spans,
+    :func:`repro.obs.export.span_quantiles`).  An exception propagates
     from the first point that raises it; the points before it are
     already in the disk cache, so re-running resumes from them.
     """
     grid = list(calls)
-    if not _obs.ACTIVE:
-        return [func(**kwargs) for kwargs in grid]
     results = []
     with _obs.span("map_grid", tasks=len(grid)):
         for index, kwargs in enumerate(grid):
-            with _obs.span("task", index=index) as task:
+            with _obs.span("task", index=index):
                 results.append(func(**kwargs))
-            _obs.observe("runner.task_seconds", task.wall_s)
     return results

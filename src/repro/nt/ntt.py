@@ -62,16 +62,10 @@ from typing import Sequence
 import numpy as np
 
 import repro.backends as _backends
-from repro.analysis import sanitize as _sanitize
 from repro.errors import ParameterError
 from repro.nt import modmath
 from repro.nt.primes import is_ntt_friendly
 from repro.obs import core as _obs
-
-#: Running count of vectorized stage-kernel invocations.  Each entry is
-#: bumped exactly once per butterfly *stage* (never per block); the guard
-#: tests use it to prove the O(n)-per-stage Python loop has not crept back.
-STAGE_KERNEL_CALLS = {"forward": 0, "inverse": 0}
 
 
 @lru_cache(maxsize=64)
@@ -337,7 +331,6 @@ class NttRowsContext:
         t = self.n
         for shape, w, w_shoup in self._forward_plan:
             t //= 2
-            STAGE_KERNEL_CALLS["forward"] += 1
             if 2 * t == self._tail:
                 a = self._tail_view(a).copy()
             blk = a.reshape(-1, *shape)
@@ -377,7 +370,6 @@ class NttRowsContext:
         a = self._tail_view(mat).astype(self._word, order="C")
         t = 1
         for shape, w, w_shoup in reversed(stages):
-            STAGE_KERNEL_CALLS["inverse"] += 1
             blk = a.reshape(-1, *shape)
             u, v = blk[:, :, :, 0], blk[:, :, :, 1]
             d = u - v
@@ -430,32 +422,24 @@ def ntt_context(q: int, n: int) -> NttRowsContext:
 def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """Forward NTT of every row of a ``(k, n)`` residue matrix — or of an
     ``(m, k, n)`` stack of matrices over the same moduli — at once."""
-    if _sanitize.ACTIVE:
-        _sanitize.check_residue_matrix(mat, moduli, "forward_rows")
-    if _obs.ACTIVE:
-        _obs.count("kernel.ntt.forward")
-        _obs.count("kernel.ntt.forward.elems", mat.size)
     if not isinstance(moduli, tuple):
         moduli = tuple(int(q) for q in moduli)
     out = ntt_rows_context(moduli, mat.shape[-1]).forward(mat)
-    if _sanitize.ACTIVE:
+    if _obs.ACTIVE:
         # A lazy value that escaped the stage loop's one full reduction
-        # is caught here, at the kernel boundary.
-        _sanitize.check_residue_matrix(out, moduli, "forward_rows output")
+        # is caught at the kernel boundary, in the output.
+        _obs.kernel("ntt.forward", mat.size, moduli,
+                    (("forward_rows input", mat), ("forward_rows output", out)))
     return out
 
 
 def inverse_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """Inverse NTT of every row of a ``(k, n)`` residue matrix — or of an
     ``(m, k, n)`` stack of matrices over the same moduli — at once."""
-    if _sanitize.ACTIVE:
-        _sanitize.check_residue_matrix(mat, moduli, "inverse_rows")
-    if _obs.ACTIVE:
-        _obs.count("kernel.ntt.inverse")
-        _obs.count("kernel.ntt.inverse.elems", mat.size)
     if not isinstance(moduli, tuple):
         moduli = tuple(int(q) for q in moduli)
     out = ntt_rows_context(moduli, mat.shape[-1]).inverse(mat)
-    if _sanitize.ACTIVE:
-        _sanitize.check_residue_matrix(out, moduli, "inverse_rows output")
+    if _obs.ACTIVE:
+        _obs.kernel("ntt.inverse", mat.size, moduli,
+                    (("inverse_rows input", mat), ("inverse_rows output", out)))
     return out

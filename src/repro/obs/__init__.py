@@ -1,21 +1,14 @@
-"""``repro.obs`` — zero-cost-when-off observability (DESIGN.md Sec. 9).
+"""``repro.obs`` — the instrumentation seam and what it records
+(DESIGN.md Sec. 9).
 
-Three layers, mirroring the accounting GPU FHE stacks lean on to find
-their hot paths:
-
-- **Spans** (:func:`span`): hierarchical wall/CPU/peak-RSS timing
-  regions, exportable as profile JSON and Chrome ``trace_event``.
-- **Metrics** (:func:`count` / :func:`observe`): named counters and
-  scalar distributions — cache hits/misses, runner recovery events,
-  NTT/base-convert/rescale invocation counts and element volumes.
-- **Kernel accounting**: per-kernel cycle/energy attribution carried by
-  every :class:`~repro.accel.sim.SimResult` and aggregated into the
-  profile's ``kernel_accounting`` table.
-
-Activation follows the sanitizer/fault-injector pattern: hot hook sites
-guard with ``if core.ACTIVE:`` (one attribute read when off).  Drive it
-via ``repro figure <name> --profile`` / ``repro profile <name>``, or
-programmatically::
+:mod:`repro.obs.core` holds the hot boundaries' one switch and entry
+points; the recorder and the runtime sanitizer listen behind it.  The
+recorder keeps **spans** (:func:`span`: wall/CPU/peak-RSS regions,
+exportable as profile JSON and Chrome ``trace_event``, with per-name
+p50/p90/p99 from :func:`span_quantiles`) and **counters**
+(:func:`count`: cache hits/misses, kernel and evaluator-op counts, the
+per-kernel cycle/energy attribution behind ``kernel_accounting``).
+Drive it via ``repro figure <name> --profile``, or::
 
     from repro import obs
 
@@ -23,8 +16,7 @@ programmatically::
     with obs.span("experiment", app="lola"):
         ...
     [root] = obs.take_roots()
-    doc = obs.build_profile("experiment", root, obs.epoch(),
-                            obs.counters(), obs.histograms())
+    doc = obs.build_profile("experiment", root, obs.epoch(), obs.counters())
 
 This ``__init__`` stays light (no numpy, no eval stack): the hot-path
 modules import :mod:`repro.obs.core` through it.
@@ -40,8 +32,6 @@ from repro.obs.core import (
     enable,
     enabled,
     epoch,
-    histograms,
-    observe,
     reset,
     span,
     take_roots,
@@ -54,8 +44,8 @@ from repro.obs.export import (
     diff_profiles,
     kernel_accounting,
     load_profile,
-    normalized,
     render_summary,
+    span_quantiles,
     span_to_dict,
     write_profile,
 )
@@ -75,14 +65,12 @@ __all__ = [
     "enable",
     "enabled",
     "epoch",
-    "histograms",
     "kernel_accounting",
     "load_profile",
-    "normalized",
-    "observe",
     "render_summary",
     "reset",
     "span",
+    "span_quantiles",
     "span_to_dict",
     "take_roots",
     "write_profile",

@@ -1,30 +1,27 @@
-"""Observability core: the master switch, spans, counters, histograms.
+"""Observability core: the one switch of the hot boundaries, their
+entry points, spans and counters.
 
-This module is the third zero-cost-when-off subsystem of the repo, next
-to the runtime sanitizer (DESIGN.md Sec. 7) and the fault injector
-(Sec. 8), and follows the same activation pattern: hook sites in hot
-code guard with ``if core.ACTIVE:`` — one module-attribute read and a
-branch when profiling is off, no allocation, no function call.  The
-recorder is process-local and **concurrency-safe within the process**:
-the open-span chain lives in a ``contextvars.ContextVar``, so
-interleaved asyncio tasks (the serve layer, DESIGN.md Sec. 12) and
-threads each build their own correctly-nested tree, and the shared
-sinks (finished roots, counters, histograms) are lock-protected so no
-increment or span is lost when recorders race.
+:data:`ACTIVE` means "a listener is attached at the hot boundaries".
+The two listeners are the *recorder* (:func:`enable`/:func:`disable`,
+reported by :func:`enabled`: spans and counters) and the *checker*, the
+runtime sanitizer :mod:`repro.analysis.sanitize`, which attaches itself
+(:func:`attach_checker`) on ``sanitize.enable()``, ``REPRO_SANITIZE=1``
+or ``record_ops()``.  Hot code tests the switch and, only when it is
+on, makes one call — :func:`kernel` after a kernel, :func:`op` on an
+evaluator op's return path, :func:`check_residues`/
+:func:`check_ciphertext` at construction — which serves whichever
+listeners are attached.  So no hot module decides which counter, check
+or log its boundary feeds, and none imports the sanitizer.
 
-Three primitives:
-
-- :func:`span` — hierarchical wall/CPU/peak-RSS timing regions
-  (``with obs.span("fig14/point", app="lola"): ...``).  Spans nest via
-  a stack; finished top-level spans are drained with
-  :func:`take_roots`.
-- :func:`count` — monotonically increasing named counters (float-valued
-  so kernel cycle/energy attributions can ride them too).
-- :func:`observe` — scalar distributions summarized as
-  count/sum/min/max (latency histograms for the runner).
-
-Nothing here imports numpy or the RNS/CKKS stack, so the hook sites in
-:mod:`repro.nt.ntt` and :mod:`repro.rns.convert` add no import weight.
+The recorder is **concurrency-safe within the process**: the open-span
+chain lives in a ``contextvars.ContextVar``, so interleaved asyncio
+tasks (the serve layer, DESIGN.md Sec. 12) and threads each build their
+own correctly-nested tree, and the shared sinks (finished roots,
+counters) are lock-protected.  :func:`span` records hierarchical
+wall/CPU/peak-RSS regions, drained with :func:`take_roots` (their
+distributions: :func:`repro.obs.export.span_quantiles`); :func:`count`
+keeps float-valued counters.  Nothing here imports numpy or the
+RNS/CKKS stack, so the hook sites add no import weight.
 """
 
 from __future__ import annotations
@@ -38,30 +35,99 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover
     resource = None
 
-#: The master switch.  Hook sites read this attribute directly
-#: (``if core.ACTIVE: ...``) so the disabled path is a single branch.
+#: The one switch: a listener is attached at the hot boundaries.  Hook
+#: sites read this attribute directly (``if core.ACTIVE: core.kernel(...)``)
+#: so the path with no listener is a single branch.
 ACTIVE = False
+
+#: Whether the recorder (spans and counters) is on.
+_RECORDER_ON = False
+#: The attached checker (the sanitizer module), or ``None``.
+_CHECKER = None
+
+
+def _update_switch() -> None:
+    global ACTIVE
+    ACTIVE = _RECORDER_ON or _CHECKER is not None
 
 
 def enable() -> None:
     """Turn the recorder on for this process (spans/counters start)."""
-    global ACTIVE
-    ACTIVE = True
+    global _RECORDER_ON
+    _RECORDER_ON = True
+    _update_switch()
 
 
 def disable() -> None:
-    """Turn the recorder off (hook sites go back to a dead branch)."""
-    global ACTIVE
-    ACTIVE = False
+    """Turn the recorder off; the switch stays on while a checker is
+    attached."""
+    global _RECORDER_ON
+    _RECORDER_ON = False
+    _update_switch()
 
 
 def enabled() -> bool:
-    return ACTIVE
+    """Whether the recorder is on."""
+    return _RECORDER_ON
 
 
-def now() -> float:
-    """The recorder's clock (monotonic, high resolution)."""
-    return time.perf_counter()
+def attach_checker(checker) -> None:
+    """Attach ``checker`` at the hot boundaries (``None`` detaches).
+
+    A checker provides ``check_residue_matrix(mat, moduli, where)``,
+    ``check_ciphertext(ct)`` and ``observe_op(kind, ct)``.
+    """
+    global _CHECKER
+    _CHECKER = checker
+    _update_switch()
+
+
+def checker():
+    """The attached checker, or ``None``."""
+    return _CHECKER
+
+
+# ----------------------------------------------------------------------
+# Hot-boundary entry points (callers test ``ACTIVE`` first)
+# ----------------------------------------------------------------------
+def kernel(name: str, elems: int | None = None, moduli=(), checked=()) -> None:
+    """A kernel boundary, after the kernel ran.
+
+    The recorder counts ``kernel.<name>`` (and ``kernel.<name>.elems``
+    by ``elems`` when given); the checker holds each ``(where, matrix)``
+    of ``checked`` to the residue rule over ``moduli``.
+    """
+    if _RECORDER_ON:
+        count(f"kernel.{name}")
+        if elems is not None:
+            count(f"kernel.{name}.elems", elems)
+    if _CHECKER is not None:
+        for where, mat in checked:
+            _CHECKER.check_residue_matrix(mat, moduli, where)
+
+
+def op(out, kind: str | None, name: str | None = None) -> None:
+    """An evaluator op's return path, ``out`` its result.
+
+    The recorder counts ``op.<name>`` when ``name`` is given; the
+    checker appends ``(kind, out)`` to its op log when ``kind`` is.
+    """
+    if _RECORDER_ON and name is not None:
+        count(f"op.{name}")
+    if _CHECKER is not None and kind is not None:
+        _CHECKER.observe_op(kind, out)
+
+
+def check_residues(mat, moduli, where: str) -> None:
+    """A residue matrix at construction, held to the residue rule."""
+    if _CHECKER is not None:
+        _CHECKER.check_residue_matrix(mat, moduli, where)
+
+
+def check_ciphertext(ct) -> None:
+    """A ciphertext at construction, held to the structural rules."""
+    if _CHECKER is not None:
+        _CHECKER.check_ciphertext(ct)
 
 
 def _peak_rss_kb() -> int:
@@ -77,7 +143,7 @@ def _peak_rss_kb() -> int:
 class Span:
     """One finished (or open) timing region.
 
-    ``t0`` is an absolute :func:`now` timestamp; exporters rebase it
+    ``t0`` is an absolute ``perf_counter`` timestamp; exporters rebase it
     against the profile epoch.  ``rss_peak_delta_kb`` is the growth of
     the process's RSS high-water mark across the span — zero unless the
     span pushed a new peak, which is exactly the allocation signal a
@@ -143,7 +209,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared no-op context manager returned while profiling is off."""
+    """Shared no-op context manager returned while the recorder is off."""
 
     __slots__ = ()
 
@@ -163,7 +229,7 @@ _CURRENT: ContextVar[Span | None] = ContextVar("repro_obs_current", default=None
 #: Guards the shared mutable sinks: finished roots and the children
 #: lists of spans that concurrent recorders may both close into.
 _TREE_LOCK = threading.Lock()
-#: Guards counter/histogram mutation (read-modify-write sequences).
+#: Guards counter mutation (read-modify-write sequences).
 _METRICS_LOCK = threading.Lock()
 _ROOTS: list[Span] = []
 #: Epoch for exporters: every span's ``t0`` is reported relative to it.
@@ -171,8 +237,9 @@ _EPOCH = time.perf_counter()
 
 
 def span(name: str, **tags):
-    """A timing region; returns the shared no-op singleton when off."""
-    if not ACTIVE:
+    """A timing region; the shared no-op singleton while the recorder
+    is off."""
+    if not _RECORDER_ON:
         return NULL_SPAN
     return Span(name, tags)
 
@@ -195,37 +262,22 @@ def epoch() -> float:
 
 
 # ----------------------------------------------------------------------
-# Counters and histograms
+# Counters
 # ----------------------------------------------------------------------
 _COUNTERS: dict[str, float] = {}
-_HISTOGRAMS: dict[str, dict[str, float]] = {}
 
 
 def count(name: str, n: float = 1) -> None:
-    """Add ``n`` to counter ``name`` (creating it at zero).
+    """Add ``n`` to counter ``name`` (creating it at zero) while the
+    recorder is on; otherwise do nothing, so callers need no guard.
 
     The read-modify-write is lock-protected: concurrent serve workers
     (threads driving kernel calls) must never lose an increment.
     """
+    if not _RECORDER_ON:
+        return
     with _METRICS_LOCK:
         _COUNTERS[name] = _COUNTERS.get(name, 0) + n
-
-
-def observe(name: str, value: float) -> None:
-    """Record one sample of the scalar distribution ``name``."""
-    with _METRICS_LOCK:
-        hist = _HISTOGRAMS.get(name)
-        if hist is None:
-            _HISTOGRAMS[name] = {
-                "count": 1, "sum": value, "min": value, "max": value,
-            }
-            return
-        hist["count"] += 1
-        hist["sum"] += value
-        if value < hist["min"]:
-            hist["min"] = value
-        if value > hist["max"]:
-            hist["max"] = value
 
 
 def counters() -> dict[str, float]:
@@ -234,16 +286,10 @@ def counters() -> dict[str, float]:
         return dict(_COUNTERS)
 
 
-def histograms() -> dict[str, dict[str, float]]:
-    """Snapshot of every histogram summary (a deep copy)."""
-    with _METRICS_LOCK:
-        return {name: dict(h) for name, h in _HISTOGRAMS.items()}
-
-
 def reset() -> None:
-    """Drop all recorded spans and metrics; restart the profile epoch.
+    """Drop all recorded spans and counters; restart the profile epoch.
 
-    Does not touch :data:`ACTIVE` — a profiling CLI run resets between
+    Does not touch the switch — a profiling CLI run resets between
     figures while staying enabled.  Only the *current* context's open
     span is discarded; other tasks' open chains end naturally when
     their spans exit (orphaned roots are then drained as usual).
@@ -254,5 +300,4 @@ def reset() -> None:
         _ROOTS.clear()
     with _METRICS_LOCK:
         _COUNTERS.clear()
-        _HISTOGRAMS.clear()
     _EPOCH = time.perf_counter()

@@ -4,7 +4,7 @@ The profile JSON schema (``PROFILE_SCHEMA_VERSION``, full field list in
 DESIGN.md Sec. 9)::
 
     {
-      "schema": 1,
+      "schema": 2,
       "figure": "fig14",
       "backend": "numpy",                    # active kernel backend
       "created_unix": 1754556000.0,          # wall-clock stamp
@@ -17,7 +17,6 @@ DESIGN.md Sec. 9)::
         "children": [ ...same shape... ]
       },
       "counters":   {"cache.hit.simulate": 200, ...},
-      "histograms": {"runner.task_seconds": {count,sum,min,max}},
       "cache":  {"hits": {...}, "misses": {...}, "corrupt": 0},
       "memory_caches": {"simulate": {hits,misses,size,maxsize}, ...},
       "kernel_accounting": {
@@ -26,6 +25,10 @@ DESIGN.md Sec. 9)::
         "energy":  {"crb": {"joules": ..., "share": ...}, ...}
       }
     }
+
+Schema 2 dropped schema 1's count/sum/min/max summary of the ``task``
+spans' own walls; distributions are read off the span tree by
+:func:`span_quantiles`.
 
 Everything in this module is cold-path (runs once per figure), so it is
 free to import json and build intermediate structures; the hot-path
@@ -44,7 +47,7 @@ from typing import Any, Mapping
 from repro.errors import ParameterError
 from repro.obs.core import Span
 
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
 
 #: Counter-name prefixes the kernel-accounting section is derived from
 #: (written by :func:`repro.eval.common.simulate` while profiling).
@@ -84,16 +87,30 @@ def coverage(tree: Mapping[str, Any]) -> float:
     return min(1.0, sum(c["wall_s"] for c in tree["children"]) / wall)
 
 
-def normalized(tree: Mapping[str, Any]) -> dict:
-    """The span tree with every measured quantity zeroed.
+def _nearest_rank(ordered: list[float], pct: int) -> float:
+    """The nearest-rank ``pct``-th percentile of an ascending list."""
+    return ordered[max(0, -(-pct * len(ordered) // 100) - 1)]
 
-    What remains — names, tags, nesting, child order — is the part of
-    a profile that two runs of the same deterministic job share.
+
+def span_quantiles(tree: Mapping[str, Any]) -> dict[str, dict[str, float]]:
+    """Per span name: call count and nearest-rank p50/p90/p99 wall seconds.
+
+    Every span of the tree is one sample of its name, so a grid's
+    ``task`` spans give the per-point latency distribution and a traced
+    evaluator run gives one per op.
     """
+    walls: dict[str, list[float]] = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        walls.setdefault(node["name"], []).append(node["wall_s"])
+        stack.extend(node["children"])
     return {
-        "name": tree["name"],
-        "tags": dict(tree["tags"]),
-        "children": [normalized(c) for c in tree["children"]],
+        name: {"calls": len(walls[name]), **{
+            f"p{pct}_s": _nearest_rank(sorted(walls[name]), pct)
+            for pct in (50, 90, 99)
+        }}
+        for name in sorted(walls)
     }
 
 
@@ -187,7 +204,6 @@ def build_profile(
     root: Span,
     epoch: float,
     counters: Mapping[str, float],
-    histograms: Mapping[str, Mapping[str, float]],
     cache: Mapping[str, Any] | None = None,
     memory_caches: Mapping[str, Mapping[str, int]] | None = None,
 ) -> dict:
@@ -204,7 +220,6 @@ def build_profile(
         "coverage": coverage(tree),
         "span_tree": tree,
         "counters": dict(sorted(counters.items())),
-        "histograms": {k: dict(v) for k, v in sorted(histograms.items())},
         "cache": dict(cache) if cache is not None else None,
         "memory_caches": (
             {k: dict(v) for k, v in memory_caches.items()}
@@ -236,8 +251,56 @@ def write_profile(path: str | Path, doc: Mapping[str, Any]) -> Path:
     return path
 
 
+_NUMBER = (int, float)
+#: Every span node's keys and the JSON types the renderers accept.
+_SPAN_KEYS = {
+    "name": str, "tags": dict, "t0_s": _NUMBER, "wall_s": _NUMBER,
+    "cpu_s": _NUMBER, "rss_peak_delta_kb": _NUMBER, "children": list,
+}
+
+
+def _field(obj: Any, key: str, types, where: str) -> Any:
+    """``obj[key]``, or a :class:`ParameterError` unless it is a ``types``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ParameterError(f"{where}: {key!r} missing or of the wrong type")
+    return value
+
+
+def _check_document(doc: dict) -> None:
+    """The shape :func:`render_summary`, :func:`diff_profiles` and
+    :func:`chrome_trace` read: top-level keys and every span node."""
+    for key, types in (("figure", str), ("wall_s", _NUMBER), ("coverage", _NUMBER)):
+        _field(doc, key, types, "profile")
+    for name in _field(doc, "counters", dict, "profile"):
+        _field(doc["counters"], name, _NUMBER, "counters")
+    if doc.get("cache") is not None:
+        for table in ("hits", "misses"):
+            for kind in _field(doc["cache"], table, dict, "cache"):
+                _field(doc["cache"][table], kind, _NUMBER, f"cache {table}")
+    accounting = doc.get("kernel_accounting")
+    if accounting is not None:
+        for key in ("sims", "total_cycles"):
+            _field(accounting, key, _NUMBER, "kernel_accounting")
+        kernels = _field(accounting, "kernels", dict, "kernel_accounting")
+        for name, entry in kernels.items():
+            for key in ("cycles", "share"):
+                _field(entry, key, _NUMBER, f"kernel {name!r}")
+    stack = [(doc.get("span_tree"), "span_tree")]
+    while stack:
+        node, where = stack.pop()
+        for key, types in _SPAN_KEYS.items():
+            _field(node, key, types, where)
+        stack.extend((c, f"{where}/{i}") for i, c in enumerate(node["children"]))
+
+
 def load_profile(path: str | Path) -> dict:
-    """Read and structurally validate a profile document."""
+    """Read a profile document and check the shape its renderers read.
+
+    Any mismatch — an unreadable file, another schema, a missing or
+    mistyped key the renderers read, a malformed span node — is one
+    :class:`~repro.errors.ParameterError` naming the path and the key.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -250,6 +313,10 @@ def load_profile(path: str | Path) -> dict:
             f"{path} has profile schema {doc.get('schema')!r}; this build "
             f"reads schema {PROFILE_SCHEMA_VERSION}"
         )
+    try:
+        _check_document(doc)
+    except ParameterError as exc:
+        raise ParameterError(f"{path} is a malformed profile: {exc}") from None
     return doc
 
 
@@ -283,7 +350,8 @@ def _flatten(tree: Mapping[str, Any], prefix: str = "") -> list[tuple[str, dict]
 
 
 def render_summary(doc: Mapping[str, Any]) -> str:
-    """Human-readable profile summary (span table + kernel table)."""
+    """Human-readable profile summary: span table, span quantiles,
+    kernel table."""
     # Imported lazily: obs stays importable without the eval stack.
     from repro.eval.common import format_table
 
@@ -297,10 +365,19 @@ def render_summary(doc: Mapping[str, Any]) -> str:
                 f"{node['rss_peak_delta_kb'] / 1024.0:.1f}",
             ]
         )
+    quantile_rows = [
+        [name, str(q["calls"]),
+         *(f"{q[f'p{pct}_s'] * 1e3:.3f}" for pct in (50, 90, 99))]
+        for name, q in span_quantiles(doc["span_tree"]).items()
+    ]
     blocks = [
         f"profile: {doc['figure']} — wall {doc['wall_s']:.2f}s, "
         f"span coverage {doc['coverage']:.1%}",
         format_table(["span", "wall [s]", "cpu [s]", "peak-rss Δ [MB]"], rows),
+        "span quantiles:\n" + format_table(
+            ["span name", "calls", "p50 [ms]", "p90 [ms]", "p99 [ms]"],
+            quantile_rows,
+        ),
     ]
     accounting = doc.get("kernel_accounting")
     if accounting:

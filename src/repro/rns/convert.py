@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 import repro.backends as _backends
-from repro.analysis import sanitize as _sanitize
 from repro.errors import ParameterError
 from repro.obs import core as _obs
 from repro.rns.basis import ConversionTable, RnsBasis, conversion_table, extension
@@ -90,13 +89,6 @@ def convert_by_table(
     src, dst = table.src, table.dst
     n = src.n
     k = src.size
-    if _sanitize.ACTIVE:
-        _sanitize.check_residue_matrix(poly.mat, src.moduli, "base_convert input")
-    if _obs.ACTIVE:
-        _obs.count("kernel.base_convert")
-        # Volume: source digits read plus destination residues produced,
-        # the CRB FU's (src + dst) x n element traffic.
-        _obs.count("kernel.base_convert.elems", (k + dst.size) * n)
     # v_i = x_i * (Q/q_i)^{-1} mod q_i : the CRT decomposition digits.
     digits = poly.rowwise_scalar_mul(table.digit).mat
     weights = table.weights
@@ -112,6 +104,11 @@ def convert_by_table(
     out = _backends.bconv_fold(
         stack, weights, dst.moduli, max(src.moduli), dst.kind
     )
+    if _obs.ACTIVE:
+        # Volume: source digits read plus destination residues produced,
+        # the CRB FU's (src + dst) x n element traffic.
+        _obs.kernel("base_convert", (k + dst.size) * n, src.moduli,
+                    (("base_convert input", poly.mat),))
     return RnsPolynomial(dst, out, COEFF)
 
 
@@ -147,9 +144,6 @@ def scale_down(
     shed = tuple(int(q) for q in shed_moduli)
     if not shed:
         return poly.copy()
-    if _obs.ACTIVE:
-        _obs.count("kernel.rescale")
-        _obs.count("kernel.rescale.elems", poly.basis.size * poly.basis.n)
     keep = _kept(poly.basis, shed)
     if not keep:
         raise ParameterError("scale_down cannot shed the entire basis")
@@ -158,7 +152,10 @@ def scale_down(
     x_mod_p = poly.restricted(shed)
     table = conversion_table(x_mod_p.basis, keep)
     lifted = convert_by_table(x_mod_p, table)
-    return poly.restricted(keep).sub(lifted).rowwise_scalar_mul(table.inv_product)
+    out = poly.restricted(keep).sub(lifted).rowwise_scalar_mul(table.inv_product)
+    if _obs.ACTIVE:
+        _obs.kernel("rescale", poly.basis.size * poly.basis.n)
+    return out
 
 
 def drop_moduli(poly: RnsPolynomial, shed_moduli: Sequence[int]) -> RnsPolynomial:

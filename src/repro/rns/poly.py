@@ -26,11 +26,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import repro.backends as _backends
-from repro.analysis import sanitize as _sanitize
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.nt import modmath
 from repro.nt import ntt as ntt_kernels
 from repro.nt.crt import centered_vector, crt_reconstruct_vector
+from repro.obs import core as _obs
 from repro.rns.basis import RnsBasis, ScalarColumn, restriction
 
 COEFF = "coeff"
@@ -70,8 +70,8 @@ class RnsPolynomial:
         self.basis = basis
         self.mat = residues
         self.domain = domain
-        if _sanitize.ACTIVE:
-            _sanitize.check_residue_matrix(residues, basis.moduli, "RnsPolynomial")
+        if _obs.ACTIVE:
+            _obs.check_residues(residues, basis.moduli, "RnsPolynomial")
 
     @property
     def rows(self) -> list[np.ndarray]:

@@ -109,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--no-verify", action="store_true",
                      help="skip the byte-for-byte response audit")
     out.add_argument("--profile", action="store_true",
-                     help="record repro.obs counters/histograms into the "
-                          "report")
+                     help="record repro.obs counters into the report")
     out.add_argument("--json", default=None, metavar="PATH",
                      help="write the machine-readable report to PATH")
     out.add_argument("--quiet", action="store_true",
@@ -250,10 +249,7 @@ def _run(args) -> int:
     if profiling:
         from repro import obs
 
-        doc["obs"] = {
-            "counters": obs.counters(),
-            "histograms": obs.histograms(),
-        }
+        doc["obs"] = {"counters": obs.counters()}
         obs.reset()
     if args.json:
         out = Path(args.json)

@@ -461,8 +461,7 @@ class BitPackerServe:
             deadline_s = self.request_timeout_s
         if deadline_s is not None:
             request.deadline = time.monotonic() + deadline_s
-        if _faults.ACTIVE:
-            request.poisoned = _faults.serve_request_poisoned()
+        request.poisoned = _faults.serve_request_poisoned()
         self._seq += 1
         self.admitted += 1
         session.admitted += 1
@@ -487,10 +486,9 @@ class BitPackerServe:
                 except asyncio.QueueEmpty:
                     break
             try:
-                if _faults.ACTIVE:
-                    stall = _faults.serve_queue_stall()
-                    if stall > 0:
-                        await asyncio.sleep(stall)
+                stall = _faults.serve_queue_stall()
+                if stall > 0:
+                    await asyncio.sleep(stall)
                 for group in _batch.coalesce(run):
                     await self._run_group(shard, group)
             except asyncio.CancelledError:
@@ -510,22 +508,21 @@ class BitPackerServe:
         self.batches += 1
         self.batched_requests += len(group)
         self.max_batch_seen = max(self.max_batch_seen, len(group))
-        if _faults.ACTIVE:
-            fault = _faults.serve_kernel_fault()
-            if fault is not None:
-                mode, delay = fault
-                if mode == "raise":
-                    raise _faults.FaultInjected(
-                        f"injected serve.kernel raise (shard {shard})"
-                    )
-                # hang / slow: a straggler dispatch, not a dead one.
-                await asyncio.sleep(delay)
-            poisoned = [r.seq for r in group if r.poisoned]
-            if poisoned:
-                raise _faults.PoisonedRequest(
-                    f"injected poison request(s) seq={poisoned} "
-                    f"(shard {shard})"
+        fault = _faults.serve_kernel_fault()
+        if fault is not None:
+            mode, delay = fault
+            if mode == "raise":
+                raise _faults.FaultInjected(
+                    f"injected serve.kernel raise (shard {shard})"
                 )
+            # hang / slow: a straggler dispatch, not a dead one.
+            await asyncio.sleep(delay)
+        poisoned = [r.seq for r in group if r.poisoned]
+        if poisoned:
+            raise _faults.PoisonedRequest(
+                f"injected poison request(s) seq={poisoned} "
+                f"(shard {shard})"
+            )
         with _obs.span(
             "serve/batch", shard=shard, op=group[0].op,
             level=group[0].level, size=len(group),

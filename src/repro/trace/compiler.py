@@ -438,8 +438,7 @@ def compile_trace(
             if not fixpoint:
                 break
         if rewrites:
-            if _obs.ACTIVE:
-                _obs.count(f"compiler.pass.{name}.rewrites", rewrites)
+            _obs.count(f"compiler.pass.{name}.rewrites", rewrites)
             if name.startswith("elide") or name == "sink-rescale":
                 ops_elided += rewrites
         passes.append(PassResult(name, rewrites, "; ".join(details)))
@@ -459,8 +458,7 @@ def compile_trace(
             ks_digits=ks_digits,
             **kwargs,
         )
-    if _obs.ACTIVE:
-        _obs.count("compiler.compiled")
+    _obs.count("compiler.compiled")
     return CompiledTrace(
         trace=current,
         scheme=scheme,

@@ -83,7 +83,7 @@ def rng():
 @pytest.fixture
 def counters():
     """``obs`` counter deltas around a block of evaluator calls."""
-    was_active = obs.ACTIVE
+    was_recording = obs.enabled()
     obs.reset()
     obs.enable()
 
@@ -93,7 +93,7 @@ def counters():
 
     yield read
     obs.reset()
-    if not was_active:
+    if not was_recording:
         obs.disable()
 
 

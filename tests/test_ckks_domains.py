@@ -285,7 +285,7 @@ class TestDifferential:
 @pytest.fixture
 def ntt_counts():
     """Record ``kernel.ntt.*`` counters around a block of evaluator calls."""
-    was_active = obs.ACTIVE
+    was_recording = obs.enabled()
     obs.reset()
     obs.enable()
 
@@ -298,7 +298,7 @@ def ntt_counts():
 
     yield read
     obs.reset()
-    if not was_active:
+    if not was_recording:
         obs.disable()
 
 
@@ -409,10 +409,10 @@ class TestTransformCounts:
 class TestMixedDomains:
     @pytest.fixture
     def sanitizer(self):
-        was_active = sanitize.ACTIVE
+        was_attached = sanitize.enabled()
         sanitize.enable()
         yield sanitize
-        if not was_active:
+        if not was_attached:
             sanitize.disable()
 
     def test_mixed_add_settles_on_coefficient_form(self, ctx, rng, sanitizer):

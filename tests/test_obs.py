@@ -1,10 +1,14 @@
-"""Observability layer: spans, metrics, kernel accounting, profiles.
+"""Observability layer: the seam, spans, counters, kernel accounting,
+profiles.
 
-Covers the three contracts DESIGN.md Sec. 9 states:
+Covers the contracts DESIGN.md Sec. 9 states:
 
+- **one seam** — the recorder and the sanitizer are two listeners behind
+  one switch; each sees what it saw when it had its own, alone or
+  together, and the sanitizer's op log is entry for entry what it was;
 - **zero-cost-when-off** — hook sites record nothing and the ``span``
-  factory returns a shared no-op singleton while ``ACTIVE`` is false,
-  and the hot NTT path reaches its kernel through a pinned frame list
+  factory returns a shared no-op singleton while the recorder is off,
+  and the hot NTT paths reach their kernels through pinned frame lists
   (the wall-clock overhead ratio is the benchmark ladder's to measure);
 - **nesting** — a ``map_grid`` call is one span holding one ``task``
   span per grid point, in grid order, and whatever a point records
@@ -16,12 +20,23 @@ Covers the three contracts DESIGN.md Sec. 9 states:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro import obs
+from repro.analysis import sanitize
 from repro.errors import ParameterError
 from repro.obs import core
 
@@ -76,16 +91,12 @@ class TestSpans:
 
 class TestMetrics:
     def test_counters_accumulate(self):
+        core.count("a")  # recorder off: nothing recorded, no guard needed
+        assert core.counters() == {}
+        core.enable()
         core.count("a")
         core.count("a", 2.5)
         assert core.counters() == {"a": 3.5}
-
-    def test_histograms_summarize(self):
-        for v in (3.0, 1.0, 2.0):
-            core.observe("lat", v)
-        assert core.histograms() == {
-            "lat": {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0}
-        }
 
     def test_reset_clears_everything_but_not_active(self):
         core.enable()
@@ -118,13 +129,6 @@ class TestExport:
         over = _tree("p", 1.0, [_tree("a", 0.8), _tree("b", 0.8)])
         assert obs.coverage(over) == 1.0
 
-    def test_normalized_strips_measurements(self):
-        tree = _tree("p", 2.0, [_tree("c", 1.0, t0=0.5)])
-        assert obs.normalized(tree) == {
-            "name": "p", "tags": {},
-            "children": [{"name": "c", "tags": {}, "children": []}],
-        }
-
     def test_chrome_trace_fans_overlapping_siblings_to_lanes(self):
         # Two children overlapping in time must land on distinct tids.
         a = _tree("a", 1.0, t0=0.0)
@@ -149,9 +153,7 @@ class TestExport:
             core.count("accel.kernel.cycles.ntt", 60.0)
             core.count("accel.kernel.cycles.hbm", 40.0)
         [root] = core.take_roots()
-        doc = obs.build_profile(
-            "x", root, core.epoch(), core.counters(), core.histograms()
-        )
+        doc = obs.build_profile("x", root, core.epoch(), core.counters())
         path = obs.write_profile(tmp_path / "x.profile.json", doc)
         loaded = obs.load_profile(path)
         assert loaded["figure"] == "x"
@@ -162,6 +164,12 @@ class TestExport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 999, "span_tree": {}}))
         with pytest.raises(ParameterError):
+            obs.load_profile(bad)
+        # A schema-1 document (it carried a task-latency summary) is
+        # refused by its schema, before any key is read.
+        old = dict(doc, schema=1, histograms={})
+        bad.write_text(json.dumps(old))
+        with pytest.raises(ParameterError, match="profile schema 1"):
             obs.load_profile(bad)
 
 
@@ -198,6 +206,164 @@ class TestKernelCounters:
         assert counters["kernel.base_convert"] >= 1
         assert counters["kernel.rescale"] >= 1
         assert counters["kernel.ntt.forward"] >= 1
+
+
+# ----------------------------------------------------------------------
+# The seam: one switch, two listeners
+# ----------------------------------------------------------------------
+#: What the recorder counts for :func:`_seam_program`: the counters the
+#: per-module hooks produced before the seam, less the unread
+#: ``op.*.elems``.
+SEAM_PROGRAM_COUNTERS = {
+    "kernel.backend.numpy.bconv_fold": 12,
+    "kernel.backend.numpy.ntt_forward": 4,
+    "kernel.backend.numpy.ntt_inverse": 5,
+    "kernel.backend.numpy.pointwise_mul": 8,
+    "kernel.backend.numpy.pointwise_mul_acc": 6,
+    "kernel.base_convert": 12,
+    "kernel.base_convert.elems": 5888,
+    "kernel.ntt.forward": 4,
+    "kernel.ntt.forward.elems": 3456,
+    "kernel.ntt.inverse": 5,
+    "kernel.ntt.inverse.elems": 3136,
+    "kernel.rescale": 8,
+    "kernel.rescale.elems": 3712,
+    "op.adjust": 1,
+    "op.keyswitch": 2,
+    "op.multiply": 1,
+    "op.rescale": 1,
+    "op.rotate": 1,
+}
+
+
+@pytest.fixture(scope="module")
+def seam_ctx():
+    from repro.ckks import CkksContext
+    from repro.schemes import plan_bitpacker_chain
+
+    chain = plan_bitpacker_chain(
+        n=64, word_bits=28, level_scale_bits=30.0, levels=3, base_bits=40.0,
+        ks_digits=2,
+    )
+    ctx = CkksContext(chain, seed=5)
+    _seam_program(ctx)  # keys and tables are lazy
+    return ctx
+
+
+def _seam_program(ctx):
+    """Encrypt, multiply, rescale, rotate, adjust, add at n = 64."""
+    ev = ctx.evaluator
+    ct = ctx.encrypt(np.linspace(-0.5, 0.5, ctx.slots))
+    turned = ev.rotate(ev.rescale(ev.multiply(ct, ct)), 1)
+    return ev.add(turned, ev.adjust(ct, turned.level))
+
+
+@pytest.fixture
+def detached():
+    """The sanitizer detached and its stats zeroed, restored afterwards."""
+    was_attached = sanitize.enabled()
+    sanitize.disable()
+    sanitize.reset_stats()
+    yield
+    sanitize.reset_stats()
+    if was_attached:
+        sanitize.enable()
+
+
+def _oplog_digest(entries) -> tuple[int, str]:
+    rows = [(e.kind, e.level, round(e.scale_bits, 9)) for e in entries]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return len(rows), hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestSeam:
+    @pytest.mark.parametrize(
+        "recorder,checker",
+        [(True, False), (False, True), (True, True), (False, False)],
+        ids=["recorder", "sanitizer", "both", "neither"],
+    )
+    def test_listener_matrix(self, seam_ctx, detached, recorder, checker):
+        if recorder:
+            core.enable()
+        if checker:
+            sanitize.enable()
+        try:
+            assert core.ACTIVE == (recorder or checker)
+            with obs.span("program"):
+                _seam_program(seam_ctx)
+        finally:
+            sanitize.disable()
+        assert core.counters() == (SEAM_PROGRAM_COUNTERS if recorder else {})
+        assert (core.take_roots() != []) == recorder
+        assert (sanitize.STATS["checks"] > 0) == checker
+        assert sanitize.STATS["violations"] == 0
+        if not recorder:
+            assert obs.span("x") is core.NULL_SPAN
+
+    def test_disabling_the_recorder_leaves_the_checker_attached(self, detached):
+        core.enable()
+        sanitize.enable()
+        try:
+            core.disable()
+            assert core.ACTIVE and sanitize.enabled()
+            assert obs.span("x") is core.NULL_SPAN
+        finally:
+            sanitize.disable()
+        assert not core.ACTIVE
+
+    def test_repro_sanitize_attaches_without_a_hot_import(self):
+        """Importing one hot module under ``REPRO_SANITIZE=1`` is enough
+        for an unreduced residue matrix to be refused."""
+        script = (
+            "import numpy as np\n"
+            "from repro.rns import poly\n"
+            "basis = poly.RnsBasis(8, (97, 113))\n"
+            "mat = np.zeros((2, 8), dtype=np.uint64)\n"
+            "mat[0, 3] = 97\n"
+            "try:\n"
+            "    poly.RnsPolynomial(basis, mat, poly.COEFF)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ, REPRO_SANITIZE="1", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.stdout.strip() == "InvariantViolation", done.stderr
+
+    def test_op_log_entry_for_entry(self, bp_ctx, rns_ctx):
+        """``(kind, level, scale_bits)`` of every op-log entry, as the
+        per-module hooks logged them before the seam (digests): the
+        replayed fixture traces, the compiled fixture trace, and
+        CoeffToSlot + SlotToCoeff."""
+        from repro.ckks import CkksContext
+        from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
+        from repro.schemes import plan_bitpacker_chain
+        from repro.trace import execute_trace
+        from repro.trace.compiler import compile_trace
+        from tests.test_trace_compiler import exec_fixture_trace
+        from tests.test_trace_execute import _fixture_trace
+
+        def replay(ctx, trace):
+            return _oplog_digest(o for _, o in execute_trace(ctx, trace))
+
+        assert replay(bp_ctx, _fixture_trace()) == (10, "4bd87ce71c1f10b1")
+        assert replay(rns_ctx, _fixture_trace()) == (10, "1ed76747a363347f")
+        compiled = compile_trace(exec_fixture_trace(), ks_digits=2)
+        ctx = CkksContext(compiled.chain, seed=101)
+        assert replay(ctx, compiled.trace) == (5, "dde1c66244bda4c5")
+
+        chain = plan_bitpacker_chain(
+            n=64, word_bits=28, level_scale_bits=35.0, levels=3,
+            base_bits=45.0, ks_digits=2,
+        )
+        ctx = CkksContext(chain, seed=31)
+        ct = ctx.encrypt(np.random.default_rng(42).uniform(-1, 1, ctx.slots))
+        with sanitize.record_ops() as log:
+            slot_to_coeff(ctx.evaluator, *coeff_to_slot(ctx.evaluator, ct))
+            assert _oplog_digest(log) == (420, "899dbff12c535bf5")
 
 
 class TestSimKernelAccounting:
@@ -278,14 +444,23 @@ class TestMapGridSpans:
             assert (point.name, point.tags) == ("point", {"x": index})
             assert task.wall_s >= point.wall_s
 
-    def test_task_histogram_recorded(self):
+    def test_task_quantiles_known_answer(self):
+        tasks = [_tree("task", ms / 1e3) for ms in range(100, 0, -1)]
+        quantiles = obs.span_quantiles(_tree("map_grid", 5.05, tasks))
+        assert quantiles["map_grid"] == {
+            "calls": 1, "p50_s": 5.05, "p90_s": 5.05, "p99_s": 5.05,
+        }
+        assert quantiles["task"] == {
+            "calls": 100, "p50_s": 0.050, "p90_s": 0.090, "p99_s": 0.099,
+        }
+        # A grid run yields one task sample per point.
         from repro.eval import runner
 
         core.enable()
-        calls = [{"x": i} for i in range(6)]
-        assert runner.map_grid(_square, calls) == [i * i for i in range(6)]
-        hist = core.histograms()["runner.task_seconds"]
-        assert hist["count"] == 6
+        runner.map_grid(_square, [{"x": i} for i in range(6)])
+        [root] = core.take_roots()
+        tree = obs.span_to_dict(root, core.epoch())
+        assert obs.span_quantiles(tree)["task"]["calls"] == 6
 
     def test_disabled_run_records_nothing(self):
         from repro.eval import runner
@@ -293,7 +468,7 @@ class TestMapGridSpans:
         results = runner.map_grid(_square, [{"x": 2}])
         assert results == [4]
         assert core.take_roots() == []
-        assert core.histograms() == {}
+        assert core.counters() == {}
 
 
 # ----------------------------------------------------------------------
@@ -344,10 +519,11 @@ class TestProfileCli:
                 prefix = f"cache.{label}."
                 if name.startswith(prefix):
                     assert doc["cache"][table].get(name[len(prefix):]) == value
-        # Task latency histogram covers the grid.
-        assert doc["histograms"]["runner.task_seconds"]["count"] == 20
+        # Task latency quantiles cover the grid.
+        assert obs.span_quantiles(doc["span_tree"])["task"]["calls"] == 20
         # The rendered summary went to stdout; the recorder is off again.
-        assert "kernel accounting" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "kernel accounting" in out and "span quantiles" in out
         assert not core.enabled()
 
     def test_obs_report_summary_diff_and_chrome(
@@ -377,55 +553,156 @@ class TestProfileCli:
         assert "error:" in capsys.readouterr().err
         assert main(["obs-report", missing, missing, missing]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"schema": obs.PROFILE_SCHEMA_VERSION, "span_tree": {}},
+        {"schema": obs.PROFILE_SCHEMA_VERSION, "wall_s": 1.0, "coverage": 1.0,
+         "counters": {}, "span_tree": _tree("figure/x", 1.0)},
+    ], ids=["empty-span-tree", "no-figure"])
+    def test_obs_report_refuses_malformed_profile(self, tmp_path, capsys, doc):
+        from repro.cli import main
+
+        path = tmp_path / "x.profile.json"
+        path.write_text(json.dumps(doc))
+        chrome = str(tmp_path / "trace.json")
+        for argv in (["obs-report", str(path)],
+                     ["obs-report", "--chrome-out", chrome, str(path)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# Profile decoder fuzz
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fig11_profile(tmp_path_factory):
+    """One real ``profile fig11`` document."""
+    from repro.cli import main
+    from repro.eval import runner
+
+    previous = runner.active_cache()
+    tmp = tmp_path_factory.mktemp("fig11-profile")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["profile", "fig11", "--cache-dir", str(tmp / "cache"),
+                     "--results-dir", str(tmp)]) == 0
+    runner._ACTIVE = previous
+    return json.loads((tmp / "fig11_exec_time_28bit.profile.json").read_text())
+
+
+def _paths(node, prefix=()):
+    """Every ``(container path, key)`` of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix, key
+        yield from _paths(value, (*prefix, key))
+
+
+_SWAPS = ["text", 1.5, -7, [], {}, None, True, {"name": 1}]
+
+
+class TestProfileFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(
+        st.tuples(st.integers(0, 1 << 30), st.integers(-1, len(_SWAPS) - 1)),
+        min_size=1, max_size=3,
+    ))
+    def test_decoder_renders_or_refuses_in_one_line(
+        self, fig11_profile, tmp_path, edits
+    ):
+        """Random key deletions (``-1``) and type swaps on a real
+        profile: ``obs-report`` renders it or exits 2 with one line."""
+        from repro.cli import main
+
+        doc = json.loads(json.dumps(fig11_profile))
+        for pick, swap in edits:
+            paths = list(_paths(doc))
+            prefix, key = paths[pick % len(paths)]
+            parent = doc
+            for step in prefix:
+                parent = parent[step]
+            if swap < 0:
+                del parent[key]
+            else:
+                parent[key] = _SWAPS[swap]
+        path = tmp_path / "fuzz.profile.json"
+        path.write_text(json.dumps(doc))
+        chrome = str(tmp_path / "trace.json")
+        for argv in (["obs-report", str(path)],
+                     ["obs-report", "--chrome-out", chrome, str(path)],
+                     ["obs-report", str(path), str(path)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert code == 2
+                assert err.getvalue().startswith("error:")
+                assert err.getvalue().count("\n") == 1
+
 
 # ----------------------------------------------------------------------
 # Overhead guard
 # ----------------------------------------------------------------------
+def _frames_to_kernel(transform, kernel_name):
+    """The Python frames ``transform`` enters up to its stage kernel."""
+    from repro.schemes.selection import largest_primes_below_word
+
+    n, k = 64, 3
+    moduli = tuple(largest_primes_below_word(n, 28, k))
+    mat = np.random.default_rng(11).integers(
+        0, min(moduli), size=(k, n), dtype=np.uint64
+    )
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    transform(mat, moduli)  # build the tables
+    sys.setprofile(profiler)
+    try:
+        transform(mat, moduli)
+    finally:
+        sys.setprofile(None)
+    kernel = ("repro.nt.ntt", kernel_name)
+    # The moduli-tuple generator resumes once per modulus; one frame.
+    return [c for c in calls[: calls.index(kernel) + 1] if c[1] != "<genexpr>"]
+
+
 @pytest.mark.guard
 class TestDisabledOverhead:
     def test_hot_path_frames_bounded_when_hooks_off(self, monkeypatch):
-        """With all three hook flags off, ``forward_rows`` reaches the
-        stage kernel through a fixed list of Python frames: the hooks
-        cost a flag test each, never a call.  (The wall-clock ratio this
+        """With the one switch off, ``forward_rows`` reaches the stage
+        kernel through a fixed list of Python frames: each boundary
+        costs a switch test, never a call.  (The wall-clock ratio this
         replaces lives in the benchmark ladder's
         ``obs.trace_overhead_ratio``; tier-1 only pins structure.)"""
-        import sys
-
-        from repro.analysis import sanitize
-        from repro.eval import faults
         from repro.nt.ntt import forward_rows
-        from repro.schemes.selection import largest_primes_below_word
 
-        for hooks in (core, sanitize, faults):
-            monkeypatch.setattr(hooks, "ACTIVE", False)
-        n, k = 64, 3
-        moduli = tuple(largest_primes_below_word(n, 28, k))
-        mat = np.random.default_rng(11).integers(
-            0, min(moduli), size=(k, n), dtype=np.uint64
-        )
-        calls = []
-
-        def profiler(frame, event, arg):
-            if event == "call":
-                calls.append(
-                    (frame.f_globals.get("__name__"), frame.f_code.co_name)
-                )
-
-        forward_rows(mat, moduli)  # build the tables
-        sys.setprofile(profiler)
-        try:
-            forward_rows(mat, moduli)
-        finally:
-            sys.setprofile(None)
-        kernel = ("repro.nt.ntt", "_forward_stages")
-        # The moduli-tuple generator resumes once per modulus; one frame.
-        path = [c for c in calls[: calls.index(kernel) + 1] if c[1] != "<genexpr>"]
-        assert path == [
+        monkeypatch.setattr(core, "ACTIVE", False)
+        assert _frames_to_kernel(forward_rows, "_forward_stages") == [
             ("repro.nt.ntt", "forward_rows"),
             ("repro.nt.ntt", "forward"),
             ("repro.nt.ntt", "_check"),
             ("repro.backends", "ntt_forward"),
-            kernel,
+            ("repro.nt.ntt", "_forward_stages"),
+        ]
+
+    def test_inverse_path_frames_bounded_when_hooks_off(self, monkeypatch):
+        from repro.nt.ntt import inverse_rows
+
+        monkeypatch.setattr(core, "ACTIVE", False)
+        assert _frames_to_kernel(inverse_rows, "_inverse_stages") == [
+            ("repro.nt.ntt", "inverse_rows"),
+            ("repro.nt.ntt", "inverse"),
+            ("repro.nt.ntt", "_check"),
+            ("repro.backends", "ntt_inverse"),
+            ("repro.nt.ntt", "_inverse_stages"),
         ]
 
     def test_disabled_hooks_allocate_nothing(self):

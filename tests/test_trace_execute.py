@@ -88,24 +88,26 @@ class TestOpLog:
         # REPRO_SANITIZE=1 alone must not grow the log: recording is a
         # separate switch so long CI runs stay bounded.
         ct = bp_ctx.encrypt((0.5,), level=1)
-        saved = sanitize.ACTIVE
+        was_attached = sanitize.enabled()
         try:
-            sanitize.ACTIVE = True
+            sanitize.enable()
             before = len(sanitize._OP_LOG)
             sanitize.observe_op("hadd", ct)
+            bp_ctx.evaluator.add(ct, ct)
             assert len(sanitize._OP_LOG) == before
         finally:
-            sanitize.ACTIVE = saved
+            if not was_attached:
+                sanitize.disable()
 
     def test_record_ops_scopes_and_restores_flags(self, bp_ctx):
-        saved_active, saved_recording = sanitize.ACTIVE, sanitize.RECORDING
+        saved_attached, saved_recording = sanitize.enabled(), sanitize.RECORDING
         ct = bp_ctx.encrypt((0.5,), level=1)
         with sanitize.record_ops() as log:
-            assert sanitize.ACTIVE and sanitize.RECORDING
+            assert sanitize.enabled() and sanitize.RECORDING
             sanitize.observe_op("hadd", ct)
             assert len(log) == 1
             obs = log[0]
-        assert sanitize.ACTIVE == saved_active
+        assert sanitize.enabled() == saved_attached
         assert sanitize.RECORDING == saved_recording
         assert obs.kind == "hadd"
         assert obs.level == 1
