@@ -5,16 +5,14 @@ Two layers share this package:
 - **Static** (:mod:`~repro.analysis.core` and the pass modules): an
   AST-based lint engine whose passes know this codebase's hazards —
   uint64 overflow outside :mod:`repro.nt.modmath`, hand-rolled dtype
-  routing, exception-hygiene violations — plus a schedule verifier
-  (:mod:`~repro.analysis.absint`) for FHE-program bugs in traces.
-  Run it via ``bitpacker-repro lint`` or :func:`run_lint`.
+  routing, exception hygiene, discarded asyncio tasks — run via
+  ``bitpacker-repro lint`` or :func:`run_lint`; and a schedule verifier
+  (:mod:`~repro.analysis.absint`) for FHE-program bugs in traces, run
+  via ``bitpacker-repro verify-trace``.
 - **Dynamic** (:mod:`~repro.analysis.sanitize`): cheap invariant checks
-  wired into polynomial/NTT/ciphertext construction, enabled by
-  ``REPRO_SANITIZE=1`` and free when off.
-
-This ``__init__`` stays light: the hot-path modules (``rns.poly`` and
-friends) import :mod:`repro.analysis.sanitize` through it, so nothing
-here may import back into the RNS/CKKS stack.
+  that attach to the instrumentation seam (:mod:`repro.obs.core`) when
+  ``REPRO_SANITIZE=1`` is set or :func:`sanitize.enable` is called.  No
+  hot module imports it: the seam calls into it only while attached.
 """
 
 from repro.analysis import sanitize
@@ -25,20 +23,16 @@ from repro.analysis.absint import (
     verify_traces,
 )
 from repro.analysis.core import (
+    PASSES,
     Finding,
-    LintPass,
-    all_passes,
-    register,
     render_report,
     run_lint,
 )
 
 __all__ = [
+    "PASSES",
     "Finding",
-    "LintPass",
     "VerifyResult",
-    "all_passes",
-    "register",
     "render_report",
     "run_lint",
     "sanitize",

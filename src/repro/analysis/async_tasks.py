@@ -25,9 +25,10 @@ awaiting it) is the fix; a genuinely detached task should say why with
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.core import LintPass, SourceModule, register
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.core import SourceModule
 
 #: Call names that spawn an event-loop task whose handle must be kept.
 _SPAWNERS = frozenset({"create_task", "ensure_future"})
@@ -41,7 +42,7 @@ def _callee_tail(func: ast.AST) -> str | None:
     return None
 
 
-class AsyncTaskLeakPass(LintPass):
+class AsyncTaskLeakPass:
     rule = "async-task-leak"
     description = "create_task/ensure_future results that are discarded"
 
@@ -74,6 +75,3 @@ class AsyncTaskLeakPass(LintPass):
         if name in _SPAWNERS:
             return name
         return None
-
-
-register(AsyncTaskLeakPass())

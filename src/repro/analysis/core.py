@@ -1,13 +1,14 @@
-"""fhelint core: findings, pragmas, the pass registry, and the driver.
+"""fhelint core: findings, pragmas, the pass list, and the driver.
 
 ``fhelint`` is a small AST-based lint engine specialized to the hazards
 of this codebase: the three-backend modular-arithmetic split of
 :mod:`repro.nt.modmath` makes silent uint64 overflow, unreduced
 residues, and object/uint64 dtype mixups the dominant failure mode, and
-generic linters cannot see any of them.  Passes are pluggable: each one
-declares a ``rule`` id and yields ``(node, message)`` pairs for one
-parsed module at a time; the driver turns them into :class:`Finding`
-objects and applies pragma suppression.
+generic linters cannot see any of them.  Each pass in :data:`PASSES`
+has a ``rule`` id, a one-line ``description``, and a ``check(module)``
+yielding ``(node, message)`` pairs for one parsed module; the driver
+turns them into :class:`Finding` objects and applies pragma
+suppression.
 
 Intentional violations are suppressed with pragmas, which double as
 in-source proofs of why the flagged line is safe::
@@ -29,7 +30,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro.analysis.async_tasks import AsyncTaskLeakPass
+from repro.analysis.dtypes import DtypeRoutingPass
+from repro.analysis.exception_hygiene import ExceptionHygienePass
+from repro.analysis.overflow import OverflowHazardPass
 from repro.errors import ParameterError
+
+#: Every fhelint pass, in the order ``lint --list-rules`` prints them.
+PASSES = (
+    OverflowHazardPass(),
+    DtypeRoutingPass(),
+    ExceptionHygienePass(),
+    AsyncTaskLeakPass(),
+)
 
 _PRAGMA_RE = re.compile(r"#\s*fhelint:\s*(ok|disable)(?:\[([a-z0-9-]+)\])?")
 
@@ -118,62 +131,16 @@ class SourceModule:
         return best
 
 
-class LintPass:
-    """Base class for fhelint passes.
-
-    Subclasses set ``rule`` (the finding id, kebab-case) and
-    ``description``, and implement :meth:`check` yielding
-    ``(node, message)`` pairs; the driver handles locations and pragma
-    filtering.
-    """
-
-    rule: str = ""
-    description: str = ""
-
-    def check(self, module: SourceModule) -> Iterator[tuple[ast.AST, str]]:
-        raise NotImplementedError
-
-
-_REGISTRY: dict[str, LintPass] = {}
-
-
-def register(lint_pass: LintPass) -> LintPass:
-    """Add a pass to the global registry (keyed by its rule id)."""
-    if not lint_pass.rule:
-        raise ParameterError("a lint pass needs a non-empty rule id")
-    _REGISTRY[lint_pass.rule] = lint_pass
-    return lint_pass
-
-
-def all_passes() -> tuple[LintPass, ...]:
-    """Every registered pass, in registration order."""
-    _ensure_builtin_passes()
-    return tuple(_REGISTRY.values())
-
-
-def passes_for(rules: Sequence[str] | None) -> tuple[LintPass, ...]:
-    """The passes for ``rules`` (all registered passes when ``None``)."""
+def passes_for(rules: Sequence[str] | None) -> tuple:
+    """The passes for ``rules`` (every pass when ``None``)."""
     if rules is None:
-        return all_passes()
-    _ensure_builtin_passes()
-    missing = [r for r in rules if r not in _REGISTRY]
+        return PASSES
+    by_rule = {p.rule: p for p in PASSES}
+    missing = [r for r in rules if r not in by_rule]
     if missing:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(by_rule))
         raise ParameterError(f"unknown lint rules {missing}; known: {known}")
-    return tuple(_REGISTRY[r] for r in rules)
-
-
-def _ensure_builtin_passes() -> None:
-    # Importing the pass modules populates the registry; done lazily so
-    # importing repro.analysis.sanitize alone stays featherweight.
-    from repro.analysis import (  # noqa: F401
-        async_tasks,
-        compiler_bypass,
-        dtypes,
-        exception_hygiene,
-        overflow,
-        timing,
-    )
+    return tuple(by_rule[r] for r in rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -188,7 +155,7 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             raise ParameterError(f"not a Python file or directory: {path}")
 
 
-def lint_source(module: SourceModule, passes: Sequence[LintPass]) -> list[Finding]:
+def lint_source(module: SourceModule, passes: Sequence) -> list[Finding]:
     """Run ``passes`` over one parsed module, honoring pragmas."""
     findings = []
     for lint_pass in passes:

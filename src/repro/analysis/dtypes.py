@@ -27,10 +27,12 @@ to their low 64 bits.  This pass flags:
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis import taint
-from repro.analysis.core import LintPass, SourceModule, register
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.core import SourceModule
 
 _BIG_THRESHOLD = 1 << 61
 
@@ -70,7 +72,7 @@ def _is_residue_kernel(module: SourceModule) -> bool:
     return path.endswith(("nt/modmath.py", "nt/ntt.py")) or "/backends/" in path
 
 
-class DtypeRoutingPass(LintPass):
+class DtypeRoutingPass:
     rule = "dtype-routing"
     description = "residue arrays built or mixed outside the modmath dtype routing"
 
@@ -143,6 +145,3 @@ class DtypeRoutingPass(LintPass):
             ):
                 return True
         return False
-
-
-register(DtypeRoutingPass())

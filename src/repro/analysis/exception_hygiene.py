@@ -1,4 +1,4 @@
-"""Exception-hygiene passes: raise the right errors, swallow none.
+"""Exception-hygiene pass: raise the library's own errors.
 
 The library promises that every failure it raises derives from
 :class:`repro.errors.ReproError`, so callers can catch library errors
@@ -14,23 +14,16 @@ under ``python -O``.  Bare built-in exceptions break it once.  The
 
 ``NotImplementedError`` (abstract-method protocol) and bare ``raise``
 re-raises are allowed, as is *catching* built-ins around third-party
-calls.
-
-The companion ``exception-swallow`` pass polices the *catching* side:
-a bare ``except:`` (which eats ``KeyboardInterrupt``/``SystemExit``)
-or an ``except Exception:`` whose body does nothing silently discards
-failures the fault-tolerant runner is designed to surface and recover
-from.  Intentional best-effort swallows must carry a
-``# fhelint: ok[exception-swallow] <reason>`` pragma, which doubles as
-the in-source justification.
+calls.  (A bare ``except:`` on the catching side is ruff's E722.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.core import LintPass, SourceModule, register
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.core import SourceModule
 
 _BUILTIN_EXCEPTIONS = frozenset(
     {
@@ -60,7 +53,7 @@ _RAISE_MSG = (
 )
 
 
-class ExceptionHygienePass(LintPass):
+class ExceptionHygienePass:
     rule = "exception-hygiene"
     description = "asserts or bare built-in exceptions in library code"
 
@@ -80,53 +73,3 @@ class ExceptionHygienePass(LintPass):
             return exc.id
         return None
 
-
-_BARE_MSG = (
-    "bare `except:` also catches KeyboardInterrupt/SystemExit; catch a "
-    "named exception class"
-)
-_SWALLOW_MSG = (
-    "`except {name}:` with a do-nothing body silently swallows every "
-    "failure; narrow the exception, handle it, or justify with "
-    "`# fhelint: ok[exception-swallow] <reason>`"
-)
-
-#: Catching these with a pass-only body hides arbitrary failures.
-_BROAD_CATCHES = frozenset({"Exception", "BaseException"})
-
-
-class ExceptionSwallowPass(LintPass):
-    rule = "exception-swallow"
-    description = "bare `except:` or do-nothing `except Exception:` blocks"
-
-    def check(self, module: SourceModule) -> Iterator[tuple[ast.AST, str]]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield node, _BARE_MSG
-                continue
-            broad = self._caught_names(node.type) & _BROAD_CATCHES
-            if broad and self._swallows(node.body):
-                yield node, _SWALLOW_MSG.format(name=sorted(broad)[0])
-
-    def _caught_names(self, type_node: ast.AST) -> frozenset[str]:
-        nodes = (
-            type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
-        )
-        return frozenset(n.id for n in nodes if isinstance(n, ast.Name))
-
-    def _swallows(self, body: list[ast.stmt]) -> bool:
-        """A body of only ``pass``/``continue``/``...``/docstrings."""
-        return all(
-            isinstance(stmt, (ast.Pass, ast.Continue))
-            or (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-            )
-            for stmt in body
-        )
-
-
-register(ExceptionHygienePass())
-register(ExceptionSwallowPass())

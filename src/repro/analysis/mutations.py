@@ -2,11 +2,11 @@
 
 Each mutation takes a clean, verified trace and corrupts it in one
 targeted way — the FHE scheduling bugs the abstract interpreter exists
-to catch — and names the rule that must fire.  The CI verify-trace gate
-applies every mutation to every bundled workload trace and asserts the
-expected rule id is reported, so a transfer-function regression that
-silently stops catching a bug class fails the build even while the
-clean traces still pass.
+to catch — and names the rule that must fire.
+``tests/test_analysis_absint.py`` applies every mutation to every
+bundled workload trace and asserts the expected rule id is reported,
+so a transfer-function regression that silently stops catching a bug
+class fails the build even while the clean traces still pass.
 """
 
 from __future__ import annotations

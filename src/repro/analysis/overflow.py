@@ -22,10 +22,12 @@ stating the bound, which keeps the proof next to the arithmetic.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis import taint
-from repro.analysis.core import LintPass, SourceModule, register
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.core import SourceModule
 
 _MULT_MSG = (
     "raw `*`/`@` on integer ndarrays can exceed 64 bits once a modulus is "
@@ -43,7 +45,7 @@ def _is_int_constant(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, int)
 
 
-class OverflowHazardPass(LintPass):
+class OverflowHazardPass:
     rule = "overflow-hazard"
     description = (
         "products/reductions on numpy integer arrays that can exceed 64 bits"
@@ -100,6 +102,3 @@ class OverflowHazardPass(LintPass):
             if env.classify(inner.operand) & taint.MACHINE_ARRAYS:
                 return _REDUCE_MSG.format(what="negation", helper="mod_neg")
         return None
-
-
-register(OverflowHazardPass())

@@ -9,12 +9,11 @@ Usage (``python -m repro ...``)::
     python -m repro figure fig14 --cache-dir /tmp/bp-cache --force
     python -m repro figure fig14 fig18 --keep-going
     python -m repro figure fig14 --profile
-    python -m repro profile fig14
     python -m repro obs-report results/fig14_word_size_sweep.profile.json
     python -m repro obs-report old.profile.json new.profile.json
     python -m repro obs-report --chrome-out trace.json fig14.profile.json
     python -m repro list-figures
-    python -m repro lint --traces
+    python -m repro lint src/repro
     python -m repro lint --format sarif --output fhelint.sarif
     python -m repro verify-trace --waste
     python -m repro verify-trace my_schedule.json --format json
@@ -25,11 +24,12 @@ Usage (``python -m repro ...``)::
 ``figure`` treats sweeps as restartable batch jobs: Ctrl-C exits 130
 with completed figures flushed to ``results/``, and running the same
 command again resumes from the disk cache (DESIGN.md Sec. 8).  With
-``--profile`` (or the ``profile`` alias) each figure also writes
-``results/<stem>.profile.json`` — span tree, counters, and the
-per-kernel cycle/energy attribution — and prints a rendered summary;
-``obs-report`` renders, diffs, or converts those documents (DESIGN.md
-Sec. 9).
+``--profile`` each figure also writes ``results/<stem>.profile.json``
+— span tree, counters, and the per-kernel cycle/energy attribution —
+and prints a rendered summary; ``obs-report`` renders, diffs, or
+converts those documents (DESIGN.md Sec. 9).  ``lint`` checks source
+(fhelint, DESIGN.md Sec. 7); ``verify-trace`` certifies schedules
+(Sec. 11).
 """
 
 from __future__ import annotations
@@ -70,41 +70,6 @@ FIGURES: dict[str, tuple[str, str, str]] = {
 }
 
 
-def _add_figure_options(parser: argparse.ArgumentParser) -> None:
-    """The options ``figure`` and ``profile`` share."""
-    parser.add_argument(
-        "names", nargs="+", metavar="NAME",
-        help="figures/tables to regenerate (see `repro list-figures`)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="result cache location (default: ~/.cache/bitpacker-repro "
-             "or $BITPACKER_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--force", action="store_true",
-        help="recompute every point, overwriting cached records",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache entirely",
-    )
-    parser.add_argument(
-        "--results-dir", default="results", metavar="DIR",
-        help="where to write <figure>.txt outputs (default: results/)",
-    )
-    parser.add_argument(
-        "--keep-going", action="store_true",
-        help="after one figure fails, still run the remaining ones "
-             "(exit non-zero at the end)",
-    )
-    parser.add_argument(
-        "--compiled", action="store_true",
-        help="run the harness on trace-compiler output (optimized "
-             "schedules) instead of the recorded schedules",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -131,18 +96,42 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--word", type=int, default=28)
 
     figure = sub.add_parser("figure", help="regenerate paper figures/tables")
-    _add_figure_options(figure)
+    figure.add_argument(
+        "names", nargs="+", metavar="NAME",
+        help="figures/tables to regenerate (see `repro list-figures`)",
+    )
+    figure.add_argument(
+        "--cache-dir", default=None, metavar="PATH",
+        help="result cache location (default: ~/.cache/bitpacker-repro "
+             "or $BITPACKER_CACHE_DIR)",
+    )
+    figure.add_argument(
+        "--force", action="store_true",
+        help="recompute every point, overwriting cached records",
+    )
+    figure.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the on-disk result cache entirely",
+    )
+    figure.add_argument(
+        "--results-dir", default="results", metavar="DIR",
+        help="where to write <figure>.txt outputs (default: results/)",
+    )
+    figure.add_argument(
+        "--keep-going", action="store_true",
+        help="after one figure fails, still run the remaining ones "
+             "(exit non-zero at the end)",
+    )
+    figure.add_argument(
+        "--compiled", action="store_true",
+        help="run the harness on trace-compiler output (optimized "
+             "schedules) instead of the recorded schedules",
+    )
     figure.add_argument(
         "--profile", action="store_true",
         help="record a profile per figure (span tree, counters, kernel "
              "accounting) to results/<figure>.profile.json",
     )
-
-    profile = sub.add_parser(
-        "profile",
-        help="regenerate figures with profiling on (figure --profile)",
-    )
-    _add_figure_options(profile)
 
     report = sub.add_parser(
         "obs-report",
@@ -160,9 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-figures", help="list available experiments")
 
-    lint = sub.add_parser(
-        "lint", help="run the fhelint static passes (and trace checks)"
-    )
+    lint = sub.add_parser("lint", help="run the fhelint static passes")
     lint.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: the installed "
@@ -173,12 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only these rule ids (default: all)",
     )
     lint.add_argument(
-        "--traces", action="store_true",
-        help="also lint the bundled workload traces for FHE-schedule bugs",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
-        help="list the registered rule ids and exit",
+        help="list the rule ids and exit",
     )
     _add_format_options(lint)
 
@@ -255,13 +238,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the report to PATH instead of stdout",
     )
 
-    serve = sub.add_parser(
+    # Listed for --help only: main() hands `serve ...` to bitpacker-serve
+    # before parsing.
+    sub.add_parser(
         "serve",
         help="boot the async multi-tenant service and drive seeded load "
              "(all arguments forwarded to bitpacker-serve)",
-        add_help=False,
     )
-    serve.add_argument("serve_args", nargs=argparse.REMAINDER, metavar="ARGS")
     return parser
 
 
@@ -311,17 +294,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    """Publish a ``results/`` file atomically (temp + ``os.replace``).
+def write_text_atomic(path: Path, text: str) -> None:
+    """Publish an output file atomically (temp + ``os.replace``).
 
-    A crash or Ctrl-C mid-write must never leave a torn or partial
-    output: readers see the previous content or the new one, nothing in
-    between.  The temp file is removed on any failure, including the
-    injected result-site faults the regression tests fire in the window
-    between write and rename.
+    The one writer for everything the CLIs publish: figure tables,
+    profiles, reports and ``bitpacker-serve --json``.  A crash or Ctrl-C
+    mid-write must never leave a torn or partial output: readers see the
+    previous content or the new one, nothing in between.  The temp file
+    is removed on any failure, including the injected result-site faults
+    the regression tests fire in the window between write and rename.
     """
     from repro.eval import faults
 
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=path.stem, suffix=".tmp"
     )
@@ -333,7 +318,7 @@ def _write_text_atomic(path: Path, text: str) -> None:
     except BaseException:
         try:
             os.unlink(tmp)
-        except OSError:  # fhelint: ok[exception-swallow] best-effort tmp cleanup
+        except OSError:  # best-effort tmp cleanup
             pass
         raise
 
@@ -364,6 +349,8 @@ def _write_figure_profile(
     name: str, stem: str, results_dir: Path, cache_before
 ) -> tuple[Path, dict] | None:
     """Assemble and atomically publish one figure's profile document."""
+    import json
+
     from repro import obs
     from repro.eval import common, runner
 
@@ -378,7 +365,8 @@ def _write_figure_profile(
         cache=_cache_delta(cache_before, runner.active_cache()),
         memory_caches=common.memory_cache_stats(),
     )
-    path = obs.write_profile(results_dir / f"{stem}.profile.json", doc)
+    path = results_dir / f"{stem}.profile.json"
+    write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
     return path, doc
 
 
@@ -398,7 +386,7 @@ def _cmd_figure(args) -> int:
             file=sys.stderr,
         )
         return 2
-    profiling = getattr(args, "profile", False)
+    profiling = args.profile
     if profiling:
         from repro import obs
 
@@ -431,7 +419,7 @@ def _cmd_figure(args) -> int:
         try:
             module = importlib.import_module(module_path)
             kwargs = {}
-            if getattr(args, "compiled", False):
+            if args.compiled:
                 if "compiled" in inspect.signature(module.run).parameters:
                     kwargs["compiled"] = True
                 else:
@@ -447,7 +435,7 @@ def _cmd_figure(args) -> int:
                 data = module.run(**kwargs)
             text = module.render(data)
             out_path = results_dir / f"{stem}.txt"
-            _write_text_atomic(out_path, text + "\n")
+            write_text_atomic(out_path, text + "\n")
             profile = (
                 _write_figure_profile(name, stem, results_dir, cache_before)
                 if profiling
@@ -504,12 +492,6 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    """``repro profile <figure>`` — ``figure --profile`` spelled out."""
-    args.profile = True
-    return _cmd_figure(args)
-
-
 def _cmd_obs_report(args) -> int:
     import json
 
@@ -527,7 +509,7 @@ def _cmd_obs_report(args) -> int:
             doc = obs.load_profile(args.profiles[0])
             events = obs.chrome_trace(doc["span_tree"])
             out = Path(args.chrome_out)
-            _write_text_atomic(out, json.dumps(events, indent=1) + "\n")
+            write_text_atomic(out, json.dumps(events, indent=1) + "\n")
             print(f"wrote {len(events)} trace events -> {out}")
             return 0
         if len(args.profiles) == 1:
@@ -561,8 +543,7 @@ def _emit_report(args, findings, rule_docs) -> None:
     text = render_findings(findings, args.format, rule_docs)
     if args.output:
         out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_text_atomic(out, text if text.endswith("\n") else text + "\n")
+        write_text_atomic(out, text if text.endswith("\n") else text + "\n")
         print(
             f"wrote {len(findings)} finding(s) [{args.format}] -> {out}",
             file=sys.stderr,
@@ -572,10 +553,11 @@ def _emit_report(args, findings, rule_docs) -> None:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import all_passes, run_lint, verify_traces
+    from repro.analysis import PASSES, run_lint
+    from repro.errors import ParameterError
 
     if args.list_rules:
-        for lint_pass in all_passes():
+        for lint_pass in PASSES:
             print(f"{lint_pass.rule:20s} {lint_pass.description}")
         return 0
     if args.paths:
@@ -584,15 +566,12 @@ def _cmd_lint(args) -> int:
         import repro
 
         paths = [str(Path(repro.__file__).resolve().parent)]
-    findings = run_lint(paths, rules=args.rules)
-    rule_docs = {p.rule: p.description for p in all_passes()}
-    if args.traces:
-        from repro.analysis.absint import VIOLATION_RULES
-        from repro.workloads import workload_traces
-
-        findings = findings + verify_traces(workload_traces())[1]
-        rule_docs.update(VIOLATION_RULES)
-    _emit_report(args, findings, rule_docs)
+    try:
+        findings = run_lint(paths, rules=args.rules)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _emit_report(args, findings, {p.rule: p.description for p in PASSES})
     return 1 if findings else 0
 
 
@@ -734,8 +713,7 @@ def _cmd_compile_trace(args) -> int:
         text = render_report(compiled) + "\n"
     if args.output:
         out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_text_atomic(out, text)
+        write_text_atomic(out, text)
         print(f"wrote report [{args.format}] -> {out}", file=sys.stderr)
     else:
         print(text, end="")
@@ -750,23 +728,15 @@ def _cmd_compile_trace(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.serve.cli import main as serve_main
-
-    return serve_main(args.serve_args)
-
-
 _COMMANDS: dict[str, Callable] = {
     "plan": _cmd_plan,
     "compare": _cmd_compare,
     "figure": _cmd_figure,
-    "profile": _cmd_profile,
     "obs-report": _cmd_obs_report,
     "list-figures": _cmd_list_figures,
     "lint": _cmd_lint,
     "verify-trace": _cmd_verify_trace,
     "compile-trace": _cmd_compile_trace,
-    "serve": _cmd_serve,
 }
 
 

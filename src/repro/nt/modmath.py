@@ -80,8 +80,8 @@ def _tune_allocator() -> None:
         libc.mallopt(-3, 1 << 26)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 1 << 26)  # M_TRIM_THRESHOLD
     except Exception:
-        # fhelint: ok[exception-swallow] best-effort allocator tuning;
-        # any failure (no glibc, sandboxed ctypes) must not break import
+        # Best-effort allocator tuning: any failure (no glibc, sandboxed
+        # ctypes) must not break import.
         pass
 
 

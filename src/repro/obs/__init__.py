@@ -47,7 +47,6 @@ from repro.obs.export import (
     render_summary,
     span_quantiles,
     span_to_dict,
-    write_profile,
 )
 
 __all__ = [
@@ -73,5 +72,4 @@ __all__ = [
     "span_quantiles",
     "span_to_dict",
     "take_roots",
-    "write_profile",
 ]

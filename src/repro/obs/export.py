@@ -38,8 +38,6 @@ recording lives in :mod:`repro.obs.core`.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping
@@ -161,7 +159,7 @@ def kernel_accounting(counters: Mapping[str, float]) -> dict | None:
     Returns ``None`` when no simulation contributed (figure served
     entirely from the in-process memory cache, or a CPU-model figure).
     Shares are normalized against the summed totals, so they add to
-    1.0 within float error — the invariant the CI profile job asserts.
+    1.0 within float error (``tests/test_obs.py::TestProfileCli``).
     """
     sims = counters.get("accel.sims", 0)
     if not sims:
@@ -228,27 +226,6 @@ def build_profile(
         ),
         "kernel_accounting": kernel_accounting(counters),
     }
-
-
-def write_profile(path: str | Path, doc: Mapping[str, Any]) -> Path:
-    """Atomically publish a profile document (temp + ``os.replace``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(doc, handle, indent=1, sort_keys=False)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # fhelint: ok[exception-swallow] best-effort tmp cleanup
-            pass
-        raise
-    return path
 
 
 _NUMBER = (int, float)

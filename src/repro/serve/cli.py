@@ -6,8 +6,8 @@ flags, runs one full scenario in-process — boot, register tenants,
 Zipf/bursty load, drain — audits every response byte-for-byte against
 serial execution, prints the report, and exits non-zero if anything
 was dropped, corrupted, or failed, or if the service's books do not
-balance.  ``--json`` writes the full machine-readable report with a
-per-tenant breakdown (the CI smoke and chaos jobs assert on it).
+balance.  ``--json`` atomically writes the full machine-readable report
+with a per-tenant breakdown.
 
 Exit codes: 0 clean, 1 dropped/corrupted/failed responses or
 unbalanced books, 2 bad flags/spec, 130 on SIGINT (after a graceful
@@ -252,9 +252,10 @@ def _run(args) -> int:
         doc["obs"] = {"counters": obs.counters()}
         obs.reset()
     if args.json:
+        from repro.cli import write_text_atomic
+
         out = Path(args.json)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_text_atomic(out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"[serve] report -> {out}", file=sys.stderr)
     if not args.quiet:
         print(render_report(doc))

@@ -23,6 +23,34 @@ from repro.errors import ParameterError
 #: :class:`~repro.errors.ParameterError`, never a traceback.
 TRACE_SCHEMA_VERSION = 1
 
+_INT = (int,)
+_REAL = (int, float)
+
+
+def _typed(value, types: tuple) -> bool:
+    """Whether ``value`` is one of ``types`` (a bool is never a number)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _field(data: dict, key: str, types: tuple, where: str, optional=False):
+    """``data[key]`` if it is one of ``types``, ``None`` for an absent or
+    null optional field, and otherwise a one-line
+    :class:`~repro.errors.ParameterError`."""
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    if key not in data:
+        raise ParameterError(f"malformed trace encoding: {where} has no {key!r}")
+    if not _typed(value, types):
+        noun = {_INT: "an integer", _REAL: "a number"}.get(
+            types, f"a {types[0].__name__}"
+        )
+        raise ParameterError(
+            f"malformed trace encoding: {where} {key!r} must be {noun}, "
+            f"not {type(value).__name__}"
+        )
+    return value
+
 
 class OpKind(enum.Enum):
     """Primitive homomorphic operations (paper Sec. 2.2)."""
@@ -73,12 +101,21 @@ class TraceOp:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceOp":
+        if not isinstance(data, dict):
+            raise ParameterError("malformed trace encoding: an op is not an object")
+        kind = _field(data, "kind", (str,), "op")
+        try:
+            kind = OpKind(kind)
+        except ValueError:
+            raise ParameterError(
+                f"malformed trace encoding: unknown op kind {kind!r}"
+            ) from None
         return cls(
-            kind=OpKind(data["kind"]),
-            level=data["level"],
-            count=data["count"],
-            dst_level=data.get("dst_level"),
-            scale_bits=data.get("scale_bits"),
+            kind=kind,
+            level=_field(data, "level", _INT, "op"),
+            count=_field(data, "count", _REAL, "op"),
+            dst_level=_field(data, "dst_level", _INT, "op", optional=True),
+            scale_bits=_field(data, "scale_bits", _REAL, "op", optional=True),
         )
 
 
@@ -153,16 +190,28 @@ class HeTrace:
                 f"trace schema version {schema} is newer than this reader "
                 f"(supports <= {TRACE_SCHEMA_VERSION}); upgrade bitpacker-repro"
             )
-        try:
-            return cls(
-                name=data["name"],
-                n=data["n"],
-                base_bits=data["base_bits"],
-                level_scale_bits=tuple(data["level_scale_bits"]),
-                ops=[TraceOp.from_dict(op) for op in data["ops"]],
+        scales = _field(data, "level_scale_bits", (list,), "trace")
+        if not scales or not all(_typed(bits, _REAL) for bits in scales):
+            raise ParameterError(
+                "malformed trace encoding: level_scale_bits must be a "
+                "non-empty list of numbers"
             )
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed trace encoding: {exc}") from exc
+        n = _field(data, "n", _INT, "trace")
+        if n < 1 or n & (n - 1):
+            raise ParameterError(
+                f"malformed trace encoding: ring degree n={n} is not a "
+                "power of two"
+            )
+        return cls(
+            name=_field(data, "name", (str,), "trace"),
+            n=n,
+            base_bits=_field(data, "base_bits", _REAL, "trace"),
+            level_scale_bits=tuple(scales),
+            ops=[
+                TraceOp.from_dict(op)
+                for op in _field(data, "ops", (list,), "trace")
+            ],
+        )
 
     def content_digest(self) -> str:
         """Canonical content hash (see :func:`content_digest`)."""

@@ -256,7 +256,7 @@ def workload_traces(
 ) -> list[HeTrace]:
     """The bundled benchmark traces (every app x bootstrap x scheme).
 
-    This is what ``bitpacker-repro lint --traces`` checks: the repo's own
+    This is what ``bitpacker-repro verify-trace`` checks: the repo's own
     homomorphic programs, under both level-management schemes.
     """
     return [

@@ -2,7 +2,10 @@
 
 Functional tests run at tiny ring degrees (64-256) so the whole suite
 stays fast on one core; the arithmetic under test is degree-independent.
-Session-scoped contexts amortize key generation.
+Chains are planned once per session, but every test gets a context of
+its own, seeded: keys are drawn lazily from the context's RNG, so a
+shared context would make each precision reading depend on which tests
+ran before it.
 """
 
 from __future__ import annotations
@@ -59,20 +62,21 @@ def rns_chain():
     )
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def bp_ctx(bp_chain):
     return CkksContext(bp_chain, seed=101)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def rns_ctx(rns_chain):
     return CkksContext(rns_chain, seed=101)
 
 
-@pytest.fixture(scope="session", params=["bitpacker", "rns-ckks"])
-def ctx(request, bp_ctx, rns_ctx):
+@pytest.fixture(params=["bitpacker", "rns-ckks"])
+def ctx(request, bp_chain, rns_chain):
     """Parametrized over both schemes: the evaluator must behave the same."""
-    return bp_ctx if request.param == "bitpacker" else rns_ctx
+    chain = bp_chain if request.param == "bitpacker" else rns_chain
+    return CkksContext(chain, seed=101)
 
 
 @pytest.fixture()

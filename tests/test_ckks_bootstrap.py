@@ -3,9 +3,32 @@
 import numpy as np
 import pytest
 
+from repro.ckks import CkksContext
 from repro.ckks.bootstrap import BS19, BS26, FunctionalBootstrapper
 from repro.errors import ParameterError
-from tests.conftest import make_values
+from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
+from tests.conftest import TEST_LEVELS, TEST_N, make_values
+
+
+@pytest.fixture(scope="module", params=["bitpacker", "rns-ckks"])
+def boot_chain(request):
+    planner = (
+        plan_bitpacker_chain if request.param == "bitpacker"
+        else plan_rns_ckks_chain
+    )
+    return planner(
+        n=TEST_N, word_bits=28, level_scale_bits=40.0, levels=TEST_LEVELS,
+        base_bits=60.0, ks_digits=2,
+    )
+
+
+@pytest.fixture()
+def boot_ctx(boot_chain):
+    """A 40-bit-scale context of its own.  At the suite's 30-bit scale a
+    fresh encryption alone holds ~19 bits, which hides what a 26-bit
+    bootstrap preserves; at 40 bits the algorithm's noise is what these
+    tests read."""
+    return CkksContext(boot_chain, seed=101)
 
 
 class TestAlgorithms:
@@ -24,7 +47,8 @@ class TestFunctionalBootstrap:
         fresh = boot.bootstrap(ct)
         assert fresh.level == ctx.chain.max_level
 
-    def test_preserves_values_to_algorithm_precision(self, ctx, rng):
+    def test_preserves_values_to_algorithm_precision(self, boot_ctx, rng):
+        ctx = boot_ctx
         vals = make_values(ctx, rng)
         ct = ctx.evaluator.adjust(ctx.encrypt(vals), 0)
         boot = FunctionalBootstrapper(ctx, BS26)
@@ -32,7 +56,8 @@ class TestFunctionalBootstrap:
         # Should be near (not much above, not far below) the 26-bit floor.
         assert 18 < prec < 33
 
-    def test_bs19_noisier_than_bs26(self, ctx, rng):
+    def test_bs19_noisier_than_bs26(self, boot_ctx, rng):
+        ctx = boot_ctx
         vals = make_values(ctx, rng)
         ct = ctx.evaluator.adjust(ctx.encrypt(vals), 0)
         p19 = ctx.precision_bits(

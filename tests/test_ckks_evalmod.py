@@ -24,7 +24,7 @@ def _ctx(planner):
     return CkksContext(chain, seed=47)
 
 
-@pytest.fixture(scope="module", params=["bitpacker", "rns-ckks"])
+@pytest.fixture(params=["bitpacker", "rns-ckks"])
 def emctx(request):
     planner = (
         plan_bitpacker_chain if request.param == "bitpacker"

@@ -19,7 +19,7 @@ from repro.ckks.homdft import (
 from repro.schemes import plan_bitpacker_chain
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture()
 def dft_ctx():
     chain = plan_bitpacker_chain(
         n=128, word_bits=28, level_scale_bits=35.0, levels=4,

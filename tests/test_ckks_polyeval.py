@@ -15,7 +15,7 @@ from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.conftest import make_values
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture()
 def deep_ctx():
     """A deeper chain for higher-degree polynomials."""
     chain = plan_bitpacker_chain(
@@ -83,7 +83,7 @@ class TestChebyshev:
             eval_chebyshev(ctx.evaluator, ct, [1.0, 0.0, 0.0])
 
 
-@pytest.fixture(scope="module", params=["bitpacker", "rns-ckks"])
+@pytest.fixture(params=["bitpacker", "rns-ckks"])
 def tree_ctx(request):
     """Both schemes, sized for a degree-31 tree: 5 levels + weighted sum."""
     planner = (

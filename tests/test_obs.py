@@ -21,6 +21,7 @@ Covers the contracts DESIGN.md Sec. 9 states:
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 import repro
 from repro import obs
 from repro.analysis import sanitize
+from repro.cli import write_text_atomic
 from repro.errors import ParameterError
 from repro.obs import core
 
@@ -154,7 +156,8 @@ class TestExport:
             core.count("accel.kernel.cycles.hbm", 40.0)
         [root] = core.take_roots()
         doc = obs.build_profile("x", root, core.epoch(), core.counters())
-        path = obs.write_profile(tmp_path / "x.profile.json", doc)
+        path = tmp_path / "x.profile.json"
+        write_text_atomic(path, json.dumps(doc))
         loaded = obs.load_profile(path)
         assert loaded["figure"] == "x"
         shares = loaded["kernel_accounting"]["kernels"]
@@ -491,7 +494,7 @@ class TestProfileCli:
         share normalization — on a real figure run."""
         from repro.cli import main
 
-        assert main(["profile", "fig11", *figure_args]) == 0
+        assert main(["figure", "fig11", "--profile", *figure_args]) == 0
         path = tmp_path / "results" / "fig11_exec_time_28bit.profile.json"
         doc = obs.load_profile(path)
         assert doc["schema"] == obs.PROFILE_SCHEMA_VERSION
@@ -526,12 +529,44 @@ class TestProfileCli:
         assert "kernel accounting" in out and "span quantiles" in out
         assert not core.enabled()
 
+    def test_document_keeps_the_schema_the_profile_command_wrote(
+        self, fig11_profile
+    ):
+        """``figure --profile`` writes what the deleted ``profile``
+        command wrote: the same schema, keys and counter names."""
+        doc = fig11_profile
+        assert doc["schema"] == 2
+        assert sorted(doc) == [
+            "backend", "cache", "counters", "coverage", "created_unix",
+            "figure", "kernel_accounting", "memory_caches", "schema",
+            "span_tree", "wall_s",
+        ]
+        assert sorted(doc["span_tree"]) == [
+            "children", "cpu_s", "name", "rss_peak_delta_kb", "t0_s", "tags",
+            "wall_s",
+        ]
+        assert sorted(doc["kernel_accounting"]) == [
+            "energy", "kernels", "sims", "total_cycles", "total_energy_j",
+        ]
+        assert sorted(doc["cache"]) == ["corrupt", "hits", "misses"]
+        assert sorted(doc["memory_caches"]) == [
+            "chain", "plan", "simulate", "simulate-cpu", "trace",
+        ]
+        assert sorted(doc["counters"]) == [
+            "accel.cycles", "accel.energy_j", "accel.kernel.cycles.crb",
+            "accel.kernel.cycles.hbm", "accel.kernel.energy_j.crb",
+            "accel.kernel.energy_j.elementwise", "accel.kernel.energy_j.hbm",
+            "accel.kernel.energy_j.ntt", "accel.kernel.energy_j.rf",
+            "accel.kernel.energy_j.static", "accel.sims", "cache.miss.chain",
+            "cache.miss.simulate", "cache.miss.trace",
+        ]
+
     def test_obs_report_summary_diff_and_chrome(
         self, tmp_path, capsys, figure_args
     ):
         from repro.cli import main
 
-        assert main(["profile", "fig11", *figure_args]) == 0
+        assert main(["figure", "fig11", "--profile", *figure_args]) == 0
         path = str(tmp_path / "results" / "fig11_exec_time_28bit.profile.json")
         capsys.readouterr()
         assert main(["obs-report", path]) == 0
@@ -544,6 +579,15 @@ class TestProfileCli:
         assert main(["obs-report", "--chrome-out", str(chrome), path]) == 0
         events = json.loads(chrome.read_text())
         assert events and all(e["ph"] == "X" for e in events)
+
+    def test_profile_command_is_gone(self, capsys):
+        """``profile`` was ``figure --profile`` spelled differently."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "fig11"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
     def test_obs_report_rejects_bad_input(self, tmp_path, capsys):
         from repro.cli import main
@@ -577,7 +621,7 @@ class TestProfileCli:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig11_profile(tmp_path_factory):
-    """One real ``profile fig11`` document."""
+    """One real ``figure fig11 --profile`` document."""
     from repro.cli import main
     from repro.eval import runner
 
@@ -585,7 +629,8 @@ def fig11_profile(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fig11-profile")
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        assert main(["profile", "fig11", "--cache-dir", str(tmp / "cache"),
+        assert main(["figure", "fig11", "--profile",
+                     "--cache-dir", str(tmp / "cache"),
                      "--results-dir", str(tmp)]) == 0
     runner._ACTIVE = previous
     return json.loads((tmp / "fig11_exec_time_28bit.profile.json").read_text())
@@ -627,7 +672,7 @@ class TestProfileFuzz:
             if swap < 0:
                 del parent[key]
             else:
-                parent[key] = _SWAPS[swap]
+                parent[key] = copy.deepcopy(_SWAPS[swap])
         path = tmp_path / "fuzz.profile.json"
         path.write_text(json.dumps(doc))
         chrome = str(tmp_path / "trace.json")

@@ -444,7 +444,9 @@ class TestChaosEndToEnd:
     def test_loadgen_under_chaos_is_uncorrupted_and_balanced(self):
         """The acceptance scenario: seeded load under kernel raises,
         slow dispatches, a queue stall and one poison request — zero
-        corruption, poison quarantined, extended books balance."""
+        corruption, poison quarantined, extended books balance, and a
+        p99 that degrades gracefully against a clean run of the same
+        load."""
         spec = LoadSpec(
             seed=21, tenants=4, requests=80, burst=8, deadline_s=30.0,
         )
@@ -453,11 +455,16 @@ class TestChaosEndToEnd:
             "serve.queue:stall%0.1;serve.request:poison@7;"
             "slow=0.002;stall=0.002;seed=21"
         )
-        with faults.injected(chaos):
-            report = asyncio.run(run_scenario(
+
+        def run():
+            return asyncio.run(run_scenario(
                 spec, shards=2, queue_depth=256, max_batch=8,
                 retry=RetryPolicy(retries=2, backoff=0.002),
             ))
+
+        clean = run()
+        with faults.injected(chaos):
+            report = run()
         assert report.dropped == 0
         assert report.corrupted == 0, (
             "a fault corrupted a response: resilience must cost latency, "
@@ -471,6 +478,10 @@ class TestChaosEndToEnd:
             report.completed + report.failed + report.quarantined
         )
         assert report.stats["retried"] > 0
+        bound = 50 * clean.latency_percentile(99) + 0.5
+        assert report.latency_percentile(99) <= bound, (
+            "degradation under chaos is a cliff, not graceful"
+        )
 
     def test_chaos_accounting_is_deterministic(self):
         spec = LoadSpec(seed=33, tenants=3, requests=60, deadline_s=30.0)

@@ -5,15 +5,20 @@ trace must re-certify clean and at least three must save whole levels),
 the small-n executor cross-check (compiled traces still land inside the
 verifier's abstract intervals), mutation-seeded refusals (the compiler
 raises on broken inputs, never silently drops), canonical content
-digests, trace schema versioning, serve-side compiled registration, and
-the ``compile-trace`` CLI.
+digests, trace schema versioning, a fuzz of the trace-JSON decoders,
+serve-side compiled registration, and the ``compile-trace`` CLI.
 """
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.absint import check_observations, verify_or_raise, verify_trace
 from repro.analysis.mutations import MUTATIONS
@@ -351,6 +356,92 @@ class TestTraceSchemaVersion:
         err = capsys.readouterr().err
         assert "schema version 99" in err
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def bundled_trace() -> dict:
+    """The smallest bundled schedule, JSON-ready."""
+    traces = workload_traces(schemes=("bitpacker",))
+    return min(traces, key=lambda t: len(t.ops)).to_dict()
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+#: Every field the decoders read, as (container path, key).
+_FIELDS = [
+    ((), key)
+    for key in ("schema", "name", "n", "base_bits", "level_scale_bits", "ops")
+] + [(("level_scale_bits",), 0), (("ops",), 0)] + [
+    (("ops", 0), key)
+    for key in ("kind", "level", "count", "dst_level", "scale_bits")
+]
+_SWAPS = ["text", 1.5, -7, [], {}, None, True, {"name": 1}]
+
+
+class TestTraceDecoderFuzz:
+    """A trace file the decoders refuse is one ``error:`` line and exit
+    2, never a traceback."""
+
+    @pytest.mark.parametrize("path, key, value", [
+        (("ops", 0), "level", "x"),
+        ((), "n", "64"),
+        ((), "level_scale_bits", []),
+        (("ops", 0), "count", True),
+    ], ids=["op-level-str", "n-str", "no-levels", "count-bool"])
+    def test_wrong_type_is_one_line_exit_2(
+        self, bundled_trace, tmp_path, path, key, value
+    ):
+        doc = json.loads(json.dumps(bundled_trace))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[key] = value
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        for command in ("verify-trace", "compile-trace"):
+            code, err = _run_cli([command, str(trace)])
+            assert code == 2
+            assert err.startswith("error: malformed trace encoding")
+            assert err.count("\n") == 1
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(_FIELDS), st.integers(-1, len(_SWAPS) - 1)),
+        min_size=1, max_size=3,
+    ))
+    def test_cli_certifies_or_refuses_in_one_line(
+        self, bundled_trace, tmp_path, edits
+    ):
+        """Random key deletions (``-1``) and type swaps on a bundled
+        trace: ``verify-trace`` and ``compile-trace`` either run (exit 0,
+        or 1 for a violating schedule) or exit 2 with one stderr line."""
+        doc = json.loads(json.dumps(bundled_trace))
+        for (path, key), swap in edits:
+            parent = doc
+            try:
+                for step in path:
+                    parent = parent[step]
+                if swap < 0:
+                    del parent[key]
+                else:
+                    parent[key] = copy.deepcopy(_SWAPS[swap])
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed or replaced the field
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        for argv in (["verify-trace", str(trace)],
+                     ["compile-trace", str(trace), "--schemes", "bitpacker"]):
+            code, err = _run_cli(argv)
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1
+            else:
+                assert code in (0, 1) and "Traceback" not in err
 
 
 class TestServeCompiledRegistration:
