@@ -81,7 +81,7 @@ def bconv_fold(
 def pointwise_mul(
     a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
-    out = _numpy.pointwise_mul(a, b, q_col)
+    out = _numpy.pointwise_mul(a, b, q_col, kind)
     if _obs.ACTIVE:
         _obs.kernel("backend.numpy.pointwise_mul")
     return out
@@ -90,7 +90,7 @@ def pointwise_mul(
 def pointwise_mul_acc(
     acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
-    out = _numpy.pointwise_mul_acc(acc, a, b, q_col)
+    out = _numpy.pointwise_mul_acc(acc, a, b, q_col, kind)
     if _obs.ACTIVE:
         _obs.kernel("backend.numpy.pointwise_mul_acc")
     return out

@@ -8,9 +8,10 @@
   ``(m, kk) @ (kk, n)`` uint64 matrix product and one ``%`` whenever
   ``kk · max(v, p) · p < 2^64`` (always, at 28-bit words), else
   unreduced products chunk-summed per destination; for wide ones a
-  Shoup multiply by the CRT weights, all destinations at once (Shoup
-  takes unreduced digits, so there is no pre-reduction pass); for big
-  ones a Python-int matrix product;
+  Shoup multiply by the CRT weights, all destinations at once, summed
+  lazily and reduced once (Shoup takes unreduced digits, so there is
+  no pre-reduction pass; β = 2^62 unless a source modulus reaches
+  2^63); for big ones a Python-int matrix product;
 - the pointwise kernels are single broadcast :mod:`repro.nt.modmath`
   calls against the ``(k, 1)`` modulus column.
 
@@ -57,22 +58,43 @@ def _narrow_fold(
 
 
 def _wide_fold(
-    stack: np.ndarray, weights: np.ndarray, dst_col: np.ndarray
+    stack: np.ndarray, weights: np.ndarray, dst_col: np.ndarray, v_bound: int
 ) -> np.ndarray:
     """Shoup fold for a group of wide destination primes at once.
 
     One ``(m, n)`` multiply-accumulate per source digit against the
     weight column ``weights[:, i]`` and its companion; the digits may
-    exceed the destinations (any ``x < 2^64`` is a valid Shoup operand).
+    exceed the destinations.  A digit below 2^63 (every source modulus
+    below 2^63) multiplies at β = 2^62 (:func:`~repro.nt.modmath
+    .mod_mul_shoup62_lazy`, a term in ``[0, 4q)``); a larger one keeps
+    the β = 2^64 multiply, whose term lies in ``[0, 2q)``.  Terms
+    accumulate lazily: a sum below ``8q ≤ 2^64`` folds back under
+    ``4q`` after each add, and reduces fully once.
     """
-    shoup = modmath.shoup_companion(weights, dst_col)
-    acc = None
-    for i in range(stack.shape[0]):
-        term = modmath.mod_mul_shoup(
-            stack[i], weights[:, i : i + 1], shoup[:, i : i + 1], dst_col
-        )
-        acc = term if acc is None else modmath.mod_add(acc, term, dst_col)
-    return acc
+    if v_bound <= 1 << 63:
+        w_h, w_l = modmath.shoup_limbs(weights, dst_col)
+
+        def term(i: int) -> np.ndarray:
+            limbs = (w_h[:, i : i + 1], w_l[:, i : i + 1])
+            return modmath.mod_mul_shoup62_lazy(
+                stack[i], weights[:, i : i + 1], limbs, dst_col
+            )
+    else:
+        shoup = modmath.shoup_companion(weights, dst_col)
+
+        def term(i: int) -> np.ndarray:
+            return modmath.mod_mul_shoup_lazy(
+                stack[i], weights[:, i : i + 1], shoup[:, i : i + 1], dst_col
+            )
+
+    two_q = dst_col << np.uint64(1)
+    four_q = two_q << np.uint64(1)
+    acc = term(0)
+    for i in range(1, stack.shape[0]):
+        acc += term(i)  # both in [0, 4q), q < 2^61: no wrap
+        modmath.lazy_fold(acc, four_q, out=acc)
+    modmath.lazy_fold(acc, two_q, out=acc)
+    return modmath.lazy_fold(acc, dst_col, out=acc)
 
 
 def bconv_fold(
@@ -84,7 +106,7 @@ def bconv_fold(
 ) -> np.ndarray:
     dst_col = dst_moduli.astype(stack.dtype, copy=False).reshape(-1, 1)
     if kind == "wide":
-        return _wide_fold(stack, weights, dst_col)
+        return _wide_fold(stack, weights, dst_col, v_bound)
     kk = stack.shape[0]
     p_max = int(dst_moduli.max())
     if kind == "big" or kk * max(v_bound, p_max) * p_max < 1 << 64:
@@ -101,11 +123,13 @@ def bconv_fold(
     return out
 
 
-def pointwise_mul(a: np.ndarray, b: np.ndarray, q_col: np.ndarray) -> np.ndarray:
-    return modmath.mod_mul(a, b, q_col)
+def pointwise_mul(
+    a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
+) -> np.ndarray:
+    return modmath.mod_mul(a, b, q_col, kind)
 
 
 def pointwise_mul_acc(
-    acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray
+    acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
-    return modmath.mod_add(acc, modmath.mod_mul(a, b, q_col), q_col)
+    return modmath.mod_add(acc, modmath.mod_mul(a, b, q_col, kind), q_col)

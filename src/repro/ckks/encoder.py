@@ -155,11 +155,20 @@ class CkksEncoder:
     ) -> np.ndarray:
         """Decode integer coefficients back to ``slots`` complex values.
 
-        Returns a ``clongdouble`` array; callers needing float64 can cast.
+        ``coeffs`` is a sequence of ints of any size, or an int64 vector
+        (what decryption reconstructs), which converts in one cast: a
+        64-bit ``longdouble`` mantissa holds every int64 exactly, and
+        where the mantissa is narrower the cast rounds to nearest, as
+        :func:`~repro.nt.floatext.ints_to_longdouble` does.  Returns a
+        ``clongdouble`` array; callers needing float64 can cast.
         """
         if len(coeffs) != self.n:
             raise ParameterError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        twisted = ints_to_longdouble(coeffs).astype(np.clongdouble) * self._zeta_pow
+        if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
+            values = coeffs.astype(np.longdouble)
+        else:
+            values = ints_to_longdouble(coeffs)
+        twisted = values.astype(np.clongdouble) * self._zeta_pow
         spectrum = self._fft(twisted, inverse=False)
         s = fraction_to_longdouble(scale)
         return spectrum[self._slot_bins] / s

@@ -21,6 +21,7 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest
 from repro.errors import ParameterError
+from repro.nt.crt import centered_int64
 from repro.rns.poly import NTT, RnsPolynomial
 from repro.rns.sampling import (
     sample_gaussian_coeffs,
@@ -124,9 +125,18 @@ class Decryptor:
         return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
-        """Decrypt and decode to complex slot values (clongdouble)."""
-        pt = self.decrypt_to_plaintext(ct)
-        return self.encoder.decode(pt.poly.to_int_coeffs(), pt.scale)
+        """Decrypt and decode to complex slot values (clongdouble).
+
+        The centered coefficients come out as one int64 vector
+        (:func:`repro.nt.crt.centered_int64`); only a plaintext with a
+        coefficient beyond int64, or a modulus that rules the fast path
+        out, reconstructs through Python ints.
+        """
+        poly = self.decrypt_to_plaintext(ct).poly
+        coeffs = centered_int64(poly.mat, poly.basis.moduli)
+        if coeffs is None:
+            coeffs = poly.to_int_coeffs()
+        return self.encoder.decode(coeffs, ct.scale)
 
     def decrypt_real(self, ct: Ciphertext) -> np.ndarray:
         """Decrypt and decode, dropping the (noise-only) imaginary part."""

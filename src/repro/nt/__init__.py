@@ -5,13 +5,15 @@ exact arithmetic primitives every higher layer builds on:
 
 - :mod:`repro.nt.primes` — Miller–Rabin primality and NTT-friendly prime
   enumeration (primes ``p ≡ 1 (mod 2N)``, paper Sec. 3.3).
-- :mod:`repro.nt.modmath` — elementwise modular arithmetic on vectors with
-  a fast ``uint64`` backend for moduli below 2^31 and an exact big-int
-  backend for wider moduli (up to the 64-bit words the paper sweeps).
+- :mod:`repro.nt.modmath` — elementwise modular arithmetic on vectors:
+  ``uint64`` for moduli below 2^31 (one word) and below 2^61 (Shoup
+  multiplication from 31- and 32-bit limbs), exact big ints above (up
+  to the 64-bit words the paper sweeps).
 - :mod:`repro.nt.ntt` — negacyclic number-theoretic transform over
   ``Z_q[X]/(X^N + 1)`` with cached twiddle tables.
 - :mod:`repro.nt.crt` — Chinese-remainder reconstruction and centered
-  representatives, used for exact decode and for test oracles.
+  representatives: the int64 decode path and, in Python ints, its
+  oracle and fallback.
 """
 
 from repro.nt.crt import (

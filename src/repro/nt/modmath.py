@@ -7,16 +7,20 @@ single prime ``q``.  Three backends sit behind one API:
   in 62 bits, so plain ``uint64`` vector ops are exact.  This covers the
   28-31-bit datapaths that BitPacker makes the sweet spot.
 - **uint64 wide path** (``2^31 <= q < 2^61``): products overflow 64 bits,
-  so multiplication is multi-word.  :func:`mulhi64` assembles the high
-  word of a 64x64 product from 32-bit limbs; a *constant* operand ``w``
-  carries a precomputed companion ``w' = floor(w * 2^64 / q)``
-  (:func:`shoup_companion`) and multiplies in two products, one mulhi
-  and one ``min`` (:func:`mod_mul_shoup`, valid for any ``x < 2^64``);
-  variable x variable products fold ``hi * 2^64 + lo`` through the
-  constant ``2^64 mod q`` (:func:`two64_mod`).  Every step is a
-  wrapping ``uint64`` ufunc — no float ever touches a residue, so the
-  path is exact wherever numpy is, whatever width the platform's
-  extended floats have.
+  so multiplication is multi-word.  A *constant* operand ``w`` carries
+  a precomputed companion ``w' = floor(w * 2^62 / q)``, stored as two
+  31-bit limbs (:func:`shoup_limbs`), and multiplies in three limb
+  products for the quotient plus two for the remainder
+  (:func:`mod_mul_shoup`, valid for any ``x < 2^63`` — every lazy NTT
+  value, reduced operand, high word and digit of a source modulus
+  below 2^63).  The β = 2^64 companion (:func:`shoup_companion`) and
+  the four-limb :func:`mulhi64` remain for the one operand that can
+  reach 2^63 — a base-conversion digit of a source modulus ≥ 2^63 —
+  and for the high word of variable x variable products, which fold
+  ``hi * 2^64 + lo`` through the constant ``2^64 mod q``
+  (:func:`two64_mod`).  Every step is a wrapping ``uint64`` ufunc — no
+  float ever touches a residue, so the path is exact wherever numpy
+  is, whatever width the platform's extended floats have.
 - **big-int path** (``q >= 2^61``): numpy ``object`` arrays of Python
   ints, exact for any modulus width up to the 64-bit words the paper
   sweeps.
@@ -35,16 +39,20 @@ candidate that wrapped past ``2^64`` is the large one, so one
 spend three passes.  Operands must already be reduced below ``q``.
 
 **Lazy primitives** (what the NTT stage loops are built from).  The
-Shoup multiply is written against an abstract machine word β:
+Shoup multiply is written against a machine word β:
 :func:`mod_mul_shoup_lazy` returns ``x·w − ⌊x·w′/β⌋·q ∈ [0, 2q)`` for
 any ``x < β`` and leaves the last conditional subtraction to the caller;
 :func:`lazy_fold` is that subtraction (``[0, 2m) → [0, m)``, one
 ``min``), so a butterfly can carry ``[0, 2q)`` / ``[0, 4q)`` values
-across stages and reduce fully once.  β is the operand's dtype:
-uint64 arrays use :func:`mulhi64`; uint32 arrays (``4q ≤ 2^32``) use
-:func:`mulhi32`, where the whole product fits one uint64 and every
-other step is a wrapping uint32 ufunc on half the bytes.
-:func:`mod_mul_shoup` is the two composed at β = 2^64.
+across stages and reduce fully once.  Its β is the operand's dtype:
+uint32 arrays (``4q ≤ 2^32``) use :func:`mulhi32`, where the whole
+product fits one uint64 and every other step is a wrapping uint32
+ufunc on half the bytes; uint64 arrays use :func:`mulhi64`.  The
+uint64 loops use the cheaper :func:`mod_mul_shoup62_lazy` instead:
+β = 2^62 sizes the limb decomposition to the operand bound
+``x < 2^63 = 2β``, so the quotient needs three limb products, not
+four, and lands in ``[0, 4q)``; one fold by ``2q`` gives the
+butterflies' ``[0, 2q)``, and :func:`mod_mul_shoup` folds twice.
 
 All functions are pure unless handed an ``out``: they never mutate
 their inputs.
@@ -93,6 +101,8 @@ BIG_MODULUS_THRESHOLD = 1 << 61
 _NARROW_THRESHOLD = 1 << 31
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_MASK31 = np.uint64(0x7FFFFFFF)
+_SHIFT31 = np.uint64(31)
 _U64_MAX = (1 << 64) - 1
 #: Which uint32 half of a uint64 word holds its high bits.
 _HI32 = 1 if sys.byteorder == "little" else 0
@@ -129,11 +139,9 @@ def _q_arr(q):
     return np.uint64(q)
 
 
-def _q_bound(q) -> int:
-    """Largest modulus represented by ``q`` (drives backend dispatch)."""
-    if isinstance(q, np.ndarray):
-        return int(q.max())
-    return int(q)
+def _q_kind(q) -> str:
+    """:func:`backend_kind` of the largest modulus represented by ``q``."""
+    return backend_kind(int(q.max()) if isinstance(q, np.ndarray) else int(q))
 
 
 def as_mod_array(values, q: int) -> np.ndarray:
@@ -212,8 +220,11 @@ def mulhi64(a: np.ndarray, b) -> np.ndarray:
 
     Four 32x32 limb products.  Neither middle sum can wrap
     (``(2^32 - 1)^2 + 2^32 - 1 < 2^64``), so the carries into the high
-    word fall out of plain shifts.  Accumulates in place: this is the
-    innermost kernel of the wide path and temporaries are its cost.
+    word fall out of plain shifts.  Accumulates in place.  The wide
+    path uses it for the high word of variable x variable products,
+    for companions, and for β = 2^64 Shoup multiplies; constant
+    multiplies by an operand below 2^63 take the three-product
+    :func:`mod_mul_shoup62_lazy`.
     """
     a_lo, a_hi = a & _MASK32, a >> _SHIFT32
     b_lo, b_hi = b & _MASK32, b >> _SHIFT32
@@ -261,16 +272,26 @@ def shoup_companion(w: np.ndarray, q, beta_bits: int = 64) -> np.ndarray:
     return est + r // qa
 
 
+def shoup_limbs(w: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
+    """The β = 2^62 companion ``w′ = floor(w * 2^62 / q) < 2^62`` of a
+    uint64 array ``w < q < 2^61``, split into the 31-bit limbs
+    ``(w′ >> 31, w′ & (2^31 - 1))`` that :func:`mod_mul_shoup62_lazy`
+    multiplies by.  ``w′`` is the β = 2^64 companion shifted right by
+    two (``floor(floor(a) / 4) = floor(a / 4)``).
+    """
+    c = shoup_companion(w, q) >> np.uint64(2)
+    return c >> _SHIFT31, c & _MASK31
+
+
 def two64_mod(q):
-    """``(2^64 mod q, its Shoup companion)`` per modulus, in ``q``'s shape.
+    """``(2^64 mod q, its Shoup limbs)`` per modulus, in ``q``'s shape.
 
     The constant that folds the high word of a 128-bit product back
-    under ``q``; both engines' general multiply is built on it.
+    under ``q`` (:func:`_mulmod_wide`).
     """
-    return (
-        _per_modulus(q, lambda v: (1 << 64) % v),
-        _per_modulus(q, lambda v: ((1 << 64) % v << 64) // v),
-    )
+    r64 = _per_modulus(q, lambda v: (1 << 64) % v)
+    c = _per_modulus(q, lambda v: ((1 << 64) % v << 62) // v)
+    return r64, (c >> _SHIFT31, c & _MASK31)
 
 
 def mulhi32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -296,11 +317,44 @@ def mod_mul_shoup_lazy(x: np.ndarray, w, w_shoup, q, out=None) -> np.ndarray:
     remainder plus at most one ``q``.  The caller owns the last
     conditional subtraction (:func:`lazy_fold`), or carries the lazy
     value on.  ``w``, ``w_shoup`` and ``q`` broadcast against ``x``;
-    ``out`` receives the result (it may be a strided view).
+    ``out`` receives the result (it may be a strided view).  On uint64
+    this is the four-limb :func:`mulhi64`, kept for operands that can
+    reach 2^63; everything below uses :func:`mod_mul_shoup62_lazy`.
     """
     mulhi = mulhi32 if x.dtype == np.uint32 else mulhi64
     r = mulhi(x, w_shoup) * q
     return np.subtract(x * w, r, out=r if out is None else out)
+
+
+def mod_mul_shoup62_lazy(x: np.ndarray, w, w_limbs, q, out=None) -> np.ndarray:
+    """``x·w − q̂·q``: congruent to ``x * w`` mod ``q`` and in ``[0, 4q)``,
+    for a constant ``w < q < 2^61`` and any uint64 ``x < 2^63``.
+
+    ``w_limbs`` is ``w``'s :func:`shoup_limbs` ``(w_h, w_l)``.  With
+    ``x = x_h·2^31 + x_l`` (``x_h < 2^32``, ``x_l < 2^31``) the middle
+    sum ``x_h·w_l + x_l·w_h < 2^63 + 2^62`` cannot wrap, and
+    ``q̂ = x_h·w_h + (mid >> 31)`` drops only the low product
+    ``x_l·w_l``: it is short of ``⌊x·w′/2^62⌋`` by at most 1, which is
+    short of ``⌊x·w/q⌋`` by at most 2 because ``x < 2·2^62``.  So the
+    wrapped difference is the remainder plus at most ``3q``, and
+    ``4q < 2^63`` keeps it exact.  Three limb products where
+    :func:`mulhi64` spends four, and the constant arrives pre-split.
+    ``w``, the limbs and ``q`` broadcast against ``x``; ``out`` receives
+    the result (it may be a strided view).
+    """
+    w_h, w_l = w_limbs
+    x_h = x >> _SHIFT31
+    x_l = x & _MASK31
+    mid = x_h * w_l
+    # x's own temporaries take the other products, unless the constants
+    # widen the result (a column against one row).
+    fits = mid.shape == x.shape
+    mid += np.multiply(x_l, w_h, out=x_l if fits else None)
+    mid >>= _SHIFT31
+    mid += np.multiply(x_h, w_h, out=x_h if fits else None)
+    mid *= q
+    low = np.multiply(x, w, out=x_l if fits else None)
+    return np.subtract(low, mid, out=mid if out is None else out)
 
 
 def lazy_fold(x: np.ndarray, m, out=None) -> np.ndarray:
@@ -317,37 +371,44 @@ def lazy_fold(x: np.ndarray, m, out=None) -> np.ndarray:
     return np.minimum(x, d, out=d if out is None else out)
 
 
-def mod_mul_shoup(x: np.ndarray, w, w_shoup, q) -> np.ndarray:
-    """``x * w mod q`` for a constant ``w < q`` with its β = 2^64 Shoup
-    companion: :func:`mod_mul_shoup_lazy` and the fold that finishes it.
+def mod_mul_shoup(x: np.ndarray, w, w_limbs, q) -> np.ndarray:
+    """``x * w mod q`` for a constant ``w < q < 2^61`` with its
+    :func:`shoup_limbs`: :func:`mod_mul_shoup62_lazy` and the two folds
+    that finish it.
 
-    ``x`` is a uint64 array and need *not* be reduced (any ``x < 2^64``,
-    ``q < 2^61``).  ``w``, ``w_shoup`` and ``q`` broadcast against ``x``
-    (scalars, twiddle columns, per-row ``(k, 1)`` columns).
+    ``x`` is a uint64 array and need *not* be reduced (any
+    ``x < 2^63``).  ``w``, the limbs and ``q`` broadcast against ``x``
+    (scalars, per-row ``(k, 1)`` columns).
     """
     qa = _q_arr(q)
-    r = mod_mul_shoup_lazy(x, w, w_shoup, qa)
+    r = mod_mul_shoup62_lazy(x, w, w_limbs, qa)
+    lazy_fold(r, qa << np.uint64(1), out=r)
     return lazy_fold(r, qa, out=r)
 
 
 def _mulmod_wide(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """Exact ``a * b mod q`` for two uint64 arrays, ``q < 2^61``.
 
-    ``a * b = hi * 2^64 + lo``: the high word folds through
-    ``2^64 mod q`` (one Shoup multiply), the low word takes one
+    ``a * b = hi * 2^64 + lo``: the high word (``< 2^58``) folds
+    through ``2^64 mod q`` (one Shoup multiply), the low word takes one
     machine remainder.
     """
     qa = _q_arr(q)
-    r64, r64_shoup = two64_mod(q)
-    folded = mod_mul_shoup(mulhi64(a, b), r64, r64_shoup, qa)
+    r64, r64_limbs = two64_mod(q)
+    folded = mod_mul_shoup(mulhi64(a, b), r64, r64_limbs, qa)
     return mod_add(folded, a * b % qa, qa)  # fhelint: ok[overflow-hazard] low word
 
 
-def mod_mul(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
-    """``(a * b) mod q`` elementwise (exact for all backends)."""
+def mod_mul(a: np.ndarray, b: np.ndarray, q, kind: str | None = None) -> np.ndarray:
+    """``(a * b) mod q`` elementwise (exact for all backends).
+
+    ``kind`` is the :func:`backend_kind` of the widest modulus in ``q``;
+    a caller that already knows it (a basis, a kernel dispatch) passes
+    it and saves the scan of ``q``.
+    """
     if _is_big(a):
         return (a * b) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
-    if _q_bound(q) < _NARROW_THRESHOLD:
+    if (kind or _q_kind(q)) == "narrow":
         return a * b % _q_arr(q)  # fhelint: ok[overflow-hazard] narrow: < 2^62
     return _mulmod_wide(a, b, q)
 
@@ -360,7 +421,8 @@ def mod_scalar_mul(a: np.ndarray, k: int, q: int) -> np.ndarray:
     if q < _NARROW_THRESHOLD:
         # Narrow backend: both a and k sit below 2^31.
         return a * np.uint64(k) % np.uint64(q)  # fhelint: ok[overflow-hazard]
-    return mod_mul_shoup(a, np.uint64(k), np.uint64((k << 64) // q), q)
+    c = np.uint64((k << 62) // q)
+    return mod_mul_shoup(a, np.uint64(k), (c >> _SHIFT31, c & _MASK31), q)
 
 
 def mod_inv(x: int, q: int) -> int:

@@ -19,19 +19,23 @@ is written exactly once; a single prime is the ``k = 1`` context
 (:func:`ntt_context`).
 
 **Lazy and division-free.**  The butterflies are Harvey's: every twiddle
-product is a Shoup multiply ``x·w − ⌊x·w′/β⌋·q ∈ [0, 2q)`` (valid for any
-``x < β``; :func:`repro.nt.modmath.mod_mul_shoup_lazy`), and values ride
+product is a Shoup multiply ``x·w − ⌊x·w′/β⌋·q`` brought into
+``[0, 2q)`` (:func:`repro.nt.modmath.mod_mul_shoup_lazy`,
+:func:`repro.nt.modmath.mod_mul_shoup62_lazy`), and values ride
 unreduced between stages — ``[0, 4q)`` forward, ``[0, 2q)`` inverse —
 with one conditional subtraction per butterfly
 (:func:`repro.nt.modmath.lazy_fold`) and one full reduction per
-transform.  No stage divides.  The machine word β is the stack's widest
+transform.  No stage divides.  The machine word is the stack's widest
 modulus's: ``4q ≤ 2^32`` runs *everything* — working matrix, constants,
-companions — in uint32, where the high word of ``x·w′`` is one widening
-multiply (the 28-bit words BitPacker makes the sweet spot land here);
-wider stacks below 2^61 run in uint64 with the limb ``mulhi64`` (a prime
-in ``[2^30, 2^31)`` too: its ``4q`` no longer fits the half word); a
-modulus ≥ 2^61 makes the stack Python ints, which reduce fully at every
-multiply.  The word is known only to ``_twiddle_mul`` and ``lazy_fold``.
+companions — in uint32 at β = 2^32, where the high word of ``x·w′`` is
+one widening multiply (the 28-bit words BitPacker makes the sweet spot
+land here); wider stacks below 2^61 run in uint64 at β = 2^62, the
+companion stored as two 31-bit limbs and the quotient built from three
+limb products (``4q < 2^63 = 2β`` bounds every operand; a prime in
+``[2^30, 2^31)`` lands here too: its ``4q`` no longer fits the half
+word); a modulus ≥ 2^61 makes the stack Python ints, which reduce fully
+at every multiply.  The word is known only to ``_twiddle_mul`` and
+``lazy_fold``.
 
 **Short strides run transposed.**  A stage with half-length ``t`` walks
 numpy inner loops ``t`` long, so the last forward (first inverse) stages
@@ -50,8 +54,9 @@ cached per ``(q, n)`` — each direction's per-stage constants on that
 direction's first transform, so a context that only runs forward holds
 half of them; they are the software analogue of the accelerator's
 precomputed twiddle ROMs.  Each constant and its companion
-(:func:`repro.nt.modmath.shoup_companion`) is stored once, in the
-stack's word and in the order its stage reads it.
+(:func:`repro.nt.modmath.shoup_companion`, or on uint64 its limbs,
+:func:`repro.nt.modmath.shoup_limbs`) is stored once, in the stack's
+word and in the order its stage reads it.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ class NttRowsContext:
     column over the stage views.  The widest modulus picks the machine
     word β for the whole stack: ``4q ≤ 2^32`` works in uint32 (matrix,
     constants and Shoup multiply at β = 2^32), anything else below 2^61
-    in uint64 at β = 2^64 — exact for narrower rows too — and one
+    in uint64 at β = 2^62 — exact for narrower rows too — and one
     modulus ≥ 2^61 makes everything object-dtype.  A single prime is
     the ``k = 1`` case (:func:`ntt_context`), which also takes and
     returns 1-D rows; an ``(m, k, n)`` stack is ``m`` such matrices.
@@ -192,8 +197,9 @@ class NttRowsContext:
         ``shape`` is the ``(k, blocks, 2, rows, cols)`` view a stage's
         butterflies take of each working matrix — ``[..., 0, :, :]`` the
         upper halves, ``[..., 1, :, :]`` the lower; ``w`` its constants,
-        ``w'`` their Shoup companions at this stack's β (``None`` on
-        object rows), stored once, in the stack's word and in the order the
+        ``w'`` their Shoup companions at this stack's β (a ``(high,
+        low)`` pair of 31-bit limbs on uint64, ``None`` on object rows),
+        stored once, in the stack's word and in the order the
         view walks them, shaped to broadcast against a half.  A stage
         with half-length ``t > _TAIL / 2`` sees natural order as
         ``(blocks, 2, 1, t)`` with one constant per block; a shorter
@@ -208,21 +214,25 @@ class NttRowsContext:
         # makes the stack object (exact Python ints throughout).
         table = np.stack([_prime_tables(q, n)[inverse] for q in self.moduli])
         shoup = None
-        if self._word is not object:
-            beta_bits = 8 * np.dtype(self._word).itemsize
-            shoup = modmath.shoup_companion(table, self._q_col, beta_bits)
+        if self._word is np.uint32:
+            shoup = modmath.shoup_companion(table, self._q_col, 32)
+        elif self._word is np.uint64:
+            shoup = modmath.shoup_limbs(table, self._q_col)
         cols = n // self._tail
 
-        def constants(lo: int, hi: int, width: int) -> list:
-            return [
-                tb
-                if tb is None
-                else tb[:, lo:hi]
+        def layout(tb: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:
+            return (
+                tb[:, lo:hi]
                 .reshape(k, width, 1, -1)
                 .swapaxes(1, 3)
                 .astype(self._word, order="C")
-                for tb in (table, shoup)
-            ]
+            )
+
+        def constants(lo: int, hi: int, width: int) -> list:
+            w = layout(table, lo, hi, width)
+            if isinstance(shoup, tuple):
+                return [w, tuple(layout(tb, lo, hi, width) for tb in shoup)]
+            return [w, None if shoup is None else layout(shoup, lo, hi, width)]
 
         plan = []
         m = 1
@@ -293,13 +303,18 @@ class NttRowsContext:
 
     def _twiddle_mul(self, x: np.ndarray, w, w_shoup, out=None) -> np.ndarray:
         """``x`` times a stage's constants, lazily: congruent mod ``q``
-        and in ``[0, 2q)`` for any ``x < β`` — the one width-aware
-        multiply.  Machine words Shoup-multiply at their β; big ones
-        are Python ints and reduce fully.
+        and in ``[0, 2q)`` for every ``x < 4q`` — the one width-aware
+        multiply.  uint32 Shoup-multiplies at β = 2^32; uint64 at
+        β = 2^62 from the companion's limbs (``4q < 2^63``), whose
+        ``[0, 4q)`` one fold by ``2q`` brings in; big words are Python
+        ints and reduce fully.
         """
         if w_shoup is None:
             return np.remainder(x * w, self._q, out=out)
-        return modmath.mod_mul_shoup_lazy(x, w, w_shoup, self._q, out)
+        if self._word is np.uint32:
+            return modmath.mod_mul_shoup_lazy(x, w, w_shoup, self._q, out)
+        r = modmath.mod_mul_shoup62_lazy(x, w, w_shoup, self._q)
+        return modmath.lazy_fold(r, self._two_q, out=out)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
         """Coefficient -> NTT transform of a ``(k, n)`` matrix or stack.
@@ -389,6 +404,7 @@ class NttRowsContext:
             self.forward(np.atleast_2d(a)),
             self.forward(np.atleast_2d(b)),
             self._q_col,
+            self.kind,
         )
         return self.inverse(product).reshape(a.shape)
 

@@ -21,7 +21,7 @@ from repro.nt.modmath import (
     backend_kind,
     dtype_for_modulus,
     mod_inv,
-    shoup_companion,
+    shoup_limbs,
 )
 
 
@@ -29,12 +29,13 @@ class ScalarColumn(NamedTuple):
     """Per-row constants ready to multiply a residue matrix by.
 
     ``col`` is the reduced ``(R, 1)`` column in the basis dtype; ``shoup``
-    its Shoup companion on a ``wide`` basis (``None`` elsewhere), so a
+    its Shoup companion's 31-bit limbs on a ``wide`` basis
+    (:func:`repro.nt.modmath.shoup_limbs`; ``None`` elsewhere), so a
     constant that is reused pays for the companion once.
     """
 
     col: np.ndarray
-    shoup: np.ndarray | None
+    shoup: tuple[np.ndarray, np.ndarray] | None
 
 
 class RnsBasis:
@@ -98,7 +99,7 @@ class RnsBasis:
         if len(scalars) != self.size:
             raise ParameterError(f"expected {self.size} scalars, got {len(scalars)}")
         col = self.column([s % q for s, q in zip(scalars, self.moduli)])
-        shoup = shoup_companion(col, self.q_col) if self.kind == "wide" else None
+        shoup = shoup_limbs(col, self.q_col) if self.kind == "wide" else None
         return ScalarColumn(col, shoup)
 
     def backend_groups(

@@ -201,7 +201,7 @@ class RnsPolynomial:
 
         The per-row constants reduce to an ``(R, 1)`` column, so this is
         one broadcast multiply (a Shoup multiply by the column and its
-        companion on a wide basis).  Base conversion and rescale pass
+        companion's limbs on a wide basis).  Base conversion and rescale pass
         their per-modulus CRT weights as a ready
         :class:`~repro.rns.basis.ScalarColumn` from the cached
         conversion table, skipping the per-call reduction.
@@ -214,7 +214,7 @@ class RnsPolynomial:
             return self._like(
                 modmath.mod_mul_shoup(self.mat, k_col, k_shoup, basis.q_col)
             )
-        return self._like(modmath.mod_mul(self.mat, k_col, basis.q_col))
+        return self._like(modmath.mod_mul(self.mat, k_col, basis.q_col, basis.kind))
 
     def add_constant(self, k: int) -> "RnsPolynomial":
         """Add the integer constant ``k`` (the polynomial ``k · X^0``).

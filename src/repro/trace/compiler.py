@@ -365,22 +365,36 @@ def _pass_tighten_base(
     can safely come down by the minimum slack less
     :data:`BASE_SAFETY_BITS`; re-verification (driver-side) then proves
     no product encroaches anywhere on the narrower chain.
+
+    The largest whole-bit reduction that verifies clean wins.  The full
+    slack is tried first; if it fails, the reductions that verify are a
+    prefix (a narrower base only tightens every level), so bisection
+    finds the largest in at most 64 more verifications, however large
+    ``base_bits`` is.
     """
     slack = result.slack_bits
-    if not slack:
+    if not slack or not math.isfinite(min(slack)):
         return trace, 0.0, ""
-    delta = float(int(min(slack) - BASE_SAFETY_BITS))
-    while delta > 0:
-        candidate = replace(trace, base_bits=trace.base_bits - delta)
-        check = verify_trace(candidate)
-        if not check.findings:
-            return (
-                candidate,
-                delta,
-                f"base {trace.base_bits:g} -> {trace.base_bits - delta:g} bits",
-            )
-        delta -= 1
-    return trace, 0.0, ""
+
+    def verifies(delta: int) -> bool:
+        shrunk = replace(trace, base_bits=trace.base_bits - float(delta))
+        return not verify_trace(shrunk).findings
+
+    good, bad = 0, int(min(slack) - BASE_SAFETY_BITS) + 1
+    if bad > 1 and verifies(bad - 1):
+        good = bad - 1
+    else:
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if verifies(mid) else (good, mid)
+    if good == 0:
+        return trace, 0.0, ""
+    delta = float(good)
+    return (
+        replace(trace, base_bits=trace.base_bits - delta),
+        delta,
+        f"base {trace.base_bits:g} -> {trace.base_bits - delta:g} bits",
+    )
 
 
 #: The pipeline, in order.  (name, pass, run-to-fixpoint?)

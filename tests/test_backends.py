@@ -386,6 +386,46 @@ class TestNarrowFoldPaths:
         assert _kernel_kat_misses("bconv_fold") == ["narrow 47->46"]
 
 
+class TestWideFoldWords:
+    """``bconv_fold`` for wide destinations multiplies at β = 2^62 while
+    every digit is below 2^63, and keeps the β = 2^64 multiply for the
+    digits of a source modulus ≥ 2^63, which the three-product quotient
+    cannot take."""
+
+    N = 16
+
+    @pytest.mark.parametrize("v_bits, word", [(55, 62), (63, 62), (64, 64)])
+    @pytest.mark.parametrize("worst", [False, True], ids=["random", "worst-case"])
+    def test_word_follows_the_digit_bound(self, monkeypatch, v_bits, word, worst):
+        calls = {62: 0, 64: 0}
+
+        def spy(fn, beta):
+            def counted(*args, **kwargs):
+                calls[beta] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(modmath, "mod_mul_shoup62_lazy",
+                            spy(modmath.mod_mul_shoup62_lazy, 62))
+        monkeypatch.setattr(modmath, "mod_mul_shoup_lazy",
+                            spy(modmath.mod_mul_shoup_lazy, 64))
+        kk = 4
+        top = (1 << v_bits) - 1
+        dst = primes(1 << 60, self.N, 3)
+        rng = np.random.default_rng(v_bits)
+        if worst:
+            stack = np.full((kk, self.N), top, dtype=np.uint64)
+            weights = np.array([[p - 1] * kk for p in dst], dtype=np.uint64)
+        else:
+            stack = rng.integers(0, top, (kk, self.N), dtype=np.uint64,
+                                 endpoint=True)
+            weights = np.stack(
+                [rng.integers(0, p, kk, dtype=np.uint64) for p in dst])
+        got = backends.bconv_fold(stack, weights, dst, top + 1, "wide")
+        assert got.tolist() == _fold_oracle(stack, weights, dst)
+        assert calls == {word: kk, 126 - word: 0}
+
+
 @pytest.fixture
 def kernel_counts():
     """Counts of ``kernel.backend.numpy.<kernel>`` since the last read."""

@@ -7,7 +7,7 @@ from repro.ckks import CkksContext
 from repro.ckks.bootstrap import BS19, BS26, FunctionalBootstrapper
 from repro.errors import ParameterError
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
-from tests.conftest import TEST_LEVELS, TEST_N, make_values
+from tests.conftest import TEST_LEVELS, TEST_N, make_values, x87_precision
 
 
 @pytest.fixture(scope="module", params=["bitpacker", "rns-ckks"])
@@ -47,6 +47,7 @@ class TestFunctionalBootstrap:
         fresh = boot.bootstrap(ct)
         assert fresh.level == ctx.chain.max_level
 
+    @x87_precision
     def test_preserves_values_to_algorithm_precision(self, boot_ctx, rng):
         ctx = boot_ctx
         vals = make_values(ctx, rng)
@@ -56,6 +57,7 @@ class TestFunctionalBootstrap:
         # Should be near (not much above, not far below) the 26-bit floor.
         assert 18 < prec < 33
 
+    @x87_precision
     def test_bs19_noisier_than_bs26(self, boot_ctx, rng):
         ctx = boot_ctx
         vals = make_values(ctx, rng)

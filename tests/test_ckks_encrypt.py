@@ -1,8 +1,13 @@
 """Unit tests for encryption/decryption and key material."""
 
 import numpy as np
+import pytest
 
+from repro.ckks import CkksContext
+from repro.ckks.bootstrap_pipeline import PipelineConfig
 from repro.ckks.keys import SecretKey, galois_int_coeffs, split_into_digits
+from repro.nt import crt
+from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.conftest import make_values
 
 
@@ -43,14 +48,68 @@ class TestEncryptDecrypt:
         assert np.max(np.abs(got - vals)) < 2.0**-12
 
     def test_wrong_key_fails_to_decrypt(self, bp_chain, rng):
-        from repro.ckks import CkksContext
-
         ctx_a = CkksContext(bp_chain, seed=1)
         ctx_b = CkksContext(bp_chain, seed=2)
         vals = rng.uniform(-1, 1, ctx_a.slots)
         ct = ctx_a.encrypt(vals)
         garbage = ctx_b.decrypt_real(ct)
         assert np.max(np.abs(garbage - vals)) > 1.0
+
+
+#: The ladder's three FHE chains (``benchmarks/ladder/fhe.py``).
+LADDER_CHAINS = {
+    "logreg_bp28": lambda: plan_bitpacker_chain(
+        n=4096, word_bits=28, level_scale_bits=35.0, levels=6,
+        base_bits=60.0, ks_digits=2,
+    ),
+    "logreg_rns60": lambda: plan_rns_ckks_chain(
+        n=4096, word_bits=60, level_scale_bits=35.0, levels=6,
+        base_bits=60.0, ks_digits=2,
+    ),
+    "bootstrap_bp28": lambda: plan_bitpacker_chain(
+        n=128, word_bits=28, level_scale_bits=35.0,
+        levels=PipelineConfig().depth + 2,
+        base_bits=40.0, ks_digits=3,
+    ),
+}
+
+
+class TestInt64Decode:
+    """Decryption reconstructs coefficients as int64 and decodes them
+    with one cast; the Python-int CRT is the oracle and the fallback."""
+
+    @pytest.mark.parametrize("name", LADDER_CHAINS)
+    def test_every_level_decodes_like_the_oracle(self, name, rng):
+        chain = LADDER_CHAINS[name]()
+        ctx = CkksContext(chain, seed=7)
+        for level in range(chain.max_level + 1):
+            ct = ctx.encrypt_symmetric(make_values(ctx, rng), level=level)
+            poly = ctx.decryptor.decrypt_to_plaintext(ct).poly
+            oracle = poly.to_int_coeffs()
+            fast = crt.centered_int64(poly.mat, poly.basis.moduli)
+            assert fast is not None and fast.tolist() == oracle
+            want = ctx.encoder.decode(oracle, ct.scale)
+            assert np.array_equal(ctx.decrypt(ct), want)
+
+    def test_a_product_at_scale_squared_falls_back(self, rng, monkeypatch):
+        """An un-rescaled product at a 40-bit scale holds coefficients
+        near 2^80: the int64 path declines and the oracle decodes."""
+        chain = plan_rns_ckks_chain(
+            n=256, word_bits=60, level_scale_bits=40.0, levels=2,
+            base_bits=60.0, ks_digits=2,
+        )
+        ctx = CkksContext(chain, seed=7)
+        vals = make_values(ctx, rng)
+        product = ctx.evaluator.square(ctx.encrypt(vals))
+        poly = ctx.decryptor.decrypt_to_plaintext(product).poly
+        oracle = poly.to_int_coeffs()
+        assert max(abs(c) for c in oracle) >= 1 << 63
+        assert crt.centered_int64(poly.mat, poly.basis.moduli) is None
+        got = ctx.decrypt_real(product)
+        assert np.array_equal(
+            got, np.real(ctx.encoder.decode(oracle, product.scale))
+        )
+        assert np.max(np.abs(got - vals * vals)) < 2.0**-12
 
 
 class TestSecretKey:

@@ -1,5 +1,9 @@
 """Unit tests for CRT reconstruction and centered representatives."""
 
+from itertools import islice
+from math import prod
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +11,13 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.nt.crt import (
     centered,
+    centered_int64,
     centered_vector,
     crt_reconstruct,
     crt_reconstruct_vector,
 )
+from repro.nt.floatext import ints_to_longdouble
+from repro.nt.primes import ntt_friendly_primes_below
 
 MODULI = (257, 263, 269)
 
@@ -75,3 +82,77 @@ def test_crt_centered_property(x):
     rebuilt = crt_reconstruct(residues, MODULI)
     assert rebuilt == x % big_q
     assert centered(rebuilt, big_q) == ((x + big_q // 2) % big_q) - big_q // 2
+
+
+# ----------------------------------------------------------------------
+# The int64 decode path: a fast base conversion to 2^64, checked on
+# every row, with the Python-int CRT as oracle and fallback.
+# ----------------------------------------------------------------------
+def _rows(xs, moduli) -> np.ndarray:
+    return np.array([[x % q for x in xs] for q in moduli], dtype=np.uint64)
+
+
+def _wide_primes(bits: int, count: int) -> tuple[int, ...]:
+    return tuple(islice(ntt_friendly_primes_below(1 << bits, 16), count))
+
+
+#: Q above 2^64 on each width class, and Q below 2^63 (direct path).
+INT64_BASES = {
+    "narrow-q>2^64": _wide_primes(28, 3),
+    "wide-q>2^64": _wide_primes(60, 2),
+    "mixed-q>2^64": _wide_primes(36, 1) + _wide_primes(28, 2),
+    "narrow-q<2^63": _wide_primes(28, 2),
+    "wide-q<2^63": _wide_primes(60, 1),
+}
+
+
+@pytest.mark.parametrize("moduli", INT64_BASES.values(), ids=INT64_BASES.keys())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_centered_int64_matches_the_oracle(moduli, data):
+    big_q = prod(moduli)
+    bound = min((1 << 63) - 1, big_q // 2)
+    edges = [0, 1, -1, bound, -bound]
+    xs = data.draw(
+        st.lists(st.sampled_from(edges) | st.integers(-bound, bound),
+                 min_size=1, max_size=12)
+    )
+    mat = _rows(xs, moduli)
+    got = centered_int64(mat, moduli)
+    assert got is not None and got.dtype == np.int64
+    want = centered_vector(crt_reconstruct_vector(mat, moduli), big_q)
+    assert got.tolist() == want == xs
+
+
+def test_centered_int64_declines_a_coefficient_beyond_int64():
+    """A centered value at or beyond ±2^63 (an un-rescaled product at
+    scale², say) fails the row check and goes to the oracle."""
+    moduli = INT64_BASES["wide-q>2^64"]
+    for x in (1 << 63, -(1 << 63) - 1, 1 << 70, -(1 << 100)):
+        assert centered_int64(_rows([5, x, -7], moduli), moduli) is None
+    # -2^63 itself is an int64.
+    assert centered_int64(_rows([-(1 << 63)], moduli), moduli).tolist() == [
+        -(1 << 63)
+    ]
+
+
+def test_centered_int64_declines_q_between_2_63_and_2_64_and_object_rows():
+    moduli = _wide_primes(32, 2)
+    assert (1 << 63) <= prod(moduli) < (1 << 64)
+    assert centered_int64(_rows([3, -3], moduli), moduli) is None
+    big = ((1 << 61) + 20 * 131072 + 1,)
+    rows = np.array([[3, 5]], dtype=object)
+    assert centered_int64(rows, big) is None
+
+
+def test_int64_cast_agrees_with_the_int_path():
+    """The decoder casts an int64 vector straight to longdouble.  With
+    x87's 64-bit mantissa that is exact; with a narrower one it must
+    still round exactly as the Python-int conversion does."""
+    top = (1 << 63) - 1
+    values = [0, 1, -1, top, -top - 1, (1 << 53) + 1, -(1 << 53) - 1,
+              (1 << 62) + 3, 123456789012345678, -987654321098765432]
+    cast = np.array(values, dtype=np.int64).astype(np.longdouble)
+    assert np.array_equal(cast, ints_to_longdouble(values))
+    if np.finfo(np.longdouble).nmant >= 63:
+        assert [int(v) for v in cast] == values

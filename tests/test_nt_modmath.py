@@ -282,19 +282,88 @@ def test_shoup_companion_per_row_modulus_column():
     ]
 
 
+#: Every operand the β = 2^62 multiply accepts: ``x < 2^63``.
+U63 = st.integers(min_value=0, max_value=(1 << 63) - 1)
+#: Moduli for the β = 2^62 kernel: the top of the narrow range (uint64
+#: NTT stacks), the wide range, and just below 2^61.
+SHOUP62_MODULI = (
+    st.integers((1 << 30) + 1, (1 << 31) - 1)
+    | st.integers(1 << 31, (1 << 60) - 1)
+    | st.integers((1 << 61) - (1 << 12), (1 << 61) - 1)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=SHOUP62_MODULI, data=st.data())
+def test_shoup62_is_lazy_and_exact(q, data):
+    """β = 2^62: three limb products, any ``x < 2^63``, the result
+    congruent and in ``[0, 4q)``; two folds finish it.  The limbs are
+    the β = 2^64 companion shifted right by two."""
+    ws = data.draw(
+        st.lists(
+            st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    top = (1 << 63) - 1
+    xs = [
+        data.draw(st.sampled_from([0, 1, q - 1, 4 * q - 1, top]) | U63)
+        for _ in ws
+    ]
+    w, x = _u64(ws), _u64(xs)
+    w_h, w_l = modmath.shoup_limbs(w, q)
+    assert [(int(h) << 31) | int(lo) for h, lo in zip(w_h, w_l)] == [
+        (v << 62) // q for v in ws
+    ]
+    assert max(int(v) for v in w_l) < 1 << 31
+    lazy = modmath.mod_mul_shoup62_lazy(x, w, (w_h, w_l), np.uint64(q))
+    assert lazy.dtype == np.uint64
+    for got, a, b in zip(lazy.tolist(), xs, ws):
+        assert got < 4 * q and got % q == a * b % q
+    folded = modmath.mod_mul_shoup(x, w, (w_h, w_l), q)
+    assert folded.tolist() == [a * b % q for a, b in zip(xs, ws)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     q=st.sampled_from(EDGE_MODULI + [WIDE_Q, NARROW_Q]),
-    xs=st.lists(U64, min_size=1, max_size=8),
+    xs=st.lists(U63, min_size=1, max_size=8),
     data=st.data(),
 )
 def test_mod_mul_shoup_takes_unreduced_operands(q, xs, data):
-    """Any ``x < 2^64`` — not just ``x < q`` — one ``min`` to finish."""
+    """Any ``x < 2^63`` — not just ``x < q`` — against a constant and its
+    limbs, broadcast as a scalar; ``2^63 - 1`` is the contract's edge."""
     w = data.draw(st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1))
+    xs = xs + [(1 << 63) - 1]
+    c = (w << 62) // q
     got = modmath.mod_mul_shoup(
-        _u64(xs + [(1 << 64) - 1]), np.uint64(w), np.uint64((w << 64) // q), q
+        _u64(xs), np.uint64(w), (np.uint64(c >> 31), np.uint64(c & (2**31 - 1))), q
     )
-    assert [int(v) for v in got] == [x * w % q for x in xs + [(1 << 64) - 1]]
+    assert [int(v) for v in got] == [x * w % q for x in xs]
+
+
+def test_shoup62_limbs_against_a_matrix_keep_the_input():
+    """A ``(k, 1)`` constant column against a ``(k, n)`` matrix (the
+    rowwise-scalar shape), and a column against one row (the fold
+    shape, where the result is wider than ``x``): both exact, neither
+    writes into ``x``."""
+    moduli = [EDGE_MODULI[0], EDGE_MODULI[2], NARROW_Q, WIDE_Q]
+    q_col = _u64(moduli).reshape(-1, 1)
+    w_col = _u64([q - 2 for q in moduli]).reshape(-1, 1)
+    limbs = modmath.shoup_limbs(w_col, q_col)
+    mat = _u64([[0, 1, q - 1, (1 << 63) - 1] for q in moduli])
+    before = mat.copy()
+    got = modmath.mod_mul_shoup(mat, w_col, limbs, q_col)
+    assert got.tolist() == [
+        [x * (q - 2) % q for x in row] for row, q in zip(mat.tolist(), moduli)
+    ]
+    row = mat[3]
+    wide = modmath.mod_mul_shoup(row, w_col, limbs, q_col)
+    assert wide.tolist() == [
+        [x * (q - 2) % q for x in row.tolist()] for q in moduli
+    ]
+    assert np.array_equal(mat, before)
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,10 +443,11 @@ def test_wide_mul_with_mixed_width_modulus_column(data):
         for ra, rb, q in zip(a.tolist(), b.tolist(), moduli)
     ]
     assert modmath.mod_mul(a, b, q_col).tolist() == want
-    r64, r64_shoup = modmath.two64_mod(q_col)
+    r64, (r64_h, r64_l) = modmath.two64_mod(q_col)
     assert r64.ravel().tolist() == [(1 << 64) % q for q in moduli]
-    assert r64_shoup.ravel().tolist() == [
-        ((1 << 64) % q << 64) // q for q in moduli
+    limbs = zip(r64_h.ravel().tolist(), r64_l.ravel().tolist())
+    assert [(h << 31) | lo for h, lo in limbs] == [
+        ((1 << 64) % q << 62) // q for q in moduli
     ]
 
 

@@ -14,7 +14,9 @@ import copy
 import hashlib
 import io
 import json
+import time
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,7 @@ from repro.analysis.mutations import MUTATIONS
 from repro.ckks import CkksContext
 from repro.cli import main
 from repro.errors import ParameterError, ScheduleViolationError
-from repro.trace import execute_trace
+from repro.trace import compiler, execute_trace
 from repro.trace.compiler import (
     MIN_NOISE_MARGIN_BITS,
     CompiledTrace,
@@ -442,6 +444,46 @@ class TestTraceDecoderFuzz:
                 assert err.startswith("error:") and err.count("\n") == 1
             else:
                 assert code in (0, 1) and "Traceback" not in err
+
+
+class TestTightenBaseSearch:
+    """``tighten-base`` looks for the largest whole-bit base reduction
+    that verifies in a bounded number of verifications, whatever the
+    size of ``base_bits``."""
+
+    def test_a_2_60_base_compiles_in_seconds(self, bundled_trace, tmp_path):
+        doc = dict(bundled_trace, base_bits=float(1 << 60))
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, err = _run_cli(
+            ["compile-trace", str(trace), "--schemes", "bitpacker", "--no-plan"]
+        )
+        assert time.perf_counter() - t0 < 10.0
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert code == 0 and "Traceback" not in err
+
+    @pytest.mark.parametrize("limit", [1, 137, 498, 499])
+    def test_bisection_finds_the_largest_clean_reduction(self, monkeypatch, limit):
+        """A verifier that accepts reductions up to ``limit`` bits: the
+        pass lands on ``limit`` (the whole 499-bit slack when it can) in
+        at most 64 verifications."""
+        calls = []
+
+        def fake_verify(candidate, **_):
+            calls.append(candidate.base_bits)
+            clean = 1000.0 - candidate.base_bits <= limit
+            return SimpleNamespace(findings=[] if clean else ["encroaches"])
+
+        monkeypatch.setattr(compiler, "verify_trace", fake_verify)
+        trace = replace(exec_fixture_trace(), base_bits=1000.0)
+        out, delta, _ = compiler._pass_tighten_base(
+            trace, SimpleNamespace(slack_bits=(500.0, 800.0))
+        )
+        assert delta == limit and out.base_bits == 1000.0 - limit
+        assert len(calls) <= 64
 
 
 class TestServeCompiledRegistration:
