@@ -14,7 +14,8 @@ the pre-vectorization per-block / per-row baseline preserved in
 
 Results are written to ``BENCH_kernels.json`` at the repo root as
 ``{"env": ..., "results": [...]}`` — the benchmark ladder's environment
-header (machine, python, numpy, engine, git commit) over records
+header (machine, python, numpy, engine, git commit) plus numpy's ufunc
+buffer size (``ufunc_bufsize``) over records
 ``{kernel, n, width, median_s, baseline_median_s, speedup_vs_baseline}``
 — and printed as a table.
 
@@ -332,9 +333,11 @@ def main():
         reps, baseline_reps = 5, 2
         out = args.out or REPO_ROOT / "BENCH_kernels.json"
 
-    # Input seeds are per point (and per process); none to stamp.
-    header = env.header(seed=None)
+    # Input seeds are per point (and per process); none to stamp.  The
+    # ufunc buffer size moves every strided kernel (DESIGN.md Sec. 5).
+    header = {**env.header(seed=None), "ufunc_bufsize": np.getbufsize()}
     print(env.render(header))
+    print(f"ufunc    buffer {header['ufunc_bufsize']} elements")
     t0 = time.perf_counter()
     results = run(sizes, widths, reps, baseline_reps, args.full)
     print_table(results)

@@ -23,9 +23,10 @@ The cache layers *under* the in-process ``lru_cache`` in
 :mod:`repro.eval.common`: a process first consults its memory cache,
 then the disk store, and only then recomputes (and persists) the
 artifact.  Stores are atomic (write-temp-then-``os.replace``) so a
-killed run can never publish a torn record, and unreadable or
-schema-mismatched records are quarantined to ``<cache-dir>/corrupt/``
-and treated as misses instead of aborting the sweep.
+killed run can never publish a torn record, and unreadable,
+schema-mismatched or undecodable records are quarantined to
+``<cache-dir>/corrupt/`` and treated as misses instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ from repro.obs import core as _obs
 #: each computation; older records froze whichever figure ran first.
 #: v5: ``chain`` records carry no ``groups`` (derived from the levels).
 CACHE_SCHEMA_VERSION = 5
+
+#: What a decoder raises on a payload that parsed but is not the
+#: artifact it claims to be (a key deleted, a value of the wrong type).
+DECODE_ERRORS = (LookupError, TypeError, ValueError, ParameterError)
 
 ENV_CACHE_DIR = "BITPACKER_CACHE_DIR"
 ENV_CACHE_ENABLED = "BITPACKER_CACHE"
@@ -107,8 +112,9 @@ class RunnerCache:
     Failure model: stores publish atomically (temp file +
     ``os.replace`` in the record's own directory), so no reader — not
     even one racing a killed run — can observe a torn record.  A
-    record that still fails to parse, or whose ``schema`` does not
-    match, is *quarantined*: moved to ``cache_dir/corrupt/`` for
+    record that still fails to parse, whose ``schema`` does not match,
+    or whose payload the artifact's decoder refuses, is *quarantined*:
+    moved to ``cache_dir/corrupt/`` for
     post-mortem, counted in :attr:`corrupt_count`, and treated as a
     miss.  Corruption therefore costs one recompute, never an aborted
     sweep.
@@ -127,8 +133,8 @@ class RunnerCache:
         self.force = force
         self.hits: dict[str, int] = {}
         self.misses: dict[str, int] = {}
-        #: Records quarantined because they were unreadable or carried
-        #: the wrong schema version.
+        #: Records quarantined because they were unreadable, carried the
+        #: wrong schema version or did not decode.
         self.corrupt_count = 0
 
     # ------------------------------------------------------------------
@@ -180,8 +186,15 @@ class RunnerCache:
     # ------------------------------------------------------------------
     # Load / store
     # ------------------------------------------------------------------
-    def load(self, kind: str, params: Mapping[str, Any]) -> tuple[bool, Any]:
-        """``(found, payload)``; a miss is counted for every recompute."""
+    def load(
+        self,
+        kind: str,
+        params: Mapping[str, Any],
+        decode: Callable[[Any], Any] | None = None,
+    ) -> tuple[bool, Any]:
+        """``(found, payload)``, the payload passed through ``decode`` when
+        one is given; a miss is counted for every recompute.  A payload
+        ``decode`` refuses (:data:`DECODE_ERRORS`) is a bad record."""
         if not self.enabled or self.force:
             self._count(self.misses, kind)
             return False, None
@@ -204,8 +217,16 @@ class RunnerCache:
             self._quarantine(kind, path)
             self._count(self.misses, kind)
             return False, None
+        payload = record["payload"]
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except DECODE_ERRORS:
+                self._quarantine(kind, path)
+                self._count(self.misses, kind)
+                return False, None
         self._count(self.hits, kind)
-        return True, record["payload"]
+        return True, payload
 
     def store(self, kind: str, params: Mapping[str, Any], payload: Any) -> None:
         if not self.enabled:
@@ -295,9 +316,9 @@ def cached(
     plain JSON values.
     """
     cache = active_cache()
-    found, payload = cache.load(kind, params)
+    found, value = cache.load(kind, params, decode)
     if found:
-        return decode(payload) if decode else payload
+        return value
     value = compute()
     if cache.enabled:  # encoding a trace is not free; skip it when unwritten
         cache.store(kind, params, encode(value) if encode else value)

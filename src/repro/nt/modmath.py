@@ -95,6 +95,23 @@ def _tune_allocator() -> None:
 
 _tune_allocator()
 
+#: numpy's ufunc buffer, in elements (numpy's default is 8192).  numpy
+#: copies an operand through this buffer whenever it is a strided view
+#: or a broadcast column whose contiguous run is shorter than the buffer
+#: — every NTT stage's ``(k, blocks, 1, t)`` half blocks against their
+#: twiddle and modulus columns, and the ``(k, 1)`` modulus columns of the
+#: pointwise, fold and rescale kernels.  Copying in 1024-element chunks
+#: instead of 8192 took a ``(10, 4096)`` forward NTT from ~1.41 to
+#: ~0.97 ms; 128-coefficient rows, shorter than either buffer, do not
+#: move (DESIGN.md Sec. 5).  Exact: the buffer only changes how numpy
+#: chunks an iteration, and every residue kernel is integer arithmetic.
+#: numpy keeps the size in a context variable, so it holds in the
+#: context that imports this module and in asyncio tasks created from
+#: it; a new thread starts at numpy's default and computes the same bits
+#: at the old speed.
+UFUNC_BUFSIZE = 1024
+np.setbufsize(UFUNC_BUFSIZE)
+
 #: Moduli at or above this bound fall back to exact Python-int arrays.
 BIG_MODULUS_THRESHOLD = 1 << 61
 #: Below this bound products of two residues fit in uint64 directly.

@@ -4,14 +4,19 @@ A cold run populates the content-addressed store, a warm re-run serves
 every artifact from disk (zero ``simulate`` misses), calibration-constant
 changes invalidate records via the model fingerprint, and ``map_grid``
 is an ordered in-process map that lets a point's exception through
-untouched.
+untouched.  A record that fails to parse or to decode costs one
+recompute, never an aborted sweep.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.eval import common, fig11, fig14, runner
@@ -83,6 +88,27 @@ class TestRunnerCache:
         assert not found
         assert fresh_cache.corrupt_count == 1
 
+    def test_undecodable_payload_quarantined_and_recomputed(self, fresh_cache):
+        """Regression: a chain record missing a key raised ``KeyError``
+        out of ``runner.cached`` instead of costing one recompute."""
+        args = ("LogReg", "BS26", "bitpacker", 28)
+        planned = common.chain_for(*args)
+        path = fresh_cache.record_path("chain", _chain_params(*args))
+        record = json.loads(path.read_text())
+        del record["payload"]["ks_digits"]
+        path.write_text(json.dumps(record))
+        common.clear_memory_caches()
+        fresh_cache.reset_counters()
+        again = common.chain_for(*args)
+        assert common.chain_to_dict(again) == common.chain_to_dict(planned)
+        hits, misses = fresh_cache.hit_count("chain"), fresh_cache.miss_count("chain")
+        assert (hits, misses) == (0, 1)
+        assert fresh_cache.corrupt_count == 1
+        assert [p.name for p in fresh_cache.quarantine_dir().iterdir()] == [
+            f"chain-{path.name}"
+        ]
+        assert path.exists()  # the recompute stored a good record
+
     def test_store_is_atomic_no_partial_record_visible(self, fresh_cache):
         """store() publishes via temp-file + os.replace: the record dir
         never contains a half-written .json, even transiently."""
@@ -124,6 +150,82 @@ class TestRunnerCache:
         assert record["kind"] == "simulate"
         assert record["params"] == params
         assert record["fingerprint"] == runner.model_fingerprint()
+
+
+_FUZZ_ARGS = ("LogReg", "BS26", "bitpacker", 28)
+_SWAPS = ["text", 1.5, -7, [], {}, None, True, {"name": 1}]
+
+
+@cache
+def _decoded_kinds():
+    """``kind -> (encode, decode, artifact)`` for the four kinds the
+    harnesses store through a decoder, each on one real artifact."""
+    from repro.accel.sim import SimResult
+    from repro.cpu.model import CpuResult
+    from repro.trace.program import HeTrace
+
+    return {
+        "trace": (HeTrace.to_dict, HeTrace.from_dict,
+                  common.trace_for(*_FUZZ_ARGS)),
+        "chain": (common.chain_to_dict, common.chain_from_dict,
+                  common.chain_for(*_FUZZ_ARGS)),
+        "simulate": (SimResult.to_dict, SimResult.from_dict,
+                     common.simulate(*_FUZZ_ARGS)),
+        "simulate-cpu": (CpuResult.to_dict, CpuResult.from_dict,
+                         common.simulate_cpu(*_FUZZ_ARGS[:3], 64)),
+    }
+
+
+def _paths(node, prefix=()):
+    """Every ``(container path, key)`` of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix, key
+        yield from _paths(value, (*prefix, key))
+
+
+class TestRecordDecoderFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(["trace", "chain", "simulate", "simulate-cpu"]),
+        edits=st.lists(
+            st.tuples(st.integers(0, 1 << 30), st.integers(-1, len(_SWAPS) - 1)),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_record_is_served_or_recomputed(self, fresh_cache, kind, edits):
+        """Random key deletions (``-1``) and type swaps in a stored
+        payload: ``cached`` serves what the decoder accepts, and a
+        payload it refuses is quarantined and costs one recompute."""
+        encode, decode, artifact = _decoded_kinds()[kind]
+        record = {"payload": json.loads(json.dumps(encode(artifact)))}
+        for pick, swap in edits:
+            paths = list(_paths(record))
+            if not paths:
+                break  # the payload itself was deleted
+            prefix, key = paths[pick % len(paths)]
+            parent = record
+            for step in prefix:
+                parent = parent[step]
+            if swap < 0:
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(_SWAPS[swap])
+        params = {"fuzz": kind}
+        fresh_cache.reset_counters()
+        if "payload" in record:
+            fresh_cache.store(kind, params, record["payload"])
+        value = runner.cached(kind, params, lambda: artifact, encode, decode)
+        if fresh_cache.hit_count(kind):
+            assert fresh_cache.corrupt_count == 0
+        else:
+            assert value is artifact
+            assert fresh_cache.miss_count(kind) == 1
+            assert fresh_cache.corrupt_count == ("payload" in record)
+        assert fresh_cache.record_path(kind, params).exists()
+        fresh_cache.record_path(kind, params).unlink()
 
 
 class TestFingerprint:
@@ -211,11 +313,9 @@ class TestMemoryCacheKeys:
         # Each app still owns its disk record (the key is unchanged).
         assert fresh_cache.miss_count("chain") == 2
         for app in apps:
-            assert fresh_cache.record_path("chain", {
-                "app": app, "bs": "BS19", "scheme": "bitpacker",
-                "word_bits": 28, "n": common.EVAL_N,
-                "max_log_q": common.EVAL_MAX_LOG_Q, "ks_digits": 3,
-            }).exists()
+            assert fresh_cache.record_path(
+                "chain", _chain_params(app, "BS19", "bitpacker", 28)
+            ).exists()
         # A different constraint set is a different plan.
         common.chain_for("LogReg", "BS19", "bitpacker", 28)
         assert len(calls) == 2
@@ -328,3 +428,11 @@ class TestSerialization:
 
 def _echo(x):
     return x
+
+
+def _chain_params(app, bs, scheme, word_bits):
+    """The disk-cache parameters of ``common.chain_for``'s default call."""
+    return {
+        "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
+        "n": common.EVAL_N, "max_log_q": common.EVAL_MAX_LOG_Q, "ks_digits": 3,
+    }

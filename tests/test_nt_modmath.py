@@ -1,12 +1,21 @@
-"""Unit and property tests for the three modular-arithmetic backends."""
+"""Unit and property tests for the three modular-arithmetic backends,
+and for the ufunc buffer size the module sets at import."""
+
+import subprocess
+import sys
+import threading
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.backends as backends
 from repro.errors import ParameterError
 from repro.nt import modmath
+from repro.nt.ntt import forward_rows, inverse_rows
+from repro.nt.primes import ntt_friendly_primes_below
 
 # One representative modulus per backend: narrow uint64, wide
 # limb/Shoup uint64, and big-int object arrays.
@@ -469,3 +478,72 @@ def test_add_sub_neg_at_the_corners(q):
         assert [int(v) for v in modmath.mod_neg(a, modulus)] == [
             -int(x) % q for x in a
         ]
+
+
+# ----------------------------------------------------------------------
+# The import-time ufunc buffer (``modmath.UFUNC_BUFSIZE``)
+# ----------------------------------------------------------------------
+#: numpy's own ufunc buffer size, where nothing has set one.
+NUMPY_BUFSIZE = 8192
+
+
+def test_importing_repro_sets_the_ufunc_buffer():
+    """A fresh interpreter: ``import repro`` alone leaves numpy's buffer
+    at the module's constant."""
+    code = (
+        "import numpy as np, repro\n"
+        "from repro.nt import modmath\n"
+        "print(np.getbufsize(), modmath.UFUNC_BUFSIZE)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    got, constant = map(int, done.stdout.split())
+    assert got == constant != NUMPY_BUFSIZE
+
+
+def _kernel_outputs() -> list[np.ndarray]:
+    """The NTT both ways on a ``(16, 4096)`` narrow and a ``(10, 4096)``
+    wide stack, and the fold and fused multiply-accumulate at n = 4096:
+    strided stage views, broadcast modulus and twiddle columns."""
+    n = 4096
+    rng = np.random.default_rng(4096)
+    out = []
+    for kind, bound, k in (("narrow", 1 << 28, 16), ("wide", 1 << 60, 10)):
+        moduli = tuple(islice(ntt_friendly_primes_below(bound, n), k))
+        q_col = _u64(moduli).reshape(-1, 1)
+        a, b, acc = (rng.integers(0, q_col, size=(k, n), dtype=np.uint64)
+                     for _ in range(3))
+        stack = rng.integers(0, 1 << 59, size=(k + 1, n), dtype=np.uint64)
+        weights = rng.integers(0, q_col, size=(k, k + 1), dtype=np.uint64)
+        out += [
+            forward_rows(a, moduli),
+            inverse_rows(a, moduli),
+            backends.bconv_fold(stack, weights, moduli, 1 << 59, kind),
+            backends.pointwise_mul_acc(acc, a, b, q_col, kind),
+        ]
+    return out
+
+
+def test_kernels_are_bit_exact_under_any_ufunc_buffer():
+    """The buffer only changes how numpy chunks an iteration: numpy's
+    default, the repo's setting and a new thread (which starts at
+    numpy's default — the setting is a context variable) agree."""
+    assert np.getbufsize() == modmath.UFUNC_BUFSIZE
+    ours = _kernel_outputs()
+    with np.errstate():
+        np.setbufsize(NUMPY_BUFSIZE)
+        default = _kernel_outputs()
+    assert np.getbufsize() == modmath.UFUNC_BUFSIZE
+    threaded = []
+    worker = threading.Thread(
+        target=lambda: threaded.append((np.getbufsize(), _kernel_outputs()))
+    )
+    worker.start()
+    worker.join()
+    (thread_bufsize, on_thread), = threaded
+    assert thread_bufsize == NUMPY_BUFSIZE
+    for got in (default, on_thread):
+        assert len(got) == len(ours)
+        for x, y in zip(got, ours):
+            assert x.dtype == y.dtype and np.array_equal(x, y)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import asyncio
 import types
 
-import numpy as np
 import pytest
 
 from repro.analysis.absint import GATE
