@@ -59,11 +59,11 @@ FIGURES: dict[str, tuple[str, str, str]] = {
               "~5 s; instant after fig14"),
     "fig17": ("repro.eval.fig17", "fig17_scratchpad_sweep", "~2 s"),
     "fig18": ("repro.eval.fig18", "fig18_rescale_precision",
-              "~11 s, real encrypted arithmetic"),
+              "~8 s, real encrypted arithmetic"),
     "fig19": ("repro.eval.fig19", "fig19_adjust_precision",
-              "~6 s, real encrypted arithmetic"),
+              "~3 s, real encrypted arithmetic"),
     "table1": ("repro.eval.table1", "table1_mantissa_bits",
-               "~5 s, real encrypted arithmetic"),
+               "~4 s, real encrypted arithmetic"),
     "sec61": ("repro.eval.security", "sec61_security_params", "~1 s"),
     "sec62": ("repro.eval.sharp", "sec62_sharp_comparison", "~1 s"),
     "sec63": ("repro.eval.area_reduction", "sec63_area_reduction", "~1 s"),

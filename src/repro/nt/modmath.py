@@ -101,8 +101,8 @@ _tune_allocator()
 #: — every NTT stage's ``(k, blocks, 1, t)`` half blocks against their
 #: twiddle and modulus columns, and the ``(k, 1)`` modulus columns of the
 #: pointwise, fold and rescale kernels.  Copying in 1024-element chunks
-#: instead of 8192 took a ``(10, 4096)`` forward NTT from ~1.41 to
-#: ~0.97 ms; 128-coefficient rows, shorter than either buffer, do not
+#: instead of 8192 took a ``(10, 4096)`` forward NTT from ~1.42 to
+#: ~1.03 ms; 128-coefficient rows, shorter than either buffer, do not
 #: move (DESIGN.md Sec. 5).  Exact: the buffer only changes how numpy
 #: chunks an iteration, and every residue kernel is integer arithmetic.
 #: numpy keeps the size in a context variable, so it holds in the

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.eval import common, fig11, fig14, runner
+from tests.test_obs import _SWAPS, _paths
 
 
 @pytest.fixture()
@@ -153,7 +154,6 @@ class TestRunnerCache:
 
 
 _FUZZ_ARGS = ("LogReg", "BS26", "bitpacker", 28)
-_SWAPS = ["text", 1.5, -7, [], {}, None, True, {"name": 1}]
 
 
 @cache
@@ -174,15 +174,6 @@ def _decoded_kinds():
         "simulate-cpu": (CpuResult.to_dict, CpuResult.from_dict,
                          common.simulate_cpu(*_FUZZ_ARGS[:3], 64)),
     }
-
-
-def _paths(node, prefix=()):
-    """Every ``(container path, key)`` of a JSON document."""
-    items = (node.items() if isinstance(node, dict)
-             else enumerate(node) if isinstance(node, list) else ())
-    for key, value in items:
-        yield prefix, key
-        yield from _paths(value, (*prefix, key))
 
 
 class TestRecordDecoderFuzz:
