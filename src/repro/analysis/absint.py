@@ -648,14 +648,6 @@ class VerifyGate:
         self._passed.move_to_end(digest)
         return True
 
-    def invalidate(self, digest: str) -> bool:
-        """Forget one digest's verdict; returns whether it was present."""
-        with self._lock:
-            present = digest in self._passed
-            if present:
-                del self._passed[digest]
-            return present
-
     def digests(self) -> tuple[str, ...]:
         """Memoized digests, coldest first."""
         with self._lock:

@@ -173,12 +173,6 @@ class CkksEncoder:
         s = fraction_to_longdouble(scale)
         return spectrum[self._slot_bins] / s
 
-    def decode_real(
-        self, coeffs: Sequence[int], scale: Fraction | int | float
-    ) -> np.ndarray:
-        """Decode and drop the (noise-only) imaginary parts."""
-        return np.real(self.decode(coeffs, scale))
-
 
 @lru_cache(maxsize=64)
 def encoder_for(n: int) -> CkksEncoder:

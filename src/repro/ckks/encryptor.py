@@ -20,7 +20,6 @@ import numpy as np
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest
-from repro.errors import ParameterError
 from repro.nt.crt import centered_int64
 from repro.rns.poly import NTT, RnsPolynomial
 from repro.rns.sampling import (
@@ -141,15 +140,3 @@ class Decryptor:
     def decrypt_real(self, ct: Ciphertext) -> np.ndarray:
         """Decrypt and decode, dropping the (noise-only) imaginary part."""
         return np.real(self.decrypt(ct))
-
-    def noise_coefficients(self, ct: Ciphertext, reference: Plaintext) -> list[int]:
-        """Exact coefficient-level noise vs a reference plaintext.
-
-        Useful for tests that pin down where error enters: returns
-        ``Dec(ct) - reference`` as big integers.
-        """
-        if ct.scale != reference.scale:
-            raise ParameterError("reference plaintext scale mismatch")
-        got = self.decrypt_to_plaintext(ct).poly.to_int_coeffs()
-        want = reference.poly.to_int_coeffs()
-        return [g - w for g, w in zip(got, want)]

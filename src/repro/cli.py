@@ -18,7 +18,6 @@ Usage (``python -m repro ...``)::
     python -m repro verify-trace --waste
     python -m repro verify-trace my_schedule.json --format json
     python -m repro compile-trace --format json --output savings.json
-    python -m repro figure fig11 --compiled
     python -m repro serve --tenants 8 --requests 400 --json serve.json
 
 ``figure`` treats sweeps as restartable batch jobs: Ctrl-C exits 130
@@ -121,11 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--keep-going", action="store_true",
         help="after one figure fails, still run the remaining ones "
              "(exit non-zero at the end)",
-    )
-    figure.add_argument(
-        "--compiled", action="store_true",
-        help="run the harness on trace-compiler output (optimized "
-             "schedules) instead of the recorded schedules",
     )
     figure.add_argument(
         "--profile", action="store_true",
@@ -261,19 +255,25 @@ def _add_format_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_plan(args) -> int:
+    from repro.errors import ReproError
+
     schemes = (
         ["bitpacker", "rns-ckks"] if args.scheme == "both" else [args.scheme]
     )
     for scheme in schemes:
-        chain = plan_chain(
-            scheme,
-            n=args.n,
-            word_bits=args.word,
-            level_scale_bits=args.scale,
-            levels=args.levels,
-            base_bits=args.base,
-            ks_digits=args.digits,
-        )
+        try:
+            chain = plan_chain(
+                scheme,
+                n=args.n,
+                word_bits=args.word,
+                level_scale_bits=args.scale,
+                levels=args.levels,
+                base_bits=args.base,
+                ks_digits=args.digits,
+            )
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(chain.describe())
         top = chain.max_level
         utilization = chain.log2_q_at(top) / (
@@ -287,9 +287,14 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.errors import ReproError
     from repro.eval import fig11
 
-    rows = fig11.run(word_bits=args.word)
+    try:
+        rows = fig11.run(word_bits=args.word)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(fig11.render(rows))
     return 0
 
@@ -372,7 +377,6 @@ def _write_figure_profile(
 
 def _cmd_figure(args) -> int:
     import importlib
-    import inspect
     import time
     import traceback
 
@@ -398,7 +402,7 @@ def _cmd_figure(args) -> int:
     )
     if args.force:
         # One process must not keep serving pre-force artifacts it still
-        # holds in memory: --force invalidates both cache layers.
+        # holds in memory: --force drops both cache layers.
         common.clear_memory_caches()
     results_dir = Path(args.results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -418,21 +422,11 @@ def _cmd_figure(args) -> int:
             cache_before = _cache_snapshot(runner.active_cache())
         try:
             module = importlib.import_module(module_path)
-            kwargs = {}
-            if args.compiled:
-                if "compiled" in inspect.signature(module.run).parameters:
-                    kwargs["compiled"] = True
-                else:
-                    print(
-                        f"[{name}] --compiled not supported by this "
-                        "harness; running the recorded schedules",
-                        file=sys.stderr,
-                    )
             if profiling:
                 with obs.span(f"figure/{name}"):
-                    data = module.run(**kwargs)
+                    data = module.run()
             else:
-                data = module.run(**kwargs)
+                data = module.run()
             text = module.render(data)
             out_path = results_dir / f"{stem}.txt"
             write_text_atomic(out_path, text + "\n")
@@ -645,40 +639,31 @@ def _cmd_compile_trace(args) -> int:
     import json
 
     from repro.errors import ReproError
-    from repro.trace.compiler import compile_trace, render_report
+    from repro.trace.compiler import (
+        compile_trace,
+        compile_workloads,
+        render_report,
+    )
 
     plan = not args.no_plan
     try:
-        compiled = []
         if args.paths:
-            for raw in args.paths:
-                for trace in _load_trace_file(Path(raw)):
-                    for scheme in args.schemes:
-                        compiled.append(
-                            compile_trace(
-                                trace, scheme=scheme,
-                                word_bits=args.word, plan=plan,
-                            )
-                        )
+            results = [
+                compile_trace(
+                    trace, scheme=scheme, word_bits=args.word, plan=plan
+                )
+                for raw in args.paths
+                for trace in _load_trace_file(Path(raw))
+                for scheme in args.schemes
+            ]
         else:
-            from repro.workloads import workload_traces
-
-            for scheme in args.schemes:
-                for trace in workload_traces(
-                    schemes=(scheme,), word_bits=args.word
-                ):
-                    compiled.append(
-                        compile_trace(
-                            trace, scheme=scheme,
-                            word_bits=args.word, plan=plan,
-                        )
-                    )
+            results = compile_workloads(args.schemes, args.word, plan=plan)
     except (ReproError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    levels_saved = sum(c.levels_saved for c in compiled)
-    q_saved = sum(c.log2_q_saved for c in compiled)
+    levels_saved = sum(c.levels_saved for c in results)
+    q_saved = sum(c.log2_q_saved for c in results)
     if args.format == "json":
         doc = {
             "workloads": [
@@ -700,17 +685,17 @@ def _cmd_compile_trace(args) -> int:
                     "digest": c.digest,
                     "planned": c.chain is not None,
                 }
-                for c in compiled
+                for c in results
             ],
             "totals": {
-                "workloads": len(compiled),
+                "workloads": len(results),
                 "levels_saved": levels_saved,
                 "log2_q_saved": q_saved,
             },
         }
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = render_report(compiled) + "\n"
+        text = render_report(results) + "\n"
     if args.output:
         out = Path(args.output)
         write_text_atomic(out, text)
@@ -718,7 +703,7 @@ def _cmd_compile_trace(args) -> int:
     else:
         print(text, end="")
     print(
-        f"[compile-trace] {len(compiled)} workload(s): {levels_saved} "
+        f"[compile-trace] {len(results)} workload(s): {levels_saved} "
         f"level(s) and {q_saved:.1f} log2(Q) bits saved, all re-certified",
         file=sys.stderr,
     )

@@ -46,10 +46,6 @@ class CpuResult:
     def time_ms(self) -> float:
         return self.time_s * 1e3
 
-    @property
-    def level_mgmt_fraction(self) -> float:
-        return self.level_mgmt_cycles / self.cycles if self.cycles else 0.0
-
     def to_dict(self) -> dict:
         """JSON-ready form for the experiment runner's disk cache."""
         return asdict(self)

@@ -83,43 +83,20 @@ def trace_for(
     bs: str,
     scheme: str,
     word_bits: int,
-    n: int = EVAL_N,
-    max_log_q: float = EVAL_MAX_LOG_Q,
     ks_digits: int = 3,
-    compiled: bool = False,
+    max_log_q: float = EVAL_MAX_LOG_Q,
 ) -> HeTrace:
-    """The app's trace under a scheme's bootstrap cadence (Sec. 5).
-
-    With ``compiled=True`` the recorded trace is run through
-    :func:`repro.trace.compiler.compile_trace` first.  ``compiled`` is
-    part of the cache key (only when set, so existing disk records stay
-    addressable): a compiled artifact can never be served where the
-    recorded schedule was asked for, or vice versa.
-    """
+    """The app's trace under a scheme's bootstrap cadence (Sec. 5)."""
     params = {
         "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
-        "n": n, "max_log_q": max_log_q, "ks_digits": ks_digits,
+        "n": EVAL_N, "max_log_q": max_log_q, "ks_digits": ks_digits,
     }
-    if compiled:
-        params["compiled"] = True
-
-    def _compute() -> HeTrace:
-        trace = BENCHMARKS[app](
-            SCHEDULES[bs], n=n, max_log_q=max_log_q, scheme=scheme,
-            word_bits=word_bits, ks_digits=ks_digits,
-        )
-        if compiled:
-            from repro.trace.compiler import compile_trace
-
-            trace = compile_trace(
-                trace, scheme=scheme, word_bits=word_bits,
-                ks_digits=ks_digits, plan=False,
-            ).trace
-        return trace
-
     return runner.cached(
         "trace", params,
-        compute=_compute,
+        compute=lambda: BENCHMARKS[app](
+            SCHEDULES[bs], n=EVAL_N, max_log_q=max_log_q, scheme=scheme,
+            word_bits=word_bits, ks_digits=ks_digits,
+        ),
         encode=HeTrace.to_dict,
         decode=HeTrace.from_dict,
     )
@@ -132,20 +109,16 @@ def chain_for(
     scheme: str,
     word_bits: int,
     ks_digits: int = 3,
-    n: int = EVAL_N,
     max_log_q: float = EVAL_MAX_LOG_Q,
-    compiled: bool = False,
 ) -> ModulusChain:
     params = {
         "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
-        "n": n, "max_log_q": max_log_q, "ks_digits": ks_digits,
+        "n": EVAL_N, "max_log_q": max_log_q, "ks_digits": ks_digits,
     }
-    if compiled:
-        params["compiled"] = True
     return runner.cached(
         "chain", params,
         compute=lambda: _plan_chain(
-            app, bs, scheme, word_bits, ks_digits, n, max_log_q, compiled
+            app, bs, scheme, word_bits, ks_digits, max_log_q
         ),
         encode=chain_to_dict,
         decode=chain_from_dict,
@@ -154,11 +127,9 @@ def chain_for(
 
 def _plan_chain(
     app: str, bs: str, scheme: str, word_bits: int, ks_digits: int,
-    n: int, max_log_q: float, compiled: bool = False,
+    max_log_q: float,
 ) -> ModulusChain:
-    trace = trace_for(
-        app, bs, scheme, word_bits, n, max_log_q, ks_digits, compiled
-    )
+    trace = trace_for(app, bs, scheme, word_bits, ks_digits, max_log_q)
     return _planned_chain(
         scheme, trace.n, word_bits, trace.level_scale_bits, trace.base_bits,
         ks_digits,
@@ -202,23 +173,19 @@ def simulate(
     register_file_mb: float = 256.0,
     crb_shrink: float = 0.0,
     ks_digits: int = 3,
-    n: int = EVAL_N,
     max_log_q: float = EVAL_MAX_LOG_Q,
-    compiled: bool = False,
 ) -> SimResult:
     """Run one (workload, scheme, machine) point on the accelerator model."""
     params = {
         "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
         "register_file_mb": register_file_mb, "crb_shrink": crb_shrink,
-        "ks_digits": ks_digits, "n": n, "max_log_q": max_log_q,
+        "ks_digits": ks_digits, "n": EVAL_N, "max_log_q": max_log_q,
     }
-    if compiled:
-        params["compiled"] = True
     result = runner.cached(
         "simulate", params,
         compute=lambda: _simulate(
             app, bs, scheme, word_bits, register_file_mb, crb_shrink,
-            ks_digits, n, max_log_q, compiled,
+            ks_digits, max_log_q,
         ),
         encode=SimResult.to_dict,
         decode=SimResult.from_dict,
@@ -250,8 +217,7 @@ def _record_sim(result: SimResult) -> None:
 
 def _simulate(
     app: str, bs: str, scheme: str, word_bits: int, register_file_mb: float,
-    crb_shrink: float, ks_digits: int, n: int, max_log_q: float,
-    compiled: bool = False,
+    crb_shrink: float, ks_digits: int, max_log_q: float,
 ) -> SimResult:
     config = craterlake().with_word_size(word_bits)
     if register_file_mb != 256.0:
@@ -259,12 +225,8 @@ def _simulate(
     if crb_shrink:
         config = config.with_crb_shrink(crb_shrink)
     sim = AcceleratorSim(config)
-    trace = trace_for(
-        app, bs, scheme, word_bits, n, max_log_q, ks_digits, compiled
-    )
-    chain = chain_for(
-        app, bs, scheme, word_bits, ks_digits, n, max_log_q, compiled
-    )
+    trace = trace_for(app, bs, scheme, word_bits, ks_digits, max_log_q)
+    chain = chain_for(app, bs, scheme, word_bits, ks_digits, max_log_q)
     # The pre-flight gate: no trace is priced before it verifies.
     GATE.admit(trace, verify_or_raise)
     return sim.run(trace, chain)
@@ -277,20 +239,15 @@ def simulate_cpu(
     scheme: str,
     word_bits: int = 64,
     ks_digits: int = 3,
-    compiled: bool = False,
 ) -> CpuResult:
     """Run one workload point on the CPU cost model (Fig. 13)."""
     params = {
         "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
         "ks_digits": ks_digits,
     }
-    if compiled:
-        params["compiled"] = True
     return runner.cached(
         "simulate-cpu", params,
-        compute=lambda: _simulate_cpu(
-            app, bs, scheme, word_bits, ks_digits, compiled
-        ),
+        compute=lambda: _simulate_cpu(app, bs, scheme, word_bits, ks_digits),
         encode=CpuResult.to_dict,
         decode=CpuResult.from_dict,
     )
@@ -298,18 +255,13 @@ def simulate_cpu(
 
 def _simulate_cpu(
     app: str, bs: str, scheme: str, word_bits: int, ks_digits: int,
-    compiled: bool = False,
 ) -> CpuResult:
     # Positional, like _simulate and _plan_chain: lru_cache keys a keyword
     # call apart from a positional one, and the trace would be built twice.
-    n, max_log_q = EVAL_N, EVAL_MAX_LOG_Q
-    trace = trace_for(
-        app, bs, scheme, word_bits, n, max_log_q, ks_digits, compiled
-    )
+    trace = trace_for(app, bs, scheme, word_bits, ks_digits, EVAL_MAX_LOG_Q)
     GATE.admit(trace, verify_or_raise)
     return DEFAULT_CPU_MODEL.run(
-        trace,
-        chain_for(app, bs, scheme, word_bits, ks_digits, n, max_log_q, compiled),
+        trace, chain_for(app, bs, scheme, word_bits, ks_digits, EVAL_MAX_LOG_Q)
     )
 
 

@@ -45,11 +45,11 @@ class Fig12Row:
         return self.rns_edp / self.bp_edp
 
 
-def run(word_bits: int = 28, ks_digits: int = 3, max_log_q: float = 1596.0,
-        compiled: bool = False) -> list[Fig12Row]:
+def run(word_bits: int = 28, ks_digits: int = 3,
+        max_log_q: float = 1596.0) -> list[Fig12Row]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
-             ks_digits=ks_digits, max_log_q=max_log_q, compiled=compiled)
+             ks_digits=ks_digits, max_log_q=max_log_q)
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]

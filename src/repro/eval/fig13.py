@@ -19,11 +19,10 @@ from repro.eval.common import (
 )
 
 
-def run(word_bits: int = 64, ks_digits: int = 3,
-        compiled: bool = False) -> list[ComparisonRow]:
+def run(word_bits: int = 64, ks_digits: int = 3) -> list[ComparisonRow]:
     calls = [
         dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
-             ks_digits=ks_digits, compiled=compiled)
+             ks_digits=ks_digits)
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]

@@ -11,8 +11,8 @@ properties of those grids shape this module:
   content-addressed on-disk cache (:class:`RunnerCache`) makes every
   artifact compute-once: records are keyed by a stable hash of the full
   parameterization plus a fingerprint of the model's calibration
-  constants, so editing a constant invalidates stale entries instead of
-  silently serving them.
+  constants, so editing a constant moves every key instead of silently
+  serving stale entries.
 - **Points are independent and cheap to replay.**  :func:`map_grid`
   evaluates a grid in order, in process, sharing the caller's memory
   caches; an exception leaves it on first occurrence.  Recovery from a
@@ -43,7 +43,7 @@ from repro.errors import ParameterError
 from repro.eval import faults
 from repro.obs import core as _obs
 
-#: Bump to invalidate every existing cache record (layout changes).
+#: Bump to orphan every existing cache record (layout changes).
 #: v2: records carry an explicit ``schema`` field (fault-tolerance PR).
 #: v3: ``SimResult`` payloads carry the ``kernel_cycles`` attribution
 #: table (observability PR); older records would deserialize with an

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.eval import runner
 from repro.eval.common import (
+    EVAL_N,
     SCHEMES,
     WORKLOAD_GRID,
     format_table,
@@ -18,8 +19,6 @@ from repro.eval.common import (
     simulate,
 )
 from repro.schemes.security import max_log_qp
-
-EVAL_N = 65536
 
 
 @dataclass(frozen=True)

@@ -481,8 +481,3 @@ def uniform_mod(q: int, size: int, rng: np.random.Generator) -> np.ndarray:
     if dtype_for_modulus(q) is object:
         return np.array([int(v) for v in raw], dtype=object)
     return raw
-
-
-def to_int_list(a: np.ndarray) -> list[int]:
-    """Residue vector as plain Python ints (for CRT and test oracles)."""
-    return [int(v) for v in a]

@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="service ring degree (default: %(default)s)")
     load.add_argument("--word", type=int, default=DEFAULT_WORD_BITS,
                       help="modulus word bits (default: %(default)s)")
-    load.add_argument("--compiled", action="store_true",
-                      help="compile each tenant's schedule at registration "
-                           "(trace compiler: fewer levels, smaller keys)")
     svc = parser.add_argument_group("service")
     svc.add_argument("--shards", type=int, default=2,
                      help="worker shards (default: %(default)s)")
@@ -215,7 +212,6 @@ def _run(args) -> int:
         deadline_s=args.request_timeout,
         n=args.n,
         word_bits=args.word,
-        compiled=args.compiled,
     )
     profiling = args.profile
     if profiling:

@@ -59,9 +59,6 @@ class LoadSpec:
     n: int = DEFAULT_N
     word_bits: int = DEFAULT_WORD_BITS
     workloads: tuple[tuple[str, str], ...] = DEFAULT_WORKLOADS
-    #: Run each tenant's schedule through the trace compiler at
-    #: registration (fewer levels per session, smaller key material).
-    compiled: bool = False
 
     def __post_init__(self):
         if self.tenants < 1:
@@ -219,7 +216,7 @@ def register_tenants(service: BitPackerServe, spec: LoadSpec) -> None:
         app, bs = tenant_workload(spec, rank)
         service.register(
             tenant_name(rank), app=app, bs=bs,
-            n=spec.n, word_bits=spec.word_bits, compiled=spec.compiled,
+            n=spec.n, word_bits=spec.word_bits,
         )
 
 

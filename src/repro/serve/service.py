@@ -65,22 +65,12 @@ from repro.obs import core as _obs
 from repro.serve import batch as _batch
 from repro.serve import resilience as _res
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
-from repro.trace.program import HeTrace, content_digest
+from repro.trace.program import HeTrace
 
 #: Default serve ring degree: big enough to exercise the batched
 #: kernels, small enough that a load test runs in seconds.
 DEFAULT_N = 64
 DEFAULT_WORD_BITS = 28
-
-
-def invalidate_admitted(digest: str) -> bool:
-    """Drop one digest's memoized admission verdict (if present).
-
-    Called on recompilation: the source trace's verdict must not stand
-    in for the rewritten schedule, which re-verifies under its own
-    digest.  Returns whether an entry was evicted.
-    """
-    return GATE.invalidate(digest)
 
 
 def gate_memo_size() -> int:
@@ -102,11 +92,6 @@ class TenantSession:
     admitted: int = 0
     rejected: int = 0
     shed: int = 0
-    #: Content digest of the pre-compilation trace when the session was
-    #: registered with ``compiled=True`` (``None`` otherwise).
-    compiled_from: str | None = None
-    #: Chain levels the compiler removed for this session's schedule.
-    levels_saved: int = 0
     completed: int = 0
     failed: int = 0
     quarantined: int = 0
@@ -297,7 +282,6 @@ class BitPackerServe:
         n: int = DEFAULT_N,
         word_bits: int = DEFAULT_WORD_BITS,
         ks_digits: int = 3,
-        compiled: bool = False,
     ) -> TenantSession:
         """Create a session: verify the schedule, bind key material.
 
@@ -305,12 +289,6 @@ class BitPackerServe:
         workload (``app``/``bs``/``scheme``).  Raises
         :class:`~repro.errors.ScheduleViolationError` when the schedule
         fails the static gate — the request never reaches a queue.
-
-        ``compiled=True`` runs the schedule through
-        :func:`repro.trace.compiler.compile_trace` first: the session
-        serves the optimized trace (fewer levels, smaller keys), the
-        source digest's memoized admission verdict is invalidated, and
-        the compiled trace re-verifies under its own digest.
         """
         if tenant in self.sessions:
             raise ParameterError(f"tenant {tenant!r} is already registered")
@@ -333,19 +311,6 @@ class BitPackerServe:
                 SCHEDULES[bs], n=n, scheme=scheme, word_bits=word_bits,
                 ks_digits=ks_digits,
             )
-        compiled_from: str | None = None
-        levels_saved = 0
-        if compiled:
-            from repro.trace.compiler import compile_trace
-
-            compiled_from = content_digest(trace)
-            result = compile_trace(
-                trace, scheme=scheme, word_bits=word_bits,
-                ks_digits=ks_digits, plan=False,
-            )
-            invalidate_admitted(compiled_from)
-            trace = result.trace
-            levels_saved = result.levels_saved
         GATE.admit(trace, verify_or_raise)
         key = self.registry.get(
             KeyParams(n=n, word_bits=word_bits, levels=trace.max_level)
@@ -360,8 +325,6 @@ class BitPackerServe:
             key=key,
             shard=int(key.fingerprint, 16) % self.shards,
             executable=executable,
-            compiled_from=compiled_from,
-            levels_saved=levels_saved,
         )
         self.sessions[tenant] = session
         return session

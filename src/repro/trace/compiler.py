@@ -44,9 +44,13 @@ uniform-scale regions, never across an ADJUST or bootstrap entry).
 
 The result carries provenance: the canonical content digest of both the
 source and the compiled trace (:func:`repro.trace.program
-.content_digest`), so serve admission and eval caches keyed on trace
-content distinguish the two and a recompilation invalidates stale
-verdicts.
+.content_digest`).  The two digests differ whenever a pass rewrote the
+schedule, so the verify gate, keyed on content, certifies the compiled
+trace on its own.
+
+:func:`compile_trace` and the ``compile-trace`` CLI (which calls
+:func:`compile_workloads` on the bundled traces) are the only entry
+points; the figures and the service run the recorded schedules.
 """
 
 from __future__ import annotations

@@ -51,6 +51,32 @@ class TestCompareCommand:
         assert "gmean" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--n", "1000"],  # ParameterError: not a power of two
+    ["plan", "--word", "10"],  # PlanningError: no word-sized primes
+    ["compare", "--word", "12"],  # ParameterError: outside the model
+])
+def test_bad_input_is_one_error_line(capsys, argv):
+    """Bad parameters exit 2 with one ``error:`` line, not a traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig13", "--compiled"],
+    ["serve", "--compiled"],
+])
+def test_compiled_is_not_an_option(capsys, argv):
+    """Compiled schedules come from ``compile-trace`` alone."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --compiled" in capsys.readouterr().err
+
+
 class TestFigureCommand:
     def test_fig10(self, capsys, tmp_path, figure_args):
         rc = main(["figure", "fig10", *figure_args])

@@ -427,3 +427,33 @@ def _chain_params(app, bs, scheme, word_bits):
         "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
         "n": common.EVAL_N, "max_log_q": common.EVAL_MAX_LOG_Q, "ks_digits": 3,
     }
+
+
+#: The disk-cache parameters of each artifact function's default call on
+#: ``_FUZZ_ARGS``, written out literally: a record the figures stored
+#: stays addressable only while these dicts are exactly what is hashed.
+_DEFAULT_PARAMS = {
+    "trace": (common.trace_for, _FUZZ_ARGS, {
+        "app": "LogReg", "bs": "BS26", "scheme": "bitpacker", "word_bits": 28,
+        "n": 65536, "max_log_q": 1596.0, "ks_digits": 3,
+    }),
+    "simulate": (common.simulate, _FUZZ_ARGS, {
+        "app": "LogReg", "bs": "BS26", "scheme": "bitpacker", "word_bits": 28,
+        "register_file_mb": 256.0, "crb_shrink": 0.0, "ks_digits": 3,
+        "n": 65536, "max_log_q": 1596.0,
+    }),
+    "simulate-cpu": (common.simulate_cpu, (*_FUZZ_ARGS[:3], 64), {
+        "app": "LogReg", "bs": "BS26", "scheme": "bitpacker", "word_bits": 64,
+        "ks_digits": 3,
+    }),
+}
+
+
+class TestDiskKeys:
+    @pytest.mark.parametrize("kind", sorted(_DEFAULT_PARAMS))
+    def test_default_call_stores_under_the_literal_params(
+        self, fresh_cache, kind
+    ):
+        func, args, params = _DEFAULT_PARAMS[kind]
+        func(*args)
+        assert fresh_cache.record_path(kind, params).exists()

@@ -6,7 +6,7 @@ the small-n executor cross-check (compiled traces still land inside the
 verifier's abstract intervals), mutation-seeded refusals (the compiler
 raises on broken inputs, never silently drops), canonical content
 digests, trace schema versioning, a fuzz of the trace-JSON decoders,
-serve-side compiled registration, and the ``compile-trace`` CLI.
+and the ``compile-trace`` CLI.
 """
 
 import contextlib
@@ -486,50 +486,6 @@ class TestTightenBaseSearch:
         assert len(calls) <= 64
 
 
-class TestServeCompiledRegistration:
-    @pytest.fixture(autouse=True)
-    def _fresh_gate(self):
-        from repro.analysis.absint import GATE
-
-        GATE.clear()
-        yield
-        GATE.clear()
-
-    def test_register_compiled_shrinks_session_and_records_provenance(self):
-        from repro.serve.service import BitPackerServe
-
-        service = BitPackerServe()
-        compiled = service.register("c", app="LogReg", bs="BS19", compiled=True)
-        plain = service.register("p", app="LogReg", bs="BS19")
-        assert compiled.levels_saved > 0
-        assert compiled.trace.max_level < plain.trace.max_level
-        assert compiled.compiled_from == content_digest(plain.trace)
-        assert content_digest(compiled.trace) != compiled.compiled_from
-        assert plain.compiled_from is None
-
-    def test_recompilation_invalidates_source_gate_verdict(self):
-        from repro.analysis.absint import GATE
-        from repro.serve.service import BitPackerServe, invalidate_admitted
-
-        service = BitPackerServe()
-        plain = service.register("p", app="LogReg", bs="BS19")
-        source = content_digest(plain.trace)
-        assert source in GATE.digests()
-        service.register("c", app="LogReg", bs="BS19", compiled=True)
-        # register(compiled=True) dropped the stale source verdict
-        # before admitting the rewritten trace.
-        assert invalidate_admitted(source) is False
-
-    def test_invalidate_admitted_reports_presence(self):
-        from repro.serve.service import BitPackerServe, invalidate_admitted
-
-        service = BitPackerServe()
-        session = service.register("t", app="LogReg", bs="BS19")
-        digest = content_digest(session.trace)
-        assert invalidate_admitted(digest) is True
-        assert invalidate_admitted(digest) is False
-
-
 class TestCompileTraceCli:
     def test_text_report_for_bundled_workloads(self, capsys):
         rc = main(["compile-trace", "--schemes", "bitpacker", "--no-plan"])
@@ -590,19 +546,3 @@ class TestCompileTraceCli:
         rc = main(["compile-trace", str(tmp_path / "missing.json")])
         assert rc == 2
 
-
-class TestEvalPlumbing:
-    def test_trace_for_compiled_is_a_distinct_smaller_schedule(self):
-        from repro.eval.common import trace_for
-
-        plain = trace_for("LogReg", "BS19", "bitpacker", 28)
-        compiled = trace_for("LogReg", "BS19", "bitpacker", 28, compiled=True)
-        assert compiled.max_level < plain.max_level
-        assert content_digest(compiled) != content_digest(plain)
-
-    def test_chain_for_compiled_is_narrower(self):
-        from repro.eval.common import chain_for
-
-        plain = chain_for("LogReg", "BS19", "bitpacker", 28)
-        compiled = chain_for("LogReg", "BS19", "bitpacker", 28, compiled=True)
-        assert len(compiled.levels) < len(plain.levels)
