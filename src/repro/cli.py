@@ -42,10 +42,12 @@ from typing import Callable, Sequence
 
 from repro.schemes import plan_chain
 
-#: Figure/table name -> (module path, results/ file stem, runtime note).
-#: Notes are measured cold runs with the cache off on a 2-core machine
-#: (all 14 together: about 28 s; warm from the disk cache: under a
-#: second).
+#: Figure/table name -> (harness, results/ file stem, runtime note).  The
+#: harness is a module with ``run()`` and ``render()``, or
+#: ``module:run,render`` naming the two.  One entry per committed
+#: ``results/*.txt``.  Notes are measured cold runs with the cache off on
+#: a 2-core machine (all 17 together: about 33 s; warm from the disk
+#: cache: under a second).
 FIGURES: dict[str, tuple[str, str, str]] = {
     "fig10": ("repro.eval.fig10", "fig10_energy_breakdown", "instant"),
     "fig11": ("repro.eval.fig11", "fig11_exec_time_28bit", "~1 s"),
@@ -66,6 +68,15 @@ FIGURES: dict[str, tuple[str, str, str]] = {
     "sec61": ("repro.eval.security", "sec61_security_params", "~1 s"),
     "sec62": ("repro.eval.sharp", "sec62_sharp_comparison", "~1 s"),
     "sec63": ("repro.eval.area_reduction", "sec63_area_reduction", "~1 s"),
+    "ablation_scale_down": (
+        "repro.eval.ablations:run_scale_down_ablation,render_scale_down",
+        "ablation_scale_down", "instant"),
+    "ablation_ks_digits": (
+        "repro.eval.ablations:run_digits_ablation,render_digits",
+        "ablation_ks_digits", "~2 s"),
+    "ablation_tolerance_window": (
+        "repro.eval.ablations:run_tolerance_ablation,render_tolerance",
+        "ablation_tolerance_window", "instant"),
 }
 
 
@@ -409,7 +420,9 @@ def _cmd_figure(args) -> int:
     failed = []
     interrupted = False
     for name in args.names:
-        module_path, stem, note = FIGURES[name]
+        harness, stem, note = FIGURES[name]
+        module_path, _, callables = harness.partition(":")
+        run_name, render_name = (callables or "run,render").split(",")
         print(f"[{name}] running ({note})", file=sys.stderr)
         started = time.monotonic()
         if profiling:
@@ -422,12 +435,13 @@ def _cmd_figure(args) -> int:
             cache_before = _cache_snapshot(runner.active_cache())
         try:
             module = importlib.import_module(module_path)
+            run = getattr(module, run_name)
             if profiling:
                 with obs.span(f"figure/{name}"):
-                    data = module.run()
+                    data = run()
             else:
-                data = module.run()
-            text = module.render(data)
+                data = run()
+            text = getattr(module, render_name)(data)
             out_path = results_dir / f"{stem}.txt"
             write_text_atomic(out_path, text + "\n")
             profile = (
@@ -525,8 +539,8 @@ def _cmd_obs_report(args) -> int:
 
 
 def _cmd_list_figures(_args) -> int:
-    for name, (module_path, _stem, note) in sorted(FIGURES.items()):
-        print(f"{name:8s} {module_path:28s} ({note})")
+    for name, (harness, _stem, note) in sorted(FIGURES.items()):
+        print(f"{name:25s} {harness:28s} ({note})")
     return 0
 
 

@@ -76,12 +76,11 @@ def _tune_allocator() -> None:
     on free, so every temporary pays page-fault-and-zero cost; measured
     here, that made a ``(4, 2^14)`` ``mod_sub`` ~3x slower than the same
     arithmetic on recycled buffers.  Raising the thresholds keeps the
-    buffers in the arena free lists.  Set ``REPRO_NO_MALLOPT=1`` to skip.
+    buffers in the arena free lists.
     """
     import ctypes
-    import os
 
-    if os.environ.get("REPRO_NO_MALLOPT") or not sys.platform.startswith("linux"):
+    if not sys.platform.startswith("linux"):
         return
     try:
         libc = ctypes.CDLL("libc.so.6")

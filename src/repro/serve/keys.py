@@ -33,12 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.nt import modmath
 from repro.nt.primes import ntt_friendly_primes_below
 
-#: Width routing for the pointwise kernels: moduli
-#: below 2^31 take the ``narrow`` fast paths, anything up to 2^61 the
-#: ``wide`` ones (mirrors :mod:`repro.backends`).
-NARROW_MAX_BITS = 30
 MAX_WORD_BITS = 61
 
 
@@ -66,11 +63,6 @@ class KeyParams:
         if self.levels < 0:
             raise ParameterError(f"levels must be >= 0, got {self.levels}")
 
-    @property
-    def kind(self) -> str:
-        """Backend width kind for this key's moduli."""
-        return "narrow" if self.word_bits <= NARROW_MAX_BITS else "wide"
-
 
 class KeyMaterial:
     """Derived, immutable per-key state shared by every session on it."""
@@ -88,7 +80,7 @@ class KeyMaterial:
                 f"for n={params.n} to build {params.levels + 1} level(s)"
             ) from None
         self.primes: tuple[int, ...] = tuple(primes)
-        self.kind = params.kind
+        self.kind = modmath.backend_kind(max(primes))
         blob = json.dumps(
             {"n": params.n, "word_bits": params.word_bits, "primes": primes},
             sort_keys=True, separators=(",", ":"),

@@ -1,9 +1,17 @@
 """CLI tests (invoked in-process)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, main
 from repro.eval import runner
+
+EXPECTED_FIGURES = {
+    "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+    "fig17", "fig18", "fig19", "table1", "sec61", "sec62", "sec63",
+    "ablation_scale_down", "ablation_ks_digits", "ablation_tolerance_window",
+}
 
 
 @pytest.fixture()
@@ -219,11 +227,14 @@ class TestFigureCommand:
         assert "0 misses" in capsys.readouterr().err
 
     def test_registry_complete(self):
-        expected = {
-            "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-            "fig17", "fig18", "fig19", "table1", "sec61", "sec62", "sec63",
+        assert set(FIGURES) == EXPECTED_FIGURES
+
+    def test_registry_matches_committed_results(self):
+        """``repro figure`` is the one producer of every committed table."""
+        results = Path(__file__).resolve().parent.parent / "results"
+        assert {stem for _, stem, _ in FIGURES.values()} == {
+            path.stem for path in results.glob("*.txt")
         }
-        assert set(FIGURES) == expected
 
 
 class TestListFigures:
@@ -231,8 +242,7 @@ class TestListFigures:
         rc = main(["list-figures"])
         assert rc == 0
         out = capsys.readouterr().out
-        for name in FIGURES:
-            assert name in out
+        assert {line.split()[0] for line in out.splitlines()} == EXPECTED_FIGURES
 
 
 class TestLintCommand:

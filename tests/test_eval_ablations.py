@@ -8,6 +8,8 @@ class TestScaleDownAblation:
         rows = ablations.run_scale_down_ablation(r_values=(10, 40))
         for r in rows:
             assert r.single_pass_cycles < r.iterated_cycles
+        # The single CRB pass keeps its edge at high R.
+        assert rows[-1].saving >= rows[0].saving * 0.9
 
     def test_saving_grows_with_shed_count(self):
         shed1 = ablations.run_scale_down_ablation(r_values=(40,), shed=1)[0]
@@ -23,6 +25,8 @@ class TestToleranceAblation:
     def test_runs_at_small_n(self):
         rows = ablations.run_tolerance_ablation(tolerances=(0.5, 2.0), n=1024)
         assert len(rows) == 2
+        # Looser windows never *increase* the residue count.
+        assert rows[1].top_residues <= rows[0].top_residues
         for r in rows:
             assert r.max_scale_drift_bits <= max(r.tolerance_bits, 0.5) + 16.0
 

@@ -127,6 +127,7 @@ class TestFig13:
         cpu = common.gmean(r.ratio for r in fig13.run())
         accel = common.gmean(r.ratio for r in fig11.run())
         assert 1.05 < cpu < accel
+        assert cpu < 1.6  # paper: 1.24
 
     def test_render(self):
         assert "CPU" in fig13.render(fig13.run())
@@ -144,6 +145,7 @@ class TestFig14:
 
     def test_rns_uneven_and_slower(self, series):
         for s in series:
+            assert s.rns_unevenness > 1.15  # peaks and valleys
             assert all(
                 r >= b for r, b in zip(s.rns_ckks_ms, s.bitpacker_ms)
             )
@@ -157,6 +159,7 @@ class TestFig15:
         rows = fig15.run(word_sizes=WORDS)
         for r in rows:
             assert r.min_slowdown >= 1.0
+            assert r.gmean_slowdown > 1.0
             assert r.max_slowdown >= r.gmean_slowdown >= r.min_slowdown
 
     def test_wide_words_worse(self):
@@ -168,6 +171,7 @@ class TestFig16:
     def test_bp28_is_best_point(self):
         rows = fig16.run(word_sizes=WORDS)
         assert rows[0].bitpacker_norm == pytest.approx(1.0)
+        assert min(rows, key=lambda r: r.bitpacker_norm).word_bits == 28
         for r in rows:
             assert r.rns_ckks_norm > r.bitpacker_norm
         assert rows[-1].rns_ckks_norm > 1.5  # paper: ~2.5 at 64-bit
@@ -204,12 +208,14 @@ class TestSectionHarnesses:
         assert {r.security_bits for r in rows} == {128, 80}
         for r in rows:
             assert r.gmean_speedup > 1.1  # benefits at both security levels
+            assert r.gmean_energy_ratio > 1.1
         assert "80-bit" in security.render(rows)
 
     def test_sharp_comparison(self):
         rows = sharp.run()
         g = common.gmean(r.speedup for r in rows)
         assert g > 1.2  # paper: 1.43
+        assert common.gmean(r.edp_ratio for r in rows) > 1.5  # paper: 2.2
         assert "SHARP" in sharp.render(rows)
 
     def test_area_reduction(self):

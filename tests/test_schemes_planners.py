@@ -145,6 +145,12 @@ class TestBitPackerPacking:
             )
             top = chain.moduli_at(chain.max_level)
             assert all(q < 1 << w for q in top)
+        # The paper's parameters (Sec. 3.3): N = 2^16, twenty 40-bit levels.
+        chain = plan_bitpacker_chain(
+            n=65536, word_bits=28, level_scale_bits=40.0, levels=20,
+            base_bits=60.0, ks_digits=3,
+        )
+        assert chain.max_level == 20
 
 
 class TestRnsCkksStructure:

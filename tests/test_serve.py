@@ -133,16 +133,24 @@ class TestBatching:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("op", ["mul", "add"])
     def test_batched_matches_serial_bytewise(self, engine, op):
-        key = KeyMaterial(KeyParams(n=64, word_bits=28, levels=3))
-        group = [
-            make_request(key, level=3, op=op, seed=seed) for seed in range(7)
-        ]
-        serial = [sbatch.execute_serial(r) for r in group]
-        batched = sbatch.execute_group(group)
-        assert len(batched) == len(serial)
-        for got, want in zip(batched, serial):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        # 31-bit primes take the narrow kernels; the wide kernels give
+        # them the same bytes.
+        for word_bits in (28, 31):
+            key = KeyMaterial(KeyParams(n=64, word_bits=word_bits, levels=3))
+            assert key.kind == "narrow"
+            group = [
+                make_request(key, level=3, op=op, seed=seed)
+                for seed in range(7)
+            ]
+            serial = [sbatch.execute_serial(r) for r in group]
+            batched = sbatch.execute_group(group)
+            assert len(batched) == len(serial)
+            for request, got, want in zip(group, batched, serial):
+                wide = sbatch._kernel(
+                    op, request.a, request.b, key.q_col(3), "wide"
+                )
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes() == wide.tobytes()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_mixed_level_traffic_never_coalesces(self, engine):
