@@ -142,12 +142,8 @@ class SimResult:
         ]
 
     def to_dict(self) -> dict:
-        """JSON-ready form for the experiment runner's disk cache."""
+        """Plain-dict form, every table in insertion order."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimResult":
-        return cls(**data)
 
 
 class AcceleratorSim:

@@ -66,7 +66,7 @@ SCALE_TOLERANCE_BITS = 0.5
 HEADROOM_BITS = 4.0
 
 #: Rule ids the verifier can emit as violations, with one-line docs
-#: (surfaced by ``--list-rules`` and the SARIF rule table).
+#: (surfaced by ``--list-rules`` and the JSON report's descriptions).
 VIOLATION_RULES: dict[str, str] = {
     "trace-level-range": "op level outside [0, max_level]",
     "trace-terminal-rescale": "rescale at level 0 (only bootstrap restores)",

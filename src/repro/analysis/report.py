@@ -1,14 +1,9 @@
-"""Machine-readable finding reports: JSON and SARIF 2.1.0.
+"""Machine-readable finding reports.
 
 ``bitpacker-repro lint`` and ``verify-trace`` render findings as plain
 text by default; ``--format json`` emits a small stable schema for
-scripting, and ``--format sarif`` emits the subset of SARIF 2.1.0 that
-code-review UIs ingest (GitHub code scanning among them), which is what
-CI uploads as an artifact.
-
-Trace findings use a ``trace:<name>`` pseudo-path and the op index as
-the line number; SARIF requires ``startLine >= 1``, so op index 0 is
-clamped (the op index survives in the JSON format and the message).
+scripting.  Trace findings use a ``trace:<name>`` pseudo-path and the
+op index as the line number.
 """
 
 from __future__ import annotations
@@ -20,14 +15,9 @@ from repro.analysis.core import Finding
 from repro.errors import ParameterError
 
 #: Formats the CLI accepts for ``--format``.
-FORMATS = ("text", "json", "sarif")
+FORMATS = ("text", "json")
 
 _TOOL_NAME = "fhelint"
-_TOOL_URI = "https://github.com/bitpacker-repro/bitpacker-repro"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def findings_to_json(
@@ -61,67 +51,6 @@ def findings_to_json(
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def findings_to_sarif(
-    findings: Sequence[Finding],
-    rule_docs: Mapping[str, str] | None = None,
-) -> str:
-    """Minimal SARIF 2.1.0: one run, one rule entry per distinct rule."""
-    rule_ids = sorted({f.rule for f in findings})
-    if rule_docs:
-        # List documented rules even when clean, so the artifact shows
-        # what the gate checked for.
-        rule_ids = sorted(set(rule_ids) | set(rule_docs))
-    rule_index = {rule: i for i, rule in enumerate(rule_ids)}
-    rules = [
-        {
-            "id": rule,
-            **(
-                {"shortDescription": {"text": rule_docs[rule]}}
-                if rule_docs and rule in rule_docs
-                else {}
-            ),
-        }
-        for rule in rule_ids
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "ruleIndex": rule_index[f.rule],
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.path},
-                        "region": {
-                            "startLine": max(f.line, 1),
-                            "startColumn": max(f.col, 0) + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": _TOOL_NAME,
-                        "informationUri": _TOOL_URI,
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
 def render_findings(
     findings: Sequence[Finding],
     fmt: str,
@@ -134,8 +63,6 @@ def render_findings(
         return render_report(findings)
     if fmt == "json":
         return findings_to_json(findings, rule_docs)
-    if fmt == "sarif":
-        return findings_to_sarif(findings, rule_docs)
     raise ParameterError(
         f"unknown report format {fmt!r}; choose from {', '.join(FORMATS)}"
     )

@@ -6,7 +6,6 @@ Usage (``python -m repro ...``)::
         --scale 40 --levels 6
     python -m repro compare --word 28
     python -m repro figure fig11 fig15
-    python -m repro figure fig14 --cache-dir /tmp/bp-cache --force
     python -m repro figure fig14 fig18 --keep-going
     python -m repro figure fig14 --profile
     python -m repro obs-report results/fig14_word_size_sweep.profile.json
@@ -14,15 +13,14 @@ Usage (``python -m repro ...``)::
     python -m repro obs-report --chrome-out trace.json fig14.profile.json
     python -m repro list-figures
     python -m repro lint src/repro
-    python -m repro lint --format sarif --output fhelint.sarif
+    python -m repro lint --format json --output fhelint.json
     python -m repro verify-trace --waste
     python -m repro verify-trace my_schedule.json --format json
     python -m repro compile-trace --format json --output savings.json
     python -m repro serve --tenants 8 --requests 400 --json serve.json
 
-``figure`` treats sweeps as restartable batch jobs: Ctrl-C exits 130
-with completed figures flushed to ``results/``, and running the same
-command again resumes from the disk cache (DESIGN.md Sec. 8).  With
+``figure`` runs every experiment cold, in one process: Ctrl-C exits 130
+with completed figures flushed to ``results/`` (DESIGN.md Sec. 8).  With
 ``--profile`` each figure also writes ``results/<stem>.profile.json``
 — span tree, counters, and the per-kernel cycle/energy attribution —
 and prints a rendered summary; ``obs-report`` renders, diffs, or
@@ -45,9 +43,8 @@ from repro.schemes import plan_chain
 #: Figure/table name -> (harness, results/ file stem, runtime note).  The
 #: harness is a module with ``run()`` and ``render()``, or
 #: ``module:run,render`` naming the two.  One entry per committed
-#: ``results/*.txt``.  Notes are measured cold runs with the cache off on
-#: a 2-core machine (all 17 together: about 33 s; warm from the disk
-#: cache: under a second).
+#: ``results/*.txt``.  Notes are measured cold runs on a 2-core machine
+#: (all 17 together, in one process: about 36 s).
 FIGURES: dict[str, tuple[str, str, str]] = {
     "fig10": ("repro.eval.fig10", "fig10_energy_breakdown", "instant"),
     "fig11": ("repro.eval.fig11", "fig11_exec_time_28bit", "~1 s"),
@@ -109,19 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "names", nargs="+", metavar="NAME",
         help="figures/tables to regenerate (see `repro list-figures`)",
-    )
-    figure.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="result cache location (default: ~/.cache/bitpacker-repro "
-             "or $BITPACKER_CACHE_DIR)",
-    )
-    figure.add_argument(
-        "--force", action="store_true",
-        help="recompute every point, overwriting cached records",
-    )
-    figure.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache entirely",
     )
     figure.add_argument(
         "--results-dir", default="results", metavar="DIR",
@@ -233,15 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit non-zero unless the batch saves at least one level "
              "or one log2(Q) bit in aggregate (the CI gate)",
     )
-    compile_.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        dest="format", metavar="FMT",
-        help="report format: text (default) or json",
-    )
-    compile_.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
+    _add_format_options(compile_)
 
     # Listed for --help only: main() hands `serve ...` to bitpacker-serve
     # before parsing.
@@ -255,9 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
+        "--format", choices=["text", "json"], default="text",
         dest="format", metavar="FMT",
-        help="report format: text (default), json, or sarif",
+        help="report format: text (default) or json",
     )
     parser.add_argument(
         "--output", default=None, metavar="PATH",
@@ -317,11 +293,9 @@ def write_text_atomic(path: Path, text: str) -> None:
     profiles, reports and ``bitpacker-serve --json``.  A crash or Ctrl-C
     mid-write must never leave a torn or partial output: readers see the
     previous content or the new one, nothing in between.  The temp file
-    is removed on any failure, including the injected result-site faults
-    the regression tests fire in the window between write and rename.
+    is removed on any failure, including one in the window between the
+    write and the rename.
     """
-    from repro.eval import faults
-
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=path.stem, suffix=".tmp"
@@ -329,7 +303,6 @@ def write_text_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        faults.fire_result()
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -339,36 +312,14 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _cache_snapshot(cache) -> tuple[dict, dict, int]:
-    return dict(cache.hits), dict(cache.misses), cache.corrupt_count
-
-
-def _cache_delta(before: tuple[dict, dict, int], cache) -> dict:
-    """Per-figure cache activity: counter growth since the snapshot."""
-    hits0, misses0, corrupt0 = before
-    return {
-        "hits": {
-            kind: n - hits0.get(kind, 0)
-            for kind, n in cache.hits.items()
-            if n - hits0.get(kind, 0)
-        },
-        "misses": {
-            kind: n - misses0.get(kind, 0)
-            for kind, n in cache.misses.items()
-            if n - misses0.get(kind, 0)
-        },
-        "corrupt": cache.corrupt_count - corrupt0,
-    }
-
-
 def _write_figure_profile(
-    name: str, stem: str, results_dir: Path, cache_before
+    name: str, stem: str, results_dir: Path
 ) -> tuple[Path, dict] | None:
     """Assemble and atomically publish one figure's profile document."""
     import json
 
     from repro import obs
-    from repro.eval import common, runner
+    from repro.eval import common
 
     roots = obs.take_roots()
     if not roots:
@@ -378,7 +329,6 @@ def _write_figure_profile(
         roots[-1],
         obs.epoch(),
         obs.counters(),
-        cache=_cache_delta(cache_before, runner.active_cache()),
         memory_caches=common.memory_cache_stats(),
     )
     path = results_dir / f"{stem}.profile.json"
@@ -391,7 +341,7 @@ def _cmd_figure(args) -> int:
     import time
     import traceback
 
-    from repro.eval import common, runner
+    from repro.eval import common
 
     unknown = [name for name in args.names if name not in FIGURES]
     if unknown:
@@ -406,15 +356,6 @@ def _cmd_figure(args) -> int:
         from repro import obs
 
         obs.enable()
-    runner.configure(
-        cache_dir=args.cache_dir,
-        enabled=False if args.no_cache else None,
-        force=args.force,
-    )
-    if args.force:
-        # One process must not keep serving pre-force artifacts it still
-        # holds in memory: --force drops both cache layers.
-        common.clear_memory_caches()
     results_dir = Path(args.results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     failed = []
@@ -428,11 +369,9 @@ def _cmd_figure(args) -> int:
         if profiling:
             # Fresh recorder per figure; dropping the memory caches makes
             # every unique point pass through common.simulate's body so
-            # the kernel-accounting counters see it (disk hits stay
-            # cheap — one JSON read, no recompute).
+            # the kernel-accounting counters see it.
             obs.reset()
             common.clear_memory_caches()
-            cache_before = _cache_snapshot(runner.active_cache())
         try:
             module = importlib.import_module(module_path)
             run = getattr(module, run_name)
@@ -445,13 +384,12 @@ def _cmd_figure(args) -> int:
             out_path = results_dir / f"{stem}.txt"
             write_text_atomic(out_path, text + "\n")
             profile = (
-                _write_figure_profile(name, stem, results_dir, cache_before)
+                _write_figure_profile(name, stem, results_dir)
                 if profiling
                 else None
             )
         except KeyboardInterrupt:
-            # Everything computed so far is in the disk cache and every
-            # finished figure is in results/.
+            # Every finished figure is already in results/.
             print(f"[{name}] interrupted", file=sys.stderr)
             interrupted = True
             break
@@ -478,19 +416,9 @@ def _cmd_figure(args) -> int:
         # (tests call main() repeatedly) must not keep recording.
         obs.disable()
         obs.reset()
-    cache = runner.active_cache()
-    corrupt = (
-        f", {cache.corrupt_count} quarantined" if cache.corrupt_count else ""
-    )
-    print(
-        f"[cache] {cache.hit_count()} hits, {cache.miss_count()} misses"
-        f"{corrupt} ({cache.cache_dir if cache.enabled else 'disabled'})",
-        file=sys.stderr,
-    )
     if interrupted:
         print(
-            "[figure] interrupted — completed figures are in "
-            f"{results_dir}/, cached points will be reused on re-run",
+            f"[figure] interrupted — completed figures are in {results_dir}/",
             file=sys.stderr,
         )
         return 130

@@ -19,7 +19,7 @@ implementation with AVX2 vectorization.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.accel import kernels
 from repro.errors import SimulationError
@@ -45,14 +45,6 @@ class CpuResult:
     @property
     def time_ms(self) -> float:
         return self.time_s * 1e3
-
-    def to_dict(self) -> dict:
-        """JSON-ready form for the experiment runner's disk cache."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CpuResult":
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,11 @@
 """Shared plumbing for the evaluation harnesses.
 
-Caches the expensive artifacts (traces, planned chains, simulation
-results) at two layers: an in-process ``lru_cache`` keyed by the full
-parameterization, backed by the experiment runner's content-addressed
-disk store (:mod:`repro.eval.runner`), so re-running one cheap figure
-after an expensive one is instant *across* CLI invocations too.  A
-cached record is keyed by its parameters plus a fingerprint of the
-model's calibration constants, so editing a constant recomputes instead
-of serving stale rows.
-
-Failure model: these artifact functions are the grid points
-:func:`repro.eval.runner.map_grid` evaluates, and a killed run resumes
-by running again, so they must stay safe to *replay* — each is a pure
-function of its parameters, and a record that went missing (interrupted
-run, quarantined corruption) is simply recomputed on the next call.
-Nothing here may cache partial state outside the runner's store
-(DESIGN.md Sec. 8).
+Memoizes the expensive artifacts (traces, planned chains, simulation
+results) in process, with an ``lru_cache`` keyed by the full
+parameterization, so a figure that re-reads another's points in the
+same process (Figs. 15/16 after Fig. 14) computes nothing.  Nothing is
+kept between processes: every artifact is a pure function of its
+parameters and is recomputed by the next invocation (DESIGN.md Sec. 8).
 """
 
 from __future__ import annotations
@@ -30,14 +20,8 @@ from repro.accel.sim import AcceleratorSim, SimResult
 from repro.analysis.absint import GATE, verify_or_raise
 from repro.cpu.model import DEFAULT_CPU_MODEL, CpuResult
 from repro.errors import ParameterError
-from repro.eval import runner
 from repro.obs import core as _obs
-from repro.schemes import (
-    chain_from_dict,
-    chain_to_dict,
-    plan_bitpacker_chain,
-    plan_rns_ckks_chain,
-)
+from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.schemes.chain import SCHEMES, ModulusChain  # SCHEMES: for the harnesses
 from repro.trace.program import HeTrace
 from repro.workloads.apps import BENCHMARKS
@@ -87,18 +71,9 @@ def trace_for(
     max_log_q: float = EVAL_MAX_LOG_Q,
 ) -> HeTrace:
     """The app's trace under a scheme's bootstrap cadence (Sec. 5)."""
-    params = {
-        "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
-        "n": EVAL_N, "max_log_q": max_log_q, "ks_digits": ks_digits,
-    }
-    return runner.cached(
-        "trace", params,
-        compute=lambda: BENCHMARKS[app](
-            SCHEDULES[bs], n=EVAL_N, max_log_q=max_log_q, scheme=scheme,
-            word_bits=word_bits, ks_digits=ks_digits,
-        ),
-        encode=HeTrace.to_dict,
-        decode=HeTrace.from_dict,
+    return BENCHMARKS[app](
+        SCHEDULES[bs], n=EVAL_N, max_log_q=max_log_q, scheme=scheme,
+        word_bits=word_bits, ks_digits=ks_digits,
     )
 
 
@@ -111,24 +86,9 @@ def chain_for(
     ks_digits: int = 3,
     max_log_q: float = EVAL_MAX_LOG_Q,
 ) -> ModulusChain:
-    params = {
-        "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
-        "n": EVAL_N, "max_log_q": max_log_q, "ks_digits": ks_digits,
-    }
-    return runner.cached(
-        "chain", params,
-        compute=lambda: _plan_chain(
-            app, bs, scheme, word_bits, ks_digits, max_log_q
-        ),
-        encode=chain_to_dict,
-        decode=chain_from_dict,
-    )
-
-
-def _plan_chain(
-    app: str, bs: str, scheme: str, word_bits: int, ks_digits: int,
-    max_log_q: float,
-) -> ModulusChain:
+    """The workload's chain, planned from its trace's constraints."""
+    # Positional, like _simulate: lru_cache keys a keyword call apart
+    # from a positional one, and the trace would be built twice.
     trace = trace_for(app, bs, scheme, word_bits, ks_digits, max_log_q)
     return _planned_chain(
         scheme, trace.n, word_bits, trace.level_scale_bits, trace.base_bits,
@@ -176,24 +136,13 @@ def simulate(
     max_log_q: float = EVAL_MAX_LOG_Q,
 ) -> SimResult:
     """Run one (workload, scheme, machine) point on the accelerator model."""
-    params = {
-        "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
-        "register_file_mb": register_file_mb, "crb_shrink": crb_shrink,
-        "ks_digits": ks_digits, "n": EVAL_N, "max_log_q": max_log_q,
-    }
-    result = runner.cached(
-        "simulate", params,
-        compute=lambda: _simulate(
-            app, bs, scheme, word_bits, register_file_mb, crb_shrink,
-            ks_digits, max_log_q,
-        ),
-        encode=SimResult.to_dict,
-        decode=SimResult.from_dict,
+    result = _simulate(
+        app, bs, scheme, word_bits, register_file_mb, crb_shrink, ks_digits,
+        max_log_q,
     )
-    # Recorded outside runner.cached so disk hits contribute to the
-    # kernel-accounting table too; the lru_cache above means one record
-    # per unique point (the profiling CLI clears memory caches per
-    # figure so repeat figures account their own points).
+    # The lru_cache above means one record per unique point (the
+    # profiling CLI clears memory caches per figure so repeat figures
+    # account their own points).
     _record_sim(result)
     return result
 
@@ -241,22 +190,7 @@ def simulate_cpu(
     ks_digits: int = 3,
 ) -> CpuResult:
     """Run one workload point on the CPU cost model (Fig. 13)."""
-    params = {
-        "app": app, "bs": bs, "scheme": scheme, "word_bits": word_bits,
-        "ks_digits": ks_digits,
-    }
-    return runner.cached(
-        "simulate-cpu", params,
-        compute=lambda: _simulate_cpu(app, bs, scheme, word_bits, ks_digits),
-        encode=CpuResult.to_dict,
-        decode=CpuResult.from_dict,
-    )
-
-
-def _simulate_cpu(
-    app: str, bs: str, scheme: str, word_bits: int, ks_digits: int,
-) -> CpuResult:
-    # Positional, like _simulate and _plan_chain: lru_cache keys a keyword
+    # Positional, like _simulate and chain_for: lru_cache keys a keyword
     # call apart from a positional one, and the trace would be built twice.
     trace = trace_for(app, bs, scheme, word_bits, ks_digits, EVAL_MAX_LOG_Q)
     GATE.admit(trace, verify_or_raise)
@@ -265,8 +199,8 @@ def _simulate_cpu(
     )
 
 
-#: The in-process cache layer, by artifact kind (the profile exporter's
-#: ``memory_caches`` section iterates this).
+#: The memos by artifact kind (the profile exporter's ``memory_caches``
+#: section iterates this).
 _MEMORY_CACHES = {
     "trace": trace_for,
     "chain": chain_for,
@@ -277,14 +211,9 @@ _MEMORY_CACHES = {
 
 
 def clear_memory_caches() -> None:
-    """Drop the in-process layer only; disk records stay valid.
-
-    Models a fresh CLI invocation: the next call of each artifact
-    function must go through the runner's disk store again.  The CLI
-    calls this on ``--force`` (so one process cannot keep serving the
-    pre-force artifacts it already holds in memory) and per figure when
-    profiling.
-    """
+    """Empty every memo: the next call of each artifact function
+    recomputes, as in a fresh process.  The CLI calls this per figure
+    when profiling, so each profile accounts its own points."""
     for func in _MEMORY_CACHES.values():
         func.cache_clear()
 

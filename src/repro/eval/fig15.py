@@ -22,7 +22,7 @@ class Fig15Row:
 
 
 def run(word_sizes=fig14.DEFAULT_WORD_SIZES) -> list[Fig15Row]:
-    # Derived view: consumes fig14's (runner-cached) sweep, so after a
+    # Derived view: consumes fig14's memoized sweep, so after a
     # fig14 run this figure performs no simulations of its own.
     series = fig14.run(word_sizes)
     word_sizes = tuple(word_sizes)

@@ -26,7 +26,7 @@ class Fig16Row:
 
 
 def run(word_sizes=fig14.DEFAULT_WORD_SIZES) -> list[Fig16Row]:
-    # Derived view: consumes fig14's (runner-cached) sweep plus the area
+    # Derived view: consumes fig14's memoized sweep plus the area
     # model, so after a fig14 run this figure performs no simulations.
     series = fig14.run(word_sizes)
     word_sizes = tuple(word_sizes)

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.ckks.context import CkksContext
-from repro.eval import runner
 from repro.schemes import plan_chain
 
 #: Word sizes per scheme for the precision comparison (see module doc).
@@ -75,17 +74,6 @@ def precision_bits(decoded: np.ndarray, reference: np.ndarray) -> float:
     return float(-np.log2(err))
 
 
-def _sample_params(
-    operation: str, scheme: str, scale_bits: float, samples: int,
-    n: int, levels: int, seed: int,
-) -> dict:
-    return {
-        "operation": operation, "scheme": scheme,
-        "word_bits": PRECISION_WORDS[scheme], "scale_bits": scale_bits,
-        "samples": samples, "n": n, "levels": levels, "seed": seed,
-    }
-
-
 def rescale_error_samples(
     scheme: str,
     scale_bits: float,
@@ -95,21 +83,15 @@ def rescale_error_samples(
     seed: int = 7,
 ) -> list[float]:
     """Paper Fig. 18 methodology: square + rescale, measure precision."""
-
-    def compute() -> list[float]:
-        ctx = precision_context(scheme, scale_bits, levels, n)
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(samples):
-            values = sample_values(ctx, rng)
-            ct = ctx.encrypt(values)
-            sq = ctx.evaluator.rescale(ctx.evaluator.square(ct))
-            out.append(precision_bits(ctx.decrypt_real(sq), values**2))
-        return out
-
-    params = _sample_params("rescale", scheme, scale_bits, samples, n,
-                            levels, seed)
-    return runner.cached("precision", params, compute)
+    ctx = precision_context(scheme, scale_bits, levels, n)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        values = sample_values(ctx, rng)
+        ct = ctx.encrypt(values)
+        sq = ctx.evaluator.rescale(ctx.evaluator.square(ct))
+        out.append(precision_bits(ctx.decrypt_real(sq), values**2))
+    return out
 
 
 def adjust_error_samples(
@@ -121,22 +103,16 @@ def adjust_error_samples(
     seed: int = 11,
 ) -> list[float]:
     """Paper Fig. 19 methodology: adjust by one level, measure precision."""
-
-    def compute() -> list[float]:
-        ctx = precision_context(scheme, scale_bits, levels, n)
-        rng = np.random.default_rng(seed)
-        top = ctx.chain.max_level
-        out = []
-        for _ in range(samples):
-            values = sample_values(ctx, rng)
-            ct = ctx.encrypt(values)
-            adj = ctx.evaluator.adjust(ct, top - 1)
-            out.append(precision_bits(ctx.decrypt_real(adj), values))
-        return out
-
-    params = _sample_params("adjust", scheme, scale_bits, samples, n,
-                            levels, seed)
-    return runner.cached("precision", params, compute)
+    ctx = precision_context(scheme, scale_bits, levels, n)
+    rng = np.random.default_rng(seed)
+    top = ctx.chain.max_level
+    out = []
+    for _ in range(samples):
+        values = sample_values(ctx, rng)
+        ct = ctx.encrypt(values)
+        adj = ctx.evaluator.adjust(ct, top - 1)
+        out.append(precision_bits(ctx.decrypt_real(adj), values))
+    return out
 
 
 def box_stats(samples: list[float]) -> dict[str, float]:

@@ -83,22 +83,11 @@ def _unstable_round(ctx, ct, ref):
 def analogue_point(
     benchmark: str, scheme: str, samples: int, n: int, seed: int
 ) -> tuple[float, float]:
-    """One disk-cached (analogue, scheme) cell of Table 1."""
+    """One (analogue, scheme) cell of Table 1."""
     spec = next((s for s in ANALOGUES if s.name == benchmark), None)
     if spec is None:
         raise ParameterError(f"unknown Table 1 analogue {benchmark!r}")
-    params = {
-        "benchmark": spec.name, "scheme": scheme, "samples": samples,
-        "n": n, "seed": seed, "scale_bits": spec.scale_bits,
-        "bootstrap": spec.bootstrap.name, "pre_rounds": spec.pre_rounds,
-        "post_rounds": spec.post_rounds, "unstable": spec.unstable,
-    }
-    mean, worst = runner.cached(
-        "table1", params,
-        compute=lambda: _run_analogue(spec, scheme, samples, n, seed),
-        encode=list,
-    )
-    return mean, worst
+    return _run_analogue(spec, scheme, samples, n, seed)
 
 
 def _run_analogue(

@@ -6,7 +6,7 @@ points; the recorder and the runtime sanitizer listen behind it.  The
 recorder keeps **spans** (:func:`span`: wall/CPU/peak-RSS regions,
 exportable as profile JSON and Chrome ``trace_event``, with per-name
 p50/p90/p99 from :func:`span_quantiles`) and **counters**
-(:func:`count`: cache hits/misses, kernel and evaluator-op counts, the
+(:func:`count`: kernel and evaluator-op counts, the
 per-kernel cycle/energy attribution behind ``kernel_accounting``).
 Drive it via ``repro figure <name> --profile``, or::
 

@@ -4,7 +4,7 @@ The profile JSON schema (``PROFILE_SCHEMA_VERSION``, full field list in
 DESIGN.md Sec. 9)::
 
     {
-      "schema": 2,
+      "schema": 3,
       "figure": "fig14",
       "backend": "numpy",                    # active kernel backend
       "created_unix": 1754556000.0,          # wall-clock stamp
@@ -16,8 +16,7 @@ DESIGN.md Sec. 9)::
         "rss_peak_delta_kb": 5124,
         "children": [ ...same shape... ]
       },
-      "counters":   {"cache.hit.simulate": 200, ...},
-      "cache":  {"hits": {...}, "misses": {...}, "corrupt": 0},
+      "counters":   {"accel.sims": 200, ...},
       "memory_caches": {"simulate": {hits,misses,size,maxsize}, ...},
       "kernel_accounting": {
         "sims": 200, "total_cycles": ..., "total_energy_j": ...,
@@ -28,7 +27,8 @@ DESIGN.md Sec. 9)::
 
 Schema 2 dropped schema 1's count/sum/min/max summary of the ``task``
 spans' own walls; distributions are read off the span tree by
-:func:`span_quantiles`.
+:func:`span_quantiles`.  Schema 3 dropped the disk cache's ``cache``
+section and its ``cache.*`` counters along with the cache.
 
 Everything in this module is cold-path (runs once per figure), so it is
 free to import json and build intermediate structures; the hot-path
@@ -45,7 +45,7 @@ from typing import Any, Mapping
 from repro.errors import ParameterError
 from repro.obs.core import Span
 
-PROFILE_SCHEMA_VERSION = 2
+PROFILE_SCHEMA_VERSION = 3
 
 #: Counter-name prefixes the kernel-accounting section is derived from
 #: (written by :func:`repro.eval.common.simulate` while profiling).
@@ -202,7 +202,6 @@ def build_profile(
     root: Span,
     epoch: float,
     counters: Mapping[str, float],
-    cache: Mapping[str, Any] | None = None,
     memory_caches: Mapping[str, Mapping[str, int]] | None = None,
 ) -> dict:
     """Assemble one figure's profile document (see the module docstring)."""
@@ -218,7 +217,6 @@ def build_profile(
         "coverage": coverage(tree),
         "span_tree": tree,
         "counters": dict(sorted(counters.items())),
-        "cache": dict(cache) if cache is not None else None,
         "memory_caches": (
             {k: dict(v) for k, v in memory_caches.items()}
             if memory_caches is not None
@@ -251,10 +249,6 @@ def _check_document(doc: dict) -> None:
         _field(doc, key, types, "profile")
     for name in _field(doc, "counters", dict, "profile"):
         _field(doc["counters"], name, _NUMBER, "counters")
-    if doc.get("cache") is not None:
-        for table in ("hits", "misses"):
-            for kind in _field(doc["cache"], table, dict, "cache"):
-                _field(doc["cache"][table], kind, _NUMBER, f"cache {table}")
     accounting = doc.get("kernel_accounting")
     if accounting is not None:
         for key in ("sims", "total_cycles"):
@@ -366,14 +360,6 @@ def render_summary(doc: Mapping[str, Any]) -> str:
             f"kernel accounting ({accounting['sims']} sims, "
             f"{accounting['total_cycles']:.3e} cycles):\n"
             + format_table(["kernel", "cycles", "share"], kernel_rows)
-        )
-    cache = doc.get("cache")
-    if cache is not None:
-        hits = sum(cache.get("hits", {}).values())
-        misses = sum(cache.get("misses", {}).values())
-        blocks.append(
-            f"cache: {hits} hits, {misses} misses, "
-            f"{cache.get('corrupt', 0)} quarantined"
         )
     return "\n".join(blocks)
 

@@ -13,7 +13,6 @@ from repro.schemes.chain import (
     LevelMove,
     LevelSpec,
     ModulusChain,
-    chain_from_dict,
     chain_to_dict,
 )
 from repro.schemes.rns_ckks import plan_rns_ckks_chain
@@ -23,7 +22,6 @@ __all__ = [
     "LevelMove",
     "LevelSpec",
     "ModulusChain",
-    "chain_from_dict",
     "chain_to_dict",
     "plan_chain",
     "plan_rns_ckks_chain",

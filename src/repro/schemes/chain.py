@@ -308,24 +308,6 @@ def chain_to_dict(chain: ModulusChain) -> dict:
     }
 
 
-def chain_from_dict(data: dict) -> ModulusChain:
-    """Reconstruct a planned chain from :func:`chain_to_dict` output."""
-    return ModulusChain(
-        scheme=data["scheme"],
-        n=data["n"],
-        word_bits=data["word_bits"],
-        levels=[
-            LevelSpec(
-                moduli=tuple(spec["moduli"]),
-                scale=Fraction(int(spec["scale"][0]), int(spec["scale"][1])),
-            )
-            for spec in data["levels"]
-        ],
-        special_moduli=tuple(data["special_moduli"]),
-        ks_digits=data["ks_digits"],
-    )
-
-
 def canonicalize_scale(scale: Fraction, canonical: Fraction) -> Fraction:
     """Snap a post-level-management scale onto the chain's canonical one.
 

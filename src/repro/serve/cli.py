@@ -220,7 +220,7 @@ def _run(args) -> int:
         obs.enable()
         obs.reset()
     if args.faults:
-        from repro.eval import faults
+        from repro.serve import faults
 
         fault_context = faults.injected(args.faults)
     else:

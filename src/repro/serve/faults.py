@@ -1,53 +1,45 @@
-"""Deterministic fault injection for the result cache, the CLI's
-``results/`` writer and the serve layer.
+"""Deterministic fault injection for the serve layer.
 
-Atomic writers and retry paths fail in ways unit tests never exercise: a
-record write is cut off mid-file, Ctrl-C lands between a temp-file write
-and its rename, a kernel dispatch crashes or stalls.  This module makes
-those failures *injectable on a fixed, seedable schedule*, so the code
-that claims to survive a fault is tested against exactly that fault —
-reproducibly, because nothing here consults a wall clock or an unseeded
-RNG.
+Retry paths fail in ways unit tests never exercise: a kernel dispatch
+crashes or stalls, a worker drain hiccups, a request poisons every
+batch it rides in.  This module makes those failures *injectable on a
+fixed, seedable schedule*, so the code that claims to survive a fault
+is tested against exactly that fault — reproducibly, because nothing
+here consults a wall clock or an unseeded RNG.
 
 Activation is either the ``BITPACKER_FAULTS`` environment variable
-(read at import) or the :func:`injected` context manager in tests.  There
-is no switch: every hook returns at once when no plan is installed, and
-every site is cold — a cache store, a ``results/`` publish, and a serve
+(read at import), ``bitpacker-serve --faults`` or the :func:`injected`
+context manager in tests.  There is no switch: every hook returns at
+once when no plan is installed, and every site is cold — a serve
 admission, drain and dispatch.
 
-Spec grammar (DESIGN.md Sec. 8; the serve sites, Sec. 13)::
+Spec grammar (DESIGN.md Sec. 13)::
 
     spec    := clause (';' clause)*
     clause  := site ':' mode target?
              | 'seed=' int | 'hang=' float | 'slow=' float
              | 'stall=' float
-    site    := 'store' | 'result'
-             | 'serve.kernel' | 'serve.queue' | 'serve.request'
-    mode    := 'corrupt' | 'truncate'                    (store site)
-             | 'raise' | 'interrupt'                     (result site)
-             | 'raise' | 'hang' | 'slow'                 (serve.kernel)
+    site    := 'serve.kernel' | 'serve.queue' | 'serve.request'
+    mode    := 'raise' | 'hang' | 'slow'                 (serve.kernel)
              | 'stall'                                   (serve.queue)
              | 'poison'                                  (serve.request)
     target  := '@' index (',' index)*     fixed schedule
              | '%' float                  seeded per-index probability
 
 Every index is a 0-based per-process count since the plan was installed:
-``store`` counts :meth:`RunnerCache.store` calls, ``result`` counts
-``results/`` file publishes in :mod:`repro.cli` (the fault fires between
-the temp-file write and the atomic rename), ``serve.kernel`` counts
-kernel *dispatches* (each retry or split re-dispatch is a fresh index,
-so a scheduled fault is recoverable by construction), ``serve.queue``
-counts worker batch drains and ``serve.request`` counts admitted
-requests (``poison`` marks the request so *every* dispatch containing it
-fails and split-and-retry must quarantine it).  Probabilistic clauses
-hash ``(seed, site, mode, index)`` into [0, 1), so two runs agree on
-exactly which points fail without sharing state.  The serve hooks only
-*decide*; the asyncio service applies delays with ``await
-asyncio.sleep`` so an injected hang never blocks the event loop.
+``serve.kernel`` counts kernel *dispatches* (each retry or split
+re-dispatch is a fresh index, so a scheduled fault is recoverable by
+construction), ``serve.queue`` counts worker batch drains and
+``serve.request`` counts admitted requests (``poison`` marks the
+request so *every* dispatch containing it fails and split-and-retry
+must quarantine it).  Probabilistic clauses hash ``(seed, site, mode,
+index)`` into [0, 1), so two runs agree on exactly which points fail
+without sharing state.  The hooks only *decide*; the asyncio service
+applies delays with ``await asyncio.sleep`` so an injected hang never
+blocks the event loop.
 
-Examples::
+Example::
 
-    BITPACKER_FAULTS='store:truncate@2;result:interrupt@0'
     BITPACKER_FAULTS='serve.kernel:raise@0;serve.kernel:slow%0.1;serve.queue:stall%0.25;serve.request:poison@3;slow=0.01'
 """
 
@@ -63,15 +55,11 @@ from repro.errors import ParameterError
 
 ENV_FAULTS = "BITPACKER_FAULTS"
 
-STORE_SITE = "store"
-RESULT_SITE = "result"
 SERVE_KERNEL_SITE = "serve.kernel"
 SERVE_QUEUE_SITE = "serve.queue"
 SERVE_REQUEST_SITE = "serve.request"
 
 _MODES_BY_SITE = {
-    STORE_SITE: frozenset({"corrupt", "truncate"}),
-    RESULT_SITE: frozenset({"raise", "interrupt"}),
     SERVE_KERNEL_SITE: frozenset({"raise", "hang", "slow"}),
     SERVE_QUEUE_SITE: frozenset({"stall"}),
     SERVE_REQUEST_SITE: frozenset({"poison"}),
@@ -256,38 +244,6 @@ def _next_decision(site: str) -> tuple[int, str | None]:
     """The installed plan's next decision at ``site``; ``(-1, None)``
     when no plan is installed."""
     return (-1, None) if _PLAN is None else _PLAN.next_decision(site)
-
-
-def fire_result() -> None:
-    """Inject the scheduled result-site fault, if any.
-
-    Called by the CLI's atomic ``results/`` writer between writing the
-    temp file and renaming it into place — the window a crash must not
-    leave a torn or half-published output in.  ``interrupt`` models
-    Ctrl-C (the CLI must exit 130 with no output file and no temp
-    litter); ``raise`` models an arbitrary I/O-adjacent crash.
-    """
-    index, mode = _next_decision(RESULT_SITE)
-    if mode == "interrupt":
-        raise KeyboardInterrupt(f"injected interrupt at result {index}")
-    if mode is not None:
-        raise FaultInjected(f"injected {mode} at result {index}")
-
-
-def mangle_record(text: str) -> str:
-    """Apply the scheduled store-site fault, if any, to a record's JSON.
-
-    ``truncate`` models a write cut off mid-file (unparseable);
-    ``corrupt`` models silent bit-rot that still parses but fails the
-    schema check.  Both must be absorbed by the cache's quarantine path,
-    never by the caller.
-    """
-    _, mode = _next_decision(STORE_SITE)
-    if mode == "truncate":
-        return text[: max(1, len(text) // 2)]
-    if mode == "corrupt":
-        return '{"schema": -1, "corrupted": true}'
-    return text
 
 
 def serve_kernel_fault() -> tuple[str, float] | None:

@@ -46,7 +46,7 @@ HALF_OPEN = "half-open"
 class DeadlineExceeded(Exception):
     """A request's deadline passed before (or during) execution.
 
-    Like :class:`repro.eval.faults.FaultInjected`, deliberately not a
+    Like :class:`repro.serve.faults.FaultInjected`, deliberately not a
     :class:`~repro.errors.ReproError`: it is an outcome of load and
     scheduling, not a caller mistake, and resolves as a 504-class
     response rather than an admission rejection.

@@ -44,7 +44,7 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
 
 The service is single-event-loop: workers are asyncio tasks and the
 kernel calls run inline (they are short at service ring degrees and
-release little).  Injected faults (:mod:`repro.eval.faults` ``serve.*``
+release little).  Injected faults (:mod:`repro.serve.faults` ``serve.*``
 sites) are *decided* by the injector but *applied* here with
 ``await asyncio.sleep``, so a simulated straggler stalls one dispatch,
 not the loop.
@@ -60,9 +60,9 @@ import numpy as np
 
 from repro.analysis.absint import GATE, verify_or_raise
 from repro.errors import InvariantViolation, ParameterError
-from repro.eval import faults as _faults
 from repro.obs import core as _obs
 from repro.serve import batch as _batch
+from repro.serve import faults as _faults
 from repro.serve import resilience as _res
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
 from repro.trace.program import HeTrace

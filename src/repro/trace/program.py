@@ -168,7 +168,7 @@ class HeTrace:
         return replace(self, ops=self.ops + tuple(ops))
 
     def to_dict(self) -> dict:
-        """JSON-ready form for the experiment runner's disk cache."""
+        """JSON-ready form (trace files, compile reports)."""
         return {
             "schema": TRACE_SCHEMA_VERSION,
             "name": self.name,

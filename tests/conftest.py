@@ -33,22 +33,6 @@ x87_precision = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_result_cache(tmp_path_factory):
-    """Point the experiment runner's disk cache at a per-session tmp dir.
-
-    Keeps the suite from reading stale records out of (or writing into)
-    the user's ~/.cache/bitpacker-repro.
-    """
-    from repro.eval import runner
-
-    runner.configure(
-        cache_dir=tmp_path_factory.mktemp("bitpacker-cache"), enabled=True
-    )
-    yield
-    runner.configure(enabled=True)
-
-
 @pytest.fixture(scope="session")
 def bp_chain():
     return plan_bitpacker_chain(

@@ -596,32 +596,26 @@ class TestReportFormats:
         assert finding["rule"] == "exception-hygiene"
         assert finding["line"] == 2
 
-    def test_lint_sarif_output_file(self, tmp_path, capsys):
-        out = tmp_path / "lint.sarif"
+    def test_lint_json_output_file(self, tmp_path, capsys):
+        out = tmp_path / "lint.json"
         rc = main(
             [
                 "lint",
                 str(self._bad_file(tmp_path)),
                 "--format",
-                "sarif",
+                "json",
                 "--output",
                 str(out),
             ]
         )
         assert rc == 1
+        assert capsys.readouterr().out == ""
         doc = json.loads(out.read_text())
-        assert doc["version"] == "2.1.0"
-        driver = doc["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "fhelint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        results = doc["runs"][0]["results"]
-        assert results[0]["ruleId"] == "exception-hygiene"
-        assert rule_ids[results[0]["ruleIndex"]] == "exception-hygiene"
-        region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1
-        # Documented rules are listed even where no result references
-        # them, so the artifact records what the gate checked for.
-        assert "overflow-hazard" in rule_ids
+        [finding] = doc["findings"]
+        assert finding["rule"] == "exception-hygiene"
+        assert finding["line"] == 2
+        # Each finding carries its rule's one-line doc.
+        assert finding["description"]
 
     def test_unknown_format_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -684,26 +678,26 @@ class TestVerifyTraceCli:
         err = capsys.readouterr().err
         assert "[verify-trace] ok" in err
 
-    def test_sarif_artifact(self, tmp_path, capsys):
+    def test_json_artifact(self, tmp_path, capsys):
         path = self._write_trace(tmp_path, [TraceOp(OpKind.HMUL, -1)])
-        out = tmp_path / "verify.sarif"
+        out = tmp_path / "verify.json"
         rc = main(
             [
                 "verify-trace",
                 str(path),
                 "--format",
-                "sarif",
+                "json",
                 "--output",
                 str(out),
             ]
         )
         assert rc == 1
         doc = json.loads(out.read_text())
-        results = doc["runs"][0]["results"]
-        assert results[0]["ruleId"] == "trace-level-range"
-        # Op index 0 would be line 0; SARIF requires startLine >= 1.
-        region = results[0]["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1
+        [finding] = doc["findings"]
+        assert finding["rule"] == "trace-level-range"
+        # The op index is the line number, 0 included.
+        assert finding["line"] == 0
+        assert finding["description"]
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         rc = main(["verify-trace", str(tmp_path / "nope.json")])

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import FIGURES, main
-from repro.eval import runner
 
 EXPECTED_FIGURES = {
     "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
@@ -16,17 +15,21 @@ EXPECTED_FIGURES = {
 
 @pytest.fixture()
 def figure_args(tmp_path):
-    """Isolated --cache-dir/--results-dir args; restores runner config.
+    """An isolated ``--results-dir``, so no test writes ``results/``."""
+    return ["--results-dir", str(tmp_path / "results")]
 
-    ``figure`` reconfigures the process-global cache, so every CLI
-    figure test must pin it to a tmp dir and put it back afterwards.
-    """
-    previous = runner.active_cache()
-    yield [
-        "--cache-dir", str(tmp_path / "cache"),
-        "--results-dir", str(tmp_path / "results"),
-    ]
-    runner._ACTIVE = previous
+
+@pytest.fixture()
+def failing_publish(monkeypatch):
+    """Make the next ``os.replace`` (the publishing rename) raise ``exc``."""
+
+    def install(exc):
+        def replace(src, dst):
+            raise exc
+
+        monkeypatch.setattr("repro.cli.os.replace", replace)
+
+    return install
 
 
 class TestPlanCommand:
@@ -83,6 +86,19 @@ def test_compiled_is_not_an_option(capsys, argv):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --compiled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--no-cache"], ["--force"], ["--cache-dir", "X"],
+])
+def test_cache_flags_are_gone(capsys, flags):
+    """There is no disk cache to bypass, refresh or relocate."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure", "fig10", *flags])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in (
+        capsys.readouterr().err
+    )
 
 
 class TestFigureCommand:
@@ -180,51 +196,54 @@ class TestFigureCommand:
         assert "failed: figbad1, figbad2" in err
 
     def test_result_write_is_atomic_under_interrupt(
-        self, capsys, tmp_path, figure_args
+        self, capsys, tmp_path, figure_args, failing_publish, monkeypatch
     ):
         """Ctrl-C in the publish window leaves no torn or temp files."""
-        from repro.eval import faults
-
         results = tmp_path / "results"
-        with faults.injected("result:interrupt@0"):
-            rc = main(["figure", "fig10", *figure_args])
+        failing_publish(KeyboardInterrupt())
+        rc = main(["figure", "fig10", *figure_args])
         assert rc == 130
         assert "[fig10] interrupted" in capsys.readouterr().err
         out = results / "fig10_energy_breakdown.txt"
         assert not out.exists()
-        assert list(results.glob("*.tmp")) == []
+        assert list(results.iterdir()) == []
         # A clean re-run publishes the full output.
+        monkeypatch.undo()
         assert main(["figure", "fig10", *figure_args]) == 0
         assert "Fig. 10" in out.read_text()
 
     def test_result_write_crash_counts_as_failure(
-        self, capsys, tmp_path, figure_args
+        self, capsys, tmp_path, figure_args, failing_publish
     ):
         """A non-interrupt crash mid-publish fails the figure cleanly."""
-        from repro.eval import faults
-
         results = tmp_path / "results"
-        with faults.injected("result:raise@0"):
-            rc = main(["figure", "fig10", *figure_args])
+        failing_publish(OSError("disk full"))
+        rc = main(["figure", "fig10", *figure_args])
         assert rc == 1
         assert "[fig10] FAILED" in capsys.readouterr().err
-        assert not (results / "fig10_energy_breakdown.txt").exists()
-        assert list(results.glob("*.tmp")) == []
+        assert list(results.iterdir()) == []
 
-    def test_warm_rerun_served_from_cache(self, capsys, figure_args):
-        """Second CLI invocation reads everything back from disk."""
+    def test_warm_rerun_served_from_cache(
+        self, capsys, tmp_path, figure_args, monkeypatch
+    ):
+        """A second invocation in the same process prices nothing: every
+        point comes back from the in-process memos, byte for byte."""
         from repro.eval import common
 
-        common.clear_memory_caches()  # force the cold run onto disk
-        assert main(["figure", "fig11", *figure_args]) == 0
         common.clear_memory_caches()
         assert main(["figure", "fig11", *figure_args]) == 0
-        # Each invocation installs a fresh cache object, so these
-        # counters cover the warm run only.
-        cache = runner.active_cache()
-        assert cache.miss_count() == 0
-        assert cache.hit_count("simulate") > 0
-        assert "0 misses" in capsys.readouterr().err
+        out = tmp_path / "results" / "fig11_exec_time_28bit.txt"
+        cold = out.read_text()
+        simulations = []
+        real = common._simulate
+        monkeypatch.setattr(
+            common, "_simulate",
+            lambda *args: simulations.append(args) or real(*args),
+        )
+        assert main(["figure", "fig11", *figure_args]) == 0
+        assert simulations == []
+        assert out.read_text() == cold
+        assert "[cache]" not in capsys.readouterr().err
 
     def test_registry_complete(self):
         assert set(FIGURES) == EXPECTED_FIGURES

@@ -10,6 +10,7 @@ memo replaced, which lives on here as the reference).
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -204,6 +205,6 @@ class TestBitIdenticalToOpByOp:
     def test_cpu(self, chains, seed):
         trace = random_trace(seed)
         for chain in chains:
-            got = DEFAULT_CPU_MODEL.run(trace, chain).to_dict()
-            assert got == reference_cpu_run(
-                DEFAULT_CPU_MODEL, trace, chain).to_dict()
+            got = asdict(DEFAULT_CPU_MODEL.run(trace, chain))
+            assert got == asdict(
+                reference_cpu_run(DEFAULT_CPU_MODEL, trace, chain))

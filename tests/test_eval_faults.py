@@ -1,73 +1,52 @@
-"""Fault-injection suite: the spec grammar, the hooks, and the cache's
-quarantine path under injected write faults.
+"""Fault-injection suite: the spec grammar and the hooks.
 
-Every fault is driven through :mod:`repro.eval.faults` on a fixed
+Every fault is driven through :mod:`repro.serve.faults` on a fixed
 schedule, so the failures are deterministic and the assertions exact.
-The ``result`` site is exercised through the CLI in ``test_cli.py``; the
-``serve.*`` sites end to end in ``test_serve_resilience.py``.
+The ``serve.*`` sites run end to end in ``test_serve_resilience.py``.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ParameterError
-from repro.eval import common, faults, runner
-
-
-def _cached_square(x):
-    """A grid task that persists through the disk cache (like simulate)."""
-    return runner.cached("faults-square", {"x": x}, compute=lambda: x * x)
-
-
-CALLS = [dict(x=i) for i in range(8)]
-
-
-@pytest.fixture()
-def fresh_cache(tmp_path):
-    """A private cache dir; restores the session cache afterwards."""
-    previous = runner.active_cache()
-    cache = runner.configure(cache_dir=tmp_path / "cache", enabled=True)
-    common.clear_memory_caches()
-    yield cache
-    runner._ACTIVE = previous
-    common.clear_memory_caches()
+from repro.serve import faults
 
 
 class TestSpecParsing:
     def test_schedule_clause(self):
-        plan = faults.parse("store:truncate@2,5;seed=7")
+        plan = faults.parse("serve.kernel:raise@2,5;seed=7")
         assert plan.seed == 7
-        assert plan.decide("store", 2) == "truncate"
-        assert plan.decide("store", 5) == "truncate"
-        assert plan.decide("store", 3) is None
+        assert plan.decide("serve.kernel", 2) == "raise"
+        assert plan.decide("serve.kernel", 5) == "raise"
+        assert plan.decide("serve.kernel", 3) is None
 
     def test_probability_clause_is_deterministic(self):
-        plan = faults.parse("store:corrupt%0.5;seed=11")
-        fired = [i for i in range(64) if plan.decide("store", i)]
-        again = [i for i in range(64) if plan.decide("store", i)]
+        plan = faults.parse("serve.queue:stall%0.5;seed=11")
+        fired = [i for i in range(64) if plan.decide("serve.queue", i)]
+        again = [i for i in range(64) if plan.decide("serve.queue", i)]
         assert fired == again
         assert 8 < len(fired) < 56  # roughly half, exactly reproducible
         # A different seed fires a different (still deterministic) set.
-        other = faults.parse("store:corrupt%0.5;seed=12")
-        assert fired != [i for i in range(64) if other.decide("store", i)]
-
-    def test_store_modes(self):
-        plan = faults.parse("store:truncate@0;store:corrupt@1")
-        assert plan.decide("store", 0) == "truncate"
-        assert plan.decide("store", 1) == "corrupt"
-        assert plan.decide("store", 2) is None
+        other = faults.parse("serve.queue:stall%0.5;seed=12")
+        assert fired != [
+            i for i in range(64) if other.decide("serve.queue", i)
+        ]
 
     @pytest.mark.parametrize("spec", [
-        "store",               # no mode
-        "oven:raise@1",        # unknown site
-        "result:corrupt@1",    # store-only mode on result site
-        "store:kill@1",        # no site has this mode
-        "result:raise@x",      # non-integer index
-        "result:raise@0*",     # the every-attempt suffix left with retries
-        "result:raise%1.5",    # probability out of range
+        # The store and result sites went with the disk cache and the
+        # figure writer's hook; they must stay rejected by name.
+        "store",
+        "store:kill@1",
+        "result:corrupt@1",
+        "result:raise@x",
+        "result:raise@0*",
+        "result:raise%1.5",
+        "oven:raise@1",               # unknown site
+        "serve.kernel",               # no mode
+        "serve.kernel:raise@x",       # non-integer index
+        "serve.kernel:raise@0*",      # the every-attempt suffix is gone
+        "serve.kernel:raise%1.5",     # probability out of range
         "seed=abc",
     ])
     def test_bad_specs_rejected(self, spec):
@@ -81,12 +60,14 @@ class TestSpecParsing:
             faults.parse("task:raise@0")
 
     def test_inactive_hooks_are_noops(self):
+        """An empty ``BITPACKER_FAULTS`` installs no plan."""
+        assert faults.configure("") is None
         assert faults.active_plan() is None
-        faults.fire_result()  # must not raise
-        assert faults.mangle_record("{}") == "{}"
+        assert faults.serve_kernel_fault() is None
+        assert faults.serve_request_poisoned() is False
 
     def test_context_manager_restores(self):
-        with faults.injected("store:corrupt@1") as plan:
+        with faults.injected("serve.kernel:raise@1") as plan:
             assert faults.active_plan() is plan
         assert faults.active_plan() is None
 
@@ -148,38 +129,3 @@ class TestServeSites:
 
     def test_poisoned_request_is_a_fault_injected(self):
         assert issubclass(faults.PoisonedRequest, faults.FaultInjected)
-
-
-class TestRecordCorruption:
-    def test_corrupted_store_is_quarantined_not_fatal(self, fresh_cache):
-        """An injected write fault costs one recompute on the next load;
-        the sweep (and parity with a clean run) is unaffected."""
-        with faults.injected("store:truncate@0;store:corrupt@1"):
-            fresh_cache.store("simulate", {"a": 1}, 111)
-            fresh_cache.store("simulate", {"a": 2}, 222)
-            fresh_cache.store("simulate", {"a": 3}, 333)
-        assert fresh_cache.load("simulate", {"a": 1}) == (False, None)
-        assert fresh_cache.load("simulate", {"a": 2}) == (False, None)
-        assert fresh_cache.load("simulate", {"a": 3}) == (True, 333)
-        assert fresh_cache.corrupt_count == 2
-        quarantined = list(fresh_cache.quarantine_dir().iterdir())
-        assert len(quarantined) == 2
-        # Quarantined records are misses: the recompute repairs them.
-        fresh_cache.store("simulate", {"a": 1}, 111)
-        assert fresh_cache.load("simulate", {"a": 1}) == (True, 111)
-
-    def test_faulted_sweep_matches_clean_run(self, fresh_cache):
-        """A sweep whose record writes are truncated and corrupted
-        renders byte-identically to a clean one — on the faulted run and
-        on the re-run that has to read the mangled records back."""
-        baseline = runner.map_grid(_cached_square, CALLS)
-        faulted_cache = runner.configure(
-            cache_dir=fresh_cache.cache_dir / "faulted"
-        )
-        with faults.injected("store:truncate@1;store:corrupt@4"):
-            got = runner.map_grid(_cached_square, CALLS)
-        assert json.dumps(got) == json.dumps(baseline)
-        rerun = runner.map_grid(_cached_square, CALLS)
-        assert json.dumps(rerun) == json.dumps(baseline)
-        assert faulted_cache.corrupt_count == 2
-        assert faulted_cache.hit_count("faults-square") == len(CALLS) - 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import fig18, fig19, runner, table1
+from repro.eval import fig18, fig19, table1
 from repro.eval.precision import (
     adjust_error_samples,
     box_stats,
@@ -26,15 +26,10 @@ class TestPrecisionMachinery:
     def test_samples_do_not_depend_on_what_ran_before(self):
         """Regression: Figs. 18 and 19 shared one lru_cached context, so
         ``figure fig19`` and ``figure fig18 fig19`` wrote different
-        files (and the disk cache froze whichever order ran first)."""
-        previous = runner.active_cache()
-        runner.configure(enabled=False)
-        try:
-            alone = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
-            rescale_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
-            after = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
-        finally:
-            runner._ACTIVE = previous
+        files."""
+        alone = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
+        rescale_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
+        after = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
         assert after == alone
 
     @x87_precision

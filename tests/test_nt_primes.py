@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.ckks import bootstrap_pipeline
 from repro.errors import ParameterError
-from repro.eval import common, runner
+from repro.eval import common
 from repro.nt import primes
 from repro.schemes.chain import chain_to_dict
 from repro.schemes.selection import largest_primes_below_word
@@ -74,7 +74,6 @@ def _chain_digest(label: str) -> str:
 
 
 def record_kat() -> None:
-    runner.configure(enabled=False)  # plan here, read no stale disk record
     KAT_PATH.write_text(json.dumps({
         "tables": [_table_entry(*args) for args in KAT_TABLES],
         "chains": {label: _chain_digest(label) for label in KAT_CHAINS},

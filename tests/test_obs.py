@@ -14,8 +14,7 @@ Covers the contracts DESIGN.md Sec. 9 states:
   span per grid point, in grid order, and whatever a point records
   nests under its own task;
 - **accounting exactness** — the per-kernel cycle attribution sums to
-  the simulator's total, profile cache counters equal the runner's, and
-  kernel shares sum to 1.0 within 1e-6.
+  the simulator's total, and kernel shares sum to 1.0 within 1e-6.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ class TestExport:
 
     def test_kernel_accounting_none_without_sims(self):
         assert obs.kernel_accounting({}) is None
-        assert obs.kernel_accounting({"cache.hit.trace": 3}) is None
+        assert obs.kernel_accounting({"ntt.forward.calls": 3}) is None
 
     def test_profile_roundtrip_and_schema_check(self, tmp_path):
         core.enable()
@@ -480,17 +479,10 @@ class TestMapGridSpans:
 class TestProfileCli:
     @pytest.fixture()
     def figure_args(self, tmp_path):
-        from repro.eval import runner
-
-        previous = runner.active_cache()
-        yield [
-            "--cache-dir", str(tmp_path / "cache"),
-            "--results-dir", str(tmp_path / "results"),
-        ]
-        runner._ACTIVE = previous
+        return ["--results-dir", str(tmp_path / "results")]
 
     def test_profile_end_to_end(self, tmp_path, capsys, figure_args):
-        """The acceptance criteria, pinned: coverage, counter parity,
+        """The acceptance criteria, pinned: coverage, kernel attribution,
         share normalization — on a real figure run."""
         from repro.cli import main
 
@@ -513,15 +505,6 @@ class TestProfileCli:
         assert sum(e["share"] for e in acc["energy"].values()) == (
             pytest.approx(1.0, abs=1e-6)
         )
-        # Cache counters mirror the runner's tables exactly, both ways.
-        counters = doc["counters"]
-        for label, table in (("hit", "hits"), ("miss", "misses")):
-            for kind, n in doc["cache"][table].items():
-                assert counters.get(f"cache.{label}.{kind}") == n
-            for name, value in counters.items():
-                prefix = f"cache.{label}."
-                if name.startswith(prefix):
-                    assert doc["cache"][table].get(name[len(prefix):]) == value
         # Task latency quantiles cover the grid.
         assert obs.span_quantiles(doc["span_tree"])["task"]["calls"] == 20
         # The rendered summary went to stdout; the recorder is off again.
@@ -533,11 +516,13 @@ class TestProfileCli:
         self, fig11_profile
     ):
         """``figure --profile`` writes what the deleted ``profile``
-        command wrote: the same schema, keys and counter names."""
+        command wrote, less the deleted disk cache's ``cache`` section
+        and ``cache.*`` counters (schema 3): the same keys and counter
+        names otherwise."""
         doc = fig11_profile
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert sorted(doc) == [
-            "backend", "cache", "counters", "coverage", "created_unix",
+            "backend", "counters", "coverage", "created_unix",
             "figure", "kernel_accounting", "memory_caches", "schema",
             "span_tree", "wall_s",
         ]
@@ -548,7 +533,6 @@ class TestProfileCli:
         assert sorted(doc["kernel_accounting"]) == [
             "energy", "kernels", "sims", "total_cycles", "total_energy_j",
         ]
-        assert sorted(doc["cache"]) == ["corrupt", "hits", "misses"]
         assert sorted(doc["memory_caches"]) == [
             "chain", "plan", "simulate", "simulate-cpu", "trace",
         ]
@@ -557,8 +541,7 @@ class TestProfileCli:
             "accel.kernel.cycles.hbm", "accel.kernel.energy_j.crb",
             "accel.kernel.energy_j.elementwise", "accel.kernel.energy_j.hbm",
             "accel.kernel.energy_j.ntt", "accel.kernel.energy_j.rf",
-            "accel.kernel.energy_j.static", "accel.sims", "cache.miss.chain",
-            "cache.miss.simulate", "cache.miss.trace",
+            "accel.kernel.energy_j.static", "accel.sims",
         ]
 
     def test_obs_report_summary_diff_and_chrome(
@@ -623,16 +606,12 @@ class TestProfileCli:
 def fig11_profile(tmp_path_factory):
     """One real ``figure fig11 --profile`` document."""
     from repro.cli import main
-    from repro.eval import runner
 
-    previous = runner.active_cache()
     tmp = tmp_path_factory.mktemp("fig11-profile")
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main(["figure", "fig11", "--profile",
-                     "--cache-dir", str(tmp / "cache"),
                      "--results-dir", str(tmp)]) == 0
-    runner._ACTIVE = previous
     return json.loads((tmp / "fig11_exec_time_28bit.profile.json").read_text())
 
 

@@ -20,8 +20,8 @@ import pytest
 
 from repro.analysis.absint import GATE
 from repro.errors import ParameterError
-from repro.eval import faults
 from repro.serve import batch as sbatch
+from repro.serve import faults
 from repro.serve import service as sservice
 from repro.serve.loadgen import LoadSpec, run_scenario
 from repro.serve.resilience import (

@@ -487,8 +487,13 @@ class TestTightenBaseSearch:
 
 
 class TestCompileTraceCli:
-    def test_text_report_for_bundled_workloads(self, capsys):
-        rc = main(["compile-trace", "--schemes", "bitpacker", "--no-plan"])
+    def test_text_report_for_bundled_workloads(self, tmp_path, capsys):
+        # One trace file keeps this fast; the bundled path itself is
+        # test_require_savings_succeeds_on_bundled's.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(exec_fixture_trace().to_dict()))
+        rc = main(["compile-trace", str(path), "--schemes", "bitpacker",
+                   "--no-plan"])
         assert rc == 0
         captured = capsys.readouterr()
         assert "total:" in captured.out
