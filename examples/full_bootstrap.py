@@ -6,9 +6,9 @@ EvalMod, SlotToCoeff — entirely homomorphically (the secret key is used
 only for the final check), under a BitPacker modulus chain.  Then keeps
 computing on the refreshed ciphertext to prove it is a real ciphertext.
 
-Takes about six seconds, most of it key generation: 34 ciphertext
-multiplies (two degree-27 EvalMods at 17 each) plus ~50 rotations and
-conjugations of real encrypted arithmetic, on a 13-level chain.  Exits 1
+Takes about a second on one Xeon core: 20 ciphertext multiplies (two
+degree-27 EvalMods at 10 each) plus ~50 rotations and conjugations of
+real encrypted arithmetic, on a 13-level chain.  Exits 1
 if the refresh keeps fewer than 10 error-free bits or the square that
 follows fewer than 9, so CI can run it as a check.
 

@@ -16,7 +16,8 @@ SlotToCoeff — into the textbook CKKS bootstrapping pipeline:
    ``ε = m_k/q0``.  Both unit changes ride it for free — ``× S/q0`` on
    its ``1/K`` normalization multiply, ``× q0/S`` on its Chebyshev
    coefficients — so it costs ``⌈log2 degree⌉ + 2`` levels: normalize
-   (1), product tree (5 at degree 27), weighted sum (1).
+   (1) and the baby-step/giant-step evaluation (6 at degree 27, one of
+   them an ``adjust`` that keeps the split on this budget).
 4. **StC**: repack slots into coefficients (one level), yielding a
    *high-level* ciphertext encrypting ``m`` again.
 

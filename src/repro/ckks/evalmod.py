@@ -87,7 +87,7 @@ def eval_mod(
     integer, with error ``O(ε³)`` from the sine linearization plus the
     Chebyshev fit error.  Both factors cost nothing: the first rides the
     ``1/K`` normalization multiply, the second the Chebyshev
-    coefficients, ahead of the weighted sum's single rescale.
+    coefficients, ahead of the leaves' weighted-sum rescales.
     """
     if config.degree < 3:
         raise ParameterError("sine approximation needs degree >= 3")
@@ -105,7 +105,8 @@ def reference_eval_mod(values: np.ndarray) -> np.ndarray:
 def depth_required(config: EvalModConfig = EvalModConfig()) -> int:
     """Levels ``eval_mod`` consumes.
 
-    One for the normalization multiply, ``⌈log2 degree⌉`` for the
-    Chebyshev product tree, and one for the coefficient-weighted sum.
+    One for the normalization multiply and ``⌈log2 degree⌉ + 1`` for
+    :func:`~repro.ckks.polyeval.eval_chebyshev`, which lands there
+    exactly even where its baby-step/giant-step split needs a level less.
     """
     return (config.degree - 1).bit_length() + 2

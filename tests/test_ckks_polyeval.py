@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext
+from repro.ckks.evalmod import EvalModConfig, sine_coefficients
 from repro.ckks.polyeval import (
     chebyshev_fit,
     eval_chebyshev,
@@ -116,16 +117,47 @@ class TestChebyshevTree:
         assert enc.level - out.level == (degree - 1).bit_length() + 1
 
     def test_odd_degree_27_call_budget(self, tree_ctx, counters):
-        """EvalMod's shape: 13 odd T_k above T_1 plus T_2, T_4, T_8, T_16,
-        one rescale per product and exactly one for the whole weighted sum."""
-        coeffs = np.zeros(28)
-        coeffs[1::2] = 0.1
+        """EvalMod's own expansion.  Baby steps T_3, T_5, T_7 (with T_2, T_4)
+        and giant steps T_8, T_16 are 7 products; dividing by T_16, then
+        the quotient and the remainder by T_8, is 3 more.  One rescale per
+        product and one per leaf weighted sum (four leaves)."""
+        coeffs = sine_coefficients(EvalModConfig(2, 27))
         enc = tree_ctx.encrypt(np.linspace(-1, 1, tree_ctx.slots))
         eval_chebyshev(tree_ctx.evaluator, enc, coeffs)
-        assert _products(counters) == 17
+        assert _products(counters) == 10
         assert counters("op.keyswitch", "op.rescale") == {
-            "op.keyswitch": 17, "op.rescale": 18,
+            "op.keyswitch": 10, "op.rescale": 14,
         }
+
+    def test_equal_odd_coefficients_cancel_in_division(self, tree_ctx, counters):
+        """All odd coefficients 0.1 up to degree 27: the division's
+        remainder updates ``r_{2G-k} -= c_k`` cancel every term above T_3
+        exactly, so only T_1 and T_3 reach the leaves.  T_2, T_3, T_4,
+        T_8, T_16 and the two giant-step products are 7."""
+        coeffs = np.zeros(28)
+        coeffs[1::2] = 0.1
+        a = np.linspace(-1, 1, tree_ctx.slots)
+        enc = tree_ctx.encrypt(a)
+        out = eval_chebyshev(tree_ctx.evaluator, enc, coeffs)
+        assert _products(counters) == 7
+        assert enc.level - out.level == 6
+        assert tree_ctx.precision_bits(out, reference_chebyshev(coeffs, a)) > 8
+
+    @pytest.mark.parametrize(
+        "degree, dense, odd", [(7, 4, 4), (15, 7, 7), (27, 11, 10), (31, 11, 10)]
+    )
+    def test_product_count(self, tree_ctx, counters, degree, dense, odd):
+        """Baby-step/giant-step products for dense and odd-only expansions
+        (the product tree took ``degree - 1`` and the odd count plus the
+        powers of two: 6/14/26/30 and 5/10/17/19)."""
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(0.05, 0.3, degree + 1)
+        enc = tree_ctx.encrypt(np.linspace(-1, 1, tree_ctx.slots))
+        eval_chebyshev(tree_ctx.evaluator, enc, coeffs)
+        first = _products(counters)
+        coeffs[0::2] = 0.0
+        eval_chebyshev(tree_ctx.evaluator, enc, coeffs)
+        assert (first, _products(counters) - first) == (dense, odd)
 
     @pytest.mark.parametrize(
         "k, products",
