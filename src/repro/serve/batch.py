@@ -61,17 +61,13 @@ class OpRequest:
     """One admitted ciphertext op: operands plus its batch identity.
 
     ``a``/``b`` are ``(level + 1, n)`` uint64 residue stacks, row ``i``
-    reduced mod ``key.primes[i]``.  ``seq`` is the service's admission
-    sequence number (response ordering / debugging); ``context`` is an
-    opaque slot the service uses to carry its response future.
+    reduced mod ``key.primes[i]``.  ``context`` is an opaque slot the
+    service uses to carry its response future.
 
     ``deadline`` is an absolute ``time.monotonic()`` instant (``None``
     = no deadline) propagated from ``submit()`` through coalescing:
-    batching and retries are latency decisions and must never execute
-    work the submitter has already given up on.  ``poisoned`` marks a
-    request the fault injector declared kernel-fatal
-    (``serve.request:poison``); it rides the request so the
-    split-and-retry path can be tested against a deterministic poison.
+    batching is a latency decision and must never execute work the
+    submitter has already given up on.
     """
 
     tenant: str
@@ -80,9 +76,7 @@ class OpRequest:
     level: int
     a: np.ndarray
     b: np.ndarray
-    seq: int = 0
     deadline: float | None = None
-    poisoned: bool = False
     context: Any = field(default=None, repr=False)
 
     def batch_key(self) -> tuple[str, int, str]:

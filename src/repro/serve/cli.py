@@ -9,12 +9,10 @@ was dropped, corrupted, or failed, or if the service's books do not
 balance.  ``--json`` atomically writes the full machine-readable report
 with a per-tenant breakdown.
 
-Exit codes: 0 clean, 1 dropped/corrupted/failed responses or
-unbalanced books, 2 bad flags/spec, 130 on SIGINT (after a graceful
-drain — the service context manager finishes queued work on the way
-out).  Quarantined requests do *not* fail the run: isolating a poison
-request instead of 500ing its batch is the service working as
-designed.
+Exit codes: 0 clean, 1 dropped/corrupted/failed responses (a 500, 503
+or 504 counts as failed) or unbalanced books, 2 bad flags/spec, 130 on
+SIGINT (after a graceful drain — the service context manager finishes
+queued work on the way out).
 
 Examples::
 
@@ -22,14 +20,12 @@ Examples::
     bitpacker-serve --tenants 12 --requests 800 --burst 16 --seed 7
     bitpacker-serve --high-water 8 --queue-depth 8   # force backpressure
     bitpacker-serve --profile --json results/serve_smoke.json
-    bitpacker-serve --faults 'serve.kernel:raise@0;serve.request:poison@3'
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -37,7 +33,6 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.serve.loadgen import LoadSpec, run_scenario
-from repro.serve.resilience import BreakerPolicy, RetryPolicy
 from repro.serve.service import DEFAULT_N, DEFAULT_WORD_BITS
 
 
@@ -77,31 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     svc.add_argument("--max-batch", type=int, default=16,
                      help="max requests coalesced per kernel call "
                           "(default: %(default)s)")
-    res = parser.add_argument_group("resilience")
-    res.add_argument("--request-timeout", type=float, default=None,
+    svc.add_argument("--request-timeout", type=float, default=None,
                      metavar="S",
                      help="per-request deadline in seconds (default: none)")
-    res.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="singleton dispatch retries before quarantine "
-                          "(default: policy default)")
-    res.add_argument("--retry-backoff", type=float, default=None, metavar="S",
-                     help="retry backoff base seconds (deterministic "
-                          "jitter; default: policy default)")
-    res.add_argument("--breaker-threshold", type=int, default=None,
-                     metavar="N",
-                     help="consecutive dispatch failures that open a "
-                          "shard's circuit breaker (default: policy default)")
-    res.add_argument("--breaker-cooldown", type=float, default=None,
-                     metavar="S",
-                     help="seconds an open breaker waits before half-open "
-                          "probing (default: policy default)")
-    res.add_argument("--tenant-cap", type=int, default=None, metavar="N",
+    svc.add_argument("--tenant-cap", type=int, default=None, metavar="N",
                      help="max inflight requests per tenant (fairness; "
                           "default: uncapped)")
-    res.add_argument("--faults", default=None, metavar="SPEC",
-                     help="install a fault plan for this run (same grammar "
-                          "as $BITPACKER_FAULTS, e.g. "
-                          "'serve.kernel:raise%%0.05;serve.request:poison@3')")
     out = parser.add_argument_group("output")
     out.add_argument("--no-verify", action="store_true",
                      help="skip the byte-for-byte response audit")
@@ -121,9 +97,8 @@ def render_report(doc: dict) -> str:
         f"requests {doc['requests']}  burst {doc['burst']} "
         f"(gap {doc['burst_gap_s']:g}s)  zipf_s {doc['zipf_s']:g}",
         f"  submitted {doc['submitted']}  admitted {doc['admitted']}  "
-        f"rejected {doc['rejected']}  shed {doc['shed']}  "
-        f"completed {doc['completed']}  failed {doc['failed']}  "
-        f"quarantined {doc['quarantined']}",
+        f"rejected {doc['rejected']}  "
+        f"completed {doc['completed']}  failed {doc['failed']}",
         f"  dropped {doc['dropped']}  corrupted {doc['corrupted']}",
         f"  wall {doc['wall_s']:.3f}s  "
         f"throughput {doc['throughput_rps']:.0f} req/s",
@@ -140,16 +115,6 @@ def render_report(doc: dict) -> str:
             f"{service.get('keys_reused', 0)} reused; "
             f"kernel batches {service.get('batches', 0)}"
         )
-        if service.get("retried") or service.get("splits"):
-            opens = sum(
-                b.get("opens", 0) for b in service.get("breakers", [])
-            )
-            lines.append(
-                f"  resilience: {service['retried']} re-dispatches, "
-                f"{service['splits']} group splits, "
-                f"{service.get('expired', 0)} expired, "
-                f"breaker opens {opens}"
-            )
     if doc["reject_codes"]:
         codes = ", ".join(
             f"{n}x {code}" for code, n in sorted(doc["reject_codes"].items())
@@ -163,42 +128,16 @@ def render_report(doc: dict) -> str:
     tenants = service.get("tenants", {})
     noisy = {
         name: t for name, t in tenants.items()
-        if t.get("rejected") or t.get("shed") or t.get("failed")
-        or t.get("quarantined")
+        if t.get("rejected") or t.get("failed")
     }
     if noisy:
         lines.append("  per-tenant (non-clean only):")
         for name, t in sorted(noisy.items()):
             lines.append(
                 f"    {name}: submitted {t['submitted']}  "
-                f"rejected {t['rejected']}  shed {t['shed']}  "
-                f"failed {t['failed']}  quarantined {t['quarantined']}"
+                f"rejected {t['rejected']}  failed {t['failed']}"
             )
     return "\n".join(lines)
-
-
-def _resilience_kwargs(args) -> dict:
-    """Service kwargs for the resilience flags (defaults stay policy)."""
-    kwargs: dict = {}
-    if args.request_timeout is not None:
-        kwargs["request_timeout_s"] = args.request_timeout
-    retry_overrides = {}
-    if args.retries is not None:
-        retry_overrides["retries"] = args.retries
-    if args.retry_backoff is not None:
-        retry_overrides["backoff"] = args.retry_backoff
-    if retry_overrides:
-        kwargs["retry"] = RetryPolicy(**retry_overrides)
-    breaker_overrides = {}
-    if args.breaker_threshold is not None:
-        breaker_overrides["failure_threshold"] = args.breaker_threshold
-    if args.breaker_cooldown is not None:
-        breaker_overrides["cooldown_s"] = args.breaker_cooldown
-    if breaker_overrides:
-        kwargs["breaker"] = BreakerPolicy(**breaker_overrides)
-    if args.tenant_cap is not None:
-        kwargs["tenant_inflight_cap"] = args.tenant_cap
-    return kwargs
 
 
 def _run(args) -> int:
@@ -219,23 +158,17 @@ def _run(args) -> int:
 
         obs.enable()
         obs.reset()
-    if args.faults:
-        from repro.serve import faults
-
-        fault_context = faults.injected(args.faults)
-    else:
-        fault_context = contextlib.nullcontext()
     try:
-        with fault_context:
-            report = asyncio.run(run_scenario(
-                spec,
-                verify=not args.no_verify,
-                shards=args.shards,
-                queue_depth=args.queue_depth,
-                high_water=args.high_water,
-                max_batch=args.max_batch,
-                **_resilience_kwargs(args),
-            ))
+        report = asyncio.run(run_scenario(
+            spec,
+            verify=not args.no_verify,
+            shards=args.shards,
+            queue_depth=args.queue_depth,
+            high_water=args.high_water,
+            max_batch=args.max_batch,
+            request_timeout_s=args.request_timeout,
+            tenant_inflight_cap=args.tenant_cap,
+        ))
     finally:
         if profiling:
             from repro import obs
@@ -265,10 +198,8 @@ def _run(args) -> int:
 def audit_report(report) -> list[str]:
     """The exit-code audit: what, if anything, makes this run a failure.
 
-    Quarantined requests are *not* failures — isolating a poison
-    request instead of 500ing its batch peers is the designed outcome —
-    but dropped/corrupted/failed responses and unbalanced extended
-    books are.
+    Dropped, corrupted and failed responses are, and so are books that
+    do not balance.
     """
     problems = []
     if report.dropped:
@@ -278,12 +209,10 @@ def audit_report(report) -> list[str]:
     if report.failed:
         problems.append(f"{report.failed} failed request(s)")
     if report.submitted != (
-        report.admitted + report.rejected + report.shed + report.dropped
+        report.admitted + report.rejected + report.dropped
     ):
         problems.append("request books do not balance")
-    if report.admitted != (
-        report.completed + report.failed + report.quarantined
-    ):
+    if report.admitted != report.completed + report.failed:
         problems.append("settlement books do not balance")
     return problems
 

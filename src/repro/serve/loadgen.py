@@ -147,10 +147,8 @@ class LoadReport:
     submitted: int = 0
     admitted: int = 0
     rejected: int = 0
-    shed: int = 0  # 503 circuit-breaker load shedding
     completed: int = 0
     failed: int = 0
-    quarantined: int = 0  # poison requests isolated by split-and-retry
     corrupted: int = 0
     dropped: int = 0  # responses never received (must stay 0)
     latencies_s: list[float] = field(default_factory=list)
@@ -183,10 +181,8 @@ class LoadReport:
             "submitted": self.submitted,
             "admitted": self.admitted,
             "rejected": self.rejected,
-            "shed": self.shed,
             "completed": self.completed,
             "failed": self.failed,
-            "quarantined": self.quarantined,
             "corrupted": self.corrupted,
             "dropped": self.dropped,
             "throughput_rps": self.throughput_rps,
@@ -269,13 +265,7 @@ async def run_load(
                 report.reject_codes.get(response.code, 0) + 1
             )
             continue
-        if response.status == "shed":
-            report.shed += 1
-            continue
         report.admitted += 1
-        if response.status == "quarantined":
-            report.quarantined += 1
-            continue
         if response.status == "error":
             report.failed += 1
             report.failure_codes[response.code] = (

@@ -1,13 +1,12 @@
 """`bitpacker-serve`: the async multi-tenant encrypted-compute service.
 
-Composes the repo's batch pieces into a long-running system (ROADMAP's
-"single biggest step toward the north star"):
+Composes the repo's batch pieces into a long-running system:
 
 admission -> verify gate -> per-shard queue -> batcher -> kernel call
    |              |                |               |          |
  404/400/422   ScheduleViolation  429 past     coalesce     repro
  on bad input  at the front door  high water   compatible   .backends
-               503 breaker shed   / fair cap   ops          + retries
+                                  / fair cap   ops          (500 if it raises)
 
 - **Sessions** bind a tenant to a *verified* schedule and to shared
   :class:`~repro.serve.keys.KeyMaterial`.  Registration runs every
@@ -19,35 +18,29 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
   makes per-tenant ordering trivial.
 - **Backpressure**: shard queues are bounded; admission past the high
   water mark returns a 429-class rejection immediately instead of
-  queuing unboundedly.  A per-shard circuit breaker
-  (:mod:`repro.serve.resilience`) sheds load with 503-class responses
-  while a shard's kernel keeps failing, and an optional per-tenant
-  inflight cap keeps one noisy tenant from starving its shard.
+  queuing unboundedly, and an optional per-tenant inflight cap keeps
+  one noisy tenant from starving its shard.
 - **Batching**: each worker drains whatever is queued (up to
   ``max_batch``), coalesces compatible ops
   (:mod:`repro.serve.batch`), and dispatches matrix-at-a-time through
   :mod:`repro.backends`.  Results are byte-identical to serial
   execution — batching is a latency/throughput decision, never a
   numerical one.
-- **Resilience** (DESIGN.md Sec. 13): requests carry deadlines from
-  ``submit()`` into every dispatch and retry decision; a failed group
-  is *split-and-retried* (bisection isolates a poison request in
-  O(log B) dispatches and quarantines it instead of 500ing its batch
-  peers); singleton dispatches retry with deterministic-jitter
-  backoff; ``stop(drain=True)`` finishes queued work under a drain
-  deadline and resolves — never hangs — anything it cannot finish.
+- **Failure model** (DESIGN.md Sec. 13): requests carry deadlines from
+  ``submit()`` to their dispatch (504 once passed); a dispatch that
+  raises settles every live member of its group as a 500 and the
+  worker carries on; ``stop(drain=True)`` finishes queued work under a
+  drain deadline and resolves — never hangs — anything it cannot
+  finish.
 - **Observability**: one set of always-on books, global and per
   tenant (:meth:`BitPackerServe.stats`), that the smoke job asserts
-  against; a :meth:`BitPackerServe.health` readiness view exposing
-  breaker states and quarantine counts; and, when profiling is on, a
-  ``serve/batch`` :mod:`repro.obs` span around every dispatch.
+  against; a :meth:`BitPackerServe.health` readiness view; and, when
+  profiling is on, a ``serve/batch`` :mod:`repro.obs` span around
+  every dispatch.
 
 The service is single-event-loop: workers are asyncio tasks and the
 kernel calls run inline (they are short at service ring degrees and
-release little).  Injected faults (:mod:`repro.serve.faults` ``serve.*``
-sites) are *decided* by the injector but *applied* here with
-``await asyncio.sleep``, so a simulated straggler stalls one dispatch,
-not the loop.
+release little).
 """
 
 from __future__ import annotations
@@ -62,8 +55,6 @@ from repro.analysis.absint import GATE, verify_or_raise
 from repro.errors import InvariantViolation, ParameterError
 from repro.obs import core as _obs
 from repro.serve import batch as _batch
-from repro.serve import faults as _faults
-from repro.serve import resilience as _res
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
 from repro.trace.program import HeTrace
 
@@ -91,10 +82,8 @@ class TenantSession:
     submitted: int = 0
     admitted: int = 0
     rejected: int = 0
-    shed: int = 0
     completed: int = 0
     failed: int = 0
-    quarantined: int = 0
     #: Admitted but not yet settled (the fairness-cap denominator).
     inflight: int = 0
 
@@ -107,14 +96,11 @@ class ServeResponse:
     """What a submitter gets back.  ``ok`` iff the op executed.
 
     ``status`` values: ``ok`` (200), ``rejected`` (400/404/422/429
-    admission refusals), ``shed`` (503, circuit breaker open),
-    ``quarantined`` (422, this request deterministically fails the
-    kernel and was isolated by split-and-retry), ``error`` (500 kernel
-    failure after retries, 504 deadline exceeded, 503 service stopped
-    before execution).
+    admission refusals), ``error`` (500 the dispatch raised, 504
+    deadline exceeded, 503 service stopped before execution).
     """
 
-    status: str  # "ok" | "rejected" | "shed" | "quarantined" | "error"
+    status: str  # "ok" | "rejected" | "error"
     code: int  # HTTP-style: 200, 400, 404, 422, 429, 500, 503, 504
     tenant: str
     op_index: int | None = None
@@ -144,8 +130,6 @@ class BitPackerServe:
         max_batch: int = 16,
         registry: KeyRegistry | None = None,
         request_timeout_s: float | None = None,
-        retry: _res.RetryPolicy | None = None,
-        breaker: _res.BreakerPolicy | None = None,
         tenant_inflight_cap: int | None = None,
     ):
         if shards < 1:
@@ -176,32 +160,20 @@ class BitPackerServe:
         self.registry = registry if registry is not None else KeyRegistry()
         #: Default per-request deadline (seconds; ``None`` = none).
         self.request_timeout_s = request_timeout_s
-        self.retry = retry if retry is not None else _res.RetryPolicy()
-        self.breaker_policy = (
-            breaker if breaker is not None else _res.BreakerPolicy()
-        )
         self.tenant_inflight_cap = tenant_inflight_cap
         self.sessions: dict[str, TenantSession] = {}
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
-        self._breakers = [
-            _res.CircuitBreaker(self.breaker_policy) for _ in range(shards)
-        ]
-        self._seq = 0
         self._running = False
         # The service's one set of books: always on, read by stats().
         self.submitted = 0
         self.admitted = 0
         self.rejected = 0
-        self.shed = 0
         self.completed = 0
         self.failed = 0
-        self.quarantined = 0
         #: Failure breakdown (both are subsets of ``failed``).
-        self.expired = 0  # 504: deadline passed before/while executing
+        self.expired = 0  # 504: deadline passed before execution
         self.cancelled = 0  # 503: service stopped before execution
-        self.retried = 0  # re-dispatches (split halves + singleton retries)
-        self.splits = 0  # failed groups bisected to isolate a poison
         self.batches = 0
         self.batched_requests = 0
         self.max_batch_seen = 0
@@ -344,27 +316,16 @@ class BitPackerServe:
             op_index=op_index, reason=reason,
         )
 
-    def _shed(
-        self, session: TenantSession, code: int, reason: str,
-        op_index: int | None = None,
-    ) -> ServeResponse:
-        self.shed += 1
-        session.shed += 1
-        return ServeResponse(
-            status="shed", code=code, tenant=session.tenant,
-            op_index=op_index, reason=reason,
-        )
-
     async def submit(
         self, tenant: str, op_index: int, a: np.ndarray, b: np.ndarray,
         *, deadline_s: float | None = None,
     ) -> ServeResponse:
         """Admit one ciphertext op and await its (possibly batched) result.
 
-        Admission failures resolve immediately with ``rejected`` (or,
-        breaker open, ``shed``) responses and HTTP-style codes;
-        admitted requests resolve when their batch executes, retries
-        exhaust, their deadline passes, or the service stops.
+        Admission failures resolve immediately with ``rejected``
+        responses and HTTP-style codes; admitted requests resolve when
+        their batch executes (or raises), their deadline passes, or the
+        service stops.
         ``deadline_s`` overrides the service's ``request_timeout_s``
         for this request (relative seconds from now).
         """
@@ -391,19 +352,12 @@ class BitPackerServe:
             )
         request = _batch.OpRequest(
             tenant=tenant, key=session.key, op=op, level=trace_op.level,
-            a=a, b=b, seq=self._seq,
+            a=a, b=b,
         )
         try:
             _batch.validate_operands(request)
         except ParameterError as exc:
             return self._reject(session, tenant, 422, str(exc), op_index)
-        breaker = self._breakers[session.shard]
-        if not breaker.allow():
-            return self._shed(
-                session, 503,
-                f"shard {session.shard} circuit breaker {breaker.state}",
-                op_index,
-            )
         if (
             self.tenant_inflight_cap is not None
             and session.inflight >= self.tenant_inflight_cap
@@ -424,8 +378,6 @@ class BitPackerServe:
             deadline_s = self.request_timeout_s
         if deadline_s is not None:
             request.deadline = time.monotonic() + deadline_s
-        request.poisoned = _faults.serve_request_poisoned()
-        self._seq += 1
         self.admitted += 1
         session.admitted += 1
         session.inflight += 1
@@ -449,9 +401,6 @@ class BitPackerServe:
                 except asyncio.QueueEmpty:
                     break
             try:
-                stall = _faults.serve_queue_stall()
-                if stall > 0:
-                    await asyncio.sleep(stall)
                 for group in _batch.coalesce(run):
                     await self._run_group(shard, group)
             except asyncio.CancelledError:
@@ -464,44 +413,15 @@ class BitPackerServe:
                 for _ in run:
                     queue.task_done()
 
-    async def _dispatch(
-        self, shard: int, group: list[_batch.OpRequest]
-    ) -> list[np.ndarray]:
-        """One kernel dispatch attempt for a coalesced group."""
-        self.batches += 1
-        self.batched_requests += len(group)
-        self.max_batch_seen = max(self.max_batch_seen, len(group))
-        fault = _faults.serve_kernel_fault()
-        if fault is not None:
-            mode, delay = fault
-            if mode == "raise":
-                raise _faults.FaultInjected(
-                    f"injected serve.kernel raise (shard {shard})"
-                )
-            # hang / slow: a straggler dispatch, not a dead one.
-            await asyncio.sleep(delay)
-        poisoned = [r.seq for r in group if r.poisoned]
-        if poisoned:
-            raise _faults.PoisonedRequest(
-                f"injected poison request(s) seq={poisoned} "
-                f"(shard {shard})"
-            )
-        with _obs.span(
-            "serve/batch", shard=shard, op=group[0].op,
-            level=group[0].level, size=len(group),
-        ):
-            return _batch.execute_group(group)
-
     async def _run_group(
-        self, shard: int, group: list[_batch.OpRequest], attempt: int = 1
+        self, shard: int, group: list[_batch.OpRequest]
     ) -> None:
-        """Run one coalesced group with deadline/retry/split handling.
+        """Run one coalesced group: expire, dispatch once, settle.
 
-        ``attempt`` counts dispatches of *this exact group*: splitting
-        a failed multi-request group hands each half a fresh budget
-        (the bisection is bounded by ``log2(max_batch)`` on its own),
-        while a failing singleton retries up to ``retry.retries`` times
-        with deterministic-jitter backoff before being quarantined.
+        A member past its deadline settles ``error`` 504.  A dispatch
+        that raises settles every live member as ``error`` 500 and
+        returns, so the worker carries on and no submitter is left
+        waiting.
         """
         now = time.monotonic()
         live = []
@@ -512,40 +432,27 @@ class BitPackerServe:
                 live.append(request)
         if not live:
             return
-        breaker = self._breakers[shard]
+        self.batches += 1
+        self.batched_requests += len(live)
+        self.max_batch_seen = max(self.max_batch_seen, len(live))
         try:
-            results = await self._dispatch(shard, live)
-        except asyncio.CancelledError:
-            raise
+            with _obs.span(
+                "serve/batch", shard=shard, op=live[0].op,
+                level=live[0].level, size=len(live),
+            ):
+                results = _batch.execute_group(live)
         except Exception as exc:
-            breaker.record_failure()
-            if len(live) > 1:
-                # Split-and-retry: bisect to isolate the failing member
-                # so its peers are not failed by association.
-                self.splits += 1
-                self.retried += 2
-                mid = len(live) // 2
-                await self._run_group(shard, live[:mid])
-                await self._run_group(shard, live[mid:])
-                return
-            request = live[0]
-            if attempt <= self.retry.retries:
-                delay = self.retry.delay_for(request.seq, attempt)
-                if _res.remaining(request.deadline) > delay:
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                    self.retried += 1
-                    await self._run_group(shard, [request], attempt + 1)
-                    return
-                # The retry would land past the deadline: expire now
-                # instead of burning a sleep the submitter cannot use.
-                self._settle_expired(request, 1)
-                return
-            self._settle_quarantined(request, exc, attempt)
+            reason = f"dispatch failed: {type(exc).__name__}: {exc}"
+            for request in live:
+                self._settle(
+                    request, "error", 500, batch_size=len(live),
+                    reason=reason,
+                )
             return
-        breaker.record_success()
         for request, result in zip(live, results):
-            self._settle_ok(request, result, len(live))
+            self._settle(
+                request, "ok", 200, result=result, batch_size=len(live)
+            )
 
     # ------------------------------------------------------------------
     # Settlement (the single choke point for admitted-request books)
@@ -566,9 +473,6 @@ class BitPackerServe:
         if status == "ok":
             self.completed += 1
             session.completed += 1
-        elif status == "quarantined":
-            self.quarantined += 1
-            session.quarantined += 1
         else:
             self.failed += 1
             session.failed += 1
@@ -578,13 +482,6 @@ class BitPackerServe:
             latency_s=latency, reason=reason,
         ))
         return True
-
-    def _settle_ok(
-        self, request: _batch.OpRequest, result: np.ndarray, batch_size: int
-    ) -> None:
-        self._settle(
-            request, "ok", 200, result=result, batch_size=batch_size
-        )
 
     def _settle_expired(
         self, request: _batch.OpRequest, batch_size: int
@@ -602,36 +499,29 @@ class BitPackerServe:
         ):
             self.cancelled += 1
 
-    def _settle_quarantined(
-        self, request: _batch.OpRequest, exc: Exception, attempts: int
-    ) -> None:
-        self._settle(
-            request, "quarantined", 422, batch_size=1,
-            reason=(
-                f"request deterministically fails the kernel "
-                f"({attempts} attempt(s)): {type(exc).__name__}: {exc}"
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Books
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The service's always-on accounting, consistency-checkable:
-        ``submitted == admitted + rejected + shed`` always, and after a
-        drain ``admitted == completed + failed + quarantined``."""
+        ``submitted == admitted + rejected`` always, and after a drain
+        ``admitted == completed + failed``.
+
+        ``shed`` and ``retried`` are constant zeros: the service sheds
+        and retries nothing, and the keys stay only because the frozen
+        ladder (``benchmarks/ladder/serve.py``) reads them.  ROADMAP
+        item 1's thaw removes them.
+        """
         return {
             "submitted": self.submitted,
             "admitted": self.admitted,
             "rejected": self.rejected,
-            "shed": self.shed,
+            "shed": 0,
             "completed": self.completed,
             "failed": self.failed,
-            "quarantined": self.quarantined,
             "expired": self.expired,
             "cancelled": self.cancelled,
-            "retried": self.retried,
-            "splits": self.splits,
+            "retried": 0,
             "batches": self.batches,
             "batched_requests": self.batched_requests,
             "max_batch_seen": self.max_batch_seen,
@@ -641,16 +531,13 @@ class BitPackerServe:
             "keys_built": self.registry.built,
             "keys_reused": self.registry.reused,
             "gate_memo_size": gate_memo_size(),
-            "breakers": [b.snapshot() for b in self._breakers],
             "tenants": {
                 name: {
                     "submitted": s.submitted,
                     "admitted": s.admitted,
                     "rejected": s.rejected,
-                    "shed": s.shed,
                     "completed": s.completed,
                     "failed": s.failed,
-                    "quarantined": s.quarantined,
                     "inflight": s.inflight,
                     "shard": s.shard,
                     "key": s.key.fingerprint,
@@ -660,49 +547,40 @@ class BitPackerServe:
         }
 
     def health(self) -> dict:
-        """Readiness view: breaker states, queue depths, books summary.
+        """Readiness view: queue depths and registration counts.
 
-        ``ready`` means the service is running and at least one shard's
-        breaker is accepting traffic — a load balancer's probe target.
+        ``ready`` means the service is running — a load balancer's
+        probe target.
         """
-        breakers = [b.snapshot() for b in self._breakers]
         return {
             "running": self._running,
-            "ready": self._running and any(
-                b["state"] != _res.OPEN for b in breakers
-            ),
+            "ready": self._running,
             "shards": [
                 {
                     "shard": index,
                     "queued": (
                         self._queues[index].qsize() if self._queues else 0
                     ),
-                    **snap,
                 }
-                for index, snap in enumerate(breakers)
+                for index in range(self.shards)
             ],
             "sessions": len(self.sessions),
             "gate_memo_size": gate_memo_size(),
-            "quarantined": self.quarantined,
-            "retried": self.retried,
-            "shed": self.shed,
         }
 
     def check_books(self) -> None:
         """Raise if the admission/settlement ledgers do not balance."""
-        if self.submitted != self.admitted + self.rejected + self.shed:
+        if self.submitted != self.admitted + self.rejected:
             raise InvariantViolation(  # pragma: no cover - ledger bug
                 f"serve books broken: submitted={self.submitted} != "
-                f"admitted={self.admitted} + rejected={self.rejected} + "
-                f"shed={self.shed}"
+                f"admitted={self.admitted} + rejected={self.rejected}"
             )
         queued = sum(queue.qsize() for queue in self._queues)
-        settled = self.completed + self.failed + self.quarantined
-        if self.admitted != settled + queued:
+        if self.admitted != self.completed + self.failed + queued:
             raise InvariantViolation(  # pragma: no cover - ledger bug
                 f"serve books broken: admitted={self.admitted} != "
                 f"completed={self.completed} + failed={self.failed} + "
-                f"quarantined={self.quarantined} + queued={queued}"
+                f"queued={queued}"
             )
         if self.expired + self.cancelled > self.failed:
             raise InvariantViolation(  # pragma: no cover - ledger bug

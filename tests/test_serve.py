@@ -1,15 +1,22 @@
 """The async multi-tenant serve layer: keys, batching, admission,
-backpressure, the verify gate, the load generator, and end-to-end runs.
+backpressure, the verify gate, the failure model (deadlines, dispatch
+failure, drain), the load generator, and end-to-end runs.
 
 The load-bearing invariant is **zero response corruption**: a coalesced
 batch must be byte-identical to serial execution, and
 mixed-level traffic must never coalesce at all.  Everything else
-(backpressure, books, determinism) guards the service's accounting.
+(backpressure, books, determinism) guards the service's accounting; the
+books balance after every scenario (DESIGN.md Sec. 13)::
+
+    submitted == admitted + rejected
+    admitted  == completed + failed (+ still queued)
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +35,7 @@ from repro.serve.loadgen import (
     tenant_name,
 )
 from repro.serve.service import BitPackerServe
-from repro.trace.program import HeTrace, OpKind, TraceOp
+from repro.trace.program import HeTrace, OpKind, TraceOp, content_digest
 
 # One id per engine ``available_backends()`` names: the ids are pinned by
 # the tier-1 floor, and a re-admitted engine would show up here.
@@ -86,6 +93,19 @@ def make_request(key, level, op="mul", seed=0, tenant="t", n=64):
 async def run_service(coro_fn, **kwargs):
     async with BitPackerServe(**kwargs) as service:
         return await coro_fn(service)
+
+
+def stall_groups(monkeypatch, seconds):
+    """Make every coalesced group wait ``seconds`` on the event loop
+    before it runs: a straggler that yields, so a deadline can pass
+    and ``stop()`` can land while work is queued or in flight."""
+    real = BitPackerServe._run_group
+
+    async def stalled(self, shard, group):
+        await asyncio.sleep(seconds)
+        await real(self, shard, group)
+
+    monkeypatch.setattr(BitPackerServe, "_run_group", stalled)
 
 
 class TestKeys:
@@ -253,6 +273,32 @@ class TestAdmission:
 
         asyncio.run(run_service(scenario))
 
+    def test_tenant_inflight_cap_is_fair(self):
+        """One tenant cannot occupy more than its cap of a shard; the
+        overflow is rejected 429 at admission, not queued."""
+
+        async def scenario(service):
+            session = service.register("t", trace=serve_trace())
+            level = session.trace.ops[0].level
+            pairs = [
+                seeded_operands(session.key, level, seed=60 + i)
+                for i in range(10)
+            ]
+            responses = await asyncio.gather(*[
+                service.submit("t", 0, a, b) for a, b in pairs
+            ])
+            codes = [r.code for r in responses]
+            assert codes.count(200) == 2
+            assert codes.count(429) == 8
+            capped = next(r for r in responses if r.code == 429)
+            assert "inflight cap" in capped.reason
+            assert service.sessions["t"].inflight == 0
+            service.check_books()
+
+        asyncio.run(run_service(
+            scenario, shards=1, queue_depth=32, tenant_inflight_cap=2,
+        ))
+
     def test_backpressure_engages_and_loses_nothing(self):
         async def scenario(service):
             session = service.register("t", trace=serve_trace())
@@ -305,6 +351,160 @@ class TestAdmission:
         ))
 
 
+class TestFailureModel:
+    def test_deadline_expires_as_504(self, monkeypatch):
+        """A straggling group burns the request's deadline: 504, books
+        count it as failed/expired, nothing hangs."""
+        stall_groups(monkeypatch, 0.05)
+
+        async def scenario(service):
+            session = service.register("t", trace=serve_trace())
+            level = session.trace.ops[0].level
+            a, b = seeded_operands(session.key, level, seed=5)
+            response = await service.submit("t", 0, a, b, deadline_s=0.001)
+            assert response.status == "error"
+            assert response.code == 504
+            assert service.expired == 1 and service.failed == 1
+            service.check_books()
+
+        asyncio.run(run_service(scenario, shards=1))
+
+    def test_dispatch_failure_settles_group_as_500(self, monkeypatch):
+        """A dispatch that raises fails its whole group with 500s; the
+        worker carries on and the next request is served exactly."""
+        real = sbatch.execute_group
+        sizes = []
+
+        def raises_once(group):
+            sizes.append(len(group))
+            if len(sizes) == 1:
+                raise RuntimeError("kernel fell over")
+            return real(group)
+
+        monkeypatch.setattr(sbatch, "execute_group", raises_once)
+
+        async def scenario(service):
+            session = service.register("t", trace=serve_trace())
+            level = session.trace.ops[0].level
+            pairs = [
+                seeded_operands(session.key, level, seed=20 + i)
+                for i in range(4)
+            ]
+            responses = await asyncio.gather(*[
+                service.submit("t", 0, a, b) for a, b in pairs
+            ])
+            assert sizes == [4], "the four requests did not share a group"
+            for response in responses:
+                assert (response.status, response.code) == ("error", 500)
+                assert "RuntimeError: kernel fell over" in response.reason
+            assert service.failed == 4 and service.completed == 0
+            assert service.stats()["tenants"]["t"]["inflight"] == 0
+            service.check_books()
+
+            a, b = seeded_operands(session.key, level, seed=30)
+            after = await service.submit("t", 0, a, b)
+            assert after.ok and after.code == 200
+            want = sbatch.execute_serial(sbatch.OpRequest(
+                tenant="t", key=session.key, op="mul", level=level, a=a, b=b,
+            ))
+            assert after.result.tobytes() == want.tobytes()
+            assert service.completed == 1
+            service.check_books()
+
+        asyncio.run(run_service(scenario, shards=1, max_batch=8))
+
+
+class TestStop:
+    """``stop()`` with work queued or in flight.  Every await is
+    bounded, so a submitter stranded on a future that never resolves
+    fails fast instead of hanging the suite."""
+
+    def fill(self, service, count=6, seed0=80):
+        session = service.register("t", trace=serve_trace())
+        level = session.trace.ops[0].level
+        pairs = [
+            seeded_operands(session.key, level, seed=seed0 + i)
+            for i in range(count)
+        ]
+        return [
+            asyncio.ensure_future(service.submit("t", 0, a, b))
+            for a, b in pairs
+        ]
+
+    def test_drain_completes_queued_work(self):
+        async def scenario():
+            service = BitPackerServe(shards=1, queue_depth=32, max_batch=4)
+            await service.start()
+            tasks = self.fill(service)
+            await asyncio.sleep(0)  # admissions enqueue, workers start
+            drained = await service.stop(drain=True)
+            assert drained is True
+            responses = await asyncio.wait_for(asyncio.gather(*tasks), 5)
+            assert all(r.ok for r in responses)
+            assert service.completed == 6 and service.cancelled == 0
+            service.check_books()
+            with pytest.raises(ParameterError, match="not running"):
+                await service.submit("t", 0, None, None)
+
+        asyncio.run(scenario())
+
+    def test_non_drain_settles_everything_as_503(self, monkeypatch):
+        stall_groups(monkeypatch, 0.05)
+
+        async def scenario():
+            service = BitPackerServe(shards=1, queue_depth=32, max_batch=1)
+            await service.start()
+            tasks = self.fill(service)
+            await asyncio.sleep(0)
+            await service.stop(drain=False)
+            responses = await asyncio.wait_for(asyncio.gather(*tasks), 5)
+            assert len(responses) == 6, "a submitter was stranded"
+            for response in responses:
+                assert response.status in ("ok", "error")
+                if response.status == "error":
+                    assert response.code == 503
+                    assert "stopped" in response.reason
+            assert service.cancelled == service.failed > 0
+            assert service.completed + service.failed == 6
+            service.check_books()
+
+        asyncio.run(scenario())
+
+    def test_drain_timeout_falls_back_to_settling(self, monkeypatch):
+        """A drain that cannot finish in time still resolves every
+        future — ``drained=False`` reports the truncation."""
+        stall_groups(monkeypatch, 0.2)
+
+        async def scenario():
+            service = BitPackerServe(shards=1, queue_depth=32, max_batch=1)
+            await service.start()
+            tasks = self.fill(service)
+            await asyncio.sleep(0)
+            drained = await service.stop(drain=True, drain_timeout_s=0.01)
+            assert drained is False
+            responses = await asyncio.wait_for(asyncio.gather(*tasks), 5)
+            assert len(responses) == 6
+            assert service.completed + service.failed == 6
+            service.check_books()
+
+        asyncio.run(scenario())
+
+    def test_health_reflects_lifecycle(self):
+        async def scenario():
+            service = BitPackerServe(shards=2)
+            assert service.health()["running"] is False
+            await service.start()
+            health = service.health()
+            assert health["running"] is True and health["ready"] is True
+            assert [s["shard"] for s in health["shards"]] == [0, 1]
+            assert all(s["queued"] == 0 for s in health["shards"])
+            await service.stop()
+            after = service.health()
+            assert after["running"] is False and after["ready"] is False
+
+        asyncio.run(scenario())
+
+
 class TestVerifyGate:
     def test_gate_memoizes_by_content(self, monkeypatch):
         calls = []
@@ -352,6 +552,33 @@ class TestVerifyGate:
         for t in threads:
             t.join(timeout=5)
         assert len(calls) == 1, "verify ran more than once for one trace"
+
+
+class TestGateMemoLRU:
+    def test_memo_is_bounded_and_lru(self, monkeypatch):
+        monkeypatch.setattr(GATE, "limit", 3)
+        traces = [serve_trace(levels=k) for k in range(1, 6)]
+        for trace in traces[:3]:
+            admit(trace)
+        assert sservice.gate_memo_size() == 3
+        # Touch the oldest so it survives the next eviction.
+        admit(traces[0])
+        admit(traces[3])
+        assert sservice.gate_memo_size() == 3
+        digests = GATE.digests()
+        assert content_digest(traces[0]) in digests
+        assert content_digest(traces[1]) not in digests, (
+            "LRU evicted the recently-touched digest instead of the "
+            "coldest one"
+        )
+
+    def test_stats_export_memo_size(self):
+        async def scenario(service):
+            service.register("t", trace=serve_trace())
+            assert service.stats()["gate_memo_size"] == 1
+            assert service.health()["gate_memo_size"] == 1
+
+        asyncio.run(run_service(scenario))
 
 
 class TestLoadgen:
@@ -428,8 +655,6 @@ class TestServeCli:
             "--json", str(out),
         ])
         assert code == 0
-        import json
-
         doc = json.loads(out.read_text())
         assert doc["submitted"] == 60
         assert doc["dropped"] == 0
@@ -454,3 +679,32 @@ class TestServeCli:
             "serve", "--tenants", "2", "--requests", "30", "--quiet",
         ])
         assert code == 0
+
+    def test_audit_flags_unbalanced_books(self):
+        from repro.serve.cli import audit_report
+
+        clean = types.SimpleNamespace(
+            submitted=10, admitted=8, rejected=2, dropped=0,
+            corrupted=0, failed=0, completed=8,
+        )
+        assert audit_report(clean) == []
+        unbalanced = types.SimpleNamespace(
+            submitted=10, admitted=8, rejected=1, dropped=0,
+            corrupted=0, failed=0, completed=8,
+        )
+        assert any("books" in p for p in audit_report(unbalanced))
+        failed = types.SimpleNamespace(
+            submitted=10, admitted=9, rejected=1, dropped=0,
+            corrupted=0, failed=2, completed=7,
+        )
+        assert any("failed" in p for p in audit_report(failed))
+
+    def test_sigint_exits_130(self, monkeypatch, capsys):
+        from repro.serve import cli
+
+        async def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_scenario", interrupted)
+        assert cli.main(["--requests", "10", "--quiet"]) == 130
+        assert "interrupted" in capsys.readouterr().err
