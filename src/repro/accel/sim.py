@@ -23,7 +23,7 @@ Two second-order effects the paper leans on are modeled explicitly:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.accel import kernels
 from repro.accel.config import AcceleratorConfig
@@ -140,10 +140,6 @@ class SimResult:
             )
             for name in names
         ]
-
-    def to_dict(self) -> dict:
-        """Plain-dict form, every table in insertion order."""
-        return asdict(self)
 
 
 class AcceleratorSim:

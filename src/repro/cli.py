@@ -4,7 +4,6 @@ Usage (``python -m repro ...``)::
 
     python -m repro plan --scheme bitpacker --n 1024 --word 28 \\
         --scale 40 --levels 6
-    python -m repro compare --word 28
     python -m repro figure fig11 fig15
     python -m repro figure fig14 fig18 --keep-going
     python -m repro figure fig14 --profile
@@ -18,6 +17,7 @@ Usage (``python -m repro ...``)::
     python -m repro verify-trace my_schedule.json --format json
     python -m repro compile-trace --format json --output savings.json
     python -m repro serve --tenants 8 --requests 400 --json serve.json
+    python -m repro serve --queue-depth 8 --high-water 4   # force backpressure
 
 ``figure`` runs every experiment cold, in one process: Ctrl-C exits 130
 with completed figures flushed to ``results/`` (DESIGN.md Sec. 8).  With
@@ -26,7 +26,11 @@ with completed figures flushed to ``results/`` (DESIGN.md Sec. 8).  With
 and prints a rendered summary; ``obs-report`` renders, diffs, or
 converts those documents (DESIGN.md Sec. 9).  ``lint`` checks source
 (fhelint, DESIGN.md Sec. 7); ``verify-trace`` certifies schedules
-(Sec. 11).
+(Sec. 11).  ``serve`` boots the async service, drives seeded load and
+audits every response (Secs. 12-13).
+
+A :class:`~repro.errors.ReproError` from any command is one ``error:``
+line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro.errors import ParameterError, ReproError
 from repro.schemes import plan_chain
 
 #: Figure/table name -> (harness, results/ file stem, runtime note).  The
@@ -96,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="level-0 modulus bits (Qmin)")
     plan.add_argument("--digits", type=int, default=3,
                       help="keyswitch digits")
-
-    compare = sub.add_parser(
-        "compare", help="BitPacker vs RNS-CKKS on the paper's workloads"
-    )
-    compare.add_argument("--word", type=int, default=28)
 
     figure = sub.add_parser("figure", help="regenerate paper figures/tables")
     figure.add_argument(
@@ -219,13 +219,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_format_options(compile_)
 
-    # Listed for --help only: main() hands `serve ...` to bitpacker-serve
-    # before parsing.
-    sub.add_parser(
+    serve = sub.add_parser(
         "serve",
-        help="boot the async multi-tenant service and drive seeded load "
-             "(all arguments forwarded to bitpacker-serve)",
+        help="boot the async multi-tenant service, drive seeded load and "
+             "audit every response",
+        description="Exit codes: 0 clean; 1 dropped, corrupted or failed "
+                    "responses (a 500, 503 or 504 counts as failed) or "
+                    "unbalanced books; 2 bad flags or spec; 130 on SIGINT, "
+                    "after a graceful drain.",
     )
+    load = serve.add_argument_group("load")
+    load.add_argument("--seed", type=int, default=0xB17,
+                      help="load-generator seed (default: %(default)s)")
+    load.add_argument("--tenants", type=int, default=6,
+                      help="simulated tenants (default: %(default)s)")
+    load.add_argument("--requests", type=int, default=200,
+                      help="total requests (default: %(default)s)")
+    load.add_argument("--burst-gap", type=float, default=0.0, metavar="S",
+                      help="mean seconds between bursts (default: flood)")
+    svc = serve.add_argument_group("service")
+    svc.add_argument("--queue-depth", type=int, default=64,
+                     help="bounded queue size per shard (default: %(default)s)")
+    svc.add_argument("--high-water", type=int, default=None,
+                     help="admission rejects past this queue depth "
+                          "(default: queue depth)")
+    svc.add_argument("--max-batch", type=int, default=16,
+                     help="max requests coalesced per kernel call "
+                          "(default: %(default)s)")
+    svc.add_argument("--request-timeout", type=float, default=None,
+                     metavar="S",
+                     help="per-request deadline in seconds (default: none)")
+    out = serve.add_argument_group("output")
+    out.add_argument("--profile", action="store_true",
+                     help="record repro.obs counters into the report")
+    out.add_argument("--json", default=None, metavar="PATH",
+                     help="write the machine-readable report to PATH")
+    out.add_argument("--quiet", action="store_true",
+                     help="suppress the rendered report (exit code only)")
     return parser
 
 
@@ -242,25 +272,19 @@ def _add_format_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_plan(args) -> int:
-    from repro.errors import ReproError
-
     schemes = (
         ["bitpacker", "rns-ckks"] if args.scheme == "both" else [args.scheme]
     )
     for scheme in schemes:
-        try:
-            chain = plan_chain(
-                scheme,
-                n=args.n,
-                word_bits=args.word,
-                level_scale_bits=args.scale,
-                levels=args.levels,
-                base_bits=args.base,
-                ks_digits=args.digits,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        chain = plan_chain(
+            scheme,
+            n=args.n,
+            word_bits=args.word,
+            level_scale_bits=args.scale,
+            levels=args.levels,
+            base_bits=args.base,
+            ks_digits=args.digits,
+        )
         print(chain.describe())
         top = chain.max_level
         utilization = chain.log2_q_at(top) / (
@@ -273,24 +297,11 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    from repro.errors import ReproError
-    from repro.eval import fig11
-
-    try:
-        rows = fig11.run(word_bits=args.word)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(fig11.render(rows))
-    return 0
-
-
 def write_text_atomic(path: Path, text: str) -> None:
     """Publish an output file atomically (temp + ``os.replace``).
 
     The one writer for everything the CLIs publish: figure tables,
-    profiles, reports and ``bitpacker-serve --json``.  A crash or Ctrl-C
+    profiles, reports and ``serve --json``.  A crash or Ctrl-C
     mid-write must never leave a torn or partial output: readers see the
     previous content or the new one, nothing in between.  The temp file
     is removed on any failure, including one in the window between the
@@ -345,12 +356,10 @@ def _cmd_figure(args) -> int:
 
     unknown = [name for name in args.names if name not in FIGURES]
     if unknown:
-        print(
-            f"error: unknown figure(s): {', '.join(unknown)} "
-            f"(choose from: {', '.join(sorted(FIGURES))})",
-            file=sys.stderr,
+        raise ParameterError(
+            f"unknown figure(s): {', '.join(unknown)} "
+            f"(choose from: {', '.join(sorted(FIGURES))})"
         )
-        return 2
     profiling = args.profile
     if profiling:
         from repro import obs
@@ -432,38 +441,27 @@ def _cmd_obs_report(args) -> int:
     import json
 
     from repro import obs
-    from repro.errors import ParameterError
 
-    try:
-        if args.chrome_out:
-            if len(args.profiles) != 1:
-                print(
-                    "error: --chrome-out takes exactly one profile file",
-                    file=sys.stderr,
-                )
-                return 2
-            doc = obs.load_profile(args.profiles[0])
-            events = obs.chrome_trace(doc["span_tree"])
-            out = Path(args.chrome_out)
-            write_text_atomic(out, json.dumps(events, indent=1) + "\n")
-            print(f"wrote {len(events)} trace events -> {out}")
-            return 0
-        if len(args.profiles) == 1:
-            print(obs.render_summary(obs.load_profile(args.profiles[0])))
-            return 0
-        if len(args.profiles) == 2:
-            old = obs.load_profile(args.profiles[0])
-            new = obs.load_profile(args.profiles[1])
-            print(obs.diff_profiles(old, new))
-            return 0
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        "error: obs-report takes one profile file (summary) or two (diff)",
-        file=sys.stderr,
+    if args.chrome_out:
+        if len(args.profiles) != 1:
+            raise ParameterError("--chrome-out takes exactly one profile file")
+        doc = obs.load_profile(args.profiles[0])
+        events = obs.chrome_trace(doc["span_tree"])
+        out = Path(args.chrome_out)
+        write_text_atomic(out, json.dumps(events, indent=1) + "\n")
+        print(f"wrote {len(events)} trace events -> {out}")
+        return 0
+    if len(args.profiles) == 1:
+        print(obs.render_summary(obs.load_profile(args.profiles[0])))
+        return 0
+    if len(args.profiles) == 2:
+        old = obs.load_profile(args.profiles[0])
+        new = obs.load_profile(args.profiles[1])
+        print(obs.diff_profiles(old, new))
+        return 0
+    raise ParameterError(
+        "obs-report takes one profile file (summary) or two (diff)"
     )
-    return 2
 
 
 def _cmd_list_figures(_args) -> int:
@@ -490,7 +488,6 @@ def _emit_report(args, findings, rule_docs) -> None:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import PASSES, run_lint
-    from repro.errors import ParameterError
 
     if args.list_rules:
         for lint_pass in PASSES:
@@ -502,11 +499,7 @@ def _cmd_lint(args) -> int:
         import repro
 
         paths = [str(Path(repro.__file__).resolve().parent)]
-    try:
-        findings = run_lint(paths, rules=args.rules)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    findings = run_lint(paths, rules=args.rules)
     _emit_report(args, findings, {p.rule: p.description for p in PASSES})
     return 1 if findings else 0
 
@@ -528,7 +521,6 @@ def _cmd_verify_trace(args) -> int:
         WASTE_RULES,
         verify_trace,
     )
-    from repro.errors import ReproError
 
     if args.list_rules:
         for rule, doc in {**VIOLATION_RULES, **WASTE_RULES}.items():
@@ -545,7 +537,7 @@ def _cmd_verify_trace(args) -> int:
             traces = workload_traces(
                 schemes=tuple(args.schemes), word_bits=args.word
             )
-    except (ReproError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     violations = []
@@ -580,7 +572,6 @@ def _cmd_verify_trace(args) -> int:
 def _cmd_compile_trace(args) -> int:
     import json
 
-    from repro.errors import ReproError
     from repro.trace.compiler import (
         compile_trace,
         compile_workloads,
@@ -600,7 +591,7 @@ def _cmd_compile_trace(args) -> int:
             ]
         else:
             results = compile_workloads(args.schemes, args.word, plan=plan)
-    except (ReproError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -655,29 +646,75 @@ def _cmd_compile_trace(args) -> int:
     return 0
 
 
+def _cmd_serve(args) -> int:
+    import asyncio
+    import json
+
+    from repro import obs
+    from repro.serve import loadgen
+
+    spec = loadgen.LoadSpec(
+        seed=args.seed,
+        tenants=args.tenants,
+        requests=args.requests,
+        burst_gap_s=args.burst_gap,
+        deadline_s=args.request_timeout,
+    )
+    if args.profile:
+        obs.enable()
+        obs.reset()
+    try:
+        report = asyncio.run(loadgen.run_scenario(
+            spec,
+            queue_depth=args.queue_depth,
+            high_water=args.high_water,
+            max_batch=args.max_batch,
+            request_timeout_s=args.request_timeout,
+        ))
+    except KeyboardInterrupt:
+        # The service context manager drained on the way out; 130 is
+        # the conventional SIGINT exit status.
+        print("[serve] interrupted — drained and stopped", file=sys.stderr)
+        return 130
+    finally:
+        if args.profile:
+            obs.disable()
+    doc = report.to_dict()
+    if args.profile:
+        doc["obs"] = {"counters": obs.counters()}
+        obs.reset()
+    if args.json:
+        out = Path(args.json)
+        write_text_atomic(out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"[serve] report -> {out}", file=sys.stderr)
+    if not args.quiet:
+        print(report.render())
+    problems = report.audit()
+    if problems:
+        print(f"[serve] FAILED: {'; '.join(problems)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 _COMMANDS: dict[str, Callable] = {
     "plan": _cmd_plan,
-    "compare": _cmd_compare,
     "figure": _cmd_figure,
     "obs-report": _cmd_obs_report,
     "list-figures": _cmd_list_figures,
     "lint": _cmd_lint,
     "verify-trace": _cmd_verify_trace,
     "compile-trace": _cmd_compile_trace,
+    "serve": _cmd_serve,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse's REMAINDER chokes on forwarded flags (bpo-17050), so the
-    # serve passthrough is dispatched before the parse.
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import main as serve_main
-
-        return serve_main(argv[1:])
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

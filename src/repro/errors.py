@@ -2,6 +2,9 @@
 
 Every error raised by this library derives from :class:`ReproError`, so
 callers can catch library failures without masking programming errors.
+:func:`json_field` is the typed-field reader both JSON decoders (trace
+files and profile documents) share: a missing or mistyped field is one
+:class:`ParameterError` line.
 """
 
 from __future__ import annotations
@@ -61,3 +64,27 @@ class InvariantViolation(ReproError):
     :func:`repro.analysis.sanitize.enable`); with it disabled the checks
     are skipped entirely, so library hot paths pay nothing.
     """
+
+
+def json_field(document: str, data, key: str, types: tuple, where: str,
+               *, optional: bool = False):
+    """``data[key]`` from a decoded JSON ``document`` if it is one of
+    ``types`` (a bool is never a number); ``None`` for an absent or null
+    ``optional`` key.  Anything else is one :class:`ParameterError` line,
+    ``malformed <document> encoding: <where> ...``."""
+    prefix = f"malformed {document} encoding: {where}"
+    if not isinstance(data, dict):
+        raise ParameterError(f"{prefix} is not an object")
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    if key not in data:
+        raise ParameterError(f"{prefix} has no {key!r}")
+    if not isinstance(value, types) or isinstance(value, bool):
+        noun = {(int,): "an integer", (int, float): "a number"}.get(
+            types, f"a {types[0].__name__}"
+        )
+        raise ParameterError(
+            f"{prefix} {key!r} must be {noun}, not {type(value).__name__}"
+        )
+    return value

@@ -30,7 +30,6 @@ from repro.nt.modmath import (
     mod_inv,
     mod_mul,
     mod_neg,
-    mod_pow,
     mod_scalar_mul,
     mod_sub,
     uniform_mod,
@@ -59,7 +58,6 @@ __all__ = [
     "mod_mul",
     "mod_scalar_mul",
     "mod_inv",
-    "mod_pow",
     "uniform_mod",
     "NttRowsContext",
     "ntt_context",

@@ -450,11 +450,6 @@ def mod_inv(x: int, q: int) -> int:
     return s % q
 
 
-def mod_pow(base: int, exp: int, q: int) -> int:
-    """``base**exp mod q`` for scalars."""
-    return pow(base, exp, q)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns ``(g, s, t)`` with ``a*s + b*t = g``."""
     old_r, r = a, b

@@ -37,12 +37,13 @@ recording lives in :mod:`repro.obs.core`.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, json_field
 from repro.obs.core import Span
 
 PROFILE_SCHEMA_VERSION = 3
@@ -229,31 +230,26 @@ def build_profile(
 _NUMBER = (int, float)
 #: Every span node's keys and the JSON types the renderers accept.
 _SPAN_KEYS = {
-    "name": str, "tags": dict, "t0_s": _NUMBER, "wall_s": _NUMBER,
-    "cpu_s": _NUMBER, "rss_peak_delta_kb": _NUMBER, "children": list,
+    "name": (str,), "tags": (dict,), "t0_s": _NUMBER, "wall_s": _NUMBER,
+    "cpu_s": _NUMBER, "rss_peak_delta_kb": _NUMBER, "children": (list,),
 }
-
-
-def _field(obj: Any, key: str, types, where: str) -> Any:
-    """``obj[key]``, or a :class:`ParameterError` unless it is a ``types``."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ParameterError(f"{where}: {key!r} missing or of the wrong type")
-    return value
+_field = functools.partial(json_field, "profile")
 
 
 def _check_document(doc: dict) -> None:
     """The shape :func:`render_summary`, :func:`diff_profiles` and
     :func:`chrome_trace` read: top-level keys and every span node."""
-    for key, types in (("figure", str), ("wall_s", _NUMBER), ("coverage", _NUMBER)):
+    for key, types in (
+        ("figure", (str,)), ("wall_s", _NUMBER), ("coverage", _NUMBER)
+    ):
         _field(doc, key, types, "profile")
-    for name in _field(doc, "counters", dict, "profile"):
+    for name in _field(doc, "counters", (dict,), "profile"):
         _field(doc["counters"], name, _NUMBER, "counters")
     accounting = doc.get("kernel_accounting")
     if accounting is not None:
         for key in ("sims", "total_cycles"):
             _field(accounting, key, _NUMBER, "kernel_accounting")
-        kernels = _field(accounting, "kernels", dict, "kernel_accounting")
+        kernels = _field(accounting, "kernels", (dict,), "kernel_accounting")
         for name, entry in kernels.items():
             for key in ("cycles", "share"):
                 _field(entry, key, _NUMBER, f"kernel {name!r}")
@@ -287,7 +283,7 @@ def load_profile(path: str | Path) -> dict:
     try:
         _check_document(doc)
     except ParameterError as exc:
-        raise ParameterError(f"{path} is a malformed profile: {exc}") from None
+        raise ParameterError(f"{path}: {exc}") from None
     return doc
 
 

@@ -8,7 +8,7 @@ models and the workloads run one level-management routine on both.
 """
 
 from repro.errors import ParameterError
-from repro.schemes.bitpacker import greedy_terminal_primes, plan_bitpacker_chain
+from repro.schemes.bitpacker import plan_bitpacker_chain
 from repro.schemes.chain import (
     LevelMove,
     LevelSpec,
@@ -25,7 +25,6 @@ __all__ = [
     "chain_to_dict",
     "plan_chain",
     "plan_rns_ckks_chain",
-    "greedy_terminal_primes",
     "plan_bitpacker_chain",
     "check_security",
     "max_log_qp",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import prod
-from typing import Collection, Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import PlanningError
 from repro.schemes.chain import LevelSpec, ModulusChain
@@ -37,25 +37,6 @@ from repro.schemes.selection import (
 #: Accept a level modulus within this many bits of its target — the
 #: paper's ``sqrt(2)/2 < target_q < sqrt(2)`` window (Listing 7).
 DEFAULT_TOLERANCE_BITS = 0.5
-
-
-def greedy_terminal_primes(
-    target_bits: float,
-    candidates: PrimePool | Iterable[int],
-    tolerance_bits: float = DEFAULT_TOLERANCE_BITS,
-    max_terminals: int = 5,
-    over_tolerance_bits: float | None = None,
-    excluded: Collection[int] = frozenset(),
-) -> tuple[int, ...] | None:
-    """Paper Listing 7: terminal primes whose product matches a target.
-
-    Thin wrapper over :func:`repro.schemes.selection.greedy_prime_product`
-    (shared with the RNS-CKKS planner's multi-prime groups).
-    """
-    return greedy_prime_product(
-        target_bits, candidates, tolerance_bits, max_terminals,
-        over_tolerance_bits, excluded,
-    )
 
 
 def plan_bitpacker_chain(
@@ -184,7 +165,7 @@ def _pick_level_moduli(
                 continue
             if remainder < min_term_bits - over:
                 continue  # no terminal prime is small enough; free a word
-            terminals = greedy_terminal_primes(
+            terminals = greedy_prime_product(
                 remainder, candidates, under, over_tolerance_bits=over,
                 excluded=non_terminals,
             )

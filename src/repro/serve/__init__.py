@@ -7,8 +7,8 @@ verifier, bounded per-shard queues with 429-style backpressure, a
 batcher that coalesces compatible ciphertext ops into matrix-at-a-time
 kernel calls (:mod:`repro.serve.batch`), and per-tenant
 metrics via :mod:`repro.obs`.  :mod:`repro.serve.loadgen` ships the
-seeded Zipf/bursty traffic model; ``bitpacker-serve``
-(:mod:`repro.serve.cli`) boots the whole stack from the command line.
+seeded Zipf/bursty traffic model and the audited load report; ``repro
+serve`` (:mod:`repro.cli`) boots the whole stack from the command line.
 """
 
 from repro.serve.batch import (

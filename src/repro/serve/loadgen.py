@@ -1,4 +1,4 @@
-"""Deterministic, seedable load generator for `bitpacker-serve`.
+"""Deterministic, seedable load generator for ``repro serve``.
 
 Simulates the traffic shape a popular encrypted-compute endpoint sees
 (the ROADMAP's "millions of users" target scaled to a test harness):
@@ -17,7 +17,9 @@ Everything is derived from ``spec.seed``: the schedule
 of the same spec submit byte-identical traffic, so the report can
 *prove* zero corruption: every ``ok`` response is compared
 byte-for-byte against :func:`repro.serve.batch.execute_serial` on the
-same operands.
+same operands.  :meth:`LoadReport.render` and :meth:`LoadReport.audit`
+are the report ``repro serve`` prints and the audit behind its exit
+code.
 """
 
 from __future__ import annotations
@@ -45,7 +47,11 @@ DEFAULT_WORKLOADS = (
 
 @dataclass(frozen=True)
 class LoadSpec:
-    """One reproducible load scenario (the CLI's knobs)."""
+    """One reproducible load scenario.
+
+    ``repro serve`` sets the seed, the counts, the burst gap and the
+    deadline; the other fields keep these defaults there.
+    """
 
     seed: int = 0xB17
     tenants: int = 6
@@ -205,6 +211,70 @@ class LoadReport:
             "service": self.stats,
         }
 
+    def render(self) -> str:
+        """The human-readable report ``repro serve`` prints."""
+        doc = self.to_dict()
+        lines = [
+            "repro serve load report",
+            f"  seed {doc['seed']}  tenants {doc['tenants']}  "
+            f"requests {doc['requests']}  burst {doc['burst']} "
+            f"(gap {doc['burst_gap_s']:g}s)  zipf_s {doc['zipf_s']:g}",
+            f"  submitted {doc['submitted']}  admitted {doc['admitted']}  "
+            f"rejected {doc['rejected']}  "
+            f"completed {doc['completed']}  failed {doc['failed']}",
+            f"  dropped {doc['dropped']}  corrupted {doc['corrupted']}",
+            f"  wall {doc['wall_s']:.3f}s  "
+            f"throughput {doc['throughput_rps']:.0f} req/s",
+            f"  latency p50 {doc['p50_latency_ms']:.2f}ms  "
+            f"p99 {doc['p99_latency_ms']:.2f}ms  "
+            f"max {doc['max_latency_ms']:.2f}ms",
+            f"  batches: mean size {doc['mean_batch_size']:.2f}, "
+            f"max {doc['max_batch_size']}",
+        ]
+        service = doc["service"]
+        if service:
+            lines.append(
+                f"  keys: {service.get('keys_built', 0)} built, "
+                f"{service.get('keys_reused', 0)} reused; "
+                f"kernel batches {service.get('batches', 0)}"
+            )
+        for label, codes in (("rejections", doc["reject_codes"]),
+                             ("failures", doc["failure_codes"])):
+            if codes:
+                listed = ", ".join(f"{n}x {code}" for code, n in codes.items())
+                lines.append(f"  {label} by code: {listed}")
+        noisy = {
+            name: t for name, t in service.get("tenants", {}).items()
+            if t.get("rejected") or t.get("failed")
+        }
+        if noisy:
+            lines.append("  per-tenant (non-clean only):")
+            for name, t in sorted(noisy.items()):
+                lines.append(
+                    f"    {name}: submitted {t['submitted']}  "
+                    f"rejected {t['rejected']}  failed {t['failed']}"
+                )
+        return "\n".join(lines)
+
+    def audit(self) -> list[str]:
+        """What, if anything, makes this run a failure (exit 1).
+
+        Dropped, corrupted and failed responses are, and so are books
+        that do not balance.
+        """
+        problems = []
+        if self.dropped:
+            problems.append(f"{self.dropped} dropped response(s)")
+        if self.corrupted:
+            problems.append(f"{self.corrupted} corrupted response(s)")
+        if self.failed:
+            problems.append(f"{self.failed} failed request(s)")
+        if self.submitted != self.admitted + self.rejected + self.dropped:
+            problems.append("request books do not balance")
+        if self.admitted != self.completed + self.failed:
+            problems.append("settlement books do not balance")
+        return problems
+
 
 def register_tenants(service: BitPackerServe, spec: LoadSpec) -> None:
     """Create one session per simulated tenant (idempotent-free: call once)."""
@@ -216,15 +286,13 @@ def register_tenants(service: BitPackerServe, spec: LoadSpec) -> None:
         )
 
 
-async def run_load(
-    service: BitPackerServe, spec: LoadSpec, *, verify: bool = True
-) -> LoadReport:
+async def run_load(service: BitPackerServe, spec: LoadSpec) -> LoadReport:
     """Drive ``spec``'s schedule at the service and audit every response.
 
     The service must be started and its tenants registered
-    (:func:`register_tenants`).  With ``verify`` on, each ``ok``
-    response is recomputed serially from the seeded operands and
-    compared byte-for-byte (``corrupted`` counts mismatches).
+    (:func:`register_tenants`).  Each ``ok`` response is recomputed
+    serially from the seeded operands and compared byte-for-byte
+    (``corrupted`` counts mismatches).
     """
     sessions = {name: service.sessions[name] for name in (
         tenant_name(rank) for rank in range(spec.tenants)
@@ -275,29 +343,27 @@ async def run_load(
         report.completed += 1
         report.latencies_s.append(response.latency_s)
         report.batch_sizes.append(response.batch_size)
-        if verify:
-            session = sessions[arrival.tenant]
-            trace_op = session.trace.ops[arrival.op_index]
-            expected = _batch.execute_serial(_batch.OpRequest(
-                tenant=arrival.tenant, key=session.key,
-                op=_batch.EXECUTABLE_KINDS[trace_op.kind],
-                level=trace_op.level, a=a, b=b,
-            ))
-            if (
-                response.result is None
-                or response.result.shape != expected.shape
-                or not bool(np.array_equal(response.result, expected))
-            ):
-                report.corrupted += 1
+        session = sessions[arrival.tenant]
+        trace_op = session.trace.ops[arrival.op_index]
+        expected = _batch.execute_serial(_batch.OpRequest(
+            tenant=arrival.tenant, key=session.key,
+            op=_batch.EXECUTABLE_KINDS[trace_op.kind],
+            level=trace_op.level, a=a, b=b,
+        ))
+        if (
+            response.result is None
+            or response.result.shape != expected.shape
+            or not bool(np.array_equal(response.result, expected))
+        ):
+            report.corrupted += 1
     report.stats = service.stats()
     return report
 
 
-async def run_scenario(spec: LoadSpec, *, verify: bool = True,
-                       **service_kwargs) -> LoadReport:
+async def run_scenario(spec: LoadSpec, **service_kwargs) -> LoadReport:
     """Boot a fresh service, register tenants, run the load, drain."""
     async with BitPackerServe(**service_kwargs) as service:
         register_tenants(service, spec)
-        report = await run_load(service, spec, verify=verify)
+        report = await run_load(service, spec)
         service.check_books()
     return report

@@ -1,4 +1,4 @@
-"""`bitpacker-serve`: the async multi-tenant encrypted-compute service.
+"""The async multi-tenant encrypted-compute service behind ``repro serve``.
 
 Composes the repo's batch pieces into a long-running system:
 

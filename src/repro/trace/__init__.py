@@ -24,7 +24,6 @@ __all__ = [
     "TraceBuilder",
     "TraceExecutor",
     "content_digest",
-    "execute_trace",
     "CompiledTrace",
     "compile_trace",
     "compile_workloads",
@@ -41,10 +40,10 @@ def __getattr__(name: str):
     # repro.analysis for the sanitizer), so it is resolved lazily to
     # keep ``repro.trace`` importable from anywhere in that stack.
     # Likewise the compiler, which sits on repro.analysis.absint.
-    if name in ("TraceExecutor", "execute_trace"):
-        from repro.trace import execute
+    if name == "TraceExecutor":
+        from repro.trace.execute import TraceExecutor
 
-        return getattr(execute, name)
+        return TraceExecutor
     if name in _COMPILER_NAMES:
         from repro.trace import compiler
 

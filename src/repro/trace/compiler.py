@@ -128,26 +128,6 @@ class CompiledTrace:
     def changed(self) -> bool:
         return self.digest != self.source_digest
 
-    def to_dict(self) -> dict:
-        from repro.schemes import chain_to_dict
-
-        return {
-            "trace": self.trace.to_dict(),
-            "scheme": self.scheme,
-            "word_bits": self.word_bits,
-            "source_digest": self.source_digest,
-            "digest": self.digest,
-            "passes": [p.to_dict() for p in self.passes],
-            "levels_before": self.levels_before,
-            "levels_after": self.levels_after,
-            "log2_q_before": self.log2_q_before,
-            "log2_q_after": self.log2_q_after,
-            "noise_margin_before": self.noise_margin_before,
-            "noise_margin_after": self.noise_margin_after,
-            "ops_elided": self.ops_elided,
-            "chain": None if self.chain is None else chain_to_dict(self.chain),
-        }
-
 
 # -- rewrite passes ------------------------------------------------------
 # Each pass maps (trace, its VerifyResult) to (new trace, rewrite count,

@@ -98,10 +98,3 @@ class TraceExecutor:
                     )
                 observed.append((index, log[-1]))
         return observed
-
-
-def execute_trace(
-    ctx: "CkksContext", trace: HeTrace
-) -> list[tuple[int, sanitize.OpObservation]]:
-    """Convenience wrapper: run ``trace`` on a fresh executor."""
-    return TraceExecutor(ctx).run(trace)

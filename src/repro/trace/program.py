@@ -10,12 +10,13 @@ prices every trace op through that chain's per-level residue counts.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, json_field
 
 #: Serialized-trace schema version.  Readers accept any version up to and
 #: including this one (older encodings omitted the field entirely, which
@@ -25,31 +26,7 @@ TRACE_SCHEMA_VERSION = 1
 
 _INT = (int,)
 _REAL = (int, float)
-
-
-def _typed(value, types: tuple) -> bool:
-    """Whether ``value`` is one of ``types`` (a bool is never a number)."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _field(data: dict, key: str, types: tuple, where: str, optional=False):
-    """``data[key]`` if it is one of ``types``, ``None`` for an absent or
-    null optional field, and otherwise a one-line
-    :class:`~repro.errors.ParameterError`."""
-    value = data.get(key)
-    if value is None and optional:
-        return None
-    if key not in data:
-        raise ParameterError(f"malformed trace encoding: {where} has no {key!r}")
-    if not _typed(value, types):
-        noun = {_INT: "an integer", _REAL: "a number"}.get(
-            types, f"a {types[0].__name__}"
-        )
-        raise ParameterError(
-            f"malformed trace encoding: {where} {key!r} must be {noun}, "
-            f"not {type(value).__name__}"
-        )
-    return value
+_field = functools.partial(json_field, "trace")
 
 
 class OpKind(enum.Enum):
@@ -101,8 +78,6 @@ class TraceOp:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceOp":
-        if not isinstance(data, dict):
-            raise ParameterError("malformed trace encoding: an op is not an object")
         kind = _field(data, "kind", (str,), "op")
         try:
             kind = OpKind(kind)
@@ -191,7 +166,10 @@ class HeTrace:
                 f"(supports <= {TRACE_SCHEMA_VERSION}); upgrade bitpacker-repro"
             )
         scales = _field(data, "level_scale_bits", (list,), "trace")
-        if not scales or not all(_typed(bits, _REAL) for bits in scales):
+        if not scales or not all(
+            isinstance(bits, _REAL) and not isinstance(bits, bool)
+            for bits in scales
+        ):
             raise ParameterError(
                 "malformed trace encoding: level_scale_bits must be a "
                 "non-empty list of numbers"

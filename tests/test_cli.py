@@ -55,17 +55,10 @@ class TestPlanCommand:
         assert "rns-ckks chain" not in out
 
 
-class TestCompareCommand:
-    def test_compare_runs(self, capsys):
-        rc = main(["compare", "--word", "28"])
-        assert rc == 0
-        assert "gmean" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("argv", [
     ["plan", "--n", "1000"],  # ParameterError: not a power of two
     ["plan", "--word", "10"],  # PlanningError: no word-sized primes
-    ["compare", "--word", "12"],  # ParameterError: outside the model
+    ["serve", "--tenants", "0"],  # ParameterError: no tenants to load
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     """Bad parameters exit 2 with one ``error:`` line, not a traceback."""

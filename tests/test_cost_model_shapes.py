@@ -186,8 +186,8 @@ class TestBitIdenticalToOpByOp:
         trace = random_trace(seed)
         sim = AcceleratorSim(craterlake().with_register_file(register_file_mb))
         for chain in chains:
-            got = sim.run(trace, chain).to_dict()
-            want = reference_sim_run(sim, trace, chain).to_dict()
+            got = asdict(sim.run(trace, chain))
+            want = asdict(reference_sim_run(sim, trace, chain))
             assert got == want
             # Insertion order feeds kernel_table() and the JSON records.
             for table in ("kernel_cycles", "cycles_by_kind",

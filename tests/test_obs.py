@@ -343,13 +343,13 @@ class TestSeam:
         from repro.ckks import CkksContext
         from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
         from repro.schemes import plan_bitpacker_chain
-        from repro.trace import execute_trace
+        from repro.trace import TraceExecutor
         from repro.trace.compiler import compile_trace
         from tests.test_trace_compiler import exec_fixture_trace
         from tests.test_trace_execute import _fixture_trace
 
         def replay(ctx, trace):
-            return _oplog_digest(o for _, o in execute_trace(ctx, trace))
+            return _oplog_digest(o for _, o in TraceExecutor(ctx).run(trace))
 
         assert replay(bp_ctx, _fixture_trace()) == (10, "4bd87ce71c1f10b1")
         assert replay(rns_ctx, _fixture_trace()) == (10, "1ed76747a363347f")

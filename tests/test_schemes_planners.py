@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import LevelExhaustedError, ParameterError
 from repro.nt.primes import is_ntt_friendly, terminal_prime_candidates
 from repro.schemes import (
-    greedy_terminal_primes,
     plan_bitpacker_chain,
     plan_chain,
     plan_rns_ckks_chain,
@@ -193,13 +192,13 @@ class TestGreedy:
 
     def test_single_prime_match(self):
         cands = terminal_prime_candidates(28, N)
-        got = greedy_terminal_primes(24.0, cands)
+        got = greedy_prime_product(24.0, cands)
         assert got is not None and len(got) == 1
         assert abs(math.log2(got[0]) - 24.0) <= 0.5
 
     def test_multi_prime_match(self):
         cands = terminal_prime_candidates(28, N)
-        got = greedy_terminal_primes(70.0, cands, max_terminals=4)
+        got = greedy_prime_product(70.0, cands, max_count=4)
         assert got is not None
         total = sum(math.log2(p) for p in got)
         assert abs(total - 70.0) <= 0.5
@@ -207,12 +206,12 @@ class TestGreedy:
 
     def test_prefers_fewest(self):
         cands = terminal_prime_candidates(28, N)
-        got = greedy_terminal_primes(26.0, cands, max_terminals=4)
+        got = greedy_prime_product(26.0, cands, max_count=4)
         assert len(got) == 1
 
     def test_infeasible_returns_none(self):
-        assert greedy_terminal_primes(5.0, terminal_prime_candidates(28, N)) is None
-        assert greedy_terminal_primes(26.0, []) is None
+        assert greedy_prime_product(5.0, terminal_prime_candidates(28, N)) is None
+        assert greedy_prime_product(26.0, []) is None
 
     def test_overshoot_window(self):
         cands = terminal_prime_candidates(28, N)

@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import asyncio
 import json
-import types
 
 import numpy as np
 import pytest
 
 import repro.backends as backends
 from repro.analysis.absint import GATE
+from repro.cli import main as cli_main
 from repro.errors import ParameterError, ScheduleViolationError
 from repro.serve import batch as sbatch
 from repro.serve import service as sservice
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
 from repro.serve.loadgen import (
+    LoadReport,
     LoadSpec,
     build_schedule,
     operands_for,
@@ -646,12 +647,12 @@ class TestEndToEnd:
 
 
 class TestServeCli:
-    def test_cli_end_to_end(self, tmp_path, capsys):
-        from repro.serve.cli import main
+    """``repro serve``: the ordinary subcommand of ``repro.cli``."""
 
+    def test_cli_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "serve.json"
-        code = main([
-            "--tenants", "3", "--requests", "60", "--seed", "13",
+        code = cli_main([
+            "serve", "--tenants", "3", "--requests", "60", "--seed", "13",
             "--json", str(out),
         ])
         assert code == 0
@@ -661,50 +662,51 @@ class TestServeCli:
         assert doc["corrupted"] == 0
         assert doc["admitted"] == doc["completed"] + doc["failed"]
         rendered = capsys.readouterr().out
-        assert "bitpacker-serve load report" in rendered
+        assert "repro serve load report" in rendered
 
     def test_cli_rejects_unknown_backend(self, capsys):
         """There is one kernel engine and no flag that names another."""
-        from repro.serve.cli import main
-
         with pytest.raises(SystemExit) as exit_info:
-            main(["--backend", "numpy"])
+            cli_main(["serve", "--backend", "numpy"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_repro_cli_forwards_serve(self):
-        from repro.cli import main as repro_main
-
-        code = repro_main([
+    def test_quiet_prints_no_report(self, capsys):
+        code = cli_main([
             "serve", "--tenants", "2", "--requests", "30", "--quiet",
         ])
         assert code == 0
+        assert capsys.readouterr().out == ""
+
+    def test_help_lists_serve_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        for flag in ("--tenants", "--requests", "--burst-gap",
+                     "--queue-depth", "--high-water", "--request-timeout",
+                     "--profile", "--json", "--quiet"):
+            assert flag in usage
 
     def test_audit_flags_unbalanced_books(self):
-        from repro.serve.cli import audit_report
+        def report(**books):
+            return LoadReport(spec=LoadSpec(), **books)
 
-        clean = types.SimpleNamespace(
-            submitted=10, admitted=8, rejected=2, dropped=0,
-            corrupted=0, failed=0, completed=8,
+        clean = report(submitted=10, admitted=8, rejected=2, completed=8)
+        assert clean.audit() == []
+        unbalanced = report(submitted=10, admitted=8, rejected=1, completed=8)
+        assert any("books" in p for p in unbalanced.audit())
+        failed = report(
+            submitted=10, admitted=9, rejected=1, failed=2, completed=7
         )
-        assert audit_report(clean) == []
-        unbalanced = types.SimpleNamespace(
-            submitted=10, admitted=8, rejected=1, dropped=0,
-            corrupted=0, failed=0, completed=8,
-        )
-        assert any("books" in p for p in audit_report(unbalanced))
-        failed = types.SimpleNamespace(
-            submitted=10, admitted=9, rejected=1, dropped=0,
-            corrupted=0, failed=2, completed=7,
-        )
-        assert any("failed" in p for p in audit_report(failed))
+        assert any("failed" in p for p in failed.audit())
 
     def test_sigint_exits_130(self, monkeypatch, capsys):
-        from repro.serve import cli
+        from repro.serve import loadgen
 
         async def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "run_scenario", interrupted)
-        assert cli.main(["--requests", "10", "--quiet"]) == 130
+        monkeypatch.setattr(loadgen, "run_scenario", interrupted)
+        assert cli_main(["serve", "--requests", "10", "--quiet"]) == 130
         assert "interrupted" in capsys.readouterr().err

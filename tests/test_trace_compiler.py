@@ -27,7 +27,7 @@ from repro.analysis.mutations import MUTATIONS
 from repro.ckks import CkksContext
 from repro.cli import main
 from repro.errors import ParameterError, ScheduleViolationError
-from repro.trace import compiler, execute_trace
+from repro.trace import TraceExecutor, compiler
 from repro.trace.compiler import (
     MIN_NOISE_MARGIN_BITS,
     CompiledTrace,
@@ -61,9 +61,9 @@ def exec_fixture_trace() -> HeTrace:
     )
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def compiled_workloads() -> list[CompiledTrace]:
-    """All 20 bundled traces through the compiler, once per module."""
+    """All 20 bundled traces through the compiler, once per session."""
     return compile_workloads(plan=False)
 
 
@@ -172,7 +172,7 @@ class TestExecutorCrossCheck:
         assert c.levels_saved > 0  # the replay exercises a real rewrite
         ctx = CkksContext(c.chain, seed=101)
         result = verify_or_raise(c.trace)
-        observed = execute_trace(ctx, c.trace)
+        observed = TraceExecutor(ctx).run(c.trace)
         assert check_observations(result, observed) == []
 
 
@@ -515,13 +515,26 @@ class TestCompileTraceCli:
         assert entry["scheme"] == "bitpacker"
         assert entry["source_digest"] != entry["digest"]
 
-    def test_require_savings_succeeds_on_bundled(self, capsys):
+    def test_require_savings_succeeds_on_bundled(
+        self, capsys, monkeypatch, compiled_workloads
+    ):
+        # The bundled sweep is the session fixture's; the command reports
+        # and gates it rather than compiling it a second time.
+        calls = []
+
+        def sweep(schemes, word_bits, *, plan):
+            calls.append((tuple(schemes), word_bits, plan))
+            return [c for c in compiled_workloads if c.scheme in schemes]
+
+        monkeypatch.setattr(compiler, "compile_workloads", sweep)
         rc = main([
             "compile-trace", "--schemes", "bitpacker", "--no-plan",
             "--require-savings", "--format", "json",
         ])
         assert rc == 0
+        assert calls == [(("bitpacker",), 28, False)]
         doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["workloads"] == 10
         assert doc["totals"]["levels_saved"] > 0
 
     def test_require_savings_fails_when_nothing_saved(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.absint import check_observations, verify_or_raise
-from repro.trace import TraceExecutor, execute_trace
+from repro.trace import TraceExecutor
 from repro.trace.program import HeTrace, OpKind, TraceOp
 from tests.conftest import TEST_LEVELS, TEST_N, TEST_SCALE_BITS
 
@@ -46,12 +46,12 @@ class TestCrossCheck:
         # the interval the abstract interpreter predicted for that op.
         trace = _fixture_trace()
         result = verify_or_raise(trace)
-        observed = execute_trace(ctx, trace)
+        observed = TraceExecutor(ctx).run(trace)
         assert check_observations(result, observed) == []
 
     def test_one_observation_per_nonempty_op(self, bp_ctx):
         trace = _fixture_trace()
-        observed = execute_trace(bp_ctx, trace)
+        observed = TraceExecutor(bp_ctx).run(trace)
         live = [i for i, op in enumerate(trace.ops) if op.count > 0]
         assert [index for index, _ in observed] == live
 
@@ -68,7 +68,7 @@ class TestCrossCheck:
                 TraceOp(OpKind.RESCALE, TEST_LEVELS),
             ],
         )
-        observed = execute_trace(bp_ctx, trace)
+        observed = TraceExecutor(bp_ctx).run(trace)
         assert observed[0][1].scale_bits == pytest.approx(
             2 * TEST_SCALE_BITS, abs=3.0
         )
