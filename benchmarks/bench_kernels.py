@@ -3,13 +3,16 @@
 
 Times the kernels every CKKS operation decomposes into — forward /
 inverse NTT, full RNS polynomial multiply, hybrid keyswitch, rescale
-(``scale_down``), and fast base conversion — across ring degrees
+(``scale_down``), fast base conversion, and the stacked
+multiply-accumulate (``mul_acc_m2``/``mul_acc_m16``: ``m`` products
+summed in one ``pointwise_mul_acc`` call) — across ring degrees
 ``n ∈ {2^12 .. 2^15}`` and the three modulus *widths* (narrow
 ``< 2^31``, wide ``2^31..2^61``, big ``≥ 2^61``).
 
 Each ``(kernel, n, width)`` point is measured once, plus once against
 the pre-vectorization per-block / per-row baseline preserved in
-:mod:`repro.nt.ntt_reference` (and the legacy row-loop helpers below);
+:mod:`repro.nt.ntt_reference` (and the legacy row-loop helpers below;
+for the stacked multiply-accumulate, the 2-D call once per term);
 ``speedup_vs_baseline`` is what the vectorization bought.
 
 Results are written to ``BENCH_kernels.json`` at the repo root as
@@ -37,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import backends
 from repro.nt import modmath
 from repro.nt.ntt import ntt_context
 from repro.nt.ntt_reference import reference_ntt_context
@@ -246,6 +250,33 @@ def make_keyswitch(n, width, rng):
     return vec, base
 
 
+def make_mul_acc(m):
+    """``acc + Σ_m a[m] · b[m]`` over an ``(m, 4, n)`` stack in one
+    ``pointwise_mul_acc`` call, against the 2-D call once per term."""
+
+    def make(n, width, rng):
+        basis = RnsBasis(n, primes_for(width, n, 4))
+        a, b = (
+            np.stack([sample_uniform(basis, rng, NTT).mat for _ in range(m)])
+            for _ in range(2)
+        )
+        acc = sample_uniform(basis, rng, NTT).mat
+        q_col, kind = basis.q_col, basis.kind
+
+        def vec():
+            return backends.pointwise_mul_acc(acc, a, b, q_col, kind)
+
+        def base():
+            out = acc
+            for x, y in zip(a, b):
+                out = backends.pointwise_mul_acc(out, x, y, q_col, kind)
+            return out
+
+        return vec, base
+
+    return make
+
+
 KERNELS = {
     "ntt_forward": make_ntt_forward,
     "ntt_inverse": make_ntt_inverse,
@@ -253,6 +284,8 @@ KERNELS = {
     "keyswitch": make_keyswitch,
     "rescale": make_rescale,
     "base_convert": make_base_convert,
+    "mul_acc_m2": make_mul_acc(2),
+    "mul_acc_m16": make_mul_acc(16),
 }
 
 

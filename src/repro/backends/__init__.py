@@ -16,8 +16,10 @@ would have to enter (DESIGN.md Sec. 10 has the admission contract):
   :func:`repro.rns.convert.base_convert` (and through it ``scale_down``
   and hybrid keyswitching);
 - ``pointwise_mul`` / ``pointwise_mul_acc`` — the NTT-domain Hadamard
-  product ``a · b mod q`` and the keyswitch inner loop's fused
-  ``acc + a · b mod q`` over a ``(k, n)`` row stack.
+  product ``a · b mod q`` over a ``(k, n)`` row stack, and the fused
+  multiply-accumulate ``acc + Σ_m a[m] · b[m] mod q`` over a stack of
+  ``m`` such products (a keyswitch's digits against its key rows, a
+  linear transform's inner sum), reduced lazily.
 
 ``kind`` is the width class of the moduli involved (``narrow`` < 2^31,
 ``wide`` < 2^61, else ``big``: object rows of Python ints).  All five
@@ -88,8 +90,12 @@ def pointwise_mul(
 
 
 def pointwise_mul_acc(
-    acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
+    acc: np.ndarray | None, a, b, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
+    """``acc + a · b mod q`` for ``(k, n)`` matrices; for ``(m, k, n)``
+    stacks (or sequences of ``m`` arrays) ``a`` and ``b``,
+    ``acc + Σ_m a[m] · b[m] mod q``, each term broadcast to ``acc``.
+    ``acc=None`` sums the products alone."""
     out = _numpy.pointwise_mul_acc(acc, a, b, q_col, kind)
     if _obs.ACTIVE:
         _obs.kernel("backend.numpy.pointwise_mul_acc")

@@ -12,8 +12,12 @@
   lazily and reduced once (Shoup takes unreduced digits, so there is
   no pre-reduction pass; β = 2^62 unless a source modulus reaches
   2^63); for big ones a Python-int matrix product;
-- the pointwise kernels are single broadcast :mod:`repro.nt.modmath`
-  calls against the ``(k, 1)`` modulus column.
+- ``pointwise_mul`` is one broadcast :mod:`repro.nt.modmath` call
+  against the ``(k, 1)`` modulus column; ``pointwise_mul_acc`` sums a
+  stack of products into one output buffer, term by term — for narrow
+  moduli unreduced, with one ``%`` per chunk of terms the largest
+  modulus allows, for wide ones through lazily folded Shoup products,
+  for big ones in Python ints.
 
 Call sites go through the dispatch functions of :mod:`repro.backends`,
 which count each call.
@@ -130,6 +134,76 @@ def pointwise_mul(
 
 
 def pointwise_mul_acc(
-    acc: np.ndarray, a: np.ndarray, b: np.ndarray, q_col: np.ndarray, kind: str
+    acc: np.ndarray | None, a, b, q_col: np.ndarray, kind: str
 ) -> np.ndarray:
-    return modmath.mod_add(acc, modmath.mod_mul(a, b, q_col, kind), q_col)
+    """``acc + Σ_m a[m] · b[m] mod q`` (``acc`` ``None`` reads as zero).
+
+    ``a`` and ``b`` are one ``(k, n)`` term each or stacks of terms:
+    ``(m, k, n)`` arrays, or sequences of ``m`` arrays, where
+    ``a[m] · b[m]`` broadcasts to ``acc``'s shape.  Every operand is
+    reduced.  No ``(m, k, n)`` product is ever built: the first term's
+    product is the output buffer, and every later one is multiplied
+    into one scratch buffer and added to it.
+    """
+    if isinstance(a, np.ndarray) and a.ndim == 2:
+        a, b = (a,), (b,)
+    if kind == "narrow":
+        return _narrow_mul_acc(acc, a, b, q_col)
+    if kind == "wide":
+        return _wide_mul_acc(acc, a, b, q_col)
+    out = acc
+    for x, y in zip(a, b):
+        # Object rows: exact Python ints.
+        out = x * y if out is None else out + x * y  # fhelint: ok[overflow-hazard]
+    return out % q_col
+
+
+def _narrow_mul_acc(acc, a, b, q_col: np.ndarray) -> np.ndarray:
+    """Unreduced uint64 products summed in place, reduced once per chunk.
+
+    Each product is at most ``(p - 1)^2`` for the largest modulus ``p``,
+    and a chunk starts from a sum below ``p``, so ``chunk`` products fit
+    a word (as in :func:`_narrow_fold`): 256 at 28-bit moduli, 4 just
+    below 2^31.
+    """
+    p = int(q_col.max())
+    chunk = ((1 << 64) - p) // ((p - 1) ** 2)
+    out = prod = None
+    # Narrow operands are below 2^31: each product fits uint64, and
+    # chunking bounds the running sum.
+    for i, (x, y) in enumerate(zip(a, b), 1):
+        if out is None:
+            out = np.multiply(x, y)  # fhelint: ok[overflow-hazard]
+            if acc is not None:
+                out += acc
+            continue
+        if prod is None:
+            prod = np.empty_like(out)
+        out += np.multiply(x, y, out=prod)  # fhelint: ok[overflow-hazard]
+        if i % chunk == 0:
+            out %= q_col
+    out %= q_col
+    return out
+
+
+def _wide_mul_acc(acc, a, b, q_col: np.ndarray) -> np.ndarray:
+    """Each product ``hi · 2^64 + lo`` as a lazy Shoup multiply of
+    ``hi`` by ``2^64 mod q`` (``[0, 4q)``) plus ``lo mod q``; the sum
+    stays below ``2q`` between terms (``2q + 5q < 2^64``) and is reduced
+    once at the end."""
+    r64, r64_limbs = modmath.two64_mod(q_col)
+    two_q = q_col << np.uint64(1)
+    four_q = two_q << np.uint64(1)
+    out = acc
+    for x, y in zip(a, b):
+        hi = modmath.mulhi64(x, y)
+        term = modmath.mod_mul_shoup62_lazy(hi, r64, r64_limbs, q_col)
+        term += x * y % q_col  # fhelint: ok[overflow-hazard] low word
+        if out is None:
+            out = term
+        else:
+            term += out
+            out = term
+        modmath.lazy_fold(out, four_q, out=out)
+        modmath.lazy_fold(out, two_q, out=out)
+    return modmath.lazy_fold(out, q_col, out=out)

@@ -19,10 +19,11 @@ not before, which is the (I)NTT count :mod:`repro.accel.kernels` charges.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro import backends as _backends
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest, KeySwitchKey
@@ -45,6 +46,24 @@ if TYPE_CHECKING:  # pragma: no cover
 SCALE_RTOL = Fraction(1, 1 << 24)
 
 
+def check_addable(a, b) -> None:
+    """Raise :class:`ScaleMismatchError` unless ``a`` and ``b`` (anything
+    with a ``level`` and a ``scale``) sit at one level with scales
+    within ``SCALE_RTOL``: what :meth:`Evaluator.add` demands."""
+    if a.level != b.level:
+        raise ScaleMismatchError(
+            f"cannot add ciphertexts at levels {a.level} and {b.level}; "
+            "adjust one of them first"
+        )
+    if a.scale != b.scale:
+        ratio = a.scale / b.scale
+        if abs(ratio - 1) > SCALE_RTOL:
+            raise ScaleMismatchError(
+                f"scales differ beyond tolerance: {float(a.scale):.6g} vs "
+                f"{float(b.scale):.6g}"
+            )
+
+
 class Evaluator:
     """Homomorphic operations over one modulus chain."""
 
@@ -56,20 +75,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Additive operations
     # ------------------------------------------------------------------
-    def _check_addable(self, a: Ciphertext, b: Ciphertext) -> None:
-        if a.level != b.level:
-            raise ScaleMismatchError(
-                f"cannot add ciphertexts at levels {a.level} and {b.level}; "
-                "adjust one of them first"
-            )
-        if a.scale != b.scale:
-            ratio = a.scale / b.scale
-            if abs(ratio - 1) > SCALE_RTOL:
-                raise ScaleMismatchError(
-                    f"scales differ beyond tolerance: {float(a.scale):.6g} vs "
-                    f"{float(b.scale):.6g}"
-                )
-
     @staticmethod
     def _settled(a: Ciphertext, b: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Both operands in one domain: coefficient form if they differ."""
@@ -78,7 +83,7 @@ class Evaluator:
         return a.to_coeff(), b.to_coeff()
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_addable(a, b)
+        check_addable(a, b)
         a, b = self._settled(a, b)
         out = Ciphertext(
             c0=a.c0.add(b.c0), c1=a.c1.add(b.c1), level=a.level, scale=a.scale
@@ -86,7 +91,7 @@ class Evaluator:
         return _done(out, "hadd")
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_addable(a, b)
+        check_addable(a, b)
         a, b = self._settled(a, b)
         out = Ciphertext(
             c0=a.c0.sub(b.c0), c1=a.c1.sub(b.c1), level=a.level, scale=a.scale
@@ -182,6 +187,49 @@ class Evaluator:
         )
         return _done(out, "pmul")
 
+    def mul_encoded_sum(
+        self, pairs: Sequence[tuple[Ciphertext, Plaintext]]
+    ) -> Ciphertext:
+        """``Σ mul_encoded(ct, plain)`` over ``pairs``, in NTT form.
+
+        One multiply-accumulate kernel call per polynomial sums every
+        term, reducing lazily (:func:`repro.backends.pointwise_mul_acc`);
+        the arithmetic is exact, so the result is bit-identical to the
+        products added one by one.  The terms must be addable, as
+        :meth:`add` would demand, and the sum takes the first one's
+        scale.  The op log still reads one ``pmul`` per term and one
+        ``hadd`` per merge.
+        """
+        first, plain = pairs[0]
+        basis, scale = first.basis, first.scale * plain.scale
+        for ct, pt in pairs[1:]:
+            if pt.basis != basis:
+                raise ScaleMismatchError(f"basis mismatch: {pt.basis} vs {basis}")
+            if (ct.level, ct.scale, pt.scale) != (
+                first.level, first.scale, plain.scale
+            ):
+                term = _Logical(ct.level, ct.scale * pt.scale)
+                check_addable(_Logical(first.level, scale), term)
+        polys = to_domain([p for ct, pt in pairs for p in (pt.poly, ct.c0, ct.c1)], NTT)
+        plains = [poly.mat for poly in polys[::3]]
+        c0, c1 = (
+            RnsPolynomial(
+                basis,
+                _backends.pointwise_mul_acc(
+                    None, [poly.mat for poly in polys[i::3]], plains,
+                    basis.q_col, basis.kind,
+                ),
+                NTT,
+            )
+            for i in (1, 2)
+        )
+        if _obs.ACTIVE:
+            for i, (ct, pt) in enumerate(pairs):
+                _done(_Logical(ct.level, ct.scale * pt.scale), "pmul")
+                if i:
+                    _done(_Logical(first.level, scale), "hadd")
+        return Ciphertext(c0, c1, first.level, scale)
+
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic multiply with relinearization (no rescale).
 
@@ -228,6 +276,55 @@ class Evaluator:
         the signed coefficient permutation ``X -> X^g``."""
         slots, two_n = self.encoder.slots, 2 * self.chain.n
         return self._apply_galois(ct, [pow(5, s % slots, two_n) for s in steps])
+
+    def rotate_sum(self, terms: Iterable[tuple[int, Ciphertext]]) -> Ciphertext:
+        """``Σ rotate(ct, steps)`` over ``(steps, ct)`` terms, with one
+        mod-down for the whole sum, in coefficient form.
+
+        Each rotation's key product stays over ``M ∪ P`` in NTT form and
+        accumulates there; its ``galois(c0)`` and every unrotated term
+        join lifted by ``P`` (``scale_up``: ``round((x + P·f) / P) =
+        round(x / P) + f`` exactly, as :meth:`_inner_product`'s
+        ``fold``).  The sum then takes one inverse transform and one
+        ``scale_down`` pair, where separate rotations take one each
+        ("double hoisting", Bossuat et al., Eurocrypt 2021); its only
+        rounding is that one division.  A lone unrotated term is
+        returned as it is.  Terms are drawn one at a time, so a lazy
+        ``terms`` interleaves its own ops with the ``hrot`` and ``hadd``
+        this logs.
+        """
+        slots, two_n = self.encoder.slots, 2 * self.chain.n
+        first = acc = None
+        unrotated: list[Ciphertext] = []
+        for i, (steps, ct) in enumerate(terms):
+            if i:
+                check_addable(first, ct)
+            else:
+                first = ct
+            g = pow(5, steps % slots, two_n)
+            if g == 1:
+                unrotated.append(ct)
+            else:
+                c0, c1 = to_domain((ct.c0, ct.c1), NTT)
+                ksk = self.chest.galois_key(ct.level, g)
+                turned = np.take(
+                    self._extended_digits(c1, ksk),
+                    galois_permutation(ct.basis.n, g), axis=2,
+                )
+                acc0, acc1 = self._key_products(turned, ksk, acc)
+                acc = (acc0.add(scale_up(c0.galois(g), ksk.special_moduli)), acc1)
+                _done(ct, "hrot", "rotate")
+            if i:
+                _done(first, "hadd")
+        if first is None:
+            raise ParameterError("rotate_sum needs at least one term")
+        if acc is None and len(unrotated) == 1:
+            return first
+        specials = self.chain.special_moduli
+        for ct in unrotated:
+            lifted = [scale_up(p, specials) for p in to_domain((ct.c0, ct.c1), NTT)]
+            acc = lifted if acc is None else [a.add(b) for a, b in zip(acc, lifted)]
+        return Ciphertext(*_mod_down(acc, specials), first.level, first.scale)
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex-conjugate the encrypted slots."""
@@ -328,26 +425,57 @@ class Evaluator:
         to the outputs: they enter the accumulators lifted by ``P``
         (``scale_up``: times ``P`` on ``M``, zero on ``P``), and
         ``round((acc + P·f) / P) = round(acc / P) + f`` exactly, so the
-        caller's ``f + k`` costs no inverse transform of ``f``.  The two
-        accumulators share their one inverse transform.
+        caller's ``f + k`` costs no inverse transform of ``f``.
         """
-        specials, full = ksk.special_moduli, ksk.full
-        acc0, acc1 = (scale_up(f, specials) for f in fold) if fold else (None, None)
-        for digit, (b_row, a_row) in zip(ext, ksk.rows):
-            digit = RnsPolynomial(full, digit, NTT)
-            if acc0 is None:
-                acc0 = digit.pointwise_mul(b_row)
-                acc1 = digit.pointwise_mul(a_row)
-            else:
-                # Fused multiply-accumulate: one kernel call per
-                # digit instead of a product plus an add pass.
-                acc0 = acc0.pointwise_mul_acc(digit, b_row)
-                acc1 = acc1.pointwise_mul_acc(digit, a_row)
-        acc0, acc1 = to_domain((acc0, acc1), COEFF)
-        return _done(
-            (scale_down(acc0, specials), scale_down(acc1, specials)),
-            None, "keyswitch",
+        specials = ksk.special_moduli
+        lifted = fold and (scale_up(f, specials) for f in fold)
+        return _mod_down(Evaluator._key_products(ext, ksk, lifted), specials)
+
+    @staticmethod
+    def _key_products(
+        ext: np.ndarray,
+        ksk: KeySwitchKey,
+        acc: Iterable[RnsPolynomial] | None = None,
+    ) -> tuple[RnsPolynomial, RnsPolynomial]:
+        """``acc + Σ_j ext[j] ⊙ rows[j]``: a keyswitch before its mod-down.
+
+        ``acc`` yields two NTT-form polynomials over ``M ∪ P`` (zero
+        when ``None``), read one at a time, so a lazy ``acc`` builds
+        each only when its accumulator is due.  One multiply-accumulate
+        kernel call per accumulator, over every digit against the key's
+        row stack.
+        """
+        full = ksk.full
+        out = tuple(
+            RnsPolynomial(
+                full,
+                _backends.pointwise_mul_acc(
+                    None if init is None else init.mat, ext, rows,
+                    full.q_col, full.kind,
+                ),
+                NTT,
+            )
+            for init, rows in zip(acc or (None, None), ksk.stack)
         )
+        return _done(out, None, "keyswitch")
+
+
+def _mod_down(
+    acc: Sequence[RnsPolynomial], specials: Sequence[int]
+) -> tuple[RnsPolynomial, RnsPolynomial]:
+    """``round(acc / P)``: NTT-form accumulators over ``M ∪ P`` to
+    coefficient form over ``M``, both in one inverse transform."""
+    acc0, acc1 = to_domain(acc, COEFF)
+    del acc  # drop the NTT-form pair before the scale_downs allocate
+    return scale_down(acc0, specials), scale_down(acc1, specials)
+
+
+class _Logical(NamedTuple):
+    """What the op log and the scale check read of a result that is
+    never built on its own (one term of :meth:`Evaluator.mul_encoded_sum`)."""
+
+    level: int
+    scale: Fraction
 
 
 def _done(out, kind: str | None, name: str | None = None):

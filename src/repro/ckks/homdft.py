@@ -25,7 +25,10 @@ conjugation, and SlotToCoeff is the 1 x 2 block product
 :func:`repro.ckks.linalg.bsgs_sums`, which rotates every input's baby
 steps once (hoisted) and every output's giant steps once (at n = 128,
 28 and 21 rotations instead of 56 and 28), against diagonals the
-matrices keep encoded from one bootstrap to the next.  This module
+matrices keep encoded from one bootstrap to the next.  Each inner sum
+is one multiply-accumulate, and the giant steps of an output share one
+mod-down (CtS takes 2 where its 14 giant rotations took one each, StC
+1 for 7).  This module
 computes those matrices exactly from the encoder's evaluation
 points and applies them with real homomorphic operations — together with
 :mod:`repro.ckks.evalmod` it makes every computational stage of

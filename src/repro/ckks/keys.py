@@ -99,12 +99,18 @@ class KeySwitchKey:
     a prefix); ``tables[j]``, its conversion to all the other rows; and
     ``converted_rows``, where those land in the ``(D · |M ∪ P|, n)``
     stack of all extended digits, digit by digit.
+
+    The rows are stored once, as ``stack`` (``(2, D, |M ∪ P|, n)``:
+    ``stack[0]`` every ``b_j``, ``stack[1]`` every ``a_j``, NTT form
+    over ``full``), which a keyswitch's multiply-accumulate reads whole;
+    ``rows`` are views into it.
     """
 
     level: int
     digit_groups: tuple[tuple[int, ...], ...]
     special_moduli: tuple[int, ...]
-    rows: tuple[tuple[RnsPolynomial, RnsPolynomial], ...]
+    full: RnsBasis
+    stack: np.ndarray
     own: tuple[slice, ...]
     tables: tuple[ConversionTable, ...]
     converted_rows: np.ndarray
@@ -113,10 +119,13 @@ class KeySwitchKey:
     def digits(self) -> int:
         return len(self.digit_groups)
 
-    @property
-    def full(self) -> RnsBasis:
-        """The extended basis ``M ∪ P`` the key rows live over."""
-        return self.rows[0][0].basis
+    @cached_property
+    def rows(self) -> tuple[tuple[RnsPolynomial, RnsPolynomial], ...]:
+        """``(b_j, a_j)`` per digit, as views into :attr:`stack`."""
+        return tuple(
+            (RnsPolynomial(self.full, b, NTT), RnsPolynomial(self.full, a, NTT))
+            for b, a in zip(*self.stack)
+        )
 
     @cached_property
     def converted_moduli(self) -> tuple[int, ...]:
@@ -209,7 +218,8 @@ class KeyChest:
         groups = split_into_digits(moduli, chain.ks_digits)
         big_q = prod(moduli)
         p_prod = prod(specials)
-        rows, own, tables, converted_rows = [], [], [], []
+        stack = np.empty((2, len(groups), full.size, full.n), dtype=full.dtype)
+        own, tables, converted_rows = [], [], []
         for j, group in enumerate(groups):
             start = own[-1].stop if own else 0
             own.append(slice(start, start + len(group)))
@@ -230,12 +240,13 @@ class KeyChest:
                 full, sample_gaussian_coeffs(full.n, self.rng, self.sigma)
             ).to_ntt()
             b = e.add(target.scalar_mul(c_j)).sub(a.pointwise_mul(s))
-            rows.append((b, a))
+            stack[0, j], stack[1, j] = b.mat, a.mat
         return KeySwitchKey(
             level=level,
             digit_groups=groups,
             special_moduli=specials,
-            rows=tuple(rows),
+            full=full,
+            stack=stack,
             own=tuple(own),
             tables=tuple(tables),
             converted_rows=np.concatenate(converted_rows),

@@ -16,8 +16,10 @@ rotations are needed instead of ``D``:
 
 :func:`bsgs_sums` evaluates a whole block product ``out_r = Σ_t
 M_{r,t}·x_t`` in one pass (CoeffToSlot is a 2 x 2 block, SlotToCoeff a
-1 x 2): baby steps once per input, hoisted; giant steps once per output;
-diagonals kept encoded on the :class:`PlainMatrix` per level used.
+1 x 2): baby steps once per input, hoisted; each inner sum one
+multiply-accumulate; giant steps accumulated before one mod-down per
+output; diagonals kept encoded on the :class:`PlainMatrix` per level
+used.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext, Plaintext
+from repro.ckks.evaluator import check_addable
 from repro.errors import ParameterError
 from repro.rns.poly import NTT, RnsPolynomial, to_domain
 
@@ -173,13 +176,26 @@ def bsgs_sums(
     """``out[r] = Σ_t rows[r][t] · inputs[t]``: a block matrix-vector
     product by the BSGS diagonal method, one rescale per output.
 
-    Matrices share one dimension ``d``, inputs one level.  The baby
-    steps ``rot(x_t, b)``, ``b < g``, are computed once per *input* —
-    hoisted, then moved to NTT form in one stacked transform — and serve
-    every row.  A row's terms merge before the giant rotation
-    (``Σ_t rot(s_t, i) = rot(Σ_t s_t, i)``), so it costs ``d/g - 1`` of
-    them however many terms it has.  Products and inner sums stay in
-    NTT form; a giant rotation is the one inverse its inner sum sees.
+    Matrices share one dimension ``d``, inputs one level and (within
+    ``SCALE_RTOL``) one scale.  The baby steps ``rot(x_t, b)``, ``b <
+    g``, are computed once per *input* — hoisted, then moved to NTT form
+    in one stacked transform — and serve every row.  A row's terms merge
+    before the giant rotation (``Σ_t rot(s_t, i) = rot(Σ_t s_t, i)``),
+    so it costs ``d/g - 1`` of them however many terms it has.  Each
+    output is built in four steps:
+
+    (i) every inner sum over all of its (input, baby step) terms is one
+    multiply-accumulate per polynomial (:meth:`Evaluator.mul_encoded_sum`),
+    exact and in NTT form;
+    (ii) each rotated one takes one decomposition and key product;
+    (iii) the key products and the lifted unrotated terms accumulate
+    over ``M ∪ P`` (:meth:`Evaluator.rotate_sum`);
+    (iv) the output takes one mod-down — one inverse transform and one
+    ``scale_down`` pair — before its rescale.
+
+    With a single giant step (``d ≤ g``) nothing is rotated, and the
+    output is the rescaled inner sum, bit for bit what per-diagonal
+    ``mul_encoded`` and ``add`` compute.
     """
     d, level = rows[0][0].dimension, inputs[0].level
     if any(len(row) != len(inputs) for row in rows) or any(
@@ -188,6 +204,8 @@ def bsgs_sums(
         raise ParameterError(f"need one {d}-dimensional matrix per input in every row")
     if any(ct.level != level for ct in inputs):
         raise ParameterError("bsgs_sums inputs must share one level")
+    for ct in inputs[1:]:
+        check_addable(inputs[0], ct)
     g = giant_step or max(1, round(math.sqrt(d)))
     babies = [
         _all_to_ntt(evaluator.rotate_hoisted(ct, range(min(g, d)))) for ct in inputs
@@ -195,22 +213,25 @@ def bsgs_sums(
     outs = []
     for row in rows:
         plans = [m.encoded(evaluator, level, g) for m in row]
-        acc = None
-        for i in range(0, d, g):
-            inner = None
-            for plan, baby in zip(plans, babies):
-                for b in range(min(g, d - i)):
-                    if i + b in plan:
-                        term = evaluator.mul_encoded(baby[b], plan[i + b])
-                        inner = term if inner is None else evaluator.add(inner, term)
-            if inner is None:
-                continue
-            outer = evaluator.rotate(inner, i) if i else inner
-            acc = outer if acc is None else evaluator.add(acc, outer)
-        if acc is None:
+        if not any(plans):
             raise ParameterError("matrix is identically zero")
-        outs.append(evaluator.rescale(acc))
+        giants = _inner_sums(evaluator, plans, babies, d, g)
+        outs.append(evaluator.rescale(evaluator.rotate_sum(giants)))
     return outs
+
+
+def _inner_sums(evaluator, plans, babies, d: int, g: int):
+    """``(i, Σ_t Σ_b babies[t][b] ⊙ plans[t][i + b])`` for each giant
+    step ``i`` with a nonzero term, computed as it is drawn."""
+    for i in range(0, d, g):
+        pairs = [
+            (baby[b], plan[i + b])
+            for plan, baby in zip(plans, babies)
+            for b in range(min(g, d - i))
+            if i + b in plan
+        ]
+        if pairs:
+            yield i, evaluator.mul_encoded_sum(pairs)
 
 
 def _all_to_ntt(cts: Sequence[Ciphertext]) -> list[Ciphertext]:

@@ -18,11 +18,9 @@ from repro.eval.common import (
 )
 
 
-def run(word_bits: int = 28, ks_digits: int = 3,
-        max_log_q: float = 1596.0) -> list[ComparisonRow]:
+def run() -> list[ComparisonRow]:
     calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
-             ks_digits=ks_digits, max_log_q=max_log_q)
+        dict(app=app, bs=bs, scheme=scheme)
         for app, bs in WORKLOAD_GRID
         for scheme in SCHEMES
     ]

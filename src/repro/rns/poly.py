@@ -169,10 +169,9 @@ class RnsPolynomial:
     def pointwise_mul_acc(
         self, a: "RnsPolynomial", b: "RnsPolynomial"
     ) -> "RnsPolynomial":
-        """``self + a · b`` fused — the keyswitch inner-loop accumulate.
-
-        One kernel call instead of a multiply followed by an add
-        (two full passes over the residue matrix).
+        """``self + a · b`` fused: one kernel call instead of a multiply
+        followed by an add (the keyswitch and the BSGS inner sums call
+        the kernel on whole stacks of products).
         """
         self._check_compatible(a)
         a._check_compatible(b)

@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.backends as backends
 from repro.backends.numpy_backend import _narrow_fold
@@ -424,6 +426,97 @@ class TestWideFoldWords:
         got = backends.bconv_fold(stack, weights, dst, top + 1, "wide")
         assert got.tolist() == _fold_oracle(stack, weights, dst)
         assert calls == {word: kk, 126 - word: 0}
+
+
+#: Stacked multiply-accumulate chains: label -> (kind, moduli).  The
+#: 31-bit primes hold narrow chunks to 4 terms, so ``m > 4`` crosses
+#: the bound; the wide pair spans 2^60..2^61 (every limb carries).
+MUL_ACC_CHAINS = {
+    "narrow28": ("narrow", primes(1 << 28, 16, 3)),
+    "narrow31": ("narrow", primes(1 << 31, 16, 3)),
+    "wide": ("wide", primes(1 << 61, 16, 2) + primes(1 << 60, 16, 1)),
+    "big": ("big", primes(1 << 63, 16, 2)),
+}
+
+
+class TestStackedMulAcc:
+    """``pointwise_mul_acc`` over ``(m, k, n)`` stacks equals the
+    per-term reference — the 2-D call once per term, and the Python-int
+    sum — on every width class, across the narrow chunk bound."""
+
+    N = 16
+
+    @staticmethod
+    def _rows(moduli, kind, rng, fill, lead=()):
+        shape = (*lead, len(moduli), TestStackedMulAcc.N)
+        q = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        mat = (
+            np.broadcast_to(q - np.uint64(1), shape).copy()
+            if fill == "max"
+            else rng.integers(0, q, shape, dtype=np.uint64)
+        )
+        return mat.astype(object) if kind == "big" else mat
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        label=st.sampled_from(sorted(MUL_ACC_CHAINS)),
+        m=st.integers(1, 12),
+        fill=st.sampled_from(["random", "max"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_term_reference(self, label, m, fill, seed):
+        kind, moduli = MUL_ACC_CHAINS[label]
+        assert {modmath.backend_kind(q) for q in moduli} == {kind}
+        rng = np.random.default_rng(seed)
+        q_col = _column(moduli)
+        if kind == "big":
+            q_col = q_col.astype(object)
+        a, b = (self._rows(moduli, kind, rng, fill, (m,)) for _ in range(2))
+        acc = self._rows(moduli, kind, rng, fill)
+        got = backends.pointwise_mul_acc(acc, a, b, q_col, kind)
+        per_term = acc
+        for x, y in zip(a, b):
+            per_term = backends.pointwise_mul_acc(per_term, x, y, q_col, kind)
+        want = [
+            [
+                (int(c) + sum(int(x[i, j]) * int(y[i, j]) for x, y in zip(a, b))) % q
+                for j, c in enumerate(acc[i])
+            ]
+            for i, q in enumerate(moduli)
+        ]
+        assert got.dtype == acc.dtype and got.tolist() == want
+        assert per_term.tolist() == want
+        as_lists = backends.pointwise_mul_acc(acc, list(a), list(b), q_col, kind)
+        assert as_lists.tolist() == want
+
+    def test_narrow31_crosses_the_chunk_bound(self):
+        p = max(MUL_ACC_CHAINS["narrow31"][1])
+        assert 1 << 30 < p < 1 << 31
+        assert ((1 << 64) - p) // (p - 1) ** 2 == 4
+
+    @pytest.mark.parametrize("label", sorted(MUL_ACC_CHAINS))
+    def test_terms_broadcast_to_the_accumulator(self, label):
+        """A ``(m, 2, k, n)`` stack against ``(m, k, n)``: both
+        polynomials of a ciphertext against one plaintext per term."""
+        kind, moduli = MUL_ACC_CHAINS[label]
+        rng = np.random.default_rng(7)
+        q_col = _column(moduli).astype(object if kind == "big" else np.uint64)
+        a = self._rows(moduli, kind, rng, "random", (5, 2))
+        b = self._rows(moduli, kind, rng, "random", (5,))
+        acc = self._rows(moduli, kind, rng, "random", (2,))
+        got = backends.pointwise_mul_acc(acc, a, b, q_col, kind)
+        for half in (0, 1):
+            want = backends.pointwise_mul_acc(acc[half], a[:, half], b, q_col, kind)
+            assert np.array_equal(got[half], want)
+
+    def test_inputs_are_not_mutated(self):
+        kind, moduli = MUL_ACC_CHAINS["narrow31"]
+        rng = np.random.default_rng(3)
+        a, b = (self._rows(moduli, kind, rng, "max", (9,)) for _ in range(2))
+        acc = self._rows(moduli, kind, rng, "max")
+        copies = [x.copy() for x in (acc, a, b)]
+        backends.pointwise_mul_acc(acc, a, b, _column(moduli), kind)
+        assert all(np.array_equal(x, c) for x, c in zip((acc, a, b), copies))
 
 
 @pytest.fixture

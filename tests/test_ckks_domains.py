@@ -48,7 +48,8 @@ class EagerEvaluator:
     keyswitch a coefficient-form ``d2`` (so every digit row takes the
     forward transform) and add ``d0``/``d1`` after their own inverse
     transforms instead of folding them into the mod-down; rotations
-    permute first and decompose second, one at a time (nothing hoisted).
+    permute first and decompose second, one at a time (nothing hoisted);
+    a BSGS inner sum is products added one by one.
     """
 
     def __init__(self, ctx: CkksContext):
@@ -97,6 +98,20 @@ class EagerEvaluator:
     def mul_encoded(self, ct, plain):
         plain = Plaintext(plain.poly.to_coeff(), plain.scale, plain.level)
         return self.ev.mul_encoded(ct.to_coeff(), plain).to_coeff()
+
+    def mul_encoded_sum(self, pairs):
+        acc = None
+        for ct, plain in pairs:
+            term = self.mul_encoded(ct, plain)
+            acc = term if acc is None else self.add(acc, term)
+        return acc
+
+    def rotate_sum(self, terms):
+        """The evaluator's own, on coefficient-form terms: its one
+        rounding per sum is not what separate rotations compute, so
+        ``test_ckks_linear_plan`` holds it to them within a bound."""
+        terms = [(steps, ct.to_coeff()) for steps, ct in terms]
+        return self.ev.rotate_sum(terms).to_coeff()
 
     def _galois(self, ct, g):
         """The textbook rotation: permute both polynomials in coefficient
@@ -383,23 +398,24 @@ class TestTransformCounts:
         after = ntt_counts()
         assert out.level == top - 1
         giants_rotated = dim // giant - 1
-        rotations = (giant - 1) + giants_rotated
         # Forward: the input's digits, extended and transformed once for
         # all seven baby rotations; the 8 baby steps x 2 polynomials as
-        # one stack; each giant rotation's digits.  No plaintext: the
-        # diagonals were encoded by the first apply.
+        # one stack; each giant rotation's converted digit rows (its
+        # inner sum is in NTT form, so its own rows are spliced in).  No
+        # plaintext: the diagonals were encoded by the first apply.
         assert after["forward"] - before["forward"] == 2 + giants_rotated
         assert after["forward.elems"] - before["forward.elems"] == n * (
-            2 * giant * r + (1 + giants_rotated) * len(digits) * full
+            2 * giant * r + len(digits) * full
+            + giants_rotated * (len(digits) * full - r)
         )
-        # Inverse: each rotated giant step's inner sum (2 polynomials,
-        # one call), each rotation's two accumulators (one call), and
-        # the unrotated first inner sum when the second joins it.
+        # Inverse: each baby rotation's mod-down (two accumulators, one
+        # call), each rotated giant step's c1 for its decomposition, and
+        # the output's one mod-down.
         assert after["inverse"] - before["inverse"] == (
-            giants_rotated + rotations + 1
+            (giant - 1) + giants_rotated + 1
         )
         assert after["inverse.elems"] - before["inverse.elems"] == n * (
-            2 * giants_rotated * r + 2 * rotations * full + 2 * r
+            2 * (giant - 1) * full + giants_rotated * r + 2 * full
         )
 
 

@@ -88,7 +88,9 @@ def _kat_key(label: str) -> KeySwitchKey:
         rows.append((_poly(n, full, 10 + 2 * j, NTT), _poly(n, full, 11 + 2 * j, NTT)))
     return KeySwitchKey(
         level=level, digit_groups=groups, special_moduli=chain.special_moduli,
-        rows=tuple(rows), own=tuple(own), tables=tuple(tables),
+        full=RnsBasis(n, full),
+        stack=np.stack([[row[half].mat for row in rows] for half in (0, 1)]),
+        own=tuple(own), tables=tuple(tables),
         converted_rows=np.concatenate(converted_rows),
     )
 

@@ -9,7 +9,11 @@ tests are bit-for-bit wherever two schedules compute the same thing:
    (``test_ckks_domains.EagerEvaluator``) — residue for residue, on a uint32-word chain, a uint64-word chain and
    an object-dtype chain.
 2. **Block sums** (``bsgs_sums``) decrypt to the cleartext block product
-   and agree with separate ``apply_bsgs`` calls added up.
+   and agree with separate ``apply_bsgs`` calls added up.  Against a
+   per-term reference built from public ops they are bit-identical with
+   one giant step and within 2^-20 after decryption with several (the
+   giant steps share one mod-down, so they round once), and mismatched
+   input scales are refused before any work.
 3. **The plan cache** encodes a matrix's diagonals once per level it is
    applied at, and holds at most ``ENCODINGS_KEPT`` sets.
 4. **Call budget** (guard): CoeffToSlot + SlotToCoeff on a small ring
@@ -29,6 +33,7 @@ from repro.analysis import sanitize
 from repro.ckks import CkksContext
 from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
 from repro.ckks.linalg import PlainMatrix, bsgs_sums
+from repro.errors import ScaleMismatchError
 from repro.nt.ntt import ntt_rows_context
 from repro.rns.poly import COEFF, NTT
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
@@ -205,6 +210,91 @@ class TestBlockSums:
             bsgs_sums(bp_ctx.evaluator, [[four, four]], [ct, lower])
 
 
+def _per_term_bsgs(ev, rows, inputs, g):
+    """``bsgs_sums`` the textbook way, from public ops only: every baby
+    and giant step a separate ``rotate``, every diagonal a
+    ``mul_encoded`` added on, every rotation its own mod-down."""
+    d, level = rows[0][0].dimension, inputs[0].level
+    babies = [[ev.rotate(ct, b) for b in range(min(g, d))] for ct in inputs]
+    outs = []
+    for row in rows:
+        plans = [m.encoded(ev, level, g) for m in row]
+        acc = None
+        for i in range(0, d, g):
+            inner = None
+            for plan, baby in zip(plans, babies):
+                for b in range(min(g, d - i)):
+                    if i + b in plan:
+                        term = ev.mul_encoded(baby[b], plan[i + b])
+                        inner = term if inner is None else ev.add(inner, term)
+            if inner is not None:
+                outer = ev.rotate(inner, i)
+                acc = outer if acc is None else ev.add(acc, outer)
+        outs.append(ev.rescale(acc))
+    return outs
+
+
+class TestFusedTransform:
+    """The fused plan against :func:`_per_term_bsgs` on the three word
+    widths: exact where nothing is rotated, one rounding apart where
+    giant steps are."""
+
+    D = 8
+
+    def _block(self, ctx, rng):
+        mats = [
+            [PlainMatrix(rng.uniform(-1, 1, (self.D, self.D)), ctx.slots)
+             for _ in range(2)]
+            for _ in range(2)
+        ]
+        inputs = [ctx.encrypt(_tiled(rng, self.D, ctx.slots)) for _ in range(2)]
+        return mats, inputs
+
+    def test_single_giant_step_is_bit_identical(self, width_ctx, rng):
+        ctx, ev = width_ctx, width_ctx.evaluator
+        mats, inputs = self._block(ctx, rng)
+        got = bsgs_sums(ev, mats, inputs, giant_step=self.D)
+        want = _per_term_bsgs(ev, mats, inputs, self.D)
+        for out, ref in zip(got, want):
+            assert (out.level, out.scale) == (ref.level, ref.scale)
+            assert out.c0.domain == ref.c0.domain
+            assert np.array_equal(out.c0.mat, ref.c0.mat)
+            assert np.array_equal(out.c1.mat, ref.c1.mat)
+
+    def test_giant_steps_decrypt_within_rounding(self, width_ctx, rng):
+        ctx, ev = width_ctx, width_ctx.evaluator
+        mats, inputs = self._block(ctx, rng)
+        got = bsgs_sums(ev, mats, inputs, giant_step=2)
+        want = _per_term_bsgs(ev, mats, inputs, 2)
+        for out, ref in zip(got, want):
+            assert (out.level, out.scale) == (ref.level, ref.scale)
+            gap = np.abs(ctx.decrypt_real(out) - ctx.decrypt_real(ref))
+            assert np.max(gap) < 2.0**-20
+
+    def test_scale_mismatch_is_caught_before_any_work(self, plan_ctx, rng, counters):
+        ctx, ev = plan_ctx, plan_ctx.evaluator
+        (row, _), (x, y) = self._block(ctx, rng)
+        tripled = ev.scale_const(y, 3)
+        bsgs_sums(ev, [row], [x, y])  # rotation keys are lazy
+        before = counters("op.rotate", "kernel.ntt.forward")
+        with pytest.raises(ScaleMismatchError):
+            bsgs_sums(ev, [row], [x, tripled])
+        assert counters("op.rotate", "kernel.ntt.forward") == before
+
+    def test_fused_ops_check_scales(self, plan_ctx, rng):
+        ctx, ev = plan_ctx, plan_ctx.evaluator
+        (row, _), (x, _) = self._block(ctx, rng)
+        plan = row[0].encoded(ev, x.level, 2)
+        tripled = ev.scale_const(x, 3)
+        with pytest.raises(ScaleMismatchError):
+            ev.mul_encoded_sum([(x, plan[0]), (tripled, plan[1])])
+        with pytest.raises(ScaleMismatchError):
+            ev.rotate_sum([(0, x), (1, tripled)])
+        lower = ev.adjust(x, x.level - 1)
+        with pytest.raises(ScaleMismatchError):
+            ev.rotate_sum([(0, x), (1, lower)])
+
+
 # ----------------------------------------------------------------------
 # 3. The plan cache
 # ----------------------------------------------------------------------
@@ -318,14 +408,16 @@ class TestCallBudget:
 
         def block(inputs, outputs):
             """Calls of one ``bsgs_sums``: per input one decomposition
-            serving ``g - 1`` baby rotations and one stacked move to NTT
-            form; per output each rotated giant step's inner sum brought
-            back, decomposed and switched, and one settling of the
-            unrotated inner sum."""
+            serving ``g - 1`` baby rotations (each with its own
+            mod-down) and one stacked move to NTT form; per output each
+            rotated giant step's ``c1`` brought back, decomposed and
+            switched, and one mod-down for the whole output."""
             switches = inputs * (g - 1) + outputs * giants_rotated
             return {
                 "kernel.ntt.forward": 2 * inputs + outputs * giants_rotated,
-                "kernel.ntt.inverse": switches + outputs * (giants_rotated + 1),
+                "kernel.ntt.inverse": (
+                    inputs * (g - 1) + outputs * (giants_rotated + 1)
+                ),
                 "op.keyswitch": switches,
                 "op.rotate": switches,
             }

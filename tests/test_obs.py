@@ -215,13 +215,15 @@ class TestKernelCounters:
 # ----------------------------------------------------------------------
 #: What the recorder counts for :func:`_seam_program`: the counters the
 #: per-module hooks produced before the seam, less the unread
-#: ``op.*.elems``.
+#: ``op.*.elems``, with a keyswitch's inner product one stacked
+#: ``pointwise_mul_acc`` per accumulator (two keyswitches: 4; the
+#: rotation's first digit no longer takes two ``pointwise_mul``).
 SEAM_PROGRAM_COUNTERS = {
     "kernel.backend.numpy.bconv_fold": 12,
     "kernel.backend.numpy.ntt_forward": 4,
     "kernel.backend.numpy.ntt_inverse": 5,
-    "kernel.backend.numpy.pointwise_mul": 8,
-    "kernel.backend.numpy.pointwise_mul_acc": 6,
+    "kernel.backend.numpy.pointwise_mul": 6,
+    "kernel.backend.numpy.pointwise_mul_acc": 4,
     "kernel.base_convert": 12,
     "kernel.base_convert.elems": 5888,
     "kernel.ntt.forward": 4,
