@@ -132,7 +132,7 @@ class PlainMatrix:
         self, evaluator: "Evaluator", level: int, giant_step: int
     ) -> dict[int, Plaintext]:
         """Nonzero diagonal ``j`` ready for :meth:`Evaluator.mul_encoded`
-        at ``level``: rotated by ``-(j - j mod giant_step)`` so the giant
+        (and ``mul_encoded_sum``) at ``level``: rotated by ``-(j - j mod giant_step)`` so the giant
         rotation lands it in place, encoded at the level's scale, in NTT
         form — all sent through one stacked transform, the first time.
         """
