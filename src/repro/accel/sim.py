@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.accel import kernels
 from repro.accel.config import AcceleratorConfig
@@ -64,6 +67,55 @@ PIPELINE_RESIDENCY = 1.2
 #: bottleneck kernel, so the per-kernel table sums to the total exactly
 #: (the Fig. 10/12 cross-check the profile layer asserts).
 KERNELS = ("ntt", "crb", "mul", "add", "auto", "kshgen", "hbm")
+
+
+def op_rows(
+    trace: HeTrace, price: Callable[[TraceOp], tuple]
+) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Price each distinct (kind, level, dst_level, count) of a trace once.
+
+    A trace is a cost table's rows times multiplicities.  Returns
+    ``(table, at, counts)``: ``table[r]`` is ``price`` of row ``r``'s
+    first op, ``at[i]`` is op ``i``'s row and ``counts[i]`` its count.
+    Rows are numbered in the order ops first reach them.
+    """
+    rows: dict[tuple, int] = {}
+    table: list[tuple] = []
+    index: list[int] = []
+    for op in trace.ops:
+        # ``_value_``, not ``kind``: hashing an Enum is a Python call.
+        key = (op.kind._value_, op.level, op.dst_level, op.count)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(table)
+            table.append(price(op))
+        index.append(row)
+    counts = np.array([op.count for op in trace.ops], dtype=float)
+    return table, np.array(index, dtype=np.intp), counts
+
+
+def running_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, left to right: the sum an
+    op-by-op loop makes.  ``np.add.accumulate`` adds sequentially, where
+    ``np.sum`` pairs and can differ in the last bit; the leading
+    ``0.0 +`` is the loop's start value (it turns a lone ``-0.0`` into
+    ``0.0``)."""
+    return 0.0 + float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def sums_by(labels: Sequence[str], at: np.ndarray, values: np.ndarray
+            ) -> dict[str, float]:
+    """Running sum of ``values`` per label, keys in first-seen order.
+
+    ``labels[r]`` labels row ``r`` of :func:`op_rows`, so a label's first
+    row also holds its first op.
+    """
+    codes: dict[str, int] = {}
+    of_row = np.array([codes.setdefault(label, len(codes)) for label in labels],
+                      dtype=np.intp)
+    of_op = of_row[at]
+    return {label: running_sum(values[of_op == code])
+            for label, code in codes.items()}
 
 
 @dataclass
@@ -212,6 +264,42 @@ class AcceleratorSim:
         spill = max(0.0, resident_bytes - rf_bytes) * self.spill_turnover
         return nominal + spill
 
+    def _price_row(
+        self, op: TraceOp, chain: ModulusChain, n: int, shapes: dict
+    ) -> tuple:
+        """Unit quantities of ``op``'s :func:`op_rows` row.
+
+        ``shapes`` memoises the decomposition per (kind, level,
+        dst_level) for the length of one :meth:`run`; the energy is
+        priced per row, because ``count`` enters the extra-HBM term
+        through a clamp, not as a factor.
+        """
+        shape = (op.kind, op.level, op.dst_level)
+        unit = shapes.get(shape)
+        if unit is None:
+            cost = self.op_cost(op, chain)
+            components = self.op_cycle_components(cost, n)
+            unit = shapes[shape] = (
+                cost,
+                max(v for k, v in components.items() if k != "hbm"),
+                components["hbm"],
+                max(KERNELS, key=components.__getitem__),
+                self._op_hbm_bytes(cost, n),
+                cost.hbm_rows * self.config.row_bytes(n),
+            )
+        cost, compute, memory, bottleneck, unit_hbm, operand_bytes = unit
+        count = op.count
+        extra_hbm = unit_hbm * count - operand_bytes * count
+        breakdown = self.energy_model.op_energy_breakdown(
+            cost, n, self.config.word_bits,
+            extra_hbm_bytes=max(0.0, extra_hbm) / max(count, 1.0),
+        )
+        return (
+            compute, memory, bottleneck, unit_hbm, breakdown,
+            sum(breakdown.values()), op.kind.value,
+            op.kind in LEVEL_MANAGEMENT_KINDS,
+        )
+
     # ------------------------------------------------------------------
     def run(self, trace: HeTrace, chain: ModulusChain) -> SimResult:
         """Simulate a full trace; returns time, energy, and breakdowns."""
@@ -226,67 +314,33 @@ class AcceleratorSim:
             scheme=chain.scheme,
             clock_ghz=self.config.clock_ghz,
         )
-        n = trace.n
-        row_bytes = self.config.row_bytes(n)
-        # A trace is a cost table's rows times multiplicities, so each
-        # distinct (kind, level, dst_level) is decomposed once per call.
-        # The loop still multiplies by ``count`` and accumulates op by op
-        # in trace order: float addition is not associative, and
-        # results/*.txt are compared bytewise.
+        # Every sum runs op by op in trace order, each over its own ops:
+        # float addition is not associative, and results/*.txt are
+        # compared bytewise.
         shapes: dict[tuple, tuple] = {}
-        # ``count`` enters the extra-HBM term through a clamp, not as a
-        # factor, so the energy breakdown is keyed by it as well.
-        energies: dict[tuple, tuple[dict[str, float], float]] = {}
-        for op in trace.ops:
-            shape = (op.kind, op.level, op.dst_level)
-            unit = shapes.get(shape)
-            if unit is None:
-                cost = self.op_cost(op, chain)
-                components = self.op_cycle_components(cost, n)
-                unit = shapes[shape] = (
-                    cost,
-                    max(v for k, v in components.items() if k != "hbm"),
-                    components["hbm"],
-                    max(KERNELS, key=components.__getitem__),
-                    self._op_hbm_bytes(cost, n),
-                    cost.hbm_rows * row_bytes,
-                )
-            cost, compute, memory, bottleneck, unit_hbm, operand_bytes = unit
-            count = op.count
-            cycles = max(compute, memory) * count
-            hbm_bytes = unit_hbm * count
-            priced = energies.get((shape, count))
-            if priced is None:
-                extra_hbm = hbm_bytes - operand_bytes * count
-                breakdown = self.energy_model.op_energy_breakdown(
-                    cost, n, self.config.word_bits,
-                    extra_hbm_bytes=max(0.0, extra_hbm) / max(count, 1.0),
-                )
-                priced = energies[shape, count] = (
-                    breakdown, sum(breakdown.values())
-                )
-            breakdown, unit_energy = priced
-            energy = unit_energy * count
-            result.kernel_cycles[bottleneck] = (
-                result.kernel_cycles.get(bottleneck, 0.0) + cycles
-            )
-            result.cycles += cycles
-            result.compute_cycles += compute * count
-            result.memory_cycles += memory * count
-            result.energy_j += energy
-            result.hbm_bytes += hbm_bytes
-            kind_name = op.kind.value
-            result.cycles_by_kind[kind_name] = (
-                result.cycles_by_kind.get(kind_name, 0.0) + cycles
-            )
-            for component, joules in breakdown.items():
-                result.energy_by_component[component] = (
-                    result.energy_by_component.get(component, 0.0)
-                    + joules * count
-                )
-            if op.kind in LEVEL_MANAGEMENT_KINDS:
-                result.level_mgmt_cycles += cycles
-                result.level_mgmt_energy_j += energy
+        table, at, counts = op_rows(
+            trace, lambda op: self._price_row(op, chain, trace.n, shapes))
+        (compute, memory, bottleneck, unit_hbm, breakdowns, unit_energy,
+         kind_name, level_mgmt) = zip(*table) if table else ((),) * 8
+
+        def per_op(unit) -> np.ndarray:
+            return np.array(list(unit), dtype=float)[at] * counts
+
+        cycles = per_op(map(max, compute, memory))
+        energy = per_op(unit_energy)
+        result.cycles = running_sum(cycles)
+        result.compute_cycles = running_sum(per_op(compute))
+        result.memory_cycles = running_sum(per_op(memory))
+        result.energy_j = running_sum(energy)
+        result.hbm_bytes = running_sum(per_op(unit_hbm))
+        result.kernel_cycles = sums_by(bottleneck, at, cycles)
+        result.cycles_by_kind = sums_by(kind_name, at, cycles)
+        for component in breakdowns[0] if breakdowns else ():
+            result.energy_by_component[component] = running_sum(
+                per_op([b[component] for b in breakdowns]))
+        managed = np.array(level_mgmt, dtype=bool)[at]
+        result.level_mgmt_cycles = running_sum(cycles[managed])
+        result.level_mgmt_energy_j = running_sum(energy[managed])
         static = self.energy_model.static_watts * result.time_s
         result.energy_j += static
         result.energy_by_component["static"] = static

@@ -21,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.accel import kernels
+from repro.accel.sim import op_rows, running_sum, sums_by
 from repro.errors import SimulationError
 from repro.schemes.chain import ModulusChain
 from repro.trace.program import LEVEL_MANAGEMENT_KINDS, HeTrace, TraceOp
@@ -79,19 +82,22 @@ class CpuModel:
             name=trace.name, scheme=chain.scheme, clock_ghz=self.clock_ghz
         )
         unit_cycles: dict[tuple, float] = {}  # per op shape, this call only
-        for op in trace.ops:
+
+        def price(op: TraceOp) -> tuple:
             shape = (op.kind, op.level, op.dst_level)
             unit = unit_cycles.get(shape)
             if unit is None:
                 unit = unit_cycles[shape] = self.op_cycles(op, chain, trace.n)
-            cycles = unit * op.count
-            result.cycles += cycles
-            kind_name = op.kind.value
-            result.cycles_by_kind[kind_name] = (
-                result.cycles_by_kind.get(kind_name, 0.0) + cycles
-            )
-            if op.kind in LEVEL_MANAGEMENT_KINDS:
-                result.level_mgmt_cycles += cycles
+            return unit, op.kind.value, op.kind in LEVEL_MANAGEMENT_KINDS
+
+        # Sums run op by op in trace order, as in AcceleratorSim.run.
+        table, at, counts = op_rows(trace, price)
+        unit, kind_name, level_mgmt = zip(*table) if table else ((),) * 3
+        cycles = np.array(unit, dtype=float)[at] * counts
+        result.cycles = running_sum(cycles)
+        result.cycles_by_kind = sums_by(kind_name, at, cycles)
+        result.level_mgmt_cycles = running_sum(
+            cycles[np.array(level_mgmt, dtype=bool)[at]])
         return result
 
 

@@ -25,31 +25,49 @@ import numpy as np
 
 from repro.errors import ParameterError
 
-# Deterministic Miller-Rabin witness sets.  The first set is proven
-# sufficient for all n < 3,317,044,064,679,887,385,961,981 (> 2^64), so the
-# test is exact over the full range of moduli this library uses.
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_PRIMES = (
+#: Miller-Rabin bases: the first 13 primes.  ``_PSI[k - 1]`` is the
+#: smallest odd composite that passes the first ``k`` of them (OEIS
+#: A014233), so below it those ``k`` bases decide primality exactly:
+#: ``{2, 3, 5, 7}`` below 3,215,031,751, all 13 below 3.317e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_SMALL_PRIMES = frozenset((
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-)
+))
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Return True iff ``n`` is prime (deterministic for n < 3.3e24)."""
+    """Return True iff ``n`` is prime.
+
+    Exact for ``n < 3,317,044,064,679,887,385,961,981`` (about 3.3e24,
+    past 2^81); above that, a strong probable-prime test to 13 bases.
+    """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES_64:
+    for a in _MR_BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -166,24 +166,6 @@ class RnsPolynomial:
             _backends.pointwise_mul(self.mat, other.mat, basis.q_col, basis.kind)
         )
 
-    def pointwise_mul_acc(
-        self, a: "RnsPolynomial", b: "RnsPolynomial"
-    ) -> "RnsPolynomial":
-        """``self + a · b`` fused: one kernel call instead of a multiply
-        followed by an add (the keyswitch and the BSGS inner sums call
-        the kernel on whole stacks of products).
-        """
-        self._check_compatible(a)
-        a._check_compatible(b)
-        if self.domain != NTT:
-            raise ParameterError("pointwise_mul_acc requires NTT domain")
-        basis = self.basis
-        return self._like(
-            _backends.pointwise_mul_acc(
-                self.mat, a.mat, b.mat, basis.q_col, basis.kind
-            )
-        )
-
     def poly_mul(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Negacyclic polynomial product, returned in the callers' domain."""
         product = self.to_ntt().pointwise_mul(other.to_ntt())

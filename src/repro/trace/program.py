@@ -130,11 +130,12 @@ class HeTrace:
         return out
 
     def validate(self) -> None:
+        max_level = self.max_level
         for op in self.ops:
-            if not 0 <= op.level <= self.max_level:
+            if not 0 <= op.level <= max_level:
                 raise ParameterError(
                     f"{self.name}: op at level {op.level} outside chain "
-                    f"[0, {self.max_level}]"
+                    f"[0, {max_level}]"
                 )
             if op.kind is OpKind.RESCALE and op.level == 0:
                 raise ParameterError(f"{self.name}: rescale at level 0")
@@ -196,6 +197,9 @@ class HeTrace:
         return content_digest(self)
 
 
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def content_digest(trace: HeTrace) -> str:
     """sha256 over a canonical JSON encoding of ``trace``.
 
@@ -205,11 +209,39 @@ def content_digest(trace: HeTrace) -> str:
     constraint changes — exactly the identity the serve admission memo
     and eval cache keys need.  Kept on the (immutable) trace, so gate
     admissions after the first cost a field read.
+
+    The bytes are those of ``json.dumps(to_dict() minus schema,
+    sort_keys=True)``, assembled without the dicts: ``"ops"`` sorts
+    last, and a trace repeats a few dozen distinct ops thousands of
+    times, so each distinct op is encoded once per call.  The memo key
+    carries every field's type beside its value, because ``1 == 1.0``
+    but they encode as ``1`` and ``1.0``; an op with a float zero is
+    never stored, because ``0.0 == -0.0`` but they encode apart.
     """
     if trace._digest is None:
-        payload = trace.to_dict()
-        payload.pop("schema", None)
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        header = _canonical_json({
+            "base_bits": trace.base_bits,
+            "level_scale_bits": list(trace.level_scale_bits),
+            "n": trace.n,
+            "name": trace.name,
+        })
+        fragments: dict[tuple, str] = {}
+        parts = []
+        for op in trace.ops:
+            level, count, dst, scale = (
+                op.level, op.count, op.dst_level, op.scale_bits
+            )
+            # ``_value_``, not ``kind``: hashing an Enum is a Python call.
+            key = (op.kind._value_, level, count, dst, scale,
+                   type(level), type(count), type(dst), type(scale))
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = _canonical_json(op.to_dict())
+                if not any(isinstance(v, float) and not v
+                           for v in (level, count, dst, scale)):
+                    fragments[key] = fragment
+            parts.append(fragment)
+        encoded = f'{header[:-1]},"ops":[{",".join(parts)}]}}'
         object.__setattr__(
             trace, "_digest", hashlib.sha256(encoded.encode()).hexdigest()
         )

@@ -110,6 +110,29 @@ class TestIsPrime:
     def test_negative(self):
         assert not primes.is_prime(-7)
 
+    def test_agrees_with_the_sieve_below_a_million(self):
+        sieved = set(primes._odd_primes_upto(10**6 - 1).tolist()) | {2}
+        assert [n for n in range(10**6) if primes.is_prime(n)] == sorted(sieved)
+
+    @pytest.mark.parametrize("bases, psi", [
+        (4, 3_215_031_751),  # = 151 * 751 * 28351: no factor the gcd sees
+        (12, 318_665_857_834_031_151_167_461),
+    ])
+    def test_strong_pseudoprime_past_its_bases_reads_composite(self, bases, psi):
+        """``psi`` passes the first ``bases`` prime bases, so the test
+        must bring in the next one from ``psi`` on."""
+        def strong_probable_prime(n, a):
+            d, r = n - 1, 0
+            while d % 2 == 0:
+                d, r = d // 2, r + 1
+            x = pow(a, d, n)
+            return x in (1, n - 1) or any(
+                pow(x, 1 << i, n) == n - 1 for i in range(1, r))
+
+        assert all(strong_probable_prime(psi, a)
+                   for a in primes._MR_BASES[:bases])
+        assert not primes.is_prime(psi)
+
 
 class TestNttFriendly:
     def test_congruence_requirement(self):

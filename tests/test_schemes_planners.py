@@ -1,10 +1,11 @@
 """Planner invariants for both schemes (paper Secs. 2.3 and 3.3)."""
 
+import bisect
 import math
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LevelExhaustedError, ParameterError
@@ -16,6 +17,7 @@ from repro.schemes import (
 )
 from repro.schemes.rns_ckks import achievable_scale_bits
 from repro.schemes.selection import (
+    PrimePool,
     greedy_prime_product,
     limit_fraction,
     log2_fraction,
@@ -269,3 +271,156 @@ def test_greedy_window_property(target):
         total = sum(math.log2(p) for p in got)
         assert abs(total - target) <= 0.5 + 1e-9
         assert len(set(got)) == len(got)
+
+
+# ----------------------------------------------------------------------
+# The search before its walk was inlined, kept as the reference for the
+# visit order: the same nodes in the same order, with the same ``tried``,
+# ``branch`` and ``node_budget`` accounting, give the same answer.
+# ``nodes_seen`` collects each count's node total.
+# ----------------------------------------------------------------------
+def reference_greedy(target_bits, candidates, tolerance_bits=0.5,
+                     max_count=5, over_tolerance_bits=None,
+                     excluded=frozenset(), nodes_seen=None):
+    over = tolerance_bits if over_tolerance_bits is None else over_tolerance_bits
+    pool = sorted(set(candidates))
+    bits = [math.log2(p) for p in pool]
+    first, last = 0, len(pool) - 1
+    while first <= last and pool[first] in excluded:
+        first += 1
+    while last >= first and pool[last] in excluded:
+        last -= 1
+    if first > last:
+        return None
+    min_bits_avail, max_bits_avail = bits[first], bits[last]
+    branch, node_budget = 20, 30_000
+
+    def nearest_indices(ideal):
+        hi = bisect.bisect_left(bits, ideal)
+        lo = hi - 1
+        while lo >= 0 or hi < len(bits):
+            if lo < 0:
+                yield hi
+                hi += 1
+            elif hi >= len(bits):
+                yield lo
+                lo -= 1
+            elif ideal - bits[lo] <= bits[hi] - ideal:
+                yield lo
+                lo -= 1
+            else:
+                yield hi
+                hi += 1
+
+    def recurse(remaining, slots, chosen, nodes):
+        if -over <= remaining <= tolerance_bits:
+            return chosen
+        if slots == 0:
+            return None
+        if (remaining < min_bits_avail - over
+                or remaining > slots * max_bits_avail + tolerance_bits):
+            return None
+        nodes[0] += 1
+        if nodes[0] > node_budget:
+            return None
+        ideal = remaining if slots == 1 else remaining / slots
+        tried = 0
+        for idx in nearest_indices(ideal):
+            prime = pool[idx]
+            if prime in excluded or prime in chosen or bits[idx] > remaining + over:
+                continue
+            result = recurse(remaining - bits[idx], slots - 1,
+                             chosen + (prime,), nodes)
+            if result is not None:
+                return result
+            tried += 1
+            if tried >= branch:
+                return None
+        return None
+
+    for count in range(1, max_count + 1):
+        nodes = [0]
+        result = recurse(target_bits, count, (), nodes)
+        if nodes_seen is not None:
+            nodes_seen.append(nodes[0])
+        if result is not None:
+            return tuple(sorted(result, reverse=True))
+    return None
+
+
+_TABLE = terminal_prime_candidates(28, N)
+#: 40 primes of 24.00-24.06 bits, and a five-prime target they reach at
+#: every slot but match only exactly: the search runs out of nodes.
+_NARROW = [p for p in _TABLE if 24.0 <= math.log2(p) <= 24.2][::4][:40]
+_EXHAUSTING = dict(target_bits=120.15, candidates=_NARROW, tolerance_bits=0.0,
+                   max_count=5, over_tolerance_bits=0.0,
+                   excluded=frozenset(_NARROW[::9]))
+#: Two primes whose log2 midpoint is an exact float tie: the walk
+#: takes the smaller first.
+_TIE = (7681, 10753)
+_TIE_MID = (math.log2(_TIE[0]) + math.log2(_TIE[1])) / 2
+#: Twenty primes below the target, all nearer than the one above it,
+#: which only a 21st try would reach.
+_BELOW = _TABLE[1000:1020]
+_ABOVE = _TABLE[1200]
+
+
+@st.composite
+def _searches(draw):
+    picks = draw(st.lists(st.integers(0, len(_TABLE) - 1), min_size=1,
+                          max_size=40, unique=True))
+    pool = sorted(_TABLE[i] for i in picks)
+    return dict(
+        target_bits=draw(st.floats(0.0, 130.0)),
+        candidates=pool,
+        tolerance_bits=draw(st.floats(0.0, 2.0)),
+        max_count=draw(st.integers(1, 5)),
+        over_tolerance_bits=draw(st.none() | st.floats(-1.0, 8.0)),
+        excluded=frozenset(draw(st.lists(st.sampled_from(pool), max_size=8))),
+    )
+
+
+class TestGreedyVisitOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(search=_searches())
+    @example(search=_EXHAUSTING)
+    @example(search=dict(target_bits=20.0, candidates=_TABLE, tolerance_bits=0.5,
+                         max_count=1, over_tolerance_bits=-0.3,
+                         excluded=frozenset()))
+    @example(search=dict(target_bits=_TIE_MID, candidates=_TIE,
+                         tolerance_bits=_TIE_MID - math.log2(_TIE[0]),
+                         max_count=1, over_tolerance_bits=1.0,
+                         excluded=frozenset()))
+    @example(search=dict(target_bits=math.log2(_TABLE[7]), candidates=_TABLE[:20],
+                         tolerance_bits=0.0, max_count=2,
+                         over_tolerance_bits=0.0, excluded=frozenset()))
+    @example(search=dict(target_bits=math.log2(_BELOW[-1]) + 1e-9,
+                         candidates=[*_BELOW, _ABOVE], tolerance_bits=0.0,
+                         max_count=1, over_tolerance_bits=1.0,
+                         excluded=frozenset()))
+    def test_matches_the_generator_walk(self, search):
+        want = reference_greedy(**search)
+        assert greedy_prime_product(**search) == want
+        pool = PrimePool.of(search["candidates"])
+        assert greedy_prime_product(**{**search, "candidates": pool}) == want
+
+    def test_the_examples_hit_ties_bounds_and_the_branch_limit(self):
+        half = _TIE_MID - math.log2(_TIE[0])
+        assert half == math.log2(_TIE[1]) - _TIE_MID
+        assert greedy_prime_product(_TIE_MID, _TIE, half, 1, 1.0) == _TIE[:1]
+        # A prime exactly at ``remaining + over`` is usable.
+        assert greedy_prime_product(
+            math.log2(_TABLE[7]), _TABLE[:20], 0.0, 2, 0.0) == (_TABLE[7],)
+        above = math.log2(_ABOVE) - math.log2(_BELOW[-1])
+        assert above > math.log2(_BELOW[-1]) - math.log2(_BELOW[0])
+        assert above < 1.0
+        target = math.log2(_BELOW[-1]) + 1e-9
+        assert greedy_prime_product(target, [*_BELOW, _ABOVE], 0.0, 1,
+                                    1.0) is None
+        assert greedy_prime_product(target, [*_BELOW[1:], _ABOVE], 0.0, 1,
+                                    1.0) == (_ABOVE,)
+
+    def test_the_example_exhausts_the_budget(self):
+        nodes = []
+        assert reference_greedy(**_EXHAUSTING, nodes_seen=nodes) is None
+        assert len(_NARROW) == 40 and nodes[-1] > 30_000

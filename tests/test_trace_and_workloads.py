@@ -1,9 +1,19 @@
 """Trace IR and workload-generator tests."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ParameterError
-from repro.trace.program import HeTrace, OpKind, TraceBuilder, TraceOp
+from repro.eval import common
+from repro.trace.program import (
+    HeTrace,
+    OpKind,
+    TraceBuilder,
+    TraceOp,
+    content_digest,
+)
 from repro.workloads import (
     APP_SCALES,
     BENCHMARKS,
@@ -54,6 +64,58 @@ class TestTraceIR:
         )
         with pytest.raises(ParameterError):
             trace.validate()
+
+
+def dict_digest(trace: HeTrace) -> str:
+    """The digest's definition: sha256 of the sorted-key JSON of
+    ``to_dict()`` without its schema marker."""
+    payload = trace.to_dict()
+    del payload["schema"]
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+class TestContentDigest:
+    """``content_digest`` encodes each distinct op once per call; its
+    bytes must stay those of the dict encoding."""
+
+    def test_mixed_field_types_and_an_escaped_name(self):
+        ops = [
+            TraceOp(OpKind.HMUL, 2, 1),
+            TraceOp(OpKind.HMUL, 2, 1.0),
+            TraceOp(OpKind.HMUL, 2, True),
+            TraceOp(OpKind.HROT, 1, 3, scale_bits=None),
+            TraceOp(OpKind.HROT, 1, 3, scale_bits=30.0),
+            TraceOp(OpKind.HROT, 1, 3, scale_bits=30),
+            TraceOp(OpKind.HADD, 1, 0.0, scale_bits=0.0),
+            TraceOp(OpKind.HADD, 1, -0.0, scale_bits=-0.0),
+            TraceOp(OpKind.HADD, 1, 0.0, scale_bits=0.0),
+            TraceOp(OpKind.ADJUST, 2, 0.5, dst_level=0, scale_bits=1e-300),
+            TraceOp(OpKind.ADJUST, 2, 0.5, dst_level=0, scale_bits=float("nan")),
+            TraceOp(OpKind.RESCALE, 2, 2.5),
+        ] * 3
+        for name in ('quote " backslash \\ newline \n tab \t', "é ∑ \x00 😀"):
+            trace = HeTrace(name=name, n=1024, base_bits=40.5,
+                            level_scale_bits=(30.0, 30, 29.5), ops=ops)
+            assert content_digest(trace) == dict_digest(trace)
+
+    def test_op_order_and_empty_ops(self):
+        a, b = TraceOp(OpKind.HMUL, 1), TraceOp(OpKind.HADD, 1)
+        traces = [HeTrace("t", 64, 40.0, (30.0, 30.0), ops)
+                  for ops in ([a, b], [b, a], [])]
+        assert [content_digest(t) for t in traces] == [
+            dict_digest(t) for t in traces]
+        assert len({content_digest(t) for t in traces}) == 3
+
+    def test_bundled_traces_keep_their_digests(self):
+        traces = [common.trace_for(app, bs, scheme, 28)
+                  for scheme in common.SCHEMES
+                  for app, bs in common.WORKLOAD_GRID]
+        digests = [content_digest(t) for t in traces]
+        assert digests == [dict_digest(t) for t in traces]
+        # Recorded from the dict encoding before it was replaced.
+        assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == (
+            "a6f2af0d7549294e3d714412deb14e003df375cb2f0d0e65831801ded7dbcb22")
 
 
 class TestWalker:
