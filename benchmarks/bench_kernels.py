@@ -2,12 +2,16 @@
 """Microbenchmarks for the vectorized number-theory hot path.
 
 Times the kernels every CKKS operation decomposes into — forward /
-inverse NTT, full RNS polynomial multiply, hybrid keyswitch, rescale
+inverse NTT of one row and of a 16-row stack (``ntt_forward_k16``),
+full RNS polynomial multiply, hybrid keyswitch, rescale
 (``scale_down``), fast base conversion, and the stacked
 multiply-accumulate (``mul_acc_m2``/``mul_acc_m16``: ``m`` products
 summed in one ``pointwise_mul_acc`` call) — across ring degrees
-``n ∈ {2^12 .. 2^15}`` and the three modulus *widths* (narrow
-``< 2^31``, wide ``2^31..2^61``, big ``≥ 2^61``).
+``n ∈ {2^7, 2^10, 2^11, 2^12 .. 2^15}`` and the three modulus *widths*
+(narrow ``< 2^31``, wide ``2^31..2^61``, big ``≥ 2^61``).  The narrow
+width's primes are 28-bit, so its NTT rows at ``n ≤ 2^10`` run the
+four-step kernel and from ``2^11`` the stage loop: both kernels show on
+each side of that gate.
 
 Each ``(kernel, n, width)`` point is measured once, plus once against
 the pre-vectorization per-block / per-row baseline preserved in
@@ -42,7 +46,7 @@ import numpy as np
 
 from repro import backends
 from repro.nt import modmath
-from repro.nt.ntt import ntt_context
+from repro.nt.ntt import forward_rows, ntt_context
 from repro.nt.ntt_reference import reference_ntt_context
 from repro.nt.primes import ntt_friendly_primes_below
 from repro.rns.basis import RnsBasis, crt_weights
@@ -160,6 +164,12 @@ def make_ntt_inverse(n, width, rng):
     a = modmath.uniform_mod(q, n, rng)
     ctx, ref = ntt_context(q, n), reference_ntt_context(q, n)
     return (lambda: ctx.inverse(a)), (lambda: ref.inverse(a))
+
+
+def make_ntt_forward_k16(n, width, rng):
+    moduli = tuple(primes_for(width, n, 16))
+    a = sample_uniform(RnsBasis(n, moduli), rng, COEFF).mat
+    return (lambda: forward_rows(a, moduli)), (lambda: legacy_to_ntt(a, moduli, n))
 
 
 def make_poly_mul(n, width, rng):
@@ -280,6 +290,7 @@ def make_mul_acc(m):
 KERNELS = {
     "ntt_forward": make_ntt_forward,
     "ntt_inverse": make_ntt_inverse,
+    "ntt_forward_k16": make_ntt_forward_k16,
     "poly_mul": make_poly_mul,
     "keyswitch": make_keyswitch,
     "rescale": make_rescale,
@@ -315,7 +326,7 @@ def run(sizes, widths, reps, baseline_reps, full: bool):
                     }
                 )
                 print(
-                    f"  {kernel:<13} n=2^{n.bit_length() - 1:<3} {width:<7} "
+                    f"  {kernel:<15} n=2^{n.bit_length() - 1:<3} {width:<7} "
                     f"{median_s * 1e3:9.3f} ms   "
                     f"base {baseline_s * 1e3:9.3f} ms   "
                     f"speedup {baseline_s / median_s:7.1f}x",
@@ -328,11 +339,11 @@ def run(sizes, widths, reps, baseline_reps, full: bool):
 
 def print_table(results):
     print()
-    print(f"{'kernel':<13} {'n':>6} {'width':<7} {'median_s':>12} {'vs base':>9}")
-    print("-" * 51)
+    print(f"{'kernel':<15} {'n':>6} {'width':<7} {'median_s':>12} {'vs base':>9}")
+    print("-" * 53)
     for r in results:
         print(
-            f"{r['kernel']:<13} {r['n']:>6} {r['width']:<7} "
+            f"{r['kernel']:<15} {r['n']:>6} {r['width']:<7} "
             f"{r['median_s']:>12.6f} {r['speedup_vs_baseline']:>8.1f}x"
         )
 
@@ -342,7 +353,8 @@ def main():
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: n=2^12 only, narrow width, 1 rep, separate output file",
+        help="CI smoke mode: n=2^7 and 2^12 (one size per NTT kernel), narrow "
+        "width, 1 rep, separate output file",
     )
     parser.add_argument(
         "--full",
@@ -358,10 +370,10 @@ def main():
     args = parser.parse_args()
 
     if args.quick:
-        sizes, widths, reps, baseline_reps = [1 << 12], ["narrow"], 1, 1
+        sizes, widths, reps, baseline_reps = [1 << 7, 1 << 12], ["narrow"], 1, 1
         out = args.out or REPO_ROOT / "BENCH_kernels.quick.json"
     else:
-        sizes = [1 << 12, 1 << 13, 1 << 14, 1 << 15]
+        sizes = [1 << 7, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15]
         widths = ["narrow", "wide", "big"]
         reps, baseline_reps = 5, 2
         out = args.out or REPO_ROOT / "BENCH_kernels.json"

@@ -54,8 +54,22 @@ uint64 loops use the cheaper :func:`mod_mul_shoup62_lazy` instead:
 four, and lands in ``[0, 4q)``; one fold by ``2q`` gives the
 butterflies' ``[0, 2q)``, and :func:`mod_mul_shoup` folds twice.
 
-All functions are pure unless handed an ``out``: they never mutate
-their inputs.
+**Exact float64 arithmetic** (what the four-step NTT of
+:mod:`repro.nt.ntt` is built from, for moduli ``q < 2^30`` only).  A
+float64 holds every integer below 2^53 exactly, and a sum or product
+of such integers that stays below 2^53 is exact whatever the order of
+summation — so a BLAS matrix product of 14-bit limbs
+(:func:`split_limbs`) against residues is an exact integer matrix
+product.  :func:`centred_rem` reduces such a value (``|y| ≤ 2^52``) to
+``|r| ≤ q/2 + 2`` from a float quotient estimate; :func:`limb_residue`
+recombines a limb pair through it; :func:`mod_mul_centred` multiplies
+by a constant ``w < q`` exactly in int64, with the quotient estimated
+from ``w/q`` in float64; :func:`centred_fold` brings ``|r| < 1.5q``
+into ``[0, q)`` with two :func:`lazy_fold` calls.  Residues enter and
+leave as integers; only exact integers ever sit in the floats.
+
+All functions are pure unless handed an ``out`` or told they
+overwrite an argument: they never mutate their inputs otherwise.
 """
 
 from __future__ import annotations
@@ -400,6 +414,101 @@ def mod_mul_shoup(x: np.ndarray, w, w_limbs, q) -> np.ndarray:
     r = mod_mul_shoup62_lazy(x, w, w_limbs, qa)
     lazy_fold(r, qa << np.uint64(1), out=r)
     return lazy_fold(r, qa, out=r)
+
+
+#: Bits in the low limb of a four-step DFT matrix entry (:func:`split_limbs`).
+LIMB_BITS = 14
+
+
+def split_limbs(w: np.ndarray) -> np.ndarray:
+    """``w = lo + 2^14·hi`` for an integer array ``w < 2^30``: the
+    float64 limbs ``lo < 2^14`` and ``hi < 2^16``, stacked on a new
+    leading axis (``lo`` first), C-contiguous.
+
+    A matrix product of either limb against ``N ≤ 32`` values below
+    ``1.5·2^30`` in magnitude has every partial sum below
+    ``1.5·2^51 < 2^53``, so BLAS computes it exactly.
+    """
+    w = w.astype(np.int64)
+    lo = np.bitwise_and(w, (1 << LIMB_BITS) - 1)
+    limbs = np.stack([lo, np.right_shift(w, LIMB_BITS)])
+    return limbs.astype(
+        # fhelint: ok[dtype-routing] exact integers below 2^53 in any
+        # summation order or BLAS thread count
+        np.float64, order="C"
+    )
+
+
+def centred_rem(y: np.ndarray, q, q_inv, out=None) -> np.ndarray:
+    """``y − rint(y·q_inv)·q``: congruent to ``y`` mod ``q`` with
+    ``|r| ≤ q/2 + 2``, for a float64 array ``y`` of integers with
+    ``|y| ≤ 2^52`` and ``q_inv`` the float64 ``1/q``.
+
+    The estimate ``fl(y·fl(1/q))`` is within ``|y/q|·2^-52`` of ``y/q``,
+    so ``rint`` misses the nearest integer only when ``y/q`` lies within
+    that of a half-integer, and then the remainder it leaves is still
+    ``q/2 + |y|·2^-52 ≤ q/2 + 2`` in magnitude.  Every product and
+    difference is an integer below 2^53, hence exact.  Callers that
+    bound the result by the cruder ``|r| < 1.5q`` (the estimate off by
+    one) are covered with room to spare.
+    """
+    t = np.multiply(y, q_inv)
+    np.rint(t, out=t)
+    t *= q
+    return np.subtract(y, t, out=out)
+
+
+def limb_residue(lo: np.ndarray, hi: np.ndarray, q, q_inv) -> np.ndarray:
+    """``lo + 2^14·hi`` mod ``q``, centred (``|r| ≤ q/2 + 2``), for the
+    two float64 limb sums of a :func:`split_limbs` product
+    (``|lo| ≤ 2^51``, ``|hi| ≤ 2^52``, ``q < 2^30``).  Overwrites both;
+    the result is ``lo``.
+
+    ``hi`` is reduced first (:func:`centred_rem`), so
+    ``|lo + 2^14·hi| ≤ 2^51 + 2^14·(q/2 + 2) < 2^52`` is within the
+    bound of the final one.
+    """
+    centred_rem(hi, q, q_inv, out=hi)
+    hi *= 1 << LIMB_BITS
+    lo += hi
+    return centred_rem(lo, q, q_inv, out=lo)
+
+
+def mod_mul_centred(c: np.ndarray, w, w_over_q, q, out) -> np.ndarray:
+    """``c·w − rint(c·(w/q))·q`` into ``out``: congruent to ``c·w`` mod
+    ``q`` with ``|r| ≤ q/2 + |c·w|·2^-51 < 0.51q``, for a float64 array
+    ``c`` of integers with ``|c| < 1.5q``, an int64 constant
+    ``w < q < 2^30`` and ``w_over_q`` its float64 ``w/q`` (``q`` may be
+    an integer or an exact float64 array).
+
+    ``c·w`` (``|c·w| < 1.5·2^60``) and the estimate's ``t·q`` are exact
+    int64 products, and their difference is as small as the remainder.
+    The estimate is within ``|c·w/q|·2^-51`` of ``c·w/q``, so ``rint``
+    is off only beside a half-integer, as in :func:`centred_rem`.
+    ``out`` may be a float64 view in any layout; the cast is exact.
+    """
+    # c holds exact integers: the int64 casts truncate nothing.
+    prod = np.multiply(c, w, dtype=np.int64, casting="unsafe")
+    t = np.multiply(c, w_over_q)
+    np.rint(t, out=t)
+    tq = np.multiply(t, q, dtype=np.int64, casting="unsafe")
+    return np.subtract(prod, tq, out=out, dtype=np.int64, casting="unsafe")
+
+
+def centred_fold(r: np.ndarray, q, two_q, out: np.ndarray) -> np.ndarray:
+    """The residue in ``[0, q)`` of a float64 array ``r`` of integers with
+    ``|r| < 1.5q``, written to the unsigned integer array ``out``
+    (``3.5q`` must fit its dtype).
+
+    ``r + 2q`` lies in ``(q/2, 3.5q)``, which two :func:`lazy_fold`
+    calls (by ``2q``, then ``q``) bring into ``[0, q)``.  ``q`` and
+    ``two_q`` are unsigned integer columns; ``out`` may take ``r`` in
+    another layout (the add is where a transposed ``r`` is laid out
+    afresh).
+    """
+    np.add(r, two_q, out=out, casting="unsafe")
+    lazy_fold(out, two_q, out=out)
+    return lazy_fold(out, q, out=out)
 
 
 def _mulmod_wide(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:

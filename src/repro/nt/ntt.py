@@ -49,14 +49,40 @@ accelerator's NTT FU uses — where those stages' inner loops are
 runs it as one pass: the stage constants broadcast over the leading
 axis, so the per-stage Python cost is paid once for all ``m``.
 
-Contexts are cached per moduli tuple and assembled from per-prime tables
-cached per ``(q, n)`` — each direction's per-stage constants on that
+**Small rings: the four-step kernel.**  A stack whose word is uint32
+(every ``q < 2^30``) and whose ``n ≤ 1024`` (``_FOUR_STEP_MAX_N``) runs
+no stage loop.  With ``n = n1·n2``, ``n1 = 2^⌈log2(n)/2⌉``, coefficient
+``j = n2·j1 + j2`` and output slot ``i = n2·i1 + i2``, the negacyclic
+transform is an ``n1``-point DFT over ``j1``, an elementwise twiddle and
+an ``n2``-point DFT over ``j2`` — the two ``√n``-sized phases of the
+accelerators' NTT units and of GPU libraries such as Cheddar.  The ``ψ``
+twist and the bit-reversed output order fold into three tables
+(:func:`_four_step_exponents`): the two DFT matrices, stored as 14-bit
+limbs in float64 (:func:`repro.nt.modmath.split_limbs`), and the
+twiddle, in int64 beside its float64 ``w/q``.  A pass is one batched
+``np.matmul`` per phase over all ``m·k`` matrices, a limb recombine to a
+centred residue after each (:func:`repro.nt.modmath.limb_residue`), the
+twiddle product between them exact in int64
+(:func:`repro.nt.modmath.mod_mul_centred`) and one fold to ``[0, q)``
+(:func:`repro.nt.modmath.centred_fold`): 34 array calls whatever
+``log n`` is, where the stage loop spends about ten per stage.  It is
+exact: every float holds an integer below 2^53 — a limb (``< 2^16``)
+times a value below ``1.5·2^30``, summed over at most 32 terms, stays
+below ``1.5·2^51`` — so BLAS computes each product exactly in any
+summation order and on any thread count, and the quotient estimates are
+bounded in :mod:`repro.nt.modmath`.  Outputs are bit-identical to the
+stage loop's.  The gate is fixed at construction from the word and
+``n`` alone; wider stacks and larger rings run the stage loop.
+
+Contexts are cached per moduli tuple.  Every constant either kernel
+multiplies by is indexed out of one row of ``ψ`` powers cached per
+``(q, n)`` (:func:`_psi_row`); each direction's tables are built on that
 direction's first transform, so a context that only runs forward holds
 half of them; they are the software analogue of the accelerator's
-precomputed twiddle ROMs.  Each constant and its companion
-(:func:`repro.nt.modmath.shoup_companion`, or on uint64 its limbs,
-:func:`repro.nt.modmath.shoup_limbs`) is stored once, in the stack's
-word and in the order its stage reads it.
+precomputed twiddle ROMs.  In the stage loop each constant and its
+companion (:func:`repro.nt.modmath.shoup_companion`, or on uint64 its
+limbs, :func:`repro.nt.modmath.shoup_limbs`) is stored once, in the
+stack's word and in the order its stage reads it.
 """
 
 from __future__ import annotations
@@ -94,22 +120,6 @@ def _find_primitive_2n_root(q: int, n: int) -> int:
     raise ParameterError(f"no primitive 2*{n}-th root of unity mod {q}")
 
 
-def _psi_tables(q: int, n: int) -> tuple[list[int], list[int], int]:
-    """Bit-reversed ``ψ`` power tables and ``n^{-1}`` for ``(q, n)``."""
-    psi = _find_primitive_2n_root(q, n)
-    psi_inv = modmath.mod_inv(psi, q)
-    rev = _bit_reverse_permutation(n)
-    powers = [1] * n
-    for i in range(1, n):
-        powers[i] = powers[i - 1] * psi % q
-    inv_powers = [1] * n
-    for i in range(1, n):
-        inv_powers[i] = inv_powers[i - 1] * psi_inv % q
-    psi_rev = [powers[rev[i]] for i in range(n)]
-    psi_inv_rev = [inv_powers[rev[i]] for i in range(n)]
-    return psi_rev, psi_inv_rev, modmath.mod_inv(n, q)
-
-
 def _as_table(values: list[int], q: int) -> np.ndarray:
     if modmath.dtype_for_modulus(q) is object:
         # Twiddle tables, not residue storage; dtype already routed by
@@ -121,26 +131,89 @@ def _as_table(values: list[int], q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
+def _psi_row(q: int, n: int) -> np.ndarray:
+    """``ψ^e mod q`` for ``e`` in ``[0, 2n)``, cached per ``(q, n)``.
+
+    Every constant either kernel multiplies by is one of these powers
+    (``ψ^-e`` is ``ψ^(2n - e)``), or one of them times ``n^-1``; both
+    kernels build their tables from this row by indexing it with
+    exponents.  A prime that appears in many bases (every level of a
+    chain shares its prefix) pays for its root search and powers once.
+    """
+    if not is_ntt_friendly(q, n):
+        raise ParameterError(f"{q} is not an NTT-friendly prime for degree {n}")
+    psi = _find_primitive_2n_root(q, n)
+    powers = [1] * (2 * n)
+    for e in range(1, 2 * n):
+        powers[e] = powers[e - 1] * psi % q
+    return _as_table(powers, q)
+
+
+def _bit_reversed_exponents(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents of the bit-reversed ``ψ`` and ``ψ^-1`` powers, mod 2n."""
+    rev = np.array(_bit_reverse_permutation(n), dtype=np.int64)
+    return rev, np.remainder(2 * n - rev, 2 * n)
+
+
+def _psi_tables(q: int, n: int) -> tuple[list[int], list[int], int]:
+    """Bit-reversed ``ψ`` power tables and ``n^{-1}`` for ``(q, n)``."""
+    row = _psi_row(q, n)
+    fwd, inv = _bit_reversed_exponents(n)
+    return row[fwd].tolist(), row[inv].tolist(), modmath.mod_inv(n, q)
+
+
+@lru_cache(maxsize=4096)
 def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached natural-order ``(forward, inverse)`` constants for one prime.
+    """Cached natural-order ``(forward, inverse)`` stage-loop constants
+    for one prime.
 
     Row ``i`` of each is the bit-reversed ``ψ`` (``ψ^-1``) power a
     butterfly block ``i`` multiplies by.  Slot 0 is ``ψ^0 = 1``, which
     no stage reads; the inverse table keeps ``n^-1`` there, so a table
     is *every* constant its direction multiplies by.  This is the unit
-    the stacked contexts are assembled from: a prime that appears in
-    many bases (every level of a chain shares its prefix) pays for its
-    root search and power tables once.
+    the stacked stage plans are assembled from.
     """
-    if not is_ntt_friendly(q, n):
-        raise ParameterError(f"{q} is not an NTT-friendly prime for degree {n}")
-    psi_rev, psi_inv_rev, n_inv = _psi_tables(q, n)
-    psi_inv_rev[0] = n_inv
-    return _as_table(psi_rev, q), _as_table(psi_inv_rev, q)
+    row = _psi_row(q, n)
+    fwd, inv = _bit_reversed_exponents(n)
+    inverse = row[inv]
+    inverse[0] = modmath.mod_inv(n, q)
+    return row[fwd], inverse
+
+
+@lru_cache(maxsize=64)
+def _four_step_exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward four-step kernel's ``ψ`` exponents, mod ``2n``, on
+    the grids its three tables are indexed by: ``left[i1, j1]``,
+    ``twiddle[i1, j2]`` and ``right[i2, j2]`` (``n = n1·n2``,
+    ``n1 = 2^⌈log2(n)/2⌉``).
+
+    Coefficient ``j = n2·j1 + j2`` goes in; output slot
+    ``i = n2·i1 + i2`` holds the value at ``ψ^(2k+1)`` for
+    ``k = rev(i) = k1 + n1·k2``, where ``k1 = rev1(i1)`` and
+    ``k2 = rev2(i2)`` reverse ``log2 n1`` and ``log2 n2`` bits.  As
+    ``2n`` divides ``2·n1·n2·k2·j1``, ``(2k + 1)·j`` is congruent to
+    ``n2·j1·(2k1 + 1) + j2·(2k1 + 1) + 2·n1·k2·j2``: one term per table.
+    """
+    n1 = 1 << (n.bit_length() // 2)
+    n2 = n // n1
+    k1 = np.array(_bit_reverse_permutation(n1), dtype=np.int64)
+    k2 = np.array(_bit_reverse_permutation(n2), dtype=np.int64)
+    j1, j2 = np.arange(n1), np.arange(n2)
+    # Every exponent is below 2·n·n1 <= 2^16 before the reduction.
+    odd = 2 * k1 + 1  # fhelint: ok[overflow-hazard] < 2·n1
+    exponents = (
+        np.multiply.outer(n2 * odd, j1),  # fhelint: ok[overflow-hazard]
+        np.multiply.outer(odd, j2),
+        np.multiply.outer(2 * n1 * k2, j2),  # fhelint: ok[overflow-hazard]
+    )
+    return tuple(np.remainder(e, 2 * n) for e in exponents)
 
 
 #: Block size from which the stages run transposed (see ``_tail_view``).
 _TAIL = 16
+
+#: Largest ring degree the four-step kernel runs (uint32 word only).
+_FOUR_STEP_MAX_N = 1 << 10
 
 #: Working-matrix bytes up to which siblings run as one stack: while a
 #: stage's matrix and temporaries fit the core's private cache a wider
@@ -175,7 +248,7 @@ class NttRowsContext:
         if not moduli:
             raise ParameterError("batched NTT needs at least one modulus")
         for q in moduli:
-            _prime_tables(q, n)  # rejects an unfriendly prime up front
+            _psi_row(q, n)  # rejects an unfriendly prime up front
         self.moduli = moduli
         self.n = n
         widest = max(moduli)
@@ -188,7 +261,18 @@ class NttRowsContext:
         # holds every constant (w < q) and companion (w' < 2^32).
         self._word = np.uint32 if 4 * widest <= 1 << 32 else self._dtype
         self._tail = min(n, _TAIL)
-        self._q = self._q_col.astype(self._word).reshape(k, 1, 1, 1)
+        # Small rings over the uint32 word run the four-step kernel.
+        self._four_step = self._word is np.uint32 and n <= _FOUR_STEP_MAX_N
+        # The moduli in the word, as each kernel's folds read them: a
+        # column over the stage loop's 5-D views; one per coefficient of
+        # the four-step kernel's (k, n1, n2) blocks, whose tables
+        # broadcast over the leading stack axis only.
+        q = self._q_col.astype(self._word)
+        if self._four_step:
+            n1 = 1 << (n.bit_length() // 2)
+            self._q = np.repeat(q, n).reshape(k, n1, n // n1)
+        else:
+            self._q = q.reshape(k, 1, 1, 1)
         self._two_q = self._q * 2
 
     def _plan(self, inverse: bool) -> list[tuple]:
@@ -257,6 +341,95 @@ class NttRowsContext:
     @cached_property
     def _inverse_plan(self):
         return self._plan(True)
+
+    def _four_step_tables(self, inverse: bool) -> tuple:
+        """One direction's four-step tables, stacked over the primes:
+        ``(left, right, w, w/q)``.
+
+        ``left`` is ``(2, 1, k, n1, n1)``: the :func:`modmath.split_limbs`
+        of the matrix the ``n1``-point phase multiplies from the left,
+        shaped so that one ``np.matmul`` against an ``(m, k, n1, n2)``
+        stack yields both limb sums as ``(2, m, k, n1, n2)``; ``right``
+        is ``(2, 1, k, n2, n2)``, the limbs of the matrix the
+        ``n2``-point phase multiplies from the right; ``w`` is the
+        ``(k, n1, n2)`` int64 twiddle and ``w/q`` its float64 quotient.
+        The inverse negates every exponent, transposes both matrices (it
+        runs the phases in the opposite order) and scales its twiddle by
+        ``n^-1``.
+        """
+        n, k = self.n, len(self.moduli)
+        left, twiddle, right = _four_step_exponents(n)
+        if inverse:
+            # ψ^-e is ψ^(2n - e).
+            left, twiddle, right = (
+                np.remainder(2 * n - e, 2 * n) for e in (left.T, twiddle, right)
+            )
+        else:
+            right = right.T
+        rows = np.stack([_psi_row(q, n) for q in self.moduli])
+        w = rows[:, twiddle]
+        if inverse:
+            n_inv = np.array([modmath.mod_inv(n, q) for q in self.moduli],
+                             dtype=np.uint64).reshape(k, 1, 1)
+            w = modmath.mod_mul(w, n_inv, self._q_col.reshape(k, 1, 1), "narrow")
+        w = w.astype(np.int64)
+        return (
+            modmath.split_limbs(rows[:, left])[:, None],
+            modmath.split_limbs(rows[:, right])[:, None],
+            w,
+            # fhelint: ok[dtype-routing] w/q only estimates a quotient
+            w / self._q_col.reshape(k, 1, 1).astype(np.float64),
+        )
+
+    @cached_property
+    def _four_step_forward(self):
+        return self._four_step_tables(False)
+
+    @cached_property
+    def _four_step_inverse(self):
+        return self._four_step_tables(True)
+
+    @cached_property
+    def _four_step_moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        """``q`` and ``1/q`` in float64, one per coefficient like
+        ``_q`` (``q < 2^30`` is exact)."""
+        q = self._q.astype(np.float64)  # fhelint: ok[dtype-routing] q < 2^30, exact
+        return q, 1 / q
+
+    def _four_step_pass(self, mat: np.ndarray, inverse: bool) -> np.ndarray:
+        """The four-step kernel: two batched float64 matrix products,
+        exact, with an int64 twiddle product between them.
+
+        ``mat`` is seen as an ``(m, k, n1, n2)`` stack.  Forward runs
+        the ``n1``-point phase (``left @ ·``, over ``j1``), the twiddle
+        and the ``n2``-point phase (``· @ right``, over ``j2``); inverse
+        runs them mirrored.  After each product
+        :func:`modmath.limb_residue` recombines the two limb sums to a
+        centred residue; :func:`modmath.mod_mul_centred` twiddles in
+        place, and :func:`modmath.centred_fold` lands the result in
+        ``[0, q)``.  Every value a float holds is an exact integer below
+        2^53 (the bounds are in :mod:`repro.nt.modmath`).  The layout
+        never changes: the per-prime tables broadcast over the leading
+        ``m`` only, so every elementwise call runs over contiguous
+        ``(k, n1, n2)`` blocks.
+        """
+        left, right, w, w_over_q = (
+            self._four_step_inverse if inverse else self._four_step_forward
+        )
+        q, q_inv = self._four_step_moduli
+        x = mat.reshape(-1, *self._q.shape).astype(
+            # fhelint: ok[dtype-routing] exact integers below 2^53 in any
+            # summation order or BLAS thread count (modmath.split_limbs)
+            np.float64
+        )
+        y = np.matmul(x, right) if inverse else np.matmul(left, x)
+        c = modmath.limb_residue(y[0], y[1], q, q_inv)
+        modmath.mod_mul_centred(c, w, w_over_q, q, out=c)
+        y = np.matmul(left, c) if inverse else np.matmul(c, right)
+        r = modmath.limb_residue(y[0], y[1], q, q_inv)
+        out = np.empty(r.shape, dtype=self._word)
+        modmath.centred_fold(r, self._q, self._two_q, out)
+        return out.astype(self._dtype).reshape(mat.shape)
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -330,7 +503,8 @@ class NttRowsContext:
         return _backends.ntt_forward(self, mat)
 
     def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
-        """The stage-vectorized numpy forward kernel.
+        """The numpy forward kernel: :meth:`_four_step_pass` on a small
+        uint32 ring, else the stage loop.
 
         Cooley–Tukey DIT with Harvey's lazy butterfly: values enter a
         stage in ``[0, 4q)``, the upper half folds to ``[0, 2q)``, the
@@ -339,6 +513,8 @@ class NttRowsContext:
         full reduction runs on the transposed layout, just before the
         copy back to natural order.
         """
+        if self._four_step:
+            return self._four_step_pass(mat, inverse=False)
         # 5-D from the start (a lone matrix is a stack of one), so that
         # n = 1 (no stage, never transposed) leaves through the same
         # reduction and copy as everything else.
@@ -373,7 +549,8 @@ class NttRowsContext:
         return _backends.ntt_inverse(self, mat)
 
     def _inverse_stages(self, mat: np.ndarray) -> np.ndarray:
-        """The stage-vectorized numpy inverse kernel.
+        """The numpy inverse kernel: :meth:`_four_step_pass` on a small
+        uint32 ring, else the stage loop.
 
         Gentleman–Sande DIF with the lazy butterfly mirrored: values
         stay in ``[0, 2q)``; the sum folds back from ``[0, 4q)``, the
@@ -381,6 +558,8 @@ class NttRowsContext:
         product.  The ``n^-1`` scale is one more constant multiply and
         the one full reduction follows it.
         """
+        if self._four_step:
+            return self._four_step_pass(mat, inverse=True)
         *stages, (whole, n_inv, n_inv_shoup) = self._inverse_plan
         a = self._tail_view(mat).astype(self._word, order="C")
         t = 1

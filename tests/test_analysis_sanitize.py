@@ -2,6 +2,7 @@
 path does no per-op work, and the env switch parses conservatively."""
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.errors import InvariantViolation
 from repro.nt import ntt as ntt_mod
 from repro.nt.ntt import forward_rows, inverse_rows
+from repro.nt.primes import ntt_friendly_primes_below
 from repro.rns.basis import RnsBasis
 from repro.rns.convert import base_convert
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
@@ -126,26 +128,44 @@ class TestHookSites:
     def test_lazy_value_escaping_the_stage_loop_is_caught_at_the_kernel(
         self, sanitizer, monkeypatch, transform, label
     ):
-        """The stage loops ride lazy ranges and reduce fully once; with
-        that last fold to ``[0, q)`` patched away, the unreduced output
-        is reported at the transform that produced it."""
-        ctx = ntt_mod.ntt_rows_context(MODULI, N)
-        real_fold = ntt_mod.modmath.lazy_fold
+        """Both NTT kernels end on one fold to ``[0, q)`` by the
+        context's ``_q`` (at this n, the four-step kernel's); with it
+        patched away, the unreduced output is reported at the transform
+        that produced it."""
+        _final_fold_escapes(sanitizer, monkeypatch, transform, label, MODULI, N)
 
-        def no_final_fold(x, m, out=None):
-            return x if m is ctx._q else real_fold(x, m, out=out)
-
-        monkeypatch.setattr(ntt_mod.modmath, "lazy_fold", no_final_fold)
-        mat = np.stack([np.full(N, q - 1, dtype=np.uint64) for q in MODULI])
-        sanitizer.enable()
-        with pytest.raises(InvariantViolation, match=label):
-            transform(mat, MODULI)
+    @pytest.mark.parametrize(
+        "transform,label",
+        [(forward_rows, "forward_rows output"), (inverse_rows, "inverse_rows output")],
+    )
+    def test_lazy_value_escaping_above_the_four_step_gate_is_caught(
+        self, sanitizer, monkeypatch, transform, label
+    ):
+        """The same, where the stage loop runs (n = 2048)."""
+        n = 2048
+        moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, n), 2))
+        assert not ntt_mod.ntt_rows_context(moduli, n)._four_step
+        _final_fold_escapes(sanitizer, monkeypatch, transform, label, moduli, n)
 
     def test_matrix_row_count_mismatch(self, sanitizer):
         sanitizer.enable()
         mat = np.zeros((1, N), dtype=np.uint64)
         with pytest.raises(InvariantViolation, match="rows"):
             sanitizer.check_residue_matrix(mat, MODULI, "fixture")
+
+
+def _final_fold_escapes(sanitizer, monkeypatch, transform, label, moduli, n):
+    ctx = ntt_mod.ntt_rows_context(moduli, n)
+    real_fold = ntt_mod.modmath.lazy_fold
+
+    def no_final_fold(x, m, out=None):
+        return x if m is ctx._q else real_fold(x, m, out=out)
+
+    monkeypatch.setattr(ntt_mod.modmath, "lazy_fold", no_final_fold)
+    mat = np.stack([np.full(n, q - 1, dtype=np.uint64) for q in moduli])
+    sanitizer.enable()
+    with pytest.raises(InvariantViolation, match=label):
+        transform(mat, moduli)
 
 
 class TestCiphertextChecks:

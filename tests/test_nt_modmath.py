@@ -547,3 +547,99 @@ def test_kernels_are_bit_exact_under_any_ufunc_buffer():
         assert len(got) == len(ours)
         for x, y in zip(got, ours):
             assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+# ----------------------------------------------------------------------
+# The four-step NTT's exact float64 helpers, at the edges of their
+# stated bounds: the largest uint32-word prime and a 12-bit one (the
+# bootstrap chain has them), with inputs built so the float quotient
+# estimate lands on a half-integer, where ``rint`` may round either way
+# (or, for the 12-bit prime, as near one as float64 gets there).
+# ----------------------------------------------------------------------
+EXACT_FLOAT_PRIMES = [
+    pytest.param(next(ntt_friendly_primes_below(1 << 30, 1024)), id="below30"),
+    pytest.param(3329, id="12bit"),
+]
+
+
+def _ties(estimate: np.ndarray, q: int) -> int:
+    """How many estimates sit exactly on a half-integer; for a prime
+    too small for that at these magnitudes (its ``1/(2q)`` offset is
+    more than half a float step), how many are one float step from one."""
+    off = np.abs(estimate - np.floor(estimate) - 0.5)
+    return int((off <= (0 if q > 1 << 20 else np.spacing(estimate))).sum())
+
+
+@pytest.mark.parametrize("q", EXACT_FLOAT_PRIMES)
+def test_centred_rem_at_quotient_ties(q):
+    """``y = t·q + (q ± 1)/2``, whose quotient sits ``1/(2q)`` from a
+    half-integer, for ``t`` up to the ``|y| ≤ 2^52`` bound and down to
+    minus it: congruent, and ``|r| ≤ q/2 + 2`` however ``rint`` lands."""
+    top = ((1 << 52) - q) // q
+    ts = [t for lo in (0, top // 2, top - 3000) for t in range(lo, lo + 3000)]
+    ys = [s * (t * q + (q + e) // 2) for t in ts for e in (-1, 1) for s in (-1, 1)]
+    y = np.array(ys, dtype=np.float64)
+    assert [int(v) for v in y] == ys  # exact inputs
+    q_inv = 1 / np.float64(q)
+    assert _ties(y * q_inv, q) > 0  # the case under test occurs
+    r = modmath.centred_rem(y, np.float64(q), q_inv)
+    assert np.array_equal(y, np.array(ys, dtype=np.float64))  # pure
+    for got, want in zip(r.tolist(), ys):
+        assert got == int(got) and (want - int(got)) % q == 0
+        assert abs(got) <= q / 2 + 2
+
+
+@pytest.mark.parametrize("q", EXACT_FLOAT_PRIMES)
+def test_mod_mul_centred_at_quotient_ties(q):
+    """``c·w ≡ (q ± 1)/2``, so ``c·w/q`` is ``1/(2q)`` from a
+    half-integer, for ``c`` across ``(-1.5q, 1.5q)``: exact, and
+    ``|r| < 0.51q`` into a float64 output."""
+    rng = np.random.default_rng(q)
+    ws = [int(v) for v in rng.integers(1, q, 2000)]
+    cs = []
+    for i, w in enumerate(ws):
+        c = (q + (-1) ** i) // 2 * modmath.mod_inv(w, q) % q
+        cs.append(c - q * (i % 3) if c - q * (i % 3) > -1.5 * q else c)
+    c, w = np.array(cs, dtype=np.float64), np.array(ws, dtype=np.int64)
+    w_over_q = w / np.float64(q)
+    # A 12-bit product's quotient is 1/(2q) from the half-integer, far
+    # more than float64's error at its size: the nearest a tie gets.
+    assert _ties(c * w_over_q, q) > 0 or q < 1 << 20
+    out = np.empty(len(ws))
+    assert modmath.mod_mul_centred(c, w, w_over_q, np.int64(q), out) is out
+    for got, ci, wi in zip(out.tolist(), cs, ws):
+        assert (ci * wi - int(got)) % q == 0 and abs(got) < 0.51 * q
+
+
+@pytest.mark.parametrize("q", EXACT_FLOAT_PRIMES)
+def test_limb_residue_at_its_bounds(q):
+    rng = np.random.default_rng(7)
+    los = [1 << 51, -(1 << 51), 0, 1, *rng.integers(-(1 << 51), 1 << 51, 500).tolist()]
+    his = [1 << 52, -(1 << 52), 0, -1, *rng.integers(-(1 << 52), 1 << 52, 500).tolist()]
+    lo, hi = np.array(los, dtype=np.float64), np.array(his, dtype=np.float64)
+    r = modmath.limb_residue(lo, hi, np.float64(q), 1 / np.float64(q))
+    for got, a, b in zip(r.tolist(), los, his):
+        assert (a + (b << modmath.LIMB_BITS) - int(got)) % q == 0
+        assert abs(got) <= q / 2 + 2
+
+
+@pytest.mark.parametrize("q", EXACT_FLOAT_PRIMES)
+def test_centred_fold_covers_an_off_by_one_estimate(q):
+    """Any ``|r| < 1.5q`` (a quotient estimate off by one leaves at most
+    that) lands in ``[0, q)``, not only ``|r| ≤ q/2 + 2``."""
+    edge = (3 * q - 1) // 2
+    values = [-edge, -q - 1, -q, -q + 1, -(q // 2) - 2, -1, 0, 1, q // 2 + 2,
+              q - 1, q, q + 1, edge]
+    r = np.array(values, dtype=np.float64)
+    out = np.empty(len(values), dtype=np.uint64)
+    got = modmath.centred_fold(r, np.uint32(q), np.uint32(2 * q), out)
+    assert got is out and out.tolist() == [v % q for v in values]
+
+
+def test_split_limbs_recombine():
+    w = np.random.default_rng(3).integers(0, 1 << 30, (3, 5, 7), dtype=np.uint64)
+    limbs = modmath.split_limbs(w)
+    assert limbs.shape == (2, 3, 5, 7) and limbs.flags.c_contiguous
+    lo, hi = limbs
+    assert lo.max() < 1 << 14 and hi.max() < 1 << 16
+    assert np.array_equal(lo.astype(np.uint64) + (hi.astype(np.uint64) << 14), w)

@@ -79,6 +79,27 @@ def stages(monkeypatch):
     return run
 
 
+@pytest.fixture
+def four_step_passes(monkeypatch):
+    """``four_step_passes(fn)``: four-step kernel passes ``fn`` ran,
+    counted by wrapping ``NttRowsContext._four_step_pass``."""
+    calls = []
+    real = ntt_mod.NttRowsContext._four_step_pass
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ntt_mod.NttRowsContext, "_four_step_pass", counted)
+
+    def run(fn):
+        before = len(calls)
+        fn()
+        return len(calls) - before
+
+    return run
+
+
 def _random_residues(q, n, seed):
     rng = np.random.default_rng(seed)
     return modmath.uniform_mod(q, n, rng)
@@ -278,6 +299,161 @@ class TestLazyButterflyProperty:
 
 
 # ----------------------------------------------------------------------
+# The four-step kernel (uint32 word, n <= 1024) at its edges: every
+# degree it runs, the largest primes of its word and the smallest the
+# degree allows, both input shapes, and inputs built so its twiddle
+# product's float quotient estimate lands on a rint tie.
+# ----------------------------------------------------------------------
+GATED_N = [1 << e for e in range(11)]
+EDGE_PRIMES = {
+    # Just below 2^30: the top of the uint32 word.
+    "below30": lambda n: ntt_friendly_primes_below(1 << 30, max(n, 2)),
+    # The smallest above 2^11: 12-bit up to n = 128 (the bootstrap chain
+    # has such primes), the next NTT-friendly ones beyond.
+    "above2^11": lambda n: ntt_friendly_primes_above(1 << 11, max(n, 2)),
+}
+
+
+def _edge_moduli(kind: str, n: int, k: int = 2) -> tuple[int, ...]:
+    return tuple(islice(EDGE_PRIMES[kind](n), k))
+
+
+def _reference_rows(stack, moduli, n, direction):
+    return [
+        [
+            [int(v) for v in getattr(reference_ntt_context(q, n), direction)(mat[i])]
+            for i, q in enumerate(moduli)
+        ]
+        for mat in stack
+    ]
+
+
+def _inverse_mod(a: list[list[int]], q: int) -> list[list[int]]:
+    """The inverse of a square matrix mod the prime ``q`` (Gauss–Jordan)."""
+    size = len(a)
+    aug = [row[:] + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] % q)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = modmath.mod_inv(aug[col][col], q)
+        aug[col] = [v * inv % q for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(v - f * p) % q for v, p in zip(aug[r], aug[col])]
+    return [row[size:] for row in aug]
+
+
+def _matmul_mod(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def _tie_input(ctx, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(k, n)`` input whose first phase hands the twiddle product
+    ``c`` with ``c·w ≡ (q ± 1)/2`` at every position, so ``c·w/q`` is
+    ``1/(2q)`` from a half-integer; and the float estimates
+    ``c·(w/q)`` the kernel forms from it."""
+    k, n = len(ctx.moduli), ctx.n
+    n1 = 1 << (n.bit_length() // 2)
+    n2 = n // n1
+    left, right, w, w_over_q = (
+        ctx._four_step_inverse if inverse else ctx._four_step_forward
+    )
+    # The first phase's matrix, limbs recombined: left @ (j1, j2) forward,
+    # (i1, i2) @ right inverse.
+    lo, hi = (right if inverse else left)[:, 0]
+    first = (lo + hi * (1 << modmath.LIMB_BITS)).astype(np.int64)
+    out = np.empty((k, n), dtype=np.uint64)
+    estimates = np.empty((k, n1, n2))
+    for i, q in enumerate(ctx.moduli):
+        c = [
+            [(q + (-1) ** (a + b)) // 2 * modmath.mod_inv(int(w[i, a, b]), q) % q
+             for b in range(n2)]
+            for a in range(n1)
+        ]
+        m = first[i].tolist()
+        x = (_matmul_mod(c, _inverse_mod(m, q), q) if inverse
+             else _matmul_mod(_inverse_mod(m, q), c, q))
+        out[i] = np.array(x, dtype=np.uint64).reshape(n)
+        centred = np.array([[v - q if v > q // 2 else v for v in row] for row in c])
+        estimates[i] = centred * w_over_q[i]
+    return out, estimates
+
+
+class TestFourStepEdges:
+    @pytest.mark.parametrize("fill", ["random", "q-1", "zero"])
+    @pytest.mark.parametrize("kind", list(EDGE_PRIMES))
+    @pytest.mark.parametrize("n", GATED_N)
+    def test_rows_match_reference(self, n, kind, fill):
+        moduli = _edge_moduli(kind, n)
+        assert ntt_rows_context(moduli, n)._four_step
+        rng = np.random.default_rng(n)
+        stack = np.stack([
+            np.stack([
+                {"random": lambda q: rng.integers(0, q, n, dtype=np.uint64),
+                 "q-1": lambda q: np.full(n, q - 1, dtype=np.uint64),
+                 "zero": lambda q: np.zeros(n, dtype=np.uint64)}[fill](q)
+                for q in moduli
+            ])
+            for _ in range(3)
+        ])
+        for transform, direction in (
+            (forward_rows, "forward"), (inverse_rows, "inverse")
+        ):
+            got = transform(stack, moduli)
+            assert got.tolist() == _reference_rows(stack, moduli, n, direction)
+            assert np.array_equal(transform(stack[1], moduli), got[1])
+        assert np.array_equal(inverse_rows(forward_rows(stack, moduli), moduli), stack)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("kind", list(EDGE_PRIMES))
+    @pytest.mark.parametrize("n", GATED_N[1:])
+    def test_twiddle_quotient_ties(self, n, kind, direction):
+        moduli = _edge_moduli(kind, n)
+        ctx = ntt_rows_context(moduli, n)
+        mat, estimates = _tie_input(ctx, direction == "inverse")
+        if max(moduli) > 1 << 24 and n >= 4:
+            # Products near q^2/2 are coarse enough in float64 that the
+            # estimate lands on the half-integer itself.
+            assert (estimates - np.floor(estimates) == 0.5).any()
+        other = np.random.default_rng(n).integers(0, min(moduli), mat.shape,
+                                                  dtype=np.uint64)
+        stack = np.stack([mat, other])
+        transform = forward_rows if direction == "forward" else inverse_rows
+        got = transform(stack, moduli)
+        assert got.tolist() == _reference_rows(stack, moduli, n, direction)
+        assert np.array_equal(transform(mat, moduli), got[0])
+
+
+@pytest.mark.parametrize(
+    "widths,n,four_step",
+    [
+        (("28",), 2, True),
+        (("28", "below30", "20"), 128, True),
+        (("smallest",), 1024, True),
+        (("28",), 2048, False),
+        (("30to31",), 128, False),
+        (("28", "55"), 128, False),
+        (("55",), 1024, False),
+        (("big",), 128, False),
+    ],
+)
+def test_kernel_is_chosen_by_word_and_degree(
+    widths, n, four_step, stages, four_step_passes
+):
+    """The four-step kernel runs exactly where the stack's word is
+    uint32 (every modulus below 2^30) and ``n <= 1024``; everywhere
+    else the stage loop does, as before."""
+    moduli = _mixed_moduli(widths, n)
+    ctx = ntt_rows_context(moduli, n)
+    assert ctx._four_step == four_step
+    mat = np.zeros((len(moduli), n), dtype=ctx._dtype)
+    ran_stages = stages("forward", lambda: forward_rows(mat, moduli))
+    assert four_step_passes(lambda: forward_rows(mat, moduli)) == int(four_step)
+    assert ran_stages == (0 if four_step else n.bit_length() - 1)
+
+
+# ----------------------------------------------------------------------
 # Known-answer vectors (ROADMAP item 4): sha256 of a fixed input and of
 # its forward / inverse transform per width class, recorded at the
 # commit *before* the lazy butterfly landed.  Inputs come from a 64-bit
@@ -394,18 +570,33 @@ class TestStackedMatrices:
 
     def test_oversized_stack_runs_in_parts(self, engine, monkeypatch, stages):
         """A stack past the cache budget is split, not refused: same
-        residues, more than one pass of stage kernels."""
-        n, moduli = 128, _class_primes("28", 128, 4)
+        residues, more than one pass of stage kernels (n = 2048, above
+        the four-step gate)."""
+        n, moduli = 2048, _class_primes("28", 2048, 4)
         rng = np.random.default_rng(9)
         stack = rng.integers(0, min(moduli), (6, 4, n), dtype=np.uint64)
         want = forward_rows(stack, moduli)
-        one = 4 * n * 4  # a (4, 128) matrix in the uint32 word
+        one = 4 * n * 4  # a (4, 2048) matrix in the uint32 word
         monkeypatch.setattr(ntt_mod, "_STACK_BYTES", 2 * one)
         passes = stages(
             "forward",
             lambda: np.testing.assert_array_equal(forward_rows(stack, moduli), want),
-        ) // 7
+        ) // 11
         assert passes == 3  # 6 matrices, 2 to a part
+
+    def test_oversized_stack_runs_in_parts_below_the_gate(
+        self, engine, monkeypatch, four_step_passes
+    ):
+        """The four-step kernel splits a stack by the same budget."""
+        n, moduli = 128, _class_primes("28", 128, 4)
+        rng = np.random.default_rng(9)
+        stack = rng.integers(0, min(moduli), (6, 4, n), dtype=np.uint64)
+        want = forward_rows(stack, moduli)
+        monkeypatch.setattr(ntt_mod, "_STACK_BYTES", 2 * 4 * n * 4)
+        passes = four_step_passes(
+            lambda: np.testing.assert_array_equal(forward_rows(stack, moduli), want)
+        )
+        assert passes == 3
 
 
 @pytest.mark.guard
@@ -463,22 +654,43 @@ class TestStageVectorizationGuard:
         """Function calls per transform are ``c0 + c * log2 n`` with
         ``c0`` and ``c`` independent of ``n`` and of ``k``: each stage
         is a fixed handful of numpy calls whatever the matrix holds, and
-        a per-block loop (O(n) calls) cannot hide in any of them."""
+        a per-block loop (O(n) calls) cannot hide in any of them.  The
+        degrees sit above the four-step gate, where the narrow word runs
+        the stage loop too."""
         counts = {}
         for k in (1, 4):
-            for log_n in (8, 10, 12):
+            for log_n in (11, 13, 15):
                 n = 1 << log_n
                 moduli = tuple(islice(ntt_friendly_primes_below(1 << bits, n), k))
                 mat = np.zeros((k, n), dtype=np.uint64)
                 transform = getattr(ntt_rows_context(moduli, n), direction)
                 transform(mat)  # build the tables
                 counts[k, log_n] = self._profile_events(lambda: transform(mat))
-        per_stage = (counts[1, 12] - counts[1, 8]) // 4
+        per_stage = (counts[1, 15] - counts[1, 11]) // 4
         assert 0 < per_stage <= 40
         for k in (1, 4):
-            assert counts[k, 10] - counts[k, 8] == 2 * per_stage
-            assert counts[k, 12] - counts[k, 10] == 2 * per_stage
-            assert counts[k, 8] == counts[1, 8]
+            assert counts[k, 13] - counts[k, 11] == 2 * per_stage
+            assert counts[k, 15] - counts[k, 13] == 2 * per_stage
+            assert counts[k, 11] == counts[1, 11]
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_four_step_call_count_is_constant(self, direction, stacked):
+        """Below the gate a transform makes the same function calls
+        whatever ``n`` and ``k``: two matrix products and a fixed run of
+        elementwise calls, with no loop over stages, blocks or rows."""
+        counts = set()
+        for k in (1, 4):
+            for log_n in range(1, 11):
+                n = 1 << log_n
+                moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, n), k))
+                mat = np.zeros((3, k, n) if stacked else (k, n), dtype=np.uint64)
+                ctx = ntt_rows_context(moduli, n)
+                assert ctx._four_step
+                transform = getattr(ctx, direction)
+                transform(mat)  # build the tables
+                counts.add(self._profile_events(lambda: transform(mat)))
+        assert len(counts) == 1 and 0 < counts.pop() <= 40
 
     def test_batched_rows_share_stage_kernels(self, stages):
         moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, self.N), 4))
@@ -491,11 +703,13 @@ class TestStageVectorizationGuard:
 
     def test_stacked_siblings_share_stage_kernels(self, stages):
         """A stack that fits the cache budget is one pass: ``log2 n``
-        stage kernels for all ``m`` matrices, not ``m`` times that."""
-        n, log_n = 128, 7
-        moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, n), 46))
+        stage kernels for all ``m`` matrices, not ``m`` times that (at
+        n = 2048, above the four-step gate; 4 x 12 rows fill the
+        budget exactly)."""
+        n, log_n = 2048, 11
+        moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, n), 12))
         stack = np.random.default_rng(7).integers(
-            0, min(moduli), (4, 46, n), dtype=np.uint64
+            0, min(moduli), (4, 12, n), dtype=np.uint64
         )
         for direction, transform in (
             ("forward", forward_rows), ("inverse", inverse_rows)
