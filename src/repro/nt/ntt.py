@@ -162,24 +162,6 @@ def _psi_tables(q: int, n: int) -> tuple[list[int], list[int], int]:
     return row[fwd].tolist(), row[inv].tolist(), modmath.mod_inv(n, q)
 
 
-@lru_cache(maxsize=4096)
-def _prime_tables(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached natural-order ``(forward, inverse)`` stage-loop constants
-    for one prime.
-
-    Row ``i`` of each is the bit-reversed ``ψ`` (``ψ^-1``) power a
-    butterfly block ``i`` multiplies by.  Slot 0 is ``ψ^0 = 1``, which
-    no stage reads; the inverse table keeps ``n^-1`` there, so a table
-    is *every* constant its direction multiplies by.  This is the unit
-    the stacked stage plans are assembled from.
-    """
-    row = _psi_row(q, n)
-    fwd, inv = _bit_reversed_exponents(n)
-    inverse = row[inv]
-    inverse[0] = modmath.mod_inv(n, q)
-    return row[fwd], inverse
-
-
 @lru_cache(maxsize=64)
 def _four_step_exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward four-step kernel's ``ψ`` exponents, mod ``2n``, on
@@ -294,9 +276,15 @@ class NttRowsContext:
         scale over the whole ``(k, 1, 1, n)`` matrix.
         """
         k, n = len(self.moduli), self.n
-        # np.stack lands on the widest row's dtype: one object table
-        # makes the stack object (exact Python ints throughout).
-        table = np.stack([_prime_tables(q, n)[inverse] for q in self.moduli])
+        # np.stack lands on the widest row's dtype: one object row makes
+        # the stack object (exact Python ints throughout).
+        rows = np.stack([_psi_row(q, n) for q in self.moduli])
+        # Entry i is the bit-reversed ψ (ψ^-1) power butterfly block i
+        # multiplies by.  Slot 0 (ψ^0) is read by no stage; the inverse
+        # keeps n^-1 there, so a table is every constant of its direction.
+        table = rows[:, _bit_reversed_exponents(n)[inverse]]
+        if inverse:
+            table[:, 0] = [modmath.mod_inv(n, q) for q in self.moduli]
         shoup = None
         if self._word is np.uint32:
             shoup = modmath.shoup_companion(table, self._q_col, 32)
