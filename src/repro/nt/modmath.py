@@ -485,7 +485,7 @@ def mod_mul_centred(c: np.ndarray, w, w_over_q, q, out) -> np.ndarray:
     int64 products, and their difference is as small as the remainder.
     The estimate is within ``|c·w/q|·2^-51`` of ``c·w/q``, so ``rint``
     is off only beside a half-integer, as in :func:`centred_rem`.
-    ``out`` may be a float64 view in any layout; the cast is exact.
+    ``out`` (float64; it may be ``c`` itself) takes the result exactly.
     """
     # c holds exact integers: the int64 casts truncate nothing.
     prod = np.multiply(c, w, dtype=np.int64, casting="unsafe")
@@ -502,9 +502,7 @@ def centred_fold(r: np.ndarray, q, two_q, out: np.ndarray) -> np.ndarray:
 
     ``r + 2q`` lies in ``(q/2, 3.5q)``, which two :func:`lazy_fold`
     calls (by ``2q``, then ``q``) bring into ``[0, q)``.  ``q`` and
-    ``two_q`` are unsigned integer columns; ``out`` may take ``r`` in
-    another layout (the add is where a transposed ``r`` is laid out
-    afresh).
+    ``two_q`` are in ``out``'s dtype and broadcast against it.
     """
     np.add(r, two_q, out=out, casting="unsafe")
     lazy_fold(out, two_q, out=out)
