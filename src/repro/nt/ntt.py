@@ -276,13 +276,13 @@ class NttRowsContext:
         scale over the whole ``(k, 1, 1, n)`` matrix.
         """
         k, n = len(self.moduli), self.n
-        # np.stack lands on the widest row's dtype: one object row makes
-        # the stack object (exact Python ints throughout).
-        rows = np.stack([_psi_row(q, n) for q in self.moduli])
         # Entry i is the bit-reversed ψ (ψ^-1) power butterfly block i
         # multiplies by.  Slot 0 (ψ^0) is read by no stage; the inverse
         # keeps n^-1 there, so a table is every constant of its direction.
-        table = rows[:, _bit_reversed_exponents(n)[inverse]]
+        # np.stack lands on the widest row's dtype: one object row makes
+        # the stack object (exact Python ints throughout).
+        exponents = _bit_reversed_exponents(n)[inverse]
+        table = np.stack([_psi_row(q, n)[exponents] for q in self.moduli])
         if inverse:
             table[:, 0] = [modmath.mod_inv(n, q) for q in self.moduli]
         shoup = None
