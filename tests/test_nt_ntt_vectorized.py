@@ -13,10 +13,11 @@ Three layers of ground truth, per the PR acceptance criteria:
 Plus a hypothesis sweep of the lazy butterfly over every width class
 and every ``n`` (the ones smaller than the transposed tail block
 included), known-answer digests recorded before the rewrite
-(``tests/data/ntt_kat.json``), and the ``guard`` regression tests: the
-machine-word paths must stay stage-vectorized — O(log n) kernel
-invocations per transform, never a Python-level loop over butterfly
-blocks.
+(``tests/data/ntt_kat.json``), the four-step kernel of small uint32
+rings at its edges, and the ``guard`` regression tests: the stage loop
+must stay stage-vectorized — O(log n) kernel invocations per
+transform, never a Python-level loop over butterfly blocks — and the
+four-step kernel a fixed number of calls whatever n and k.
 """
 
 import hashlib
@@ -57,19 +58,26 @@ BACKEND_PRIMES = [
 SIZES = [8, 64, 256]
 
 
-@pytest.fixture
-def stages(monkeypatch):
-    """``stages(direction, fn)``: butterfly stages ``fn`` ran, counted by
-    wrapping ``NttRowsContext._twiddle_mul`` — one call per forward
-    stage, one per inverse stage plus one for the ``n^-1`` scale."""
+def _count_calls(monkeypatch, method: str) -> list:
+    """Wrap ``NttRowsContext.<method>``: the returned list grows by one
+    per call."""
     calls = []
-    real = ntt_mod.NttRowsContext._twiddle_mul
+    real = getattr(ntt_mod.NttRowsContext, method)
 
     def counted(self, *args, **kwargs):
         calls.append(None)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(ntt_mod.NttRowsContext, "_twiddle_mul", counted)
+    monkeypatch.setattr(ntt_mod.NttRowsContext, method, counted)
+    return calls
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """``stages(direction, fn)``: butterfly stages ``fn`` ran, counted by
+    wrapping ``NttRowsContext._twiddle_mul`` — one call per forward
+    stage, one per inverse stage plus one for the ``n^-1`` scale."""
+    calls = _count_calls(monkeypatch, "_twiddle_mul")
 
     def run(direction, fn):
         before = len(calls)
@@ -81,16 +89,8 @@ def stages(monkeypatch):
 
 @pytest.fixture
 def four_step_passes(monkeypatch):
-    """``four_step_passes(fn)``: four-step kernel passes ``fn`` ran,
-    counted by wrapping ``NttRowsContext._four_step_pass``."""
-    calls = []
-    real = ntt_mod.NttRowsContext._four_step_pass
-
-    def counted(self, *args, **kwargs):
-        calls.append(None)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(ntt_mod.NttRowsContext, "_four_step_pass", counted)
+    """``four_step_passes(fn)``: four-step kernel passes ``fn`` ran."""
+    calls = _count_calls(monkeypatch, "_four_step_pass")
 
     def run(fn):
         before = len(calls)
