@@ -7,8 +7,8 @@ full RNS polynomial multiply, hybrid keyswitch, rescale
 (``scale_down``), fast base conversion, and the stacked
 multiply-accumulate (``mul_acc_m2``/``mul_acc_m16``: ``m`` products
 summed in one ``pointwise_mul_acc`` call) — across ring degrees
-``n ∈ {2^7, 2^10, 2^11, 2^12 .. 2^15}`` and the three modulus *widths*
-(narrow ``< 2^31``, wide ``2^31..2^61``, big ``≥ 2^61``).  The narrow
+``n ∈ {2^7, 2^10, 2^11, 2^12 .. 2^15}`` and the two modulus *widths*
+(narrow ``< 2^31``, wide ``2^31..2^61``).  The narrow
 width's primes are 28-bit, so its NTT rows at ``n ≤ 2^10`` run the
 four-step kernel and from ``2^11`` the stage loop: both kernels show on
 each side of that gate.
@@ -30,7 +30,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_kernels.py --full     # no big-path caps
 """
 
 from __future__ import annotations
@@ -59,11 +58,7 @@ sys.path.insert(0, str(REPO_ROOT))  # run as a script: find `benchmarks`
 
 from benchmarks.ladder import env  # noqa: E402
 
-WIDTH_BOUNDS = {"narrow": 1 << 28, "wide": 1 << 55, "big": 1 << 62}
-#: The big width runs Python-int object arrays; without --full its
-#: O(n log n) interpreter-level baselines are capped to keep the sweep
-#: under a few minutes.
-BIG_WIDTH_MAX_N = 1 << 13
+WIDTH_BOUNDS = {"narrow": 1 << 28, "wide": 1 << 55}
 
 
 def primes_for(width: str, n: int, count: int) -> list[int]:
@@ -116,11 +111,7 @@ def legacy_base_convert(rows, src_moduli, dst_moduli, n):
     ]
     acc = np.zeros(n, dtype=np.float64)
     for v, q in zip(v_rows, src_moduli):
-        if v.dtype == object:
-            vf = np.array([float(int(x)) for x in v], dtype=np.float64)
-        else:
-            vf = v.astype(np.float64)
-        acc += vf / float(q)
+        acc += v.astype(np.float64) / float(q)
     alpha = np.rint(acc).astype(np.int64)
     big_q = src.product
     out_rows = []
@@ -300,14 +291,10 @@ KERNELS = {
 }
 
 
-def run(sizes, widths, reps, baseline_reps, full: bool):
+def run(sizes, widths, reps, baseline_reps):
     results = []
-    skipped = []
     for width in widths:
         for n in sizes:
-            if width == "big" and n > BIG_WIDTH_MAX_N and not full:
-                skipped.append((width, n))
-                continue
             for kernel, make in KERNELS.items():
                 rng = np.random.default_rng(hash((kernel, n, width)) % 2**32)
                 vec, base = make(n, width, rng)
@@ -332,8 +319,6 @@ def run(sizes, widths, reps, baseline_reps, full: bool):
                     f"speedup {baseline_s / median_s:7.1f}x",
                     flush=True,
                 )
-    for width, n in skipped:
-        print(f"  [skipped {width} n=2^{n.bit_length() - 1}: pass --full to include]")
     return results
 
 
@@ -357,11 +342,6 @@ def main():
         "width, 1 rep, separate output file",
     )
     parser.add_argument(
-        "--full",
-        action="store_true",
-        help="lift the big-width size cap (slow: object-array baselines)",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -374,7 +354,7 @@ def main():
         out = args.out or REPO_ROOT / "BENCH_kernels.quick.json"
     else:
         sizes = [1 << 7, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15]
-        widths = ["narrow", "wide", "big"]
+        widths = ["narrow", "wide"]
         reps, baseline_reps = 5, 2
         out = args.out or REPO_ROOT / "BENCH_kernels.json"
 
@@ -384,7 +364,7 @@ def main():
     print(env.render(header))
     print(f"ufunc    buffer {header['ufunc_bufsize']} elements")
     t0 = time.perf_counter()
-    results = run(sizes, widths, reps, baseline_reps, args.full)
+    results = run(sizes, widths, reps, baseline_reps)
     print_table(results)
     out.write_text(json.dumps({"env": header, "results": results}, indent=2) + "\n")
     print(f"\nwrote {out} ({len(results)} records) in {time.perf_counter() - t0:.1f}s")

@@ -1,10 +1,10 @@
 """fhelint core: findings, pragmas, the pass list, and the driver.
 
 ``fhelint`` is a small AST-based lint engine specialized to the hazards
-of this codebase: the three-backend modular-arithmetic split of
+of this codebase: the narrow/wide modular-arithmetic split of
 :mod:`repro.nt.modmath` makes silent uint64 overflow, unreduced
-residues, and object/uint64 dtype mixups the dominant failure mode, and
-generic linters cannot see any of them.  Each pass in :data:`PASSES`
+residues, and floats in integer-only kernels the dominant failure
+modes, and generic linters cannot see any of them.  Each pass in :data:`PASSES`
 has a ``rule`` id, a one-line ``description``, and a ``check(module)``
 yielding ``(node, message)`` pairs for one parsed module; the driver
 turns them into :class:`Finding` objects and applies pragma

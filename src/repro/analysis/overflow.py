@@ -1,10 +1,10 @@
 """Overflow-hazard pass: raw ``*``/``@``/``%`` on numpy integer arrays.
 
-The modmath split (narrow uint64 / wide Barrett-corrected / big-int
-object arrays, keyed off ``BIG_MODULUS_THRESHOLD``) means a product of
-two residues is only safe as a plain uint64 multiply when the modulus is
-below ``2^31``; for wide moduli the same expression silently wraps and
-every downstream value is garbage with no exception raised.  This pass
+The modmath split (narrow uint64 below 2^31 / wide Shoup-reduced uint64
+below 2^61) means a product of two residues is only safe as a plain
+uint64 multiply when the modulus is below ``2^31``; for wide moduli the
+same expression silently wraps and every downstream value is garbage
+with no exception raised.  This pass
 flags the expressions where that can happen:
 
 - ``a * b`` where both operands look like machine-integer ndarrays (or
@@ -15,7 +15,7 @@ flags the expressions where that can happen:
   unreduced uint64 sum/difference/negation wraps *before* the reduction.
 
 Sites that are provably safe (narrow backend, chunked lazy folds,
-object-dtype rows) carry ``# fhelint: ok[overflow-hazard]`` pragmas
+products wanted mod 2^64) carry ``# fhelint: ok[overflow-hazard]`` pragmas
 stating the bound, which keeps the proof next to the arithmetic.
 """
 
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MULT_MSG = (
     "raw `*`/`@` on integer ndarrays can exceed 64 bits once a modulus is "
-    ">= 2^31 (the wide/big backends of repro.nt.modmath); use mod_mul / "
+    ">= 2^31 (the wide backend of repro.nt.modmath); use mod_mul / "
     "mod_scalar_mul, or add a `# fhelint: ok[overflow-hazard]` pragma "
     "stating the operand bound"
 )
@@ -81,7 +81,7 @@ class OverflowHazardPass:
 
         def partner(expr: ast.AST, kinds: set[str]) -> bool:
             return bool(
-                kinds & (taint.ARRAYS | {taint.SCALAR_U64})
+                kinds & (taint.MACHINE_ARRAYS | {taint.SCALAR_U64})
             ) or _is_int_constant(expr)
 
         return (machine_array(left) and partner(node.right, right)) or (

@@ -75,32 +75,13 @@ def _fail(message: str) -> None:
 # ----------------------------------------------------------------------
 def check_residue_matrix(mat: np.ndarray, moduli, where: str) -> None:
     """A ``(k, n)`` residue matrix, or an ``(m, k, n)`` stack of them:
-    right dtype, every row in ``[0, q_i)``.
-
-    The dtype follows the widest modulus — uint64 below 2^61, object
-    (plain Python ints, never numpy scalars) once any modulus is wider.
-    """
-    # Imported lazily: attaching the sanitizer must not import the
-    # number-theory stack.
-    from repro.nt.modmath import dtype_for_modulus
-
+    uint64, every row in ``[0, q_i)``."""
     STATS["checks"] += 1
     moduli = [int(q) for q in moduli]
-    expected = np.dtype(dtype_for_modulus(max(moduli)))
-    if mat.dtype != expected:
-        _fail(
-            f"{where}: moduli up to {max(moduli).bit_length()}b need a "
-            f"{expected.name} residue matrix, got {mat.dtype}"
-        )
+    if mat.dtype != np.uint64:
+        _fail(f"{where}: residue matrices are uint64, got {mat.dtype}")
     if mat.ndim < 2 or mat.shape[-2] != len(moduli):
         _fail(f"{where}: shape {mat.shape} has no {len(moduli)} rows, one per modulus")
-    if expected == object:
-        for stack in mat.reshape(-1, *mat.shape[-2:]):
-            for row, q in zip(stack, moduli):
-                for v in row:
-                    if not isinstance(v, int) or not 0 <= v < q:
-                        _fail(f"{where}: residue {v!r} outside [0, {q}) or not an int")
-        return
     q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
     unreduced = (mat >= q_col).any(axis=-1)
     if bool(unreduced.any()):

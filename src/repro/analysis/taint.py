@@ -1,8 +1,8 @@
-"""Lightweight numpy-dtype taint inference for the fhelint passes.
+"""Lightweight numpy-dtype taint inference for the overflow pass.
 
-The overflow and dtype-routing passes both need to answer one question
-about an expression: *could this be a numpy integer array, and of which
-backend flavor?*  This module infers that with a deliberately simple,
+The overflow-hazard pass needs to answer one question about an
+expression: *could this be a numpy machine-integer array?*  This module
+infers that with a deliberately simple,
 flow-insensitive analysis: every assignment in a function contributes
 its inferred kinds to the name's taint set, and expression
 classification folds over those sets.  Flow-insensitivity errs toward
@@ -16,7 +16,6 @@ Kinds:
   :mod:`repro.nt.modmath` residue producer, whose uint64 paths dominate).
 - ``ARR_INT`` — ndarray of some other integer dtype, including function
   parameters annotated ``np.ndarray`` (conservatively integer).
-- ``ARR_OBJ`` — ndarray with ``dtype=object`` (exact Python ints).
 - ``SCALAR_U64`` — a ``np.uint64(...)``/``np.int64(...)`` scalar, which
   promotes plain ndarray ``*`` to a 64-bit product.
 """
@@ -27,32 +26,16 @@ import ast
 
 ARR_U64 = "uint64-array"
 ARR_INT = "int-array"
-ARR_OBJ = "object-array"
 SCALAR_U64 = "uint64-scalar"
 
 #: Kinds that denote an ndarray of machine integers (overflow-capable).
 MACHINE_ARRAYS = frozenset({ARR_U64, ARR_INT})
-#: Every ndarray kind.
-ARRAYS = frozenset({ARR_U64, ARR_INT, ARR_OBJ})
 
 _INT_DTYPES = frozenset(
     {"int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "intp", "int_"}
 )
 _SCALAR_CTORS = frozenset({"uint64", "int64", "uint32", "int32"})
-#: ndarray constructors that accept a ``dtype=`` keyword.
-ARRAY_CTORS = frozenset(
-    {
-        "array",
-        "asarray",
-        "ascontiguousarray",
-        "empty",
-        "zeros",
-        "ones",
-        "full",
-        "arange",
-    }
-)
-#: modmath helpers that hand back residue arrays (uint64 on the fast paths).
+#: modmath helpers that hand back (uint64) residue arrays.
 RESIDUE_PRODUCERS = frozenset({"zeros", "as_mod_array", "uniform_mod"})
 #: Methods that preserve their receiver's taint.
 _PRESERVING_METHODS = frozenset(
@@ -84,14 +67,9 @@ def dtype_kind(node: ast.AST) -> str | None:
             return ARR_U64
         if node.attr in _INT_DTYPES:
             return ARR_INT
-        if node.attr == "object_":
-            return ARR_OBJ
         return None
-    if isinstance(node, ast.Name):
-        if node.id == "object":
-            return ARR_OBJ
-        if node.id == "int":
-            return ARR_INT
+    if isinstance(node, ast.Name) and node.id == "int":
+        return ARR_INT
     return None
 
 
@@ -181,11 +159,12 @@ class FunctionTaint:
         if isinstance(node, ast.Call):
             return self._classify_call(node)
         if isinstance(node, ast.Subscript):
-            return self.classify(node.value) & ARRAYS
+            return self.classify(node.value) & MACHINE_ARRAYS
         if isinstance(node, ast.IfExp):
             return self.classify(node.body) | self.classify(node.orelse)
         if isinstance(node, ast.BinOp):
-            return (self.classify(node.left) | self.classify(node.right)) & ARRAYS
+            both = self.classify(node.left) | self.classify(node.right)
+            return both & MACHINE_ARRAYS
         if isinstance(node, ast.UnaryOp):
             return self.classify(node.operand)
         if isinstance(node, (ast.List, ast.Tuple)):
@@ -207,12 +186,12 @@ class FunctionTaint:
         if name in _SCALAR_CTORS:
             return {SCALAR_U64}
         if name in _PRESERVING_METHODS and isinstance(call.func, ast.Attribute):
-            return self.classify(call.func.value) & ARRAYS
+            return self.classify(call.func.value) & MACHINE_ARRAYS
         if name in ("stack", "concatenate", "where", "vstack", "hstack"):
             kinds: set[str] = set()
             for arg in call.args:
                 kinds |= self.classify(arg)
-            return kinds & ARRAYS
+            return kinds & MACHINE_ARRAYS
         if name in RESIDUE_PRODUCERS:
             return {ARR_U64}
         return set()

@@ -21,8 +21,8 @@ would have to enter (DESIGN.md Sec. 10 has the admission contract):
   ``m`` such products (a keyswitch's digits against its key rows, a
   linear transform's inner sum), reduced lazily.
 
-``kind`` is the width class of the moduli involved (``narrow`` < 2^31,
-``wide`` < 2^61, else ``big``: object rows of Python ints).  All five
+``kind`` is the width class of the moduli involved: ``narrow``
+(< 2^31) or ``wide`` (< 2^61); every residue matrix is uint64.  All five
 are pure — they never mutate their inputs — and exact: a residue is a
 number, not an approximation, and the eval harnesses pin byte-identical
 artifacts.

@@ -8,16 +8,14 @@
   ``(m, kk) @ (kk, n)`` uint64 matrix product and one ``%`` whenever
   ``kk · max(v, p) · p < 2^64`` (always, at 28-bit words), else
   unreduced products chunk-summed per destination; for wide ones a
-  Shoup multiply by the CRT weights, all destinations at once, summed
-  lazily and reduced once (Shoup takes unreduced digits, so there is
-  no pre-reduction pass; β = 2^62 unless a source modulus reaches
-  2^63); for big ones a Python-int matrix product;
+  Shoup multiply by the CRT weights at β = 2^62, all destinations at
+  once, summed lazily and reduced once (Shoup takes unreduced digits,
+  so there is no pre-reduction pass);
 - ``pointwise_mul`` is one broadcast :mod:`repro.nt.modmath` call
   against the ``(k, 1)`` modulus column; ``pointwise_mul_acc`` sums a
   stack of products into one output buffer, term by term — for narrow
   moduli unreduced, with one ``%`` per chunk of terms the largest
-  modulus allows, for wide ones through lazily folded Shoup products,
-  for big ones in Python ints.
+  modulus allows, for wide ones through lazily folded Shoup products.
 
 Call sites go through the dispatch functions of :mod:`repro.backends`,
 which count each call.
@@ -62,34 +60,25 @@ def _narrow_fold(
 
 
 def _wide_fold(
-    stack: np.ndarray, weights: np.ndarray, dst_col: np.ndarray, v_bound: int
+    stack: np.ndarray, weights: np.ndarray, dst_col: np.ndarray
 ) -> np.ndarray:
     """Shoup fold for a group of wide destination primes at once.
 
     One ``(m, n)`` multiply-accumulate per source digit against the
-    weight column ``weights[:, i]`` and its companion; the digits may
-    exceed the destinations.  A digit below 2^63 (every source modulus
-    below 2^63) multiplies at β = 2^62 (:func:`~repro.nt.modmath
-    .mod_mul_shoup62_lazy`, a term in ``[0, 4q)``); a larger one keeps
-    the β = 2^64 multiply, whose term lies in ``[0, 2q)``.  Terms
-    accumulate lazily: a sum below ``8q ≤ 2^64`` folds back under
-    ``4q`` after each add, and reduces fully once.
+    weight column ``weights[:, i]`` and its companion's limbs; the
+    digits may exceed the destinations.  Every digit is below its
+    source modulus, hence below 2^61, so each multiplies at β = 2^62
+    (:func:`~repro.nt.modmath.mod_mul_shoup62_lazy`, a term in
+    ``[0, 4q)``).  Terms accumulate lazily: a sum below ``8q ≤ 2^64``
+    folds back under ``4q`` after each add, and reduces fully once.
     """
-    if v_bound <= 1 << 63:
-        w_h, w_l = modmath.shoup_limbs(weights, dst_col)
+    w_h, w_l = modmath.shoup_limbs(weights, dst_col)
 
-        def term(i: int) -> np.ndarray:
-            limbs = (w_h[:, i : i + 1], w_l[:, i : i + 1])
-            return modmath.mod_mul_shoup62_lazy(
-                stack[i], weights[:, i : i + 1], limbs, dst_col
-            )
-    else:
-        shoup = modmath.shoup_companion(weights, dst_col)
-
-        def term(i: int) -> np.ndarray:
-            return modmath.mod_mul_shoup_lazy(
-                stack[i], weights[:, i : i + 1], shoup[:, i : i + 1], dst_col
-            )
+    def term(i: int) -> np.ndarray:
+        limbs = (w_h[:, i : i + 1], w_l[:, i : i + 1])
+        return modmath.mod_mul_shoup62_lazy(
+            stack[i], weights[:, i : i + 1], limbs, dst_col
+        )
 
     two_q = dst_col << np.uint64(1)
     four_q = two_q << np.uint64(1)
@@ -108,16 +97,15 @@ def bconv_fold(
     v_bound: int,
     kind: str,
 ) -> np.ndarray:
-    dst_col = dst_moduli.astype(stack.dtype, copy=False).reshape(-1, 1)
+    dst_col = dst_moduli.reshape(-1, 1)
     if kind == "wide":
-        return _wide_fold(stack, weights, dst_col, v_bound)
+        return _wide_fold(stack, weights, dst_col)
     kk = stack.shape[0]
     p_max = int(dst_moduli.max())
-    if kind == "big" or kk * max(v_bound, p_max) * p_max < 1 << 64:
+    if kk * max(v_bound, p_max) * p_max < 1 << 64:
         # The CRB unit's shape: one matrix product over every
-        # destination at once, then one reduction.  Object rows are
-        # Python ints, exact at any width; a uint64 word sums kk
-        # products, each below max(v_bound, p_max) * p_max, so the
+        # destination at once, then one reduction.  A uint64 word sums
+        # kk products, each below max(v_bound, p_max) * p_max, so the
         # guard above keeps it under 2^64.
         total = weights @ stack  # fhelint: ok[overflow-hazard]
         return total % dst_col
@@ -149,13 +137,7 @@ def pointwise_mul_acc(
         a, b = (a,), (b,)
     if kind == "narrow":
         return _narrow_mul_acc(acc, a, b, q_col)
-    if kind == "wide":
-        return _wide_mul_acc(acc, a, b, q_col)
-    out = acc
-    for x, y in zip(a, b):
-        # Object rows: exact Python ints.
-        out = x * y if out is None else out + x * y  # fhelint: ok[overflow-hazard]
-    return out % q_col
+    return _wide_mul_acc(acc, a, b, q_col)
 
 
 def _narrow_mul_acc(acc, a, b, q_col: np.ndarray) -> np.ndarray:

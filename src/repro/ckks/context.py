@@ -22,6 +22,7 @@ from repro.ckks.encoder import CkksEncoder, encoder_for
 from repro.ckks.encryptor import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyChest
+from repro.nt.modmath import backend_kind
 from repro.rns.sampling import DEFAULT_SIGMA
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,6 +41,10 @@ class CkksContext:
         hamming_weight: int | None = None,
         sigma: float = DEFAULT_SIGMA,
     ):
+        # A chain plans at any word size, but a residue is one uint64
+        # word: every modulus must lie below 2^61.
+        for q in chain.all_moduli + chain.special_moduli:
+            backend_kind(q)
         self.chain = chain
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.encoder: CkksEncoder = encoder_for(chain.n)

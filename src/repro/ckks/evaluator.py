@@ -399,14 +399,12 @@ class Evaluator:
         """
         full = ksk.full
         d_coeff = d.to_coeff()
-        ext = np.empty((ksk.digits, full.size, full.n), dtype=full.dtype)
+        ext = np.empty((ksk.digits, full.size, full.n), dtype=np.uint64)
         converted = []
         for j, (own, table) in enumerate(zip(ksk.own, ksk.tables)):
             ext[j, own] = d.mat[own]  # M is a prefix of M ∪ P: same row indices
-            digit = d_coeff.mat[own].astype(table.src.dtype, copy=False)
-            converted.append(
-                convert_by_table(RnsPolynomial(table.src, digit, COEFF), table).mat
-            )
+            digit = RnsPolynomial(table.src, d_coeff.mat[own], COEFF)
+            converted.append(convert_by_table(digit, table).mat)
         converted = np.concatenate(converted)
         if d.domain == NTT:
             converted = forward_rows(converted, ksk.converted_moduli)

@@ -218,7 +218,7 @@ class KeyChest:
         groups = split_into_digits(moduli, chain.ks_digits)
         big_q = prod(moduli)
         p_prod = prod(specials)
-        stack = np.empty((2, len(groups), full.size, full.n), dtype=full.dtype)
+        stack = np.empty((2, len(groups), full.size, full.n), dtype=np.uint64)
         own, tables, converted_rows = [], [], []
         for j, group in enumerate(groups):
             start = own[-1].stop if own else 0

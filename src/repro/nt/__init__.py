@@ -5,10 +5,9 @@ exact arithmetic primitives every higher layer builds on:
 
 - :mod:`repro.nt.primes` — Miller–Rabin primality and NTT-friendly prime
   enumeration (primes ``p ≡ 1 (mod 2N)``, paper Sec. 3.3).
-- :mod:`repro.nt.modmath` — elementwise modular arithmetic on vectors:
-  ``uint64`` for moduli below 2^31 (one word) and below 2^61 (Shoup
-  multiplication from 31- and 32-bit limbs), exact big ints above (up
-  to the 64-bit words the paper sweeps).
+- :mod:`repro.nt.modmath` — elementwise modular arithmetic on ``uint64``
+  vectors, for moduli below 2^31 (one word) and below 2^61 (Shoup
+  multiplication from 31- and 32-bit limbs).
 - :mod:`repro.nt.ntt` — negacyclic number-theoretic transform over
   ``Z_q[X]/(X^N + 1)`` with cached twiddle tables.
 - :mod:`repro.nt.crt` — Chinese-remainder reconstruction and centered
@@ -23,9 +22,8 @@ from repro.nt.crt import (
     crt_reconstruct_vector,
 )
 from repro.nt.modmath import (
-    BIG_MODULUS_THRESHOLD,
     as_mod_array,
-    dtype_for_modulus,
+    backend_kind,
     mod_add,
     mod_inv,
     mod_mul,
@@ -49,8 +47,7 @@ __all__ = [
     "ntt_friendly_primes_below",
     "all_ntt_friendly_primes",
     "terminal_prime_candidates",
-    "BIG_MODULUS_THRESHOLD",
-    "dtype_for_modulus",
+    "backend_kind",
     "as_mod_array",
     "mod_add",
     "mod_sub",

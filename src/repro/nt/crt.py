@@ -112,10 +112,10 @@ def centered_int64(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray | None:
     int64 range holds one representative of each class mod ``Q`` when
     ``Q > 2^64``, and the centered one, so a misjudged ``α`` or a
     coefficient at or beyond 2^63 (an un-rescaled product at scale²)
-    fails the check instead of decoding wrong.  ``2^63 ≤ Q < 2^64``,
-    object rows and any modulus ≥ 2^61 return ``None``.
+    fails the check instead of decoding wrong.  ``2^63 ≤ Q < 2^64``
+    returns ``None``.
     """
-    t = _int64_table(tuple(moduli)) if mat.dtype == np.uint64 else None
+    t = _int64_table(tuple(moduli))
     if t is None:
         return None
     if t.limbs is None:

@@ -1,36 +1,39 @@
 """Elementwise modular arithmetic on coefficient vectors.
 
-Residue polynomials are numpy arrays of coefficients reduced modulo a
-single prime ``q``.  Three backends sit behind one API:
+Residue polynomials are numpy ``uint64`` arrays of coefficients reduced
+modulo a single prime ``q``, and every modulus lies in ``[2, 2^61)``
+(:func:`backend_kind` rejects anything else).
+Two word classes sit behind one API:
 
-- **uint64 narrow path** (``q < 2^31``): sums fit in 32 bits and products
-  in 62 bits, so plain ``uint64`` vector ops are exact.  This covers the
+- **narrow** (``q < 2^31``): sums fit in 32 bits and products in 62
+  bits, so plain ``uint64`` vector ops are exact.  This covers the
   28-31-bit datapaths that BitPacker makes the sweet spot.
-- **uint64 wide path** (``2^31 <= q < 2^61``): products overflow 64 bits,
-  so multiplication is multi-word.  A *constant* operand ``w`` carries
-  a precomputed companion ``w' = floor(w * 2^62 / q)``, stored as two
+- **wide** (``2^31 <= q < 2^61``): products overflow 64 bits, so
+  multiplication is multi-word.  A *constant* operand ``w`` carries a
+  precomputed companion ``w' = floor(w * 2^62 / q)``, stored as two
   31-bit limbs (:func:`shoup_limbs`), and multiplies in three limb
   products for the quotient plus two for the remainder
   (:func:`mod_mul_shoup`, valid for any ``x < 2^63`` — every lazy NTT
-  value, reduced operand, high word and digit of a source modulus
-  below 2^63).  The β = 2^64 companion (:func:`shoup_companion`) and
-  the four-limb :func:`mulhi64` remain for the one operand that can
-  reach 2^63 — a base-conversion digit of a source modulus ≥ 2^63 —
-  and for the high word of variable x variable products, which fold
-  ``hi * 2^64 + lo`` through the constant ``2^64 mod q``
-  (:func:`two64_mod`).  Every step is a wrapping ``uint64`` ufunc — no
-  float ever touches a residue, so the path is exact wherever numpy
-  is, whatever width the platform's extended floats have.
-- **big-int path** (``q >= 2^61``): numpy ``object`` arrays of Python
-  ints, exact for any modulus width up to the 64-bit words the paper
-  sweeps.
+  value, reduced operand, high word and base-conversion digit).  The
+  four-limb :func:`mulhi64` remains for the high word of variable x
+  variable products, which fold ``hi * 2^64 + lo`` through the
+  constant ``2^64 mod q`` (:func:`two64_mod`), and for the β = 2^64
+  companions (:func:`shoup_companion`) the limbs are cut from.  Every
+  step is a wrapping ``uint64`` ufunc — no float ever touches a
+  residue, so the path is exact wherever numpy is, whatever width the
+  platform's extended floats have.
+
+A word above 61 bits would need two uint64 limbs per residue; no
+functional path here needs one (the paper's 64-bit sweeps are
+model-only).
 
 Every elementwise function accepts ``q`` either as a plain int (one
 modulus for the whole array) or as a ``uint64`` ndarray broadcastable
 against the operands — typically a ``(k, 1)`` column so a whole stacked
 ``(k, n)`` residue matrix is reduced against per-row moduli in a single
-numpy call.  Array moduli must all live on the same backend (the caller
-groups rows by :func:`backend_kind`); dispatch uses the largest modulus.
+numpy call.  A caller that knows the width class of its widest
+modulus passes it (:func:`mod_mul`'s ``kind``); otherwise dispatch
+scans ``q`` for its largest entry.
 
 Add, subtract and negate are branch-free on the uint64 paths: the
 candidate that wrapped past ``2^64`` is the large one, so one
@@ -44,11 +47,10 @@ Shoup multiply is written against a machine word β:
 any ``x < β`` and leaves the last conditional subtraction to the caller;
 :func:`lazy_fold` is that subtraction (``[0, 2m) → [0, m)``, one
 ``min``), so a butterfly can carry ``[0, 2q)`` / ``[0, 4q)`` values
-across stages and reduce fully once.  Its β is the operand's dtype:
-uint32 arrays (``4q ≤ 2^32``) use :func:`mulhi32`, where the whole
-product fits one uint64 and every other step is a wrapping uint32
-ufunc on half the bytes; uint64 arrays use :func:`mulhi64`.  The
-uint64 loops use the cheaper :func:`mod_mul_shoup62_lazy` instead:
+across stages and reduce fully once.  It runs on uint32 arrays
+(``4q ≤ 2^32``, β = 2^32), where the whole product fits one uint64
+(:func:`mulhi32`) and every other step is a wrapping uint32 ufunc on
+half the bytes.  uint64 operands use :func:`mod_mul_shoup62_lazy`:
 β = 2^62 sizes the limb decomposition to the operand bound
 ``x < 2^63 = 2β``, so the quotient needs three limb products, not
 four, and lands in ``[0, 4q)``; one fold by ``2q`` gives the
@@ -125,8 +127,9 @@ _tune_allocator()
 UFUNC_BUFSIZE = 1024
 np.setbufsize(UFUNC_BUFSIZE)
 
-#: Moduli at or above this bound fall back to exact Python-int arrays.
-BIG_MODULUS_THRESHOLD = 1 << 61
+#: Every modulus lies below this bound: a residue is one uint64 word
+#: and the wide path's lazy values (``< 4q``) stay below 2^63.
+_MODULUS_LIMIT = 1 << 61
 #: Below this bound products of two residues fit in uint64 directly.
 _NARROW_THRESHOLD = 1 << 31
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -138,27 +141,17 @@ _U64_MAX = (1 << 64) - 1
 _HI32 = 1 if sys.byteorder == "little" else 0
 
 
-def dtype_for_modulus(q: int):
-    """The numpy dtype used to store residues mod ``q``."""
-    if q < 2:
-        raise ParameterError(f"modulus must be >= 2, got {q}")
-    if q >= 1 << 64:
-        raise ParameterError(
-            f"moduli above 64 bits are unsupported, got {q.bit_length()} bits"
-        )
-    return np.uint64 if q < BIG_MODULUS_THRESHOLD else object
-
-
 def backend_kind(q: int) -> str:
-    """Which of the three backends serves modulus ``q``.
+    """Which of the two word classes serves modulus ``q``.
 
-    ``"narrow"`` (products fit uint64), ``"wide"`` (32-bit-limb mulhi +
-    Shoup reduction), or ``"big"`` (Python-int object arrays).  Rows whose
-    moduli share a kind can be stacked into one matrix and processed by a
-    single vectorized call.
+    ``"narrow"`` (``q < 2^31``: products fit uint64) or ``"wide"``
+    (``q < 2^61``: 31-bit-limb Shoup reduction).  Rows whose moduli
+    share a kind can be stacked into one matrix and processed by a
+    single vectorized call.  Every modulus is validated here: one
+    outside ``[2, 2^61)`` raises a :class:`ParameterError` naming it.
     """
-    if dtype_for_modulus(q) is object:
-        return "big"
+    if not 2 <= q < _MODULUS_LIMIT:
+        raise ParameterError(f"modulus {q} outside [2, 2^61)")
     return "narrow" if q < _NARROW_THRESHOLD else "wide"
 
 
@@ -175,7 +168,7 @@ def _q_kind(q) -> str:
 
 
 def as_mod_array(values, q: int) -> np.ndarray:
-    """Coerce ``values`` to a reduced residue vector mod ``q``.
+    """Coerce ``values`` to a reduced uint64 residue vector mod ``q``.
 
     Accepts lists of ints, numpy integer arrays, or object arrays; values
     may be negative or unreduced.  Inexact (float) arrays are rejected:
@@ -185,9 +178,7 @@ def as_mod_array(values, q: int) -> np.ndarray:
     ``np.asarray([2**63 + 1])`` promotes to float64, so sequences reduce
     through exact Python ints instead.
     """
-    dtype = dtype_for_modulus(q)
-    if dtype is object:
-        return np.array([int(v) % q for v in values], dtype=object)
+    backend_kind(q)
     if not isinstance(values, np.ndarray):
         # Exact path: asarray on a list of ints in [2^63, 2^64) yields
         # float64 and silently rounds the values.
@@ -209,21 +200,12 @@ def as_mod_array(values, q: int) -> np.ndarray:
 
 def zeros(n: int, q: int) -> np.ndarray:
     """The zero vector of length ``n`` mod ``q``."""
-    if dtype_for_modulus(q) is object:
-        out = np.empty(n, dtype=object)
-        out[:] = 0
-        return out
+    backend_kind(q)
     return np.zeros(n, dtype=np.uint64)
-
-
-def _is_big(a: np.ndarray) -> bool:
-    return a.dtype == object
 
 
 def mod_add(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """``(a + b) mod q`` elementwise (operands reduced)."""
-    if _is_big(a):
-        return (a + b) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
     qa = _q_arr(q)
     s = a + b  # < 2^62, no wrap
     return np.minimum(s, s - qa)  # s - q wraps high exactly when s < q
@@ -231,16 +213,12 @@ def mod_add(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
 
 def mod_sub(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """``(a - b) mod q`` elementwise (operands reduced)."""
-    if _is_big(a):
-        return (a - b) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
     d = a - b  # wraps high exactly when a < b
     return np.minimum(d, d + _q_arr(q))
 
 
 def mod_neg(a: np.ndarray, q) -> np.ndarray:
     """``(-a) mod q`` elementwise (operand reduced; ``-0`` stays 0)."""
-    if _is_big(a):
-        return (-a) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
     d = np.negative(a)  # 2^64 - a, or 0
     return np.minimum(d, d + _q_arr(q))
 
@@ -251,9 +229,8 @@ def mulhi64(a: np.ndarray, b) -> np.ndarray:
     Four 32x32 limb products.  Neither middle sum can wrap
     (``(2^32 - 1)^2 + 2^32 - 1 < 2^64``), so the carries into the high
     word fall out of plain shifts.  Accumulates in place.  The wide
-    path uses it for the high word of variable x variable products,
-    for companions, and for β = 2^64 Shoup multiplies; constant
-    multiplies by an operand below 2^63 take the three-product
+    path uses it for the high word of variable x variable products and
+    for companions; constant multiplies take the three-product
     :func:`mod_mul_shoup62_lazy`.
     """
     a_lo, a_hi = a & _MASK32, a >> _SHIFT32
@@ -337,22 +314,20 @@ def mulhi32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mod_mul_shoup_lazy(x: np.ndarray, w, w_shoup, q, out=None) -> np.ndarray:
     """``x·w − ⌊x·w′/β⌋·q``: congruent to ``x * w`` mod ``q`` and in
-    ``[0, 2q)``, for a constant ``w < q`` and *any* ``x < β``.
+    ``[0, 2q)``, for a constant ``w < q ≤ 2^30`` and *any* uint32
+    ``x < β = 2^32``.
 
-    β is ``x``'s word: ``2^64`` for a uint64 array (``q < 2^61``),
-    ``2^32`` for a uint32 one (``q ≤ 2^30``, every operand uint32), and
-    ``w′ = floor(w·β/q)`` is ``w``'s :func:`shoup_companion` at that β.
-    The quotient estimate is short of ``⌊x·w/q⌋`` by less than
-    ``1 + x/β ≤ 2``, so the wrapped low-word difference is the true
-    remainder plus at most one ``q``.  The caller owns the last
-    conditional subtraction (:func:`lazy_fold`), or carries the lazy
-    value on.  ``w``, ``w_shoup`` and ``q`` broadcast against ``x``;
-    ``out`` receives the result (it may be a strided view).  On uint64
-    this is the four-limb :func:`mulhi64`, kept for operands that can
-    reach 2^63; everything below uses :func:`mod_mul_shoup62_lazy`.
+    Every operand is uint32, and ``w′ = floor(w·2^32/q)`` is ``w``'s
+    :func:`shoup_companion` at ``beta_bits=32``.  The quotient estimate
+    is short of ``⌊x·w/q⌋`` by less than ``1 + x/β ≤ 2``, so the wrapped
+    low-word difference is the true remainder plus at most one ``q``.
+    The caller owns the last conditional subtraction
+    (:func:`lazy_fold`), or carries the lazy value on.  ``w``,
+    ``w_shoup`` and ``q`` broadcast against ``x``; ``out`` receives the
+    result (it may be a strided view).  uint64 operands take
+    :func:`mod_mul_shoup62_lazy`.
     """
-    mulhi = mulhi32 if x.dtype == np.uint32 else mulhi64
-    r = mulhi(x, w_shoup) * q
+    r = mulhi32(x, w_shoup) * q
     return np.subtract(x * w, r, out=r if out is None else out)
 
 
@@ -391,12 +366,9 @@ def lazy_fold(x: np.ndarray, m, out=None) -> np.ndarray:
     """``x`` or ``x - m``, whichever lies in ``[0, m)``, for ``x`` in
     ``[0, 2m)`` — the one conditional subtraction of a lazy butterfly.
 
-    Branch-free on uint64: ``x - m`` wraps high exactly when ``x < m``,
-    so ``min`` picks the folded value.  Object rows are Python ints,
-    which do not wrap; they take the remainder.
+    Branch-free: ``x - m`` wraps high exactly when ``x < m``, so
+    ``min`` picks the folded value.
     """
-    if _is_big(x):
-        return np.remainder(x, m, out=out)
     d = x - m
     return np.minimum(x, d, out=d if out is None else out)
 
@@ -523,14 +495,12 @@ def _mulmod_wide(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
 
 
 def mod_mul(a: np.ndarray, b: np.ndarray, q, kind: str | None = None) -> np.ndarray:
-    """``(a * b) mod q`` elementwise (exact for all backends).
+    """``(a * b) mod q`` elementwise (exact for both word classes).
 
     ``kind`` is the :func:`backend_kind` of the widest modulus in ``q``;
     a caller that already knows it (a basis, a kernel dispatch) passes
     it and saves the scan of ``q``.
     """
-    if _is_big(a):
-        return (a * b) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
     if (kind or _q_kind(q)) == "narrow":
         return a * b % _q_arr(q)  # fhelint: ok[overflow-hazard] narrow: < 2^62
     return _mulmod_wide(a, b, q)
@@ -539,8 +509,6 @@ def mod_mul(a: np.ndarray, b: np.ndarray, q, kind: str | None = None) -> np.ndar
 def mod_scalar_mul(a: np.ndarray, k: int, q: int) -> np.ndarray:
     """``(a * k) mod q`` for a scalar ``k`` (any size; reduced first)."""
     k %= q
-    if _is_big(a):
-        return (a * k) % q  # fhelint: ok[overflow-hazard] object rows: exact ints
     if q < _NARROW_THRESHOLD:
         # Narrow backend: both a and k sit below 2^31.
         return a * np.uint64(k) % np.uint64(q)  # fhelint: ok[overflow-hazard]
@@ -576,9 +544,5 @@ def uniform_mod(q: int, size: int, rng: np.random.Generator) -> np.ndarray:
     Used for the uniformly random polynomial in CKKS encryption and for
     public-key / keyswitch-key generation.
     """
-    if q <= 1:
-        return zeros(size, q if q >= 2 else 2)
-    raw = rng.integers(0, q, size=size, dtype=np.uint64)
-    if dtype_for_modulus(q) is object:
-        return np.array([int(v) for v in raw], dtype=object)
-    return raw
+    backend_kind(q)
+    return rng.integers(0, q, size=size, dtype=np.uint64)

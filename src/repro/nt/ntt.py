@@ -29,13 +29,12 @@ transform.  No stage divides.  The machine word is the stack's widest
 modulus's: ``4q ≤ 2^32`` runs *everything* — working matrix, constants,
 companions — in uint32 at β = 2^32, where the high word of ``x·w′`` is
 one widening multiply (the 28-bit words BitPacker makes the sweet spot
-land here); wider stacks below 2^61 run in uint64 at β = 2^62, the
+land here); every wider stack runs in uint64 at β = 2^62, the
 companion stored as two 31-bit limbs and the quotient built from three
-limb products (``4q < 2^63 = 2β`` bounds every operand; a prime in
-``[2^30, 2^31)`` lands here too: its ``4q`` no longer fits the half
-word); a modulus ≥ 2^61 makes the stack Python ints, which reduce fully
-at every multiply.  The word is known only to ``_twiddle_mul`` and
-``lazy_fold``.
+limb products (``4q < 2^63 = 2β`` bounds every operand, as every
+modulus is below 2^61; a prime in ``[2^30, 2^31)`` lands here too: its
+``4q`` no longer fits the half word).  The word is known only to
+``_twiddle_mul`` and ``lazy_fold``.
 
 **Short strides run transposed.**  A stage with half-length ``t`` walks
 numpy inner loops ``t`` long, so the last forward (first inverse) stages
@@ -120,16 +119,6 @@ def _find_primitive_2n_root(q: int, n: int) -> int:
     raise ParameterError(f"no primitive 2*{n}-th root of unity mod {q}")
 
 
-def _as_table(values: list[int], q: int) -> np.ndarray:
-    if modmath.dtype_for_modulus(q) is object:
-        # Twiddle tables, not residue storage; dtype already routed by
-        # the dtype_for_modulus call one line up.
-        out = np.empty(len(values), dtype=object)  # fhelint: ok[dtype-routing]
-        out[:] = values
-        return out
-    return np.array(values, dtype=np.uint64)
-
-
 @lru_cache(maxsize=4096)
 def _psi_row(q: int, n: int) -> np.ndarray:
     """``ψ^e mod q`` for ``e`` in ``[0, 2n)``, cached per ``(q, n)``.
@@ -146,7 +135,7 @@ def _psi_row(q: int, n: int) -> np.ndarray:
     powers = [1] * (2 * n)
     for e in range(1, 2 * n):
         powers[e] = powers[e - 1] * psi % q
-    return _as_table(powers, q)
+    return np.array(powers, dtype=np.uint64)
 
 
 def _bit_reversed_exponents(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,15 +201,15 @@ class NttRowsContext:
     column over the stage views.  The widest modulus picks the machine
     word β for the whole stack: ``4q ≤ 2^32`` works in uint32 (matrix,
     constants and Shoup multiply at β = 2^32), anything else below 2^61
-    in uint64 at β = 2^62 — exact for narrower rows too — and one
-    modulus ≥ 2^61 makes everything object-dtype.  A single prime is
+    in uint64 at β = 2^62 — exact for narrower rows too.  Every
+    residue matrix in and out is uint64.  A single prime is
     the ``k = 1`` case (:func:`ntt_context`), which also takes and
     returns 1-D rows; an ``(m, k, n)`` stack is ``m`` such matrices.
 
     Parameters
     ----------
     moduli:
-        NTT-friendly primes (``q ≡ 1 mod 2n``).
+        NTT-friendly primes (``q ≡ 1 mod 2n``), each below 2^61.
     n:
         Polynomial degree, a power of two.
     """
@@ -229,19 +218,18 @@ class NttRowsContext:
         moduli = tuple(int(q) for q in moduli)
         if not moduli:
             raise ParameterError("batched NTT needs at least one modulus")
+        widest = max(moduli)
+        self.kind = modmath.backend_kind(widest)  # rejects q ≥ 2^61
         for q in moduli:
             _psi_row(q, n)  # rejects an unfriendly prime up front
         self.moduli = moduli
         self.n = n
-        widest = max(moduli)
-        self.kind = modmath.backend_kind(widest)
-        self._dtype = modmath.dtype_for_modulus(widest)
         k = len(moduli)
-        self._q_col = np.array(moduli, dtype=self._dtype).reshape(k, 1)
+        self._q_col = np.array(moduli, dtype=np.uint64).reshape(k, 1)
         # The word the stage loops work in.  Values ride up to 4q
         # between stages and must stay below β; a uint32 word also
         # holds every constant (w < q) and companion (w' < 2^32).
-        self._word = np.uint32 if 4 * widest <= 1 << 32 else self._dtype
+        self._word = np.uint32 if 4 * widest <= 1 << 32 else np.uint64
         self._tail = min(n, _TAIL)
         # Small rings over the uint32 word run the four-step kernel.
         self._four_step = self._word is np.uint32 and n <= _FOUR_STEP_MAX_N
@@ -264,31 +252,28 @@ class NttRowsContext:
         butterflies take of each working matrix — ``[..., 0, :, :]`` the
         upper halves, ``[..., 1, :, :]`` the lower; ``w`` its constants,
         ``w'`` their Shoup companions at this stack's β (a ``(high,
-        low)`` pair of 31-bit limbs on uint64, ``None`` on object rows),
-        stored once, in the stack's word and in the order the
-        view walks them, shaped to broadcast against a half.  A stage
-        with half-length ``t > _TAIL / 2`` sees natural order as
-        ``(blocks, 2, 1, t)`` with one constant per block; a shorter
-        one sees the transposed layout (:meth:`_tail_view`) as
-        ``(blocks / cols, 2, t, cols)``, where block ``c * b + j`` sits
-        at group ``j`` of column ``c``, so its constants are stored
-        ``(b, 1, cols)``.  The inverse's list ends with the ``n^-1``
-        scale over the whole ``(k, 1, 1, n)`` matrix.
+        low)`` pair of 31-bit limbs on uint64), stored once, in the
+        stack's word and in the order the view walks them, shaped to
+        broadcast against a half.  A stage with half-length
+        ``t > _TAIL / 2`` sees natural order as ``(blocks, 2, 1, t)``
+        with one constant per block; a shorter one sees the transposed
+        layout (:meth:`_tail_view`) as ``(blocks / cols, 2, t, cols)``,
+        where block ``c * b + j`` sits at group ``j`` of column ``c``,
+        so its constants are stored ``(b, 1, cols)``.  The inverse's
+        list ends with the ``n^-1`` scale over the whole ``(k, 1, 1, n)``
+        matrix.
         """
         k, n = len(self.moduli), self.n
         # Entry i is the bit-reversed ψ (ψ^-1) power butterfly block i
         # multiplies by.  Slot 0 (ψ^0) is read by no stage; the inverse
         # keeps n^-1 there, so a table is every constant of its direction.
-        # np.stack lands on the widest row's dtype: one object row makes
-        # the stack object (exact Python ints throughout).
         exponents = _bit_reversed_exponents(n)[inverse]
         table = np.stack([_psi_row(q, n)[exponents] for q in self.moduli])
         if inverse:
             table[:, 0] = [modmath.mod_inv(n, q) for q in self.moduli]
-        shoup = None
         if self._word is np.uint32:
             shoup = modmath.shoup_companion(table, self._q_col, 32)
-        elif self._word is np.uint64:
+        else:
             shoup = modmath.shoup_limbs(table, self._q_col)
         cols = n // self._tail
 
@@ -304,7 +289,7 @@ class NttRowsContext:
             w = layout(table, lo, hi, width)
             if isinstance(shoup, tuple):
                 return [w, tuple(layout(tb, lo, hi, width) for tb in shoup)]
-            return [w, None if shoup is None else layout(shoup, lo, hi, width)]
+            return [w, layout(shoup, lo, hi, width)]
 
         plan = []
         m = 1
@@ -417,7 +402,7 @@ class NttRowsContext:
         r = modmath.limb_residue(y[0], y[1], q, q_inv)
         out = np.empty(r.shape, dtype=self._word)
         modmath.centred_fold(r, self._q, self._two_q, out)
-        return out.astype(self._dtype).reshape(mat.shape)
+        return out.astype(np.uint64).reshape(mat.shape)
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -427,10 +412,10 @@ class NttRowsContext:
                 f"or an (m, {len(self.moduli)}, {self.n}) stack of them, "
                 f"got shape {mat.shape}"
             )
-        if mat.dtype != self._dtype:
+        if mat.dtype != np.uint64:
             raise ParameterError(
-                f"NTT over {self.kind} moduli requires a "
-                f"{np.dtype(self._dtype).name} matrix, got {mat.dtype}"
+                f"NTT over {self.kind} moduli requires a uint64 matrix, "
+                f"got {mat.dtype}"
             )
 
     def _tail_view(self, a: np.ndarray) -> np.ndarray:
@@ -467,11 +452,8 @@ class NttRowsContext:
         and in ``[0, 2q)`` for every ``x < 4q`` — the one width-aware
         multiply.  uint32 Shoup-multiplies at β = 2^32; uint64 at
         β = 2^62 from the companion's limbs (``4q < 2^63``), whose
-        ``[0, 4q)`` one fold by ``2q`` brings in; big words are Python
-        ints and reduce fully.
+        ``[0, 4q)`` one fold by ``2q`` brings in.
         """
-        if w_shoup is None:
-            return np.remainder(x * w, self._q, out=out)
         if self._word is np.uint32:
             return modmath.mod_mul_shoup_lazy(x, w, w_shoup, self._q, out)
         r = modmath.mod_mul_shoup62_lazy(x, w, w_shoup, self._q)
@@ -521,7 +503,7 @@ class NttRowsContext:
             np.add(y, self._two_q, out=v)
         modmath.lazy_fold(a, self._two_q, out=a)
         modmath.lazy_fold(a, self._q, out=a)
-        return a.swapaxes(3, 4).astype(self._dtype, order="C").reshape(mat.shape)
+        return a.swapaxes(3, 4).astype(np.uint64, order="C").reshape(mat.shape)
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         """NTT -> coefficient transform of a ``(k, n)`` matrix or stack.
@@ -563,7 +545,7 @@ class NttRowsContext:
             t *= 2
         a = self._twiddle_mul(a.reshape(-1, *whole), n_inv, n_inv_shoup)
         modmath.lazy_fold(a, self._q, out=a)
-        return a.astype(self._dtype, copy=False).reshape(mat.shape)
+        return a.astype(np.uint64, copy=False).reshape(mat.shape)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two coefficient-form polynomials mod ``X^n + 1``."""

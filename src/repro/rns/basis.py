@@ -1,11 +1,11 @@
 """RNS basis: an ordered tuple of pairwise-coprime NTT-friendly primes.
 
-A basis has exactly one width kind, set by its widest modulus
-(:func:`repro.nt.modmath.backend_kind`): ``narrow`` if every modulus is
-below 2^31, else ``wide`` if every one is below 2^61, else ``big``.  The
-kind fixes the dtype of every residue matrix over the basis and the
-arithmetic every row of it runs on — a narrow prime beside 36-bit words
-rides the wide kernels, which are exact for it too.
+Every modulus lies in ``[2, 2^61)``, so every residue matrix over a
+basis is uint64.  A basis has exactly one width kind, set by its widest
+modulus (:func:`repro.nt.modmath.backend_kind`): ``narrow`` if every
+modulus is below 2^31, else ``wide``.  The kind fixes the arithmetic
+every row runs on — a narrow prime beside 36-bit words rides the wide
+kernels, which are exact for it too.
 """
 
 from __future__ import annotations
@@ -17,18 +17,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.nt.modmath import (
-    backend_kind,
-    dtype_for_modulus,
-    mod_inv,
-    shoup_limbs,
-)
+from repro.nt.modmath import backend_kind, mod_inv, shoup_limbs
 
 
 class ScalarColumn(NamedTuple):
     """Per-row constants ready to multiply a residue matrix by.
 
-    ``col`` is the reduced ``(R, 1)`` column in the basis dtype; ``shoup``
+    ``col`` is the reduced uint64 ``(R, 1)`` column; ``shoup``
     its Shoup companion's 31-bit limbs on a ``wide`` basis
     (:func:`repro.nt.modmath.shoup_limbs`; ``None`` elsewhere), so a
     constant that is reused pays for the companion once.
@@ -44,10 +39,11 @@ class RnsBasis:
     The order matters: residue row ``i`` of every polynomial over this
     basis is taken modulo ``moduli[i]``.  Bases are immutable and
     hashable, so precomputations (CRT weights, basis-conversion tables)
-    can be cached per basis pair.
+    can be cached per basis pair.  Every modulus must lie in
+    ``[2, 2^61)``; one outside raises a :class:`ParameterError` naming it.
     """
 
-    __slots__ = ("n", "moduli", "kind", "dtype", "_product", "_q_col")
+    __slots__ = ("n", "moduli", "kind", "_product", "_q_col")
 
     def __init__(self, n: int, moduli: Sequence[int]):
         moduli = tuple(int(q) for q in moduli)
@@ -55,13 +51,11 @@ class RnsBasis:
             raise ParameterError("an RNS basis needs at least one modulus")
         if len(set(moduli)) != len(moduli):
             raise ParameterError(f"RNS moduli must be distinct, got {moduli}")
+        kinds = {backend_kind(q) for q in moduli}  # validates every modulus
         self.n = n
         self.moduli = moduli
-        widest = max(moduli)
-        #: ``"narrow"``/``"wide"``/``"big"`` — the widest modulus decides.
-        self.kind = backend_kind(widest)
-        #: Residue-matrix dtype: uint64, or object for a ``big`` basis.
-        self.dtype = dtype_for_modulus(widest)
+        #: ``"narrow"`` or ``"wide"`` — the widest modulus decides.
+        self.kind = "wide" if "wide" in kinds else "narrow"
         self._product: int | None = None
         self._q_col: np.ndarray | None = None
 
@@ -90,8 +84,8 @@ class RnsBasis:
         return self._q_col
 
     def column(self, values: Sequence[int]) -> np.ndarray:
-        """Per-row constants as an ``(R, 1)`` column in the basis dtype."""
-        return np.array(values, dtype=self.dtype).reshape(-1, 1)
+        """Per-row constants as a uint64 ``(R, 1)`` column."""
+        return np.array(values, dtype=np.uint64).reshape(-1, 1)
 
     def scalar_column(self, scalars: Sequence[int]) -> ScalarColumn:
         """Integer constants (any size or sign), one per row, reduced
@@ -182,7 +176,7 @@ class ConversionTable:
     ``digit`` multiplies the source rows into CRT digits
     ``v_i = x_i · (Q/q_i)^{-1} mod q_i``; ``q_inv`` is the float64
     ``1/q_i`` vector behind the overflow count ``α``; ``weights`` is the
-    ``(m, k + 1)`` fold matrix in the destination dtype, row ``j``
+    ``(m, k + 1)`` uint64 fold matrix, row ``j``
     holding ``(Q/q_i) mod p_j`` and, last, ``-Q mod p_j`` for the ``α``
     row (an approximate conversion folds with the first ``k`` columns).
     """
@@ -195,7 +189,7 @@ class ConversionTable:
         self.q_inv = np.array([1.0 / float(q) for q in src.moduli])
         self.weights = np.array(
             [[h % p for h in q_hat] + [(-src.product) % p] for p in self.dst.moduli],
-            dtype=self.dst.dtype,
+            dtype=np.uint64,
         )
 
     @cached_property

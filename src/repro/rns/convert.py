@@ -60,9 +60,8 @@ def base_convert(
     ``out_j = Σ v_i · (q̂_i mod p_j) - α · (Q mod p_j)`` is one
     :func:`repro.backends.bconv_fold` dispatch on the destination kind,
     with the ``-α·Q`` correction riding it as an extra digit row.  The
-    digit stack is stored in the destination dtype; a digit is below its
-    source modulus, hence below 2^64, so it fits a uint64 stack whatever
-    the source kind, and every fold takes digits unreduced.  Every
+    digit stack is uint64; a digit is below its source modulus, hence
+    below 2^61, and every fold takes digits unreduced.  Every
     constant — digit multipliers, ``1/q``, the fold weights — comes from
     the basis pair's cached :func:`repro.rns.basis.conversion_table`;
     a call builds nothing from Python ints.
@@ -92,7 +91,7 @@ def convert_by_table(
     # v_i = x_i * (Q/q_i)^{-1} mod q_i : the CRT decomposition digits.
     digits = poly.rowwise_scalar_mul(table.digit).mat
     weights = table.weights
-    stack = np.empty((k + 1 if exact else k, n), dtype=dst.dtype)
+    stack = np.empty((k + 1 if exact else k, n), dtype=np.uint64)
     stack[:k] = digits
     if exact:
         # One BLAS pass: α = round(Σ v_i / q_i) ∈ [0, k], small and
@@ -121,7 +120,7 @@ def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
     for the scale.  Works in either domain.
     """
     grown, k_col = extension(poly.basis, tuple(int(q) for q in new_moduli))
-    mat = np.zeros((grown.size, grown.n), dtype=grown.dtype)
+    mat = np.zeros((grown.size, grown.n), dtype=np.uint64)
     mat[: poly.basis.size] = poly.rowwise_scalar_mul(k_col).mat
     return RnsPolynomial(grown, mat, poly.domain)
 

@@ -8,9 +8,9 @@ form or in NTT (evaluation) form; the two accelerator-relevant operations
 that force coefficient form are base conversion and Galois automorphisms,
 and the polynomial tracks its domain so callers cannot silently mix them.
 
-The matrix is the only storage.  Its dtype follows the *basis* kind
-(:attr:`RnsBasis.kind`): uint64 when every modulus is below 2^61, object
-(exact Python ints) otherwise.  Every operation is one vectorized call
+The matrix is the only storage, and it is uint64: every modulus is
+below 2^61.  The *basis* kind (:attr:`RnsBasis.kind`, ``narrow`` or
+``wide``) picks the arithmetic.  Every operation is one vectorized call
 over the whole matrix against the basis's ``(R, 1)`` modulus column —
 :mod:`repro.nt.modmath` for add/sub/neg, :mod:`repro.backends` for
 the Hadamard products, the batched NTT for domain changes — so a basis
@@ -51,7 +51,7 @@ class RnsPolynomial:
         """Wrap ``residues`` — a ``(R, n)`` matrix, or ``R`` rows to stack.
 
         Shape and dtype are checked here, once, for every polynomial:
-        the matrix must be ``(basis.size, basis.n)`` in ``basis.dtype``.
+        the matrix must be a ``(basis.size, basis.n)`` uint64 array.
         """
         if domain not in (COEFF, NTT):
             raise ParameterError(f"unknown domain {domain!r}")
@@ -62,10 +62,9 @@ class RnsPolynomial:
                 f"expected a ({basis.size}, {basis.n}) residue matrix, "
                 f"got shape {residues.shape}"
             )
-        if residues.dtype != basis.dtype:
+        if residues.dtype != np.uint64:
             raise ParameterError(
-                f"a {basis.kind} basis stores {np.dtype(basis.dtype).name} "
-                f"residues, got {residues.dtype}"
+                f"a residue matrix stores uint64 residues, got {residues.dtype}"
             )
         self.basis = basis
         self.mat = residues
@@ -83,7 +82,7 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     @classmethod
     def zeros(cls, basis: RnsBasis, domain: str = COEFF) -> "RnsPolynomial":
-        return cls(basis, np.zeros((basis.size, basis.n), dtype=basis.dtype), domain)
+        return cls(basis, np.zeros((basis.size, basis.n), dtype=np.uint64), domain)
 
     @classmethod
     def from_int_coeffs(
@@ -92,18 +91,18 @@ class RnsPolynomial:
         """Reduce big-integer (possibly negative) coefficients into RNS.
 
         Coefficients that all fit int64 reduce in one broadcast against
-        the modulus column (every modulus of a non-``big`` basis fits
-        int64 too, and numpy's ``%`` is non-negative for a positive
-        divisor); wider ones, and ``big`` bases, reduce as Python ints.
+        the modulus column (every modulus fits int64 too, and numpy's
+        ``%`` is non-negative for a positive divisor); wider ones reduce
+        as Python ints.
         """
         if len(coeffs) != basis.n:
             raise ParameterError(f"expected {basis.n} coefficients, got {len(coeffs)}")
-        row = None if basis.kind == "big" else _int64_row(coeffs)
+        row = _int64_row(coeffs)
         if row is not None:
             mat = (row % basis.q_col.astype(np.int64)).astype(np.uint64)
         else:
             mat = np.array(
-                [[c % q for c in coeffs] for q in basis.moduli], dtype=basis.dtype
+                [[c % q for c in coeffs] for q in basis.moduli], dtype=np.uint64
             )
         return cls(basis, mat, COEFF)
 
@@ -243,10 +242,7 @@ class RnsPolynomial:
     def restricted(self, moduli: Iterable[int]) -> "RnsPolynomial":
         """Keep only the rows for ``moduli`` (in the given order)."""
         basis, rows = restriction(self.basis, tuple(moduli))
-        mat = self.mat[rows]
-        # Shedding the widest rows can narrow the kind, and the dtype
-        # with it; for the same dtype this is the matrix itself.
-        return RnsPolynomial(basis, mat.astype(basis.dtype, copy=False), self.domain)
+        return RnsPolynomial(basis, self.mat[rows], self.domain)
 
     def row(self, q: int) -> np.ndarray:
         return self.mat[self.basis.index_of(q)]
@@ -330,9 +326,8 @@ def _stack_rows(basis: RnsBasis, rows: Sequence[np.ndarray]) -> np.ndarray:
                 f"expected ({basis.n},)"
             )
         dtype = getattr(row, "dtype", type(row).__name__)
-        if dtype != basis.dtype:
+        if dtype != np.uint64:
             raise ParameterError(
-                f"residue row {i} is {dtype}; a {basis.kind} basis stores "
-                f"{np.dtype(basis.dtype).name} residues"
+                f"residue row {i} is {dtype}; residue rows are uint64"
             )
     return np.stack(rows)

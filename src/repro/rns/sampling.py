@@ -32,7 +32,7 @@ def sample_uniform(
     uniform over ``Z_Q`` by CRT; because the NTT is a bijection, sampling
     directly in NTT form is equally valid and saves the transforms.
     """
-    mat = np.empty((basis.size, basis.n), dtype=basis.dtype)
+    mat = np.empty((basis.size, basis.n), dtype=np.uint64)
     for i, q in enumerate(basis.moduli):
         mat[i] = modmath.uniform_mod(q, basis.n, rng)
     return RnsPolynomial(basis, mat, domain)

@@ -11,8 +11,7 @@ relinearisation in ``multiply``) and a coefficient-form one without
 The narrow and wide chains are the benchmark ladder's ``logreg_bp28``
 and ``logreg_rns60`` chains at n = 4096: their stage loops run on
 half-block views thousands of coefficients long, which is where a
-change to how numpy iterates shows first.  The big chain is
-``level_kat.json``'s ``rns62`` at its ``KAT_N``.
+change to how numpy iterates shows first.
 
 Inputs *and* key rows come from the ``_kat_input`` LCG over Python ints
 (no numpy generator, no secret): the keyswitch is integer arithmetic on
@@ -38,7 +37,6 @@ from repro.rns.basis import RnsBasis, conversion_table
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
 from repro.schemes import plan_chain
 from tests.test_nt_ntt_vectorized import _digest, _kat_input
-from tests.test_schemes_level_kat import KAT_N
 
 KAT_PATH = Path(__file__).parent / "data" / "keyswitch_kat.json"
 
@@ -46,7 +44,6 @@ KAT_PATH = Path(__file__).parent / "data" / "keyswitch_kat.json"
 KAT_CASES = {
     "bp28": ("bitpacker", 4096, 28, 35.0, 6, 60.0),
     "rns60": ("rns-ckks", 4096, 60, 35.0, 6, 60.0),
-    "rns62": ("rns-ckks", KAT_N, 64, 62.0, 4, 62.0),
 }
 DOMAINS = (NTT, COEFF)
 
@@ -64,7 +61,7 @@ def _poly(n: int, moduli, salt: int, domain: str) -> RnsPolynomial:
     """Row ``i`` is ``n`` LCG values below ``moduli[i]``."""
     basis = RnsBasis(n, moduli)
     rows = [_kat_input(q, n, salt=100 * salt + i) for i, q in enumerate(moduli)]
-    return RnsPolynomial(basis, np.array(rows, dtype=basis.dtype), domain)
+    return RnsPolynomial(basis, np.array(rows, dtype=np.uint64), domain)
 
 
 @cache
@@ -155,6 +152,6 @@ def test_known_answer_file_covers_the_case_list():
 
 def test_cases_cover_the_width_classes():
     kinds = {label: _kat_key(label).full.kind for label in KAT_CASES}
-    assert kinds == {"bp28": "narrow", "rns60": "wide", "rns62": "big"}
-    assert {_chain(label).n for label in ("bp28", "rns60")} == {4096}
+    assert kinds == {"bp28": "narrow", "rns60": "wide"}
+    assert {_chain(label).n for label in KAT_CASES} == {4096}
     assert all(_kat_key(label).digits == 2 for label in KAT_CASES)

@@ -6,8 +6,8 @@ tests are bit-for-bit wherever two schedules compute the same thing:
 
 1. **Hoisted rotations** equal rotations done the textbook way — permute
    ``c0`` and ``c1`` in coefficient form, *then* decompose and switch
-   (``test_ckks_domains.EagerEvaluator``) — residue for residue, on a uint32-word chain, a uint64-word chain and
-   an object-dtype chain.
+   (``test_ckks_domains.EagerEvaluator``) — residue for residue, on a
+   uint32-word chain and a uint64-word chain.
 2. **Block sums** (``bsgs_sums``) decrypt to the cleartext block product
    and agree with separate ``apply_bsgs`` calls added up.  Against a
    per-term reference built from public ops they are bit-identical with
@@ -56,13 +56,6 @@ CHAINS = {
             ks_digits=2,
         ),
         np.dtype(np.uint64),
-    ),
-    "big": (
-        lambda: plan_rns_ckks_chain(
-            n=N, word_bits=62, level_scale_bits=40.0, levels=3, base_bits=61.9,
-            ks_digits=2,
-        ),
-        np.dtype(object),
     ),
 }
 

@@ -54,6 +54,14 @@ class TestPlanCommand:
         assert "bitpacker chain" in out
         assert "rns-ckks chain" not in out
 
+    def test_plan_prints_a_64_bit_chain(self, capsys):
+        """Planning never builds residues, so 64-bit words still plan."""
+        assert main(["plan", "--word", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "bitpacker chain: n=1024, word=64b" in out
+        assert "rns-ckks chain: n=1024, word=64b" in out
+        assert "64, 64" in out
+
 
 @pytest.mark.parametrize("argv", [
     ["plan", "--n", "1000"],  # ParameterError: not a power of two

@@ -99,4 +99,24 @@ class TestModmathEdges:
         from repro.errors import ParameterError
 
         with pytest.raises(ParameterError):
-            modmath.dtype_for_modulus(1)
+            modmath.backend_kind(1)
+
+
+class TestWordBound:
+    """A chain plans at any word size, but residues are one uint64 word:
+    a context over a modulus at or above 2^61 is refused up front."""
+
+    def test_62_bit_chain_plans_but_builds_no_context(self):
+        import pytest
+
+        from repro.errors import ParameterError
+        from repro.schemes import plan_chain
+
+        chain = plan_chain(
+            "rns-ckks", n=64, word_bits=64, level_scale_bits=62.0,
+            levels=4, base_bits=62.0, ks_digits=2,
+        )
+        widest = max(chain.all_moduli)
+        assert widest >= 1 << 61
+        with pytest.raises(ParameterError, match="outside"):
+            CkksContext(chain, seed=1)

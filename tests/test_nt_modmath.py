@@ -17,12 +17,12 @@ from repro.nt import modmath
 from repro.nt.ntt import forward_rows, inverse_rows
 from repro.nt.primes import ntt_friendly_primes_below
 
-# One representative modulus per backend: narrow uint64, wide
-# limb/Shoup uint64, and big-int object arrays.
+# One representative modulus per word class, narrow uint64 and wide
+# limb/Shoup uint64, and the largest modulus the wide class admits.
 NARROW_Q = 268435399  # < 2^31
 WIDE_Q = (1 << 55) - 55  # in [2^31, 2^61): wide path (prime not required)
-BIG_Q = (1 << 61) + 20 * 131072 + 1  # >= 2^61: object path
-BACKEND_MODULI = [NARROW_Q, WIDE_Q, BIG_Q]
+TOP_Q = (1 << 61) - 1  # the top of the wide range
+BACKEND_MODULI = [NARROW_Q, WIDE_Q, TOP_Q]
 
 
 @pytest.mark.parametrize("q", BACKEND_MODULI)
@@ -33,8 +33,14 @@ class TestBackends:
         return a, b
 
     def test_dtype(self, q):
-        expected = object if q >= modmath.BIG_MODULUS_THRESHOLD else np.uint64
-        assert modmath.dtype_for_modulus(q) is expected
+        rng = np.random.default_rng(0)
+        for residues in (
+            modmath.zeros(4, q),
+            modmath.as_mod_array([q + 1, -1], q),
+            modmath.uniform_mod(q, 4, rng),
+        ):
+            assert residues.dtype == np.uint64
+        assert modmath.backend_kind(q) == ("narrow" if q < 1 << 31 else "wide")
 
     def test_add_matches_bigint(self, q, rng=None):
         rng = np.random.default_rng(1)
@@ -130,10 +136,32 @@ class TestAsModArrayExactness:
         assert [int(v) for v in got] == [0, 1, NARROW_Q - 1, 0]
         assert got.dtype == np.uint64
 
-    def test_big_modulus_returns_object_rows(self):
-        got = modmath.as_mod_array([2**62, -1], BIG_Q)
-        assert got.dtype == object
-        assert [int(v) for v in got] == [2**62 % BIG_Q, BIG_Q - 1]
+
+#: Every modulus lies in [2, 2^61): just outside either end, and far out.
+OUT_OF_RANGE = [0, 1, -5, 1 << 61, (1 << 61) + 1, 1 << 64]
+
+
+class TestModulusBound:
+    """The residue constructors reject a modulus outside ``[2, 2^61)``
+    with a ``ParameterError`` naming it, and accept the top one."""
+
+    CONSTRUCTORS = {
+        "as_mod_array": lambda q: modmath.as_mod_array([3, -1], q),
+        "zeros": lambda q: modmath.zeros(4, q),
+        "uniform_mod": lambda q: modmath.uniform_mod(q, 4, np.random.default_rng(0)),
+    }
+
+    @pytest.mark.parametrize("q", OUT_OF_RANGE)
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_out_of_range_modulus_rejected(self, name, q):
+        with pytest.raises(ParameterError, match=f"modulus {q} "):
+            self.CONSTRUCTORS[name](q)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_top_of_the_wide_range_accepted(self, name):
+        got = self.CONSTRUCTORS[name](TOP_Q)
+        assert got.dtype == np.uint64 and all(int(v) < TOP_Q for v in got)
+        assert modmath.backend_kind(TOP_Q) == "wide"
 
 
 class TestModInv:
@@ -168,8 +196,8 @@ class TestWideMulmodBoundaries:
         ]
 
     def test_rejects_above_64_bits(self):
-        with pytest.raises(ParameterError):
-            modmath.dtype_for_modulus(1 << 64)
+        with pytest.raises(ParameterError, match=str(1 << 64)):
+            modmath.backend_kind(1 << 64)
 
 
 def _coprime_ok(q):
@@ -178,11 +206,12 @@ def _coprime_ok(q):
 
 @settings(max_examples=120, deadline=None)
 @given(
-    bits=st.integers(min_value=20, max_value=63),
+    bits=st.integers(min_value=20, max_value=61),
     data=st.data(),
 )
 def test_mulmod_property(bits, data):
-    """Property: every backend's mod_mul agrees with Python big ints."""
+    """Property: both word classes' mod_mul agrees with Python big ints
+    (the top of the wide range is pinned by ``TestWideMulmodBoundaries``)."""
     q = (1 << bits) - data.draw(st.integers(min_value=1, max_value=1 << 10))
     if q < 3:
         q = 3
@@ -204,7 +233,7 @@ def test_mulmod_property(bits, data):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    bits=st.integers(min_value=10, max_value=62),
+    bits=st.integers(min_value=10, max_value=60),
     k=st.integers(min_value=-(1 << 70), max_value=1 << 70),
     data=st.data(),
 )
@@ -412,12 +441,12 @@ def test_half_word_shoup_is_lazy_and_exact(bits, data):
     assert folded.tolist() == [a * b % q for a, b in zip(xs, ws)]
 
 
-@pytest.mark.parametrize("dtype", [np.uint32, np.uint64, object])
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
 def test_lazy_fold_picks_the_value_below_m(dtype):
-    m = {np.uint32: 1 << 31, np.uint64: 1 << 63, object: (1 << 64) - 59}[dtype]
+    m = {np.uint32: 1 << 31, np.uint64: 1 << 63}[dtype]
     values = [0, 1, m - 1, m, m + 1, 2 * m - 1]
     x = np.array(values, dtype=dtype)
-    bound = m if dtype is object else dtype(m)
+    bound = dtype(m)
     want = [v % m for v in values]
     assert modmath.lazy_fold(x, bound).tolist() == want
     assert x.tolist() == values  # pure unless told where to write

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.nt import modmath
-from repro.nt.ntt import ntt_context
-from repro.nt.primes import ntt_friendly_primes_below
+from repro.nt.ntt import ntt_context, ntt_rows_context
+from repro.nt.primes import ntt_friendly_primes_above, ntt_friendly_primes_below
 
 
 def _schoolbook_negacyclic(a, b, q, n):
@@ -25,10 +25,10 @@ def _schoolbook_negacyclic(a, b, q, n):
 
 SMALL_Q = next(ntt_friendly_primes_below(1 << 28, 64))
 WIDE_Q = next(ntt_friendly_primes_below(1 << 55, 64))
-BIG_Q = next(ntt_friendly_primes_below(1 << 62, 64))
+TOP_Q = next(ntt_friendly_primes_below(1 << 61, 64))  # top of the wide range
 
 
-@pytest.mark.parametrize("q", [SMALL_Q, WIDE_Q, BIG_Q])
+@pytest.mark.parametrize("q", [SMALL_Q, WIDE_Q, TOP_Q])
 class TestRoundTrip:
     def test_forward_inverse_identity(self, q):
         n = 64
@@ -107,6 +107,16 @@ class TestValidation:
     def test_non_ntt_friendly_prime_rejected(self):
         with pytest.raises(ParameterError):
             ntt_context(97, 64)  # 97 ≢ 1 mod 128
+
+    def test_modulus_at_or_above_2_61_rejected(self):
+        """An NTT-friendly prime just above 2^61 is refused by its size;
+        the one just below builds a context."""
+        above = next(ntt_friendly_primes_above(1 << 61, 64))
+        with pytest.raises(ParameterError, match=f"modulus {above} "):
+            ntt_context(above, 64)
+        with pytest.raises(ParameterError, match=f"modulus {above} "):
+            ntt_rows_context((SMALL_Q, above), 64)
+        assert ntt_rows_context((SMALL_Q, TOP_Q), 64).kind == "wide"
 
     def test_context_cache_returns_same_object(self):
         assert ntt_context(SMALL_Q, 64) is ntt_context(SMALL_Q, 64)

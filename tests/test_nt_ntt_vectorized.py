@@ -47,12 +47,10 @@ MAX_N = 256  # largest degree exercised below; primes must support it
 
 NARROW_Q = next(ntt_friendly_primes_below(1 << 28, MAX_N))
 WIDE_Q = next(ntt_friendly_primes_below(1 << 55, MAX_N))
-BIG_Q = next(ntt_friendly_primes_below(1 << 62, MAX_N))
 
 BACKEND_PRIMES = [
     pytest.param(NARROW_Q, id="narrow"),
     pytest.param(WIDE_Q, id="wide"),
-    pytest.param(BIG_Q, id="big"),
 ]
 
 SIZES = [8, 64, 256]
@@ -171,41 +169,11 @@ class TestBatchedRows:
         back = inverse_rows(fwd, moduli)
         assert np.array_equal(back, mat)
 
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize(
-        "mix", [("big",), ("narrow", "big"), ("wide", "big", "big")],
-        ids="+".join,
-    )
-    def test_big_rows_match_reference(self, n, mix):
-        """One modulus >= 2^61 makes the whole stack object-dtype; every
-        row still equals the pre-vectorization per-prime transform."""
-        gens = {
-            "narrow": ntt_friendly_primes_below(1 << 28, n),
-            "wide": ntt_friendly_primes_below(1 << 55, n),
-            "big": ntt_friendly_primes_below(1 << 62, n),
-        }
-        moduli = tuple(next(gens[kind]) for kind in mix)
-        rng = np.random.default_rng(n)
-        mat = np.empty((len(moduli), n), dtype=object)
-        for i, q in enumerate(moduli):
-            mat[i] = modmath.uniform_mod(q, n, rng)
-        assert ntt_rows_context(moduli, n).kind == "big"
-        fwd = forward_rows(mat, moduli)
-        inv = inverse_rows(mat, moduli)
-        assert fwd.dtype == inv.dtype == object
-        for i, q in enumerate(moduli):
-            ref = reference_ntt_context(q, n)
-            row = modmath.as_mod_array(mat[i], q)
-            assert fwd[i].tolist() == [int(v) for v in ref.forward(row)]
-            assert inv[i].tolist() == [int(v) for v in ref.inverse(row)]
-        assert np.array_equal(inverse_rows(fwd, moduli), mat)
-
     def test_degree_one_ring_is_the_identity(self):
         """``n = 1`` has no butterfly stage (and no tail layout to enter):
         both directions hand back a copy of the residues."""
-        moduli = (17, (1 << 32) + 15, (1 << 61) + 21)
-        mat = np.empty((3, 1), dtype=object)
-        mat[:, 0] = [5, 1 << 32, 1 << 61]
+        moduli = (17, (1 << 32) + 15, (1 << 61) - 1)
+        mat = np.array([[5], [1 << 32], [(1 << 61) - 2]], dtype=np.uint64)
         for transform in (forward_rows, inverse_rows):
             out = transform(mat, moduli)
             assert out is not mat and out.tolist() == mat.tolist()
@@ -221,7 +189,7 @@ class TestBatchedRows:
 # ----------------------------------------------------------------------
 # Width classes: one prime generator per regime of the stage loop — the
 # uint32 word up to its 4q <= 2^32 edge, narrow primes past it (uint64
-# word, beta = 2^64), both ends of the wide range, and object rows.
+# word, beta = 2^62), and both ends of the wide range.
 # ----------------------------------------------------------------------
 WIDTH_CLASSES = {
     "smallest": lambda n: ntt_friendly_primes_above(2, n),
@@ -232,7 +200,6 @@ WIDTH_CLASSES = {
     "above31": lambda n: ntt_friendly_primes_above(1 << 31, n),
     "55": lambda n: ntt_friendly_primes_below(1 << 55, n),
     "below61": lambda n: ntt_friendly_primes_below(1 << 61, n),
-    "big": lambda n: ntt_friendly_primes_below(1 << 62, n),
 }
 
 
@@ -249,14 +216,9 @@ def _mixed_moduli(widths, n: int) -> tuple[int, ...]:
     )
 
 
-def _residue_matrix(rows, moduli):
-    """Rows of Python ints as the matrix dtype the basis runs on."""
-    mat = np.empty(
-        (len(moduli), len(rows[0])), dtype=modmath.dtype_for_modulus(max(moduli))
-    )
-    for i, row in enumerate(rows):
-        mat[i] = row
-    return mat
+def _residue_matrix(rows):
+    """Rows of Python ints as a uint64 residue matrix."""
+    return np.array(rows, dtype=np.uint64)
 
 
 class TestLazyButterflyProperty:
@@ -284,7 +246,7 @@ class TestLazyButterflyProperty:
             }[fill](q)
             for q in moduli
         ]
-        mat = _residue_matrix(rows, moduli)
+        mat = _residue_matrix(rows)
         keep = mat.copy()
         fwd = forward_rows(mat, moduli)
         inv = inverse_rows(mat, moduli)
@@ -435,7 +397,7 @@ class TestFourStepEdges:
         (("30to31",), 128, False),
         (("28", "55"), 128, False),
         (("55",), 1024, False),
-        (("big",), 128, False),
+        (("below61",), 128, False),
     ],
 )
 def test_kernel_is_chosen_by_word_and_degree(
@@ -447,7 +409,7 @@ def test_kernel_is_chosen_by_word_and_degree(
     moduli = _mixed_moduli(widths, n)
     ctx = ntt_rows_context(moduli, n)
     assert ctx._four_step == four_step
-    mat = np.zeros((len(moduli), n), dtype=ctx._dtype)
+    mat = np.zeros((len(moduli), n), dtype=np.uint64)
     ran_stages = stages("forward", lambda: forward_rows(mat, moduli))
     assert four_step_passes(lambda: forward_rows(mat, moduli)) == int(four_step)
     assert ran_stages == (0 if four_step else n.bit_length() - 1)
@@ -521,7 +483,6 @@ STACK_MIXES = {
     "uint64-word-narrow": ("28", "30to31"),
     "wide": ("55", "above31", "below61"),
     "narrow+wide": ("28", "55"),
-    "big": ("28", "55", "big"),
 }
 
 
@@ -537,8 +498,7 @@ class TestStackedMatrices:
         stack = np.stack(
             [
                 _residue_matrix(
-                    [[int(v) for v in modmath.uniform_mod(q, n, rng)] for q in moduli],
-                    moduli,
+                    [[int(v) for v in modmath.uniform_mod(q, n, rng)] for q in moduli]
                 )
                 for _ in range(5)
             ]

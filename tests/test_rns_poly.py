@@ -15,7 +15,7 @@ from repro.rns.poly import COEFF, NTT, RnsPolynomial
 
 N = 32
 MODULI = tuple(islice(ntt_friendly_primes_below(1 << 26, N), 3)) + tuple(
-    islice(ntt_friendly_primes_below(1 << 62, N), 1)
+    islice(ntt_friendly_primes_below(1 << 61, N), 1)
 )
 
 
@@ -24,15 +24,16 @@ def basis():
     return RnsBasis(N, MODULI)
 
 
-#: Prime widths per kind, and the basis mixes the storage rule covers:
-#: a basis runs every row on its widest member's arithmetic.
-WIDTH_BITS = {"narrow": 28, "wide": 55, "big": 62}
+#: Prime widths per kind (``top``: just below 2^61, the widest modulus
+#: admitted), and the basis mixes the storage rule covers: a basis runs
+#: every row on its widest member's arithmetic.
+WIDTH_BITS = {"narrow": 28, "wide": 55, "top": 61}
 WIDTH_MIXES = [
     ("narrow", "narrow"),
     ("wide", "wide"),
     ("narrow", "wide"),
-    ("narrow", "big"),
-    ("wide", "big"),
+    ("narrow", "top"),
+    ("wide", "top"),
 ]
 width_mixes = st.sampled_from(WIDTH_MIXES)
 
@@ -71,6 +72,17 @@ class TestBasis:
     def test_duplicate_moduli_rejected(self):
         with pytest.raises(ParameterError):
             RnsBasis(N, (17, 17))
+
+    @pytest.mark.parametrize("bad", [0, 1, -5, 1 << 61, (1 << 61) + 1])
+    def test_every_modulus_validated(self, bad):
+        """Each modulus, not just the widest, must lie in [2, 2^61)."""
+        with pytest.raises(ParameterError, match=f"modulus {bad} "):
+            RnsBasis(16, [bad, 97])
+        with pytest.raises(ParameterError, match=f"modulus {bad} "):
+            RnsBasis(16, [97, bad])
+
+    def test_top_of_the_wide_range_accepted(self):
+        assert RnsBasis(16, [97, (1 << 61) - 1]).kind == "wide"
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -153,13 +165,6 @@ class TestFromIntCoeffs:
         poly = RnsPolynomial.from_int_coeffs(RnsBasis(N, self.NARROW_WIDE), coeffs)
         assert poly.mat.tolist() == self._oracle(self.NARROW_WIDE, coeffs)
 
-    def test_big_basis_stays_exact_python_ints(self, basis, rng):
-        coeffs = self._coeffs(rng, self.EDGES)
-        poly = RnsPolynomial.from_int_coeffs(basis, coeffs)
-        assert poly.mat.dtype == object
-        assert all(type(v) is int for v in poly.mat.flat)
-        assert poly.mat.tolist() == self._oracle(MODULI, coeffs)
-
     def test_array_inputs(self, rng):
         moduli = self.NARROW_WIDE
         signed = rng.integers(-(2**62), 2**62, N)
@@ -200,13 +205,16 @@ class TestConstructorValidation:
         with pytest.raises(ParameterError, match=r"expected a \(2, 32\)"):
             RnsPolynomial(basis, np.zeros((3, N), dtype=np.uint64), COEFF)
 
-    def test_dtype_follows_the_basis_kind(self, basis):
-        """MODULI holds a >= 2^61 prime: uint64 rows no longer fit it,
-        narrow rows included."""
-        assert basis.kind == "big" and basis.dtype is object
-        with pytest.raises(ParameterError, match="big basis stores object"):
-            RnsPolynomial(basis, self._rows(basis), COEFF)
-        assert RnsPolynomial.zeros(basis).mat.dtype == object
+    def test_every_kind_stores_uint64(self, basis):
+        """Narrow rows beside a wide one, and narrow rows alone: both
+        kinds store uint64 matrices, and nothing else."""
+        narrow = RnsBasis(N, MODULI[:3])
+        assert (basis.kind, narrow.kind) == ("wide", "narrow")
+        for b in (basis, narrow):
+            assert RnsPolynomial(b, self._rows(b), COEFF).mat.dtype == np.uint64
+            assert RnsPolynomial.zeros(b).mat.dtype == np.uint64
+            with pytest.raises(ParameterError, match="uint64 residues, got object"):
+                RnsPolynomial(b, np.zeros((b.size, N), dtype=object), COEFF)
 
     def test_rows_are_views_of_the_matrix(self):
         basis = RnsBasis(N, MODULI[:2])
@@ -379,10 +387,10 @@ class TestRestriction:
 
     def test_restriction_is_cached_and_unchanged(self, basis, rng, monkeypatch):
         """The sub-basis and row indices come from one cache per
-        ``(basis, moduli)``: the rows are what indexing by hand gives
-        (narrowed to the sub-basis dtype), and a repeat builds no basis."""
+        ``(basis, moduli)``: the rows are what indexing by hand gives,
+        and a repeat builds no basis."""
         poly = RnsPolynomial.from_int_coeffs(basis, _rand_coeffs(rng))
-        keep = (basis.moduli[2], basis.moduli[0])  # sheds the big row
+        keep = (basis.moduli[2], basis.moduli[0])  # sheds the wide row
         first = poly.restricted(keep)
         want = np.stack([poly.row(q) for q in keep]).astype(np.uint64)
         assert first.basis == RnsBasis(N, keep)
@@ -453,7 +461,7 @@ def test_width_mix_ops_match_oracle_and_single_modulus_rows(data):
     g = data.draw(st.sampled_from([3, 5, 2 * n - 1]))
 
     def poly(rows, domain):
-        return RnsPolynomial(basis, np.array(rows, dtype=basis.dtype), domain)
+        return RnsPolynomial(basis, np.array(rows, dtype=np.uint64), domain)
 
     # name -> (domain, op over polynomials + per-row scalars,
     #          oracle over one row's Python ints and its scalar)
@@ -490,7 +498,7 @@ def test_width_mix_ops_match_oracle_and_single_modulus_rows(data):
     for name, (domain, op, oracle) in cases.items():
         polys = [poly(rows, domain) for rows in (a, b)]
         got = op(*polys, scalars)
-        assert got.mat.dtype == basis.dtype, name
+        assert got.mat.dtype == np.uint64, name
         for i, q in enumerate(moduli):
             want = oracle(a[i], b[i], scalars[i], q)
             assert got.mat[i].tolist() == want, (name, q)

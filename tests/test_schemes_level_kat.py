@@ -1,7 +1,7 @@
 """Known answers for level management (paper Listings 1-6).
 
 ``tests/data/level_kat.json`` pins, for both planners in each of the
-three residue width classes, what ``rescale`` does at every level and
+two residue width classes, what ``rescale`` does at every level and
 what ``adjust`` does for **every** ``src > dst`` pair: the sha256 of the
 output residues, the output level, moduli (order included) and the exact
 scale.  The direct ``scale_up`` / ``scale_down`` / ``drop_moduli``
@@ -42,19 +42,16 @@ KAT_PATH = Path(__file__).parent / "data" / "level_kat.json"
 KAT_N = 64
 
 #: ``label -> (scheme, word bits, scale bits, levels above 0, base bits)``.
-#: 28-bit words run the uint32 NTT word, ~50-bit the uint64 wide path, a
-#: modulus >= 2^61 object rows.  ``bp28`` (4 -> 0) and ``bp50`` (3 -> 1)
-#: each hold a move whose scale-down lands out of the destination's
-#: order; ``bp50`` also crosses from wide to narrow rows and ``bp64``
-#: from object to uint64 rows, and ``bp64``'s levels 4 and 3 share a
-#: terminal.  ``rns28`` sheds two-prime groups, the other two one prime.
+#: 28-bit words run the uint32 NTT word, ~50-bit the uint64 wide path.
+#: ``bp28`` (4 -> 0) and ``bp50`` (3 -> 1) each hold a move whose
+#: scale-down lands out of the destination's order; ``bp50`` also
+#: crosses from wide to narrow rows.  ``rns28`` sheds two-prime groups,
+#: ``rns50`` one prime.
 KAT_CASES = {
     "bp28": ("bitpacker", 28, 31.0, 5, 60.0),
     "bp50": ("bitpacker", 50, 25.0, 6, 30.0),
-    "bp64": ("bitpacker", 64, 34.0, 4, 60.0),
     "rns28": ("rns-ckks", 28, 40.0, 4, 45.0),
     "rns50": ("rns-ckks", 50, 45.0, 4, 50.0),
-    "rns62": ("rns-ckks", 64, 62.0, 4, 62.0),
 }
 
 
@@ -71,7 +68,7 @@ def _poly(moduli, salt: int) -> RnsPolynomial:
     """Row ``i`` is ``KAT_N`` LCG values below ``moduli[i]``."""
     basis = RnsBasis(KAT_N, moduli)
     rows = [_kat_input(q, KAT_N, salt=100 * salt + i) for i, q in enumerate(moduli)]
-    return RnsPolynomial(basis, np.array(rows, dtype=basis.dtype), COEFF)
+    return RnsPolynomial(basis, np.array(rows, dtype=np.uint64), COEFF)
 
 
 def _residues(*polys: RnsPolynomial) -> str:
@@ -165,15 +162,10 @@ def test_cases_cover_the_width_classes_and_chain_shapes():
     }
     assert kinds["bp28"] == kinds["rns28"] == {"narrow"}
     assert kinds["bp50"] == {"narrow", "wide"} and kinds["rns50"] == {"wide"}
-    assert kinds["bp64"] == {"wide", "big"} and kinds["rns62"] == {"big"}
 
-    # Multi-prime groups on one RNS-CKKS chain, one prime a level on the rest.
+    # Multi-prime groups on one RNS-CKKS chain, one prime a level on the other.
     assert {len(group) for group in _chain("rns28").groups[1:]} == {2}
-    assert {len(g) for c in ("rns50", "rns62") for g in _chain(c).groups[1:]} == {1}
-    # A terminal (sub-word prime) shared by consecutive BitPacker levels.
-    bp64 = _chain("bp64")
-    shared = set(bp64.moduli_at(4)) & set(bp64.moduli_at(3))
-    assert any(q.bit_length() < 60 for q in shared)
+    assert {len(group) for group in _chain("rns50").groups[1:]} == {1}
 
 
 def test_a_routine_that_skips_the_closing_reorder_is_caught(monkeypatch):
