@@ -20,7 +20,6 @@ from repro.analysis.absint import (
     VerifyResult,
     verify_or_raise,
     verify_trace,
-    verify_traces,
 )
 from repro.analysis.core import (
     PASSES,
@@ -38,5 +37,4 @@ __all__ = [
     "sanitize",
     "verify_or_raise",
     "verify_trace",
-    "verify_traces",
 ]

@@ -31,12 +31,11 @@ plans a concrete chain:
   pairwise join; the trace IR records no dataflow tree depth (a future
   compiler concern, see ROADMAP).
 
-Violations and waste diagnostics come back as standard
-:class:`~repro.analysis.core.Finding` objects (``path`` is
-``trace:<name>``, ``line`` the op index) so the CLI renders file and
-trace findings uniformly; rule-level suppression uses the ``ignore``
-argument (``--suppress`` on the CLI), the trace analogue of source
-pragmas.
+Violations come back as standard :class:`~repro.analysis.core.Finding`
+objects (``path`` is ``trace:<name>``, ``line`` the op index) so the CLI
+renders file and trace findings uniformly.  The result also carries the
+per-level modulus widths and slack that the trace compiler
+(:mod:`repro.trace.compiler`) tightens chains into.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.analysis.core import Finding
 from repro.errors import ScheduleViolationError
@@ -77,14 +76,6 @@ VIOLATION_RULES: dict[str, str] = {
     "trace-rescale-below-min": "rescale output below the precision floor",
     "trace-noise-exhausted": "noise budget spent before the next bootstrap",
     "trace-infeasible-chain": "scale targets admit no realizable chain",
-}
-
-#: Rule ids for waste diagnostics (the future compiler's optimization
-#: targets); never failures, reported only on request.
-WASTE_RULES: dict[str, str] = {
-    "trace-elidable-rescale": "rescale of a never-multiplied ciphertext",
-    "trace-elidable-adjust": "adjust from a level with no live compute",
-    "trace-slack-bits": "base modulus leaves a full word of slack",
 }
 
 _BINARY_KINDS = frozenset(
@@ -130,7 +121,6 @@ class VerifyResult:
 
     trace_name: str
     findings: list[Finding]
-    waste: list[Finding]
     records: list[OpRecord]
     bootstraps: int
     min_noise_margin_bits: float
@@ -138,7 +128,8 @@ class VerifyResult:
     #: when the targets are infeasible).
     log2_q: tuple[float, ...] | None
     #: Per-level spare bits under the widest product (or the canonical
-    #: scale where no product happened), after headroom.
+    #: scale where no product happened), after headroom; the compiler's
+    #: tighten-base pass shrinks ``base_bits`` into them.
     slack_bits: tuple[float, ...] | None
 
     @property
@@ -172,31 +163,21 @@ def _finding(trace: HeTrace, index: int, rule: str, message: str) -> Finding:
 
 @dataclass(frozen=True)
 class _Abstract:
-    """The live cursor ciphertext: level, scale interval, product flag."""
+    """The live cursor ciphertext: level and scale interval (``hi``
+    includes any un-rescaled product)."""
 
     level: int
     lo: float
     hi: float
-    product: bool  # ``hi`` includes an un-rescaled product
 
 
 class _Engine:
-    def __init__(
-        self,
-        trace: HeTrace,
-        word_bits: int,
-        headroom_bits: float,
-        tolerance_bits: float,
-    ):
+    def __init__(self, trace: HeTrace):
         self.trace = trace
-        self.word_bits = word_bits
-        self.headroom = headroom_bits
-        self.tolerance = tolerance_bits
         self.targets = trace.level_scale_bits
         self.max_level = trace.max_level
         self.min_scale = min_scale_bits(trace.n)
         self.findings: list[Finding] = []
-        self.waste: list[Finding] = []
         self.records: list[OpRecord] = []
         self._model: "NoiseModel | None" = None
 
@@ -255,27 +236,11 @@ class _Engine:
         noise_flagged = False
         bootstraps = 0
         min_margin = math.inf
-        last_compute: dict[int, int] = {}
-        last_adjust_from: dict[int, int] = {}
         product_peak: dict[int, float] = {}
-        # Bootstrap-span tracking for the waste diagnostics: the ladder's
-        # rescales/adjusts perform load-bearing scale conversions between
-        # stage scales (CtS -> EvalMod -> StC -> app), so they are never
-        # elidable even when no product is live.  ``app_top`` is the top
-        # of the bottom uniform-scale run (the application region); the
-        # cursor is "in span" from a bootstrap entry until it descends
-        # back to or below it.
-        app_top = 0
-        while (
-            app_top + 1 <= self.max_level
-            and self.targets[app_top + 1] == self.targets[0]
-        ):
-            app_top += 1
-        in_span = False
 
         def fresh(level: int) -> tuple[_Abstract, "NoiseEstimate"]:
             t = self.targets[level]
-            return _Abstract(level, t, t, False), self.model.fresh(level)
+            return _Abstract(level, t, t), self.model.fresh(level)
 
         for index, op in enumerate(trace.ops):
             if op.count == 0:
@@ -325,28 +290,12 @@ class _Engine:
                         )
                     )
                     continue
-                if not in_span and (
-                    last_compute.get(lvl, -1) <= last_adjust_from.get(lvl, -1)
-                ):
-                    self.waste.append(
-                        _finding(
-                            trace, index, "trace-elidable-adjust",
-                            f"adjust from level {lvl} with no compute there "
-                            "since the previous adjust: the source value "
-                            "could have been produced at its target level",
-                        )
-                    )
-                last_adjust_from[lvl] = index
-                if dst <= app_top:
-                    in_span = False
                 if state is not None and state.level == dst:
                     # The adjusted value joins the live cursor's level:
                     # the cursor keeps whatever product it carries and
                     # gains a canonical-scale operand.
                     t = self.targets[dst]
-                    state = _Abstract(
-                        dst, min(state.lo, t), max(state.hi, t), state.product
-                    )
+                    state = _Abstract(dst, min(state.lo, t), max(state.hi, t))
                 else:
                     state, _ = fresh(dst)
                 base_noise = (
@@ -376,18 +325,7 @@ class _Engine:
                             "before rescaling)",
                         )
                     )
-                elif not state.product and not in_span:
-                    self.waste.append(
-                        _finding(
-                            trace, index, "trace-elidable-rescale",
-                            f"rescale at level {lvl} of a never-multiplied "
-                            "ciphertext: it burns a level without shedding "
-                            "a product",
-                        )
-                    )
-                if lvl - 1 <= app_top:
-                    in_span = False
-                state = _Abstract(lvl - 1, out, out, False)
+                state = _Abstract(lvl - 1, out, out)
                 noise = self.model.after_rescale(noise)
                 min_margin = self._record(op, index, state, noise, min_margin)
                 continue
@@ -402,18 +340,16 @@ class _Engine:
                 # refreshed ciphertext is fresh at max_level.
                 bootstraps += 1
                 noise_flagged = False
-                in_span = True
                 state, noise = fresh(lvl)
             else:
                 self.findings.append(self._flow_finding(index, op, state.level))
                 state, noise = fresh(lvl)
-            last_compute[lvl] = index
 
             t = self.targets[lvl]
             lo, hi = min(state.lo, t), max(state.hi, t)
             operand = op.scale_bits if op.scale_bits is not None else t
             if op.kind in _BINARY_KINDS and op.scale_bits is not None:
-                if abs(op.scale_bits - t) > self.tolerance:
+                if abs(op.scale_bits - t) > SCALE_TOLERANCE_BITS:
                     self.findings.append(
                         _finding(
                             trace, index, "trace-scale-mismatch",
@@ -423,25 +359,23 @@ class _Engine:
                             "first",
                         )
                     )
-            product = state.product
             if op.kind in _MUL_KINDS:
                 # HMUL squares the operand scale; PMUL multiplies by a
                 # plaintext encoded at the level's canonical scale.
                 product_bits = (
                     2.0 * operand if op.kind is OpKind.HMUL else operand + t
                 )
-                if q is not None and product_bits + self.headroom > q[lvl]:
+                if q is not None and product_bits + HEADROOM_BITS > q[lvl]:
                     self.findings.append(
                         _finding(
                             trace, index, "trace-scale-overflow",
                             f"{op.kind.value} product at level {lvl} reaches "
                             f"2^{product_bits:g} against a 2^{q[lvl]:g} "
-                            f"modulus (< {self.headroom:g} bits of "
+                            f"modulus (< {HEADROOM_BITS:g} bits of "
                             "headroom): rescale or adjust before multiplying",
                         )
                     )
                 hi = max(hi, product_bits)
-                product = True
                 product_peak[lvl] = max(
                     product_peak.get(lvl, -math.inf), product_bits
                 )
@@ -452,7 +386,7 @@ class _Engine:
                 noise = self.model.after_rotate(noise)
             # PADD: plaintext encoding error is below the rescale
             # rounding floor at canonical scales; the estimate is kept.
-            state = _Abstract(lvl, lo, hi, product)
+            state = _Abstract(lvl, lo, hi)
             min_margin = self._record(op, index, state, noise, min_margin)
             if noise.expected_precision_bits <= 0 and not noise_flagged:
                 noise_flagged = True
@@ -466,11 +400,13 @@ class _Engine:
                     )
                 )
 
-        slack = self._slack(q, product_peak)
+        slack = None if q is None else tuple(
+            q[level] - HEADROOM_BITS - product_peak.get(level, self.targets[level])
+            for level in range(self.max_level + 1)
+        )
         return VerifyResult(
             trace_name=trace.name,
             findings=self.findings,
-            waste=self.waste,
             records=self.records,
             bootstraps=bootstraps,
             min_noise_margin_bits=min_margin,
@@ -508,71 +444,18 @@ class _Engine:
         )
         return min(min_margin, margin)
 
-    def _slack(
-        self,
-        q: tuple[float, ...] | None,
-        product_peak: dict[int, float],
-    ) -> tuple[float, ...] | None:
-        if q is None:
-            return None
-        slack = tuple(
-            q[level]
-            - self.headroom
-            - product_peak.get(level, self.targets[level])
-            for level in range(self.max_level + 1)
-        )
-        # Only level 0 is actionable: Q_0 = base + T_0 - T_top and
-        # base_bits is the free input, so a spare word there means the
-        # chain could shed a residue.  Upper-level widths are dictated
-        # by the scale schedule below them.
-        if slack and slack[0] >= self.word_bits:
-            self.waste.append(
-                _finding(
-                    self.trace, 0, "trace-slack-bits",
-                    f"level 0 leaves {slack[0]:g} spare modulus bits under "
-                    f"a {self.word_bits}-bit word: base_bits could shrink "
-                    "by a full residue",
-                )
-            )
-        return slack
+
+def verify_trace(trace: HeTrace) -> VerifyResult:
+    """Statically verify one schedule; see the module doc for the rules."""
+    return _Engine(trace).run()
 
 
-def verify_trace(
-    trace: HeTrace,
-    *,
-    word_bits: int = 28,
-    headroom_bits: float = HEADROOM_BITS,
-    tolerance_bits: float = SCALE_TOLERANCE_BITS,
-    ignore: Sequence[str] = (),
-) -> VerifyResult:
-    """Statically verify one schedule; see the module doc for the rules.
-
-    ``ignore`` drops findings (violations and waste alike) by rule id —
-    the trace-level analogue of pragma suppression.
-    """
-    result = _Engine(trace, word_bits, headroom_bits, tolerance_bits).run()
-    if ignore:
-        dropped = frozenset(ignore)
-        result.findings = [f for f in result.findings if f.rule not in dropped]
-        result.waste = [f for f in result.waste if f.rule not in dropped]
-    return result
-
-
-def verify_traces(
-    traces: Iterable[HeTrace], **kwargs
-) -> tuple[list[VerifyResult], list[Finding]]:
-    """Verify several traces; returns (results, concatenated violations)."""
-    results = [verify_trace(trace, **kwargs) for trace in traces]
-    findings = [f for result in results for f in result.findings]
-    return results, findings
-
-
-def verify_or_raise(trace: HeTrace, **kwargs) -> VerifyResult:
+def verify_or_raise(trace: HeTrace) -> VerifyResult:
     """The pre-flight gate: raise on any violation, return the result.
 
     Raises :class:`~repro.errors.ScheduleViolationError`.
     """
-    result = verify_trace(trace, **kwargs)
+    result = verify_trace(trace)
     if result.findings:
         shown = "; ".join(f.render() for f in result.findings[:3])
         more = len(result.findings) - 3

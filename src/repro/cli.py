@@ -13,7 +13,7 @@ Usage (``python -m repro ...``)::
     python -m repro list-figures
     python -m repro lint src/repro
     python -m repro lint --format json --output fhelint.json
-    python -m repro verify-trace --waste
+    python -m repro verify-trace
     python -m repro verify-trace my_schedule.json --format json
     python -m repro compile-trace --format json --output savings.json
     python -m repro serve --tenants 8 --requests 400 --json serve.json
@@ -171,17 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--word", type=int, default=28, metavar="BITS",
-        help="hardware word size for the bundled workloads and the "
-             "slack-bits diagnostic (default: 28)",
-    )
-    verify.add_argument(
-        "--waste", action="store_true",
-        help="also report waste diagnostics (elidable rescales/adjusts, "
-             "slack bits) — never affects the exit code",
-    )
-    verify.add_argument(
-        "--suppress", nargs="+", default=(), metavar="RULE",
-        help="drop findings with these rule ids",
+        help="hardware word size for the bundled workloads (default: 28)",
     )
     verify.add_argument(
         "--list-rules", action="store_true",
@@ -207,10 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_.add_argument(
         "--word", type=int, default=28, metavar="BITS",
         help="hardware word size (default: 28)",
-    )
-    compile_.add_argument(
-        "--no-plan", action="store_true",
-        help="skip re-planning the modulus chain (report-only compile)",
     )
     compile_.add_argument(
         "--require-savings", action="store_true",
@@ -516,14 +502,10 @@ def _load_trace_file(path: Path):
 
 
 def _cmd_verify_trace(args) -> int:
-    from repro.analysis.absint import (
-        VIOLATION_RULES,
-        WASTE_RULES,
-        verify_trace,
-    )
+    from repro.analysis.absint import VIOLATION_RULES, verify_trace
 
     if args.list_rules:
-        for rule, doc in {**VIOLATION_RULES, **WASTE_RULES}.items():
+        for rule, doc in VIOLATION_RULES.items():
             print(f"{rule:26s} {doc}")
         return 0
     try:
@@ -541,26 +523,18 @@ def _cmd_verify_trace(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     violations = []
-    reported = []
     for trace in traces:
-        result = verify_trace(
-            trace, word_bits=args.word, ignore=tuple(args.suppress)
-        )
+        result = verify_trace(trace)
         violations.extend(result.findings)
-        reported.extend(result.findings)
-        if args.waste:
-            reported.extend(result.waste)
         status = "FAIL" if result.findings else "ok"
-        extras = f", {len(result.waste)} waste" if args.waste else ""
         print(
             f"[verify-trace] {status:4s} {trace.name}: "
-            f"{len(result.findings)} violation(s){extras}, "
+            f"{len(result.findings)} violation(s), "
             f"{result.bootstraps} bootstrap(s), "
             f"noise margin {result.min_noise_margin_bits:.1f} bits",
             file=sys.stderr,
         )
-    rule_docs = {**VIOLATION_RULES, **(WASTE_RULES if args.waste else {})}
-    _emit_report(args, reported, rule_docs)
+    _emit_report(args, violations, VIOLATION_RULES)
     print(
         f"[verify-trace] {len(traces)} trace(s), "
         f"{len(violations)} violation(s)",
@@ -578,19 +552,16 @@ def _cmd_compile_trace(args) -> int:
         render_report,
     )
 
-    plan = not args.no_plan
     try:
         if args.paths:
             results = [
-                compile_trace(
-                    trace, scheme=scheme, word_bits=args.word, plan=plan
-                )
+                compile_trace(trace, scheme=scheme, word_bits=args.word)
                 for raw in args.paths
                 for trace in _load_trace_file(Path(raw))
                 for scheme in args.schemes
             ]
         else:
-            results = compile_workloads(args.schemes, args.word, plan=plan)
+            results = compile_workloads(args.schemes, args.word, plan=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -612,7 +583,6 @@ def _cmd_compile_trace(args) -> int:
                     "log2_q_saved": c.log2_q_saved,
                     "noise_margin_before": c.noise_margin_before,
                     "noise_margin_after": c.noise_margin_after,
-                    "ops_elided": c.ops_elided,
                     "passes": [p.to_dict() for p in c.passes],
                     "source_digest": c.source_digest,
                     "digest": c.digest,

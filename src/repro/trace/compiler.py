@@ -15,32 +15,25 @@ keys).
 
 1. **analyze** — ``verify_or_raise`` on the input: the compiler refuses
    (never silently drops) traces that fail static verification.
-2. **elide-rescale** — drop rescales the verifier flags as
-   ``trace-elidable-rescale`` (never-multiplied ciphertexts in a uniform
-   scale region; bootstrap-span conversions are load-bearing and the
-   verifier no longer flags them), shifting the downstream level walk up
-   by one.
-3. **elide-adjust** — drop adjusts flagged ``trace-elidable-adjust``
-   (no live compute at the source level).
-4. **sink-rescale** — rewrite ``c`` parallel rescales feeding a tree-add
-   into one add-then-rescale (``c-1`` rescales saved), when the trace
-   records that exact pattern.
-5. **truncate-levels** — remove chain levels no op ever touches (unused
+2. **truncate-levels** — remove chain levels no op ever touches (unused
    bottom levels after adjusts, unused top levels), relabeling ops and
    slicing the scale targets; ``Q_top`` shrinks by the dropped targets.
-6. **tighten-scales** — lower the application region's scale targets
+3. **tighten-scales** — lower the application region's scale targets
    (the bottom uniform run) by the largest ``delta`` that keeps the
    verified noise margin at or above :data:`MIN_NOISE_MARGIN_BITS`.
-7. **tighten-base** — shrink ``base_bits`` into the verifier's measured
+4. **tighten-base** — shrink ``base_bits`` into the verifier's measured
    per-level slack, keeping :data:`BASE_SAFETY_BITS` in reserve.
+
+The passes rewrite chain constraints and relabel levels; none adds or
+drops an op, so a compiled trace keeps its source's ops one for one.
+This is bound-driven width assignment: each pass narrows the chain to
+what the verifier's bounds prove the schedule needs.
 
 **Soundness.**  Every rewrite is certified: the pipeline re-runs
 ``verify_trace`` after each pass and reverts the pass wholesale if it
 introduced any violation or dropped the noise margin below the floor.
 The final trace is certified once more by ``verify_or_raise``, so a
-:class:`CompiledTrace` is by construction violation-free.  Level/scale
-semantics are additionally guarded structurally (elision only inside
-uniform-scale regions, never across an ADJUST or bootstrap entry).
+:class:`CompiledTrace` is by construction violation-free.
 
 The result carries provenance: the canonical content digest of both the
 source and the compiled trace (:func:`repro.trace.program
@@ -66,7 +59,7 @@ from repro.analysis.absint import (
 )
 from repro.errors import ParameterError
 from repro.obs import core as _obs
-from repro.trace.program import HeTrace, OpKind, TraceOp, content_digest
+from repro.trace.program import HeTrace, OpKind, content_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schemes.chain import ModulusChain
@@ -113,7 +106,6 @@ class CompiledTrace:
     log2_q_after: float
     noise_margin_before: float
     noise_margin_after: float
-    ops_elided: float
     chain: "ModulusChain | None" = None
 
     @property
@@ -133,118 +125,6 @@ class CompiledTrace:
 # Each pass maps (trace, its VerifyResult) to (new trace, rewrite count,
 # human detail).  Passes may assume the input verified clean; the driver
 # re-verifies their output and reverts on any violation.
-
-
-def _shift_ops(ops: Sequence[TraceOp], offset: int) -> tuple[TraceOp, ...]:
-    return tuple(
-        replace(
-            op,
-            level=op.level + offset,
-            dst_level=None if op.dst_level is None else op.dst_level + offset,
-        )
-        for op in ops
-    )
-
-
-def _pass_elide_rescale(
-    trace: HeTrace, result: VerifyResult
-) -> tuple[HeTrace, float, str]:
-    """Drop one verifier-flagged redundant rescale (rule
-    ``trace-elidable-rescale``), shifting the downstream walk up a level.
-
-    The shift stops at the next bootstrap entry (an op back at the top
-    level) and is attempted only when every shifted op keeps its scale
-    target and the shifted region contains no ADJUST — both would change
-    value semantics rather than relabel the same walk.  The driver loops
-    the pass to a fixpoint, so multiple flagged rescales elide one at a
-    time, each re-certified.
-    """
-    flagged = [f.line for f in result.waste if f.rule == "trace-elidable-rescale"]
-    targets = trace.level_scale_bits
-    for index in flagged:
-        if not 0 <= index < len(trace.ops):
-            continue
-        op = trace.ops[index]
-        if op.kind is not OpKind.RESCALE:
-            continue
-        end = len(trace.ops)
-        for j in range(index + 1, len(trace.ops)):
-            if trace.ops[j].level >= trace.max_level:
-                end = j
-                break
-        region = trace.ops[index + 1:end]
-        if any(o.kind is OpKind.ADJUST for o in region):
-            continue
-        if any(
-            not 0 <= o.level + 1 <= trace.max_level
-            or targets[o.level + 1] != targets[o.level]
-            for o in region
-        ):
-            continue
-        ops = (
-            trace.ops[:index]
-            + _shift_ops(region, +1)
-            + trace.ops[end:]
-        )
-        new = replace(trace, ops=ops)
-        return new, op.count, f"elided rescale at op {index}"
-    return trace, 0.0, ""
-
-
-def _pass_elide_adjust(
-    trace: HeTrace, result: VerifyResult
-) -> tuple[HeTrace, float, str]:
-    """Drop one adjust flagged ``trace-elidable-adjust`` (its source
-    level saw no compute, so the value could have been produced at the
-    destination directly)."""
-    flagged = [f.line for f in result.waste if f.rule == "trace-elidable-adjust"]
-    for index in flagged:
-        if not 0 <= index < len(trace.ops):
-            continue
-        op = trace.ops[index]
-        if op.kind is not OpKind.ADJUST:
-            continue
-        new = replace(trace, ops=trace.ops[:index] + trace.ops[index + 1:])
-        return new, op.count, f"elided adjust at op {index}"
-    return trace, 0.0, ""
-
-
-def _pass_sink_rescale(
-    trace: HeTrace, result: VerifyResult
-) -> tuple[HeTrace, float, str]:
-    """Sink parallel rescales past the tree-add that consumes them.
-
-    ``RESCALE(l, c>1)`` immediately followed by ``HADD(l-1, c-1)`` is a
-    reduction of ``c`` products: adding first at level ``l`` and
-    rescaling the single sum needs one rescale instead of ``c``.
-    """
-    ops = list(trace.ops)
-    rewrites = 0.0
-    sites = 0
-    i = 0
-    while i + 1 < len(ops):
-        a, b = ops[i], ops[i + 1]
-        if (
-            a.kind is OpKind.RESCALE
-            and a.count > 1
-            and b.kind is OpKind.HADD
-            and b.level == a.level - 1
-            and b.count == a.count - 1
-        ):
-            ops[i:i + 2] = [
-                TraceOp(OpKind.HADD, a.level, a.count - 1),
-                TraceOp(OpKind.RESCALE, a.level, 1.0),
-            ]
-            rewrites += a.count - 1
-            sites += 1
-        i += 1
-    if not sites:
-        return trace, 0.0, ""
-    return (
-        replace(trace, ops=ops),
-        rewrites,
-        f"sank {sites} rescale group(s) past their tree-add",
-    )
 
 
 def _used_levels(trace: HeTrace) -> set[int]:
@@ -285,7 +165,14 @@ def _pass_truncate_levels(
     new = replace(
         trace,
         level_scale_bits=trace.level_scale_bits[bottom:top + 1],
-        ops=_shift_ops(trace.ops, -bottom),
+        ops=tuple(
+            replace(
+                op,
+                level=op.level - bottom,
+                dst_level=None if op.dst_level is None else op.dst_level - bottom,
+            )
+            for op in trace.ops
+        ),
     )
     dropped = bottom + (trace.max_level - top)
     return (
@@ -381,14 +268,11 @@ def _pass_tighten_base(
     )
 
 
-#: The pipeline, in order.  (name, pass, run-to-fixpoint?)
-_PIPELINE: tuple[tuple[str, Callable, bool], ...] = (
-    ("elide-rescale", _pass_elide_rescale, True),
-    ("elide-adjust", _pass_elide_adjust, True),
-    ("sink-rescale", _pass_sink_rescale, False),
-    ("truncate-levels", _pass_truncate_levels, False),
-    ("tighten-scales", _pass_tighten_scales, False),
-    ("tighten-base", _pass_tighten_base, False),
+#: The pipeline, in order.
+_PIPELINE: tuple[tuple[str, Callable], ...] = (
+    ("truncate-levels", _pass_truncate_levels),
+    ("tighten-scales", _pass_tighten_scales),
+    ("tighten-base", _pass_tighten_base),
 )
 
 
@@ -410,38 +294,26 @@ def compile_trace(
     """
     if scheme not in ("bitpacker", "rns-ckks"):
         raise ParameterError(f"unknown scheme {scheme!r}")
-    before = verify_or_raise(trace, word_bits=word_bits)
+    before = verify_or_raise(trace)
     source_digest = content_digest(trace)
 
+    # Certify every rewrite: any violation, or a margin below both the
+    # floor and what the input already had, reverts the pass.
+    floor = min(MIN_NOISE_MARGIN_BITS, before.min_noise_margin_bits)
     current, result = trace, before
     passes: list[PassResult] = []
-    ops_elided = 0.0
-    for name, fn, fixpoint in _PIPELINE:
-        rewrites = 0.0
-        details: list[str] = []
-        while True:
-            candidate, n, detail = fn(current, result)
-            if n == 0 or candidate is current:
-                break
-            check = verify_trace(candidate, word_bits=word_bits)
-            # Certify the rewrite: any violation, or a margin now below
-            # both the floor and what the input already had, reverts it.
-            floor = min(MIN_NOISE_MARGIN_BITS, before.min_noise_margin_bits)
-            if check.findings or check.min_noise_margin_bits < floor:
-                break
-            current, result = candidate, check
-            rewrites += n
-            if detail:
-                details.append(detail)
-            if not fixpoint:
-                break
+    for name, fn in _PIPELINE:
+        candidate, rewrites, detail = fn(current, result)
         if rewrites:
-            _obs.count(f"compiler.pass.{name}.rewrites", rewrites)
-            if name.startswith("elide") or name == "sink-rescale":
-                ops_elided += rewrites
-        passes.append(PassResult(name, rewrites, "; ".join(details)))
+            check = verify_trace(candidate)
+            if check.findings or check.min_noise_margin_bits < floor:
+                rewrites, detail = 0.0, ""
+            else:
+                current, result = candidate, check
+                _obs.count(f"compiler.pass.{name}.rewrites", rewrites)
+        passes.append(PassResult(name, rewrites, detail))
 
-    after = verify_or_raise(current, word_bits=word_bits)
+    after = verify_or_raise(current)
     chain = None
     if plan:
         from repro.schemes import plan_chain
@@ -470,7 +342,6 @@ def compile_trace(
         log2_q_after=after.log2_q[-1] if after.log2_q else math.nan,
         noise_margin_before=before.min_noise_margin_bits,
         noise_margin_after=after.min_noise_margin_bits,
-        ops_elided=ops_elided,
         chain=chain,
     )
 
@@ -499,7 +370,7 @@ def render_report(compiled: Sequence[CompiledTrace]) -> str:
     """Human-readable savings table for a batch of compilations."""
     header = (
         f"{'workload':34s} {'scheme':9s} {'levels':>13s} {'log2Q':>17s} "
-        f"{'margin':>13s} {'elided':>7s}"
+        f"{'margin':>13s}"
     )
     lines = [header, "-" * len(header)]
     for c in compiled:
@@ -507,8 +378,7 @@ def render_report(compiled: Sequence[CompiledTrace]) -> str:
             f"{c.trace.name:34s} {c.scheme:9s} "
             f"{c.levels_before:5d} -> {c.levels_after:4d} "
             f"{c.log2_q_before:7.1f} -> {c.log2_q_after:7.1f} "
-            f"{c.noise_margin_before:5.1f} -> {c.noise_margin_after:4.1f} "
-            f"{c.ops_elided:7g}"
+            f"{c.noise_margin_before:5.1f} -> {c.noise_margin_after:4.1f}"
         )
     total_levels = sum(c.levels_saved for c in compiled)
     total_q = sum(c.log2_q_saved for c in compiled)

@@ -192,10 +192,6 @@ class HeTrace:
             ],
         )
 
-    def content_digest(self) -> str:
-        """Canonical content hash (see :func:`content_digest`)."""
-        return content_digest(self)
-
 
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 

@@ -1,5 +1,5 @@
 """Abstract-interpretation schedule verifier: transfer functions,
-violations, waste diagnostics, the mutation suite, and the façade."""
+violations, the mutation suite, and the façade."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.analysis.absint import (
     min_scale_bits,
     verify_or_raise,
     verify_trace,
-    verify_traces,
 )
 from repro.analysis.mutations import MUTATIONS
 from repro.analysis.sanitize import OpObservation
@@ -28,10 +27,6 @@ def make_trace(ops, scales=(30.0, 30.0, 30.0, 30.0), base=60.0, n=1024):
 
 def rules(result):
     return [f.rule for f in result.findings]
-
-
-def waste_rules(result):
-    return [f.rule for f in result.waste]
 
 
 class TestModulusAlgebra:
@@ -117,34 +112,33 @@ class TestTransferFunctions:
         trace = make_trace([TraceOp(OpKind.RESCALE, 2)])
         assert rules(verify_trace(trace)) == ["trace-rescale-below-min"]
 
-    def test_unmultiplied_rescale_with_headroom_is_waste(self):
+    def test_unmultiplied_rescale_with_headroom_is_legal(self):
         # T_1=30 sheds only 15 bits (T_0=45), so the unmultiplied
-        # rescale stays above the floor — legal, but elidable.
+        # rescale stays above the floor.
         trace = make_trace(
             [TraceOp(OpKind.RESCALE, 1)], scales=(45.0, 30.0), base=60.0
         )
         result = verify_trace(trace)
         assert result.ok
-        assert waste_rules(result) == ["trace-elidable-rescale"]
+        assert [r.scale_hi for r in result.records] == [15.0]
 
-    def test_adjust_with_no_source_compute_is_waste(self):
+    def test_adjust_with_no_source_compute_is_legal(self):
         trace = make_trace([TraceOp(OpKind.ADJUST, 2, dst_level=1)])
         result = verify_trace(trace)
         assert result.ok
-        assert waste_rules(result) == ["trace-elidable-adjust"]
+        assert [r.level for r in result.records] == [1]
 
     def test_adjust_after_source_compute_is_clean(self):
         trace = make_trace([
             TraceOp(OpKind.HADD, 2),
             TraceOp(OpKind.ADJUST, 2, dst_level=1),
         ])
-        result = verify_trace(trace)
-        assert result.ok and result.waste == []
+        assert verify_trace(trace).ok
 
     def test_adjust_into_cursor_level_keeps_product_state(self):
         # LogReg's shape: multiply, adjust a sibling down to the cursor,
         # then rescale the product.  The adjust must not erase the
-        # product or the rescale would look elidable/below-min.
+        # product or the rescale would fall below the precision floor.
         trace = make_trace([
             TraceOp(OpKind.HMUL, 2),
             TraceOp(OpKind.RESCALE, 2),
@@ -152,8 +146,7 @@ class TestTransferFunctions:
             TraceOp(OpKind.ADJUST, 2, dst_level=1),
             TraceOp(OpKind.RESCALE, 1),
         ])
-        result = verify_trace(trace)
-        assert result.ok and result.waste == []
+        assert verify_trace(trace).ok
 
     def test_noise_exhaustion_on_starved_scales(self):
         trace = make_trace(
@@ -164,15 +157,11 @@ class TestTransferFunctions:
         assert result.min_noise_margin_bits <= 0
 
     def test_slack_bits_reported_at_level_zero(self):
+        # Q_0 = 120 bits less the 4-bit headroom and the 30-bit scale.
         trace = make_trace([], scales=(30.0, 30.0), base=120.0)
-        result = verify_trace(trace, word_bits=28)
-        assert waste_rules(result) == ["trace-slack-bits"]
-        assert result.slack_bits[0] == pytest.approx(86.0)
-
-    def test_ignore_drops_findings_by_rule(self):
-        trace = make_trace([TraceOp(OpKind.RESCALE, 2)])
-        result = verify_trace(trace, ignore=("trace-rescale-below-min",))
+        result = verify_trace(trace)
         assert result.ok
+        assert result.slack_bits[0] == pytest.approx(86.0)
 
 
 class TestGate:
@@ -184,13 +173,6 @@ class TestGate:
         trace = make_trace([TraceOp(OpKind.HMUL, -1)])
         with pytest.raises(ScheduleViolationError, match="trace-level-range"):
             verify_or_raise(trace)
-
-    def test_verify_traces_concatenates(self):
-        clean = make_trace([TraceOp(OpKind.HADD, 1)])
-        dirty = make_trace([TraceOp(OpKind.HMUL, -1)])
-        results, findings = verify_traces([clean, dirty])
-        assert [r.ok for r in results] == [True, False]
-        assert [f.rule for f in findings] == ["trace-level-range"]
 
 
 class TestCrossCheckApi:
@@ -229,10 +211,9 @@ class TestCrossCheckApi:
 
 class TestBundledWorkloads:
     def test_all_bundled_traces_certify_clean(self):
-        results, findings = verify_traces(workload_traces())
-        assert findings == []
-        for result in results:
-            assert result.waste == []
+        for trace in workload_traces():
+            result = verify_trace(trace)
+            assert result.findings == [], trace.name
             # Real headroom on every schedule the paper prices.
             assert result.min_noise_margin_bits > 8.0
             assert result.bootstraps > 0

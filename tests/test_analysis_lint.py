@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from repro.analysis import taint
-from repro.analysis.absint import verify_trace, verify_traces
+from repro.analysis.absint import verify_trace
 from repro.analysis.core import (
     SourceModule,
     lint_source,
@@ -273,7 +273,7 @@ class TestScheduleChecker:
     def test_bundled_workload_traces_clean(self):
         traces = workload_traces()
         assert traces  # every app x bootstrap x scheme
-        assert verify_traces(traces)[1] == []
+        assert [f for t in traces for f in verify_trace(t).findings] == []
 
 
 class TestLintCli:
@@ -589,24 +589,6 @@ class TestVerifyTraceCli:
         assert payload["summary"]["by_rule"] == {"trace-rescale-below-min": 1}
         assert payload["findings"][0]["path"] == "trace:cli-fixture"
 
-    def test_suppress_flag_ignores_rule(self, tmp_path):
-        path = self._write_trace(tmp_path, [TraceOp(OpKind.RESCALE, 2)])
-        rc = main(
-            ["verify-trace", str(path), "--suppress", "trace-rescale-below-min"]
-        )
-        assert rc == 0
-
-    def test_waste_flag_reports_diagnostics(self, tmp_path, capsys):
-        path = self._write_trace(
-            tmp_path, [TraceOp(OpKind.ADJUST, 2, dst_level=1)]
-        )
-        assert main(["verify-trace", str(path)]) == 0
-        capsys.readouterr()  # drain the text run before parsing JSON
-        rc = main(["verify-trace", str(path), "--waste", "--format", "json"])
-        assert rc == 0  # waste is advisory, not a violation
-        payload = json.loads(capsys.readouterr().out)
-        assert "trace-elidable-adjust" in payload["summary"]["by_rule"]
-
     def test_bundled_bitpacker_traces_certify(self, capsys):
         rc = main(["verify-trace", "--schemes", "bitpacker"])
         assert rc == 0
@@ -642,9 +624,9 @@ class TestVerifyTraceCli:
         rc = main(["verify-trace", "--list-rules"])
         assert rc == 0
         out = capsys.readouterr().out
-        for rule in (
-            "trace-scale-overflow",
-            "trace-noise-exhausted",
-            "trace-elidable-rescale",
-        ):
-            assert rule in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "trace-level-range", "trace-terminal-rescale", "trace-adjust-up",
+            "trace-scale-mismatch", "trace-level-flow", "trace-scale-overflow",
+            "trace-rescale-below-min", "trace-noise-exhausted",
+            "trace-infeasible-chain",
+        ]

@@ -1,7 +1,8 @@
 """Trace compiler: certified optimization of recorded schedules.
 
 Covers the full pipeline over every bundled workload (each compiled
-trace must re-certify clean and at least three must save whole levels),
+trace must re-certify clean, keep its source's ops one for one, and at
+least three must save whole levels),
 the small-n executor cross-check (compiled traces still land inside the
 verifier's abstract intervals), mutation-seeded refusals (the compiler
 raises on broken inputs, never silently drops), canonical content
@@ -74,7 +75,7 @@ class TestBundledWorkloadCompilation:
 
     def test_every_compiled_trace_recertifies_clean(self, compiled_workloads):
         for c in compiled_workloads:
-            result = verify_or_raise(c.trace, word_bits=c.word_bits)
+            result = verify_or_raise(c.trace)
             assert result.ok, c.trace.name
             assert not result.findings
 
@@ -86,6 +87,22 @@ class TestBundledWorkloadCompilation:
         with_level_savings = [c for c in compiled_workloads if c.levels_saved > 0]
         assert len(with_level_savings) >= 3
         assert sum(c.log2_q_saved for c in compiled_workloads) > 0
+
+    def test_ops_kept_one_for_one_and_sweep_totals(self, compiled_workloads):
+        # The passes rewrite chain constraints and relabel levels; none
+        # adds or drops an op.  Sources in compile_workloads' order.
+        sources = [
+            trace
+            for scheme in ("bitpacker", "rns-ckks")
+            for trace in workload_traces(schemes=(scheme,), word_bits=28)
+        ]
+        assert len(sources) == len(compiled_workloads) == 20
+        for source, c in zip(sources, compiled_workloads):
+            assert c.word_bits == 28 and c.source_digest == content_digest(source)
+            assert len(c.trace.ops) == len(source.ops), source.name
+            assert c.trace.count_by_kind() == source.count_by_kind(), source.name
+        assert sum(c.levels_saved for c in compiled_workloads) == 16
+        assert sum(c.log2_q_saved for c in compiled_workloads) == 1168.0
 
     def test_compiled_margins_stay_in_seed_envelope(self, compiled_workloads):
         # The precision envelope: tightening never pushes a schedule
@@ -118,29 +135,6 @@ class TestCompileTraceUnit:
         assert [p.name for p in c.passes if p.rewrites] == [
             "truncate-levels", "tighten-scales", "tighten-base",
         ]
-
-    def test_elides_flagged_rescale(self):
-        # The toy waste shape: a never-multiplied rescale burning a
-        # level inside a descending-scale region.
-        trace = HeTrace(
-            name="wasteful", n=1024, base_bits=60.0,
-            level_scale_bits=(45.0, 30.0),
-            ops=[
-                TraceOp(OpKind.HADD, 1),
-                TraceOp(OpKind.RESCALE, 1),
-            ],
-        )
-        assert any(
-            f.rule == "trace-elidable-rescale"
-            for f in verify_trace(trace).waste
-        )
-        c = compile_trace(trace, plan=False)
-        elide = next(p for p in c.passes if p.name == "elide-rescale")
-        assert elide.rewrites > 0
-        assert all(
-            op.kind is not OpKind.RESCALE for op in c.trace.ops
-        )
-        assert not verify_trace(c.trace).waste
 
     def test_planned_chain_matches_compiled_profile(self):
         c = compile_trace(exec_fixture_trace(), ks_digits=2)
@@ -177,14 +171,14 @@ class TestExecutorCrossCheck:
 
 
 class TestSpanEdgeSuppression:
-    """Satellite bugfix: waste diagnostics must not fire across
-    bootstrap-span boundaries where the rescale/adjust is load-bearing
-    (these exact traces were flagged before the fix)."""
+    """Bootstrap-span edges: the ladder's rescales and adjusts between
+    stage scales are load-bearing, so these traces (once flagged as
+    elidable waste) verify clean and compile with every rescale kept."""
 
     def span_trace(self) -> HeTrace:
         # Levels 0-1: app region (45); 2: StC (30); 3: EvalMod (55);
         # 4: CtS (52).  The rescale at level 2 exits the span carrying
-        # no product — previously flagged trace-elidable-rescale.
+        # no product.
         return HeTrace(
             name="span-edge", n=4096, base_bits=60.0,
             level_scale_bits=(45.0, 45.0, 30.0, 55.0, 52.0),
@@ -207,11 +201,10 @@ class TestSpanEdgeSuppression:
         result = verify_trace(self.span_trace())
         assert not result.findings
         assert result.bootstraps == 1
-        assert result.waste == []
 
     def test_in_span_adjust_not_flagged(self):
         # An adjust inside the span whose source level saw no compute:
-        # the ladder conversion is load-bearing, not elidable.
+        # the ladder conversion is load-bearing.
         trace = HeTrace(
             name="span-adjust", n=4096, base_bits=60.0,
             level_scale_bits=(45.0, 45.0, 30.0, 55.0, 55.0),
@@ -229,19 +222,6 @@ class TestSpanEdgeSuppression:
         )
         result = verify_trace(trace)
         assert not result.findings
-        assert result.waste == []
-
-    def test_waste_rule_still_fires_outside_a_span(self):
-        # Suppression is scoped to bootstrap spans: the classic waste
-        # shape in a plain descending-scale trace is still flagged
-        # (mirrors the toy cases in test_analysis_absint).
-        toy = HeTrace(
-            name="still-wasteful", n=4096, base_bits=60.0,
-            level_scale_bits=(45.0, 30.0),
-            ops=[TraceOp(OpKind.HADD, 1), TraceOp(OpKind.RESCALE, 1)],
-        )
-        rules = [f.rule for f in verify_trace(toy).waste]
-        assert rules == ["trace-elidable-rescale"]
 
     def test_compiler_keeps_span_rescales(self):
         # End to end: the compiler must not strip the bootstrap
@@ -271,10 +251,6 @@ class TestContentDigest:
         c = compile_trace(trace, plan=False)
         assert c.changed
         assert content_digest(c.trace) != content_digest(trace)
-
-    def test_method_matches_function(self):
-        trace = exec_fixture_trace()
-        assert trace.content_digest() == content_digest(trace)
 
     def test_cached_digest_never_follows_a_rewrite(self):
         """The digest is memoised on the (frozen) trace.  Every way of
@@ -457,7 +433,7 @@ class TestTightenBaseSearch:
         trace.write_text(json.dumps(doc))
         t0 = time.perf_counter()
         code, err = _run_cli(
-            ["compile-trace", str(trace), "--schemes", "bitpacker", "--no-plan"]
+            ["compile-trace", str(trace), "--schemes", "bitpacker"]
         )
         assert time.perf_counter() - t0 < 10.0
         if code == 2:
@@ -492,8 +468,7 @@ class TestCompileTraceCli:
         # test_require_savings_succeeds_on_bundled's.
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(exec_fixture_trace().to_dict()))
-        rc = main(["compile-trace", str(path), "--schemes", "bitpacker",
-                   "--no-plan"])
+        rc = main(["compile-trace", str(path), "--schemes", "bitpacker"])
         assert rc == 0
         captured = capsys.readouterr()
         assert "total:" in captured.out
@@ -505,7 +480,7 @@ class TestCompileTraceCli:
         out = tmp_path / "report.json"
         rc = main([
             "compile-trace", str(path), "--schemes", "bitpacker",
-            "--no-plan", "--format", "json", "--output", str(out),
+            "--format", "json", "--output", str(out),
         ])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -528,11 +503,11 @@ class TestCompileTraceCli:
 
         monkeypatch.setattr(compiler, "compile_workloads", sweep)
         rc = main([
-            "compile-trace", "--schemes", "bitpacker", "--no-plan",
+            "compile-trace", "--schemes", "bitpacker",
             "--require-savings", "--format", "json",
         ])
         assert rc == 0
-        assert calls == [(("bitpacker",), 28, False)]
+        assert calls == [(("bitpacker",), 28, True)]
         doc = json.loads(capsys.readouterr().out)
         assert doc["totals"]["workloads"] == 10
         assert doc["totals"]["levels_saved"] > 0
@@ -544,7 +519,7 @@ class TestCompileTraceCli:
         path.write_text(json.dumps(c.trace.to_dict()))
         rc = main([
             "compile-trace", str(path), "--schemes", "bitpacker",
-            "--no-plan", "--require-savings",
+            "--require-savings",
         ])
         assert rc == 1
 
@@ -556,7 +531,7 @@ class TestCompileTraceCli:
         )
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad.to_dict()))
-        rc = main(["compile-trace", str(path), "--no-plan"])
+        rc = main(["compile-trace", str(path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
