@@ -40,7 +40,6 @@ from repro.ckks.context import CkksContext
 from repro.ckks.evalmod import EvalModConfig, depth_required, eval_mod
 from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
 from repro.errors import ParameterError
-from repro.nt.floatext import fraction_to_longdouble
 from repro.rns.poly import RnsPolynomial
 
 
@@ -93,7 +92,7 @@ def bootstrap_homomorphic(
             f"pipeline needs {config.depth} levels, chain has {chain.max_level}"
         )
     q0 = chain.q_product_at(0)
-    scale = float(fraction_to_longdouble(ct.scale))
+    scale = float(ct.scale)
 
     # 1. ModRaise to the top of the chain.
     raised = mod_raise(ctx, ct, chain.max_level)

@@ -9,6 +9,7 @@ accounting (paper Sec. 6.5) is never polluted by bookkeeping error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -63,11 +64,8 @@ class Ciphertext:
 
     @property
     def log2_scale(self) -> float:
-        import numpy as np
-
-        from repro.nt.floatext import fraction_to_longdouble
-
-        return float(np.log2(fraction_to_longdouble(self.scale)))
+        s = Fraction(self.scale)
+        return math.log2(s.numerator) - math.log2(s.denominator)
 
     def with_polys(self, c0: RnsPolynomial, c1: RnsPolynomial) -> "Ciphertext":
         return replace(self, c0=c0, c1=c1)

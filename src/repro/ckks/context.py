@@ -79,7 +79,7 @@ class CkksContext:
         ``-log2(max |decrypted - reference|)``.
         """
         got = self.decrypt_real(ct)[: len(reference)]
-        err = np.max(np.abs(got - np.asarray(reference, dtype=np.longdouble)))
+        err = np.max(np.abs(got - np.asarray(reference, dtype=np.float64)))
         if err == 0:
             return np.inf
         return float(-np.log2(err))

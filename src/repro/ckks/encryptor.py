@@ -124,7 +124,7 @@ class Decryptor:
         return Plaintext(poly=m, scale=ct.scale, level=ct.level)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
-        """Decrypt and decode to complex slot values (clongdouble).
+        """Decrypt and decode to complex slot values (complex128).
 
         The centered coefficients come out as one int64 vector
         (:func:`repro.nt.crt.centered_int64`); only a plaintext with a

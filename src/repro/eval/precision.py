@@ -66,14 +66,6 @@ def sample_values(ctx: CkksContext, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, ctx.slots)
 
 
-def precision_bits(decoded: np.ndarray, reference: np.ndarray) -> float:
-    """Error-free mantissa bits: ``-log2(max |decoded - reference|)``."""
-    err = np.max(np.abs(decoded - reference.astype(np.longdouble)))
-    if err == 0:
-        return np.inf
-    return float(-np.log2(err))
-
-
 def rescale_error_samples(
     scheme: str,
     scale_bits: float,
@@ -90,7 +82,7 @@ def rescale_error_samples(
         values = sample_values(ctx, rng)
         ct = ctx.encrypt(values)
         sq = ctx.evaluator.rescale(ctx.evaluator.square(ct))
-        out.append(precision_bits(ctx.decrypt_real(sq), values**2))
+        out.append(ctx.precision_bits(sq, values**2))
     return out
 
 
@@ -111,7 +103,7 @@ def adjust_error_samples(
         values = sample_values(ctx, rng)
         ct = ctx.encrypt(values)
         adj = ctx.evaluator.adjust(ct, top - 1)
-        out.append(precision_bits(ctx.decrypt_real(adj), values))
+        out.append(ctx.precision_bits(adj, values))
     return out
 
 

@@ -61,13 +61,13 @@ def _stable_round(ctx, ct, ref):
     """Conv-like round: contracting plaintext multiply, square, rotate."""
     ev = ctx.evaluator
     ct = ev.rescale(ev.mul_plain(ct, 0.8))
-    ref = ref * np.longdouble(0.8)
+    ref = ref * 0.8
     ct = ev.rescale(ev.square(ct))
     ref = ref * ref
     ct = ev.rotate(ct, 1)
     ref = np.roll(ref, -1)
     ct = ev.add_plain(ct, 0.05)
-    ref = ref + np.longdouble(0.05)
+    ref = ref + 0.05
     return ct, ref
 
 
@@ -103,7 +103,7 @@ def _run_analogue(
     worst = np.inf
     for _ in range(samples):
         values = rng.uniform(-0.9, 0.9, ctx.slots)
-        ref = values.astype(np.longdouble)
+        ref = values
         ct = ctx.encrypt(values)
         for _ in range(spec.pre_rounds):
             ct, ref = round_fn(ctx, ct, ref)
@@ -111,7 +111,7 @@ def _run_analogue(
         for _ in range(spec.post_rounds):
             ct, ref = round_fn(ctx, ct, ref)
         err = np.abs(ctx.decrypt_real(ct) - ref)
-        err = np.maximum(err, np.longdouble(2.0) ** -60)
+        err = np.maximum(err, 2.0**-60)
         bits = -np.log2(err)
         per_sample_mean.append(float(np.mean(bits)))
         worst = min(worst, float(np.min(bits)))

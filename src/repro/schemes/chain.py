@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import log2, prod
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.errors import (
@@ -28,7 +26,6 @@ from repro.errors import (
     PlanningError,
     ScaleMismatchError,
 )
-from repro.nt.floatext import fraction_to_longdouble
 from repro.rns.basis import RnsBasis
 from repro.rns.convert import drop_moduli, scale_down, scale_up
 from repro.rns.poly import COEFF, to_domain
@@ -50,12 +47,11 @@ class LevelSpec:
 
     @property
     def log2_q(self) -> float:
-        q = prod(self.moduli)
-        return float(np.log2(fraction_to_longdouble(Fraction(q))))
+        return log2(prod(self.moduli))
 
     @property
     def log2_scale(self) -> float:
-        return float(np.log2(fraction_to_longdouble(self.scale)))
+        return log2(self.scale.numerator) - log2(self.scale.denominator)
 
 
 class LevelMove(NamedTuple):

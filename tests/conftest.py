@@ -29,17 +29,6 @@ TEST_N = 256
 TEST_LEVELS = 4
 TEST_SCALE_BITS = 30.0
 
-#: Explicit mantissa bits of ``np.longdouble`` here: 63 where it is x87
-#: extended precision, 52 where it is just float64.
-LONGDOUBLE_NMANT = int(np.finfo(np.longdouble).nmant)
-#: Precision floors measured through the longdouble encoder and decoder
-#: assume their rounding sits far below the scheme noise, as on x87.
-x87_precision = pytest.mark.skipif(
-    LONGDOUBLE_NMANT < 63,
-    reason=f"np.longdouble has a {LONGDOUBLE_NMANT}-bit mantissa here; "
-    "the precision floor assumes x87's 63",
-)
-
 
 @pytest.fixture(scope="session")
 def bp_chain():

@@ -144,6 +144,22 @@ class TestDtypeRoutingPass:
         )
         assert findings == []
 
+    def test_extended_precision_flagged_everywhere(self):
+        # float64 is fine outside the residue kernels; longdouble is not.
+        findings = lint_str(
+            """
+            import numpy as np
+
+            def decode(c):
+                x = c.astype(np.float64)
+                return np.fft.ifft(x.astype(np.clongdouble))
+            """,
+            ["dtype-routing"],
+            path="src/repro/ckks/encoder.py",
+        )
+        assert [f.line for f in findings] == [6]
+        assert "extended-precision" in findings[0].message
+
     def test_uniform_stack_clean(self):
         # Integer-only residue storage in a residue kernel: nothing to flag.
         findings = lint_str(

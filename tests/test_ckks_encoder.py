@@ -54,6 +54,38 @@ class TestRoundTrip:
         assert np.max(np.abs(decoded[2:])) < 2.0**-30
 
 
+def _embed(coeffs, n):
+    """``Σ_k m_k ζ^{k·5^t}`` for every slot ``t``, straight from the
+    definition (O(n²)): no FFT, no twist, no bin map."""
+    two_n = 2 * n
+    powers = [pow(5, t, two_n) for t in range(n // 2)]
+    exponents = np.outer(powers, np.arange(n)) % two_n
+    return np.exp(1j * np.pi * exponents / n) @ np.asarray(coeffs, dtype=float)
+
+
+class TestCanonicalEmbedding:
+    """The encoder against the embedding's definition.  Round trips
+    cannot see a wrong FFT sign or normalisation made the same way in
+    encode and decode; these can."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_decode_is_the_embedding(self, n, rng):
+        coeffs = [int(v) for v in rng.integers(-(1 << 20), 1 << 20, n)]
+        direct = _embed(coeffs, n)
+        decoded = CkksEncoder(n).decode(coeffs, 1)
+        assert np.max(np.abs(decoded - direct)) < 1e-9 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_encode_inverts_the_embedding(self, n, rng):
+        slots = n // 2
+        vals = rng.uniform(-1, 1, slots) + 1j * rng.uniform(-1, 1, slots)
+        coeffs = CkksEncoder(n).encode(vals, SCALE)
+        # Each coefficient rounds by at most 1/2, so no slot moves by
+        # more than n/2 units of the scale.
+        scale = float(SCALE)
+        assert np.max(np.abs(_embed(coeffs, n) / scale - vals)) <= n / 2 / scale
+
+
 class TestHomomorphicStructure:
     def test_encode_is_additive(self, enc, rng):
         a = rng.uniform(-1, 1, enc.slots)

@@ -228,7 +228,7 @@ def _per_term_bsgs(ev, rows, inputs, g):
 
 
 class TestFusedTransform:
-    """The fused plan against :func:`_per_term_bsgs` on the three word
+    """The fused plan against :func:`_per_term_bsgs` on both word
     widths: exact where nothing is rotated, one rounding apart where
     giant steps are."""
 

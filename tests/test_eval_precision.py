@@ -9,7 +9,6 @@ from repro.eval.precision import (
     precision_context,
     rescale_error_samples,
 )
-from tests.conftest import x87_precision
 
 # Tiny settings: n=256, 3 samples, 2 scales — the real experiments use
 # larger values via the benchmark harness.
@@ -32,7 +31,6 @@ class TestPrecisionMachinery:
         after = adjust_error_samples("bitpacker", 30.0, 2, n=256, levels=3)
         assert after == alone
 
-    @x87_precision
     def test_rescale_samples_track_scale(self):
         lo = rescale_error_samples("bitpacker", 25.0, 2, n=256, levels=3)
         hi = rescale_error_samples("bitpacker", 40.0, 2, n=256, levels=3)
@@ -52,7 +50,6 @@ class TestPrecisionMachinery:
 
 
 class TestFig18:
-    @x87_precision
     def test_schemes_match_within_margin(self):
         rows = fig18.run(scales=(25.0, 35.0), **TINY)
         by_key = {(r.scale_bits, r.scheme): r for r in rows}
@@ -63,7 +60,6 @@ class TestFig18:
             )
             assert gap < 2.5  # paper: within the 0.5-bit margin at 1M samples
 
-    @x87_precision
     def test_precision_grows_with_scale(self):
         rows = fig18.run(scales=(25.0, 40.0), **TINY)
         bp = {r.scale_bits: r for r in rows if r.scheme == "bitpacker"}
@@ -75,7 +71,6 @@ class TestFig18:
 
 
 class TestFig19:
-    @x87_precision
     def test_adjust_matches_between_schemes(self):
         rows = fig19.run(scales=(30.0,), **TINY)
         meds = [r.stats["median"] for r in rows]
@@ -96,7 +91,6 @@ class TestTable1:
             "ResNet-20", "ResNet-20+AESPA", "RNN", "SqueezeNet", "LogReg",
         }
 
-    @x87_precision
     def test_schemes_agree_within_bits(self, rows):
         """The paper's headline accuracy claim (<= ~1 bit difference; we
         allow slack for the tiny sample count)."""

@@ -23,7 +23,7 @@ class TestDeepPrograms:
         ctx = CkksContext(chain, seed=11)
         vals = rng.uniform(-1, 1, ctx.slots)
         ct = ctx.encrypt(vals)
-        ref = vals.astype(np.longdouble)
+        ref = vals
         for _ in range(2):
             ct = ctx.evaluator.square_rescale(ct)
             ref = ref * ref
@@ -38,7 +38,7 @@ class TestDeepPrograms:
         boot = FunctionalBootstrapper(ctx, BS26)
         vals = rng.uniform(-0.9, 0.9, ctx.slots)
         ct = ctx.encrypt(vals)
-        ref = vals.astype(np.longdouble)
+        ref = vals
         for _round in range(2):  # two full level descents with a refresh
             while ct.level > 0:
                 ct = ctx.evaluator.square_rescale(ct)
@@ -57,7 +57,7 @@ class TestDeepPrograms:
         vals = rng.uniform(-1, 1, ctx.slots)
         weights = rng.uniform(-1, 1, ctx.slots)
         ct = ev.rescale(ev.mul_plain(ctx.encrypt(vals), weights))
-        ref = (vals * weights).astype(np.longdouble)
+        ref = vals * weights
         acc, acc_ref = ct, ref
         for shift in (1, 2, 4):
             acc = ev.add(acc, ev.rotate(acc, shift))
@@ -128,17 +128,12 @@ def _chain_digests(chain, seed=12, rotation=3):
         for row in part.to_coeff().rows:
             digest.update(np.ascontiguousarray(row).tobytes())
     decrypted = ctx.decrypt_real(out)
-    ref = np.roll(vals * vals, -rotation).astype(np.longdouble)
+    ref = np.roll(vals * vals, -rotation)
     return (
         digest.hexdigest(),
-        hashlib.sha256(decrypted.astype(np.float64).tobytes()).hexdigest(),
+        hashlib.sha256(decrypted.tobytes()).hexdigest(),
         ctx.precision_bits(out, ref),
     )
-
-
-#: The decoder's FFT runs in longdouble; its low bits are only
-#: comparable where that means x87 extended precision.
-X87_LONGDOUBLE = np.finfo(np.longdouble).nmant == 63
 
 
 class TestWideChainBitExact:
@@ -163,8 +158,7 @@ class TestWideChainBitExact:
         ct_digest, decrypt_digest, precision = _chain_digests(chain)
         assert ct_digest == self.CT_DIGEST
         assert precision > 40
-        if X87_LONGDOUBLE:
-            assert decrypt_digest == self.DECRYPT_DIGEST
+        assert decrypt_digest == self.DECRYPT_DIGEST
 
 
 class TestNarrowAndMixedChainsBitExact:
@@ -204,5 +198,4 @@ class TestNarrowAndMixedChainsBitExact:
         got_ct, got_decrypt, precision = _chain_digests(chain)
         assert got_ct == ct_digest
         assert precision > 15
-        if X87_LONGDOUBLE:
-            assert got_decrypt == decrypt_digest
+        assert got_decrypt == decrypt_digest

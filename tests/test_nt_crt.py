@@ -16,7 +16,6 @@ from repro.nt.crt import (
     crt_reconstruct,
     crt_reconstruct_vector,
 )
-from repro.nt.floatext import ints_to_longdouble
 from repro.nt.primes import ntt_friendly_primes_below
 
 MODULI = (257, 263, 269)
@@ -143,13 +142,10 @@ def test_centered_int64_declines_q_between_2_63_and_2_64():
 
 
 def test_int64_cast_agrees_with_the_int_path():
-    """The decoder casts an int64 vector straight to longdouble.  With
-    x87's 64-bit mantissa that is exact; with a narrower one it must
-    still round exactly as the Python-int conversion does."""
+    """The decoder casts an int64 vector straight to float64; it must
+    round exactly as Python's correctly rounded ``float(int)`` does."""
     top = (1 << 63) - 1
     values = [0, 1, -1, top, -top - 1, (1 << 53) + 1, -(1 << 53) - 1,
               (1 << 62) + 3, 123456789012345678, -987654321098765432]
-    cast = np.array(values, dtype=np.int64).astype(np.longdouble)
-    assert np.array_equal(cast, ints_to_longdouble(values))
-    if np.finfo(np.longdouble).nmant >= 63:
-        assert [int(v) for v in cast] == values
+    cast = np.array(values, dtype=np.int64).astype(np.float64)
+    assert cast.tolist() == [float(v) for v in values]
