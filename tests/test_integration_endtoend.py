@@ -139,13 +139,14 @@ def _chain_digests(chain, seed=12, rotation=3):
 class TestWideChainBitExact:
     """The wide (2^31..2^61) path end to end, pinned to the word.
 
-    The digests were recorded from the 80-bit-float kernels this path
-    replaced (PR 12's parent commit).
+    Both digests pin the encoder's complex128 rounding as well as the
+    kernels: at a 55-bit scale, encode's float64 error reaches the units
+    of the coefficients it rounds.
     """
 
-    CT_DIGEST = "cf6e855c414740cafb4d86405a4a8a7ca161295f4f3ca1026899ae04070f21de"
+    CT_DIGEST = "111e03817a5ee209c9596e6b161a2031f661d17c8eb700d44679d64f357e58d2"
     DECRYPT_DIGEST = (
-        "ff260176f97f2ee63dfc546e220ad82f5b820619e2f35d1c13c8b8764346c4c1"
+        "1bea140dc66494f51d390a69d806d6ae46023525d78b2dd815a07f6cf42163f6"
     )
 
     def test_encrypt_multiply_rotate_rescale_decrypt_digest(self):
@@ -165,8 +166,10 @@ class TestNarrowAndMixedChainsBitExact:
     """The same program on a BitPacker-28 chain (every row narrow) and
     on a word-36 chain whose narrow terminal prime shares a basis with
     36-bit words — the one layout where "a basis has one kind" changes
-    which kernel a row runs on.  Digests recorded at PR 13's parent
-    commit, where narrow and wide rows of one basis still ran apart.
+    which kernel a row runs on.  The ciphertext digests were recorded
+    where narrow and wide rows of one basis still ran apart; at a 30-bit
+    scale encoding rounds to the same integers in float64 as in 80-bit
+    floats, so only the decrypt digests follow the decoder's width.
     """
 
     @pytest.mark.parametrize(
@@ -175,13 +178,13 @@ class TestNarrowAndMixedChainsBitExact:
             pytest.param(
                 28, [28, 28, 28, 28, 19],
                 "8abf82a314dc07b5d0b56d231421a2b36c73d486478d9398cb672a8dfe4e86c7",
-                "1efb82be9dee14f9f876569cfcfa33ce92d4add201875b149c024f2f112abe9c",
+                "6e71c8f14ef67a9d4e102993903a10946febca2b18022e41f6039d491b28678e",
                 id="narrow-bp28",
             ),
             pytest.param(
                 36, [36, 36, 36, 23],
                 "0eb7815a1a12e4ed38cf87283741faae355d3d872419428637f60fcb3869844d",
-                "cc126f5f15f471ee9099a38344a1b902cfbc7c09054f5097b44cbf470ff2cb0b",
+                "02e4cb96e49abfe5da3175e3036c423aa12fc89ded307006a2531a1ee2bb8523",
                 id="mixed-bp36",
             ),
         ],
