@@ -85,7 +85,7 @@ class CkksEncoder:
         spectrum[self._conj_bins] = np.conj(slot_vals) * s
         twisted = np.fft.fft(spectrum, norm="forward")
         coeffs = np.real(twisted * np.conj(self._zeta))
-        return [int(v) for v in np.rint(coeffs)]
+        return [int(v) for v in np.rint(coeffs).tolist()]
 
     def encode_scalar(self, value: float, scale: Fraction | int | float) -> int:
         """Coefficient 0 of ``encode(value, scale)`` for a real scalar.
