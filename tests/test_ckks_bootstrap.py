@@ -1,6 +1,5 @@
 """Functional bootstrap substitute tests."""
 
-import numpy as np
 import pytest
 
 from repro.ckks import CkksContext

@@ -65,8 +65,8 @@ def _embed(coeffs, n):
 
 class TestCanonicalEmbedding:
     """The encoder against the embedding's definition.  Round trips
-    cannot see a wrong FFT sign or normalisation made the same way in
-    encode and decode; these can."""
+    cannot see a wrong FFT normalisation made the same way in encode and
+    decode; these can."""
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_decode_is_the_embedding(self, n, rng):

@@ -166,10 +166,10 @@ class TestNarrowAndMixedChainsBitExact:
     """The same program on a BitPacker-28 chain (every row narrow) and
     on a word-36 chain whose narrow terminal prime shares a basis with
     36-bit words — the one layout where "a basis has one kind" changes
-    which kernel a row runs on.  The ciphertext digests were recorded
-    where narrow and wide rows of one basis still ran apart; at a 30-bit
-    scale encoding rounds to the same integers in float64 as in 80-bit
-    floats, so only the decrypt digests follow the decoder's width.
+    which kernel a row runs on.  At a 30-bit scale, encode's float64
+    error stays far below the units it rounds to, so the ciphertext
+    digests pin the kernels alone; the decrypt digests also pin the
+    decoder's complex128 rounding.
     """
 
     @pytest.mark.parametrize(
