@@ -72,26 +72,17 @@ KERNELS = ("ntt", "crb", "mul", "add", "auto", "kshgen", "hbm")
 def op_rows(
     trace: HeTrace, price: Callable[[TraceOp], tuple]
 ) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """Price each distinct (kind, level, dst_level, count) of a trace once.
+    """Price each distinct op of a trace once.
 
     A trace is a cost table's rows times multiplicities.  Returns
-    ``(table, at, counts)``: ``table[r]`` is ``price`` of row ``r``'s
-    first op, ``at[i]`` is op ``i``'s row and ``counts[i]`` its count.
-    Rows are numbered in the order ops first reach them.
+    ``(table, at, counts)``: ``table[r]`` is ``price`` of the trace's
+    ``r``-th distinct op (:meth:`HeTrace.distinct_ops`, first-seen
+    order), ``at[i]`` is op ``i``'s row and ``counts[i]`` its count.
     """
-    rows: dict[tuple, int] = {}
-    table: list[tuple] = []
-    index: list[int] = []
-    for op in trace.ops:
-        # ``_value_``, not ``kind``: hashing an Enum is a Python call.
-        key = (op.kind._value_, op.level, op.dst_level, op.count)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = len(table)
-            table.append(price(op))
-        index.append(row)
-    counts = np.array([op.count for op in trace.ops], dtype=float)
-    return table, np.array(index, dtype=np.intp), counts
+    distinct, at = trace.distinct_ops()
+    table = [price(op) for op in distinct]
+    counts = np.array([op.count for op in distinct], dtype=float)[at]
+    return table, at, counts
 
 
 def running_sum(values: np.ndarray) -> float:

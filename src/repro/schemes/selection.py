@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,22 +100,61 @@ def smallest_primes(n: int, count: int, taken: Iterable[int]) -> list[int]:
     raise PlanningError(f"could not find {count} small NTT-friendly primes")
 
 
-def largest_primes_below_word(
-    n: int, word_bits: int, count: int, taken: Iterable[int] = ()
-) -> list[int]:
+class _WordPrimes:
+    """The NTT-friendly primes below ``2^word_bits``, descending, walked
+    once and extended only as far as a caller reads."""
+
+    def __init__(self, n: int, word_bits: int):
+        self._walk = ntt_friendly_primes_below(1 << word_bits, n)
+        self._lock = threading.Lock()
+        self.primes: list[int] = []
+        self._extend(1)  # a bad degree raises here, before it is cached
+
+    def __iter__(self) -> Iterator[int]:
+        index = 0
+        while index < len(self.primes) or self._extend(index + 1):
+            yield self.primes[index]
+            index += 1
+
+    def take(self, count: int) -> list[int]:
+        """The ``count`` largest, or all of them if there are fewer."""
+        self._extend(count)
+        return self.primes[:count]
+
+    def _extend(self, count: int) -> bool:
+        """Walk on until ``count`` primes are known; False if the word
+        holds fewer."""
+        with self._lock:  # a generator cannot be advanced from two threads
+            while len(self.primes) < count:
+                prime = next(self._walk, None)
+                if prime is None:
+                    return False
+                self.primes.append(prime)
+            return True
+
+
+@lru_cache(maxsize=128)
+def word_primes(n: int, word_bits: int) -> _WordPrimes:
+    """The one descending prime walk per ``(n, word_bits)``.
+
+    Every planner reads its word-sized primes from here, so a figure pass
+    Miller-Rabin-tests each candidate once however many chains and
+    traces ask.  ``eval.common.clear_memory_caches()`` empties it with
+    the figure memos.  Bounded like them: an evicted walk is only walked
+    again.
+    """
+    return _WordPrimes(n, word_bits)
+
+
+def largest_primes_below_word(n: int, word_bits: int, count: int) -> list[int]:
     """The ``count`` largest NTT-friendly primes below ``2^word_bits``."""
-    taken_set = set(taken)
-    out: list[int] = []
-    for p in ntt_friendly_primes_below(1 << word_bits, n):
-        if p in taken_set:
-            continue
-        out.append(p)
-        if len(out) == count:
-            return out
-    raise PlanningError(
-        f"only found {len(out)} of {count} word-sized primes below "
-        f"2^{word_bits} for n={n}"
-    )
+    out = word_primes(n, word_bits).take(count)
+    if len(out) < count:
+        raise PlanningError(
+            f"only found {len(out)} of {count} word-sized primes below "
+            f"2^{word_bits} for n={n}"
+        )
+    return out
 
 
 def usable_word_bits(n: int, word_bits: int) -> float:
@@ -288,7 +328,7 @@ def choose_special_moduli(
     taken_set = set(taken)
     chosen: list[int] = []
     total = 0.0
-    for p in ntt_friendly_primes_below(1 << word_bits, n):
+    for p in word_primes(n, word_bits):
         if p in taken_set:
             continue
         chosen.append(p)

@@ -14,7 +14,9 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from repro.errors import ParameterError, json_field
 
@@ -111,6 +113,9 @@ class HeTrace:
     _digest: str | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    _distinct: "OpTable | None" = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -129,9 +134,17 @@ class HeTrace:
             out[op.kind] = out.get(op.kind, 0.0) + op.count
         return out
 
+    def distinct_ops(self) -> "OpTable":
+        """The trace's :class:`OpTable`, found once per (immutable) trace;
+        a trace from :class:`TraceBuilder` comes with it."""
+        if self._distinct is None:
+            object.__setattr__(
+                self, "_distinct", _Interner().extend(self.ops).table())
+        return self._distinct
+
     def validate(self) -> None:
         max_level = self.max_level
-        for op in self.ops:
+        for op in self.distinct_ops().ops:
             if not 0 <= op.level <= max_level:
                 raise ParameterError(
                     f"{self.name}: op at level {op.level} outside chain "
@@ -193,6 +206,102 @@ class HeTrace:
         )
 
 
+class OpTable(NamedTuple):
+    """A trace's distinct ops, and where each of its ops sits among them.
+
+    A trace repeats a few dozen distinct ops thousands of times, so every
+    per-op consumer (:func:`content_digest`, the cost models' pricing,
+    :meth:`HeTrace.validate`) works on ``ops`` and maps back through
+    ``at``: ``trace.ops[i]`` equals ``ops[at[i]]`` field by field, types
+    included.  ``1 == 1.0`` but the two encode apart, so the types are
+    part of the identity; an op with a float zero is never merged,
+    because ``0.0 == -0.0`` but they encode apart too.
+    """
+
+    #: Distinct ops, in the order the trace first reaches them.
+    ops: tuple[TraceOp, ...]
+    #: Each trace op's index into ``ops`` (read-only ``intp``).
+    at: np.ndarray
+
+
+def _op_key(op: TraceOp) -> tuple:
+    """What :class:`OpTable` merges on: every field's value and type."""
+    level, count, dst, scale = op.level, op.count, op.dst_level, op.scale_bits
+    # ``_value_``, not ``kind``: hashing an Enum is a Python call.
+    return (op.kind._value_, level, count, dst, scale,
+            type(level), type(count), type(dst), type(scale))
+
+
+def _mergeable(key: tuple) -> bool:
+    """False for an op with a float zero (``0.0 == -0.0``)."""
+    return not any(isinstance(v, float) and not v for v in key[1:5])
+
+
+class _Interner:
+    """Builds an :class:`OpTable` one op at a time."""
+
+    __slots__ = ("distinct", "at", "_rows", "_blocks")
+
+    def __init__(self):
+        self.distinct: list[TraceOp] = []
+        self.at: list[int] = []
+        self._rows: dict[tuple, int] = {}
+        #: id(table) -> (table, its ops' rows): see :meth:`extend_table`.
+        self._blocks: dict[int, tuple[OpTable, list[int]]] = {}
+
+    def record(self, kind: OpKind, level, count, dst_level, scale_bits
+               ) -> None:
+        # The key of :func:`_op_key`, without building the op first.
+        key = (kind._value_, level, count, dst_level, scale_bits,
+               type(level), type(count), type(dst_level), type(scale_bits))
+        row = self._rows.get(key)
+        if row is None:
+            row = self._new_row(
+                TraceOp(kind, level, count, dst_level, scale_bits), key)
+        self.at.append(row)
+
+    def row(self, op: TraceOp, key: tuple | None = None) -> int:
+        """``op``'s row, new if no earlier op equals it."""
+        key = _op_key(op) if key is None else key
+        row = self._rows.get(key)
+        return self._new_row(op, key) if row is None else row
+
+    def extend(self, ops: Iterable[TraceOp]) -> "_Interner":
+        self.at.extend(map(self.row, ops))
+        return self
+
+    def extend_table(self, table: OpTable) -> None:
+        """Append the ops ``table`` describes.  A walker appends one
+        bootstrap block over and over, so a table whose ops all merge
+        is resolved once."""
+        known = self._blocks.get(id(table))
+        if known is not None and known[0] is table:
+            self.at.extend(known[1])
+            return
+        keys = [_op_key(op) for op in table.ops]
+        rows = [self.row(op, key) for op, key in zip(table.ops, keys)]
+        at = list(map(rows.__getitem__, table.at.tolist()))
+        if all(map(_mergeable, keys)):
+            self._blocks[id(table)] = (table, at)
+        self.at.extend(at)
+
+    def _new_row(self, op: TraceOp, key: tuple) -> int:
+        row = len(self.distinct)
+        self.distinct.append(op)
+        if _mergeable(key):
+            self._rows[key] = row
+        return row
+
+    def ops(self) -> list[TraceOp]:
+        """The recorded stream, each op its row's one object."""
+        return list(map(self.distinct.__getitem__, self.at))
+
+    def table(self) -> OpTable:
+        at = np.array(self.at, dtype=np.intp)
+        at.flags.writeable = False
+        return OpTable(tuple(self.distinct), at)
+
+
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -208,11 +317,8 @@ def content_digest(trace: HeTrace) -> str:
 
     The bytes are those of ``json.dumps(to_dict() minus schema,
     sort_keys=True)``, assembled without the dicts: ``"ops"`` sorts
-    last, and a trace repeats a few dozen distinct ops thousands of
-    times, so each distinct op is encoded once per call.  The memo key
-    carries every field's type beside its value, because ``1 == 1.0``
-    but they encode as ``1`` and ``1.0``; an op with a float zero is
-    never stored, because ``0.0 == -0.0`` but they encode apart.
+    last, and each distinct op (:meth:`HeTrace.distinct_ops`) is encoded
+    once.
     """
     if trace._digest is None:
         header = _canonical_json({
@@ -221,23 +327,10 @@ def content_digest(trace: HeTrace) -> str:
             "n": trace.n,
             "name": trace.name,
         })
-        fragments: dict[tuple, str] = {}
-        parts = []
-        for op in trace.ops:
-            level, count, dst, scale = (
-                op.level, op.count, op.dst_level, op.scale_bits
-            )
-            # ``_value_``, not ``kind``: hashing an Enum is a Python call.
-            key = (op.kind._value_, level, count, dst, scale,
-                   type(level), type(count), type(dst), type(scale))
-            fragment = fragments.get(key)
-            if fragment is None:
-                fragment = _canonical_json(op.to_dict())
-                if not any(isinstance(v, float) and not v
-                           for v in (level, count, dst, scale)):
-                    fragments[key] = fragment
-            parts.append(fragment)
-        encoded = f'{header[:-1]},"ops":[{",".join(parts)}]}}'
+        table = trace.distinct_ops()
+        fragments = [_canonical_json(op.to_dict()) for op in table.ops]
+        ops = ",".join(map(fragments.__getitem__, table.at.tolist()))
+        encoded = f'{header[:-1]},"ops":[{ops}]}}'
         object.__setattr__(
             trace, "_digest", hashlib.sha256(encoded.encode()).hexdigest()
         )
@@ -265,14 +358,16 @@ class TraceBuilder:
         self.n = n
         self.base_bits = base_bits
         self.level_scale_bits = tuple(float(b) for b in level_scale_bits)
-        self._ops: list[TraceOp] = []
+        self._ops = _Interner()
 
     # Recording helpers ----------------------------------------------------
     def record(self, kind: OpKind, level: int, count: float = 1.0,
                dst_level: int | None = None,
                scale_bits: float | None = None) -> None:
+        """Append one op; equal ops share one :class:`TraceOp` (see
+        :class:`OpTable`)."""
         if count:
-            self._ops.append(TraceOp(kind, level, count, dst_level, scale_bits))
+            self._ops.record(kind, level, count, dst_level, scale_bits)
 
     def hmul(self, level: int, count: float = 1.0) -> None:
         self.record(OpKind.HMUL, level, count)
@@ -295,10 +390,10 @@ class TraceBuilder:
     def adjust(self, level: int, dst_level: int, count: float = 1.0) -> None:
         self.record(OpKind.ADJUST, level, count, dst_level)
 
-    def extend(self, ops: Iterable[TraceOp]) -> None:
-        """Append already-built ops (``TraceOp`` is frozen, so a recurring
-        block can be recorded once and shared)."""
-        self._ops.extend(ops)
+    def extend(self, block: HeTrace) -> None:
+        """Append a built trace's ops: a recurring block is recorded and
+        built once, then appended each time it recurs."""
+        self._ops.extend_table(block.distinct_ops())
 
     def build(self) -> HeTrace:
         trace = HeTrace(
@@ -306,7 +401,8 @@ class TraceBuilder:
             n=self.n,
             base_bits=self.base_bits,
             level_scale_bits=self.level_scale_bits,
-            ops=self._ops,
+            ops=self._ops.ops(),
         )
+        object.__setattr__(trace, "_distinct", self._ops.table())
         trace.validate()
         return trace

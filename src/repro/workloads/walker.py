@@ -9,8 +9,10 @@ paper describes in Sec. 2.2.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import ParameterError
-from repro.trace.program import HeTrace, TraceBuilder, TraceOp
+from repro.trace.program import HeTrace, TraceBuilder
 from repro.workloads.bootstrap_model import BootstrapSchedule
 
 #: The parameters of the paper's evaluation (Sec. 5).
@@ -28,14 +30,22 @@ def effective_scale_bits(
     that products of 1..k NTT-friendly primes can reach (Sec. 5), so an
     unreachable target consumes the smallest achievable scale above it.
     """
+    return _scale_consumption(scheme, n, word_bits)(target_bits)
+
+
+def _scale_consumption(
+    scheme: str, n: int, word_bits: int
+) -> Callable[[float], float]:
+    """:func:`effective_scale_bits` for one scheme and word, with the
+    word's prime bounds read once."""
     if scheme == "bitpacker":
-        return target_bits
+        return lambda target_bits: target_bits
     from repro.schemes.rns_ckks import achievable_scale_bits
     from repro.schemes.selection import min_prime_bits, usable_word_bits
 
-    return achievable_scale_bits(
-        target_bits, usable_word_bits(n, word_bits), min_prime_bits(n)
-    )
+    usable, smallest = usable_word_bits(n, word_bits), min_prime_bits(n)
+    return lambda target_bits: achievable_scale_bits(
+        target_bits, usable, smallest)
 
 
 def app_levels_for(
@@ -60,11 +70,9 @@ def app_levels_for(
     bootstraps more often) than BitPacker under the same security budget
     — one of the paper's sources of speedup (Sec. 5).
     """
-    boot_bits = sum(
-        effective_scale_bits(t, scheme, n, word_bits)
-        for t in schedule.level_scale_bits
-    )
-    eff_app = effective_scale_bits(app_scale_bits, scheme, n, word_bits)
+    consumed = _scale_consumption(scheme, n, word_bits)
+    boot_bits = sum(map(consumed, schedule.level_scale_bits))
+    eff_app = consumed(app_scale_bits)
     q_budget = max_log_q * ks_digits / (ks_digits + 1)
     budget = q_budget - base_bits - boot_bits
     levels = int(budget // eff_app)
@@ -113,7 +121,7 @@ class ProgramWalker:
         )
         self.level = self.app_top
         self.bootstraps = 0
-        self._boot_block: tuple[tuple[TraceOp, ...], int] | None = None
+        self._boot_block: tuple[HeTrace, int] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -138,9 +146,9 @@ class ProgramWalker:
             b = self.builder
             block = TraceBuilder(b.name, b.n, b.base_bits, b.level_scale_bits)
             exit_level = self.schedule.emit(block, self.max_level)
-            self._boot_block = (block.build().ops, exit_level)
-        ops, self.level = self._boot_block
-        self.builder.extend(ops)
+            self._boot_block = (block.build(), exit_level)
+        block, self.level = self._boot_block
+        self.builder.extend(block)
         self.bootstraps += 1
 
     # ------------------------------------------------------------------

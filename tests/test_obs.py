@@ -408,7 +408,8 @@ class TestMemoryCacheStats:
         from repro.eval import common
 
         stats = common.memory_cache_stats()
-        assert set(stats) == {"trace", "chain", "plan", "simulate", "simulate-cpu"}
+        assert set(stats) == {
+            "trace", "chain", "plan", "word-primes", "simulate", "simulate-cpu"}
         for entry in stats.values():
             assert entry["maxsize"] is not None  # satellite: no unbounded lru
         common.clear_memory_caches()
@@ -536,7 +537,7 @@ class TestProfileCli:
             "energy", "kernels", "sims", "total_cycles", "total_energy_j",
         ]
         assert sorted(doc["memory_caches"]) == [
-            "chain", "plan", "simulate", "simulate-cpu", "trace",
+            "chain", "plan", "simulate", "simulate-cpu", "trace", "word-primes",
         ]
         assert sorted(doc["counters"]) == [
             "accel.cycles", "accel.energy_j", "accel.kernel.cycles.crb",
