@@ -293,6 +293,31 @@ class TestPrimalityTestsPerPlan:
         assert 0 < len(is_prime_calls) < 5_000
 
 
+    def test_figure_pass_walks_each_word_once(self, is_prime_calls):
+        """One pass of the ``model_sweep`` grid (Figs. 11/13 at 28 and 64
+        bits, Sec. 6.2's LogReg at 36) from empty figure memos: 18,251
+        calls when every chain and trace walked its word's primes anew."""
+        points = [(model, app, bs, scheme, word)
+                  for scheme in common.SCHEMES
+                  for app, bs in common.WORKLOAD_GRID
+                  for model, word in (("accel", 28), ("cpu", 64))]
+        points += [("accel", "LogReg", "BS19", scheme, 36)
+                   for scheme in common.SCHEMES]
+
+        def one_pass():
+            common.clear_memory_caches()
+            for model, app, bs, scheme, word in points:
+                if model == "accel":
+                    common.simulate(app, bs, scheme, word)
+                else:
+                    common.simulate_cpu(app, bs, scheme, word)
+
+        one_pass()  # the terminal pools outlive the figure memos
+        is_prime_calls.clear()
+        one_pass()
+        assert 0 < len(is_prime_calls) <= 3_000
+
+
 class TestTerminalCandidates:
     def test_narrow_words_exhaustive(self):
         n = 1024

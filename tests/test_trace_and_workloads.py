@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.accel.sim import op_rows
 from repro.errors import ParameterError
 from repro.eval import common
 from repro.trace.program import (
@@ -116,6 +119,103 @@ class TestContentDigest:
         # Recorded from the dict encoding before it was replaced.
         assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == (
             "a6f2af0d7549294e3d714412deb14e003df375cb2f0d0e65831801ded7dbcb22")
+
+
+def _grid_traces() -> list[HeTrace]:
+    """The traces one ``model_sweep`` pass prices (Figs. 11/13 at 28 and
+    64 bits, Sec. 6.2's LogReg at 36)."""
+    keys = [(app, bs, scheme, word)
+            for scheme in common.SCHEMES
+            for app, bs in common.WORKLOAD_GRID
+            for word in (28, 64)]
+    keys += [("LogReg", "BS19", scheme, 36) for scheme in common.SCHEMES]
+    return [common.trace_for(*key) for key in keys]
+
+
+def _price(op: TraceOp) -> tuple:
+    return op.kind.value, op.level, op.dst_level, repr(op.scale_bits)
+
+
+def _validate_outcome(trace: HeTrace) -> str | None:
+    try:
+        trace.validate()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestDistinctOps:
+    """Every consumer of :meth:`HeTrace.distinct_ops` must read what it
+    would read op by op, whether the table came from the builder or
+    from one pass over ops that share nothing."""
+
+    @pytest.fixture(scope="class")
+    def traces(self) -> list[HeTrace]:
+        return _grid_traces()
+
+    def test_round_trip_copies_agree(self, traces):
+        assert len(traces) == 42
+        for trace in traces:
+            copy = HeTrace.from_dict(trace.to_dict())
+            assert copy.ops == trace.ops
+            assert not {id(op) for op in copy.ops} & {id(op) for op in trace.ops}
+            assert content_digest(copy) == content_digest(trace)
+            table, at, counts = op_rows(trace, _price)
+            copy_table, copy_at, copy_counts = op_rows(copy, _price)
+            assert copy_table == table
+            assert np.array_equal(copy_at, at)
+            assert np.array_equal(copy_counts, counts)
+            # ... and op_rows is the op-by-op pricing, regrouped.
+            assert [table[row] for row in at] == [_price(op) for op in trace.ops]
+            assert counts.tolist() == [float(op.count) for op in trace.ops]
+
+    def test_builder_table_is_the_one_pass_table(self, traces):
+        for trace in traces:
+            built = trace.distinct_ops()
+            found = replace(trace, ops=trace.ops).distinct_ops()
+            assert found.ops == built.ops
+            assert np.array_equal(found.at, built.at)
+            assert all(trace.ops[i] is built.ops[row]
+                       for i, row in enumerate(built.at))
+
+    def test_validate_agrees_on_mutated_copies(self, traces):
+        for trace in traces[::7]:
+            middle = len(trace.ops) // 2
+            for bad in (TraceOp(OpKind.RESCALE, 0),
+                        TraceOp(OpKind.HMUL, trace.max_level + 1)):
+                ops = list(trace.ops)
+                ops.insert(middle, bad)
+                data = trace.to_dict()
+                data["ops"].insert(middle, bad.to_dict())
+                outcomes = {_validate_outcome(replace(trace, ops=ops)),
+                            _validate_outcome(HeTrace.from_dict(data))}
+                assert len(outcomes) == 1 and None not in outcomes
+            assert _validate_outcome(HeTrace.from_dict(trace.to_dict())) is None
+
+    def test_builder_keeps_types_and_signed_zeros_apart(self):
+        b = TraceBuilder("t", n=1024, base_bits=40.0, level_scale_bits=(30.0,) * 3)
+        for count in (1, 1.0, 1):
+            b.record(OpKind.HMUL, 1, count)
+        for scale in (0.0, -0.0, 0.0):
+            b.record(OpKind.HADD, 1, scale_bits=scale)
+        trace = b.build()
+        table = trace.distinct_ops()
+        # The int and float counts are two ops; each signed zero stays its own.
+        assert table.at.tolist() == [0, 1, 0, 2, 3, 4]
+        assert trace.ops[0] is trace.ops[2]
+        assert [type(op.count) for op in trace.ops[:3]] == [int, float, int]
+        assert [repr(op.scale_bits) for op in trace.ops[3:]] == [
+            "0.0", "-0.0", "0.0"]
+        assert content_digest(trace) == dict_digest(trace)
+        copy = HeTrace.from_dict(trace.to_dict())
+        assert copy.distinct_ops().at.tolist() == table.at.tolist()
+        flipped = TraceBuilder("t", n=1024, base_bits=40.0,
+                               level_scale_bits=(30.0,) * 3)
+        for count in (1.0, 1, 1.0):
+            flipped.record(OpKind.HMUL, 1, count)
+        for scale in (-0.0, 0.0, -0.0):
+            flipped.record(OpKind.HADD, 1, scale_bits=scale)
+        assert content_digest(flipped.build()) != content_digest(trace)
 
 
 class TestWalker:
