@@ -21,7 +21,7 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest
 from repro.nt.crt import centered_int64
-from repro.rns.poly import NTT, RnsPolynomial
+from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 from repro.rns.sampling import (
     sample_gaussian_coeffs,
     sample_ternary_coeffs,
@@ -72,8 +72,9 @@ class Encryptor:
         e1 = RnsPolynomial.from_int_coeffs(
             basis, sample_gaussian_coeffs(basis.n, rng, sigma)
         )
-        c0 = pk.b.pointwise_mul(u).to_coeff().add(e0).add(pt.poly)
-        c1 = pk.a.pointwise_mul(u).to_coeff().add(e1)
+        bu, au = to_domain([pk.b.pointwise_mul(u), pk.a.pointwise_mul(u)], COEFF)
+        c0 = bu.add(e0).add(pt.poly)
+        c1 = au.add(e1)
         return Ciphertext(c0=c0, c1=c1, level=pt.level, scale=pt.scale)
 
     def encrypt(

@@ -54,7 +54,7 @@ class SecretKey:
     """
 
     def __init__(self, coeffs: Sequence[int]):
-        self.coeffs = list(coeffs)
+        self.coeffs = [int(c) for c in coeffs]
         self._lifts: dict[RnsBasis, RnsPolynomial] = {}
 
     @classmethod

@@ -40,30 +40,30 @@ def sample_uniform(
 
 def sample_ternary_coeffs(
     n: int, rng: np.random.Generator, hamming_weight: int | None = None
-) -> list[int]:
-    """Ternary secret coefficients in ``{-1, 0, 1}``.
+) -> np.ndarray:
+    """Ternary secret coefficients in ``{-1, 0, 1}``, as an int64 vector.
 
     With ``hamming_weight`` set, exactly that many coefficients are
     nonzero (sparse secrets, as used by bootstrapping-oriented parameter
     sets); otherwise each coefficient is uniform over the three values.
     """
     if hamming_weight is None:
-        return [int(v) - 1 for v in rng.integers(0, 3, size=n)]
+        return rng.integers(0, 3, size=n) - 1
     if not 0 < hamming_weight <= n:
         raise ParameterError(f"hamming weight {hamming_weight} out of range for n={n}")
-    coeffs = [0] * n
+    coeffs = np.zeros(n, dtype=np.int64)
     positions = rng.choice(n, size=hamming_weight, replace=False)
     signs = rng.integers(0, 2, size=hamming_weight)
-    for pos, s in zip(positions, signs):
-        coeffs[int(pos)] = 1 if s else -1
+    coeffs[positions] = np.where(signs != 0, 1, -1)
     return coeffs
 
 
 def sample_gaussian_coeffs(
     n: int, rng: np.random.Generator, sigma: float = DEFAULT_SIGMA
-) -> list[int]:
-    """Discrete Gaussian error coefficients (rounded continuous Gaussian)."""
-    return [int(v) for v in np.rint(rng.normal(0.0, sigma, size=n))]
+) -> np.ndarray:
+    """Discrete Gaussian error coefficients (rounded continuous Gaussian),
+    as an int64 vector."""
+    return np.rint(rng.normal(0.0, sigma, size=n)).astype(np.int64)
 
 
 def sample_ternary(

@@ -33,7 +33,7 @@ class TestTernary:
     def test_roughly_uniform(self, rng):
         coeffs = sample_ternary_coeffs(4096, rng)
         for v in (-1, 0, 1):
-            frac = coeffs.count(v) / 4096
+            frac = np.count_nonzero(coeffs == v) / 4096
             assert 0.25 < frac < 0.42
 
     def test_hamming_weight_exact(self, rng):
@@ -56,7 +56,7 @@ class TestGaussian:
         assert 0.85 * DEFAULT_SIGMA < std < 1.15 * DEFAULT_SIGMA
 
     def test_integer_valued(self, rng):
-        assert all(isinstance(c, int) for c in sample_gaussian_coeffs(64, rng))
+        assert sample_gaussian_coeffs(64, rng).dtype == np.int64
 
     def test_magnitude_bounded(self, rng):
         coeffs = sample_gaussian_coeffs(8192, rng)
