@@ -260,9 +260,9 @@ class _Interner:
                 TraceOp(kind, level, count, dst_level, scale_bits), key)
         self.at.append(row)
 
-    def row(self, op: TraceOp, key: tuple | None = None) -> int:
+    def row(self, op: TraceOp) -> int:
         """``op``'s row, new if no earlier op equals it."""
-        key = _op_key(op) if key is None else key
+        key = _op_key(op)
         row = self._rows.get(key)
         return self._new_row(op, key) if row is None else row
 
@@ -278,10 +278,9 @@ class _Interner:
         if known is not None and known[0] is table:
             self.at.extend(known[1])
             return
-        keys = [_op_key(op) for op in table.ops]
-        rows = [self.row(op, key) for op, key in zip(table.ops, keys)]
+        rows = [self.row(op) for op in table.ops]
         at = list(map(rows.__getitem__, table.at.tolist()))
-        if all(map(_mergeable, keys)):
+        if all(_mergeable(_op_key(op)) for op in table.ops):
             self._blocks[id(table)] = (table, at)
         self.at.extend(at)
 

@@ -209,6 +209,17 @@ class TestDistinctOps:
         assert content_digest(trace) == dict_digest(trace)
         copy = HeTrace.from_dict(trace.to_dict())
         assert copy.distinct_ops().at.tolist() == table.at.tolist()
+        # Appended as a block, twice: the zeros still never merge.
+        outer = TraceBuilder("t", n=1024, base_bits=40.0,
+                             level_scale_bits=(30.0,) * 3)
+        outer.extend(trace)
+        outer.extend(trace)
+        twice = outer.build()
+        assert twice.distinct_ops().at.tolist() == [
+            0, 1, 0, 2, 3, 4, 0, 1, 0, 5, 6, 7]
+        assert np.array_equal(
+            replace(twice, ops=twice.ops).distinct_ops().at,
+            twice.distinct_ops().at)
         flipped = TraceBuilder("t", n=1024, base_bits=40.0,
                                level_scale_bits=(30.0,) * 3)
         for count in (1.0, 1, 1.0):
