@@ -1,11 +1,14 @@
 """Shared plumbing for the evaluation harnesses.
 
 Memoizes the expensive artifacts (traces, planned chains, simulation
-results) in process, with an ``lru_cache`` keyed by the full
-parameterization, so a figure that re-reads another's points in the
-same process (Figs. 15/16 after Fig. 14) computes nothing.  Nothing is
-kept between processes: every artifact is a pure function of its
-parameters and is recomputed by the next invocation (DESIGN.md Sec. 8).
+results) in process, each in an ``lru_cache`` keyed on what computing it
+reads: a walk on ``(app, bootstrap, application levels)``, a plan on the
+planners' constraints, a simulation on its full point.  So a figure
+that re-reads another's points in the same process (Figs. 15/16 after
+Fig. 14) computes nothing, and points that differ only in what an
+artifact does not read share it.  Nothing is kept between processes:
+every artifact is a pure function of its parameters and is recomputed
+by the next invocation (DESIGN.md Sec. 8).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.schemes.chain import SCHEMES, ModulusChain  # SCHEMES: for the harnesses
 from repro.schemes.selection import word_primes
 from repro.trace.program import HeTrace
-from repro.workloads.apps import BENCHMARKS
+from repro.workloads.apps import BENCHMARKS, levels_for, walk
 from repro.workloads.bootstrap_model import SCHEDULES
 
 #: Benchmark x bootstrap pairs of Figs. 11-16 (10 workloads).
@@ -62,7 +65,6 @@ SIM_CACHE_SIZE = 1024
 CPU_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def trace_for(
     app: str,
     bs: str,
@@ -71,11 +73,23 @@ def trace_for(
     ks_digits: int = 3,
     max_log_q: float = EVAL_MAX_LOG_Q,
 ) -> HeTrace:
-    """The app's trace under a scheme's bootstrap cadence (Sec. 5)."""
-    return BENCHMARKS[app](
-        SCHEDULES[bs], n=EVAL_N, max_log_q=max_log_q, scheme=scheme,
-        word_bits=word_bits, ks_digits=ks_digits,
-    )
+    """The app's trace under a scheme's bootstrap cadence (Sec. 5).
+
+    The scheme, word, digits and budget set only the cadence (the
+    application levels between bootstraps), so every point with the same
+    cadence gets the same shared, immutable trace.
+    """
+    levels = levels_for(
+        app, SCHEDULES[bs], EVAL_N, max_log_q, scheme, word_bits, ks_digits)
+    return _walked_trace(app, bs, levels)
+
+
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
+def _walked_trace(app: str, bs: str, app_levels: int) -> HeTrace:
+    """One walk per distinct schedule: the Fig. 11/13 grid's 42 points
+    walk 14 traces, and each pays once for its digest, op table and gate
+    check."""
+    return walk(app, SCHEDULES[bs], app_levels, EVAL_N)
 
 
 @lru_cache(maxsize=CHAIN_CACHE_SIZE)
@@ -88,8 +102,6 @@ def chain_for(
     max_log_q: float = EVAL_MAX_LOG_Q,
 ) -> ModulusChain:
     """The workload's chain, planned from its trace's constraints."""
-    # Positional, like _simulate: lru_cache keys a keyword call apart
-    # from a positional one, and the trace would be built twice.
     trace = trace_for(app, bs, scheme, word_bits, ks_digits, max_log_q)
     return _planned_chain(
         scheme, trace.n, word_bits, trace.level_scale_bits, trace.base_bits,
@@ -191,8 +203,8 @@ def simulate_cpu(
     ks_digits: int = 3,
 ) -> CpuResult:
     """Run one workload point on the CPU cost model (Fig. 13)."""
-    # Positional, like _simulate and chain_for: lru_cache keys a keyword
-    # call apart from a positional one, and the trace would be built twice.
+    # Positional, like _simulate: lru_cache keys a keyword call apart
+    # from a positional one, and chain_for would miss.
     trace = trace_for(app, bs, scheme, word_bits, ks_digits, EVAL_MAX_LOG_Q)
     GATE.admit(trace, verify_or_raise)
     return DEFAULT_CPU_MODEL.run(
@@ -203,7 +215,7 @@ def simulate_cpu(
 #: The memos by artifact kind (the profile exporter's ``memory_caches``
 #: section iterates this).
 _MEMORY_CACHES = {
-    "trace": trace_for,
+    "trace": _walked_trace,
     "chain": chain_for,
     "plan": _planned_chain,
     "word-primes": word_primes,

@@ -37,6 +37,7 @@ from repro.workloads.walker import (
     DEFAULT_MAX_LOG_Q,
     DEFAULT_N,
     ProgramWalker,
+    app_levels_for,
 )
 
 #: Application scales from Sec. 5: ResNet and RNN need 45-bit scales,
@@ -45,23 +46,6 @@ RESNET_SCALE_BITS = 45.0
 RNN_SCALE_BITS = 45.0
 SQUEEZENET_SCALE_BITS = 35.0
 LOGREG_SCALE_BITS = 35.0
-
-
-def _walker(
-    name: str, scale_bits: float, schedule: BootstrapSchedule, n: int,
-    max_log_q: float, scheme: str, word_bits: int, ks_digits: int,
-) -> ProgramWalker:
-    return ProgramWalker(
-        name=f"{name} ({schedule.name})",
-        app_scale_bits=scale_bits,
-        schedule=schedule,
-        n=n,
-        base_bits=DEFAULT_BASE_BITS,
-        max_log_q=max_log_q,
-        scheme=scheme,
-        word_bits=word_bits,
-        ks_digits=ks_digits,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -122,6 +106,118 @@ def _resnet_backbone(w: ProgramWalker, activation: Callable) -> None:
     w.descend()
 
 
+def _resnet20(w: ProgramWalker) -> None:
+    _resnet_backbone(w, _relu_minimax)
+
+
+def _resnet20_aespa(w: ProgramWalker) -> None:
+    _resnet_backbone(w, _aespa_activation)
+
+
+# ----------------------------------------------------------------------
+def _rnn(w: ProgramWalker) -> None:
+    for _step in range(200):
+        w.ensure(3)
+        # W_hh · h and W_ih · x, evaluated together on packed operands.
+        w.ops(rot=22.0, pmul=48.0, hadd=48.0, padd=1.0)
+        w.descend()
+        # σ: degree-3 polynomial, Horner over 2 levels.
+        w.ops(hmul=1.0, pmul=1.0, hadd=1.0)
+        w.descend()
+        w.ops(hmul=1.0, padd=1.0)
+        w.descend()
+
+
+def _squeezenet(w: ProgramWalker) -> None:
+    _conv_layer(w, rot=10.0, pmul=12.0)  # stem
+    _aespa_activation(w)
+    for _fire in range(8):
+        _conv_layer(w, rot=6.0, pmul=8.0)  # squeeze 1x1
+        _aespa_activation(w)
+        _conv_layer(w, rot=10.0, pmul=14.0)  # expand 1x1 + 3x3
+        _aespa_activation(w)
+    w.ensure(2)
+    w.ops(rot=8.0, pmul=10.0, hadd=10.0)  # classifier conv + global pool
+    w.descend()
+
+
+def _logreg(w: ProgramWalker) -> None:
+    for _iteration in range(32):
+        w.ensure(4)
+        w.ops(pmul=4.0, rot=8.0, hadd=8.0)  # X·w row sums
+        w.descend()
+        w.ops(hmul=2.0, pmul=2.0, hadd=2.0)  # sigmoid, level 1
+        w.descend()
+        w.ops(hmul=2.0, rot=8.0, hadd=8.0)  # sigmoid finish + X^T·v
+        w.descend()
+        w.ops(pmul=3.0, hadd=3.0)  # NAG update of w and momentum
+        w.adjust_from(src_offset=2)  # momentum term re-alignment
+        w.descend()
+
+
+#: Application scale per benchmark (Sec. 5).
+APP_SCALES = {
+    "ResNet-20": RESNET_SCALE_BITS,
+    "ResNet-20+AESPA": RESNET_SCALE_BITS,
+    "RNN": RNN_SCALE_BITS,
+    "SqueezeNet": SQUEEZENET_SCALE_BITS,
+    "LogReg": LOGREG_SCALE_BITS,
+}
+
+#: Each benchmark's program body, run on a walker at its scale.
+_PROGRAMS: dict[str, Callable[[ProgramWalker], None]] = {
+    "ResNet-20": _resnet20,
+    "ResNet-20+AESPA": _resnet20_aespa,
+    "RNN": _rnn,
+    "SqueezeNet": _squeezenet,
+    "LogReg": _logreg,
+}
+
+
+def levels_for(
+    app: str,
+    schedule: BootstrapSchedule,
+    n: int = DEFAULT_N,
+    max_log_q: float = DEFAULT_MAX_LOG_Q,
+    scheme: str = "bitpacker",
+    word_bits: int = 28,
+    ks_digits: int = 3,
+) -> int:
+    """Application levels ``app`` gets between bootstraps
+    (:func:`~repro.workloads.walker.app_levels_for` at its scale).
+
+    This count is all a walk reads of the scheme, word size, keyswitch
+    digits and modulus budget: points that agree on it walk the same
+    trace.
+    """
+    return app_levels_for(
+        APP_SCALES[app], schedule, max_log_q, DEFAULT_BASE_BITS, scheme, n,
+        word_bits, ks_digits,
+    )
+
+
+def walk(
+    app: str, schedule: BootstrapSchedule, app_levels: int, n: int = DEFAULT_N
+) -> HeTrace:
+    """``app``'s trace with ``app_levels`` application levels between
+    bootstraps (see :func:`levels_for`)."""
+    w = ProgramWalker(
+        f"{app} ({schedule.name})", APP_SCALES[app], schedule, app_levels, n,
+        DEFAULT_BASE_BITS,
+    )
+    _PROGRAMS[app](w)
+    return w.build()
+
+
+def _generate(
+    app: str, schedule: BootstrapSchedule, n: int, max_log_q: float,
+    scheme: str, word_bits: int, ks_digits: int,
+) -> HeTrace:
+    levels = levels_for(
+        app, schedule, n, max_log_q, scheme, word_bits, ks_digits)
+    return walk(app, schedule, levels, n)
+
+
 def resnet20(
     schedule: BootstrapSchedule,
     n: int = DEFAULT_N,
@@ -131,10 +227,8 @@ def resnet20(
     ks_digits: int = 3,
 ) -> HeTrace:
     """ResNet-20 with minimax ReLU (deep; frequent bootstrapping)."""
-    w = _walker("ResNet-20", RESNET_SCALE_BITS, schedule, n, max_log_q,
-                scheme, word_bits, ks_digits)
-    _resnet_backbone(w, _relu_minimax)
-    return w.build()
+    return _generate(
+        "ResNet-20", schedule, n, max_log_q, scheme, word_bits, ks_digits)
 
 
 def resnet20_aespa(
@@ -146,13 +240,11 @@ def resnet20_aespa(
     ks_digits: int = 3,
 ) -> HeTrace:
     """ResNet-20 with AESPA degree-2 activations (shallow; few boots)."""
-    w = _walker("ResNet-20+AESPA", RESNET_SCALE_BITS, schedule, n, max_log_q,
-                scheme, word_bits, ks_digits)
-    _resnet_backbone(w, _aespa_activation)
-    return w.build()
+    return _generate(
+        "ResNet-20+AESPA", schedule, n, max_log_q, scheme, word_bits,
+        ks_digits)
 
 
-# ----------------------------------------------------------------------
 def rnn(
     schedule: BootstrapSchedule,
     n: int = DEFAULT_N,
@@ -167,19 +259,7 @@ def rnn(
     ~2·sqrt(128) rotations and 128 plaintext diagonal multiplies each)
     and a degree-3 activation (2 multiplicative levels).
     """
-    w = _walker("RNN", RNN_SCALE_BITS, schedule, n, max_log_q,
-                scheme, word_bits, ks_digits)
-    for _step in range(200):
-        w.ensure(3)
-        # W_hh · h and W_ih · x, evaluated together on packed operands.
-        w.ops(rot=22.0, pmul=48.0, hadd=48.0, padd=1.0)
-        w.descend()
-        # σ: degree-3 polynomial, Horner over 2 levels.
-        w.ops(hmul=1.0, pmul=1.0, hadd=1.0)
-        w.descend()
-        w.ops(hmul=1.0, padd=1.0)
-        w.descend()
-    return w.build()
+    return _generate("RNN", schedule, n, max_log_q, scheme, word_bits, ks_digits)
 
 
 def squeezenet(
@@ -195,19 +275,8 @@ def squeezenet(
     Eight fire modules (squeeze 1x1 + expand 1x1/3x3) between a stem and
     a classifier conv; all activations degree-2.
     """
-    w = _walker("SqueezeNet", SQUEEZENET_SCALE_BITS, schedule, n, max_log_q,
-                scheme, word_bits, ks_digits)
-    _conv_layer(w, rot=10.0, pmul=12.0)  # stem
-    _aespa_activation(w)
-    for _fire in range(8):
-        _conv_layer(w, rot=6.0, pmul=8.0)  # squeeze 1x1
-        _aespa_activation(w)
-        _conv_layer(w, rot=10.0, pmul=14.0)  # expand 1x1 + 3x3
-        _aespa_activation(w)
-    w.ensure(2)
-    w.ops(rot=8.0, pmul=10.0, hadd=10.0)  # classifier conv + global pool
-    w.descend()
-    return w.build()
+    return _generate(
+        "SqueezeNet", schedule, n, max_log_q, scheme, word_bits, ks_digits)
 
 
 def logreg(
@@ -225,20 +294,8 @@ def logreg(
     sigmoid approximation, the gradient ``X^T·v`` (rotation-based column
     sums), and the Nesterov momentum update.
     """
-    w = _walker("LogReg", LOGREG_SCALE_BITS, schedule, n, max_log_q,
-                scheme, word_bits, ks_digits)
-    for _iteration in range(32):
-        w.ensure(4)
-        w.ops(pmul=4.0, rot=8.0, hadd=8.0)  # X·w row sums
-        w.descend()
-        w.ops(hmul=2.0, pmul=2.0, hadd=2.0)  # sigmoid, level 1
-        w.descend()
-        w.ops(hmul=2.0, rot=8.0, hadd=8.0)  # sigmoid finish + X^T·v
-        w.descend()
-        w.ops(pmul=3.0, hadd=3.0)  # NAG update of w and momentum
-        w.adjust_from(src_offset=2)  # momentum term re-alignment
-        w.descend()
-    return w.build()
+    return _generate(
+        "LogReg", schedule, n, max_log_q, scheme, word_bits, ks_digits)
 
 
 #: Benchmark registry used by every evaluation harness.
@@ -266,12 +323,3 @@ def workload_traces(
         for scheme in schemes
     ]
 
-
-#: Application scale per benchmark (Sec. 5).
-APP_SCALES = {
-    "ResNet-20": RESNET_SCALE_BITS,
-    "ResNet-20+AESPA": RESNET_SCALE_BITS,
-    "RNN": RNN_SCALE_BITS,
-    "SqueezeNet": SQUEEZENET_SCALE_BITS,
-    "LogReg": LOGREG_SCALE_BITS,
-}

@@ -96,25 +96,24 @@ def level_schedule(
 
 
 class ProgramWalker:
-    """Emits an application's trace with automatic bootstrap insertion."""
+    """Emits an application's trace with automatic bootstrap insertion.
+
+    ``app_levels`` is the application's level count between bootstraps
+    (:func:`app_levels_for`): the scheme, word size and modulus budget
+    reach the trace only through it.
+    """
 
     def __init__(
         self,
         name: str,
         app_scale_bits: float,
         schedule: BootstrapSchedule,
+        app_levels: int,
         n: int = DEFAULT_N,
         base_bits: float = DEFAULT_BASE_BITS,
-        max_log_q: float = DEFAULT_MAX_LOG_Q,
-        scheme: str = "bitpacker",
-        word_bits: int = 28,
-        ks_digits: int = 3,
     ):
         self.schedule = schedule
-        self.app_top = app_levels_for(
-            app_scale_bits, schedule, max_log_q, base_bits, scheme, n,
-            word_bits, ks_digits,
-        )
+        self.app_top = app_levels
         scales = level_schedule(app_scale_bits, self.app_top, schedule)
         self.builder = TraceBuilder(
             name=name, n=n, base_bits=base_bits, level_scale_bits=scales

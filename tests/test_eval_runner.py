@@ -8,6 +8,7 @@ price nothing after Fig. 14, and a rerun renders byte-identically.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -15,6 +16,9 @@ import pytest
 
 from repro.eval import common, fig11, fig14, fig15, fig16, runner
 from repro.schemes import chain_to_dict
+from repro.trace.program import content_digest
+from repro.workloads.apps import BENCHMARKS, levels_for
+from repro.workloads.bootstrap_model import SCHEDULES
 
 
 @pytest.fixture()
@@ -66,14 +70,88 @@ class TestCachedHarnesses:
         assert warm_render == first_render
 
 
+#: The points one ``model_sweep`` pass prices: Figs. 11/13 at 28 and 64
+#: bits and Sec. 6.2's LogReg at 36, as ``(model, app, bs, scheme, word)``.
+SWEEP_POINTS = [
+    (model, app, bs, scheme, word)
+    for scheme in common.SCHEMES
+    for app, bs in common.WORKLOAD_GRID
+    for model, word in (("accel", 28), ("cpu", 64))
+] + [("accel", "LogReg", "BS19", scheme, 36) for scheme in common.SCHEMES]
+
+
+def _price_sweep() -> None:
+    for model, app, bs, scheme, word in SWEEP_POINTS:
+        if model == "accel":
+            common.simulate(app, bs, scheme, word)
+        else:
+            common.simulate_cpu(app, bs, scheme, word)
+
+
 class TestMemoryCacheKeys:
     def test_cpu_point_generates_its_trace_once(self, cold_memos):
-        """``lru_cache`` keys a keyword call apart from a positional one:
-        the CPU model and the chain planner must ask for the trace the
-        same way, or every Fig. 13 point builds it twice."""
+        """The CPU model and the chain planner each ask for the trace;
+        one Fig. 13 point walks it once and plans one chain."""
         common.simulate_cpu("LogReg", "BS19", "bitpacker", 64)
-        assert common.trace_for.cache_info().misses == 1
+        assert common.memory_cache_stats()["trace"]["misses"] == 1
         assert common.chain_for.cache_info().misses == 1
+
+    def test_shared_walks_equal_direct_builds(self, cold_memos):
+        """Every sweep point's shared trace is the one its generator
+        builds for that point alone, digest included; the 42 points
+        share 14 trace objects."""
+        traces = []
+        for _model, app, bs, scheme, word in SWEEP_POINTS:
+            trace = common.trace_for(app, bs, scheme, word)
+            direct = BENCHMARKS[app](
+                SCHEDULES[bs], n=common.EVAL_N,
+                max_log_q=common.EVAL_MAX_LOG_Q, scheme=scheme,
+                word_bits=word,
+            )
+            assert trace == direct
+            assert content_digest(trace) == content_digest(direct)
+            traces.append(trace)
+        assert len(SWEEP_POINTS) == 42
+        assert len({id(t) for t in traces}) == 14
+        # Recorded when every point walked its own trace.
+        digests = " ".join(content_digest(t) for t in traces)
+        assert hashlib.sha256(digests.encode()).hexdigest() == (
+            "4901aa778fa257906ad5eabb60ff0cbb0b8a3dbc52bfde929c22a77df5de321b")
+
+    def test_sweep_pass_walks_each_schedule_once(
+        self, cold_memos, monkeypatch
+    ):
+        walks = []
+        real = common.walk
+        monkeypatch.setattr(
+            common, "walk", lambda *args: walks.append(args) or real(*args))
+        _price_sweep()
+        assert len(walks) == 14
+        assert len(set(walks)) == 14
+        assert common.memory_cache_stats()["trace"]["misses"] == 14
+
+    def test_different_cadences_never_share_a_trace(self, cold_memos):
+        """RNS-CKKS cannot realize SqueezeNet's 35-bit scale at 28 bits,
+        so it gets fewer application levels than BitPacker."""
+        schedule = SCHEDULES["BS19"]
+        bp, rns = (
+            common.trace_for("SqueezeNet", "BS19", scheme, 28)
+            for scheme in ("bitpacker", "rns-ckks")
+        )
+        assert (levels_for("SqueezeNet", schedule, scheme="rns-ckks")
+                < levels_for("SqueezeNet", schedule, scheme="bitpacker"))
+        assert bp is not rns
+        assert bp != rns
+        assert content_digest(bp) != content_digest(rns)
+
+    def test_clearing_the_memos_walks_again(self, cold_memos):
+        first = common.trace_for("LogReg", "BS26", "rns-ckks", 64)
+        assert common.trace_for("LogReg", "BS26", "bitpacker", 64) is first
+        common.clear_memory_caches()
+        assert common.memory_cache_stats()["trace"]["currsize"] == 0
+        again = common.trace_for("LogReg", "BS26", "rns-ckks", 64)
+        assert again is not first
+        assert again == first
 
     def test_equal_constraints_plan_one_chain(self, cold_memos, monkeypatch):
         """The planners read ``(scheme, n, word_bits, level_scale_bits,

@@ -230,13 +230,9 @@ class TestDistinctOps:
 
 
 class TestWalker:
-    def _walker(self, **kw):
-        args = dict(
-            name="w", app_scale_bits=40.0, schedule=BS19_SCHEDULE,
-            n=65536, max_log_q=1596.0,
-        )
-        args.update(kw)
-        return ProgramWalker(**args)
+    def _walker(self, schedule=BS19_SCHEDULE):
+        levels = app_levels_for(40.0, schedule, max_log_q=1596.0, n=65536)
+        return ProgramWalker("w", 40.0, schedule, levels, n=65536)
 
     def test_bootstrap_inserted_when_exhausted(self):
         w = self._walker()
