@@ -80,14 +80,6 @@ SWEEP_POINTS = [
 ] + [("accel", "LogReg", "BS19", scheme, 36) for scheme in common.SCHEMES]
 
 
-def _price_sweep() -> None:
-    for model, app, bs, scheme, word in SWEEP_POINTS:
-        if model == "accel":
-            common.simulate(app, bs, scheme, word)
-        else:
-            common.simulate_cpu(app, bs, scheme, word)
-
-
 class TestMemoryCacheKeys:
     def test_cpu_point_generates_its_trace_once(self, cold_memos):
         """The CPU model and the chain planner each ask for the trace;
@@ -125,7 +117,11 @@ class TestMemoryCacheKeys:
         real = common.walk
         monkeypatch.setattr(
             common, "walk", lambda *args: walks.append(args) or real(*args))
-        _price_sweep()
+        for model, app, bs, scheme, word in SWEEP_POINTS:
+            if model == "accel":
+                common.simulate(app, bs, scheme, word)
+            else:
+                common.simulate_cpu(app, bs, scheme, word)
         assert len(walks) == 14
         assert len(set(walks)) == 14
         assert common.memory_cache_stats()["trace"]["misses"] == 14
