@@ -54,9 +54,12 @@ def ntt_forward(ctx, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def ntt_inverse(ctx, mat: np.ndarray) -> np.ndarray:
-    """Includes the ``n^-1`` scale."""
-    out = ctx._inverse_stages(mat)
+def ntt_inverse(
+    ctx, mat: np.ndarray, scale: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Includes the ``n^-1`` scale, and row ``i`` times ``scale[i]``
+    when ``scale`` is given; the output is fully reduced either way."""
+    out = ctx._inverse_stages(mat, scale)
     if _obs.ACTIVE:
         _obs.kernel("backend.numpy.ntt_inverse")
     return out

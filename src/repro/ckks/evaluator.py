@@ -30,7 +30,7 @@ from repro.ckks.keys import KeyChest, KeySwitchKey
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.obs import core as _obs
 from repro.nt.ntt import forward_rows, galois_permutation
-from repro.rns.convert import convert_by_table, scale_down, scale_up
+from repro.rns.convert import convert_by_table, scale_down_all, scale_up
 from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -462,10 +462,9 @@ def _mod_down(
     acc: Sequence[RnsPolynomial], specials: Sequence[int]
 ) -> tuple[RnsPolynomial, RnsPolynomial]:
     """``round(acc / P)``: NTT-form accumulators over ``M ∪ P`` to
-    coefficient form over ``M``, both in one inverse transform."""
-    acc0, acc1 = to_domain(acc, COEFF)
-    del acc  # drop the NTT-form pair before the scale_downs allocate
-    return scale_down(acc0, specials), scale_down(acc1, specials)
+    coefficient form over ``M``, both in one inverse transform that
+    also applies the mod-down's per-row constants."""
+    return tuple(scale_down_all(acc, specials))
 
 
 class _Logical(NamedTuple):

@@ -26,7 +26,7 @@ from repro.errors import ParameterError
 from repro.obs import core as _obs
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.schemes.chain import SCHEMES, ModulusChain  # SCHEMES: for the harnesses
-from repro.schemes.selection import word_primes
+from repro.schemes.selection import min_prime_bits, word_primes
 from repro.trace.program import HeTrace
 from repro.workloads.apps import BENCHMARKS, levels_for, walk
 from repro.workloads.bootstrap_model import SCHEDULES
@@ -219,6 +219,7 @@ _MEMORY_CACHES = {
     "chain": chain_for,
     "plan": _planned_chain,
     "word-primes": word_primes,
+    "min-prime-bits": min_prime_bits,
     "simulate": simulate,
     "simulate-cpu": simulate_cpu,
 }

@@ -41,20 +41,21 @@ candidate that wrapped past ``2^64`` is the large one, so one
 ``min(d, d + q)`` after a subtract) where a compare-and-select would
 spend three passes.  Operands must already be reduced below ``q``.
 
-**Lazy primitives** (what the NTT stage loops are built from).  The
-Shoup multiply is written against a machine word β:
-:func:`mod_mul_shoup_lazy` returns ``x·w − ⌊x·w′/β⌋·q ∈ [0, 2q)`` for
-any ``x < β`` and leaves the last conditional subtraction to the caller;
-:func:`lazy_fold` is that subtraction (``[0, 2m) → [0, m)``, one
-``min``), so a butterfly can carry ``[0, 2q)`` / ``[0, 4q)`` values
-across stages and reduce fully once.  It runs on uint32 arrays
-(``4q ≤ 2^32``, β = 2^32), where the whole product fits one uint64
-(:func:`mulhi32`) and every other step is a wrapping uint32 ufunc on
-half the bytes.  uint64 operands use :func:`mod_mul_shoup62_lazy`:
-β = 2^62 sizes the limb decomposition to the operand bound
-``x < 2^63 = 2β``, so the quotient needs three limb products, not
-four, and lands in ``[0, 4q)``; one fold by ``2q`` gives the
-butterflies' ``[0, 2q)``, and :func:`mod_mul_shoup` folds twice.
+**Lazy primitives** (what the NTT stage loops are built from).  A
+twiddle multiply returns a value congruent to ``x·w`` and below
+``2q`` (or ``4q``), and leaves the last conditional subtraction to the
+caller; :func:`lazy_fold` is that subtraction (``[0, 2m) → [0, m)``, one
+``min``), so a butterfly can carry unreduced values across stages and
+reduce fully once.  On uint32 arrays (``4q ≤ 2^31``)
+:func:`mod_mul_float_lazy` takes the quotient from float64: the int32
+view of ``x`` times a stored ``w/q``, truncated back to int32 — the
+two casts numpy does fastest — and the remainder ``x·w − q̂·q`` is one
+wrapping uint32 difference in ``[0, 2q)``.  uint64 operands use
+:func:`mod_mul_shoup62_lazy`, a Shoup multiply at β = 2^62: the limb
+decomposition is sized to the operand bound ``x < 2^63 = 2β``, so the
+quotient needs three limb products, not four, and lands in
+``[0, 4q)``; one fold by ``2q`` gives the butterflies' ``[0, 2q)``, and
+:func:`mod_mul_shoup` folds twice.
 
 **Exact float64 arithmetic** (what the four-step NTT of
 :mod:`repro.nt.ntt` is built from, for moduli ``q < 2^30`` only).  A
@@ -137,8 +138,6 @@ _SHIFT32 = np.uint64(32)
 _MASK31 = np.uint64(0x7FFFFFFF)
 _SHIFT31 = np.uint64(31)
 _U64_MAX = (1 << 64) - 1
-#: Which uint32 half of a uint64 word holds its high bits.
-_HI32 = 1 if sys.byteorder == "little" else 0
 
 
 def backend_kind(q: int) -> str:
@@ -255,22 +254,17 @@ def _per_modulus(q, fn):
     return np.uint64(fn(int(q)))
 
 
-def shoup_companion(w: np.ndarray, q, beta_bits: int = 64) -> np.ndarray:
-    """``floor(w * β / q)`` for a uint64 array ``w < q``, exactly.
+def shoup_companion(w: np.ndarray, q) -> np.ndarray:
+    """``floor(w * 2^64 / q)`` for a uint64 array ``w < q < 2^61``, exactly.
 
-    The precomputed half of Shoup multiplication (see
-    :func:`mod_mul_shoup_lazy`) at word ``β = 2^beta_bits``.  At
-    ``β = 2^32`` (``q ≤ 2^30``) the numerator fits a machine word and
-    one division per *table entry, once per table* does it.  At
-    ``β = 2^64`` (``q < 2^61``) it is vectorized without one: with ``b``
-    the bit length of ``q`` and ``m = floor(2^(63+b) / q)`` (one
-    Python-int division per *modulus*), ``floor(w * m / 2^(b-1))``
-    undershoots the quotient by at most 2; the wrapped remainder
-    ``-est * q`` then says by how much.
+    The precomputed half of a Shoup multiply at β = 2^64, which
+    :func:`shoup_limbs` cuts the β = 2^62 limbs from.  It is vectorized
+    without a division per entry: with ``b`` the bit length of ``q``
+    and ``m = floor(2^(63+b) / q)`` (one Python-int division per
+    *modulus*), ``floor(w * m / 2^(b-1))`` undershoots the quotient by
+    at most 2; the wrapped remainder ``-est * q`` then says by how much.
     """
     qa = _q_arr(q)
-    if beta_bits == 32:
-        return (w << _SHIFT32) // qa
     b = _per_modulus(q, int.bit_length)
     m = _per_modulus(q, lambda v: min((1 << (63 + v.bit_length())) // v, _U64_MAX))
     # The 128-bit product w * m, shifted right by b - 1 (fits 64 bits).
@@ -301,34 +295,55 @@ def two64_mod(q):
     return r64, (c >> _SHIFT31, c & _MASK31)
 
 
-def mulhi32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 32 bits of the 64-bit product ``a * b`` of two uint32 arrays.
+#: The factor :func:`float_quotient` nudges ``w/q`` down by (exact in
+#: float64), so that a float quotient estimate never exceeds the true one.
+_NUDGE = 1.0 - 2.0**-50
 
-    The word-halved :func:`mulhi64`: the whole product fits one uint64,
-    so it is one widening multiply, and the high words are read where
-    they lie (a strided uint32 view, no shift pass).
+
+def float_quotient(w: np.ndarray, q) -> np.ndarray:
+    """The float64 constant :func:`mod_mul_float_lazy` multiplies by:
+    ``w/q`` nudged down by the factor ``1 − 2^-50``, for ``w < q``
+    (``w`` and ``q`` integer arrays or ints, broadcast).
     """
-    wide = np.multiply(a, b.astype(np.uint64), order="C")
-    return wide.view(np.uint32)[..., _HI32::2]
+    return np.true_divide(
+        w, q, dtype=np.float64  # fhelint: ok[dtype-routing] estimates a quotient
+    ) * _NUDGE
 
 
-def mod_mul_shoup_lazy(x: np.ndarray, w, w_shoup, q, out=None) -> np.ndarray:
-    """``x·w − ⌊x·w′/β⌋·q``: congruent to ``x * w`` mod ``q`` and in
-    ``[0, 2q)``, for a constant ``w < q ≤ 2^30`` and *any* uint32
-    ``x < β = 2^32``.
+def mod_mul_float_lazy(x: np.ndarray, w, w_over_q, q, out=None) -> np.ndarray:
+    """``x·w − q̂·q``: congruent to ``x * w`` mod ``q`` and in ``[0, 2q)``,
+    for a uint32 constant ``w < q < 2^31`` and any uint32 ``x < 2^31``,
+    with the quotient ``q̂`` estimated in float64.
 
-    Every operand is uint32, and ``w′ = floor(w·2^32/q)`` is ``w``'s
-    :func:`shoup_companion` at ``beta_bits=32``.  The quotient estimate
-    is short of ``⌊x·w/q⌋`` by less than ``1 + x/β ≤ 2``, so the wrapped
-    low-word difference is the true remainder plus at most one ``q``.
-    The caller owns the last conditional subtraction
-    (:func:`lazy_fold`), or carries the lazy value on.  ``w``,
-    ``w_shoup`` and ``q`` broadcast against ``x``; ``out`` receives the
-    result (it may be a strided view).  uint64 operands take
-    :func:`mod_mul_shoup62_lazy`.
+    ``w_over_q`` is ``w``'s :func:`float_quotient`.  ``q̂`` is the
+    float64 product of the int32 view of ``x`` (exact: ``x < 2^31``)
+    and ``w_over_q``, truncated to int32.  With ``u = 2^-53`` the
+    stored constant is ``(w/q)(1 − 2^-50)(1 + δ1)(1 + δ2)`` and the
+    product adds a third factor ``(1 + δ3)``, every ``|δ| ≤ u``, so the
+    estimate is ``(x·w/q)·f`` with ``1 − 2^-49 < f ≤ (1 − 2^-50)(1 + u)^3
+    < 1``:
+
+    - it never exceeds ``x·w/q`` (equal only at ``x·w = 0``, where both
+      are 0), so ``q̂ ≤ ⌊x·w/q⌋`` and the remainder ``r = x·w − q̂·q`` is
+      not negative, even at the exact multiples ``x ∈ {q, 2q, 3q}``
+      (there ``q̂`` is one short and ``r = q``);
+    - it is short of ``x·w/q < x < 2^31`` by less than
+      ``2^31 · 2^-49 = 2^-18``, so truncation loses less than
+      ``1 + 2^-18`` and ``r < (1 + 2^-18)·q < 2q``.
+
+    ``q̂ < 2^31`` fits int32, and ``r < 2q < 2^32``, so the wrapping
+    uint32 difference of ``x·w`` and ``q̂·q`` is ``r`` exactly.  The
+    caller owns the last conditional subtraction (:func:`lazy_fold`) or
+    carries the lazy value on.  ``w``, ``w_over_q`` and ``q`` (uint32)
+    broadcast against ``x``; ``out`` receives the result (it may be a
+    strided view).  uint64 operands take :func:`mod_mul_shoup62_lazy`.
     """
-    r = mulhi32(x, w_shoup) * q
-    return np.subtract(x * w, r, out=r if out is None else out)
+    t = x.view(np.int32).astype(np.float64)  # fhelint: ok[dtype-routing] exact
+    t *= w_over_q
+    q_hat = t.astype(np.int32).view(np.uint32)
+    q_hat *= q
+    r = x * w
+    return np.subtract(r, q_hat, out=r if out is None else out)
 
 
 def mod_mul_shoup62_lazy(x: np.ndarray, w, w_limbs, q, out=None) -> np.ndarray:

@@ -19,22 +19,31 @@ is written exactly once; a single prime is the ``k = 1`` context
 (:func:`ntt_context`).
 
 **Lazy and division-free.**  The butterflies are Harvey's: every twiddle
-product is a Shoup multiply ``x·w − ⌊x·w′/β⌋·q`` brought into
-``[0, 2q)`` (:func:`repro.nt.modmath.mod_mul_shoup_lazy`,
-:func:`repro.nt.modmath.mod_mul_shoup62_lazy`), and values ride
-unreduced between stages — ``[0, 4q)`` forward, ``[0, 2q)`` inverse —
-with one conditional subtraction per butterfly
+product is ``x·w − q̂·q`` for a quotient estimate ``q̂`` that is never
+too large, brought into ``[0, 2q)``, and values ride unreduced between
+stages — up to ``4q`` (or ``8q``) forward, ``[0, 2q)`` inverse — with at
+most one conditional subtraction per butterfly
 (:func:`repro.nt.modmath.lazy_fold`) and one full reduction per
 transform.  No stage divides.  The machine word is the stack's widest
-modulus's: ``4q ≤ 2^32`` runs *everything* — working matrix, constants,
-companions — in uint32 at β = 2^32, where the high word of ``x·w′`` is
-one widening multiply (the 28-bit words BitPacker makes the sweet spot
-land here); every wider stack runs in uint64 at β = 2^62, the
-companion stored as two 31-bit limbs and the quotient built from three
-limb products (``4q < 2^63 = 2β`` bounds every operand, as every
-modulus is below 2^61; a prime in ``[2^30, 2^31)`` lands here too: its
-``4q`` no longer fits the half word).  The word is known only to
-``_twiddle_mul`` and ``lazy_fold``.
+modulus's: ``4q ≤ 2^31`` runs the working matrix and the constants in
+uint32, the quotient read from float64 as the int32 view of ``x``
+times a stored ``w/q`` (:func:`repro.nt.modmath.mod_mul_float_lazy`:
+int32 ↔ float64 are the casts numpy does fastest; the 28-bit words
+BitPacker makes the sweet spot land here); every wider stack runs in
+uint64 at β = 2^62, a Shoup multiply whose companion is stored as two
+31-bit limbs and whose quotient is built from three limb products
+(:func:`repro.nt.modmath.mod_mul_shoup62_lazy`; ``4q < 2^63 = 2β``
+bounds every operand, as every modulus is below 2^61; a prime in
+``[2^29, 2^31)`` lands here too: its ``4q`` no longer fits the int32
+view).  The word is known only to ``_twiddle_mul`` and ``lazy_fold``.
+The inverse's ``n^-1`` costs no pass of its own: on uint32 it rides
+the last stage's butterfly (``u' = (u + v)·n^-1``,
+``v' = d·(w·n^-1)``), on uint64 it is the one constant multiply
+before the full reduction, and on the four-step kernel it is folded
+into the twiddle table.  An inverse also takes a per-row ``scale``
+(``INTT(x)·scale_i mod q_i``), which rides the same constant: that is
+how a mod-down's digit and ``P^-1`` constants cost no pass either
+(:func:`repro.rns.convert.scale_down`).
 
 **Short strides run transposed.**  A stage with half-length ``t`` walks
 numpy inner loops ``t`` long, so the last forward (first inverse) stages
@@ -48,9 +57,9 @@ accelerator's NTT FU uses — where those stages' inner loops are
 runs it as one pass: the stage constants broadcast over the leading
 axis, so the per-stage Python cost is paid once for all ``m``.
 
-**Small rings: the four-step kernel.**  A stack whose word is uint32
-(every ``q < 2^30``) and whose ``n ≤ 1024`` (``_FOUR_STEP_MAX_N``) runs
-no stage loop.  With ``n = n1·n2``, ``n1 = 2^⌈log2(n)/2⌉``, coefficient
+**Small rings: the four-step kernel.**  A stack whose every
+``q < 2^30`` and whose ``n ≤ 1024`` (``_FOUR_STEP_MAX_N``) runs no stage
+loop, and works in uint32.  With ``n = n1·n2``, ``n1 = 2^⌈log2(n)/2⌉``, coefficient
 ``j = n2·j1 + j2`` and output slot ``i = n2·i1 + i2``, the negacyclic
 transform is an ``n1``-point DFT over ``j1``, an elementwise twiddle and
 an ``n2``-point DFT over ``j2`` — the two ``√n``-sized phases of the
@@ -70,8 +79,9 @@ times a value below ``1.5·2^30``, summed over at most 32 terms, stays
 below ``1.5·2^51`` — so BLAS computes each product exactly in any
 summation order and on any thread count, and the quotient estimates are
 bounded in :mod:`repro.nt.modmath`.  Outputs are bit-identical to the
-stage loop's.  The gate is fixed at construction from the word and
-``n`` alone; wider stacks and larger rings run the stage loop.
+stage loop's.  The gate is fixed at construction from the widest
+modulus and ``n`` alone; wider stacks and larger rings run the stage
+loop.
 
 Contexts are cached per moduli tuple.  Every constant either kernel
 multiplies by is indexed out of one row of ``ψ`` powers cached per
@@ -79,9 +89,11 @@ multiplies by is indexed out of one row of ``ψ`` powers cached per
 direction's first transform, so a context that only runs forward holds
 half of them; they are the software analogue of the accelerator's
 precomputed twiddle ROMs.  In the stage loop each constant and its
-companion (:func:`repro.nt.modmath.shoup_companion`, or on uint64 its
-limbs, :func:`repro.nt.modmath.shoup_limbs`) is stored once, in the
-stack's word and in the order its stage reads it.
+quotient helper (on uint32 its float64 ``w/q``,
+:func:`repro.nt.modmath.float_quotient`; on uint64 its Shoup limbs,
+:func:`repro.nt.modmath.shoup_limbs`) is stored once, in the order its
+stage reads it.  The constants an inverse's ``n^-1·scale`` rides are
+built once per scale and kept on the context.
 """
 
 from __future__ import annotations
@@ -180,6 +192,15 @@ def _four_step_exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.remainder(e, 2 * n) for e in exponents)
 
 
+def _centred(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A four-step twiddle as :func:`modmath.mod_mul_centred` reads it:
+    the uint64 table ``w < q`` in int64, and its float64 ``w/q``."""
+    return (
+        w.astype(np.int64),
+        w / q.astype(np.float64),  # fhelint: ok[dtype-routing] estimates a quotient
+    )
+
+
 #: Block size from which the stages run transposed (see ``_tail_view``).
 _TAIL = 16
 
@@ -199,12 +220,12 @@ class NttRowsContext:
     ``moduli[i]`` — in one pass per stage, with the per-prime constants
     stacked per stage and the moduli broadcast as a ``(k, 1, 1, 1)``
     column over the stage views.  The widest modulus picks the machine
-    word β for the whole stack: ``4q ≤ 2^32`` works in uint32 (matrix,
-    constants and Shoup multiply at β = 2^32), anything else below 2^61
-    in uint64 at β = 2^62 — exact for narrower rows too.  Every
-    residue matrix in and out is uint64.  A single prime is
-    the ``k = 1`` case (:func:`ntt_context`), which also takes and
-    returns 1-D rows; an ``(m, k, n)`` stack is ``m`` such matrices.
+    word for the whole stack: ``4q ≤ 2^31`` works in uint32 (matrix and
+    constants, the quotient from float64), anything else below 2^61 in
+    uint64 at β = 2^62 — exact for narrower rows too.  Every residue
+    matrix in and out is uint64.  A single prime is the ``k = 1`` case
+    (:func:`ntt_context`), which also takes and returns 1-D rows; an
+    ``(m, k, n)`` stack is ``m`` such matrices.
 
     Parameters
     ----------
@@ -226,13 +247,14 @@ class NttRowsContext:
         self.n = n
         k = len(moduli)
         self._q_col = np.array(moduli, dtype=np.uint64).reshape(k, 1)
-        # The word the stage loops work in.  Values ride up to 4q
-        # between stages and must stay below β; a uint32 word also
-        # holds every constant (w < q) and companion (w' < 2^32).
-        self._word = np.uint32 if 4 * widest <= 1 << 32 else np.uint64
         self._tail = min(n, _TAIL)
-        # Small rings over the uint32 word run the four-step kernel.
-        self._four_step = self._word is np.uint32 and n <= _FOUR_STEP_MAX_N
+        # Small rings of primes below 2^30 run the four-step kernel.
+        self._four_step = widest < 1 << 30 and n <= _FOUR_STEP_MAX_N
+        # The word the kernel works in.  The four-step fold holds values
+        # below 3.5q < 2^32; the stage loops carry values up to 4q, which
+        # the uint32 multiply reads as int32, so that word needs 4q ≤ 2^31.
+        narrow = self._four_step or 4 * widest <= 1 << 31
+        self._word = np.uint32 if narrow else np.uint64
         # The moduli in the word, as each kernel's folds read them: a
         # column over the stage loop's 5-D views; one per coefficient of
         # the four-step kernel's (k, n1, n2) blocks, whose tables
@@ -244,52 +266,59 @@ class NttRowsContext:
         else:
             self._q = q.reshape(k, 1, 1, 1)
         self._two_q = self._q * 2
+        # The constants an inverse's n^-1 · scale rides, one entry per
+        # scale (_inverse_finish).
+        self._finish: dict = {}
+
+    def _quotient_helper(self, w: np.ndarray):
+        """What :meth:`_twiddle_mul` reads beside a uint64 constant array
+        ``w`` (``(k, ...)``, row ``i`` below ``moduli[i]``): its float64
+        ``w/q`` (:func:`modmath.float_quotient`) on the uint32 word, its
+        Shoup limbs (:func:`modmath.shoup_limbs`) on uint64."""
+        q = self._q_col.reshape(-1, *(1,) * (w.ndim - 1))
+        if self._word is np.uint32:
+            return modmath.float_quotient(w, q)
+        return modmath.shoup_limbs(w, q)
 
     def _plan(self, inverse: bool) -> list[tuple]:
-        """One direction's stages, fewest blocks first: ``(shape, w, w')``.
+        """One direction's stages, fewest blocks first: ``(shape, w, w̃)``.
 
         ``shape`` is the ``(k, blocks, 2, rows, cols)`` view a stage's
         butterflies take of each working matrix — ``[..., 0, :, :]`` the
         upper halves, ``[..., 1, :, :]`` the lower; ``w`` its constants,
-        ``w'`` their Shoup companions at this stack's β (a ``(high,
-        low)`` pair of 31-bit limbs on uint64), stored once, in the
-        stack's word and in the order the view walks them, shaped to
-        broadcast against a half.  A stage with half-length
-        ``t > _TAIL / 2`` sees natural order as ``(blocks, 2, 1, t)``
-        with one constant per block; a shorter one sees the transposed
-        layout (:meth:`_tail_view`) as ``(blocks / cols, 2, t, cols)``,
-        where block ``c * b + j`` sits at group ``j`` of column ``c``,
-        so its constants are stored ``(b, 1, cols)``.  The inverse's
-        list ends with the ``n^-1`` scale over the whole ``(k, 1, 1, n)``
-        matrix.
+        in the stack's word, and ``w̃`` what the multiply reads beside
+        them (:meth:`_quotient_helper`), stored once, in the order the
+        view walks them, shaped to broadcast against a half.  A stage
+        with half-length ``t > _TAIL / 2`` sees natural order as
+        ``(blocks, 2, 1, t)`` with one constant per block; a shorter one
+        sees the transposed layout (:meth:`_tail_view`) as
+        ``(blocks / cols, 2, t, cols)``, where block ``c * b + j`` sits
+        at group ``j`` of column ``c``, so its constants are stored
+        ``(b, 1, cols)``.
         """
         k, n = len(self.moduli), self.n
         # Entry i is the bit-reversed ψ (ψ^-1) power butterfly block i
-        # multiplies by.  Slot 0 (ψ^0) is read by no stage; the inverse
-        # keeps n^-1 there, so a table is every constant of its direction.
+        # multiplies by.  Slot 0 (ψ^0) is read by no stage.
         exponents = _bit_reversed_exponents(n)[inverse]
         table = np.stack([_psi_row(q, n)[exponents] for q in self.moduli])
-        if inverse:
-            table[:, 0] = [modmath.mod_inv(n, q) for q in self.moduli]
-        if self._word is np.uint32:
-            shoup = modmath.shoup_companion(table, self._q_col, 32)
-        else:
-            shoup = modmath.shoup_limbs(table, self._q_col)
+        helper = self._quotient_helper(table)
         cols = n // self._tail
 
         def layout(tb: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:
+            # Residues go to the word; a float64 w/q stays float64.
+            dtype = self._word if tb.dtype == np.uint64 else tb.dtype
             return (
                 tb[:, lo:hi]
                 .reshape(k, width, 1, -1)
                 .swapaxes(1, 3)
-                .astype(self._word, order="C")
+                .astype(dtype, order="C")
             )
 
         def constants(lo: int, hi: int, width: int) -> list:
             w = layout(table, lo, hi, width)
-            if isinstance(shoup, tuple):
-                return [w, tuple(layout(tb, lo, hi, width) for tb in shoup)]
-            return [w, layout(shoup, lo, hi, width)]
+            if isinstance(helper, tuple):
+                return [w, tuple(layout(tb, lo, hi, width) for tb in helper)]
+            return [w, layout(helper, lo, hi, width)]
 
         plan = []
         m = 1
@@ -300,8 +329,6 @@ class NttRowsContext:
             else:
                 plan.append(((k, m // cols, 2, t, cols), *constants(m, 2 * m, cols)))
             m *= 2
-        if inverse:
-            plan.append(((k, 1, 1, n), *constants(0, 1, 1)))
         return plan
 
     # Each direction's constants are built on that direction's first
@@ -315,22 +342,63 @@ class NttRowsContext:
     def _inverse_plan(self):
         return self._plan(True)
 
+    def _inverse_finish(self, scale: tuple[int, ...] | None) -> tuple:
+        """The constants that carry an inverse's ``c_i = n^-1 · scale_i
+        mod q_i`` (``scale=None`` reads as ones), built on the first
+        inverse at that ``scale`` and kept on the context:
+
+        - four-step: the inverse twiddle times ``c``, in int64 beside its
+          float64 ``w/q`` (:meth:`_four_step_pass`);
+        - uint32 stage loop: ``((c, c̃), (w_1·c, (w_1·c)~))``, the merged
+          last butterfly's two constants (``w_1`` is that stage's own
+          twiddle);
+        - uint64 stage loop: ``((c, c̃),)``, the one multiply after the
+          last stage.
+
+        ``~`` is :meth:`_quotient_helper`; the stage loops' constants are
+        ``(k, 1, 1, 1)`` against the stage views.
+        """
+        finish = self._finish.get(scale)
+        if finish is not None:
+            return finish
+        k, n = len(self.moduli), self.n
+        c = np.array(
+            [modmath.mod_inv(n, q) * s % q
+             for q, s in zip(self.moduli, scale or (1,) * k)],
+            dtype=np.uint64,
+        ).reshape(k, 1, 1)
+        q = self._q_col.reshape(k, 1, 1)
+        if self._four_step:
+            twiddle = self._four_step_inverse[2]
+            finish = _centred(modmath.mod_mul(twiddle, c, q, "narrow"), q)
+        else:
+            c = c.reshape(k, 1, 1, 1)
+            consts = [c]
+            if self._word is np.uint32:
+                w_1 = self._inverse_plan[0][1].astype(np.uint64)
+                consts.append(modmath.mod_mul(w_1, c, q[..., None], "narrow"))
+            finish = tuple(
+                (v.astype(self._word), self._quotient_helper(v)) for v in consts
+            )
+        self._finish[scale] = finish
+        return finish
+
     def _four_step_tables(self, inverse: bool) -> tuple:
         """One direction's four-step tables, stacked over the primes:
-        ``(left, right, w, w/q)``.
+        ``(left, right, twiddle)``.
 
         ``left`` is ``(2, 1, k, n1, n1)``: the :func:`modmath.split_limbs`
         of the matrix the ``n1``-point phase multiplies from the left,
         shaped so that one ``np.matmul`` against an ``(m, k, n1, n2)``
         stack yields both limb sums as ``(2, m, k, n1, n2)``; ``right``
         is ``(2, 1, k, n2, n2)``, the limbs of the matrix the
-        ``n2``-point phase multiplies from the right; ``w`` is the
-        ``(k, n1, n2)`` int64 twiddle and ``w/q`` its float64 quotient.
-        The inverse negates every exponent, transposes both matrices (it
-        runs the phases in the opposite order) and scales its twiddle by
-        ``n^-1``.
+        ``n2``-point phase multiplies from the right; ``twiddle`` is the
+        ``(k, n1, n2)`` uint64 table of ``ψ`` powers between them.  The
+        inverse negates every exponent and transposes both matrices (it
+        runs the phases in the opposite order); its twiddle takes
+        ``n^-1`` (and a scale) in :meth:`_inverse_finish`.
         """
-        n, k = self.n, len(self.moduli)
+        n = self.n
         left, twiddle, right = _four_step_exponents(n)
         if inverse:
             # ψ^-e is ψ^(2n - e).
@@ -340,23 +408,17 @@ class NttRowsContext:
         else:
             right = right.T
         rows = np.stack([_psi_row(q, n) for q in self.moduli])
-        w = rows[:, twiddle]
-        if inverse:
-            n_inv = np.array([modmath.mod_inv(n, q) for q in self.moduli],
-                             dtype=np.uint64).reshape(k, 1, 1)
-            w = modmath.mod_mul(w, n_inv, self._q_col.reshape(k, 1, 1), "narrow")
-        w = w.astype(np.int64)
         return (
             modmath.split_limbs(rows[:, left])[:, None],
             modmath.split_limbs(rows[:, right])[:, None],
-            w,
-            # fhelint: ok[dtype-routing] w/q only estimates a quotient
-            w / self._q_col.reshape(k, 1, 1).astype(np.float64),
+            rows[:, twiddle],
         )
 
     @cached_property
     def _four_step_forward(self):
-        return self._four_step_tables(False)
+        left, right, twiddle = self._four_step_tables(False)
+        q = self._q_col.reshape(-1, 1, 1)
+        return left, right, *_centred(twiddle, q)
 
     @cached_property
     def _four_step_inverse(self):
@@ -369,26 +431,28 @@ class NttRowsContext:
         q = self._q.astype(np.float64)  # fhelint: ok[dtype-routing] q < 2^30, exact
         return q, 1 / q
 
-    def _four_step_pass(self, mat: np.ndarray, inverse: bool) -> np.ndarray:
+    def _four_step_pass(self, mat: np.ndarray, inverse: bool, scale=None) -> np.ndarray:
         """The four-step kernel: two batched float64 matrix products,
         exact, with an int64 twiddle product between them.
 
         ``mat`` is seen as an ``(m, k, n1, n2)`` stack.  Forward runs
         the ``n1``-point phase (``left @ ·``, over ``j1``), the twiddle
         and the ``n2``-point phase (``· @ right``, over ``j2``); inverse
-        runs them mirrored.  After each product
-        :func:`modmath.limb_residue` recombines the two limb sums to a
-        centred residue; :func:`modmath.mod_mul_centred` twiddles in
-        place, and :func:`modmath.centred_fold` lands the result in
-        ``[0, q)``.  Every value a float holds is an exact integer below
-        2^53 (the bounds are in :mod:`repro.nt.modmath`).  The layout
-        never changes: the per-prime tables broadcast over the leading
-        ``m`` only, so every elementwise call runs over contiguous
-        ``(k, n1, n2)`` blocks.
+        runs them mirrored, with ``n^-1 · scale`` in its twiddle.  After
+        each product :func:`modmath.limb_residue` recombines the two limb
+        sums to a centred residue; :func:`modmath.mod_mul_centred`
+        twiddles in place, and :func:`modmath.centred_fold` lands the
+        result in ``[0, q)``.  Every value a float holds is an exact
+        integer below 2^53 (the bounds are in :mod:`repro.nt.modmath`).
+        The layout never changes: the per-prime tables broadcast over
+        the leading ``m`` only, so every elementwise call runs over
+        contiguous ``(k, n1, n2)`` blocks.
         """
-        left, right, w, w_over_q = (
-            self._four_step_inverse if inverse else self._four_step_forward
-        )
+        if inverse:
+            left, right, _ = self._four_step_inverse
+            w, w_over_q = self._inverse_finish(scale)
+        else:
+            left, right, w, w_over_q = self._four_step_forward
         q, q_inv = self._four_step_moduli
         x = mat.reshape(-1, *self._q.shape).astype(
             # fhelint: ok[dtype-routing] exact integers below 2^53 in any
@@ -447,16 +511,17 @@ class NttRowsContext:
             [kernel(self, part) for part in np.array_split(mat, parts)]
         )
 
-    def _twiddle_mul(self, x: np.ndarray, w, w_shoup, out=None) -> np.ndarray:
+    def _twiddle_mul(self, x: np.ndarray, w, w_aux, out=None) -> np.ndarray:
         """``x`` times a stage's constants, lazily: congruent mod ``q``
-        and in ``[0, 2q)`` for every ``x < 4q`` — the one width-aware
-        multiply.  uint32 Shoup-multiplies at β = 2^32; uint64 at
-        β = 2^62 from the companion's limbs (``4q < 2^63``), whose
-        ``[0, 4q)`` one fold by ``2q`` brings in.
+        and in ``[0, 2q)`` for every ``x`` the stage loops carry — the
+        one width-aware multiply.  uint32 (``x < 2^31``) takes the
+        quotient from float64 (``w_aux`` is ``w/q``); uint64
+        (``x < 2^63``) Shoup-multiplies at β = 2^62 from the companion's
+        limbs (``w_aux``), whose ``[0, 4q)`` one fold by ``2q`` brings in.
         """
         if self._word is np.uint32:
-            return modmath.mod_mul_shoup_lazy(x, w, w_shoup, self._q, out)
-        r = modmath.mod_mul_shoup62_lazy(x, w, w_shoup, self._q)
+            return modmath.mod_mul_float_lazy(x, w, w_aux, self._q, out)
+        r = modmath.mod_mul_shoup62_lazy(x, w, w_aux, self._q)
         return modmath.lazy_fold(r, self._two_q, out=out)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
@@ -474,7 +539,7 @@ class NttRowsContext:
 
     def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
         """The numpy forward kernel: :meth:`_four_step_pass` on a small
-        uint32 ring, else the stage loop.
+        ring, else the stage loop.
 
         Cooley–Tukey DIT with Harvey's lazy butterfly: values enter a
         stage in ``[0, 4q)``, the upper half folds to ``[0, 2q)``, the
@@ -490,14 +555,14 @@ class NttRowsContext:
         # reduction and copy as everything else.
         a = mat.astype(self._word).reshape(-1, len(self.moduli), 1, 1, self.n)
         t = self.n
-        for shape, w, w_shoup in self._forward_plan:
+        for shape, w, w_aux in self._forward_plan:
             t //= 2
             if 2 * t == self._tail:
                 a = self._tail_view(a).copy()
             blk = a.reshape(-1, *shape)
             u, v = blk[:, :, :, 0], blk[:, :, :, 1]
             x = modmath.lazy_fold(u, self._two_q)
-            y = self._twiddle_mul(v, w, w_shoup)
+            y = self._twiddle_mul(v, w, w_aux)
             np.add(x, y, out=u)
             np.subtract(x, y, out=y)
             np.add(y, self._two_q, out=v)
@@ -505,45 +570,70 @@ class NttRowsContext:
         modmath.lazy_fold(a, self._q, out=a)
         return a.swapaxes(3, 4).astype(np.uint64, order="C").reshape(mat.shape)
 
-    def inverse(self, mat: np.ndarray) -> np.ndarray:
-        """NTT -> coefficient transform of a ``(k, n)`` matrix or stack.
+    def inverse(
+        self, mat: np.ndarray, scale: tuple[int, ...] | None = None
+    ) -> np.ndarray:
+        """NTT -> coefficient transform of a ``(k, n)`` matrix or stack,
+        row ``i`` times ``scale[i]`` (any integers; ``None`` reads as
+        ones) and fully reduced.
 
         Crosses the kernel boundary (:mod:`repro.backends`), which
         counts the call and lands back on :meth:`_inverse_stages`.
         """
         if mat.ndim == 1:
-            return self.inverse(mat[None])[0]
+            return self.inverse(mat[None], scale)[0]
         self._check(mat)
+        if scale is not None and len(scale) != len(self.moduli):
+            raise ParameterError(
+                f"expected {len(self.moduli)} scale constants, got {len(scale)}"
+            )
         if mat.ndim == 3:
-            return self._by_parts(_backends.ntt_inverse, mat)
-        return _backends.ntt_inverse(self, mat)
+            return self._by_parts(
+                lambda ctx, part: _backends.ntt_inverse(ctx, part, scale), mat
+            )
+        return _backends.ntt_inverse(self, mat, scale)
 
-    def _inverse_stages(self, mat: np.ndarray) -> np.ndarray:
+    def _inverse_stages(
+        self, mat: np.ndarray, scale: tuple[int, ...] | None = None
+    ) -> np.ndarray:
         """The numpy inverse kernel: :meth:`_four_step_pass` on a small
-        uint32 ring, else the stage loop.
+        ring, else the stage loop; ``n^-1 · scale`` rides the constants
+        of :meth:`_inverse_finish`.
 
         Gentleman–Sande DIF with the lazy butterfly mirrored: values
         stay in ``[0, 2q)``; the sum folds back from ``[0, 4q)``, the
         ``2q``-shifted difference (``< 4q``) goes through the twiddle
-        product.  The ``n^-1`` scale is one more constant multiply and
-        the one full reduction follows it.
+        product.  On uint32 (where ``n > 1024``: the last stage is one
+        natural-order block per row) the last butterfly multiplies the
+        sum by ``c`` instead of folding it, and the difference by
+        ``w_1·c``; on uint64 ``c`` is one more constant multiply.  The
+        one full reduction follows.
         """
         if self._four_step:
-            return self._four_step_pass(mat, inverse=True)
-        *stages, (whole, n_inv, n_inv_shoup) = self._inverse_plan
+            return self._four_step_pass(mat, inverse=True, scale=scale)
+        finish = self._inverse_finish(scale)
+        merged = len(finish) == 2
+        stages = self._inverse_plan[::-1]
         a = self._tail_view(mat).astype(self._word, order="C")
         t = 1
-        for shape, w, w_shoup in reversed(stages):
+        for i, (shape, w, w_aux) in enumerate(stages, 1):
             blk = a.reshape(-1, *shape)
             u, v = blk[:, :, :, 0], blk[:, :, :, 1]
             d = u - v
             d += self._two_q
-            modmath.lazy_fold(u + v, self._two_q, out=u)
-            self._twiddle_mul(d, w, w_shoup, out=v)
+            if merged and i == len(stages):
+                (c, c_aux), (w, w_aux) = finish
+                self._twiddle_mul(u + v, c, c_aux, out=u)
+            else:
+                modmath.lazy_fold(u + v, self._two_q, out=u)
+            self._twiddle_mul(d, w, w_aux, out=v)
             if 2 * t == self._tail:
                 a = a.swapaxes(3, 4).copy()
             t *= 2
-        a = self._twiddle_mul(a.reshape(-1, *whole), n_inv, n_inv_shoup)
+        if not merged:
+            ((c, c_aux),) = finish
+            a = self._twiddle_mul(a.reshape(-1, len(self.moduli), 1, 1, self.n),
+                                  c, c_aux)
         modmath.lazy_fold(a, self._q, out=a)
         return a.astype(np.uint64, copy=False).reshape(mat.shape)
 
@@ -598,12 +688,20 @@ def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     return out
 
 
-def inverse_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+def inverse_rows(
+    mat: np.ndarray, moduli: Sequence[int], scale: Sequence[int] | None = None
+) -> np.ndarray:
     """Inverse NTT of every row of a ``(k, n)`` residue matrix — or of an
-    ``(m, k, n)`` stack of matrices over the same moduli — at once."""
+    ``(m, k, n)`` stack of matrices over the same moduli — at once.
+
+    With ``scale`` (one integer per modulus) row ``i`` comes out times
+    ``scale[i]``, fully reduced, at no extra pass: the constants ride
+    the transform's ``n^-1`` and are built once per scale."""
     if not isinstance(moduli, tuple):
         moduli = tuple(int(q) for q in moduli)
-    out = ntt_rows_context(moduli, mat.shape[-1]).inverse(mat)
+    if scale is not None and not isinstance(scale, tuple):
+        scale = tuple(int(s) for s in scale)
+    out = ntt_rows_context(moduli, mat.shape[-1]).inverse(mat, scale)
     if _obs.ACTIVE:
         _obs.kernel("ntt.inverse", mat.size, moduli,
                     (("inverse_rows input", mat), ("inverse_rows output", out)))

@@ -201,6 +201,21 @@ class ConversionTable:
             [mod_inv(big_q % p, p) for p in self.dst.moduli]
         )
 
+    @cached_property
+    def weights_over_product(self) -> np.ndarray:
+        """``weights`` with row ``j`` times ``Q^{-1} mod p_j``: the fold
+        matrix of a conversion whose result ``scale_down`` divides by
+        ``Q`` — the division rides the fold's one reduction (its ``α``
+        column is ``-1 mod p_j``)."""
+        inv = self.inv_product.col.ravel().tolist()
+        return np.array(
+            [
+                [w * c % p for w in row]
+                for row, c, p in zip(self.weights.tolist(), inv, self.dst.moduli)
+            ],
+            dtype=np.uint64,
+        )
+
 
 @lru_cache(maxsize=4096)
 def restriction(

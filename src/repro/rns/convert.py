@@ -14,9 +14,11 @@ These are the level-management primitives of the paper:
 - :func:`drop_moduli` — the original RNS-CKKS approximate mod-down, which
   simply discards residues (used when adjusting across multiple levels).
 
-``base_convert`` and ``scale_down`` demand coefficient form and raise
-otherwise (a coefficient's residues are read across rows); ``scale_up``
-and ``drop_moduli`` are row-local and work in either domain.  The
+``base_convert`` demands coefficient form and raises otherwise (a
+coefficient's residues are read across rows); ``scale_down`` takes
+either form and returns coefficient form — on an NTT-form input its
+per-row constants ride the inverse transform; ``scale_up`` and
+``drop_moduli`` are row-local and work in either domain.  The
 constants of a conversion — CRT digit multipliers, ``1/q``, the fold
 weights, the ``P^{-1}`` that finishes a scale-down — live in one cached
 :class:`repro.rns.basis.ConversionTable` per basis pair.
@@ -25,15 +27,23 @@ weights, the ``P^{-1}`` that finishes a scale-down — live in one cached
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 import repro.backends as _backends
 from repro.errors import ParameterError
+from repro.nt import modmath
 from repro.obs import core as _obs
-from repro.rns.basis import ConversionTable, RnsBasis, conversion_table, extension
-from repro.rns.poly import COEFF, RnsPolynomial
+from repro.rns.basis import (
+    ConversionTable,
+    RnsBasis,
+    ScalarColumn,
+    conversion_table,
+    extension,
+    restriction,
+)
+from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
 
 def base_convert(
@@ -85,12 +95,25 @@ def convert_by_table(
     conversion it repeats, as a keyswitch key does per digit."""
     if poly.domain != COEFF:
         raise ParameterError("base_convert requires coefficient domain")
-    src, dst = table.src, table.dst
-    n = src.n
-    k = src.size
     # v_i = x_i * (Q/q_i)^{-1} mod q_i : the CRT decomposition digits.
     digits = poly.rowwise_scalar_mul(table.digit).mat
-    weights = table.weights
+    out = _fold(digits, table, table.weights, poly.mat, exact)
+    return RnsPolynomial(table.dst, out, COEFF)
+
+
+def _fold(
+    digits: np.ndarray,
+    table: ConversionTable,
+    weights: np.ndarray,
+    source: np.ndarray,
+    exact: bool = True,
+) -> np.ndarray:
+    """``Σ_i v_i · weights[:, i]`` over the CRT ``digits`` of a
+    ``table.src`` matrix (``source``, held to the residue rule by the
+    sanitizer), minus ``α · weights[:, k]`` when ``exact``: the fold of
+    :func:`base_convert`, fully reduced mod each destination."""
+    src, dst = table.src, table.dst
+    k, n = digits.shape
     stack = np.empty((k + 1 if exact else k, n), dtype=np.uint64)
     stack[:k] = digits
     if exact:
@@ -107,8 +130,8 @@ def convert_by_table(
         # Volume: source digits read plus destination residues produced,
         # the CRB FU's (src + dst) x n element traffic.
         _obs.kernel("base_convert", (k + dst.size) * n, src.moduli,
-                    (("base_convert input", poly.mat),))
-    return RnsPolynomial(dst, out, COEFF)
+                    (("base_convert input", source),))
+    return out
 
 
 def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
@@ -135,26 +158,89 @@ def scale_down(
     unit so that shedding ``k`` residues costs about the same as shedding
     one (Sec. 4.3).  Rounding to nearest falls out of the centered base
     conversion: the symmetric remainder ``[x]_P`` is subtracted before the
-    exact division by ``P``.  Demands coefficient form, like the base
-    conversion inside it.
+    exact division by ``P``.  Takes either domain and returns
+    coefficient form (:func:`scale_down_all` of one polynomial).
     """
-    if poly.domain != COEFF:
-        raise ParameterError("scale_down requires coefficient domain")
+    return scale_down_all([poly], shed_moduli)[0]
+
+
+def scale_down_all(
+    polys: Sequence[RnsPolynomial], shed_moduli: Sequence[int]
+) -> list[RnsPolynomial]:
+    """:func:`scale_down` of sibling polynomials over one basis, each
+    returned in coefficient form.
+
+    The per-row constants come first, all in one multiply: the shed rows
+    times ``(P/p_i)^{-1} mod p_i``, which makes them the CRT digits of
+    ``[x]_P``, and the kept rows times ``P^{-1}``.  On an NTT-form
+    polynomial that multiply rides its inverse transform
+    (:func:`repro.rns.poly.to_domain` with a ``scale``), so the NTT-form
+    siblings share one scaled inverse and no separate multiply runs; a
+    coefficient-form one takes one ``rowwise_scalar_mul``.  The digits
+    then fold against the table's ``P^{-1}``-premultiplied weights
+    (:attr:`ConversionTable.weights_over_product`) into ``[x]_P·P^{-1}``
+    per kept modulus, and one ``mod_sub`` finishes
+    ``(x − [x]_P)·P^{-1}`` — the same residues as dividing after the
+    subtraction.
+    """
+    polys = list(polys)
     shed = tuple(int(q) for q in shed_moduli)
+    basis = polys[0].basis
+    if any(p.basis != basis for p in polys):
+        raise ParameterError("scale_down_all takes polynomials over one basis")
     if not shed:
-        return poly.copy()
-    keep = _kept(poly.basis, shed)
+        return [
+            p.copy() if p.domain == COEFF else c
+            for p, c in zip(polys, to_domain(polys, COEFF))
+        ]
+    plan = _scale_down_plan(basis, shed)
+    moved = iter(
+        to_domain([p for p in polys if p.domain == NTT], COEFF, scale=plan.scale)
+    )
+    table = plan.table
+    out = []
+    for poly in polys:
+        scaled = (
+            next(moved).mat if poly.domain == NTT
+            else poly.rowwise_scalar_mul(plan.column).mat
+        )
+        digits = scaled[plan.shed_rows]
+        lifted = _fold(digits, table, table.weights_over_product, digits)
+        kept = modmath.mod_sub(scaled[plan.keep_rows], lifted, table.dst.q_col)
+        out.append(RnsPolynomial(table.dst, kept, COEFF))
+        if _obs.ACTIVE:
+            _obs.kernel("rescale", basis.size * basis.n)
+    return out
+
+
+class _ScaleDownPlan(NamedTuple):
+    """What a ``scale_down`` of one basis by one ``P`` reads: the
+    conversion ``table`` from the shed moduli to the kept ones; the
+    per-row ``scale`` of the basis (``(P/p_i)^{-1}`` on shed rows,
+    ``P^{-1}`` on kept ones) and the same as a ready ``column``; and
+    the two row sets, shed in ``P``'s order and kept in basis order."""
+
+    table: ConversionTable
+    scale: tuple[int, ...]
+    column: ScalarColumn
+    shed_rows: np.ndarray
+    keep_rows: np.ndarray
+
+
+@lru_cache(maxsize=4096)
+def _scale_down_plan(basis: RnsBasis, shed: tuple[int, ...]) -> _ScaleDownPlan:
+    keep = _kept(basis, shed)
     if not keep:
         raise ParameterError("scale_down cannot shed the entire basis")
-    # [x]_P (centered remainder), lifted to the kept moduli; the table
-    # of that conversion also carries P^{-1} mod each kept modulus.
-    x_mod_p = poly.restricted(shed)
-    table = conversion_table(x_mod_p.basis, keep)
-    lifted = convert_by_table(x_mod_p, table)
-    out = poly.restricted(keep).sub(lifted).rowwise_scalar_mul(table.inv_product)
-    if _obs.ACTIVE:
-        _obs.kernel("rescale", poly.basis.size * poly.basis.n)
-    return out
+    shed_basis, shed_rows = restriction(basis, shed)
+    keep_rows = restriction(basis, keep)[1]
+    table = conversion_table(shed_basis, keep)
+    per_row = dict(zip(shed, table.digit.col.ravel().tolist()))
+    per_row.update(zip(keep, table.inv_product.col.ravel().tolist()))
+    scale = tuple(per_row[q] for q in basis.moduli)
+    return _ScaleDownPlan(
+        table, scale, basis.scalar_column(scale), shed_rows, keep_rows
+    )
 
 
 def drop_moduli(poly: RnsPolynomial, shed_moduli: Sequence[int]) -> RnsPolynomial:

@@ -21,6 +21,7 @@ Polynomials are value objects: every operation returns a new polynomial.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -272,16 +273,27 @@ class RnsPolynomial:
         )
 
 
-def to_domain(polys: Sequence[RnsPolynomial], domain: str) -> list[RnsPolynomial]:
+def to_domain(
+    polys: Sequence[RnsPolynomial],
+    domain: str,
+    scale: tuple[int, ...] | None = None,
+) -> list[RnsPolynomial]:
     """``polys`` in ``domain``, siblings transformed together.
 
     Those already there pass through; the rest go through the transform
     as ``(m, k, n)`` stacks per basis, as many to a stack as it runs in
     one pass (:meth:`~repro.nt.ntt.NttRowsContext.parts`) — one stage
     loop for all of them, which on a small ring is most of what a
-    transform costs.
+    transform costs.  ``scale`` (to coefficient form only) multiplies
+    row ``i`` of every polynomial that moves by ``scale[i]``, riding the
+    inverse transform (:func:`repro.nt.ntt.inverse_rows`).
     """
-    kernel = ntt_kernels.forward_rows if domain == NTT else ntt_kernels.inverse_rows
+    if domain == NTT:
+        if scale is not None:
+            raise ParameterError("only the inverse transform takes a scale")
+        kernel = ntt_kernels.forward_rows
+    else:
+        kernel = partial(ntt_kernels.inverse_rows, scale=scale)
     out = list(polys)
     movers: dict[RnsBasis, list[int]] = {}
     for i, poly in enumerate(out):

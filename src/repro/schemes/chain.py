@@ -27,7 +27,7 @@ from repro.errors import (
     ScaleMismatchError,
 )
 from repro.rns.basis import RnsBasis
-from repro.rns.convert import drop_moduli, scale_down, scale_up
+from repro.rns.convert import drop_moduli, scale_down_all, scale_up
 from repro.rns.poly import COEFF, to_domain
 from repro.schemes.selection import limit_fraction
 
@@ -240,12 +240,16 @@ class ModulusChain:
         polys = [ct.c0, ct.c1]
         if move.drops:
             polys = [drop_moduli(c, move.drops) for c in polys]
-        polys = to_domain(polys, COEFF)
-        if k != 1:
-            polys = [c.scalar_mul(k) for c in polys]
-        if move.added:
-            polys = [scale_up(c, move.added) for c in polys]
-        polys = [scale_down(c, move.shed) for c in polys]
+        if k != 1 or move.added:
+            # The constant and the grown rows are cheaper before the
+            # transform; a move that only sheds leaves the inverse to
+            # scale_down_all, whose constants ride it.
+            polys = to_domain(polys, COEFF)
+            if k != 1:
+                polys = [c.scalar_mul(k) for c in polys]
+            if move.added:
+                polys = [scale_up(c, move.added) for c in polys]
+        polys = scale_down_all(polys, move.shed)
         # scale_up appends and scale_down keeps source order, so a kept
         # terminal can land ahead of an added one; a nested chain never
         # needs the reorder and BitPacker rarely does.

@@ -77,11 +77,15 @@ def normalize_targets(
     return targets
 
 
+@lru_cache(maxsize=64)
 def min_prime_bits(n: int) -> float:
     """Bit width of the smallest NTT-friendly prime for degree ``n``.
 
     All NTT-friendly primes exceed ``2n`` (paper Sec. 3.3), so this lower
     bound is what makes very small scales unreachable at large ``n``.
+    Memoised per ``n`` (every planner and every trace walk asks);
+    ``eval.common.clear_memory_caches()`` empties it with the figure
+    memos.
     """
     smallest = next(ntt_friendly_primes_above(2 * n + 1, n))
     return math.log2(smallest)

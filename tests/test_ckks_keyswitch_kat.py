@@ -3,7 +3,8 @@
 ``tests/data/keyswitch_kat.json`` pins, for a top-level keyswitch on
 each chain, the sha256 of everything ``Evaluator._keyswitch`` computes:
 the ``(D, |M ∪ P|, n)`` extended digits, the two inner-product
-accumulators as they enter the mod-down, and both mod-down outputs.
+accumulators as they enter the mod-down (in NTT form; the digest is of
+their inverse transform), and both mod-down outputs.
 Each chain is switched twice: an NTT-form input with a fold (the
 relinearisation in ``multiply``) and a coefficient-form one without
 (the rotation path, which transforms the whole digit stack).
@@ -105,17 +106,19 @@ def _kat_entry(label: str, domain: str) -> dict:
         if domain == NTT else None
     )
     # ``_keyswitch`` is ``_inner_product(_extended_digits(...))``; the
-    # accumulators are read where they enter the mod-down.
+    # accumulators are read where they enter the mod-down, in NTT form,
+    # and pinned in coefficient form.
     accumulators = []
-    real_scale_down = evaluator_mod.scale_down
+    real_scale_down_all = evaluator_mod.scale_down_all
 
-    def scale_down(poly, moduli):
-        accumulators.append(poly)
-        return real_scale_down(poly, moduli)
+    def scale_down_all(polys, moduli):
+        assert all(poly.domain == NTT for poly in polys)
+        accumulators.extend(poly.to_coeff() for poly in polys)
+        return real_scale_down_all(polys, moduli)
 
     ext = Evaluator._extended_digits(d, ksk)
     extended = _digest(ext.ravel())
-    with mock.patch.object(evaluator_mod, "scale_down", scale_down):
+    with mock.patch.object(evaluator_mod, "scale_down_all", scale_down_all):
         k0, k1 = Evaluator._inner_product(ext, ksk, fold)
     assert k0.domain == k1.domain == COEFF
     assert k0.basis.moduli == k1.basis.moduli == moduli

@@ -4,6 +4,7 @@ and for the ufunc buffer size the module sets at import."""
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -404,15 +405,35 @@ def test_shoup62_limbs_against_a_matrix_keep_the_input():
     assert np.array_equal(mat, before)
 
 
-@settings(max_examples=200, deadline=None)
-@given(bits=st.integers(min_value=2, max_value=30), data=st.data())
-def test_half_word_shoup_is_lazy_and_exact(bits, data):
-    """β = 2^32: uint32 operands throughout, any ``x < 2^32`` (so every
-    value of a ``[0, 4q)`` lazy range), result congruent and in
-    ``[0, 2q)``; one fold finishes it.  ``q = 2^30`` is the edge of
-    ``4q <= 2^32``."""
+#: Every operand the uint32 multiply accepts: ``x < 2^31`` (its int32 view).
+U31 = st.integers(min_value=0, max_value=(1 << 31) - 1)
+
+
+def _float_quotient_case(q: int, xs: list[int], ws: list[int]) -> None:
+    """``mod_mul_float_lazy`` on ``xs`` against ``ws`` mod ``q``: the
+    stored ``w/q`` is at most the exact quotient, the result is uint32,
+    congruent and in ``[0, 2q)``, and one fold finishes it."""
+    w = np.array(ws, dtype=np.uint32)
+    w_over_q = modmath.float_quotient(w, q)
+    assert w_over_q.dtype == np.float64
+    assert all(Fraction(float(c)) <= Fraction(v, q) for c, v in zip(w_over_q, ws))
+    x = np.array(xs, dtype=np.uint32)
+    lazy = modmath.mod_mul_float_lazy(x, w, w_over_q, np.uint32(q))
+    assert lazy.dtype == np.uint32
+    for got, a, b in zip(lazy.tolist(), xs, ws):
+        assert got < 2 * q and got % q == a * b % q
+    folded = modmath.lazy_fold(lazy, np.uint32(q))
+    assert folded.tolist() == [a * b % q for a, b in zip(xs, ws)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(min_value=2, max_value=29), data=st.data())
+def test_float_quotient_multiply_is_lazy_and_exact(bits, data):
+    """The uint32 stage loops' multiply, quotient from float64: any
+    ``x < 2^31`` — every value of a ``[0, 4q)`` lazy range, the exact
+    multiples of ``q`` included — against ``w ∈ {0, 1, q − 1}`` and
+    random constants; ``q = 2^29`` is the edge of ``4q ≤ 2^31``."""
     q = data.draw(st.integers(max(2, 1 << (bits - 1)), 1 << bits))
-    top = (1 << 32) - 1
     ws = data.draw(
         st.lists(
             st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1),
@@ -420,25 +441,19 @@ def test_half_word_shoup_is_lazy_and_exact(bits, data):
             max_size=6,
         )
     )
-    xs = [
-        data.draw(st.sampled_from([0, 1, q - 1, min(4 * q - 1, top), top]) | st.integers(0, top))
-        for _ in ws
-    ]
-    w = np.array(ws, dtype=np.uint32)
-    companion = modmath.shoup_companion(w.astype(np.uint64), q, beta_bits=32)
-    assert [int(v) for v in companion] == [(v << 32) // q for v in ws]
-    x = np.array(xs, dtype=np.uint32)
-    hi = modmath.mulhi32(x, companion.astype(np.uint32))
-    assert hi.dtype == np.uint32
-    assert [int(v) for v in hi] == [a * int(c) >> 32 for a, c in zip(xs, companion)]
-    lazy = modmath.mod_mul_shoup_lazy(
-        x, w, companion.astype(np.uint32), np.uint32(q)
-    )
-    assert lazy.dtype == np.uint32
-    for got, a, b in zip(lazy.tolist(), xs, ws):
-        assert got < 2 * q and got % q == a * b % q
-    folded = modmath.lazy_fold(lazy, np.uint32(q))
-    assert folded.tolist() == [a * b % q for a, b in zip(xs, ws)]
+    edges = [0, q, 2 * q, 3 * q, 4 * q - 1, (1 << 31) - 1]
+    xs = [data.draw(st.sampled_from(edges) | U31) for _ in ws]
+    _float_quotient_case(q, xs, ws)
+
+
+@pytest.mark.parametrize("q", [2, 3, 268369921, (1 << 29) - 3, 1 << 29])
+def test_float_quotient_multiply_at_the_multiples(q):
+    """Where the estimate is tightest: ``x·w/q`` an integer (``x`` a
+    multiple of ``q``, or ``w = 0``) leaves ``q̂`` one short, never over,
+    so the result is ``q`` (or 0), inside ``[0, 2q)``."""
+    xs = [0, q, 2 * q, 3 * q, 4 * q - 1]
+    for w in (0, 1, q // 2, q - 1):
+        _float_quotient_case(q, xs, [w] * len(xs))
 
 
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.backends as backends
+from repro.errors import ParameterError
 from repro.nt import modmath
 from repro.nt import ntt as ntt_mod
 from repro.nt.ntt import (
@@ -74,7 +75,9 @@ def _count_calls(monkeypatch, method: str) -> list:
 def stages(monkeypatch):
     """``stages(direction, fn)``: butterfly stages ``fn`` ran, counted by
     wrapping ``NttRowsContext._twiddle_mul`` — one call per forward
-    stage, one per inverse stage plus one for the ``n^-1`` scale."""
+    stage, one per inverse stage plus one for the ``n^-1`` scale (on
+    uint32 the merged last stage multiplies its sum by ``n^-1``, on
+    uint64 one multiply follows the last stage)."""
     calls = _count_calls(monkeypatch, "_twiddle_mul")
 
     def run(direction, fn):
@@ -188,13 +191,15 @@ class TestBatchedRows:
 
 # ----------------------------------------------------------------------
 # Width classes: one prime generator per regime of the stage loop — the
-# uint32 word up to its 4q <= 2^32 edge, narrow primes past it (uint64
-# word, beta = 2^62), and both ends of the wide range.
+# uint32 word up to its 4q <= 2^31 edge, narrow primes past it (uint64
+# word, beta = 2^62; below 2^30 they still run the four-step kernel at
+# n <= 1024), and both ends of the wide range.
 # ----------------------------------------------------------------------
 WIDTH_CLASSES = {
     "smallest": lambda n: ntt_friendly_primes_above(2, n),
     "20": lambda n: ntt_friendly_primes_below(1 << 20, n),
     "28": lambda n: ntt_friendly_primes_below(1 << 28, n),
+    "below29": lambda n: ntt_friendly_primes_below(1 << 29, n),
     "below30": lambda n: ntt_friendly_primes_below(1 << 30, n),
     "30to31": lambda n: ntt_friendly_primes_above(1 << 30, n),
     "above31": lambda n: ntt_friendly_primes_above(1 << 31, n),
@@ -318,9 +323,11 @@ def _tie_input(ctx, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
     k, n = len(ctx.moduli), ctx.n
     n1 = 1 << (n.bit_length() // 2)
     n2 = n // n1
-    left, right, w, w_over_q = (
-        ctx._four_step_inverse if inverse else ctx._four_step_forward
-    )
+    if inverse:
+        left, right, _ = ctx._four_step_inverse
+        w, w_over_q = ctx._inverse_finish(None)  # the twiddle times n^-1
+    else:
+        left, right, w, w_over_q = ctx._four_step_forward
     # The first phase's matrix, limbs recombined: left @ (j1, j2) forward,
     # (i1, i2) @ right inverse.
     lo, hi = (right if inverse else left)[:, 0]
@@ -472,6 +479,95 @@ def record_kat() -> None:
 )
 def test_known_answer_vectors(entry):
     assert _kat_entry(entry["width"], entry["n"]) == entry
+
+
+@pytest.mark.parametrize(
+    "width, word",
+    [("28", np.uint32), ("below29", np.uint32), ("below30", np.uint64),
+     ("30to31", np.uint64)],
+)
+def test_stage_loop_word_is_fixed_by_4q(width, word):
+    """Above the four-step gate the stage loop runs in uint32 exactly
+    where ``4q <= 2^31`` (the float-quotient multiply reads values below
+    ``4q`` as int32); primes in ``[2^29, 2^31)`` run the uint64 loop.
+    Both agree with the reference."""
+    n = 2048
+    moduli = _class_primes(width, n, 2)
+    ctx = ntt_rows_context(moduli, n)
+    assert not ctx._four_step
+    assert ctx._word is word
+    assert (4 * max(moduli) <= 1 << 31) == (word is np.uint32)
+    mat = np.stack([_random_residues(q, n, seed=q % 97) for q in moduli])
+    for direction in ("forward", "inverse"):
+        got = getattr(ctx, direction)(mat)
+        for i, q in enumerate(moduli):
+            want = getattr(reference_ntt_context(q, n), direction)(mat[i])
+            assert got[i].tolist() == [int(v) for v in want]
+
+
+# ----------------------------------------------------------------------
+# The scaled inverse: ``inverse_rows(m, moduli, scale=c)`` is the inverse
+# times ``c_i`` per row, fully reduced, on each of the three kernels.
+# ----------------------------------------------------------------------
+SCALED_CASES = {
+    # uint32 stage loop: the scale rides the merged last butterfly.
+    "uint32-stages": (("28", "below29", "20"), 2048),
+    # uint64 stage loop: the scale rides the one constant multiply.
+    "uint64-stages": (("55", "below30", "28"), 256),
+    # four-step: the scale rides the inverse twiddle table.
+    "four-step": (("28", "below30", "smallest"), 128),
+}
+
+
+class TestScaledInverse:
+    @staticmethod
+    def _case(case):
+        widths, n = SCALED_CASES[case]
+        moduli = _mixed_moduli(widths, n)
+        ctx = ntt_rows_context(moduli, n)
+        kernel = ("four-step" if ctx._four_step
+                  else f"{np.dtype(ctx._word).name}-stages")
+        assert kernel == case
+        return moduli, n, ctx
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(sorted(SCALED_CASES)), data=st.data())
+    def test_scale_is_a_rowwise_multiply(self, case, data):
+        moduli, n, ctx = self._case(case)
+        scale = tuple(
+            data.draw(st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1))
+            for q in moduli
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.sampled_from([None, 1, 3]))
+        shape = (len(moduli), n) if m is None else (m, len(moduli), n)
+        mat = np.stack(
+            [rng.integers(0, q, shape[:-2] + (n,), dtype=np.uint64)
+             for q in moduli],
+            axis=-2,
+        )
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        c_col = np.array(scale, dtype=np.uint64).reshape(-1, 1)
+        want = modmath.mod_mul(inverse_rows(mat, moduli), c_col, q_col)
+        assert np.array_equal(inverse_rows(mat, moduli, scale=scale), want)
+
+    @pytest.mark.parametrize("case", sorted(SCALED_CASES))
+    def test_any_integer_scale_and_cached_constants(self, case):
+        """A scale is any integers (reduced per row), its constants are
+        built once per context and scale, and ``None`` is the plain
+        inverse."""
+        moduli, n, ctx = self._case(case)
+        mat = np.stack([_random_residues(q, n, seed=5) for q in moduli])
+        scale = (-1, 1 << 70, 0)
+        reduced = tuple(s % q for s, q in zip(scale, moduli))
+        got = inverse_rows(mat, moduli, scale=scale)
+        assert np.array_equal(got, inverse_rows(mat, moduli, scale=list(reduced)))
+        plain = inverse_rows(mat, moduli)
+        assert got[0].tolist() == [(-int(v)) % moduli[0] for v in plain[0]]
+        assert np.array_equal(inverse_rows(mat, moduli, scale=None), plain)
+        assert ctx._inverse_finish(scale) is ctx._inverse_finish(scale)
+        with pytest.raises(ParameterError, match="scale constants"):
+            ctx.inverse(mat, (1,))
 
 
 # ----------------------------------------------------------------------

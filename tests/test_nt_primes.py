@@ -293,29 +293,44 @@ class TestPrimalityTestsPerPlan:
         assert 0 < len(is_prime_calls) < 5_000
 
 
-    def test_figure_pass_walks_each_word_once(self, is_prime_calls):
+    @staticmethod
+    def _figure_pass() -> None:
         """One pass of the ``model_sweep`` grid (Figs. 11/13 at 28 and 64
-        bits, Sec. 6.2's LogReg at 36) from empty figure memos: 18,251
-        calls when every chain and trace walked its word's primes anew."""
+        bits, Sec. 6.2's LogReg at 36) from empty figure memos."""
         points = [(model, app, bs, scheme, word)
                   for scheme in common.SCHEMES
                   for app, bs in common.WORKLOAD_GRID
                   for model, word in (("accel", 28), ("cpu", 64))]
         points += [("accel", "LogReg", "BS19", scheme, 36)
                    for scheme in common.SCHEMES]
+        common.clear_memory_caches()
+        for model, app, bs, scheme, word in points:
+            if model == "accel":
+                common.simulate(app, bs, scheme, word)
+            else:
+                common.simulate_cpu(app, bs, scheme, word)
 
-        def one_pass():
-            common.clear_memory_caches()
-            for model, app, bs, scheme, word in points:
-                if model == "accel":
-                    common.simulate(app, bs, scheme, word)
-                else:
-                    common.simulate_cpu(app, bs, scheme, word)
-
-        one_pass()  # the terminal pools outlive the figure memos
+    def test_figure_pass_walks_each_word_once(self, is_prime_calls):
+        """18,251 calls per pass when every chain and trace walked its
+        word's primes anew."""
+        self._figure_pass()  # the terminal pools outlive the figure memos
         is_prime_calls.clear()
-        one_pass()
+        self._figure_pass()
         assert 0 < len(is_prime_calls) <= 3_000
+
+    def test_figure_pass_finds_the_smallest_prime_once(self, is_prime_calls):
+        """``min_prime_bits`` walks up from ``2n + 1`` once per ``n`` and
+        pass: at ``n = 2^16`` the candidates ``k·2n + 1`` up to the first
+        NTT-friendly prime (786,433, ``k = 6``) are each tested once,
+        where every planner and every level budget of the pass re-walked
+        them (360 of 2,377 calls)."""
+        self._figure_pass()
+        is_prime_calls.clear()
+        self._figure_pass()
+        n = common.EVAL_N
+        smallest = [c for c in is_prime_calls if c <= 6 * 2 * n + 1]
+        assert smallest == [k * 2 * n + 1 for k in range(1, 7)]
+        assert len(is_prime_calls) <= 2_100
 
 
 class TestTerminalCandidates:

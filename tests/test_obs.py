@@ -409,11 +409,13 @@ class TestMemoryCacheStats:
 
         stats = common.memory_cache_stats()
         assert set(stats) == {
-            "trace", "chain", "plan", "word-primes", "simulate", "simulate-cpu"}
+            "trace", "chain", "plan", "word-primes", "min-prime-bits",
+            "simulate", "simulate-cpu"}
         for entry in stats.values():
             assert entry["maxsize"] is not None  # satellite: no unbounded lru
         common.clear_memory_caches()
         assert common.memory_cache_stats()["simulate"]["currsize"] == 0
+        assert common.memory_cache_stats()["min-prime-bits"]["currsize"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -537,7 +539,8 @@ class TestProfileCli:
             "energy", "kernels", "sims", "total_cycles", "total_energy_j",
         ]
         assert sorted(doc["memory_caches"]) == [
-            "chain", "plan", "simulate", "simulate-cpu", "trace", "word-primes",
+            "chain", "min-prime-bits", "plan", "simulate", "simulate-cpu",
+            "trace", "word-primes",
         ]
         assert sorted(doc["counters"]) == [
             "accel.cycles", "accel.energy_j", "accel.kernel.cycles.crb",

@@ -13,9 +13,16 @@ from repro.errors import ParameterError
 from repro.nt.crt import centered
 from repro.nt.primes import ntt_friendly_primes_below
 from repro.rns.basis import RnsBasis, conversion_table, crt_weights
-from repro.rns.convert import base_convert, drop_moduli, scale_down, scale_up
-from repro.rns.poly import RnsPolynomial
+from repro.rns.convert import (
+    base_convert,
+    drop_moduli,
+    scale_down,
+    scale_down_all,
+    scale_up,
+)
+from repro.rns.poly import COEFF, NTT, RnsPolynomial
 from repro.schemes import plan_bitpacker_chain
+from tests.test_nt_primes import KAT_CHAINS
 from tests.test_rns_poly import mix_moduli, width_mixes
 
 N = 32
@@ -212,10 +219,89 @@ class TestScaleDown:
         poly = _poly(coeffs)
         assert scale_down(poly, []).to_int_coeffs() == coeffs
 
-    def test_requires_coeff_domain(self, rng):
-        coeffs = [int(v) for v in rng.integers(0, 10, N)]
-        with pytest.raises(ParameterError):
-            scale_down(_poly(coeffs).to_ntt(), [SRC_MODULI[-1]])
+    def test_takes_ntt_domain(self, rng):
+        """An NTT-form input returns the coefficient-form result of its
+        inverse transform, bit for bit."""
+        coeffs = [int(v) for v in rng.integers(-(10**9), 10**9, N)]
+        poly = _poly(coeffs)
+        down = scale_down(poly.to_ntt(), [SRC_MODULI[-1]])
+        assert down.domain == COEFF
+        assert down.mat.tolist() == scale_down(poly, [SRC_MODULI[-1]]).mat.tolist()
+
+
+class TestScaleDownNttForm:
+    """On the ladder's three chains, ``scale_down`` of an NTT-form
+    polynomial is bit-equal to ``scale_down`` of its coefficient form,
+    with its per-row constants riding the inverse transform: no
+    ``rowwise_scalar_mul`` runs."""
+
+    @staticmethod
+    def _shapes(chain):
+        """A keyswitch's mod-down (``M ∪ P`` by ``P``) and the top
+        rescale's, when it only sheds."""
+        top = chain.max_level
+        yield chain.moduli_at(top) + chain.special_moduli, chain.special_moduli
+        move = chain.move(top, top - 1)
+        if not move.added:
+            yield chain.moduli_at(top), move.shed
+
+    @pytest.mark.parametrize(
+        "label", ["logreg_bp28", "logreg_rns60", "bootstrap_bp28"]
+    )
+    def test_matches_coefficient_form(self, label, monkeypatch):
+        chain = KAT_CHAINS[label]()
+        rng = np.random.default_rng(len(label))
+        for moduli, shed in self._shapes(chain):
+            basis = RnsBasis(chain.n, moduli)
+            polys = [
+                RnsPolynomial(basis, np.stack(
+                    [rng.integers(0, q, chain.n, dtype=np.uint64) for q in moduli]
+                ), NTT)
+                for _ in range(2)
+            ]
+            want = [scale_down(p.to_coeff(), shed).mat for p in polys]
+            calls = []
+            real = RnsPolynomial.rowwise_scalar_mul
+
+            def counted(self, scalars, real=real):
+                calls.append(scalars)
+                return real(self, scalars)
+
+            monkeypatch.setattr(RnsPolynomial, "rowwise_scalar_mul", counted)
+            got = [scale_down(p, shed) for p in polys]
+            siblings = scale_down_all(polys, shed)
+            monkeypatch.undo()
+            assert calls == []
+            for one, sib, w in zip(got, siblings, want):
+                assert one.domain == sib.domain == COEFF
+                assert np.array_equal(one.mat, w)
+                assert np.array_equal(sib.mat, w)
+
+    def test_siblings_share_one_transform_and_keep_their_order(self, rng):
+        """A coefficient-form sibling takes the multiply; the NTT-form
+        ones ride one stacked inverse (``nt.ntt.inverse`` counted once)."""
+        from repro.nt import ntt as ntt_mod
+
+        coeffs = [[int(v) for v in rng.integers(-(10**9), 10**9, N)]
+                  for _ in range(3)]
+        polys = [_poly(c) for c in coeffs]
+        shed = [SRC_MODULI[-1]]
+        want = [scale_down(p, shed).mat for p in polys]
+        calls = []
+        real = ntt_mod.inverse_rows
+
+        def counted(mat, moduli, scale=None):
+            calls.append(mat.shape)
+            return real(mat, moduli, scale)
+
+        mixed = [polys[0].to_ntt(), polys[1], polys[2].to_ntt()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ntt_mod, "inverse_rows", counted)
+            got = scale_down_all(mixed, shed)
+        assert calls == [(2, len(SRC_MODULI), N)]
+        assert [g.mat.tolist() for g in got] == [w.tolist() for w in want]
+        with pytest.raises(ParameterError, match="one basis"):
+            scale_down_all([polys[0], _poly(coeffs[0], DST_MODULI)], shed)
 
 
 class TestDropModuli:
