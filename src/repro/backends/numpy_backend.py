@@ -7,11 +7,10 @@
   :func:`repro.rns.convert.base_convert` — for narrow destinations one
   ``(m, kk) · (kk, n)`` uint64 matrix product (``np.einsum``) and one
   ``%`` whenever ``kk · max(v, p) · p < 2^64`` (always, at 28-bit
-  words), else
-  unreduced products chunk-summed per destination; for wide ones a
-  Shoup multiply by the CRT weights at β = 2^62, all destinations at
-  once, summed lazily and reduced once (Shoup takes unreduced digits,
-  so there is no pre-reduction pass);
+  words), else unreduced products chunk-summed per destination; for
+  wide ones a Shoup multiply by the CRT weights at β = 2^62, all
+  destinations at once, summed lazily and reduced once (Shoup takes
+  unreduced digits, so there is no pre-reduction pass);
 - ``pointwise_mul`` is one broadcast :mod:`repro.nt.modmath` call
   against the ``(k, 1)`` modulus column; ``pointwise_mul_acc`` sums a
   stack of products into one output buffer, term by term — for narrow

@@ -326,7 +326,7 @@ def mod_mul_float_lazy(x: np.ndarray, w, w_over_q, q, out=None) -> np.ndarray:
     - it never exceeds ``x·w/q`` (equal only at ``x·w = 0``, where both
       are 0), so ``q̂ ≤ ⌊x·w/q⌋`` and the remainder ``r = x·w − q̂·q`` is
       not negative, even at the exact multiples ``x ∈ {q, 2q, 3q}``
-      (there ``q̂`` is one short and ``r = q``);
+      (there, for ``w > 0``, ``q̂`` is one short and ``r = q``);
     - it is short of ``x·w/q < x < 2^31`` by less than
       ``2^31 · 2^-49 = 2^-18``, so truncation loses less than
       ``1 + 2^-18`` and ``r < (1 + 2^-18)·q < 2q``.

@@ -21,8 +21,8 @@ is written exactly once; a single prime is the ``k = 1`` context
 **Lazy and division-free.**  The butterflies are Harvey's: every twiddle
 product is ``x·w − q̂·q`` for a quotient estimate ``q̂`` that is never
 too large, brought into ``[0, 2q)``, and values ride unreduced between
-stages — up to ``4q`` (or ``8q``) forward, ``[0, 2q)`` inverse — with at
-most one conditional subtraction per butterfly
+stages — ``[0, 4q)`` forward, ``[0, 2q)`` inverse — with one
+conditional subtraction per butterfly
 (:func:`repro.nt.modmath.lazy_fold`) and one full reduction per
 transform.  No stage divides.  The machine word is the stack's widest
 modulus's: ``4q ≤ 2^31`` runs the working matrix and the constants in
@@ -59,10 +59,11 @@ axis, so the per-stage Python cost is paid once for all ``m``.
 
 **Small rings: the four-step kernel.**  A stack whose every
 ``q < 2^30`` and whose ``n ≤ 1024`` (``_FOUR_STEP_MAX_N``) runs no stage
-loop, and works in uint32.  With ``n = n1·n2``, ``n1 = 2^⌈log2(n)/2⌉``, coefficient
-``j = n2·j1 + j2`` and output slot ``i = n2·i1 + i2``, the negacyclic
-transform is an ``n1``-point DFT over ``j1``, an elementwise twiddle and
-an ``n2``-point DFT over ``j2`` — the two ``√n``-sized phases of the
+loop, and works in uint32.  With ``n = n1·n2``,
+``n1 = 2^⌈log2(n)/2⌉``, coefficient ``j = n2·j1 + j2`` and output slot
+``i = n2·i1 + i2``, the negacyclic transform is an ``n1``-point DFT
+over ``j1``, an elementwise twiddle and an ``n2``-point DFT over
+``j2`` — the two ``√n``-sized phases of the
 accelerators' NTT units and of GPU libraries such as Cheddar.  The ``ψ``
 twist and the bit-reversed output order fold into three tables
 (:func:`_four_step_exponents`): the two DFT matrices, stored as 14-bit
@@ -204,7 +205,7 @@ def _centred(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: Block size from which the stages run transposed (see ``_tail_view``).
 _TAIL = 16
 
-#: Largest ring degree the four-step kernel runs (uint32 word only).
+#: Largest ring degree the four-step kernel runs (primes below 2^30 only).
 _FOUR_STEP_MAX_N = 1 << 10
 
 #: Working-matrix bytes up to which siblings run as one stack: while a
@@ -431,7 +432,9 @@ class NttRowsContext:
         q = self._q.astype(np.float64)  # fhelint: ok[dtype-routing] q < 2^30, exact
         return q, 1 / q
 
-    def _four_step_pass(self, mat: np.ndarray, inverse: bool, scale=None) -> np.ndarray:
+    def _four_step_pass(
+        self, mat: np.ndarray, inverse: bool, scale: tuple[int, ...] | None = None
+    ) -> np.ndarray:
         """The four-step kernel: two batched float64 matrix products,
         exact, with an int64 twiddle product between them.
 

@@ -110,8 +110,9 @@ def _fold(
 ) -> np.ndarray:
     """``Σ_i v_i · weights[:, i]`` over the CRT ``digits`` of a
     ``table.src`` matrix (``source``, held to the residue rule by the
-    sanitizer), minus ``α · weights[:, k]`` when ``exact``: the fold of
-    :func:`base_convert`, fully reduced mod each destination."""
+    sanitizer), plus ``α`` times the ``-Q`` column ``weights[:, k]``
+    when ``exact``: the fold of :func:`base_convert`, fully reduced mod
+    each destination."""
     src, dst = table.src, table.dst
     k, n = digits.shape
     stack = np.empty((k + 1 if exact else k, n), dtype=np.uint64)
