@@ -615,7 +615,7 @@ class NttRowsContext:
         if self._four_step:
             return self._four_step_pass(mat, inverse=True, scale=scale)
         finish = self._inverse_finish(scale)
-        merged = len(finish) == 2
+        merged = self._word is np.uint32
         stages = self._inverse_plan[::-1]
         a = self._tail_view(mat).astype(self._word, order="C")
         t = 1
