@@ -104,17 +104,15 @@ def run_digits_ablation(digit_counts=(2, 3)) -> list[DigitsRow]:
     low-digit keyswitching with the larger 80-bit budget (Sec. 6.1)."""
     rows = []
     for digits in digit_counts:
-        times = []
-        energies = []
-        for app, bs in WORKLOAD_GRID:
-            res = simulate(app, bs, "bitpacker", 28, ks_digits=digits)
-            times.append(res.time_ms)
-            energies.append(res.energy_j)
+        results = [
+            simulate(app, bs, "bitpacker", 28, ks_digits=digits)
+            for app, bs in WORKLOAD_GRID
+        ]
         rows.append(
             DigitsRow(
                 ks_digits=digits,
-                gmean_time_ms=gmean(times),
-                gmean_energy_j=gmean(energies),
+                gmean_time_ms=gmean(r.time_ms for r in results),
+                gmean_energy_j=gmean(r.energy_j for r in results),
             )
         )
     return rows

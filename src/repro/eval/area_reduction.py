@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.accel.area import DEFAULT_AREA_MODEL
 from repro.accel.config import craterlake
 from repro.eval import runner
-from repro.eval.common import WORKLOAD_GRID, gmean, simulate
+from repro.eval.common import WORKLOAD_POINTS, gmean, simulate
 
 PAPER_RF_MB = 200.0
 NO_LOSS_RF_MB = 225.0
@@ -46,29 +46,26 @@ class AreaReductionResult:
 def _evaluate(label: str, rf_mb: float, base_area: float) -> ReducedDesign:
     cfg = craterlake().with_register_file(rf_mb).with_crb_shrink(CRB_SHRINK)
     area = DEFAULT_AREA_MODEL.total_area(cfg)
-    variants = (
-        dict(scheme="bitpacker"),
-        dict(scheme="bitpacker", register_file_mb=rf_mb, crb_shrink=CRB_SHRINK),
-        dict(scheme="rns-ckks"),
+    results = runner.map_variants(
+        simulate,
+        [dict(point, word_bits=28) for point in WORKLOAD_POINTS],
+        (
+            dict(scheme="bitpacker"),
+            dict(scheme="bitpacker", register_file_mb=rf_mb,
+                 crb_shrink=CRB_SHRINK),
+            dict(scheme="rns-ckks"),
+        ),
     )
-    calls = [
-        dict(app=app, bs=bs, word_bits=28, **variant)
-        for app, bs in WORKLOAD_GRID
-        for variant in variants
-    ]
-    results = runner.map_grid(simulate, calls)
-    perf_ratios = []
-    edaps = []
-    for index in range(len(WORKLOAD_GRID)):
-        bp_base, bp_small, rns_base = results[3 * index:3 * index + 3]
-        perf_ratios.append(bp_small.time_s / bp_base.time_s)
-        edaps.append((rns_base.edp * base_area) / (bp_small.edp * area))
     return ReducedDesign(
         label=label,
         rf_mb=rf_mb,
         area_mm2=area,
-        perf_regression=gmean(perf_ratios),
-        edap_improvement=gmean(edaps),
+        perf_regression=gmean(
+            small.time_s / base.time_s for base, small, _rns in results),
+        edap_improvement=gmean(
+            (rns.edp * base_area) / (small.edp * area)
+            for _base, small, rns in results
+        ),
     )
 
 

@@ -23,6 +23,7 @@ from repro.accel.sim import AcceleratorSim, SimResult
 from repro.analysis.absint import GATE, verify_or_raise
 from repro.cpu.model import DEFAULT_CPU_MODEL, CpuResult
 from repro.errors import ParameterError
+from repro.eval import runner
 from repro.obs import core as _obs
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.schemes.chain import SCHEMES, ModulusChain  # SCHEMES: for the harnesses
@@ -35,6 +36,8 @@ from repro.workloads.bootstrap_model import SCHEDULES
 WORKLOAD_GRID = tuple(
     (app, bs) for bs in ("BS19", "BS26") for app in BENCHMARKS
 )
+#: The same ten workloads as :func:`repro.eval.runner.map_variants` points.
+WORKLOAD_POINTS = tuple(dict(app=app, bs=bs) for app, bs in WORKLOAD_GRID)
 #: Paper parameters (Sec. 5).
 EVAL_N = 65536
 EVAL_MAX_LOG_Q = 1596.0
@@ -248,22 +251,39 @@ def memory_cache_stats() -> dict[str, dict[str, int]]:
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    """One workload's BitPacker-vs-RNS-CKKS comparison."""
+class WorkloadRow:
+    """A harness row about one workload (app x bootstrap)."""
 
     app: str
     bs: str
-    bitpacker: float
-    rns_ckks: float
 
     @property
     def label(self) -> str:
         return f"{self.app} ({self.bs})"
 
+
+@dataclass(frozen=True)
+class ComparisonRow(WorkloadRow):
+    """One workload's BitPacker-vs-RNS-CKKS comparison."""
+
+    bitpacker: float
+    rns_ckks: float
+
     @property
     def ratio(self) -> float:
         """RNS-CKKS relative to BitPacker (the paper's normalization)."""
         return self.rns_ckks / self.bitpacker
+
+
+def time_comparison(func, **fixed) -> list[ComparisonRow]:
+    """Each workload's BitPacker and RNS-CKKS time under one cost model
+    (``simulate`` or ``simulate_cpu``, called with ``fixed``)."""
+    results = runner.map_variants(
+        func, WORKLOAD_POINTS, [dict(scheme=s, **fixed) for s in SCHEMES])
+    return [
+        ComparisonRow(app=app, bs=bs, bitpacker=bp.time_s, rns_ckks=rns.time_s)
+        for (app, bs), (bp, rns) in zip(WORKLOAD_GRID, results)
+    ]
 
 
 def format_table(

@@ -7,31 +7,17 @@ with larger gains for the small-scale workloads (SqueezeNet, LogReg).
 
 from __future__ import annotations
 
-from repro.eval import runner
 from repro.eval.common import (
-    SCHEMES,
-    WORKLOAD_GRID,
     ComparisonRow,
     format_table,
     gmean,
     simulate,
+    time_comparison,
 )
 
 
 def run() -> list[ComparisonRow]:
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme)
-        for app, bs in WORKLOAD_GRID
-        for scheme in SCHEMES
-    ]
-    results = runner.map_grid(simulate, calls)
-    rows = []
-    for index, (app, bs) in enumerate(WORKLOAD_GRID):
-        bp, rns = results[2 * index], results[2 * index + 1]
-        rows.append(
-            ComparisonRow(app=app, bs=bs, bitpacker=bp.time_s, rns_ckks=rns.time_s)
-        )
-    return rows
+    return time_comparison(simulate)
 
 
 def render(rows: list[ComparisonRow]) -> str:

@@ -15,6 +15,8 @@ from repro.eval import runner
 from repro.eval.common import (
     SCHEMES,
     WORKLOAD_GRID,
+    WORKLOAD_POINTS,
+    WorkloadRow,
     format_table,
     gmean,
     simulate,
@@ -22,19 +24,13 @@ from repro.eval.common import (
 
 
 @dataclass(frozen=True)
-class Fig12Row:
-    app: str
-    bs: str
+class Fig12Row(WorkloadRow):
     bp_energy_j: float
     rns_energy_j: float
     bp_level_mgmt_fraction: float
     rns_level_mgmt_fraction: float
     bp_edp: float
     rns_edp: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.app} ({self.bs})"
 
     @property
     def energy_ratio(self) -> float:
@@ -47,29 +43,24 @@ class Fig12Row:
 
 def run(word_bits: int = 28, ks_digits: int = 3,
         max_log_q: float = 1596.0) -> list[Fig12Row]:
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
-             ks_digits=ks_digits, max_log_q=max_log_q)
-        for app, bs in WORKLOAD_GRID
-        for scheme in SCHEMES
-    ]
-    results = runner.map_grid(simulate, calls)
-    rows = []
-    for index, (app, bs) in enumerate(WORKLOAD_GRID):
-        bp, rns = results[2 * index], results[2 * index + 1]
-        rows.append(
-            Fig12Row(
-                app=app,
-                bs=bs,
-                bp_energy_j=bp.energy_j,
-                rns_energy_j=rns.energy_j,
-                bp_level_mgmt_fraction=bp.level_mgmt_energy_fraction,
-                rns_level_mgmt_fraction=rns.level_mgmt_energy_fraction,
-                bp_edp=bp.edp,
-                rns_edp=rns.edp,
-            )
+    results = runner.map_variants(simulate, WORKLOAD_POINTS, [
+        dict(scheme=s, word_bits=word_bits, ks_digits=ks_digits,
+             max_log_q=max_log_q)
+        for s in SCHEMES
+    ])
+    return [
+        Fig12Row(
+            app=app,
+            bs=bs,
+            bp_energy_j=bp.energy_j,
+            rns_energy_j=rns.energy_j,
+            bp_level_mgmt_fraction=bp.level_mgmt_energy_fraction,
+            rns_level_mgmt_fraction=rns.level_mgmt_energy_fraction,
+            bp_edp=bp.edp,
+            rns_edp=rns.edp,
         )
-    return rows
+        for (app, bs), (bp, rns) in zip(WORKLOAD_GRID, results)
+    ]
 
 
 def render(rows: list[Fig12Row]) -> str:

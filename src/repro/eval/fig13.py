@@ -8,32 +8,18 @@ paper, far below the accelerator's 59%.
 
 from __future__ import annotations
 
-from repro.eval import runner
 from repro.eval.common import (
-    SCHEMES,
-    WORKLOAD_GRID,
     ComparisonRow,
     format_table,
     gmean,
     simulate_cpu,
+    time_comparison,
 )
 
 
 def run(word_bits: int = 64, ks_digits: int = 3) -> list[ComparisonRow]:
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
-             ks_digits=ks_digits)
-        for app, bs in WORKLOAD_GRID
-        for scheme in SCHEMES
-    ]
-    results = runner.map_grid(simulate_cpu, calls)
-    rows = []
-    for index, (app, bs) in enumerate(WORKLOAD_GRID):
-        bp, rns = results[2 * index], results[2 * index + 1]
-        rows.append(
-            ComparisonRow(app=app, bs=bs, bitpacker=bp.time_s, rns_ckks=rns.time_s)
-        )
-    return rows
+    return time_comparison(
+        simulate_cpu, word_bits=word_bits, ks_digits=ks_digits)
 
 
 def render(rows: list[ComparisonRow]) -> str:

@@ -11,23 +11,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.eval import runner
-from repro.eval.common import SCHEMES, WORKLOAD_GRID, format_table, simulate
+from repro.eval.common import (
+    SCHEMES,
+    WORKLOAD_GRID,
+    WORKLOAD_POINTS,
+    WorkloadRow,
+    format_table,
+    simulate,
+)
 
 #: The sweep's word sizes (paper: 28 to 64 bits).
 DEFAULT_WORD_SIZES = tuple(range(28, 65, 4))
 
 
 @dataclass(frozen=True)
-class Fig14Series:
-    app: str
-    bs: str
+class Fig14Series(WorkloadRow):
     word_sizes: tuple[int, ...]
     bitpacker_ms: tuple[float, ...]
     rns_ckks_ms: tuple[float, ...]
-
-    @property
-    def label(self) -> str:
-        return f"{self.app} ({self.bs})"
 
     @property
     def bp_flatness(self) -> float:
@@ -45,31 +46,22 @@ def run(
     max_log_q: float = 1596.0,
 ) -> list[Fig14Series]:
     word_sizes = tuple(word_sizes)
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=w,
-             ks_digits=ks_digits, max_log_q=max_log_q)
-        for app, bs in WORKLOAD_GRID
+    # Variants alternate BitPacker, RNS-CKKS at each word size in turn.
+    results = runner.map_variants(simulate, WORKLOAD_POINTS, [
+        dict(scheme=s, word_bits=w, ks_digits=ks_digits, max_log_q=max_log_q)
         for w in word_sizes
-        for scheme in SCHEMES
-    ]
-    results = iter(runner.map_grid(simulate, calls))
-    series = []
-    for app, bs in WORKLOAD_GRID:
-        bp = []
-        rns = []
-        for _w in word_sizes:
-            bp.append(next(results).time_ms)
-            rns.append(next(results).time_ms)
-        series.append(
-            Fig14Series(
-                app=app,
-                bs=bs,
-                word_sizes=tuple(word_sizes),
-                bitpacker_ms=tuple(bp),
-                rns_ckks_ms=tuple(rns),
-            )
+        for s in SCHEMES
+    ])
+    return [
+        Fig14Series(
+            app=app,
+            bs=bs,
+            word_sizes=word_sizes,
+            bitpacker_ms=tuple(r.time_ms for r in point[0::2]),
+            rns_ckks_ms=tuple(r.time_ms for r in point[1::2]),
         )
-    return series
+        for (app, bs), point in zip(WORKLOAD_GRID, results)
+    ]
 
 
 def render(series: list[Fig14Series]) -> str:

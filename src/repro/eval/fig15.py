@@ -25,7 +25,7 @@ def run(word_sizes=fig14.DEFAULT_WORD_SIZES) -> list[Fig15Row]:
     # Derived view: consumes fig14's memoized sweep, so after a
     # fig14 run this figure performs no simulations of its own.
     series = fig14.run(word_sizes)
-    word_sizes = tuple(word_sizes)
+    word_sizes = series[0].word_sizes  # ``word_sizes`` may be a generator
     rows = []
     for idx, w in enumerate(word_sizes):
         ratios = [s.rns_ckks_ms[idx] / s.bitpacker_ms[idx] for s in series]

@@ -29,7 +29,7 @@ def run(word_sizes=fig14.DEFAULT_WORD_SIZES) -> list[Fig16Row]:
     # Derived view: consumes fig14's memoized sweep plus the area
     # model, so after a fig14 run this figure performs no simulations.
     series = fig14.run(word_sizes)
-    word_sizes = tuple(word_sizes)
+    word_sizes = series[0].word_sizes  # ``word_sizes`` may be a generator
     areas = [
         DEFAULT_AREA_MODEL.total_area(craterlake().with_word_size(w))
         for w in word_sizes

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.eval import runner
 from repro.eval.common import (
     SCHEMES,
-    WORKLOAD_GRID,
+    WORKLOAD_POINTS,
     format_table,
     gmean,
     simulate,
@@ -36,31 +36,28 @@ def run(sizes_mb=DEFAULT_SIZES_MB, word_bits: int = 28) -> list[Fig17Row]:
     # The baseline (BitPacker at 256 MB) joins the fan-out whether or not
     # the requested sweep contains it.
     grid_mbs = sizes_mb if BASELINE_MB in sizes_mb else sizes_mb + (BASELINE_MB,)
-    points = [
-        (mb, scheme, app, bs)
-        for mb in grid_mbs
-        for scheme in SCHEMES
-        for app, bs in WORKLOAD_GRID
-    ]
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits,
-             register_file_mb=mb)
-        for mb, scheme, app, bs in points
-    ]
-    results = runner.map_grid(simulate, calls)
-    times: dict[tuple[float, str], list[float]] = {}
-    for (mb, scheme, _app, _bs), result in zip(points, results):
-        times.setdefault((mb, scheme), []).append(result.time_s)
-
-    def gmean_time(scheme: str, mb: float) -> float:
-        return gmean(times[(mb, scheme)])
-
-    baseline = gmean_time("bitpacker", BASELINE_MB)
+    results = runner.map_variants(
+        simulate,
+        [dict(register_file_mb=mb) for mb in grid_mbs],
+        [
+            dict(point, scheme=s, word_bits=word_bits)
+            for s in SCHEMES
+            for point in WORKLOAD_POINTS
+        ],
+    )
+    # Each size holds the ten workloads under BitPacker, then RNS-CKKS.
+    half = len(WORKLOAD_POINTS)
+    gmeans = {
+        mb: (gmean(r.time_s for r in point[:half]),
+             gmean(r.time_s for r in point[half:]))
+        for mb, point in zip(grid_mbs, results)
+    }
+    baseline = gmeans[BASELINE_MB][0]
     return [
         Fig17Row(
             register_file_mb=mb,
-            bitpacker_norm=gmean_time("bitpacker", mb) / baseline,
-            rns_ckks_norm=gmean_time("rns-ckks", mb) / baseline,
+            bitpacker_norm=gmeans[mb][0] / baseline,
+            rns_ckks_norm=gmeans[mb][1] / baseline,
         )
         for mb in sizes_mb
     ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from typing import Callable
+
 from repro.eval import runner
 from repro.eval.common import SCHEMES, format_table
 from repro.eval.precision import box_stats, rescale_error_samples
@@ -28,18 +30,27 @@ class PrecisionRow:
 def run(
     scales=DEFAULT_SCALES, samples: int = 30, n: int = 2048, seed: int = 7,
 ) -> list[PrecisionRow]:
-    points = [(scale, scheme) for scale in scales for scheme in SCHEMES]
-    calls = [
-        dict(scheme=scheme, scale_bits=scale, samples=samples, n=n, seed=seed)
-        for scale, scheme in points
-    ]
-    data = runner.map_grid(rescale_error_samples, calls)
+    return sweep(rescale_error_samples, scales, samples, n, seed)
+
+
+def sweep(
+    sampler: Callable, scales, samples: int, n: int, seed: int,
+) -> list[PrecisionRow]:
+    """One row per scale x scheme, from ``sampler``'s precision samples
+    (a :mod:`repro.eval.precision` ``*_error_samples`` function)."""
+    scales = tuple(scales)
+    results = runner.map_variants(
+        sampler,
+        [dict(scale_bits=scale) for scale in scales],
+        [dict(scheme=s, samples=samples, n=n, seed=seed) for s in SCHEMES],
+    )
     return [
         PrecisionRow(
-            scale_bits=scale, scheme=scheme, stats=box_stats(samples_list),
+            scale_bits=scale, scheme=scheme, stats=box_stats(data),
             samples=samples,
         )
-        for (scale, scheme), samples_list in zip(points, data)
+        for scale, point in zip(scales, results)
+        for scheme, data in zip(SCHEMES, point)
     ]
 
 

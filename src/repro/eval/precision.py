@@ -16,6 +16,7 @@ keyswitch specials shrink, keeping all arithmetic on the exact fast path.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -61,9 +62,21 @@ def precision_context(
     return CkksContext(chain, seed=seed)
 
 
-def sample_values(ctx: CkksContext, rng: np.random.Generator) -> np.ndarray:
-    """Uniform values in [-1, 1], the paper's rescale-experiment inputs."""
-    return rng.uniform(-1.0, 1.0, ctx.slots)
+def _error_samples(
+    scheme: str, scale_bits: float, samples: int, n: int, levels: int,
+    seed: int, operation: Callable,
+) -> list[float]:
+    """Encrypt fresh samples uniform in [-1, 1] (the paper's inputs),
+    apply ``operation(ctx, ct, values)`` (which returns the result and
+    its exact value), and measure each result's precision."""
+    ctx = precision_context(scheme, scale_bits, levels, n)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        values = rng.uniform(-1.0, 1.0, ctx.slots)
+        result, expected = operation(ctx, ctx.encrypt(values), values)
+        out.append(ctx.precision_bits(result, expected))
+    return out
 
 
 def rescale_error_samples(
@@ -75,15 +88,11 @@ def rescale_error_samples(
     seed: int = 7,
 ) -> list[float]:
     """Paper Fig. 18 methodology: square + rescale, measure precision."""
-    ctx = precision_context(scheme, scale_bits, levels, n)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(samples):
-        values = sample_values(ctx, rng)
-        ct = ctx.encrypt(values)
-        sq = ctx.evaluator.rescale(ctx.evaluator.square(ct))
-        out.append(ctx.precision_bits(sq, values**2))
-    return out
+    return _error_samples(
+        scheme, scale_bits, samples, n, levels, seed,
+        lambda ctx, ct, values: (
+            ctx.evaluator.rescale(ctx.evaluator.square(ct)), values**2),
+    )
 
 
 def adjust_error_samples(
@@ -95,16 +104,11 @@ def adjust_error_samples(
     seed: int = 11,
 ) -> list[float]:
     """Paper Fig. 19 methodology: adjust by one level, measure precision."""
-    ctx = precision_context(scheme, scale_bits, levels, n)
-    rng = np.random.default_rng(seed)
-    top = ctx.chain.max_level
-    out = []
-    for _ in range(samples):
-        values = sample_values(ctx, rng)
-        ct = ctx.encrypt(values)
-        adj = ctx.evaluator.adjust(ct, top - 1)
-        out.append(ctx.precision_bits(adj, values))
-    return out
+    return _error_samples(
+        scheme, scale_bits, samples, n, levels, seed,
+        lambda ctx, ct, values: (
+            ctx.evaluator.adjust(ct, ctx.chain.max_level - 1), values),
+    )
 
 
 def box_stats(samples: list[float]) -> dict[str, float]:

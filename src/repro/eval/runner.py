@@ -6,11 +6,17 @@ across figures (Figs. 15 and 16 are derived views of Fig. 14's sweep),
 and the ``lru_cache`` memos in :mod:`repro.eval.common` make a repeat
 free within one process.  Nothing persists between processes: every
 ``repro figure`` invocation runs cold (DESIGN.md Sec. 8).
+
+A harness has one shape: it states its points (usually the ten
+workloads), the variants it compares at each point (BitPacker against
+RNS-CKKS, or a machine, word or budget apiece), and one model call;
+:func:`map_variants` runs the grid and hands back one tuple per point,
+in variant order, which the harness turns into its rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs import core as _obs
 
@@ -19,8 +25,8 @@ def configure(enabled: bool = False) -> None:
     """Does nothing: there is no disk cache left to switch.
 
     Kept only because the frozen benchmark ladder still calls
-    ``configure(enabled=False)``; the ladder thaw (ROADMAP.md item 1)
-    deletes those calls and this function with them.
+    ``configure(enabled=False)``; the ladder thaw (ROADMAP.md) deletes
+    those calls and this function with them.
     """
 
 
@@ -44,3 +50,17 @@ def map_grid(
             with _obs.span("task", index=index):
                 results.append(func(**kwargs))
     return results
+
+
+def map_variants(
+    func: Callable,
+    points: Iterable[Mapping[str, Any]],
+    variants: Sequence[Mapping[str, Any]],
+) -> list[tuple]:
+    """``func(**point, **variant)`` for every point x variant, as one
+    :func:`map_grid` call in point-major order: one tuple per point,
+    holding its results in variant order."""
+    results = map_grid(func, (
+        {**point, **variant} for point in points for variant in variants))
+    width = len(variants)
+    return [tuple(results[i:i + width]) for i in range(0, len(results), width)]

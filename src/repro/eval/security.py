@@ -13,7 +13,7 @@ from repro.eval import runner
 from repro.eval.common import (
     EVAL_N,
     SCHEMES,
-    WORKLOAD_GRID,
+    WORKLOAD_POINTS,
     format_table,
     gmean,
     simulate,
@@ -31,29 +31,22 @@ class SecurityRow:
 
 
 def _grid_gmeans(max_log_q: float, ks_digits: int) -> tuple[float, float]:
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=28,
-             ks_digits=ks_digits, max_log_q=max_log_q)
-        for app, bs in WORKLOAD_GRID
-        for scheme in SCHEMES
-    ]
-    results = runner.map_grid(simulate, calls)
-    speedups = []
-    energies = []
-    for index in range(len(WORKLOAD_GRID)):
-        bp, rns = results[2 * index], results[2 * index + 1]
-        speedups.append(rns.time_s / bp.time_s)
-        energies.append(rns.energy_j / bp.energy_j)
-    return gmean(speedups), gmean(energies)
+    results = runner.map_variants(simulate, WORKLOAD_POINTS, [
+        dict(scheme=s, word_bits=28, ks_digits=ks_digits, max_log_q=max_log_q)
+        for s in SCHEMES
+    ])
+    return (
+        gmean(rns.time_s / bp.time_s for bp, rns in results),
+        gmean(rns.energy_j / bp.energy_j for bp, rns in results),
+    )
 
 
 def run() -> list[SecurityRow]:
     rows = []
     for security, digits in ((128, 3), (80, 2)):
-        budget = float(min(max_log_qp(EVAL_N, security), 2900))
         # The 128-bit point uses the paper's published 1596-bit budget.
-        if security == 128:
-            budget = 1596.0
+        budget = (1596.0 if security == 128
+                  else float(min(max_log_qp(EVAL_N, security), 2900)))
         speedup, energy = _grid_gmeans(budget, digits)
         rows.append(
             SecurityRow(

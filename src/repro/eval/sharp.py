@@ -11,44 +11,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.eval import runner
-from repro.eval.common import WORKLOAD_GRID, format_table, gmean, simulate
+from repro.eval.common import (
+    WORKLOAD_GRID,
+    WORKLOAD_POINTS,
+    WorkloadRow,
+    format_table,
+    gmean,
+    simulate,
+)
 
 
 @dataclass(frozen=True)
-class SharpRow:
-    app: str
-    bs: str
+class SharpRow(WorkloadRow):
     bp28_ms: float
     sharp36_ms: float
     speedup: float
     edp_ratio: float
 
-    @property
-    def label(self) -> str:
-        return f"{self.app} ({self.bs})"
-
 
 def run() -> list[SharpRow]:
-    calls = [
-        dict(app=app, bs=bs, scheme=scheme, word_bits=word_bits)
-        for app, bs in WORKLOAD_GRID
-        for scheme, word_bits in (("bitpacker", 28), ("rns-ckks", 36))
-    ]
-    results = runner.map_grid(simulate, calls)
-    rows = []
-    for index, (app, bs) in enumerate(WORKLOAD_GRID):
-        bp, sharp = results[2 * index], results[2 * index + 1]
-        rows.append(
-            SharpRow(
-                app=app,
-                bs=bs,
-                bp28_ms=bp.time_ms,
-                sharp36_ms=sharp.time_ms,
-                speedup=sharp.time_s / bp.time_s,
-                edp_ratio=sharp.edp / bp.edp,
-            )
+    results = runner.map_variants(simulate, WORKLOAD_POINTS, (
+        dict(scheme="bitpacker", word_bits=28),
+        dict(scheme="rns-ckks", word_bits=36),
+    ))
+    return [
+        SharpRow(
+            app=app,
+            bs=bs,
+            bp28_ms=bp.time_ms,
+            sharp36_ms=sharp.time_ms,
+            speedup=sharp.time_s / bp.time_s,
+            edp_ratio=sharp.edp / bp.edp,
         )
-    return rows
+        for (app, bs), (bp, sharp) in zip(WORKLOAD_GRID, results)
+    ]
 
 
 def render(rows: list[SharpRow]) -> str:

@@ -83,17 +83,11 @@ def _unstable_round(ctx, ct, ref):
 def analogue_point(
     benchmark: str, scheme: str, samples: int, n: int, seed: int
 ) -> tuple[float, float]:
-    """One (analogue, scheme) cell of Table 1."""
+    """One (analogue, scheme) cell of Table 1: ``(mean_bits,
+    worst_bits)`` across samples and slots."""
     spec = next((s for s in ANALOGUES if s.name == benchmark), None)
     if spec is None:
         raise ParameterError(f"unknown Table 1 analogue {benchmark!r}")
-    return _run_analogue(spec, scheme, samples, n, seed)
-
-
-def _run_analogue(
-    spec: AnalogueSpec, scheme: str, samples: int, n: int, seed: int
-) -> tuple[float, float]:
-    """Returns (mean_bits, worst_bits) across samples and slots."""
     levels = 2 * max(spec.pre_rounds, spec.post_rounds) + 4
     ctx = precision_context(scheme, spec.scale_bits, levels=levels, n=n)
     boot = FunctionalBootstrapper(ctx, spec.bootstrap)
@@ -128,28 +122,22 @@ class Table1Row:
 
 
 def run(samples: int = 3, n: int = 1024, seed: int = 5) -> list[Table1Row]:
-    calls = [
-        dict(benchmark=spec.name, scheme=scheme, samples=samples, n=n,
-             seed=seed)
-        for spec in ANALOGUES
-        for scheme in SCHEMES
+    results = runner.map_variants(
+        analogue_point,
+        [dict(benchmark=spec.name) for spec in ANALOGUES],
+        [dict(scheme=s, samples=samples, n=n, seed=seed) for s in SCHEMES],
+    )
+    return [
+        Table1Row(
+            benchmark=spec.name,
+            bp_mean=bp_mean,
+            rns_mean=rns_mean,
+            bp_worst=bp_worst,
+            rns_worst=rns_worst,
+        )
+        for spec, ((bp_mean, bp_worst), (rns_mean, rns_worst))
+        in zip(ANALOGUES, results)
     ]
-    results = runner.map_grid(analogue_point, calls)
-    rows = []
-    for index, spec in enumerate(ANALOGUES):
-        (bp_mean, bp_worst), (rns_mean, rns_worst) = (
-            results[2 * index], results[2 * index + 1]
-        )
-        rows.append(
-            Table1Row(
-                benchmark=spec.name,
-                bp_mean=bp_mean,
-                rns_mean=rns_mean,
-                bp_worst=bp_worst,
-                rns_worst=rns_worst,
-            )
-        )
-    return rows
 
 
 def render(rows: list[Table1Row]) -> str:

@@ -3,11 +3,7 @@
 from repro.workloads.apps import (
     APP_SCALES,
     BENCHMARKS,
-    logreg,
-    resnet20,
-    resnet20_aespa,
-    rnn,
-    squeezenet,
+    generate,
     workload_traces,
 )
 from repro.workloads.bootstrap_model import (
@@ -21,11 +17,7 @@ from repro.workloads.walker import ProgramWalker, app_levels_for, level_schedule
 __all__ = [
     "BENCHMARKS",
     "APP_SCALES",
-    "resnet20",
-    "resnet20_aespa",
-    "rnn",
-    "squeezenet",
-    "logreg",
+    "generate",
     "workload_traces",
     "BS19_SCHEDULE",
     "BS26_SCHEDULE",

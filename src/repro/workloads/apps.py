@@ -1,6 +1,6 @@
 """The paper's five benchmark applications as trace generators (Sec. 5).
 
-Each generator reproduces the *structure* of the published FHE program —
+Each program body reproduces the *structure* of the published FHE program —
 operation mix per layer/iteration, multiplicative depth, scale choices,
 and bootstrap cadence — from the networks' published shapes:
 
@@ -19,11 +19,13 @@ do not depend on their absolute values.  What *does* change per scheme
 and word size — as in the paper — is the bootstrap cadence: a scheme
 that cannot realize a scale consumes more modulus per level and
 therefore gets fewer application levels under the same security budget
-(``scheme`` / ``word_bits`` arguments).
+(the ``scheme`` / ``word_bits`` arguments of :func:`generate`, the one
+entry point; ``BENCHMARKS[app]`` is that call with the app bound).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.trace.program import HeTrace
@@ -39,14 +41,6 @@ from repro.workloads.walker import (
     ProgramWalker,
     app_levels_for,
 )
-
-#: Application scales from Sec. 5: ResNet and RNN need 45-bit scales,
-#: SqueezeNet and LogReg work at 35 bits.
-RESNET_SCALE_BITS = 45.0
-RNN_SCALE_BITS = 45.0
-SQUEEZENET_SCALE_BITS = 35.0
-LOGREG_SCALE_BITS = 35.0
-
 
 # ----------------------------------------------------------------------
 # ResNet-20 building blocks
@@ -107,15 +101,23 @@ def _resnet_backbone(w: ProgramWalker, activation: Callable) -> None:
 
 
 def _resnet20(w: ProgramWalker) -> None:
+    """ResNet-20 with minimax ReLU (deep; frequent bootstrapping)."""
     _resnet_backbone(w, _relu_minimax)
 
 
 def _resnet20_aespa(w: ProgramWalker) -> None:
+    """ResNet-20 with AESPA degree-2 activations (shallow; few boots)."""
     _resnet_backbone(w, _aespa_activation)
 
 
 # ----------------------------------------------------------------------
 def _rnn(w: ProgramWalker) -> None:
+    """Sentiment-analysis RNN: ``h = σ(W_hh h + W_ih x + b)`` 200 times.
+
+    Each step runs two 128x128 dense matvecs (BSGS diagonal method:
+    ~2·sqrt(128) rotations and 128 plaintext diagonal multiplies each)
+    and a degree-3 activation (2 multiplicative levels).
+    """
     for _step in range(200):
         w.ensure(3)
         # W_hh · h and W_ih · x, evaluated together on packed operands.
@@ -129,6 +131,11 @@ def _rnn(w: ProgramWalker) -> None:
 
 
 def _squeezenet(w: ProgramWalker) -> None:
+    """SqueezeNet (CIFAR-10) with AESPA activations (Sec. 5).
+
+    Eight fire modules (squeeze 1x1 + expand 1x1/3x3) between a stem and
+    a classifier conv; all activations degree-2.
+    """
     _conv_layer(w, rot=10.0, pmul=12.0)  # stem
     _aespa_activation(w)
     for _fire in range(8):
@@ -142,6 +149,13 @@ def _squeezenet(w: ProgramWalker) -> None:
 
 
 def _logreg(w: ProgramWalker) -> None:
+    """HELR logistic-regression training (32 NAG iterations, Sec. 5).
+
+    Batch 1024 x 197 features packed across slots.  Each iteration:
+    forward products ``X·w`` (rotation-based row sums), a degree-3
+    sigmoid approximation, the gradient ``X^T·v`` (rotation-based column
+    sums), and the Nesterov momentum update.
+    """
     for _iteration in range(32):
         w.ensure(4)
         w.ops(pmul=4.0, rot=8.0, hadd=8.0)  # X·w row sums
@@ -155,13 +169,14 @@ def _logreg(w: ProgramWalker) -> None:
         w.descend()
 
 
-#: Application scale per benchmark (Sec. 5).
+#: Application scale per benchmark (Sec. 5): ResNet and RNN need 45-bit
+#: scales, SqueezeNet and LogReg work at 35 bits.
 APP_SCALES = {
-    "ResNet-20": RESNET_SCALE_BITS,
-    "ResNet-20+AESPA": RESNET_SCALE_BITS,
-    "RNN": RNN_SCALE_BITS,
-    "SqueezeNet": SQUEEZENET_SCALE_BITS,
-    "LogReg": LOGREG_SCALE_BITS,
+    "ResNet-20": 45.0,
+    "ResNet-20+AESPA": 45.0,
+    "RNN": 45.0,
+    "SqueezeNet": 35.0,
+    "LogReg": 35.0,
 }
 
 #: Each benchmark's program body, run on a walker at its scale.
@@ -209,102 +224,27 @@ def walk(
     return w.build()
 
 
-def _generate(
-    app: str, schedule: BootstrapSchedule, n: int, max_log_q: float,
-    scheme: str, word_bits: int, ks_digits: int,
+def generate(
+    app: str,
+    schedule: BootstrapSchedule,
+    n: int = DEFAULT_N,
+    max_log_q: float = DEFAULT_MAX_LOG_Q,
+    scheme: str = "bitpacker",
+    word_bits: int = 28,
+    ks_digits: int = 3,
 ) -> HeTrace:
+    """``app``'s trace under ``scheme``'s bootstrap cadence: its program
+    body walked with the application levels :func:`levels_for` gives it
+    at ``word_bits``, ``ks_digits`` and ``max_log_q``."""
     levels = levels_for(
         app, schedule, n, max_log_q, scheme, word_bits, ks_digits)
     return walk(app, schedule, levels, n)
 
 
-def resnet20(
-    schedule: BootstrapSchedule,
-    n: int = DEFAULT_N,
-    max_log_q: float = DEFAULT_MAX_LOG_Q,
-    scheme: str = "bitpacker",
-    word_bits: int = 28,
-    ks_digits: int = 3,
-) -> HeTrace:
-    """ResNet-20 with minimax ReLU (deep; frequent bootstrapping)."""
-    return _generate(
-        "ResNet-20", schedule, n, max_log_q, scheme, word_bits, ks_digits)
-
-
-def resnet20_aespa(
-    schedule: BootstrapSchedule,
-    n: int = DEFAULT_N,
-    max_log_q: float = DEFAULT_MAX_LOG_Q,
-    scheme: str = "bitpacker",
-    word_bits: int = 28,
-    ks_digits: int = 3,
-) -> HeTrace:
-    """ResNet-20 with AESPA degree-2 activations (shallow; few boots)."""
-    return _generate(
-        "ResNet-20+AESPA", schedule, n, max_log_q, scheme, word_bits,
-        ks_digits)
-
-
-def rnn(
-    schedule: BootstrapSchedule,
-    n: int = DEFAULT_N,
-    max_log_q: float = DEFAULT_MAX_LOG_Q,
-    scheme: str = "bitpacker",
-    word_bits: int = 28,
-    ks_digits: int = 3,
-) -> HeTrace:
-    """Sentiment-analysis RNN: ``h = σ(W_hh h + W_ih x + b)`` 200 times.
-
-    Each step runs two 128x128 dense matvecs (BSGS diagonal method:
-    ~2·sqrt(128) rotations and 128 plaintext diagonal multiplies each)
-    and a degree-3 activation (2 multiplicative levels).
-    """
-    return _generate("RNN", schedule, n, max_log_q, scheme, word_bits, ks_digits)
-
-
-def squeezenet(
-    schedule: BootstrapSchedule,
-    n: int = DEFAULT_N,
-    max_log_q: float = DEFAULT_MAX_LOG_Q,
-    scheme: str = "bitpacker",
-    word_bits: int = 28,
-    ks_digits: int = 3,
-) -> HeTrace:
-    """SqueezeNet (CIFAR-10) with AESPA activations (Sec. 5).
-
-    Eight fire modules (squeeze 1x1 + expand 1x1/3x3) between a stem and
-    a classifier conv; all activations degree-2.
-    """
-    return _generate(
-        "SqueezeNet", schedule, n, max_log_q, scheme, word_bits, ks_digits)
-
-
-def logreg(
-    schedule: BootstrapSchedule,
-    n: int = DEFAULT_N,
-    max_log_q: float = DEFAULT_MAX_LOG_Q,
-    scheme: str = "bitpacker",
-    word_bits: int = 28,
-    ks_digits: int = 3,
-) -> HeTrace:
-    """HELR logistic-regression training (32 NAG iterations, Sec. 5).
-
-    Batch 1024 x 197 features packed across slots.  Each iteration:
-    forward products ``X·w`` (rotation-based row sums), a degree-3
-    sigmoid approximation, the gradient ``X^T·v`` (rotation-based column
-    sums), and the Nesterov momentum update.
-    """
-    return _generate(
-        "LogReg", schedule, n, max_log_q, scheme, word_bits, ks_digits)
-
-
-#: Benchmark registry used by every evaluation harness.
+#: Benchmark registry used by every evaluation harness:
+#: ``BENCHMARKS[app](schedule, **kw)`` is ``generate(app, schedule, **kw)``.
 BENCHMARKS: dict[str, Callable[..., HeTrace]] = {
-    "ResNet-20": resnet20,
-    "ResNet-20+AESPA": resnet20_aespa,
-    "RNN": rnn,
-    "SqueezeNet": squeezenet,
-    "LogReg": logreg,
+    app: partial(generate, app) for app in _PROGRAMS
 }
 
 
@@ -317,8 +257,8 @@ def workload_traces(
     homomorphic programs, under both level-management schemes.
     """
     return [
-        build(schedule=schedule, scheme=scheme, word_bits=word_bits)
-        for build in BENCHMARKS.values()
+        generate(app, schedule, scheme=scheme, word_bits=word_bits)
+        for app in _PROGRAMS
         for schedule in (BS19_SCHEDULE, BS26_SCHEDULE)
         for scheme in schemes
     ]

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from repro.eval import common, fig11, fig14, fig15, fig16, runner
+from repro.obs import core as obs_core
 from repro.schemes import chain_to_dict
 from repro.trace.program import content_digest
 from repro.workloads.apps import BENCHMARKS, levels_for
@@ -63,11 +64,14 @@ class TestCachedHarnesses:
         first_render = fig14.render(fig14.run(word_sizes=words))
         assert len(simulations) == 2 * len(words) * len(common.WORKLOAD_GRID)
         simulations.clear()
-        fig15.run(word_sizes=words)
-        fig16.run(word_sizes=words)
+        fig15_rows = fig15.run(word_sizes=words)
+        fig16_rows = fig16.run(word_sizes=words)
         warm_render = fig14.render(fig14.run(word_sizes=words))
         assert simulations == []
         assert warm_render == first_render
+        # A one-shot iterable of words gives the same rows.
+        assert fig15.run(word_sizes=iter(words)) == fig15_rows
+        assert fig16.run(word_sizes=iter(words)) == fig16_rows
 
 
 #: The points one ``model_sweep`` pass prices: Figs. 11/13 at 28 and 64
@@ -204,6 +208,42 @@ class TestMapGrid:
             runner.map_grid(point, [dict(x=i) for i in range(4)])
         assert caught.value is boom
         assert seen == [0, 1, 2]
+
+
+def _product(app, bs, scheme, word_bits=28):
+    return (app, bs, scheme, word_bits)
+
+
+class TestMapVariants:
+    POINTS = [dict(app="LogReg", bs="BS19"), dict(app="RNN", bs="BS26"),
+              dict(app="ResNet-20", bs="BS19")]
+    VARIANTS = [dict(scheme="bitpacker"),
+                dict(scheme="rns-ckks", word_bits=36)]
+
+    def test_tuples_equal_direct_calls_in_variant_order(self):
+        results = runner.map_variants(_product, self.POINTS, self.VARIANTS)
+        assert results == [
+            tuple(_product(**point, **variant) for variant in self.VARIANTS)
+            for point in self.POINTS
+        ]
+        assert results[1] == (("RNN", "BS26", "bitpacker", 28),
+                              ("RNN", "BS26", "rns-ckks", 36))
+
+    def test_one_map_grid_span_with_one_task_per_call(self):
+        obs_core.disable()
+        obs_core.reset()
+        obs_core.enable()
+        try:
+            runner.map_variants(_product, self.POINTS, self.VARIANTS)
+            roots = obs_core.take_roots()
+        finally:
+            obs_core.disable()
+            obs_core.reset()
+        [root] = roots
+        calls = len(self.POINTS) * len(self.VARIANTS)
+        assert (root.name, root.tags) == ("map_grid", {"tasks": calls})
+        assert [c.name for c in root.children] == ["task"] * calls
+        assert [c.tags["index"] for c in root.children] == list(range(calls))
 
 
 class TestSerialization:
