@@ -49,7 +49,7 @@ from repro.schemes import plan_chain
 #: harness is a module with ``run()`` and ``render()``, or
 #: ``module:run,render`` naming the two.  One entry per committed
 #: ``results/*.txt``.  Notes are measured cold runs on a 2-core machine
-#: (all 17 together, in one process: about 36 s).
+#: (all 17 together, in one process: about 19 s).
 FIGURES: dict[str, tuple[str, str, str]] = {
     "fig10": ("repro.eval.fig10", "fig10_energy_breakdown", "instant"),
     "fig11": ("repro.eval.fig11", "fig11_exec_time_28bit", "~1 s"),

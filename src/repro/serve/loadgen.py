@@ -1,7 +1,7 @@
 """Deterministic, seedable load generator for ``repro serve``.
 
-Simulates the traffic shape a popular encrypted-compute endpoint sees
-(the ROADMAP's "millions of users" target scaled to a test harness):
+Simulates the traffic shape a popular encrypted-compute endpoint sees,
+scaled down to a test harness:
 
 - **Zipf tenant mix** — tenant popularity follows ``1 / rank^s``; a few
   hot tenants dominate, a long tail trickles (so key/batch reuse is

@@ -509,8 +509,8 @@ class BitPackerServe:
 
         ``shed`` and ``retried`` are constant zeros: the service sheds
         and retries nothing, and the keys stay only because the frozen
-        ladder (``benchmarks/ladder/serve.py``) reads them.  ROADMAP
-        item 1's thaw removes them.
+        ladder (``benchmarks/ladder/serve.py``) reads them.  The ladder
+        thaw (ROADMAP.md) removes them.
         """
         return {
             "submitted": self.submitted,

@@ -1,4 +1,4 @@
-"""Trace compiler: absint-certified schedule optimization (ROADMAP item).
+"""Trace compiler: absint-certified schedule optimization.
 
 The hand-transcribed workload schedules follow the paper's figures, which
 means they inherit the figures' conservatism: chains sized for the

@@ -56,7 +56,7 @@ def _column(moduli) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Known-answer vectors (ROADMAP item 4) for the fold and the pointwise
+# Known-answer vectors (the kernel-engine re-entry contract) for the fold and the pointwise
 # kernels, recorded from the numpy kernels of the commit before the
 # registry went.  Inputs come from a 64-bit LCG over Python ints, so
 # nothing here depends on a numpy generator.  Re-record (only when a

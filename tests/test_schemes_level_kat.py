@@ -5,7 +5,7 @@ two residue width classes, what ``rescale`` does at every level and
 what ``adjust`` does for **every** ``src > dst`` pair: the sha256 of the
 output residues, the output level, moduli (order included) and the exact
 scale.  The direct ``scale_up`` / ``scale_down`` / ``drop_moduli``
-digests on the same matrices close ROADMAP item 1(c) for the RNS layer.
+digests on the same matrices pin the RNS layer's level moves too.
 
 The file was recorded from the per-scheme ``rescale``/``adjust`` methods
 of the commit before they were merged, so it is the oracle the single
