@@ -17,7 +17,10 @@ Each ``(kernel, n, width)`` point is measured once, plus once against
 the pre-vectorization per-block / per-row baseline preserved in
 :mod:`repro.nt.ntt_reference` (and the legacy row-loop helpers below;
 for the stacked multiply-accumulate, the 2-D call once per term);
-``speedup_vs_baseline`` is what the vectorization bought.
+``speedup_vs_baseline`` is what the vectorization bought.  The timed
+calls run round-robin over the whole sweep (one call per point per
+round), so machine noise spreads over every row rather than whole
+rows; each point's median is over its own calls.
 
 Results are written to ``BENCH_kernels.json`` at the repo root as
 ``{"env": ..., "results": [...]}`` — the benchmark ladder's environment
@@ -64,16 +67,6 @@ WIDTH_BOUNDS = {"narrow": 1 << 28, "wide": 1 << 55}
 def primes_for(width: str, n: int, count: int) -> list[int]:
     gen = ntt_friendly_primes_below(WIDTH_BOUNDS[width], n)
     return [next(gen) for _ in range(count)]
-
-
-def median_time(fn, reps: int) -> float:
-    fn()  # warmup: builds cached twiddle tables outside the timed region
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 # ----------------------------------------------------------------------
@@ -292,33 +285,57 @@ KERNELS = {
 
 
 def run(sizes, widths, reps, baseline_reps):
-    results = []
+    """Time every point's calls round-robin across the whole sweep.
+
+    Every point is built and warmed first; then each round makes one
+    timed call of every point that still has reps left, so a noisy
+    minute of the machine spreads over all rows instead of landing on
+    the few points timed in it.  The number of timed calls per point is
+    the same as a per-point burst would make.
+    """
+    points = []
     for width in widths:
         for n in sizes:
             for kernel, make in KERNELS.items():
                 rng = np.random.default_rng(hash((kernel, n, width)) % 2**32)
                 vec, base = make(n, width, rng)
-                vec_reps = reps if n <= 1 << 13 else max(1, reps // 2)
-                base_reps = baseline_reps if n <= 1 << 13 else 1
-                baseline_s = median_time(base, base_reps)
-                median_s = median_time(vec, vec_reps)
-                results.append(
-                    {
-                        "kernel": kernel,
-                        "n": n,
-                        "width": width,
-                        "median_s": median_s,
-                        "baseline_median_s": baseline_s,
-                        "speedup_vs_baseline": baseline_s / median_s,
-                    }
-                )
-                print(
-                    f"  {kernel:<15} n=2^{n.bit_length() - 1:<3} {width:<7} "
-                    f"{median_s * 1e3:9.3f} ms   "
-                    f"base {baseline_s * 1e3:9.3f} ms   "
-                    f"speedup {baseline_s / median_s:7.1f}x",
-                    flush=True,
-                )
+                big = n > 1 << 13
+                points.append({
+                    "kernel": kernel, "n": n, "width": width,
+                    "calls": (
+                        (vec, max(1, reps // 2) if big else reps, []),
+                        (base, 1 if big else baseline_reps, []),
+                    ),
+                })
+    for point in points:  # warmup: builds cached tables outside the timing
+        for fn, _reps, _times in point["calls"]:
+            fn()
+    for rnd in range(max(reps, baseline_reps)):
+        for point in points:
+            for fn, count, times in point["calls"]:
+                if rnd < count:
+                    t0 = time.perf_counter()
+                    fn()
+                    times.append(time.perf_counter() - t0)
+    results = []
+    for point in points:
+        (_, _, vec_times), (_, _, base_times) = point.pop("calls")
+        median_s = statistics.median(vec_times)
+        baseline_s = statistics.median(base_times)
+        results.append({
+            **point,
+            "median_s": median_s,
+            "baseline_median_s": baseline_s,
+            "speedup_vs_baseline": baseline_s / median_s,
+        })
+        n = point["n"]
+        print(
+            f"  {point['kernel']:<15} n=2^{n.bit_length() - 1:<3} "
+            f"{point['width']:<7} {median_s * 1e3:9.3f} ms   "
+            f"base {baseline_s * 1e3:9.3f} ms   "
+            f"speedup {baseline_s / median_s:7.1f}x",
+            flush=True,
+        )
     return results
 
 
