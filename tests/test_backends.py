@@ -56,11 +56,12 @@ def _column(moduli) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Known-answer vectors (the kernel-engine re-entry contract) for the fold and the pointwise
-# kernels, recorded from the numpy kernels of the commit before the
-# registry went.  Inputs come from a 64-bit LCG over Python ints, so
-# nothing here depends on a numpy generator.  Re-record (only when a
-# kernel's definition changes, never to make a kernel change pass) with
+# Known-answer vectors (the kernel-engine re-entry contract) for the
+# fold and the pointwise kernels, recorded from the numpy kernels of the
+# commit before the registry went.  Inputs come from a 64-bit LCG over
+# Python ints, so nothing here depends on a numpy generator.  Re-record
+# (only when a kernel's definition changes, never to make a kernel
+# change pass) with
 #   PYTHONPATH=src python -c \
 #     "import tests.test_backends as t; t.record_kat()"
 # ----------------------------------------------------------------------

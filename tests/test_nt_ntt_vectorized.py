@@ -424,9 +424,9 @@ def test_kernel_is_chosen_by_word_and_degree(
 
 # ----------------------------------------------------------------------
 # Known-answer vectors (the kernel-engine re-entry contract, DESIGN.md
-# Sec. 10): sha256 of a fixed input and of
-# its forward / inverse transform per width class, recorded at the
-# commit *before* the lazy butterfly landed.  Inputs come from a 64-bit
+# Sec. 10): sha256 of a fixed input and of its forward / inverse
+# transform per width class, recorded at the commit *before* the lazy
+# butterfly landed.  Inputs come from a 64-bit
 # LCG over Python ints, so nothing here depends on a numpy generator.
 # Re-record (only when the transform's definition changes, never to
 # make a kernel change pass) with
