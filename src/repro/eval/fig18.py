@@ -9,7 +9,6 @@ RNS-CKKS's by less than the 0.5-bit moduli-selection margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from typing import Callable
 
 from repro.eval import runner
