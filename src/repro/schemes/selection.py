@@ -269,8 +269,19 @@ def greedy_prime_product(
         hi = bisect.bisect_left(bits, ideal)
         lo = min(hi, top) - 1
         tried = 0
+        # A side is dead once one of its candidates can be neither
+        # accepted nor recursed into and, ``rest`` being monotone along
+        # the side (rising downward, falling upward), no later one can
+        # be either.  Down: ``rest`` past ``reach`` (the window itself
+        # at the last slot).  Up: ``rest`` below ``-over``, or no
+        # recursion (last slot, or below ``floor``) and even the walk's
+        # top prime leaves ``rest`` above the window.  A dead side's
+        # candidates still count toward ``branch``; only when both sides
+        # are dead or walked out is the node's answer settled as None.
+        down_dead = up_dead = False
         while lo >= 0 or hi < top:
-            if lo < 0 or (hi < top and ideal - bits[lo] > bits[hi] - ideal):
+            up = lo < 0 or (hi < top and ideal - bits[lo] > bits[hi] - ideal)
+            if up:
                 idx = hi
                 hi += 1
             else:
@@ -288,8 +299,15 @@ def greedy_prime_product(
                 result = recurse(rest, left, chosen + (prime,), nodes)
                 if result is not None:
                     return result
+            elif up:
+                up_dead = rest < -over or (
+                    (not left or rest < floor)
+                    and remaining - bits[top - 1] > tolerance_bits)
+            else:
+                down_dead = rest > reach
             tried += 1
-            if tried >= branch:
+            if tried >= branch or (
+                    (down_dead or lo < 0) and (up_dead or hi >= top)):
                 return None
         return None
 

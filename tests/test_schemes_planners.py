@@ -17,6 +17,7 @@ from repro.schemes import (
 )
 from repro.schemes.rns_ckks import achievable_scale_bits
 from repro.schemes.selection import (
+    ACCEPTANCE_WINDOWS,
     PrimePool,
     greedy_prime_product,
     limit_fraction,
@@ -363,6 +364,28 @@ _TIE_MID = (math.log2(_TIE[0]) + math.log2(_TIE[1])) / 2
 #: which only a 21st try would reach.
 _BELOW = _TABLE[1000:1020]
 _ABOVE = _TABLE[1200]
+_BITS = [math.log2(p) for p in _TABLE]
+#: Searches that settle a node as soon as both sides of its walk are
+#: dead or walked out: the down side past the window at a leaf, past
+#: ``reach`` at an inner slot (the top prime's child first dies at its
+#: leaf), the up side below ``-over`` (rounding at the walk's top) and
+#: by the top-of-walk test (every band prime leaves ``rest`` below
+#: ``floor``, and even the largest leaves 6 bits).
+_DEAD_LEAF_DOWN = dict(target_bits=_BITS[500] + 1e-3, candidates=_TABLE,
+                       tolerance_bits=0.0, max_count=1,
+                       over_tolerance_bits=0.0, excluded=frozenset())
+_DEAD_INNER_DOWN = dict(target_bits=2 * _BITS[39] - 1e-6,
+                        candidates=_TABLE[:40], tolerance_bits=0.0,
+                        max_count=2, over_tolerance_bits=0.0,
+                        excluded=frozenset())
+_DEAD_BELOW_OVER = dict(target_bits=_BITS[0] - 0.3, candidates=_TABLE,
+                        tolerance_bits=0.0, max_count=1,
+                        over_tolerance_bits=0.3, excluded=frozenset())
+_BAND = _TABLE[bisect.bisect_left(_BITS, 18.0):bisect.bisect_left(_BITS, 24.0)]
+_DEAD_TOP = dict(target_bits=30.0,
+                 candidates=[_TABLE[0], *_BAND[::len(_BAND) // 30][:30]],
+                 tolerance_bits=0.0, max_count=2, over_tolerance_bits=0.0,
+                 excluded=frozenset())
 
 
 @st.composite
@@ -398,6 +421,15 @@ class TestGreedyVisitOrder:
                          candidates=[*_BELOW, _ABOVE], tolerance_bits=0.0,
                          max_count=1, over_tolerance_bits=1.0,
                          excluded=frozenset()))
+    # The down side dies at once, but the 20th candidate above is taken.
+    @example(search=dict(target_bits=math.log2(_BELOW[-1]) + 1e-9,
+                         candidates=[*_BELOW[1:], _ABOVE], tolerance_bits=0.0,
+                         max_count=1, over_tolerance_bits=1.0,
+                         excluded=frozenset()))
+    @example(search=_DEAD_LEAF_DOWN)
+    @example(search=_DEAD_INNER_DOWN)
+    @example(search=_DEAD_BELOW_OVER)
+    @example(search=_DEAD_TOP)
     def test_matches_the_generator_walk(self, search):
         want = reference_greedy(**search)
         assert greedy_prime_product(**search) == want
@@ -419,6 +451,31 @@ class TestGreedyVisitOrder:
                                     1.0) is None
         assert greedy_prime_product(target, [*_BELOW[1:], _ABOVE], 0.0, 1,
                                     1.0) == (_ABOVE,)
+
+    def test_dead_walks_read_fewer_bits(self):
+        """A 60-bit target over the 28-bit terminal pool at N = 2^16 finds
+        the same answer under every window; the half-bit window, which
+        fails, reads at most 60 % of the 1,548 log-sizes a walk to the
+        branch limit reads."""
+        pool = terminal_pool(28, 2**16)
+
+        class Counting(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                Counting.reads += 1
+                return list.__getitem__(self, index)
+
+        answers, reads = [], []
+        for tolerance, over in ACCEPTANCE_WINDOWS:
+            Counting.reads = 0
+            counted = PrimePool(pool.primes, Counting(pool.bits))
+            answers.append(greedy_prime_product(60.0, counted, tolerance, 4,
+                                                over))
+            reads.append(Counting.reads)
+        found = (2752513, 1179649, 786433)
+        assert answers == [None, None, found, found, found, found]
+        assert reads[0] <= 0.6 * 1548
 
     def test_the_example_exhausts_the_budget(self):
         nodes = []
