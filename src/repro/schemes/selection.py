@@ -224,6 +224,19 @@ def greedy_prime_product(
     Candidates in ``excluded`` are skipped, exactly as if they had been
     filtered out of the pool.  Returns ``None`` when no combination
     exists.
+
+    A node walks the pool outward from its slot's ideal log-size, so
+    along either side ``rest = remaining - log2(p)`` is monotone (rising
+    downward, falling upward).  A side is dead once one candidate on it
+    can be neither accepted nor recursed into, because then no later
+    one can be: downward when ``rest`` exceeds ``reach`` (the window's
+    top at the last slot); upward when ``rest`` falls below ``-over``,
+    or when recursion is impossible (last slot, or ``rest`` below
+    ``floor``) and even the walk's top prime leaves ``rest`` above the
+    window.  Once both sides are dead or walked out, the rest of the
+    walk could only count failures toward the branch limit, so the node
+    returns ``None`` at once.  A dead side is not skipped while the
+    other lives: its candidates still count toward that limit.
     """
     over = tolerance_bits if over_tolerance_bits is None else over_tolerance_bits
     if not isinstance(candidates, PrimePool):
@@ -269,16 +282,7 @@ def greedy_prime_product(
         hi = bisect.bisect_left(bits, ideal)
         lo = min(hi, top) - 1
         tried = 0
-        # A side is dead once one of its candidates can be neither
-        # accepted nor recursed into and, ``rest`` being monotone along
-        # the side (rising downward, falling upward), no later one can
-        # be either.  Down: ``rest`` past ``reach`` (the window itself
-        # at the last slot).  Up: ``rest`` below ``-over``, or no
-        # recursion (last slot, or below ``floor``) and even the walk's
-        # top prime leaves ``rest`` above the window.  A dead side's
-        # candidates still count toward ``branch``; only when both sides
-        # are dead or walked out is the node's answer settled as None.
-        down_dead = up_dead = False
+        down_dead = up_dead = False  # see the docstring
         while lo >= 0 or hi < top:
             up = lo < 0 or (hi < top and ideal - bits[lo] > bits[hi] - ideal)
             if up:
