@@ -430,6 +430,14 @@ class TestGreedyVisitOrder:
     @example(search=_DEAD_INNER_DOWN)
     @example(search=_DEAD_BELOW_OVER)
     @example(search=_DEAD_TOP)
+    # A negative overshoot lifts ``floor``: a down candidate whose ``rest``
+    # is below it cannot recurse, but the side is not dead, since the
+    # next one down leaves more.
+    @example(search=dict(target_bits=66.12,
+                         candidates=[3361793, 3428353, 3922433, 4323329,
+                                     4784641],
+                         tolerance_bits=1.875, max_count=5,
+                         over_tolerance_bits=-0.66, excluded=frozenset()))
     def test_matches_the_generator_walk(self, search):
         want = reference_greedy(**search)
         assert greedy_prime_product(**search) == want
@@ -453,10 +461,11 @@ class TestGreedyVisitOrder:
                                     1.0) == (_ABOVE,)
 
     def test_dead_walks_read_fewer_bits(self):
-        """A 60-bit target over the 28-bit terminal pool at N = 2^16 finds
-        the same answer under every window; the half-bit window, which
-        fails, reads at most 60 % of the 1,548 log-sizes a walk to the
-        branch limit reads."""
+        """A 60-bit target over the 28-bit terminal pool at N = 2^16 fails
+        under the two narrowest windows and finds three primes under the
+        rest; the half-bit window's failure reads at most 60 % of the
+        1,548 log-sizes that walking every node to the branch limit
+        reads."""
         pool = terminal_pool(28, 2**16)
 
         class Counting(list):
