@@ -148,42 +148,6 @@ class SimResult:
     def level_mgmt_energy_fraction(self) -> float:
         return self.level_mgmt_energy_j / self.energy_j if self.energy_j else 0.0
 
-    def kernel_shares(self) -> dict[str, float]:
-        """Per-kernel fraction of total cycles (sums to 1.0 ± float error)."""
-        if not self.cycles:
-            return {}
-        return {
-            kernel: cycles / self.cycles
-            for kernel, cycles in self.kernel_cycles.items()
-        }
-
-    def kernel_table(self) -> list[tuple[str, float, float, float, float]]:
-        """Per-kernel ``(name, cycles, cycle share, joules, energy share)``.
-
-        The union of the cycle-attribution keys (:data:`KERNELS`) and the
-        energy components (Fig. 10's legend plus HBM/static); a kernel
-        missing on one axis reports zero there — the register file, for
-        example, costs energy but is never a cycle bottleneck.
-        """
-        shares = self.kernel_shares()
-        names = list(
-            dict.fromkeys(list(self.kernel_cycles) + list(self.energy_by_component))
-        )
-        return [
-            (
-                name,
-                self.kernel_cycles.get(name, 0.0),
-                shares.get(name, 0.0),
-                self.energy_by_component.get(name, 0.0),
-                (
-                    self.energy_by_component.get(name, 0.0) / self.energy_j
-                    if self.energy_j
-                    else 0.0
-                ),
-            )
-            for name in names
-        ]
-
 
 class AcceleratorSim:
     """Prices traces on one accelerator configuration."""

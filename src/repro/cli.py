@@ -16,8 +16,6 @@ Usage (``python -m repro ...``)::
     python -m repro verify-trace
     python -m repro verify-trace my_schedule.json --format json
     python -m repro compile-trace --format json --output savings.json
-    python -m repro serve --tenants 8 --requests 400 --json serve.json
-    python -m repro serve --queue-depth 8 --high-water 4   # force backpressure
 
 ``figure`` runs every experiment cold, in one process: Ctrl-C exits 130
 with completed figures flushed to ``results/`` (DESIGN.md Sec. 8).  With
@@ -26,8 +24,7 @@ with completed figures flushed to ``results/`` (DESIGN.md Sec. 8).  With
 and prints a rendered summary; ``obs-report`` renders, diffs, or
 converts those documents (DESIGN.md Sec. 9).  ``lint`` checks source
 (fhelint, DESIGN.md Sec. 7); ``verify-trace`` certifies schedules
-(Sec. 11).  ``serve`` boots the async service, drives seeded load and
-audits every response (Secs. 12-13).
+(Sec. 11).
 
 A :class:`~repro.errors.ReproError` from any command is one ``error:``
 line on stderr and exit 2.
@@ -204,44 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "or one log2(Q) bit in aggregate (the CI gate)",
     )
     _add_format_options(compile_)
-
-    serve = sub.add_parser(
-        "serve",
-        help="boot the async multi-tenant service, drive seeded load and "
-             "audit every response",
-        description="Exit codes: 0 clean; 1 dropped, corrupted or failed "
-                    "responses (a 500, 503 or 504 counts as failed) or "
-                    "unbalanced books; 2 bad flags or spec; 130 on SIGINT, "
-                    "after a graceful drain.",
-    )
-    load = serve.add_argument_group("load")
-    load.add_argument("--seed", type=int, default=0xB17,
-                      help="load-generator seed (default: %(default)s)")
-    load.add_argument("--tenants", type=int, default=6,
-                      help="simulated tenants (default: %(default)s)")
-    load.add_argument("--requests", type=int, default=200,
-                      help="total requests (default: %(default)s)")
-    load.add_argument("--burst-gap", type=float, default=0.0, metavar="S",
-                      help="mean seconds between bursts (default: flood)")
-    svc = serve.add_argument_group("service")
-    svc.add_argument("--queue-depth", type=int, default=64,
-                     help="bounded queue size per shard (default: %(default)s)")
-    svc.add_argument("--high-water", type=int, default=None,
-                     help="admission rejects past this queue depth "
-                          "(default: queue depth)")
-    svc.add_argument("--max-batch", type=int, default=16,
-                     help="max requests coalesced per kernel call "
-                          "(default: %(default)s)")
-    svc.add_argument("--request-timeout", type=float, default=None,
-                     metavar="S",
-                     help="per-request deadline in seconds (default: none)")
-    out = serve.add_argument_group("output")
-    out.add_argument("--profile", action="store_true",
-                     help="record repro.obs counters into the report")
-    out.add_argument("--json", default=None, metavar="PATH",
-                     help="write the machine-readable report to PATH")
-    out.add_argument("--quiet", action="store_true",
-                     help="suppress the rendered report (exit code only)")
     return parser
 
 
@@ -287,7 +246,7 @@ def write_text_atomic(path: Path, text: str) -> None:
     """Publish an output file atomically (temp + ``os.replace``).
 
     The one writer for everything the CLIs publish: figure tables,
-    profiles, reports and ``serve --json``.  A crash or Ctrl-C
+    profiles and reports.  A crash or Ctrl-C
     mid-write must never leave a torn or partial output: readers see the
     previous content or the new one, nothing in between.  The temp file
     is removed on any failure, including one in the window between the
@@ -616,56 +575,6 @@ def _cmd_compile_trace(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-    import json
-
-    from repro import obs
-    from repro.serve import loadgen
-
-    spec = loadgen.LoadSpec(
-        seed=args.seed,
-        tenants=args.tenants,
-        requests=args.requests,
-        burst_gap_s=args.burst_gap,
-        deadline_s=args.request_timeout,
-    )
-    if args.profile:
-        obs.enable()
-        obs.reset()
-    try:
-        report = asyncio.run(loadgen.run_scenario(
-            spec,
-            queue_depth=args.queue_depth,
-            high_water=args.high_water,
-            max_batch=args.max_batch,
-            request_timeout_s=args.request_timeout,
-        ))
-    except KeyboardInterrupt:
-        # The service context manager drained on the way out; 130 is
-        # the conventional SIGINT exit status.
-        print("[serve] interrupted — drained and stopped", file=sys.stderr)
-        return 130
-    finally:
-        if args.profile:
-            obs.disable()
-    doc = report.to_dict()
-    if args.profile:
-        doc["obs"] = {"counters": obs.counters()}
-        obs.reset()
-    if args.json:
-        out = Path(args.json)
-        write_text_atomic(out, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"[serve] report -> {out}", file=sys.stderr)
-    if not args.quiet:
-        print(report.render())
-    problems = report.audit()
-    if problems:
-        print(f"[serve] FAILED: {'; '.join(problems)}", file=sys.stderr)
-        return 1
-    return 0
-
-
 _COMMANDS: dict[str, Callable] = {
     "plan": _cmd_plan,
     "figure": _cmd_figure,
@@ -674,7 +583,6 @@ _COMMANDS: dict[str, Callable] = {
     "lint": _cmd_lint,
     "verify-trace": _cmd_verify_trace,
     "compile-trace": _cmd_compile_trace,
-    "serve": _cmd_serve,
 }
 
 

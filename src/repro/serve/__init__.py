@@ -5,10 +5,10 @@ Sec. 12): per-tenant sessions over a shared key registry
 (:mod:`repro.serve.keys`), admission through the static schedule
 verifier, bounded per-shard queues with 429-style backpressure, a
 batcher that coalesces compatible ciphertext ops into matrix-at-a-time
-kernel calls (:mod:`repro.serve.batch`), and per-tenant
-metrics via :mod:`repro.obs`.  :mod:`repro.serve.loadgen` ships the
-seeded Zipf/bursty traffic model and the audited load report; ``repro
-serve`` (:mod:`repro.cli`) boots the whole stack from the command line.
+kernel calls (:mod:`repro.serve.batch`), and always-on books plus
+:mod:`repro.obs` spans.  :mod:`repro.serve.loadgen` registers a run's
+tenants.  There is no command-line entry point: the service is driven
+from Python (``benchmarks/ladder/serve.py``, ``tests/test_serve.py``).
 """
 
 from repro.serve.batch import (
@@ -19,13 +19,7 @@ from repro.serve.batch import (
     execute_serial,
 )
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
-from repro.serve.loadgen import (
-    LoadReport,
-    LoadSpec,
-    build_schedule,
-    run_load,
-    run_scenario,
-)
+from repro.serve.loadgen import LoadSpec
 from repro.serve.service import (
     BitPackerServe,
     ServeResponse,
@@ -38,15 +32,11 @@ __all__ = [
     "KeyMaterial",
     "KeyParams",
     "KeyRegistry",
-    "LoadReport",
     "LoadSpec",
     "OpRequest",
     "ServeResponse",
     "TenantSession",
-    "build_schedule",
     "coalesce",
     "execute_group",
     "execute_serial",
-    "run_load",
-    "run_scenario",
 ]

@@ -63,11 +63,6 @@ class OpRequest:
     ``a``/``b`` are ``(level + 1, n)`` uint64 residue stacks, row ``i``
     reduced mod ``key.primes[i]``.  ``context`` is an opaque slot the
     service uses to carry its response future.
-
-    ``deadline`` is an absolute ``time.monotonic()`` instant (``None``
-    = no deadline) propagated from ``submit()`` through coalescing:
-    batching is a latency decision and must never execute work the
-    submitter has already given up on.
     """
 
     tenant: str
@@ -76,7 +71,6 @@ class OpRequest:
     level: int
     a: np.ndarray
     b: np.ndarray
-    deadline: float | None = None
     context: Any = field(default=None, repr=False)
 
     def batch_key(self) -> tuple[str, int, str]:

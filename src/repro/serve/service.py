@@ -1,42 +1,37 @@
-"""The async multi-tenant encrypted-compute service behind ``repro serve``.
+"""The async multi-tenant encrypted-compute service, :class:`BitPackerServe`.
 
 Composes the repo's batch pieces into a long-running system:
 
 admission -> verify gate -> per-shard queue -> batcher -> kernel call
    |              |                |               |          |
- 404/400/422   ScheduleViolation  429 past     coalesce     repro
- on bad input  at the front door  high water   compatible   .backends
-                                  / fair cap   ops          (500 if it raises)
+ 404/400/422   ScheduleViolation  429 once the   coalesce     repro
+ on bad input  at the front door  queue is full  compatible   .backends
+                                                 ops          (500 if it raises)
 
 - **Sessions** bind a tenant to a *verified* schedule and to shared
   :class:`~repro.serve.keys.KeyMaterial`.  Registration runs every
-  trace through the PR-7 :func:`~repro.analysis.absint.verify_or_raise`
+  trace through the :func:`~repro.analysis.absint.verify_or_raise`
   gate (content-keyed, single-flight memo), so a malformed schedule is
   rejected before it can poison a batch.
 - **Sharding** routes a session by its key fingerprint: one key's
   traffic serializes on one worker, which keeps its tables hot and
   makes per-tenant ordering trivial.
-- **Backpressure**: shard queues are bounded; admission past the high
-  water mark returns a 429-class rejection immediately instead of
-  queuing unboundedly, and an optional per-tenant inflight cap keeps
-  one noisy tenant from starving its shard.
+- **Backpressure**: shard queues hold ``queue_depth`` requests;
+  admission into a full queue returns a 429-class rejection at once
+  instead of blocking the loop.
 - **Batching**: each worker drains whatever is queued (up to
   ``max_batch``), coalesces compatible ops
   (:mod:`repro.serve.batch`), and dispatches matrix-at-a-time through
   :mod:`repro.backends`.  Results are byte-identical to serial
   execution — batching is a latency/throughput decision, never a
   numerical one.
-- **Failure model** (DESIGN.md Sec. 13): requests carry deadlines from
-  ``submit()`` to their dispatch (504 once passed); a dispatch that
-  raises settles every live member of its group as a 500 and the
-  worker carries on; ``stop(drain=True)`` finishes queued work under a
-  drain deadline and resolves — never hangs — anything it cannot
-  finish.
+- **Failure model** (DESIGN.md Sec. 13): a dispatch that raises
+  settles every member of its group as a 500 and the worker carries
+  on; ``stop()`` finishes queued work, then settles anything left as a
+  503, so no submitter awaits a future that will not resolve.
 - **Observability**: one set of always-on books, global and per
-  tenant (:meth:`BitPackerServe.stats`), that the smoke job asserts
-  against; a :meth:`BitPackerServe.health` readiness view; and, when
-  profiling is on, a ``serve/batch`` :mod:`repro.obs` span around
-  every dispatch.
+  tenant (:meth:`BitPackerServe.stats`), and, when profiling is on, a
+  ``serve/batch`` :mod:`repro.obs` span around every dispatch.
 
 The service is single-event-loop: workers are asyncio tasks and the
 kernel calls run inline (they are short at service ring degrees and
@@ -84,7 +79,7 @@ class TenantSession:
     rejected: int = 0
     completed: int = 0
     failed: int = 0
-    #: Admitted but not yet settled (the fairness-cap denominator).
+    #: Admitted but not yet settled.
     inflight: int = 0
 
     def op_for(self, op_index: int):
@@ -96,12 +91,12 @@ class ServeResponse:
     """What a submitter gets back.  ``ok`` iff the op executed.
 
     ``status`` values: ``ok`` (200), ``rejected`` (400/404/422/429
-    admission refusals), ``error`` (500 the dispatch raised, 504
-    deadline exceeded, 503 service stopped before execution).
+    admission refusals), ``error`` (500 the dispatch raised, 503
+    service stopped before execution).
     """
 
     status: str  # "ok" | "rejected" | "error"
-    code: int  # HTTP-style: 200, 400, 404, 422, 429, 500, 503, 504
+    code: int  # HTTP-style: 200, 400, 404, 422, 429, 500, 503
     tenant: str
     op_index: int | None = None
     result: np.ndarray | None = field(default=None, repr=False)
@@ -126,11 +121,7 @@ class BitPackerServe:
         self,
         shards: int = 2,
         queue_depth: int = 64,
-        high_water: int | None = None,
         max_batch: int = 16,
-        registry: KeyRegistry | None = None,
-        request_timeout_s: float | None = None,
-        tenant_inflight_cap: int | None = None,
     ):
         if shards < 1:
             raise ParameterError(f"shards must be >= 1, got {shards}")
@@ -138,29 +129,10 @@ class BitPackerServe:
             raise ParameterError(f"queue_depth must be >= 1, got {queue_depth}")
         if max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
-        if request_timeout_s is not None and request_timeout_s <= 0:
-            raise ParameterError(
-                f"request_timeout_s must be > 0, got {request_timeout_s}"
-            )
-        if tenant_inflight_cap is not None and tenant_inflight_cap < 1:
-            raise ParameterError(
-                f"tenant_inflight_cap must be >= 1, got {tenant_inflight_cap}"
-            )
         self.shards = shards
         self.queue_depth = queue_depth
-        #: Admission rejects once a shard queue holds this many waiting
-        #: requests (<= queue_depth so enqueue never blocks the loop).
-        self.high_water = queue_depth if high_water is None else high_water
-        if not 1 <= self.high_water <= queue_depth:
-            raise ParameterError(
-                f"high_water must be in [1, queue_depth={queue_depth}], "
-                f"got {self.high_water}"
-            )
         self.max_batch = max_batch
-        self.registry = registry if registry is not None else KeyRegistry()
-        #: Default per-request deadline (seconds; ``None`` = none).
-        self.request_timeout_s = request_timeout_s
-        self.tenant_inflight_cap = tenant_inflight_cap
+        self.registry = KeyRegistry()
         self.sessions: dict[str, TenantSession] = {}
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
@@ -171,9 +143,8 @@ class BitPackerServe:
         self.rejected = 0
         self.completed = 0
         self.failed = 0
-        #: Failure breakdown (both are subsets of ``failed``).
-        self.expired = 0  # 504: deadline passed before execution
-        self.cancelled = 0  # 503: service stopped before execution
+        #: 503s: stopped before execution (a subset of ``failed``).
+        self.cancelled = 0
         self.batches = 0
         self.batched_requests = 0
         self.max_batch_seen = 0
@@ -193,29 +164,19 @@ class BitPackerServe:
         ]
         self._running = True
 
-    async def stop(
-        self, drain: bool = True, drain_timeout_s: float | None = None
-    ) -> bool:
-        """Stop the service; returns ``True`` iff every queue drained.
+    async def stop(self) -> None:
+        """Finish all queued work, then stop the workers.
 
-        ``drain=True`` (the default) finishes all queued work first,
-        bounded by ``drain_timeout_s`` (``None`` = wait forever).
-        ``drain=False`` — or a drain deadline expiring — cancels the
-        workers and *settles* everything still pending with 503-class
-        ``error`` responses: a stopped service never leaves a submitter
-        awaiting a future that will not resolve, and the books still
-        balance (the cancellations count as ``failed``/``cancelled``).
+        Anything still pending once the workers are cancelled settles
+        as a 503-class ``error``: a stopped service never leaves a
+        submitter awaiting a future that will not resolve, and the
+        books still balance (the cancellations count as
+        ``failed``/``cancelled``).
         """
         if not self._running:
-            return True
+            return
         self._running = False  # new submits now refuse; queued work settles
-        drained = True
-        if drain and self._queues:
-            join = asyncio.gather(*(queue.join() for queue in self._queues))
-            try:
-                await asyncio.wait_for(join, drain_timeout_s)
-            except asyncio.TimeoutError:
-                drained = False
+        await asyncio.gather(*(queue.join() for queue in self._queues))
         for worker in self._workers:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
@@ -230,14 +191,13 @@ class BitPackerServe:
                 queue.task_done()
         self._workers = []
         self._queues = []
-        return drained
 
     async def __aenter__(self) -> "BitPackerServe":
         await self.start()
         return self
 
     async def __aexit__(self, exc_type, exc, tb) -> bool:
-        await self.stop(drain=True)
+        await self.stop()
         return False
 
     # ------------------------------------------------------------------
@@ -318,16 +278,12 @@ class BitPackerServe:
 
     async def submit(
         self, tenant: str, op_index: int, a: np.ndarray, b: np.ndarray,
-        *, deadline_s: float | None = None,
     ) -> ServeResponse:
         """Admit one ciphertext op and await its (possibly batched) result.
 
         Admission failures resolve immediately with ``rejected``
         responses and HTTP-style codes; admitted requests resolve when
-        their batch executes (or raises), their deadline passes, or the
-        service stops.
-        ``deadline_s`` overrides the service's ``request_timeout_s``
-        for this request (relative seconds from now).
+        their batch executes (or raises), or the service stops.
         """
         if not self._running:
             raise ParameterError("service is not running (use `async with`)")
@@ -358,26 +314,13 @@ class BitPackerServe:
             _batch.validate_operands(request)
         except ParameterError as exc:
             return self._reject(session, tenant, 422, str(exc), op_index)
-        if (
-            self.tenant_inflight_cap is not None
-            and session.inflight >= self.tenant_inflight_cap
-        ):
-            return self._reject(
-                session, tenant, 429,
-                f"tenant inflight cap reached "
-                f"({session.inflight}/{self.tenant_inflight_cap})", op_index,
-            )
         queue = self._queues[session.shard]
-        if queue.qsize() >= self.high_water:
+        if queue.full():
             return self._reject(
                 session, tenant, 429,
-                f"shard {session.shard} past high water "
-                f"({self.high_water} queued)", op_index,
+                f"shard {session.shard} queue full "
+                f"({self.queue_depth} queued)", op_index,
             )
-        if deadline_s is None:
-            deadline_s = self.request_timeout_s
-        if deadline_s is not None:
-            request.deadline = time.monotonic() + deadline_s
         self.admitted += 1
         session.admitted += 1
         session.inflight += 1
@@ -416,42 +359,32 @@ class BitPackerServe:
     async def _run_group(
         self, shard: int, group: list[_batch.OpRequest]
     ) -> None:
-        """Run one coalesced group: expire, dispatch once, settle.
+        """Run one coalesced group: dispatch once, settle.
 
-        A member past its deadline settles ``error`` 504.  A dispatch
-        that raises settles every live member as ``error`` 500 and
-        returns, so the worker carries on and no submitter is left
+        A dispatch that raises settles every member as ``error`` 500
+        and returns, so the worker carries on and no submitter is left
         waiting.
         """
-        now = time.monotonic()
-        live = []
-        for request in group:
-            if request.deadline is not None and now >= request.deadline:
-                self._settle_expired(request, len(group))
-            else:
-                live.append(request)
-        if not live:
-            return
         self.batches += 1
-        self.batched_requests += len(live)
-        self.max_batch_seen = max(self.max_batch_seen, len(live))
+        self.batched_requests += len(group)
+        self.max_batch_seen = max(self.max_batch_seen, len(group))
         try:
             with _obs.span(
-                "serve/batch", shard=shard, op=live[0].op,
-                level=live[0].level, size=len(live),
+                "serve/batch", shard=shard, op=group[0].op,
+                level=group[0].level, size=len(group),
             ):
-                results = _batch.execute_group(live)
+                results = _batch.execute_group(group)
         except Exception as exc:
             reason = f"dispatch failed: {type(exc).__name__}: {exc}"
-            for request in live:
+            for request in group:
                 self._settle(
-                    request, "error", 500, batch_size=len(live),
+                    request, "error", 500, batch_size=len(group),
                     reason=reason,
                 )
             return
-        for request, result in zip(live, results):
+        for request, result in zip(group, results):
             self._settle(
-                request, "ok", 200, result=result, batch_size=len(live)
+                request, "ok", 200, result=result, batch_size=len(group)
             )
 
     # ------------------------------------------------------------------
@@ -483,15 +416,6 @@ class BitPackerServe:
         ))
         return True
 
-    def _settle_expired(
-        self, request: _batch.OpRequest, batch_size: int
-    ) -> None:
-        if self._settle(
-            request, "error", 504, batch_size=batch_size,
-            reason="deadline exceeded before execution completed",
-        ):
-            self.expired += 1
-
     def _settle_cancelled(self, request: _batch.OpRequest) -> None:
         if self._settle(
             request, "error", 503,
@@ -504,8 +428,8 @@ class BitPackerServe:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """The service's always-on accounting, consistency-checkable:
-        ``submitted == admitted + rejected`` always, and after a drain
-        ``admitted == completed + failed``.
+        ``submitted == admitted + rejected`` always, and after
+        :meth:`stop` ``admitted == completed + failed``.
 
         ``shed`` and ``retried`` are constant zeros: the service sheds
         and retries nothing, and the keys stay only because the frozen
@@ -519,7 +443,6 @@ class BitPackerServe:
             "shed": 0,
             "completed": self.completed,
             "failed": self.failed,
-            "expired": self.expired,
             "cancelled": self.cancelled,
             "retried": 0,
             "batches": self.batches,
@@ -546,28 +469,6 @@ class BitPackerServe:
             },
         }
 
-    def health(self) -> dict:
-        """Readiness view: queue depths and registration counts.
-
-        ``ready`` means the service is running — a load balancer's
-        probe target.
-        """
-        return {
-            "running": self._running,
-            "ready": self._running,
-            "shards": [
-                {
-                    "shard": index,
-                    "queued": (
-                        self._queues[index].qsize() if self._queues else 0
-                    ),
-                }
-                for index in range(self.shards)
-            ],
-            "sessions": len(self.sessions),
-            "gate_memo_size": gate_memo_size(),
-        }
-
     def check_books(self) -> None:
         """Raise if the admission/settlement ledgers do not balance."""
         if self.submitted != self.admitted + self.rejected:
@@ -582,8 +483,8 @@ class BitPackerServe:
                 f"completed={self.completed} + failed={self.failed} + "
                 f"queued={queued}"
             )
-        if self.expired + self.cancelled > self.failed:
+        if self.cancelled > self.failed:
             raise InvariantViolation(  # pragma: no cover - ledger bug
-                f"serve books broken: expired={self.expired} + "
-                f"cancelled={self.cancelled} exceeds failed={self.failed}"
+                f"serve books broken: cancelled={self.cancelled} "
+                f"exceeds failed={self.failed}"
             )

@@ -66,7 +66,6 @@ class TestPlanCommand:
 @pytest.mark.parametrize("argv", [
     ["plan", "--n", "1000"],  # ParameterError: not a power of two
     ["plan", "--word", "10"],  # PlanningError: no word-sized primes
-    ["serve", "--tenants", "0"],  # ParameterError: no tenants to load
 ])
 def test_bad_input_is_one_error_line(capsys, argv):
     """Bad parameters exit 2 with one ``error:`` line, not a traceback."""
@@ -79,7 +78,6 @@ def test_bad_input_is_one_error_line(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["figure", "fig13", "--compiled"],
-    ["serve", "--compiled"],
 ])
 def test_compiled_is_not_an_option(capsys, argv):
     """Compiled schedules come from ``compile-trace`` alone."""

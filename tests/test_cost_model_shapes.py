@@ -189,7 +189,7 @@ class TestBitIdenticalToOpByOp:
             got = asdict(sim.run(trace, chain))
             want = asdict(reference_sim_run(sim, trace, chain))
             assert got == want
-            # Insertion order feeds kernel_table() and the JSON records.
+            # Insertion order feeds the obs counters and the JSON records.
             for table in ("kernel_cycles", "cycles_by_kind",
                           "energy_by_component"):
                 assert list(got[table]) == list(want[table])

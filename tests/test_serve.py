@@ -1,6 +1,6 @@
 """The async multi-tenant serve layer: keys, batching, admission,
-backpressure, the verify gate, the failure model (deadlines, dispatch
-failure, drain), the load generator, and end-to-end runs.
+backpressure, the verify gate, the failure model (dispatch failure,
+stop), and the service driven the way the benchmark ladder drives it.
 
 The load-bearing invariant is **zero response corruption**: a coalesced
 batch must be byte-identical to serial execution, and
@@ -15,26 +15,18 @@ books balance after every scenario (DESIGN.md Sec. 13)::
 from __future__ import annotations
 
 import asyncio
-import json
+import random
 
 import numpy as np
 import pytest
 
 import repro.backends as backends
 from repro.analysis.absint import GATE
-from repro.cli import main as cli_main
 from repro.errors import ParameterError, ScheduleViolationError
 from repro.serve import batch as sbatch
 from repro.serve import service as sservice
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
-from repro.serve.loadgen import (
-    LoadReport,
-    LoadSpec,
-    build_schedule,
-    operands_for,
-    run_scenario,
-    tenant_name,
-)
+from repro.serve.loadgen import LoadSpec, register_tenants, tenant_name
 from repro.serve.service import BitPackerServe
 from repro.trace.program import HeTrace, OpKind, TraceOp, content_digest
 
@@ -94,19 +86,6 @@ def make_request(key, level, op="mul", seed=0, tenant="t", n=64):
 async def run_service(coro_fn, **kwargs):
     async with BitPackerServe(**kwargs) as service:
         return await coro_fn(service)
-
-
-def stall_groups(monkeypatch, seconds):
-    """Make every coalesced group wait ``seconds`` on the event loop
-    before it runs: a straggler that yields, so a deadline can pass
-    and ``stop()`` can land while work is queued or in flight."""
-    real = BitPackerServe._run_group
-
-    async def stalled(self, shard, group):
-        await asyncio.sleep(seconds)
-        await real(self, shard, group)
-
-    monkeypatch.setattr(BitPackerServe, "_run_group", stalled)
 
 
 class TestKeys:
@@ -274,32 +253,6 @@ class TestAdmission:
 
         asyncio.run(run_service(scenario))
 
-    def test_tenant_inflight_cap_is_fair(self):
-        """One tenant cannot occupy more than its cap of a shard; the
-        overflow is rejected 429 at admission, not queued."""
-
-        async def scenario(service):
-            session = service.register("t", trace=serve_trace())
-            level = session.trace.ops[0].level
-            pairs = [
-                seeded_operands(session.key, level, seed=60 + i)
-                for i in range(10)
-            ]
-            responses = await asyncio.gather(*[
-                service.submit("t", 0, a, b) for a, b in pairs
-            ])
-            codes = [r.code for r in responses]
-            assert codes.count(200) == 2
-            assert codes.count(429) == 8
-            capped = next(r for r in responses if r.code == 429)
-            assert "inflight cap" in capped.reason
-            assert service.sessions["t"].inflight == 0
-            service.check_books()
-
-        asyncio.run(run_service(
-            scenario, shards=1, queue_depth=32, tenant_inflight_cap=2,
-        ))
-
     def test_backpressure_engages_and_loses_nothing(self):
         async def scenario(service):
             session = service.register("t", trace=serve_trace())
@@ -319,7 +272,7 @@ class TestAdmission:
             assert stats["completed"] == stats["admitted"]
 
         asyncio.run(run_service(
-            scenario, shards=1, queue_depth=4, high_water=2, max_batch=4,
+            scenario, shards=1, queue_depth=2, max_batch=4,
         ))
 
     def test_flood_responses_match_serial(self):
@@ -353,23 +306,6 @@ class TestAdmission:
 
 
 class TestFailureModel:
-    def test_deadline_expires_as_504(self, monkeypatch):
-        """A straggling group burns the request's deadline: 504, books
-        count it as failed/expired, nothing hangs."""
-        stall_groups(monkeypatch, 0.05)
-
-        async def scenario(service):
-            session = service.register("t", trace=serve_trace())
-            level = session.trace.ops[0].level
-            a, b = seeded_operands(session.key, level, seed=5)
-            response = await service.submit("t", 0, a, b, deadline_s=0.001)
-            assert response.status == "error"
-            assert response.code == 504
-            assert service.expired == 1 and service.failed == 1
-            service.check_books()
-
-        asyncio.run(run_service(scenario, shards=1))
-
     def test_dispatch_failure_settles_group_as_500(self, monkeypatch):
         """A dispatch that raises fails its whole group with 500s; the
         worker carries on and the next request is served exactly."""
@@ -438,70 +374,13 @@ class TestStop:
             await service.start()
             tasks = self.fill(service)
             await asyncio.sleep(0)  # admissions enqueue, workers start
-            drained = await service.stop(drain=True)
-            assert drained is True
+            await service.stop()
             responses = await asyncio.wait_for(asyncio.gather(*tasks), 5)
             assert all(r.ok for r in responses)
             assert service.completed == 6 and service.cancelled == 0
             service.check_books()
             with pytest.raises(ParameterError, match="not running"):
                 await service.submit("t", 0, None, None)
-
-        asyncio.run(scenario())
-
-    def test_non_drain_settles_everything_as_503(self, monkeypatch):
-        stall_groups(monkeypatch, 0.05)
-
-        async def scenario():
-            service = BitPackerServe(shards=1, queue_depth=32, max_batch=1)
-            await service.start()
-            tasks = self.fill(service)
-            await asyncio.sleep(0)
-            await service.stop(drain=False)
-            responses = await asyncio.wait_for(asyncio.gather(*tasks), 5)
-            assert len(responses) == 6, "a submitter was stranded"
-            for response in responses:
-                assert response.status in ("ok", "error")
-                if response.status == "error":
-                    assert response.code == 503
-                    assert "stopped" in response.reason
-            assert service.cancelled == service.failed > 0
-            assert service.completed + service.failed == 6
-            service.check_books()
-
-        asyncio.run(scenario())
-
-    def test_drain_timeout_falls_back_to_settling(self, monkeypatch):
-        """A drain that cannot finish in time still resolves every
-        future — ``drained=False`` reports the truncation."""
-        stall_groups(monkeypatch, 0.2)
-
-        async def scenario():
-            service = BitPackerServe(shards=1, queue_depth=32, max_batch=1)
-            await service.start()
-            tasks = self.fill(service)
-            await asyncio.sleep(0)
-            drained = await service.stop(drain=True, drain_timeout_s=0.01)
-            assert drained is False
-            responses = await asyncio.wait_for(asyncio.gather(*tasks), 5)
-            assert len(responses) == 6
-            assert service.completed + service.failed == 6
-            service.check_books()
-
-        asyncio.run(scenario())
-
-    def test_health_reflects_lifecycle(self):
-        async def scenario():
-            service = BitPackerServe(shards=2)
-            assert service.health()["running"] is False
-            await service.start()
-            health = service.health()
-            assert health["running"] is True and health["ready"] is True
-            assert [s["shard"] for s in health["shards"]] == [0, 1]
-            assert all(s["queued"] == 0 for s in health["shards"])
-            await service.stop()
-            after = service.health()
-            assert after["running"] is False and after["ready"] is False
 
         asyncio.run(scenario())
 
@@ -577,136 +456,103 @@ class TestGateMemoLRU:
         async def scenario(service):
             service.register("t", trace=serve_trace())
             assert service.stats()["gate_memo_size"] == 1
-            assert service.health()["gate_memo_size"] == 1
 
         asyncio.run(run_service(scenario))
 
 
-class TestLoadgen:
-    def test_schedule_and_operands_deterministic(self):
-        spec = LoadSpec(seed=7, tenants=3, requests=50)
-        executable = {tenant_name(r): (0, 2, 4) for r in range(3)}
-        s1 = build_schedule(spec, executable)
-        s2 = build_schedule(spec, executable)
-        assert s1 == s2
-        other = build_schedule(
-            LoadSpec(seed=8, tenants=3, requests=50), executable
+
+
+class TestLadderContract:
+    """The serve surface ``benchmarks/ladder/serve.py`` and ``rungs.py``
+    call, driven the way they drive it, at a small ring degree."""
+
+    CLIENTS = 6
+    REQUESTS_PER_CLIENT = 12
+    STATS_KEYS = ("rejected", "shed", "failed", "retried", "batches",
+                  "batched_requests", "max_batch_seen")
+
+    def test_ladder_calls_answer_exactly(self):
+        n = 64
+        rng = random.Random(47)
+
+        async def scenario():
+            service = BitPackerServe(shards=2, queue_depth=512, max_batch=16)
+            await service.start()
+            spec = LoadSpec(tenants=4, n=n)
+            register_tenants(service, spec)
+            sessions = [
+                service.sessions[tenant_name(rank)]
+                for rank in range(spec.tenants)
+            ]
+            # One full-height operand pool against the longest key;
+            # every request takes the row prefix for its level.
+            longest = max((s.key for s in sessions), key=lambda k: len(k.primes))
+            for session in sessions:
+                assert session.key.primes == longest.primes[
+                    : len(session.key.primes)]
+            pool_rng = np.random.default_rng(47)
+            pool = [
+                tuple(
+                    np.stack([pool_rng.integers(0, q, n, dtype=np.uint64)
+                              for q in longest.primes])
+                    for _ in range(2)
+                )
+                for _ in range(4)
+            ]
+            # Half the traffic on the first tenant's top-level keys, so
+            # requests coalesce; the rest spread over every tenant.
+            hot = sessions[0]
+            top = max(hot.op_for(i).level for i in hot.executable)
+            hot_ops = [i for i in hot.executable if hot.op_for(i).level == top]
+            answers = []
+
+            async def client():
+                for _ in range(self.REQUESTS_PER_CLIENT):
+                    if rng.random() < 0.5:
+                        session, index = hot, rng.choice(hot_ops)
+                    else:
+                        session = rng.choice(sessions)
+                        index = rng.choice(session.executable)
+                    level = session.op_for(index).level
+                    a, b = pool[rng.randrange(len(pool))]
+                    a, b = a[: level + 1], b[: level + 1]
+                    response = await service.submit(session.tenant, index, a, b)
+                    answers.append((session, index, a, b, response))
+
+            await asyncio.gather(*(client() for _ in range(self.CLIENTS)))
+            stats = service.stats()
+            await service.stop()
+            service.check_books()
+            return sessions, answers, stats
+
+        sessions, answers, stats = asyncio.run(scenario())
+        assert len(answers) == self.CLIENTS * self.REQUESTS_PER_CLIENT
+        for session, index, a, b, response in answers:
+            assert response.ok, response.reason
+            op = session.op_for(index)
+            want = sbatch.execute_serial(sbatch.OpRequest(
+                tenant=session.tenant, key=session.key,
+                op=sbatch.EXECUTABLE_KINDS[op.kind], level=op.level, a=a, b=b,
+            ))
+            assert response.result.tobytes() == want.tobytes()
+        for key in self.STATS_KEYS:
+            assert key in stats
+        assert stats["rejected"] == stats["failed"] == 0
+        assert stats["shed"] == stats["retried"] == 0
+        assert stats["batched_requests"] == len(answers)
+        assert 1 < stats["max_batch_seen"] <= 16
+        assert stats["batches"] < len(answers)
+
+        # ``rungs.serve_rungs``: one top-level mul, serially and grouped.
+        hot = sessions[0]
+        index = next(
+            i for i in hot.executable
+            if sbatch.EXECUTABLE_KINDS[hot.op_for(i).kind] == "mul"
         )
-        assert s1 != other
-        key = KeyMaterial(KeyParams(n=64, word_bits=28, levels=2))
-        a1, b1 = operands_for(spec, s1[0], key.moduli_at(2))
-        a2, b2 = operands_for(spec, s2[0], key.moduli_at(2))
-        assert a1.tobytes() == a2.tobytes()
-        assert b1.tobytes() == b2.tobytes()
-
-    def test_zipf_mix_skews_hot_tenants(self):
-        spec = LoadSpec(seed=11, tenants=6, requests=300, zipf_s=1.2)
-        executable = {tenant_name(r): (0,) for r in range(6)}
-        schedule = build_schedule(spec, executable)
-        counts = {}
-        for arrival in schedule:
-            counts[arrival.tenant] = counts.get(arrival.tenant, 0) + 1
-        assert counts[tenant_name(0)] > counts.get(tenant_name(5), 0)
-
-    def test_spec_validation(self):
-        with pytest.raises(ParameterError):
-            LoadSpec(tenants=0)
-        with pytest.raises(ParameterError):
-            LoadSpec(requests=0)
-        with pytest.raises(ParameterError):
-            LoadSpec(zipf_s=0.0)
-
-
-class TestEndToEnd:
-    def test_scenario_no_corruption_books_balance(self):
-        spec = LoadSpec(seed=5, tenants=4, requests=120)
-        report = asyncio.run(run_scenario(
-            spec, shards=2, queue_depth=32, max_batch=8,
-        ))
-        assert report.submitted == 120
-        assert report.dropped == 0
-        assert report.corrupted == 0
-        assert report.failed == 0
-        assert report.admitted == report.completed
-        assert report.admitted + report.rejected == report.submitted
-        stats = report.stats
-        assert stats["submitted"] == 120
-        assert stats["admitted"] == stats["completed"] + stats["failed"]
-        per_tenant = stats["tenants"].values()
-        assert sum(t["submitted"] for t in per_tenant) == 120
-
-    def test_scenario_deterministic_accounting(self):
-        spec = LoadSpec(seed=9, tenants=3, requests=60, burst=4)
-        r1 = asyncio.run(run_scenario(spec, shards=1, queue_depth=128))
-        GATE.clear()
-        r2 = asyncio.run(run_scenario(spec, shards=1, queue_depth=128))
-        # Same seed, unbounded queue: identical admission outcomes.
-        assert r1.submitted == r2.submitted == 60
-        assert (r1.completed, r1.rejected) == (r2.completed, r2.rejected)
-        assert r1.corrupted == r2.corrupted == 0
-
-
-class TestServeCli:
-    """``repro serve``: the ordinary subcommand of ``repro.cli``."""
-
-    def test_cli_end_to_end(self, tmp_path, capsys):
-        out = tmp_path / "serve.json"
-        code = cli_main([
-            "serve", "--tenants", "3", "--requests", "60", "--seed", "13",
-            "--json", str(out),
-        ])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["submitted"] == 60
-        assert doc["dropped"] == 0
-        assert doc["corrupted"] == 0
-        assert doc["admitted"] == doc["completed"] + doc["failed"]
-        rendered = capsys.readouterr().out
-        assert "repro serve load report" in rendered
-
-    def test_cli_rejects_unknown_backend(self, capsys):
-        """There is one kernel engine and no flag that names another."""
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["serve", "--backend", "numpy"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
-
-    def test_quiet_prints_no_report(self, capsys):
-        code = cli_main([
-            "serve", "--tenants", "2", "--requests", "30", "--quiet",
-        ])
-        assert code == 0
-        assert capsys.readouterr().out == ""
-
-    def test_help_lists_serve_flags(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["serve", "--help"])
-        assert exit_info.value.code == 0
-        usage = capsys.readouterr().out
-        for flag in ("--tenants", "--requests", "--burst-gap",
-                     "--queue-depth", "--high-water", "--request-timeout",
-                     "--profile", "--json", "--quiet"):
-            assert flag in usage
-
-    def test_audit_flags_unbalanced_books(self):
-        def report(**books):
-            return LoadReport(spec=LoadSpec(), **books)
-
-        clean = report(submitted=10, admitted=8, rejected=2, completed=8)
-        assert clean.audit() == []
-        unbalanced = report(submitted=10, admitted=8, rejected=1, completed=8)
-        assert any("books" in p for p in unbalanced.audit())
-        failed = report(
-            submitted=10, admitted=9, rejected=1, failed=2, completed=7
-        )
-        assert any("failed" in p for p in failed.audit())
-
-    def test_sigint_exits_130(self, monkeypatch, capsys):
-        from repro.serve import loadgen
-
-        async def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(loadgen, "run_scenario", interrupted)
-        assert cli_main(["serve", "--requests", "10", "--quiet"]) == 130
-        assert "interrupted" in capsys.readouterr().err
+        level = hot.op_for(index).level
+        group = [
+            make_request(hot.key, level, "mul", seed=seed, tenant=hot.tenant)
+            for seed in range(3)
+        ]
+        for request, got in zip(group, sbatch.execute_group(group)):
+            assert got.tobytes() == sbatch.execute_serial(request).tobytes()
