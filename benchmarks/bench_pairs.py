@@ -15,11 +15,16 @@ root:
 - ``metrics``: per end-to-end metric of the contract, every pair's
   value on each side (the ladder's reference units), both medians,
   ``ratio`` (head median / base median), ``wins`` (pairs where the
-  head did better) and the base's ``base_q1``/``base_q3``;
+  head did better), the base's ``base_q1``/``base_q3``, its
+  ``base_spread`` (``(max - min) / median`` of the base runs) and
+  ``resolved``: whether that spread is within the metric's contract
+  ``bound``;
 - ``failed_fraction``: every run's share of failed operations.
 
 A claim holds when the head wins nearly every pair and its median clears
-the base's inter-quartile range.  Usage::
+the base's inter-quartile range.  A metric that is not ``resolved``
+moves as much between runs of one commit as the contract lets a change
+move it, so its ratio is noise; the closing line names those metrics.  Usage::
 
     python benchmarks/bench_pairs.py HEAD^ HEAD --workload model_sweep \\
         --pairs 10 --seed 5309
@@ -39,7 +44,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT = REPO_ROOT / "BENCH_pairs.json"
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _git(*args: str) -> bytes:
@@ -67,7 +72,8 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 def summarize(base: list[dict], head: list[dict], contract: dict) -> dict:
     """Per end-to-end metric: both sides' values pair by pair, medians,
-    ratio, the head's wins and the base's quartiles."""
+    ratio, the head's wins, the base's quartiles and spread, and whether
+    that spread resolves the metric's contract bound."""
     metrics = {}
     for spec in contract["end_to_end"]:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -76,6 +82,7 @@ def summarize(base: list[dict], head: list[dict], contract: dict) -> dict:
         q1, _, q3 = statistics.quantiles(before, n=4)
         base_median = statistics.median(before)
         head_median = statistics.median(after)
+        spread = (max(before) - min(before)) / base_median if base_median else None
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -88,6 +95,8 @@ def summarize(base: list[dict], head: list[dict], contract: dict) -> dict:
                         for a, b in zip(before, after)),
             "base_q1": q1,
             "base_q3": q3,
+            "base_spread": spread,
+            "resolved": spread is not None and spread <= spec["bound"],
         }
     return metrics
 
@@ -138,10 +147,13 @@ def main(argv: list[str] | None = None) -> int:
     ledger["rows"].append(row)
     OUT.write_text(json.dumps(ledger, indent=1) + "\n")
     claim = row["metrics"]["iter_p50_s"]
+    unresolved = [name for name, stat in row["metrics"].items()
+                  if not stat["resolved"]]
     print(f"appended row {len(ledger['rows'])} to {OUT.name}: "
           f"{args.workload} iter_p50_s {claim['base_median']:.4g} -> "
           f"{claim['head_median']:.4g} (x{claim['ratio']:.3f}), "
-          f"head ahead in {claim['wins']}/{args.pairs}")
+          f"head ahead in {claim['wins']}/{args.pairs}; unresolved "
+          f"(base spread past the bound): {', '.join(unresolved) or 'none'}")
     return 0
 
 

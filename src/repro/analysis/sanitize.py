@@ -167,6 +167,11 @@ def check_ciphertext(ct) -> None:
             f"Ciphertext: c0 in {ct.c0.domain!r} domain but c1 in "
             f"{ct.c1.domain!r} — NTT-domain tags must agree across the pair"
         )
+    if ct.c0.batch != ct.c1.batch:
+        _fail(
+            f"Ciphertext: c0 batch {ct.c0.batch} but c1 batch {ct.c1.batch} "
+            "— a batch pairs its members' polynomials one to one"
+        )
     if ct.level < 0:
         _fail(f"Ciphertext: negative level {ct.level}")
     if ct.scale <= 0:

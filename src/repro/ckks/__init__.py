@@ -13,7 +13,7 @@ from repro.ckks.bootstrap_pipeline import (
     bootstrap_homomorphic,
     mod_raise,
 )
-from repro.ckks.ciphertext import Ciphertext, Plaintext
+from repro.ckks.ciphertext import Ciphertext, Plaintext, stack
 from repro.ckks.context import CkksContext
 from repro.ckks.encoder import CkksEncoder, encoder_for
 from repro.ckks.encryptor import Decryptor, Encryptor
@@ -28,6 +28,7 @@ from repro.ckks.polyeval import eval_chebyshev, eval_power_basis
 __all__ = [
     "Ciphertext",
     "Plaintext",
+    "stack",
     "CkksContext",
     "CkksEncoder",
     "encoder_for",

@@ -20,6 +20,7 @@ import numpy as np
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import KeyChest
+from repro.errors import ParameterError
 from repro.nt.crt import centered_int64
 from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 from repro.rns.sampling import (
@@ -130,8 +131,14 @@ class Decryptor:
         The centered coefficients come out as one int64 vector
         (:func:`repro.nt.crt.centered_int64`); only a plaintext with a
         coefficient beyond int64, or a modulus that rules the fast path
-        out, reconstructs through Python ints.
+        out, reconstructs through Python ints.  One ciphertext's only:
+        a batch raises (:meth:`~repro.ckks.ciphertext.Ciphertext.unstack`
+        it first).
         """
+        if ct.batch:
+            raise ParameterError(
+                f"decrypt reads one ciphertext, not a {ct.batch} batch"
+            )
         poly = self.decrypt_to_plaintext(ct).poly
         coeffs = centered_int64(poly.mat, poly.basis.moduli)
         if coeffs is None:

@@ -14,10 +14,18 @@ coefficient form; linear ops keep their operand's domain, and a binary
 op on mixed domains brings the NTT operand to coefficient form.  Each
 residue row is then transformed when an op needs the other domain and
 not before, which is the (I)NTT count :mod:`repro.accel.kernels` charges.
+
+**Batch rule.**  An operand may be a batch
+(:func:`repro.ckks.ciphertext.stack`): ``B`` ciphertexts with one level,
+one scale, one basis and one domain, whose polynomials carry a leading
+batch axis.  Every op runs on it as on one ciphertext, in the same
+kernel calls with ``B`` times the elements; a plaintext, a constant and
+a key broadcast to every member, and the op log reads ``B`` ops.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -225,9 +233,9 @@ class Evaluator:
         )
         if _obs.ACTIVE:
             for i, (ct, pt) in enumerate(pairs):
-                _done(_Logical(ct.level, ct.scale * pt.scale), "pmul")
+                _done(_Logical(ct.level, ct.scale * pt.scale, ct.batch), "pmul")
                 if i:
-                    _done(_Logical(first.level, scale), "hadd")
+                    _done(_Logical(first.level, scale, first.batch), "hadd")
         return Ciphertext(c0, c1, first.level, scale)
 
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -309,7 +317,7 @@ class Evaluator:
                 ksk = self.chest.galois_key(ct.level, g)
                 turned = np.take(
                     self._extended_digits(c1, ksk),
-                    galois_permutation(ct.basis.n, g), axis=2,
+                    galois_permutation(ct.basis.n, g), axis=-1,
                 )
                 acc0, acc1 = self._key_products(turned, ksk, acc)
                 acc = (acc0.add(scale_up(c0.galois(g), ksk.special_moduli)), acc1)
@@ -343,8 +351,8 @@ class Evaluator:
                 # The digit layout is the level's, the same for every g.
                 c0, c1 = to_domain((ct.c0, ct.c1), COEFF)
                 ext = self._extended_digits(c1, ksk)
-            # take, not ext[:, :, perm]: that would come back strided.
-            turned = np.take(ext, galois_permutation(ct.basis.n, g), axis=2)
+            # take, not ext[..., perm]: that would come back strided.
+            turned = np.take(ext, galois_permutation(ct.basis.n, g), axis=-1)
             k0, k1 = self._inner_product(turned, ksk)
             rotated = Ciphertext(
                 c0=c0.galois(g).add(k0), c1=k1, level=ct.level, scale=ct.scale
@@ -389,7 +397,8 @@ class Evaluator:
 
     @staticmethod
     def _extended_digits(d: RnsPolynomial, ksk: KeySwitchKey) -> np.ndarray:
-        """The ``(D, |M ∪ P|, n)`` NTT-form stack of ``d``'s digits.
+        """The ``(..., D, |M ∪ P|, n)`` NTT-form stack of ``d``'s digits
+        (a batch's axes lead).
 
         Digit ``j``'s own rows *are* ``d``'s residues; the rest come
         from base conversion (the CRB operation).  One forward call
@@ -399,16 +408,19 @@ class Evaluator:
         """
         full = ksk.full
         d_coeff = d.to_coeff()
-        ext = np.empty((ksk.digits, full.size, full.n), dtype=np.uint64)
+        ext = np.empty((*d.batch, ksk.digits, full.size, full.n), dtype=np.uint64)
         converted = []
         for j, (own, table) in enumerate(zip(ksk.own, ksk.tables)):
-            ext[j, own] = d.mat[own]  # M is a prefix of M ∪ P: same row indices
-            digit = RnsPolynomial(table.src, d_coeff.mat[own], COEFF)
+            # M is a prefix of M ∪ P: same row indices.
+            ext[..., j, own, :] = d.mat[..., own, :]
+            digit = RnsPolynomial(table.src, d_coeff.mat[..., own, :], COEFF)
             converted.append(convert_by_table(digit, table).mat)
-        converted = np.concatenate(converted)
+        converted = np.concatenate(converted, axis=-2)
         if d.domain == NTT:
             converted = forward_rows(converted, ksk.converted_moduli)
-        ext.reshape(-1, full.n)[ksk.converted_rows] = converted
+        # A view for one polynomial or a batch: the batch axes lead.
+        stack = ext.reshape(*d.batch, -1, full.n)
+        stack[..., ksk.converted_rows, :] = converted
         return ext if d.domain == NTT else forward_rows(ext, full.moduli)
 
     @staticmethod
@@ -441,21 +453,25 @@ class Evaluator:
         when ``None``), read one at a time, so a lazy ``acc`` builds
         each only when its accumulator is due.  One multiply-accumulate
         kernel call per accumulator, over every digit against the key's
-        row stack.
+        row stack; a batch's ``(..., K, n)`` digit slices broadcast
+        against the key's ``(K, n)`` rows, so one key read serves every
+        member.
         """
         full = ksk.full
+        terms = ext if ext.ndim == 3 else np.moveaxis(ext, -3, 0)
         out = tuple(
             RnsPolynomial(
                 full,
                 _backends.pointwise_mul_acc(
-                    None if init is None else init.mat, ext, rows,
+                    None if init is None else init.mat, terms, rows,
                     full.q_col, full.kind,
                 ),
                 NTT,
             )
             for init, rows in zip(acc or (None, None), ksk.stack)
         )
-        return _done(out, None, "keyswitch")
+        _done(out[0], None, "keyswitch")  # one per batch member
+        return out
 
 
 def _mod_down(
@@ -473,14 +489,17 @@ class _Logical(NamedTuple):
 
     level: int
     scale: Fraction
+    batch: tuple[int, ...] = ()
 
 
 def _done(out, kind: str | None, name: str | None = None):
     """Every op's return path, and the evaluator's one test of the
-    instrumentation switch: ``out``, after the one seam call when a
-    listener is attached (``op.<name>`` counted, ``kind`` logged)."""
+    instrumentation switch: ``out``, after one seam call per batch
+    member when a listener is attached (``op.<name>`` counted, ``kind``
+    logged), so a batch of ``B`` reads as the ``B`` ops it replaces."""
     if _obs.ACTIVE:
-        _obs.op(out, kind, name)
+        for _ in range(math.prod(out.batch)):
+            _obs.op(out, kind, name)
     return out
 
 

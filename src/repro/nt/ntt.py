@@ -528,13 +528,16 @@ class NttRowsContext:
         return modmath.lazy_fold(r, self._two_q, out=out)
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
-        """Coefficient -> NTT transform of a ``(k, n)`` matrix or stack.
+        """Coefficient -> NTT transform of a ``(k, n)`` matrix or stack
+        (any leading axes run as one ``(m, k, n)`` stack).
 
         Crosses the kernel boundary (:mod:`repro.backends`), which
         counts the call and lands back on :meth:`_forward_stages`.
         """
         if mat.ndim == 1:
             return self.forward(mat[None])[0]
+        if mat.ndim > 3:
+            return self.forward(mat.reshape(-1, *mat.shape[-2:])).reshape(mat.shape)
         self._check(mat)
         if mat.ndim == 3:
             return self._by_parts(_backends.ntt_forward, mat)
@@ -576,15 +579,19 @@ class NttRowsContext:
     def inverse(
         self, mat: np.ndarray, scale: tuple[int, ...] | None = None
     ) -> np.ndarray:
-        """NTT -> coefficient transform of a ``(k, n)`` matrix or stack,
-        row ``i`` times ``scale[i]`` (any integers; ``None`` reads as
-        ones) and fully reduced.
+        """NTT -> coefficient transform of a ``(k, n)`` matrix or stack
+        (any leading axes run as one ``(m, k, n)`` stack), row ``i``
+        times ``scale[i]`` (any integers; ``None`` reads as ones) and
+        fully reduced.
 
         Crosses the kernel boundary (:mod:`repro.backends`), which
         counts the call and lands back on :meth:`_inverse_stages`.
         """
         if mat.ndim == 1:
             return self.inverse(mat[None], scale)[0]
+        if mat.ndim > 3:
+            flat = mat.reshape(-1, *mat.shape[-2:])
+            return self.inverse(flat, scale).reshape(mat.shape)
         self._check(mat)
         if scale is not None and len(scale) != len(self.moduli):
             raise ParameterError(

@@ -112,11 +112,13 @@ def _fold(
     ``table.src`` matrix (``source``, held to the residue rule by the
     sanitizer), plus ``α`` times the ``-Q`` column ``weights[:, k]``
     when ``exact``: the fold of :func:`base_convert`, fully reduced mod
-    each destination."""
+    each destination.  A batch of digit matrices, ``(..., k, n)``, folds
+    as one ``(k, B·n)`` stack: the fold works column by column."""
     src, dst = table.src, table.dst
-    k, n = digits.shape
-    stack = np.empty((k + 1 if exact else k, n), dtype=np.uint64)
-    stack[:k] = digits
+    k, n = digits.shape[-2:]
+    batch = digits.shape[:-2]
+    stack = np.empty((k + 1 if exact else k, *batch, n), dtype=np.uint64)
+    stack[:k] = digits if not batch else np.moveaxis(digits, -2, 0)
     if exact:
         # One BLAS pass: α = round(Σ v_i / q_i) ∈ [0, k], small and
         # non-negative; it folds against the weights' last column.
@@ -125,13 +127,16 @@ def _fold(
     else:
         weights = weights[:, :k]
     out = _backends.bconv_fold(
-        stack, weights, dst.moduli, max(src.moduli), dst.kind
+        stack.reshape(len(stack), -1), weights, dst.moduli, max(src.moduli),
+        dst.kind,
     )
     if _obs.ACTIVE:
         # Volume: source digits read plus destination residues produced,
         # the CRB FU's (src + dst) x n element traffic.
-        _obs.kernel("base_convert", (k + dst.size) * n, src.moduli,
-                    (("base_convert input", source),))
+        _obs.kernel("base_convert", (k + dst.size) * (digits.size // k),
+                    src.moduli, (("base_convert input", source),))
+    if batch:
+        out = np.moveaxis(out.reshape(dst.size, *batch, n), 0, -2)
     return out
 
 
@@ -144,8 +149,8 @@ def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
     for the scale.  Works in either domain.
     """
     grown, k_col = extension(poly.basis, tuple(int(q) for q in new_moduli))
-    mat = np.zeros((grown.size, grown.n), dtype=np.uint64)
-    mat[: poly.basis.size] = poly.rowwise_scalar_mul(k_col).mat
+    mat = np.zeros((*poly.batch, grown.size, grown.n), dtype=np.uint64)
+    mat[..., : poly.basis.size, :] = poly.rowwise_scalar_mul(k_col).mat
     return RnsPolynomial(grown, mat, poly.domain)
 
 
@@ -205,12 +210,14 @@ def scale_down_all(
             next(moved).mat if poly.domain == NTT
             else poly.rowwise_scalar_mul(plan.column).mat
         )
-        digits = scaled[plan.shed_rows]
+        digits = scaled[..., plan.shed_rows, :]
         lifted = _fold(digits, table, table.weights_over_product, digits)
-        kept = modmath.mod_sub(scaled[plan.keep_rows], lifted, table.dst.q_col)
+        kept = modmath.mod_sub(
+            scaled[..., plan.keep_rows, :], lifted, table.dst.q_col
+        )
         out.append(RnsPolynomial(table.dst, kept, COEFF))
         if _obs.ACTIVE:
-            _obs.kernel("rescale", basis.size * basis.n)
+            _obs.kernel("rescale", scaled.size)
     return out
 
 

@@ -8,6 +8,11 @@ form or in NTT (evaluation) form; the two accelerator-relevant operations
 that force coefficient form are base conversion and Galois automorphisms,
 and the polynomial tracks its domain so callers cannot silently mix them.
 
+The matrix may carry leading *batch* axes, ``(..., R, n)``: a batch of
+polynomials over one basis in one domain, on which every operation runs
+in one call.  Rows stay on axis -2 and coefficients on axis -1, so the
+``(R, 1)`` modulus column broadcasts over the rest.
+
 The matrix is the only storage, and it is uint64: every modulus is
 below 2^61.  The *basis* kind (:attr:`RnsBasis.kind`, ``narrow`` or
 ``wide``) picks the arithmetic.  Every operation is one vectorized call
@@ -49,19 +54,21 @@ class RnsPolynomial:
         residues: np.ndarray | Sequence[np.ndarray],
         domain: str,
     ):
-        """Wrap ``residues`` — a ``(R, n)`` matrix, or ``R`` rows to stack.
+        """Wrap ``residues`` — a ``(..., R, n)`` matrix, or ``R`` rows to
+        stack.
 
         Shape and dtype are checked here, once, for every polynomial:
-        the matrix must be a ``(basis.size, basis.n)`` uint64 array.
+        the matrix must be a uint64 array ending in ``(basis.size,
+        basis.n)``.
         """
         if domain not in (COEFF, NTT):
             raise ParameterError(f"unknown domain {domain!r}")
         if not isinstance(residues, np.ndarray):
             residues = _stack_rows(basis, residues)
-        if residues.shape != (basis.size, basis.n):
+        if residues.shape[-2:] != (basis.size, basis.n) or residues.ndim < 2:
             raise ParameterError(
-                f"expected a ({basis.size}, {basis.n}) residue matrix, "
-                f"got shape {residues.shape}"
+                f"expected a ({basis.size}, {basis.n}) residue matrix or a "
+                f"batch of them, got shape {residues.shape}"
             )
         if residues.dtype != np.uint64:
             raise ParameterError(
@@ -74,9 +81,14 @@ class RnsPolynomial:
             _obs.check_residues(residues, basis.moduli, "RnsPolynomial")
 
     @property
+    def batch(self) -> tuple[int, ...]:
+        """The leading batch shape: ``()`` for one polynomial."""
+        return self.mat.shape[:-2]
+
+    @property
     def rows(self) -> list[np.ndarray]:
         """The residue rows, as views into :attr:`mat` (basis order)."""
-        return list(self.mat)
+        return list(np.moveaxis(self.mat, -2, 0))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -209,7 +221,7 @@ class RnsPolynomial:
         if self.domain == NTT:
             return self._like(modmath.mod_add(self.mat, k_col, basis.q_col))
         mat = self.mat.copy()
-        mat[:, :1] = modmath.mod_add(mat[:, :1], k_col, basis.q_col)
+        mat[..., :1] = modmath.mod_add(mat[..., :1], k_col, basis.q_col)
         return self._like(mat)
 
     # ------------------------------------------------------------------
@@ -229,12 +241,12 @@ class RnsPolynomial:
             raise ParameterError(f"Galois element must be odd, got {g}")
         mat = self.mat
         if self.domain == NTT:
-            # take, not mat[:, perm]: that would come back column-major.
-            return self._like(np.take(mat, ntt_kernels.galois_permutation(n, g), axis=1))
+            # take, not mat[..., perm]: that would come back column-major.
+            return self._like(np.take(mat, ntt_kernels.galois_permutation(n, g), axis=-1))
         # target index and sign for each source coefficient
         t = np.arange(n, dtype=np.int64) * g % (2 * n)
         out = np.empty_like(mat)
-        out[:, t % n] = np.where(t >= n, modmath.mod_neg(mat, self.basis.q_col), mat)
+        out[..., t % n] = np.where(t >= n, modmath.mod_neg(mat, self.basis.q_col), mat)
         return self._like(out)
 
     # ------------------------------------------------------------------
@@ -243,10 +255,10 @@ class RnsPolynomial:
     def restricted(self, moduli: Iterable[int]) -> "RnsPolynomial":
         """Keep only the rows for ``moduli`` (in the given order)."""
         basis, rows = restriction(self.basis, tuple(moduli))
-        return RnsPolynomial(basis, self.mat[rows], self.domain)
+        return RnsPolynomial(basis, self.mat[..., rows, :], self.domain)
 
     def row(self, q: int) -> np.ndarray:
-        return self.mat[self.basis.index_of(q)]
+        return self.mat[..., self.basis.index_of(q), :]
 
     # ------------------------------------------------------------------
     # Exact reconstruction (test oracle / decode path)
@@ -256,7 +268,12 @@ class RnsPolynomial:
 
         With ``signed=True`` (default) coefficients are centered
         representatives in ``(-Q/2, Q/2]``, the form decryption needs.
+        One polynomial's only: a batch raises.
         """
+        if self.batch:
+            raise ParameterError(
+                f"to_int_coeffs reads one polynomial, not a {self.batch} batch"
+            )
         poly = self.to_coeff()
         values = crt_reconstruct_vector(poly.mat, poly.basis.moduli)
         if signed:
@@ -267,9 +284,10 @@ class RnsPolynomial:
         return self._like(self.mat.copy())
 
     def __repr__(self) -> str:
+        batch = f", batch={self.batch}" if self.batch else ""
         return (
             f"RnsPolynomial(n={self.basis.n}, R={self.basis.size}, "
-            f"domain={self.domain!r})"
+            f"domain={self.domain!r}{batch})"
         )
 
 
@@ -281,12 +299,14 @@ def to_domain(
     """``polys`` in ``domain``, siblings transformed together.
 
     Those already there pass through; the rest go through the transform
-    as ``(m, k, n)`` stacks per basis, as many to a stack as it runs in
-    one pass (:meth:`~repro.nt.ntt.NttRowsContext.parts`) — one stage
-    loop for all of them, which on a small ring is most of what a
-    transform costs.  ``scale`` (to coefficient form only) multiplies
-    row ``i`` of every polynomial that moves by ``scale[i]``, riding the
-    inverse transform (:func:`repro.nt.ntt.inverse_rows`).
+    as ``(m, k, n)`` stacks per basis, as many matrices to a stack as it
+    runs in one pass (:meth:`~repro.nt.ntt.NttRowsContext.parts`) — one
+    stage loop for all of them, which on a small ring is most of what a
+    transform costs.  A batch of ``B`` polynomials counts ``B`` matrices
+    and is never split between stacks.  ``scale`` (to coefficient form
+    only) multiplies row ``i`` of every polynomial that moves by
+    ``scale[i]``, riding the inverse transform
+    (:func:`repro.nt.ntt.inverse_rows`).
     """
     if domain == NTT:
         if scale is not None:
@@ -300,14 +320,36 @@ def to_domain(
         if poly.domain != domain:
             movers.setdefault(poly.basis, []).append(i)
     for basis, where in movers.items():
-        parts = ntt_kernels.ntt_rows_context(basis.moduli, basis.n).parts(len(where))
-        width = -(-len(where) // parts)
-        for part in (where[lo : lo + width] for lo in range(0, len(where), width)):
-            mats = [out[i].mat for i in part]
-            stack = np.stack(mats) if len(mats) > 1 else mats[0][None]
-            for i, mat in zip(part, kernel(stack, basis.moduli)):
+        # Every mover as an (m, k, n) stack: a view, (1, k, n) unbatched.
+        flat = [out[i].mat.reshape(-1, basis.size, basis.n) for i in where]
+        sizes = [len(mats) for mats in flat]
+        parts = ntt_kernels.ntt_rows_context(basis.moduli, basis.n).parts(sum(sizes))
+        for part in _runs(sizes, -(-sum(sizes) // parts)):
+            mats = [flat[j] for j in part]
+            moved = kernel(
+                np.concatenate(mats) if len(mats) > 1 else mats[0], basis.moduli
+            )
+            lo = 0
+            for j in part:
+                i, size = where[j], len(flat[j])
+                mat = moved[lo : lo + size].reshape(out[i].mat.shape)
                 out[i] = RnsPolynomial(basis, mat, domain)
+                lo += size
     return out
+
+
+def _runs(sizes: Sequence[int], width: int) -> list[list[int]]:
+    """Consecutive runs of indices into ``sizes`` that sum to at most
+    ``width`` each (an index whose size passes ``width`` runs alone)."""
+    runs: list[list[int]] = [[]]
+    held = 0
+    for j, size in enumerate(sizes):
+        if runs[-1] and held + size > width:
+            runs.append([])
+            held = 0
+        runs[-1].append(j)
+        held += size
+    return runs
 
 
 def _int64_row(coeffs: Sequence[int]) -> np.ndarray | None:

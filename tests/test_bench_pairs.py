@@ -4,6 +4,8 @@ Every row compares two commits on one workload of ``BENCHMARK.json``
 (the ladder's contract) and must carry, for each end-to-end metric,
 every pair's value on both sides and the summary a claim is read from:
 both medians, their ratio, the head's wins and the base's quartiles.
+Rows from schema 2 on also carry the base's spread and whether it
+resolves the metric's bound; schema-1 rows are kept as recorded.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ ROWS = json.loads((ROOT / "BENCH_pairs.json").read_text())["rows"]
 _SHA = re.compile(r"[0-9a-f]{40}")
 
 
-def check_metrics(metrics: dict, pairs: int) -> None:
+def check_metrics(metrics: dict, pairs: int, schema: int = 2) -> None:
     assert list(metrics) == list(METRICS)
     for name, stat in metrics.items():
         spec = METRICS[name]
@@ -41,19 +43,24 @@ def check_metrics(metrics: dict, pairs: int) -> None:
         assert stat["wins"] == sum(
             (h < b) if lower else (h > b)
             for b, h in zip(stat["base"], stat["head"]))
+        if schema >= 2:
+            base = stat["base"]
+            spread = (max(base) - min(base)) / stat["base_median"]
+            assert stat["base_spread"] == pytest.approx(spread)
+            assert stat["resolved"] == (spread <= spec["bound"])
 
 
 @pytest.mark.parametrize(
     "row", ROWS,
     ids=[f"{row['workload']}-{row['head'][:7]}-{row['seed']}" for row in ROWS])
 def test_row_covers_the_contract(row):
-    assert row["schema"] == 1
+    assert row["schema"] in (1, 2)
     assert _SHA.fullmatch(row["base"]) and _SHA.fullmatch(row["head"])
     assert row["base"] != row["head"]
     assert row["workload"] in WORKLOADS
     assert row["pairs"] >= 2 and row["seconds"] > 0
     assert row["env"]["cpu_model"]
-    check_metrics(row["metrics"], row["pairs"])
+    check_metrics(row["metrics"], row["pairs"], row["schema"])
     for side in ("base", "head"):
         fractions = row["failed_fraction"][side]
         assert len(fractions) == row["pairs"]
@@ -81,3 +88,14 @@ def test_summarize_matches_the_schema():
     assert metrics["iter_p50_s"]["base_median"] == 11.5
     assert metrics["iter_p50_s"]["head_median"] == 12.0
     assert metrics["iter_p50_s"]["ratio"] == pytest.approx(12.0 / 11.5)
+    # Base runs 10..13 spread 3 / 11.5 = 0.26: past every bound.
+    assert metrics["iter_p50_s"]["base_spread"] == pytest.approx(3 / 11.5)
+    assert not metrics["iter_p50_s"]["resolved"]
+
+
+def test_a_tight_base_resolves():
+    base = [_doc({m: 10.0 + 0.1 * i for m in METRICS}) for i in range(5)]
+    head = [_doc({m: 9.0 for m in METRICS}) for _ in range(5)]
+    metrics = summarize(base, head, CONTRACT)
+    check_metrics(metrics, 5)
+    assert all(stat["resolved"] for stat in metrics.values())
