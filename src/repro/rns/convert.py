@@ -116,28 +116,29 @@ def _fold(
     as one ``(k, B·n)`` stack: the fold works column by column."""
     src, dst = table.src, table.dst
     k, n = digits.shape[-2:]
-    batch = digits.shape[:-2]
-    stack = np.empty((k + 1 if exact else k, *batch, n), dtype=np.uint64)
-    stack[:k] = digits if not batch else np.moveaxis(digits, -2, 0)
+    # (k, B, n): a view of one matrix, a strided one of a batch.
+    columns = digits.reshape(-1, k, n).swapaxes(0, 1)
+    stack = np.empty((k + 1 if exact else k, *columns.shape[1:]), dtype=np.uint64)
+    stack[:k] = columns
+    flat = stack.reshape(len(stack), -1)
     if exact:
         # One BLAS pass: α = round(Σ v_i / q_i) ∈ [0, k], small and
         # non-negative; it folds against the weights' last column.
-        alpha = table.q_inv @ digits.astype(np.float64)
-        stack[k] = np.rint(alpha).astype(np.int64)
+        alpha = table.q_inv @ flat[:k].astype(np.float64)
+        flat[k] = np.rint(alpha).astype(np.int64)
     else:
         weights = weights[:, :k]
-    out = _backends.bconv_fold(
-        stack.reshape(len(stack), -1), weights, dst.moduli, max(src.moduli),
-        dst.kind,
-    )
+    out = _backends.bconv_fold(flat, weights, dst.moduli, max(src.moduli), dst.kind)
     if _obs.ACTIVE:
         # Volume: source digits read plus destination residues produced,
         # the CRB FU's (src + dst) x n element traffic.
-        _obs.kernel("base_convert", (k + dst.size) * (digits.size // k),
-                    src.moduli, (("base_convert input", source),))
-    if batch:
-        out = np.moveaxis(out.reshape(dst.size, *batch, n), 0, -2)
-    return out
+        _obs.kernel("base_convert", (k + dst.size) * flat.shape[1], src.moduli,
+                    (("base_convert input", source),))
+    if digits.ndim == 2:
+        return out
+    return out.reshape(dst.size, -1, n).swapaxes(0, 1).reshape(
+        *digits.shape[:-2], dst.size, n
+    )
 
 
 def scale_up(poly: RnsPolynomial, new_moduli: Sequence[int]) -> RnsPolynomial:
