@@ -14,11 +14,12 @@ SlotToCoeff — into the textbook CKKS bootstrapping pipeline:
    the mod-raised scale back on the chain's canonical one.
 3. **EvalMod**: the Chebyshev sine approximation maps ``I_k + ε`` to
    ``ε = m_k/q0``, on CtS's two outputs as one batch
-   (:func:`~repro.ckks.ciphertext.stack`).  Both unit changes ride it for free — ``× S/q0`` on
-   its ``1/K`` normalization multiply, ``× q0/S`` on its Chebyshev
-   coefficients — so it costs ``⌈log2 degree⌉ + 2`` levels: normalize
-   (1) and the baby-step/giant-step evaluation (6 at degree 27, one of
-   them an ``adjust`` that keeps the split on this budget).
+   (:func:`~repro.ckks.ciphertext.stack`).  Both unit changes ride it
+   for free — ``× S/q0`` on its ``1/K`` normalization multiply,
+   ``× q0/S`` on its Chebyshev coefficients — so it costs
+   ``⌈log2 degree⌉ + 2`` levels: normalize (1) and the
+   baby-step/giant-step evaluation (6 at degree 27, one of them an
+   ``adjust`` that keeps the split on this budget).
 4. **StC**: repack slots into coefficients (one level), yielding a
    *high-level* ciphertext encrypting ``m`` again.
 

@@ -242,7 +242,8 @@ class RnsPolynomial:
         mat = self.mat
         if self.domain == NTT:
             # take, not mat[..., perm]: that would come back column-major.
-            return self._like(np.take(mat, ntt_kernels.galois_permutation(n, g), axis=-1))
+            perm = ntt_kernels.galois_permutation(n, g)
+            return self._like(np.take(mat, perm, axis=-1))
         # target index and sign for each source coefficient
         t = np.arange(n, dtype=np.int64) * g % (2 * n)
         out = np.empty_like(mat)

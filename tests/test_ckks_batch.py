@@ -28,8 +28,11 @@ CHAINS = {
 BATCH = 3
 
 
-@pytest.fixture(scope="module", params=[(name, n) for name in CHAINS for n in (64, 128)],
-                ids=lambda p: f"{p[0]}-n{p[1]}")
+@pytest.fixture(
+    scope="module",
+    params=[(name, n) for name in CHAINS for n in (64, 128)],
+    ids=lambda p: f"{p[0]}-n{p[1]}",
+)
 def chain(request):
     name, n = request.param
     plan, word, scale_bits, base_bits = CHAINS[name]
@@ -155,7 +158,8 @@ class TestEvalModAndBootstrap:
     @pytest.mark.parametrize("seed", [101, 102, 103])
     def test_bootstrap_is_the_serial_flow(self, boot_chain, seed):
         ctx, ct = _bottom(boot_chain, seed)
-        _same(bootstrap_pipeline.bootstrap_homomorphic(ctx, ct), _serial_bootstrap(ctx, ct))
+        got = bootstrap_pipeline.bootstrap_homomorphic(ctx, ct)
+        _same(got, _serial_bootstrap(ctx, ct))
 
     def test_bootstrap_op_log_is_the_serial_flow(self, boot_chain):
         """Under ``record_ops`` the batch logs each member's op: the
