@@ -13,10 +13,10 @@ SlotToCoeff — into the textbook CKKS bootstrapping pipeline:
    ``(m_k + q0·I_k)/S``.  One level, plus one for the adjust that puts
    the mod-raised scale back on the chain's canonical one.
 3. **EvalMod**: the Chebyshev sine approximation maps ``I_k + ε`` to
-   ``ε = m_k/q0``, on CtS's two outputs as one batch
-   (:func:`~repro.ckks.ciphertext.stack`).  Both unit changes ride it
-   for free — ``× S/q0`` on its ``1/K`` normalization multiply,
-   ``× q0/S`` on its Chebyshev coefficients — so it costs
+   ``ε = m_k/q0``, on the one batch of two halves CtS returns (and
+   StC takes).  Both unit changes ride it for free — ``× S/q0`` on its
+   ``1/K`` normalization multiply, ``× q0/S`` on its Chebyshev
+   coefficients — so it costs
    ``⌈log2 degree⌉ + 2`` levels: normalize (1) and the
    baby-step/giant-step evaluation (6 at degree 27, one of them an
    ``adjust`` that keeps the split on this budget).
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ckks.ciphertext import Ciphertext, stack
+from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.context import CkksContext
 from repro.ckks.evalmod import EvalModConfig, depth_required, eval_mod
 from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
@@ -100,21 +100,20 @@ def bootstrap_homomorphic(
     raised = mod_raise(ctx, ct, chain.max_level)
 
     # 2. CtS: coefficients (m + q0*I) / S land in the slots of two cts.
-    first, second = coeff_to_slot(ev, raised)
+    halves = coeff_to_slot(ev, raised)
 
-    # 3. EvalMod both halves, as one batch: they share a level, a scale,
-    # a basis and a domain, so every op below runs on the pair in one
-    # call.  Its input factor S/q0 makes the slots read I_k + m_k/q0;
+    # 3. EvalMod both halves, as that batch: they share a level, a
+    # scale, a basis and a domain, so every op below runs on the pair in
+    # one call.  Its input factor S/q0 makes the slots read I_k + m_k/q0;
     # its output factor q0/S brings the result back to value units.  The
     # CtS output inherits the *bottom* level's scale through the
     # mod-raise, so it sits off the chain's canonical scale by
     # S_0/S_top; a one-level adjust folds that factor away before the
     # polynomial evaluation would amplify it (T_k would drift by
     # (S_0/S_top)^k).
-    pair = stack([first, second])
     refreshed = eval_mod(
-        ev, ev.adjust(pair, pair.level - 1), config.evalmod, scale / q0, q0 / scale
+        ev, ev.adjust(halves, halves.level - 1), config.evalmod, scale / q0, q0 / scale
     )
 
     # 4. StC: repack the two coefficient halves into one ciphertext.
-    return slot_to_coeff(ev, *refreshed.unstack())
+    return slot_to_coeff(ev, refreshed)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -205,8 +206,10 @@ class Evaluator:
         the arithmetic is exact, so the result is bit-identical to the
         products added one by one.  The terms must be addable, as
         :meth:`add` would demand, and the sum takes the first one's
-        scale.  The op log still reads one ``pmul`` per term and one
-        ``hadd`` per merge.
+        scale.  A plaintext may be a batch too (rows of a
+        :class:`repro.ckks.linalg.PlainBlock`): its batch axes lead the
+        ciphertext's in the result's.  The op log still reads one
+        ``pmul`` per term and one ``hadd`` per merge, per member.
         """
         first, plain = pairs[0]
         basis, scale = first.basis, first.scale * plain.scale
@@ -220,6 +223,9 @@ class Evaluator:
                 check_addable(_Logical(first.level, scale), term)
         polys = to_domain([p for ct, pt in pairs for p in (pt.poly, ct.c0, ct.c1)], NTT)
         plains = [poly.mat for poly in polys[::3]]
+        if first.batch:  # (*plain batch, 1, ..., 1, R, n)
+            lead = (1,) * len(first.batch) + plains[0].shape[-2:]
+            plains = [p.reshape(p.shape[:-2] + lead) for p in plains]
         c0, c1 = (
             RnsPolynomial(
                 basis,
@@ -232,10 +238,11 @@ class Evaluator:
             for i in (1, 2)
         )
         if _obs.ACTIVE:
+            batch = plain.poly.batch + first.batch
             for i, (ct, pt) in enumerate(pairs):
-                _done(_Logical(ct.level, ct.scale * pt.scale, ct.batch), "pmul")
+                _done(_Logical(ct.level, ct.scale * pt.scale, batch), "pmul")
                 if i:
-                    _done(_Logical(first.level, scale, first.batch), "hadd")
+                    _done(_Logical(first.level, scale, batch), "hadd")
         return Ciphertext(c0, c1, first.level, scale)
 
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -289,49 +296,53 @@ class Evaluator:
         """``Σ rotate(ct, steps)`` over ``(steps, ct)`` terms, with one
         mod-down for the whole sum, in coefficient form.
 
-        Each rotation's key product stays over ``M ∪ P`` in NTT form and
-        accumulates there; its ``galois(c0)`` and every unrotated term
-        join lifted by ``P`` (``scale_up``: ``round((x + P·f) / P) =
-        round(x / P) + f`` exactly, as :meth:`_inner_product`'s
-        ``fold``).  The sum then takes one inverse transform and one
-        ``scale_down`` pair, where separate rotations take one each
-        ("double hoisting", Bossuat et al., Eurocrypt 2021); its only
-        rounding is that one division.  A lone unrotated term is
-        returned as it is.  Terms are drawn one at a time, so a lazy
-        ``terms`` interleaves its own ops with the ``hrot`` and ``hadd``
-        this logs.
+        Every rotated term is switched in one stacked keyswitch: their
+        ``c1`` stack as ``(G, *batch, R, n)`` for one inverse, one base
+        conversion and one forward (the digit layout is the level's,
+        the same for every Galois element), each term's digits permuted
+        by its own element, and one multiply-accumulate per accumulator
+        over all ``G·D`` digits against their keys' rows.  The
+        ``galois(c0)`` terms and the unrotated terms are summed over
+        ``M`` and lifted by ``P`` once (``scale_up`` is linear, and
+        ``round((x + P·f) / P) = round(x / P) + f``).  The sum takes one
+        inverse transform and one ``scale_down`` pair, where separate
+        rotations take one each ("double hoisting", Bossuat et al.,
+        Eurocrypt 2021); its only rounding is that one division.  A lone
+        unrotated term is returned as it is.  The stack needs every
+        term, so ``terms`` is drawn whole first: a lazy ``terms`` runs
+        its own ops before the ``hrot`` and ``hadd`` this logs.
         """
+        terms = list(terms)
+        if not terms:
+            raise ParameterError("rotate_sum needs at least one term")
+        first = terms[0][1]
+        for _, ct in terms[1:]:
+            check_addable(first, ct)
         slots, two_n = self.encoder.slots, 2 * self.chain.n
-        first = acc = None
-        unrotated: list[Ciphertext] = []
-        for i, (steps, ct) in enumerate(terms):
-            if i:
-                check_addable(first, ct)
-            else:
-                first = ct
-            g = pow(5, steps % slots, two_n)
-            if g == 1:
-                unrotated.append(ct)
-            else:
-                c0, c1 = to_domain((ct.c0, ct.c1), NTT)
-                ksk = self.chest.galois_key(ct.level, g)
-                turned = np.take(
-                    self._extended_digits(c1, ksk),
-                    galois_permutation(ct.basis.n, g), axis=-1,
-                )
-                acc0, acc1 = self._key_products(turned, ksk, acc)
-                acc = (acc0.add(scale_up(c0.galois(g), ksk.special_moduli)), acc1)
+        elements = [pow(5, steps % slots, two_n) for steps, _ in terms]
+        if elements == [1]:
+            return first
+        polys = to_domain([p for _, ct in terms for p in (ct.c0, ct.c1)], NTT)
+        c0 = [p if g == 1 else p.galois(g) for g, p in zip(elements, polys[::2])]
+        c1 = [p for g, p in zip(elements, polys[1::2]) if g == 1]
+        rotated = [(g, p) for g, p in zip(elements, polys[1::2]) if g != 1]
+        specials = self.chain.special_moduli
+        acc = [scale_up(reduce(RnsPolynomial.add, c), specials) if c else None
+               for c in (c0, c1)]
+        if rotated:
+            ksks = [self.chest.galois_key(first.level, g) for g, _ in rotated]
+            c1s = np.stack([p.mat for _, p in rotated])
+            ext = self._extended_digits(RnsPolynomial(first.basis, c1s, NTT), ksks[0])
+            turned = (
+                np.take(digits, galois_permutation(first.basis.n, g), axis=-1)
+                for digits, (g, _) in zip(ext, rotated)
+            )
+            acc = self._key_products(list(zip(turned, ksks)), acc)
+        for i, (g, (_, ct)) in enumerate(zip(elements, terms)):
+            if g != 1:
                 _done(ct, "hrot", "rotate")
             if i:
                 _done(first, "hadd")
-        if first is None:
-            raise ParameterError("rotate_sum needs at least one term")
-        if acc is None and len(unrotated) == 1:
-            return first
-        specials = self.chain.special_moduli
-        for ct in unrotated:
-            lifted = [scale_up(p, specials) for p in to_domain((ct.c0, ct.c1), NTT)]
-            acc = lifted if acc is None else [a.add(b) for a, b in zip(acc, lifted)]
         return Ciphertext(*_mod_down(acc, specials), first.level, first.scale)
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
@@ -407,17 +418,18 @@ class Evaluator:
         the converted rows, over their moduli concatenated.
         """
         full = ksk.full
-        d_coeff = d.to_coeff()
-        ext = np.empty((*d.batch, ksk.digits, full.size, full.n), dtype=np.uint64)
-        converted = []
-        for j, (own, table) in enumerate(zip(ksk.own, ksk.tables)):
-            # M is a prefix of M ∪ P: same row indices.
-            ext[..., j, own, :] = d.mat[..., own, :]
-            digit = RnsPolynomial(table.src, d_coeff.mat[..., own, :], COEFF)
-            converted.append(convert_by_table(digit, table).mat)
-        converted = np.concatenate(converted, axis=-2)
+        d_coeff = d.to_coeff().mat
+        converted = np.concatenate([
+            convert_by_table(RnsPolynomial(t.src, d_coeff[..., own, :], COEFF), t).mat
+            for own, t in zip(ksk.own, ksk.tables)
+        ], axis=-2)
+        del d_coeff  # ext is allocated last: a stacked keyswitch's peak
         if d.domain == NTT:
             converted = forward_rows(converted, ksk.converted_moduli)
+        ext = np.empty((*d.batch, ksk.digits, full.size, full.n), dtype=np.uint64)
+        for j, own in enumerate(ksk.own):
+            # M is a prefix of M ∪ P: same row indices.
+            ext[..., j, own, :] = d.mat[..., own, :]
         # A view for one polynomial or a batch: the batch axes lead.
         stack = ext.reshape(*d.batch, -1, full.n)
         stack[..., ksk.converted_rows, :] = converted
@@ -439,38 +451,40 @@ class Evaluator:
         """
         specials = ksk.special_moduli
         lifted = fold and (scale_up(f, specials) for f in fold)
-        return _mod_down(Evaluator._key_products(ext, ksk, lifted), specials)
+        return _mod_down(Evaluator._key_products([(ext, ksk)], lifted), specials)
 
     @staticmethod
     def _key_products(
-        ext: np.ndarray,
-        ksk: KeySwitchKey,
-        acc: Iterable[RnsPolynomial] | None = None,
+        switched: Sequence[tuple[np.ndarray, KeySwitchKey]],
+        acc: Iterable[RnsPolynomial | None] | None = None,
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """``acc + Σ_j ext[j] ⊙ rows[j]``: a keyswitch before its mod-down.
+        """``acc + Σ Σ_j ext[j] ⊙ ksk.rows[j]`` over the ``(ext, ksk)``
+        pairs: keyswitches before their one mod-down.
 
         ``acc`` yields two NTT-form polynomials over ``M ∪ P`` (zero
         when ``None``), read one at a time, so a lazy ``acc`` builds
         each only when its accumulator is due.  One multiply-accumulate
-        kernel call per accumulator, over every digit against the key's
-        row stack; a batch's ``(..., K, n)`` digit slices broadcast
-        against the key's ``(K, n)`` rows, so one key read serves every
-        member.
+        kernel call per accumulator, over every pair's digits against
+        its key's row stack; a batch's ``(..., K, n)`` digit slices
+        broadcast against the key's ``(K, n)`` rows, so one key read
+        serves every member.
         """
-        full = ksk.full
-        terms = ext if ext.ndim == 3 else np.moveaxis(ext, -3, 0)
+        full = switched[0][1].full
+        terms = [digit for ext, _ in switched for digit in np.moveaxis(ext, -3, 0)]
         out = tuple(
             RnsPolynomial(
                 full,
                 _backends.pointwise_mul_acc(
-                    None if init is None else init.mat, terms, rows,
+                    None if init is None else init.mat, terms,
+                    [rows for _, ksk in switched for rows in ksk.stack[i]],
                     full.q_col, full.kind,
                 ),
                 NTT,
             )
-            for init, rows in zip(acc or (None, None), ksk.stack)
+            for i, init in zip((0, 1), acc or (None, None))
         )
-        _done(out[0], None, "keyswitch")  # one per batch member
+        for _ in switched:
+            _done(out[0], None, "keyswitch")  # one per batch member
         return out
 
 

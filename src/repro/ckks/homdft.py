@@ -22,15 +22,19 @@ conditioned) yields complex matrices ``P1, Q1, P2, Q2`` with
 CoeffToSlot is therefore a 2 x 2 block product on ``[z; conj(z)]`` plus a
 conjugation, and SlotToCoeff is the 1 x 2 block product
 ``z = V1·(m1/S) + V2·(m2/S)`` — each one call of
-:func:`repro.ckks.linalg.bsgs_sums`, which rotates every input's baby
-steps once (hoisted) and every output's giant steps once (at n = 128,
-28 and 21 rotations instead of 56 and 28), against diagonals the
-matrices keep encoded from one bootstrap to the next.  Each inner sum
-is one multiply-accumulate, and the giant steps of an output share one
-mod-down (CtS takes 2 where its 14 giant rotations took one each, StC
-1 for 7).  This module
-computes those matrices exactly from the encoder's evaluation
-points and applies them with real homomorphic operations — together with
+:func:`repro.ckks.linalg.bsgs_sums`, which runs the block's inputs as
+one batch and its rows as another.  The inputs' baby steps come from
+one hoisted decomposition (at n = 128, 28 and 21 rotations instead of
+56 and 28); each giant step's inner sums, every row at once, are one
+multiply-accumulate against diagonals the block keeps encoded and
+stacked over its rows from one bootstrap to the next; and all of a
+call's rotated giant steps are switched in one stacked keyswitch (one
+inverse, one base conversion, one forward) before one mod-down for all
+outputs: CtS switches its 14 giant rotations so, StC its 7.  CtS returns
+the two halves as one batch, the batch EvalMod runs on, and StC takes
+them so.  This module computes those matrices exactly from the
+encoder's evaluation points and applies them with real homomorphic
+operations — together with
 :mod:`repro.ckks.evalmod` it makes every computational stage of
 bootstrapping genuinely homomorphic in this library (DESIGN.md documents
 what remains modeled: the end-to-end BS19/BS26 parameterization).
@@ -45,8 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
-from repro.ckks.linalg import PlainMatrix, bsgs_sums
-from repro.errors import ParameterError
+from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ckks.evaluator import Evaluator
@@ -85,6 +88,8 @@ class HomDftMatrices:
     q2: PlainMatrix
     v1: PlainMatrix
     v2: PlainMatrix
+    cts: PlainBlock
+    stc: PlainBlock
 
 
 @lru_cache(maxsize=16)
@@ -95,50 +100,41 @@ def homdft_matrices(n: int) -> HomDftMatrices:
     v1, v2 = v[:, :slots], v[:, slots:]
     block = np.block([[v1, v2], [np.conj(v1), np.conj(v2)]])
     inv = np.linalg.inv(block)
+    p1, q1, p2, q2, w1, w2 = (
+        PlainMatrix(m, slots)
+        for m in (
+            inv[:slots, :slots], inv[:slots, slots:],
+            inv[slots:, :slots], inv[slots:, slots:],
+            v1, v2,
+        )
+    )
     return HomDftMatrices(
-        n,
-        *(
-            PlainMatrix(m, slots)
-            for m in (
-                inv[:slots, :slots], inv[:slots, slots:],
-                inv[slots:, :slots], inv[slots:, slots:],
-                v1, v2,
-            )
-        ),
+        n, p1, q1, p2, q2, w1, w2,
+        PlainBlock([[p1, q1], [p2, q2]]), PlainBlock([[w1, w2]]),
     )
 
 
-def coeff_to_slot(
-    ev: "Evaluator", ct: Ciphertext
-) -> tuple[Ciphertext, Ciphertext]:
+def coeff_to_slot(ev: "Evaluator", ct: Ciphertext) -> Ciphertext:
     """Move the plaintext's coefficients into slots (CtS).
 
     For a ciphertext whose underlying *coefficients* are real (the case
-    for bootstrapping's mod-raised input), returns two ciphertexts whose
-    slots hold the first and second halves of the coefficient vector,
-    each divided by the input scale.  Costs one multiplicative level and
-    one conjugation; the 2 x 2 block product shares the baby steps of
-    ``z`` and of ``conj(z)`` between both outputs.
+    for bootstrapping's mod-raised input), returns one batch of two
+    ciphertexts, on its leading axis, whose slots hold the first and
+    second halves of the coefficient vector, each divided by the input
+    scale.  Costs one multiplicative level and one conjugation; the
+    2 x 2 block product runs ``z`` and ``conj(z)`` as one batch and both
+    outputs as another.
     """
-    mats = homdft_matrices(ev.chain.n)
-    first, second = bsgs_sums(
-        ev, [[mats.p1, mats.q1], [mats.p2, mats.q2]], [ct, ev.conjugate(ct)]
-    )
-    return first, second
+    return bsgs_sums(ev, homdft_matrices(ev.chain.n).cts, [ct, ev.conjugate(ct)])
 
 
-def slot_to_coeff(
-    ev: "Evaluator", first: Ciphertext, second: Ciphertext
-) -> Ciphertext:
-    """Inverse of :func:`coeff_to_slot` (StC): repack slot-held halves.
+def slot_to_coeff(ev: "Evaluator", halves: Ciphertext) -> Ciphertext:
+    """Inverse of :func:`coeff_to_slot` (StC): repack slot-held halves,
+    given as the batch CtS returns (first half at index 0).
 
     The result's slots equal ``V1·a + V2·b`` — i.e. the decoded values of
     the polynomial whose coefficient halves are the inputs' slot values.
     Costs one multiplicative level.
     """
-    if first.level != second.level:
-        raise ParameterError(
-            f"slot_to_coeff operands at levels {first.level} != {second.level}"
-        )
-    mats = homdft_matrices(ev.chain.n)
-    return bsgs_sums(ev, [[mats.v1, mats.v2]], [first, second])[0]
+    (out,) = bsgs_sums(ev, homdft_matrices(ev.chain.n).stc, halves).unstack()
+    return out

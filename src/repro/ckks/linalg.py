@@ -16,9 +16,10 @@ rotations are needed instead of ``D``:
 
 :func:`bsgs_sums` evaluates a whole block product ``out_r = Σ_t
 M_{r,t}·x_t`` in one pass (CoeffToSlot is a 2 x 2 block, SlotToCoeff a
-1 x 2): baby steps once per input, hoisted; each inner sum one
-multiply-accumulate; giant steps accumulated before one mod-down per
-output; diagonals kept encoded on the :class:`PlainMatrix` per level
+1 x 2), inputs and rows as batches: baby steps hoisted; each inner sum
+one multiply-accumulate; giant steps switched in one stacked keyswitch
+and accumulated before one mod-down per
+output; diagonals kept encoded on the :class:`PlainBlock` per level
 used.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -33,7 +35,7 @@ import numpy as np
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.evaluator import check_addable
 from repro.errors import ParameterError
-from repro.rns.poly import NTT, RnsPolynomial, to_domain
+from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ckks.evaluator import Evaluator
@@ -69,17 +71,10 @@ class PlainMatrix:
     Stores the matrix's generalized diagonals, zero-padded to the slot
     count.  ``dimension`` must divide the slot count so rotations wrap
     consistently; in practice workloads pack one operand block per
-    power-of-two region.
-
-    The BSGS path multiplies by *encoded* diagonals and keeps the
-    ``ENCODINGS_KEPT`` most recently used sets, one per ``(basis, scale,
-    giant step)`` applied at: the same level again encodes nothing
-    (ARK's memory-for-recomputation trade; ``dimension`` residue
-    matrices a set).
+    power-of-two region.  The BSGS path runs it as a one-by-one
+    :class:`PlainBlock` (:attr:`block`), which keeps its encoded
+    diagonals.
     """
-
-    #: Encoded diagonal sets kept per matrix, least recently used out.
-    ENCODINGS_KEPT = 2
 
     def __init__(self, matrix, slots: int):
         m = np.asarray(matrix)
@@ -103,7 +98,10 @@ class PlainMatrix:
         self.diagonals = np.tile(m[i, (i + i[:, None]) % d], slots // d)
         #: Which diagonals have any nonzero entry (the rest are skipped).
         self.nonzero = self.diagonals.any(axis=1)
-        self._encoded: OrderedDict[tuple, dict[int, Plaintext]] = OrderedDict()
+
+    @cached_property
+    def block(self) -> "PlainBlock":
+        return PlainBlock([[self]])
 
     # ------------------------------------------------------------------
     def apply_naive(self, evaluator: "Evaluator", ct: Ciphertext) -> Ciphertext:
@@ -126,36 +124,8 @@ class PlainMatrix:
         models charge for their matvecs.  The one-term case of
         :func:`bsgs_sums`.
         """
-        return bsgs_sums(evaluator, [[self]], [ct], giant_step)[0]
-
-    def encoded(
-        self, evaluator: "Evaluator", level: int, giant_step: int
-    ) -> dict[int, Plaintext]:
-        """Nonzero diagonal ``j`` ready for :meth:`Evaluator.mul_encoded`
-        (and ``mul_encoded_sum``) at ``level``: rotated by ``-(j - j mod giant_step)`` so the giant
-        rotation lands it in place, encoded at the level's scale, in NTT
-        form — all sent through one stacked transform, the first time.
-        """
-        chain = evaluator.chain
-        basis, scale = chain.basis_at(level), chain.scale_at(level)
-        key = (basis, scale, giant_step)
-        if key in self._encoded:
-            self._encoded.move_to_end(key)
-            return self._encoded[key]
-        kept = [int(j) for j in np.flatnonzero(self.nonzero)]
-        shifted = (np.roll(self.diagonals[j], j - j % giant_step) for j in kept)
-        polys = to_domain(
-            [
-                RnsPolynomial.from_int_coeffs(basis, evaluator.encoder.encode(v, scale))
-                for v in shifted
-            ],
-            NTT,
-        )
-        plan = {j: Plaintext(poly, scale, level) for j, poly in zip(kept, polys)}
-        self._encoded[key] = plan
-        while len(self._encoded) > self.ENCODINGS_KEPT:
-            self._encoded.popitem(last=False)
-        return plan
+        (out,) = bsgs_sums(evaluator, self.block, [ct], giant_step).unstack()
+        return out
 
     def reference(self, values: np.ndarray) -> np.ndarray:
         """Cleartext result on padded slot values (for tests/examples)."""
@@ -167,71 +137,144 @@ class PlainMatrix:
         return out
 
 
+class PlainBlock:
+    """A block of :class:`PlainMatrix` — ``rows[r][t]`` maps input ``t``
+    into output ``r`` — with its diagonals encoded once per level.
+
+    It keeps the ``ENCODINGS_KEPT`` most recently used encoded sets, one
+    per ``(basis, scale, giant step)`` applied at: the same level again
+    encodes nothing (ARK's memory-for-recomputation trade).  It holds
+    the matrices' diagonal arrays, not the matrices.
+    """
+
+    #: Encoded diagonal sets kept per block, least recently used out.
+    ENCODINGS_KEPT = 2
+
+    def __init__(self, rows: Sequence[Sequence[PlainMatrix]]):
+        d = self.dimension = rows[0][0].dimension
+        self.inputs = len(rows[0])
+        if any(len(row) != self.inputs for row in rows) or any(
+            m.dimension != d for row in rows for m in row
+        ):
+            raise ParameterError(f"need one {d}-dimensional matrix per input per row")
+        if not all(any(m.nonzero.any() for m in row) for row in rows):
+            raise ParameterError("matrix is identically zero")
+        self.diagonals = [[m.diagonals for m in row] for row in rows]
+        #: Per input, the diagonals some row holds nonzero.
+        self.kept = [
+            np.flatnonzero(np.any([row[t].nonzero for row in rows], axis=0))
+            for t in range(self.inputs)
+        ]
+        self._encoded: OrderedDict[tuple, list[dict[int, Plaintext]]] = OrderedDict()
+
+    def encoded(
+        self, evaluator: "Evaluator", level: int, giant_step: int
+    ) -> list[dict[int, Plaintext]]:
+        """Per input ``t``, each diagonal ``j`` some row holds nonzero,
+        ready for :meth:`Evaluator.mul_encoded_sum` at ``level``: every
+        row's diagonal rotated by ``-(j - j mod giant_step)`` so the
+        giant rotation lands it in place, encoded at the level's scale,
+        in NTT form, stacked over the rows as one ``(rows, R, n)``
+        plaintext — all in one stacked transform, the first time.
+        """
+        chain = evaluator.chain
+        basis, scale = chain.basis_at(level), chain.scale_at(level)
+        key = (basis, scale, giant_step)
+        if key in self._encoded:
+            self._encoded.move_to_end(key)
+            return self._encoded[key]
+        encode = evaluator.encoder.encode
+        stacked = (
+            RnsPolynomial(basis, np.stack([
+                RnsPolynomial.from_int_coeffs(
+                    basis, encode(np.roll(diag[j], j - j % giant_step), scale)
+                ).mat
+                for diag in col
+            ]), COEFF)
+            for col, js in zip(zip(*self.diagonals), self.kept)
+            for j in js
+        )
+        polys = iter(to_domain(list(stacked), NTT))
+        plan = [
+            {int(j): Plaintext(next(polys), scale, level) for j in js}
+            for js in self.kept
+        ]
+        self._encoded[key] = plan
+        while len(self._encoded) > self.ENCODINGS_KEPT:
+            self._encoded.popitem(last=False)
+        return plan
+
+
 def bsgs_sums(
     evaluator: "Evaluator",
-    rows: Sequence[Sequence[PlainMatrix]],
-    inputs: Sequence[Ciphertext],
+    block: PlainBlock,
+    inputs: Ciphertext | Sequence[Ciphertext],
     giant_step: int | None = None,
-) -> list[Ciphertext]:
-    """``out[r] = Σ_t rows[r][t] · inputs[t]``: a block matrix-vector
-    product by the BSGS diagonal method, one rescale per output.
+) -> Ciphertext:
+    """``out[r] = Σ_t block[r][t] · inputs[t]``: a block matrix-vector
+    product by the BSGS diagonal method, every output rescaled.
 
-    Matrices share one dimension ``d``, inputs one level and (within
-    ``SCALE_RTOL``) one scale.  The baby steps ``rot(x_t, b)``, ``b <
-    g``, are computed once per *input* — hoisted, then moved to NTT form
-    in one stacked transform — and serve every row.  A row's terms merge
-    before the giant rotation (``Σ_t rot(s_t, i) = rot(Σ_t s_t, i)``),
-    so it costs ``d/g - 1`` of them however many terms it has.  Each
-    output is built in four steps:
+    ``inputs`` holds one ciphertext per block column, or is one batch
+    whose leading axis does; the outputs come back as one batch, row
+    ``r`` at index ``r``.  Matrices share one dimension ``d``, inputs
+    one level and (within ``SCALE_RTOL``) one scale, the first one's.
+    Every stage runs on the whole block:
 
-    (i) every inner sum over all of its (input, baby step) terms is one
-    multiply-accumulate per polynomial (:meth:`Evaluator.mul_encoded_sum`),
-    exact and in NTT form;
-    (ii) each rotated one takes one decomposition and key product;
-    (iii) the key products and the lifted unrotated terms accumulate
-    over ``M ∪ P`` (:meth:`Evaluator.rotate_sum`);
-    (iv) the output takes one mod-down — one inverse transform and one
-    ``scale_down`` pair — before its rescale.
+    (i) the baby steps ``rot(x_t, b)``, ``b < g``, of every input from
+    one hoisted decomposition, moved to NTT form in one transform;
+    (ii) each giant step's inner sums over all of its (input, baby
+    step) terms, for every row, in one multiply-accumulate per
+    polynomial against the rows' stacked diagonals
+    (:meth:`Evaluator.mul_encoded_sum`), exact and in NTT form;
+    (iii) the rotated inner sums in one stacked keyswitch
+    (:meth:`Evaluator.rotate_sum`): a row's terms merge before the giant
+    rotation (``Σ_t rot(s_t, i) = rot(Σ_t s_t, i)``), so it costs ``d/g
+    - 1`` rotations however many terms it has;
+    (iv) one mod-down and one rescale for all rows.
 
-    With a single giant step (``d ≤ g``) nothing is rotated, and the
-    output is the rescaled inner sum, bit for bit what per-diagonal
-    ``mul_encoded`` and ``add`` compute.
+    Bit for bit the serial flow: one input's baby steps, one row's
+    products and one giant step's keyswitch at a time, one mod-down per
+    output.  Rows that differ in which diagonals are zero share the
+    union: a zero diagonal multiplies as zeros, and the op log counts
+    its products.
     """
-    d, level = rows[0][0].dimension, inputs[0].level
-    if any(len(row) != len(inputs) for row in rows) or any(
-        m.dimension != d for row in rows for m in row
-    ):
-        raise ParameterError(f"need one {d}-dimensional matrix per input in every row")
-    if any(ct.level != level for ct in inputs):
-        raise ParameterError("bsgs_sums inputs must share one level")
-    for ct in inputs[1:]:
-        check_addable(inputs[0], ct)
+    x = inputs if isinstance(inputs, Ciphertext) else _stacked(inputs)
+    d, level = block.dimension, x.level
+    if x.batch[:1] != (block.inputs,):
+        raise ParameterError(f"need one input per block column, {block.inputs}")
     g = giant_step or max(1, round(math.sqrt(d)))
     babies = [
-        _all_to_ntt(evaluator.rotate_hoisted(ct, range(min(g, d)))) for ct in inputs
+        baby.unstack()
+        for baby in _all_to_ntt(evaluator.rotate_hoisted(x, range(min(g, d))))
     ]
-    outs = []
-    for row in rows:
-        plans = [m.encoded(evaluator, level, g) for m in row]
-        if not any(plans):
-            raise ParameterError("matrix is identically zero")
-        giants = _inner_sums(evaluator, plans, babies, d, g)
-        outs.append(evaluator.rescale(evaluator.rotate_sum(giants)))
-    return outs
-
-
-def _inner_sums(evaluator, plans, babies, d: int, g: int):
-    """``(i, Σ_t Σ_b babies[t][b] ⊙ plans[t][i + b])`` for each giant
-    step ``i`` with a nonzero term, computed as it is drawn."""
+    plans = block.encoded(evaluator, level, g)
+    giants = []
     for i in range(0, d, g):
         pairs = [
-            (baby[b], plan[i + b])
-            for plan, baby in zip(plans, babies)
+            (babies[b][t], plan[i + b])
+            for t, plan in enumerate(plans)
             for b in range(min(g, d - i))
             if i + b in plan
         ]
         if pairs:
-            yield i, evaluator.mul_encoded_sum(pairs)
+            giants.append((i, evaluator.mul_encoded_sum(pairs)))
+    return evaluator.rescale(evaluator.rotate_sum(giants))
+
+
+def _stacked(inputs: Sequence[Ciphertext]) -> Ciphertext:
+    """``inputs`` as one coefficient-form batch at the first one's scale,
+    refused as :meth:`Evaluator.add` refuses them (a level apart too)."""
+    first = inputs[0]
+    for ct in inputs[1:]:
+        if ct.level != first.level:
+            raise ParameterError("bsgs_sums inputs must share one level")
+        check_addable(first, ct)
+    polys = to_domain([p for ct in inputs for p in (ct.c0, ct.c1)], COEFF)
+    c0, c1 = (
+        RnsPolynomial(first.basis, np.stack([p.mat for p in polys[i::2]]), COEFF)
+        for i in (0, 1)
+    )
+    return Ciphertext(c0, c1, first.level, first.scale)
 
 
 def _all_to_ntt(cts: Sequence[Ciphertext]) -> list[Ciphertext]:

@@ -462,13 +462,17 @@ class NttRowsContext:
             # summation order or BLAS thread count (modmath.split_limbs)
             np.float64
         )
+        # Each float64 operand (several times the input) is dropped once read.
         y = np.matmul(x, right) if inverse else np.matmul(left, x)
+        del x
         c = modmath.limb_residue(y[0], y[1], q, q_inv)
         modmath.mod_mul_centred(c, w, w_over_q, q, out=c)
         y = np.matmul(left, c) if inverse else np.matmul(c, right)
+        del c
         r = modmath.limb_residue(y[0], y[1], q, q_inv)
         out = np.empty(r.shape, dtype=self._word)
         modmath.centred_fold(r, self._q, self._two_q, out)
+        del y, r
         return out.astype(np.uint64).reshape(mat.shape)
 
     # ------------------------------------------------------------------

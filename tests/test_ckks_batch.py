@@ -3,6 +3,7 @@ give, byte for byte, what its members give one at a time — on the
 narrow 28-bit paths of both planners and on the wide 60-bit Shoup
 paths — and must read as B ops on the op log and the counters."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,10 +14,11 @@ from repro.ckks import CkksContext, bootstrap_pipeline, stack
 from repro.ckks.bootstrap_pipeline import PipelineConfig, mod_raise
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evalmod import EvalModConfig, eval_mod
-from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
+from repro.ckks.homdft import homdft_matrices
 from repro.errors import InvariantViolation, ParameterError
 from repro.rns.poly import RnsPolynomial
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
+from tests.test_ckks_linear_plan import _per_term_bsgs, serial_rotate_sum
 
 #: (planner, word bits, level scale bits, base bits): the narrow paths of
 #: both schemes and the wide one.
@@ -129,15 +131,24 @@ def _bottom(chain, seed: int):
 
 
 def _serial_bootstrap(ctx, ct, config=PipelineConfig()):
-    """The pipeline with EvalMod run once per CtS half."""
+    """The pipeline one ciphertext at a time: CtS and StC as the serial
+    BSGS flow (one rotation, product and giant-step keyswitch at a time,
+    one mod-down per output), EvalMod once per CtS half."""
     ev, chain = ctx.evaluator, ctx.chain
     q0, scale = chain.q_product_at(0), float(ct.scale)
-    halves = coeff_to_slot(ev, mod_raise(ctx, ct, chain.max_level))
+    mats = homdft_matrices(chain.n)
+    g = round(math.sqrt(ctx.slots))
+    raised = mod_raise(ctx, ct, chain.max_level)
+    halves = _per_term_bsgs(
+        ev, [[mats.p1, mats.q1], [mats.p2, mats.q2]], [raised, ev.conjugate(raised)],
+        g, merged=True,
+    )
     refreshed = [
         eval_mod(ev, ev.adjust(h, h.level - 1), config.evalmod, scale / q0, q0 / scale)
         for h in halves
     ]
-    return slot_to_coeff(ev, *refreshed)
+    (out,) = _per_term_bsgs(ev, [[mats.v1, mats.v2]], refreshed, g, merged=True)
+    return out
 
 
 def _observed(log) -> Counter:
@@ -161,18 +172,57 @@ class TestEvalModAndBootstrap:
         got = bootstrap_pipeline.bootstrap_homomorphic(ctx, ct)
         _same(got, _serial_bootstrap(ctx, ct))
 
-    def test_bootstrap_op_log_is_the_serial_flow(self, boot_chain):
+    def test_bootstrap_op_log_is_the_serial_flow(self, boot_chain, counters):
         """Under ``record_ops`` the batch logs each member's op: the
-        same ``(kind, level, scale_bits)`` multiset, in another order."""
+        same ``(kind, level, scale_bits)`` multiset, in another order,
+        and the same rotation and keyswitch counts — a stacked
+        keyswitch counts each giant step it switches."""
         ctx, ct = _bottom(boot_chain, 104)
-        with sanitize.record_ops() as log:
-            bootstrap_pipeline.bootstrap_homomorphic(ctx, ct)
-            batched = _observed(log)
-            log.clear()
-            _serial_bootstrap(ctx, ct)
-            serial = _observed(log)
+        names = ("op.rotate", "op.keyswitch")
+        bootstrap_pipeline.bootstrap_homomorphic(ctx, ct)  # keys are lazy
+        runs = []
+        for flow in (bootstrap_pipeline.bootstrap_homomorphic, _serial_bootstrap):
+            before = counters(*names)
+            with sanitize.record_ops() as log:
+                flow(ctx, ct)
+                observed = _observed(log)
+            after = counters(*names)
+            runs.append((observed, {k: after[k] - before[k] for k in names}))
+        (batched, batched_ops), (serial, serial_ops) = runs
         assert batched == serial
+        assert batched_ops == serial_ops
         assert sum(n for (kind, _, _), n in batched.items() if kind == "hmul") > 2
+        assert sum(n for (kind, _, _), n in batched.items() if kind == "hrot") > 20
+
+
+class TestRotateSum:
+    """``rotate_sum`` switches every rotated term in one stacked call;
+    it must be, byte for byte, the terms switched one at a time and
+    summed before one mod-down, batched or not."""
+
+    STEPS = {1: [0], 2: [0, 3], 7: [1, 0, 2, 5, 0, 7, 11]}
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("batched", [False, True], ids=["one", "batch"])
+    def test_is_the_serial_sum(self, members, count, batched, counters):
+        ctx, cts = members
+        ev = ctx.evaluator
+        operand = stack(cts) if batched else cts[0]
+        terms = [
+            (steps, ev.mul_plain(operand, 0.25 * (k + 1)).to_ntt())
+            for k, steps in enumerate(self.STEPS[count])
+        ]
+        if count == 2:  # a term in coefficient form beside an NTT one
+            terms[1] = (terms[1][0], terms[1][1].to_coeff())
+        want = serial_rotate_sum(ev, terms)
+        before = counters("op.keyswitch")["op.keyswitch"]
+        got = ev.rotate_sum(terms)
+        switched = counters("op.keyswitch")["op.keyswitch"] - before
+        _same(got, want)
+        rotated = sum(1 for steps, _ in terms if steps % ctx.slots)
+        assert switched == rotated * (BATCH if batched else 1)
+        if count == 1:
+            assert got is terms[0][1]
 
 
 class TestOpCounts:

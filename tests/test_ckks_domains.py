@@ -400,20 +400,19 @@ class TestTransformCounts:
         giants_rotated = dim // giant - 1
         # Forward: the input's digits, extended and transformed once for
         # all seven baby rotations; the 8 baby steps x 2 polynomials as
-        # one stack; each giant rotation's converted digit rows (its
-        # inner sum is in NTT form, so its own rows are spliced in).  No
-        # plaintext: the diagonals were encoded by the first apply.
-        assert after["forward"] - before["forward"] == 2 + giants_rotated
+        # one stack; every giant rotation's converted digit rows as one
+        # stack (their inner sums are in NTT form, so their own rows are
+        # spliced in).  No plaintext: the diagonals were encoded by the
+        # first apply.
+        assert after["forward"] - before["forward"] == 3
         assert after["forward.elems"] - before["forward.elems"] == n * (
             2 * giant * r + len(digits) * full
             + giants_rotated * (len(digits) * full - r)
         )
         # Inverse: each baby rotation's mod-down (two accumulators, one
-        # call), each rotated giant step's c1 for its decomposition, and
-        # the output's one mod-down.
-        assert after["inverse"] - before["inverse"] == (
-            (giant - 1) + giants_rotated + 1
-        )
+        # call), every rotated giant step's c1 for their one stacked
+        # decomposition, and the output's one mod-down.
+        assert after["inverse"] - before["inverse"] == (giant - 1) + 1 + 1
         assert after["inverse.elems"] - before["inverse.elems"] == n * (
             2 * (giant - 1) * full + giants_rotated * r + 2 * full
         )
@@ -437,13 +436,15 @@ class TestMixedDomains:
         over and the sum."""
         a = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
         b = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        checks = sanitizer.STATS["checks"]
+        checks, violations = sanitizer.STATS["checks"], sanitizer.STATS["violations"]
         for x, y in ((a.to_ntt(), b), (a, b.to_ntt())):
             for op in (ctx.evaluator.add, ctx.evaluator.sub):
                 out = op(x, y)
                 assert out.c0.domain == out.c1.domain == COEFF
+        # Its own ops only: the totals are process-wide, and an earlier
+        # test may have provoked a violation on purpose.
         assert sanitizer.STATS["checks"] > checks
-        assert sanitizer.STATS["violations"] == 0
+        assert sanitizer.STATS["violations"] == violations
 
     def test_same_domain_add_stays_put(self, ctx, rng):
         a = ctx.encrypt(rng.uniform(-1, 1, ctx.slots)).to_ntt()

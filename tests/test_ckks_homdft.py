@@ -62,7 +62,9 @@ class TestCoeffToSlot:
         ct = dft_ctx.encrypt(vals)
         coeffs = np.array(dft_ctx.encoder.encode(vals, ct.scale), dtype=float)
         scale = float(ct.scale)
-        first, second = coeff_to_slot(dft_ctx.evaluator, ct)
+        halves = coeff_to_slot(dft_ctx.evaluator, ct)
+        assert halves.batch == (2,)
+        first, second = halves.unstack()
         got1 = dft_ctx.decrypt(first)
         got2 = dft_ctx.decrypt(second)
         want1 = coeffs[: dft_ctx.slots] / scale
@@ -74,8 +76,7 @@ class TestCoeffToSlot:
         """StC(CtS(x)) must reproduce the original slot values."""
         vals = rng.uniform(-1, 1, dft_ctx.slots)
         ct = dft_ctx.encrypt(vals)
-        first, second = coeff_to_slot(dft_ctx.evaluator, ct)
-        back = slot_to_coeff(dft_ctx.evaluator, first, second)
+        back = slot_to_coeff(dft_ctx.evaluator, coeff_to_slot(dft_ctx.evaluator, ct))
         assert back.level == ct.level - 2
         assert dft_ctx.precision_bits(back, vals) > 8
 

@@ -12,8 +12,11 @@ tests are bit-for-bit wherever two schedules compute the same thing:
    and agree with separate ``apply_bsgs`` calls added up.  Against a
    per-term reference built from public ops they are bit-identical with
    one giant step and within 2^-20 after decryption with several (the
-   giant steps share one mod-down, so they round once), and mismatched
-   input scales are refused before any work.
+   giant steps share one mod-down, so they round once); against the same
+   reference with each row's giant steps switched one at a time and
+   summed before one mod-down (:func:`serial_rotate_sum`), they are
+   bit-identical, on 2 x 2 and 1 x 2 blocks of bp28, rns28 and rns60
+   chains.  Mismatched input scales are refused before any work.
 3. **The plan cache** encodes a matrix's diagonals once per level it is
    applied at, and holds at most ``ENCODINGS_KEPT`` sets.
 4. **Call budget** (guard): CoeffToSlot + SlotToCoeff on a small ring
@@ -25,17 +28,21 @@ tests are bit-for-bit wherever two schedules compute the same thing:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis import sanitize
-from repro.ckks import CkksContext
+from repro.ckks import CkksContext, stack
+from repro.ckks.ciphertext import Ciphertext, Plaintext
+from repro.ckks.evaluator import _done, _mod_down
 from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
-from repro.ckks.linalg import PlainMatrix, bsgs_sums
+from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 from repro.errors import ScaleMismatchError
-from repro.nt.ntt import ntt_rows_context
-from repro.rns.poly import COEFF, NTT
+from repro.nt.ntt import galois_permutation, ntt_rows_context
+from repro.rns.convert import scale_up
+from repro.rns.poly import COEFF, NTT, RnsPolynomial
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.test_ckks_domains import EagerEvaluator
 
@@ -150,7 +157,7 @@ class TestBlockSums:
         x, y = _tiled(rng, d, ctx.slots), _tiled(rng, d, ctx.slots)
         ct_x, ct_y = ctx.encrypt(x), ctx.encrypt(y)
         ev = ctx.evaluator
-        (merged,) = bsgs_sums(ev, [[a, b]], [ct_x, ct_y])
+        (merged,) = bsgs_sums(ev, PlainBlock([[a, b]]), [ct_x, ct_y]).unstack()
         separate = ev.add(a.apply_bsgs(ev, ct_x), b.apply_bsgs(ev, ct_y))
         assert (merged.level, merged.scale) == (separate.level, separate.scale)
         assert np.max(
@@ -167,7 +174,9 @@ class TestBlockSums:
         x, y = _tiled(rng, d, ctx.slots), _tiled(rng, d, ctx.slots)
         ev = ctx.evaluator
         before = counters("op.rotate")["op.rotate"]
-        outs = bsgs_sums(ev, mats, [ctx.encrypt(x), ctx.encrypt(y)], giant_step=g)
+        outs = bsgs_sums(
+            ev, PlainBlock(mats), [ctx.encrypt(x), ctx.encrypt(y)], giant_step=g
+        ).unstack()
         rotations = counters("op.rotate")["op.rotate"] - before
         for (a, b), out in zip(mats, outs):
             assert ctx.precision_bits(out, a.reference(x) + b.reference(y)) > 8
@@ -184,7 +193,7 @@ class TestBlockSums:
         ctx = CkksContext(chain, seed=29)
         vals = rng.uniform(-1, 1, ctx.slots)
         ct = ctx.encrypt(vals)
-        back = slot_to_coeff(ctx.evaluator, *coeff_to_slot(ctx.evaluator, ct))
+        back = slot_to_coeff(ctx.evaluator, coeff_to_slot(ctx.evaluator, ct))
         assert back.level == ct.level - 2
         assert ctx.precision_bits(back, vals) > 8
 
@@ -195,24 +204,65 @@ class TestBlockSums:
         four = PlainMatrix(np.eye(4), bp_ctx.slots)
         eight = PlainMatrix(np.eye(8), bp_ctx.slots)
         with pytest.raises(ParameterError):
-            bsgs_sums(bp_ctx.evaluator, [[four, eight]], [ct, ct])
+            PlainBlock([[four, eight]])
         with pytest.raises(ParameterError):
-            bsgs_sums(bp_ctx.evaluator, [[four, four]], [ct])
+            bsgs_sums(bp_ctx.evaluator, PlainBlock([[four, four]]), [ct])
         lower = bp_ctx.evaluator.adjust(ct, ct.level - 1)
         with pytest.raises(ParameterError):
-            bsgs_sums(bp_ctx.evaluator, [[four, four]], [ct, lower])
+            bsgs_sums(bp_ctx.evaluator, PlainBlock([[four, four]]), [ct, lower])
 
 
-def _per_term_bsgs(ev, rows, inputs, g):
+def row_plan(ev, m: PlainMatrix, level: int, g: int) -> dict[int, Plaintext]:
+    """``m``'s encoded diagonals on their own, as ``(R, n)`` plaintexts."""
+    return {
+        j: Plaintext(RnsPolynomial(pt.basis, pt.poly.mat[0], NTT), pt.scale, pt.level)
+        for j, pt in m.block.encoded(ev, level, g)[0].items()
+    }
+
+
+def serial_rotate_sum(ev, terms):
+    """:meth:`Evaluator.rotate_sum` the serial way: each rotated term
+    decomposed, permuted and switched on its own, its key products and
+    every lift added into the ``M ∪ P`` accumulators one term at a time,
+    then one mod-down.  Logs and counts what the evaluator does."""
+    slots, two_n = ev.encoder.slots, 2 * ev.chain.n
+    specials = ev.chain.special_moduli
+    first, acc = terms[0][1], None
+    for i, (steps, ct) in enumerate(terms):
+        g = pow(5, steps % slots, two_n)
+        if len(terms) == 1 and g == 1:
+            return ct
+        c0, c1 = ct.c0.to_ntt(), ct.c1.to_ntt()
+        if g == 1:
+            lifted = [scale_up(p, specials) for p in (c0, c1)]
+        else:
+            ksk = ev.chest.galois_key(ct.level, g)
+            turned = np.take(
+                ev._extended_digits(c1, ksk), galois_permutation(ct.basis.n, g),
+                axis=-1,
+            )
+            lifted = ev._key_products(
+                [(turned, ksk)], (scale_up(c0.galois(g), specials), None)
+            )
+            _done(ct, "hrot", "rotate")
+        acc = lifted if acc is None else [a.add(b) for a, b in zip(acc, lifted)]
+        if i:
+            _done(first, "hadd")
+    return Ciphertext(*_mod_down(acc, specials), first.level, first.scale)
+
+
+def _per_term_bsgs(ev, rows, inputs, g, merged=False):
     """``bsgs_sums`` the textbook way, from public ops only: every baby
     and giant step a separate ``rotate``, every diagonal a
-    ``mul_encoded`` added on, every rotation its own mod-down."""
+    ``mul_encoded`` added on, every rotation its own mod-down — or, with
+    ``merged``, a row's giant steps through :func:`serial_rotate_sum`.
+    One output per row, in a list."""
     d, level = rows[0][0].dimension, inputs[0].level
     babies = [[ev.rotate(ct, b) for b in range(min(g, d))] for ct in inputs]
     outs = []
     for row in rows:
-        plans = [m.encoded(ev, level, g) for m in row]
-        acc = None
+        plans = [row_plan(ev, m, level, g) for m in row]
+        giants = []
         for i in range(0, d, g):
             inner = None
             for plan, baby in zip(plans, babies):
@@ -221,6 +271,12 @@ def _per_term_bsgs(ev, rows, inputs, g):
                         term = ev.mul_encoded(baby[b], plan[i + b])
                         inner = term if inner is None else ev.add(inner, term)
             if inner is not None:
+                giants.append((i, inner))
+        if merged:
+            acc = serial_rotate_sum(ev, giants)
+        else:
+            acc = None
+            for i, inner in giants:
                 outer = ev.rotate(inner, i)
                 acc = outer if acc is None else ev.add(acc, outer)
         outs.append(ev.rescale(acc))
@@ -246,7 +302,7 @@ class TestFusedTransform:
     def test_single_giant_step_is_bit_identical(self, width_ctx, rng):
         ctx, ev = width_ctx, width_ctx.evaluator
         mats, inputs = self._block(ctx, rng)
-        got = bsgs_sums(ev, mats, inputs, giant_step=self.D)
+        got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=self.D).unstack()
         want = _per_term_bsgs(ev, mats, inputs, self.D)
         for out, ref in zip(got, want):
             assert (out.level, out.scale) == (ref.level, ref.scale)
@@ -257,7 +313,7 @@ class TestFusedTransform:
     def test_giant_steps_decrypt_within_rounding(self, width_ctx, rng):
         ctx, ev = width_ctx, width_ctx.evaluator
         mats, inputs = self._block(ctx, rng)
-        got = bsgs_sums(ev, mats, inputs, giant_step=2)
+        got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=2).unstack()
         want = _per_term_bsgs(ev, mats, inputs, 2)
         for out, ref in zip(got, want):
             assert (out.level, out.scale) == (ref.level, ref.scale)
@@ -268,16 +324,17 @@ class TestFusedTransform:
         ctx, ev = plan_ctx, plan_ctx.evaluator
         (row, _), (x, y) = self._block(ctx, rng)
         tripled = ev.scale_const(y, 3)
-        bsgs_sums(ev, [row], [x, y])  # rotation keys are lazy
+        block = PlainBlock([row])
+        bsgs_sums(ev, block, [x, y])  # rotation keys are lazy
         before = counters("op.rotate", "kernel.ntt.forward")
         with pytest.raises(ScaleMismatchError):
-            bsgs_sums(ev, [row], [x, tripled])
+            bsgs_sums(ev, block, [x, tripled])
         assert counters("op.rotate", "kernel.ntt.forward") == before
 
     def test_fused_ops_check_scales(self, plan_ctx, rng):
         ctx, ev = plan_ctx, plan_ctx.evaluator
         (row, _), (x, _) = self._block(ctx, rng)
-        plan = row[0].encoded(ev, x.level, 2)
+        plan = row_plan(ev, row[0], x.level, 2)
         tripled = ev.scale_const(x, 3)
         with pytest.raises(ScaleMismatchError):
             ev.mul_encoded_sum([(x, plan[0]), (tripled, plan[1])])
@@ -286,6 +343,108 @@ class TestFusedTransform:
         lower = ev.adjust(x, x.level - 1)
         with pytest.raises(ScaleMismatchError):
             ev.rotate_sum([(0, x), (1, lower)])
+
+
+#: (planner, word bits, level scale bits, base bits): the narrow paths of
+#: both schemes and the wide one.
+BLOCK_CHAINS = {
+    "bp28": (plan_bitpacker_chain, 28, 30.0, 40.0),
+    "rns28": (plan_rns_ckks_chain, 28, 30.0, 40.0),
+    "rns60": (plan_rns_ckks_chain, 60, 40.0, 60.0),
+}
+
+
+@pytest.fixture(scope="module", params=list(BLOCK_CHAINS))
+def block_ctx(request):
+    plan, word, scale_bits, base_bits = BLOCK_CHAINS[request.param]
+    return CkksContext(
+        plan(n=N, word_bits=word, level_scale_bits=scale_bits, levels=3,
+             base_bits=base_bits, ks_digits=2),
+        seed=37,
+    )
+
+
+def same_bytes(got: Ciphertext, want: Ciphertext) -> None:
+    assert (got.level, got.scale, got.basis) == (want.level, want.scale, want.basis)
+    for g, w in ((got.c0, want.c0), (got.c1, want.c1)):
+        assert g.domain == w.domain
+        assert g.mat.shape == w.mat.shape
+        assert g.mat.tobytes() == w.mat.tobytes()
+
+
+class TestSerialFlow:
+    """``bsgs_sums`` runs every input, every row and every giant step of
+    a block in stacked calls; it must be, byte for byte, the serial
+    flow: one rotation at a time, one product at a time, one giant
+    step's keyswitch at a time, one mod-down per row."""
+
+    D = 16
+
+    def _block(self, ctx, seed: int, rows: int, sparse: bool = False):
+        rng = np.random.default_rng(seed)
+        mats = [
+            [
+                PlainMatrix(
+                    rng.uniform(-1, 1, (self.D, self.D))
+                    + 1j * rng.uniform(-1, 1, (self.D, self.D)),
+                    ctx.slots,
+                )
+                for _ in range(2)
+            ]
+            for _ in range(rows)
+        ]
+        if sparse:  # a row that holds only diagonal 0 beside a dense one
+            mats[0][0] = PlainMatrix(np.diag(rng.uniform(0.5, 1, self.D)), ctx.slots)
+            mats[0][1] = PlainMatrix(np.eye(self.D), ctx.slots)
+        inputs = [ctx.encrypt(_tiled(rng, self.D, ctx.slots)) for _ in range(2)]
+        return mats, inputs
+
+    @pytest.mark.parametrize("rows", [2, 1], ids=["2x2", "1x2"])
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_block_is_the_serial_flow(self, block_ctx, g, rows):
+        ctx, ev = block_ctx, block_ctx.evaluator
+        mats, inputs = self._block(ctx, 10 * g + rows, rows)
+        got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=g)
+        assert got.batch == (rows,)
+        want = _per_term_bsgs(ev, mats, inputs, g, merged=True)
+        for out, ref in zip(got.unstack(), want, strict=True):
+            same_bytes(out, ref)
+
+    def test_rows_with_other_zero_diagonals_are_the_serial_flow(self, block_ctx):
+        ctx, ev = block_ctx, block_ctx.evaluator
+        mats, inputs = self._block(ctx, 5, 2, sparse=True)
+        got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=4).unstack()
+        for out, ref in zip(got, _per_term_bsgs(ev, mats, inputs, 4, merged=True)):
+            same_bytes(out, ref)
+
+    def test_inputs_given_as_one_batch(self, block_ctx):
+        ctx, ev = block_ctx, block_ctx.evaluator
+        mats, inputs = self._block(ctx, 6, 2)
+        same_bytes(
+            bsgs_sums(ev, PlainBlock(mats), stack(inputs), giant_step=4),
+            bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=4),
+        )
+
+    def test_op_log_and_counts_are_the_serial_flows(self, plan_ctx, counters):
+        ctx, ev = plan_ctx, plan_ctx.evaluator
+        mats, inputs = self._block(ctx, 7, 2)
+        block = PlainBlock(mats)
+        bsgs_sums(ev, block, inputs, giant_step=4)  # keys are lazy
+        names = ("op.rotate", "op.keyswitch", "op.rescale")
+        logs, deltas = [], []
+        for run in (
+            lambda: bsgs_sums(ev, block, inputs, giant_step=4),
+            lambda: _per_term_bsgs(ev, mats, inputs, 4, merged=True),
+        ):
+            before = counters(*names)
+            with sanitize.record_ops() as log:
+                run()
+                logs.append(Counter((o.kind, o.level, o.scale_bits) for o in log))
+            after = counters(*names)
+            deltas.append({k: after[k] - before[k] for k in names})
+        assert logs[0] == logs[1]
+        assert deltas[0] == deltas[1]
+        assert deltas[0]["op.keyswitch"] == 2 * 3 + 2 * 3
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +488,7 @@ class TestPlanCache:
         ev = ctx.evaluator
         pm = PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots)
         ct = ctx.encrypt(_tiled(rng, d, ctx.slots)).to_ntt()
-        plan = pm.encoded(ev, ct.level, g)
+        plan = row_plan(ev, pm, ct.level, g)
         for j in range(d):
             got = ev.mul_encoded(ct, plan[j])
             want = ev.mul_plain(ct, np.roll(pm.diagonals[j], j - j % g))
@@ -343,26 +502,53 @@ class TestPlanCache:
         assert pm.nonzero.tolist() == [True] + [False] * (d - 1)
         ct = ctx.encrypt(_tiled(rng, d, ctx.slots))
         encodes.clear()
-        plan = pm.encoded(ctx.evaluator, ct.level, 3)
+        plan = row_plan(ctx.evaluator, pm, ct.level, 3)
         assert len(encodes) == 1
         assert list(plan) == [0]
 
     def test_cap_is_honoured(self, plan_ctx, rng, encodes):
         ctx, d = plan_ctx, 4
         ev = ctx.evaluator
-        pm = PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots)
+        block = PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots).block
         top = ctx.chain.max_level
-        assert PlainMatrix.ENCODINGS_KEPT == 2
+        assert PlainBlock.ENCODINGS_KEPT == 2
         for level in (top, top - 1, top - 2):
-            pm.encoded(ev, level, 2)
-        assert len(pm._encoded) == 2
+            block.encoded(ev, level, 2)
+        assert len(block._encoded) == 2
         encodes.clear()
-        pm.encoded(ev, top - 1, 2)
-        pm.encoded(ev, top - 2, 2)
+        block.encoded(ev, top - 1, 2)
+        block.encoded(ev, top - 2, 2)
         assert encodes == []  # the two most recent sets are kept...
-        pm.encoded(ev, top, 2)
+        block.encoded(ev, top, 2)
         assert len(encodes) == d  # ...the oldest was dropped
-        assert len(pm._encoded) == 2
+        assert len(block._encoded) == 2
+
+    def test_a_block_stacks_its_rows_once(self, plan_ctx, rng, encodes):
+        """A 2 x 2 block encodes each of its four matrices' diagonals
+        once, as one ``(2, R, n)`` plaintext per input and diagonal, and
+        a second apply encodes nothing."""
+        ctx, d = plan_ctx, 8
+        ev = ctx.evaluator
+        mats = [
+            [PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots) for _ in range(2)]
+            for _ in range(2)
+        ]
+        block = PlainBlock(mats)
+        inputs = [ctx.encrypt(_tiled(rng, d, ctx.slots)) for _ in range(2)]
+        encodes.clear()
+        first = bsgs_sums(ev, block, inputs)
+        assert len(encodes) == 4 * d
+        plans = block.encoded(ev, inputs[0].level, 3)
+        basis = ctx.chain.basis_at(inputs[0].level)
+        assert [sorted(plan) for plan in plans] == [list(range(d))] * 2
+        assert plans[1][5].poly.mat.shape == (2, basis.size, basis.n)
+        again = bsgs_sums(ev, block, inputs)
+        assert len(encodes) == 4 * d
+        assert first.c0.mat.tobytes() == again.c0.mat.tobytes()
+        for r, row in enumerate(mats):
+            for t, m in enumerate(row):
+                alone = row_plan(ev, m, inputs[0].level, 3)[5]
+                assert np.array_equal(plans[t][5].poly.mat[r], alone.poly.mat)
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +566,7 @@ class TestCallBudget:
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
 
         def linear_stages():
-            return slot_to_coeff(ev, *coeff_to_slot(ev, ct))
+            return slot_to_coeff(ev, coeff_to_slot(ev, ct))
 
         linear_stages()  # keys, tables and encoded diagonals are lazy
         names = ("kernel.ntt.forward", "kernel.ntt.inverse", "op.keyswitch",
@@ -400,17 +586,19 @@ class TestCallBudget:
         giants_rotated = math.ceil(d / g) - 1
 
         def block(inputs, outputs):
-            """Calls of one ``bsgs_sums``: per input one decomposition
-            serving ``g - 1`` baby rotations (each with its own
-            mod-down) and one stacked move to NTT form; per output each
-            rotated giant step's ``c1`` brought back, decomposed and
-            switched, and one mod-down for the whole output."""
+            """Calls of one ``bsgs_sums``, however many inputs and
+            outputs: the inputs' baby steps from one decomposition (one
+            forward), serving ``g - 1`` rotations that each take their
+            own mod-down, then one stacked move to NTT form; every
+            output's rotated giant steps switched in one stacked
+            keyswitch (their ``c1`` brought back in one inverse, the
+            converted rows forward in one), and one mod-down for all
+            outputs.  The op counters still read each member's
+            rotations and keyswitches."""
             switches = inputs * (g - 1) + outputs * giants_rotated
             return {
-                "kernel.ntt.forward": 2 * inputs + outputs * giants_rotated,
-                "kernel.ntt.inverse": (
-                    inputs * (g - 1) + outputs * (giants_rotated + 1)
-                ),
+                "kernel.ntt.forward": 3,
+                "kernel.ntt.inverse": (g - 1) + 2,
                 "op.keyswitch": switches,
                 "op.rotate": switches,
             }
