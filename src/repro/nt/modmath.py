@@ -475,10 +475,11 @@ def mod_mul_centred(c: np.ndarray, w, w_over_q, q, out) -> np.ndarray:
     ``out`` (float64; it may be ``c`` itself) takes the result exactly.
     """
     # c holds exact integers: the int64 casts truncate nothing.
-    prod = np.multiply(c, w, dtype=np.int64, casting="unsafe")
     t = np.multiply(c, w_over_q)
     np.rint(t, out=t)
-    tq = np.multiply(t, q, dtype=np.int64, casting="unsafe")
+    # t·q in place of t, elementwise: two temporaries, not three.
+    tq = np.multiply(t, q, out=t.view(np.int64), dtype=np.int64, casting="unsafe")
+    prod = np.multiply(c, w, dtype=np.int64, casting="unsafe")
     return np.subtract(prod, tq, out=out, dtype=np.int64, casting="unsafe")
 
 

@@ -462,10 +462,12 @@ class NttRowsContext:
             # summation order or BLAS thread count (modmath.split_limbs)
             np.float64
         )
-        # Each float64 operand (several times the input) is dropped once read.
+        # Each float64 operand (several times the input) is dropped once
+        # read; c is copied out of y's limb pair so that y can go.
         y = np.matmul(x, right) if inverse else np.matmul(left, x)
         del x
-        c = modmath.limb_residue(y[0], y[1], q, q_inv)
+        c = modmath.limb_residue(y[0], y[1], q, q_inv).copy()
+        del y
         modmath.mod_mul_centred(c, w, w_over_q, q, out=c)
         y = np.matmul(left, c) if inverse else np.matmul(c, right)
         del c
