@@ -18,9 +18,8 @@ rotations are needed instead of ``D``:
 M_{r,t}·x_t`` in one pass (CoeffToSlot is a 2 x 2 block, SlotToCoeff a
 1 x 2), inputs and rows as batches: baby steps hoisted; each inner sum
 one multiply-accumulate; giant steps switched in one stacked keyswitch
-and accumulated before one mod-down per
-output; diagonals kept encoded on the :class:`PlainBlock` per level
-used.
+and accumulated before one mod-down; diagonals kept encoded on the
+:class:`PlainBlock` per level used.
 """
 
 from __future__ import annotations
@@ -101,6 +100,7 @@ class PlainMatrix:
 
     @cached_property
     def block(self) -> "PlainBlock":
+        """This matrix as a one-by-one block, which keeps its encodings."""
         return PlainBlock([[self]])
 
     # ------------------------------------------------------------------
@@ -241,7 +241,7 @@ def bsgs_sums(
     x = inputs if isinstance(inputs, Ciphertext) else _stacked(inputs)
     d, level = block.dimension, x.level
     if x.batch[:1] != (block.inputs,):
-        raise ParameterError(f"need one input per block column, {block.inputs}")
+        raise ParameterError(f"need {block.inputs} inputs, one per block column")
     g = giant_step or max(1, round(math.sqrt(d)))
     babies = [
         baby.unstack()

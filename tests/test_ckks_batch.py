@@ -14,11 +14,11 @@ from repro.ckks import CkksContext, bootstrap_pipeline, stack
 from repro.ckks.bootstrap_pipeline import PipelineConfig, mod_raise
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evalmod import EvalModConfig, eval_mod
-from repro.ckks.homdft import homdft_matrices
+from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
 from repro.errors import InvariantViolation, ParameterError
 from repro.rns.poly import RnsPolynomial
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
-from tests.test_ckks_linear_plan import _per_term_bsgs, serial_rotate_sum
+from tests.test_ckks_linear_plan import _per_term_bsgs, same_bytes, serial_rotate_sum
 
 #: (planner, word bits, level scale bits, base bits): the narrow paths of
 #: both schemes and the wide one.
@@ -51,19 +51,11 @@ def members(chain):
     return ctx, cts
 
 
-def _same(got: Ciphertext, want: Ciphertext) -> None:
-    assert (got.level, got.scale, got.basis) == (want.level, want.scale, want.basis)
-    for g, w in ((got.c0, want.c0), (got.c1, want.c1)):
-        assert g.domain == w.domain
-        assert g.mat.shape == w.mat.shape
-        assert g.mat.tobytes() == w.mat.tobytes()
-
-
 def _same_members(batch: Ciphertext, serial: list[Ciphertext]) -> None:
     got = batch.unstack()
     assert len(got) == len(serial)
     for g, w in zip(got, serial):
-        _same(g, w)
+        same_bytes(g, w)
 
 
 #: ``op(ev, x, y)`` for every op EvalMod reaches, and the rotations.
@@ -112,7 +104,7 @@ class TestOpsMatchMembers:
         ctx, cts = members
         ev = ctx.evaluator
         (got,) = ev.square(stack(cts[:1])).unstack()
-        _same(got, ev.square(cts[0]))
+        same_bytes(got, ev.square(cts[0]))
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +162,7 @@ class TestEvalModAndBootstrap:
     def test_bootstrap_is_the_serial_flow(self, boot_chain, seed):
         ctx, ct = _bottom(boot_chain, seed)
         got = bootstrap_pipeline.bootstrap_homomorphic(ctx, ct)
-        _same(got, _serial_bootstrap(ctx, ct))
+        same_bytes(got, _serial_bootstrap(ctx, ct))
 
     def test_bootstrap_op_log_is_the_serial_flow(self, boot_chain, counters):
         """Under ``record_ops`` the batch logs each member's op: the
@@ -193,6 +185,31 @@ class TestEvalModAndBootstrap:
         assert batched_ops == serial_ops
         assert sum(n for (kind, _, _), n in batched.items() if kind == "hmul") > 2
         assert sum(n for (kind, _, _), n in batched.items() if kind == "hrot") > 20
+
+
+    def test_a_batch_of_bootstraps_is_its_members(self, boot_chain):
+        """Mod-raised inputs stacked under one key run CtS, EvalMod and
+        StC as one batch: the blocks' row-stacked plaintexts broadcast
+        over the members, which come out as their own bootstraps."""
+        ctx, _ = _bottom(boot_chain, 105)
+        ev, chain, config = ctx.evaluator, ctx.chain, PipelineConfig()
+        rng = np.random.default_rng(105)
+        cts = [
+            ev.adjust(ctx.encrypt(rng.uniform(-0.4, 0.4, ctx.slots)), 0)
+            for _ in range(2)
+        ]
+        q0, scale = chain.q_product_at(0), float(cts[0].scale)
+        raised = stack([mod_raise(ctx, ct, chain.max_level) for ct in cts])
+        halves = coeff_to_slot(ev, raised)
+        assert halves.batch == (2, 2)
+        refreshed = eval_mod(
+            ev, ev.adjust(halves, halves.level - 1), config.evalmod,
+            scale / q0, q0 / scale,
+        )
+        _same_members(
+            slot_to_coeff(ev, refreshed),
+            [bootstrap_pipeline.bootstrap_homomorphic(ctx, ct) for ct in cts],
+        )
 
 
 class TestRotateSum:
@@ -218,7 +235,7 @@ class TestRotateSum:
         before = counters("op.keyswitch")["op.keyswitch"]
         got = ev.rotate_sum(terms)
         switched = counters("op.keyswitch")["op.keyswitch"] - before
-        _same(got, want)
+        same_bytes(got, want)
         rotated = sum(1 for steps, _ in terms if steps % ctx.slots)
         assert switched == rotated * (BATCH if batched else 1)
         if count == 1:
