@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from dataclasses import replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.ckks.ciphertext import Ciphertext, Plaintext
+from repro.ckks.ciphertext import Ciphertext, Plaintext, stack
 from repro.ckks.evaluator import check_addable
 from repro.errors import ParameterError
 from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
@@ -234,9 +235,13 @@ def bsgs_sums(
 
     Bit for bit the serial flow: one input's baby steps, one row's
     products and one giant step's keyswitch at a time, one mod-down per
-    output.  Rows that differ in which diagonals are zero share the
-    union: a zero diagonal multiplies as zeros, and the op log counts
-    its products.
+    output.  Its op log and ``op.*`` counters are the serial flow's when
+    the rows share which diagonals are zero, as every CtS, StC and
+    :class:`PlainMatrix` block does.  Rows that differ share the union:
+    a row pays a ``pmul`` (and ``hadd``) for each diagonal another row
+    holds, and a rotation and keyswitch for each giant step another row
+    has terms in.  A zero diagonal multiplies as zeros, so the bytes do
+    not change.
     """
     x = inputs if isinstance(inputs, Ciphertext) else _stacked(inputs)
     d, level = block.dimension, x.level
@@ -245,7 +250,7 @@ def bsgs_sums(
     g = giant_step or max(1, round(math.sqrt(d)))
     babies = [
         baby.unstack()
-        for baby in _all_to_ntt(evaluator.rotate_hoisted(x, range(min(g, d))))
+        for baby in _all_to(evaluator.rotate_hoisted(x, range(min(g, d))), NTT)
     ]
     plans = block.encoded(evaluator, level, g)
     giants = []
@@ -269,17 +274,12 @@ def _stacked(inputs: Sequence[Ciphertext]) -> Ciphertext:
         if ct.level != first.level:
             raise ParameterError("bsgs_sums inputs must share one level")
         check_addable(first, ct)
-    polys = to_domain([p for ct in inputs for p in (ct.c0, ct.c1)], COEFF)
-    c0, c1 = (
-        RnsPolynomial(first.basis, np.stack([p.mat for p in polys[i::2]]), COEFF)
-        for i in (0, 1)
-    )
-    return Ciphertext(c0, c1, first.level, first.scale)
+    return stack([replace(ct, scale=first.scale) for ct in _all_to(inputs, COEFF)])
 
 
-def _all_to_ntt(cts: Sequence[Ciphertext]) -> list[Ciphertext]:
-    """``cts`` in NTT form, every polynomial of them in one transform."""
-    polys = to_domain([p for ct in cts for p in (ct.c0, ct.c1)], NTT)
+def _all_to(cts: Sequence[Ciphertext], domain: str) -> list[Ciphertext]:
+    """``cts`` in ``domain``, every polynomial of them in one transform."""
+    polys = to_domain([p for ct in cts for p in (ct.c0, ct.c1)], domain)
     return [ct.with_polys(*polys[2 * i : 2 * i + 2]) for i, ct in enumerate(cts)]
 
 

@@ -410,12 +410,38 @@ class TestSerialFlow:
         for out, ref in zip(got.unstack(), want, strict=True):
             same_bytes(out, ref)
 
-    def test_rows_with_other_zero_diagonals_are_the_serial_flow(self, block_ctx):
+    def test_rows_with_other_zero_diagonals_are_the_serial_flow(
+        self, block_ctx, counters
+    ):
+        """The same bytes, but not the same work: the sparse row (only
+        diagonal 0 of each input, so only the unrotated giant step) runs
+        on the dense row's union — 16 diagonals of 2 inputs at 4 giant
+        steps — and the op log and counters show the difference."""
         ctx, ev = block_ctx, block_ctx.evaluator
         mats, inputs = self._block(ctx, 5, 2, sparse=True)
-        got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=4).unstack()
-        for out, ref in zip(got, _per_term_bsgs(ev, mats, inputs, 4, merged=True)):
+        block = PlainBlock(mats)
+        bsgs_sums(ev, block, inputs, giant_step=4)  # keys are lazy
+        names = ("op.rotate", "op.keyswitch")
+        runs = []
+        for run in (
+            lambda: bsgs_sums(ev, block, inputs, giant_step=4).unstack(),
+            lambda: _per_term_bsgs(ev, mats, inputs, 4, merged=True),
+        ):
+            before = counters(*names)
+            with sanitize.record_ops() as log:
+                outs = run()
+                kinds = Counter(o.kind for o in log)
+            after = counters(*names)
+            runs.append((outs, kinds, {k: after[k] - before[k] for k in names}))
+        (got, got_kinds, got_ops), (want, want_kinds, want_ops) = runs
+        for out, ref in zip(got, want, strict=True):
             same_bytes(out, ref)
+        # Row 0 pays 32 products where it needs 2; their merges (4 inner
+        # sums of 8 terms and 3 giant-step adds, against 1 inner add);
+        # and the 3 giant rotations, each one keyswitch.
+        assert got_kinds - want_kinds == Counter(pmul=30, hadd=30, hrot=3)
+        assert not want_kinds - got_kinds
+        assert {k: got_ops[k] - want_ops[k] for k in names} == dict.fromkeys(names, 3)
 
     def test_inputs_given_as_one_batch(self, block_ctx):
         ctx, ev = block_ctx, block_ctx.evaluator

@@ -342,8 +342,9 @@ class TestSeam:
         per-module hooks logged them before the seam (digests): the
         replayed fixture traces, the compiled fixture trace, and
         CoeffToSlot + SlotToCoeff.  The last two run their rows and
-        giant steps as batches, which log the same entries in another
-        order, so theirs are pinned sorted (the serial flow's, sorted)."""
+        giant steps as batches, which log the serial flow's entries in
+        another order: pinned sorted (the serial flow's, sorted), and in
+        the batched order, so a reordering still shows."""
         from repro.ckks import CkksContext
         from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
         from repro.schemes import plan_bitpacker_chain
@@ -371,6 +372,7 @@ class TestSeam:
             slot_to_coeff(ctx.evaluator, coeff_to_slot(ctx.evaluator, ct))
             entries = sorted(log, key=lambda e: (e.kind, e.level, e.scale_bits))
             assert _oplog_digest(entries) == (420, "04e02b3f36147697")
+            assert _oplog_digest(log) == (420, "b97fc0cb2c60707a")
 
 
 class TestSimKernelAccounting:
