@@ -17,6 +17,7 @@ from hypothesis import settings
 from repro.ckks import CkksContext
 from repro.obs import core as obs
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
+from repro.trace.compiler import CompiledTrace, compile_workloads
 
 #: Every hypothesis draw is derived from its test's name, not from a
 #: fresh seed, so a run draws what the last one drew and a slow or
@@ -52,6 +53,12 @@ def rns_chain():
         base_bits=40.0,
         ks_digits=2,
     )
+
+
+@pytest.fixture(scope="session")
+def compiled_workloads() -> list[CompiledTrace]:
+    """All 20 bundled traces through the compiler, once per session."""
+    return compile_workloads(plan=False)
 
 
 @pytest.fixture()

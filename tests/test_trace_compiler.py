@@ -31,9 +31,7 @@ from repro.errors import ParameterError, ScheduleViolationError
 from repro.trace import TraceExecutor, compiler
 from repro.trace.compiler import (
     MIN_NOISE_MARGIN_BITS,
-    CompiledTrace,
     compile_trace,
-    compile_workloads,
     render_report,
 )
 from repro.trace.program import (
@@ -60,12 +58,6 @@ def exec_fixture_trace() -> HeTrace:
             TraceOp(OpKind.HADD, 1),
         ],
     )
-
-
-@pytest.fixture(scope="session")
-def compiled_workloads() -> list[CompiledTrace]:
-    """All 20 bundled traces through the compiler, once per session."""
-    return compile_workloads(plan=False)
 
 
 class TestBundledWorkloadCompilation:
