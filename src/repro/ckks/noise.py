@@ -7,6 +7,15 @@ companion to the exact measurements of the precision experiments: it lets
 users ask "how many error-free bits should I expect?" before running
 anything, and it documents where each operation's error comes from.
 
+Every rule is one quadrature join (:func:`join_bits`,
+``max + 0.5*log2(1 + 4^(min - max))``) of the incoming error against a
+per-level term: the fresh-encryption error, the rounding floor of one
+rescale, or the keyswitch error.  :class:`NoiseModel` builds those three
+per-level tables once (``fresh_bits``, ``floor_bits``,
+``keyswitch_bits``); its methods read them, and so does the static
+verifier (:mod:`repro.analysis.absint`), which calls the same join on
+scalars instead of building a :class:`NoiseEstimate` per op.
+
 The estimates are deliberately simple (heuristic constants, no
 ring-expansion factors beyond ``sqrt(n)``); the tests check that they
 upper-bound the empirically measured noise of the functional engine.
@@ -15,7 +24,7 @@ upper-bound the empirically measured noise of the functional engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.rns.sampling import DEFAULT_SIGMA
@@ -63,7 +72,21 @@ class NoiseEstimate:
     @property
     def expected_precision_bits(self) -> float:
         """Error-free mantissa bits, with a ~3-sigma tail allowance."""
-        return -self.log2_error - 2.0
+        return precision_bits(self.log2_error)
+
+
+def precision_bits(log2_error: float) -> float:
+    """Error-free mantissa bits of a value-domain error of std
+    ``2^log2_error``, with a ~3-sigma tail allowance."""
+    return -log2_error - 2.0
+
+
+def join_bits(a: float, b: float) -> float:
+    """Two independent errors (log2 std) added in quadrature: the larger
+    plus ``0.5*log2(1 + 4^(smaller - larger))``."""
+    if a < b:
+        a, b = b, a
+    return a + 0.5 * math.log2(1.0 + 4.0 ** (b - a))
 
 
 class NoiseModel:
@@ -72,7 +95,22 @@ class NoiseModel:
     def __init__(self, chain: "ModulusChain", sigma: float = DEFAULT_SIGMA):
         self.chain = chain
         self.sigma = sigma
-        self._sqrt_n_bits = 0.5 * math.log2(chain.n)
+        sqrt_n_bits = 0.5 * math.log2(chain.n)
+        scales = [level.log2_scale for level in chain.levels]
+        # Public-key encryption error is ``e0 + u*e + s*e1``: the ternary
+        # convolutions give std ~ sigma * sqrt(4n/3), and taking the max
+        # over n coefficients (what error-free *bits* measure) adds
+        # another ~sqrt(2 ln n) factor -- together ~3 bits beyond
+        # sigma * sqrt(n).
+        coeff_error_bits = math.log2(sigma) + sqrt_n_bits + 3.0
+        #: Per level: log2 error of a fresh encryption at that scale.
+        self.fresh_bits = tuple(coeff_error_bits - s for s in scales)
+        #: Per level: one rounded division by the scale leaves
+        #: ~sqrt(n/12) coefficient units over the scale.
+        self.floor_bits = tuple(sqrt_n_bits - 1.5 - s + 2.0 for s in scales)
+        #: Per level: hybrid keyswitch noise after the mod-down by P,
+        #: roughly a few rounding units (the rescale floor's order).
+        self.keyswitch_bits = tuple(f + 1.0 for f in self.floor_bits)
 
     @classmethod
     def from_level_scales(
@@ -97,27 +135,14 @@ class NoiseModel:
 
     # ------------------------------------------------------------------
     def fresh(self, level: int | None = None) -> NoiseEstimate:
-        """Noise of a freshly encrypted ciphertext.
-
-        Public-key encryption error is ``e0 + u*e + s*e1``: the ternary
-        convolutions give std ~ sigma * sqrt(4n/3), and taking the max
-        over n coefficients (what error-free *bits* measure) adds another
-        ~sqrt(2 ln n) factor — together ~3 bits beyond sigma * sqrt(n).
-        """
+        """Noise of a freshly encrypted ciphertext."""
         if level is None:
             level = self.chain.max_level
-        scale_bits = self.chain.levels[level].log2_scale
-        coeff_error_bits = math.log2(self.sigma) + self._sqrt_n_bits + 3.0
-        return NoiseEstimate(
-            log2_error=coeff_error_bits - scale_bits, level=level
-        )
+        return NoiseEstimate(log2_error=self.fresh_bits[level], level=level)
 
     def after_add(self, a: NoiseEstimate, b: NoiseEstimate) -> NoiseEstimate:
         """Independent errors add in quadrature."""
-        worst = max(a.log2_error, b.log2_error)
-        other = min(a.log2_error, b.log2_error)
-        bump = 0.5 * math.log2(1.0 + 4.0 ** (other - worst))
-        return NoiseEstimate(log2_error=worst + bump, level=a.level)
+        return NoiseEstimate(join_bits(a.log2_error, b.log2_error), a.level)
 
     def after_multiply(
         self, a: NoiseEstimate, b: NoiseEstimate, magnitude_bits: float = 0.0
@@ -128,46 +153,27 @@ class NoiseModel:
         grown = max(
             a.log2_error + magnitude_bits, b.log2_error + magnitude_bits
         )
-        ks = self.keyswitch_error_bits(a.level)
-        worst = max(grown, ks)
-        other = min(grown, ks)
-        bump = 0.5 * math.log2(1.0 + 4.0 ** (other - worst))
-        return NoiseEstimate(log2_error=worst + bump, level=a.level)
+        return NoiseEstimate(
+            join_bits(grown, self.keyswitch_bits[a.level]), a.level
+        )
 
     def after_rescale(self, est: NoiseEstimate) -> NoiseEstimate:
         """Rescale divides noise and scale together; in the value domain
         the error is unchanged except for the rounding floor."""
         level = est.level - 1
-        floor = self.rounding_floor_bits(level)
-        worst = max(est.log2_error, floor)
-        other = min(est.log2_error, floor)
-        bump = 0.5 * math.log2(1.0 + 4.0 ** (other - worst))
-        return NoiseEstimate(log2_error=worst + bump, level=level)
+        return NoiseEstimate(
+            join_bits(est.log2_error, self.floor_bits[level]), level
+        )
 
     def after_adjust(self, est: NoiseEstimate, dst_level: int) -> NoiseEstimate:
         """Adjust = constant multiply + rescale: same floor as rescale
         (the paper's Fig. 19 finding)."""
-        floor = self.rounding_floor_bits(dst_level)
-        worst = max(est.log2_error, floor)
-        other = min(est.log2_error, floor)
-        bump = 0.5 * math.log2(1.0 + 4.0 ** (other - worst))
-        return NoiseEstimate(log2_error=worst + bump, level=dst_level)
+        return NoiseEstimate(
+            join_bits(est.log2_error, self.floor_bits[dst_level]), dst_level
+        )
 
     def after_rotate(self, est: NoiseEstimate) -> NoiseEstimate:
-        ks = self.keyswitch_error_bits(est.level)
-        worst = max(est.log2_error, ks)
-        other = min(est.log2_error, ks)
-        bump = 0.5 * math.log2(1.0 + 4.0 ** (other - worst))
-        return replace(est, log2_error=worst + bump)
-
-    # ------------------------------------------------------------------
-    def rounding_floor_bits(self, level: int) -> float:
-        """Value-domain error from one rounded division by the scale:
-        ~sqrt(n/12) coefficient units over the scale."""
-        scale_bits = self.chain.levels[level].log2_scale
-        return self._sqrt_n_bits - 1.5 - scale_bits + 2.0
-
-    def keyswitch_error_bits(self, level: int) -> float:
-        """Hybrid keyswitch noise after the mod-down by P: roughly a few
-        rounding units, i.e. the same order as the rescale floor."""
-        return self.rounding_floor_bits(level) + 1.0
+        return NoiseEstimate(
+            join_bits(est.log2_error, self.keyswitch_bits[est.level]),
+            est.level,
+        )
