@@ -203,23 +203,30 @@ def zeros(n: int, q: int) -> np.ndarray:
     return np.zeros(n, dtype=np.uint64)
 
 
+def _min_into(x, y):
+    """``min(x, y)``, written into ``x`` (the caller's own temporary,
+    never an input) unless a 0-d sum made it a numpy scalar."""
+    if isinstance(x, np.ndarray):
+        return np.minimum(x, y, out=x)
+    return np.minimum(x, y)
+
+
 def mod_add(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """``(a + b) mod q`` elementwise (operands reduced)."""
-    qa = _q_arr(q)
     s = a + b  # < 2^62, no wrap
-    return np.minimum(s, s - qa)  # s - q wraps high exactly when s < q
+    return _min_into(s, s - _q_arr(q))  # s - q wraps high iff s < q
 
 
 def mod_sub(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     """``(a - b) mod q`` elementwise (operands reduced)."""
     d = a - b  # wraps high exactly when a < b
-    return np.minimum(d, d + _q_arr(q))
+    return _min_into(d, d + _q_arr(q))
 
 
 def mod_neg(a: np.ndarray, q) -> np.ndarray:
     """``(-a) mod q`` elementwise (operand reduced; ``-0`` stays 0)."""
     d = np.negative(a)  # 2^64 - a, or 0
-    return np.minimum(d, d + _q_arr(q))
+    return _min_into(d, d + _q_arr(q))
 
 
 def mulhi64(a: np.ndarray, b) -> np.ndarray:

@@ -1,21 +1,21 @@
-"""Request coalescing: compatible ciphertext ops become one kernel call.
+"""Request coalescing: compatible ciphertext ops become one dispatch.
 
-FHE accelerator throughput comes from keeping wide batched kernels
-saturated, not from executing requests one at a time (Cheddar,
-PAPERS.md).  The serve batcher exploits the same structure the PR-1
-vectorization did: a pointwise ciphertext op over an RNS residue stack
-is ``k`` independent rows against a ``(k, 1)`` modulus column, so *B*
-requests that share a modulus chain and level are exactly one
-``(B*k, n)`` matrix against the tiled column — a single kernel call
-through :mod:`repro.backends` instead of *B*.
-
+A worker drains its queue and groups what it drained by batch key.
 Compatibility is strict: requests coalesce iff they agree on the key
 fingerprint (same chain primes), the level (same row count and moduli
-prefix) and the op.  Mixed-level traffic **must not** coalesce — the
-rows would reduce against the wrong moduli — and
-:func:`coalesce` keys on exactly that triple.  Because every batched
-kernel is elementwise over rows, a coalesced result is byte-identical
-to the serial one; ``tests/test_serve.py`` pins that.
+prefix) and the op, and :func:`coalesce` keys on exactly that triple.
+Mixed-level traffic **must not** coalesce: the rows would reduce
+against the wrong moduli.
+
+A group is one compatibility check, one ``serve/batch`` span and one
+settlement pass in the service, and one kernel call per member
+(:func:`execute_group`).  The members' operands are never stacked into
+one ``(B*k, n)`` matrix: the kernels are elementwise, so stacking buys
+nothing but the copy, and at the ladder's ``(27, 8192)`` operands the
+copy cost more than the per-call overhead it saved (a group of 8 ran at
+2,197 µs per request stacked against 1,305 µs per member, with 1,166 µs
+for one serial call).  Every result is :func:`execute_serial`'s, byte
+for byte, and owns its array; ``tests/test_serve.py`` pins both.
 
 Executable ops map trace kinds onto the kernels a long-running service
 can run statelessly per request:
@@ -23,8 +23,8 @@ can run statelessly per request:
 - ``mul`` (``HMUL``/``PMUL``): the NTT-domain Hadamard product, through
   :func:`repro.backends.pointwise_mul`;
 - ``add`` (``HADD``/``PADD``): elementwise modular addition via
-  :func:`repro.nt.modmath.mod_add` (not one of the five kernels — a
-  single fused numpy expression is already matrix-at-a-time).
+  :func:`repro.nt.modmath.mod_add` (not one of the five kernels: one
+  sum and one in-place ``min`` over the whole residue stack).
 
 ``RESCALE``/``ADJUST``/``HROT`` remain schedule-only kinds: they are
 verified by the admission gate but carry no per-request payload here,
@@ -120,11 +120,8 @@ def _kernel(op: str, a: np.ndarray, b: np.ndarray, q_col: np.ndarray,
 
 
 def execute_serial(request: OpRequest) -> np.ndarray:
-    """Reference path: one request, one kernel call.
-
-    The byte-identity oracle for the batched path (and the executor for
-    singleton groups — a batch of one *is* the serial call).
-    """
+    """One request, one kernel call: the byte-identity oracle, and the
+    call :func:`execute_group` makes for every member."""
     key = request.key
     return _kernel(
         request.op, request.a, request.b, key.q_col(request.level), key.kind
@@ -132,28 +129,17 @@ def execute_serial(request: OpRequest) -> np.ndarray:
 
 
 def execute_group(group: list[OpRequest]) -> list[np.ndarray]:
-    """Execute one coalesced batch as a single matrix-at-a-time call.
+    """Execute one coalesced group: check it, then run each member.
 
-    Stacks the ``B`` member stacks into one ``(B*k, n)`` matrix, tiles
-    the shared modulus column, dispatches once, and slices the result
-    back per request.  Row-elementwise kernels make this bit-exact
-    against :func:`execute_serial`.
+    Refuses a group whose members disagree on the batch key, then makes
+    one :func:`execute_serial` call per member, in order.  No operand is
+    copied into a stack, and each result is a fresh array of its own.
     """
-    if not group:
-        return []
-    if len(group) == 1:
-        return [execute_serial(group[0])]
-    first = group[0]
-    key = first.key
-    expected = first.batch_key()
-    for request in group[1:]:
-        if request.batch_key() != expected:
-            raise ParameterError(
-                f"incompatible batch: {request.batch_key()} vs {expected}"
-            )
-    rows = first.level + 1
-    a = np.vstack([request.a for request in group])
-    b = np.vstack([request.b for request in group])
-    q_col = np.tile(key.q_col(first.level), (len(group), 1))
-    out = _kernel(first.op, a, b, q_col, key.kind)
-    return [out[i * rows:(i + 1) * rows] for i in range(len(group))]
+    if group:
+        expected = group[0].batch_key()
+        for request in group[1:]:
+            if request.batch_key() != expected:
+                raise ParameterError(
+                    f"incompatible batch: {request.batch_key()} vs {expected}"
+                )
+    return [execute_serial(request) for request in group]

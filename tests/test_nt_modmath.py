@@ -524,6 +524,50 @@ def test_add_sub_neg_at_the_corners(q):
         ]
 
 
+@pytest.mark.parametrize("q", BACKEND_MODULI)
+def test_additive_ops_write_a_fresh_array_at_the_boundaries(q):
+    """The additive ops write their ``min`` into their own temporary:
+    the result aliases neither input, the inputs keep their bytes, and
+    the values match big integers where the sum is 0, q - 1, q, 2q - 2
+    and the difference 0 - (q - 1); against a scalar ``q``, a ``(k, 1)``
+    column, and 0-d or numpy-scalar operands (numpy hands back a scalar
+    there, so no ``out=`` runs)."""
+    pairs = [(0, 0), (0, q - 1), (1, q - 1), (q - 1, q - 1), (q - 2, 1),
+             (q - 1, 0), (1, 0)]
+    row_a, row_b = _u64([x for x, _ in pairs]), _u64([y for _, y in pairs])
+    col = _u64([[q], [q]])
+    cases = [
+        (row_a, row_b, q),  # scalar q
+        (np.stack([row_a, row_b]), np.stack([row_b, row_a]), col),
+    ]
+    for a, b, modulus in cases:
+        a_bytes, b_bytes = a.tobytes(), b.tobytes()
+        ints_a, ints_b = a.ravel().tolist(), b.ravel().tolist()
+        for got, want in (
+            (modmath.mod_add(a, b, modulus),
+             [(x + y) % q for x, y in zip(ints_a, ints_b)]),
+            (modmath.mod_sub(a, b, modulus),
+             [(x - y) % q for x, y in zip(ints_a, ints_b)]),
+            (modmath.mod_neg(a, modulus), [-x % q for x in ints_a]),
+        ):
+            assert got.dtype == np.uint64 and got.shape == a.shape
+            assert not np.shares_memory(got, a)
+            assert not np.shares_memory(got, b)
+            assert got.ravel().tolist() == want
+        assert a.tobytes() == a_bytes and b.tobytes() == b_bytes
+    # 0-d arrays and numpy scalars, with the modulus as an int and as a
+    # uint64 scalar.
+    with np.errstate(over="ignore"):
+        for x, y in pairs:
+            for a, b in ((np.uint64(x), np.uint64(y)),
+                         (_u64(x), _u64(y))):
+                for modulus in (q, np.uint64(q)):
+                    assert int(modmath.mod_add(a, b, modulus)) == (x + y) % q
+                    assert int(modmath.mod_sub(a, b, modulus)) == (x - y) % q
+                    assert int(modmath.mod_neg(a, modulus)) == -x % q
+                    assert int(a) == x and int(b) == y
+
+
 # ----------------------------------------------------------------------
 # The import-time ufunc buffer (``modmath.UFUNC_BUFSIZE``)
 # ----------------------------------------------------------------------

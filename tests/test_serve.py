@@ -152,6 +152,34 @@ class TestBatching:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes() == wide.tobytes()
 
+    @pytest.mark.parametrize("op", ["mul", "add"])
+    def test_group_results_own_their_bytes_at_the_ladder_shape(self, op):
+        # serve_hot's shape: n = 8192, 27 rows, a group of 8.  Every
+        # member's result is its own fresh array, shares memory with no
+        # other result and no operand, and equals the serial call.
+        key = KeyMaterial(KeyParams(n=8192, word_bits=28, levels=26))
+        level, size = 26, 8
+        rng = np.random.default_rng(8192)
+        pool = rng.integers(
+            0, key.q_col(level), size=(size, 2, level + 1, 8192),
+            dtype=np.uint64,
+        )
+        group = [
+            sbatch.OpRequest(tenant="t", key=key, op=op, level=level,
+                             a=pool[i, 0], b=pool[i, 1])
+            for i in range(size)
+        ]
+        results = sbatch.execute_group(group)
+        assert len(results) == size
+        for i, (request, got) in enumerate(zip(group, results)):
+            assert got.base is None and got.flags.owndata
+            assert not np.shares_memory(got, pool)
+            for other in results[i + 1:]:
+                assert not np.shares_memory(got, other)
+            want = sbatch.execute_serial(request)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_mixed_level_traffic_never_coalesces(self, engine):
         key = KeyMaterial(KeyParams(n=64, word_bits=28, levels=3))
