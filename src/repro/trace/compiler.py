@@ -162,17 +162,16 @@ def _pass_truncate_levels(
     top = max(used)
     if bottom == 0 and top == trace.max_level:
         return trace, 0.0, ""
+    table = trace.distinct_ops()  # relabel each distinct op once
+    relabelled = [
+        replace(op, level=op.level - bottom,
+                dst_level=None if op.dst_level is None else op.dst_level - bottom)
+        for op in table.ops
+    ]
     new = replace(
         trace,
         level_scale_bits=trace.level_scale_bits[bottom:top + 1],
-        ops=tuple(
-            replace(
-                op,
-                level=op.level - bottom,
-                dst_level=None if op.dst_level is None else op.dst_level - bottom,
-            )
-            for op in trace.ops
-        ),
+        ops=tuple(relabelled[i] for i in table.at.tolist()),
     )
     dropped = bottom + (trace.max_level - top)
     return (
