@@ -4,9 +4,10 @@ The long-running composition of the repo's batch pieces (DESIGN.md
 Sec. 12): per-tenant sessions over a shared key registry
 (:mod:`repro.serve.keys`), admission through the static schedule
 verifier, bounded per-shard queues with 429-style backpressure, a
-batcher that coalesces compatible ciphertext ops into matrix-at-a-time
-kernel calls (:mod:`repro.serve.batch`), and always-on books plus
-:mod:`repro.obs` spans.  :mod:`repro.serve.loadgen` registers a run's
+batcher that groups compatible ciphertext ops (one check, one span and
+one settlement pass per group, one kernel call per member:
+:mod:`repro.serve.batch`), and always-on books plus :mod:`repro.obs`
+spans.  :mod:`repro.serve.loadgen` registers a run's
 tenants.  There is no command-line entry point: the service is driven
 from Python (``benchmarks/ladder/serve.py``, ``tests/test_serve.py``).
 """

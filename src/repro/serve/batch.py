@@ -12,10 +12,11 @@ settlement pass in the service, and one kernel call per member
 (:func:`execute_group`).  The members' operands are never stacked into
 one ``(B*k, n)`` matrix: the kernels are elementwise, so stacking buys
 nothing but the copy, and at the ladder's ``(27, 8192)`` operands the
-copy cost more than the per-call overhead it saved (a group of 8 ran at
-2,197 µs per request stacked against 1,305 µs per member, with 1,166 µs
-for one serial call).  Every result is :func:`execute_serial`'s, byte
-for byte, and owns its array; ``tests/test_serve.py`` pins both.
+copy cost more than the per-call overhead it saved: a group of 8 ran at
+1,957 µs per request stacked and at 1,374 µs per member, against about
+1,200 µs for one serial call (``serve_hot``'s traced rungs, 2-core
+Xeon).  Every result is :func:`execute_serial`'s, byte for byte, and
+owns its array; ``tests/test_serve.py`` pins both.
 
 Executable ops map trace kinds onto the kernels a long-running service
 can run statelessly per request:

@@ -20,9 +20,11 @@ admission -> verify gate -> per-shard queue -> batcher -> kernel call
   admission into a full queue returns a 429-class rejection at once
   instead of blocking the loop.
 - **Batching**: each worker drains whatever is queued (up to
-  ``max_batch``), coalesces compatible ops
-  (:mod:`repro.serve.batch`), and dispatches matrix-at-a-time through
-  :mod:`repro.backends`.  Results are byte-identical to serial
+  ``max_batch``) and coalesces compatible ops
+  (:mod:`repro.serve.batch`).  A group is one compatibility check,
+  one span and one settlement pass, with one :mod:`repro.backends`
+  call per member: stacking the members' operands cost more in copies
+  than it saved in calls.  Results are byte-identical to serial
   execution — batching is a latency/throughput decision, never a
   numerical one.
 - **Failure model** (DESIGN.md Sec. 13): a dispatch that raises
@@ -359,7 +361,8 @@ class BitPackerServe:
     async def _run_group(
         self, shard: int, group: list[_batch.OpRequest]
     ) -> None:
-        """Run one coalesced group: dispatch once, settle.
+        """Run one coalesced group: one span, one kernel call per
+        member, settle.
 
         A dispatch that raises settles every member as ``error`` 500
         and returns, so the worker carries on and no submitter is left
