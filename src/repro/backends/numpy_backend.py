@@ -6,16 +6,18 @@
 - ``bconv_fold`` is the lazy-reduction digit fold of
   :func:`repro.rns.convert.base_convert` — for narrow destinations one
   ``(m, kk) · (kk, n)`` uint64 matrix product (``np.einsum``) and one
-  ``%`` whenever ``kk · max(v, p) · p < 2^64`` (always, at 28-bit
-  words), else unreduced products chunk-summed per destination; for
-  wide ones a Shoup multiply by the CRT weights at β = 2^62, all
-  destinations at once, summed lazily and reduced once (Shoup takes
-  unreduced digits, so there is no pre-reduction pass);
+  :func:`~repro.nt.modmath.mod_reduce` whenever ``kk · max(v, p) · p
+  < 2^64`` (always, at 28-bit words), else unreduced products
+  chunk-summed per destination; for wide ones a Shoup multiply by the
+  CRT weights at β = 2^62, all destinations at once, summed lazily and
+  reduced once (Shoup takes unreduced digits, so there is no
+  pre-reduction pass);
 - ``pointwise_mul`` is one broadcast :mod:`repro.nt.modmath` call
   against the ``(k, 1)`` modulus column; ``pointwise_mul_acc`` sums a
   stack of products into one output buffer, term by term — for narrow
-  moduli unreduced, with one ``%`` per chunk of terms the largest
-  modulus allows, for wide ones through lazily folded Shoup products.
+  moduli unreduced, with one ``mod_reduce`` per chunk of terms the
+  largest modulus allows, for wide ones through lazily folded Shoup
+  products.
 
 Call sites go through the dispatch functions of :mod:`repro.backends`,
 which count each call.
@@ -40,7 +42,7 @@ def _narrow_fold(
     """
     pu = np.uint64(p)
     if v_bound and (v_bound - 1) * (p - 1) >= (1 << 64):
-        w = stack % pu
+        w = modmath.mod_reduce(stack, pu)
         vmax = p - 1
     else:
         w = stack
@@ -51,12 +53,13 @@ def _narrow_fold(
     # The pre-reduction guard above caps every product at
     # prod_max < 2^64; chunking bounds the running sums.
     prods = w * weights[:, None]  # fhelint: ok[overflow-hazard]
-    total = prods[:chunk].sum(axis=0, dtype=np.uint64) % pu
+    total = modmath.mod_reduce(prods[:chunk].sum(axis=0, dtype=np.uint64), pu)
     for c0 in range(chunk, kk, chunk):
         # Each reduced chunk sum is < p < 2^31; a handful of them
         # cannot wrap uint64 before the final reduce.
-        total += prods[c0 : c0 + chunk].sum(axis=0, dtype=np.uint64) % pu
-    return total % pu
+        part = prods[c0 : c0 + chunk].sum(axis=0, dtype=np.uint64)
+        total += modmath.mod_reduce(part, pu, out=part)
+    return modmath.mod_reduce(total, pu, out=total)
 
 
 def _wide_fold(
@@ -110,7 +113,7 @@ def bconv_fold(
         # no BLAS path; einsum's integer loops run it faster (about
         # 0.6x the time at (15, 11, 4096)), with the same sums.
         total = np.einsum("ij,jk->ik", weights, stack)  # fhelint: ok[overflow-hazard]
-        return total % dst_col
+        return modmath.mod_reduce(total, dst_col, out=total)
     out = np.empty((dst_moduli.shape[0], stack.shape[1]), dtype=np.uint64)
     for j in range(dst_moduli.shape[0]):
         out[j] = _narrow_fold(stack, weights[j], int(dst_moduli[j]), v_bound)
@@ -165,9 +168,8 @@ def _narrow_mul_acc(acc, a, b, q_col: np.ndarray) -> np.ndarray:
             prod = np.empty_like(out)
         out += np.multiply(x, y, out=prod)  # fhelint: ok[overflow-hazard]
         if i % chunk == 0:
-            out %= q_col
-    out %= q_col
-    return out
+            modmath.mod_reduce(out, q_col, out=out)
+    return modmath.mod_reduce(out, q_col, out=out)
 
 
 def _wide_mul_acc(acc, a, b, q_col: np.ndarray) -> np.ndarray:
@@ -182,7 +184,8 @@ def _wide_mul_acc(acc, a, b, q_col: np.ndarray) -> np.ndarray:
     for x, y in zip(a, b):
         hi = modmath.mulhi64(x, y)
         term = modmath.mod_mul_shoup62_lazy(hi, r64, r64_limbs, q_col)
-        term += x * y % q_col  # fhelint: ok[overflow-hazard] low word
+        # The low word: x * y wraps mod 2^64 by design.
+        term += modmath.mod_reduce(x * y, q_col)  # fhelint: ok[overflow-hazard]
         if out is None:
             out = term
         else:

@@ -6,8 +6,9 @@ modulo a single prime ``q``, and every modulus lies in ``[2, 2^61)``
 Two word classes sit behind one API:
 
 - **narrow** (``q < 2^31``): sums fit in 32 bits and products in 62
-  bits, so plain ``uint64`` vector ops are exact.  This covers the
-  28-31-bit datapaths that BitPacker makes the sweet spot.
+  bits, so plain ``uint64`` vector ops are exact, and a product takes
+  one :func:`mod_reduce`.  This covers the 28-31-bit datapaths that
+  BitPacker makes the sweet spot.
 - **wide** (``2^31 <= q < 2^61``): products overflow 64 bits, so
   multiplication is multi-word.  A *constant* operand ``w`` carries a
   precomputed companion ``w' = floor(w * 2^62 / q)``, stored as two
@@ -189,12 +190,29 @@ def as_mod_array(values, q: int) -> np.ndarray:
             "(convert with exact ints upstream)"
         )
     if arr.dtype == np.uint64:
-        return arr % np.uint64(q)
+        return mod_reduce(arr, np.uint64(q))
     if arr.dtype.kind in "iu":
         # Signed inputs: q < 2^61 fits int64 and numpy's % is
         # non-negative for a positive divisor.
         return (arr.astype(np.int64) % np.int64(q)).astype(np.uint64)
     return np.array([int(v) % q for v in arr], dtype=np.uint64)
+
+
+def mod_reduce(x: np.ndarray, q, out=None) -> np.ndarray:
+    """``x mod q``, exactly, for a uint64 array ``x`` and a modulus ``q``
+    that is a scalar or a ``(..., k, 1)`` column; ``out`` receives it.
+
+    numpy divides a uint64 row by a stride-0 divisor with a SIMD
+    multiply by a precomputed reciprocal, but its ``%`` has no such loop
+    (about 50 against 267 µs at ``(15, 4096)``), so a row at least one
+    ufunc buffer long takes ``x − (x // q)·q``.  A shorter row reaches
+    the divisor through numpy's buffer copy, and there ``%`` is cheaper.
+    """
+    if np.ndim(x) == 0 or x.shape[-1] < np.getbufsize():
+        return np.remainder(x, q, out=out)
+    t = np.floor_divide(x, q)
+    t *= q
+    return np.subtract(x, t, out=t if out is None else out)
 
 
 def zeros(n: int, q: int) -> np.ndarray:
@@ -514,7 +532,8 @@ def _mulmod_wide(a: np.ndarray, b: np.ndarray, q) -> np.ndarray:
     qa = _q_arr(q)
     r64, r64_limbs = two64_mod(q)
     folded = mod_mul_shoup(mulhi64(a, b), r64, r64_limbs, qa)
-    return mod_add(folded, a * b % qa, qa)  # fhelint: ok[overflow-hazard] low word
+    low = mod_reduce(a * b, qa)  # fhelint: ok[overflow-hazard] low word
+    return mod_add(folded, low, qa)
 
 
 def mod_mul(a: np.ndarray, b: np.ndarray, q, kind: str | None = None) -> np.ndarray:
@@ -525,7 +544,8 @@ def mod_mul(a: np.ndarray, b: np.ndarray, q, kind: str | None = None) -> np.ndar
     it and saves the scan of ``q``.
     """
     if (kind or _q_kind(q)) == "narrow":
-        return a * b % _q_arr(q)  # fhelint: ok[overflow-hazard] narrow: < 2^62
+        # Narrow: the product is below 2^62.
+        return mod_reduce(a * b, _q_arr(q))  # fhelint: ok[overflow-hazard]
     return _mulmod_wide(a, b, q)
 
 

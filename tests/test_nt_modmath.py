@@ -569,6 +569,83 @@ def test_additive_ops_write_a_fresh_array_at_the_boundaries(q):
 
 
 # ----------------------------------------------------------------------
+# ``mod_reduce``: ``%`` on rows shorter than the ufunc buffer, ``//``
+# on the rest
+# ----------------------------------------------------------------------
+#: Narrow and wide moduli: 3, the largest narrow one (2^31 - 1) and the
+#: largest prime below 2^61 (2^61 - 1).
+REDUCE_MODULI = [3, NARROW_Q, (1 << 31) - 1, WIDE_Q, (1 << 61) - 1]
+
+
+def _reduce_rows(n: int) -> np.ndarray:
+    """One row per :data:`REDUCE_MODULI` entry: 0, 1, q - 1, q, q + 1,
+    the largest multiple k·q below 2^64 and k·q - 1, 2^62 and 2^64 - 1,
+    cycled along ``n`` from a per-row offset."""
+    rows = []
+    for i, q in enumerate(REDUCE_MODULI):
+        kq = ((1 << 64) - 1) // q * q
+        edges = [0, 1, q - 1, q, q + 1, kq - 1, kq, 1 << 62, (1 << 64) - 1]
+        rows.append(np.roll(np.resize(_u64(edges), n), i))
+    return np.stack(rows)
+
+
+def _assert_reduced(got, x, moduli):
+    assert got.dtype == np.uint64 and got.shape == x.shape
+    want = [[v % q for v in row] for row, q in zip(x.tolist(), moduli)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 64, modmath.UFUNC_BUFSIZE - 1, modmath.UFUNC_BUFSIZE, 8192],
+)
+def test_mod_reduce_matches_python_ints(n):
+    """``x mod q`` on both sides of the gate (the row length against the
+    live buffer), for a scalar modulus (int and uint64), a ``(k, 1)``
+    column and a column against a ``(B, k, n)`` stack; ``x`` keeps its
+    bytes."""
+    assert np.getbufsize() == modmath.UFUNC_BUFSIZE
+    x = _reduce_rows(n)
+    x_bytes = x.tobytes()
+    k = len(REDUCE_MODULI)
+    for q in REDUCE_MODULI:
+        for modulus in (q, np.uint64(q)):
+            _assert_reduced(modmath.mod_reduce(x, modulus), x, [q] * k)
+    col = _u64(REDUCE_MODULI).reshape(-1, 1)
+    got = modmath.mod_reduce(x, col)
+    assert not np.shares_memory(got, x)
+    _assert_reduced(got, x, REDUCE_MODULI)
+    stack = np.stack([x, np.roll(x, 1, axis=-1)])
+    got = modmath.mod_reduce(stack, col)
+    assert got.shape == stack.shape
+    for member, want in zip(got, stack):
+        _assert_reduced(member, want, REDUCE_MODULI)
+    assert x.tobytes() == x_bytes
+
+
+def test_mod_reduce_on_views_in_place_and_on_scalars():
+    """A strided half-row view one buffer long takes ``//`` and leaves
+    its base alone; ``out=x`` writes in place on both branches; 0-d and
+    numpy-scalar operands take ``%``."""
+    col = _u64(REDUCE_MODULI).reshape(-1, 1)
+    base = _reduce_rows(2 * modmath.UFUNC_BUFSIZE)
+    base_bytes = base.tobytes()
+    for half in (base[:, ::2], base[:, 1::2]):
+        assert half.shape[-1] == np.getbufsize()
+        _assert_reduced(modmath.mod_reduce(half, col), half, REDUCE_MODULI)
+    assert base.tobytes() == base_bytes
+    for n in (64, modmath.UFUNC_BUFSIZE):
+        x = _reduce_rows(n)
+        want = x.copy()
+        got = modmath.mod_reduce(x, col, out=x)
+        assert got is x
+        _assert_reduced(x, want, REDUCE_MODULI)
+    for q in (NARROW_Q, (1 << 61) - 1):
+        for x in (np.uint64((1 << 64) - 1), _u64((1 << 64) - 1)):
+            assert int(modmath.mod_reduce(x, np.uint64(q))) == ((1 << 64) - 1) % q
+
+
+# ----------------------------------------------------------------------
 # The import-time ufunc buffer (``modmath.UFUNC_BUFSIZE``)
 # ----------------------------------------------------------------------
 #: numpy's own ufunc buffer size, where nothing has set one.
@@ -592,11 +669,17 @@ def test_importing_repro_sets_the_ufunc_buffer():
 
 def _kernel_outputs() -> list[np.ndarray]:
     """The NTT both ways on a ``(16, 4096)`` narrow and a ``(10, 4096)``
-    wide stack, and the fold and fused multiply-accumulate at n = 4096:
-    strided stage views, broadcast modulus and twiddle columns."""
+    wide stack, and the fold, pointwise multiply and fused
+    multiply-accumulate at n = 4096: strided stage views, broadcast
+    modulus and twiddle columns.  At numpy's default buffer the
+    4096-long rows reduce with ``%`` and at the repo's with ``//``
+    (:func:`~repro.nt.modmath.mod_reduce`), so equal bytes hold one
+    branch to the other; the fold, pointwise multiply and
+    multiply-accumulate on an n = 8192 narrow stack take ``//`` under
+    both and are held to ``np.remainder`` here."""
     n = 4096
     rng = np.random.default_rng(4096)
-    out = []
+    out = _long_row_outputs(rng)
     for kind, bound, k in (("narrow", 1 << 28, 16), ("wide", 1 << 60, 10)):
         moduli = tuple(islice(ntt_friendly_primes_below(bound, n), k))
         q_col = _u64(moduli).reshape(-1, 1)
@@ -608,8 +691,37 @@ def _kernel_outputs() -> list[np.ndarray]:
             forward_rows(a, moduli),
             inverse_rows(a, moduli),
             backends.bconv_fold(stack, weights, moduli, 1 << 59, kind),
+            backends.pointwise_mul(a, b, q_col, kind),
             backends.pointwise_mul_acc(acc, a, b, q_col, kind),
         ]
+    return out
+
+
+def _long_row_outputs(rng) -> list[np.ndarray]:
+    """The narrow fold (its einsum branch: digits below 2^28),
+    pointwise multiply and multiply-accumulate on ``(6, 8192)`` rows,
+    each checked against a reference built from ``np.remainder``."""
+    n, k = 8192, 6
+    moduli = tuple(islice(ntt_friendly_primes_below(1 << 28, n), k))
+    q_col = _u64(moduli).reshape(-1, 1)
+    a, b, acc = (rng.integers(0, q_col, size=(k, n), dtype=np.uint64)
+                 for _ in range(3))
+    stack = rng.integers(0, 1 << 28, size=(k + 1, n), dtype=np.uint64)
+    weights = rng.integers(0, q_col, size=(k, k + 1), dtype=np.uint64)
+    fold_ref = np.zeros((k, n), dtype=np.uint64)
+    for i, digit in enumerate(stack):
+        reduced = np.remainder(digit, q_col)
+        term = np.remainder(reduced * weights[:, i : i + 1], q_col)
+        fold_ref = np.remainder(fold_ref + term, q_col)
+    product = np.remainder(a * b, q_col)
+    out = [
+        backends.bconv_fold(stack, weights, moduli, 1 << 28, "narrow"),
+        backends.pointwise_mul(a, b, q_col, "narrow"),
+        backends.pointwise_mul_acc(acc, a, b, q_col, "narrow"),
+    ]
+    for got, want in zip(out, (fold_ref, product,
+                               np.remainder(acc + product, q_col))):
+        assert np.array_equal(got, want)
     return out
 
 
