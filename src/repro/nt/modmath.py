@@ -202,13 +202,15 @@ def mod_reduce(x: np.ndarray, q, out=None) -> np.ndarray:
     """``x mod q``, exactly, for a uint64 array ``x`` and a modulus ``q``
     that is a scalar or a ``(..., k, 1)`` column; ``out`` receives it.
 
-    numpy divides a uint64 row by a stride-0 divisor with a SIMD
-    multiply by a precomputed reciprocal, but its ``%`` has no such loop
-    (about 50 against 267 µs at ``(15, 4096)``), so a row at least one
-    ufunc buffer long takes ``x − (x // q)·q``.  A shorter row reaches
-    the divisor through numpy's buffer copy, and there ``%`` is cheaper.
+    numpy divides a uint64 row by a stride-0 divisor as a SIMD multiply
+    by a precomputed reciprocal, but its ``%`` has no such loop (about
+    50 against 267 µs at ``(15, 4096)``), so a row at least one ufunc
+    buffer long takes ``x − (x // q)·q``.  Shorter rows reach the divisor
+    through numpy's buffer copy and take ``%``, those below
+    :data:`UFUNC_BUFSIZE` without the 1.6 µs ``np.getbufsize()`` call.
     """
-    if np.ndim(x) == 0 or x.shape[-1] < np.getbufsize():
+    n = x.shape[-1] if x.ndim else 0
+    if n < UFUNC_BUFSIZE or n < np.getbufsize():
         return np.remainder(x, q, out=out)
     t = np.floor_divide(x, q)
     t *= q
