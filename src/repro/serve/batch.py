@@ -13,10 +13,10 @@ settlement pass in the service, and one kernel call per member
 one ``(B*k, n)`` matrix: the kernels are elementwise, so stacking buys
 nothing but the copy, and at the ladder's ``(27, 8192)`` operands the
 copy cost more than the per-call overhead it saved: a group of 8 ran at
-1,957 µs per request stacked and at 1,374 µs per member, against about
-1,200 µs for one serial call (``serve_hot``'s traced rungs, 2-core
-Xeon).  Every result is :func:`execute_serial`'s, byte for byte, and
-owns its array; ``tests/test_serve.py`` pins both.
+1,957 µs per request stacked and 1,374 per member.  One serial call now
+takes about 670 µs and a group of 8 about 720 per member (``serve_hot``'s
+traced rungs, 2-core Xeon).  Every result is :func:`execute_serial`'s,
+byte for byte, and owns its array; ``tests/test_serve.py`` pins both.
 
 Executable ops map trace kinds onto the kernels a long-running service
 can run statelessly per request:
