@@ -204,13 +204,13 @@ def mod_reduce(x: np.ndarray, q, out=None) -> np.ndarray:
 
     numpy divides a uint64 row by a stride-0 divisor as a SIMD multiply
     by a precomputed reciprocal, but its ``%`` has no such loop (about
-    50 against 267 µs at ``(15, 4096)``), so a row at least one ufunc
-    buffer long takes ``x − (x // q)·q``.  Shorter rows reach the divisor
-    through numpy's buffer copy and take ``%``, those below
-    :data:`UFUNC_BUFSIZE` without the 1.6 µs ``np.getbufsize()`` call.
+    50 against 267 µs at ``(15, 4096)``), so a row at least
+    :data:`UFUNC_BUFSIZE` long takes ``x − (x // q)·q``.  Shorter rows
+    reach a column divisor through numpy's buffer copy, where ``//``
+    loses that loop, and take ``%``.
     """
     n = x.shape[-1] if x.ndim else 0
-    if n < UFUNC_BUFSIZE or n < np.getbufsize():
+    if n < UFUNC_BUFSIZE:
         return np.remainder(x, q, out=out)
     t = np.floor_divide(x, q)
     t *= q

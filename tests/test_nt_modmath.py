@@ -600,8 +600,8 @@ def _assert_reduced(got, x, moduli):
     [1, 64, modmath.UFUNC_BUFSIZE - 1, modmath.UFUNC_BUFSIZE, 8192],
 )
 def test_mod_reduce_matches_python_ints(n):
-    """``x mod q`` on both sides of the gate (the row length against the
-    live buffer), for a scalar modulus (int and uint64), a ``(k, 1)``
+    """``x mod q`` on both sides of the gate (the row length against
+    ``UFUNC_BUFSIZE``), for a scalar modulus (int and uint64), a ``(k, 1)``
     column and a column against a ``(B, k, n)`` stack; ``x`` keeps its
     bytes."""
     assert np.getbufsize() == modmath.UFUNC_BUFSIZE
@@ -624,14 +624,14 @@ def test_mod_reduce_matches_python_ints(n):
 
 
 def test_mod_reduce_on_views_in_place_and_on_scalars():
-    """A strided half-row view one buffer long takes ``//`` and leaves
+    """A strided half-row view ``UFUNC_BUFSIZE`` long takes ``//`` and leaves
     its base alone; ``out=x`` writes in place on both branches; 0-d and
     numpy-scalar operands take ``%``."""
     col = _u64(REDUCE_MODULI).reshape(-1, 1)
     base = _reduce_rows(2 * modmath.UFUNC_BUFSIZE)
     base_bytes = base.tobytes()
     for half in (base[:, ::2], base[:, 1::2]):
-        assert half.shape[-1] == np.getbufsize()
+        assert half.shape[-1] == modmath.UFUNC_BUFSIZE
         _assert_reduced(modmath.mod_reduce(half, col), half, REDUCE_MODULI)
     assert base.tobytes() == base_bytes
     for n in (64, modmath.UFUNC_BUFSIZE):
@@ -671,12 +671,10 @@ def _kernel_outputs() -> list[np.ndarray]:
     """The NTT both ways on a ``(16, 4096)`` narrow and a ``(10, 4096)``
     wide stack, and the fold, pointwise multiply and fused
     multiply-accumulate at n = 4096: strided stage views, broadcast
-    modulus and twiddle columns.  At numpy's default buffer the
-    4096-long rows reduce with ``%`` and at the repo's with ``//``
-    (:func:`~repro.nt.modmath.mod_reduce`), so equal bytes hold one
-    branch to the other; the fold, pointwise multiply and
-    multiply-accumulate on an n = 8192 narrow stack take ``//`` under
-    both and are held to ``np.remainder`` here."""
+    modulus and twiddle columns.  The fold, pointwise multiply and
+    multiply-accumulate on an n = 8192 narrow stack take
+    :func:`~repro.nt.modmath.mod_reduce`'s ``//`` branch and are held
+    to ``np.remainder`` here."""
     n = 4096
     rng = np.random.default_rng(4096)
     out = _long_row_outputs(rng)
