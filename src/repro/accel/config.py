@@ -65,11 +65,6 @@ class AcceleratorConfig:
         """Bytes of one residue polynomial row of degree ``n``."""
         return n * self.word_bytes
 
-    @property
-    def bit_throughput_per_cycle(self) -> float:
-        """Lane bits consumed per cycle — held constant across word sizes."""
-        return self.lanes * self.word_bits
-
     # ------------------------------------------------------------------
     def with_word_size(self, word_bits: int) -> "AcceleratorConfig":
         """Iso-throughput variant at a different word size (Sec. 6.2).

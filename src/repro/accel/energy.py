@@ -131,13 +131,6 @@ class EnergyModel:
             "hbm": hbm * 1e-12,
         }
 
-    def op_energy(
-        self, cost: OpCost, n: int, word_bits: int, extra_hbm_bytes: float = 0.0
-    ) -> float:
-        return sum(
-            self.op_energy_breakdown(cost, n, word_bits, extra_hbm_bytes).values()
-        )
-
 
 #: The calibrated model used by every experiment.
 DEFAULT_ENERGY_MODEL = EnergyModel()

@@ -25,11 +25,12 @@ plans a concrete chain:
   RESCALE (down one), ADJUST (to ``dst``), or a bootstrap (a jump to the
   top level, which re-encrypts).  Any other level discontinuity means a
   rescale went missing or an op targets a dead level.
-- **Noise.**  A fresh budget at each bootstrap entry, burned per op by
-  the :class:`~repro.ckks.noise.NoiseModel` rules over a trace-level
-  chain view: the model's per-level fresh, rounding-floor and keyswitch
-  tables, combined by its one quadrature join
-  (:func:`~repro.ckks.noise.join_bits`).  Counts being parallel
+- **Noise.**  A fresh budget at each bootstrap entry, burned per op
+  against :class:`~repro.ckks.noise.NoiseModel`'s per-level fresh,
+  rounding-floor and keyswitch tables, built from the trace's scale
+  targets and combined by the one quadrature join
+  (:func:`~repro.ckks.noise.join_bits`).  This loop is the only place
+  the noise rules are applied.  Counts being parallel
   multiplicity, an add op costs one pairwise join; the trace IR records
   no dataflow tree depth (a future compiler concern, see ROADMAP).
 
@@ -226,7 +227,7 @@ def verify_trace(trace: HeTrace) -> VerifyResult:
     min_scale = min_scale_bits(trace.n)
     findings: list[Finding] = []
     q = _feasible_widths(trace, findings)
-    model = NoiseModel.from_level_scales(trace.n, targets)
+    model = NoiseModel(trace.n, targets)
     fresh_bits = model.fresh_bits
     floor_bits = model.floor_bits
     keyswitch_bits = model.keyswitch_bits

@@ -142,20 +142,6 @@ class Evaluator:
         """Multiply the encrypted *values* by integer ``k`` (scale kept)."""
         return ct.with_polys(ct.c0.scalar_mul(k), ct.c1.scalar_mul(k))
 
-    def scale_const(self, ct: Ciphertext, k: int) -> Ciphertext:
-        """The paper's ``mulConst`` bookkeeping: coefficients and scale
-        are both multiplied by ``k``, leaving the encrypted values
-        unchanged.  This is the building block of ``adjust`` (Listings 2
-        and 6)."""
-        if k <= 0:
-            raise ParameterError(f"scale constant must be positive, got {k}")
-        return Ciphertext(
-            c0=ct.c0.scalar_mul(k),
-            c1=ct.c1.scalar_mul(k),
-            level=ct.level,
-            scale=ct.scale * k,
-        )
-
     # ------------------------------------------------------------------
     # Multiplicative operations
     # ------------------------------------------------------------------

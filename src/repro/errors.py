@@ -39,10 +39,6 @@ class ScaleMismatchError(ReproError):
     """Two ciphertexts with incompatible scales or moduli were combined."""
 
 
-class NotOnChainError(ReproError):
-    """A ciphertext's modulus set does not correspond to any chain level."""
-
-
 class SimulationError(ReproError):
     """The accelerator model was driven with an inconsistent trace."""
 

@@ -5,9 +5,12 @@ decrypt) and measure error-free mantissa bits, ``-log2(max |error|)`` for
 unit-range values — the paper's accuracy metric (Sec. 6.5).
 
 Substitutions vs the paper, documented in DESIGN.md: ring degree 2^11
-instead of 2^16 (precision depends on scale vs noise, not N; the smaller
-N shifts noise by ~half a bit) and dozens instead of a million samples
-(wider confidence intervals, same distributions).  The paper compares
+instead of 2^16 and dozens instead of a million samples (wider
+confidence intervals).  The ring size costs bits: at a 40-bit scale,
+square + rescale read 24.9/24.8 bits (bp28/rns60) at n = 2^11 and
+19.4/19.2 at n = 2^16 (3 samples each), while the scheme gap stayed
+within 0.2 bits; a paper-N table with >= 10 samples per point is still
+open.  The paper compares
 28-bit BitPacker against 64-bit RNS-CKKS; we cap the RNS word at 60 bits
 — its residues are scale-sized (30-60 bits) either way, only the
 keyswitch specials shrink, keeping all arithmetic on the exact fast path.

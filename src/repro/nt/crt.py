@@ -18,7 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.nt.modmath import backend_kind, mod_inv, mod_mul_shoup, shoup_limbs
+from repro.nt.modmath import (
+    backend_kind,
+    mod_inv,
+    mod_mul_shoup,
+    mod_reduce,
+    shoup_limbs,
+)
 
 
 def crt_reconstruct(residues: Sequence[int], moduli: Sequence[int]) -> int:
@@ -120,7 +126,8 @@ def centered_int64(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray | None:
         return None
     if t.limbs is None:
         # Narrow rows: residue times digit constant < 2^62.
-        digits = mat * t.digit % t.q_col  # fhelint: ok[overflow-hazard] < 2^62
+        products = mat * t.digit  # fhelint: ok[overflow-hazard] < 2^62
+        digits = mod_reduce(products, t.q_col, out=products)
     else:
         digits = mod_mul_shoup(mat, t.digit, t.limbs, t.q_col)
     alpha = np.rint(t.q_inv @ digits.astype(np.float64)).astype(np.uint64)

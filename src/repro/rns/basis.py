@@ -72,11 +72,6 @@ class RnsBasis:
         return self._product
 
     @property
-    def log2_product(self) -> float:
-        """``log2 Q``, the coefficient width the basis represents."""
-        return float(self.product.bit_length() - 1) + _fractional_bits(self.product)
-
-    @property
     def q_col(self) -> np.ndarray:
         """The ``(R, 1)`` modulus column every matrix op broadcasts against."""
         if self._q_col is None:
@@ -146,14 +141,6 @@ class RnsBasis:
     def __repr__(self) -> str:
         bits = [q.bit_length() for q in self.moduli]
         return f"RnsBasis(n={self.n}, R={self.size}, bits={bits})"
-
-
-def _fractional_bits(value: int) -> float:
-    """Fractional part of ``log2(value)`` computed without overflow."""
-    import math
-
-    top = value >> max(0, value.bit_length() - 64)
-    return math.log2(top) - (top.bit_length() - 1)
 
 
 @lru_cache(maxsize=4096)

@@ -140,11 +140,6 @@ class ModulusChain:
         return basis
 
     @property
-    def fresh_scale(self) -> Fraction:
-        """The scale fresh ciphertexts are encoded at (top level)."""
-        return self.scale_at(self.max_level)
-
-    @property
     def all_moduli(self) -> tuple[int, ...]:
         """Union of every modulus used anywhere in the chain (no specials)."""
         seen: dict[int, None] = {}

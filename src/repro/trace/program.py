@@ -124,16 +124,6 @@ class HeTrace:
     def max_level(self) -> int:
         return len(self.level_scale_bits) - 1
 
-    @property
-    def total_ops(self) -> float:
-        return sum(op.count for op in self.ops)
-
-    def count_by_kind(self) -> dict[OpKind, float]:
-        out: dict[OpKind, float] = {}
-        for op in self.ops:
-            out[op.kind] = out.get(op.kind, 0.0) + op.count
-        return out
-
     def distinct_ops(self) -> "OpTable":
         """The trace's :class:`OpTable`, found once per (immutable) trace;
         a trace from :class:`TraceBuilder` comes with it."""

@@ -66,11 +66,6 @@ class BootstrapSchedule:
         out += [self.stc.scale_bits] * self.stc.levels
         return tuple(out)
 
-    @property
-    def modulus_bits(self) -> float:
-        """Total modulus consumed by one bootstrap."""
-        return sum(self.level_scale_bits)
-
     def emit(self, builder: TraceBuilder, top_level: int) -> int:
         """Record one bootstrap starting at ``top_level``.
 

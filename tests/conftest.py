@@ -10,6 +10,8 @@ ran before it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -102,3 +104,11 @@ def counters():
 
 def make_values(ctx, rng, magnitude=1.0):
     return rng.uniform(-magnitude, magnitude, ctx.slots)
+
+
+def op_counts(trace) -> Counter:
+    """A trace's ops per kind, each weighted by its parallel ``count``."""
+    counts: Counter = Counter()
+    for op in trace.ops:
+        counts[op.kind] += op.count
+    return counts

@@ -32,7 +32,7 @@ class TestConfig:
         base = craterlake()
         for w in (32, 36, 48, 64):
             scaled = base.with_word_size(w)
-            ratio = scaled.bit_throughput_per_cycle / base.bit_throughput_per_cycle
+            ratio = (scaled.lanes * scaled.word_bits) / (base.lanes * base.word_bits)
             assert abs(ratio - 1.0) < 0.05  # constant bits/cycle
 
     def test_ark_and_sharp_presets(self):
@@ -121,8 +121,10 @@ class TestEnergyModel:
 
     def test_hmul_energy_superlinear_in_r(self):
         m = DEFAULT_ENERGY_MODEL
-        e10 = m.op_energy(kernels.hmul_cost(10, 4, 3), 65536, 28)
-        e60 = m.op_energy(kernels.hmul_cost(60, 20, 3), 65536, 28)
+        e10, e60 = (
+            sum(m.op_energy_breakdown(kernels.hmul_cost(r, d, 3), 65536, 28).values())
+            for r, d in ((10, 4), (60, 20))
+        )
         exponent = math.log(e60 / e10) / math.log(6)
         assert 1.15 < exponent < 1.8  # paper: ~1.6
 

@@ -269,7 +269,7 @@ class TestBatchRules:
         ), seed=7).encrypt(np.full(ctx.slots, 0.5))
         for odd in (
             ev.adjust(ct, ct.level - 1),      # level
-            ev.scale_const(ct, 3),            # scale
+            Ciphertext(ct.c0, ct.c1, ct.level, ct.scale * 3),  # scale
             ct.to_ntt(),                      # domain
             other,                            # basis
             stack([ct, ct]),                  # batch shape

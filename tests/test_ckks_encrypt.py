@@ -26,7 +26,7 @@ class TestEncryptDecrypt:
         """Fresh noise is a few bits; precision ~ scale - 10ish bits."""
         vals = make_values(ctx, rng)
         prec = ctx.precision_bits(ctx.encrypt(vals), vals)
-        scale_bits = float(np.log2(float(ctx.chain.fresh_scale)))
+        scale_bits = float(np.log2(float(ctx.chain.scale_at(ctx.chain.max_level))))
         assert scale_bits - 18 < prec < scale_bits
 
     def test_encrypt_at_lower_level(self, ctx, rng):

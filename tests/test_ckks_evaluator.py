@@ -8,6 +8,7 @@ to the level-management scheme (paper Sec. 3.1).
 import numpy as np
 import pytest
 
+from repro.ckks.ciphertext import Ciphertext
 from repro.errors import ScaleMismatchError
 from tests.conftest import make_values
 
@@ -54,7 +55,7 @@ class TestAdditive:
     def test_add_scale_mismatch_rejected(self, ctx, rng):
         a = make_values(ctx, rng)
         x = ctx.encrypt(a)
-        y = ctx.evaluator.scale_const(ctx.encrypt(a), 3)
+        y = Ciphertext(x.c0, x.c1, x.level, x.scale * 3)
         with pytest.raises(ScaleMismatchError):
             ctx.evaluator.add(x, y)
 
@@ -88,11 +89,6 @@ class TestMultiplicative:
         a = make_values(ctx, rng)
         ct = ctx.evaluator.mul_integer(ctx.encrypt(a), 7)
         _assert_close(ctx, ct, 7 * a)
-
-    def test_scale_const_preserves_value(self, ctx, rng):
-        a = make_values(ctx, rng)
-        ct = ctx.evaluator.scale_const(ctx.encrypt(a), 12345)
-        _assert_close(ctx, ct, a)
 
     def test_multiply_chain_to_level_zero(self, ctx, rng):
         a = make_values(ctx, rng) * 0.5

@@ -323,7 +323,7 @@ class TestFusedTransform:
     def test_scale_mismatch_is_caught_before_any_work(self, plan_ctx, rng, counters):
         ctx, ev = plan_ctx, plan_ctx.evaluator
         (row, _), (x, y) = self._block(ctx, rng)
-        tripled = ev.scale_const(y, 3)
+        tripled = Ciphertext(y.c0, y.c1, y.level, y.scale * 3)
         block = PlainBlock([row])
         bsgs_sums(ev, block, [x, y])  # rotation keys are lazy
         before = counters("op.rotate", "kernel.ntt.forward")
@@ -335,7 +335,7 @@ class TestFusedTransform:
         ctx, ev = plan_ctx, plan_ctx.evaluator
         (row, _), (x, _) = self._block(ctx, rng)
         plan = row_plan(ev, row[0], x.level, 2)
-        tripled = ev.scale_const(x, 3)
+        tripled = Ciphertext(x.c0, x.c1, x.level, x.scale * 3)
         with pytest.raises(ScaleMismatchError):
             ev.mul_encoded_sum([(x, plan[0]), (tripled, plan[1])])
         with pytest.raises(ScaleMismatchError):

@@ -1,80 +1,106 @@
 """The analytic noise model must upper-bound measured noise, and its
-per-level tables and rules must be the textbook expressions."""
+per-level tables and rules must be the textbook expressions.
+
+The rules run in one place, :func:`repro.analysis.absint.verify_trace`,
+so every check here reads a verdict's ``noise_margin_bits`` for a short
+trace at a chain's ring size and scales."""
 
 import math
 
 import pytest
 
-from repro.ckks.noise import NoiseEstimate, NoiseModel, join_bits
+from repro.analysis.absint import verify_trace
+from repro.ckks.noise import NoiseModel, join_bits, precision_bits
 from repro.rns.sampling import DEFAULT_SIGMA
+from repro.trace.program import TraceBuilder
 from repro.workloads import workload_traces
 from tests.conftest import make_values
 
 
-@pytest.fixture()
-def model(ctx):
-    return NoiseModel(ctx.chain)
+def _records(n, scales, *ops):
+    """The verdict's records for a trace over ``scales`` (level 0
+    first); an op is a ``TraceBuilder`` method name and its arguments."""
+    b = TraceBuilder("noise", n=n, base_bits=60.0, level_scale_bits=scales)
+    for name, *args in ops:
+        getattr(b, name)(*args)
+    return verify_trace(b.build()).records
+
+
+def _margins(n, scales, *ops):
+    return [r.noise_margin_bits for r in _records(n, scales, *ops)]
+
+
+def _chain_scales(chain):
+    return [spec.log2_scale for spec in chain.levels]
+
+
+def _chain_margins(chain, *ops):
+    return _margins(chain.n, _chain_scales(chain), *ops)
 
 
 class TestNoiseModel:
-    def test_fresh_estimate_bounds_measurement(self, ctx, model, rng):
+    def test_fresh_estimate_bounds_measurement(self, ctx, rng):
         vals = make_values(ctx, rng)
         measured = ctx.precision_bits(ctx.encrypt(vals), vals)
-        predicted = model.fresh().expected_precision_bits
+        [predicted] = _chain_margins(ctx.chain, ("padd", ctx.chain.max_level))
         # Prediction must not promise more precision than measured.
         assert predicted <= measured + 1.0
 
-    def test_fresh_estimate_not_wildly_pessimistic(self, ctx, model, rng):
+    def test_fresh_estimate_not_wildly_pessimistic(self, ctx, rng):
         vals = make_values(ctx, rng)
         measured = ctx.precision_bits(ctx.encrypt(vals), vals)
-        predicted = model.fresh().expected_precision_bits
+        [predicted] = _chain_margins(ctx.chain, ("padd", ctx.chain.max_level))
         assert predicted > measured - 12.0
 
-    def test_multiply_rescale_chain_bound(self, ctx, model, rng):
+    def test_multiply_rescale_chain_bound(self, ctx, rng):
         vals = make_values(ctx, rng) * 0.5
         ct = ctx.encrypt(vals)
-        est = model.fresh()
         ref = vals.copy()
-        for _ in range(2):
+        top = ctx.chain.max_level
+        ops = []
+        for level in (top, top - 1):
             ct = ctx.evaluator.square_rescale(ct)
-            est = model.after_rescale(model.after_multiply(est, est))
             ref = ref * ref
+            ops += [("hmul", level), ("rescale", level)]
+        predicted = _chain_margins(ctx.chain, *ops)[-1]
         measured = ctx.precision_bits(ct, ref)
-        assert est.expected_precision_bits <= measured + 1.0
+        assert predicted <= measured + 1.0
 
-    def test_add_grows_noise_slightly(self, model):
-        fresh = model.fresh()
-        added = model.after_add(fresh, fresh)
-        assert 0.0 < added.log2_error - fresh.log2_error <= 0.51
+    def test_add_grows_noise_slightly(self, ctx):
+        top = ctx.chain.max_level
+        [fresh] = _chain_margins(ctx.chain, ("padd", top))
+        [added] = _chain_margins(ctx.chain, ("hadd", top))
+        assert 0.0 < fresh - added <= 0.51
 
-    def test_rescale_tracks_level(self, model):
-        est = model.after_rescale(model.fresh())
-        assert est.level == model.chain.max_level - 1
+    def test_rescale_tracks_level(self, ctx):
+        chain = ctx.chain
+        [record] = _records(chain.n, _chain_scales(chain),
+                            ("rescale", chain.max_level))
+        assert record.level == chain.max_level - 1
 
-    def test_adjust_floor_close_to_rescale_floor(self, model):
-        level = model.chain.max_level - 1
-        adj = model.after_adjust(model.fresh(), level)
-        res = model.after_rescale(model.fresh())
-        assert abs(adj.log2_error - res.log2_error) < 2.0
+    def test_adjust_floor_close_to_rescale_floor(self, ctx):
+        top = ctx.chain.max_level
+        [adj] = _chain_margins(ctx.chain, ("adjust", top, top - 1))
+        [res] = _chain_margins(ctx.chain, ("rescale", top))
+        assert abs(adj - res) < 2.0
 
 
-def _models(bp_chain):
-    """A planned bp28 chain's model and a trace-level view's."""
+def _scales(bp_chain):
+    """A planned bp28 chain's scales and a walked trace's targets."""
     trace = workload_traces(schemes=("bitpacker",))[0]
     return [
-        NoiseModel(bp_chain),
-        NoiseModel.from_level_scales(trace.n, trace.level_scale_bits),
+        (bp_chain.n, _chain_scales(bp_chain)),
+        (trace.n, list(trace.level_scale_bits)),
     ]
 
 
 class TestTables:
     def test_tables_are_the_textbook_terms(self, bp_chain):
-        for model in _models(bp_chain):
-            chain = model.chain
-            half_log_n = 0.5 * math.log2(chain.n)
-            assert len(model.fresh_bits) == chain.max_level + 1
-            for level, spec in enumerate(chain.levels):
-                s = spec.log2_scale
+        for n, scales in _scales(bp_chain):
+            model = NoiseModel(n, scales)
+            half_log_n = 0.5 * math.log2(n)
+            assert len(model.fresh_bits) == len(scales)
+            for level, s in enumerate(scales):
                 floor = half_log_n - 1.5 - s + 2.0
                 assert model.fresh_bits[level] == (
                     math.log2(DEFAULT_SIGMA) + half_log_n + 3.0 - s
@@ -83,26 +109,28 @@ class TestTables:
                 assert model.keyswitch_bits[level] == floor + 1.0
 
     def test_every_rule_is_the_join_against_a_table(self, bp_chain):
-        for model in _models(bp_chain):
-            fresh, floor = model.fresh_bits, model.floor_bits
-            ks = model.keyswitch_bits
-            for level in range(model.chain.max_level + 1):
-                est = model.fresh(level)
-                other = model.fresh(0)
-                e = est.log2_error
-                assert (est.level, e) == (level, fresh[level])
-                assert model.after_add(est, other) == NoiseEstimate(
-                    join_bits(e, other.log2_error), level)
-                assert model.after_multiply(est, est) == NoiseEstimate(
-                    join_bits(e, ks[level]), level)
-                assert model.after_rotate(est) == NoiseEstimate(
-                    join_bits(e, ks[level]), level)
-                for dst in range(level):
-                    assert model.after_adjust(est, dst) == NoiseEstimate(
-                        join_bits(e, floor[dst]), dst)
-                if level:
-                    assert model.after_rescale(est) == NoiseEstimate(
-                        join_bits(e, floor[level - 1]), level - 1)
+        for n, scales in _scales(bp_chain):
+            model = NoiseModel(n, scales)
+            floor, ks = model.floor_bits, model.keyswitch_bits
+
+            def bits(*ops):
+                return _margins(n, scales, *ops)[-1]
+
+            for level, e in enumerate(model.fresh_bits):
+                for ops, err in [
+                    ([("padd", level)], e),
+                    ([("hadd", level)], join_bits(e, e)),
+                    ([("hmul", level)], join_bits(e, ks[level])),
+                    ([("hrot", level)], join_bits(e, ks[level])),
+                ] + [
+                    ([("adjust", level, dst)], join_bits(e, floor[dst]))
+                    for dst in range(level)
+                ] + ([
+                    ([("rescale", level)], join_bits(e, floor[level - 1])),
+                    ([("hmul", level), ("rescale", level)],
+                     join_bits(join_bits(e, ks[level]), floor[level - 1])),
+                ] if level else []):
+                    assert bits(*ops) == precision_bits(err), (level, ops)
 
     @pytest.mark.parametrize("a, b", [(-20.0, -20.0), (-20.0, -31.5), (3.0, -60.0)])
     def test_join_adds_in_quadrature(self, a, b):

@@ -1,4 +1,5 @@
-"""The prose documents name files that exist, and README stays short.
+"""The prose documents name files that exist, and README and DESIGN.md
+stay short.
 
 A backticked span that is a file path (``*.py``, ``.json``, ``.txt``,
 ``.md`` or ``.yml``, optionally followed by ``::test`` or ``:line``) in
@@ -20,6 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 README_MAX_LINES = 350
 PERFORMANCE_MAX_LINES = 80
+#: A ratchet: a change that shortens DESIGN.md lowers it, and none
+#: raises it.
+DESIGN_MAX_LINES = 1627
 
 _SPAN = re.compile(r"`([^`\n]+)`")
 _PATH = re.compile(
@@ -79,3 +83,8 @@ def test_readme_is_a_front_door():
         len(lines),
     )
     assert end - start <= PERFORMANCE_MAX_LINES
+
+
+def test_design_does_not_grow():
+    lines = (ROOT / "DESIGN.md").read_text(encoding="utf-8").splitlines()
+    assert len(lines) <= DESIGN_MAX_LINES

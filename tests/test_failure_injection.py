@@ -55,7 +55,6 @@ class TestCorruption:
             "PlanningError",
             "LevelExhaustedError",
             "ScaleMismatchError",
-            "NotOnChainError",
             "SimulationError",
         ):
             assert issubclass(getattr(errors, name), ReproError)

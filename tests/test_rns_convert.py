@@ -142,7 +142,7 @@ class TestConversionTable:
         assert chain.move(top, top - 1).added  # the rescale scales up
         assert all(chain.move(top, 0)[:3])  # the adjust drops, adds and sheds
         c = _poly(coeffs, chain.moduli_at(top))
-        ct = Ciphertext(c, c, top, chain.fresh_scale)
+        ct = Ciphertext(c, c, top, chain.scale_at(top))
         want = [
             scale_down(poly, DST_MODULI).mat.tolist(),
             drop_moduli(poly, DST_MODULI).mat.tolist(),

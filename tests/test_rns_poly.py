@@ -63,12 +63,6 @@ class TestBasis:
 
         assert basis.product == prod(MODULI)
 
-    def test_log2_product(self, basis):
-        import math
-
-        expect = sum(math.log2(q) for q in MODULI)
-        assert abs(basis.log2_product - expect) < 1e-6
-
     def test_duplicate_moduli_rejected(self):
         with pytest.raises(ParameterError):
             RnsBasis(N, (17, 17))
