@@ -10,10 +10,10 @@ confidence intervals).  The ring size costs bits: at a 40-bit scale,
 square + rescale read 24.9/24.8 bits (bp28/rns60) at n = 2^11 and
 19.4/19.2 at n = 2^16 (3 samples each), while the scheme gap stayed
 within 0.2 bits; a paper-N table with >= 10 samples per point is still
-open.  The paper compares
-28-bit BitPacker against 64-bit RNS-CKKS; we cap the RNS word at 60 bits
-— its residues are scale-sized (30-60 bits) either way, only the
-keyswitch specials shrink, keeping all arithmetic on the exact fast path.
+open.  The paper compares 28-bit BitPacker against 64-bit RNS-CKKS; we
+cap the RNS word at 60 bits — its residues are scale-sized (30-60 bits)
+either way, only the keyswitch specials shrink, keeping all arithmetic
+on the exact fast path.
 """
 
 from __future__ import annotations
