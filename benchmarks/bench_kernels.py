@@ -13,21 +13,18 @@ width's primes are 28-bit, so its NTT rows at ``n ≤ 2^10`` run the
 four-step kernel and from ``2^11`` the stage loop: both kernels show on
 each side of that gate.
 
-Each ``(kernel, n, width)`` point is measured once, plus once against
-the pre-vectorization per-block / per-row baseline preserved in
-:mod:`repro.nt.ntt_reference` (and the legacy row-loop helpers below;
-for the stacked multiply-accumulate, the 2-D call once per term);
-``speedup_vs_baseline`` is what the vectorization bought.  The timed
-calls run round-robin over the whole sweep (one call per point per
-round), so machine noise spreads over every row rather than whole
-rows; each point's median is over its own calls.
+Each ``(kernel, n, width)`` point reports its own median wall time;
+nothing is timed against an older implementation, and the numbers
+compare across commits only as two runs of this script on one idle
+machine do.  The timed calls run round-robin over the whole sweep (one
+call per point per round), so machine noise spreads over every row
+rather than whole rows; each point's median is over its own calls.
 
 Results are written to ``BENCH_kernels.json`` at the repo root as
 ``{"env": ..., "results": [...]}`` — the benchmark ladder's environment
 header (machine, python, numpy, engine, git commit) plus numpy's ufunc
 buffer size (``ufunc_bufsize``) over records
-``{kernel, n, width, median_s, baseline_median_s, speedup_vs_baseline}``
-— and printed as a table.
+``{kernel, n, width, median_s}`` — and printed as a table.
 
 Usage::
 
@@ -49,9 +46,8 @@ import numpy as np
 from repro import backends
 from repro.nt import modmath
 from repro.nt.ntt import forward_rows, ntt_context
-from repro.nt.ntt_reference import reference_ntt_context
 from repro.nt.primes import ntt_friendly_primes_below
-from repro.rns.basis import RnsBasis, crt_weights
+from repro.rns.basis import RnsBasis
 from repro.rns.convert import base_convert, scale_down
 from repro.rns.poly import COEFF, NTT
 from repro.rns.sampling import sample_uniform
@@ -70,130 +66,47 @@ def primes_for(width: str, n: int, count: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Legacy (pre-PR) row-loop helpers: the per-row code paths the vectorized
-# RnsPolynomial / convert kernels replaced, reproduced here as baselines.
-# ----------------------------------------------------------------------
-def legacy_to_ntt(rows, moduli, n):
-    return [reference_ntt_context(q, n).forward(r) for q, r in zip(moduli, rows)]
-
-
-def legacy_to_coeff(rows, moduli, n):
-    return [reference_ntt_context(q, n).inverse(r) for q, r in zip(moduli, rows)]
-
-
-def legacy_pointwise(rows_a, rows_b, moduli):
-    return [modmath.mod_mul(a, b, q) for a, b, q in zip(rows_a, rows_b, moduli)]
-
-
-def legacy_add(rows_a, rows_b, moduli):
-    return [modmath.mod_add(a, b, q) for a, b, q in zip(rows_a, rows_b, moduli)]
-
-
-def legacy_poly_mul(rows_a, rows_b, moduli, n):
-    fa = legacy_to_ntt(rows_a, moduli, n)
-    fb = legacy_to_ntt(rows_b, moduli, n)
-    return legacy_to_coeff(legacy_pointwise(fa, fb, moduli), moduli, n)
-
-
-def legacy_base_convert(rows, src_moduli, dst_moduli, n):
-    src = RnsBasis(n, src_moduli)
-    q_hat_inv, q_hat = crt_weights(src)
-    v_rows = [
-        modmath.mod_scalar_mul(row, inv, q)
-        for row, inv, q in zip(rows, q_hat_inv, src_moduli)
-    ]
-    acc = np.zeros(n, dtype=np.float64)
-    for v, q in zip(v_rows, src_moduli):
-        acc += v.astype(np.float64) / float(q)
-    alpha = np.rint(acc).astype(np.int64)
-    big_q = src.product
-    out_rows = []
-    for p in dst_moduli:
-        acc_row = modmath.zeros(n, p)
-        for v, h in zip(v_rows, q_hat):
-            term = modmath.mod_scalar_mul(modmath.as_mod_array(v, p), h % p, p)
-            acc_row = modmath.mod_add(acc_row, term, p)
-        corr = modmath.mod_scalar_mul(modmath.as_mod_array(alpha, p), big_q % p, p)
-        out_rows.append(modmath.mod_sub(acc_row, corr, p))
-    return out_rows
-
-
-def legacy_scale_down(rows, moduli, shed, n):
-    from math import prod
-
-    p_prod = prod(shed)
-    keep = [q for q in moduli if q not in set(shed)]
-    shed_rows = [rows[moduli.index(q)] for q in shed]
-    lifted = legacy_base_convert(shed_rows, shed, keep, n)
-    out_rows = []
-    for q, lift in zip(keep, lifted):
-        inv = modmath.mod_inv(p_prod % q, q)
-        diff = modmath.mod_sub(rows[moduli.index(q)], lift, q)
-        out_rows.append(modmath.mod_scalar_mul(diff, inv, q))
-    return out_rows
-
-
-# ----------------------------------------------------------------------
-# Kernel setups: each returns (vectorized_callable, baseline_callable).
+# Kernel setups: each returns the call to time.
 # ----------------------------------------------------------------------
 def make_ntt_forward(n, width, rng):
     q = primes_for(width, n, 1)[0]
     a = modmath.uniform_mod(q, n, rng)
-    ctx, ref = ntt_context(q, n), reference_ntt_context(q, n)
-    return (lambda: ctx.forward(a)), (lambda: ref.forward(a))
+    ctx = ntt_context(q, n)
+    return lambda: ctx.forward(a)
 
 
 def make_ntt_inverse(n, width, rng):
     q = primes_for(width, n, 1)[0]
     a = modmath.uniform_mod(q, n, rng)
-    ctx, ref = ntt_context(q, n), reference_ntt_context(q, n)
-    return (lambda: ctx.inverse(a)), (lambda: ref.inverse(a))
+    ctx = ntt_context(q, n)
+    return lambda: ctx.inverse(a)
 
 
 def make_ntt_forward_k16(n, width, rng):
     moduli = tuple(primes_for(width, n, 16))
     a = sample_uniform(RnsBasis(n, moduli), rng, COEFF).mat
-    return (lambda: forward_rows(a, moduli)), (lambda: legacy_to_ntt(a, moduli, n))
+    return lambda: forward_rows(a, moduli)
 
 
 def make_poly_mul(n, width, rng):
-    moduli = primes_for(width, n, 4)
-    basis = RnsBasis(n, moduli)
+    basis = RnsBasis(n, primes_for(width, n, 4))
     a = sample_uniform(basis, rng, COEFF)
     b = sample_uniform(basis, rng, COEFF)
-    def vec():
-        return a.poly_mul(b)
-
-    def base():
-        return legacy_poly_mul(a.rows, b.rows, moduli, n)
-
-    return vec, base
+    return lambda: a.poly_mul(b)
 
 
 def make_base_convert(n, width, rng):
     primes = primes_for(width, n, 8)
     src, dst = primes[:4], primes[4:]
     poly = sample_uniform(RnsBasis(n, src), rng, COEFF)
-    def vec():
-        return base_convert(poly, dst, exact=True)
-
-    def base():
-        return legacy_base_convert(poly.rows, src, dst, n)
-
-    return vec, base
+    return lambda: base_convert(poly, dst, exact=True)
 
 
 def make_rescale(n, width, rng):
     moduli = primes_for(width, n, 5)
     poly = sample_uniform(RnsBasis(n, moduli), rng, COEFF)
     shed = (moduli[-1],)
-    def vec():
-        return scale_down(poly, shed)
-
-    def base():
-        return legacy_scale_down(poly.rows, list(moduli), list(shed), n)
-
-    return vec, base
+    return lambda: scale_down(poly, shed)
 
 
 def make_keyswitch(n, width, rng):
@@ -209,7 +122,7 @@ def make_keyswitch(n, width, rng):
         for _ in groups
     ]
 
-    def vec():
+    def keyswitch():
         acc0 = acc1 = None
         for group, (b_row, a_row) in zip(groups, rows):
             ext = base_convert(d.restricted(group), full, exact=True).to_ntt()
@@ -222,31 +135,12 @@ def make_keyswitch(n, width, rng):
             scale_down(acc1.to_coeff(), specials),
         )
 
-    def base():
-        acc0 = acc1 = None
-        for group, (b_row, a_row) in zip(groups, rows):
-            digit = [d.row(q) for q in group]
-            ext = legacy_base_convert(digit, group, full, n)
-            ext = legacy_to_ntt(ext, full, n)
-            t0 = legacy_pointwise(ext, b_row.rows, full)
-            t1 = legacy_pointwise(ext, a_row.rows, full)
-            acc0 = t0 if acc0 is None else legacy_add(acc0, t0, full)
-            acc1 = t1 if acc1 is None else legacy_add(acc1, t1, full)
-        return (
-            legacy_scale_down(
-                legacy_to_coeff(acc0, full, n), list(full), list(specials), n
-            ),
-            legacy_scale_down(
-                legacy_to_coeff(acc1, full, n), list(full), list(specials), n
-            ),
-        )
-
-    return vec, base
+    return keyswitch
 
 
 def make_mul_acc(m):
     """``acc + Σ_m a[m] · b[m]`` over an ``(m, 4, n)`` stack in one
-    ``pointwise_mul_acc`` call, against the 2-D call once per term."""
+    ``pointwise_mul_acc`` call."""
 
     def make(n, width, rng):
         basis = RnsBasis(n, primes_for(width, n, 4))
@@ -256,17 +150,7 @@ def make_mul_acc(m):
         )
         acc = sample_uniform(basis, rng, NTT).mat
         q_col, kind = basis.q_col, basis.kind
-
-        def vec():
-            return backends.pointwise_mul_acc(acc, a, b, q_col, kind)
-
-        def base():
-            out = acc
-            for x, y in zip(a, b):
-                out = backends.pointwise_mul_acc(out, x, y, q_col, kind)
-            return out
-
-        return vec, base
+        return lambda: backends.pointwise_mul_acc(acc, a, b, q_col, kind)
 
     return make
 
@@ -284,69 +168,48 @@ KERNELS = {
 }
 
 
-def run(sizes, widths, reps, baseline_reps):
+def run(sizes, widths, reps):
     """Time every point's calls round-robin across the whole sweep.
 
     Every point is built and warmed first; then each round makes one
     timed call of every point that still has reps left, so a noisy
     minute of the machine spreads over all rows instead of landing on
-    the few points timed in it.  The number of timed calls per point is
-    the same as a per-point burst would make.
+    the few points timed in it.  Points above ``n = 2^13`` make half
+    the calls.
     """
     points = []
     for width in widths:
         for n in sizes:
             for kernel, make in KERNELS.items():
                 rng = np.random.default_rng(hash((kernel, n, width)) % 2**32)
-                vec, base = make(n, width, rng)
-                big = n > 1 << 13
-                points.append({
-                    "kernel": kernel, "n": n, "width": width,
-                    "calls": (
-                        (vec, max(1, reps // 2) if big else reps, []),
-                        (base, 1 if big else baseline_reps, []),
-                    ),
-                })
-    for point in points:  # warmup: builds cached tables outside the timing
-        for fn, _reps, _times in point["calls"]:
-            fn()
-    for rnd in range(max(reps, baseline_reps)):
-        for point in points:
-            for fn, count, times in point["calls"]:
-                if rnd < count:
-                    t0 = time.perf_counter()
-                    fn()
-                    times.append(time.perf_counter() - t0)
+                points.append((
+                    {"kernel": kernel, "n": n, "width": width},
+                    make(n, width, rng),
+                    max(1, reps // 2) if n > 1 << 13 else reps,
+                    [],
+                ))
+    for _point, fn, _count, _times in points:  # warmup: builds cached tables
+        fn()
+    for rnd in range(reps):
+        for _point, fn, count, times in points:
+            if rnd < count:
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
     results = []
-    for point in points:
-        (_, _, vec_times), (_, _, base_times) = point.pop("calls")
-        median_s = statistics.median(vec_times)
-        baseline_s = statistics.median(base_times)
-        results.append({
-            **point,
-            "median_s": median_s,
-            "baseline_median_s": baseline_s,
-            "speedup_vs_baseline": baseline_s / median_s,
-        })
-        n = point["n"]
-        print(
-            f"  {point['kernel']:<15} n=2^{n.bit_length() - 1:<3} "
-            f"{point['width']:<7} {median_s * 1e3:9.3f} ms   "
-            f"base {baseline_s * 1e3:9.3f} ms   "
-            f"speedup {baseline_s / median_s:7.1f}x",
-            flush=True,
-        )
+    for point, _fn, _count, times in points:
+        results.append({**point, "median_s": statistics.median(times)})
     return results
 
 
 def print_table(results):
     print()
-    print(f"{'kernel':<15} {'n':>6} {'width':<7} {'median_s':>12} {'vs base':>9}")
-    print("-" * 53)
+    print(f"{'kernel':<15} {'n':>6} {'width':<7} {'median_ms':>12}")
+    print("-" * 43)
     for r in results:
         print(
             f"{r['kernel']:<15} {r['n']:>6} {r['width']:<7} "
-            f"{r['median_s']:>12.6f} {r['speedup_vs_baseline']:>8.1f}x"
+            f"{r['median_s'] * 1e3:>12.3f}"
         )
 
 
@@ -367,12 +230,12 @@ def main():
     args = parser.parse_args()
 
     if args.quick:
-        sizes, widths, reps, baseline_reps = [1 << 7, 1 << 12], ["narrow"], 1, 1
+        sizes, widths, reps = [1 << 7, 1 << 12], ["narrow"], 1
         out = args.out or REPO_ROOT / "BENCH_kernels.quick.json"
     else:
         sizes = [1 << 7, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15]
         widths = ["narrow", "wide"]
-        reps, baseline_reps = 5, 2
+        reps = 5
         out = args.out or REPO_ROOT / "BENCH_kernels.json"
 
     # Input seeds are per point (and per process); none to stamp.  The
@@ -381,7 +244,7 @@ def main():
     print(env.render(header))
     print(f"ufunc    buffer {header['ufunc_bufsize']} elements")
     t0 = time.perf_counter()
-    results = run(sizes, widths, reps, baseline_reps)
+    results = run(sizes, widths, reps)
     print_table(results)
     out.write_text(json.dumps({"env": header, "results": results}, indent=2) + "\n")
     print(f"\nwrote {out} ({len(results)} records) in {time.perf_counter() - t0:.1f}s")

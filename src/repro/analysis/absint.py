@@ -26,8 +26,8 @@ plans a concrete chain:
   top level, which re-encrypts).  Any other level discontinuity means a
   rescale went missing or an op targets a dead level.
 - **Noise.**  A fresh budget at each bootstrap entry, burned per op
-  against :class:`~repro.ckks.noise.NoiseModel`'s per-level fresh,
-  rounding-floor and keyswitch tables, built from the trace's scale
+  against the per-level fresh, rounding-floor and keyswitch tables of
+  :func:`~repro.ckks.noise.noise_tables`, built from the trace's scale
   targets and combined by the one quadrature join
   (:func:`~repro.ckks.noise.join_bits`).  This loop is the only place
   the noise rules are applied.  Counts being parallel
@@ -94,7 +94,7 @@ def min_scale_bits(n: int) -> float:
 
     One rounded division by the scale leaves a value-domain error of
     ``~sqrt(n/12)`` coefficient units over the scale
-    (:attr:`~repro.ckks.noise.NoiseModel.floor_bits`), so
+    (the floor table of :func:`~repro.ckks.noise.noise_tables`), so
     error-free bits after a rescale are ``scale - 0.5*log2(n) - 2.5``;
     requiring 4 real bits gives this floor.
     """
@@ -220,17 +220,14 @@ def verify_trace(trace: HeTrace) -> VerifyResult:
     """Statically verify one schedule; see the module doc for the rules."""
     # Imported here: analysis/__init__ must stay importable from inside
     # the RNS hot paths, which sit below repro.ckks.
-    from repro.ckks.noise import NoiseModel, join_bits, precision_bits
+    from repro.ckks.noise import join_bits, noise_tables, precision_bits
 
     targets = trace.level_scale_bits
     max_level = trace.max_level
     min_scale = min_scale_bits(trace.n)
     findings: list[Finding] = []
     q = _feasible_widths(trace, findings)
-    model = NoiseModel(trace.n, targets)
-    fresh_bits = model.fresh_bits
-    floor_bits = model.floor_bits
-    keyswitch_bits = model.keyswitch_bits
+    fresh_bits, floor_bits, keyswitch_bits = noise_tables(trace.n, targets)
     hmul, pmul, hadd, hrot = OpKind.HMUL, OpKind.PMUL, OpKind.HADD, OpKind.HROT
     rescale, adjust = OpKind.RESCALE, OpKind.ADJUST
 
@@ -506,11 +503,6 @@ class VerifyGate:
             return False
         self._passed.move_to_end(digest)
         return True
-
-    def digests(self) -> tuple[str, ...]:
-        """Memoized digests, coldest first."""
-        with self._lock:
-            return tuple(self._passed)
 
     def clear(self) -> None:
         with self._lock:

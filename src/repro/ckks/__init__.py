@@ -22,7 +22,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
 from repro.ckks.keys import KeyChest, KeySwitchKey, PublicKey, SecretKey
 from repro.ckks.linalg import PlainMatrix, inner_product_plain, matvec, sum_slots
-from repro.ckks.noise import NoiseModel
+from repro.ckks.noise import noise_tables
 from repro.ckks.polyeval import eval_chebyshev, eval_power_basis
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "matvec",
     "inner_product_plain",
     "sum_slots",
-    "NoiseModel",
+    "noise_tables",
     "eval_power_basis",
     "eval_chebyshev",
 ]

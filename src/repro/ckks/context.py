@@ -61,11 +61,6 @@ class CkksContext:
     def encrypt(self, values, level: int | None = None, scale=None) -> "Ciphertext":
         return self.encryptor.encrypt(values, level, scale)
 
-    def encrypt_symmetric(
-        self, values, level: int | None = None, scale=None
-    ) -> "Ciphertext":
-        return self.encryptor.encrypt_symmetric(values, level, scale)
-
     def decrypt(self, ct: "Ciphertext") -> np.ndarray:
         return self.decryptor.decrypt(ct)
 

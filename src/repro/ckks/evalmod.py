@@ -97,11 +97,6 @@ def eval_mod(
     return eval_chebyshev(ev, normalized, coeffs)
 
 
-def reference_eval_mod(values: np.ndarray) -> np.ndarray:
-    """Cleartext oracle: ``sin(2πx)/(2π)`` (≈ distance to nearest int)."""
-    return np.sin(2.0 * np.pi * values) / (2.0 * np.pi)
-
-
 def depth_required(config: EvalModConfig = EvalModConfig()) -> int:
     """Levels ``eval_mod`` consumes.
 

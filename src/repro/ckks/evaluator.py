@@ -107,9 +107,6 @@ class Evaluator:
         )
         return _done(out, "hadd")
 
-    def negate(self, ct: Ciphertext) -> Ciphertext:
-        return ct.with_polys(ct.c0.neg(), ct.c1.neg())
-
     def _plain_poly(self, ct: Ciphertext, values, scale: Fraction) -> RnsPolynomial:
         """``values`` encoded at ``scale`` over ``ct``'s basis, in its domain."""
         coeffs = self.encoder.encode(values, scale)
@@ -335,7 +332,9 @@ class Evaluator:
         """Complex-conjugate the encrypted slots."""
         return self._apply_galois(ct, [2 * self.chain.n - 1])[0]
 
-    def _apply_galois(self, ct: Ciphertext, elements: Sequence[int]) -> list[Ciphertext]:
+    def _apply_galois(
+        self, ct: Ciphertext, elements: Sequence[int]
+    ) -> list[Ciphertext]:
         """``ct`` under ``X -> X^g`` for each ``g`` (1 is ``ct`` itself)."""
         out: list[Ciphertext] = []
         c0 = c1 = ext = None

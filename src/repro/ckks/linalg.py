@@ -104,18 +104,6 @@ class PlainMatrix:
         """This matrix as a one-by-one block, which keeps its encodings."""
         return PlainBlock([[self]])
 
-    # ------------------------------------------------------------------
-    def apply_naive(self, evaluator: "Evaluator", ct: Ciphertext) -> Ciphertext:
-        """Diagonal method without BSGS: ``dimension`` rotations."""
-        acc = None
-        for j in np.flatnonzero(self.nonzero):
-            rotated = evaluator.rotate(ct, int(j))
-            term = evaluator.mul_plain(rotated, self.diagonals[j])
-            acc = term if acc is None else evaluator.add(acc, term)
-        if acc is None:
-            raise ParameterError("matrix is identically zero")
-        return evaluator.rescale(acc)
-
     def apply_bsgs(
         self, evaluator: "Evaluator", ct: Ciphertext, giant_step: int | None = None
     ) -> Ciphertext:
@@ -126,15 +114,6 @@ class PlainMatrix:
         :func:`bsgs_sums`.
         """
         (out,) = bsgs_sums(evaluator, self.block, [ct], giant_step).unstack()
-        return out
-
-    def reference(self, values: np.ndarray) -> np.ndarray:
-        """Cleartext result on padded slot values (for tests/examples)."""
-        d = self.dimension
-        out = np.zeros(self.slots, dtype=self.matrix.dtype)
-        for block in range(self.slots // d):
-            seg = values[block * d : (block + 1) * d]
-            out[block * d : (block + 1) * d] = self.matrix @ seg
         return out
 
 
@@ -284,14 +263,7 @@ def _all_to(cts: Sequence[Ciphertext], domain: str) -> list[Ciphertext]:
 
 
 def matvec(
-    evaluator: "Evaluator",
-    matrix,
-    ct: Ciphertext,
-    slots: int,
-    bsgs: bool = True,
+    evaluator: "Evaluator", matrix, ct: Ciphertext, slots: int
 ) -> Ciphertext:
-    """One-shot plaintext-matrix x ciphertext-vector product."""
-    pm = PlainMatrix(matrix, slots)
-    if bsgs:
-        return pm.apply_bsgs(evaluator, ct)
-    return pm.apply_naive(evaluator, ct)
+    """One-shot plaintext-matrix x ciphertext-vector product (BSGS)."""
+    return PlainMatrix(matrix, slots).apply_bsgs(evaluator, ct)

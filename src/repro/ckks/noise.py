@@ -11,10 +11,10 @@ comes from.
 Every rule is one quadrature join (:func:`join_bits`,
 ``max + 0.5*log2(1 + 4^(min - max))``) of the incoming error against a
 per-level term: the fresh-encryption error, the rounding floor of one
-rescale, or the keyswitch error.  :class:`NoiseModel` is those three
-per-level tables (``fresh_bits``, ``floor_bits``, ``keyswitch_bits``);
-the static verifier (:mod:`repro.analysis.absint`) applies the rules,
-so this module and that loop are the one copy of them.
+rescale, or the keyswitch error.  :func:`noise_tables` returns those
+three per-level tables (fresh, floor, keyswitch); the static verifier
+(:mod:`repro.analysis.absint`) applies the rules, so this module and
+that loop are the one copy of them.
 
 The estimates are deliberately simple (heuristic constants, no
 ring-expansion factors beyond ``sqrt(n)``).  Tier-1 holds them against
@@ -46,31 +46,26 @@ def join_bits(a: float, b: float) -> float:
     return a + 0.5 * math.log2(1.0 + 4.0 ** (b - a))
 
 
-class NoiseModel:
-    """The per-level noise terms of a ring of degree ``n`` whose level
-    ``l`` is canonical at scale ``2^level_scale_bits[l]`` (level 0
-    first): a trace's scale targets or a planned chain's scales."""
-
-    def __init__(
-        self,
-        n: int,
-        level_scale_bits: Sequence[float],
-        sigma: float = DEFAULT_SIGMA,
-    ):
-        sqrt_n_bits = 0.5 * math.log2(n)
-        # Public-key encryption error is ``e0 + u*e + s*e1``: the ternary
-        # convolutions give std ~ sigma * sqrt(4n/3), and taking the max
-        # over n coefficients (what error-free *bits* measure) adds
-        # another ~sqrt(2 ln n) factor -- together ~3 bits beyond
-        # sigma * sqrt(n).
-        coeff_error_bits = math.log2(sigma) + sqrt_n_bits + 3.0
-        #: Per level: log2 error of a fresh encryption at that scale.
-        self.fresh_bits = tuple(coeff_error_bits - s for s in level_scale_bits)
-        #: Per level: one rounded division by the scale leaves
-        #: ~sqrt(n/12) coefficient units over the scale.
-        self.floor_bits = tuple(
-            sqrt_n_bits - 1.5 - s + 2.0 for s in level_scale_bits
-        )
-        #: Per level: hybrid keyswitch noise after the mod-down by P,
-        #: roughly a few rounding units (the rescale floor's order).
-        self.keyswitch_bits = tuple(f + 1.0 for f in self.floor_bits)
+def noise_tables(
+    n: int, level_scale_bits: Sequence[float]
+) -> tuple[tuple[float, ...], ...]:
+    """The per-level noise terms ``(fresh, floor, keyswitch)`` (log2
+    std) of a ring of degree ``n`` whose level ``l`` is canonical at
+    scale ``2^level_scale_bits[l]`` (level 0 first): a trace's scale
+    targets or a planned chain's scales.  Errors are sampled at
+    :data:`~repro.rns.sampling.DEFAULT_SIGMA`."""
+    sqrt_n_bits = 0.5 * math.log2(n)
+    # Public-key encryption error is ``e0 + u*e + s*e1``: the ternary
+    # convolutions give std ~ sigma * sqrt(4n/3), and taking the max
+    # over n coefficients (what error-free *bits* measure) adds another
+    # ~sqrt(2 ln n) factor -- together ~3 bits beyond sigma * sqrt(n).
+    coeff_error_bits = math.log2(DEFAULT_SIGMA) + sqrt_n_bits + 3.0
+    # A fresh encryption at each level's scale.
+    fresh = tuple(coeff_error_bits - s for s in level_scale_bits)
+    # One rounded division by the scale leaves ~sqrt(n/12) coefficient
+    # units over the scale.
+    floor = tuple(sqrt_n_bits - 1.5 - s + 2.0 for s in level_scale_bits)
+    # Hybrid keyswitch noise after the mod-down by P: roughly a few
+    # rounding units (the rescale floor's order).
+    keyswitch = tuple(f + 1.0 for f in floor)
+    return fresh, floor, keyswitch

@@ -174,8 +174,3 @@ def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0)) -> np.ndarray:
 
     series = np.polynomial.chebyshev.Chebyshev.interpolate(scaled, degree)
     return np.asarray(series.coef, dtype=float)
-
-
-def reference_chebyshev(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
-    """Cleartext Chebyshev evaluation (test oracle)."""
-    return np.polynomial.chebyshev.chebval(x, np.asarray(coeffs, dtype=float))

@@ -157,13 +157,6 @@ def _bit_reversed_exponents(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rev, np.remainder(2 * n - rev, 2 * n)
 
 
-def _psi_tables(q: int, n: int) -> tuple[list[int], list[int], int]:
-    """Bit-reversed ``ψ`` power tables and ``n^{-1}`` for ``(q, n)``."""
-    row = _psi_row(q, n)
-    fwd, inv = _bit_reversed_exponents(n)
-    return row[fwd].tolist(), row[inv].tolist(), modmath.mod_inv(n, q)
-
-
 @lru_cache(maxsize=64)
 def _four_step_exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward four-step kernel's ``ψ`` exponents, mod ``2n``, on
@@ -652,16 +645,6 @@ class NttRowsContext:
                                   c, c_aux)
         modmath.lazy_fold(a, self._q, out=a)
         return a.astype(np.uint64, copy=False).reshape(mat.shape)
-
-    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two coefficient-form polynomials mod ``X^n + 1``."""
-        product = modmath.mod_mul(
-            self.forward(np.atleast_2d(a)),
-            self.forward(np.atleast_2d(b)),
-            self._q_col,
-            self.kind,
-        )
-        return self.inverse(product).reshape(a.shape)
 
 
 @lru_cache(maxsize=1024)

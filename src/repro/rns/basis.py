@@ -116,18 +116,6 @@ class RnsBasis:
         """A new basis with ``extra`` moduli appended (order preserved)."""
         return RnsBasis(self.n, self.moduli + tuple(extra))
 
-    def without(self, shed: Iterable[int]) -> "RnsBasis":
-        """A new basis with the ``shed`` moduli removed."""
-        shed_set = set(shed)
-        missing = shed_set - set(self.moduli)
-        if missing:
-            raise ParameterError(f"cannot shed moduli not in basis: {sorted(missing)}")
-        return RnsBasis(self.n, [q for q in self.moduli if q not in shed_set])
-
-    def subset(self, indices: Sequence[int]) -> "RnsBasis":
-        """A new basis keeping only the rows at ``indices`` (in that order)."""
-        return RnsBasis(self.n, [self.moduli[i] for i in indices])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RnsBasis)

@@ -116,10 +116,6 @@ class CompiledTrace:
     def log2_q_saved(self) -> float:
         return self.log2_q_before - self.log2_q_after
 
-    @property
-    def changed(self) -> bool:
-        return self.digest != self.source_digest
-
 
 # -- rewrite passes ------------------------------------------------------
 # Each pass maps (trace, its VerifyResult) to (new trace, rewrite count,

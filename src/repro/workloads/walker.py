@@ -21,23 +21,17 @@ DEFAULT_BASE_BITS = 60.0
 DEFAULT_MAX_LOG_Q = 1596.0
 
 
-def effective_scale_bits(
-    target_bits: float, scheme: str, n: int, word_bits: int
-) -> float:
-    """Modulus a level really consumes for a target scale under a scheme.
+def _scale_consumption(
+    scheme: str, n: int, word_bits: int
+) -> Callable[[float], float]:
+    """Target scale bits -> modulus bits a level really consumes under
+    ``scheme`` at ``(n, word_bits)``, with the word's prime bounds read
+    once.
 
     BitPacker meets any target (Sec. 3.3); RNS-CKKS is limited to scales
     that products of 1..k NTT-friendly primes can reach (Sec. 5), so an
     unreachable target consumes the smallest achievable scale above it.
     """
-    return _scale_consumption(scheme, n, word_bits)(target_bits)
-
-
-def _scale_consumption(
-    scheme: str, n: int, word_bits: int
-) -> Callable[[float], float]:
-    """:func:`effective_scale_bits` for one scheme and word, with the
-    word's prime bounds read once."""
     if scheme == "bitpacker":
         return lambda target_bits: target_bits
     from repro.schemes.rns_ckks import achievable_scale_bits

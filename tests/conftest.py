@@ -17,6 +17,8 @@ import pytest
 from hypothesis import settings
 
 from repro.ckks import CkksContext
+from repro.nt import modmath
+from repro.nt.ntt import ntt_context
 from repro.obs import core as obs
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from repro.trace.compiler import CompiledTrace, compile_workloads
@@ -112,3 +114,12 @@ def op_counts(trace) -> Counter:
     for op in trace.ops:
         counts[op.kind] += op.count
     return counts
+
+
+def ntt_product(a, b, q: int, n: int) -> list[int]:
+    """``a·b mod (X^n + 1, q)`` through the library's kernels: two
+    forward NTTs, one pointwise ``mod_mul`` and the inverse NTT."""
+    ctx = ntt_context(q, n)
+    fa = ctx.forward(modmath.as_mod_array(a, q))
+    fb = ctx.forward(modmath.as_mod_array(b, q))
+    return [int(v) for v in ctx.inverse(modmath.mod_mul(fa, fb, q))]

@@ -1,19 +1,15 @@
-"""Reference (pre-vectorization) NTT kernels: oracle and benchmark baseline.
+"""The per-block negacyclic NTT and the schoolbook product: NTT oracles.
 
-This module preserves the original per-block scalar implementation of the
-negacyclic NTT — the code :mod:`repro.nt.ntt` replaced with
-stage-vectorized butterflies.  It exists for two reasons:
+:class:`ReferenceNttContext` is the scalar, one-butterfly-block-at-a-time
+implementation of the transforms :mod:`repro.nt.ntt` computes with
+stage-vectorized butterflies.  The vectorized transforms must produce
+the *same residues* on identical inputs, on every modulus width
+(``tests/test_nt_ntt_vectorized.py``, ``tests/test_backends.py``).
+:func:`schoolbook_negacyclic` is the O(n^2) ground truth a transform
+product (forward, pointwise multiply, inverse) is checked against.
 
-- **Bit-exactness oracle.**  The vectorized transforms must produce the
-  *same residues* as this implementation on identical inputs; the tests
-  in ``tests/test_nt_ntt.py`` cross-check them on all three modmath
-  backends.
-- **Benchmark baseline.**  ``benchmarks/bench_kernels.py`` reports
-  ``speedup_vs_baseline`` against these kernels, so the speedup numbers
-  in ``BENCH_kernels.json`` measure exactly what this PR changed.
-
-Do not use this path in production code; it is O(n) Python-level loop
-iterations per transform on top of the O(n log n) arithmetic.
+It costs O(n) Python-level loop iterations per transform on top of the
+O(n log n) arithmetic, so only tests run it.
 """
 
 from __future__ import annotations
@@ -24,12 +20,19 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.nt import modmath
-from repro.nt.ntt import _psi_tables
+from repro.nt.ntt import _bit_reversed_exponents, _psi_row
 from repro.nt.primes import is_ntt_friendly
 
 
+def _psi_tables(q: int, n: int) -> tuple[list[int], list[int], int]:
+    """Bit-reversed ``ψ`` power tables and ``n^{-1}`` for ``(q, n)``."""
+    row = _psi_row(q, n)
+    fwd, inv = _bit_reversed_exponents(n)
+    return row[fwd].tolist(), row[inv].tolist(), modmath.mod_inv(n, q)
+
+
 class ReferenceNttContext:
-    """The original per-block-loop negacyclic NTT (kept verbatim)."""
+    """The per-block-loop negacyclic NTT."""
 
     def __init__(self, q: int, n: int):
         if not is_ntt_friendly(q, n):
@@ -80,12 +83,6 @@ class ReferenceNttContext:
             t *= 2
             m = h
         return modmath.mod_scalar_mul(a, self._n_inv, q)
-
-    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two coefficient-form polynomials mod ``X^n + 1``."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        return self.inverse(modmath.mod_mul(fa, fb, self.q))
 
 
 @lru_cache(maxsize=256)

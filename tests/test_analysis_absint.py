@@ -11,11 +11,11 @@ from repro.analysis.absint import (
     verify_or_raise,
     verify_trace,
 )
-from repro.analysis.mutations import MUTATIONS
 from repro.analysis.sanitize import OpObservation
 from repro.errors import ScheduleViolationError
 from repro.trace.program import HeTrace, OpKind, TraceOp
 from repro.workloads import workload_traces
+from tests.oracles.mutations import MUTATIONS
 
 
 def make_trace(ops, scales=(30.0, 30.0, 30.0, 30.0), base=60.0, n=1024):

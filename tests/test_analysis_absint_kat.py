@@ -25,11 +25,11 @@ import json
 from pathlib import Path
 
 from repro.analysis.absint import VerifyResult, verify_trace
-from repro.analysis.mutations import MUTATIONS
 from repro.eval import common
 from repro.trace.compiler import CompiledTrace, compile_workloads
 from repro.trace.program import content_digest
 from repro.workloads import workload_traces
+from tests.oracles.mutations import MUTATIONS
 
 KAT_PATH = Path(__file__).parent / "data" / "absint_kat.json"
 KAT_WORDS = (28, 36, 64)

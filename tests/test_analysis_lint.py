@@ -389,7 +389,7 @@ class TestAsyncTaskLeakPass:
             import asyncio
 
             async def serve(coro):
-                asyncio.create_task(coro())  # fhelint: ok[async-task-leak] heartbeat, done-callback attached
+                asyncio.create_task(coro())  # fhelint: ok[async-task-leak] callback set
             """,
             ["async-task-leak"],
         )

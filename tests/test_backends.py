@@ -36,7 +36,6 @@ from repro.backends.numpy_backend import _narrow_fold
 from repro.nt import modmath
 from repro.nt.crt import centered
 from repro.nt.ntt import ntt_rows_context
-from repro.nt.ntt_reference import reference_ntt_context
 from repro.nt.primes import ntt_friendly_primes_above, ntt_friendly_primes_below
 from repro.obs import core as obs_core
 from repro.rns.basis import RnsBasis
@@ -44,6 +43,7 @@ from repro.rns.convert import base_convert, scale_down
 from repro.rns.poly import NTT, RnsPolynomial
 from repro.rns.sampling import sample_uniform
 from tests import test_nt_ntt_vectorized as ntt_tests
+from tests.oracles.ntt_reference import reference_ntt_context
 from tests.test_nt_ntt_vectorized import _digest
 
 

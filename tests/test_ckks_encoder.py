@@ -101,9 +101,8 @@ class TestHomomorphicStructure:
         (CKKS's core property)."""
         from itertools import islice
 
-        from repro.nt.modmath import as_mod_array
-        from repro.nt.ntt import ntt_context
         from repro.nt.primes import ntt_friendly_primes_below
+        from tests.conftest import ntt_product
 
         a = rng.uniform(-1, 1, enc.slots)
         b = rng.uniform(-1, 1, enc.slots)
@@ -112,11 +111,10 @@ class TestHomomorphicStructure:
         ca = enc.encode(a, scale)
         cb = enc.encode(b, scale)
         q = next(islice(ntt_friendly_primes_below(1 << 60, N), 1))
-        ctx = ntt_context(q, N)
-        prod = ctx.negacyclic_multiply(as_mod_array(ca, q), as_mod_array(cb, q))
+        prod = ntt_product(ca, cb, q, N)
         from repro.nt.crt import centered_vector
 
-        prod_coeffs = centered_vector([int(v) for v in prod], q)
+        prod_coeffs = centered_vector(prod, q)
         decoded = enc.decode(prod_coeffs, scale * scale)
         assert np.max(np.abs(decoded - a * b)) < 2.0**-16
 

@@ -19,7 +19,7 @@ class TestEncryptDecrypt:
 
     def test_symmetric_round_trip(self, ctx, rng):
         vals = make_values(ctx, rng)
-        got = ctx.decrypt_real(ctx.encrypt_symmetric(vals))
+        got = ctx.decrypt_real(ctx.encryptor.encrypt_symmetric(vals))
         assert np.max(np.abs(got - vals)) < 2.0**-12
 
     def test_fresh_precision_tracks_scale(self, ctx, rng):
@@ -83,7 +83,7 @@ class TestInt64Decode:
         chain = LADDER_CHAINS[name]()
         ctx = CkksContext(chain, seed=7)
         for level in range(chain.max_level + 1):
-            ct = ctx.encrypt_symmetric(make_values(ctx, rng), level=level)
+            ct = ctx.encryptor.encrypt_symmetric(make_values(ctx, rng), level=level)
             poly = ctx.decryptor.decrypt_to_plaintext(ct).poly
             oracle = poly.to_int_coeffs()
             fast = crt.centered_int64(poly.mat, poly.basis.moduli)

@@ -8,10 +8,10 @@ from repro.ckks.evalmod import (
     EvalModConfig,
     depth_required,
     eval_mod,
-    reference_eval_mod,
     sine_coefficients,
 )
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
+from tests.oracles.plaintext import reference_eval_mod
 
 CONFIG = EvalModConfig(k_range=1, degree=15)
 

@@ -30,11 +30,6 @@ class TestAdditive:
         ct = ctx.evaluator.sub(ctx.encrypt(a), ctx.encrypt(b))
         _assert_close(ctx, ct, a - b)
 
-    def test_negate(self, ctx, rng):
-        a = make_values(ctx, rng)
-        ct = ctx.evaluator.negate(ctx.encrypt(a))
-        _assert_close(ctx, ct, -a)
-
     def test_add_plain(self, ctx, rng):
         a, b = make_values(ctx, rng), make_values(ctx, rng)
         ct = ctx.evaluator.add_plain(ctx.encrypt(a), b)

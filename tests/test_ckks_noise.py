@@ -10,7 +10,7 @@ import math
 import pytest
 
 from repro.analysis.absint import verify_trace
-from repro.ckks.noise import NoiseModel, join_bits, precision_bits
+from repro.ckks.noise import join_bits, noise_tables, precision_bits
 from repro.rns.sampling import DEFAULT_SIGMA
 from repro.trace.program import TraceBuilder
 from repro.workloads import workload_traces
@@ -97,26 +97,25 @@ def _scales(bp_chain):
 class TestTables:
     def test_tables_are_the_textbook_terms(self, bp_chain):
         for n, scales in _scales(bp_chain):
-            model = NoiseModel(n, scales)
+            fresh, floor, ks = noise_tables(n, scales)
             half_log_n = 0.5 * math.log2(n)
-            assert len(model.fresh_bits) == len(scales)
+            assert len(fresh) == len(floor) == len(ks) == len(scales)
             for level, s in enumerate(scales):
-                floor = half_log_n - 1.5 - s + 2.0
-                assert model.fresh_bits[level] == (
+                rounding = half_log_n - 1.5 - s + 2.0
+                assert fresh[level] == (
                     math.log2(DEFAULT_SIGMA) + half_log_n + 3.0 - s
                 )
-                assert model.floor_bits[level] == floor
-                assert model.keyswitch_bits[level] == floor + 1.0
+                assert floor[level] == rounding
+                assert ks[level] == rounding + 1.0
 
     def test_every_rule_is_the_join_against_a_table(self, bp_chain):
         for n, scales in _scales(bp_chain):
-            model = NoiseModel(n, scales)
-            floor, ks = model.floor_bits, model.keyswitch_bits
+            fresh, floor, ks = noise_tables(n, scales)
 
             def bits(*ops):
                 return _margins(n, scales, *ops)[-1]
 
-            for level, e in enumerate(model.fresh_bits):
+            for level, e in enumerate(fresh):
                 for ops, err in [
                     ([("padd", level)], e),
                     ([("hadd", level)], join_bits(e, e)),

@@ -5,15 +5,11 @@ import pytest
 
 from repro.ckks import CkksContext
 from repro.ckks.evalmod import EvalModConfig, sine_coefficients
-from repro.ckks.polyeval import (
-    chebyshev_fit,
-    eval_chebyshev,
-    eval_power_basis,
-    reference_chebyshev,
-)
+from repro.ckks.polyeval import chebyshev_fit, eval_chebyshev, eval_power_basis
 from repro.errors import ParameterError
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.conftest import make_values
+from tests.oracles.plaintext import reference_chebyshev
 
 
 @pytest.fixture()

@@ -9,19 +9,8 @@ from repro.errors import ParameterError
 from repro.nt import modmath
 from repro.nt.ntt import ntt_context, ntt_rows_context
 from repro.nt.primes import ntt_friendly_primes_above, ntt_friendly_primes_below
-
-
-def _schoolbook_negacyclic(a, b, q, n):
-    out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            k = i + j
-            if k < n:
-                out[k] = (out[k] + a[i] * b[j]) % q
-            else:
-                out[k - n] = (out[k - n] - a[i] * b[j]) % q
-    return out
-
+from tests.conftest import ntt_product
+from tests.oracles.ntt_reference import schoolbook_negacyclic
 
 SMALL_Q = next(ntt_friendly_primes_below(1 << 28, 64))
 WIDE_Q = next(ntt_friendly_primes_below(1 << 55, 64))
@@ -51,34 +40,24 @@ class TestConvolution:
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_matches_schoolbook(self, n):
         q = next(ntt_friendly_primes_below(1 << 28, n))
-        ctx = ntt_context(q, n)
         rng = np.random.default_rng(2)
         a = [int(v) for v in rng.integers(0, q, n)]
         b = [int(v) for v in rng.integers(0, q, n)]
-        got = ctx.negacyclic_multiply(
-            modmath.as_mod_array(a, q), modmath.as_mod_array(b, q)
-        )
-        assert [int(v) for v in got] == _schoolbook_negacyclic(a, b, q, n)
+        assert ntt_product(a, b, q, n) == schoolbook_negacyclic(a, b, q, n)
 
     def test_x_times_xn_minus_1_wraps_negatively(self):
         """X * X^{n-1} = X^n = -1 in the negacyclic ring."""
         n, q = 16, next(ntt_friendly_primes_below(1 << 20, 16))
         x = [0, 1] + [0] * (n - 2)
         xn1 = [0] * (n - 1) + [1]
-        ctx = ntt_context(q, n)
-        got = ctx.negacyclic_multiply(
-            modmath.as_mod_array(x, q), modmath.as_mod_array(xn1, q)
-        )
-        assert [int(v) for v in got] == [q - 1] + [0] * (n - 1)
+        assert ntt_product(x, xn1, q, n) == [q - 1] + [0] * (n - 1)
 
     def test_multiply_by_one(self):
         n, q = 32, next(ntt_friendly_primes_below(1 << 20, 32))
-        ctx = ntt_context(q, n)
         rng = np.random.default_rng(3)
         a = modmath.uniform_mod(q, n, rng)
-        one = modmath.as_mod_array([1] + [0] * (n - 1), q)
-        got = ctx.negacyclic_multiply(a, one)
-        assert [int(v) for v in got] == [int(v) for v in a]
+        one = [1] + [0] * (n - 1)
+        assert ntt_product(a, one, q, n) == [int(v) for v in a]
 
 
 class TestLinearity:
@@ -134,8 +113,4 @@ def test_ntt_multiplication_property(data):
     b = data.draw(
         st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     )
-    ctx = ntt_context(q, n)
-    got = ctx.negacyclic_multiply(
-        modmath.as_mod_array(a, q), modmath.as_mod_array(b, q)
-    )
-    assert [int(v) for v in got] == _schoolbook_negacyclic(a, b, q, n)
+    assert ntt_product(a, b, q, n) == schoolbook_negacyclic(a, b, q, n)

@@ -82,15 +82,11 @@ class TestBasis:
         with pytest.raises(ParameterError):
             RnsBasis(N, ())
 
-    def test_extended_and_without(self, basis):
+    def test_extended(self, basis):
         extra = next(ntt_friendly_primes_below(1 << 20, N))
         bigger = basis.extended([extra])
         assert bigger.size == basis.size + 1
-        assert bigger.without([extra]) == basis
-
-    def test_without_missing_rejected(self, basis):
-        with pytest.raises(ParameterError):
-            basis.without([999983])
+        assert bigger.moduli == basis.moduli + (extra,)
 
     def test_hash_and_equality(self, basis):
         again = RnsBasis(N, MODULI)

@@ -86,7 +86,10 @@ def _kat_keys() -> list[tuple[str, str, int, int]]:
             for src in range(top, 0, -1)
             for dst in range(src - 1, -1, -1)
         ]
-        keys += [(label, op, top, top) for op in ("scale_up", "scale_down", "drop_moduli")]
+        keys += [
+            (label, op, top, top)
+            for op in ("scale_up", "scale_down", "drop_moduli")
+        ]
     return keys
 
 
@@ -137,7 +140,8 @@ def test_known_answer_vectors(entry):
 
 
 def test_known_answer_file_covers_the_case_list():
-    assert [(e["case"], e["op"], e["src"], e["dst"]) for e in KAT_ENTRIES] == _kat_keys()
+    keys = [(e["case"], e["op"], e["src"], e["dst"]) for e in KAT_ENTRIES]
+    assert keys == _kat_keys()
 
 
 def test_moves_land_on_the_chain():

@@ -28,7 +28,7 @@ from repro.serve import service as sservice
 from repro.serve.keys import KeyMaterial, KeyParams, KeyRegistry
 from repro.serve.loadgen import LoadSpec, register_tenants, tenant_name
 from repro.serve.service import BitPackerServe
-from repro.trace.program import HeTrace, OpKind, TraceOp, content_digest
+from repro.trace.program import HeTrace, OpKind, TraceOp
 
 # One id per engine ``available_backends()`` names: the ids are pinned by
 # the tier-1 floor, and a re-admitted engine would show up here.
@@ -465,6 +465,8 @@ class TestVerifyGate:
 class TestGateMemoLRU:
     def test_memo_is_bounded_and_lru(self, monkeypatch):
         monkeypatch.setattr(GATE, "limit", 3)
+        verified = []
+        monkeypatch.setattr(sservice, "verify_or_raise", verified.append)
         traces = [serve_trace(levels=k) for k in range(1, 6)]
         for trace in traces[:3]:
             admit(trace)
@@ -473,12 +475,14 @@ class TestGateMemoLRU:
         admit(traces[0])
         admit(traces[3])
         assert sservice.gate_memo_size() == 3
-        digests = GATE.digests()
-        assert content_digest(traces[0]) in digests
-        assert content_digest(traces[1]) not in digests, (
-            "LRU evicted the recently-touched digest instead of the "
+        assert verified == traces[:4]
+        admit(traces[0])
+        assert verified == traces[:4], (
+            "LRU evicted the recently-touched trace instead of the "
             "coldest one"
         )
+        admit(traces[1])
+        assert verified == traces[:4] + [traces[1]], "the coldest trace stayed"
 
     def test_stats_export_memo_size(self):
         async def scenario(service):

@@ -1,12 +1,17 @@
 """Every function, class and method under ``src/`` is named somewhere the
 library, the benchmarks or the examples can reach it.
 
-The scan is textual: a definition counts as used when its name appears
-as a word in any ``*.py`` file under ``src/``, ``benchmarks/`` or
-``examples/``, outside the lines of its own definition (docstrings and
-comments included, so it errs towards keeping).  Dunder methods are
-protocol hooks and are skipped.  What only ``tests/`` names is dead
-weight in ``src/`` unless :data:`ALLOWED` gives the reason it stays.
+The scan reads syntax, not text: a definition counts as used when some
+``*.py`` file under ``src/``, ``benchmarks/`` or ``examples/`` names it
+outside the lines of its own definition, through a ``Name``, an
+``Attribute``, an import (either side of an alias, or any part of a
+dotted module path) or an identifier-shaped string constant: an
+``__all__`` entry, a lazy ``__getattr__`` table or ``getattr`` name, or
+a ``module:function,function`` entry of the CLI's experiment table
+(identifiers joined by ``.``, ``:`` or ``,``).  Docstrings and comments
+do not count.  Dunder methods are protocol hooks and are skipped.  What
+only ``tests/`` names is dead weight in ``src/`` unless :data:`ALLOWED`
+gives the reason it stays.
 """
 
 from __future__ import annotations
@@ -21,27 +26,26 @@ SCANNED = ("src", "benchmarks", "examples")
 
 #: ``path:name`` -> why the symbol stays although nothing above names it.
 ALLOWED = {
-    "src/repro/ckks/evalmod.py:reference_eval_mod": (
-        "test oracle: the plaintext sine EvalMod approximates"
+    "src/repro/analysis/absint.py:check_observations": (
+        "the runtime-versus-abstract cross-check that recorded programs "
+        "(ROADMAP 2(c)) and the corrected noise model (23(c)) build on"
     ),
-    "src/repro/ckks/polyeval.py:reference_chebyshev": (
-        "test oracle: the plaintext Chebyshev series the evaluator computes"
-    ),
-    "src/repro/nt/ntt_reference.py:schoolbook_negacyclic": (
-        "test oracle: the O(n^2) negacyclic product the NTTs are checked against"
+    "src/repro/ckks/encryptor.py:encrypt_symmetric": (
+        "the scheme's secret-key encryption; the decrypt tests encrypt "
+        "every level of the ladder's chains with it"
     ),
     "src/repro/analysis/sanitize.py:reset_stats": (
         "goes with the per-test reset of process-wide counters (ROADMAP 22(b))"
     ),
 }
 
-_WORD = re.compile(r"\w+")
+_IDENTIFIERS = re.compile(r"[A-Za-z_]\w*(?:[.:,][A-Za-z_]\w*)*")
 
 
-def _definitions(path: Path, text: str):
+def _definitions(tree: ast.AST):
     """``(name, first line, last line)`` of each def and class, its
     decorators included."""
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
         if not isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
@@ -52,24 +56,44 @@ def _definitions(path: Path, text: str):
         yield node.name, first, node.end_lineno
 
 
+def _uses(tree: ast.AST):
+    """``(name, line)`` of every reference to a name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for name in (alias.name, alias.asname):
+                    for part in (name or "").split("."):
+                        yield part, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _IDENTIFIERS.fullmatch(node.value)
+        ):
+            for part in re.split(r"[.:,]", node.value):
+                yield part, node.lineno
+
+
 def unnamed_definitions() -> list[str]:
     """``path:name`` of every ``src/`` definition named nowhere else."""
-    texts = {
-        path: path.read_text(encoding="utf-8")
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
         for top in SCANNED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
-    # word -> [(path, line)], read once.
+    # name -> [(path, line)], read once.
     where: dict[str, list[tuple[Path, int]]] = defaultdict(list)
-    for path, text in texts.items():
-        for number, line in enumerate(text.splitlines(), 1):
-            for word in set(_WORD.findall(line)):
-                where[word].append((path, number))
+    for path, tree in trees.items():
+        for name, line in _uses(tree):
+            where[name].append((path, line))
     unnamed = []
-    for path, text in texts.items():
+    for path, tree in trees.items():
         if path.parts[len(ROOT.parts)] != "src":
             continue
-        for name, first, last in _definitions(path, text):
+        for name, first, last in _definitions(tree):
             if not any(
                 other != path or not first <= line <= last
                 for other, line in where[name]

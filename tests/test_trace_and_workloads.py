@@ -24,7 +24,7 @@ from repro.workloads import (
     BS26_SCHEDULE,
     app_levels_for,
 )
-from repro.workloads.walker import ProgramWalker, effective_scale_bits
+from repro.workloads.walker import ProgramWalker, _scale_consumption
 from tests.conftest import op_counts
 
 
@@ -286,10 +286,10 @@ class TestWalker:
             w.ensure(w.app_top + 1)
 
     def test_effective_scale_identity_for_bitpacker(self):
-        assert effective_scale_bits(30.0, "bitpacker", 65536, 28) == 30.0
+        assert _scale_consumption("bitpacker", 65536, 28)(30.0) == 30.0
 
     def test_effective_scale_inflates_for_rns_narrow(self):
-        eff = effective_scale_bits(30.0, "rns-ckks", 65536, 28)
+        eff = _scale_consumption("rns-ckks", 65536, 28)(30.0)
         assert eff > 35.0  # two minimum-size primes
 
     def test_rns_gets_fewer_app_levels(self):

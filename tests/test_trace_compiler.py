@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.absint import check_observations, verify_or_raise, verify_trace
-from repro.analysis.mutations import MUTATIONS
 from repro.ckks import CkksContext
 from repro.cli import main
 from repro.errors import ParameterError, ScheduleViolationError
@@ -43,6 +42,7 @@ from repro.trace.program import (
 )
 from repro.workloads import workload_traces
 from tests.conftest import op_counts
+from tests.oracles.mutations import MUTATIONS
 
 
 def exec_fixture_trace() -> HeTrace:
@@ -105,9 +105,8 @@ class TestBundledWorkloadCompilation:
 
     def test_provenance_digests_track_rewrites(self, compiled_workloads):
         for c in compiled_workloads:
-            assert c.source_digest != c.digest or not c.changed
             if c.levels_saved > 0 or c.log2_q_saved > 0:
-                assert c.changed
+                assert c.digest != c.source_digest
             assert c.digest == content_digest(c.trace)
 
     def test_render_report_totals_line(self, compiled_workloads):
@@ -242,7 +241,7 @@ class TestContentDigest:
     def test_changes_on_compiler_rewrite(self):
         trace = exec_fixture_trace()
         c = compile_trace(trace, plan=False)
-        assert c.changed
+        assert c.digest != c.source_digest
         assert content_digest(c.trace) != content_digest(trace)
 
     def test_cached_digest_never_follows_a_rewrite(self):
