@@ -7,13 +7,7 @@ workload traces through a modulus chain.
 """
 
 from repro.accel.area import DEFAULT_AREA_MODEL, AreaModel
-from repro.accel.config import (
-    AcceleratorConfig,
-    ark_like,
-    craterlake,
-    sharp_like,
-    word_size_sweep,
-)
+from repro.accel.config import AcceleratorConfig, craterlake
 from repro.accel.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.accel.kernels import OpCost
 from repro.accel.sim import AcceleratorSim, SimResult
@@ -21,9 +15,6 @@ from repro.accel.sim import AcceleratorSim, SimResult
 __all__ = [
     "AcceleratorConfig",
     "craterlake",
-    "ark_like",
-    "sharp_like",
-    "word_size_sweep",
     "OpCost",
     "EnergyModel",
     "DEFAULT_ENERGY_MODEL",

@@ -104,18 +104,3 @@ def craterlake() -> AcceleratorConfig:
     """CraterLake as proposed (28-bit words)."""
     return AcceleratorConfig()
 
-
-def ark_like() -> AcceleratorConfig:
-    """64-bit-word configuration representative of ARK (Sec. 4.1)."""
-    return craterlake().with_word_size(64)
-
-
-def sharp_like() -> AcceleratorConfig:
-    """36-bit-word configuration representative of SHARP (Sec. 4.1)."""
-    return craterlake().with_word_size(36)
-
-
-def word_size_sweep(word_sizes=range(28, 65, 4)) -> list[AcceleratorConfig]:
-    """The paper's Fig. 14 sweep: iso-throughput designs from 28 to 64 bits."""
-    base = craterlake()
-    return [base.with_word_size(w) for w in word_sizes]

@@ -457,8 +457,10 @@ class VerifyGate:
     which costs one re-verification, never correctness.
     """
 
-    def __init__(self, limit: int = 4096):
-        self.limit = limit
+    #: Most digests remembered.
+    limit = 4096
+
+    def __init__(self):
         self._lock = threading.Lock()
         self._passed: OrderedDict[str, None] = OrderedDict()
         self._inflight: dict[str, threading.Event] = {}
@@ -519,10 +521,13 @@ class VerifyGate:
 GATE = VerifyGate()
 
 
+#: How far outside its op's interval an observed scale may sit: realized
+#: chain scales sit within the planner's acceptance window of the targets.
+OBSERVED_SCALE_TOLERANCE_BITS = 3.0
+
+
 def check_observations(
-    result: VerifyResult,
-    observed: Sequence[tuple[int, "OpObservation"]],
-    tolerance_bits: float = 3.0,
+    result: VerifyResult, observed: Sequence[tuple[int, "OpObservation"]]
 ) -> list[str]:
     """Cross-validate runtime observations against the abstract run.
 
@@ -532,8 +537,7 @@ def check_observations(
     :class:`repro.trace.execute.TraceExecutor`).  Every observed level
     must match the abstract result level exactly and every observed
     scale must fall inside the op's interval widened by
-    ``tolerance_bits`` (realized chain scales sit within the planner's
-    acceptance window of the targets).  Returns human-readable
+    :data:`OBSERVED_SCALE_TOLERANCE_BITS`.  Returns human-readable
     mismatches; empty means the static and runtime layers agree.
     """
     by_index = {record.index: record for record in result.records}
@@ -548,13 +552,13 @@ def check_observations(
                 f"op {index} ({record.kind}): executed at level "
                 f"{obs.level}, abstract state says {record.level}"
             )
-        lo = record.scale_lo - tolerance_bits
-        hi = record.scale_hi + tolerance_bits
+        lo = record.scale_lo - OBSERVED_SCALE_TOLERANCE_BITS
+        hi = record.scale_hi + OBSERVED_SCALE_TOLERANCE_BITS
         if not lo <= obs.scale_bits <= hi:
             mismatches.append(
                 f"op {index} ({record.kind}): observed scale "
                 f"2^{obs.scale_bits:.2f} outside abstract interval "
                 f"[2^{record.scale_lo:g}, 2^{record.scale_hi:g}] "
-                f"(±{tolerance_bits:g})"
+                f"(±{OBSERVED_SCALE_TOLERANCE_BITS:g})"
             )
     return mismatches

@@ -31,9 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MULT_MSG = (
     "raw `*`/`@` on integer ndarrays can exceed 64 bits once a modulus is "
-    ">= 2^31 (the wide backend of repro.nt.modmath); use mod_mul / "
-    "mod_scalar_mul, or add a `# fhelint: ok[overflow-hazard]` pragma "
-    "stating the operand bound"
+    ">= 2^31 (the wide backend of repro.nt.modmath); use modmath.mod_mul "
+    "(a scalar operand broadcasts), or add a "
+    "`# fhelint: ok[overflow-hazard]` pragma stating the operand bound"
 )
 _REDUCE_MSG = (
     "reducing an unreduced uint64 {what} with `%` wraps before the "

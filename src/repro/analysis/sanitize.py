@@ -57,14 +57,6 @@ def disable() -> None:
     _obs.attach_checker(None)
 
 
-def enabled() -> bool:
-    return _obs.checker() is _SELF
-
-
-def reset_stats() -> None:
-    STATS.update(checks=0, violations=0)
-
-
 def _fail(message: str) -> None:
     STATS["violations"] += 1
     raise InvariantViolation(message)

@@ -21,9 +21,9 @@ from repro.ckks.evalmod import EvalModConfig, eval_mod
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.homdft import coeff_to_slot, slot_to_coeff
 from repro.ckks.keys import KeyChest, KeySwitchKey, PublicKey, SecretKey
-from repro.ckks.linalg import PlainMatrix, inner_product_plain, matvec, sum_slots
+from repro.ckks.linalg import PlainMatrix
 from repro.ckks.noise import noise_tables
-from repro.ckks.polyeval import eval_chebyshev, eval_power_basis
+from repro.ckks.polyeval import eval_chebyshev
 
 __all__ = [
     "Ciphertext",
@@ -47,10 +47,6 @@ __all__ = [
     "PublicKey",
     "SecretKey",
     "PlainMatrix",
-    "matvec",
-    "inner_product_plain",
-    "sum_slots",
     "noise_tables",
-    "eval_power_basis",
     "eval_chebyshev",
 ]

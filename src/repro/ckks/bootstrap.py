@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.context import CkksContext
-from repro.errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -47,25 +46,14 @@ class FunctionalBootstrapper:
     """Restores ciphertext level with a calibrated precision floor.
 
     Uses the context's secret key internally (decrypt, clamp precision,
-    re-encrypt).  Only valid in experiments — a deployment would run the
-    real homomorphic pipeline whose cost the accelerator model accounts.
+    re-encrypt at the chain's top level).  Only valid in experiments — a
+    deployment would run the real homomorphic pipeline whose cost the
+    accelerator model accounts.
     """
 
-    def __init__(
-        self,
-        ctx: CkksContext,
-        algorithm: BootstrapAlgorithm = BS19,
-        output_level: int | None = None,
-    ):
+    def __init__(self, ctx: CkksContext, algorithm: BootstrapAlgorithm = BS19):
         self.ctx = ctx
         self.algorithm = algorithm
-        self.output_level = (
-            ctx.chain.max_level if output_level is None else output_level
-        )
-        if not 0 <= self.output_level <= ctx.chain.max_level:
-            raise ParameterError(
-                f"bootstrap output level {self.output_level} outside chain"
-            )
 
     def bootstrap(self, ct: Ciphertext) -> Ciphertext:
         """Return a high-level ciphertext encrypting the same values.
@@ -81,4 +69,4 @@ class FunctionalBootstrapper:
             rng.normal(0.0, sigma, values.shape)
             + 1j * rng.normal(0.0, sigma, values.shape)
         )
-        return self.ctx.encrypt(noisy, level=self.output_level)
+        return self.ctx.encrypt(noisy)

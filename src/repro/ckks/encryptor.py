@@ -23,11 +23,7 @@ from repro.ckks.keys import KeyChest
 from repro.errors import ParameterError
 from repro.nt.crt import centered_int64
 from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
-from repro.rns.sampling import (
-    sample_gaussian_coeffs,
-    sample_ternary_coeffs,
-    sample_uniform,
-)
+from repro.rns.sampling import sample_gaussian, sample_ternary, sample_uniform
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schemes.chain import ModulusChain
@@ -64,15 +60,9 @@ class Encryptor:
         basis = pt.basis
         rng = self.chest.rng
         sigma = self.chest.sigma
-        u = RnsPolynomial.from_int_coeffs(
-            basis, sample_ternary_coeffs(basis.n, rng)
-        ).to_ntt()
-        e0 = RnsPolynomial.from_int_coeffs(
-            basis, sample_gaussian_coeffs(basis.n, rng, sigma)
-        )
-        e1 = RnsPolynomial.from_int_coeffs(
-            basis, sample_gaussian_coeffs(basis.n, rng, sigma)
-        )
+        u = sample_ternary(basis, rng).to_ntt()
+        e0 = sample_gaussian(basis, rng, sigma)
+        e1 = sample_gaussian(basis, rng, sigma)
         bu, au = to_domain([pk.b.pointwise_mul(u), pk.a.pointwise_mul(u)], COEFF)
         c0 = bu.add(e0).add(pt.poly)
         c1 = au.add(e1)
@@ -99,9 +89,7 @@ class Encryptor:
         rng = self.chest.rng
         s = self.chest.secret.lift(basis)
         c1 = sample_uniform(basis, rng, NTT)
-        e = RnsPolynomial.from_int_coeffs(
-            basis, sample_gaussian_coeffs(basis.n, rng, self.chest.sigma)
-        )
+        e = sample_gaussian(basis, rng, self.chest.sigma)
         c0 = c1.pointwise_mul(s).to_coeff().neg().add(e).add(pt.poly)
         return Ciphertext(c0=c0, c1=c1.to_coeff(), level=pt.level, scale=pt.scale)
 

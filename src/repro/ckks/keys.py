@@ -23,7 +23,7 @@ from repro.rns.basis import ConversionTable, RnsBasis, conversion_table
 from repro.rns.poly import NTT, RnsPolynomial
 from repro.rns.sampling import (
     DEFAULT_SIGMA,
-    sample_gaussian_coeffs,
+    sample_gaussian,
     sample_ternary_coeffs,
     sample_uniform,
 )
@@ -178,9 +178,7 @@ class KeyChest:
             basis = self.chain.basis_at(level)
             s = self.secret.lift(basis)
             a = sample_uniform(basis, self.rng, NTT)
-            e = RnsPolynomial.from_int_coeffs(
-                basis, sample_gaussian_coeffs(basis.n, self.rng, self.sigma)
-            ).to_ntt()
+            e = sample_gaussian(basis, self.rng, self.sigma).to_ntt()
             b = e.sub(a.pointwise_mul(s))
             key = PublicKey(b=b, a=a, level=level)
             self._public[level] = key
@@ -236,9 +234,7 @@ class KeyChest:
             t_j = q_hat * pow(q_hat, -1, q_j) % big_q
             c_j = p_prod * t_j
             a = sample_uniform(full, self.rng, NTT)
-            e = RnsPolynomial.from_int_coeffs(
-                full, sample_gaussian_coeffs(full.n, self.rng, self.sigma)
-            ).to_ntt()
+            e = sample_gaussian(full, self.rng, self.sigma).to_ntt()
             b = e.add(target.scalar_mul(c_j)).sub(a.pointwise_mul(s))
             stack[0, j], stack[1, j] = b.mat, a.mat
         return KeySwitchKey(

@@ -1,11 +1,9 @@
-"""Homomorphic linear algebra: the building blocks the workloads use.
-
-Every benchmark in the paper is built from three primitives on top of
-the raw evaluator: slot-sum reductions (rotate-and-add trees), plaintext
-matrix x ciphertext vector products via the diagonal method with
-baby-step/giant-step rotation batching, and packed inner products.  This
-module implements them against the scheme-agnostic evaluator, so they run
-identically under BitPacker and RNS-CKKS chains.
+"""Homomorphic linear algebra: plaintext-matrix x ciphertext-vector
+products by the diagonal method with baby-step/giant-step rotation
+batching, the linear transforms of the bootstrap (CoeffToSlot and
+SlotToCoeff, :mod:`repro.ckks.homdft`).  They are written against the
+scheme-agnostic evaluator, so they run identically under BitPacker and
+RNS-CKKS chains.
 
 The diagonal method: for a ``D x D`` matrix ``M`` acting on the first
 ``D`` slots, ``M·x = Σ_j diag_j(M) ⊙ rot(x, j)`` where ``diag_j(M)[i] =
@@ -27,7 +25,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import replace
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -41,39 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ckks.evaluator import Evaluator
 
 
-def sum_slots(evaluator: "Evaluator", ct: Ciphertext, count: int) -> Ciphertext:
-    """Sum the first ``count`` slots into every slot position.
-
-    ``count`` must be a power of two and the remaining slots must be
-    zero (the usual packing convention).  Uses log2(count) rotations.
-    """
-    if count < 1 or count & (count - 1):
-        raise ParameterError(f"slot count must be a power of two, got {count}")
-    acc = ct
-    shift = 1
-    while shift < count:
-        acc = evaluator.add(acc, evaluator.rotate(acc, shift))
-        shift *= 2
-    return acc
-
-
-def inner_product_plain(
-    evaluator: "Evaluator", ct: Ciphertext, weights, count: int
-) -> Ciphertext:
-    """``<w, x>`` replicated into every slot: multiply then sum-reduce."""
-    prod = evaluator.rescale(evaluator.mul_plain(ct, weights))
-    return sum_slots(evaluator, prod, count)
-
-
 class PlainMatrix:
     """A plaintext matrix prepared for homomorphic matvec.
 
     Stores the matrix's generalized diagonals, zero-padded to the slot
     count.  ``dimension`` must divide the slot count so rotations wrap
     consistently; in practice workloads pack one operand block per
-    power-of-two region.  The BSGS path runs it as a one-by-one
-    :class:`PlainBlock` (:attr:`block`), which keeps its encoded
-    diagonals.
+    power-of-two region.  :func:`bsgs_sums` runs it inside a
+    :class:`PlainBlock`, which keeps its encoded diagonals.
     """
 
     def __init__(self, matrix, slots: int):
@@ -98,23 +70,6 @@ class PlainMatrix:
         self.diagonals = np.tile(m[i, (i + i[:, None]) % d], slots // d)
         #: Which diagonals have any nonzero entry (the rest are skipped).
         self.nonzero = self.diagonals.any(axis=1)
-
-    @cached_property
-    def block(self) -> "PlainBlock":
-        """This matrix as a one-by-one block, which keeps its encodings."""
-        return PlainBlock([[self]])
-
-    def apply_bsgs(
-        self, evaluator: "Evaluator", ct: Ciphertext, giant_step: int | None = None
-    ) -> Ciphertext:
-        """Diagonal method with baby-step/giant-step batching.
-
-        Uses ``~2*sqrt(dimension)`` rotations — the count the workload
-        models charge for their matvecs.  The one-term case of
-        :func:`bsgs_sums`.
-        """
-        (out,) = bsgs_sums(evaluator, self.block, [ct], giant_step).unstack()
-        return out
 
 
 class PlainBlock:
@@ -261,9 +216,3 @@ def _all_to(cts: Sequence[Ciphertext], domain: str) -> list[Ciphertext]:
     polys = to_domain([p for ct in cts for p in (ct.c0, ct.c1)], domain)
     return [ct.with_polys(*polys[2 * i : 2 * i + 2]) for i, ct in enumerate(cts)]
 
-
-def matvec(
-    evaluator: "Evaluator", matrix, ct: Ciphertext, slots: int
-) -> Ciphertext:
-    """One-shot plaintext-matrix x ciphertext-vector product (BSGS)."""
-    return PlainMatrix(matrix, slots).apply_bsgs(evaluator, ct)

@@ -2,22 +2,18 @@
 
 Activation functions, sigmoid approximations, and bootstrapping's
 modular-reduction step are all polynomial evaluations on ciphertexts
-(paper Sec. 5's workloads).  Two evaluators are provided:
+(paper Sec. 5's workloads).  :func:`eval_chebyshev` evaluates them by
+baby-step/giant-step in the Chebyshev basis: the polynomial is divided
+by power-of-two ``T_G`` (Chebyshev long division) down to low-degree
+leaves, with the ``T_k`` built as a product tree (``T_{a+b} =
+2·T_a·T_b - T_{a-b}``).  Depth is ``⌈log2 degree⌉ + 1`` and a degree-27
+odd expansion takes 10 ciphertext products; numerically well
+conditioned on [-1, 1] for the higher degrees EvalMod-style
+approximations need.
 
-- :func:`eval_power_basis` — Horner's rule in the monomial basis; depth
-  equals the degree, one ciphertext multiply per coefficient.  Right for
-  the degree-2/3 activations (AESPA, HELR sigmoid).
-- :func:`eval_chebyshev` — baby-step/giant-step in the Chebyshev basis:
-  the polynomial is divided by power-of-two ``T_G`` (Chebyshev long
-  division) down to low-degree leaves, with the ``T_k`` built as a
-  product tree (``T_{a+b} = 2·T_a·T_b - T_{a-b}``).  Depth is
-  ``⌈log2 degree⌉ + 1`` and a degree-27 odd expansion takes 10
-  ciphertext products; numerically far better conditioned on [-1, 1]
-  for the higher degrees EvalMod-style approximations need.
-
-Both handle level alignment internally (operands are ``adjust``-ed onto a
-common level before each multiply), so they exercise exactly the level-
-management machinery the paper redesigns.
+It handles level alignment internally (operands are ``adjust``-ed onto
+a common level before each multiply), so it exercises exactly the
+level-management machinery the paper redesigns.
 """
 
 from __future__ import annotations
@@ -37,25 +33,6 @@ def _align(ev: "Evaluator", a: Ciphertext, b: Ciphertext):
     """Bring two ciphertexts to the lower of their two levels."""
     level = min(a.level, b.level)
     return ev.adjust(a, level), ev.adjust(b, level)
-
-
-def eval_power_basis(
-    ev: "Evaluator", ct: Ciphertext, coeffs: Sequence[float]
-) -> Ciphertext:
-    """Evaluate ``c0 + c1 x + ... + cd x^d`` by Horner's rule.
-
-    ``coeffs`` in ascending order.  Consumes ``deg`` levels.
-    """
-    coeffs = [float(c) for c in coeffs]
-    if len(coeffs) < 2:
-        raise ParameterError("need at least a degree-1 polynomial")
-    # Horner: acc = c_d; acc = acc*x + c_{d-1}; ...
-    acc = ev.rescale(ev.mul_plain(ct, coeffs[-1]))
-    for c in reversed(coeffs[1:-1]):
-        acc = ev.add_plain(acc, c)
-        x_here = ev.adjust(ct, acc.level)
-        acc = ev.multiply_rescale(acc, x_here)
-    return ev.add_plain(acc, coeffs[0])
 
 
 def _chebyshev_term(
@@ -161,16 +138,11 @@ def eval_chebyshev(
     return down(out, ct.level - (d - 1).bit_length() - 1)
 
 
-def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0)) -> np.ndarray:
-    """Chebyshev coefficients of ``fn`` on ``interval`` (ascending order).
+def chebyshev_fit(fn, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of ``fn`` on [-1, 1] (ascending order).
 
-    Thin wrapper over numpy's Chebyshev interpolation, rescaled to the
-    target interval; used by EvalMod's sine approximation.
+    Thin wrapper over numpy's Chebyshev interpolation; used by EvalMod's
+    sine approximation.
     """
-    lo, hi = interval
-
-    def scaled(t):
-        return fn((t + 1.0) * (hi - lo) / 2.0 + lo)
-
-    series = np.polynomial.chebyshev.Chebyshev.interpolate(scaled, degree)
+    series = np.polynomial.chebyshev.Chebyshev.interpolate(fn, degree)
     return np.asarray(series.coef, dtype=float)

@@ -28,7 +28,6 @@ from repro.nt.modmath import (
     mod_inv,
     mod_mul,
     mod_neg,
-    mod_scalar_mul,
     mod_sub,
     uniform_mod,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "mod_sub",
     "mod_neg",
     "mod_mul",
-    "mod_scalar_mul",
     "mod_inv",
     "uniform_mod",
     "NttRowsContext",

@@ -373,7 +373,7 @@ def mod_mul_float_lazy(x: np.ndarray, w, w_over_q, q, out=None) -> np.ndarray:
     return np.subtract(r, q_hat, out=r if out is None else out)
 
 
-def mod_mul_shoup62_lazy(x: np.ndarray, w, w_limbs, q, out=None) -> np.ndarray:
+def mod_mul_shoup62_lazy(x: np.ndarray, w, w_limbs, q) -> np.ndarray:
     """``x·w − q̂·q``: congruent to ``x * w`` mod ``q`` and in ``[0, 4q)``,
     for a constant ``w < q < 2^61`` and any uint64 ``x < 2^63``.
 
@@ -386,8 +386,7 @@ def mod_mul_shoup62_lazy(x: np.ndarray, w, w_limbs, q, out=None) -> np.ndarray:
     wrapped difference is the remainder plus at most ``3q``, and
     ``4q < 2^63`` keeps it exact.  Three limb products where
     :func:`mulhi64` spends four, and the constant arrives pre-split.
-    ``w``, the limbs and ``q`` broadcast against ``x``; ``out`` receives
-    the result (it may be a strided view).
+    ``w``, the limbs and ``q`` broadcast against ``x``.
     """
     w_h, w_l = w_limbs
     x_h = x >> _SHIFT31
@@ -401,7 +400,7 @@ def mod_mul_shoup62_lazy(x: np.ndarray, w, w_limbs, q, out=None) -> np.ndarray:
     mid += np.multiply(x_h, w_h, out=x_h if fits else None)
     mid *= q
     low = np.multiply(x, w, out=x_l if fits else None)
-    return np.subtract(low, mid, out=mid if out is None else out)
+    return np.subtract(low, mid, out=mid)
 
 
 def lazy_fold(x: np.ndarray, m, out=None) -> np.ndarray:
@@ -549,16 +548,6 @@ def mod_mul(a: np.ndarray, b: np.ndarray, q, kind: str | None = None) -> np.ndar
         # Narrow: the product is below 2^62.
         return mod_reduce(a * b, _q_arr(q))  # fhelint: ok[overflow-hazard]
     return _mulmod_wide(a, b, q)
-
-
-def mod_scalar_mul(a: np.ndarray, k: int, q: int) -> np.ndarray:
-    """``(a * k) mod q`` for a scalar ``k`` (any size; reduced first)."""
-    k %= q
-    if q < _NARROW_THRESHOLD:
-        # Narrow backend: both a and k sit below 2^31.
-        return a * np.uint64(k) % np.uint64(q)  # fhelint: ok[overflow-hazard]
-    c = np.uint64((k << 62) // q)
-    return mod_mul_shoup(a, np.uint64(k), (c >> _SHIFT31, c & _MASK31), q)
 
 
 def mod_inv(x: int, q: int) -> int:

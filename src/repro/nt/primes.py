@@ -187,7 +187,7 @@ def all_ntt_friendly_primes(max_bits: int, n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def terminal_prime_candidates(
-    word_bits: int, n: int, count: int = 500, min_bits: int | None = None
+    word_bits: int, n: int, count: int = 500
 ) -> tuple[int, ...]:
     """Candidate terminal primes below ``2**word_bits``, ascending.
 
@@ -203,12 +203,8 @@ def terminal_prime_candidates(
     _check_degree(n)
     progression_length = (1 << word_bits) // (2 * n)
     if word_bits <= 44 and progression_length <= 1 << 20:
-        primes = all_ntt_friendly_primes(word_bits, n)
-        if min_bits is not None:
-            lo = bisect.bisect_left(primes, 1 << min_bits)
-            primes = primes[lo:]
-        return primes
-    low = max(2 * n + 1, 1 << (min_bits or 0))
+        return all_ntt_friendly_primes(word_bits, n)
+    low = 2 * n + 1
     high = 1 << word_bits
     ratio = (high / low) ** (1.0 / count)
     found: list[int] = []

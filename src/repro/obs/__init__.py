@@ -27,10 +27,8 @@ from repro.obs.core import (
     Span,
     count,
     counters,
-    current_span,
     disable,
     enable,
-    enabled,
     epoch,
     reset,
     span,
@@ -58,11 +56,9 @@ __all__ = [
     "count",
     "counters",
     "coverage",
-    "current_span",
     "diff_profiles",
     "disable",
     "enable",
-    "enabled",
     "epoch",
     "kernel_accounting",
     "load_profile",

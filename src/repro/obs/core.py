@@ -66,11 +66,6 @@ def disable() -> None:
     _update_switch()
 
 
-def enabled() -> bool:
-    """Whether the recorder is on."""
-    return _RECORDER_ON
-
-
 def attach_checker(checker) -> None:
     """Attach ``checker`` at the hot boundaries (``None`` detaches).
 
@@ -242,11 +237,6 @@ def span(name: str, **tags):
     if not _RECORDER_ON:
         return NULL_SPAN
     return Span(name, tags)
-
-
-def current_span() -> Span | None:
-    """The innermost open span of this context (``None`` outside any)."""
-    return _CURRENT.get()
 
 
 def take_roots() -> list[Span]:

@@ -94,8 +94,8 @@ class RnsPolynomial:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(cls, basis: RnsBasis, domain: str = COEFF) -> "RnsPolynomial":
-        return cls(basis, np.zeros((basis.size, basis.n), dtype=np.uint64), domain)
+    def zeros(cls, basis: RnsBasis) -> "RnsPolynomial":
+        return cls(basis, np.zeros((basis.size, basis.n), dtype=np.uint64), COEFF)
 
     @classmethod
     def from_int_coeffs(
@@ -264,11 +264,9 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     # Exact reconstruction (test oracle / decode path)
     # ------------------------------------------------------------------
-    def to_int_coeffs(self, signed: bool = True) -> list[int]:
-        """CRT-reconstructed big-integer coefficients.
-
-        With ``signed=True`` (default) coefficients are centered
-        representatives in ``(-Q/2, Q/2]``, the form decryption needs.
+    def to_int_coeffs(self) -> list[int]:
+        """CRT-reconstructed big-integer coefficients, as centered
+        representatives in ``(-Q/2, Q/2]`` (the form decryption needs).
         One polynomial's only: a batch raises.
         """
         if self.batch:
@@ -277,9 +275,7 @@ class RnsPolynomial:
             )
         poly = self.to_coeff()
         values = crt_reconstruct_vector(poly.mat, poly.basis.moduli)
-        if signed:
-            return centered_vector(values, poly.basis.product)
-        return values
+        return centered_vector(values, poly.basis.product)
 
     def copy(self) -> "RnsPolynomial":
         return self._like(self.mat.copy())

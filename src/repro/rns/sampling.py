@@ -66,13 +66,10 @@ def sample_gaussian_coeffs(
     return np.rint(rng.normal(0.0, sigma, size=n)).astype(np.int64)
 
 
-def sample_ternary(
-    basis: RnsBasis, rng: np.random.Generator, hamming_weight: int | None = None
-) -> RnsPolynomial:
-    """Ternary polynomial lifted onto ``basis`` (coefficient domain)."""
-    return RnsPolynomial.from_int_coeffs(
-        basis, sample_ternary_coeffs(basis.n, rng, hamming_weight)
-    )
+def sample_ternary(basis: RnsBasis, rng: np.random.Generator) -> RnsPolynomial:
+    """Uniform ternary polynomial lifted onto ``basis`` (coefficient
+    domain)."""
+    return RnsPolynomial.from_int_coeffs(basis, sample_ternary_coeffs(basis.n, rng))
 
 
 def sample_gaussian(

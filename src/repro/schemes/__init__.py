@@ -16,7 +16,7 @@ from repro.schemes.chain import (
     chain_to_dict,
 )
 from repro.schemes.rns_ckks import plan_rns_ckks_chain
-from repro.schemes.security import check_security, max_log_qp, required_degree
+from repro.schemes.security import max_log_qp
 
 __all__ = [
     "LevelMove",
@@ -26,9 +26,7 @@ __all__ = [
     "plan_chain",
     "plan_rns_ckks_chain",
     "plan_bitpacker_chain",
-    "check_security",
     "max_log_qp",
-    "required_degree",
 ]
 
 

@@ -46,18 +46,3 @@ def max_log_qp(n: int, security_bits: int = 128) -> int:
         raise ParameterError(f"no security entry for ring degree {n}")
     return table[n]
 
-
-def check_security(n: int, log_qp: float, security_bits: int = 128) -> bool:
-    """True iff a chain with total modulus ``log_qp`` meets the target."""
-    return log_qp <= max_log_qp(n, security_bits)
-
-
-def required_degree(log_qp: float, security_bits: int = 128) -> int:
-    """Smallest ring degree whose cap accommodates ``log_qp`` bits."""
-    table = _TABLES[security_bits] if security_bits in _TABLES else None
-    if table is None:
-        raise ParameterError(f"no security table for {security_bits}-bit level")
-    for n in sorted(table):
-        if table[n] >= log_qp:
-            return n
-    raise ParameterError(f"no supported degree fits log2(QP) = {log_qp:.0f}")

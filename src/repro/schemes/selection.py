@@ -334,14 +334,13 @@ def choose_special_moduli(
     level_moduli: Sequence[int],
     ks_digits: int,
     taken: Iterable[int],
-    margin_bits: float = 1.0,
 ) -> tuple[int, ...]:
     """Special primes ``P`` for hybrid keyswitching.
 
     ``P`` must exceed the largest digit product so keyswitch noise stays
     below one bit of the scale.  Digits partition the top level's moduli
     into ``ks_digits`` contiguous groups; we cover the largest group plus
-    ``margin_bits`` using word-sized primes.
+    one bit using word-sized primes.
     """
     groups = np.array_split(np.arange(len(level_moduli)), max(1, ks_digits))
     max_bits = 0.0
@@ -350,7 +349,7 @@ def choose_special_moduli(
             continue
         bits = sum(math.log2(level_moduli[i]) for i in part)
         max_bits = max(max_bits, bits)
-    needed = max_bits + margin_bits
+    needed = max_bits + 1.0
     taken_set = set(taken)
     chosen: list[int] = []
     total = 0.0

@@ -32,9 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, PlanningError
 from repro.nt import modmath
-from repro.nt.primes import ntt_friendly_primes_below
+from repro.schemes.selection import largest_primes_below_word
 
 MAX_WORD_BITS = 61
 
@@ -69,12 +69,11 @@ class KeyMaterial:
 
     def __init__(self, params: KeyParams):
         self.params = params
-        gen = ntt_friendly_primes_below(1 << params.word_bits, params.n)
-        primes = []
         try:
-            for _ in range(params.levels + 1):
-                primes.append(next(gen))
-        except StopIteration:
+            primes = largest_primes_below_word(
+                params.n, params.word_bits, params.levels + 1
+            )
+        except PlanningError:
             raise ParameterError(
                 f"not enough NTT-friendly primes below 2^{params.word_bits} "
                 f"for n={params.n} to build {params.levels + 1} level(s)"

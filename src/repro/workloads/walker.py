@@ -161,15 +161,14 @@ class ProgramWalker:
         b.hadd(self.level, hadd)
         b.padd(self.level, padd)
 
-    def descend(self, levels: int = 1, ciphertexts: float = 1.0) -> None:
-        """Rescale ``ciphertexts`` live ciphertexts down ``levels`` levels."""
-        for _ in range(levels):
-            if self.level == 0:
-                raise ParameterError("descend below level 0; call ensure() first")
-            self.builder.rescale(self.level, ciphertexts)
-            self.level -= 1
+    def descend(self) -> None:
+        """Rescale the live ciphertext down one level."""
+        if self.level == 0:
+            raise ParameterError("descend below level 0; call ensure() first")
+        self.builder.rescale(self.level)
+        self.level -= 1
 
-    def adjust_from(self, src_offset: int, ciphertexts: float = 1.0) -> None:
+    def adjust_from(self, src_offset: int) -> None:
         """Adjust a ciphertext from ``level + src_offset`` to the cursor.
 
         Models residual/skip connections and operand re-alignment, the
@@ -177,7 +176,7 @@ class ProgramWalker:
         """
         src = min(self.level + src_offset, self.max_level)
         if src > self.level:
-            self.builder.adjust(src, self.level, ciphertexts)
+            self.builder.adjust(src, self.level)
 
     def build(self) -> HeTrace:
         return self.builder.build()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.analysis import sanitize
 from repro.ckks import CkksContext
 from repro.nt import modmath
 from repro.nt.ntt import ntt_context
@@ -33,6 +34,13 @@ settings.load_profile("tier1")
 TEST_N = 256
 TEST_LEVELS = 4
 TEST_SCALE_BITS = 30.0
+
+
+@pytest.fixture(autouse=True)
+def _zero_sanitizer_stats():
+    """Every test starts from zeroed sanitizer counters: they are
+    process-wide, and a test that reads them reads its own checks."""
+    sanitize.STATS.update(checks=0, violations=0)
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +98,7 @@ def rng():
 @pytest.fixture
 def counters():
     """``obs`` counter deltas around a block of evaluator calls."""
-    was_recording = obs.enabled()
+    was_recording = obs._RECORDER_ON
     obs.reset()
     obs.enable()
 

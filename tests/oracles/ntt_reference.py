@@ -56,7 +56,7 @@ class ReferenceNttContext:
                 j1 = 2 * i * t
                 s = self._psi_rev[m + i]
                 u = a[j1 : j1 + t]
-                v = modmath.mod_scalar_mul(a[j1 + t : j1 + 2 * t], s, q)
+                v = modmath.mod_mul(a[j1 + t : j1 + 2 * t], np.uint64(s), q)
                 hi = modmath.mod_sub(u, v, q)
                 a[j1 : j1 + t] = modmath.mod_add(u, v, q)
                 a[j1 + t : j1 + 2 * t] = hi
@@ -76,13 +76,13 @@ class ReferenceNttContext:
                 s = self._psi_inv_rev[h + i]
                 u = a[j1 : j1 + t]
                 v = a[j1 + t : j1 + 2 * t]
-                hi = modmath.mod_scalar_mul(modmath.mod_sub(u, v, q), s, q)
+                hi = modmath.mod_mul(modmath.mod_sub(u, v, q), np.uint64(s), q)
                 a[j1 : j1 + t] = modmath.mod_add(u, v, q)
                 a[j1 + t : j1 + 2 * t] = hi
                 j1 += 2 * t
             t *= 2
             m = h
-        return modmath.mod_scalar_mul(a, self._n_inv, q)
+        return modmath.mod_mul(a, np.uint64(self._n_inv), q)
 
 
 @lru_cache(maxsize=256)

@@ -8,11 +8,8 @@ from repro.accel import (
     DEFAULT_AREA_MODEL,
     DEFAULT_ENERGY_MODEL,
     AcceleratorSim,
-    ark_like,
     craterlake,
     kernels,
-    sharp_like,
-    word_size_sweep,
 )
 from repro.accel.area import CRATERLAKE_AREA_28, CRATERLAKE_AREA_64
 from repro.errors import ParameterError, SimulationError
@@ -36,12 +33,14 @@ class TestConfig:
             assert abs(ratio - 1.0) < 0.05  # constant bits/cycle
 
     def test_ark_and_sharp_presets(self):
-        assert ark_like().word_bits == 64
-        assert sharp_like().word_bits == 36
-        assert ark_like().lanes < craterlake().lanes
+        ark, sharp = (craterlake().with_word_size(w) for w in (64, 36))
+        assert ark.word_bits == 64 and ark.name == "craterlake-64"
+        assert sharp.word_bits == 36
+        assert ark.lanes < craterlake().lanes
 
     def test_crb_macs_scale_down(self):
-        assert ark_like().crb_macs_per_lane < craterlake().crb_macs_per_lane
+        ark = craterlake().with_word_size(64)
+        assert ark.crb_macs_per_lane < craterlake().crb_macs_per_lane
 
     def test_register_file_variant(self):
         cfg = craterlake().with_register_file(150.0)
@@ -52,8 +51,11 @@ class TestConfig:
         assert cfg.crb_macs_per_lane == round(56 * 0.72)
 
     def test_word_size_sweep(self):
-        sweep = word_size_sweep()
-        assert [c.word_bits for c in sweep] == list(range(28, 65, 4))
+        """Fig. 14's iso-throughput designs, 28 to 64 bits."""
+        sweep = [craterlake().with_word_size(w) for w in range(28, 65, 4)]
+        assert [c.name for c in sweep] == [f"craterlake-{w}" for w in range(28, 65, 4)]
+        lanes = [c.lanes for c in sweep]
+        assert lanes == sorted(lanes, reverse=True)
 
     def test_invalid_word_size(self):
         with pytest.raises(ParameterError):
@@ -142,7 +144,8 @@ class TestAreaModel:
         assert DEFAULT_AREA_MODEL.total_area(craterlake()) == pytest.approx(
             CRATERLAKE_AREA_28, rel=0.01
         )
-        assert DEFAULT_AREA_MODEL.total_area(ark_like()) == pytest.approx(
+        ark = craterlake().with_word_size(64)
+        assert DEFAULT_AREA_MODEL.total_area(ark) == pytest.approx(
             CRATERLAKE_AREA_64, rel=0.01
         )
 

@@ -3,6 +3,7 @@ on clean code, pragmas suppress, and the repo itself lints clean."""
 
 import ast
 import json
+import re
 import textwrap
 
 import pytest
@@ -17,6 +18,7 @@ from repro.analysis.core import (
 )
 from repro.cli import main
 from repro.errors import ParameterError
+from repro.nt import modmath
 from repro.trace.program import HeTrace, OpKind, TraceBuilder, TraceOp
 from repro.workloads import workload_traces
 
@@ -66,6 +68,27 @@ class TestOverflowPass:
             ["overflow-hazard"],
         )
         assert len(findings) == 1
+
+    def test_messages_name_only_helpers_that_exist(self):
+        """Every ``modmath`` helper a finding tells users to call is one."""
+        findings = lint_str(
+            """
+            import numpy as np
+
+            def f(a: np.ndarray, b: np.ndarray, k, q):
+                x = a * np.uint64(k) % q
+                y = (a + b) % q
+                z = (a - b) % q
+                return x, y, z, (-a) % q, np.float64
+            """,
+            ["overflow-hazard", "dtype-routing"],
+            path="src/repro/nt/modmath.py",
+        )
+        assert {f.rule for f in findings} == {"overflow-hazard", "dtype-routing"}
+        for finding in findings:
+            helpers = re.findall(r"\b(?:mod_\w+|mulhi64)\b", finding.message)
+            assert helpers, finding.message
+            assert all(hasattr(modmath, name) for name in helpers), helpers
 
     def test_float_arrays_not_flagged(self):
         findings = lint_str(

@@ -13,6 +13,7 @@ from repro.errors import InvariantViolation
 from repro.nt import ntt as ntt_mod
 from repro.nt.ntt import forward_rows, inverse_rows
 from repro.nt.primes import ntt_friendly_primes_below
+from repro.obs import core
 from repro.rns.basis import RnsBasis
 from repro.rns.convert import base_convert
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
@@ -30,10 +31,12 @@ def basis():
 def sanitizer():
     """Clean on/off state around every test, whatever it does inside."""
     sanitize.disable()
-    sanitize.reset_stats()
     yield sanitize
     sanitize.disable()
-    sanitize.reset_stats()
+
+
+def _ntt_zeros(basis):
+    return RnsPolynomial(basis, np.zeros((basis.size, N), dtype=np.uint64), NTT)
 
 
 def corrupt_rows():
@@ -148,8 +151,8 @@ class TestCiphertextChecks:
         return Ciphertext(c0=c0, c1=c1, level=level, scale=scale)
 
     def test_mixed_domain_pair_raises_only_when_enabled(self, basis, sanitizer):
-        c0 = RnsPolynomial.zeros(basis, COEFF)
-        c1 = RnsPolynomial.zeros(basis, NTT)
+        c0 = RnsPolynomial.zeros(basis)
+        c1 = _ntt_zeros(basis)
         self._ct(c0, c1)  # disabled: nothing enforces the pairing
         sanitizer.enable()
         with pytest.raises(InvariantViolation, match="domain"):
@@ -158,26 +161,26 @@ class TestCiphertextChecks:
     def test_basis_mismatch_raises(self, basis, sanitizer):
         sanitizer.enable()
         other = RnsBasis(N, (97, 193))
-        c0 = RnsPolynomial.zeros(basis, NTT)
-        c1 = RnsPolynomial.zeros(other, NTT)
+        c0 = _ntt_zeros(basis)
+        c1 = _ntt_zeros(other)
         with pytest.raises(InvariantViolation, match="basis"):
             self._ct(c0, c1)
 
     def test_negative_level_raises(self, basis, sanitizer):
         sanitizer.enable()
-        z = RnsPolynomial.zeros(basis, NTT)
+        z = _ntt_zeros(basis)
         with pytest.raises(InvariantViolation, match="level"):
             self._ct(z, z, level=-1)
 
     def test_nonpositive_scale_raises(self, basis, sanitizer):
         sanitizer.enable()
-        z = RnsPolynomial.zeros(basis, NTT)
+        z = _ntt_zeros(basis)
         with pytest.raises(InvariantViolation, match="scale"):
             self._ct(z, z, scale=Fraction(0))
 
     def test_well_formed_ciphertext_passes(self, basis, sanitizer):
         sanitizer.enable()
-        z = RnsPolynomial.zeros(basis, NTT)
+        z = _ntt_zeros(basis)
         ct = self._ct(z, z)
         assert ct.level == 1
         assert sanitizer.STATS["violations"] == 0
@@ -188,16 +191,16 @@ class TestDisabledCost:
         poly = RnsPolynomial.from_int_coeffs(basis, list(range(N)))
         prod = poly.poly_mul(poly)
         base_convert(prod.to_coeff(), [193])
-        z = RnsPolynomial.zeros(basis, NTT)
+        z = _ntt_zeros(basis)
         Ciphertext(c0=z, c1=z, level=0, scale=Fraction(2**30))
         assert sanitizer.STATS == {"checks": 0, "violations": 0}
 
     def test_enable_disable_roundtrip(self, sanitizer):
-        assert not sanitizer.enabled()
+        assert core.checker() is None
         sanitizer.enable()
-        assert sanitizer.enabled()
+        assert core.checker() is sanitizer
         sanitizer.disable()
-        assert not sanitizer.enabled()
+        assert core.checker() is None
 
 
 class TestEnvSwitch:

@@ -16,6 +16,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evalmod import EvalModConfig, eval_mod
 from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
 from repro.errors import InvariantViolation, ParameterError
+from repro.obs import core
 from repro.rns.poly import RnsPolynomial
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.test_ckks_linear_plan import _per_term_bsgs, same_bytes, serial_rotate_sum
@@ -298,13 +299,14 @@ class TestBatchRules:
         ctx = CkksContext(boot_chain, seed=7)
         ct = ctx.encrypt(np.full(ctx.slots, 0.5))
         pair = stack([ct, ct])
-        was_attached = sanitize.enabled()
+        was_attached = core.checker() is sanitize
+        violations = sanitize.STATS["violations"]
         sanitize.enable()
         try:
             with pytest.raises(InvariantViolation, match="batch"):
                 Ciphertext(pair.c0, ct.c1, ct.level, ct.scale)
+            assert sanitize.STATS["violations"] == violations + 1
         finally:
-            sanitize.reset_stats()  # the violation above was the point
             if not was_attached:
                 sanitize.disable()
 

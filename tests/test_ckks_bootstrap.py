@@ -4,7 +4,6 @@ import pytest
 
 from repro.ckks import CkksContext
 from repro.ckks.bootstrap import BS19, BS26, FunctionalBootstrapper
-from repro.errors import ParameterError
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.conftest import TEST_LEVELS, TEST_N, make_values
 
@@ -66,16 +65,6 @@ class TestFunctionalBootstrap:
             FunctionalBootstrapper(ctx, BS26).bootstrap(ct), vals
         )
         assert p19 < p26
-
-    def test_output_level_override(self, ctx, rng):
-        vals = make_values(ctx, rng)
-        ct = ctx.evaluator.adjust(ctx.encrypt(vals), 0)
-        boot = FunctionalBootstrapper(ctx, BS26, output_level=2)
-        assert boot.bootstrap(ct).level == 2
-
-    def test_bad_output_level(self, ctx):
-        with pytest.raises(ParameterError):
-            FunctionalBootstrapper(ctx, BS19, output_level=99)
 
     def test_enables_unbounded_depth(self, ctx, rng):
         """Fig. 3's arc: compute to level 0, bootstrap, keep computing."""

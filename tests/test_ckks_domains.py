@@ -10,7 +10,7 @@ exact arithmetic in ``Z_q`` — so three things are pinned here:
    digit row transformed, nothing folded into the mod-down).  The
    reference lives in this file, not in ``src/``.
 2. **Structural**: exact ``kernel.ntt.*`` call and element counts for
-   ``mul_plain``, ``multiply`` and ``apply_bsgs`` — the guards that keep
+   ``mul_plain``, ``multiply`` and ``bsgs_sums`` — the guards that keep
    a "transform it back to be safe" from creeping in again.
 3. **Scalar plaintexts**: the constant-polynomial shortcut equals the
    encoder path bit for bit, and only real scalars take it.
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.analysis import sanitize
 from repro.ckks import CkksContext
 from repro.ckks.ciphertext import Ciphertext, Plaintext
-from repro.ckks.linalg import PlainMatrix
+from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 from repro.obs import core as obs
 from repro.rns.poly import COEFF, NTT
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
@@ -182,7 +182,7 @@ OP_ARGS = {
     "sub_plain_scalar": _SCALARS,
     "add_rotated": st.sampled_from([1, 2]), "sub_conjugate": st.none(),
     "add_product": _SEEDS, "multiply": st.none(), "square": st.none(),
-    "rescale": st.none(), "adjust": st.none(), "apply_bsgs": _SEEDS,
+    "rescale": st.none(), "adjust": st.none(), "bsgs_sums": _SEEDS,
 }
 OPS = st.one_of(*(st.tuples(st.just(op), arg) for op, arg in OP_ARGS.items()))
 
@@ -191,7 +191,7 @@ OPS = st.one_of(*(st.tuples(st.just(op), arg) for op, arg in OP_ARGS.items()))
 FIXED_PROGRAMS = {
     "plain-bsgs-square": [
         ("mul_plain_vector", 1), ("add_rotated", 1), ("add_plain_scalar", 0.3),
-        ("rescale", None), ("apply_bsgs", 2), ("square", None),
+        ("rescale", None), ("bsgs_sums", 2), ("square", None),
         ("sub_conjugate", None), ("rescale", None), ("mul_plain_scalar", 0.5),
         ("sub_plain_scalar", -0.2),
     ],
@@ -243,10 +243,11 @@ def _run(ev, ctx: CkksContext, fresh: Ciphertext, program, skipped=None):
             cur, pending = ev.rescale(cur), False
         elif op == "adjust" and fresh_product:
             cur = ev.adjust(cur, cur.level - 1)
-        elif op == "apply_bsgs" and fresh_product:
+        elif op == "bsgs_sums" and fresh_product:
             matrix = np.random.default_rng(arg).uniform(
                 -1.0, 1.0, (MATRIX_DIM, MATRIX_DIM))
-            cur = PlainMatrix(matrix, ctx.slots).apply_bsgs(ev, cur, giant_step=2)
+            block = PlainBlock([[PlainMatrix(matrix, ctx.slots)]])
+            (cur,) = bsgs_sums(ev, block, [cur], giant_step=2).unstack()
         elif skipped is not None:
             skipped.append(op)
     return cur
@@ -300,7 +301,7 @@ class TestDifferential:
 @pytest.fixture
 def ntt_counts():
     """Record ``kernel.ntt.*`` counters around a block of evaluator calls."""
-    was_recording = obs.enabled()
+    was_recording = obs._RECORDER_ON
     obs.reset()
     obs.enable()
 
@@ -390,11 +391,11 @@ class TestTransformCounts:
         n, top = ctx.chain.n, ctx.chain.max_level
         r, full, digits = _shape(ctx, top)
         matrix = rng.uniform(-1, 1, (dim, dim))
-        pm = PlainMatrix(matrix, ctx.slots)
+        block = PlainBlock([[PlainMatrix(matrix, ctx.slots)]])
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        pm.apply_bsgs(ctx.evaluator, ct, giant_step=giant)  # rotation keys are lazy
+        bsgs_sums(ctx.evaluator, block, [ct], giant)  # rotation keys are lazy
         before = ntt_counts()
-        out = pm.apply_bsgs(ctx.evaluator, ct, giant_step=giant)
+        (out,) = bsgs_sums(ctx.evaluator, block, [ct], giant).unstack()
         after = ntt_counts()
         assert out.level == top - 1
         giants_rotated = dim // giant - 1
@@ -424,7 +425,7 @@ class TestTransformCounts:
 class TestMixedDomains:
     @pytest.fixture
     def sanitizer(self):
-        was_attached = sanitize.enabled()
+        was_attached = obs.checker() is sanitize
         sanitize.enable()
         yield sanitize
         if not was_attached:

@@ -1,9 +1,10 @@
-"""Homomorphic linear algebra tests (BSGS matvec, reductions)."""
+"""Homomorphic linear algebra tests: the BSGS diagonal method on one
+matrix (:func:`bsgs_sums` over a one-by-one :class:`PlainBlock`)."""
 
 import numpy as np
 import pytest
 
-from repro.ckks.linalg import PlainMatrix, inner_product_plain, matvec, sum_slots
+from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 from repro.errors import ParameterError
 from tests.conftest import make_values
 from tests.oracles.plaintext import reference_matvec
@@ -17,33 +18,27 @@ def _tiled(rng, dimension, slots, magnitude=1.0):
 
 class TestSumSlots:
     def test_full_reduction(self, ctx, rng):
+        """An all-ones row sums the first 8 slots into slot 0."""
         vals = np.zeros(ctx.slots)
         vals[:8] = rng.uniform(-1, 1, 8)
-        ct = sum_slots(ctx.evaluator, ctx.encrypt(vals), 8)
+        block = PlainBlock([[PlainMatrix(np.ones((8, 8)), ctx.slots)]])
+        (ct,) = bsgs_sums(ctx.evaluator, block, [ctx.encrypt(vals)]).unstack()
         got = ctx.decrypt_real(ct)[0]
         assert abs(got - vals.sum()) < 2.0**-10
-
-    def test_non_power_of_two_rejected(self, ctx, rng):
-        ct = ctx.encrypt(make_values(ctx, rng))
-        with pytest.raises(ParameterError):
-            sum_slots(ctx.evaluator, ct, 6)
-
-    def test_count_one_is_identity(self, ctx, rng):
-        vals = make_values(ctx, rng)
-        ct = ctx.encrypt(vals)
-        assert sum_slots(ctx.evaluator, ct, 1) is ct
 
 
 class TestInnerProduct:
     def test_matches_numpy(self, ctx, rng):
+        """``<w, x>`` as the first row of a matrix."""
         d = 16
         vals = np.zeros(ctx.slots)
         vals[:d] = rng.uniform(-1, 1, d)
-        weights = np.zeros(ctx.slots)
-        weights[:d] = rng.uniform(-1, 1, d)
-        ct = inner_product_plain(ctx.evaluator, ctx.encrypt(vals), weights, d)
+        weights = np.zeros((d, d))
+        weights[0] = rng.uniform(-1, 1, d)
+        block = PlainBlock([[PlainMatrix(weights, ctx.slots)]])
+        (ct,) = bsgs_sums(ctx.evaluator, block, [ctx.encrypt(vals)]).unstack()
         got = ctx.decrypt_real(ct)[0]
-        assert abs(got - weights[:d] @ vals[:d]) < 2.0**-9
+        assert abs(got - weights[0] @ vals[:d]) < 2.0**-9
 
 
 class TestPlainMatrix:
@@ -56,21 +51,21 @@ class TestPlainMatrix:
     def test_identity_matvec(self, ctx, rng):
         d = 8
         vals = _tiled(rng, d, ctx.slots)
-        ct = matvec(ctx.evaluator, np.eye(d), ctx.encrypt(vals), ctx.slots)
+        block = PlainBlock([[PlainMatrix(np.eye(d), ctx.slots)]])
+        (ct,) = bsgs_sums(ctx.evaluator, block, [ctx.encrypt(vals)]).unstack()
         assert ctx.precision_bits(ct, vals) > 9
 
     @pytest.mark.parametrize("bsgs", [False, True])
     def test_random_matvec_matches_numpy(self, ctx, rng, bsgs):
         """Without the split (``giant_step=1``: one rotation per
-        diagonal) and with it (``matvec``'s default giant step)."""
+        diagonal) and with it (the default giant step)."""
         d = 8
         m = rng.uniform(-1, 1, (d, d))
         vals = _tiled(rng, d, ctx.slots)
         enc = ctx.encrypt(vals)
-        if bsgs:
-            ct = matvec(ctx.evaluator, m, enc, ctx.slots)
-        else:
-            ct = PlainMatrix(m, ctx.slots).apply_bsgs(ctx.evaluator, enc, 1)
+        block = PlainBlock([[PlainMatrix(m, ctx.slots)]])
+        giant_step = None if bsgs else 1
+        (ct,) = bsgs_sums(ctx.evaluator, block, [enc], giant_step).unstack()
         assert ctx.precision_bits(ct, reference_matvec(m, vals)) > 8
 
     def test_bsgs_equals_naive(self, bp_ctx, rng):
@@ -80,9 +75,10 @@ class TestPlainMatrix:
         m = rng.uniform(-1, 1, (d, d))
         vals = _tiled(rng, d, bp_ctx.slots)
         enc = bp_ctx.encrypt(vals)
-        pm = PlainMatrix(m, bp_ctx.slots)
-        naive = bp_ctx.decrypt_real(pm.apply_bsgs(bp_ctx.evaluator, enc, 1))
-        fast = bp_ctx.decrypt_real(pm.apply_bsgs(bp_ctx.evaluator, enc))
+        block = PlainBlock([[PlainMatrix(m, bp_ctx.slots)]])
+        (naive,) = bsgs_sums(bp_ctx.evaluator, block, [enc], 1).unstack()
+        (fast,) = bsgs_sums(bp_ctx.evaluator, block, [enc]).unstack()
+        naive, fast = bp_ctx.decrypt_real(naive), bp_ctx.decrypt_real(fast)
         assert np.max(np.abs(naive - fast)) < 2.0**-9
 
     def test_permutation_matrix(self, ctx, rng):
@@ -94,15 +90,16 @@ class TestPlainMatrix:
         d = 8
         perm = np.roll(np.eye(d), -1, axis=1)
         vals = _tiled(rng, d, ctx.slots)
-        ct = matvec(ctx.evaluator, perm, ctx.encrypt(vals), ctx.slots)
+        block = PlainBlock([[PlainMatrix(perm, ctx.slots)]])
+        (ct,) = bsgs_sums(ctx.evaluator, block, [ctx.encrypt(vals)]).unstack()
         assert ctx.precision_bits(ct, np.roll(vals, 1)) > 9
 
     def test_sparse_matrix_skips_zero_diagonals(self, bp_ctx, rng):
         d = 8
         m = np.diag(rng.uniform(0.5, 1.0, d))  # only diagonal 0 nonzero
         vals = _tiled(rng, d, bp_ctx.slots)
-        pm = PlainMatrix(m, bp_ctx.slots)
-        ct = pm.apply_bsgs(bp_ctx.evaluator, bp_ctx.encrypt(vals))
+        block = PlainBlock([[PlainMatrix(m, bp_ctx.slots)]])
+        (ct,) = bsgs_sums(bp_ctx.evaluator, block, [bp_ctx.encrypt(vals)]).unstack()
         assert bp_ctx.precision_bits(ct, reference_matvec(m, vals)) > 9
 
     def test_rectangular_rejected(self, bp_ctx):
@@ -115,9 +112,8 @@ class TestPlainMatrix:
 
     def test_zero_matrix_rejected(self, bp_ctx, rng):
         pm = PlainMatrix(np.zeros((4, 4)), bp_ctx.slots)
-        ct = bp_ctx.encrypt(_tiled(rng, 4, bp_ctx.slots))
         with pytest.raises(ParameterError):
-            pm.apply_bsgs(bp_ctx.evaluator, ct)
+            PlainBlock([[pm]])
 
     def test_scheme_agnostic(self, bp_ctx, rns_ctx, rng):
         d = 8
@@ -126,6 +122,7 @@ class TestPlainMatrix:
         outs = []
         for c in (bp_ctx, rns_ctx):
             vals = np.tile(block, c.slots // d)
-            ct = matvec(c.evaluator, m, c.encrypt(vals), c.slots)
+            plain = PlainBlock([[PlainMatrix(m, c.slots)]])
+            (ct,) = bsgs_sums(c.evaluator, plain, [c.encrypt(vals)]).unstack()
             outs.append(c.decrypt_real(ct)[:d])
         assert np.max(np.abs(outs[0] - outs[1])) < 2.0**-9

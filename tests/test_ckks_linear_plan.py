@@ -9,7 +9,7 @@ tests are bit-for-bit wherever two schedules compute the same thing:
    (``test_ckks_domains.EagerEvaluator``) — residue for residue, on a
    uint32-word chain and a uint64-word chain.
 2. **Block sums** (``bsgs_sums``) decrypt to the cleartext block product
-   and agree with separate ``apply_bsgs`` calls added up.  Against a
+   and agree with one-matrix products added up.  Against a
    per-term reference built from public ops they are bit-identical with
    one giant step and within 2^-20 after decryption with several (the
    giant steps share one mod-down, so they round once); against the same
@@ -159,7 +159,9 @@ class TestBlockSums:
         ct_x, ct_y = ctx.encrypt(x), ctx.encrypt(y)
         ev = ctx.evaluator
         (merged,) = bsgs_sums(ev, PlainBlock([[a, b]]), [ct_x, ct_y]).unstack()
-        separate = ev.add(a.apply_bsgs(ev, ct_x), b.apply_bsgs(ev, ct_y))
+        (ax,) = bsgs_sums(ev, PlainBlock([[a]]), [ct_x]).unstack()
+        (by,) = bsgs_sums(ev, PlainBlock([[b]]), [ct_y]).unstack()
+        separate = ev.add(ax, by)
         assert (merged.level, merged.scale) == (separate.level, separate.scale)
         assert np.max(
             np.abs(ctx.decrypt_real(merged) - ctx.decrypt_real(separate))
@@ -219,7 +221,7 @@ def row_plan(ev, m: PlainMatrix, level: int, g: int) -> dict[int, Plaintext]:
     """``m``'s encoded diagonals on their own, as ``(R, n)`` plaintexts."""
     return {
         j: Plaintext(RnsPolynomial(pt.basis, pt.poly.mat[0], NTT), pt.scale, pt.level)
-        for j, pt in m.block.encoded(ev, level, g)[0].items()
+        for j, pt in PlainBlock([[m]]).encoded(ev, level, g)[0].items()
     }
 
 
@@ -493,21 +495,21 @@ class TestPlanCache:
     def test_one_encoding_per_level(self, plan_ctx, rng, encodes):
         ctx, d = plan_ctx, 8
         ev = ctx.evaluator
-        pm = PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots)
+        block = PlainBlock([[PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots)]])
         top = ctx.encrypt(_tiled(rng, d, ctx.slots))
         lower = ev.adjust(top, top.level - 1)
         encodes.clear()
-        first = pm.apply_bsgs(ev, top)
+        first = bsgs_sums(ev, block, [top])
         assert len(encodes) == d
-        again = pm.apply_bsgs(ev, top)
+        again = bsgs_sums(ev, block, [top])
         assert len(encodes) == d  # same level: nothing encoded
         assert np.array_equal(first.c0.mat, again.c0.mat)
-        pm.apply_bsgs(ev, lower)
+        bsgs_sums(ev, block, [lower])
         assert len(encodes) == 2 * d  # a second level: a second set
-        pm.apply_bsgs(ev, top)
-        pm.apply_bsgs(ev, lower)
+        bsgs_sums(ev, block, [top])
+        bsgs_sums(ev, block, [lower])
         assert len(encodes) == 2 * d
-        pm.apply_bsgs(ev, top, giant_step=2)  # pre-rotations differ
+        bsgs_sums(ev, block, [top], giant_step=2)  # pre-rotations differ
         assert len(encodes) == 3 * d
 
     def test_cached_diagonals_equal_per_apply_encoding(self, plan_ctx, rng):
@@ -538,7 +540,7 @@ class TestPlanCache:
     def test_cap_is_honoured(self, plan_ctx, rng, encodes):
         ctx, d = plan_ctx, 4
         ev = ctx.evaluator
-        block = PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots).block
+        block = PlainBlock([[PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots)]])
         top = ctx.chain.max_level
         assert PlainBlock.ENCODINGS_KEPT == 2
         for level in (top, top - 1, top - 2):

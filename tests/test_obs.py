@@ -87,7 +87,7 @@ class TestSpans:
         [root] = core.take_roots()
         assert root.name == "outer"
         assert [c.name for c in root.children] == ["inner"]
-        assert core.current_span() is None
+        assert core._CURRENT.get() is None
 
 
 class TestMetrics:
@@ -107,7 +107,7 @@ class TestMetrics:
         core.reset()
         assert core.counters() == {}
         assert core.take_roots() == []
-        assert core.enabled()
+        assert core._RECORDER_ON
 
 
 # ----------------------------------------------------------------------
@@ -264,12 +264,10 @@ def _seam_program(ctx):
 
 @pytest.fixture
 def detached():
-    """The sanitizer detached and its stats zeroed, restored afterwards."""
-    was_attached = sanitize.enabled()
+    """The sanitizer detached, reattached afterwards if it was."""
+    was_attached = core.checker() is sanitize
     sanitize.disable()
-    sanitize.reset_stats()
     yield
-    sanitize.reset_stats()
     if was_attached:
         sanitize.enable()
 
@@ -309,7 +307,7 @@ class TestSeam:
         sanitize.enable()
         try:
             core.disable()
-            assert core.ACTIVE and sanitize.enabled()
+            assert core.ACTIVE and core.checker() is sanitize
             assert obs.span("x") is core.NULL_SPAN
         finally:
             sanitize.disable()
@@ -516,7 +514,7 @@ class TestProfileCli:
         # The rendered summary went to stdout; the recorder is off again.
         out = capsys.readouterr().out
         assert "kernel accounting" in out and "span quantiles" in out
-        assert not core.enabled()
+        assert not core._RECORDER_ON
 
     def test_document_keeps_the_schema_the_profile_command_wrote(
         self, fig11_profile

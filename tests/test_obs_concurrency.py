@@ -85,7 +85,7 @@ class TestTaskIsolation:
             await gate.wait()
             # The opener's span is live right now, but it belongs to
             # the opener's context, not ours.
-            observed["current"] = core.current_span()
+            observed["current"] = core._CURRENT.get()
 
         async def scenario():
             gate = asyncio.Event()

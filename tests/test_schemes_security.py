@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ParameterError
-from repro.schemes.security import (
-    check_security,
-    max_log_qp,
-    required_degree,
-)
+from repro.schemes.security import max_log_qp
 
 
 class TestSecurityTable:
@@ -18,8 +14,7 @@ class TestSecurityTable:
 
     def test_paper_parameters_fit(self):
         """The paper's 1596-bit budget at N=2^16 meets 128-bit security."""
-        assert check_security(65536, 1596, 128)
-        assert not check_security(65536, 1800, 128)
+        assert 1596 <= max_log_qp(65536, 128) < 1800
 
     def test_80_bit_allows_more(self):
         assert max_log_qp(65536, 80) > max_log_qp(65536, 128)
@@ -30,13 +25,12 @@ class TestSecurityTable:
             assert 1.8 < ratio < 2.3
 
     def test_required_degree(self):
-        assert required_degree(1596, 128) == 65536
-        assert required_degree(100, 128) == 4096
+        """1596 bits need N = 2^16; 100 bits fit N = 4096."""
+        assert max_log_qp(32768) < 1596 <= max_log_qp(65536)
+        assert max_log_qp(2048) < 100 <= max_log_qp(4096)
 
     def test_unknown_levels_rejected(self):
         with pytest.raises(ParameterError):
             max_log_qp(65536, 256)
         with pytest.raises(ParameterError):
             max_log_qp(1000, 128)
-        with pytest.raises(ParameterError):
-            required_degree(10**6, 128)

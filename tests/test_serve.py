@@ -15,6 +15,8 @@ books balance after every scenario (DESIGN.md Sec. 13)::
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -106,6 +108,25 @@ class TestKeys:
         c = KeyMaterial(KeyParams(n=128, word_bits=28, levels=3))
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
+
+    def test_ladder_keys_are_pinned(self):
+        """The ladder's tenants at n = 8192 keep their primes and
+        fingerprints: batch keys, shards and the ladder's prefix-shared
+        operand pool all follow them."""
+        service = BitPackerServe(shards=2, queue_depth=64, max_batch=16)
+        register_tenants(service, LoadSpec(tenants=6, n=8192))
+        got = {}
+        for rank in range(6):
+            key = service.sessions[tenant_name(rank)].key
+            digest = hashlib.sha256(json.dumps(key.primes).encode()).hexdigest()
+            got[key.params.levels] = (key.fingerprint, digest[:16])
+        assert got == {
+            26: ("e08e75523bbabcc0", "36d1096ddc5513fe"),
+            24: ("bbbca3e114f7801f", "df10d7da0c7b905f"),
+            23: ("7ba67628d1138dd9", "282e92452b2cc624"),
+        }
+        with pytest.raises(ParameterError, match="not enough"):
+            KeyMaterial(KeyParams(n=64, word_bits=8, levels=1))
 
     def test_moduli_are_ntt_friendly_and_level_sliced(self):
         key = KeyMaterial(KeyParams(n=64, word_bits=28, levels=3))

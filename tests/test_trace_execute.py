@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.absint import check_observations, verify_or_raise
+from repro.obs import core
 from repro.trace import TraceExecutor
 from repro.trace.program import HeTrace, OpKind, TraceOp
 from tests.conftest import TEST_LEVELS, TEST_N, TEST_SCALE_BITS
@@ -88,7 +89,7 @@ class TestOpLog:
         # REPRO_SANITIZE=1 alone must not grow the log: recording is a
         # separate switch so long CI runs stay bounded.
         ct = bp_ctx.encrypt((0.5,), level=1)
-        was_attached = sanitize.enabled()
+        was_attached = core.checker() is sanitize
         try:
             sanitize.enable()
             before = len(sanitize._OP_LOG)
@@ -100,14 +101,14 @@ class TestOpLog:
                 sanitize.disable()
 
     def test_record_ops_scopes_and_restores_flags(self, bp_ctx):
-        saved_attached, saved_recording = sanitize.enabled(), sanitize.RECORDING
+        saved_attached, saved_recording = core.checker() is sanitize, sanitize.RECORDING
         ct = bp_ctx.encrypt((0.5,), level=1)
         with sanitize.record_ops() as log:
-            assert sanitize.enabled() and sanitize.RECORDING
+            assert core.checker() is sanitize and sanitize.RECORDING
             sanitize.observe_op("hadd", ct)
             assert len(log) == 1
             obs = log[0]
-        assert sanitize.enabled() == saved_attached
+        assert (core.checker() is sanitize) == saved_attached
         assert sanitize.RECORDING == saved_recording
         assert obs.kind == "hadd"
         assert obs.level == 1
