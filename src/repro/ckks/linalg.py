@@ -1,9 +1,9 @@
 """Homomorphic linear algebra: plaintext-matrix x ciphertext-vector
 products by the diagonal method with baby-step/giant-step rotation
-batching, the linear transforms of the bootstrap (CoeffToSlot and
-SlotToCoeff, :mod:`repro.ckks.homdft`).  They are written against the
-scheme-agnostic evaluator, so they run identically under BitPacker and
-RNS-CKKS chains.
+batching, which the bootstrap's linear transforms (CoeffToSlot and
+SlotToCoeff, :mod:`repro.ckks.homdft`) run on.  They are written against
+the scheme-agnostic evaluator, so they run identically under BitPacker
+and RNS-CKKS chains.
 
 The diagonal method: for a ``D x D`` matrix ``M`` acting on the first
 ``D`` slots, ``M·x = Σ_j diag_j(M) ⊙ rot(x, j)`` where ``diag_j(M)[i] =

@@ -6,7 +6,6 @@ import pytest
 
 from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 from repro.errors import ParameterError
-from tests.conftest import make_values
 from tests.oracles.plaintext import reference_matvec
 
 
