@@ -10,8 +10,10 @@ every op returns them in the domain it computed them in — nothing is
 transformed back "to be safe".  Products (``mul_plain``) stop at the
 Hadamard product, in NTT form; whatever ends in a ``scale_down``
 (``multiply``, ``rotate``, ``rescale``, ``adjust``) comes out in
-coefficient form; linear ops keep their operand's domain, and a binary
-op on mixed domains brings the NTT operand to coefficient form.  Each
+coefficient form, and a rotation stopped before it (``rotate_lifted``)
+in NTT form over ``M ∪ P``; linear ops keep their operand's domain, and
+a binary op on mixed domains brings the NTT operand to coefficient
+form.  Each
 residue row is then transformed when an op needs the other domain and
 not before, which is the (I)NTT count :mod:`repro.accel.kernels` charges.
 
@@ -39,7 +41,7 @@ from repro.ckks.keys import KeyChest, KeySwitchKey
 from repro.errors import ParameterError, ScaleMismatchError
 from repro.obs import core as _obs
 from repro.nt.ntt import forward_rows, galois_permutation
-from repro.rns.convert import convert_by_table, scale_down_all, scale_up
+from repro.rns.convert import convert_by_table, scale_down, scale_down_all, scale_up
 from repro.rns.poly import COEFF, NTT, RnsPolynomial, to_domain
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -264,36 +266,104 @@ class Evaluator:
     # ------------------------------------------------------------------
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate the encrypted vector left by ``steps`` slots."""
-        return self.rotate_hoisted(ct, [steps])[0]
+        return self._galois(ct, self._element(steps))
 
-    def rotate_hoisted(self, ct: Ciphertext, steps: Sequence[int]) -> list[Ciphertext]:
-        """``[rotate(ct, s) for s in steps]`` from one digit decomposition:
-        ``c1``'s digits are extended and transformed once, and each
-        rotation permutes them in NTT form.  Bit-identical to separate
-        rotations — the exact centered base conversion commutes with
-        the signed coefficient permutation ``X -> X^g``."""
-        slots, two_n = self.encoder.slots, 2 * self.chain.n
-        return self._apply_galois(ct, [pow(5, s % slots, two_n) for s in steps])
+    def conjugate(self, ct: Ciphertext) -> Ciphertext:
+        """Complex-conjugate the encrypted slots."""
+        return self._galois(ct, 2 * self.chain.n - 1)
+
+    def _element(self, steps: int) -> int:
+        """The Galois element of a left rotation by ``steps`` slots."""
+        return pow(5, steps % self.encoder.slots, 2 * self.chain.n)
+
+    def _galois(self, ct: Ciphertext, g: int) -> Ciphertext:
+        """``ct`` under ``X -> X^g`` (``g = 1`` is ``ct`` itself): its
+        key products modded down.  An NTT-form ``c0`` enters the
+        accumulators lifted by ``P``, as in :meth:`rotate_lifted`; a
+        coefficient-form one is permuted and added after the mod-down,
+        with no transform.  Either way the bytes are the same:
+        ``round((P·a + y) / P) = a + round(y / P)``."""
+        if g == 1:
+            return ct
+        specials = self.chain.special_moduli
+        lift = ct.c0.domain == NTT
+        (acc,) = self._switched(ct, [g], scale_up(ct.c0, specials) if lift else None)
+        k0, k1 = _mod_down(acc, specials)
+        c0 = k0 if lift else ct.c0.galois(g).add(k0)
+        return _done(Ciphertext(c0, k1, ct.level, ct.scale), "hrot", "rotate")
+
+    def rotate_lifted(self, ct: Ciphertext, steps: Sequence[int]) -> list[Ciphertext]:
+        """``P·rotate(ct, s)`` for each ``s`` in ``steps``, unrounded: the
+        NTT-form accumulators over the key-switch basis ``M ∪ P`` that a
+        rotation holds just before its mod-down, at ``ct``'s level and
+        scale.  Step 0 is ``ct`` lifted by ``P`` (``scale_up``).
+
+        Modded down, each is :meth:`rotate`'s result bit for bit; kept
+        lifted, they feed :meth:`mul_encoded_sum` and
+        :meth:`rotate_sum` over ``M ∪ P`` with no mod-down and no
+        transform back ("double hoisting", Bossuat et al., Eurocrypt
+        2021).
+        """
+        specials = self.chain.special_moduli
+        c0, c1 = (scale_up(p, specials) for p in to_domain((ct.c0, ct.c1), NTT))
+        elements = [self._element(s) for s in steps]
+        switched = iter(self._switched(ct, [g for g in elements if g != 1], c0))
+        out = []
+        for g in elements:
+            if g == 1:
+                out.append(Ciphertext(c0, c1, ct.level, ct.scale))
+            else:
+                lifted = Ciphertext(*next(switched), ct.level, ct.scale)
+                out.append(_done(lifted, "hrot", "rotate"))
+        return out
+
+    def _switched(
+        self, ct: Ciphertext, elements: Sequence[int], c0: RnsPolynomial | None
+    ) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+        """Per Galois element ``g``, the keyswitch accumulators of
+        ``c1(X^g)`` over ``M ∪ P``, in NTT form, with ``c0`` (NTT form
+        over ``M ∪ P``) permuted by ``g`` and added when given.
+
+        All from one digit decomposition: ``c1``'s digits are extended
+        and transformed once, and each element permutes them in NTT
+        form.  That equals decomposing the permuted ``c1`` — the exact
+        centered base conversion commutes with the signed coefficient
+        permutation ``X -> X^g`` — so it is bit-identical to separate
+        rotations.
+        """
+        out = []
+        for g in elements:
+            ksk = self.chest.galois_key(ct.level, g)
+            if not out:
+                # The digit layout is the level's, the same for every g.
+                ext = self._extended_digits(ct.c1, ksk)
+            # take, not ext[..., perm]: that would come back strided.
+            turned = np.take(ext, galois_permutation(ct.basis.n, g), axis=-1)
+            init = (None if c0 is None else c0.galois(g), None)
+            out.append(self._key_products([(turned, ksk)], init))
+        return out
 
     def rotate_sum(self, terms: Iterable[tuple[int, Ciphertext]]) -> Ciphertext:
-        """``Σ rotate(ct, steps)`` over ``(steps, ct)`` terms, with one
+        """``Σ rotate(x, steps)`` over ``(steps, P·x)`` terms, with one
         mod-down for the whole sum, in coefficient form.
 
-        Every rotated term is switched in one stacked keyswitch: their
-        ``c1`` stack as ``(G, *batch, R, n)`` for one inverse, one base
-        conversion and one forward (the digit layout is the level's,
-        the same for every Galois element), each term's digits permuted
-        by its own element, and one multiply-accumulate per accumulator
-        over all ``G·D`` digits against their keys' rows.  The
-        ``galois(c0)`` terms and the unrotated terms are summed over
-        ``M`` and lifted by ``P`` once (``scale_up`` is linear, and
-        ``round((x + P·f) / P) = round(x / P) + f``).  The sum takes one
-        inverse transform and one ``scale_down`` pair, where separate
-        rotations take one each ("double hoisting", Bossuat et al.,
-        Eurocrypt 2021); its only rounding is that one division.  A lone
-        unrotated term is returned as it is.  The stack needs every
-        term, so ``terms`` is drawn whole first: a lazy ``terms`` runs
-        its own ops before the ``hrot`` and ``hadd`` this logs.
+        Each term is lifted: NTT-form over ``M ∪ P``, ``P`` times a
+        ciphertext at its level and scale, as :meth:`rotate_lifted`
+        and :meth:`mul_encoded_sum` over its babies leave it.  The
+        unrotated terms and every ``galois(c0)`` go straight into the
+        accumulators.  The rotated terms' ``c1`` stack as
+        ``(G, *batch, |M ∪ P|, n)`` and take one ``scale_down`` to
+        ``M`` (the digits a keyswitch decomposes), then one stacked
+        keyswitch: one base conversion and one forward (the digit
+        layout is the level's, the same for every Galois element), each
+        term's digits permuted by its own element, and one
+        multiply-accumulate per accumulator over all ``G·D`` digits
+        against their keys' rows.  The sum then takes one inverse
+        transform and one ``scale_down`` pair, where separate rotations
+        take one each ("double hoisting", Bossuat et al., Eurocrypt
+        2021).  The stack needs every term, so ``terms`` is drawn whole
+        first: a lazy ``terms`` runs its own ops before the ``hrot`` and
+        ``hadd`` this logs.
         """
         terms = list(terms)
         if not terms:
@@ -301,21 +371,18 @@ class Evaluator:
         first = terms[0][1]
         for _, ct in terms[1:]:
             check_addable(first, ct)
-        slots, two_n = self.encoder.slots, 2 * self.chain.n
-        elements = [pow(5, steps % slots, two_n) for steps, _ in terms]
-        if elements == [1]:
-            return first
+        elements = [self._element(steps) for steps, _ in terms]
+        specials = self.chain.special_moduli
         polys = to_domain([p for _, ct in terms for p in (ct.c0, ct.c1)], NTT)
         c0 = [p if g == 1 else p.galois(g) for g, p in zip(elements, polys[::2])]
         c1 = [p for g, p in zip(elements, polys[1::2]) if g == 1]
+        acc = [reduce(RnsPolynomial.add, c) if c else None for c in (c0, c1)]
         rotated = [(g, p) for g, p in zip(elements, polys[1::2]) if g != 1]
-        specials = self.chain.special_moduli
-        acc = [scale_up(reduce(RnsPolynomial.add, c), specials) if c else None
-               for c in (c0, c1)]
         if rotated:
             ksks = [self.chest.galois_key(first.level, g) for g, _ in rotated]
             c1s = np.stack([p.mat for _, p in rotated])
-            ext = self._extended_digits(RnsPolynomial(first.basis, c1s, NTT), ksks[0])
+            c1s = scale_down(RnsPolynomial(first.basis, c1s, NTT), specials)
+            ext = self._extended_digits(c1s, ksks[0])
             turned = (
                 np.take(digits, galois_permutation(first.basis.n, g), axis=-1)
                 for digits, (g, _) in zip(ext, rotated)
@@ -327,34 +394,6 @@ class Evaluator:
             if i:
                 _done(first, "hadd")
         return Ciphertext(*_mod_down(acc, specials), first.level, first.scale)
-
-    def conjugate(self, ct: Ciphertext) -> Ciphertext:
-        """Complex-conjugate the encrypted slots."""
-        return self._apply_galois(ct, [2 * self.chain.n - 1])[0]
-
-    def _apply_galois(
-        self, ct: Ciphertext, elements: Sequence[int]
-    ) -> list[Ciphertext]:
-        """``ct`` under ``X -> X^g`` for each ``g`` (1 is ``ct`` itself)."""
-        out: list[Ciphertext] = []
-        c0 = c1 = ext = None
-        for g in elements:
-            if g == 1:
-                out.append(ct)
-                continue
-            ksk = self.chest.galois_key(ct.level, g)
-            if ext is None:
-                # The digit layout is the level's, the same for every g.
-                c0, c1 = to_domain((ct.c0, ct.c1), COEFF)
-                ext = self._extended_digits(c1, ksk)
-            # take, not ext[..., perm]: that would come back strided.
-            turned = np.take(ext, galois_permutation(ct.basis.n, g), axis=-1)
-            k0, k1 = self._inner_product(turned, ksk)
-            rotated = Ciphertext(
-                c0=c0.galois(g).add(k0), c1=k1, level=ct.level, scale=ct.scale
-            )
-            out.append(_done(rotated, "hrot", "rotate"))
-        return out
 
     # ------------------------------------------------------------------
     # Level management (delegated to the chain)

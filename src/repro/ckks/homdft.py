@@ -23,14 +23,16 @@ CoeffToSlot is therefore a 2 x 2 block product on ``[z; conj(z)]`` plus a
 conjugation, and SlotToCoeff is the 1 x 2 block product
 ``z = V1·(m1/S) + V2·(m2/S)`` — each one call of
 :func:`repro.ckks.linalg.bsgs_sums`, which runs the block's inputs as
-one batch and its rows as another.  The inputs' baby steps come from
-one hoisted decomposition (at n = 128, 28 and 21 rotations instead of
-56 and 28); each giant step's inner sums, every row at once, are one
-multiply-accumulate against diagonals the block keeps encoded and
-stacked over its rows from one bootstrap to the next; and all of a
-call's rotated giant steps are switched in one stacked keyswitch (one
-inverse, one base conversion, one forward) before one mod-down for all
-outputs: CtS switches its 14 giant rotations so, StC its 7.  CtS returns
+one batch and its rows as another, double-hoisted.  The inputs' baby
+steps come from one hoisted decomposition (at n = 128, 28 and 21
+rotations instead of 56 and 28) and stay lifted over ``M ∪ P``, with
+no mod-down; each giant step's inner sums, every row at once, are one
+multiply-accumulate against diagonals the block keeps encoded over
+``M ∪ P`` and stacked over its rows from one bootstrap to the next;
+and all of a call's rotated giant steps take one stacked mod-down and
+one stacked keyswitch (one base conversion, one forward) before one
+mod-down for all outputs: CtS switches its 14 giant rotations so, StC
+its 7.  CtS returns
 the two halves as one batch, the batch EvalMod runs on, and StC takes
 them so.  This module computes those matrices exactly from the
 encoder's evaluation points and applies them with real homomorphic

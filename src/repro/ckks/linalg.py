@@ -14,10 +14,14 @@ rotations are needed instead of ``D``:
 
 :func:`bsgs_sums` evaluates a whole block product ``out_r = Σ_t
 M_{r,t}·x_t`` in one pass (CoeffToSlot is a 2 x 2 block, SlotToCoeff a
-1 x 2), inputs and rows as batches: baby steps hoisted; each inner sum
-one multiply-accumulate; giant steps switched in one stacked keyswitch
-and accumulated before one mod-down; diagonals kept encoded on the
-:class:`PlainBlock` per level used.
+1 x 2), inputs and rows as batches, double-hoisted: baby steps from one
+decomposition, left lifted over the key-switch basis ``M ∪ P`` with no
+mod-down; each inner sum one multiply-accumulate over ``M ∪ P``; giant
+steps switched in one stacked keyswitch and accumulated before one
+mod-down; diagonals kept encoded over ``M ∪ P`` on the
+:class:`PlainBlock` per level used.  ``tests/oracles/bsgs.py`` runs the
+same flow one piece at a time, and ``bsgs_sums`` equals it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -77,7 +81,9 @@ class PlainBlock:
     into output ``r`` — with its diagonals encoded once per level.
 
     It keeps the ``ENCODINGS_KEPT`` most recently used encoded sets, one
-    per ``(basis, scale, giant step)`` applied at: the same level again
+    per ``(basis, scale, giant step)`` applied at, each over the level's
+    key-switch basis ``M ∪ P`` (:func:`bsgs_sums` multiplies lifted
+    baby steps): the same level again
     encodes nothing (ARK's memory-for-recomputation trade).  It holds
     the matrices' diagonal arrays, not the matrices.
     """
@@ -108,12 +114,14 @@ class PlainBlock:
         """Per input ``t``, each diagonal ``j`` some row holds nonzero,
         ready for :meth:`Evaluator.mul_encoded_sum` at ``level``: every
         row's diagonal rotated by ``-(j - j mod giant_step)`` so the
-        giant rotation lands it in place, encoded at the level's scale,
-        in NTT form, stacked over the rows as one ``(rows, R, n)``
-        plaintext — all in one stacked transform, the first time.
+        giant rotation lands it in place, encoded at the level's scale
+        over ``M ∪ P``, in NTT form, stacked over the rows as one
+        ``(rows, |M ∪ P|, n)`` plaintext — all in one stacked
+        transform, the first time.
         """
         chain = evaluator.chain
-        basis, scale = chain.basis_at(level), chain.scale_at(level)
+        basis = chain.basis_at(level).extended(chain.special_moduli)
+        scale = chain.scale_at(level)
         key = (basis, scale, giant_step)
         if key in self._encoded:
             self._encoded.move_to_end(key)
@@ -153,25 +161,31 @@ def bsgs_sums(
     whose leading axis does; the outputs come back as one batch, row
     ``r`` at index ``r``.  Matrices share one dimension ``d``, inputs
     one level and (within ``SCALE_RTOL``) one scale, the first one's.
-    Every stage runs on the whole block:
+    Every stage runs on the whole block, double-hoisted (Bossuat et
+    al., Eurocrypt 2021):
 
-    (i) the baby steps ``rot(x_t, b)``, ``b < g``, of every input from
-    one hoisted decomposition, moved to NTT form in one transform;
+    (i) the baby steps ``P·rot(x_t, b)``, ``b < g``, of every input
+    from one hoisted decomposition (:meth:`Evaluator.rotate_lifted`),
+    each stopping at its NTT-form accumulators over ``M ∪ P``: no
+    mod-down and no transform back;
     (ii) each giant step's inner sums over all of its (input, baby
     step) terms, for every row, in one multiply-accumulate per
-    polynomial against the rows' stacked diagonals
-    (:meth:`Evaluator.mul_encoded_sum`), exact and in NTT form;
-    (iii) the rotated inner sums in one stacked keyswitch
-    (:meth:`Evaluator.rotate_sum`): a row's terms merge before the giant
-    rotation (``Σ_t rot(s_t, i) = rot(Σ_t s_t, i)``), so it costs ``d/g
-    - 1`` rotations however many terms it has;
+    polynomial against the rows' stacked diagonals, encoded over
+    ``M ∪ P`` (:meth:`Evaluator.mul_encoded_sum`), exact;
+    (iii) the lifted inner sums into :meth:`Evaluator.rotate_sum`: the
+    unrotated ones and every ``galois(c0)`` straight into its
+    accumulators, the rotated ones' ``c1`` through one stacked mod-down
+    and one stacked keyswitch.  A row's terms merge before the giant
+    rotation (``Σ_t rot(s_t, i) = rot(Σ_t s_t, i)``), so it costs
+    ``d/g - 1`` rotations however many terms it has;
     (iv) one mod-down and one rescale for all rows.
 
-    Bit for bit the serial flow: one input's baby steps, one row's
-    products and one giant step's keyswitch at a time, one mod-down per
-    output.  Its op log and ``op.*`` counters are the serial flow's when
-    the rows share which diagonals are zero, as every CtS, StC and
-    :class:`PlainMatrix` block does.  Rows that differ share the union:
+    Bit for bit the serial flow (``tests/oracles/bsgs.py``): one
+    input's lifted baby steps, one row's products and one giant step's
+    keyswitch at a time, one mod-down per output.  Its op log and
+    ``op.*`` counters are the serial flow's when the rows share which
+    diagonals are zero, as every CtS, StC and :class:`PlainMatrix`
+    block does.  Rows that differ share the union:
     a row pays a ``pmul`` (and ``hadd``) for each diagonal another row
     holds, and a rotation and keyswitch for each giant step another row
     has terms in.  A zero diagonal multiplies as zeros, so the bytes do
@@ -183,8 +197,7 @@ def bsgs_sums(
         raise ParameterError(f"need {block.inputs} inputs, one per block column")
     g = giant_step or max(1, round(math.sqrt(d)))
     babies = [
-        baby.unstack()
-        for baby in _all_to(evaluator.rotate_hoisted(x, range(min(g, d))), NTT)
+        baby.unstack() for baby in evaluator.rotate_lifted(x, range(min(g, d)))
     ]
     plans = block.encoded(evaluator, level, g)
     giants = []

@@ -99,7 +99,7 @@ built once per scale and kept on the context.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -426,7 +426,11 @@ class NttRowsContext:
         return q, 1 / q
 
     def _four_step_pass(
-        self, mat: np.ndarray, inverse: bool, scale: tuple[int, ...] | None = None
+        self,
+        mat: np.ndarray,
+        inverse: bool,
+        scale: tuple[int, ...] | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """The four-step kernel: two batched float64 matrix products,
         exact, with an int64 twiddle product between them.
@@ -465,10 +469,12 @@ class NttRowsContext:
         y = np.matmul(left, c) if inverse else np.matmul(c, right)
         del c
         r = modmath.limb_residue(y[0], y[1], q, q_inv)
-        out = np.empty(r.shape, dtype=self._word)
-        modmath.centred_fold(r, self._q, self._two_q, out)
+        folded = np.empty(r.shape, dtype=self._word)
+        modmath.centred_fold(r, self._q, self._two_q, folded)
         del y, r
-        return out.astype(np.uint64).reshape(mat.shape)
+        if out is not None:
+            return _into(out, folded)
+        return folded.astype(np.uint64).reshape(mat.shape)
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -505,13 +511,17 @@ class NttRowsContext:
 
     def _by_parts(self, kernel, mat: np.ndarray) -> np.ndarray:
         """``kernel(self, mat)`` for an ``(m, k, n)`` stack, split evenly
-        when it has to run in more than one part."""
+        when it has to run in more than one part: each part's kernel
+        writes its result straight into its slice of one output."""
         parts = self.parts(len(mat))
         if parts == 1:
             return kernel(self, mat)
-        return np.concatenate(
-            [kernel(self, part) for part in np.array_split(mat, parts)]
-        )
+        out = np.empty(mat.shape, dtype=np.uint64)
+        lo = 0
+        for part in np.array_split(mat, parts):
+            kernel(self, part, out=out[lo : lo + len(part)])
+            lo += len(part)
+        return out
 
     def _twiddle_mul(self, x: np.ndarray, w, w_aux, out=None) -> np.ndarray:
         """``x`` times a stage's constants, lazily: congruent mod ``q``
@@ -542,9 +552,12 @@ class NttRowsContext:
             return self._by_parts(_backends.ntt_forward, mat)
         return _backends.ntt_forward(self, mat)
 
-    def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
+    def _forward_stages(
+        self, mat: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The numpy forward kernel: :meth:`_four_step_pass` on a small
-        ring, else the stage loop.
+        ring, else the stage loop; the result lands in ``out`` when one
+        is given (one part of a split stack, :meth:`_by_parts`).
 
         Cooley–Tukey DIT with Harvey's lazy butterfly: values enter a
         stage in ``[0, 4q)``, the upper half folds to ``[0, 2q)``, the
@@ -554,7 +567,7 @@ class NttRowsContext:
         copy back to natural order.
         """
         if self._four_step:
-            return self._four_step_pass(mat, inverse=False)
+            return self._four_step_pass(mat, inverse=False, out=out)
         # 5-D from the start (a lone matrix is a stack of one), so that
         # n = 1 (no stage, never transposed) leaves through the same
         # reduction and copy as everything else.
@@ -573,6 +586,8 @@ class NttRowsContext:
             np.add(y, self._two_q, out=v)
         modmath.lazy_fold(a, self._two_q, out=a)
         modmath.lazy_fold(a, self._q, out=a)
+        if out is not None:
+            return _into(out, a.swapaxes(3, 4))
         return a.swapaxes(3, 4).astype(np.uint64, order="C").reshape(mat.shape)
 
     def inverse(
@@ -597,17 +612,19 @@ class NttRowsContext:
                 f"expected {len(self.moduli)} scale constants, got {len(scale)}"
             )
         if mat.ndim == 3:
-            return self._by_parts(
-                lambda ctx, part: _backends.ntt_inverse(ctx, part, scale), mat
-            )
+            return self._by_parts(partial(_backends.ntt_inverse, scale=scale), mat)
         return _backends.ntt_inverse(self, mat, scale)
 
     def _inverse_stages(
-        self, mat: np.ndarray, scale: tuple[int, ...] | None = None
+        self,
+        mat: np.ndarray,
+        scale: tuple[int, ...] | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """The numpy inverse kernel: :meth:`_four_step_pass` on a small
         ring, else the stage loop; ``n^-1 · scale`` rides the constants
-        of :meth:`_inverse_finish`.
+        of :meth:`_inverse_finish`, and the result lands in ``out`` as
+        in :meth:`_forward_stages`.
 
         Gentleman–Sande DIF with the lazy butterfly mirrored: values
         stay in ``[0, 2q)``; the sum folds back from ``[0, 4q)``, the
@@ -619,7 +636,7 @@ class NttRowsContext:
         one full reduction follows.
         """
         if self._four_step:
-            return self._four_step_pass(mat, inverse=True, scale=scale)
+            return self._four_step_pass(mat, inverse=True, scale=scale, out=out)
         finish = self._inverse_finish(scale)
         merged = self._word is np.uint32
         stages = self._inverse_plan[::-1]
@@ -644,7 +661,16 @@ class NttRowsContext:
             a = self._twiddle_mul(a.reshape(-1, len(self.moduli), 1, 1, self.n),
                                   c, c_aux)
         modmath.lazy_fold(a, self._q, out=a)
+        if out is not None:
+            return _into(out, a)
         return a.astype(np.uint64, copy=False).reshape(mat.shape)
+
+
+def _into(out: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A kernel's natural-order result ``a`` converted into ``out`` in
+    one pass: its slice of a split stack's output."""
+    np.copyto(out.reshape(a.shape), a, casting="unsafe")
+    return out
 
 
 @lru_cache(maxsize=1024)

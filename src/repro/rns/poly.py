@@ -94,10 +94,6 @@ class RnsPolynomial:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(cls, basis: RnsBasis) -> "RnsPolynomial":
-        return cls(basis, np.zeros((basis.size, basis.n), dtype=np.uint64), COEFF)
-
-    @classmethod
     def from_int_coeffs(
         cls, basis: RnsBasis, coeffs: Sequence[int]
     ) -> "RnsPolynomial":

@@ -35,8 +35,8 @@ def sanitizer():
     sanitize.disable()
 
 
-def _ntt_zeros(basis):
-    return RnsPolynomial(basis, np.zeros((basis.size, N), dtype=np.uint64), NTT)
+def _zeros(basis, domain=COEFF):
+    return RnsPolynomial(basis, np.zeros((basis.size, N), dtype=np.uint64), domain)
 
 
 def corrupt_rows():
@@ -66,7 +66,7 @@ class TestResidueChecks:
 
     def test_valid_constructions_count_checks(self, basis, sanitizer):
         sanitizer.enable()
-        RnsPolynomial.zeros(basis)
+        _zeros(basis)
         assert sanitizer.STATS["checks"] > 0
         assert sanitizer.STATS["violations"] == 0
 
@@ -151,8 +151,8 @@ class TestCiphertextChecks:
         return Ciphertext(c0=c0, c1=c1, level=level, scale=scale)
 
     def test_mixed_domain_pair_raises_only_when_enabled(self, basis, sanitizer):
-        c0 = RnsPolynomial.zeros(basis)
-        c1 = _ntt_zeros(basis)
+        c0 = _zeros(basis)
+        c1 = _zeros(basis, NTT)
         self._ct(c0, c1)  # disabled: nothing enforces the pairing
         sanitizer.enable()
         with pytest.raises(InvariantViolation, match="domain"):
@@ -161,26 +161,26 @@ class TestCiphertextChecks:
     def test_basis_mismatch_raises(self, basis, sanitizer):
         sanitizer.enable()
         other = RnsBasis(N, (97, 193))
-        c0 = _ntt_zeros(basis)
-        c1 = _ntt_zeros(other)
+        c0 = _zeros(basis, NTT)
+        c1 = _zeros(other, NTT)
         with pytest.raises(InvariantViolation, match="basis"):
             self._ct(c0, c1)
 
     def test_negative_level_raises(self, basis, sanitizer):
         sanitizer.enable()
-        z = _ntt_zeros(basis)
+        z = _zeros(basis, NTT)
         with pytest.raises(InvariantViolation, match="level"):
             self._ct(z, z, level=-1)
 
     def test_nonpositive_scale_raises(self, basis, sanitizer):
         sanitizer.enable()
-        z = _ntt_zeros(basis)
+        z = _zeros(basis, NTT)
         with pytest.raises(InvariantViolation, match="scale"):
             self._ct(z, z, scale=Fraction(0))
 
     def test_well_formed_ciphertext_passes(self, basis, sanitizer):
         sanitizer.enable()
-        z = _ntt_zeros(basis)
+        z = _zeros(basis, NTT)
         ct = self._ct(z, z)
         assert ct.level == 1
         assert sanitizer.STATS["violations"] == 0
@@ -191,7 +191,7 @@ class TestDisabledCost:
         poly = RnsPolynomial.from_int_coeffs(basis, list(range(N)))
         prod = poly.poly_mul(poly)
         base_convert(prod.to_coeff(), [193])
-        z = _ntt_zeros(basis)
+        z = _zeros(basis, NTT)
         Ciphertext(c0=z, c1=z, level=0, scale=Fraction(2**30))
         assert sanitizer.STATS == {"checks": 0, "violations": 0}
 

@@ -19,7 +19,8 @@ from repro.errors import InvariantViolation, ParameterError
 from repro.obs import core
 from repro.rns.poly import RnsPolynomial
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
-from tests.test_ckks_linear_plan import _per_term_bsgs, same_bytes, serial_rotate_sum
+from tests.oracles.bsgs import serial_bsgs, serial_rotate_sum
+from tests.test_ckks_linear_plan import same_bytes
 
 #: (planner, word bits, level scale bits, base bits): the narrow paths of
 #: both schemes and the wide one.
@@ -125,22 +126,22 @@ def _bottom(chain, seed: int):
 
 def _serial_bootstrap(ctx, ct, config=PipelineConfig()):
     """The pipeline one ciphertext at a time: CtS and StC as the serial
-    BSGS flow (one rotation, product and giant-step keyswitch at a time,
-    one mod-down per output), EvalMod once per CtS half."""
+    double-hoisted BSGS flow (one lifted baby rotation, product and
+    giant-step keyswitch at a time, one mod-down per output), EvalMod
+    once per CtS half."""
     ev, chain = ctx.evaluator, ctx.chain
     q0, scale = chain.q_product_at(0), float(ct.scale)
     mats = homdft_matrices(chain.n)
     g = round(math.sqrt(ctx.slots))
     raised = mod_raise(ctx, ct, chain.max_level)
-    halves = _per_term_bsgs(
-        ev, [[mats.p1, mats.q1], [mats.p2, mats.q2]], [raised, ev.conjugate(raised)],
-        g, merged=True,
+    halves = serial_bsgs(
+        ev, [[mats.p1, mats.q1], [mats.p2, mats.q2]], [raised, ev.conjugate(raised)], g
     )
     refreshed = [
         eval_mod(ev, ev.adjust(h, h.level - 1), config.evalmod, scale / q0, q0 / scale)
         for h in halves
     ]
-    (out,) = _per_term_bsgs(ev, [[mats.v1, mats.v2]], refreshed, g, merged=True)
+    (out,) = serial_bsgs(ev, [[mats.v1, mats.v2]], refreshed, g)
     return out
 
 
@@ -191,7 +192,8 @@ class TestEvalModAndBootstrap:
     def test_a_batch_of_bootstraps_is_its_members(self, boot_chain):
         """Mod-raised inputs stacked under one key run CtS, EvalMod and
         StC as one batch: the blocks' row-stacked plaintexts broadcast
-        over the members, which come out as their own bootstraps."""
+        over the members, which come out as their own serial
+        bootstraps."""
         ctx, _ = _bottom(boot_chain, 105)
         ev, chain, config = ctx.evaluator, ctx.chain, PipelineConfig()
         rng = np.random.default_rng(105)
@@ -209,14 +211,14 @@ class TestEvalModAndBootstrap:
         )
         _same_members(
             slot_to_coeff(ev, refreshed),
-            [bootstrap_pipeline.bootstrap_homomorphic(ctx, ct) for ct in cts],
+            [_serial_bootstrap(ctx, ct) for ct in cts],
         )
 
 
 class TestRotateSum:
     """``rotate_sum`` switches every rotated term in one stacked call;
-    it must be, byte for byte, the terms switched one at a time and
-    summed before one mod-down, batched or not."""
+    it must be, byte for byte, the lifted terms modded down and switched
+    one at a time and summed before one mod-down, batched or not."""
 
     STEPS = {1: [0], 2: [0, 3], 7: [1, 0, 2, 5, 0, 7, 11]}
 
@@ -226,9 +228,10 @@ class TestRotateSum:
         ctx, cts = members
         ev = ctx.evaluator
         operand = stack(cts) if batched else cts[0]
+        plain = [ev.mul_plain(operand, 0.25 * (k + 1)) for k in range(count)]
         terms = [
-            (steps, ev.mul_plain(operand, 0.25 * (k + 1)).to_ntt())
-            for k, steps in enumerate(self.STEPS[count])
+            (steps, ev.rotate_lifted(ct, [0])[0])
+            for steps, ct in zip(self.STEPS[count], plain)
         ]
         if count == 2:  # a term in coefficient form beside an NTT one
             terms[1] = (terms[1][0], terms[1][1].to_coeff())
@@ -239,8 +242,8 @@ class TestRotateSum:
         same_bytes(got, want)
         rotated = sum(1 for steps, _ in terms if steps % ctx.slots)
         assert switched == rotated * (BATCH if batched else 1)
-        if count == 1:
-            assert got is terms[0][1]
+        if count == 1:  # P·x modded down is x, exactly
+            same_bytes(got, plain[0].to_coeff())
 
 
 class TestOpCounts:

@@ -30,6 +30,7 @@ from repro.ckks import CkksContext
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 from repro.obs import core as obs
+from repro.rns.convert import scale_up
 from repro.rns.poly import COEFF, NTT
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
 
@@ -107,8 +108,8 @@ class EagerEvaluator:
         return acc
 
     def rotate_sum(self, terms):
-        """The evaluator's own, on coefficient-form terms: its one
-        rounding per sum is not what separate rotations compute, so
+        """The evaluator's own, on coefficient-form lifted terms: its
+        one rounding per sum is not what separate rotations compute, so
         ``test_ckks_linear_plan`` holds it to them within a bound."""
         terms = [(steps, ct.to_coeff()) for steps, ct in terms]
         return self.ev.rotate_sum(terms).to_coeff()
@@ -124,8 +125,24 @@ class EagerEvaluator:
         steps %= self.slots
         return self._galois(ct, pow(5, steps, 2 * self.chain.n)) if steps else ct
 
-    def rotate_hoisted(self, ct, steps):
-        return [self.rotate(ct, s) for s in steps]
+    def rotate_lifted(self, ct, steps):
+        """Each step's ``P``-lifted accumulators the textbook way: both
+        polynomials permuted in coefficient form, the permuted ``c1``
+        decomposed and switched on its own onto ``P·c0(X^g)``."""
+        specials = self.chain.special_moduli
+        out = []
+        for steps_ in steps:
+            g = pow(5, steps_ % self.slots, 2 * self.chain.n)
+            c0, c1 = ct.c0.to_coeff().galois(g), ct.c1.to_coeff().galois(g)
+            lifted = scale_up(c0.to_ntt(), specials)
+            if g == 1:
+                out.append(ct.with_polys(lifted, scale_up(c1.to_ntt(), specials)))
+                continue
+            ksk = self.ev.chest.galois_key(ct.level, g)
+            ext = self.ev._extended_digits(c1, ksk)
+            acc = self.ev._key_products([(ext, ksk)], (lifted, None))
+            out.append(ct.with_polys(*acc))
+        return out
 
     def conjugate(self, ct):
         return self._galois(ct, 2 * self.chain.n - 1)
@@ -399,125 +416,20 @@ class TestTransformCounts:
         after = ntt_counts()
         assert out.level == top - 1
         giants_rotated = dim // giant - 1
-        # Forward: the input's digits, extended and transformed once for
-        # all seven baby rotations; the 8 baby steps x 2 polynomials as
-        # one stack; every giant rotation's converted digit rows as one
-        # stack (their inner sums are in NTT form, so their own rows are
-        # spliced in).  No plaintext: the diagonals were encoded by the
-        # first apply.
+        # Forward: the input's two polynomials as one stack (for the
+        # lifted baby step 0 and every permuted ``c0``); its digits,
+        # extended and transformed once for all seven baby rotations,
+        # which stop at their lifted accumulators; every rotated giant
+        # step's modded-down ``c1`` digits as one stack.  No plaintext:
+        # the diagonals were encoded by the first apply.
         assert after["forward"] - before["forward"] == 3
         assert after["forward.elems"] - before["forward.elems"] == n * (
-            2 * giant * r + len(digits) * full
-            + giants_rotated * (len(digits) * full - r)
+            2 * r + len(digits) * full + giants_rotated * len(digits) * full
         )
-        # Inverse: each baby rotation's mod-down (two accumulators, one
-        # call), every rotated giant step's c1 for their one stacked
-        # decomposition, and the output's one mod-down.
-        assert after["inverse"] - before["inverse"] == (giant - 1) + 1 + 1
+        # Inverse: the rotated giant steps' lifted ``c1`` for their one
+        # stacked mod-down, and the output's one mod-down; no baby step
+        # takes one.
+        assert after["inverse"] - before["inverse"] == 2
         assert after["inverse.elems"] - before["inverse.elems"] == n * (
-            2 * (giant - 1) * full + giants_rotated * r + 2 * full
+            giants_rotated * full + 2 * full
         )
-
-
-# ----------------------------------------------------------------------
-# Mixed-domain operands
-# ----------------------------------------------------------------------
-class TestMixedDomains:
-    @pytest.fixture
-    def sanitizer(self):
-        was_attached = obs.checker() is sanitize
-        sanitize.enable()
-        yield sanitize
-        if not was_attached:
-            sanitize.disable()
-
-    def test_mixed_add_settles_on_coefficient_form(self, ctx, rng, sanitizer):
-        """Under the sanitizer every ciphertext built is checked for
-        c0/c1 domain agreement — including the operand ``add`` brings
-        over and the sum."""
-        a = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        b = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        checks, violations = sanitizer.STATS["checks"], sanitizer.STATS["violations"]
-        for x, y in ((a.to_ntt(), b), (a, b.to_ntt())):
-            for op in (ctx.evaluator.add, ctx.evaluator.sub):
-                out = op(x, y)
-                assert out.c0.domain == out.c1.domain == COEFF
-        # Its own ops only: the totals are process-wide, and an earlier
-        # test may have provoked a violation on purpose.
-        assert sanitizer.STATS["checks"] > checks
-        assert sanitizer.STATS["violations"] == violations
-
-    def test_same_domain_add_stays_put(self, ctx, rng):
-        a = ctx.encrypt(rng.uniform(-1, 1, ctx.slots)).to_ntt()
-        out = ctx.evaluator.add(a, a)
-        assert out.c0.domain == out.c1.domain == NTT
-        want = ctx.evaluator.add(a.to_coeff(), a.to_coeff())
-        assert np.array_equal(out.to_coeff().c0.mat, want.c0.mat)
-
-    def test_decrypt_accepts_either_domain(self, ctx, rng):
-        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        decrypt = ctx.decryptor.decrypt_to_plaintext
-        assert (
-            decrypt(ct).poly.to_int_coeffs()
-            == decrypt(ct.to_ntt()).poly.to_int_coeffs()
-        )
-
-
-# ----------------------------------------------------------------------
-# Scalar plaintexts
-# ----------------------------------------------------------------------
-#: Level scales the chains produce (28-60 bits, not powers of two) and
-#: products of two of them.
-LEVEL_SCALES = [
-    Fraction(2**28 + 12345), Fraction(2**30), Fraction(2**35 - 2**20 + 7, 3),
-    Fraction(2**45 + 1), Fraction(2**59 + 2**31 + 5), Fraction(2**60 - 93),
-]
-SCALES = LEVEL_SCALES + [a * b for a in LEVEL_SCALES[:3] for b in LEVEL_SCALES[3:]]
-
-
-class TestScalarPlaintexts:
-    @pytest.mark.parametrize("scale", SCALES, ids=lambda s: f"2^{float(s).hex()[-2:]}")
-    def test_encode_scalar_is_coefficient_zero_of_encode(self, ctx, scale):
-        encoder = ctx.encoder
-        for value in (0.0, 1.0, -1.0, 0.5, -1.0 / 48.0, 0.25, 3, 1e-9,
-                      np.float64(2.0 / 3.0), np.float32(0.1), -12345.678):
-            want = encoder.encode(value, scale)
-            assert want[1:] == [0] * (ctx.chain.n - 1)
-            assert encoder.encode_scalar(value, scale) == want[0]
-
-    @pytest.mark.parametrize("resident", [COEFF, NTT])
-    def test_scalar_ops_equal_the_encoder_path(self, ctx, rng, resident):
-        ev = ctx.evaluator
-        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        if resident == NTT:
-            ct = ct.to_ntt()
-        for value in (0.25, -1.0 / 48.0, 0.0, 7):
-            vector = np.full(ctx.slots, value)
-            for op in (ev.mul_plain, ev.add_plain, ev.sub_plain):
-                got, want = op(ct, value), op(ct, vector)
-                assert got.scale == want.scale
-                for g, w in ((got.c0, want.c0), (got.c1, want.c1)):
-                    assert np.array_equal(g.to_coeff().mat, w.to_coeff().mat)
-
-    def test_only_real_scalars_skip_the_encoder(self, ctx, rng, monkeypatch):
-        calls = []
-        encode = ctx.encoder.encode
-        monkeypatch.setattr(
-            ctx.encoder, "encode",
-            lambda values, scale: calls.append(values) or encode(values, scale),
-        )
-        ev = ctx.evaluator
-        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        calls.clear()
-        ev.mul_plain(ct, 0.5)
-        ev.add_plain(ct, np.float64(0.5))
-        ev.sub_plain(ct, 2)
-        assert calls == []
-        ev.mul_plain(ct, 0.5j)
-        ev.add_plain(ct, np.complex128(1 + 0j))
-        ev.mul_plain(ct, np.full(ctx.slots, 0.5))
-        ev.add_plain(ct, [0.5])
-        assert len(calls) == 4
-        got = ev.mul_plain(ct, 0.5j)
-        want = ev.mul_plain(ct, np.full(ctx.slots, 0.5j))
-        assert np.array_equal(got.c0.mat, want.c0.mat)

@@ -1,49 +1,53 @@
-"""The linear-transform plan: hoisted rotations, merged BSGS sums, the
-encoded-diagonal cache, and the call budget they add up to.
+"""The linear-transform plan: hoisted rotations, double-hoisted BSGS
+sums, the encoded-diagonal cache, and the call budget they add up to.
 
 Everything the plan changes is exact arithmetic rescheduled, so the
 tests are bit-for-bit wherever two schedules compute the same thing:
 
-1. **Hoisted rotations** equal rotations done the textbook way — permute
-   ``c0`` and ``c1`` in coefficient form, *then* decompose and switch
+1. **Hoisted rotations** (``rotate_lifted``, modded down) equal
+   rotations done the textbook way — permute ``c0`` and ``c1`` in
+   coefficient form, *then* decompose and switch
    (``test_ckks_domains.EagerEvaluator``) — residue for residue, on a
    uint32-word chain and a uint64-word chain.
 2. **Block sums** (``bsgs_sums``) decrypt to the cleartext block product
-   and agree with one-matrix products added up.  Against a
-   per-term reference built from public ops they are bit-identical with
-   one giant step and within 2^-20 after decryption with several (the
-   giant steps share one mod-down, so they round once); against the same
-   reference with each row's giant steps switched one at a time and
-   summed before one mod-down (:func:`serial_rotate_sum`), they are
-   bit-identical, on 2 x 2 and 1 x 2 blocks of bp28, rns28 and rns60
-   chains.  Mismatched input scales are refused before any work.
+   and agree with one-matrix products added up.  They are, byte for
+   byte, the serial double-hoisted flow of :mod:`tests.oracles.bsgs`
+   (one input, baby, row and giant step at a time), on 2 x 2 and 1 x 2
+   blocks of bp28, rns28 and rns60 chains.  Against the textbook flow
+   built from public ops (:func:`_per_term_bsgs`: every rotation its
+   own mod-down) they round differently: within 2^-20 after decryption,
+   and CtS → StC is at least as precise over seeds.  Mismatched input
+   scales are refused before any work.
 3. **The plan cache** encodes a matrix's diagonals once per level it is
-   applied at, and holds at most ``ENCODINGS_KEPT`` sets.
+   applied at, over the key-switch basis ``M ∪ P``, and holds at most
+   ``ENCODINGS_KEPT`` sets.
 4. **Call budget** (guard): CoeffToSlot + SlotToCoeff on a small ring
    make exactly the transform and keyswitch calls the plan predicts —
-   no wall clock; a per-apply encode or an unshared baby step changes
-   a count.
+   no wall clock; a per-apply encode, an unshared baby step or a baby
+   mod-down changes a count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import sanitize
 from repro.ckks import CkksContext, stack
-from repro.ckks.ciphertext import Ciphertext, Plaintext
-from repro.ckks.evaluator import _done, _mod_down
+from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.evaluator import _mod_down
 from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
 from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
 from repro.errors import ScaleMismatchError
-from repro.nt.ntt import galois_permutation, ntt_rows_context
+from repro.nt.ntt import ntt_rows_context
 from repro.rns.convert import scale_up
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
 from repro.schemes import plan_bitpacker_chain, plan_rns_ckks_chain
+from tests.oracles.bsgs import row_plan, serial_bsgs
 from tests.oracles.plaintext import reference_matvec
 from tests.test_ckks_domains import EagerEvaluator
 
@@ -93,27 +97,35 @@ class TestHoistedRotations:
         self, width_ctx, rng, resident
     ):
         ctx = width_ctx
+        ev, specials = ctx.evaluator, ctx.chain.special_moduli
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
         if resident == NTT:
             ct = ct.to_ntt()
-        hoisted = ctx.evaluator.rotate_hoisted(ct, self.STEPS)
-        assert len(hoisted) == len(self.STEPS)
+        lifted = ev.rotate_lifted(ct, self.STEPS)
+        assert len(lifted) == len(self.STEPS)
         textbook = EagerEvaluator(ctx)  # permutes first, decomposes second
-        for steps, got in zip(self.STEPS, hoisted):
+        for steps, acc in zip(self.STEPS, lifted):
+            assert acc.c0.domain == acc.c1.domain == NTT
+            assert acc.basis.moduli == ct.basis.moduli + specials
+            assert (acc.level, acc.scale) == (ct.level, ct.scale)
+            got = _mod_down((acc.c0, acc.c1), specials)
             want = textbook.rotate(ct, steps)
-            assert got.c0.domain == got.c1.domain == COEFF
-            assert (got.level, got.scale) == (ct.level, ct.scale)
-            assert np.array_equal(got.c0.mat, want.c0.mat), steps
-            assert np.array_equal(got.c1.mat, want.c1.mat), steps
-            alone = ctx.evaluator.rotate(ct, steps)
-            assert np.array_equal(got.c0.mat, alone.c0.mat)
-            assert np.array_equal(got.c1.mat, alone.c1.mat)
+            alone = ev.rotate(ct, steps)
+            assert alone.c0.domain == alone.c1.domain == COEFF
+            for g, w, a in zip(got, (want.c0, want.c1), (alone.c0, alone.c1)):
+                assert np.array_equal(g.mat, w.mat), steps
+                assert np.array_equal(g.mat, a.mat), steps
 
     def test_zero_steps_are_the_input_itself(self, width_ctx, rng):
         ctx = width_ctx
+        ev, specials = ctx.evaluator, ctx.chain.special_moduli
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        same, moved, wrapped = ctx.evaluator.rotate_hoisted(ct, [0, 1, ctx.slots])
-        assert same is ct and wrapped is ct and moved is not ct
+        assert ev.rotate(ct, 0) is ct and ev.rotate(ct, ctx.slots) is ct
+        assert ev.rotate(ct, 1) is not ct
+        same, _, wrapped = ev.rotate_lifted(ct, [0, 1, ctx.slots])
+        for lifted in (same, wrapped):  # ct times P, exactly
+            for got, poly in zip((lifted.c0, lifted.c1), (ct.c0, ct.c1)):
+                assert np.array_equal(got.mat, scale_up(poly.to_ntt(), specials).mat)
 
     def test_conjugate_equals_textbook(self, width_ctx, rng):
         ctx = width_ctx
@@ -127,20 +139,22 @@ class TestHoistedRotations:
     ):
         ctx = plan_ctx
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
-        ctx.evaluator.rotate_hoisted(ct, range(6))  # rotation keys are lazy
+        ctx.evaluator.rotate_lifted(ct, range(6))  # rotation keys are lazy
         names = ("op.rotate", "op.keyswitch", "kernel.ntt.forward",
                  "kernel.ntt.inverse")
         before = counters(*names)
         with sanitize.record_ops() as log:
-            ctx.evaluator.rotate_hoisted(ct, range(6))
+            ctx.evaluator.rotate_lifted(ct, range(6))
             kinds = [entry.kind for entry in log]
         after = counters(*names)
         delta = {name: after[name] - before[name] for name in names}
-        # Five logical rotations (step 0 is free), one decomposition.
+        # Five logical rotations (step 0 is free), one decomposition
+        # (one forward) beside ``c0, c1`` moving to NTT form (one more),
+        # and no mod-down.
         assert kinds == ["hrot"] * 5
         assert delta == {
             "op.rotate": 5, "op.keyswitch": 5,
-            "kernel.ntt.forward": 1, "kernel.ntt.inverse": 5,
+            "kernel.ntt.forward": 2, "kernel.ntt.inverse": 0,
         }
 
 
@@ -217,57 +231,23 @@ class TestBlockSums:
             bsgs_sums(bp_ctx.evaluator, PlainBlock([[four, four]]), [ct, lower])
 
 
-def row_plan(ev, m: PlainMatrix, level: int, g: int) -> dict[int, Plaintext]:
-    """``m``'s encoded diagonals on their own, as ``(R, n)`` plaintexts."""
-    return {
-        j: Plaintext(RnsPolynomial(pt.basis, pt.poly.mat[0], NTT), pt.scale, pt.level)
-        for j, pt in PlainBlock([[m]]).encoded(ev, level, g)[0].items()
-    }
-
-
-def serial_rotate_sum(ev, terms):
-    """:meth:`Evaluator.rotate_sum` the serial way: each rotated term
-    decomposed, permuted and switched on its own, its key products and
-    every lift added into the ``M ∪ P`` accumulators one term at a time,
-    then one mod-down.  Logs and counts what the evaluator does."""
-    slots, two_n = ev.encoder.slots, 2 * ev.chain.n
-    specials = ev.chain.special_moduli
-    first, acc = terms[0][1], None
-    for i, (steps, ct) in enumerate(terms):
-        g = pow(5, steps % slots, two_n)
-        if len(terms) == 1 and g == 1:
-            return ct
-        c0, c1 = ct.c0.to_ntt(), ct.c1.to_ntt()
-        if g == 1:
-            lifted = [scale_up(p, specials) for p in (c0, c1)]
-        else:
-            ksk = ev.chest.galois_key(ct.level, g)
-            turned = np.take(
-                ev._extended_digits(c1, ksk), galois_permutation(ct.basis.n, g),
-                axis=-1,
-            )
-            lifted = ev._key_products(
-                [(turned, ksk)], (scale_up(c0.galois(g), specials), None)
-            )
-            _done(ct, "hrot", "rotate")
-        acc = lifted if acc is None else [a.add(b) for a, b in zip(acc, lifted)]
-        if i:
-            _done(first, "hadd")
-    return Ciphertext(*_mod_down(acc, specials), first.level, first.scale)
-
-
-def _per_term_bsgs(ev, rows, inputs, g, merged=False):
+def _per_term_bsgs(ev, rows, inputs, g):
     """``bsgs_sums`` the textbook way, from public ops only: every baby
     and giant step a separate ``rotate``, every diagonal a
-    ``mul_encoded`` added on, every rotation its own mod-down — or, with
-    ``merged``, a row's giant steps through :func:`serial_rotate_sum`.
-    One output per row, in a list."""
+    ``mul_encoded`` (its plaintext restricted to the level's basis)
+    added on, every rotation its own mod-down.  One output per row, in
+    a list: the precision reference, not a byte oracle."""
     d, level = rows[0][0].dimension, inputs[0].level
+    moduli = ev.chain.moduli_at(level)
     babies = [[ev.rotate(ct, b) for b in range(min(g, d))] for ct in inputs]
     outs = []
     for row in rows:
-        plans = [row_plan(ev, m, level, g) for m in row]
-        giants = []
+        plans = [
+            {j: replace(pt, poly=pt.poly.restricted(moduli))
+             for j, pt in row_plan(ev, m, level, g).items()}
+            for m in row
+        ]
+        acc = None
         for i in range(0, d, g):
             inner = None
             for plan, baby in zip(plans, babies):
@@ -276,12 +256,6 @@ def _per_term_bsgs(ev, rows, inputs, g, merged=False):
                         term = ev.mul_encoded(baby[b], plan[i + b])
                         inner = term if inner is None else ev.add(inner, term)
             if inner is not None:
-                giants.append((i, inner))
-        if merged:
-            acc = serial_rotate_sum(ev, giants)
-        else:
-            acc = None
-            for i, inner in giants:
                 outer = ev.rotate(inner, i)
                 acc = outer if acc is None else ev.add(acc, outer)
         outs.append(ev.rescale(acc))
@@ -289,9 +263,9 @@ def _per_term_bsgs(ev, rows, inputs, g, merged=False):
 
 
 class TestFusedTransform:
-    """The fused plan against :func:`_per_term_bsgs` on both word
-    widths: exact where nothing is rotated, one rounding apart where
-    giant steps are."""
+    """The fused plan on both word widths: the serial double-hoisted
+    flow byte for byte with one giant step, the textbook flow
+    (:func:`_per_term_bsgs`) within rounding with several."""
 
     D = 8
 
@@ -308,12 +282,9 @@ class TestFusedTransform:
         ctx, ev = width_ctx, width_ctx.evaluator
         mats, inputs = self._block(ctx, rng)
         got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=self.D).unstack()
-        want = _per_term_bsgs(ev, mats, inputs, self.D)
-        for out, ref in zip(got, want):
-            assert (out.level, out.scale) == (ref.level, ref.scale)
-            assert out.c0.domain == ref.c0.domain
-            assert np.array_equal(out.c0.mat, ref.c0.mat)
-            assert np.array_equal(out.c1.mat, ref.c1.mat)
+        want = serial_bsgs(ev, mats, inputs, self.D)
+        for out, ref in zip(got, want, strict=True):
+            same_bytes(out, ref)
 
     def test_giant_steps_decrypt_within_rounding(self, width_ctx, rng):
         ctx, ev = width_ctx, width_ctx.evaluator
@@ -324,6 +295,37 @@ class TestFusedTransform:
             assert (out.level, out.scale) == (ref.level, ref.scale)
             gap = np.abs(ctx.decrypt_real(out) - ctx.decrypt_real(ref))
             assert np.max(gap) < 2.0**-20
+
+    @pytest.mark.parametrize("chain", ["bp28", "rns60"])
+    def test_cts_stc_is_as_precise_as_the_textbook_flow(self, chain):
+        """CtS → StC double-hoisted rounds once per output where the
+        textbook flow rounds once per rotation: over seven inputs its
+        median error is no larger."""
+        plan, word, scale_bits, base_bits = BLOCK_CHAINS[chain]
+        ctx = CkksContext(
+            plan(n=N, word_bits=word, level_scale_bits=scale_bits, levels=3,
+                 base_bits=base_bits, ks_digits=2),
+            seed=41,
+        )
+        ev, mats = ctx.evaluator, homdft_matrices(N)
+        g = round(math.sqrt(ctx.slots))
+        errors = []
+        for seed in range(7):
+            values = np.random.default_rng(seed).uniform(-1, 1, ctx.slots)
+            ct = ctx.encrypt(values)
+            halves = _per_term_bsgs(
+                ev, [[mats.p1, mats.q1], [mats.p2, mats.q2]],
+                [ct, ev.conjugate(ct)], g,
+            )
+            (textbook,) = _per_term_bsgs(ev, [[mats.v1, mats.v2]], halves, g)
+            hoisted = slot_to_coeff(ev, coeff_to_slot(ev, ct))
+            errors.append([
+                np.max(np.abs(ctx.decrypt_real(out) - values))
+                for out in (hoisted, textbook)
+            ])
+        hoisted_median, textbook_median = np.median(errors, axis=0)
+        assert hoisted_median <= textbook_median
+        assert hoisted_median < 2.0**-15
 
     def test_scale_mismatch_is_caught_before_any_work(self, plan_ctx, rng, counters):
         ctx, ev = plan_ctx, plan_ctx.evaluator
@@ -338,14 +340,15 @@ class TestFusedTransform:
 
     def test_fused_ops_check_scales(self, plan_ctx, rng):
         ctx, ev = plan_ctx, plan_ctx.evaluator
-        (row, _), (x, _) = self._block(ctx, rng)
-        plan = row_plan(ev, row[0], x.level, 2)
+        (row, _), (fresh, _) = self._block(ctx, rng)
+        plan = row_plan(ev, row[0], fresh.level, 2)
+        (x,) = ev.rotate_lifted(fresh, [0])  # P·fresh over M ∪ P
         tripled = Ciphertext(x.c0, x.c1, x.level, x.scale * 3)
         with pytest.raises(ScaleMismatchError):
             ev.mul_encoded_sum([(x, plan[0]), (tripled, plan[1])])
         with pytest.raises(ScaleMismatchError):
             ev.rotate_sum([(0, x), (1, tripled)])
-        lower = ev.adjust(x, x.level - 1)
+        (lower,) = ev.rotate_lifted(ev.adjust(fresh, fresh.level - 1), [0])
         with pytest.raises(ScaleMismatchError):
             ev.rotate_sum([(0, x), (1, lower)])
 
@@ -380,7 +383,8 @@ def same_bytes(got: Ciphertext, want: Ciphertext) -> None:
 class TestSerialFlow:
     """``bsgs_sums`` runs every input, every row and every giant step of
     a block in stacked calls; it must be, byte for byte, the serial
-    flow: one rotation at a time, one product at a time, one giant
+    double-hoisted flow (:func:`tests.oracles.bsgs.serial_bsgs`): one
+    lifted baby rotation at a time, one product at a time, one giant
     step's keyswitch at a time, one mod-down per row."""
 
     D = 16
@@ -411,7 +415,7 @@ class TestSerialFlow:
         mats, inputs = self._block(ctx, 10 * g + rows, rows)
         got = bsgs_sums(ev, PlainBlock(mats), inputs, giant_step=g)
         assert got.batch == (rows,)
-        want = _per_term_bsgs(ev, mats, inputs, g, merged=True)
+        want = serial_bsgs(ev, mats, inputs, g)
         for out, ref in zip(got.unstack(), want, strict=True):
             same_bytes(out, ref)
 
@@ -430,7 +434,7 @@ class TestSerialFlow:
         runs = []
         for run in (
             lambda: bsgs_sums(ev, block, inputs, giant_step=4).unstack(),
-            lambda: _per_term_bsgs(ev, mats, inputs, 4, merged=True),
+            lambda: serial_bsgs(ev, mats, inputs, 4),
         ):
             before = counters(*names)
             with sanitize.record_ops() as log:
@@ -465,7 +469,7 @@ class TestSerialFlow:
         logs, deltas = [], []
         for run in (
             lambda: bsgs_sums(ev, block, inputs, giant_step=4),
-            lambda: _per_term_bsgs(ev, mats, inputs, 4, merged=True),
+            lambda: serial_bsgs(ev, mats, inputs, 4),
         ):
             before = counters(*names)
             with sanitize.record_ops() as log:
@@ -513,16 +517,26 @@ class TestPlanCache:
         assert len(encodes) == 3 * d
 
     def test_cached_diagonals_equal_per_apply_encoding(self, plan_ctx, rng):
-        """The pre-encoded product is the parent's per-apply
-        ``mul_plain`` of the pre-rotated diagonal, bit for bit."""
+        """The pre-encoded diagonal is the pre-rotated one encoded over
+        ``M ∪ P``; on ``M``'s rows its product is the per-apply
+        ``mul_plain``, bit for bit."""
         ctx, d, g = plan_ctx, 8, 3
         ev = ctx.evaluator
         pm = PlainMatrix(rng.uniform(-1, 1, (d, d)), ctx.slots)
         ct = ctx.encrypt(_tiled(rng, d, ctx.slots)).to_ntt()
         plan = row_plan(ev, pm, ct.level, g)
+        full = ct.basis.extended(ctx.chain.special_moduli)
         for j in range(d):
-            got = ev.mul_encoded(ct, plan[j])
-            want = ev.mul_plain(ct, np.roll(pm.diagonals[j], j - j % g))
+            values = np.roll(pm.diagonals[j], j - j % g)
+            encoded = ctx.encoder.encode(values, plan[j].scale)
+            assert plan[j].poly.domain == NTT
+            assert np.array_equal(
+                plan[j].poly.mat,
+                RnsPolynomial.from_int_coeffs(full, encoded).to_ntt().mat,
+            )
+            on_m = replace(plan[j], poly=plan[j].poly.restricted(ct.basis.moduli))
+            got = ev.mul_encoded(ct, on_m)
+            want = ev.mul_plain(ct, values)
             assert got.scale == want.scale
             assert np.array_equal(got.c0.mat, want.c0.mat)
             assert np.array_equal(got.c1.mat, want.c1.mat)
@@ -570,7 +584,9 @@ class TestPlanCache:
         first = bsgs_sums(ev, block, inputs)
         assert len(encodes) == 4 * d
         plans = block.encoded(ev, inputs[0].level, 3)
-        basis = ctx.chain.basis_at(inputs[0].level)
+        basis = ctx.chain.basis_at(inputs[0].level).extended(
+            ctx.chain.special_moduli
+        )
         assert [sorted(plan) for plan in plans] == [list(range(d))] * 2
         assert plans[1][5].poly.mat.shape == (2, basis.size, basis.n)
         again = bsgs_sums(ev, block, inputs)
@@ -618,18 +634,18 @@ class TestCallBudget:
 
         def block(inputs, outputs):
             """Calls of one ``bsgs_sums``, however many inputs and
-            outputs: the inputs' baby steps from one decomposition (one
-            forward), serving ``g - 1`` rotations that each take their
-            own mod-down, then one stacked move to NTT form; every
-            output's rotated giant steps switched in one stacked
-            keyswitch (their ``c1`` brought back in one inverse, the
-            converted rows forward in one), and one mod-down for all
+            outputs: the inputs moved to NTT form and their baby steps'
+            digits extended, one forward each, serving ``g - 1``
+            rotations that stop at their lifted accumulators (no
+            mod-down, no transform back); every output's rotated giant
+            steps' ``c1`` modded down in one inverse and switched in one
+            stacked keyswitch (one forward), and one mod-down for all
             outputs.  The op counters still read each member's
             rotations and keyswitches."""
             switches = inputs * (g - 1) + outputs * giants_rotated
             return {
                 "kernel.ntt.forward": 3,
-                "kernel.ntt.inverse": (g - 1) + 2,
+                "kernel.ntt.inverse": 2,
                 "op.keyswitch": switches,
                 "op.rotate": switches,
             }

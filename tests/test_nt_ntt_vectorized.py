@@ -636,6 +636,8 @@ class TestStackedMatrices:
             lambda: np.testing.assert_array_equal(forward_rows(stack, moduli), want),
         ) // 11
         assert passes == 3  # 6 matrices, 2 to a part
+        # Each part's inverse writes into its slice of the one output.
+        np.testing.assert_array_equal(inverse_rows(want, moduli), stack)
 
     def test_oversized_stack_runs_in_parts_below_the_gate(
         self, engine, monkeypatch, four_step_passes
@@ -650,6 +652,7 @@ class TestStackedMatrices:
             lambda: np.testing.assert_array_equal(forward_rows(stack, moduli), want)
         )
         assert passes == 3
+        np.testing.assert_array_equal(inverse_rows(want, moduli), stack)
 
 
 @pytest.mark.guard

@@ -39,6 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "benchmarks", "examples")
+#: The names the scanned files import numpy as.
+NUMPY = ("np", "numpy")
 
 #: ``path:name`` -> why the symbol stays although nothing above names it.
 ALLOWED = {
@@ -171,6 +173,15 @@ def _reexports(tree: ast.Module) -> list[ast.AST]:
     return lazy + tables
 
 
+def _of_numpy(node: ast.Attribute) -> bool:
+    """Whether ``node`` reads an attribute of the numpy module
+    (``np.zeros``, ``numpy.linalg.inv``): numpy's name, not ours."""
+    root = node.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return isinstance(root, ast.Name) and root.id in NUMPY
+
+
 def _uses(tree: ast.Module, package_init: bool):
     """``(name, line)`` of every reference to a name in ``tree``; in a
     package ``__init__``, re-exports are not references."""
@@ -185,7 +196,7 @@ def _uses(tree: ast.Module, package_init: bool):
         todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not _of_numpy(node):
             yield node.attr, node.lineno
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
