@@ -127,19 +127,18 @@ class PlainBlock:
             self._encoded.move_to_end(key)
             return self._encoded[key]
         encode = evaluator.encoder.encode
-        stacked = (
-            RnsPolynomial(basis, np.stack([
-                RnsPolynomial.from_int_coeffs(
-                    basis, encode(np.roll(diag[j], j - j % giant_step), scale)
-                ).mat
-                for diag in col
-            ]), COEFF)
+        coeffs = [
+            [encode(np.roll(diag[j], j - j % giant_step), scale) for diag in col]
             for col, js in zip(zip(*self.diagonals), self.kept)
             for j in js
-        )
-        polys = iter(to_domain(list(stacked), NTT))
+        ]
+        (stacked,) = to_domain([RnsPolynomial.from_int_coeffs(basis, coeffs)], NTT)
+        polys = iter(stacked.mat)
         plan = [
-            {int(j): Plaintext(next(polys), scale, level) for j in js}
+            {
+                int(j): Plaintext(RnsPolynomial(basis, next(polys), NTT), scale, level)
+                for j in js
+            }
             for js in self.kept
         ]
         self._encoded[key] = plan
@@ -221,11 +220,8 @@ def _stacked(inputs: Sequence[Ciphertext]) -> Ciphertext:
         if ct.level != first.level:
             raise ParameterError("bsgs_sums inputs must share one level")
         check_addable(first, ct)
-    return stack([replace(ct, scale=first.scale) for ct in _all_to(inputs, COEFF)])
-
-
-def _all_to(cts: Sequence[Ciphertext], domain: str) -> list[Ciphertext]:
-    """``cts`` in ``domain``, every polynomial of them in one transform."""
-    polys = to_domain([p for ct in cts for p in (ct.c0, ct.c1)], domain)
-    return [ct.with_polys(*polys[2 * i : 2 * i + 2]) for i, ct in enumerate(cts)]
-
+    polys = to_domain([p for ct in inputs for p in (ct.c0, ct.c1)], COEFF)
+    return stack([
+        replace(ct, c0=c0, c1=c1, scale=first.scale)
+        for ct, c0, c1 in zip(inputs, polys[::2], polys[1::2])
+    ])

@@ -95,24 +95,33 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     @classmethod
     def from_int_coeffs(
-        cls, basis: RnsBasis, coeffs: Sequence[int]
+        cls, basis: RnsBasis, coeffs: Sequence[int] | Sequence[Sequence[int]]
     ) -> "RnsPolynomial":
         """Reduce big-integer (possibly negative) coefficients into RNS.
 
+        ``coeffs`` is one polynomial's ``n`` coefficients, or a nested
+        batch of them, whose axes lead the result's (``(..., R, n)``).
         Coefficients that all fit int64 reduce in one broadcast against
         the modulus column (every modulus fits int64 too, and numpy's
         ``%`` is non-negative for a positive divisor); wider ones reduce
         as Python ints.
         """
-        if len(coeffs) != basis.n:
-            raise ParameterError(f"expected {basis.n} coefficients, got {len(coeffs)}")
         row = _int64_row(coeffs)
+        values = np.asarray(coeffs, dtype=object) if row is None else row
+        if values.shape[-1:] != (basis.n,):
+            raise ParameterError(
+                f"expected {basis.n} coefficients, got {values.shape}"
+            )
         if row is not None:
-            mat = (row % basis.q_col.astype(np.int64)).astype(np.uint64)
+            mat = (row[..., None, :] % basis.q_col.astype(np.int64)).astype(np.uint64)
         else:
             mat = np.array(
-                [[c % q for c in coeffs] for q in basis.moduli], dtype=np.uint64
-            )
+                [
+                    [[c % q for c in poly] for q in basis.moduli]
+                    for poly in values.reshape(-1, basis.n)
+                ],
+                dtype=np.uint64,
+            ).reshape(*values.shape[:-1], basis.size, basis.n)
         return cls(basis, mat, COEFF)
 
     def _like(self, mat: np.ndarray, domain: str | None = None) -> "RnsPolynomial":

@@ -433,3 +433,107 @@ class TestTransformCounts:
         assert after["inverse.elems"] - before["inverse.elems"] == n * (
             giants_rotated * full + 2 * full
         )
+
+
+# ----------------------------------------------------------------------
+# Mixed-domain operands
+# ----------------------------------------------------------------------
+class TestMixedDomains:
+    @pytest.fixture
+    def sanitizer(self):
+        was_attached = obs.checker() is sanitize
+        sanitize.enable()
+        yield sanitize
+        if not was_attached:
+            sanitize.disable()
+
+    def test_mixed_add_settles_on_coefficient_form(self, ctx, rng, sanitizer):
+        """Under the sanitizer every ciphertext built is checked for
+        c0/c1 domain agreement — including the operand ``add`` brings
+        over and the sum."""
+        a = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
+        b = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
+        checks, violations = sanitizer.STATS["checks"], sanitizer.STATS["violations"]
+        for x, y in ((a.to_ntt(), b), (a, b.to_ntt())):
+            for op in (ctx.evaluator.add, ctx.evaluator.sub):
+                out = op(x, y)
+                assert out.c0.domain == out.c1.domain == COEFF
+        # Its own ops only: the totals are process-wide, and an earlier
+        # test may have provoked a violation on purpose.
+        assert sanitizer.STATS["checks"] > checks
+        assert sanitizer.STATS["violations"] == violations
+
+    def test_same_domain_add_stays_put(self, ctx, rng):
+        a = ctx.encrypt(rng.uniform(-1, 1, ctx.slots)).to_ntt()
+        out = ctx.evaluator.add(a, a)
+        assert out.c0.domain == out.c1.domain == NTT
+        want = ctx.evaluator.add(a.to_coeff(), a.to_coeff())
+        assert np.array_equal(out.to_coeff().c0.mat, want.c0.mat)
+
+    def test_decrypt_accepts_either_domain(self, ctx, rng):
+        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
+        decrypt = ctx.decryptor.decrypt_to_plaintext
+        assert (
+            decrypt(ct).poly.to_int_coeffs()
+            == decrypt(ct.to_ntt()).poly.to_int_coeffs()
+        )
+
+
+# ----------------------------------------------------------------------
+# Scalar plaintexts
+# ----------------------------------------------------------------------
+#: Level scales the chains produce (28-60 bits, not powers of two) and
+#: products of two of them.
+LEVEL_SCALES = [
+    Fraction(2**28 + 12345), Fraction(2**30), Fraction(2**35 - 2**20 + 7, 3),
+    Fraction(2**45 + 1), Fraction(2**59 + 2**31 + 5), Fraction(2**60 - 93),
+]
+SCALES = LEVEL_SCALES + [a * b for a in LEVEL_SCALES[:3] for b in LEVEL_SCALES[3:]]
+
+
+class TestScalarPlaintexts:
+    @pytest.mark.parametrize("scale", SCALES, ids=lambda s: f"2^{float(s).hex()[-2:]}")
+    def test_encode_scalar_is_coefficient_zero_of_encode(self, ctx, scale):
+        encoder = ctx.encoder
+        for value in (0.0, 1.0, -1.0, 0.5, -1.0 / 48.0, 0.25, 3, 1e-9,
+                      np.float64(2.0 / 3.0), np.float32(0.1), -12345.678):
+            want = encoder.encode(value, scale)
+            assert want[1:] == [0] * (ctx.chain.n - 1)
+            assert encoder.encode_scalar(value, scale) == want[0]
+
+    @pytest.mark.parametrize("resident", [COEFF, NTT])
+    def test_scalar_ops_equal_the_encoder_path(self, ctx, rng, resident):
+        ev = ctx.evaluator
+        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
+        if resident == NTT:
+            ct = ct.to_ntt()
+        for value in (0.25, -1.0 / 48.0, 0.0, 7):
+            vector = np.full(ctx.slots, value)
+            for op in (ev.mul_plain, ev.add_plain, ev.sub_plain):
+                got, want = op(ct, value), op(ct, vector)
+                assert got.scale == want.scale
+                for g, w in ((got.c0, want.c0), (got.c1, want.c1)):
+                    assert np.array_equal(g.to_coeff().mat, w.to_coeff().mat)
+
+    def test_only_real_scalars_skip_the_encoder(self, ctx, rng, monkeypatch):
+        calls = []
+        encode = ctx.encoder.encode
+        monkeypatch.setattr(
+            ctx.encoder, "encode",
+            lambda values, scale: calls.append(values) or encode(values, scale),
+        )
+        ev = ctx.evaluator
+        ct = ctx.encrypt(rng.uniform(-1, 1, ctx.slots))
+        calls.clear()
+        ev.mul_plain(ct, 0.5)
+        ev.add_plain(ct, np.float64(0.5))
+        ev.sub_plain(ct, 2)
+        assert calls == []
+        ev.mul_plain(ct, 0.5j)
+        ev.add_plain(ct, np.complex128(1 + 0j))
+        ev.mul_plain(ct, np.full(ctx.slots, 0.5))
+        ev.add_plain(ct, [0.5])
+        assert len(calls) == 4
+        got = ev.mul_plain(ct, 0.5j)
+        want = ev.mul_plain(ct, np.full(ctx.slots, 0.5j))
+        assert np.array_equal(got.c0.mat, want.c0.mat)

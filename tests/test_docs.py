@@ -23,7 +23,7 @@ README_MAX_LINES = 350
 PERFORMANCE_MAX_LINES = 80
 #: A ratchet: a change that shortens DESIGN.md lowers it, and none
 #: raises it.
-DESIGN_MAX_LINES = 1622
+DESIGN_MAX_LINES = 1621
 
 _SPAN = re.compile(r"`([^`\n]+)`")
 _PATH = re.compile(

@@ -164,6 +164,16 @@ class TestFromIntCoeffs:
             poly = RnsPolynomial.from_int_coeffs(RnsBasis(N, moduli), coeffs)
             assert poly.mat.tolist() == self._oracle(moduli, coeffs)
 
+    @pytest.mark.parametrize("special", [[], [3**80]], ids=["int64", "python-int"])
+    def test_a_nested_batch_is_its_members(self, rng, special):
+        moduli = self.NARROW_WIDE
+        batch = [[self._coeffs(rng, special) for _ in range(3)] for _ in range(2)]
+        poly = RnsPolynomial.from_int_coeffs(RnsBasis(N, moduli), batch)
+        assert poly.batch == (2, 3) and poly.mat.dtype == np.uint64
+        for mats, members in zip(poly.mat, batch):
+            for mat, coeffs in zip(mats, members):
+                assert mat.tolist() == self._oracle(moduli, coeffs)
+
 
 class TestConstructorValidation:
     """One matrix, checked once: misfits raise ParameterError, by name."""
