@@ -127,8 +127,14 @@ class PlainBlock:
             self._encoded.move_to_end(key)
             return self._encoded[key]
         encode = evaluator.encoder.encode
+        # Each diagonal's coefficients as an array as soon as they are
+        # made: held as Python ints until the last one, they would
+        # raise the block's transient peak by ~1 MB.
         coeffs = [
-            [encode(np.roll(diag[j], j - j % giant_step), scale) for diag in col]
+            [
+                np.asarray(encode(np.roll(diag[j], j - j % giant_step), scale))
+                for diag in col
+            ]
             for col, js in zip(zip(*self.diagonals), self.kept)
             for j in js
         ]

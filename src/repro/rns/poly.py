@@ -113,7 +113,8 @@ class RnsPolynomial:
                 f"expected {basis.n} coefficients, got {values.shape}"
             )
         if row is not None:
-            mat = (row[..., None, :] % basis.q_col.astype(np.int64)).astype(np.uint64)
+            # Every remainder is in [0, q): its int64 bits are the uint64.
+            mat = (row[..., None, :] % basis.q_col.astype(np.int64)).view(np.uint64)
         else:
             mat = np.array(
                 [
