@@ -116,8 +116,8 @@ class PlainBlock:
         row's diagonal rotated by ``-(j - j mod giant_step)`` so the
         giant rotation lands it in place, encoded at the level's scale
         over ``M ∪ P``, in NTT form, stacked over the rows as one
-        ``(rows, |M ∪ P|, n)`` plaintext — all in one stacked
-        transform, the first time.
+        ``(rows, |M ∪ P|, n)`` plaintext — one stacked transform per
+        input, the first time.
         """
         chain = evaluator.chain
         basis = chain.basis_at(level).extended(chain.special_moduli)
@@ -127,26 +127,22 @@ class PlainBlock:
             self._encoded.move_to_end(key)
             return self._encoded[key]
         encode = evaluator.encoder.encode
-        # Each diagonal's coefficients as an array as soon as they are
-        # made: held as Python ints until the last one, they would
-        # raise the block's transient peak by ~1 MB.
-        coeffs = [
-            [
-                np.asarray(encode(np.roll(diag[j], j - j % giant_step), scale))
-                for diag in col
-            ]
-            for col, js in zip(zip(*self.diagonals), self.kept)
-            for j in js
-        ]
-        (stacked,) = to_domain([RnsPolynomial.from_int_coeffs(basis, coeffs)], NTT)
-        polys = iter(stacked.mat)
-        plan = [
-            {
-                int(j): Plaintext(RnsPolynomial(basis, next(polys), NTT), scale, level)
+        plan = []
+        for col, js in zip(zip(*self.diagonals), self.kept):
+            # One input at a time, each diagonal an array as soon as it
+            # is made: the transient stack stays one input's.
+            coeffs = [
+                [
+                    np.asarray(encode(np.roll(diag[j], j - j % giant_step), scale))
+                    for diag in col
+                ]
                 for j in js
-            }
-            for js in self.kept
-        ]
+            ]
+            (stacked,) = to_domain([RnsPolynomial.from_int_coeffs(basis, coeffs)], NTT)
+            plan.append({
+                int(j): Plaintext(RnsPolynomial(basis, mat, NTT), scale, level)
+                for j, mat in zip(js, stacked.mat)
+            })
         self._encoded[key] = plan
         while len(self._encoded) > self.ENCODINGS_KEPT:
             self._encoded.popitem(last=False)
