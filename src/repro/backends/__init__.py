@@ -47,24 +47,19 @@ def available_backends() -> tuple[str, ...]:
     return ("numpy",)
 
 
-def ntt_forward(ctx, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Written into ``out`` (uint64, ``mat``'s shape) when it is given."""
-    out = ctx._forward_stages(mat, out)
+def ntt_forward(ctx, mat: np.ndarray) -> np.ndarray:
+    out = ctx._forward_stages(mat)
     if _obs.ACTIVE:
         _obs.kernel("backend.numpy.ntt_forward")
     return out
 
 
 def ntt_inverse(
-    ctx,
-    mat: np.ndarray,
-    scale: tuple[int, ...] | None = None,
-    out: np.ndarray | None = None,
+    ctx, mat: np.ndarray, scale: tuple[int, ...] | None = None
 ) -> np.ndarray:
     """Includes the ``n^-1`` scale, and row ``i`` times ``scale[i]``
-    when ``scale`` is given; the output is fully reduced either way,
-    and written into ``out`` when that is given."""
-    out = ctx._inverse_stages(mat, scale, out)
+    when ``scale`` is given; the output is fully reduced either way."""
+    out = ctx._inverse_stages(mat, scale)
     if _obs.ACTIVE:
         _obs.kernel("backend.numpy.ntt_inverse")
     return out

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -278,18 +277,13 @@ class Evaluator:
 
     def _galois(self, ct: Ciphertext, g: int) -> Ciphertext:
         """``ct`` under ``X -> X^g`` (``g = 1`` is ``ct`` itself): its
-        key products modded down.  An NTT-form ``c0`` enters the
-        accumulators lifted by ``P``, as in :meth:`rotate_lifted`; a
-        coefficient-form one is permuted and added after the mod-down,
-        with no transform.  Either way the bytes are the same:
-        ``round((P·a + y) / P) = a + round(y / P)``."""
+        key products modded down, and ``c0`` in coefficient form
+        permuted and added after the mod-down."""
         if g == 1:
             return ct
-        specials = self.chain.special_moduli
-        lift = ct.c0.domain == NTT
-        (acc,) = self._switched(ct, [g], scale_up(ct.c0, specials) if lift else None)
-        k0, k1 = _mod_down(acc, specials)
-        c0 = k0 if lift else ct.c0.galois(g).add(k0)
+        (acc,) = self._switched(ct, [g], None)
+        k0, k1 = _mod_down(acc, self.chain.special_moduli)
+        c0 = ct.c0.to_coeff().galois(g).add(k0)
         return _done(Ciphertext(c0, k1, ct.level, ct.scale), "hrot", "rotate")
 
     def rotate_lifted(self, ct: Ciphertext, steps: Sequence[int]) -> list[Ciphertext]:
@@ -349,14 +343,16 @@ class Evaluator:
 
         Each term is lifted: NTT-form over ``M ∪ P``, ``P`` times a
         ciphertext at its level and scale, as :meth:`rotate_lifted`
-        and :meth:`mul_encoded_sum` over its babies leave it.  The
+        and :meth:`mul_encoded_sum` over its babies leave it; a term
+        over any other basis is refused (``ParameterError``), and a
+        lone unrotated term comes back modded down.  The
         unrotated terms and every ``galois(c0)`` go straight into the
         accumulators.  The rotated terms' ``c1`` stack as
         ``(G, *batch, |M ∪ P|, n)`` and take one ``scale_down`` to
         ``M`` (the digits a keyswitch decomposes), then one stacked
         keyswitch: one base conversion and one forward (the digit
         layout is the level's, the same for every Galois element), each
-        term's digits permuted by its own element, and one
+        term's digits permuted in place by its own element, and one
         multiply-accumulate per accumulator over all ``G·D`` digits
         against their keys' rows.  The sum then takes one inverse
         transform and one ``scale_down`` pair, where separate rotations
@@ -369,25 +365,36 @@ class Evaluator:
         if not terms:
             raise ParameterError("rotate_sum needs at least one term")
         first = terms[0][1]
+        specials = self.chain.special_moduli
+        if first.basis.moduli != self.chain.moduli_at(first.level) + specials:
+            raise ParameterError(
+                "rotate_sum takes P-lifted terms over M ∪ P (see rotate_lifted)"
+            )
         for _, ct in terms[1:]:
             check_addable(first, ct)
         elements = [self._element(steps) for steps, _ in terms]
-        specials = self.chain.special_moduli
         polys = to_domain([p for _, ct in terms for p in (ct.c0, ct.c1)], NTT)
-        c0 = [p if g == 1 else p.galois(g) for g, p in zip(elements, polys[::2])]
-        c1 = [p for g, p in zip(elements, polys[1::2]) if g == 1]
-        acc = [reduce(RnsPolynomial.add, c) if c else None for c in (c0, c1)]
-        rotated = [(g, p) for g, p in zip(elements, polys[1::2]) if g != 1]
+        acc = [None, None]  # summed one term at a time
+        rotated = []
+        for g, c0, c1 in zip(elements, polys[::2], polys[1::2]):
+            c0 = c0 if g == 1 else c0.galois(g)
+            acc[0] = c0 if acc[0] is None else acc[0].add(c0)
+            if g == 1:
+                acc[1] = c1 if acc[1] is None else acc[1].add(c1)
+            else:
+                rotated.append((g, c1.mat))
         if rotated:
             ksks = [self.chest.galois_key(first.level, g) for g, _ in rotated]
-            c1s = np.stack([p.mat for _, p in rotated])
+            c1s = np.stack([mat for _, mat in rotated])
             c1s = scale_down(RnsPolynomial(first.basis, c1s, NTT), specials)
             ext = self._extended_digits(c1s, ksks[0])
-            turned = (
-                np.take(digits, galois_permutation(first.basis.n, g), axis=-1)
-                for digits, (g, _) in zip(ext, rotated)
-            )
-            acc = self._key_products(list(zip(turned, ksks)), acc)
+            del c1s
+            for digits, (g, _) in zip(ext, rotated):
+                # In place, one term's copy at a time (take, not
+                # digits[..., perm]: that would come back strided).
+                perm = galois_permutation(first.basis.n, g)
+                digits[...] = np.take(digits, perm, axis=-1)
+            acc = self._key_products(list(zip(ext, ksks)), acc)
         for i, (g, (_, ct)) in enumerate(zip(elements, terms)):
             if g != 1:
                 _done(ct, "hrot", "rotate")
@@ -457,7 +464,10 @@ class Evaluator:
         # A view for one polynomial or a batch: the batch axes lead.
         stack = ext.reshape(*d.batch, -1, full.n)
         stack[..., ksk.converted_rows, :] = converted
-        return ext if d.domain == NTT else forward_rows(ext, full.moduli)
+        del converted  # not held through the forward
+        if d.domain == NTT:
+            return ext
+        return forward_rows(ext, full.moduli, overwrite=True)
 
     @staticmethod
     def _inner_product(

@@ -211,6 +211,7 @@ def bsgs_sums(
         ]
         if pairs:
             giants.append((i, evaluator.mul_encoded_sum(pairs)))
+    del babies, pairs  # not held through the giant steps' keyswitch
     return evaluator.rescale(evaluator.rotate_sum(giants))
 
 

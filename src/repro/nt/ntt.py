@@ -99,7 +99,7 @@ built once per scale and kept on the context.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -426,11 +426,7 @@ class NttRowsContext:
         return q, 1 / q
 
     def _four_step_pass(
-        self,
-        mat: np.ndarray,
-        inverse: bool,
-        scale: tuple[int, ...] | None = None,
-        out: np.ndarray | None = None,
+        self, mat: np.ndarray, inverse: bool, scale: tuple[int, ...] | None = None
     ) -> np.ndarray:
         """The four-step kernel: two batched float64 matrix products,
         exact, with an int64 twiddle product between them.
@@ -469,12 +465,10 @@ class NttRowsContext:
         y = np.matmul(left, c) if inverse else np.matmul(c, right)
         del c
         r = modmath.limb_residue(y[0], y[1], q, q_inv)
-        folded = np.empty(r.shape, dtype=self._word)
-        modmath.centred_fold(r, self._q, self._two_q, folded)
+        out = np.empty(r.shape, dtype=self._word)
+        modmath.centred_fold(r, self._q, self._two_q, out)
         del y, r
-        if out is not None:
-            return _into(out, folded)
-        return folded.astype(np.uint64).reshape(mat.shape)
+        return out.astype(np.uint64).reshape(mat.shape)
 
     # ------------------------------------------------------------------
     def _check(self, mat: np.ndarray) -> None:
@@ -509,17 +503,20 @@ class NttRowsContext:
         one = len(self.moduli) * self.n * np.dtype(self._word).itemsize
         return -(-m // max(1, _STACK_BYTES // one))
 
-    def _by_parts(self, kernel, mat: np.ndarray) -> np.ndarray:
+    def _by_parts(
+        self, kernel, mat: np.ndarray, overwrite: bool = False
+    ) -> np.ndarray:
         """``kernel(self, mat)`` for an ``(m, k, n)`` stack, split evenly
-        when it has to run in more than one part: each part's kernel
-        writes its result straight into its slice of one output."""
+        when it has to run in more than one part: each part's result is
+        copied into its slice of one output, ``mat`` itself when
+        ``overwrite`` (each part is read before its slice is written)."""
         parts = self.parts(len(mat))
         if parts == 1:
             return kernel(self, mat)
-        out = np.empty(mat.shape, dtype=np.uint64)
+        out = mat if overwrite else np.empty(mat.shape, dtype=np.uint64)
         lo = 0
         for part in np.array_split(mat, parts):
-            kernel(self, part, out=out[lo : lo + len(part)])
+            out[lo : lo + len(part)] = kernel(self, part)
             lo += len(part)
         return out
 
@@ -536,9 +533,10 @@ class NttRowsContext:
         r = modmath.mod_mul_shoup62_lazy(x, w, w_aux, self._q)
         return modmath.lazy_fold(r, self._two_q, out=out)
 
-    def forward(self, mat: np.ndarray) -> np.ndarray:
+    def forward(self, mat: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Coefficient -> NTT transform of a ``(k, n)`` matrix or stack
-        (any leading axes run as one ``(m, k, n)`` stack).
+        (any leading axes run as one ``(m, k, n)`` stack), split stacks
+        written over ``mat`` when ``overwrite`` (:func:`forward_rows`).
 
         Crosses the kernel boundary (:mod:`repro.backends`), which
         counts the call and lands back on :meth:`_forward_stages`.
@@ -546,18 +544,16 @@ class NttRowsContext:
         if mat.ndim == 1:
             return self.forward(mat[None])[0]
         if mat.ndim > 3:
-            return self.forward(mat.reshape(-1, *mat.shape[-2:])).reshape(mat.shape)
+            stack = mat.reshape(-1, *mat.shape[-2:])
+            return self.forward(stack, overwrite).reshape(mat.shape)
         self._check(mat)
         if mat.ndim == 3:
-            return self._by_parts(_backends.ntt_forward, mat)
+            return self._by_parts(_backends.ntt_forward, mat, overwrite)
         return _backends.ntt_forward(self, mat)
 
-    def _forward_stages(
-        self, mat: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _forward_stages(self, mat: np.ndarray) -> np.ndarray:
         """The numpy forward kernel: :meth:`_four_step_pass` on a small
-        ring, else the stage loop; the result lands in ``out`` when one
-        is given (one part of a split stack, :meth:`_by_parts`).
+        ring, else the stage loop.
 
         Cooley–Tukey DIT with Harvey's lazy butterfly: values enter a
         stage in ``[0, 4q)``, the upper half folds to ``[0, 2q)``, the
@@ -567,7 +563,7 @@ class NttRowsContext:
         copy back to natural order.
         """
         if self._four_step:
-            return self._four_step_pass(mat, inverse=False, out=out)
+            return self._four_step_pass(mat, inverse=False)
         # 5-D from the start (a lone matrix is a stack of one), so that
         # n = 1 (no stage, never transposed) leaves through the same
         # reduction and copy as everything else.
@@ -586,8 +582,6 @@ class NttRowsContext:
             np.add(y, self._two_q, out=v)
         modmath.lazy_fold(a, self._two_q, out=a)
         modmath.lazy_fold(a, self._q, out=a)
-        if out is not None:
-            return _into(out, a.swapaxes(3, 4))
         return a.swapaxes(3, 4).astype(np.uint64, order="C").reshape(mat.shape)
 
     def inverse(
@@ -612,19 +606,17 @@ class NttRowsContext:
                 f"expected {len(self.moduli)} scale constants, got {len(scale)}"
             )
         if mat.ndim == 3:
-            return self._by_parts(partial(_backends.ntt_inverse, scale=scale), mat)
+            return self._by_parts(
+                lambda ctx, part: _backends.ntt_inverse(ctx, part, scale), mat
+            )
         return _backends.ntt_inverse(self, mat, scale)
 
     def _inverse_stages(
-        self,
-        mat: np.ndarray,
-        scale: tuple[int, ...] | None = None,
-        out: np.ndarray | None = None,
+        self, mat: np.ndarray, scale: tuple[int, ...] | None = None
     ) -> np.ndarray:
         """The numpy inverse kernel: :meth:`_four_step_pass` on a small
         ring, else the stage loop; ``n^-1 · scale`` rides the constants
-        of :meth:`_inverse_finish`, and the result lands in ``out`` as
-        in :meth:`_forward_stages`.
+        of :meth:`_inverse_finish`.
 
         Gentleman–Sande DIF with the lazy butterfly mirrored: values
         stay in ``[0, 2q)``; the sum folds back from ``[0, 4q)``, the
@@ -636,7 +628,7 @@ class NttRowsContext:
         one full reduction follows.
         """
         if self._four_step:
-            return self._four_step_pass(mat, inverse=True, scale=scale, out=out)
+            return self._four_step_pass(mat, inverse=True, scale=scale)
         finish = self._inverse_finish(scale)
         merged = self._word is np.uint32
         stages = self._inverse_plan[::-1]
@@ -661,16 +653,7 @@ class NttRowsContext:
             a = self._twiddle_mul(a.reshape(-1, len(self.moduli), 1, 1, self.n),
                                   c, c_aux)
         modmath.lazy_fold(a, self._q, out=a)
-        if out is not None:
-            return _into(out, a)
         return a.astype(np.uint64, copy=False).reshape(mat.shape)
-
-
-def _into(out: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """A kernel's natural-order result ``a`` converted into ``out`` in
-    one pass: its slice of a split stack's output."""
-    np.copyto(out.reshape(a.shape), a, casting="unsafe")
-    return out
 
 
 @lru_cache(maxsize=1024)
@@ -699,17 +682,26 @@ def ntt_context(q: int, n: int) -> NttRowsContext:
     return ntt_rows_context((q,), n)
 
 
-def forward_rows(mat: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+def forward_rows(
+    mat: np.ndarray, moduli: Sequence[int], overwrite: bool = False
+) -> np.ndarray:
     """Forward NTT of every row of a ``(k, n)`` residue matrix — or of an
-    ``(m, k, n)`` stack of matrices over the same moduli — at once."""
+    ``(m, k, n)`` stack of matrices over the same moduli — at once.
+
+    ``overwrite=True`` (as ``scipy.fft``'s ``overwrite_x``) lets a stack
+    that runs in parts land in ``mat``'s own buffer instead of a second
+    one the stack's size; the caller reads the returned array and not
+    ``mat`` again."""
     if not isinstance(moduli, tuple):
         moduli = tuple(int(q) for q in moduli)
-    out = ntt_rows_context(moduli, mat.shape[-1]).forward(mat)
+    out = ntt_rows_context(moduli, mat.shape[-1]).forward(mat, overwrite)
     if _obs.ACTIVE:
         # A lazy value that escaped the stage loop's one full reduction
         # is caught at the kernel boundary, in the output.
-        _obs.kernel("ntt.forward", mat.size, moduli,
-                    (("forward_rows input", mat), ("forward_rows output", out)))
+        checked = (("forward_rows output", out),)
+        if not overwrite:
+            checked = (("forward_rows input", mat),) + checked
+        _obs.kernel("ntt.forward", mat.size, moduli, checked)
     return out
 
 

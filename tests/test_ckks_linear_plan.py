@@ -42,7 +42,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import _mod_down
 from repro.ckks.homdft import coeff_to_slot, homdft_matrices, slot_to_coeff
 from repro.ckks.linalg import PlainBlock, PlainMatrix, bsgs_sums
-from repro.errors import ScaleMismatchError
+from repro.errors import ParameterError, ScaleMismatchError
 from repro.nt.ntt import ntt_rows_context
 from repro.rns.convert import scale_up
 from repro.rns.poly import COEFF, NTT, RnsPolynomial
@@ -351,6 +351,15 @@ class TestFusedTransform:
         (lower,) = ev.rotate_lifted(ev.adjust(fresh, fresh.level - 1), [0])
         with pytest.raises(ScaleMismatchError):
             ev.rotate_sum([(0, x), (1, lower)])
+
+    def test_rotate_sum_refuses_unlifted_terms(self, plan_ctx, rng):
+        """``rotate_sum`` takes P-lifted terms over ``M ∪ P`` only: a
+        ciphertext over its level's basis is refused at entry."""
+        ctx, ev = plan_ctx, plan_ctx.evaluator
+        _, (fresh, _) = self._block(ctx, rng)
+        for terms in ([(0, fresh)], [(1, fresh)], [(0, fresh), (1, fresh)]):
+            with pytest.raises(ParameterError, match="P-lifted"):
+                ev.rotate_sum(terms)
 
 
 #: (planner, word bits, level scale bits, base bits): the narrow paths of

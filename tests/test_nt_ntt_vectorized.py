@@ -653,6 +653,12 @@ class TestStackedMatrices:
         )
         assert passes == 3
         np.testing.assert_array_equal(inverse_rows(want, moduli), stack)
+        # overwrite=True lands the parts in the input's own buffer,
+        # through any leading axes.
+        buf = stack.reshape(2, 3, 4, n).copy()
+        got = forward_rows(buf, moduli, overwrite=True)
+        assert got.shape == buf.shape and np.shares_memory(got, buf)
+        np.testing.assert_array_equal(got.reshape(stack.shape), want)
 
 
 @pytest.mark.guard
